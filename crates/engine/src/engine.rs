@@ -161,16 +161,6 @@ impl Engine {
             committed_epoch: self.db().store.committed_epoch(),
         }
     }
-
-    /// Consumes a single-owner engine, giving the database back. Errors
-    /// (returning `self` untouched) while other `Arc` holders — sessions
-    /// or clones — are alive.
-    pub fn try_into_db(self: Arc<Self>) -> std::result::Result<Database, Arc<Engine>> {
-        match Arc::try_unwrap(self) {
-            Ok(e) => Ok(e.db.into_inner().unwrap_or_else(|p| p.into_inner())),
-            Err(arc) => Err(arc),
-        }
-    }
 }
 
 impl std::fmt::Debug for Engine {

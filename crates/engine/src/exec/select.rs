@@ -1,0 +1,415 @@
+//! SELECT: the row-at-a-time and vectorized scan bodies handed to the
+//! driver, and the partition-order merge of what they return.
+
+use super::agg::{make_accs, GroupKey, Groups, ItemAcc};
+use super::scan::{eval_scalars, run_scan, ScanEnv, ScanTotals, ScanWorker};
+use super::{ExecCtx, QueryResult};
+use crate::aggregate::{UdaMode, UdaRegistry};
+use crate::batch::{BItem, BVal, BatchPlan};
+use crate::expr::{eval, EvalEnv, Expr, RowCtx};
+use crate::tsql::{SelectItem, SelectStmt};
+use crate::value::{EngineError, Result, Value};
+use sqlarray_core::batch::{Batch, ColVec};
+use sqlarray_storage::Schema;
+use std::sync::Arc;
+
+/// Rewrites scalar-function calls that name a registered UDA into
+/// [`Expr::UdaCall`] nodes.
+fn resolve_udas(expr: &Expr, udas: &UdaRegistry) -> Expr {
+    match expr {
+        Expr::Func { name, args } if udas.contains(name) => Expr::UdaCall {
+            name: name.clone(),
+            args: args.iter().map(|a| resolve_udas(a, udas)).collect(),
+        },
+        Expr::Func { name, args } => Expr::Func {
+            name: name.clone(),
+            args: args.iter().map(|a| resolve_udas(a, udas)).collect(),
+        },
+        Expr::Neg(e) => Expr::Neg(Box::new(resolve_udas(e, udas))),
+        Expr::Not(e) => Expr::Not(Box::new(resolve_udas(e, udas))),
+        Expr::Bin { op, left, right } => Expr::Bin {
+            op: *op,
+            left: Box::new(resolve_udas(left, udas)),
+            right: Box::new(resolve_udas(right, udas)),
+        },
+        other => other.clone(),
+    }
+}
+
+fn item_name(item: &SelectItem, index: usize) -> String {
+    if let Some(a) = &item.alias {
+        return a.clone();
+    }
+    match &item.expr {
+        Expr::Col(name) => name.clone(),
+        Expr::Agg { func, .. } => format!("{func:?}").to_ascii_lowercase(),
+        _ => format!("col{index}"),
+    }
+}
+
+/// What one scan worker hands back to the merge.
+enum WorkerOut {
+    /// Projection rows, in key order, capped at the limit.
+    Rows(Vec<Vec<Value>>),
+    /// Aggregate groups in first-appearance order.
+    Groups(Groups),
+}
+
+/// The immutable part of one SELECT, shared by all its workers.
+struct SelectJob<'a> {
+    schema: &'a Schema,
+    items: &'a [SelectItem],
+    where_clause: Option<&'a Expr>,
+    group_by: &'a [Expr],
+    has_aggregate: bool,
+    limit: usize,
+    udas: &'a UdaRegistry,
+    uda_mode: UdaMode,
+    /// Target rows per batch for the vectorized body.
+    batch_rows: usize,
+}
+
+impl SelectJob<'_> {
+    /// The row-at-a-time body: the interpreter every expression shape
+    /// runs on (GROUP BY, UDF/UDA calls, blob expressions), and the
+    /// reference the vectorized body is differentially tested against.
+    fn scan_rows(&self, w: &mut ScanWorker<'_>) -> Result<WorkerOut> {
+        if !self.has_aggregate {
+            let mut rows: Vec<Vec<Value>> = Vec::new();
+            w.for_each_row(|env, key, bytes| {
+                if rows.len() >= self.limit {
+                    return Ok(false);
+                }
+                let row = RowCtx {
+                    schema: self.schema,
+                    bytes,
+                    key,
+                };
+                if !self.passes_where(&row, env)? {
+                    return Ok(true);
+                }
+                let mut out = Vec::with_capacity(self.items.len());
+                for it in self.items {
+                    let mut v = eval(&it.expr, Some(&row), env)?;
+                    // The projection boundary is blob-aware: a bare
+                    // `SELECT v` of a LOB column returns the array bytes
+                    // (one ranged read), not a placeholder.
+                    crate::pushdown::resolve_lob_in_place(&mut v, env)?;
+                    out.push(v);
+                }
+                rows.push(out);
+                Ok(rows.len() < self.limit)
+            })?;
+            return Ok(WorkerOut::Rows(rows));
+        }
+
+        let mut groups = Groups::default();
+        if self.group_by.is_empty() {
+            groups.insert(GroupKey::default(), make_accs(self.items, self.udas)?);
+        }
+        let query = w.query();
+        // Key-encoding scratch, reused across rows so the hot grouped loop
+        // re-fills one buffer instead of growing a fresh Vec per row; it
+        // is cloned only when a new group is inserted.
+        let mut group_key = GroupKey::default();
+        w.for_each_row(|env, key, bytes| {
+            let row = RowCtx {
+                schema: self.schema,
+                bytes,
+                key,
+            };
+            if !self.passes_where(&row, env)? {
+                return Ok(true);
+            }
+            let pos = if self.group_by.is_empty() {
+                0
+            } else {
+                group_key.0.clear();
+                for g in self.group_by {
+                    let mut v = eval(g, Some(&row), env)?;
+                    // Grouping by a LOB column groups by its bytes, like
+                    // any other binary value.
+                    crate::pushdown::resolve_lob_in_place(&mut v, env)?;
+                    group_key.push(&v)?;
+                }
+                match groups.find(&group_key) {
+                    Some(pos) => pos,
+                    None => {
+                        // Aggregation state is the memory a grouped scan
+                        // actually accumulates: charge each new group's
+                        // key (stored twice — order list and index) plus
+                        // its accumulator row.
+                        query.charge(
+                            (2 * group_key.0.len()
+                                + self.items.len() * std::mem::size_of::<ItemAcc>())
+                                as u64,
+                        )?;
+                        groups.insert(group_key.clone(), make_accs(self.items, self.udas)?)
+                    }
+                }
+            };
+            for acc in groups.accs_mut(pos) {
+                acc.accumulate(&row, env, self.uda_mode)?;
+            }
+            Ok(true)
+        })?;
+        Ok(WorkerOut::Groups(groups))
+    }
+
+    /// SELECT's WHERE is truthiness-coerced (DML's is strictly boolean).
+    fn passes_where(&self, row: &RowCtx<'_>, env: &mut EvalEnv<'_>) -> Result<bool> {
+        match self.where_clause {
+            Some(w) => Ok(eval(w, Some(row), env)?.is_true()),
+            None => Ok(true),
+        }
+    }
+
+    /// The vectorized body: decode a leaf range into column batches,
+    /// filter into a selection vector, then feed projections or aggregate
+    /// accumulators batch-at-a-time. Mirrors [`scan_rows`](Self::scan_rows)
+    /// result for result — the differential suite asserts bit-identity —
+    /// while touching the allocator once per batch instead of once per
+    /// row.
+    fn scan_batches(&self, plan: &BatchPlan, w: &mut ScanWorker<'_>) -> Result<WorkerOut> {
+        let query = w.query();
+        let mut sel: Vec<u32> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::new();
+        // Batch lanes are reused across flushes, so the budget charge is
+        // the high-water mark of the decoded batch, not its size times
+        // flushes: only growth beyond what this worker already charged
+        // costs budget.
+        let mut charged_batch_bytes = 0u64;
+        // Charges the batch, then narrows `sel` to the rows passing WHERE.
+        let mut select = |b: &Batch, sel: &mut Vec<u32>| -> Result<()> {
+            let size = b.byte_size();
+            if size > charged_batch_bytes {
+                query.charge(size - charged_batch_bytes)?;
+                charged_batch_bytes = size;
+            }
+            sqlarray_core::batch::identity_selection(sel, b.len());
+            if let Some(f) = &plan.filter {
+                crate::batch::apply_filter(f, b, sel, &mut scratch)?;
+            }
+            Ok(())
+        };
+
+        if self.has_aggregate {
+            // Compiled aggregate plans are always the single global group
+            // (GROUP BY falls back), so the worker holds one accumulator
+            // row.
+            let mut accs = make_accs(self.items, self.udas)?;
+            w.for_each_batch(plan, self.batch_rows, |_, b| {
+                select(b, &mut sel)?;
+                if !sel.is_empty() {
+                    for (acc, item) in accs.iter_mut().zip(&plan.items) {
+                        acc.accumulate_batch(item, b, &sel)?;
+                    }
+                }
+                Ok(true)
+            })?;
+            let mut groups = Groups::default();
+            groups.insert(GroupKey::default(), accs);
+            Ok(WorkerOut::Groups(groups))
+        } else {
+            let mut rows: Vec<Vec<Value>> = Vec::new();
+            // A projection never needs more than `limit` output rows per
+            // worker, so a small `TOP` shrinks the batch: the scan stops
+            // within one cap of the limit instead of decoding a full
+            // batch.
+            let rows_cap = self.batch_rows.min(self.limit.max(1));
+            w.for_each_batch(plan, rows_cap, |env, b| {
+                if rows.len() >= self.limit {
+                    return Ok(false);
+                }
+                select(b, &mut sel)?;
+                if !sel.is_empty() {
+                    batch_project(plan, b, &sel, self.limit, &mut rows, env)?;
+                }
+                Ok(rows.len() < self.limit)
+            })?;
+            Ok(WorkerOut::Rows(rows))
+        }
+    }
+}
+
+/// Materializes the selected rows of one batch as projection output.
+/// Scalar items evaluate column-at-a-time; blob items resolve per row in
+/// row-major order, so LOB page reads interleave exactly like the
+/// row-at-a-time scan (the plan is leaf-aligned whenever blobs appear).
+fn batch_project(
+    plan: &BatchPlan,
+    b: &Batch,
+    sel: &[u32],
+    limit: usize,
+    rows: &mut Vec<Vec<Value>>,
+    env: &mut EvalEnv<'_>,
+) -> Result<()> {
+    enum ProjCol {
+        Vals(BVal),
+        Blob(usize),
+    }
+    let mut cols: Vec<ProjCol> = Vec::with_capacity(plan.items.len());
+    for item in plan.items.iter() {
+        cols.push(match item {
+            BItem::Proj(e) => ProjCol::Vals(crate::batch::eval(e, b, sel)?),
+            BItem::ProjBlob(pos) => ProjCol::Blob(*pos),
+            _ => {
+                return Err(EngineError::Type(
+                    "batch plan error: aggregate item in a projection".into(),
+                ))
+            }
+        });
+    }
+    for (r, &row_idx) in sel.iter().enumerate() {
+        if rows.len() >= limit {
+            break;
+        }
+        let mut out = Vec::with_capacity(cols.len());
+        for col in cols.iter() {
+            match col {
+                ProjCol::Vals(v) => out.push(v.value_at(r)),
+                ProjCol::Blob(pos) => {
+                    let ColVec::Blob { bytes, lob } = &b.cols[*pos] else {
+                        return Err(EngineError::Type(
+                            "batch plan error: blob projection over a scalar column".into(),
+                        ));
+                    };
+                    let i = row_idx as usize;
+                    let mut v = match lob[i] {
+                        Some((id, len)) => Value::Lob { id, len },
+                        None => Value::Bytes(bytes.get(i).to_vec()),
+                    };
+                    // The projection boundary is blob-aware, same as the
+                    // row path: stored references come back as bytes.
+                    crate::pushdown::resolve_lob_in_place(&mut v, env)?;
+                    out.push(v);
+                }
+            }
+        }
+        rows.push(out);
+    }
+    Ok(())
+}
+
+/// Executes one SELECT.
+pub fn exec_select(ctx: &mut ExecCtx<'_>, stmt: &SelectStmt) -> Result<QueryResult> {
+    let mut totals = ScanTotals::start(ctx.store, ctx.hosting);
+    let items: Vec<SelectItem> = stmt
+        .items
+        .iter()
+        .map(|it| SelectItem {
+            expr: resolve_udas(&it.expr, ctx.udas),
+            alias: it.alias.clone(),
+            assign: it.assign.clone(),
+        })
+        .collect();
+    let rows = select_rows(ctx, stmt, &items, &mut totals);
+    let (rows, stats) = totals.close(rows, ctx.store, ctx.hosting, ctx.partial)?;
+
+    let assignments = items
+        .iter()
+        .enumerate()
+        .filter_map(|(i, it)| {
+            it.assign.as_ref().map(|name| {
+                let v = rows
+                    .last()
+                    .and_then(|r| r.get(i))
+                    .cloned()
+                    .unwrap_or(Value::Null);
+                (name.clone(), v)
+            })
+        })
+        .collect();
+    Ok(QueryResult {
+        columns: items
+            .iter()
+            .enumerate()
+            .map(|(i, it)| item_name(it, i))
+            .collect(),
+        rows,
+        stats,
+        assignments,
+    })
+}
+
+/// Produces the statement's output rows: one evaluated row without FROM,
+/// otherwise the scan through the driver and the merge of its partials.
+fn select_rows(
+    ctx: &mut ExecCtx<'_>,
+    stmt: &SelectStmt,
+    items: &[SelectItem],
+    totals: &mut ScanTotals,
+) -> Result<Vec<Vec<Value>>> {
+    let env = ScanEnv {
+        store: ctx.store,
+        udfs: ctx.udfs,
+        vars: ctx.vars,
+        hosting: &mut *ctx.hosting,
+        query: &ctx.query,
+        dop: ctx.dop,
+    };
+    let Some(table_name) = &stmt.from else {
+        return Ok(vec![eval_scalars(env, items.iter().map(|it| &it.expr))?]);
+    };
+    let table = ctx
+        .tables
+        .get(&table_name.to_ascii_lowercase())
+        .ok_or_else(|| EngineError::Unknown(format!("table `{table_name}`")))?;
+    let has_aggregate =
+        items.iter().any(|it| it.expr.contains_aggregate()) || !stmt.group_by.is_empty();
+    // Vectorized by default: scans run batch-at-a-time whenever the plan
+    // compiles; `batch_rows == 0` (or a plan that does not compile) runs
+    // the row-at-a-time interpreter. When the statement came through the
+    // plan cache, its slot answers for var-free statements without
+    // recompiling. This is the executor side of the fallback seam.
+    let batch_plan: Option<Arc<BatchPlan>> = if ctx.batch_rows > 0 {
+        let compile = || {
+            crate::batch::plan_select(
+                table.schema(),
+                items,
+                stmt.where_clause.as_ref(),
+                &stmt.group_by,
+                has_aggregate,
+                ctx.vars,
+            )
+        };
+        match ctx.cached {
+            Some(slot) => slot.plan_for(table.schema(), compile),
+            None => compile().map(Arc::new),
+        }
+    } else {
+        None
+    };
+    let job = SelectJob {
+        schema: table.schema(),
+        items,
+        where_clause: stmt.where_clause.as_ref(),
+        group_by: &stmt.group_by,
+        has_aggregate,
+        limit: stmt.top.unwrap_or(ctx.row_limit),
+        udas: ctx.udas,
+        uda_mode: ctx.uda_mode,
+        batch_rows: ctx.batch_rows,
+    };
+    let outs = run_scan(env, table, totals, |w| match batch_plan.as_deref() {
+        Some(plan) => job.scan_batches(plan, w),
+        None => job.scan_rows(w),
+    })?;
+
+    // Merge partials in partition (key) order.
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut groups = Groups::default();
+    for out in outs {
+        match out {
+            WorkerOut::Rows(mut r) => {
+                r.truncate(job.limit.saturating_sub(rows.len()));
+                rows.extend(r);
+            }
+            WorkerOut::Groups(g) => groups.merge(g)?,
+        }
+    }
+    if has_aggregate {
+        rows = groups.finish()?;
+    }
+    Ok(rows)
+}

@@ -9,10 +9,9 @@
 use crate::aggregate::{UdaMode, UdaRegistry};
 use crate::engine::Engine;
 use crate::exec::{
-    exec_delete, exec_select, exec_update, DmlCtx, ExecCtx, QueryResult, QueryStats,
-    DEFAULT_ROW_LIMIT,
+    eval_scalars, exec_delete, exec_select, exec_update, DmlCtx, ExecCtx, QueryResult, QueryStats,
+    ScanEnv, DEFAULT_ROW_LIMIT,
 };
-use crate::expr::{eval, EvalEnv};
 use crate::hosting::HostingModel;
 use crate::plancache::CachedPlan;
 use crate::tsql::Stmt;
@@ -681,25 +680,25 @@ impl Session {
         Ok(self.query(sql)?.scalar()?.clone())
     }
 
-    /// Evaluates a standalone expression (DECLARE/SET initializers) under
-    /// a read guard. LOB-typed variables resolve through a one-partition
-    /// scan reader, whose I/O folds back into the store like any scan.
+    /// Evaluates a standalone expression (DECLARE/SET initializers) as a
+    /// statement of its own: under a read guard and a freshly minted
+    /// lifecycle context, so timeouts, cancellation and the memory budget
+    /// apply to initializers like to any SELECT.
     fn eval_expr(&mut self, e: &crate::expr::Expr) -> Result<Value> {
-        let db = self.engine.db();
-        let scan = db.store.begin_scan();
-        let mut r = db.store.reader(&scan, 0);
+        let query = self.mint_query();
         let out = {
-            let mut env = EvalEnv {
+            let db = self.engine.db();
+            let env = ScanEnv {
+                store: &db.store,
                 udfs: self.engine.udfs(),
-                hosting: &mut self.hosting,
                 vars: &self.vars,
-                lobs: Some(&mut r),
+                hosting: &mut self.hosting,
+                query: &query,
+                dop: 1,
             };
-            eval(e, None, &mut env)
+            eval_scalars(env, [e]).map(|mut v| v.remove(0))
         };
-        let io = r.finish();
-        db.store.finish_scan([&io]);
-        out
+        self.settle(out)
     }
 }
 

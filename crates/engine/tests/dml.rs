@@ -309,6 +309,107 @@ fn dml_error_matrix() {
     );
 }
 
+/// Every row's full content, blobs included.
+fn all_rows(s: &mut Session) -> Vec<Vec<Value>> {
+    s.query("SELECT id, tag, v FROM T").unwrap().rows
+}
+
+/// Runs `failing` — an UPDATE whose *second or later* matched row is
+/// rejected after earlier rows resolved fine — and asserts it changed
+/// nothing: not the rows, not one WAL byte, not the crash image, and
+/// nothing a later statement's commit could make durable.
+fn assert_failed_update_leaves_no_trace(rows: i64, failing: &str, want: fn(&EngineError) -> bool) {
+    for dop in [1usize, 4] {
+        let mut s = session(rows);
+        s.set_dop(dop);
+        let before = all_rows(&mut s);
+        let wal_before = s.db().store.wal_len();
+        let image_before = s.db().store.crash_image();
+
+        let err = s.execute(failing).unwrap_err();
+        assert!(want(&err), "dop {dop}: got {err:?}");
+
+        assert_eq!(all_rows(&mut s), before, "dop {dop}: rows changed");
+        assert_eq!(s.db().store.wal_len(), wal_before, "dop {dop}: WAL grew");
+        assert_eq!(
+            s.db().store.crash_image(),
+            image_before,
+            "dop {dop}: crash image changed"
+        );
+
+        // The next committed statement must not carry a half-applied
+        // update into the durable state.
+        s.execute("DELETE FROM T WHERE id < 0").unwrap();
+        let db = Database::recover(&s.db().store.crash_image()).unwrap();
+        let mut rec = Session::with_hosting(db, HostingModel::free());
+        assert_eq!(all_rows(&mut rec), before, "dop {dop}: recovery differs");
+    }
+}
+
+#[test]
+fn failing_update_is_not_half_applied() {
+    // Rows 0..=7 fit an INT; row 8 is the first to overflow. 400 rows
+    // span several leaves, so DOP 4 genuinely splits the match scan.
+    assert_failed_update_leaves_no_trace(
+        400,
+        "UPDATE T SET tag = 2147483640 + id",
+        |e| matches!(e, EngineError::Type(m) if m.contains("out of range for INT column")),
+    );
+}
+
+#[test]
+fn failing_array_update_fallback_is_not_half_applied() {
+    // Inline 5-element vectors take the UDF fallback. Row 0 patches
+    // elements 0..2; row 1 asks for 4..6, which the UDF rejects.
+    assert_failed_update_leaves_no_trace(
+        400,
+        "UPDATE T SET v = FloatArray.ArrayUpdate(v, IntArray.Vector_1(id * 4), \
+         FloatArray.Vector_2(1.0, 2.0)) WHERE id < 3",
+        |e| matches!(e, EngineError::Array(_)),
+    );
+}
+
+#[test]
+fn apply_phase_error_still_reports_partial_stats() {
+    // Two inline blobs of 5000 bytes each do not fit one leaf record, and
+    // only the B-tree knows: the failure surfaces in the apply phase,
+    // after the match scan read its pages.
+    let mut db = Database::new();
+    db.create_table(
+        "W",
+        Schema::new(&[
+            ("id", ColType::I64),
+            ("a", ColType::Blob),
+            ("b", ColType::Blob),
+        ]),
+    )
+    .unwrap();
+    for k in 0..50 {
+        db.insert(
+            "W",
+            k,
+            &[
+                RowValue::I64(k),
+                RowValue::Bytes(vec![1u8; 16]),
+                RowValue::Bytes(vec![2u8; 5000]),
+            ],
+        )
+        .unwrap();
+    }
+    db.commit();
+    let mut s = Session::with_hosting(db, HostingModel::free());
+    s.set_var("big", Value::Bytes(vec![3u8; 5000]));
+    s.db().store.clear_cache();
+    let err = s.execute("UPDATE W SET a = @big WHERE id = 7").unwrap_err();
+    assert!(matches!(err, EngineError::Storage(_)), "got {err:?}");
+    let partial = s
+        .partial_stats()
+        .expect("a failed apply phase reports the match scan's work");
+    assert!(partial.io.pages_read > 0, "{partial:?}");
+    assert_eq!(partial.rows_scanned, 50);
+    assert_eq!(partial.rows_affected, 0);
+}
+
 // --- Model-based differential test ---------------------------------------
 
 #[derive(Debug, Clone)]

@@ -9,8 +9,17 @@ use crate::rules;
 use crate::source::SourceFile;
 
 /// Path components that never contain library code subject to the rules.
+/// `benchmark` is the standalone repo-benchmark package: a measurement
+/// harness outside the workspace, like `benches`.
 const SKIP_DIRS: &[&str] = &[
-    "target", "vendor", "tests", "benches", "examples", "fixtures", ".git",
+    "target",
+    "vendor",
+    "tests",
+    "benches",
+    "benchmark",
+    "examples",
+    "fixtures",
+    ".git",
 ];
 
 /// Parsed command line.

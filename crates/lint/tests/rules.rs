@@ -45,6 +45,15 @@ fn l002_silent_on_exactsum_and_integer_counters() {
 }
 
 #[test]
+fn l002_covers_every_file_of_the_executor_directory() {
+    let pos = include_str!("../fixtures/l002_pos.rs");
+    for file in ["mod.rs", "scan.rs", "agg.rs", "a_future_split.rs"] {
+        let path = format!("crates/engine/src/exec/{file}");
+        assert_eq!(count(&path, pos, "L002"), 2, "{path}");
+    }
+}
+
+#[test]
 fn l002_only_watches_aggregation_paths() {
     let pos = include_str!("../fixtures/l002_pos.rs");
     assert_eq!(count("crates/core/src/ops/elementwise.rs", pos, "L002"), 0);
@@ -146,7 +155,7 @@ fn l008_silent_on_hoisted_scratch_borrows_allows_and_tests() {
 #[test]
 fn l008_only_watches_the_batch_kernels() {
     let pos = include_str!("../fixtures/l008_pos.rs");
-    assert_eq!(count("crates/engine/src/exec.rs", pos, "L008"), 0);
+    assert_eq!(count("crates/engine/src/exec/select.rs", pos, "L008"), 0);
 }
 
 #[test]

@@ -29,7 +29,6 @@ pub mod blob;
 pub mod btree;
 pub mod errors;
 pub mod fail;
-pub mod lru;
 pub mod page;
 pub mod pool;
 pub mod row;

@@ -1,6 +1,5 @@
-//! The live, concurrent buffer pool: a lock-striped sharded LRU over page
-//! ids, replacing the old replayed-after-the-fact [`crate::lru::LruSet`]
-//! wrapper in [`crate::store::PageStore`].
+//! The live, concurrent buffer pool of [`crate::store::PageStore`]: a
+//! lock-striped sharded LRU over page ids.
 //!
 //! ## Why recency is a *logical timestamp*, not arrival order
 //!

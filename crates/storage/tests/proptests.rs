@@ -1,9 +1,8 @@
 //! Property-based tests: the B-tree against a `BTreeMap` model, blob
-//! range reads against slices, row-codec round trips, the LRU set against
-//! an ordered-map model, and the scan path's DOP-invariance contract.
+//! range reads against slices, row-codec round trips, and the scan path's
+//! DOP-invariance contract.
 
 use proptest::prelude::*;
-use sqlarray_storage::lru::LruSet;
 use sqlarray_storage::{
     blob, row, BTree, ColType, DiskProfile, IoStats, PageStore, RowValue, ScanIo, Schema, Table,
 };
@@ -245,66 +244,6 @@ proptest! {
             again.iter().map(|p| p.leaves().to_vec()).collect::<Vec<_>>(),
             parts.iter().map(|p| p.leaves().to_vec()).collect::<Vec<_>>()
         );
-    }
-
-    /// `LruSet` against an ordered-map model under heavy churn of
-    /// *blind* inserts (duplicates included — they must degrade to
-    /// touches), touches, and removes: membership, length, and full
-    /// recency order always agree, and capacity is never exceeded.
-    #[test]
-    fn lru_set_matches_recency_model(
-        capacity in 1usize..24,
-        ops in prop::collection::vec((0u8..3, 0u64..48), 1..400),
-    ) {
-        let mut lru = LruSet::new(capacity);
-        // Model: key -> last-touch tick; recency order = ticks descending.
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for (tick, (op, key)) in ops.into_iter().enumerate() {
-            let tick = tick as u64;
-            match op {
-                0 => {
-                    // Blind insert: duplicate degrades to a touch.
-                    let evicted = lru.insert(key);
-                    if model.contains_key(&key) {
-                        prop_assert_eq!(evicted, None);
-                        model.insert(key, tick);
-                    } else {
-                        if model.len() >= capacity {
-                            // Model evicts its least recently used key.
-                            let victim = *model
-                                .iter()
-                                .min_by_key(|(_, &t)| t)
-                                .map(|(k, _)| k)
-                                .unwrap();
-                            prop_assert_eq!(evicted, Some(victim));
-                            model.remove(&victim);
-                        } else {
-                            prop_assert_eq!(evicted, None);
-                        }
-                        model.insert(key, tick);
-                    }
-                }
-                1 => {
-                    let touched = lru.touch(key);
-                    prop_assert_eq!(touched, model.contains_key(&key));
-                    if touched {
-                        model.insert(key, tick);
-                    }
-                }
-                _ => {
-                    let removed = lru.remove(key);
-                    prop_assert_eq!(removed, model.remove(&key).is_some());
-                }
-            }
-            prop_assert!(lru.len() <= capacity);
-            prop_assert_eq!(lru.len(), model.len());
-            // Full recency order agrees.
-            let mut expect: Vec<(u64, u64)> =
-                model.iter().map(|(&k, &t)| (t, k)).collect();
-            expect.sort_unstable_by_key(|&(tick, _)| std::cmp::Reverse(tick));
-            let expect: Vec<u64> = expect.into_iter().map(|(_, k)| k).collect();
-            prop_assert_eq!(lru.keys_mru_order(), expect);
-        }
     }
 
     /// The scan-accounting contract (the test that would have caught the

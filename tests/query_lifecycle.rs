@@ -15,8 +15,13 @@
 
 use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build;
-use sqlarray_engine::{Database, Engine, EngineConfig, EngineError, HostingModel, Session, Value};
+use sqlarray_engine::exec::{exec_select, ExecCtx};
+use sqlarray_engine::{
+    tsql, Database, Engine, EngineConfig, EngineError, HostingModel, QueryCtx, Session, UdaMode,
+    UdaRegistry, UdaState, UdfRegistry, Value,
+};
 use sqlarray_storage::{ColType, RowValue, Schema, StorageError, MAX_READ_RETRIES};
+use std::collections::HashMap;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -389,6 +394,100 @@ fn aborted_dml_match_phase_leaves_no_durability_trace() {
         recovered.query_scalar("SELECT SUM(tag) FROM T").unwrap(),
         Value::F64(-sum)
     );
+}
+
+// --- DECLARE / SET initializers are statements too -------------------------
+
+#[test]
+fn set_initializers_honour_timeout_and_cancel() {
+    let mut s = Session::with_hosting(seeded_db(10), HostingModel::free());
+    s.execute("DECLARE @x BIGINT").unwrap();
+
+    // 200 ms of mandatory spin against a 20 ms deadline.
+    s.set_statement_timeout_ms(Some(20));
+    let err = s.execute("SET @x = dbo.SpinUs(1, 200000)").unwrap_err();
+    assert_eq!(err, EngineError::Timeout { timeout_ms: 20 });
+    s.set_statement_timeout_ms(None);
+
+    // A pre-cancelled handle stops the initializer itself — and is
+    // consumed by it, so the next statement runs.
+    s.cancel_handle().cancel();
+    let err = s.execute("SET @x = dbo.SpinUs(2, 10)").unwrap_err();
+    assert_eq!(err, EngineError::Cancelled);
+    assert_eq!(
+        s.query_scalar("SELECT COUNT(*) FROM T").unwrap(),
+        Value::I64(10)
+    );
+    // Neither aborted SET assigned anything.
+    assert_eq!(s.var("x"), Some(&Value::Null));
+}
+
+// --- Partial stats after a post-scan failure ---------------------------------
+
+/// A UDA whose scan phase succeeds and whose `terminate()` fails.
+struct FailsAtTerminate;
+
+impl UdaState for FailsAtTerminate {
+    fn accumulate(&mut self, _: &[Value]) -> Result<(), EngineError> {
+        Ok(())
+    }
+    fn serialize_state(&self) -> Vec<u8> {
+        Vec::new()
+    }
+    fn load_state(&mut self, _: &[u8]) -> Result<(), EngineError> {
+        Ok(())
+    }
+    fn merge_state(&mut self, _: &[u8]) -> Result<(), EngineError> {
+        Ok(())
+    }
+    fn terminate(&mut self) -> Result<Value, EngineError> {
+        Err(EngineError::Type("terminate refused".into()))
+    }
+}
+
+/// The engine's registries are fixed at construction, so this drives the
+/// executor directly with a registry holding the failing aggregate.
+#[test]
+fn terminate_error_after_the_scan_reports_partial_stats() {
+    const ROWS: i64 = 600;
+    let db = seeded_db(ROWS);
+    db.store.clear_cache();
+    let mut udas = UdaRegistry::new();
+    udas.register("dbo.FailsAtTerminate", || Box::new(FailsAtTerminate));
+    let stmts = tsql::parse("SELECT dbo.FailsAtTerminate(tag) FROM T").unwrap();
+    let tsql::Stmt::Select(sel) = &stmts[0] else {
+        panic!("expected a SELECT, got {:?}", stmts[0])
+    };
+    for dop in [1usize, 4] {
+        let mut hosting = HostingModel::free();
+        let mut partial = None;
+        let mut ctx = ExecCtx {
+            store: &db.store,
+            tables: &db.tables,
+            udfs: &UdfRegistry::new(),
+            udas: &udas,
+            hosting: &mut hosting,
+            vars: &HashMap::new(),
+            uda_mode: UdaMode::InMemory,
+            row_limit: 100,
+            dop,
+            batch_rows: 64,
+            cached: None,
+            query: QueryCtx::unbounded(),
+            partial: &mut partial,
+        };
+        let err = exec_select(&mut ctx, sel).unwrap_err();
+        assert_eq!(err, EngineError::Type("terminate refused".into()));
+        let partial = partial.expect("the scan ran: its measurements must survive the error");
+        assert_eq!(partial.rows_scanned, ROWS as u64, "dop {dop}");
+        assert!(partial.io.logical_reads() > 0, "dop {dop}: {partial:?}");
+        if dop == 1 {
+            assert!(
+                partial.io.pages_read > 0,
+                "cold scan read no pages: {partial:?}"
+            );
+        }
+    }
 }
 
 // --- Transient read faults ------------------------------------------------
