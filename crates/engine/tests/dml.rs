@@ -7,6 +7,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sqlarray_core::build;
 use sqlarray_engine::{Database, EngineError, HostingModel, Session, Value};
+use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
 use sqlarray_storage::{ColType, FailPlan, RowValue, Schema};
 use std::collections::BTreeMap;
 
@@ -278,6 +279,80 @@ fn dml_crash_recovery_through_sql() {
         post,
         "committed statement must survive"
     );
+}
+
+/// Every row of a `schema()` table (blobs resolved) plus a full-table
+/// aggregate over it.
+fn table_contents(s: &mut Session, table: &str) -> Vec<Vec<Value>> {
+    let mut rows = s
+        .query(&format!("SELECT id, tag, v FROM {table}"))
+        .unwrap()
+        .rows;
+    rows.extend(
+        s.query(&format!("SELECT COUNT(*), SUM(tag) FROM {table}"))
+            .unwrap()
+            .rows,
+    );
+    rows
+}
+
+fn blob_row(k: i64, blob: Vec<u8>) -> Vec<RowValue> {
+    vec![
+        RowValue::I64(k),
+        RowValue::I32(k as i32),
+        RowValue::Bytes(blob),
+    ]
+}
+
+/// The catalog travels in commit records and a checkpoint truncates the
+/// log: the checkpoint has to carry it, or a crash before the next commit
+/// recovers a database without tables.
+#[test]
+fn crash_right_after_a_checkpoint_keeps_every_table() {
+    let mut s = session(20);
+    {
+        let mut db = s.db_mut();
+        db.create_table("U", schema()).unwrap();
+        for k in 0..5i64 {
+            db.insert("U", k, &blob_row(k, vec![k as u8; 20_000]))
+                .unwrap();
+        }
+        db.commit();
+        db.store.checkpoint();
+        assert_eq!(db.store.wal_len(), 0);
+    }
+    let live = (table_contents(&mut s, "T"), table_contents(&mut s, "U"));
+    // Crash once, and once more before the recovered database commits.
+    let first = s.db().store.crash_image();
+    let second = Database::recover(&first).unwrap().store.crash_image();
+    for image in [first, second] {
+        let db = Database::recover(&image).unwrap();
+        let mut rec = Session::with_hosting(db, HostingModel::free());
+        let got = (table_contents(&mut rec, "T"), table_contents(&mut rec, "U"));
+        assert_eq!(got, live);
+    }
+}
+
+/// The same crash point reached the way set-ups reach it: an ingest whose
+/// commit finds more than `AUTO_CHECKPOINT_BYTES` of log and checkpoints
+/// on its own.
+#[test]
+fn crash_after_an_auto_checkpointing_ingest_keeps_every_row() {
+    let mut s = session(3);
+    {
+        let mut db = s.db_mut();
+        for k in 100..110i64 {
+            db.insert("T", k, &blob_row(k, vec![k as u8; 1 << 20]))
+                .unwrap();
+        }
+        assert!(db.store.wal_len() >= AUTO_CHECKPOINT_BYTES);
+        db.commit();
+        assert_eq!(db.store.wal_len(), 0, "the ingest's commit checkpointed");
+    }
+    let live = table_contents(&mut s, "T");
+    let db = Database::recover(&s.db().store.crash_image()).unwrap();
+    let mut rec = Session::with_hosting(db, HostingModel::free());
+    assert_eq!(table_contents(&mut rec, "T"), live);
 }
 
 #[test]

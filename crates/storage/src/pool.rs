@@ -24,9 +24,14 @@
 //! independently locked stamp-ordered set, so concurrent readers and
 //! writers (scan workers, the parallel bulk loader) contend only when
 //! they touch the same stripe.
+//!
+//! Each shard also keeps one residency bit per page of the file it could
+//! hold, flipped in lockstep with its stamp maps, so a scan's start-of-scan
+//! snapshot ([`ShardedLruPool::snapshot`]) copies `page_count / 64` words:
+//! nothing hashed, no work per resident page.
 
 use crate::page::PageId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 /// Shard count for pools large enough to stripe. Pools smaller than
@@ -51,6 +56,56 @@ pub fn pool_stamp(epoch: u64, partition: u32, seq: u32) -> PoolStamp {
     ((epoch as u128) << 64) | ((partition as u128) << 32) | seq as u128
 }
 
+/// A set of page ids below a fixed page count, one bit each. Page `id` is
+/// bit `id / stride` of stripe `id % stride` and each stripe owns
+/// `per_stripe` consecutive words: a pool snapshot is its shards' bitmaps
+/// laid end to end, a plain set (`new`) is the `stride == 1` case.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageBits {
+    words: Vec<u64>,
+    stride: u64,
+    per_stripe: usize,
+}
+
+impl PageBits {
+    /// The empty set over page ids `0..pages`.
+    pub fn new(pages: u64) -> PageBits {
+        let per_stripe = pages.div_ceil(64) as usize;
+        PageBits {
+            words: vec![0; per_stripe],
+            stride: 1,
+            per_stripe,
+        }
+    }
+
+    /// Word index and bit mask of `id`. Panics beyond the page count
+    /// (rounded up to whole words): callers range-check ids against the
+    /// file first, and a stray index would land in another stripe.
+    #[inline]
+    fn slot(&self, id: PageId) -> (usize, u64) {
+        let (stripe, local) = ((id % self.stride) as usize, id / self.stride);
+        let word = (local / 64) as usize;
+        assert!(word < self.per_stripe, "page {id} is beyond the bitmap");
+        (stripe * self.per_stripe + word, 1 << (local % 64))
+    }
+
+    /// True when `id` is in the set.
+    #[inline]
+    pub fn contains(&self, id: PageId) -> bool {
+        let (word, bit) = self.slot(id);
+        self.words[word] & bit != 0
+    }
+
+    /// Adds `id`; returns `true` when it was not yet in the set.
+    #[inline]
+    pub fn insert(&mut self, id: PageId) -> bool {
+        let (word, bit) = self.slot(id);
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+}
+
 /// One lock stripe: membership plus the stamp order, both O(log n).
 #[derive(Debug, Default)]
 struct PoolShard {
@@ -58,6 +113,10 @@ struct PoolShard {
     stamps: HashMap<PageId, PoolStamp>,
     /// Stamp → page, ordered; the first entry is the eviction victim.
     by_stamp: BTreeMap<PoolStamp, PageId>,
+    /// Bit `id / stride` is set iff `id` is in `stamps`; `stride` is the
+    /// owning pool's shard count.
+    resident: Vec<u64>,
+    stride: u64,
     capacity: usize,
 }
 
@@ -102,13 +161,21 @@ impl PoolShard {
             }
             self.by_stamp.remove(&victim_stamp);
             self.stamps.remove(&victim);
+            self.flip(victim);
             Some(victim)
         } else {
             None
         };
         self.stamps.insert(id, stamp);
         self.by_stamp.insert(stamp, id);
+        self.flip(id);
         evicted
+    }
+
+    /// Toggles `id`'s residency bit, wherever `stamps` gains or loses it.
+    fn flip(&mut self, id: PageId) {
+        let local = id / self.stride;
+        self.resident[(local / 64) as usize] ^= 1u64 << (local % 64);
     }
 }
 
@@ -129,6 +196,8 @@ fn lock_shard(m: &Mutex<PoolShard>) -> std::sync::MutexGuard<'_, PoolShard> {
 pub struct ShardedLruPool {
     shards: Vec<Mutex<PoolShard>>,
     capacity: usize,
+    /// Pages in the file this pool fronts.
+    pages: u64,
 }
 
 impl ShardedLruPool {
@@ -150,11 +219,35 @@ impl ShardedLruPool {
                 let cap = capacity / n + usize::from(i < capacity % n);
                 Mutex::new(PoolShard {
                     capacity: cap.max(1),
+                    stride: n as u64,
                     ..PoolShard::default()
                 })
             })
             .collect();
-        ShardedLruPool { shards, capacity }
+        ShardedLruPool {
+            shards,
+            capacity,
+            pages: 0,
+        }
+    }
+
+    /// Words in every shard's residency bitmap.
+    fn words_per_shard(&self) -> usize {
+        (self.pages.div_ceil(self.shards.len() as u64)).div_ceil(64) as usize
+    }
+
+    /// Sizes the residency bitmaps for a file of `pages` pages; the store
+    /// calls this as the file grows (it never shrinks). Only ids below
+    /// `pages` may then be offered to the pool.
+    pub fn set_page_count(&mut self, pages: u64) {
+        let before = self.words_per_shard();
+        self.pages = self.pages.max(pages);
+        let words = self.words_per_shard();
+        if words > before {
+            for s in &self.shards {
+                lock_shard(s).resident.resize(words, 0);
+            }
+        }
     }
 
     fn shard(&self, id: PageId) -> &Mutex<PoolShard> {
@@ -190,8 +283,14 @@ impl ShardedLruPool {
 
     /// Touches `id` if resident, inserts it otherwise — one lock round
     /// trip for the fault-in path. Returns `true` when the page was
-    /// already resident.
+    /// already resident. Panics when `id` is not below the
+    /// [page count](Self::set_page_count): the bitmaps cover the file.
     pub fn touch_or_insert(&self, id: PageId, stamp: PoolStamp) -> bool {
+        assert!(
+            id < self.pages,
+            "page {id} offered to a pool sized for {} pages",
+            self.pages
+        );
         let mut shard = lock_shard(self.shard(id));
         if shard.touch(id, stamp) {
             true
@@ -212,16 +311,23 @@ impl ShardedLruPool {
             let mut s = lock_shard(s);
             s.stamps.clear();
             s.by_stamp.clear();
+            s.resident.fill(0);
         }
     }
 
-    /// The set of resident pages.
-    pub fn resident_set(&self) -> HashSet<PageId> {
-        let mut out = HashSet::with_capacity(self.len());
+    /// The pages resident right now, captured shard by shard (each shard
+    /// atomically; exact when quiescent).
+    pub fn snapshot(&self) -> PageBits {
+        let per_stripe = self.words_per_shard();
+        let mut words = Vec::with_capacity(self.shards.len() * per_stripe);
         for s in &self.shards {
-            out.extend(lock_shard(s).stamps.keys().copied());
+            words.extend_from_slice(&lock_shard(s).resident);
         }
-        out
+        PageBits {
+            words,
+            stride: self.shards.len() as u64,
+            per_stripe,
+        }
     }
 
     /// Resident pages from most- to least-recently stamped, merged across
@@ -238,8 +344,29 @@ impl ShardedLruPool {
 }
 
 #[cfg(test)]
+impl ShardedLruPool {
+    /// Membership of the shards' `stamps` maps: what the bitmaps must
+    /// mirror, so the oracle for [`ShardedLruPool::snapshot`].
+    fn resident_set(&self) -> std::collections::HashSet<PageId> {
+        let mut out = std::collections::HashSet::new();
+        for s in &self.shards {
+            out.extend(lock_shard(s).stamps.keys().copied());
+        }
+        out
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A pool of `capacity` pages over a `pages`-page file.
+    fn pool_over(capacity: usize, pages: u64) -> ShardedLruPool {
+        let mut pool = ShardedLruPool::new(capacity);
+        pool.set_page_count(pages);
+        pool
+    }
 
     fn serial_stamps() -> impl FnMut() -> PoolStamp {
         let mut e = 0u64;
@@ -251,7 +378,7 @@ mod tests {
 
     #[test]
     fn small_pool_behaves_like_one_lru() {
-        let pool = ShardedLruPool::new(3);
+        let pool = pool_over(3, 8);
         assert_eq!(pool.shard_count(), 1);
         let mut next = serial_stamps();
         for id in 1..=3 {
@@ -265,7 +392,7 @@ mod tests {
 
     #[test]
     fn large_pool_stripes() {
-        let pool = ShardedLruPool::new(1024);
+        let pool = pool_over(1024, 512);
         assert_eq!(pool.shard_count(), POOL_SHARDS);
         let mut next = serial_stamps();
         for id in 0..512u64 {
@@ -275,12 +402,13 @@ mod tests {
         assert!(pool.contains(17));
         pool.clear();
         assert!(pool.is_empty());
+        assert_eq!(pool.snapshot(), pool_over(1024, 512).snapshot());
     }
 
     #[test]
     fn capacity_distributes_across_shards() {
         // 100 pages over 16 shards: 4 shards of 7, 12 of 6.
-        let pool = ShardedLruPool::new(100);
+        let pool = pool_over(100, 10_000);
         let mut next = serial_stamps();
         for id in 0..10_000u64 {
             pool.touch_or_insert(id, next());
@@ -296,22 +424,23 @@ mod tests {
         let stamps: Vec<(PageId, PoolStamp)> = (0..200u64)
             .map(|i| (i * 16, pool_stamp(7, 0, i as u32))) // one shard
             .collect();
-        let forward = ShardedLruPool::new(32);
+        let forward = pool_over(32, 200 * 16);
         for &(id, st) in &stamps {
             forward.touch_or_insert(id, st);
         }
-        let shuffled = ShardedLruPool::new(32);
+        let shuffled = pool_over(32, 200 * 16);
         // Deterministic shuffle: stride through the list.
         for k in 0..stamps.len() {
             let (id, st) = stamps[(k * 67) % stamps.len()];
             shuffled.touch_or_insert(id, st);
         }
         assert_eq!(forward.keys_mru_order(), shuffled.keys_mru_order());
+        assert_eq!(forward.snapshot(), shuffled.snapshot());
     }
 
     #[test]
     fn stale_stamp_does_not_demote() {
-        let pool = ShardedLruPool::new(8);
+        let pool = pool_over(8, 8);
         pool.touch_or_insert(1, pool_stamp(5, 0, 0));
         // An older stamp arriving late must not roll recency back.
         assert!(pool.touch(1, pool_stamp(3, 0, 0)));
@@ -321,7 +450,7 @@ mod tests {
 
     #[test]
     fn concurrent_touches_converge() {
-        let pool = ShardedLruPool::new(256);
+        let pool = pool_over(256, 256);
         std::thread::scope(|s| {
             for part in 0..4u32 {
                 let pool = &pool;
@@ -338,5 +467,84 @@ mod tests {
         let mru = pool.keys_mru_order();
         assert_eq!(mru[0], 255);
         assert_eq!(*mru.last().unwrap(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool sized for 10 pages")]
+    fn ids_beyond_the_file_are_refused() {
+        // Page 10 would land inside the bitmap's last word; the bound is
+        // the file's page count, not the bitmap's capacity.
+        pool_over(4, 10).touch_or_insert(10, pool_stamp(1, 0, 0));
+    }
+
+    #[test]
+    fn page_bits_cover_exactly_their_range() {
+        let mut bits = PageBits::new(130);
+        assert!(bits.insert(129));
+        assert!(!bits.insert(129));
+        assert!(bits.contains(129) && !bits.contains(128));
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the bitmap")]
+    fn page_bits_refuse_ids_beyond_their_words() {
+        PageBits::new(130).contains(192);
+    }
+
+    /// The snapshot must say exactly what `stamps` says, for every id of
+    /// the file.
+    fn assert_snapshot_matches(pool: &ShardedLruPool, pages: u64) -> Result<(), TestCaseError> {
+        let snap = pool.snapshot();
+        let oracle = pool.resident_set();
+        prop_assert_eq!(oracle.len(), pool.len());
+        for id in 0..pages {
+            prop_assert_eq!((id, snap.contains(id)), (id, oracle.contains(&id)));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random touch / touch_or_insert / clear / file-growth sequences
+        /// — fresh stamps (evicting inserts once the shard is full) and
+        /// stale ones (self-evicting inserts, non-demoting touches) —
+        /// over a 1-shard and a 16-shard pool: after every step the
+        /// bitmap snapshot equals the membership of `stamps`, and a
+        /// snapshot taken earlier is not changed by later mutations.
+        #[test]
+        fn snapshot_tracks_stamps_under_random_ops(
+            capacity in 1usize..40,
+            sharded in any::<bool>(),
+            ops in prop::collection::vec((0u8..16, 0u64..400, 0u64..64), 1..300),
+        ) {
+            let capacity = capacity + if sharded { MIN_CAPACITY_TO_SHARD } else { 0 };
+            let mut pages = 70u64;
+            let mut pool = pool_over(capacity, pages);
+            prop_assert_eq!(pool.shard_count(), if sharded { POOL_SHARDS } else { 1 });
+            let mut epoch = 64u64;
+            let mut held = None;
+            for (kind, id, stale) in ops {
+                let id = id % pages;
+                epoch += 1;
+                match kind {
+                    0 => pool.clear(),
+                    1 => {
+                        pages += id + 1;
+                        pool.set_page_count(pages);
+                    }
+                    2 => held = Some((pool.snapshot(), pool.resident_set(), pages)),
+                    3..=5 => { pool.touch(id, pool_stamp(epoch, 0, 0)); }
+                    // A stamp older than every fresh one (and unique, like
+                    // all stamps): a full shard of fresh pages rejects it.
+                    6..=8 => { pool.touch_or_insert(id, pool_stamp(stale, 0, epoch as u32)); }
+                    _ => { pool.touch_or_insert(id, pool_stamp(epoch, 0, 0)); }
+                }
+                assert_snapshot_matches(&pool, pages)?;
+                if let Some((snap, oracle, pages)) = &held {
+                    for id in 0..*pages {
+                        prop_assert_eq!(snap.contains(id), oracle.contains(&id));
+                    }
+                }
+            }
+        }
     }
 }

@@ -25,12 +25,11 @@
 
 use crate::errors::{Result, StorageError};
 use crate::page::{PageId, PAGE_SIZE};
-use crate::pool::{pool_stamp, PoolStamp, ShardedLruPool};
+use crate::pool::{pool_stamp, PageBits, PoolStamp, ShardedLruPool};
 use crate::stats::{DiskProfile, IoStats};
 use crate::wal::{self, WalRecord};
 use sqlarray_core::lifecycle::QueryCtx;
 use sqlarray_core::sync::lock_unpoisoned;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -95,6 +94,10 @@ pub struct DiskImage {
     pub sums: Vec<u32>,
     /// Free-list state at the last checkpoint (LIFO order).
     pub free: Vec<PageId>,
+    /// Catalog of the last commit the checkpoint folded in (`None` before
+    /// the first one) — what recovery falls back to when no commit record
+    /// survives in `wal`.
+    pub catalog: Option<Vec<u8>>,
     /// Write-ahead log bytes appended since the checkpoint (possibly torn).
     pub wal: Vec<u8>,
 }
@@ -105,8 +108,9 @@ pub struct Recovery {
     /// The recovered store, checkpointed at the last complete commit
     /// (its log is empty and its base image is the recovered state).
     pub store: PageStore,
-    /// The catalog payload of the last complete commit record, if any
-    /// commit survived — the engine rebuilds its tables from this.
+    /// The catalog payload of the last complete commit record — or, when
+    /// the surviving log holds none, the one the checkpoint carried. The
+    /// engine rebuilds its tables from this.
     pub catalog: Option<Vec<u8>>,
     /// WAL records replayed (everything up to and including the last
     /// complete commit).
@@ -132,6 +136,11 @@ pub struct PageStore {
     base_pages: Vec<Box<[u8]>>,
     base_sums: Vec<u32>,
     base_free: Vec<PageId>,
+    base_catalog: Option<Vec<u8>>,
+    /// Catalog of the latest [`commit`](Self::commit); the next checkpoint
+    /// makes it the base image's, because truncating the log drops the
+    /// commit record that carried it.
+    last_catalog: Option<Vec<u8>>,
     fail: Option<FailState>,
     /// Before-image scratch for computing physiological write diffs.
     scratch: Box<[u8]>,
@@ -200,6 +209,8 @@ impl PageStore {
             base_pages: Vec::new(),
             base_sums: Vec::new(),
             base_free: Vec::new(),
+            base_catalog: None,
+            last_catalog: None,
             fail: None,
             scratch: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             pool: ShardedLruPool::new(pool_pages),
@@ -281,6 +292,7 @@ impl PageStore {
         let id = self.pages.len() as PageId;
         self.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
         self.sums.push(zero_page_sum());
+        self.pool.set_page_count(self.pages.len() as u64);
         self.append_wal(&WalRecord::Alloc { page: id });
         self.pool.touch_or_insert(id, self.serial_stamp());
         id
@@ -440,19 +452,22 @@ impl PageStore {
     /// crash harness needs the log to stay cuttable.
     pub fn commit(&mut self, catalog: &[u8]) {
         self.append_wal(&WalRecord::Commit { catalog });
+        self.last_catalog = Some(catalog.to_vec());
         self.committed.fetch_add(1, Ordering::AcqRel);
         if self.fail.is_none() && self.wal_buf.len() >= AUTO_CHECKPOINT_BYTES {
             self.checkpoint();
         }
     }
 
-    /// Folds the current state into a fresh base image and truncates the
-    /// log. Modeled as atomic: a crash is either before (old base + old
-    /// log) or after (new base + empty log).
+    /// Folds the current state — pages, checksums, free list and the last
+    /// committed catalog — into a fresh base image and truncates the log.
+    /// Modeled as atomic: a crash is either before (old base + old log)
+    /// or after (new base + empty log).
     pub fn checkpoint(&mut self) {
         self.base_pages = self.pages.clone();
         self.base_sums = self.sums.clone();
         self.base_free = self.free.clone();
+        self.base_catalog = self.last_catalog.clone();
         self.wal_buf.clear();
     }
 
@@ -502,6 +517,7 @@ impl PageStore {
             pages: self.base_pages.clone(),
             sums: self.base_sums.clone(),
             free: self.base_free.clone(),
+            catalog: self.base_catalog.clone(),
             wal: self.wal_buf.clone(),
         }
     }
@@ -557,7 +573,7 @@ impl PageStore {
         store.sums = image.sums.clone();
         store.free = image.free.clone();
 
-        let mut catalog: Option<Vec<u8>> = None;
+        let mut catalog = image.catalog.clone();
         let mut applied_records = 0usize;
         let mut max_lsn = 0u64;
         if let Some(last) = last_commit {
@@ -574,6 +590,8 @@ impl PageStore {
         let discarded_bytes = image.wal.len() - clean_end;
 
         store.next_lsn = max_lsn + 1;
+        store.pool.set_page_count(store.pages.len() as u64);
+        store.last_catalog = catalog.clone();
         store.checkpoint();
         Ok(Recovery {
             store,
@@ -666,7 +684,7 @@ impl PageStore {
     /// keep using `begin_scan`, which stamps an unbounded context.
     pub fn begin_scan_for(&self, query: QueryCtx) -> ScanCtx {
         ScanCtx {
-            resident: self.pool.resident_set(),
+            resident: self.pool.snapshot(),
             epoch: self.clock.fetch_add(1, Ordering::Relaxed),
             committed: self.committed.load(Ordering::Acquire),
             query,
@@ -688,7 +706,7 @@ impl PageStore {
             stats: IoStats::default(),
             first_physical_read: None,
             last_physical_read: None,
-            seen: HashSet::new(),
+            seen: PageBits::new(self.pages.len() as u64),
             query: &scan.query,
             read_faults: &self.read_faults,
             fault_burst: self.read_fault_burst.load(Ordering::Relaxed) as u32,
@@ -776,18 +794,13 @@ impl PageRead for PartitionReader<'_> {
 /// classifies against, plus the pool epoch its workers stamp with.
 #[derive(Debug)]
 pub struct ScanCtx {
-    resident: HashSet<PageId>,
+    resident: PageBits,
     epoch: u64,
     committed: u64,
     query: QueryCtx,
 }
 
 impl ScanCtx {
-    /// The start-of-scan residency snapshot.
-    pub fn resident(&self) -> &HashSet<PageId> {
-        &self.resident
-    }
-
     /// The lifecycle context this scan runs under (unbounded for scans
     /// opened with [`PageStore::begin_scan`]).
     pub fn query(&self) -> &QueryCtx {
@@ -833,14 +846,15 @@ pub struct PartitionReader<'a> {
     pages: &'a [Box<[u8]>],
     sums: &'a [u32],
     pool: &'a ShardedLruPool,
-    resident: &'a HashSet<PageId>,
+    resident: &'a PageBits,
     epoch: u64,
     partition: u32,
     seq: u32,
     stats: IoStats,
     first_physical_read: Option<PageId>,
     last_physical_read: Option<PageId>,
-    seen: HashSet<PageId>,
+    /// Pages this worker has already read (re-reads are cache hits).
+    seen: PageBits,
     query: &'a QueryCtx,
     read_faults: &'a AtomicU64,
     fault_burst: u32,
@@ -888,7 +902,7 @@ impl<'a> PartitionReader<'a> {
         // The *cost model* classifies against the start-of-scan snapshot,
         // which is what keeps the simulated I/O DOP-invariant.
         if self.seen.insert(id) {
-            if self.resident.contains(&id) {
+            if self.resident.contains(id) {
                 self.stats.cache_hits += 1;
             } else {
                 self.stats.pages_read += 1;
@@ -1398,10 +1412,130 @@ mod tests {
         s.checkpoint();
         assert_eq!(s.wal_len(), 0);
         // A crash right after a checkpoint: no commit in the (empty) log,
-        // but the base image *is* the committed state.
-        let rec = PageStore::open(&s.crash_image()).unwrap();
+        // but the base image *is* the committed state — catalog included.
+        let image = s.crash_image();
+        assert_eq!(image.catalog.as_deref(), Some(&b"v1"[..]));
+        let rec = PageStore::open(&image).unwrap();
         assert_eq!(rec.store.raw_page(a).unwrap()[0], 9);
-        assert_eq!(rec.catalog, None);
+        assert_eq!(rec.catalog.as_deref(), Some(&b"v1"[..]));
+        assert_eq!(rec.applied_records, 0);
+        // Recovery's own checkpoint keeps it: reboot twice, same catalog.
+        let again = PageStore::open(&rec.store.crash_image()).unwrap();
+        assert_eq!(again.catalog.as_deref(), Some(&b"v1"[..]));
+    }
+
+    #[test]
+    fn checkpoint_catalog_yields_to_a_surviving_commit_only() {
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        s.commit(b"v1");
+        s.checkpoint();
+        s.write(a, |p| p[0] = 1).unwrap();
+        s.commit(b"v2");
+        s.write(a, |p| p[0] = 2).unwrap(); // uncommitted tail
+        let mut image = s.crash_image();
+        assert_eq!(image.catalog.as_deref(), Some(&b"v1"[..]));
+        let rec = PageStore::open(&image).unwrap();
+        assert_eq!(rec.catalog.as_deref(), Some(&b"v2"[..]));
+        assert_eq!(rec.store.raw_page(a).unwrap()[0], 1);
+        // Lose the v2 commit record: back to the checkpoint, whole.
+        image.wal.truncate(image.wal.len() / 2);
+        let rec = PageStore::open(&image).unwrap();
+        assert_eq!(rec.catalog.as_deref(), Some(&b"v1"[..]));
+        assert_eq!(rec.store.raw_page(a).unwrap()[0], 0);
+        assert_eq!(rec.applied_records, 0);
+    }
+
+    #[test]
+    fn auto_checkpoint_inside_a_commit_keeps_that_commits_catalog() {
+        let mut s = PageStore::new();
+        let pages = AUTO_CHECKPOINT_BYTES / PAGE_SIZE + 2;
+        for i in 0..pages {
+            let p = s.allocate();
+            s.write(p, |b| b.fill(i as u8 | 1)).unwrap();
+        }
+        assert!(s.wal_len() >= AUTO_CHECKPOINT_BYTES);
+        s.commit(b"big");
+        assert_eq!(s.wal_len(), 0, "the commit checkpointed");
+        let rec = PageStore::open(&s.crash_image()).unwrap();
+        assert_eq!(rec.catalog.as_deref(), Some(&b"big"[..]));
+        assert_eq!(rec.store.page_count(), pages as u64);
+    }
+
+    /// A scan opened on a full default-size pool classifies every page
+    /// against "resident when the scan began", at any worker split: the
+    /// counters are the ones an independent model predicts from
+    /// `pool().contains()` before the scan, and the pool ends in the same
+    /// state at every DOP.
+    #[test]
+    fn full_pool_scan_classifies_against_the_snapshot_at_every_dop() {
+        const FILE_PAGES: u64 = 6000;
+        // Distinct pages (workers own disjoint ranges, as partitions do):
+        // a long run, a backwards jump, a stretch beyond the pool. Every
+        // fifth page is read twice by its worker.
+        let visit: Vec<PageId> = (100..3000).chain(0..50).chain(4000..6000).collect();
+        let twice = |p: PageId| p % 5 == 0;
+        let run = |dop: usize| {
+            let mut s = PageStore::new();
+            for _ in 0..FILE_PAGES {
+                s.allocate();
+            }
+            s.clear_cache();
+            // Fill the pool and churn it past capacity, in a scattered
+            // order so every shard has evicted.
+            for k in 0..5000u64 {
+                s.read((k * 7) % FILE_PAGES).unwrap();
+            }
+            assert_eq!(s.pool().len(), DEFAULT_POOL_PAGES);
+            s.reset_stats();
+            let resident: Vec<bool> = (0..FILE_PAGES).map(|p| s.pool().contains(p)).collect();
+            let scan = s.begin_scan();
+            let ios: Vec<ScanIo> = visit
+                .chunks(visit.len().div_ceil(dop))
+                .enumerate()
+                .map(|(pi, ids)| {
+                    let mut r = s.reader(&scan, pi as u32);
+                    for &p in ids {
+                        r.read(p).unwrap();
+                        if twice(p) {
+                            r.read(p).unwrap();
+                        }
+                    }
+                    r.finish()
+                })
+                .collect();
+            drop(scan);
+            s.finish_scan(ios.iter());
+            (
+                s.stats(),
+                s.seek_position(),
+                s.pool().keys_mru_order(),
+                resident,
+            )
+        };
+        let serial = run(1);
+        // The model: one pass, no pool — only the pre-scan residency.
+        let mut model = IoStats::default();
+        let mut last = None;
+        for &p in &visit {
+            model.cache_hits += u64::from(twice(p));
+            if serial.3[p as usize] {
+                model.cache_hits += 1;
+                continue;
+            }
+            model.pages_read += 1;
+            if last.is_some_and(|l: PageId| l + 1 == p) {
+                model.sequential_reads += 1;
+            } else {
+                model.random_reads += 1;
+            }
+            last = Some(p);
+        }
+        assert!(model.cache_hits > 1000 && model.pages_read > 1000);
+        assert_eq!((serial.0, serial.1), (model, last));
+        for dop in [2, 4, 8] {
+            assert_eq!(run(dop), serial, "dop {dop}");
+        }
     }
 
     #[test]

@@ -78,6 +78,9 @@ struct RecoveredState {
     sums: Vec<u32>,
     free: Vec<u64>,
     catalog: Option<Vec<u8>>,
+    /// The catalog the recovered store's own checkpoint carries — what a
+    /// second crash, before any new commit, would recover from.
+    image_catalog: Option<Vec<u8>>,
     rows: Vec<(i64, i64, i32, Vec<u8>)>,
 }
 
@@ -123,11 +126,16 @@ fn recover(image: &DiskImage) -> RecoveredState {
         canon.wal.is_empty(),
         "recovery checkpoints: log starts empty"
     );
+    assert_eq!(
+        canon.catalog, rec.catalog,
+        "recovery's checkpoint carries the recovered catalog"
+    );
     RecoveredState {
         pages: canon.pages,
         sums: canon.sums,
         free: canon.free,
         catalog: rec.catalog,
+        image_catalog: canon.catalog,
         rows,
     }
 }
