@@ -97,14 +97,7 @@ impl SqlArray {
     /// Adopts a raw blob (header + payload), validating it end to end.
     /// This is the path every blob read from storage takes.
     pub fn from_blob(buf: Vec<u8>) -> Result<SqlArray> {
-        let header = Header::decode(&buf)?;
-        let need = header.blob_len();
-        if buf.len() != need {
-            return Err(ArrayError::PayloadSizeMismatch {
-                got: buf.len(),
-                need,
-            });
-        }
+        let header = ArrayView::from_blob(&buf)?.header;
         Ok(SqlArray { header, buf })
     }
 
@@ -320,6 +313,115 @@ impl SqlArray {
     }
 }
 
+/// Read access to an array blob — the decoded header plus the payload
+/// bytes — shared by the owned [`SqlArray`] and the borrowed
+/// [`ArrayView`], so read-only kernels (`Item`, the whole-array
+/// aggregates) run over either without copying.
+pub trait ArrayData {
+    /// The decoded header.
+    fn header(&self) -> &Header;
+
+    /// The payload bytes (elements only, header stripped).
+    fn payload(&self) -> &[u8];
+
+    /// Element base type.
+    #[inline]
+    fn elem(&self) -> ElementType {
+        self.header().elem
+    }
+
+    /// Storage class of the blob.
+    #[inline]
+    fn class(&self) -> StorageClass {
+        self.header().class
+    }
+
+    /// Number of dimensions.
+    #[inline]
+    fn rank(&self) -> usize {
+        self.header().shape.rank()
+    }
+
+    /// Per-dimension sizes.
+    #[inline]
+    fn dims(&self) -> &[usize] {
+        self.header().shape.dims()
+    }
+
+    /// Total number of elements.
+    #[inline]
+    fn count(&self) -> usize {
+        self.header().shape.count()
+    }
+
+    /// Reads the element at a multi-index, dynamically typed.
+    fn item(&self, idx: &[usize]) -> Result<Scalar> {
+        let lin = self.header().shape.linear_index(idx)?;
+        let elem = self.elem();
+        Ok(Scalar::read_le(elem, &self.payload()[lin * elem.size()..]))
+    }
+}
+
+impl ArrayData for SqlArray {
+    #[inline]
+    fn header(&self) -> &Header {
+        &self.header
+    }
+
+    #[inline]
+    fn payload(&self) -> &[u8] {
+        SqlArray::payload(self)
+    }
+}
+
+/// A validated array blob borrowed from someone else's buffer — a batch
+/// cell, a UDF argument — instead of copied into a [`SqlArray`].
+///
+/// [`ArrayView::from_blob`] is the blob validation (header decode,
+/// payload length) — [`SqlArray::from_blob`] goes through it — so handing
+/// a read-only function a view keeps every runtime check and drops only
+/// the copy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArrayView<'a> {
+    header: Header,
+    buf: &'a [u8],
+}
+
+impl<'a> ArrayView<'a> {
+    /// Borrows a raw blob (header + payload), validating it end to end.
+    pub fn from_blob(buf: &'a [u8]) -> Result<ArrayView<'a>> {
+        let header = Header::decode(buf)?;
+        let need = header.blob_len();
+        if buf.len() != need {
+            return Err(ArrayError::PayloadSizeMismatch {
+                got: buf.len(),
+                need,
+            });
+        }
+        Ok(ArrayView { header, buf })
+    }
+
+    /// Copies the viewed blob into an owned array.
+    pub fn into_array(self) -> SqlArray {
+        SqlArray {
+            header: self.header,
+            buf: self.buf.to_vec(),
+        }
+    }
+}
+
+impl ArrayData for ArrayView<'_> {
+    #[inline]
+    fn header(&self) -> &Header {
+        &self.header
+    }
+
+    #[inline]
+    fn payload(&self) -> &[u8] {
+        &self.buf[self.header.header_len()..]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,6 +546,28 @@ mod tests {
         assert_eq!(a.item(&[1]).unwrap(), Scalar::F32(5.0));
         assert!(a.set_linear(2, 0.0f32).is_err());
         assert!(a.set_linear(0, 0.0f64).is_err());
+    }
+
+    #[test]
+    fn view_checks_like_from_blob_and_reads_like_the_array() {
+        let a = SqlArray::from_vec(StorageClass::Max, &[2, 3], &[1i32, 2, 3, 4, 5, 6]).unwrap();
+        let v = ArrayView::from_blob(a.as_blob()).unwrap();
+        assert_eq!(v.header(), a.header());
+        assert_eq!(ArrayData::payload(&v), a.payload());
+        assert_eq!(v.item(&[1, 2]).unwrap(), a.item(&[1, 2]).unwrap());
+        assert!(v.item(&[2, 0]).is_err());
+        assert_eq!(v.into_array(), a);
+        let blob = a.as_blob();
+        assert!(matches!(
+            ArrayView::from_blob(&blob[..blob.len() - 1]),
+            Err(ArrayError::PayloadSizeMismatch { .. })
+        ));
+        let mut long = blob.to_vec();
+        long.push(0);
+        assert!(matches!(
+            ArrayView::from_blob(&long),
+            Err(ArrayError::PayloadSizeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl Header {
                 }
                 dims.push(d as usize);
             }
-            let shape = Shape::new(&dims)?;
+            let shape = Shape::from_vec(dims)?;
             if shape.count() != count {
                 return Err(ArrayError::CountMismatch {
                     dims_product: shape.count(),
@@ -275,7 +275,7 @@ impl Header {
                 }
                 dims.push(d as usize);
             }
-            let shape = Shape::new(&dims)?;
+            let shape = Shape::from_vec(dims)?;
             if shape.count() != count {
                 return Err(ArrayError::CountMismatch {
                     dims_product: shape.count(),

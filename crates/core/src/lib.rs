@@ -57,7 +57,7 @@ pub mod stream;
 pub mod sync;
 pub mod typed;
 
-pub use array::SqlArray;
+pub use array::{ArrayData, ArrayView, SqlArray};
 pub use complex::{Complex32, Complex64};
 pub use element::{Element, ElementType};
 pub use env::env_usize;
@@ -71,7 +71,7 @@ pub use typed::TypedArray;
 
 /// Everything most callers need, in one import.
 pub mod prelude {
-    pub use crate::array::SqlArray;
+    pub use crate::array::{ArrayData, ArrayView, SqlArray};
     pub use crate::build;
     pub use crate::complex::{Complex32, Complex64};
     pub use crate::element::{Element, ElementType};

@@ -8,37 +8,76 @@
 //! element order or partitioning. `sum`/`mean` also work on complex arrays
 //! (accumulating componentwise), while order statistics (`min`/`max`) are
 //! defined only for real element types.
+//!
+//! Every reduction takes any [`ArrayData`] — an owned [`SqlArray`] or a
+//! borrowed [`ArrayView`] — and walks the payload as typed elements in
+//! storage order: one dispatch on the element type per array, not one
+//! [`Scalar`] per element.
+//!
+//! [`SqlArray`]: crate::array::SqlArray
+//! [`ArrayView`]: crate::array::ArrayView
 
-use crate::array::SqlArray;
-use crate::complex::Complex64;
-use crate::element::ElementType;
+use crate::array::ArrayData;
+use crate::complex::{Complex32, Complex64};
+use crate::element::{Element, ElementType};
 use crate::errors::{ArrayError, Result};
 use crate::exact::ExactSum;
 use crate::scalar::Scalar;
 
+/// Feeds every element of a payload of `T`s to `f`, in storage order.
+#[inline]
+fn walk<T: Element>(payload: &[u8], mut f: impl FnMut(T)) {
+    for chunk in payload.chunks_exact(T::SIZE) {
+        f(T::read_le(chunk));
+    }
+}
+
+/// Feeds the `f64` view of every element of a real-typed array to `f`, in
+/// storage order; complex arrays are rejected.
+fn for_each_real(a: &impl ArrayData, mut f: impl FnMut(f64)) -> Result<()> {
+    let p = a.payload();
+    match a.elem() {
+        ElementType::Int8 => walk::<i8>(p, |v| f(v as f64)),
+        ElementType::Int16 => walk::<i16>(p, |v| f(v as f64)),
+        ElementType::Int32 => walk::<i32>(p, |v| f(v as f64)),
+        ElementType::Int64 => walk::<i64>(p, |v| f(v as f64)),
+        ElementType::Float32 => walk::<f32>(p, |v| f(v as f64)),
+        ElementType::Float64 => walk::<f64>(p, f),
+        ElementType::Complex32 | ElementType::Complex64 => {
+            return Err(ArrayError::BadConversion {
+                from: a.elem(),
+                to: ElementType::Float64,
+            })
+        }
+    }
+    Ok(())
+}
+
 /// Sum of all elements. Complex arrays return a complex sum; real arrays a
 /// double. Real (and complex-component) accumulation is exactly rounded.
-pub fn sum(a: &SqlArray) -> Result<Scalar> {
+pub fn sum(a: &impl ArrayData) -> Result<Scalar> {
+    let mut re = ExactSum::new();
     if a.elem().is_complex() {
-        let mut re = ExactSum::new();
         let mut im = ExactSum::new();
-        for s in a.iter_scalars() {
-            let c = s.as_c64();
+        let mut add = |c: Complex64| {
             re.add(c.re);
             im.add(c.im);
+        };
+        match a.elem() {
+            ElementType::Complex32 => {
+                walk::<Complex32>(a.payload(), |c| add(Complex64::from_c32(c)))
+            }
+            _ => walk::<Complex64>(a.payload(), add),
         }
         Ok(Scalar::C64(Complex64::new(re.value(), im.value())))
     } else {
-        let mut acc = ExactSum::new();
-        for s in a.iter_scalars() {
-            acc.add(s.as_f64()?);
-        }
-        Ok(Scalar::F64(acc.value()))
+        for_each_real(a, |v| re.add(v))?;
+        Ok(Scalar::F64(re.value()))
     }
 }
 
 /// Arithmetic mean of all elements.
-pub fn mean(a: &SqlArray) -> Result<Scalar> {
+pub fn mean(a: &impl ArrayData) -> Result<Scalar> {
     let n = a.count() as f64;
     match sum(a)? {
         Scalar::F64(s) => Ok(Scalar::F64(s / n)),
@@ -48,86 +87,77 @@ pub fn mean(a: &SqlArray) -> Result<Scalar> {
 }
 
 /// Product of all elements (real types only).
-pub fn product(a: &SqlArray) -> Result<Scalar> {
-    require_real(a)?;
+pub fn product(a: &impl ArrayData) -> Result<Scalar> {
     let mut acc = 1.0f64;
-    for s in a.iter_scalars() {
-        acc *= s.as_f64()?;
-    }
+    for_each_real(a, |v| acc *= v)?;
     Ok(Scalar::F64(acc))
 }
 
 /// Minimum element (real types only).
-pub fn min(a: &SqlArray) -> Result<Scalar> {
+pub fn min(a: &impl ArrayData) -> Result<Scalar> {
     fold_real(a, f64::INFINITY, |acc, v| acc.min(v))
 }
 
 /// Maximum element (real types only).
-pub fn max(a: &SqlArray) -> Result<Scalar> {
+pub fn max(a: &impl ArrayData) -> Result<Scalar> {
     fold_real(a, f64::NEG_INFINITY, |acc, v| acc.max(v))
 }
 
 /// Population standard deviation (real types only). Computed with the
 /// two-pass algorithm, both passes exactly rounded.
-pub fn stddev(a: &SqlArray) -> Result<Scalar> {
-    require_real(a)?;
+pub fn stddev(a: &impl ArrayData) -> Result<Scalar> {
     let n = a.count() as f64;
-    let mu = mean(a)?.as_f64()?;
     let mut acc = ExactSum::new();
-    for s in a.iter_scalars() {
-        let d = s.as_f64()? - mu;
+    for_each_real(a, |v| acc.add(v))?;
+    let mu = acc.value() / n;
+    let mut acc = ExactSum::new();
+    for_each_real(a, |v| {
+        let d = v - mu;
         acc.add(d * d);
-    }
+    })?;
     Ok(Scalar::F64((acc.value() / n).sqrt()))
 }
 
 /// Number of non-zero elements (all types; complex counts non-zero modulus).
-pub fn count_nonzero(a: &SqlArray) -> usize {
-    a.iter_scalars()
-        .filter(|s| match s {
-            Scalar::C32(c) => c.re != 0.0 || c.im != 0.0,
-            Scalar::C64(c) => c.re != 0.0 || c.im != 0.0,
-            other => other.as_f64().map(|v| v != 0.0).unwrap_or(true),
-        })
-        .count()
+pub fn count_nonzero(a: &impl ArrayData) -> usize {
+    // Every element type's zero is its `Default` (componentwise for the
+    // complex types), and `-0.0 == 0.0`.
+    fn nonzero<T: Element>(payload: &[u8]) -> usize {
+        let mut n = 0usize;
+        walk::<T>(payload, |v| n += (v != T::default()) as usize);
+        n
+    }
+    let p = a.payload();
+    match a.elem() {
+        ElementType::Int8 => nonzero::<i8>(p),
+        ElementType::Int16 => nonzero::<i16>(p),
+        ElementType::Int32 => nonzero::<i32>(p),
+        ElementType::Int64 => nonzero::<i64>(p),
+        ElementType::Float32 => nonzero::<f32>(p),
+        ElementType::Float64 => nonzero::<f64>(p),
+        ElementType::Complex32 => nonzero::<Complex32>(p),
+        ElementType::Complex64 => nonzero::<Complex64>(p),
+    }
 }
 
 /// Euclidean (L2) norm. Complex arrays use the modulus of each element.
 /// The sum of squares is exactly rounded before the square root.
-pub fn norm2(a: &SqlArray) -> Result<f64> {
+pub fn norm2(a: &impl ArrayData) -> Result<f64> {
     let mut acc = ExactSum::new();
-    for s in a.iter_scalars() {
-        match s {
-            Scalar::C32(c) => acc.add(c.norm_sqr() as f64),
-            Scalar::C64(c) => acc.add(c.norm_sqr()),
-            other => {
-                let v = other.as_f64()?;
-                acc.add(v * v);
-            }
-        }
+    match a.elem() {
+        ElementType::Complex32 => walk::<Complex32>(a.payload(), |c| acc.add(c.norm_sqr() as f64)),
+        ElementType::Complex64 => walk::<Complex64>(a.payload(), |c| acc.add(c.norm_sqr())),
+        _ => for_each_real(a, |v| acc.add(v * v))?,
     }
     Ok(acc.value().sqrt())
-}
-
-fn require_real(a: &SqlArray) -> Result<()> {
-    if a.elem().is_complex() {
-        return Err(ArrayError::BadConversion {
-            from: a.elem(),
-            to: ElementType::Float64,
-        });
-    }
-    Ok(())
 }
 
 /// Order-statistic fold (`min`/`max`). Unlike the summations above it
 /// carries no rounding — `min`/`max` over `f64` views are exact by
 /// construction — so a plain fold is already order-independent here.
-fn fold_real(a: &SqlArray, init: f64, f: impl Fn(f64, f64) -> f64) -> Result<Scalar> {
-    require_real(a)?;
+fn fold_real(a: &impl ArrayData, init: f64, f: impl Fn(f64, f64) -> f64) -> Result<Scalar> {
     let mut acc = init;
-    for s in a.iter_scalars() {
-        acc = f(acc, s.as_f64()?);
-    }
+    for_each_real(a, |v| acc = f(acc, v))?;
     Ok(Scalar::F64(acc))
 }
 

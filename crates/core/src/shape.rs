@@ -19,6 +19,12 @@ pub struct Shape {
 impl Shape {
     /// Creates a shape, validating the invariants.
     pub fn new(dims: &[usize]) -> Result<Shape> {
+        Shape::from_vec(dims.to_vec())
+    }
+
+    /// [`new`](Self::new) over an already-owned dimension list (header
+    /// decode builds one per blob; this adopts it instead of copying).
+    pub fn from_vec(dims: Vec<usize>) -> Result<Shape> {
         if dims.is_empty() {
             return Err(ArrayError::BadRank {
                 rank: 0,
@@ -34,9 +40,7 @@ impl Shape {
                 .checked_mul(d)
                 .ok_or(ArrayError::BadDimension { dim: axis, size: d })?;
         }
-        Ok(Shape {
-            dims: dims.to_vec(),
-        })
+        Ok(Shape { dims })
     }
 
     /// Number of dimensions.

@@ -12,7 +12,7 @@
 use crate::udf::UdfRegistry;
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::ops::{agg, axis, cast, convert, elementwise, reshape, subarray};
-use sqlarray_core::{ElementType, Scalar, SqlArray, StorageClass};
+use sqlarray_core::{ArrayData, ArrayView, ElementType, Scalar, SqlArray, StorageClass};
 
 /// Registers every array schema plus the `dbo` utility functions.
 pub fn register_all(reg: &mut UdfRegistry) {
@@ -51,8 +51,13 @@ pub fn parse_schema(name: &str) -> Option<(ElementType, StorageClass)> {
 /// Runtime check that a blob belongs to this schema — the paper's "detect
 /// type mismatches at runtime when the blobs are passed to the wrong
 /// functions" (§3.5).
-fn expect(v: &Value, elem: ElementType, class: StorageClass) -> Result<SqlArray> {
-    let a = v.as_array()?;
+///
+/// The checked blob comes back *borrowed* from the argument: read-only
+/// functions (`Item`, `Rank`, the whole-array aggregates) work on the view
+/// and never copy the array; functions that build a new array from it take
+/// [`expect_owned`].
+fn expect(v: &Value, elem: ElementType, class: StorageClass) -> Result<ArrayView<'_>> {
+    let a = ArrayView::from_blob(v.as_bytes()?)?;
     if a.elem() != elem {
         return Err(EngineError::Array(
             sqlarray_core::ArrayError::TypeMismatch {
@@ -71,6 +76,11 @@ fn expect(v: &Value, elem: ElementType, class: StorageClass) -> Result<SqlArray>
         ));
     }
     Ok(a)
+}
+
+/// [`expect`], copied into an owned array for the manipulators.
+fn expect_owned(v: &Value, elem: ElementType, class: StorageClass) -> Result<SqlArray> {
+    Ok(expect(v, elem, class)?.into_array())
 }
 
 /// Converts a SQL value into a scalar of the schema's element type.
@@ -162,14 +172,17 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
     // --- Item access ----------------------------------------------------
     reg.register(&f("Item"), Some(2..=9), move |args| {
         let a = expect(&args[0], elem, class)?;
-        let idx: Vec<usize> = args[1..]
-            .iter()
-            .map(|v| v.as_index())
-            .collect::<Result<_>>()?;
-        Ok(Value::from(a.item(&idx)?))
+        // At most eight indices (the registered arity): no allocation on
+        // the per-row accessor.
+        let mut idx = [0usize; 8];
+        let rank = args.len() - 1;
+        for (slot, v) in idx.iter_mut().zip(&args[1..]) {
+            *slot = v.as_index()?;
+        }
+        Ok(Value::from(a.item(&idx[..rank])?))
     });
     reg.register(&f("UpdateItem"), Some(3..=10), move |args| {
-        let mut a = expect(&args[0], elem, class)?;
+        let mut a = expect_owned(&args[0], elem, class)?;
         let idx: Vec<usize> = args[1..args.len() - 1]
             .iter()
             .map(|v| v.as_index())
@@ -185,7 +198,7 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
     // chunk pages; this registered body is the general fallback (in-memory
     // arguments, multi-dimensional offsets, class conversions).
     reg.register(&f("ArrayUpdate"), Some(3..=3), move |args| {
-        let mut a = expect(&args[0], elem, class)?;
+        let mut a = expect_owned(&args[0], elem, class)?;
         let offset = index_vector(&args[1])?;
         let b = expect(&args[2], elem, class)?;
         if offset.len() != a.rank() || b.rank() != a.rank() {
@@ -235,21 +248,23 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
 
     // --- Structure ------------------------------------------------------
     reg.register(&f("Subarray"), Some(3..=4), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         let offset = index_vector(&args[1])?;
         let size = index_vector(&args[2])?;
         let squeeze = args.get(3).map(|v| v.is_true()).unwrap_or(false);
         Ok(blob(subarray::subarray(&a, &offset, &size, squeeze)?))
     });
     reg.register(&f("Reshape"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         let dims = index_vector(&args[1])?;
         Ok(blob(reshape::reshape(&a, &dims)?))
     });
 
     // --- Raw / Cast / conversions ----------------------------------------
     reg.register(&f("Raw"), Some(1..=1), move |args| {
-        Ok(Value::Bytes(cast::raw(&expect(&args[0], elem, class)?)))
+        Ok(Value::Bytes(
+            expect(&args[0], elem, class)?.payload().to_vec(),
+        ))
     });
     reg.register(&f("Cast"), Some(1..=2), move |args| {
         let raw_bytes = args[0].as_bytes()?;
@@ -262,7 +277,7 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
         }
     });
     reg.register(&f("ConvertTo"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         let target: ElementType = match &args[1] {
             Value::Str(s) => s
                 .parse()
@@ -280,13 +295,13 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
         StorageClass::Max => f("ToShort"),
     };
     reg.register(&convert_name, Some(1..=1), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         Ok(blob(convert::convert_class(&a, other_class)?))
     });
 
     // --- Strings ----------------------------------------------------------
     reg.register(&f("ToString"), Some(1..=1), move |args| {
-        Ok(Value::Str(sqlarray_core::fmt::to_string(&expect(
+        Ok(Value::Str(sqlarray_core::fmt::to_string(&expect_owned(
             &args[0], elem, class,
         )?)))
     });
@@ -328,33 +343,33 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
         Ok(Value::F64(agg::norm2(&expect(&args[0], elem, class)?)?))
     });
     reg.register(&f("SumAxis"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         Ok(blob(axis::sum_axis(&a, args[1].as_index()?)?))
     });
 
     // --- Elementwise arithmetic --------------------------------------------
     reg.register(&f("Add"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         Ok(blob(elementwise::add(&a, &args[1].as_array()?)?))
     });
     reg.register(&f("Subtract"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         Ok(blob(elementwise::sub(&a, &args[1].as_array()?)?))
     });
     reg.register(&f("Multiply"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         Ok(blob(elementwise::mul(&a, &args[1].as_array()?)?))
     });
     reg.register(&f("Divide"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         Ok(blob(elementwise::div(&a, &args[1].as_array()?)?))
     });
     reg.register(&f("Scale"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         Ok(blob(elementwise::scale(&a, args[1].as_f64()?)?))
     });
     reg.register(&f("Dot"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect_owned(&args[0], elem, class)?;
         Ok(Value::F64(elementwise::dot(&a, &args[1].as_array()?)?))
     });
 }

@@ -2,14 +2,17 @@
 //! kernels, and evaluating them over columnar batches.
 //!
 //! [`plan_select`] is **the** fallback seam of the vectorized pipeline: it
-//! returns `Some(BatchPlan)` exactly when every expression a scan must
+//! returns a [`BatchPlan`] exactly when every expression a scan must
 //! evaluate compiles to the batch kernel set — column references of scalar
 //! type, numeric/boolean literals and session variables, arithmetic,
-//! comparisons, `AND`/`OR`/`NOT`, unary minus, the built-in aggregates, and
-//! bare blob-column projections. Anything else — UDFs (including the
-//! `Subarray`/`Item` LOB pushdown), UDAs, `GROUP BY`, string/bytes
-//! comparisons — returns `None` and the executor runs the row-at-a-time
-//! interpreter instead. There is no third path.
+//! comparisons, `AND`/`OR`/`NOT`, unary minus, scalar UDF calls (including
+//! the `Subarray`/`Item` LOB pushdown), the built-in aggregates, `GROUP BY`
+//! over scalar expressions and blob columns, and bare blob-column
+//! projections. Anything else returns a typed [`Fallback`] — UDAs,
+//! string/NULL literals outside call arguments, missing variables, blob
+//! columns inside computed expressions, more than one LOB-reading site —
+//! and the executor runs the row-at-a-time interpreter instead. There is
+//! no third path.
 //!
 //! Compiled plans reproduce the row interpreter's semantics exactly:
 //!
@@ -23,15 +26,88 @@
 //!   row interpreter would have evaluated it on;
 //! * projections and aggregate arguments are evaluated only over rows
 //!   that passed the filter;
-//! * unary minus preserves the operand's type, like the row path.
+//! * unary minus preserves the operand's type, like the row path;
+//! * a UDF call binds its callee, arity check and pushdown
+//!   classification once per statement, then runs the callee's own body
+//!   once per selected row, in row order, charging the hosting model per
+//!   row — the paper's §7.1 cost model is untouched. Its result is a
+//!   *dynamic* lane (one [`Value`] per row): operators over dynamic lanes
+//!   apply the interpreter's own per-value functions.
+//!
+//! **One LOB site.** Evaluation is column-at-a-time, so a plan with one
+//! site that can read a LOB (a blob column passed to a call, projected, or
+//! grouped on) reads LOB pages in row order exactly like the interpreter.
+//! With two or more such sites column order would interleave their page
+//! reads differently — the sequential/random split, the seek position and
+//! the pool's recency order would all diverge — so such a statement
+//! returns [`Fallback::MultipleLobSites`] and the interpreter, which
+//! evaluates a row's expressions strictly in list order, runs it.
 
-use crate::expr::{AggFunc, BinOp, Expr};
+use crate::expr::{AggFunc, BinOp, EvalEnv, Expr};
+use crate::pushdown::Pushdown;
 use crate::tsql::SelectItem;
+use crate::udf::{Udf, UdfRegistry};
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::batch as b;
 use sqlarray_core::batch::{ArithOp, Batch, CmpOp, ColVec};
 use sqlarray_storage::{ColType, Schema};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
+
+/// Why a SELECT ran the row-at-a-time interpreter instead of a compiled
+/// batch plan — the typed answer the planner gives in place of a plan,
+/// surfaced as [`crate::exec::QueryStats::fallback`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fallback {
+    /// Batch execution is switched off (`SQLARRAY_BATCH_ROWS=0` /
+    /// `Session::set_batch_rows(0)`): the reference interpreter.
+    BatchDisabled,
+    /// The select list calls a user-defined aggregate.
+    Uda(String),
+    /// A string, bytes or NULL literal (or variable value) outside a call
+    /// argument: string compares and NULL propagation are interpreter-only.
+    NonNumericLiteral,
+    /// A session variable with no binding: a per-row error in the
+    /// interpreter (raised only when the table is non-empty).
+    MissingVar(String),
+    /// A variable bound to a lazy LOB reference.
+    LobVar(String),
+    /// A column the table does not have (a per-row error, like above).
+    UnknownColumn(String),
+    /// A blob column inside a computed expression or a `SUM`/`MIN`/`MAX`.
+    BlobInScalarExpr,
+    /// Unary minus over a boolean: a typed error in the interpreter.
+    NegBool,
+    /// A call to a function the registry does not know.
+    UnknownFunction(String),
+    /// A call whose argument count the callee rejects.
+    CallArity(String),
+    /// An aggregate nested inside another expression.
+    NestedAggregate,
+    /// More than one site of the statement can read a LOB (module docs,
+    /// "One LOB site").
+    MultipleLobSites,
+}
+
+impl fmt::Display for Fallback {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fallback::BatchDisabled => write!(f, "batch execution disabled"),
+            Fallback::Uda(name) => write!(f, "user-defined aggregate `{name}`"),
+            Fallback::NonNumericLiteral => write!(f, "non-numeric literal in a scalar expression"),
+            Fallback::MissingVar(name) => write!(f, "unbound variable `@{name}`"),
+            Fallback::LobVar(name) => write!(f, "variable `@{name}` holds a LOB reference"),
+            Fallback::UnknownColumn(name) => write!(f, "unknown column `{name}`"),
+            Fallback::BlobInScalarExpr => write!(f, "blob column in a scalar expression"),
+            Fallback::NegBool => write!(f, "negation of a boolean"),
+            Fallback::UnknownFunction(name) => write!(f, "unknown function `{name}`"),
+            Fallback::CallArity(name) => write!(f, "wrong argument count for `{name}`"),
+            Fallback::NestedAggregate => write!(f, "aggregate nested in an expression"),
+            Fallback::MultipleLobSites => write!(f, "more than one LOB-reading site"),
+        }
+    }
+}
 
 /// Static type of a compiled batch expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +117,8 @@ pub(crate) enum VKind {
     F64,
     F32,
     Bool,
+    /// Typed per value at run time: a UDF result, or an operator over one.
+    Dyn,
 }
 
 impl VKind {
@@ -84,6 +162,15 @@ pub(crate) enum BExpr {
         l: Box<BExpr>,
         r: Box<BExpr>,
     },
+    /// Arithmetic or comparison with a dynamic operand: the interpreter's
+    /// own operator, value by value.
+    DynBin {
+        op: BinOp,
+        l: Box<BExpr>,
+        r: Box<BExpr>,
+    },
+    /// Scalar UDF call.
+    Call(Box<Call>),
 }
 
 impl BExpr {
@@ -99,19 +186,44 @@ impl BExpr {
             BExpr::Not(_) | BExpr::And(..) | BExpr::Or(..) | BExpr::Cmp { .. } => VKind::Bool,
             BExpr::IntArith { .. } => VKind::I64,
             BExpr::FloatArith { .. } => VKind::F64,
+            BExpr::DynBin { .. } | BExpr::Call(_) => VKind::Dyn,
         }
     }
 }
 
-/// The argument of a compiled built-in aggregate.
+/// A scalar UDF call with everything the interpreter re-derives per row
+/// bound once per statement: the callee (arity already checked), and
+/// whether the name is a `Subarray`/`Item` the LOB pushdown may serve.
+#[derive(Clone)]
+pub(crate) struct Call {
+    /// The function name as written (error messages quote it).
+    name: String,
+    udf: Arc<Udf>,
+    pushdown: Option<Pushdown>,
+    args: Vec<CallArg>,
+}
+
+impl fmt::Debug for Call {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Call")
+            .field("name", &self.name)
+            .field("pushdown", &self.pushdown)
+            .field("args", &self.args)
+            .finish()
+    }
+}
+
+/// One argument of a compiled [`Call`].
 #[derive(Debug, Clone)]
-pub(crate) enum BAggArg {
-    /// A scalar expression (`SUM`/`AVG`/`MIN`/`MAX`/`COUNT` over numerics).
-    Scalar(BExpr),
-    /// `COUNT(blob_col)`: the argument is a bare blob column — only
-    /// null-ness matters and stored columns are never null, so the batch
-    /// position is carried for shape only.
+pub(crate) enum CallArg {
+    /// A literal or session-variable value of any type, passed as is.
+    Const(Value),
+    /// A bare blob column (batch position): inline bytes are copied into
+    /// the reused argument slot, out-of-row cells go in as lazy LOB
+    /// references for the pushdown or the full-read fallback.
     Blob(usize),
+    /// Any other expression, evaluated as a lane before the calls.
+    Lane(BExpr),
 }
 
 /// One compiled select-list item.
@@ -123,21 +235,37 @@ pub(crate) enum BItem {
     /// projection boundary (inline bytes copied, LOB references resolved
     /// through the worker's reader in row order).
     ProjBlob(usize),
-    /// Built-in aggregate.
-    Agg { func: AggFunc, arg: Option<BAggArg> },
-    /// Non-aggregate item inside an aggregate query: evaluated once, at
-    /// the first filter-passing row (the row interpreter's semantics).
+    /// Built-in aggregate over a scalar argument. `None` counts rows
+    /// without evaluating anything: `COUNT(*)`, and `COUNT(blob_col)` —
+    /// only null-ness matters there and stored columns are never null
+    /// (the column is still decoded, so the plan stays leaf-aligned).
+    Agg(Option<BExpr>),
+    /// Non-aggregate item inside an aggregate query: evaluated once per
+    /// group, at the row that opened it (the row interpreter's semantics).
     Plain(BExpr),
 }
 
+/// One compiled `GROUP BY` key.
+#[derive(Debug, Clone)]
+pub(crate) enum BKey {
+    /// A scalar (or dynamic) expression.
+    Scalar(BExpr),
+    /// A bare blob column: groups by the cell's bytes, resolving
+    /// out-of-row cells like any other binary value.
+    Blob(usize),
+}
+
 /// A compiled vectorized scan: which schema columns to decode, the filter,
-/// and the select-list items, all in terms of batch column positions.
+/// the grouping keys and the select-list items, all in terms of batch
+/// column positions.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchPlan {
     /// Schema column indices to decode, in batch-column order.
     pub cols: Vec<usize>,
     /// Compiled WHERE predicate.
     pub filter: Option<BExpr>,
+    /// Compiled GROUP BY keys (empty: one global group, or a projection).
+    pub group_by: Vec<BKey>,
     /// Compiled select-list items (aggregates iff the query aggregates).
     pub items: Vec<BItem>,
     /// Flush batches at every leaf boundary. Set when the plan touches a
@@ -150,8 +278,13 @@ pub(crate) struct BatchPlan {
 struct Compiler<'a> {
     schema: &'a Schema,
     vars: &'a HashMap<String, Value>,
+    udfs: &'a UdfRegistry,
     cols: Vec<usize>,
+    /// Sites that hand a blob cell to something that may read its LOB.
+    blob_sites: usize,
 }
+
+type Compiled<T> = std::result::Result<T, Fallback>;
 
 impl<'a> Compiler<'a> {
     /// Batch column position for a schema index, registering it on first
@@ -166,32 +299,39 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn lit(&self, v: &Value) -> Option<BExpr> {
+    fn lit(&self, v: &Value) -> Compiled<BExpr> {
         match v {
-            Value::I64(x) => Some(BExpr::LitI64(*x)),
-            Value::I32(x) => Some(BExpr::LitI32(*x)),
-            Value::F64(x) => Some(BExpr::LitF64(*x)),
-            Value::F32(x) => Some(BExpr::LitF32(*x)),
-            Value::Bool(x) => Some(BExpr::LitBool(*x)),
+            Value::I64(x) => Ok(BExpr::LitI64(*x)),
+            Value::I32(x) => Ok(BExpr::LitI32(*x)),
+            Value::F64(x) => Ok(BExpr::LitF64(*x)),
+            Value::F32(x) => Ok(BExpr::LitF32(*x)),
+            Value::Bool(x) => Ok(BExpr::LitBool(*x)),
             // Null, strings, bytes, and LOB references keep the row
             // interpreter's semantics (string compares, null propagation)
             // by falling back.
-            _ => None,
+            _ => Err(Fallback::NonNumericLiteral),
         }
     }
 
-    fn compile(&mut self, e: &Expr) -> Option<BExpr> {
+    /// A missing variable is a per-row error in the interpreter
+    /// (FROM-scans only raise it when the table is non-empty), so it must
+    /// stay on the row path to error identically.
+    fn var(&self, name: &str) -> Compiled<&'a Value> {
+        crate::expr::lookup_var(self.vars, name).ok_or_else(|| Fallback::MissingVar(name.into()))
+    }
+
+    fn col_index(&self, name: &str) -> Compiled<usize> {
+        self.schema
+            .col_index(name)
+            .ok_or_else(|| Fallback::UnknownColumn(name.into()))
+    }
+
+    fn compile(&mut self, e: &Expr) -> Compiled<BExpr> {
         match e {
             Expr::Lit(v) => self.lit(v),
-            // A missing variable is a per-row error in the interpreter
-            // (FROM-scans only raise it when the table is non-empty), so
-            // it must stay on the row path to error identically.
-            Expr::Var(name) => {
-                let v = crate::expr::lookup_var(self.vars, name)?;
-                self.lit(v)
-            }
+            Expr::Var(name) => self.lit(self.var(name)?),
             Expr::Col(name) => {
-                let idx = self.schema.col_index(name)?;
+                let idx = self.col_index(name)?;
                 let kind = match self.schema.columns[idx].ctype {
                     ColType::I64 => VKind::I64,
                     ColType::I32 => VKind::I32,
@@ -199,9 +339,9 @@ impl<'a> Compiler<'a> {
                     ColType::F32 => VKind::F32,
                     // Blob columns inside computed expressions (equality,
                     // truthiness, …) keep row semantics by falling back.
-                    ColType::Blob => return None,
+                    ColType::Blob => return Err(Fallback::BlobInScalarExpr),
                 };
-                Some(BExpr::Col {
+                Ok(BExpr::Col {
                     pos: self.col_pos(idx),
                     kind,
                 })
@@ -211,47 +351,49 @@ impl<'a> Compiler<'a> {
                 if c.kind() == VKind::Bool {
                     // `-(bool)` is a typed error in the interpreter; the
                     // fallback raises it with the exact message.
-                    return None;
+                    return Err(Fallback::NegBool);
                 }
-                Some(BExpr::Neg(Box::new(c)))
+                Ok(BExpr::Neg(Box::new(c)))
             }
-            Expr::Not(inner) => Some(BExpr::Not(Box::new(self.compile(inner)?))),
+            Expr::Not(inner) => Ok(BExpr::Not(Box::new(self.compile(inner)?))),
             Expr::Bin { op, left, right } => {
                 let l = Box::new(self.compile(left)?);
                 let r = Box::new(self.compile(right)?);
-                match op {
-                    BinOp::And => Some(BExpr::And(l, r)),
-                    BinOp::Or => Some(BExpr::Or(l, r)),
-                    BinOp::Eq => Some(BExpr::Cmp {
+                let dynamic = l.kind() == VKind::Dyn || r.kind() == VKind::Dyn;
+                Ok(match op {
+                    BinOp::And => BExpr::And(l, r),
+                    BinOp::Or => BExpr::Or(l, r),
+                    _ if dynamic => BExpr::DynBin { op: *op, l, r },
+                    BinOp::Eq => BExpr::Cmp {
                         op: CmpOp::Eq,
                         l,
                         r,
-                    }),
-                    BinOp::Ne => Some(BExpr::Cmp {
+                    },
+                    BinOp::Ne => BExpr::Cmp {
                         op: CmpOp::Ne,
                         l,
                         r,
-                    }),
-                    BinOp::Lt => Some(BExpr::Cmp {
+                    },
+                    BinOp::Lt => BExpr::Cmp {
                         op: CmpOp::Lt,
                         l,
                         r,
-                    }),
-                    BinOp::Le => Some(BExpr::Cmp {
+                    },
+                    BinOp::Le => BExpr::Cmp {
                         op: CmpOp::Le,
                         l,
                         r,
-                    }),
-                    BinOp::Gt => Some(BExpr::Cmp {
+                    },
+                    BinOp::Gt => BExpr::Cmp {
                         op: CmpOp::Gt,
                         l,
                         r,
-                    }),
-                    BinOp::Ge => Some(BExpr::Cmp {
+                    },
+                    BinOp::Ge => BExpr::Cmp {
                         op: CmpOp::Ge,
                         l,
                         r,
-                    }),
+                    },
                     BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
                         let aop = match op {
                             BinOp::Add => ArithOp::Add,
@@ -262,16 +404,59 @@ impl<'a> Compiler<'a> {
                             _ => unreachable!(),
                         };
                         if l.kind().is_int() && r.kind().is_int() {
-                            Some(BExpr::IntArith { op: aop, l, r })
+                            BExpr::IntArith { op: aop, l, r }
                         } else {
-                            Some(BExpr::FloatArith { op: aop, l, r })
+                            BExpr::FloatArith { op: aop, l, r }
                         }
                     }
-                }
+                })
             }
-            // UDFs (and the LOB pushdown behind them), UDAs, and nested
-            // aggregates stay on the row path.
-            Expr::Func { .. } | Expr::UdaCall { .. } | Expr::Agg { .. } => None,
+            Expr::Func { name, args } => self.call(name, args),
+            Expr::UdaCall { name, .. } => Err(Fallback::Uda(name.clone())),
+            Expr::Agg { .. } => Err(Fallback::NestedAggregate),
+        }
+    }
+
+    /// Binds one scalar call. An unknown name or a rejected argument
+    /// count is a *per-row* error in the interpreter (an empty table
+    /// raises nothing), so both fall back rather than fail the plan.
+    fn call(&mut self, name: &str, args: &[Expr]) -> Compiled<BExpr> {
+        let udf = self
+            .udfs
+            .resolve(name)
+            .ok_or_else(|| Fallback::UnknownFunction(name.into()))?;
+        if udf.check_arity(name, args.len()).is_err() {
+            return Err(Fallback::CallArity(name.into()));
+        }
+        let args = args
+            .iter()
+            .map(|a| self.call_arg(a))
+            .collect::<Compiled<Vec<CallArg>>>()?;
+        Ok(BExpr::Call(Box::new(Call {
+            name: name.to_string(),
+            udf: Arc::clone(udf),
+            pushdown: Pushdown::classify(name),
+            args,
+        })))
+    }
+
+    fn call_arg(&mut self, e: &Expr) -> Compiled<CallArg> {
+        let constant = |v: &Value, var: Option<&str>| match (v, var) {
+            // The interpreter re-resolves a LOB-valued variable per row;
+            // it stays there.
+            (Value::Lob { .. }, Some(name)) => Err(Fallback::LobVar(name.into())),
+            _ => Ok(CallArg::Const(v.clone())),
+        };
+        match e {
+            Expr::Lit(v) => constant(v, None),
+            Expr::Var(name) => constant(self.var(name)?, Some(name)),
+            _ => match self.blob_col(e) {
+                Some(pos) => {
+                    self.blob_sites += 1;
+                    Ok(CallArg::Blob(pos))
+                }
+                None => Ok(CallArg::Lane(self.compile(e)?)),
+            },
         }
     }
 
@@ -286,9 +471,10 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Compiles a SELECT scan to a [`BatchPlan`], or `None` to run the
-/// row-at-a-time interpreter. This is the vectorized pipeline's single
-/// fallback seam — see the module docs for what compiles.
+/// Compiles a SELECT scan to a [`BatchPlan`], or says why the
+/// row-at-a-time interpreter must run it. This is the vectorized
+/// pipeline's single fallback seam — see the module docs for what
+/// compiles.
 pub(crate) fn plan_select(
     schema: &Schema,
     items: &[SelectItem],
@@ -296,46 +482,49 @@ pub(crate) fn plan_select(
     group_by: &[Expr],
     has_aggregate: bool,
     vars: &HashMap<String, Value>,
-) -> Option<BatchPlan> {
-    if !group_by.is_empty() {
-        return None;
-    }
+    udfs: &UdfRegistry,
+) -> Compiled<BatchPlan> {
     let mut c = Compiler {
         schema,
         vars,
+        udfs,
         cols: Vec::new(),
+        blob_sites: 0,
     };
+    // Compile in the interpreter's per-row evaluation order (WHERE, keys,
+    // items) so batch columns register in first-use order.
     let filter = match where_clause {
         Some(w) => Some(c.compile(w)?),
         None => None,
     };
+    let mut keys = Vec::with_capacity(group_by.len());
+    for g in group_by {
+        keys.push(match c.blob_col(g) {
+            Some(pos) => {
+                c.blob_sites += 1;
+                BKey::Blob(pos)
+            }
+            None => BKey::Scalar(c.compile(g)?),
+        });
+    }
     let mut plan_items = Vec::with_capacity(items.len());
     for it in items {
         let item = if has_aggregate {
             match &it.expr {
-                Expr::Agg { func, arg } => {
-                    let barg = match (func, arg) {
-                        (AggFunc::CountStar, _) => None,
-                        (AggFunc::Count, Some(e)) => Some(match c.blob_col(e) {
-                            Some(pos) => BAggArg::Blob(pos),
-                            None => BAggArg::Scalar(c.compile(e)?),
-                        }),
-                        (AggFunc::Sum | AggFunc::Avg | AggFunc::Min | AggFunc::Max, Some(e)) => {
-                            Some(BAggArg::Scalar(c.compile(e)?))
-                        }
-                        _ => return None,
-                    };
-                    BItem::Agg {
-                        func: *func,
-                        arg: barg,
-                    }
-                }
-                Expr::UdaCall { .. } => return None,
+                Expr::Agg { func, arg } => BItem::Agg(match arg.as_deref() {
+                    Some(e) if *func == AggFunc::Count && c.blob_col(e).is_some() => None,
+                    Some(e) => Some(c.compile(e)?),
+                    // Only COUNT(*) parses without an argument.
+                    None => None,
+                }),
                 other => BItem::Plain(c.compile(other)?),
             }
         } else {
             match c.blob_col(&it.expr) {
-                Some(pos) => BItem::ProjBlob(pos),
+                Some(pos) => {
+                    c.blob_sites += 1;
+                    BItem::ProjBlob(pos)
+                }
                 None => BItem::Proj(c.compile(&it.expr)?),
             }
         };
@@ -345,9 +534,13 @@ pub(crate) fn plan_select(
         .cols
         .iter()
         .any(|&i| schema.columns[i].ctype == ColType::Blob);
-    Some(BatchPlan {
+    if c.blob_sites > 1 {
+        return Err(Fallback::MultipleLobSites);
+    }
+    Ok(BatchPlan {
         cols: c.cols,
         filter,
+        group_by: keys,
         items: plan_items,
         leaf_aligned,
     })
@@ -361,28 +554,46 @@ pub(crate) enum BVal {
     F64(Vec<f64>),
     F32(Vec<f32>),
     Bool(Vec<bool>),
+    /// Values typed at run time (UDF results and operators over them).
+    Dyn(Vec<Value>),
 }
 
 impl BVal {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            BVal::I64(v) => v.len(),
-            BVal::I32(v) => v.len(),
-            BVal::F64(v) => v.len(),
-            BVal::F32(v) => v.len(),
-            BVal::Bool(v) => v.len(),
-        }
-    }
-
-    /// The `i`-th value as an engine [`Value`], preserving the lane type
-    /// (an `INT` column stays `Value::I32`, like the row interpreter).
-    pub(crate) fn value_at(&self, i: usize) -> Value {
+    /// Moves the `i`-th value out as an engine [`Value`], preserving the
+    /// lane type (an `INT` column stays `Value::I32`, like the row
+    /// interpreter). Each lane position is consumed at most once — a
+    /// dynamic lane leaves `NULL` behind instead of cloning a blob.
+    pub(crate) fn take_at(&mut self, i: usize) -> Value {
         match self {
             BVal::I64(v) => Value::I64(v[i]),
             BVal::I32(v) => Value::I32(v[i]),
             BVal::F64(v) => Value::F64(v[i]),
             BVal::F32(v) => Value::F32(v[i]),
             BVal::Bool(v) => Value::Bool(v[i]),
+            BVal::Dyn(v) => std::mem::replace(&mut v[i], Value::Null),
+        }
+    }
+
+    /// Feeds every value, in lane order, to `f` together with its lane
+    /// position: one dispatch on the lane type, then a typed walk.
+    pub(crate) fn drain(self, mut f: impl FnMut(usize, Value) -> Result<()>) -> Result<()> {
+        fn walk<T>(
+            lane: Vec<T>,
+            wrap: impl Fn(T) -> Value,
+            f: &mut impl FnMut(usize, Value) -> Result<()>,
+        ) -> Result<()> {
+            for (i, x) in lane.into_iter().enumerate() {
+                f(i, wrap(x))?;
+            }
+            Ok(())
+        }
+        match self {
+            BVal::I64(v) => walk(v, Value::I64, &mut f),
+            BVal::I32(v) => walk(v, Value::I32, &mut f),
+            BVal::F64(v) => walk(v, Value::F64, &mut f),
+            BVal::F32(v) => walk(v, Value::F32, &mut f),
+            BVal::Bool(v) => walk(v, Value::Bool, &mut f),
+            BVal::Dyn(v) => walk(v, |x| x, &mut f),
         }
     }
 
@@ -401,59 +612,37 @@ impl BVal {
         }
     }
 
-    /// Lanes coerced to `f64` with the row path's `as_f64` semantics
-    /// (`BIT` → 0/1).
-    pub(crate) fn into_f64(self) -> Vec<f64> {
+    /// Typed lanes coerced to `f64` with the row path's `as_f64`
+    /// semantics (`BIT` → 0/1).
+    fn into_f64(self) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
         match self {
-            BVal::F64(v) => v,
-            BVal::I64(v) => {
-                let mut out = Vec::new();
-                b::f64_from_i64(&v, &mut out);
-                out
-            }
-            BVal::I32(v) => {
-                let mut out = Vec::new();
-                b::f64_from_i32(&v, &mut out);
-                out
-            }
-            BVal::F32(v) => {
-                let mut out = Vec::new();
-                b::f64_from_f32(&v, &mut out);
-                out
-            }
-            BVal::Bool(v) => {
-                let mut out = Vec::new();
-                b::f64_from_bool(&v, &mut out);
-                out
+            BVal::F64(v) => return Ok(v),
+            BVal::I64(v) => b::f64_from_i64(&v, &mut out),
+            BVal::I32(v) => b::f64_from_i32(&v, &mut out),
+            BVal::F32(v) => b::f64_from_f32(&v, &mut out),
+            BVal::Bool(v) => b::f64_from_bool(&v, &mut out),
+            BVal::Dyn(_) => {
+                return Err(EngineError::Type(
+                    "batch plan error: dynamic lane in a typed kernel".into(),
+                ))
             }
         }
+        Ok(out)
     }
 
     /// Lanes as row-path truthiness (nonzero → true).
     fn into_truthy(self) -> Vec<bool> {
+        let mut out = Vec::new();
         match self {
-            BVal::Bool(v) => v,
-            BVal::I64(v) => {
-                let mut out = Vec::new();
-                b::truthy_i64(&v, &mut out);
-                out
-            }
-            BVal::I32(v) => {
-                let mut out = Vec::new();
-                b::truthy_i32(&v, &mut out);
-                out
-            }
-            BVal::F64(v) => {
-                let mut out = Vec::new();
-                b::truthy_f64(&v, &mut out);
-                out
-            }
-            BVal::F32(v) => {
-                let mut out = Vec::new();
-                b::truthy_f32(&v, &mut out);
-                out
-            }
+            BVal::Bool(v) => return v,
+            BVal::I64(v) => b::truthy_i64(&v, &mut out),
+            BVal::I32(v) => b::truthy_i32(&v, &mut out),
+            BVal::F64(v) => b::truthy_f64(&v, &mut out),
+            BVal::F32(v) => b::truthy_f32(&v, &mut out),
+            BVal::Dyn(v) => out.extend(v.iter().map(Value::is_true)),
         }
+        out
     }
 }
 
@@ -464,16 +653,113 @@ pub(crate) fn apply_filter(
     batch: &Batch,
     sel: &mut Vec<u32>,
     scratch: &mut Vec<u32>,
+    env: &mut EvalEnv<'_>,
 ) -> Result<()> {
-    let flags = eval(f, batch, sel)?.into_truthy();
+    let flags = eval(f, batch, sel, env)?.into_truthy();
     b::refine_selection(&flags, sel, scratch);
     std::mem::swap(sel, scratch);
     Ok(())
 }
 
+/// The blob cell of batch column `pos` at batch row `row`: a lazy LOB
+/// reference for out-of-row cells, the inline bytes otherwise.
+pub(crate) enum BlobCell<'a> {
+    Inline(&'a [u8]),
+    Lob { id: u64, len: u64 },
+}
+
+pub(crate) fn blob_cell(batch: &Batch, pos: usize, row: u32) -> Result<BlobCell<'_>> {
+    let ColVec::Blob { bytes, lob } = &batch.cols[pos] else {
+        return Err(EngineError::Type(
+            "batch plan error: blob access over a scalar column".into(),
+        ));
+    };
+    let i = row as usize;
+    Ok(match lob[i] {
+        Some((id, len)) => BlobCell::Lob { id, len },
+        None => BlobCell::Inline(bytes.get(i)),
+    })
+}
+
+/// Runs one compiled call over the selected rows, in row order.
+///
+/// Argument lanes are evaluated first; then each row fills the one
+/// reused `argv` (inline blob bytes are copied into the slot's existing
+/// buffer, nothing is allocated per row), takes the LOB pushdown when the
+/// first argument is an out-of-row cell — so every LOB page is read in
+/// the order the interpreter reads it — and otherwise resolves LOB
+/// arguments and invokes the callee, charging the hosting model once per
+/// row either way. The lifecycle is polled per row: a callee may spin
+/// arbitrarily long between two page reads.
+fn eval_call(c: &Call, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<Vec<Value>> {
+    let mut lanes = c
+        .args
+        .iter()
+        .map(|a| match a {
+            CallArg::Lane(e) => eval(e, batch, sel, env).map(Some),
+            _ => Ok(None),
+        })
+        .collect::<Result<Vec<Option<BVal>>>>()?;
+    let mut argv: Vec<Value> = c
+        .args
+        .iter()
+        .map(|a| match a {
+            CallArg::Const(v) => v.clone(),
+            _ => Value::Null,
+        })
+        .collect();
+    let mut out = Vec::with_capacity(sel.len());
+    for (i, &row) in sel.iter().enumerate() {
+        env.check_interrupt()?;
+        let mut lobs = false;
+        for (k, a) in c.args.iter().enumerate() {
+            match a {
+                CallArg::Const(_) => {}
+                CallArg::Lane(_) => {
+                    if let Some(lane) = lanes[k].as_mut() {
+                        argv[k] = lane.take_at(i);
+                    }
+                }
+                CallArg::Blob(pos) => match blob_cell(batch, *pos, row)? {
+                    BlobCell::Lob { id, len } => {
+                        argv[k] = Value::Lob { id, len };
+                        lobs = true;
+                    }
+                    BlobCell::Inline(cell) => fill_bytes(&mut argv[k], cell),
+                },
+            }
+        }
+        if lobs {
+            if let Some(p) = &c.pushdown {
+                if let Some(v) = p.apply(&argv, env)? {
+                    out.push(v);
+                    continue;
+                }
+            }
+            for v in argv.iter_mut() {
+                crate::pushdown::resolve_lob_in_place(v, env)?;
+            }
+        }
+        out.push(c.udf.invoke(&argv, env.hosting)?);
+    }
+    Ok(out)
+}
+
+/// Overwrites an argument slot with `cell`, reusing the slot's buffer
+/// when it already holds bytes.
+fn fill_bytes(slot: &mut Value, cell: &[u8]) {
+    match slot {
+        Value::Bytes(buf) => {
+            buf.clear();
+            buf.extend_from_slice(cell);
+        }
+        other => *other = Value::Bytes(cell.to_vec()),
+    }
+}
+
 /// Evaluates a compiled expression over the selected rows of a batch,
 /// returning one dense value per selected row.
-pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
+pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<BVal> {
     match e {
         BExpr::Col { pos, .. } => match &batch.cols[*pos] {
             ColVec::I64(src) => {
@@ -530,7 +816,7 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             b::splat(*x, sel.len(), &mut out);
             Ok(BVal::Bool(out))
         }
-        BExpr::Neg(inner) => match eval(inner, batch, sel)? {
+        BExpr::Neg(inner) => match eval(inner, batch, sel, env)? {
             BVal::I64(v) => {
                 let mut out = Vec::new();
                 b::neg_i64(&v, &mut out);
@@ -551,12 +837,17 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
                 b::neg_f32(&v, &mut out);
                 Ok(BVal::F32(out))
             }
+            BVal::Dyn(v) => Ok(BVal::Dyn(
+                v.into_iter()
+                    .map(crate::expr::negate)
+                    .collect::<Result<_>>()?,
+            )),
             BVal::Bool(_) => Err(EngineError::Type(
                 "batch plan error: negation of a boolean".into(),
             )),
         },
         BExpr::Not(inner) => {
-            let t = eval(inner, batch, sel)?.into_truthy();
+            let t = eval(inner, batch, sel, env)?.into_truthy();
             let mut out = Vec::new();
             b::not_bool(&t, &mut out);
             Ok(BVal::Bool(out))
@@ -565,10 +856,10 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             // Per-row short-circuit via selection splitting: the right
             // side sees only rows where the left side was truthy, so its
             // errors (and only its errors) match the row interpreter.
-            let lt = eval(l, batch, sel)?.into_truthy();
+            let lt = eval(l, batch, sel, env)?.into_truthy();
             let mut rhs_sel = Vec::new();
             b::refine_selection(&lt, sel, &mut rhs_sel);
-            let rt = eval(r, batch, &rhs_sel)?.into_truthy();
+            let rt = eval(r, batch, &rhs_sel, env)?.into_truthy();
             let mut out = Vec::with_capacity(lt.len());
             let mut j = 0usize;
             for &t in lt.iter() {
@@ -582,12 +873,12 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             Ok(BVal::Bool(out))
         }
         BExpr::Or(l, r) => {
-            let lt = eval(l, batch, sel)?.into_truthy();
+            let lt = eval(l, batch, sel, env)?.into_truthy();
             let mut not_lt = Vec::new();
             b::not_bool(&lt, &mut not_lt);
             let mut rhs_sel = Vec::new();
             b::refine_selection(&not_lt, sel, &mut rhs_sel);
-            let rt = eval(r, batch, &rhs_sel)?.into_truthy();
+            let rt = eval(r, batch, &rhs_sel, env)?.into_truthy();
             let mut out = Vec::with_capacity(lt.len());
             let mut j = 0usize;
             for &t in lt.iter() {
@@ -601,8 +892,8 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             Ok(BVal::Bool(out))
         }
         BExpr::Cmp { op, l, r } => {
-            let a = eval(l, batch, sel)?.into_f64();
-            let bv = eval(r, batch, sel)?.into_f64();
+            let a = eval(l, batch, sel, env)?.into_f64()?;
+            let bv = eval(r, batch, sel, env)?.into_f64()?;
             let mut out = Vec::new();
             if !b::cmp_f64(*op, &a, &bv, &mut out) {
                 return Err(EngineError::Type("NaN comparison".into()));
@@ -610,8 +901,8 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             Ok(BVal::Bool(out))
         }
         BExpr::IntArith { op, l, r } => {
-            let a = eval(l, batch, sel)?.into_i64()?;
-            let bv = eval(r, batch, sel)?.into_i64()?;
+            let a = eval(l, batch, sel, env)?.into_i64()?;
+            let bv = eval(r, batch, sel, env)?.into_i64()?;
             let mut out = Vec::new();
             if !b::arith_i64(*op, &a, &bv, &mut out) {
                 return Err(EngineError::Type(match op {
@@ -623,19 +914,48 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
             Ok(BVal::I64(out))
         }
         BExpr::FloatArith { op, l, r } => {
-            let a = eval(l, batch, sel)?.into_f64();
-            let bv = eval(r, batch, sel)?.into_f64();
+            let a = eval(l, batch, sel, env)?.into_f64()?;
+            let bv = eval(r, batch, sel, env)?.into_f64()?;
             let mut out = Vec::new();
             b::arith_f64(*op, &a, &bv, &mut out);
             Ok(BVal::F64(out))
         }
+        BExpr::DynBin { op, l, r } => {
+            let mut a = eval(l, batch, sel, env)?;
+            let mut bv = eval(r, batch, sel, env)?;
+            let mut out = Vec::with_capacity(sel.len());
+            for i in 0..sel.len() {
+                out.push(crate::expr::apply_bin(*op, a.take_at(i), bv.take_at(i))?);
+            }
+            Ok(BVal::Dyn(out))
+        }
+        BExpr::Call(c) => Ok(BVal::Dyn(eval_call(c, batch, sel, env)?)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hosting::HostingModel;
     use sqlarray_core::batch::BytesVec;
+
+    /// Evaluates with the array library registered and no reader in scope.
+    fn eval_free(e: &BExpr, batch: &Batch, sel: &[u32]) -> Result<BVal> {
+        let (udfs, vars) = (registry(), no_vars());
+        let mut env = EvalEnv {
+            udfs: &udfs,
+            hosting: &mut HostingModel::free(),
+            vars: &vars,
+            lobs: None,
+        };
+        eval(e, batch, sel, &mut env)
+    }
+
+    fn registry() -> UdfRegistry {
+        let mut reg = UdfRegistry::new();
+        crate::arraybind::register_all(&mut reg);
+        reg
+    }
 
     fn scalar_schema() -> Schema {
         Schema::new(&[
@@ -671,15 +991,32 @@ mod tests {
         items: &[SelectItem],
         where_clause: Option<&Expr>,
         has_aggregate: bool,
-    ) -> Option<BatchPlan> {
+    ) -> Compiled<BatchPlan> {
+        plan_grouped(items, where_clause, &[], has_aggregate)
+    }
+
+    fn plan_grouped(
+        items: &[SelectItem],
+        where_clause: Option<&Expr>,
+        group_by: &[Expr],
+        has_aggregate: bool,
+    ) -> Compiled<BatchPlan> {
         plan_select(
             &scalar_schema(),
             items,
             where_clause,
-            &[],
+            group_by,
             has_aggregate,
             &no_vars(),
+            &registry(),
         )
+    }
+
+    fn call(name: &str, args: Vec<Expr>) -> Expr {
+        Expr::Func {
+            name: name.into(),
+            args,
+        }
     }
 
     #[test]
@@ -711,49 +1048,113 @@ mod tests {
     }
 
     #[test]
-    fn fallback_cases() {
-        // UDF call → row path.
-        let udf = item(Expr::Func {
-            name: "dbo.F".into(),
-            args: vec![Expr::Col("x".into())],
+    fn fallbacks_carry_their_reason() {
+        let id = || item(Expr::Col("id".into()));
+        let why = |items: &[SelectItem], wh: Option<&Expr>, agg: bool| {
+            plan(items, wh, agg).expect_err("should fall back")
+        };
+        // Unknown function and wrong arity are per-row interpreter errors.
+        let f = item(call("dbo.F", vec![Expr::Col("x".into())]));
+        assert_eq!(
+            why(&[f], None, false),
+            Fallback::UnknownFunction("dbo.F".into())
+        );
+        let f = item(call("FloatArray.Item_1", vec![Expr::Col("v".into())]));
+        assert_eq!(
+            why(&[f], None, false),
+            Fallback::CallArity("FloatArray.Item_1".into())
+        );
+        // UDA in the select list.
+        let uda = item(Expr::UdaCall {
+            name: "FloatArray.VectorAvg".into(),
+            args: vec![Expr::Col("v".into())],
         });
-        assert!(plan(&[udf], None, false).is_none());
-        // GROUP BY → row path.
-        assert!(plan_select(
-            &scalar_schema(),
-            &[item(Expr::Agg {
-                func: AggFunc::CountStar,
-                arg: None
-            })],
-            None,
-            &[Expr::Col("n".into())],
-            true,
-            &no_vars(),
-        )
-        .is_none());
-        // String literal comparison → row path.
+        assert_eq!(
+            why(&[uda], None, true),
+            Fallback::Uda("FloatArray.VectorAvg".into())
+        );
+        // String literal comparison.
         let wh = bin(
             BinOp::Eq,
             Expr::Col("id".into()),
             Expr::Lit(Value::Str("x".into())),
         );
-        assert!(plan(&[item(Expr::Col("id".into()))], Some(&wh), false).is_none());
-        // Missing session variable → row path (error parity).
+        assert_eq!(why(&[id()], Some(&wh), false), Fallback::NonNumericLiteral);
+        // Missing session variable (error parity).
         let wh = bin(BinOp::Gt, Expr::Col("x".into()), Expr::Var("gone".into()));
-        assert!(plan(&[item(Expr::Col("id".into()))], Some(&wh), false).is_none());
-        // Blob column inside a computed expression → row path.
+        assert_eq!(
+            why(&[id()], Some(&wh), false),
+            Fallback::MissingVar("gone".into())
+        );
+        // Blob column inside a computed expression, or summed.
         let wh = bin(BinOp::Eq, Expr::Col("v".into()), Expr::Col("v".into()));
-        assert!(plan(&[item(Expr::Col("id".into()))], Some(&wh), false).is_none());
-        // SUM over a blob column → row path.
-        assert!(plan(
-            &[item(Expr::Agg {
-                func: AggFunc::Sum,
-                arg: Some(Box::new(Expr::Col("v".into())))
-            })],
+        assert_eq!(why(&[id()], Some(&wh), false), Fallback::BlobInScalarExpr);
+        let sum_v = item(Expr::Agg {
+            func: AggFunc::Sum,
+            arg: Some(Box::new(Expr::Col("v".into()))),
+        });
+        assert_eq!(why(&[sum_v], None, true), Fallback::BlobInScalarExpr);
+        // Negated boolean, unknown column.
+        let neg = item(Expr::Neg(Box::new(Expr::Lit(Value::Bool(true)))));
+        assert_eq!(why(&[neg], None, false), Fallback::NegBool);
+        let nope = item(Expr::Col("nope".into()));
+        assert_eq!(
+            why(&[nope], None, false),
+            Fallback::UnknownColumn("nope".into())
+        );
+    }
+
+    #[test]
+    fn calls_bind_once_and_count_their_blob_sites() {
+        // SELECT floatarray.Item_1(v, n % 5) FROM T: callee and pushdown
+        // classification are in the plan; `v` is a blob site, `n % 5` a
+        // lane: one LOB site, so the plan compiles.
+        let q4 = item(call(
+            "floatarray.Item_1",
+            vec![
+                Expr::Col("v".into()),
+                bin(BinOp::Mod, Expr::Col("n".into()), Expr::Lit(Value::I64(5))),
+            ],
+        ));
+        let p = plan(std::slice::from_ref(&q4), None, false).expect("should compile");
+        assert!(p.leaf_aligned);
+        let BItem::Proj(BExpr::Call(c)) = &p.items[0] else {
+            panic!("expected a call, got {:?}", p.items[0]);
+        };
+        assert!(c.pushdown.is_some());
+        assert!(matches!(c.args[0], CallArg::Blob(_)));
+        assert!(matches!(c.args[1], CallArg::Lane(BExpr::IntArith { .. })));
+        assert_eq!(BExpr::Call(c.clone()).kind(), VKind::Dyn);
+        // Constants of any type are fine as call arguments.
+        let conv = item(call(
+            "FloatArray.ConvertTo",
+            vec![Expr::Col("v".into()), Expr::Lit(Value::Str("int32".into()))],
+        ));
+        assert!(plan(&[conv], None, false).is_ok());
+        // A second LOB site (projecting `v` beside the call) is the
+        // interpreter's: column order would reorder the LOB reads.
+        assert_eq!(
+            plan(&[q4, item(Expr::Col("v".into()))], None, false).unwrap_err(),
+            Fallback::MultipleLobSites
+        );
+    }
+
+    #[test]
+    fn group_by_compiles_scalar_and_blob_keys() {
+        let count = item(Expr::Agg {
+            func: AggFunc::CountStar,
+            arg: None,
+        });
+        let p = plan_grouped(
+            std::slice::from_ref(&count),
             None,
+            &[Expr::Col("n".into()), Expr::Col("v".into())],
             true,
         )
-        .is_none());
+        .expect("should compile");
+        assert!(matches!(p.group_by[0], BKey::Scalar(_)));
+        assert!(matches!(p.group_by[1], BKey::Blob(_)));
+        assert!(p.leaf_aligned);
     }
 
     #[test]
@@ -772,13 +1173,7 @@ mod tests {
         )
         .expect("should compile");
         assert!(p.leaf_aligned);
-        assert!(matches!(
-            p.items[0],
-            BItem::Agg {
-                func: AggFunc::Count,
-                arg: Some(BAggArg::Blob(0)),
-            }
-        ));
+        assert!(matches!(p.items[0], BItem::Agg(None)));
     }
 
     fn test_batch() -> Batch {
@@ -814,7 +1209,7 @@ mod tests {
             l: Box::new(col0.clone()),
             r: Box::new(BExpr::LitI64(i64::MAX)),
         };
-        match eval(&e, &batch, &sel).unwrap() {
+        match eval_free(&e, &batch, &sel).unwrap() {
             BVal::I64(v) => assert_eq!(v, vec![i64::MIN, i64::MIN + 1, i64::MIN + 2, i64::MIN + 3]),
             other => panic!("expected I64, got {other:?}"),
         }
@@ -824,7 +1219,7 @@ mod tests {
             l: Box::new(col0.clone()),
             r: Box::new(col1.clone()),
         };
-        match eval(&e, &batch, &sel).unwrap() {
+        match eval_free(&e, &batch, &sel).unwrap() {
             BVal::F64(v) => assert_eq!(v, vec![0.5, 3.0, -6.0, 0.0]),
             other => panic!("expected F64, got {other:?}"),
         }
@@ -834,7 +1229,7 @@ mod tests {
             l: Box::new(col1.clone()),
             r: Box::new(BExpr::LitF64(0.0)),
         };
-        match eval(&e, &batch, &[1, 3]).unwrap() {
+        match eval_free(&e, &batch, &[1, 3]).unwrap() {
             BVal::Bool(v) => assert_eq!(v, vec![true, false]),
             other => panic!("expected Bool, got {other:?}"),
         }
@@ -844,7 +1239,7 @@ mod tests {
             l: Box::new(col0.clone()),
             r: Box::new(BExpr::LitI64(0)),
         };
-        let err = eval(&e, &batch, &sel).unwrap_err();
+        let err = eval_free(&e, &batch, &sel).unwrap_err();
         assert!(err.to_string().contains("integer division by zero"));
     }
 
@@ -880,14 +1275,14 @@ mod tests {
         // Lanes passing lhs: values 3, 4 → rhs divisors 1, 2 → no error,
         // and 1/1 > 0 but 1/2 = 0 is not.
         let e = BExpr::And(Box::new(lhs.clone()), Box::new(rhs.clone()));
-        match eval(&e, &batch, &sel).unwrap() {
+        match eval_free(&e, &batch, &sel).unwrap() {
             BVal::Bool(v) => assert_eq!(v, vec![false, false, true, false]),
             other => panic!("expected Bool, got {other:?}"),
         }
         // Flip to OR: now the rhs runs on lanes 1, 2 (divisors -1, 0) and
         // the zero divisor *is* evaluated → error, same as the row path.
         let e = BExpr::Or(Box::new(lhs), Box::new(rhs));
-        assert!(eval(&e, &batch, &sel).is_err());
+        assert!(eval_free(&e, &batch, &sel).is_err());
     }
 
     #[test]
@@ -895,6 +1290,13 @@ mod tests {
         let batch = test_batch();
         let mut sel = all(4);
         let mut scratch = Vec::new();
+        let (udfs, vars) = (registry(), no_vars());
+        let mut env = EvalEnv {
+            udfs: &udfs,
+            hosting: &mut HostingModel::free(),
+            vars: &vars,
+            lobs: None,
+        };
         // x > 0.0 keeps lanes 0, 1.
         let f = BExpr::Cmp {
             op: CmpOp::Gt,
@@ -904,7 +1306,7 @@ mod tests {
             }),
             r: Box::new(BExpr::LitF64(0.0)),
         };
-        apply_filter(&f, &batch, &mut sel, &mut scratch).unwrap();
+        apply_filter(&f, &batch, &mut sel, &mut scratch, &mut env).unwrap();
         assert_eq!(sel, vec![0, 1]);
         // A second filter composes over the refined selection.
         let f2 = BExpr::Cmp {
@@ -915,18 +1317,98 @@ mod tests {
             }),
             r: Box::new(BExpr::LitI64(2)),
         };
-        apply_filter(&f2, &batch, &mut sel, &mut scratch).unwrap();
+        apply_filter(&f2, &batch, &mut sel, &mut scratch, &mut env).unwrap();
         assert_eq!(sel, vec![1]);
     }
 
     #[test]
-    fn value_at_preserves_lane_types() {
-        let v = BVal::I32(vec![7]);
-        assert_eq!(v.value_at(0), Value::I32(7));
-        let v = BVal::F32(vec![1.5]);
-        assert_eq!(v.value_at(0), Value::F32(1.5));
-        let v = BVal::Bool(vec![true]);
-        assert_eq!(v.value_at(0), Value::Bool(true));
+    fn take_at_preserves_lane_types_and_moves_dynamic_values() {
+        assert_eq!(BVal::I32(vec![7]).take_at(0), Value::I32(7));
+        assert_eq!(BVal::F32(vec![1.5]).take_at(0), Value::F32(1.5));
+        assert_eq!(BVal::Bool(vec![true]).take_at(0), Value::Bool(true));
+        let mut v = BVal::Dyn(vec![Value::Bytes(vec![1, 2, 3])]);
+        assert_eq!(v.take_at(0), Value::Bytes(vec![1, 2, 3]));
+        assert_eq!(v.take_at(0), Value::Null);
+    }
+
+    /// One blob column of short float vectors `[k, k + 0.5]`, k = 0..n.
+    fn vector_batch(n: usize) -> Batch {
+        let mut bytes = BytesVec::new();
+        for k in 0..n {
+            let a = sqlarray_core::build::short_vector(&[k as f64, k as f64 + 0.5]).unwrap();
+            bytes.push(a.as_blob());
+        }
+        Batch {
+            keys: (0..n as i64).collect(),
+            cols: vec![ColVec::Blob {
+                bytes,
+                lob: vec![None; n],
+            }],
+        }
+    }
+
+    #[test]
+    fn call_lanes_run_the_callee_per_selected_row_and_charge_hosting() {
+        let batch = vector_batch(4);
+        let plan = plan_select(
+            &Schema::new(&[("v", ColType::Blob)]),
+            &[item(bin(
+                BinOp::Add,
+                call(
+                    "FloatArray.Item_1",
+                    vec![Expr::Col("v".into()), Expr::Lit(Value::I64(1))],
+                ),
+                Expr::Lit(Value::I64(1)),
+            ))],
+            None,
+            &[],
+            false,
+            &no_vars(),
+            &registry(),
+        )
+        .expect("should compile");
+        let BItem::Proj(e) = &plan.items[0] else {
+            panic!("expected a projection");
+        };
+        assert!(matches!(e, BExpr::DynBin { .. }));
+        let (udfs, vars) = (registry(), no_vars());
+        let mut hosting = HostingModel::free();
+        let mut env = EvalEnv {
+            udfs: &udfs,
+            hosting: &mut hosting,
+            vars: &vars,
+            lobs: None,
+        };
+        // Rows 1 and 3 only: Item_1(v, 1) + 1 = k + 1.5.
+        match eval(e, &batch, &[1, 3], &mut env).unwrap() {
+            BVal::Dyn(v) => assert_eq!(v, vec![Value::F64(2.5), Value::F64(4.5)]),
+            other => panic!("expected Dyn, got {other:?}"),
+        }
+        assert_eq!(hosting.calls(), 2, "one managed call per selected row");
+    }
+
+    #[test]
+    fn call_errors_surface_from_the_callee() {
+        // Index 2 is out of bounds for the 2-element vectors.
+        let batch = vector_batch(2);
+        let plan = plan_select(
+            &Schema::new(&[("v", ColType::Blob)]),
+            &[item(call(
+                "FloatArray.Item_1",
+                vec![Expr::Col("v".into()), Expr::Lit(Value::I64(2))],
+            ))],
+            None,
+            &[],
+            false,
+            &no_vars(),
+            &registry(),
+        )
+        .unwrap();
+        let BItem::Proj(e) = &plan.items[0] else {
+            panic!("expected a projection");
+        };
+        let err = eval_free(e, &batch, &[0, 1]).unwrap_err();
+        assert!(matches!(err, EngineError::Array(_)), "{err:?}");
     }
 
     #[test]
@@ -946,6 +1428,6 @@ mod tests {
             pos: 0,
             kind: VKind::I64,
         };
-        assert!(eval(&e, &batch, &[0]).is_err());
+        assert!(eval_free(&e, &batch, &[0]).is_err());
     }
 }

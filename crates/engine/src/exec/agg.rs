@@ -3,11 +3,13 @@
 //! worker partials in partition order.
 
 use crate::aggregate::{UdaMode, UdaRegistry, UdaState};
-use crate::batch::{BAggArg, BItem};
+use crate::batch::{blob_cell, BItem, BKey, BVal, BatchPlan, BlobCell};
 use crate::expr::{compare, eval, AggFunc, EvalEnv, Expr, RowCtx};
+use crate::tsql::SelectItem;
 use crate::value::{EngineError, Result, Value};
-use sqlarray_core::batch::{Batch, ColVec};
+use sqlarray_core::batch::Batch;
 use sqlarray_core::exact::ExactSum;
+use sqlarray_core::QueryCtx;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -43,11 +45,7 @@ impl GroupKey {
                 buf.push(4);
                 buf.extend_from_slice(&x.to_bits().to_le_bytes());
             }
-            Value::Bytes(b) => {
-                buf.push(5);
-                buf.extend_from_slice(&(b.len() as u64).to_le_bytes());
-                buf.extend_from_slice(b);
-            }
+            Value::Bytes(b) => self.push_bytes(b),
             Value::Str(s) => {
                 buf.push(6);
                 buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
@@ -66,10 +64,20 @@ impl GroupKey {
         }
         Ok(())
     }
+
+    /// Appends a binary value — what [`push`](Self::push) does for
+    /// [`Value::Bytes`], callable straight on a batch's blob cell.
+    fn push_bytes(&mut self, b: &[u8]) {
+        self.0.push(5);
+        self.0.extend_from_slice(&(b.len() as u64).to_le_bytes());
+        self.0.extend_from_slice(b);
+    }
 }
 
 /// One select-list accumulator — the partial state a single worker
-/// maintains for one item of one group.
+/// maintains for one item of one group. State only: the item's
+/// expression stays in the select list (row path) or the compiled plan
+/// (batch path), so opening a group clones nothing.
 // The `Agg` variant carries an inline `ExactSum` register (~0.3 kB);
 // boxing it would cost a pointer chase on every accumulated row for a
 // structure that only exists once per (group × select item).
@@ -77,7 +85,6 @@ impl GroupKey {
 pub(super) enum ItemAcc {
     Agg {
         func: AggFunc,
-        arg: Option<Expr>,
         count: u64,
         /// `SUM`/`AVG` accumulate exactly so that partials combine without
         /// rounding: any partitioning of the rows yields the same result.
@@ -86,41 +93,31 @@ pub(super) enum ItemAcc {
         max: Option<Value>,
     },
     Uda {
-        args: Vec<Expr>,
         state: Box<dyn UdaState>,
     },
     Plain {
-        expr: Expr,
         value: Option<Value>,
     },
 }
 
 fn make_acc(item_expr: &Expr, udas: &UdaRegistry) -> Result<ItemAcc> {
     Ok(match item_expr {
-        Expr::Agg { func, arg } => ItemAcc::Agg {
+        Expr::Agg { func, .. } => ItemAcc::Agg {
             func: *func,
-            arg: arg.as_deref().cloned(),
             count: 0,
             sum: ExactSum::new(),
             min: None,
             max: None,
         },
-        Expr::UdaCall { name, args } => ItemAcc::Uda {
-            args: args.clone(),
+        Expr::UdaCall { name, .. } => ItemAcc::Uda {
             state: udas.create(name)?,
         },
-        other => ItemAcc::Plain {
-            expr: other.clone(),
-            value: None,
-        },
+        _ => ItemAcc::Plain { value: None },
     })
 }
 
 /// One fresh accumulator per select-list item — the state of one group.
-pub(super) fn make_accs(
-    items: &[crate::tsql::SelectItem],
-    udas: &UdaRegistry,
-) -> Result<Vec<ItemAcc>> {
+pub(super) fn make_accs(items: &[SelectItem], udas: &UdaRegistry) -> Result<Vec<ItemAcc>> {
     items.iter().map(|it| make_acc(&it.expr, udas)).collect()
 }
 
@@ -135,35 +132,116 @@ fn beats(cand: &Value, incumbent: &Option<Value>, better: Ordering) -> Result<bo
     })
 }
 
+fn shape_mismatch() -> EngineError {
+    EngineError::Type("accumulator does not match its select-list item".into())
+}
+
 impl ItemAcc {
+    /// **The** value update of `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`: folds
+    /// evaluated, LOB-resolved argument values in order, skipping NULLs.
+    /// The row interpreter feeds it one value per row, grouped batches one
+    /// value per (row, group), ungrouped batches a whole lane — the
+    /// aggregate is matched once, outside the loop, so a typed lane folds
+    /// as tightly as a dedicated kernel would.
+    #[inline]
+    pub fn fold(&mut self, values: impl IntoIterator<Item = Value>) -> Result<()> {
+        let ItemAcc::Agg {
+            func,
+            count,
+            sum,
+            min,
+            max,
+        } = self
+        else {
+            return Err(shape_mismatch());
+        };
+        let values = values.into_iter().filter(|v| !v.is_null());
+        match func {
+            // The exact accumulator keeps any summation order — and thus
+            // any batch/partition split — bit-identical.
+            AggFunc::Sum | AggFunc::Avg => {
+                for v in values {
+                    *count += 1;
+                    sum.add(v.as_f64()?);
+                }
+            }
+            AggFunc::Min => {
+                for v in values {
+                    *count += 1;
+                    if beats(&v, min, Ordering::Less)? {
+                        *min = Some(v);
+                    }
+                }
+            }
+            AggFunc::Max => {
+                for v in values {
+                    *count += 1;
+                    if beats(&v, max, Ordering::Greater)? {
+                        *max = Some(v);
+                    }
+                }
+            }
+            AggFunc::Count | AggFunc::CountStar => *count += values.count() as u64,
+        }
+        Ok(())
+    }
+
+    /// [`fold`](Self::fold) over a whole evaluated lane, in lane order.
+    /// Its own dispatch on the lane type (not [`BVal::drain`]) so the
+    /// loop above runs over the typed vector with the aggregate already
+    /// chosen: folding value by value through `drain` measured +7 % on
+    /// the ungrouped five-aggregate scan.
+    fn fold_lane(&mut self, lane: BVal) -> Result<()> {
+        match lane {
+            BVal::I64(v) => self.fold(v.into_iter().map(Value::I64)),
+            BVal::I32(v) => self.fold(v.into_iter().map(Value::I32)),
+            BVal::F64(v) => self.fold(v.into_iter().map(Value::F64)),
+            BVal::F32(v) => self.fold(v.into_iter().map(Value::F32)),
+            BVal::Bool(v) => self.fold(v.into_iter().map(Value::Bool)),
+            BVal::Dyn(v) => self.fold(v),
+        }
+    }
+
+    /// Counts `n` rows without looking at a value: `COUNT(*)`, and `COUNT`
+    /// over a stored (never-NULL) blob column.
+    fn bump(&mut self, n: u64) -> Result<()> {
+        match self {
+            ItemAcc::Agg { count, .. } => {
+                *count += n;
+                Ok(())
+            }
+            _ => Err(shape_mismatch()),
+        }
+    }
+
+    /// Keeps the value a non-aggregate item had at the row that opened
+    /// its group.
+    fn set_plain(&mut self, v: Value) -> Result<()> {
+        match self {
+            ItemAcc::Plain { value } => {
+                *value = Some(v);
+                Ok(())
+            }
+            _ => Err(shape_mismatch()),
+        }
+    }
+
+    /// The row interpreter's update: evaluates `item` (the select-list
+    /// expression this accumulator was made from) against one row.
     pub fn accumulate(
         &mut self,
+        item: &Expr,
         row: &RowCtx<'_>,
         env: &mut EvalEnv<'_>,
         uda_mode: UdaMode,
     ) -> Result<()> {
-        match self {
-            ItemAcc::Agg {
-                func,
-                arg,
-                count,
-                sum,
-                min,
-                max,
-            } => {
-                let v = match arg {
-                    Some(e) => Some(eval(e, Some(row), env)?),
-                    None => None,
+        match (&mut *self, item) {
+            (ItemAcc::Agg { .. }, Expr::Agg { func, arg }) => {
+                let Some(e) = arg else {
+                    // Only COUNT(*) parses without an argument.
+                    return self.bump(1);
                 };
-                if matches!(func, AggFunc::CountStar) {
-                    *count += 1;
-                    return Ok(());
-                }
-                // lint:allow(L005, reason = "the planner rejects argument-less aggregates other than COUNT(*) at bind time, and the CountStar arm returned above")
-                let mut v = v.expect("non-COUNT(*) aggregates have an argument");
-                if v.is_null() {
-                    return Ok(());
-                }
+                let mut v = eval(e, Some(row), env)?;
                 // MIN/MAX order blobs bytewise and SUM/AVG need a numeric
                 // view, so a lazy LOB argument behaves exactly like its
                 // inline counterpart: materialize it. COUNT only needs
@@ -172,24 +250,9 @@ impl ItemAcc {
                 if !matches!(func, AggFunc::Count) {
                     crate::pushdown::resolve_lob_in_place(&mut v, env)?;
                 }
-                *count += 1;
-                match func {
-                    AggFunc::Sum | AggFunc::Avg => sum.add(v.as_f64()?),
-                    AggFunc::Min => {
-                        if beats(&v, min, Ordering::Less)? {
-                            *min = Some(v);
-                        }
-                    }
-                    AggFunc::Max => {
-                        if beats(&v, max, Ordering::Greater)? {
-                            *max = Some(v);
-                        }
-                    }
-                    AggFunc::Count | AggFunc::CountStar => {}
-                }
-                Ok(())
+                self.fold(Some(v))
             }
-            ItemAcc::Uda { args, state, .. } => {
+            (ItemAcc::Uda { state }, Expr::UdaCall { args, .. }) => {
                 let mut argv = Vec::with_capacity(args.len());
                 for a in args.iter() {
                     let mut v = eval(a, Some(row), env)?;
@@ -207,7 +270,7 @@ impl ItemAcc {
                 env.hosting.charge_call();
                 state.accumulate(&argv)
             }
-            ItemAcc::Plain { expr, value } => {
+            (ItemAcc::Plain { value }, expr) => {
                 if value.is_none() {
                     let mut v = eval(expr, Some(row), env)?;
                     // The value outlives the row scan: materialize lazy
@@ -217,87 +280,7 @@ impl ItemAcc {
                 }
                 Ok(())
             }
-        }
-    }
-
-    /// Feeds one batch of selected rows — the batch counterpart of
-    /// [`accumulate`](Self::accumulate). Stored columns are never NULL,
-    /// so the row path's null-skip never fires and whole-batch counts are
-    /// exact.
-    pub fn accumulate_batch(&mut self, item: &BItem, b: &Batch, sel: &[u32]) -> Result<()> {
-        match (self, item) {
-            (
-                ItemAcc::Agg {
-                    count,
-                    sum,
-                    min,
-                    max,
-                    ..
-                },
-                BItem::Agg { func, arg },
-            ) => {
-                match (func, arg) {
-                    (AggFunc::CountStar, _) => *count += sel.len() as u64,
-                    // COUNT over a blob column counts non-null rows
-                    // without reading the blobs, like the row path.
-                    (AggFunc::Count, Some(BAggArg::Blob(pos))) => {
-                        assert!(matches!(b.cols[*pos], ColVec::Blob { .. }));
-                        *count += sel.len() as u64;
-                    }
-                    (func, Some(BAggArg::Scalar(e))) => {
-                        // COUNT evaluates too, for error parity with the
-                        // row path (a zero divisor in the argument must
-                        // still fail).
-                        let vals = crate::batch::eval(e, b, sel)?;
-                        *count += vals.len() as u64;
-                        match func {
-                            // The exact accumulator keeps any summation
-                            // order — and thus any batch/partition split
-                            // — bit-identical.
-                            AggFunc::Sum | AggFunc::Avg => {
-                                sqlarray_core::batch::sum_f64(&vals.into_f64(), sum)
-                            }
-                            AggFunc::Min => {
-                                for i in 0..vals.len() {
-                                    let cand = vals.value_at(i);
-                                    if beats(&cand, min, Ordering::Less)? {
-                                        *min = Some(cand);
-                                    }
-                                }
-                            }
-                            AggFunc::Max => {
-                                for i in 0..vals.len() {
-                                    let cand = vals.value_at(i);
-                                    if beats(&cand, max, Ordering::Greater)? {
-                                        *max = Some(cand);
-                                    }
-                                }
-                            }
-                            AggFunc::Count | AggFunc::CountStar => {}
-                        }
-                    }
-                    _ => {
-                        return Err(EngineError::Type(
-                            "batch plan error: aggregate shape mismatch".into(),
-                        ))
-                    }
-                }
-                Ok(())
-            }
-            (ItemAcc::Plain { value, .. }, BItem::Plain(e)) => {
-                // The row path evaluates a plain item at the first passing
-                // row and keeps that value; compiled plain items are
-                // scalar, so no LOB materialization is needed.
-                if value.is_none() && !sel.is_empty() {
-                    let first = [sel[0]];
-                    let v = crate::batch::eval(e, b, &first)?;
-                    *value = Some(v.value_at(0));
-                }
-                Ok(())
-            }
-            _ => Err(EngineError::Type(
-                "batch plan error: accumulator shape mismatch".into(),
-            )),
+            _ => Err(shape_mismatch()),
         }
     }
 
@@ -410,6 +393,22 @@ impl Groups {
         self.accs.len() - 1
     }
 
+    /// Opens the group for a key that [`find`](Self::find) missed.
+    /// Aggregation state is the memory a grouped scan actually
+    /// accumulates: each new group charges its key (stored twice — order
+    /// list and index) plus its accumulator row against the statement's
+    /// budget before it is inserted.
+    pub fn open(
+        &mut self,
+        key: &GroupKey,
+        items: &[SelectItem],
+        udas: &UdaRegistry,
+        query: &QueryCtx,
+    ) -> Result<usize> {
+        query.charge((2 * key.0.len() + items.len() * std::mem::size_of::<ItemAcc>()) as u64)?;
+        Ok(self.insert(key.clone(), make_accs(items, udas)?))
+    }
+
     /// The accumulator row of the group at `pos`.
     pub fn accs_mut(&mut self, pos: usize) -> &mut [ItemAcc] {
         &mut self.accs[pos]
@@ -446,5 +445,165 @@ impl Groups {
             .into_iter()
             .map(|mut accs| accs.iter_mut().map(ItemAcc::finish).collect())
             .collect()
+    }
+}
+
+/// One worker's vectorized aggregation: its group table, fed one
+/// selection of a decoded batch at a time, plus the scratch reused across
+/// batches. The batch counterpart of the row loop around
+/// [`ItemAcc::accumulate`] — keys and arguments are evaluated
+/// column-at-a-time, then every value goes through [`ItemAcc::fold`].
+pub(super) struct BatchAgg<'a> {
+    plan: &'a BatchPlan,
+    items: &'a [SelectItem],
+    udas: &'a UdaRegistry,
+    query: QueryCtx,
+    groups: Groups,
+    /// Key-encoding scratch: re-filled per row, cloned only when a row
+    /// opens a group.
+    key: GroupKey,
+    /// Group position of every selected row (grouped plans only).
+    gids: Vec<u32>,
+    /// Batch rows of the current selection that opened a group, in order
+    /// — the rows non-aggregate items are evaluated at.
+    opened: Vec<u32>,
+    /// Ungrouped plans: the one global group has not seen a row yet.
+    unprimed: bool,
+}
+
+impl<'a> BatchAgg<'a> {
+    pub fn new(
+        plan: &'a BatchPlan,
+        items: &'a [SelectItem],
+        udas: &'a UdaRegistry,
+        query: QueryCtx,
+    ) -> Result<BatchAgg<'a>> {
+        let mut groups = Groups::default();
+        if plan.group_by.is_empty() {
+            groups.insert(GroupKey::default(), make_accs(items, udas)?);
+        }
+        Ok(BatchAgg {
+            plan,
+            items,
+            udas,
+            query,
+            groups,
+            key: GroupKey::default(),
+            gids: Vec::new(),
+            opened: Vec::new(),
+            unprimed: true,
+        })
+    }
+
+    /// The worker's partial, for the partition-order merge.
+    pub fn finish(self) -> Groups {
+        self.groups
+    }
+
+    /// Feeds the filter-passing rows `sel` of batch `b`. Stored columns
+    /// are never NULL, so whole-selection counts are exact.
+    pub fn fold(&mut self, b: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<()> {
+        if sel.is_empty() {
+            return Ok(());
+        }
+        let grouped = !self.plan.group_by.is_empty();
+        let mut first_opened = 0;
+        self.opened.clear();
+        if grouped {
+            first_opened = self.groups.accs.len();
+            self.assign(b, sel, env)?;
+        } else if std::mem::take(&mut self.unprimed) {
+            self.opened.push(sel[0]);
+        }
+        let (accs, gids) = (&mut self.groups.accs, &self.gids);
+        for (k, item) in self.plan.items.iter().enumerate() {
+            match item {
+                // COUNT evaluates its argument too, for error parity with
+                // the row path (a zero divisor in it must still fail).
+                BItem::Agg(Some(e)) => {
+                    let lane = crate::batch::eval(e, b, sel, env)?;
+                    if grouped {
+                        lane.drain(|i, v| accs[gids[i] as usize][k].fold(Some(v)))?;
+                    } else {
+                        accs[0][k].fold_lane(lane)?;
+                    }
+                }
+                // COUNT(*), and COUNT over a blob column: non-null rows
+                // are counted without reading the blobs, like the row path.
+                BItem::Agg(None) => {
+                    if grouped {
+                        for &g in gids.iter() {
+                            accs[g as usize][k].bump(1)?;
+                        }
+                    } else {
+                        accs[0][k].bump(sel.len() as u64)?;
+                    }
+                }
+                BItem::Plain(e) => {
+                    if !self.opened.is_empty() {
+                        let mut lane = crate::batch::eval(e, b, &self.opened, env)?;
+                        for j in 0..self.opened.len() {
+                            accs[first_opened + j][k].set_plain(lane.take_at(j))?;
+                        }
+                    }
+                }
+                BItem::Proj(_) | BItem::ProjBlob(_) => {
+                    return Err(EngineError::Type(
+                        "batch plan error: projection item in an aggregate".into(),
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Evaluates the GROUP BY keys column-at-a-time and resolves every
+    /// selected row to its group position, opening groups in
+    /// first-appearance order. Polls the lifecycle per row, like the row
+    /// scan: a pool-resident batch never faults a page to poll on.
+    fn assign(&mut self, b: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<()> {
+        enum KeyLane {
+            Vals(BVal),
+            Blob(usize),
+        }
+        let mut lanes = self
+            .plan
+            .group_by
+            .iter()
+            .map(|k| match k {
+                BKey::Scalar(e) => crate::batch::eval(e, b, sel, env).map(KeyLane::Vals),
+                BKey::Blob(pos) => Ok(KeyLane::Blob(*pos)),
+            })
+            .collect::<Result<Vec<KeyLane>>>()?;
+        self.gids.clear();
+        for (i, &row) in sel.iter().enumerate() {
+            env.check_interrupt()?;
+            self.key.0.clear();
+            for lane in lanes.iter_mut() {
+                match lane {
+                    KeyLane::Vals(v) => self.key.push(&v.take_at(i))?,
+                    KeyLane::Blob(pos) => match blob_cell(b, *pos, row)? {
+                        BlobCell::Inline(cell) => self.key.push_bytes(cell),
+                        // Grouping by a LOB column groups by its bytes,
+                        // like any other binary value.
+                        BlobCell::Lob { id, len } => {
+                            let mut v = Value::Lob { id, len };
+                            crate::pushdown::resolve_lob_in_place(&mut v, env)?;
+                            self.key.push(&v)?;
+                        }
+                    },
+                }
+            }
+            let gid = match self.groups.find(&self.key) {
+                Some(g) => g,
+                None => {
+                    self.opened.push(row);
+                    self.groups
+                        .open(&self.key, self.items, self.udas, &self.query)?
+                }
+            };
+            self.gids.push(gid as u32);
+        }
+        Ok(())
     }
 }

@@ -45,7 +45,9 @@
 //! * `scan` — the partitioned-scan driver and the statement meter that
 //!   becomes [`QueryStats`];
 //! * `agg` — GROUP BY keys and select-list accumulators;
-//! * `select` — SELECT: the row and batch scan bodies and the merge;
+//! * `select` — SELECT: the row and batch scan bodies and the merge
+//!   (which body runs is decided by `crate::batch::plan_select`, the one
+//!   fallback seam; its typed reason lands in [`QueryStats::fallback`]);
 //! * `dml` — UPDATE/DELETE: the match body, then resolve and apply.
 
 mod agg;
@@ -58,6 +60,7 @@ pub(crate) use scan::{eval_scalars, ScanEnv};
 pub use select::exec_select;
 
 use crate::aggregate::{UdaMode, UdaRegistry};
+use crate::batch::Fallback;
 use crate::hosting::HostingModel;
 use crate::udf::UdfRegistry;
 use crate::value::{EngineError, Result, Value};
@@ -109,6 +112,11 @@ pub struct QueryStats {
     pub sim_io_seconds: f64,
     /// Rows an UPDATE/DELETE statement changed (0 for SELECT).
     pub rows_affected: u64,
+    /// Why a SELECT over a table ran the row-at-a-time interpreter
+    /// instead of a compiled batch plan; `None` when it ran vectorized
+    /// (and for FROM-less SELECTs and DML, which have no batch plan to
+    /// fall back from).
+    pub fallback: Option<Fallback>,
 }
 
 impl QueryStats {
@@ -138,6 +146,7 @@ impl QueryStats {
             sim_io_seconds: store.profile().io_seconds(&io),
             io,
             rows_affected: totals.rows_affected,
+            fallback: totals.fallback.clone(),
         }
     }
 

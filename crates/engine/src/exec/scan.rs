@@ -50,6 +50,9 @@ pub(super) struct ScanTotals {
     pub max_busy: f64,
     /// Rows a DML apply phase has changed so far.
     pub rows_affected: u64,
+    /// Why a SELECT's scan ran the row interpreter (`None`: it ran a
+    /// compiled batch plan, or the statement is not a table SELECT).
+    pub fallback: Option<crate::batch::Fallback>,
 }
 
 impl ScanTotals {
@@ -67,6 +70,7 @@ impl ScanTotals {
             busy_seconds: 0.0,
             max_busy: 0.0,
             rows_affected: 0,
+            fallback: None,
         }
     }
 

@@ -1,15 +1,15 @@
 //! SELECT: the row-at-a-time and vectorized scan bodies handed to the
 //! driver, and the partition-order merge of what they return.
 
-use super::agg::{make_accs, GroupKey, Groups, ItemAcc};
+use super::agg::{make_accs, BatchAgg, GroupKey, Groups};
 use super::scan::{eval_scalars, run_scan, ScanEnv, ScanTotals, ScanWorker};
 use super::{ExecCtx, QueryResult};
 use crate::aggregate::{UdaMode, UdaRegistry};
-use crate::batch::{BItem, BVal, BatchPlan};
+use crate::batch::{blob_cell, BItem, BVal, BatchPlan, BlobCell, Fallback};
 use crate::expr::{eval, EvalEnv, Expr, RowCtx};
 use crate::tsql::{SelectItem, SelectStmt};
 use crate::value::{EngineError, Result, Value};
-use sqlarray_core::batch::{Batch, ColVec};
+use sqlarray_core::batch::Batch;
 use sqlarray_storage::Schema;
 use std::sync::Arc;
 
@@ -71,8 +71,8 @@ struct SelectJob<'a> {
 
 impl SelectJob<'_> {
     /// The row-at-a-time body: the interpreter every expression shape
-    /// runs on (GROUP BY, UDF/UDA calls, blob expressions), and the
-    /// reference the vectorized body is differentially tested against.
+    /// runs on (UDAs, string and NULL expressions, blob comparisons), and
+    /// the reference the vectorized body is differentially tested against.
     fn scan_rows(&self, w: &mut ScanWorker<'_>) -> Result<WorkerOut> {
         if !self.has_aggregate {
             let mut rows: Vec<Vec<Value>> = Vec::new();
@@ -134,22 +134,11 @@ impl SelectJob<'_> {
                 }
                 match groups.find(&group_key) {
                     Some(pos) => pos,
-                    None => {
-                        // Aggregation state is the memory a grouped scan
-                        // actually accumulates: charge each new group's
-                        // key (stored twice — order list and index) plus
-                        // its accumulator row.
-                        query.charge(
-                            (2 * group_key.0.len()
-                                + self.items.len() * std::mem::size_of::<ItemAcc>())
-                                as u64,
-                        )?;
-                        groups.insert(group_key.clone(), make_accs(self.items, self.udas)?)
-                    }
+                    None => groups.open(&group_key, self.items, self.udas, &query)?,
                 }
             };
-            for acc in groups.accs_mut(pos) {
-                acc.accumulate(&row, env, self.uda_mode)?;
+            for (acc, it) in groups.accs_mut(pos).iter_mut().zip(self.items) {
+                acc.accumulate(&it.expr, &row, env, self.uda_mode)?;
             }
             Ok(true)
         })?;
@@ -179,37 +168,37 @@ impl SelectJob<'_> {
         // flushes: only growth beyond what this worker already charged
         // costs budget.
         let mut charged_batch_bytes = 0u64;
-        // Charges the batch, then narrows `sel` to the rows passing WHERE.
-        let mut select = |b: &Batch, sel: &mut Vec<u32>| -> Result<()> {
+        let mut charge = |b: &Batch| -> Result<()> {
             let size = b.byte_size();
             if size > charged_batch_bytes {
                 query.charge(size - charged_batch_bytes)?;
                 charged_batch_bytes = size;
             }
-            sqlarray_core::batch::identity_selection(sel, b.len());
+            Ok(())
+        };
+        // Narrows `sel` (batch rows `from..to`) to the rows passing WHERE.
+        let mut select = |b: &Batch,
+                          sel: &mut Vec<u32>,
+                          (from, to): (usize, usize),
+                          env: &mut EvalEnv<'_>|
+         -> Result<()> {
+            sel.clear();
+            sel.extend(from as u32..to as u32);
             if let Some(f) = &plan.filter {
-                crate::batch::apply_filter(f, b, sel, &mut scratch)?;
+                crate::batch::apply_filter(f, b, sel, &mut scratch, env)?;
             }
             Ok(())
         };
 
         if self.has_aggregate {
-            // Compiled aggregate plans are always the single global group
-            // (GROUP BY falls back), so the worker holds one accumulator
-            // row.
-            let mut accs = make_accs(self.items, self.udas)?;
-            w.for_each_batch(plan, self.batch_rows, |_, b| {
-                select(b, &mut sel)?;
-                if !sel.is_empty() {
-                    for (acc, item) in accs.iter_mut().zip(&plan.items) {
-                        acc.accumulate_batch(item, b, &sel)?;
-                    }
-                }
+            let mut agg = BatchAgg::new(plan, self.items, self.udas, query.clone())?;
+            w.for_each_batch(plan, self.batch_rows, |env, b| {
+                charge(b)?;
+                select(b, &mut sel, (0, b.len()), env)?;
+                agg.fold(b, &sel, env)?;
                 Ok(true)
             })?;
-            let mut groups = Groups::default();
-            groups.insert(GroupKey::default(), accs);
-            Ok(WorkerOut::Groups(groups))
+            Ok(WorkerOut::Groups(agg.finish()))
         } else {
             let mut rows: Vec<Vec<Value>> = Vec::new();
             // A projection never needs more than `limit` output rows per
@@ -221,9 +210,22 @@ impl SelectJob<'_> {
                 if rows.len() >= self.limit {
                     return Ok(false);
                 }
-                select(b, &mut sel)?;
-                if !sel.is_empty() {
-                    batch_project(plan, b, &sel, self.limit, &mut rows, env)?;
+                charge(b)?;
+                let mut from = 0;
+                while from < b.len() && rows.len() < self.limit {
+                    let missing = self.limit - rows.len();
+                    // The interpreter stops at the `limit`-th match, so it
+                    // evaluates WHERE on at least the next `missing` rows:
+                    // filtering that many at a time, no UDF call, hosting
+                    // charge, LOB read or error happens on a row past the
+                    // last match. (Unless `TOP` is small this is the whole
+                    // batch.)
+                    let to = b.len().min(from + missing);
+                    select(b, &mut sel, (from, to), env)?;
+                    if !sel.is_empty() {
+                        batch_project(plan, b, &sel, &mut rows, env)?;
+                    }
+                    from = to;
                 }
                 Ok(rows.len() < self.limit)
             })?;
@@ -240,7 +242,6 @@ fn batch_project(
     plan: &BatchPlan,
     b: &Batch,
     sel: &[u32],
-    limit: usize,
     rows: &mut Vec<Vec<Value>>,
     env: &mut EvalEnv<'_>,
 ) -> Result<()> {
@@ -251,7 +252,7 @@ fn batch_project(
     let mut cols: Vec<ProjCol> = Vec::with_capacity(plan.items.len());
     for item in plan.items.iter() {
         cols.push(match item {
-            BItem::Proj(e) => ProjCol::Vals(crate::batch::eval(e, b, sel)?),
+            BItem::Proj(e) => ProjCol::Vals(crate::batch::eval(e, b, sel, env)?),
             BItem::ProjBlob(pos) => ProjCol::Blob(*pos),
             _ => {
                 return Err(EngineError::Type(
@@ -261,23 +262,15 @@ fn batch_project(
         });
     }
     for (r, &row_idx) in sel.iter().enumerate() {
-        if rows.len() >= limit {
-            break;
-        }
+        env.check_interrupt()?;
         let mut out = Vec::with_capacity(cols.len());
-        for col in cols.iter() {
+        for col in cols.iter_mut() {
             match col {
-                ProjCol::Vals(v) => out.push(v.value_at(r)),
+                ProjCol::Vals(v) => out.push(v.take_at(r)),
                 ProjCol::Blob(pos) => {
-                    let ColVec::Blob { bytes, lob } = &b.cols[*pos] else {
-                        return Err(EngineError::Type(
-                            "batch plan error: blob projection over a scalar column".into(),
-                        ));
-                    };
-                    let i = row_idx as usize;
-                    let mut v = match lob[i] {
-                        Some((id, len)) => Value::Lob { id, len },
-                        None => Value::Bytes(bytes.get(i).to_vec()),
+                    let mut v = match blob_cell(b, *pos, row_idx)? {
+                        BlobCell::Lob { id, len } => Value::Lob { id, len },
+                        BlobCell::Inline(cell) => Value::Bytes(cell.to_vec()),
                     };
                     // The projection boundary is blob-aware, same as the
                     // row path: stored references come back as bytes.
@@ -362,7 +355,7 @@ fn select_rows(
     // the row-at-a-time interpreter. When the statement came through the
     // plan cache, its slot answers for var-free statements without
     // recompiling. This is the executor side of the fallback seam.
-    let batch_plan: Option<Arc<BatchPlan>> = if ctx.batch_rows > 0 {
+    let batch_plan: std::result::Result<Arc<BatchPlan>, Fallback> = if ctx.batch_rows > 0 {
         let compile = || {
             crate::batch::plan_select(
                 table.schema(),
@@ -371,6 +364,7 @@ fn select_rows(
                 &stmt.group_by,
                 has_aggregate,
                 ctx.vars,
+                ctx.udfs,
             )
         };
         match ctx.cached {
@@ -378,8 +372,9 @@ fn select_rows(
             None => compile().map(Arc::new),
         }
     } else {
-        None
+        Err(Fallback::BatchDisabled)
     };
+    totals.fallback = batch_plan.as_ref().err().cloned();
     let job = SelectJob {
         schema: table.schema(),
         items,
@@ -391,9 +386,9 @@ fn select_rows(
         uda_mode: ctx.uda_mode,
         batch_rows: ctx.batch_rows,
     };
-    let outs = run_scan(env, table, totals, |w| match batch_plan.as_deref() {
-        Some(plan) => job.scan_batches(plan, w),
-        None => job.scan_rows(w),
+    let outs = run_scan(env, table, totals, |w| match &batch_plan {
+        Ok(plan) => job.scan_batches(plan, w),
+        Err(_) => job.scan_rows(w),
     })?;
 
     // Merge partials in partition (key) order.

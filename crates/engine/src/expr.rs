@@ -141,6 +141,19 @@ pub struct EvalEnv<'a> {
     pub lobs: Option<&'a mut dyn sqlarray_storage::PageRead>,
 }
 
+impl EvalEnv<'_> {
+    /// Polls the statement's lifecycle (cancel flag, deadline, kill-matrix
+    /// trip point) through the reader in scope. Loops that do unbounded
+    /// work *between* page reads — a UDF call per row of a decoded batch —
+    /// call this per iteration, like the row scan does per row.
+    pub(crate) fn check_interrupt(&self) -> Result<()> {
+        match self.lobs.as_deref().and_then(|r| r.lifecycle()) {
+            Some(q) => Ok(q.check()?),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Case-insensitive variable lookup against a map whose keys are stored
 /// lowercase (normalized once at insert). Only a name that actually
 /// contains uppercase letters pays the lowercase allocation — the common
@@ -195,16 +208,7 @@ pub fn eval(expr: &Expr, row: Option<&RowCtx<'_>>, env: &mut EvalEnv<'_>) -> Res
         Expr::Agg { .. } | Expr::UdaCall { .. } => Err(EngineError::Unsupported(
             "aggregate evaluated outside an aggregation context".into(),
         )),
-        Expr::Neg(e) => {
-            let v = eval(e, row, env)?;
-            Ok(match v {
-                Value::I64(x) => Value::I64(-x),
-                Value::I32(x) => Value::I32(-x),
-                Value::F64(x) => Value::F64(-x),
-                Value::F32(x) => Value::F32(-x),
-                other => return Err(EngineError::Type(format!("cannot negate {other:?}"))),
-            })
-        }
+        Expr::Neg(e) => negate(eval(e, row, env)?),
         Expr::Not(e) => {
             let v = eval(e, row, env)?;
             Ok(Value::Bool(!v.is_true()))
@@ -241,7 +245,19 @@ fn resolve_row_value(v: RowValue) -> Value {
     Value::from(v)
 }
 
-fn apply_bin(op: BinOp, l: Value, r: Value) -> Result<Value> {
+/// Unary minus: preserves the operand's numeric type.
+pub(crate) fn negate(v: Value) -> Result<Value> {
+    Ok(match v {
+        Value::I64(x) => Value::I64(-x),
+        Value::I32(x) => Value::I32(-x),
+        Value::F64(x) => Value::F64(-x),
+        Value::F32(x) => Value::F32(-x),
+        other => return Err(EngineError::Type(format!("cannot negate {other:?}"))),
+    })
+}
+
+/// One binary operator over two evaluated (LOB-resolved) operands.
+pub(crate) fn apply_bin(op: BinOp, l: Value, r: Value) -> Result<Value> {
     use BinOp::*;
     match op {
         And => Ok(Value::Bool(l.is_true() && r.is_true())),

@@ -15,6 +15,8 @@
 //! paper wished SQL Server had offered.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which cost class a registered function belongs to.
@@ -32,8 +34,6 @@ pub enum CostClass {
 pub struct HostingModel {
     /// Charged per managed call, in nanoseconds.
     pub overhead_ns: u64,
-    /// Busy-wait iterations per nanosecond (calibrated once).
-    iters_per_ns: f64,
     calls: u64,
     charged_ns: u64,
 }
@@ -41,13 +41,19 @@ pub struct HostingModel {
 /// The paper's measured cost: ~2 µs per CLR call.
 pub const PAPER_CLR_CALL_NS: u64 = 2_000;
 
+/// Busy-wait iterations per nanosecond, measured against the host clock
+/// once per process — by the first managed call that actually has to
+/// spin, so free models never pay for it.
+static ITERS_PER_NS: OnceLock<f64> = OnceLock::new();
+
+/// How many times the calibration loop has run in this process.
+static CALIBRATIONS: AtomicU64 = AtomicU64::new(0);
+
 impl HostingModel {
-    /// Builds a model charging `overhead_ns` per managed call, calibrating
-    /// the busy-wait loop against the host clock.
+    /// Builds a model charging `overhead_ns` per managed call.
     pub fn new(overhead_ns: u64) -> HostingModel {
         HostingModel {
             overhead_ns,
-            iters_per_ns: Self::calibrate(),
             calls: 0,
             charged_ns: 0,
         }
@@ -63,8 +69,15 @@ impl HostingModel {
         HostingModel::new(0)
     }
 
+    /// Runs of the busy-wait calibration so far in this process: 0 until
+    /// a nonzero overhead is first charged, 1 ever after.
+    pub fn calibrations() -> u64 {
+        CALIBRATIONS.load(Ordering::Relaxed)
+    }
+
     /// Measures how many spin iterations one nanosecond buys.
     fn calibrate() -> f64 {
+        CALIBRATIONS.fetch_add(1, Ordering::Relaxed);
         let iters: u64 = 4_000_000;
         let start = Instant::now();
         let mut acc = 0u64;
@@ -85,7 +98,8 @@ impl HostingModel {
         if self.overhead_ns == 0 {
             return;
         }
-        let iters = (self.overhead_ns as f64 * self.iters_per_ns) as u64;
+        let iters_per_ns = *ITERS_PER_NS.get_or_init(Self::calibrate);
+        let iters = (self.overhead_ns as f64 * iters_per_ns) as u64;
         let mut acc = 0u64;
         for i in 0..iters {
             acc = black_box(acc.wrapping_add(i ^ (acc >> 3)));
@@ -93,16 +107,11 @@ impl HostingModel {
         black_box(acc);
     }
 
-    /// A fresh model with this model's overhead and calibration but zeroed
-    /// counters — one per parallel scan worker, so each thread spins and
-    /// counts independently without sharing mutable state.
+    /// A fresh model with this model's overhead but zeroed counters — one
+    /// per parallel scan worker, so each thread spins and counts
+    /// independently without sharing mutable state.
     pub fn fork(&self) -> HostingModel {
-        HostingModel {
-            overhead_ns: self.overhead_ns,
-            iters_per_ns: self.iters_per_ns,
-            calls: 0,
-            charged_ns: 0,
-        }
+        HostingModel::new(self.overhead_ns)
     }
 
     /// Folds a worker fork's counters back into this model (the combine
@@ -122,7 +131,7 @@ impl HostingModel {
         self.charged_ns
     }
 
-    /// Resets the counters (not the calibration).
+    /// Resets the counters.
     pub fn reset(&mut self) {
         self.calls = 0;
         self.charged_ns = 0;
@@ -184,6 +193,23 @@ mod tests {
             (300.0..20_000.0).contains(&per_call_ns),
             "per-call spin {per_call_ns} ns"
         );
+    }
+
+    #[test]
+    fn calibration_runs_at_most_once_per_process() {
+        // Free models never spin, so they never calibrate either; every
+        // spinning model — fresh, forked, or made costly after the fact —
+        // shares the one measurement.
+        for _ in 0..64 {
+            let mut free = HostingModel::free();
+            free.charge_call();
+            let mut slow = HostingModel::new(50);
+            slow.charge_call();
+            slow.fork().charge_call();
+            free.overhead_ns = 50;
+            free.charge_call();
+        }
+        assert_eq!(HostingModel::calibrations(), 1);
     }
 
     #[test]

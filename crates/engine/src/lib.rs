@@ -38,6 +38,7 @@ pub mod udf;
 pub mod value;
 
 pub use aggregate::{UdaMode, UdaRegistry, UdaState};
+pub use batch::Fallback;
 pub use engine::{Engine, EngineConfig, EngineStats};
 pub use exec::{QueryResult, QueryStats};
 pub use hosting::{CostClass, HostingModel, PAPER_CLR_CALL_NS};

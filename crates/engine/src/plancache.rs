@@ -22,6 +22,7 @@
 //! (no wall clock — eviction order is deterministic given the access
 //! sequence). Hit/miss/eviction counters feed `Engine::stats`.
 
+use crate::batch::Fallback;
 use crate::tsql::{parse, Stmt};
 use crate::value::Result;
 use sqlarray_storage::Schema;
@@ -84,8 +85,8 @@ struct ReuseCounter(std::sync::atomic::AtomicU64);
 ///
 /// `fill` state machine: `Empty` until the statement first executes with
 /// batching enabled; then either `Plan` (compiled) or `NoPlan` (the
-/// statement doesn't vectorize — also worth caching, so the fallback
-/// decision isn't re-derived every execution).
+/// statement doesn't vectorize — also worth caching, with its reason, so
+/// the fallback decision isn't re-derived every execution).
 pub struct SelectSlot {
     cacheable: bool,
     state: Mutex<SlotState>,
@@ -94,7 +95,7 @@ pub struct SelectSlot {
 
 enum SlotState {
     Empty,
-    NoPlan,
+    NoPlan(Fallback),
     Plan {
         plan: Arc<crate::batch::BatchPlan>,
         /// The schema the plan was compiled against. Schemas are
@@ -137,8 +138,8 @@ impl SelectSlot {
     pub(crate) fn plan_for(
         &self,
         schema: &Schema,
-        compile: impl FnOnce() -> Option<crate::batch::BatchPlan>,
-    ) -> Option<Arc<crate::batch::BatchPlan>> {
+        compile: impl FnOnce() -> std::result::Result<crate::batch::BatchPlan, Fallback>,
+    ) -> std::result::Result<Arc<crate::batch::BatchPlan>, Fallback> {
         if !self.cacheable {
             return compile().map(Arc::new);
         }
@@ -148,17 +149,17 @@ impl SelectSlot {
                 self.reuses
                     .0
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Some(Arc::clone(plan))
+                Ok(Arc::clone(plan))
             }
-            SlotState::NoPlan => None,
+            SlotState::NoPlan(why) => Err(why.clone()),
             _ => {
                 let compiled = compile().map(Arc::new);
                 *st = match &compiled {
-                    Some(p) => SlotState::Plan {
+                    Ok(p) => SlotState::Plan {
                         plan: Arc::clone(p),
                         schema: schema.clone(),
                     },
-                    None => SlotState::NoPlan,
+                    Err(why) => SlotState::NoPlan(why.clone()),
                 };
                 compiled
             }

@@ -32,6 +32,7 @@ use sqlarray_core::{ArrayError, ElementType, StorageClass};
 use sqlarray_storage::{blob, BlobStream};
 
 /// The two function shapes the rewrite recognizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PushdownOp {
     /// `Schema.Subarray(a, offset, size[, squeeze])`.
     Subarray,
@@ -39,113 +40,135 @@ enum PushdownOp {
     Item,
 }
 
-/// Recognizes a pushdown-eligible function name, returning the schema's
-/// element type and storage class alongside the operation.
-fn parse_pushdown_name(name: &str) -> Option<(ElementType, StorageClass, PushdownOp)> {
-    let (schema, func) = name.split_once('.')?;
-    let (elem, class) = parse_schema(schema)?;
-    let base = strip_numbered_suffix(func);
-    let op = if base.eq_ignore_ascii_case("Subarray") {
-        PushdownOp::Subarray
-    } else if base.eq_ignore_ascii_case("Item") {
-        PushdownOp::Item
-    } else {
-        return None;
-    };
-    Some((elem, class, op))
+/// A pushdown-eligible function name, classified: the schema's element
+/// type and storage class alongside the operation. The row interpreter
+/// classifies per call; the batch planner once per statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pushdown {
+    elem: ElementType,
+    class: StorageClass,
+    op: PushdownOp,
 }
 
-/// Attempts the pushdown rewrite for one already-evaluated call.
-///
-/// Returns `Ok(Some(value))` when `name` is a `Subarray`/`Item` call whose
-/// first argument is a lazy LOB reference: the result is then assembled
-/// from a header-prefix read plus the minimal page-ranged payload reads,
-/// with the same runtime type/class/arity checks (and the same managed-
-/// call hosting charge) the bypassed UDF would have applied. Returns
-/// `Ok(None)` when the call is not eligible — the caller falls back to
-/// the ordinary resolve-then-invoke path.
+impl Pushdown {
+    /// Recognizes a pushdown-eligible function name.
+    pub(crate) fn classify(name: &str) -> Option<Pushdown> {
+        let (schema, func) = name.split_once('.')?;
+        let (elem, class) = parse_schema(schema)?;
+        let base = strip_numbered_suffix(func);
+        let op = if base.eq_ignore_ascii_case("Subarray") {
+            PushdownOp::Subarray
+        } else if base.eq_ignore_ascii_case("Item") {
+            PushdownOp::Item
+        } else {
+            return None;
+        };
+        Some(Pushdown { elem, class, op })
+    }
+
+    /// Runs the rewrite for one already-evaluated call of this function.
+    ///
+    /// Returns `Ok(Some(value))` when the first argument is a lazy LOB
+    /// reference: the result is then assembled from a header-prefix read
+    /// plus the minimal page-ranged payload reads, with the same runtime
+    /// type/class/arity checks (and the same managed-call hosting charge)
+    /// the bypassed UDF would have applied. Returns `Ok(None)` when the
+    /// call is not eligible — the caller falls back to the ordinary
+    /// resolve-then-invoke path.
+    pub(crate) fn apply(&self, argv: &[Value], env: &mut EvalEnv<'_>) -> Result<Option<Value>> {
+        let Some(&Value::Lob { id, len }) = argv.first() else {
+            return Ok(None);
+        };
+        let Pushdown { elem, class, op } = *self;
+        // Mirror the registered arities; on a mismatch fall back so the arity
+        // error is produced by the registry, identically to the full path.
+        let arity_ok = match op {
+            PushdownOp::Subarray => (3..=4).contains(&argv.len()),
+            PushdownOp::Item => (2..=9).contains(&argv.len()),
+        };
+        if !arity_ok {
+            return Ok(None);
+        }
+        // Index arguments that are themselves LOBs (pathological) go through
+        // the materializing fallback instead.
+        if argv[1..].iter().any(|v| matches!(v, Value::Lob { .. })) {
+            return Ok(None);
+        }
+        // The bypassed UDF is a managed function: charge the same hosting
+        // cost so pushdown changes I/O, not the CLR accounting.
+        env.hosting.charge_call();
+        let Some(reader) = env.lobs.as_deref_mut() else {
+            return Err(EngineError::UnresolvedLob { id, len });
+        };
+
+        let stream = BlobStream::open(reader, id)?;
+        let mut arr = ArrayReader::open(stream)?;
+        let header = arr.header().clone();
+        // The runtime checks a schema-qualified call implies (`expect` in
+        // `arraybind`), performed from the header prefix alone.
+        if header.elem != elem {
+            return Err(EngineError::Array(
+                ArrayError::TypeMismatch {
+                    expected: elem,
+                    got: header.elem,
+                }
+                .to_string(),
+            ));
+        }
+        if header.class != class {
+            return Err(EngineError::Array(
+                ArrayError::StorageClassMismatch {
+                    expected_short: class == StorageClass::Short,
+                }
+                .to_string(),
+            ));
+        }
+        // `SqlArray::from_blob` would verify the payload length on the full
+        // path; check it against the stored length without reading payload.
+        if header.blob_len() != len as usize {
+            return Err(EngineError::Array(
+                ArrayError::PayloadSizeMismatch {
+                    got: len as usize,
+                    need: header.blob_len(),
+                }
+                .to_string(),
+            ));
+        }
+
+        match op {
+            PushdownOp::Subarray => {
+                let offset = index_vector(&argv[1])?;
+                let size = index_vector(&argv[2])?;
+                let squeeze = argv.get(3).map(|v| v.is_true()).unwrap_or(false);
+                let sub = arr.subarray(&offset, &size, squeeze)?;
+                Ok(Some(Value::Bytes(sub.into_blob())))
+            }
+            PushdownOp::Item => {
+                let idx: Vec<usize> = argv[1..]
+                    .iter()
+                    .map(|v| v.as_index())
+                    .collect::<Result<_>>()?;
+                let scalar = arr.item(&idx)?;
+                Ok(Some(Value::from(scalar)))
+            }
+        }
+    }
+}
+
+/// Attempts the pushdown rewrite for one already-evaluated call — the
+/// row interpreter's entry: classifies `name` only when the first
+/// argument is a lazy LOB reference.
 pub(crate) fn try_lob_pushdown(
     name: &str,
     argv: &[Value],
     env: &mut EvalEnv<'_>,
 ) -> Result<Option<Value>> {
-    let Some(&Value::Lob { id, len }) = argv.first() else {
-        return Ok(None);
-    };
-    let Some((elem, class, op)) = parse_pushdown_name(name) else {
-        return Ok(None);
-    };
-    // Mirror the registered arities; on a mismatch fall back so the arity
-    // error is produced by the registry, identically to the full path.
-    let arity_ok = match op {
-        PushdownOp::Subarray => (3..=4).contains(&argv.len()),
-        PushdownOp::Item => (2..=9).contains(&argv.len()),
-    };
-    if !arity_ok {
+    if !matches!(argv.first(), Some(Value::Lob { .. })) {
         return Ok(None);
     }
-    // Index arguments that are themselves LOBs (pathological) go through
-    // the materializing fallback instead.
-    if argv[1..].iter().any(|v| matches!(v, Value::Lob { .. })) {
-        return Ok(None);
-    }
-    // The bypassed UDF is a managed function: charge the same hosting
-    // cost so pushdown changes I/O, not the CLR accounting.
-    env.hosting.charge_call();
-    let Some(reader) = env.lobs.as_deref_mut() else {
-        return Err(EngineError::UnresolvedLob { id, len });
-    };
-
-    let stream = BlobStream::open(reader, id)?;
-    let mut arr = ArrayReader::open(stream)?;
-    let header = arr.header().clone();
-    // The runtime checks a schema-qualified call implies (`expect` in
-    // `arraybind`), performed from the header prefix alone.
-    if header.elem != elem {
-        return Err(EngineError::Array(
-            ArrayError::TypeMismatch {
-                expected: elem,
-                got: header.elem,
-            }
-            .to_string(),
-        ));
-    }
-    if header.class != class {
-        return Err(EngineError::Array(
-            ArrayError::StorageClassMismatch {
-                expected_short: class == StorageClass::Short,
-            }
-            .to_string(),
-        ));
-    }
-    // `SqlArray::from_blob` would verify the payload length on the full
-    // path; check it against the stored length without reading payload.
-    if header.blob_len() != len as usize {
-        return Err(EngineError::Array(
-            ArrayError::PayloadSizeMismatch {
-                got: len as usize,
-                need: header.blob_len(),
-            }
-            .to_string(),
-        ));
-    }
-
-    match op {
-        PushdownOp::Subarray => {
-            let offset = index_vector(&argv[1])?;
-            let size = index_vector(&argv[2])?;
-            let squeeze = argv.get(3).map(|v| v.is_true()).unwrap_or(false);
-            let sub = arr.subarray(&offset, &size, squeeze)?;
-            Ok(Some(Value::Bytes(sub.into_blob())))
-        }
-        PushdownOp::Item => {
-            let idx: Vec<usize> = argv[1..]
-                .iter()
-                .map(|v| v.as_index())
-                .collect::<Result<_>>()?;
-            let scalar = arr.item(&idx)?;
-            Ok(Some(Value::from(scalar)))
-        }
+    match Pushdown::classify(name) {
+        Some(p) => p.apply(argv, env),
+        None => Ok(None),
     }
 }
 
@@ -180,26 +203,27 @@ mod tests {
 
     #[test]
     fn name_recognition() {
-        assert!(matches!(
-            parse_pushdown_name("FloatArrayMax.Subarray"),
-            Some((
+        let p = |elem, class, op| Some(Pushdown { elem, class, op });
+        assert_eq!(
+            Pushdown::classify("FloatArrayMax.Subarray"),
+            p(
                 ElementType::Float64,
                 StorageClass::Max,
                 PushdownOp::Subarray
-            ))
-        ));
-        assert!(matches!(
-            parse_pushdown_name("intarraymax.item_3"),
-            Some((ElementType::Int32, StorageClass::Max, PushdownOp::Item))
-        ));
-        assert!(matches!(
-            parse_pushdown_name("FloatArray.Item_2"),
-            Some((ElementType::Float64, StorageClass::Short, PushdownOp::Item))
-        ));
-        assert!(parse_pushdown_name("FloatArrayMax.Sum").is_none());
-        assert!(parse_pushdown_name("NoSuchSchema.Subarray").is_none());
-        assert!(parse_pushdown_name("Subarray").is_none());
-        assert!(parse_pushdown_name("FloatArrayMax.Item_x").is_none());
+            )
+        );
+        assert_eq!(
+            Pushdown::classify("intarraymax.item_3"),
+            p(ElementType::Int32, StorageClass::Max, PushdownOp::Item)
+        );
+        assert_eq!(
+            Pushdown::classify("FloatArray.Item_2"),
+            p(ElementType::Float64, StorageClass::Short, PushdownOp::Item)
+        );
+        assert!(Pushdown::classify("FloatArrayMax.Sum").is_none());
+        assert!(Pushdown::classify("NoSuchSchema.Subarray").is_none());
+        assert!(Pushdown::classify("Subarray").is_none());
+        assert!(Pushdown::classify("FloatArrayMax.Item_x").is_none());
     }
 
     #[test]

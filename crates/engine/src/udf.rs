@@ -9,6 +9,7 @@
 use crate::hosting::{CostClass, HostingModel};
 use crate::value::{EngineError, Result, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Strips the T-SQL numbered-arity suffix (`Item_3` → `Item`), the one
 /// definition of the convention — shared by [`UdfRegistry::resolve`] and
@@ -38,10 +39,36 @@ pub struct Udf {
     pub arity: Option<std::ops::RangeInclusive<usize>>,
 }
 
-/// Name → function registry, case-insensitive.
+impl Udf {
+    /// The arity check of one call site spelled `name` with `argc`
+    /// arguments — per call on the row path, once per statement when the
+    /// batch planner binds the callee.
+    pub fn check_arity(&self, name: &str, argc: usize) -> Result<()> {
+        match &self.arity {
+            Some(arity) if !arity.contains(&argc) => Err(EngineError::Arity {
+                func: name.to_string(),
+                got: argc,
+                want: format!("{}..={}", arity.start(), arity.end()),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Runs the body, charging the hosting model for managed calls.
+    #[inline]
+    pub fn invoke(&self, args: &[Value], hosting: &mut HostingModel) -> Result<Value> {
+        if self.cost == CostClass::Managed {
+            hosting.charge_call();
+        }
+        (self.func)(args)
+    }
+}
+
+/// Name → function registry, case-insensitive. Entries are shared
+/// (`Arc`) so a compiled plan can hold its callees past the lookup.
 #[derive(Default)]
 pub struct UdfRegistry {
-    funcs: HashMap<String, Udf>,
+    funcs: HashMap<String, Arc<Udf>>,
 }
 
 impl UdfRegistry {
@@ -57,14 +84,7 @@ impl UdfRegistry {
         arity: Option<std::ops::RangeInclusive<usize>>,
         func: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
     ) {
-        self.funcs.insert(
-            name.to_ascii_lowercase(),
-            Udf {
-                func: Box::new(func),
-                cost: CostClass::Managed,
-                arity,
-            },
-        );
+        self.insert(name, arity, CostClass::Managed, Box::new(func));
     }
 
     /// Registers a native (no hosting charge) function.
@@ -74,19 +94,25 @@ impl UdfRegistry {
         arity: Option<std::ops::RangeInclusive<usize>>,
         func: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
     ) {
+        self.insert(name, arity, CostClass::Native, Box::new(func));
+    }
+
+    fn insert(
+        &mut self,
+        name: &str,
+        arity: Option<std::ops::RangeInclusive<usize>>,
+        cost: CostClass,
+        func: UdfFn,
+    ) {
         self.funcs.insert(
             name.to_ascii_lowercase(),
-            Udf {
-                func: Box::new(func),
-                cost: CostClass::Native,
-                arity,
-            },
+            Arc::new(Udf { func, cost, arity }),
         );
     }
 
     /// Looks a function up, resolving `Name_N` numbered variants to their
     /// variadic base registration.
-    pub fn resolve(&self, name: &str) -> Option<&Udf> {
+    pub fn resolve(&self, name: &str) -> Option<&Arc<Udf>> {
         let lower = name.to_ascii_lowercase();
         if let Some(u) = self.funcs.get(&lower) {
             return Some(u);
@@ -103,19 +129,8 @@ impl UdfRegistry {
         let udf = self
             .resolve(name)
             .ok_or_else(|| EngineError::Unknown(format!("function `{name}`")))?;
-        if let Some(arity) = &udf.arity {
-            if !arity.contains(&args.len()) {
-                return Err(EngineError::Arity {
-                    func: name.to_string(),
-                    got: args.len(),
-                    want: format!("{}..={}", arity.start(), arity.end()),
-                });
-            }
-        }
-        if udf.cost == CostClass::Managed {
-            hosting.charge_call();
-        }
-        (udf.func)(args)
+        udf.check_arity(name, args.len())?;
+        udf.invoke(args, hosting)
     }
 
     /// Number of registered functions.

@@ -1,0 +1,202 @@
+//! Property test for the borrowed array kernels.
+//!
+//! The registered read-only array functions (`Item_k`, `Sum`, `Mean`,
+//! `Min`, `Max`, `Norm2`) check their argument and then run over an
+//! [`ArrayView`] borrowed from the argument's bytes instead of a copied
+//! [`SqlArray`]. For random short and max arrays of every real element
+//! type this asserts, bit for bit:
+//!
+//! * the function called through the registry (borrowed view) equals the
+//!   same kernel over the owned array;
+//! * both equal a reference fold over [`Scalar`]s in storage order — the
+//!   accumulation order the typed walks must keep;
+//! * the runtime checks of paper §3.5 stay: truncated and oversized blobs
+//!   raise `PayloadSizeMismatch`, a blob handed to another schema raises
+//!   `TypeMismatch` / `StorageClassMismatch`, with the owned path's text.
+
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use sqlarray_core::exact::ExactSum;
+use sqlarray_core::ops::agg;
+use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
+use sqlarray_core::{
+    ArrayData, ArrayError, ArrayView, Element, ElementType, Scalar, SqlArray, StorageClass,
+};
+use sqlarray_engine::arraybind::{register_all, schema_name};
+use sqlarray_engine::hosting::HostingModel;
+use sqlarray_engine::udf::UdfRegistry;
+use sqlarray_engine::value::{EngineError, Value};
+
+type Case = Result<(), TestCaseError>;
+
+/// Bit-level identity of two results (`-0.0` and `0.0` differ).
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        (Value::F32(x), Value::F32(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// A random element: any bit pattern for the integers, a finite value of
+/// random magnitude (so exact summation has cancellation to get right)
+/// for the floats.
+fn element<T: Element>(rng: &mut StdRng) -> T {
+    match T::TYPE {
+        ElementType::Float32 | ElementType::Float64 => {
+            let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+            T::from_f64(unit * 10f64.powi((rng.next_u64() % 31) as i32 - 15))
+        }
+        _ => T::read_le(&rng.next_u64().to_le_bytes()),
+    }
+}
+
+fn check_elem<T: Element>(reg: &UdfRegistry, rng: &mut StdRng) -> Case {
+    let class = if rng.next_u64() % 2 == 0 {
+        StorageClass::Short
+    } else {
+        StorageClass::Max
+    };
+    let rank = 1 + (rng.next_u64() % 3) as usize;
+    let dims: Vec<usize> = (0..rank)
+        .map(|_| 1 + (rng.next_u64() % 6) as usize)
+        .collect();
+    let data: Vec<T> = (0..dims.iter().product()).map(|_| element(rng)).collect();
+    let owned = SqlArray::from_vec(class, &dims, &data).unwrap();
+    let blob = Value::Bytes(owned.as_blob().to_vec());
+    let schema = schema_name(T::TYPE, class);
+    let mut hosting = HostingModel::free();
+    let mut call = |name: &str, args: &[Value]| reg.call(name, args, &mut hosting);
+
+    // The view is the array, minus the copy.
+    let view = ArrayView::from_blob(owned.as_blob()).unwrap();
+    prop_assert_eq!(view.header(), owned.header());
+    prop_assert_eq!(ArrayData::payload(&view), owned.payload());
+
+    // Whole-array reductions: registry (borrowed) == owned == reference.
+    let reals: Vec<f64> = owned.iter_scalars().map(|s| s.as_f64().unwrap()).collect();
+    let exact = |xs: &mut dyn Iterator<Item = f64>| {
+        let mut acc = ExactSum::new();
+        xs.for_each(|x| acc.add(x));
+        acc.value()
+    };
+    let sum = exact(&mut reals.iter().copied());
+    let reference = [
+        ("Sum", agg::sum(&owned).unwrap(), sum),
+        ("Mean", agg::mean(&owned).unwrap(), sum / reals.len() as f64),
+        (
+            "Min",
+            agg::min(&owned).unwrap(),
+            reals.iter().fold(f64::INFINITY, |m, &x| m.min(x)),
+        ),
+        (
+            "Max",
+            agg::max(&owned).unwrap(),
+            reals.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x)),
+        ),
+        (
+            "Norm2",
+            Scalar::F64(agg::norm2(&owned).unwrap()),
+            exact(&mut reals.iter().map(|x| x * x)).sqrt(),
+        ),
+    ];
+    for (func, owned_result, want) in reference {
+        let name = format!("{schema}.{func}");
+        let got = call(&name, std::slice::from_ref(&blob)).unwrap();
+        prop_assert!(
+            same_bits(&got, &Value::from(owned_result)),
+            "{name} over the view differs from the owned array: {got:?} vs {owned_result:?}"
+        );
+        prop_assert!(
+            same_bits(&got, &Value::F64(want)),
+            "{name} changed accumulation order: {got:?} vs {want:?}"
+        );
+    }
+
+    // Item_k at a random in-bounds index, and one step out of bounds.
+    let idx: Vec<usize> = dims.iter().map(|&d| rng.next_u64() as usize % d).collect();
+    let item = format!("{schema}.Item_{rank}");
+    let args = |idx: &[usize]| {
+        let mut argv = vec![blob.clone()];
+        argv.extend(idx.iter().map(|&i| Value::I64(i as i64)));
+        argv
+    };
+    let got = call(&item, &args(&idx)).unwrap();
+    prop_assert!(same_bits(&got, &Value::from(owned.item(&idx).unwrap())));
+    prop_assert!(same_bits(&got, &Value::from(view.item(&idx).unwrap())));
+    let mut beyond = idx.clone();
+    beyond[rank - 1] = dims[rank - 1];
+    prop_assert_eq!(
+        call(&item, &args(&beyond)).unwrap_err(),
+        EngineError::from(owned.item(&beyond).unwrap_err())
+    );
+
+    // Runtime checks: the view rejects what `SqlArray::from_blob` rejects,
+    // with the same typed error.
+    let intact = owned.as_blob();
+    let mut oversized = intact.to_vec();
+    oversized.push(0);
+    for bad in [intact[..intact.len() - 1].to_vec(), oversized] {
+        let typed = SqlArray::from_blob(bad.clone()).unwrap_err();
+        prop_assert!(matches!(typed, ArrayError::PayloadSizeMismatch { .. }));
+        prop_assert_eq!(ArrayView::from_blob(&bad).unwrap_err(), typed.clone());
+        for func in ["Sum", "Norm2", "Min"] {
+            prop_assert_eq!(
+                call(&format!("{schema}.{func}"), &[Value::Bytes(bad.clone())]).unwrap_err(),
+                EngineError::from(typed.clone())
+            );
+        }
+        let mut item_args = args(&idx);
+        item_args[0] = Value::Bytes(bad);
+        prop_assert_eq!(
+            call(&item, &item_args).unwrap_err(),
+            EngineError::from(typed)
+        );
+    }
+    let other_elem = if T::TYPE == ElementType::Int32 {
+        ElementType::Float64
+    } else {
+        ElementType::Int32
+    };
+    prop_assert_eq!(
+        call(
+            &format!("{}.Sum", schema_name(other_elem, class)),
+            std::slice::from_ref(&blob)
+        )
+        .unwrap_err(),
+        EngineError::from(ArrayError::TypeMismatch {
+            expected: other_elem,
+            got: T::TYPE,
+        })
+    );
+    let other_class = match class {
+        StorageClass::Short => StorageClass::Max,
+        StorageClass::Max => StorageClass::Short,
+    };
+    prop_assert_eq!(
+        call(
+            &format!("{}.Norm2", schema_name(T::TYPE, other_class)),
+            std::slice::from_ref(&blob)
+        )
+        .unwrap_err(),
+        EngineError::from(ArrayError::StorageClassMismatch {
+            expected_short: other_class == StorageClass::Short,
+        })
+    );
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn borrowed_kernels_equal_owned_kernels_for_every_real_type(seed in any::<u64>()) {
+        let mut reg = UdfRegistry::new();
+        register_all(&mut reg);
+        let mut rng = StdRng::seed_from_u64(seed);
+        check_elem::<i8>(&reg, &mut rng)?;
+        check_elem::<i16>(&reg, &mut rng)?;
+        check_elem::<i32>(&reg, &mut rng)?;
+        check_elem::<i64>(&reg, &mut rng)?;
+        check_elem::<f32>(&reg, &mut rng)?;
+        check_elem::<f64>(&reg, &mut rng)?;
+    }
+}

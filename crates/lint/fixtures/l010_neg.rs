@@ -25,6 +25,19 @@ fn batch_scan_with_poll(table: &Table, reader: &mut Reader, part: &Part) -> u64 
     batches
 }
 
+fn call_lane_with_poll(sel: &[u32], udf: &Udf, argv: &mut [Value], env: &EvalEnv) -> Result<()> {
+    for &row in sel.iter() {
+        env.check_interrupt()?;
+        argv[0] = Value::I64(row as i64);
+        udf.invoke(argv)?;
+    }
+    // Lane arithmetic that never walks the selection is bounded work.
+    for i in 0..sel.len() {
+        argv[0] = Value::I64(i as i64);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -22,3 +22,12 @@ fn batch_scan_without_poll(table: &Table, reader: &mut Reader, part: &Part) -> u
         .unwrap_or_else(|_| ());
     batches
 }
+
+fn call_lane_without_poll(sel: &[u32], udf: &Udf, argv: &mut [Value]) -> Vec<Value> {
+    let mut out = Vec::with_capacity(sel.len());
+    for (i, &row) in sel.iter().enumerate() {
+        argv[0] = Value::I64((i as i64) + row as i64);
+        out.push(udf.invoke(argv));
+    }
+    out
+}

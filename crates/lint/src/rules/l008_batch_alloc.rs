@@ -7,63 +7,26 @@
 //! overhead the batch refactor removed — and it hides easily, because the
 //! code stays correct and only the 2–4× speedup quietly evaporates.
 //!
-//! Scope: the batch kernels (`core::batch`) and the engine's batch
-//! compiler/evaluator (`engine::batch`). The rule walks every `for` loop
-//! body in those files and flags the four allocator calls above.
+//! Scope: the batch kernels (`core::batch`), the engine's batch
+//! compiler/evaluator (`engine::batch`, which holds the UDF call lane) and
+//! the aggregation state (`engine::exec::agg`, which holds the vectorized
+//! grouping loop). The rule walks every `for` loop body in those files and
+//! flags the four allocator calls above.
 //! Kernels should hoist scratch out of the loop (`clear()` + `reserve()`)
 //! or borrow instead of cloning; a genuinely-needed allocation takes a
 //! reasoned `lint:allow(L008, reason = "…")`.
 
 use crate::diag::Finding;
-use crate::lexer::TokKind;
-use crate::rules::finding_at;
+use crate::rules::{finding_at, for_body};
 use crate::source::SourceFile;
 use std::collections::HashSet;
 
 /// File suffixes forming the batch-kernel surface.
-const SCOPE_SUFFIXES: &[&str] = &["crates/core/src/batch.rs", "crates/engine/src/batch.rs"];
-
-/// Significant-token index of the `{` opening the body of the `for` loop
-/// whose keyword sits at `k`, or `None` if the header never closes. The
-/// header expression may contain braces only inside parens/brackets
-/// (closure bodies in iterator adapters), so the body brace is the first
-/// `{` at bracket depth zero.
-fn body_open(f: &SourceFile<'_>, k: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for j in k + 1..f.sig.len() {
-        if f.kind(j) != Some(TokKind::Punct) {
-            continue;
-        }
-        match f.text(j) {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "{" if depth == 0 => return Some(j),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Significant-token index of the `}` matching the `{` at `open`.
-fn body_close(f: &SourceFile<'_>, open: usize) -> usize {
-    let mut depth = 0i32;
-    for j in open..f.sig.len() {
-        if f.kind(j) != Some(TokKind::Punct) {
-            continue;
-        }
-        match f.text(j) {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    f.sig.len()
-}
+const SCOPE_SUFFIXES: &[&str] = &[
+    "crates/core/src/batch.rs",
+    "crates/engine/src/batch.rs",
+    "crates/engine/src/exec/agg.rs",
+];
 
 pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -79,10 +42,9 @@ pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
         if !f.is_ident(k, "for") || f.in_test(f.tok(k).start) {
             continue;
         }
-        let Some(open) = body_open(f, k) else {
+        let Some((open, close)) = for_body(f, k) else {
             continue;
         };
-        let close = body_close(f, open);
         for j in open + 1..close {
             let hit = if f.is_punct(j, ".")
                 && (f.is_ident(j + 1, "to_vec") || f.is_ident(j + 1, "clone"))

@@ -14,10 +14,16 @@
 //! identifier `check_interrupt` somewhere in its argument region (the
 //! callback body lives there). The storage crate's own leaf walk polls per
 //! page read and is exempt; tests drive scans through the executor.
+//!
+//! The vectorized executor added a second kind of unbounded loop: *inside*
+//! one batch callback, a UDF call lane or a grouping loop walks the
+//! selection vector row by row, and nothing in it ever faults a page. So
+//! every non-test engine `for` loop whose header iterates a selection
+//! (`sel.iter()`) must likewise contain `check_interrupt` in its body.
 
 use crate::diag::Finding;
 use crate::lexer::TokKind;
-use crate::rules::finding_at;
+use crate::rules::{finding_at, for_body};
 use crate::source::SourceFile;
 
 /// Scan drivers whose engine-side callbacks must poll.
@@ -30,6 +36,11 @@ pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     }
 
     for k in 0..f.sig.len() {
+        if f.is_ident(k, "for") && !f.in_test(f.tok(k).start) {
+            if let Some(finding) = check_selection_loop(f, k) {
+                out.push(finding);
+            }
+        }
         let is_driver = SCAN_DRIVERS.iter().any(|n| f.is_ident(k, n)) && f.is_punct(k + 1, "(");
         if !is_driver || f.in_test(f.tok(k).start) {
             continue;
@@ -73,4 +84,24 @@ pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
         }
     }
     out
+}
+
+/// The per-row clause: a `for` loop at `k` whose header walks a selection
+/// vector (`sel.iter()`) must poll somewhere in its body.
+fn check_selection_loop(f: &SourceFile<'_>, k: usize) -> Option<Finding> {
+    let (open, close) = for_body(f, k)?;
+    let walks_selection = (k + 1..open)
+        .any(|j| f.is_ident(j, "sel") && f.is_punct(j + 1, ".") && f.is_ident(j + 2, "iter"));
+    let polled = (open + 1..close).any(|j| f.is_ident(j, "check_interrupt"));
+    (walks_selection && !polled).then(|| {
+        finding_at(
+            f,
+            "L010",
+            k,
+            "per-row loop over a selection vector does not poll the query \
+             lifecycle: a call lane or grouping loop does unbounded work \
+             between page reads, so its body must call `check_interrupt()`"
+                .to_string(),
+        )
+    })
 }

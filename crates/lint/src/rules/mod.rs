@@ -11,9 +11,9 @@
 //! | L005 | no `unwrap`/`expect` on fallible paths in library code | PR 5: silent `<lob:…>` placeholder replaced by typed `UnresolvedLob` |
 //! | L006 | shard locks are acquired in ascending index order | deadlock class a multi-session server will make real |
 //! | L007 | every `unsafe` block carries a `// SAFETY:` comment | unsafe-audit companion |
-//! | L008 | no per-row heap allocation inside batch-kernel loops | the vectorized path's speedup dies silently if a kernel loop allocates |
+//! | L008 | no per-row heap allocation inside batch-kernel and grouping loops | the vectorized path's speedup dies silently if a kernel loop allocates |
 //! | L009 | no mutex guard held across a scan fan-out in engine code | the shared-engine refactor's lock discipline: guard-across-fan-out serializes or deadlocks concurrent sessions |
-//! | L010 | engine scan loops must poll the query lifecycle | PR 10's cancellation contract: a scan loop without `check_interrupt` cannot be killed until its next page fault |
+//! | L010 | engine scan loops and per-row selection loops must poll the query lifecycle | PR 10's cancellation contract: a scan loop without `check_interrupt` cannot be killed until its next page fault, and a UDF call lane or grouping loop over a decoded batch never faults at all |
 //!
 //! Suppression: `// lint:allow(L00x, reason = "…")` on the finding's line
 //! or the line above. The reason is mandatory; a malformed or reasonless
@@ -31,6 +31,7 @@ mod l009_guard_across_fanout;
 mod l010_cancel_poll;
 
 use crate::diag::Finding;
+use crate::lexer::TokKind;
 use crate::source::SourceFile;
 
 /// Every rule id this crate knows, in order.
@@ -54,6 +55,39 @@ pub(crate) fn finding_at(
         message,
         snippet: f.line_text(tok.line).trim().to_string(),
     }
+}
+
+/// The body of the `for` loop whose keyword sits at significant token `k`:
+/// the indices of its opening `{` and the matching `}`, or `None` if the
+/// header never closes. The header expression may contain braces only
+/// inside parens/brackets (closure bodies in iterator adapters), so the
+/// body brace is the first `{` at bracket depth zero.
+pub(crate) fn for_body(f: &SourceFile<'_>, k: usize) -> Option<(usize, usize)> {
+    let is_punct = |j: usize| f.kind(j) == Some(TokKind::Punct);
+    let mut depth = 0i32;
+    let open = (k + 1..f.sig.len()).find(|&j| {
+        if is_punct(j) {
+            match f.text(j) {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth -= 1,
+                "{" => return depth == 0,
+                _ => {}
+            }
+        }
+        false
+    })?;
+    let mut depth = 0i32;
+    let close = (open..f.sig.len()).find(|&j| {
+        if is_punct(j) {
+            match f.text(j) {
+                "{" => depth += 1,
+                "}" => depth -= 1,
+                _ => {}
+            }
+        }
+        depth == 0
+    });
+    Some((open, close.unwrap_or(f.sig.len())))
 }
 
 /// Runs every rule over one parsed file, applies `lint:allow`

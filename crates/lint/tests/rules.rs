@@ -156,6 +156,8 @@ fn l008_silent_on_hoisted_scratch_borrows_allows_and_tests() {
 fn l008_only_watches_the_batch_kernels() {
     let pos = include_str!("../fixtures/l008_pos.rs");
     assert_eq!(count("crates/engine/src/exec/select.rs", pos, "L008"), 0);
+    // The vectorized grouping loop lives with the aggregation state.
+    assert_eq!(count("crates/engine/src/exec/agg.rs", pos, "L008"), 4);
 }
 
 #[test]
@@ -182,8 +184,9 @@ fn l009_only_applies_to_the_engine_crate() {
 #[test]
 fn l010_flags_scan_loops_without_lifecycle_poll() {
     let pos = include_str!("../fixtures/l010_pos.rs");
-    // One unpolled `scan_partition`, one unpolled `scan_partition_batches`.
-    assert_eq!(count("crates/engine/src/fixture.rs", pos, "L010"), 2);
+    // One unpolled `scan_partition`, one unpolled `scan_partition_batches`,
+    // one unpolled per-row loop over a selection vector.
+    assert_eq!(count("crates/engine/src/fixture.rs", pos, "L010"), 3);
 }
 
 #[test]

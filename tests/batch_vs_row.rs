@@ -8,8 +8,11 @@
 //! * every construct the batch compiler handles (comparisons, wrapping
 //!   integer arithmetic, float arithmetic, `AND`/`OR` short-circuit,
 //!   `NOT`, unary minus, all five aggregates, `COUNT` over blob columns,
-//!   blob projection through in-row and out-of-row storage, `TOP`);
-//! * fallback constructs (`GROUP BY`, UDF calls) that must route both
+//!   blob projection through in-row and out-of-row storage, `TOP`,
+//!   scalar UDF calls — plain, nested, in `WHERE`, under aggregates, over
+//!   out-of-row arrays through the `Item`/`Subarray` pushdown — and
+//!   `GROUP BY` over scalar, UDF-valued, blob and LOB keys);
+//! * fallback constructs (UDAs, string comparisons) that must route both
 //!   configurations through the same row interpreter;
 //! * edge-case table sizes: empty, one row, exactly one batch, one batch
 //!   plus one row;
@@ -23,7 +26,9 @@
 use proptest::prelude::*;
 use sqlarray::prelude::*;
 use sqlarray_bench::rows_bit_identical;
+use sqlarray_core::build::{max_vector, short_vector};
 use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
+use sqlarray_engine::Fallback;
 
 /// Rows whose `id % 97 == 3` carry an out-of-row LOB payload (> 8000
 /// bytes); everything else keeps a short in-row blob.
@@ -40,6 +45,8 @@ fn build_session(rows: i64, seed: u64) -> Session {
             ("c", ColType::F64),
             ("d", ColType::F32),
             ("v", ColType::Blob),
+            ("w", ColType::Blob),
+            ("m", ColType::Blob),
         ]),
     )
     .unwrap();
@@ -59,6 +66,19 @@ fn build_session(rows: i64, seed: u64) -> Session {
                 .map(|i| i.wrapping_add(k as u8))
                 .collect()
         };
+        // `w`: a short four-element float vector, always in-row. `m`: a
+        // max-class float vector — out-of-row (> 8000 bytes) on the LOB
+        // rows, a small in-row one elsewhere — so one `FloatArrayMax`
+        // call sees both the pushdown and the plain-call route.
+        let w: Vec<f64> = (0..4)
+            .map(|i| c + i as f64 * 0.25 + (k % 7) as f64)
+            .collect();
+        let m_len = if k % LOB_STRIDE == 3 {
+            1100
+        } else {
+            4 + (k % 3) as usize
+        };
+        let m: Vec<f64> = (0..m_len).map(|i| d as f64 - i as f64 * 0.5).collect();
         db.insert(
             "T",
             k,
@@ -69,6 +89,8 @@ fn build_session(rows: i64, seed: u64) -> Session {
                 RowValue::F64(c),
                 RowValue::F32(d),
                 RowValue::Bytes(blob),
+                RowValue::Bytes(short_vector(&w).unwrap().into_blob()),
+                RowValue::Bytes(max_vector(&m).unwrap().into_blob()),
             ],
         )
         .unwrap();
@@ -90,6 +112,44 @@ const QUERIES: &[&str] = &[
     "SELECT id % 4, COUNT(*), SUM(c) FROM T GROUP BY id % 4",
     "SELECT MIN(b), MAX(d) FROM T WHERE NOT a = 0",
     "SELECT 1 + a, b - 2, c / 2.0, d FROM T WHERE a % 2 = 0 AND c > -100.0",
+    // Scalar UDF calls: Table 1's Q4 and Q5 shapes, a computed index.
+    "SELECT SUM(FloatArray.Item_1(w, 0)) FROM T",
+    "SELECT SUM(dbo.EmptyFunction(w, 0)), COUNT(*) FROM T",
+    "SELECT id, FloatArray.Item_1(w, (b % 4 + 4) % 4), -FloatArray.Norm2(w) FROM T WHERE a > 0",
+    "SELECT TOP 9 id, FloatArray.Sum(w) FROM T WHERE id % 2 = 1",
+    "SELECT TOP 5 id, a FROM T WHERE FloatArray.Item_1(w, 1) > 10.0",
+    // Nested calls, and arithmetic over their dynamic results.
+    "SELECT SUM(FloatArray.Sum(FloatArray.Scale(w, 2.0))) FROM T",
+    "SELECT FloatArray.Item_1(FloatArray.Add(w, w), 1) + 1, FloatArray.Count(w) * 2 \
+     FROM T WHERE id % 5 = 0",
+    "SELECT MIN(FloatArray.ToString(w)), MAX(FloatArray.Raw(w)) FROM T",
+    // Calls in WHERE, on both sides of a short-circuit.
+    "SELECT id FROM T WHERE FloatArray.Item_1(w, 0) > 0.5 AND a > 0",
+    "SELECT COUNT(*) FROM T WHERE b < 0 OR FloatArrayMax.Item_1(m, 1) > 0.0",
+    "SELECT SUM(c) FROM T WHERE NOT FloatArray.Max(w) < 10.0",
+    // Grouped aggregation: scalar keys, UDF arguments, UDF-valued keys,
+    // non-aggregate items, blob and LOB keys.
+    "SELECT id % 4, COUNT(*), MIN(id), MAX(id), AVG(c) FROM T GROUP BY id % 4",
+    "SELECT id % 4, SUM(FloatArray.Item_1(w, 1)), MIN(FloatArray.Norm2(w)) \
+     FROM T GROUP BY id % 4",
+    "SELECT FloatArrayMax.Count(m), COUNT(*), SUM(a) FROM T GROUP BY FloatArrayMax.Count(m)",
+    "SELECT a % 3, b % 2, id, COUNT(b) FROM T WHERE c > 0.0 GROUP BY a % 3, b % 2",
+    "SELECT COUNT(*), SUM(a), MAX(id) FROM T GROUP BY v",
+    "SELECT id % 2, COUNT(v), MIN(id) FROM T GROUP BY id % 2, m",
+    // Out-of-row arrays: the Item/Subarray pushdown, the full-read
+    // fallback, and statements with two LOB-reading sites (the
+    // interpreter runs those on both arms).
+    "SELECT id, FloatArrayMax.Item_1(m, 3) FROM T WHERE id % 97 = 3 OR id % 10 = 0",
+    "SELECT FloatArrayMax.Subarray(m, IntArray.Vector_1(1), IntArray.Vector_1(3), 0) \
+     FROM T WHERE id % 2 = 1",
+    "SELECT SUM(FloatArrayMax.Sum(m)), MAX(FloatArrayMax.Item_1(m, 2)) FROM T",
+    "SELECT FloatArrayMax.Item_1(m, 0), v FROM T WHERE id % 97 < 5",
+    "SELECT m, FloatArrayMax.Item_1(m, 0) FROM T WHERE id % 97 < 5",
+    "SELECT id, FloatArrayMax.Dot(m, m) FROM T WHERE id % 97 = 3 OR id % 50 = 0",
+    "SELECT FloatArrayMax.Count(m), COUNT(*) FROM T WHERE id % 97 < 9 GROUP BY m",
+    // Fallbacks: both configurations run the interpreter.
+    "SELECT id % 2, FloatArray.VectorAvg(w) FROM T GROUP BY id % 2",
+    "SELECT COUNT(*) FROM T WHERE FloatArray.ToString(w) = 'x'",
 ];
 
 /// Queries that must fail identically on nonempty tables (both arms
@@ -97,6 +157,21 @@ const QUERIES: &[&str] = &[
 const ERROR_QUERIES: &[&str] = &[
     "SELECT a / (a - a) FROM T",
     "SELECT SUM(a % (id - id)) FROM T",
+    // The callee's own runtime checks: index out of bounds, storage
+    // class and element type mismatches, a non-array argument.
+    "SELECT FloatArray.Item_1(w, 9) FROM T",
+    "SELECT SUM(FloatArray.Item_1(m, 0)) FROM T",
+    "SELECT id % 2, SUM(IntArray.Item_1(w, 0)) FROM T GROUP BY id % 2",
+    "SELECT COUNT(*) FROM T WHERE FloatArray.Sum(v) > 0.0",
+    // Per-row binding errors stay per-row errors (the planner falls
+    // back): unknown function, wrong argument count.
+    "SELECT dbo.NoSuchFunction(a) FROM T",
+    "SELECT FloatArray.Item_1(w) FROM T",
+    "SELECT TOP 2 id FROM T WHERE FloatArray.Item_1(w, 9) > 0.0",
+    // Operators over dynamic results raise the interpreter's errors.
+    "SELECT -FloatArray.ToString(w) FROM T",
+    "SELECT SUM(FloatArray.Raw(w)) FROM T",
+    "SELECT 1 / (FloatArray.Count(w) - 4) FROM T GROUP BY id % 3",
 ];
 
 const BATCH_SIZES: [usize; 2] = [7, 1024];
@@ -139,7 +214,9 @@ fn batch_matches_row_on_edge_case_table_sizes() {
     // Empty table, single row, exactly one default batch, one batch + 1.
     for (i, &rows) in [0i64, 1, 1024, 1025].iter().enumerate() {
         let mut s = build_session(rows, 0xBA7C4 + i as u64);
-        for sql in QUERIES {
+        // The error queries too: on the empty table both arms succeed
+        // (nothing is evaluated), everywhere else both fail.
+        for sql in QUERIES.iter().chain(ERROR_QUERIES) {
             assert_differential(&mut s, sql);
         }
     }
@@ -185,12 +262,102 @@ fn batch_stats_reflect_the_active_path() {
     assert_eq!(r.stats.batch_fill, 0.0);
     s.set_batch_rows(1024);
 
-    // Fallback construct (GROUP BY): compiled plan is rejected, so the
-    // row interpreter runs even though batching is enabled.
-    let r = s
-        .query("SELECT id % 4, COUNT(*) FROM T GROUP BY id % 4")
-        .unwrap();
-    assert_eq!(r.stats.batches, 0, "GROUP BY must fall back to rows");
+    // GROUP BY and UDF calls compile: batches flow, nothing falls back.
+    for sql in [
+        "SELECT id % 4, COUNT(*) FROM T GROUP BY id % 4",
+        "SELECT SUM(FloatArray.Item_1(w, 0)) FROM T",
+        "SELECT id % 4, SUM(FloatArray.Item_1(w, 1)) FROM T WHERE a > 0 GROUP BY id % 4",
+        "SELECT id % 4, SUM(c) FROM T WHERE FloatArray.Max(w) > 0.0 GROUP BY id % 4",
+        "SELECT COUNT(*) FROM T GROUP BY v",
+    ] {
+        let r = s.query(sql).unwrap();
+        assert!(r.stats.batches > 0, "{sql:?} fell back to rows");
+        assert_eq!(r.stats.fallback, None, "{sql:?}");
+    }
+
+    // What does fall back says why, typed.
+    let fallbacks = [
+        (
+            "SELECT id % 2, FloatArray.VectorAvg(w) FROM T GROUP BY id % 2",
+            Fallback::Uda("FloatArray.VectorAvg".into()),
+        ),
+        (
+            "SELECT COUNT(*) FROM T WHERE FloatArray.ToString(w) = 'x'",
+            Fallback::NonNumericLiteral,
+        ),
+        (
+            "SELECT id FROM T WHERE a > @gone",
+            Fallback::MissingVar("gone".into()),
+        ),
+        (
+            "SELECT COUNT(*) FROM T WHERE v = v",
+            Fallback::BlobInScalarExpr,
+        ),
+        ("SELECT -(a > 0) FROM T WHERE id < 0", Fallback::NegBool),
+        (
+            "SELECT FloatArrayMax.Item_1(m, 0), v FROM T WHERE id % 97 < 5",
+            Fallback::MultipleLobSites,
+        ),
+    ];
+    for (sql, why) in fallbacks {
+        // A missing variable fails the scan; its reason rides on the
+        // partial stats instead.
+        let stats = match s.query(sql) {
+            Ok(r) => r.stats,
+            Err(_) => s.partial_stats().expect("the scan started").clone(),
+        };
+        assert_eq!(stats.batches, 0, "{sql:?} must fall back to rows");
+        assert_eq!(stats.fallback, Some(why), "{sql:?}");
+    }
+    s.set_batch_rows(0);
+    let r = s.query("SELECT COUNT(*) FROM T").unwrap();
+    assert_eq!(r.stats.fallback, Some(Fallback::BatchDisabled));
+}
+
+/// A `TOP k` projection stops evaluating WHERE at the k-th match, like
+/// the interpreter: no call, hosting charge or error happens on a later
+/// row.
+#[test]
+fn top_k_with_a_udf_filter_never_calls_past_the_kth_match() {
+    let mut s = build_session(1025, 0x70B);
+    // `w` has four elements, so `Item_1(w, id)` is out of bounds from
+    // row 4 on; the third match is row 2.
+    let oob_after_limit = "SELECT TOP 3 id FROM T WHERE FloatArray.Item_1(w, id) > -1000.0";
+    for batch in [0usize, 1, 7, 1024] {
+        s.set_batch_rows(batch);
+        s.set_dop(1);
+        let r = s.query(oob_after_limit).unwrap();
+        assert_eq!(r.stats.batches > 0, batch > 0);
+        let ids: Vec<Value> = r.rows.into_iter().flatten().collect();
+        assert_eq!(ids, [Value::I64(0), Value::I64(1), Value::I64(2)]);
+        assert_eq!(r.stats.udf_calls, 3, "batch {batch}");
+        // A call-free filter too: rows 0, 1 and 3 are the three, row 5
+        // would divide by zero.
+        let r = s
+            .query("SELECT TOP 3 id FROM T WHERE NOT id = 2 AND 10 / (id - 5) < 0")
+            .unwrap();
+        let ids: Vec<Value> = r.rows.into_iter().flatten().collect();
+        assert_eq!(ids, [Value::I64(0), Value::I64(1), Value::I64(3)]);
+    }
+    // A selective filter: the managed-call count equals the row path's
+    // at every DOP (each worker stops at its own k-th match on both).
+    let selective = "SELECT TOP 5 id FROM T WHERE FloatArray.Item_1(w, 1) > 80.0 AND a > 0";
+    for &dop in &DOPS {
+        s.set_dop(dop);
+        s.set_batch_rows(0);
+        let want = s.query(selective).unwrap();
+        assert!(want.stats.udf_calls > 5, "filter is not selective");
+        for batch in [1usize, 7, 1024] {
+            s.set_batch_rows(batch);
+            let got = s.query(selective).unwrap();
+            assert!(got.stats.batches > 0);
+            assert_eq!(got.rows, want.rows, "batch {batch} dop {dop}");
+            assert_eq!(
+                got.stats.udf_calls, want.stats.udf_calls,
+                "batch {batch} dop {dop}"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -169,3 +169,21 @@ fn sugar_composes_with_group_by() {
     assert_eq!(r.rows[0][1], Value::F64(even));
     assert_eq!(r.rows[1][1], Value::F64(odd));
 }
+
+#[test]
+fn minting_many_sessions_calibrates_the_hosting_spin_at_most_once() {
+    // The busy-wait calibration is a per-process measurement: neither a
+    // session's construction nor a free model pays for it, and every
+    // charging session shares the first one's result.
+    let engine = sqlarray_engine::Engine::new(tiny_db(4));
+    let mut sessions: Vec<Session> = (0..256).map(|_| engine.session()).collect();
+    sessions.push(engine.session_with_hosting(HostingModel::free()));
+    assert!(HostingModel::calibrations() <= 1);
+    for s in sessions.iter_mut() {
+        let r = s
+            .query("SELECT SUM(dbo.EmptyFunction(x, 0)) FROM t")
+            .unwrap();
+        assert_eq!(r.stats.udf_calls, 4);
+    }
+    assert_eq!(HostingModel::calibrations(), 1);
+}

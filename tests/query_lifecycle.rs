@@ -68,11 +68,15 @@ fn baseline_rows(rows: i64, queries: &[&str]) -> Vec<Vec<Vec<Value>>> {
 // --- The kill matrix ------------------------------------------------------
 
 /// Statements the matrix kills: grouped aggregation (per-group state,
-/// merge phase) and filtered expression projection (row emission) — the
-/// two executor shapes with distinct abort surfaces.
+/// merge phase), filtered expression projection (row emission), and the
+/// two shapes whose batch evaluation polls *inside* a decoded batch — a
+/// grouped aggregate over an array accessor and a per-row `dbo.SpinUs`
+/// call lane — the executor shapes with distinct abort surfaces.
 const MATRIX_QUERIES: &[&str] = &[
     "SELECT id % 3, COUNT(*), SUM(tag) FROM T GROUP BY id % 3",
     "SELECT id, tag + 1 FROM T WHERE id % 2 = 0",
+    "SELECT id % 4, SUM(FloatArray.Item_1(v, 1)), MAX(tag) FROM T GROUP BY id % 4",
+    "SELECT SUM(dbo.SpinUs(tag, 1)) FROM T WHERE id % 2 = 0",
 ];
 
 /// For every matrix query × DOP: a `u64::MAX` dry run counts the
@@ -156,45 +160,77 @@ fn kill_matrix_batch_path() {
 // --- Asynchronous cancellation -------------------------------------------
 
 /// Cancelling a long scan from another thread stops it within one batch
-/// worth of work — not at the end of the table.
+/// worth of work — not at the end of the table. On the vectorized path a
+/// worker's whole partition is *one* decoded batch here, so the bound
+/// only holds because the call lane polls the lifecycle per row: the
+/// ungrouped and the grouped statement both must stop mid-batch.
 #[test]
 fn cancelled_long_scan_stops_promptly() {
     const ROWS: i64 = 4000;
     let mut s = Session::with_hosting(seeded_db(ROWS), HostingModel::free());
     s.set_dop(4);
-    // ~200 µs of spin per row ≈ 0.8 s of mandatory wall clock for a full
-    // scan — the cancel below must beat that by a wide margin.
-    let slow = "SELECT COUNT(*), SUM(dbo.SpinUs(tag, 200)) FROM T";
+    // Count lifecycle polls without tripping on any.
+    s.set_cancel_after_checks(Some(u64::MAX));
+    // 1 ms of spin per row = 1 s of mandatory wall clock per worker for
+    // a full scan, all of it inside a single 1000-row batch on the
+    // vectorized path — the cancel below must beat that by a wide margin.
+    for shape in [
+        "SELECT COUNT(*), SUM(dbo.SpinUs(tag, {us})) FROM T",
+        "SELECT id % 5, COUNT(*), SUM(dbo.SpinUs(tag, {us})) FROM T GROUP BY id % 5",
+    ] {
+        let slow = &shape.replace("{us}", "1000");
+        for batch_rows in [0usize, 1024] {
+            s.set_batch_rows(batch_rows);
+            // What the statement polls when nothing disturbs it: the same
+            // shape without the spin.
+            s.query(&shape.replace("{us}", "0")).unwrap();
+            let full_polls = s.last_query_ctx().expect("statement ran").checks();
+            let handle = s.cancel_handle();
+            let killer = thread::spawn(move || {
+                thread::sleep(Duration::from_millis(40));
+                handle.cancel();
+            });
+            let t0 = Instant::now();
+            let err = s.query(slow).unwrap_err();
+            let elapsed = t0.elapsed();
+            killer.join().unwrap();
 
-    let handle = s.cancel_handle();
-    let killer = thread::spawn(move || {
-        thread::sleep(Duration::from_millis(40));
-        handle.cancel();
-    });
-    let t0 = Instant::now();
-    let err = s.query(slow).unwrap_err();
-    let elapsed = t0.elapsed();
-    killer.join().unwrap();
-
-    assert_eq!(err, EngineError::Cancelled);
-    assert!(
-        elapsed < Duration::from_millis(600),
-        "cancel took {elapsed:?}, the full scan needs ≥ 800 ms of spin"
-    );
-    // The abort reports the partial work it had done.
-    let partial = s
-        .partial_stats()
-        .expect("aborted scan reports partial stats");
-    assert!(
-        partial.rows_scanned < ROWS as u64,
-        "scan ran to completion ({} rows) despite the cancel",
-        partial.rows_scanned
-    );
-    // The session consumed the cancel: the next statement runs.
-    assert_eq!(
-        s.query_scalar("SELECT COUNT(*) FROM T").unwrap(),
-        Value::I64(ROWS)
-    );
+            assert_eq!(err, EngineError::Cancelled, "batch {batch_rows}: `{slow}`");
+            assert!(
+                elapsed < Duration::from_millis(600),
+                "cancel took {elapsed:?} (batch {batch_rows}), the full scan needs ≥ 1 s of \
+                 spin: `{slow}`"
+            );
+            // The abort reports the partial work it had done.
+            let partial = s
+                .partial_stats()
+                .expect("aborted scan reports partial stats");
+            assert_eq!(partial.batches > 0, batch_rows > 0, "wrong path: `{slow}`");
+            // The batch path counts a batch's rows when it is decoded, so
+            // only the interpreter's row count shows the early stop. The
+            // poll count shows it on both: the call is polled around per
+            // row, and (600 ms of 1 ms rows at most) at least 400 rows per
+            // worker never ran.
+            if batch_rows == 0 {
+                assert!(
+                    partial.rows_scanned < ROWS as u64,
+                    "scan ran to completion ({} rows) despite the cancel",
+                    partial.rows_scanned
+                );
+            }
+            let polls = s.last_query_ctx().expect("statement ran").checks();
+            assert!(
+                polls > 0 && polls + (ROWS as u64) / 4 < full_polls,
+                "batch {batch_rows}: {polls} of {full_polls} polls, the scan did not stop \
+                 inside its batch: `{slow}`"
+            );
+            // The session consumed the cancel: the next statement runs.
+            assert_eq!(
+                s.query_scalar("SELECT COUNT(*) FROM T").unwrap(),
+                Value::I64(ROWS)
+            );
+        }
+    }
 }
 
 // --- Statement timeout ----------------------------------------------------
@@ -282,6 +318,22 @@ fn memory_budget_rejects_each_charging_site_and_only_those() {
         matches!(err, EngineError::ResourceExhausted { .. }),
         "batch lanes went unmetered: {err:?}"
     );
+
+    // Per-group state charges on the vectorized path too: a budget that
+    // fits the 64-row batch lanes but not a few hundred groups' keys and
+    // accumulator rows is rejected by the grouping loop — while the same
+    // scan grouped three ways fits, so it is the groups that tripped.
+    let many_groups = "SELECT id, COUNT(*), SUM(tag) FROM T GROUP BY id";
+    s.set_query_mem_bytes(64 << 10);
+    let r = s.query(grouped).unwrap();
+    assert!(r.stats.batches > 0, "grouped plan did not vectorize");
+    assert!(rows_bit_identical(&r.rows, &want[1]));
+    let err = s.query(many_groups).unwrap_err();
+    assert!(
+        matches!(err, EngineError::ResourceExhausted { limit, .. } if limit == 64 << 10),
+        "per-group state went unmetered on the batch path: {err:?}"
+    );
+    assert!(s.partial_stats().expect("the scan started").batches > 0);
 
     // A generous budget lets both through, bit-identically, and the
     // charges are observable after the fact.
