@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sqlarray_engine::{Database, HostingModel, Session, Value};
+use sqlarray_engine::{Database, Engine, HostingModel, Session, Settings, Value};
 use sqlarray_storage::{ColType, DiskProfile, PageStore, RowValue, Schema};
 
 /// Bit-level equality for result rows: floats compare by bit pattern, so
@@ -174,7 +174,7 @@ pub fn build_table1_db_with_dop(
         page_count: db.store.page_count(),
         seek_position: db.store.seek_position(),
     };
-    (Session::with_hosting(db, hosting), report)
+    (Engine::new(db).session_with_hosting(hosting), report)
 }
 
 /// The five queries of §6.3, verbatim.
@@ -423,7 +423,7 @@ pub fn build_subarray_fixture(mb: usize) -> SubarrayFixture {
     let size = vec3([dims[0], dims[1], 1]);
     let dims_v = vec3(dims);
     SubarrayFixture {
-        session: Session::with_hosting(db, HostingModel::free()),
+        session: Engine::new(db).session_with_hosting(HostingModel::free()),
         dims,
         array_bytes: elems * 8,
         region_bytes: dims[0] * dims[1] * 8,
@@ -714,14 +714,14 @@ pub fn run_lifecycle_report(clients: usize, per_client: usize) -> LifecycleRepor
         .collect();
     db.bulk_insert("L", &rows).expect("bulk load");
     db.commit();
-    let engine = sqlarray_engine::Engine::with_config(
-        db,
-        sqlarray_engine::EngineConfig {
-            worker_budget: 1,
-            admission_queue_cap: 2,
-            ..sqlarray_engine::EngineConfig::default()
-        },
-    );
+    // `dbo.SpinUs` is a fault-injection function: a standard engine does
+    // not serve it, this one registers it on top of the standard library.
+    let (mut udfs, udas) = Engine::standard_registries();
+    sqlarray_engine::faultfn::register_faults(&mut udfs);
+    let mut settings = Settings::from_env();
+    settings.engine.worker_budget = 1;
+    settings.engine.admission_queue_cap = 2;
+    let engine = Engine::with_registries(db, settings, udfs, udas);
 
     // ~50 µs of spin per row ≈ 10 ms per statement: long enough that the
     // budget-1 engine convoys, short enough that the report stays quick.

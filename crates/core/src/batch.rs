@@ -6,10 +6,9 @@
 //! column-vector representation and the batch-level kernels the engine's
 //! vectorized pipeline is built on:
 //!
-//! * [`ColVec`] — one typed column of a batch (`i64`/`i32`/`f64`/`f32`/
-//!   `bool`, or blob cells as packed bytes + out-of-row LOB references);
+//! * [`ColVec`] — one typed column of a batch (`i64`/`i32`/`f64`/`f32`,
+//!   or blob cells as packed bytes + out-of-row LOB references);
 //! * [`Batch`] — the clustered keys plus the decoded columns of ~1–4K rows;
-//! * [`Validity`] — a null bitmap (one bit per row);
 //! * selection vectors (`Vec<u32>` of in-batch row indices) produced by
 //!   filters and consumed by every downstream kernel;
 //! * arithmetic/comparison/gather/sum kernels with branch-light inner
@@ -29,67 +28,6 @@ use crate::exact::ExactSum;
 /// Batches flush at the first leaf-page boundary at or past this many rows,
 /// so actual fill is slightly above (a leaf holds tens-to-hundreds of rows).
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
-
-// ---------------------------------------------------------------------------
-// Validity bitmaps
-// ---------------------------------------------------------------------------
-
-/// A null bitmap: one bit per row, set = valid (non-null).
-///
-/// Table columns in the engine are currently never null, but kernels accept
-/// an optional validity so batch-producing sources with missing values (e.g.
-/// future outer joins) reuse the same summing path.
-#[derive(Debug, Clone, Default)]
-pub struct Validity {
-    bits: Vec<u64>,
-    len: usize,
-}
-
-impl Validity {
-    /// An empty bitmap.
-    pub fn new() -> Validity {
-        Validity::default()
-    }
-
-    /// Appends one row's validity bit.
-    pub fn push(&mut self, valid: bool) {
-        let word = self.len / 64;
-        if word == self.bits.len() {
-            self.bits.push(0);
-        }
-        if valid {
-            self.bits[word] |= 1u64 << (self.len % 64);
-        }
-        self.len += 1;
-    }
-
-    /// Whether row `i` is valid (non-null).
-    pub fn is_valid(&self, i: usize) -> bool {
-        assert!(i < self.len);
-        self.bits[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Number of rows tracked.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the bitmap tracks zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of valid (set) bits.
-    pub fn count_valid(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Resets to zero rows, keeping capacity.
-    pub fn clear(&mut self) {
-        self.bits.clear();
-        self.len = 0;
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Byte cells
@@ -166,16 +104,10 @@ pub type LobRef = (u64, u64);
 /// One typed column of a [`Batch`].
 #[derive(Debug, Clone)]
 pub enum ColVec {
-    /// 64-bit signed integers.
-    I64(Vec<i64>),
-    /// 32-bit signed integers.
-    I32(Vec<i32>),
-    /// 64-bit floats.
-    F64(Vec<f64>),
-    /// 32-bit floats.
-    F32(Vec<f32>),
-    /// Booleans (no storage column type maps here; produced by kernels).
-    Bool(Vec<bool>),
+    // Declared first on purpose: with this variant (the one whose niche
+    // carries the tag) last, `storage::row::BatchDecoder`'s per-row
+    // `(ColType, ColVec)` match compiles ~10 % slower — measured 25.2 ->
+    // 27.7 ns/row on `storage.table.scan_batch_ns_per_row`.
     /// Blob cells: inline payloads in `bytes`, out-of-row references in
     /// `lob`. Both sides always have one entry per row — an out-of-row cell
     /// has an empty `bytes` entry and `Some` in `lob`, an inline cell the
@@ -186,6 +118,14 @@ pub enum ColVec {
         /// Out-of-row references (`None` for inline rows).
         lob: Vec<Option<LobRef>>,
     },
+    /// 64-bit signed integers.
+    I64(Vec<i64>),
+    /// 32-bit signed integers.
+    I32(Vec<i32>),
+    /// 64-bit floats.
+    F64(Vec<f64>),
+    /// 32-bit floats.
+    F32(Vec<f32>),
 }
 
 impl ColVec {
@@ -196,7 +136,6 @@ impl ColVec {
             ColVec::I32(v) => v.len(),
             ColVec::F64(v) => v.len(),
             ColVec::F32(v) => v.len(),
-            ColVec::Bool(v) => v.len(),
             ColVec::Blob { lob, .. } => lob.len(),
         }
     }
@@ -213,7 +152,6 @@ impl ColVec {
             ColVec::I32(v) => v.clear(),
             ColVec::F64(v) => v.clear(),
             ColVec::F32(v) => v.clear(),
-            ColVec::Bool(v) => v.clear(),
             ColVec::Blob { bytes, lob } => {
                 bytes.clear();
                 lob.clear();
@@ -230,7 +168,6 @@ impl ColVec {
             ColVec::I32(v) => (v.len() * 4) as u64,
             ColVec::F64(v) => (v.len() * 8) as u64,
             ColVec::F32(v) => (v.len() * 4) as u64,
-            ColVec::Bool(v) => v.len() as u64,
             ColVec::Blob { bytes, lob } => {
                 bytes.byte_size() + (lob.len() * std::mem::size_of::<Option<LobRef>>()) as u64
             }
@@ -286,12 +223,6 @@ impl Batch {
     }
 }
 
-/// Fills `sel` with the identity selection `0..n` (all rows selected).
-pub fn identity_selection(sel: &mut Vec<u32>, n: usize) {
-    sel.clear();
-    sel.extend(0..n as u32);
-}
-
 /// Keeps only the selected rows whose flag is set: `out` receives
 /// `sel[i]` for every `i` with `flags[i]`. `flags` is aligned to `sel`
 /// (one flag per *selected* row), not to the batch.
@@ -326,7 +257,6 @@ gather_impl!(gather_i64, i64);
 gather_impl!(gather_i32, i32);
 gather_impl!(gather_f64, f64);
 gather_impl!(gather_f32, f32);
-gather_impl!(gather_bool, bool);
 
 /// Fills `out` with `n` copies of `v` (literal/variable broadcast).
 pub fn splat<T: Copy>(v: T, n: usize, out: &mut Vec<T>) {
@@ -430,7 +360,7 @@ pub fn arith_i64(op: ArithOp, a: &[i64], b: &[i64], out: &mut Vec<i64>) -> bool 
                 if y == 0 {
                     return false;
                 }
-                out.push(x / y);
+                out.push(x.wrapping_div(y));
             }
         }
         ArithOp::Mod => {
@@ -438,7 +368,7 @@ pub fn arith_i64(op: ArithOp, a: &[i64], b: &[i64], out: &mut Vec<i64>) -> bool 
                 if y == 0 {
                     return false;
                 }
-                out.push(x % y);
+                out.push(x.wrapping_rem(y));
             }
         }
     }
@@ -624,39 +554,9 @@ pub fn sum_f64(vals: &[f64], sum: &mut ExactSum) {
     }
 }
 
-/// Like [`sum_f64`] but skips lanes whose validity bit is unset; returns
-/// the number of lanes accumulated.
-pub fn sum_f64_masked(vals: &[f64], validity: &Validity, sum: &mut ExactSum) -> usize {
-    assert_eq!(vals.len(), validity.len());
-    let mut n = 0usize;
-    for (i, &x) in vals.iter().enumerate() {
-        if validity.is_valid(i) {
-            sum.add(x);
-            n += 1;
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validity_push_and_count() {
-        let mut v = Validity::new();
-        for i in 0..130 {
-            v.push(i % 3 == 0);
-        }
-        assert_eq!(v.len(), 130);
-        assert_eq!(v.count_valid(), (0..130).filter(|i| i % 3 == 0).count());
-        assert!(v.is_valid(0));
-        assert!(!v.is_valid(1));
-        assert!(v.is_valid(129));
-        v.clear();
-        assert!(v.is_empty());
-        assert_eq!(v.count_valid(), 0);
-    }
 
     #[test]
     fn bytes_vec_cells() {
@@ -704,9 +604,7 @@ mod tests {
 
     #[test]
     fn selection_identity_and_refine() {
-        let mut sel = Vec::new();
-        identity_selection(&mut sel, 5);
-        assert_eq!(sel, vec![0, 1, 2, 3, 4]);
+        let sel: Vec<u32> = (0..5).collect();
         let flags = [true, false, false, true, true];
         let mut out = Vec::new();
         refine_selection(&flags, &sel, &mut out);
@@ -760,6 +658,11 @@ mod tests {
         assert_eq!(out, vec![4, -3]);
         assert!(arith_i64(ArithOp::Mod, &[9, -7], &[4, 4], &mut out));
         assert_eq!(out, vec![1, -3]);
+        // The one overflowing quotient wraps like Add/Sub/Mul do.
+        assert!(arith_i64(ArithOp::Div, &[i64::MIN], &[-1], &mut out));
+        assert_eq!(out, vec![i64::MIN]);
+        assert!(arith_i64(ArithOp::Mod, &[i64::MIN], &[-1], &mut out));
+        assert_eq!(out, vec![0]);
         assert!(!arith_i64(ArithOp::Div, &[1], &[0], &mut out));
         assert!(!arith_i64(ArithOp::Mod, &[1], &[0], &mut out));
     }
@@ -836,17 +739,5 @@ mod tests {
         sum_f64(&rev, &mut backward);
         assert_eq!(forward.value().to_bits(), backward.value().to_bits());
         assert_eq!(forward.value(), 1.0 + 1e-30);
-    }
-
-    #[test]
-    fn masked_sum_skips_invalid_lanes() {
-        let mut validity = Validity::new();
-        validity.push(true);
-        validity.push(false);
-        validity.push(true);
-        let mut sum = ExactSum::new();
-        let n = sum_f64_masked(&[1.0, 100.0, 2.0], &validity, &mut sum);
-        assert_eq!(n, 2);
-        assert_eq!(sum.value(), 3.0);
     }
 }

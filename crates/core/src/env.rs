@@ -10,11 +10,19 @@
 
 /// Reads environment variable `name` as a `usize`.
 ///
-/// Returns `Some(n)` when the variable is set and its trimmed value
-/// parses as a `usize`; `None` when unset, empty, or malformed — the
-/// caller supplies its own default and clamp.
+/// Returns `Some(n)` when the variable is set and [`parse_usize`] accepts
+/// its value; `None` when unset, empty, or malformed — the caller
+/// supplies its own default and clamp.
 pub fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse::<usize>().ok()
+    parse_usize(&std::env::var(name).ok()?)
+}
+
+/// The parse rule every knob shares, for values that did not come from
+/// the process environment (the engine reads its knobs through a lookup
+/// closure): surrounding whitespace is ignored, anything that is not a
+/// `usize` is `None`.
+pub fn parse_usize(raw: &str) -> Option<usize> {
+    raw.trim().parse().ok()
 }
 
 #[cfg(test)]

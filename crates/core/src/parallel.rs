@@ -49,12 +49,17 @@ pub fn configured_dop() -> usize {
     if FORCE_SERIAL.with(|s| s.get()) {
         return 1;
     }
-    if let Some(n) = crate::env::env_usize(DOP_ENV_VAR) {
-        return n.max(1);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    dop_or_cores(crate::env::env_usize(DOP_ENV_VAR))
+}
+
+/// The default-DOP rule, apart from where the setting came from: an
+/// explicit setting clamps to ≥ 1, none means
+/// [`std::thread::available_parallelism`] (1 when unknown).
+pub fn dop_or_cores(setting: Option<usize>) -> usize {
+    setting.map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |n| n.max(1),
+    )
 }
 
 /// Maps `f` over the contiguous chunks of `0..total` (at most `parts`,

@@ -782,11 +782,6 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>)
                 b::gather_f32(src, sel, &mut out);
                 Ok(BVal::F32(out))
             }
-            ColVec::Bool(src) => {
-                let mut out = Vec::new();
-                b::gather_bool(src, sel, &mut out);
-                Ok(BVal::Bool(out))
-            }
             ColVec::Blob { .. } => Err(EngineError::Type(
                 "batch plan error: blob column in scalar expression".into(),
             )),

@@ -8,6 +8,15 @@
 //! batch size, hosting model) over an `Arc<Engine>`, so spawning a session
 //! costs a handful of words, like handing out a connection from a pool.
 //!
+//! ## One way in
+//!
+//! [`Engine::with_registries`] is the constructor ([`Engine::new`] and
+//! [`Engine::with_config`] pass it the standard function library);
+//! [`Engine::session`] / [`Engine::session_with_hosting`] are the only
+//! source of a [`Session`]; the session's `execute`/`query` methods are
+//! the only way to run a statement. Configuration ([`crate::config`]) is
+//! read when the engine is built and never again.
+//!
 //! ## Isolation: single writer, many snapshot readers
 //!
 //! Statements take the database lock at statement granularity:
@@ -25,12 +34,12 @@
 //! *while* a writer proceeds instead of briefly excluding it.
 
 use crate::aggregate::UdaRegistry;
+use crate::config::{SessionDefaults, Settings};
+use crate::database::Database;
 use crate::hosting::HostingModel;
-use crate::plancache::{PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
-use crate::sched::{
-    configured_admission_queue_cap, configured_worker_budget, DopScheduler, SchedStats,
-};
-use crate::session::{Database, Session};
+use crate::plancache::{PlanCache, PlanCacheStats};
+use crate::sched::{DopScheduler, SchedStats};
+use crate::session::Session;
 use crate::udf::UdfRegistry;
 use sqlarray_core::sync::{read_unpoisoned, write_unpoisoned};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -50,12 +59,10 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
+    /// The environment's tuning: the engine half of
+    /// [`Settings::from_env`].
     fn default() -> Self {
-        EngineConfig {
-            worker_budget: configured_worker_budget(),
-            plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-            admission_queue_cap: configured_admission_queue_cap(),
-        }
+        Settings::from_env().engine
     }
 }
 
@@ -78,30 +85,61 @@ pub struct Engine {
     udas: UdaRegistry,
     plans: PlanCache,
     sched: DopScheduler,
+    /// What [`Session::on_engine`] copies into every session it builds.
+    pub(crate) session_defaults: SessionDefaults,
 }
 
 impl Engine {
-    /// An engine over `db` with default configuration and the full array
-    /// library registered.
+    /// An engine over `db` configured by the environment, with the
+    /// standard function library.
     pub fn new(db: Database) -> Arc<Engine> {
-        Engine::with_config(db, EngineConfig::default())
+        let (udfs, udas) = Engine::standard_registries();
+        Engine::with_registries(db, Settings::from_env(), udfs, udas)
     }
 
-    /// An engine with explicit tuning.
+    /// An engine with explicit tuning (session defaults still from the
+    /// environment) and the standard function library.
     pub fn with_config(db: Database, config: EngineConfig) -> Arc<Engine> {
-        let mut udfs = UdfRegistry::new();
-        crate::arraybind::register_all(&mut udfs);
-        crate::mathfn::register_math(&mut udfs);
-        crate::faultfn::register_faults(&mut udfs);
-        let mut udas = UdaRegistry::new();
-        udas.register_array_aggregates();
+        let (udfs, udas) = Engine::standard_registries();
+        let mut settings = Settings::from_env();
+        settings.engine = config;
+        Engine::with_registries(db, settings, udfs, udas)
+    }
+
+    /// The one constructor: an engine serving exactly the functions in
+    /// `udfs`/`udas`, configured by `settings`. User-registered functions
+    /// are the paper's §5 extension mechanism — start from
+    /// [`standard_registries`](Self::standard_registries) and register
+    /// more (the robustness suites add [`crate::faultfn::register_faults`]
+    /// this way). The registries are immutable from here on. Nothing past
+    /// this call reads the environment.
+    pub fn with_registries(
+        db: Database,
+        settings: Settings,
+        udfs: UdfRegistry,
+        udas: UdaRegistry,
+    ) -> Arc<Engine> {
+        let config = settings.engine;
         Arc::new(Engine {
             db: RwLock::new(db),
             udfs,
             udas,
             plans: PlanCache::new(config.plan_cache_capacity),
             sched: DopScheduler::with_queue_cap(config.worker_budget, config.admission_queue_cap),
+            session_defaults: settings.session,
         })
+    }
+
+    /// What a standard engine serves: every array schema, the `dbo`
+    /// utilities and the math bindings as scalar functions, the array
+    /// aggregates as UDAs. No fault-injection functions.
+    pub fn standard_registries() -> (UdfRegistry, UdaRegistry) {
+        let mut udfs = UdfRegistry::new();
+        crate::arraybind::register_all(&mut udfs);
+        crate::mathfn::register_math(&mut udfs);
+        let mut udas = UdaRegistry::new();
+        udas.register_array_aggregates();
+        (udfs, udas)
     }
 
     /// Spawns a session with the paper's 2 µs CLR hosting cost.
@@ -109,7 +147,8 @@ impl Engine {
         self.session_with_hosting(HostingModel::paper_clr())
     }
 
-    /// Spawns a session with an explicit hosting model.
+    /// Spawns a session with an explicit hosting model. Every session
+    /// starts from the defaults this engine was constructed with.
     pub fn session_with_hosting(self: &Arc<Self>, hosting: HostingModel) -> Session {
         Session::on_engine(Arc::clone(self), hosting)
     }

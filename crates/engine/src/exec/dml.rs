@@ -24,8 +24,9 @@
 //! don't cover falls back to the registered `ArrayUpdate` UDF plus a
 //! full-row update, so both paths agree on semantics and on errors.
 
-use super::scan::{run_scan, ScanEnv, ScanTotals, ScanWorker};
-use super::{DmlCtx, QueryResult};
+use super::scan::{run_scan, ScanTotals, ScanWorker};
+use super::{QueryResult, StmtCtx};
+use crate::database::Database;
 use crate::expr::{eval, Expr, RowCtx};
 use crate::tsql::{DeleteStmt, UpdateStmt};
 use crate::value::{EngineError, Result, Value};
@@ -294,7 +295,8 @@ fn materialize(store: &mut PageStore, v: RowValue) -> Result<Value> {
 /// The resolve phase for one matched UPDATE row: reads and conversions
 /// only. `None` when the row is gone.
 fn resolve_row(
-    ctx: &mut DmlCtx<'_>,
+    ctx: &mut StmtCtx<'_>,
+    store: &mut PageStore,
     table: &Table,
     sets: &[SetItem],
     (key, vals): Match,
@@ -322,18 +324,18 @@ fn resolve_row(
                 },
             ) => {
                 if change.old.is_none() {
-                    change.old = table.get(ctx.store, key)?;
+                    change.old = table.get(store, key)?;
                 }
                 let Some(old) = &change.old else {
                     return Ok(None);
                 };
                 let stored = &old[item.col];
-                match try_in_place(ctx.store, stored, *elem, *class, &offset, &replacement)? {
+                match try_in_place(store, stored, *elem, *class, &offset, &replacement)? {
                     Some((byte_off, payload)) => {
                         change.patches.push((item.col, byte_off, payload));
                     }
                     None => {
-                        let cur = materialize(ctx.store, stored.clone())?;
+                        let cur = materialize(store, stored.clone())?;
                         let v = ctx
                             .udfs
                             .call(name, &[cur, offset, replacement], ctx.hosting)?;
@@ -382,8 +384,12 @@ fn apply_row(store: &mut PageStore, table: &mut Table, change: RowChange) -> Res
 
 /// Executes one UPDATE. The caller holds exclusive access to the
 /// database (the engine's write guard) for the whole statement.
-pub fn exec_update(ctx: &mut DmlCtx<'_>, stmt: &UpdateStmt) -> Result<QueryResult> {
-    let (lower, table) = lookup(ctx, &stmt.table)?;
+pub(crate) fn exec_update(
+    ctx: &mut StmtCtx<'_>,
+    db: &mut Database,
+    stmt: &UpdateStmt,
+) -> Result<QueryResult> {
+    let (store, table) = db.store_and_table_mut(&stmt.table)?;
     let schema = table.schema();
     let mut sets: Vec<SetItem> = Vec::with_capacity(stmt.sets.len());
     for (col_name, expr) in &stmt.sets {
@@ -402,7 +408,7 @@ pub fn exec_update(ctx: &mut DmlCtx<'_>, stmt: &UpdateStmt) -> Result<QueryResul
     }
     exec_dml(
         ctx,
-        lower,
+        store,
         table,
         stmt.where_clause.as_ref(),
         Some(&sets[..]),
@@ -412,11 +418,15 @@ pub fn exec_update(ctx: &mut DmlCtx<'_>, stmt: &UpdateStmt) -> Result<QueryResul
 
 /// Executes one DELETE. The caller holds exclusive access to the
 /// database (the engine's write guard) for the whole statement.
-pub fn exec_delete(ctx: &mut DmlCtx<'_>, stmt: &DeleteStmt) -> Result<QueryResult> {
-    let (lower, table) = lookup(ctx, &stmt.table)?;
+pub(crate) fn exec_delete(
+    ctx: &mut StmtCtx<'_>,
+    db: &mut Database,
+    stmt: &DeleteStmt,
+) -> Result<QueryResult> {
+    let (store, table) = db.store_and_table_mut(&stmt.table)?;
     exec_dml(
         ctx,
-        lower,
+        store,
         table,
         stmt.where_clause.as_ref(),
         None,
@@ -424,35 +434,19 @@ pub fn exec_delete(ctx: &mut DmlCtx<'_>, stmt: &DeleteStmt) -> Result<QueryResul
     )
 }
 
-/// The statement's own handle on its target table (the apply phase
-/// mutates the B-tree geometry and publishes the handle back).
-fn lookup(ctx: &DmlCtx<'_>, name: &str) -> Result<(String, Table)> {
-    let lower = name.to_ascii_lowercase();
-    let table = ctx
-        .tables
-        .get(&lower)
-        .cloned()
-        .ok_or_else(|| EngineError::Unknown(format!("table `{name}`")))?;
-    Ok((lower, table))
-}
-
 /// The shared DML driver: parallel match, then serial resolve and apply.
 /// `sets` is `None` for DELETE.
 fn exec_dml(
-    ctx: &mut DmlCtx<'_>,
-    lower_name: String,
-    mut table: Table,
+    ctx: &mut StmtCtx<'_>,
+    store: &mut PageStore,
+    table: &mut Table,
     where_clause: Option<&Expr>,
     sets: Option<&[SetItem]>,
     kind: &'static str,
 ) -> Result<QueryResult> {
-    let mut totals = ScanTotals::start(ctx.store, ctx.hosting);
-    let done = match_resolve_apply(ctx, &mut table, where_clause, sets, kind, &mut totals);
-    // The tree geometry (root, leaf chain, row count) may have changed —
-    // also when the apply phase stopped on a storage error: publish the
-    // handle that matches the pages back into the catalog map.
-    ctx.tables.insert(lower_name, table);
-    let ((), stats) = totals.close(done, ctx.store, ctx.hosting, ctx.partial)?;
+    let mut totals = ScanTotals::start(store, ctx.hosting);
+    let done = match_resolve_apply(ctx, store, table, where_clause, sets, kind, &mut totals);
+    let ((), stats) = totals.close(done, store, ctx)?;
     Ok(QueryResult {
         columns: Vec::new(),
         rows: Vec::new(),
@@ -462,7 +456,8 @@ fn exec_dml(
 }
 
 fn match_resolve_apply(
-    ctx: &mut DmlCtx<'_>,
+    ctx: &mut StmtCtx<'_>,
+    store: &mut PageStore,
     table: &mut Table,
     where_clause: Option<&Expr>,
     sets: Option<&[SetItem]>,
@@ -474,16 +469,8 @@ fn match_resolve_apply(
     // partition order yields them in clustered-key order, so the apply
     // phase — and with it the WAL record stream — is identical at every
     // DOP.
-    let env = ScanEnv {
-        store: &*ctx.store,
-        udfs: ctx.udfs,
-        vars: ctx.vars,
-        hosting: &mut *ctx.hosting,
-        query: &ctx.query,
-        dop: ctx.dop,
-    };
     let schema = table.schema();
-    let matched: Vec<Match> = run_scan(env, table, totals, |w| {
+    let matched: Vec<Match> = run_scan(ctx, store, table, totals, |w| {
         match_rows(w, schema, where_clause, sets.unwrap_or(&[]), kind)
     })?
     .into_iter()
@@ -492,16 +479,16 @@ fn match_resolve_apply(
 
     let Some(sets) = sets else {
         for (key, _) in matched {
-            totals.rows_affected += u64::from(table.delete(ctx.store, key)?);
+            totals.rows_affected += u64::from(table.delete(store, key)?);
         }
         return Ok(());
     };
     let mut changes = Vec::with_capacity(matched.len());
     for m in matched {
-        changes.extend(resolve_row(ctx, table, sets, m)?);
+        changes.extend(resolve_row(ctx, store, table, sets, m)?);
     }
     for change in changes {
-        totals.rows_affected += u64::from(apply_row(ctx.store, table, change)?);
+        totals.rows_affected += u64::from(apply_row(store, table, change)?);
     }
     Ok(())
 }

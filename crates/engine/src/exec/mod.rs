@@ -8,8 +8,9 @@
 //! SELECT on the vectorized path, and the match phase of UPDATE/DELETE —
 //! goes through one driver, `scan::run_scan`, regardless of DOP:
 //!
-//! 1. [`Table::partition`] splits the clustered index into at most
-//!    `dop` contiguous leaf-page ranges (key order preserved);
+//! 1. [`sqlarray_storage::Table::partition`] splits the clustered index
+//!    into at most `dop` contiguous leaf-page ranges (key order
+//!    preserved);
 //! 2. each partition is scanned by a worker — inline on the calling thread
 //!    for one partition, on [`std::thread::scope`] threads otherwise —
 //!    holding its own [`sqlarray_storage::PartitionReader`], a
@@ -40,8 +41,8 @@
 //!
 //! ## Layout
 //!
-//! * this file — [`QueryStats`], [`QueryResult`] and the two statement
-//!   contexts;
+//! * this file — [`QueryStats`], [`QueryResult`] and the statement
+//!   context;
 //! * `scan` — the partitioned-scan driver and the statement meter that
 //!   becomes [`QueryStats`];
 //! * `agg` — GROUP BY keys and select-list accumulators;
@@ -55,16 +56,17 @@ mod dml;
 mod scan;
 mod select;
 
-pub use dml::{exec_delete, exec_update};
-pub(crate) use scan::{eval_scalars, ScanEnv};
-pub use select::exec_select;
+pub(crate) use dml::{exec_delete, exec_update};
+pub(crate) use scan::eval_scalars;
+pub(crate) use select::exec_select;
 
 use crate::aggregate::{UdaMode, UdaRegistry};
 use crate::batch::Fallback;
 use crate::hosting::HostingModel;
 use crate::udf::UdfRegistry;
 use crate::value::{EngineError, Result, Value};
-use sqlarray_storage::{IoStats, PageStore, Table};
+use sqlarray_core::QueryCtx;
+use sqlarray_storage::{IoStats, PageStore};
 use std::collections::HashMap;
 
 /// Default cap on rows returned by a projection without `TOP`.
@@ -225,44 +227,30 @@ impl QueryResult {
     }
 }
 
-/// Everything `exec_select` needs besides the statement.
-///
-/// SELECT is read-only, so the context holds the store and catalog by
-/// shared reference — which is what lets many sessions run their SELECTs
-/// concurrently under one [`std::sync::RwLock`] read guard. Mutating
-/// statements use [`DmlCtx`] instead.
-pub struct ExecCtx<'a> {
-    /// The page store (shared: concurrent readers classify their I/O
-    /// against per-scan snapshots and fold counters back through
-    /// [`PageStore::finish_scan`]).
-    pub store: &'a PageStore,
-    /// Tables by lowercase name.
-    pub tables: &'a HashMap<String, Table>,
+/// What a statement borrows from its session and engine for as long as
+/// it runs — the same for SELECT, UPDATE/DELETE and DECLARE/SET
+/// initializers. The session's lifecycle wrapper builds it once per
+/// statement; the database arrives separately, because SELECT holds it
+/// shared (many sessions scan under one read guard) and DML exclusively
+/// (the apply phase writes pages, WAL and the catalog entry).
+pub(crate) struct StmtCtx<'a> {
     /// Scalar UDFs.
     pub udfs: &'a UdfRegistry,
-    /// User-defined aggregates.
-    pub udas: &'a UdaRegistry,
-    /// Hosting model (mutated; per-session, not shared).
-    pub hosting: &'a mut HostingModel,
     /// Session variables.
     pub vars: &'a HashMap<String, Value>,
-    /// UDA state-maintenance mode.
-    pub uda_mode: UdaMode,
-    /// Row cap for projections without TOP.
-    pub row_limit: usize,
-    /// Maximum degree of parallelism for scans (≥ 1).
-    pub dop: usize,
-    /// Target rows per column batch for vectorized scans; 0 disables
-    /// batch execution entirely (every query runs row-at-a-time).
-    pub batch_rows: usize,
-    /// This statement's compiled-plan slot in the engine's plan cache,
-    /// when the statement came through it. `None` (ad-hoc execution)
-    /// compiles fresh.
-    pub cached: Option<&'a crate::plancache::SelectSlot>,
+    /// Hosting model (mutated; per-session, not shared).
+    pub hosting: &'a mut HostingModel,
     /// The statement's lifecycle context: cancellation, deadline, memory
     /// budget. Stamped into the scan context so every worker's reader
-    /// polls it.
-    pub query: sqlarray_core::QueryCtx,
+    /// polls it. DML polls it throughout the parallel match phase; the
+    /// resolve and apply phases deliberately ignore it — every fallible
+    /// conversion runs before the first page mutates, and from then on
+    /// the statement runs to its commit, so neither an abort nor a typed
+    /// user error can leave a half-applied update behind.
+    pub query: &'a QueryCtx,
+    /// Workers the scan may fan out over (≥ 1): the admission grant, or 1
+    /// for an initializer, which takes no ticket.
+    pub dop: usize,
     /// Where the executor deposits the statement's measurements when it
     /// fails after its scan started (cancel/timeout/budget/panic, but
     /// also a merge or `terminate()` error): the counters of the work
@@ -271,32 +259,17 @@ pub struct ExecCtx<'a> {
     pub partial: &'a mut Option<QueryStats>,
 }
 
-/// Everything UPDATE/DELETE need besides the statement.
-///
-/// DML mutates the store, the B-tree geometry, and the catalog entry, so
-/// it borrows them exclusively — the caller holds the engine's write
-/// guard, making the statement the single writer.
-pub struct DmlCtx<'a> {
-    /// The page store (exclusive: the apply phase writes pages and WAL).
-    pub store: &'a mut PageStore,
-    /// Tables by lowercase name (mutable so the changed B-tree geometry
-    /// can be written back).
-    pub tables: &'a mut HashMap<String, Table>,
-    /// Scalar UDFs.
-    pub udfs: &'a UdfRegistry,
-    /// Hosting model (mutated; per-session, not shared).
-    pub hosting: &'a mut HostingModel,
-    /// Session variables.
-    pub vars: &'a HashMap<String, Value>,
-    /// Maximum degree of parallelism for the match-phase scan (≥ 1).
-    pub dop: usize,
-    /// The statement's lifecycle context. Polled throughout the parallel
-    /// match phase; the resolve and apply phases deliberately ignore it —
-    /// every fallible conversion runs before the first page mutates, and
-    /// from then on the statement runs to its commit, so neither an abort
-    /// nor a typed user error can leave a half-applied update behind.
-    pub query: sqlarray_core::QueryCtx,
-    /// Measurements of a statement that failed after its match scan
-    /// started (see [`ExecCtx::partial`]).
-    pub partial: &'a mut Option<QueryStats>,
+/// What only SELECT reads besides [`StmtCtx`].
+pub(crate) struct SelectOpts<'a> {
+    /// User-defined aggregates.
+    pub udas: &'a UdaRegistry,
+    /// UDA state-maintenance mode.
+    pub uda_mode: UdaMode,
+    /// Row cap for projections without TOP.
+    pub row_limit: usize,
+    /// Target rows per column batch for vectorized scans; 0 disables
+    /// batch execution entirely (every query runs row-at-a-time).
+    pub batch_rows: usize,
+    /// This statement's compiled-plan slot in the engine's plan cache.
+    pub cached: &'a crate::plancache::SelectSlot,
 }

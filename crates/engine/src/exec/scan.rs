@@ -7,7 +7,7 @@
 //! [`ScanWorker`]. [`ScanTotals`] is the statement-long meter those
 //! counters fold into and [`QueryStats`] is built from.
 
-use super::QueryStats;
+use super::{QueryStats, StmtCtx};
 use crate::expr::{eval, EvalEnv, Expr};
 use crate::hosting::HostingModel;
 use crate::udf::UdfRegistry;
@@ -20,17 +20,6 @@ use sqlarray_storage::{
 };
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// What a scan borrows from its statement context — the part
-/// [`super::ExecCtx`] and [`super::DmlCtx`] have in common.
-pub(crate) struct ScanEnv<'a> {
-    pub store: &'a PageStore,
-    pub udfs: &'a UdfRegistry,
-    pub vars: &'a HashMap<String, Value>,
-    pub hosting: &'a mut HostingModel,
-    pub query: &'a QueryCtx,
-    pub dop: usize,
-}
 
 /// The statement-long meter: started before any work, folded into by
 /// [`run_scan`], closed into [`QueryStats`].
@@ -77,20 +66,19 @@ impl ScanTotals {
     /// Stops the meter. Success returns the measurements beside the
     /// statement's output. A failure once a scan has started — in a
     /// worker, in the merge, in a UDA's `terminate()`, in the DML apply
-    /// phase — deposits them in `partial` instead: the pool saw those
+    /// phase — deposits them in `ctx.partial` instead: the pool saw those
     /// reads, so the session's accounting must too.
     pub fn close<R>(
         self,
         out: Result<R>,
         store: &PageStore,
-        hosting: &HostingModel,
-        partial: &mut Option<QueryStats>,
+        ctx: &mut StmtCtx<'_>,
     ) -> Result<(R, QueryStats)> {
         match out {
-            Ok(r) => Ok((r, QueryStats::new(&self, store, hosting))),
+            Ok(r) => Ok((r, QueryStats::new(&self, store, ctx.hosting))),
             Err(e) => {
                 if self.scanned {
-                    *partial = Some(QueryStats::new(&self, store, hosting));
+                    *ctx.partial = Some(QueryStats::new(&self, store, ctx.hosting));
                 }
                 Err(e)
             }
@@ -229,24 +217,26 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// expressions call — elementwise ops, `fftn`, the dense linalg kernels —
 /// must not fan out again. Workers share nothing mutable.
 pub(super) fn run_scan<T: Send>(
-    env: ScanEnv<'_>,
+    ctx: &mut StmtCtx<'_>,
+    store: &PageStore,
     table: &Table,
     totals: &mut ScanTotals,
     body: impl Fn(&mut ScanWorker<'_>) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
     totals.scanned = true;
-    let parts = table.partition(env.store, env.dop.max(1))?;
-    let scan = env.store.begin_scan_for(env.query.clone());
-    let hosting: &HostingModel = env.hosting;
+    let parts = table.partition(store, ctx.dop.max(1))?;
+    let scan = store.begin_scan_for(ctx.query.clone());
+    let (udfs, vars) = (ctx.udfs, ctx.vars);
+    let hosting: &HostingModel = ctx.hosting;
     let run_partition = |pi: usize| {
         with_serial_kernels(|| {
             let t0 = Instant::now();
             let mut w = ScanWorker {
                 table,
                 part: &parts[pi],
-                udfs: env.udfs,
-                vars: env.vars,
-                reader: env.store.reader(&scan, pi as u32),
+                udfs,
+                vars,
+                reader: store.reader(&scan, pi as u32),
                 hosting: hosting.fork(),
                 rows_scanned: 0,
                 batches: 0,
@@ -288,7 +278,7 @@ pub(super) fn run_scan<T: Send>(
         totals.rows_scanned += w.rows_scanned;
         totals.batches += w.batches;
         scan_ios.push(w.scan_io);
-        env.hosting.absorb(w.calls, w.charged_ns);
+        ctx.hosting.absorb(w.calls, w.charged_ns);
         // lint:allow(L002, reason = "wall-clock diagnostics, not query results; timing is inherently non-deterministic and outside the bit-identity contract")
         totals.busy_seconds += w.busy_seconds;
         totals.max_busy = totals.max_busy.max(w.busy_seconds);
@@ -302,7 +292,7 @@ pub(super) fn run_scan<T: Send>(
     // The live pool already saw every worker touch; this merges the
     // counters (with cross-partition classification stitching) and
     // advances the simulated head to the last physical read.
-    env.store.finish_scan(scan_ios.iter());
+    store.finish_scan(scan_ios.iter());
     first_err.map_or(Ok(outs), Err)
 }
 
@@ -315,27 +305,28 @@ pub(super) fn run_scan<T: Send>(
 /// every expression: nothing here reads a page unless a LOB resolves, and
 /// a slow or pre-cancelled statement must still stop.
 pub(crate) fn eval_scalars<'e>(
-    env: ScanEnv<'_>,
+    ctx: &mut StmtCtx<'_>,
+    store: &PageStore,
     exprs: impl IntoIterator<Item = &'e Expr>,
 ) -> Result<Vec<Value>> {
-    let scan = env.store.begin_scan_for(env.query.clone());
-    let mut reader = env.store.reader(&scan, 0);
+    let scan = store.begin_scan_for(ctx.query.clone());
+    let mut reader = store.reader(&scan, 0);
     let evaluated = (|| -> Result<Vec<Value>> {
         let mut eval_env = EvalEnv {
-            udfs: env.udfs,
-            hosting: env.hosting,
-            vars: env.vars,
+            udfs: ctx.udfs,
+            hosting: ctx.hosting,
+            vars: ctx.vars,
             lobs: Some(&mut reader),
         };
         let mut out = Vec::new();
         for e in exprs {
-            env.query.check()?;
+            ctx.query.check()?;
             out.push(eval(e, None, &mut eval_env)?);
         }
-        env.query.check()?;
+        ctx.query.check()?;
         Ok(out)
     })();
     let io = reader.finish();
-    env.store.finish_scan([&io]);
+    store.finish_scan([&io]);
     evaluated
 }

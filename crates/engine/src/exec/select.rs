@@ -2,16 +2,16 @@
 //! driver, and the partition-order merge of what they return.
 
 use super::agg::{make_accs, BatchAgg, GroupKey, Groups};
-use super::scan::{eval_scalars, run_scan, ScanEnv, ScanTotals, ScanWorker};
-use super::{ExecCtx, QueryResult};
-use crate::aggregate::{UdaMode, UdaRegistry};
+use super::scan::{eval_scalars, run_scan, ScanTotals, ScanWorker};
+use super::{QueryResult, SelectOpts, StmtCtx};
+use crate::aggregate::UdaRegistry;
 use crate::batch::{blob_cell, BItem, BVal, BatchPlan, BlobCell, Fallback};
+use crate::database::Database;
 use crate::expr::{eval, EvalEnv, Expr, RowCtx};
 use crate::tsql::{SelectItem, SelectStmt};
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::batch::Batch;
 use sqlarray_storage::Schema;
-use std::sync::Arc;
 
 /// Rewrites scalar-function calls that name a registered UDA into
 /// [`Expr::UdaCall`] nodes.
@@ -63,10 +63,7 @@ struct SelectJob<'a> {
     group_by: &'a [Expr],
     has_aggregate: bool,
     limit: usize,
-    udas: &'a UdaRegistry,
-    uda_mode: UdaMode,
-    /// Target rows per batch for the vectorized body.
-    batch_rows: usize,
+    opts: &'a SelectOpts<'a>,
 }
 
 impl SelectJob<'_> {
@@ -105,7 +102,7 @@ impl SelectJob<'_> {
 
         let mut groups = Groups::default();
         if self.group_by.is_empty() {
-            groups.insert(GroupKey::default(), make_accs(self.items, self.udas)?);
+            groups.insert(GroupKey::default(), make_accs(self.items, self.opts.udas)?);
         }
         let query = w.query();
         // Key-encoding scratch, reused across rows so the hot grouped loop
@@ -134,11 +131,11 @@ impl SelectJob<'_> {
                 }
                 match groups.find(&group_key) {
                     Some(pos) => pos,
-                    None => groups.open(&group_key, self.items, self.udas, &query)?,
+                    None => groups.open(&group_key, self.items, self.opts.udas, &query)?,
                 }
             };
             for (acc, it) in groups.accs_mut(pos).iter_mut().zip(self.items) {
-                acc.accumulate(&it.expr, &row, env, self.uda_mode)?;
+                acc.accumulate(&it.expr, &row, env, self.opts.uda_mode)?;
             }
             Ok(true)
         })?;
@@ -191,8 +188,8 @@ impl SelectJob<'_> {
         };
 
         if self.has_aggregate {
-            let mut agg = BatchAgg::new(plan, self.items, self.udas, query.clone())?;
-            w.for_each_batch(plan, self.batch_rows, |env, b| {
+            let mut agg = BatchAgg::new(plan, self.items, self.opts.udas, query.clone())?;
+            w.for_each_batch(plan, self.opts.batch_rows, |env, b| {
                 charge(b)?;
                 select(b, &mut sel, (0, b.len()), env)?;
                 agg.fold(b, &sel, env)?;
@@ -205,7 +202,7 @@ impl SelectJob<'_> {
             // worker, so a small `TOP` shrinks the batch: the scan stops
             // within one cap of the limit instead of decoding a full
             // batch.
-            let rows_cap = self.batch_rows.min(self.limit.max(1));
+            let rows_cap = self.opts.batch_rows.min(self.limit.max(1));
             w.for_each_batch(plan, rows_cap, |env, b| {
                 if rows.len() >= self.limit {
                     return Ok(false);
@@ -284,20 +281,26 @@ fn batch_project(
     Ok(())
 }
 
-/// Executes one SELECT.
-pub fn exec_select(ctx: &mut ExecCtx<'_>, stmt: &SelectStmt) -> Result<QueryResult> {
-    let mut totals = ScanTotals::start(ctx.store, ctx.hosting);
+/// Executes one SELECT. The caller holds the engine's read guard on `db`
+/// for the whole statement.
+pub(crate) fn exec_select(
+    ctx: &mut StmtCtx<'_>,
+    db: &Database,
+    opts: &SelectOpts<'_>,
+    stmt: &SelectStmt,
+) -> Result<QueryResult> {
+    let mut totals = ScanTotals::start(&db.store, ctx.hosting);
     let items: Vec<SelectItem> = stmt
         .items
         .iter()
         .map(|it| SelectItem {
-            expr: resolve_udas(&it.expr, ctx.udas),
+            expr: resolve_udas(&it.expr, opts.udas),
             alias: it.alias.clone(),
             assign: it.assign.clone(),
         })
         .collect();
-    let rows = select_rows(ctx, stmt, &items, &mut totals);
-    let (rows, stats) = totals.close(rows, ctx.store, ctx.hosting, ctx.partial)?;
+    let rows = select_rows(ctx, db, opts, stmt, &items, &mut totals);
+    let (rows, stats) = totals.close(rows, &db.store, ctx)?;
 
     let assignments = items
         .iter()
@@ -328,35 +331,29 @@ pub fn exec_select(ctx: &mut ExecCtx<'_>, stmt: &SelectStmt) -> Result<QueryResu
 /// Produces the statement's output rows: one evaluated row without FROM,
 /// otherwise the scan through the driver and the merge of its partials.
 fn select_rows(
-    ctx: &mut ExecCtx<'_>,
+    ctx: &mut StmtCtx<'_>,
+    db: &Database,
+    opts: &SelectOpts<'_>,
     stmt: &SelectStmt,
     items: &[SelectItem],
     totals: &mut ScanTotals,
 ) -> Result<Vec<Vec<Value>>> {
-    let env = ScanEnv {
-        store: ctx.store,
-        udfs: ctx.udfs,
-        vars: ctx.vars,
-        hosting: &mut *ctx.hosting,
-        query: &ctx.query,
-        dop: ctx.dop,
-    };
     let Some(table_name) = &stmt.from else {
-        return Ok(vec![eval_scalars(env, items.iter().map(|it| &it.expr))?]);
+        let exprs = items.iter().map(|it| &it.expr);
+        return Ok(vec![eval_scalars(ctx, &db.store, exprs)?]);
     };
-    let table = ctx
-        .tables
-        .get(&table_name.to_ascii_lowercase())
+    let table = db
+        .table(table_name)
         .ok_or_else(|| EngineError::Unknown(format!("table `{table_name}`")))?;
     let has_aggregate =
         items.iter().any(|it| it.expr.contains_aggregate()) || !stmt.group_by.is_empty();
     // Vectorized by default: scans run batch-at-a-time whenever the plan
     // compiles; `batch_rows == 0` (or a plan that does not compile) runs
-    // the row-at-a-time interpreter. When the statement came through the
-    // plan cache, its slot answers for var-free statements without
-    // recompiling. This is the executor side of the fallback seam.
-    let batch_plan: std::result::Result<Arc<BatchPlan>, Fallback> = if ctx.batch_rows > 0 {
-        let compile = || {
+    // the row-at-a-time interpreter. The statement's plan-cache slot
+    // answers for var-free statements without recompiling. This is the
+    // executor side of the fallback seam.
+    let batch_plan = if opts.batch_rows > 0 {
+        opts.cached.plan_for(table.schema(), || {
             crate::batch::plan_select(
                 table.schema(),
                 items,
@@ -366,11 +363,7 @@ fn select_rows(
                 ctx.vars,
                 ctx.udfs,
             )
-        };
-        match ctx.cached {
-            Some(slot) => slot.plan_for(table.schema(), compile),
-            None => compile().map(Arc::new),
-        }
+        })
     } else {
         Err(Fallback::BatchDisabled)
     };
@@ -381,12 +374,10 @@ fn select_rows(
         where_clause: stmt.where_clause.as_ref(),
         group_by: &stmt.group_by,
         has_aggregate,
-        limit: stmt.top.unwrap_or(ctx.row_limit),
-        udas: ctx.udas,
-        uda_mode: ctx.uda_mode,
-        batch_rows: ctx.batch_rows,
+        limit: stmt.top.unwrap_or(opts.row_limit),
+        opts,
     };
-    let outs = run_scan(env, table, totals, |w| match &batch_plan {
+    let outs = run_scan(ctx, &db.store, table, totals, |w| match &batch_plan {
         Ok(plan) => job.scan_batches(plan, w),
         Err(_) => job.scan_rows(w),
     })?;

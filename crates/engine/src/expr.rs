@@ -248,8 +248,8 @@ fn resolve_row_value(v: RowValue) -> Value {
 /// Unary minus: preserves the operand's numeric type.
 pub(crate) fn negate(v: Value) -> Result<Value> {
     Ok(match v {
-        Value::I64(x) => Value::I64(-x),
-        Value::I32(x) => Value::I32(-x),
+        Value::I64(x) => Value::I64(x.wrapping_neg()),
+        Value::I32(x) => Value::I32(x.wrapping_neg()),
         Value::F64(x) => Value::F64(-x),
         Value::F32(x) => Value::F32(-x),
         other => return Err(EngineError::Type(format!("cannot negate {other:?}"))),
@@ -277,13 +277,13 @@ pub(crate) fn apply_bin(op: BinOp, l: Value, r: Value) -> Result<Value> {
                         if b == 0 {
                             return Err(EngineError::Type("integer division by zero".into()));
                         }
-                        a / b
+                        a.wrapping_div(b)
                     }
                     Mod => {
                         if b == 0 {
                             return Err(EngineError::Type("modulo by zero".into()));
                         }
-                        a % b
+                        a.wrapping_rem(b)
                     }
                     _ => unreachable!(),
                 };

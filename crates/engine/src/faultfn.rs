@@ -1,8 +1,11 @@
 //! Deterministic fault-injection scalar functions.
 //!
-//! Registered in every engine (like the array and math libraries) so
-//! robustness tests can drive misbehaving workloads through the ordinary
-//! SQL surface instead of private hooks:
+//! Test instruments, not library: a standard engine
+//! ([`crate::Engine::new`]) does not serve them, so no SQL text can panic
+//! a worker or pin a core. The robustness suites register them on top of
+//! [`crate::Engine::standard_registries`] and build their engine with
+//! [`crate::Engine::with_registries`], which lets them drive misbehaving
+//! workloads through the ordinary SQL surface instead of private hooks:
 //!
 //! * `dbo.PanicIf(x, trigger)` — returns `x`, but **panics** when
 //!   `x = trigger`. This is the reproducible "buggy UDF" the worker-panic

@@ -22,6 +22,8 @@
 pub mod aggregate;
 pub mod arraybind;
 mod batch;
+pub mod config;
+pub mod database;
 pub mod engine;
 pub mod exec;
 pub mod expr;
@@ -39,13 +41,15 @@ pub mod value;
 
 pub use aggregate::{UdaMode, UdaRegistry, UdaState};
 pub use batch::Fallback;
+pub use config::Settings;
+pub use database::Database;
 pub use engine::{Engine, EngineConfig, EngineStats};
 pub use exec::{QueryResult, QueryStats};
 pub use hosting::{CostClass, HostingModel, PAPER_CLR_CALL_NS};
 pub use mathfn::{fft_array, gesvd_array, ifft_array, power_spectrum_array};
 pub use plancache::{PlanCache, PlanCacheStats};
 pub use sched::{DopScheduler, DopTicket, SchedStats};
-pub use session::{Database, Prepared, Session};
+pub use session::{Prepared, Session};
 pub use sqlarray_core::lifecycle::{CancelHandle, Interrupt, QueryCtx, QueryLimits};
 pub use sugar::{desugar, SugarTypes};
 pub use udf::UdfRegistry;

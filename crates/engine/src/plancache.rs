@@ -70,9 +70,9 @@ impl CachedPlan {
         }
     }
 
-    /// The compiled-plan slot for statement index `i`.
-    pub fn slot(&self, i: usize) -> Option<&SelectSlot> {
-        self.slots.get(i)
+    /// Each statement with its compiled-plan slot, in batch order.
+    pub fn statements(&self) -> impl Iterator<Item = (&Stmt, &SelectSlot)> {
+        self.stmts.iter().zip(&self.slots)
     }
 }
 
@@ -368,14 +368,14 @@ mod tests {
         let with_var = cache
             .get_or_parse("SELECT v1 + @x FROM t WHERE v1 > 0")
             .unwrap();
-        assert!(!with_var.slot(0).unwrap().cacheable());
+        assert!(!with_var.statements().next().unwrap().1.cacheable());
         let without = cache.get_or_parse("SELECT v1 + 1 FROM t").unwrap();
-        assert!(without.slot(0).unwrap().cacheable());
+        assert!(without.statements().next().unwrap().1.cacheable());
         let var_in_where = cache
             .get_or_parse("SELECT v1 FROM t WHERE v1 > @lo")
             .unwrap();
-        assert!(!var_in_where.slot(0).unwrap().cacheable());
+        assert!(!var_in_where.statements().next().unwrap().1.cacheable());
         let dml = cache.get_or_parse("DELETE FROM t WHERE v1 > 1").unwrap();
-        assert!(!dml.slot(0).unwrap().cacheable());
+        assert!(!dml.statements().next().unwrap().1.cacheable());
     }
 }

@@ -29,44 +29,20 @@
 //! can never change what a query returns, only when it runs and how wide.
 
 use crate::value::EngineError;
-use sqlarray_core::env_usize;
 use sqlarray_core::lifecycle::{Interrupt, QueryCtx};
 use sqlarray_core::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Environment variable overriding the engine's default worker budget.
-pub const WORKER_BUDGET_ENV_VAR: &str = "SQLARRAY_WORKER_BUDGET";
-
-/// Environment variable overriding the admission queue-depth cap.
-pub const ADMISSION_QUEUE_ENV_VAR: &str = "SQLARRAY_ADMISSION_QUEUE";
-
-/// Default admission queue depth when neither the environment nor
-/// [`crate::engine::EngineConfig`] says otherwise: deep enough that only
-/// pathological convoys hit it.
+/// Default admission queue depth when neither `SQLARRAY_ADMISSION_QUEUE`
+/// ([`crate::config`]) nor [`crate::engine::EngineConfig`] says otherwise:
+/// deep enough that only pathological convoys hit it.
 pub const DEFAULT_ADMISSION_QUEUE_CAP: usize = 64;
 
 /// Wait slice for queued statements: how often a waiter re-polls its
 /// cancellation token and deadline while blocked on the condvar. Grants
 /// don't wait for the slice — a release notifies immediately.
 const ADMISSION_POLL: Duration = Duration::from_millis(10);
-
-/// The default worker budget: `SQLARRAY_WORKER_BUDGET` when set (clamped
-/// to ≥ 1), otherwise the configured DOP (`SQLARRAY_DOP`, else the core
-/// count).
-pub fn configured_worker_budget() -> usize {
-    env_usize(WORKER_BUDGET_ENV_VAR)
-        .map(|n| n.max(1))
-        .unwrap_or_else(sqlarray_core::parallel::configured_dop)
-}
-
-/// The default admission queue cap: `SQLARRAY_ADMISSION_QUEUE` when set
-/// (clamped to ≥ 1), else [`DEFAULT_ADMISSION_QUEUE_CAP`].
-pub fn configured_admission_queue_cap() -> usize {
-    env_usize(ADMISSION_QUEUE_ENV_VAR)
-        .map(|n| n.max(1))
-        .unwrap_or(DEFAULT_ADMISSION_QUEUE_CAP)
-}
 
 /// Observable scheduler counters (snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,13 +86,8 @@ pub struct DopScheduler {
 }
 
 impl DopScheduler {
-    /// A scheduler over a worker budget of `budget` (clamped to ≥ 1)
-    /// with the configured default queue cap.
-    pub fn new(budget: usize) -> DopScheduler {
-        DopScheduler::with_queue_cap(budget, configured_admission_queue_cap())
-    }
-
-    /// A scheduler with an explicit queue-depth cap (clamped to ≥ 1).
+    /// A scheduler over a worker budget of `budget` and a queue-depth
+    /// cap of `queue_cap` (both clamped to ≥ 1).
     pub fn with_queue_cap(budget: usize, queue_cap: usize) -> DopScheduler {
         DopScheduler {
             budget: budget.max(1),
@@ -292,9 +263,13 @@ mod tests {
         QueryCtx::unbounded()
     }
 
+    fn sched(budget: usize) -> DopScheduler {
+        DopScheduler::with_queue_cap(budget, DEFAULT_ADMISSION_QUEUE_CAP)
+    }
+
     #[test]
     fn lone_query_gets_full_request_even_past_budget() {
-        let s = DopScheduler::new(2);
+        let s = sched(2);
         let t = s.acquire(8, &unbounded()).unwrap();
         assert_eq!(t.granted(), 8);
         drop(t);
@@ -305,7 +280,7 @@ mod tests {
 
     #[test]
     fn concurrent_queries_share_the_budget_fairly() {
-        let s = DopScheduler::new(8);
+        let s = sched(8);
         let a = s.acquire(8, &unbounded()).unwrap();
         assert_eq!(a.granted(), 8);
         drop(a);
@@ -324,7 +299,7 @@ mod tests {
 
     #[test]
     fn exhausted_budget_queues_until_release() {
-        let s = Arc::new(DopScheduler::new(2));
+        let s = Arc::new(sched(2));
         let a = s.acquire(2, &unbounded()).unwrap();
         let s2 = Arc::clone(&s);
         let waiter = std::thread::spawn(move || s2.acquire(2, &unbounded()).unwrap().granted());
@@ -341,7 +316,7 @@ mod tests {
 
     #[test]
     fn every_grant_is_at_least_one() {
-        let s = DopScheduler::new(1);
+        let s = sched(1);
         let a = s.acquire(1, &unbounded()).unwrap();
         // in_flight == budget, but free == 0 → would queue; release first.
         drop(a);
@@ -351,7 +326,7 @@ mod tests {
 
     #[test]
     fn queued_statement_times_out_with_typed_error() {
-        let s = DopScheduler::new(1);
+        let s = sched(1);
         let _hold = s.acquire(1, &unbounded()).unwrap();
         let q = QueryCtx::with_limits(
             CancelHandle::new(),
@@ -371,7 +346,7 @@ mod tests {
 
     #[test]
     fn queued_statement_honors_cancellation() {
-        let s = Arc::new(DopScheduler::new(1));
+        let s = Arc::new(sched(1));
         let hold = s.acquire(1, &unbounded()).unwrap();
         let h = CancelHandle::new();
         let q = QueryCtx::with_limits(h.clone(), &QueryLimits::default());

@@ -6,257 +6,20 @@
 //! heavy (store, catalog, registries, plan cache, scheduler) lives in the
 //! engine and is shared by every session cloned off it.
 
-use crate::aggregate::{UdaMode, UdaRegistry};
+use crate::aggregate::UdaMode;
+use crate::database::Database;
 use crate::engine::Engine;
 use crate::exec::{
-    eval_scalars, exec_delete, exec_select, exec_update, DmlCtx, ExecCtx, QueryResult, QueryStats,
-    ScanEnv, DEFAULT_ROW_LIMIT,
+    eval_scalars, exec_delete, exec_select, exec_update, QueryResult, QueryStats, SelectOpts,
+    StmtCtx, DEFAULT_ROW_LIMIT,
 };
 use crate::hosting::HostingModel;
 use crate::plancache::CachedPlan;
 use crate::tsql::Stmt;
-use crate::udf::UdfRegistry;
 use crate::value::{EngineError, Result, Value};
-use sqlarray_core::le;
 use sqlarray_core::lifecycle::{CancelHandle, QueryCtx, QueryLimits};
-use sqlarray_storage::{ColType, DiskImage, PageStore, Recovery, RowValue, Schema, Table};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
-
-/// A database: one page store plus its tables.
-pub struct Database {
-    /// The page store all tables live in.
-    pub store: PageStore,
-    /// Tables by lowercase name.
-    pub tables: HashMap<String, Table>,
-}
-
-impl Database {
-    /// An empty database with default store settings.
-    pub fn new() -> Database {
-        Database {
-            store: PageStore::new(),
-            tables: HashMap::new(),
-        }
-    }
-
-    /// An empty database over a custom store (pool size, disk profile).
-    pub fn with_store(store: PageStore) -> Database {
-        Database {
-            store,
-            tables: HashMap::new(),
-        }
-    }
-
-    /// Creates a table.
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) {
-            return Err(EngineError::Storage(format!("table `{name}` exists")));
-        }
-        let t = Table::create(&mut self.store, name, schema)?;
-        self.tables.insert(key, t);
-        Ok(())
-    }
-
-    /// Inserts a row into a table.
-    pub fn insert(&mut self, table: &str, key: i64, values: &[RowValue]) -> Result<()> {
-        let t = self
-            .tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| EngineError::Unknown(format!("table `{table}`")))?;
-        t.insert(&mut self.store, key, values)?;
-        Ok(())
-    }
-
-    /// Bulk-loads an **empty** table from key-sorted rows through the
-    /// parallel ingest path, at the environment-configured DOP
-    /// (`SQLARRAY_DOP`, else the core count; serial inside
-    /// `parallel::with_serial_kernels` — the same knob the scan
-    /// executor, `fftn`, and the dense linalg kernels read). The
-    /// resulting layout, pool state and I/O accounting are identical at
-    /// every DOP.
-    pub fn bulk_insert(&mut self, table: &str, rows: &[(i64, Vec<RowValue>)]) -> Result<()> {
-        self.bulk_insert_with_dop(table, rows, sqlarray_core::parallel::configured_dop())
-    }
-
-    /// [`bulk_insert`](Self::bulk_insert) with an explicit degree of
-    /// parallelism for the encode/leaf-build stages.
-    pub fn bulk_insert_with_dop(
-        &mut self,
-        table: &str,
-        rows: &[(i64, Vec<RowValue>)],
-        dop: usize,
-    ) -> Result<()> {
-        let t = self
-            .tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| EngineError::Unknown(format!("table `{table}`")))?;
-        t.bulk_load(&mut self.store, rows, dop)?;
-        Ok(())
-    }
-
-    /// Looks a table up by name.
-    pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_ascii_lowercase())
-    }
-
-    /// Commits the current state: writes a WAL commit record carrying the
-    /// serialized catalog (every table's name, schema, and B-tree
-    /// geometry). Everything logged up to here survives a crash; anything
-    /// after is rolled back by [`Database::recover`].
-    pub fn commit(&mut self) {
-        let catalog = self.catalog_bytes();
-        self.store.commit(&catalog);
-    }
-
-    /// The catalog image a commit record carries. Tables serialize in
-    /// name order, so the byte stream is independent of hash-map
-    /// iteration order.
-    fn catalog_bytes(&self) -> Vec<u8> {
-        let mut names: Vec<&String> = self.tables.keys().collect();
-        names.sort();
-        let mut out = Vec::new();
-        le::push_u32(&mut out, self.tables.len() as u32);
-        for key in names {
-            // lint:allow(L005, reason = "iterating the map's own keys")
-            let t = &self.tables[key];
-            le::push_bytes(&mut out, t.name().as_bytes());
-            let schema = t.schema();
-            le::push_u32(&mut out, schema.columns.len() as u32);
-            for col in &schema.columns {
-                le::push_bytes(&mut out, col.name.as_bytes());
-                out.push(ctype_tag(col.ctype));
-            }
-            let (root, first_leaf, rows, depth) = t.tree_parts();
-            le::push_u64(&mut out, root);
-            le::push_u64(&mut out, first_leaf);
-            le::push_u64(&mut out, rows);
-            le::push_u32(&mut out, depth);
-        }
-        out
-    }
-
-    /// Recovers a database from a crashed disk image: replays the WAL to
-    /// the last complete commit, discards the torn tail, and rebuilds the
-    /// table catalog from that commit's payload.
-    pub fn recover(image: &DiskImage) -> Result<Database> {
-        Database::from_recovery(PageStore::open(image)?)
-    }
-
-    /// Builds a database from an already-recovered store — for callers
-    /// that ran [`PageStore::open_with`] themselves (custom pool size or
-    /// disk profile) or need [`Recovery`]'s replay counters.
-    pub fn from_recovery(rec: Recovery) -> Result<Database> {
-        let mut db = Database::with_store(rec.store);
-        let Some(catalog) = rec.catalog else {
-            return Ok(db);
-        };
-        db.tables = parse_catalog(&catalog).ok_or_else(|| {
-            EngineError::Storage("commit record carries a malformed catalog".into())
-        })?;
-        Ok(db)
-    }
-}
-
-fn ctype_tag(t: ColType) -> u8 {
-    match t {
-        ColType::I64 => 0,
-        ColType::I32 => 1,
-        ColType::F64 => 2,
-        ColType::F32 => 3,
-        ColType::Blob => 4,
-    }
-}
-
-fn ctype_from_tag(tag: u8) -> Option<ColType> {
-    Some(match tag {
-        0 => ColType::I64,
-        1 => ColType::I32,
-        2 => ColType::F64,
-        3 => ColType::F32,
-        4 => ColType::Blob,
-        _ => return None,
-    })
-}
-
-/// Parses a catalog image back into the table map; `None` on any
-/// truncation or bad tag — the commit checksum already vouched for the
-/// bytes, so a parse failure means a version mismatch, not corruption in
-/// flight.
-fn parse_catalog(buf: &[u8]) -> Option<HashMap<String, Table>> {
-    let mut tables = HashMap::new();
-    if buf.len() < 4 {
-        return None;
-    }
-    let n_tables = le::u32_at(buf, 0) as usize;
-    let mut off = 4usize;
-    for _ in 0..n_tables {
-        let (name, next) = le::take_bytes(buf, off)?;
-        let name = String::from_utf8(name.to_vec()).ok()?;
-        off = next;
-        if buf.len() < off + 4 {
-            return None;
-        }
-        let n_cols = le::u32_at(buf, off) as usize;
-        off += 4;
-        let mut columns = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            let (cname, next) = le::take_bytes(buf, off)?;
-            off = next;
-            let tag = *buf.get(off)?;
-            off += 1;
-            columns.push(sqlarray_storage::Column {
-                name: String::from_utf8(cname.to_vec()).ok()?,
-                ctype: ctype_from_tag(tag)?,
-            });
-        }
-        if buf.len() < off + 8 + 8 + 8 + 4 {
-            return None;
-        }
-        let root = le::u64_at(buf, off);
-        let first_leaf = le::u64_at(buf, off + 8);
-        let rows = le::u64_at(buf, off + 16);
-        let depth = le::u32_at(buf, off + 24);
-        off += 28;
-        let key = name.to_ascii_lowercase();
-        let t = Table::from_parts(name, Schema { columns }, (root, first_leaf, rows, depth));
-        tables.insert(key, t);
-    }
-    if off != buf.len() {
-        return None;
-    }
-    Some(tables)
-}
-
-impl Default for Database {
-    fn default() -> Self {
-        Database::new()
-    }
-}
-
-/// The session default for rows per column batch: `SQLARRAY_BATCH_ROWS`
-/// when set and parseable (0 disables vectorized execution), otherwise
-/// [`sqlarray_core::batch::DEFAULT_BATCH_ROWS`].
-fn configured_batch_rows() -> usize {
-    sqlarray_core::env_usize("SQLARRAY_BATCH_ROWS")
-        .unwrap_or(sqlarray_core::batch::DEFAULT_BATCH_ROWS)
-}
-
-/// The session default statement timeout: `SQLARRAY_STATEMENT_TIMEOUT_MS`
-/// when set and non-zero, otherwise no deadline.
-fn configured_statement_timeout_ms() -> Option<u64> {
-    sqlarray_core::env_usize("SQLARRAY_STATEMENT_TIMEOUT_MS")
-        .filter(|&ms| ms > 0)
-        .map(|ms| ms as u64)
-}
-
-/// The session default per-statement memory budget:
-/// `SQLARRAY_QUERY_MEM_BYTES` when set (0 = unlimited), otherwise
-/// unlimited.
-fn configured_query_mem_bytes() -> u64 {
-    sqlarray_core::env_usize("SQLARRAY_QUERY_MEM_BYTES").unwrap_or(0) as u64
-}
 
 /// A prepared statement: the batch's cached parse (and, per SELECT, its
 /// compiled-plan slot) pinned so repeated executions skip both the cache
@@ -276,10 +39,9 @@ impl Prepared {
 
 /// An interactive session: per-connection state over a shared [`Engine`].
 ///
-/// Constructing a session from a [`Database`] (the single-connection
-/// convenience) wraps it in a fresh engine; [`Engine::session`] spawns
-/// additional sessions over the same data. Statement isolation is
-/// single-writer/multi-reader: see the [`crate::engine`] module docs.
+/// [`Engine::session`] / [`Engine::session_with_hosting`] are the only way
+/// to obtain one. Statement isolation is single-writer/multi-reader: see
+/// the [`crate::engine`] module docs.
 pub struct Session {
     engine: Arc<Engine>,
     /// CLR hosting-cost model (per-session: forks into scan workers and
@@ -314,31 +76,22 @@ pub struct Session {
 }
 
 impl Session {
-    /// A single-connection session over its own fresh engine, with the
-    /// full array library registered and the paper's 2 µs CLR hosting
-    /// cost.
-    pub fn new(db: Database) -> Session {
-        Session::with_hosting(db, HostingModel::paper_clr())
-    }
-
-    /// A single-connection session with an explicit hosting model (e.g.
-    /// [`HostingModel::free`] for the native-cost counterfactual).
-    pub fn with_hosting(db: Database, hosting: HostingModel) -> Session {
-        Engine::new(db).session_with_hosting(hosting)
-    }
-
+    /// The one place a session is built: the engine's defaults (parsed
+    /// from `SQLARRAY_*` when the engine was constructed) are copied, the
+    /// environment is not consulted.
     pub(crate) fn on_engine(engine: Arc<Engine>, hosting: HostingModel) -> Session {
+        let defaults = engine.session_defaults;
         Session {
             engine,
             hosting,
             uda_mode: UdaMode::InMemory,
             row_limit: DEFAULT_ROW_LIMIT,
-            dop: sqlarray_core::parallel::configured_dop(),
-            batch_rows: configured_batch_rows(),
+            dop: defaults.dop,
+            batch_rows: defaults.batch_rows,
             vars: HashMap::new(),
             cancel: CancelHandle::new(),
-            statement_timeout_ms: configured_statement_timeout_ms(),
-            query_mem_bytes: configured_query_mem_bytes(),
+            statement_timeout_ms: defaults.statement_timeout_ms,
+            query_mem_bytes: defaults.query_mem_bytes,
             cancel_after_checks: None,
             last_partial: None,
             last_query: None,
@@ -365,20 +118,10 @@ impl Session {
         self.engine.db_mut()
     }
 
-    /// The engine's scalar-UDF registry (all array schemas + math
-    /// bindings pre-registered).
-    pub fn udfs(&self) -> &UdfRegistry {
-        self.engine.udfs()
-    }
-
-    /// The engine's UDA registry (array aggregates pre-registered).
-    pub fn udas(&self) -> &UdaRegistry {
-        self.engine.udas()
-    }
-
     /// The session's degree of parallelism: how many workers a scan may
-    /// fan out over. Defaults to the `SQLARRAY_DOP` environment variable
-    /// when set, otherwise the number of available cores.
+    /// fan out over. Defaults to the engine's `SQLARRAY_DOP` (read when
+    /// the engine was constructed), otherwise the number of available
+    /// cores.
     pub fn dop(&self) -> usize {
         self.dop
     }
@@ -391,7 +134,7 @@ impl Session {
     }
 
     /// The target rows per column batch for vectorized scans. Defaults to
-    /// the `SQLARRAY_BATCH_ROWS` environment variable when set, otherwise
+    /// the engine's `SQLARRAY_BATCH_ROWS`, otherwise
     /// [`sqlarray_core::batch::DEFAULT_BATCH_ROWS`]; 0 means batch
     /// execution is disabled.
     pub fn batch_rows(&self) -> usize {
@@ -415,7 +158,8 @@ impl Session {
     }
 
     /// The statement timeout, milliseconds; `None` = no deadline.
-    /// Defaults to `SQLARRAY_STATEMENT_TIMEOUT_MS` (unset or 0 = none).
+    /// Defaults to the engine's `SQLARRAY_STATEMENT_TIMEOUT_MS` (unset or
+    /// 0 = none).
     pub fn statement_timeout_ms(&self) -> Option<u64> {
         self.statement_timeout_ms
     }
@@ -428,7 +172,7 @@ impl Session {
     }
 
     /// The per-statement memory budget in bytes; 0 = unlimited. Defaults
-    /// to `SQLARRAY_QUERY_MEM_BYTES`.
+    /// to the engine's `SQLARRAY_QUERY_MEM_BYTES`.
     pub fn query_mem_bytes(&self) -> u64 {
         self.query_mem_bytes
     }
@@ -479,14 +223,51 @@ impl Session {
         query
     }
 
-    /// A statement that reports [`EngineError::Cancelled`] has consumed
-    /// the session's cancel request: clear the sticky flag so the *next*
-    /// statement runs instead of aborting instantly.
-    fn settle<T>(&mut self, r: Result<T>) -> Result<T> {
-        if let Err(EngineError::Cancelled) = &r {
+    /// The statement lifecycle, start to end — every statement kind runs
+    /// inside it, and nothing of a statement happens outside it: mint the
+    /// [`QueryCtx`], hand `body` the engine and the [`StmtCtx`] borrowed
+    /// from this session, settle the outcome. `body` takes whatever
+    /// database lock its statement kind needs and drops it before
+    /// returning, so a session never carries a lock between statements.
+    fn statement<T>(
+        &mut self,
+        body: impl FnOnce(&Engine, &mut StmtCtx<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let query = self.mint_query();
+        let mut ctx = StmtCtx {
+            udfs: self.engine.udfs(),
+            vars: &self.vars,
+            hosting: &mut self.hosting,
+            query: &query,
+            dop: 1,
+            partial: &mut self.last_partial,
+        };
+        let outcome = body(&self.engine, &mut ctx);
+        // A statement that reports `Cancelled` has consumed the session's
+        // cancel request: clear the sticky flag so the *next* statement
+        // runs instead of aborting instantly.
+        if let Err(EngineError::Cancelled) = &outcome {
             self.cancel.clear();
         }
-        r
+        outcome
+    }
+
+    /// A statement that scans: the lifecycle plus an admission ticket,
+    /// held until `body` returns. Ticket before lock: a queued session
+    /// must not hold the database lock while it waits, or it would block
+    /// the very writers whose release frees the budget. The admission
+    /// wait itself polls the statement's lifecycle (deadline, cancel) and
+    /// can refuse with a typed error.
+    fn admitted<T>(
+        &mut self,
+        body: impl FnOnce(&Engine, &mut StmtCtx<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let requested = self.dop;
+        self.statement(|engine, ctx| {
+            let ticket = engine.sched().acquire(requested, ctx.query)?;
+            ctx.dop = ticket.granted();
+            body(engine, ctx)
+        })
     }
 
     /// Reads a session variable (case-insensitive, no allocation for
@@ -525,15 +306,13 @@ impl Session {
         self.run_plan(&plan)
     }
 
-    /// Runs one cached batch, statement by statement.
-    ///
-    /// Lock discipline, per statement: admission ticket first, database
-    /// lock second, and both drop before the next statement — a session
-    /// never carries a lock between statements, so a long batch cannot
-    /// starve the engine.
+    /// Runs one cached batch, statement by statement. SELECT and DML are
+    /// [`admitted`](Self::admitted); DECLARE/SET initializers run the bare
+    /// [`statement`](Self::statement) lifecycle (they scan nothing, so
+    /// they take no ticket).
     fn run_plan(&mut self, cached: &CachedPlan) -> Result<Vec<QueryResult>> {
         let mut results = Vec::new();
-        for (i, stmt) in cached.stmts.iter().enumerate() {
+        for (stmt, slot) in cached.statements() {
             match stmt {
                 Stmt::Declare { name, init } => {
                     let v = match init {
@@ -553,50 +332,28 @@ impl Session {
                     self.vars.insert(key, v);
                 }
                 Stmt::Select(sel) => {
-                    let query = self.mint_query();
-                    let outcome = {
-                        // Ticket before lock: a queued session must not
-                        // hold the database lock while it waits, or it
-                        // would block the very writers whose release
-                        // frees the budget. The admission wait itself
-                        // polls the statement's lifecycle (deadline,
-                        // cancel) and can refuse with a typed error.
-                        match self.engine.sched().acquire(self.dop, &query) {
-                            Err(e) => Err(e),
-                            Ok(ticket) => {
-                                let db = self.engine.db();
-                                let mut ctx = ExecCtx {
-                                    store: &db.store,
-                                    tables: &db.tables,
-                                    udfs: self.engine.udfs(),
-                                    udas: self.engine.udas(),
-                                    hosting: &mut self.hosting,
-                                    vars: &self.vars,
-                                    uda_mode: self.uda_mode,
-                                    row_limit: self.row_limit,
-                                    dop: ticket.granted(),
-                                    batch_rows: self.batch_rows,
-                                    cached: cached.slot(i),
-                                    query: query.clone(),
-                                    partial: &mut self.last_partial,
-                                };
-                                exec_select(&mut ctx, sel)
-                            }
-                        }
-                    };
-                    let result = self.settle(outcome)?;
+                    let (uda_mode, row_limit, batch_rows) =
+                        (self.uda_mode, self.row_limit, self.batch_rows);
+                    let result = self.admitted(|engine, ctx| {
+                        let opts = SelectOpts {
+                            udas: engine.udas(),
+                            uda_mode,
+                            row_limit,
+                            batch_rows,
+                            cached: slot,
+                        };
+                        exec_select(ctx, &engine.db(), &opts, sel)
+                    })?;
                     for (name, v) in &result.assignments {
                         self.vars.insert(name.to_ascii_lowercase(), v.clone());
                     }
                     results.push(result);
                 }
                 Stmt::Update(u) => {
-                    let result = self.run_dml(|ctx| exec_update(ctx, u))?;
-                    results.push(result);
+                    results.push(self.run_dml(|ctx, db| exec_update(ctx, db, u))?);
                 }
                 Stmt::Delete(d) => {
-                    let result = self.run_dml(|ctx| exec_delete(ctx, d))?;
-                    results.push(result);
+                    results.push(self.run_dml(|ctx, db| exec_delete(ctx, db, d))?);
                 }
             }
         }
@@ -608,41 +365,18 @@ impl Session {
     /// guard therefore only ever observe committed state.
     fn run_dml(
         &mut self,
-        f: impl FnOnce(&mut DmlCtx<'_>) -> Result<QueryResult>,
+        f: impl FnOnce(&mut StmtCtx<'_>, &mut Database) -> Result<QueryResult>,
     ) -> Result<QueryResult> {
-        let query = self.mint_query();
-        let outcome = match self.engine.sched().acquire(self.dop, &query) {
-            Err(e) => Err(e),
-            Ok(ticket) => {
-                let mut guard = self.engine.db_mut();
-                let db = &mut *guard;
-                let result = {
-                    let mut ctx = DmlCtx {
-                        store: &mut db.store,
-                        tables: &mut db.tables,
-                        udfs: self.engine.udfs(),
-                        hosting: &mut self.hosting,
-                        vars: &self.vars,
-                        dop: ticket.granted(),
-                        query: query.clone(),
-                        partial: &mut self.last_partial,
-                    };
-                    f(&mut ctx)
-                };
-                match result {
-                    // Statement-level autocommit: each DML statement is a
-                    // durability point, written while this session is
-                    // still the exclusive owner. An aborted match phase
-                    // commits nothing — no page or WAL byte has changed.
-                    Ok(r) => {
-                        db.commit();
-                        Ok(r)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        };
-        self.settle(outcome)
+        self.admitted(|engine, ctx| {
+            let mut db = engine.db_mut();
+            let result = f(ctx, &mut db)?;
+            // Statement-level autocommit: each DML statement is a
+            // durability point, written while this session is still the
+            // exclusive owner. An aborted match phase commits nothing —
+            // no page or WAL byte has changed.
+            db.commit();
+            Ok(result)
+        })
     }
 
     /// Executes a batch written in the §8 array-notation sugar (`@a[3]`,
@@ -663,9 +397,7 @@ impl Session {
         sql: &str,
         types: &crate::sugar::SugarTypes,
     ) -> Result<QueryResult> {
-        self.execute_sugar(sql, types)?
-            .pop()
-            .ok_or_else(|| EngineError::Unsupported("batch contains no SELECT".into()))
+        self.query(&crate::sugar::desugar(sql, types)?)
     }
 
     /// Executes a batch and returns the last SELECT's result.
@@ -685,27 +417,16 @@ impl Session {
     /// lifecycle context, so timeouts, cancellation and the memory budget
     /// apply to initializers like to any SELECT.
     fn eval_expr(&mut self, e: &crate::expr::Expr) -> Result<Value> {
-        let query = self.mint_query();
-        let out = {
-            let db = self.engine.db();
-            let env = ScanEnv {
-                store: &db.store,
-                udfs: self.engine.udfs(),
-                vars: &self.vars,
-                hosting: &mut self.hosting,
-                query: &query,
-                dop: 1,
-            };
-            eval_scalars(env, [e]).map(|mut v| v.remove(0))
-        };
-        self.settle(out)
+        self.statement(|engine, ctx| {
+            eval_scalars(ctx, &engine.db().store, [e]).map(|mut v| v.remove(0))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlarray_storage::ColType;
+    use sqlarray_storage::{ColType, RowValue, Schema};
 
     fn session_with_tables(rows: i64) -> Session {
         let mut db = Database::new();
@@ -741,7 +462,7 @@ mod tests {
             .unwrap();
         }
         // Keep unit tests fast: no hosting spin.
-        Session::with_hosting(db, HostingModel::free())
+        Engine::new(db).session_with_hosting(HostingModel::free())
     }
 
     #[test]
@@ -997,7 +718,7 @@ mod tests {
         )
         .unwrap();
         db.bulk_insert_with_dop("Tscalar", &rows, 4).unwrap();
-        let mut bulk = Session::with_hosting(db, HostingModel::free());
+        let mut bulk = Engine::new(db).session_with_hosting(HostingModel::free());
         for q in [
             "SELECT COUNT(*) FROM Tscalar",
             "SELECT SUM(v1), AVG(v3), MIN(v2), MAX(v5) FROM Tscalar",

@@ -315,8 +315,8 @@ fn parse_axes(body: &str, pos: usize) -> Result<Vec<Axis>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Database, Session};
     use crate::value::Value;
+    use crate::{Database, Engine};
 
     fn t() -> SugarTypes {
         SugarTypes::new()
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn end_to_end_through_the_session() {
-        let mut s = Session::new(Database::new());
+        let mut s = Engine::new(Database::new()).session();
         s.execute("DECLARE @a VARBINARY(100) = FloatArray.Vector_5(1.0, 2.0, 3.0, 4.0, 5.0)")
             .unwrap();
         // SELECT @a[3] via the sugar API.
@@ -428,7 +428,7 @@ mod tests {
             )
             .unwrap();
         }
-        let mut s = Session::with_hosting(db, crate::hosting::HostingModel::free());
+        let mut s = Engine::new(db).session_with_hosting(crate::hosting::HostingModel::free());
         // Q4 of Table 1, in sugar: SELECT SUM(v[1]) FROM vecs.
         let v = s.query_sugar("SELECT SUM(v[1]) FROM vecs", &t()).unwrap();
         let expect: f64 = (0..10).map(|k| 2.0 * k as f64).sum();

@@ -6,7 +6,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sqlarray_core::build;
-use sqlarray_engine::{Database, EngineError, HostingModel, Session, Value};
+use sqlarray_engine::{Database, Engine, EngineError, HostingModel, Session, Value};
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
 use sqlarray_storage::{ColType, FailPlan, RowValue, Schema};
 use std::collections::BTreeMap;
@@ -39,7 +39,7 @@ fn session(rows: i64) -> Session {
         .unwrap();
     }
     db.commit();
-    Session::with_hosting(db, HostingModel::free())
+    Engine::new(db).session_with_hosting(HostingModel::free())
 }
 
 fn id_tag_rows(s: &mut Session) -> Vec<(i64, i32)> {
@@ -154,7 +154,7 @@ fn array_update_rewrites_only_touched_chunks() {
     )
     .unwrap();
     db.commit();
-    let mut s = Session::with_hosting(db, HostingModel::free());
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
 
     let stored_before = s.db().table("T").unwrap().clone();
     let before = stored_before
@@ -258,7 +258,7 @@ fn dml_crash_recovery_through_sql() {
         .unwrap();
     let crashed = s.db().store.crash_image();
     let db = Database::recover(&crashed).unwrap();
-    let mut rec = Session::with_hosting(db, HostingModel::free());
+    let mut rec = Engine::new(db).session_with_hosting(HostingModel::free());
     assert_eq!(
         id_tag_rows(&mut rec),
         pre,
@@ -267,13 +267,13 @@ fn dml_crash_recovery_through_sql() {
 
     // Replay the same statement without a crash: it persists.
     let db = Database::recover(&pre_image).unwrap();
-    let mut s2 = Session::with_hosting(db, HostingModel::free());
+    let mut s2 = Engine::new(db).session_with_hosting(HostingModel::free());
     s2.execute("UPDATE T SET tag = tag + 500 WHERE id < 10")
         .unwrap();
     let post = id_tag_rows(&mut s2);
     assert_ne!(post, pre);
     let db = Database::recover(&s2.db().store.crash_image()).unwrap();
-    let mut rec = Session::with_hosting(db, HostingModel::free());
+    let mut rec = Engine::new(db).session_with_hosting(HostingModel::free());
     assert_eq!(
         id_tag_rows(&mut rec),
         post,
@@ -327,7 +327,7 @@ fn crash_right_after_a_checkpoint_keeps_every_table() {
     let second = Database::recover(&first).unwrap().store.crash_image();
     for image in [first, second] {
         let db = Database::recover(&image).unwrap();
-        let mut rec = Session::with_hosting(db, HostingModel::free());
+        let mut rec = Engine::new(db).session_with_hosting(HostingModel::free());
         let got = (table_contents(&mut rec, "T"), table_contents(&mut rec, "U"));
         assert_eq!(got, live);
     }
@@ -351,7 +351,7 @@ fn crash_after_an_auto_checkpointing_ingest_keeps_every_row() {
     }
     let live = table_contents(&mut s, "T");
     let db = Database::recover(&s.db().store.crash_image()).unwrap();
-    let mut rec = Session::with_hosting(db, HostingModel::free());
+    let mut rec = Engine::new(db).session_with_hosting(HostingModel::free());
     assert_eq!(table_contents(&mut rec, "T"), live);
 }
 
@@ -416,7 +416,7 @@ fn assert_failed_update_leaves_no_trace(rows: i64, failing: &str, want: fn(&Engi
         // update into the durable state.
         s.execute("DELETE FROM T WHERE id < 0").unwrap();
         let db = Database::recover(&s.db().store.crash_image()).unwrap();
-        let mut rec = Session::with_hosting(db, HostingModel::free());
+        let mut rec = Engine::new(db).session_with_hosting(HostingModel::free());
         assert_eq!(all_rows(&mut rec), before, "dop {dop}: recovery differs");
     }
 }
@@ -472,7 +472,7 @@ fn apply_phase_error_still_reports_partial_stats() {
         .unwrap();
     }
     db.commit();
-    let mut s = Session::with_hosting(db, HostingModel::free());
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
     s.set_var("big", Value::Bytes(vec![3u8; 5000]));
     s.db().store.clear_cache();
     let err = s.execute("UPDATE W SET a = @big WHERE id = 7").unwrap_err();
@@ -614,7 +614,7 @@ proptest! {
         }
         // The final durable image round-trips through recovery.
         let db = Database::recover(&s.db().store.crash_image()).unwrap();
-        let mut rec = Session::with_hosting(db, HostingModel::free());
+        let mut rec = Engine::new(db).session_with_hosting(HostingModel::free());
         let rows = id_tag_rows(&mut rec);
         let expect: Vec<(i64, i32)> = model.iter().map(|(&k, &t)| (k, t)).collect();
         prop_assert!(rows == expect, "recovered {rows:?} != model {expect:?}");

@@ -1,49 +1,126 @@
-//! Source-shape pin for the executor: `crates/engine/src/exec/` has one
-//! partitioned-scan driver, so it has exactly one fan-out call and one
-//! panic boundary. A second `scoped_map_ranges(` or `catch_unwind(` means
-//! a twin harness grew back (the pre-split `exec.rs` carried two of each,
-//! one for SELECT and one for the DML match phase).
+//! Source-shape pins for the engine crate — things a type cannot enforce
+//! and a unit test cannot see, checked over the token stream (comments,
+//! strings and `#[cfg(test)]` code do not count):
+//!
+//! * `crates/engine/src/exec/` has one partitioned-scan driver, so it has
+//!   exactly one fan-out call and one panic boundary. A second
+//!   `scoped_map_ranges(` or `catch_unwind(` means a twin harness grew
+//!   back (the pre-split `exec.rs` carried two of each, one for SELECT and
+//!   one for the DML match phase).
+//! * The engine reads the process environment in one module, `config.rs`;
+//!   a second `env_usize(` / `env::var` means a knob is parsed beside
+//!   [`Settings`](../../engine/src/config.rs) again.
+//! * A `Session` is built in one function and every statement starts and
+//!   ends in one: one `Session { .. }` literal, one `mint_query(` call, one
+//!   `.acquire(` call, all in `session.rs`.
 
 use sqlarray_lint::driver::find_workspace_root;
 use sqlarray_lint::SourceFile;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Calls of `name` (identifier followed by `(`) in non-test code of every
-/// file under the executor directory; comments and strings do not count.
-fn calls(name: &str) -> Vec<String> {
-    let cwd = std::env::current_dir().unwrap();
-    let root = find_workspace_root(&cwd).expect("run inside the workspace");
-    let dir = root.join("crates/engine/src/exec");
-    let mut hits = Vec::new();
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
+/// Every `.rs` file under `dir`, recursively, in a stable order.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
         .collect();
-    files.sort();
-    assert!(files.len() >= 5, "executor split went missing: {files:?}");
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The workspace-relative path of every non-test token position under
+/// `rel_dir` where `matches(file, k)` holds — one entry per hit.
+fn hits(rel_dir: &str, matches: impl Fn(&SourceFile<'_>, usize) -> bool) -> Vec<String> {
+    let cwd = std::env::current_dir().unwrap();
+    let root = find_workspace_root(&cwd).expect("run inside the workspace");
+    let mut files = Vec::new();
+    rust_files(&root.join(rel_dir), &mut files);
+    assert!(files.len() >= 5, "{rel_dir} went missing: {files:?}");
+    let mut found = Vec::new();
     for path in files {
         let src = std::fs::read_to_string(&path).unwrap();
-        let label = Path::new("crates/engine/src/exec").join(path.file_name().unwrap());
+        let label = path.strip_prefix(&root).unwrap();
         let label = label.to_string_lossy().replace('\\', "/");
         let f = SourceFile::parse(&label, &src);
         for k in 0..f.sig.len() {
-            if f.is_ident(k, name) && f.is_punct(k + 1, "(") && !f.in_test(f.tok(k).start) {
-                hits.push(label.clone());
+            if matches(&f, k) && !f.in_test(f.tok(k).start) {
+                found.push(label.clone());
             }
         }
     }
-    hits
+    found
+}
+
+/// `name(` — a call or a definition of `name`.
+fn followed_by_paren(f: &SourceFile<'_>, k: usize, name: &str) -> bool {
+    f.is_ident(k, name) && f.is_punct(k + 1, "(")
 }
 
 #[test]
 fn the_executor_has_one_fan_out_and_one_panic_boundary() {
     for name in ["scoped_map_ranges", "catch_unwind"] {
-        let hits = calls(name);
         assert_eq!(
-            hits,
+            hits("crates/engine/src/exec", |f, k| followed_by_paren(
+                f, k, name
+            )),
             ["crates/engine/src/exec/scan.rs"],
             "`{name}(` must appear exactly once, in the scan driver"
         );
     }
+}
+
+#[test]
+fn the_engine_reads_the_environment_in_one_module() {
+    let reads = hits("crates/engine/src", |f, k| {
+        let env_path = f.is_ident(k, "env")
+            && f.is_punct(k + 1, ":")
+            && f.is_punct(k + 2, ":")
+            && f.text(k + 3).starts_with("var");
+        env_path || followed_by_paren(f, k, "env_usize")
+    });
+    assert!(!reads.is_empty(), "the matcher no longer sees config.rs");
+    assert!(
+        reads.iter().all(|p| p == "crates/engine/src/config.rs"),
+        "`SQLARRAY_*` is parsed in `config.rs` only, once per engine: {reads:?}"
+    );
+}
+
+#[test]
+fn sessions_are_built_and_statements_run_through_one_door() {
+    let in_session_rs = ["crates/engine/src/session.rs"];
+    // `Session {` that opens a literal: not the item (`struct`/`impl`/
+    // `for Session {`) and not a body after a `-> Session` return type.
+    let literals = hits("crates/engine/src", |f, k| {
+        let opens_item_or_body = k > 0
+            && (f.is_punct(k - 1, ">")
+                || ["struct", "impl", "for"]
+                    .iter()
+                    .any(|kw| f.is_ident(k - 1, kw)));
+        f.is_ident(k, "Session") && f.is_punct(k + 1, "{") && !opens_item_or_body
+    });
+    assert_eq!(
+        literals, in_session_rs,
+        "`Session {{ .. }}` is written once, in `Session::on_engine`"
+    );
+    let calls_of = |name: &'static str| {
+        hits("crates/engine/src", move |f, k| {
+            followed_by_paren(f, k, name) && !(k > 0 && f.is_ident(k - 1, "fn"))
+        })
+    };
+    assert_eq!(
+        calls_of("mint_query"),
+        in_session_rs,
+        "one statement lifecycle: `mint_query(` has one caller"
+    );
+    assert_eq!(
+        calls_of("acquire"),
+        in_session_rs,
+        "one admitted wrapper: `sched().acquire(` has one caller"
+    );
 }

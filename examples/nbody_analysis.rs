@@ -6,7 +6,7 @@
 //! cargo run --release --example nbody_analysis
 //! ```
 
-use sqlarray::engine::{Database, Session, Value};
+use sqlarray::engine::{Database, Engine, Value};
 use sqlarray::nbody::{
     build_lightcone, friends_of_friends, link_catalogs, power_spectrum, two_point_correlation,
     DensityGrid, LightconeSpec, Octree, SynthSim,
@@ -76,7 +76,7 @@ fn main() {
     );
 
     // The §5.3 path: hand the blob to the in-server FFT UDF.
-    let mut session = Session::new(Database::new());
+    let mut session = Engine::new(Database::new()).session();
     session.set_var("rho", Value::Bytes(delta.as_blob().to_vec()));
     let dc = session
         .query_scalar("SELECT ComplexArrayMax.Item_3(FloatArrayMax.FFTForward(@rho), 0, 0, 0)")

@@ -5,11 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sqlarray::engine::{Database, Session, Value};
+use sqlarray::engine::{Database, Value};
 use sqlarray::prelude::*;
 
 fn main() {
-    let mut session = Session::new(Database::new());
+    let mut session = Engine::new(Database::new()).session();
 
     // --- §5.1: create a vector, read an item --------------------------
     let item = session
@@ -128,7 +128,7 @@ fn main() {
         )
         .unwrap();
     }
-    let mut session = Session::new(db);
+    let mut session = Engine::new(db).session();
     session
         .execute(
             "DECLARE @l VARBINARY(100) = IntArray.Vector_1(6);
@@ -178,7 +178,7 @@ fn main() {
         )
         .unwrap();
     }
-    let mut session = Session::new(db);
+    let mut session = Engine::new(db).session();
     session.set_dop(1);
     let serial = session.query("SELECT SUM(x), COUNT(*) FROM big").unwrap();
     session.set_dop(4);

@@ -21,9 +21,9 @@
 //! ## The paper's first example, in five lines
 //!
 //! ```
-//! use sqlarray::engine::{Database, Session};
+//! use sqlarray::engine::{Database, Engine};
 //!
-//! let mut session = Session::new(Database::new());
+//! let mut session = Engine::new(Database::new()).session();
 //! let v = session.query_scalar(
 //!     "DECLARE @a VARBINARY(100) = FloatArray.Vector_5(1.0, 2.0, 3.0, 4.0, 5.0);
 //!      SELECT FloatArray.Item_1(@a, 3)",
@@ -45,6 +45,6 @@ pub use sqlarray_turbulence as turbulence;
 /// The most commonly used types across the workspace.
 pub mod prelude {
     pub use sqlarray_core::prelude::*;
-    pub use sqlarray_engine::{Database, HostingModel, Session, Value};
+    pub use sqlarray_engine::{Database, Engine, HostingModel, Session, Value};
     pub use sqlarray_storage::{ColType, PageStore, RowValue, Schema, Table};
 }

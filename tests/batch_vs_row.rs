@@ -95,7 +95,7 @@ fn build_session(rows: i64, seed: u64) -> Session {
         )
         .unwrap();
     }
-    Session::with_hosting(db, HostingModel::free())
+    Engine::new(db).session_with_hosting(HostingModel::free())
 }
 
 /// Queries that must succeed and agree bit-for-bit on every configuration.
@@ -112,6 +112,14 @@ const QUERIES: &[&str] = &[
     "SELECT id % 4, COUNT(*), SUM(c) FROM T GROUP BY id % 4",
     "SELECT MIN(b), MAX(d) FROM T WHERE NOT a = 0",
     "SELECT 1 + a, b - 2, c / 2.0, d FROM T WHERE a % 2 = 0 AND c > -100.0",
+    // The one quotient, remainder and negation that overflow `i64`: they
+    // wrap like Add/Sub/Mul do, in a constant and over a column.
+    "SELECT (0 - 9223372036854775807 - 1) / (0 - 1), (0 - 9223372036854775807 - 1) % (0 - 1), \
+     -(0 - 9223372036854775807 - 1)",
+    "SELECT (a - a - 9223372036854775807 - 1) / (id - id - 1), \
+     (a - a - 9223372036854775807 - 1) % (id - id - 1), -(a - a - 9223372036854775807 - 1) \
+     FROM T",
+    "SELECT SUM((a - a - 9223372036854775807 - 1) / (id - id - 1)) FROM T WHERE id < 2",
     // Scalar UDF calls: Table 1's Q4 and Q5 shapes, a computed index.
     "SELECT SUM(FloatArray.Item_1(w, 0)) FROM T",
     "SELECT SUM(dbo.EmptyFunction(w, 0)), COUNT(*) FROM T",
@@ -312,6 +320,121 @@ fn batch_stats_reflect_the_active_path() {
     s.set_batch_rows(0);
     let r = s.query("SELECT COUNT(*) FROM T").unwrap();
     assert_eq!(r.stats.fallback, Some(Fallback::BatchDisabled));
+}
+
+/// `i64::MIN / -1`, `i64::MIN % -1` and `-i64::MIN` are the three integer
+/// operations whose true result does not fit: both expression
+/// evaluators wrap them (the rule Add/Sub/Mul follow), so every route to
+/// the operator — a FROM-less SELECT, the row scan, the batch scan, an
+/// `UPDATE … SET` expression — returns the same value at every DOP, and
+/// none of them panics or reports `WorkerPanicked`.
+#[test]
+fn integer_overflow_wraps_identically_on_every_path() {
+    const MIN: &str = "(0 - 9223372036854775807 - 1)";
+    let shapes = [
+        ("{min} / ({zero} - 1)", i64::MIN),
+        ("{min} % ({zero} - 1)", 0),
+        ("-{min}", i64::MIN),
+    ];
+    let mut s = build_session(300, 0x0F10);
+    for (shape, want) in shapes {
+        let want = Value::I64(want);
+        // No scan at all: nothing would catch a panic here.
+        let constant = shape.replace("{min}", MIN).replace("{zero}", "0");
+        assert_eq!(
+            s.query_scalar(&format!("SELECT {constant}")).unwrap(),
+            want,
+            "FROM-less {constant}"
+        );
+        s.execute("DECLARE @x BIGINT").unwrap();
+        s.execute(&format!("SET @x = {constant}")).unwrap();
+        assert_eq!(s.var("x"), Some(&want), "SET @x = {constant}");
+
+        // Over columns, so neither planner can fold it away.
+        let per_row = shape
+            .replace("{min}", &format!("(a - a + {MIN})"))
+            .replace("{zero}", "(id - id)");
+        for dop in [1usize, 4] {
+            s.set_dop(dop);
+            for batch in [0usize, 1024] {
+                s.set_batch_rows(batch);
+                let r = s
+                    .query(&format!("SELECT {per_row} FROM T WHERE id < 200"))
+                    .unwrap_or_else(|e| panic!("{per_row} dop {dop} batch {batch}: {e}"));
+                assert_eq!(r.stats.batches > 0, batch > 0, "wrong path: {per_row}");
+                assert_eq!(r.rows.len(), 200);
+                assert!(
+                    r.rows.iter().all(|row| row == std::slice::from_ref(&want)),
+                    "{per_row} dop {dop} batch {batch}: {:?}",
+                    r.rows[0]
+                );
+            }
+            // The DML match phase evaluates SET expressions on the row
+            // interpreter, under the same panic boundary.
+            s.execute(&format!("UPDATE T SET a = {per_row} WHERE id >= 100"))
+                .unwrap_or_else(|e| panic!("UPDATE SET a = {per_row} dop {dop}: {e}"));
+            let changed = s
+                .query("SELECT MIN(a), MAX(a), COUNT(*) FROM T WHERE id >= 100")
+                .unwrap();
+            assert_eq!(
+                changed.rows,
+                [[want.clone(), want.clone(), Value::I64(200)]],
+                "UPDATE SET a = {per_row} dop {dop}"
+            );
+        }
+    }
+    // The 32-bit negation: only a bare INT column is an `I32` operand
+    // (arithmetic widens), so store the one value that overflows it.
+    s.execute("UPDATE T SET b = 0 - 2147483647 - 1 WHERE id < 3")
+        .unwrap();
+    for batch in [0usize, 1024] {
+        s.set_batch_rows(batch);
+        let r = s.query("SELECT -b FROM T WHERE id < 3").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::I32(i32::MIN)]; 3], "batch {batch}");
+    }
+}
+
+/// The statements the retired `batch_pipeline` and `udf_overhead` benches
+/// checked before timing, over the same Table 1 fixture: the two
+/// vectorization showcase queries, Q4, Q5 and the grouped `Item_1`
+/// statement agree bit for bit between the row interpreter and 1 K / 4 K
+/// batches at every DOP, the batch plan engages with no typed fallback,
+/// and both paths make the same number of managed calls.
+#[test]
+fn table1_and_showcase_statements_match_on_both_paths() {
+    use sqlarray_bench::{build_table1_db_with, BATCH_QUERIES, TABLE1_QUERIES};
+    let grouped_item =
+        "SELECT id % 4, SUM(floatarray.Item_1(v, 1)) FROM Tvector WITH (NOLOCK) GROUP BY id % 4";
+    let statements = BATCH_QUERIES.iter().map(|(_, sql)| *sql).chain([
+        TABLE1_QUERIES[3],
+        TABLE1_QUERIES[4],
+        grouped_item,
+    ]);
+    // 5 000 rows: one full 4 096-row batch and a partial one.
+    let mut s = build_table1_db_with(5_000, HostingModel::free());
+    for sql in statements {
+        s.set_batch_rows(0);
+        s.set_dop(1);
+        let row = s.query(sql).unwrap();
+        assert_eq!(row.stats.fallback, Some(Fallback::BatchDisabled), "{sql}");
+        assert_eq!(row.stats.batches, 0, "{sql}");
+        for batch in [1024usize, 4096] {
+            s.set_batch_rows(batch);
+            for &dop in &DOPS {
+                s.set_dop(dop);
+                let got = s.query(sql).unwrap();
+                assert_eq!(got.stats.fallback, None, "{sql} fell back to rows");
+                assert!(
+                    rows_bit_identical(&row.rows, &got.rows),
+                    "batch={batch} dop={dop} diverged from the row path: {sql}"
+                );
+                assert_eq!(
+                    got.stats.udf_calls, row.stats.udf_calls,
+                    "batch={batch} dop={dop}: {sql}"
+                );
+            }
+        }
+    }
 }
 
 /// A `TOP k` projection stops evaluating WHERE at the k-th match, like

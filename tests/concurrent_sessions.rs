@@ -64,7 +64,7 @@ fn seeded_db(rows: i64) -> Database {
 }
 
 fn serial_session(rows: i64) -> Session {
-    let mut s = Session::with_hosting(seeded_db(rows), HostingModel::free());
+    let mut s = Engine::new(seeded_db(rows)).session_with_hosting(HostingModel::free());
     s.set_dop(1);
     s
 }
@@ -166,7 +166,7 @@ proptest! {
         let want_img = serial.db().store.crash_image();
         prop_assert!(img.wal == want_img.wal, "WAL bytes differ under concurrency");
         let mut recovered =
-            Session::with_hosting(Database::recover(&img).unwrap(), HostingModel::free());
+            Engine::new(Database::recover(&img).unwrap()).session_with_hosting(HostingModel::free());
         let mut reref = run_queries(&mut recovered);
         let want = run_queries(&mut serial);
         for (qi, rows) in reref.drain(..).enumerate() {
@@ -246,7 +246,7 @@ fn snapshot_reads_never_observe_torn_writes() {
     // recovers cleanly after the concurrent episode.
     let img = engine.db().store.crash_image();
     let mut recovered =
-        Session::with_hosting(Database::recover(&img).unwrap(), HostingModel::free());
+        Engine::new(Database::recover(&img).unwrap()).session_with_hosting(HostingModel::free());
     let flipped = recovered.query_scalar("SELECT SUM(tag) FROM T").unwrap();
     assert!(
         matches!(flipped, Value::F64(s) if s == sum),

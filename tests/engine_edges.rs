@@ -18,7 +18,7 @@ fn tiny_db(rows: i64) -> Database {
 
 #[test]
 fn top_caps_rows_and_stops_the_scan_early() {
-    let mut s = Session::with_hosting(tiny_db(1000), HostingModel::free());
+    let mut s = Engine::new(tiny_db(1000)).session_with_hosting(HostingModel::free());
     let r = s.query("SELECT TOP 7 id FROM t").unwrap();
     assert_eq!(r.rows.len(), 7);
     // The scan must not have visited all 1000 rows.
@@ -31,7 +31,7 @@ fn top_caps_rows_and_stops_the_scan_early() {
 
 #[test]
 fn row_limit_guards_unbounded_projections() {
-    let mut s = Session::with_hosting(tiny_db(500), HostingModel::free());
+    let mut s = Engine::new(tiny_db(500)).session_with_hosting(HostingModel::free());
     s.row_limit = 100;
     let r = s.query("SELECT id FROM t").unwrap();
     assert_eq!(r.rows.len(), 100);
@@ -39,7 +39,7 @@ fn row_limit_guards_unbounded_projections() {
 
 #[test]
 fn where_errors_inside_the_scan_surface_cleanly() {
-    let mut s = Session::with_hosting(tiny_db(10), HostingModel::free());
+    let mut s = Engine::new(tiny_db(10)).session_with_hosting(HostingModel::free());
     // Division by zero mid-scan must abort with an error, not panic.
     let err = s.query("SELECT id FROM t WHERE 1 / (id - 5) > 0");
     assert!(err.is_err());
@@ -47,7 +47,7 @@ fn where_errors_inside_the_scan_surface_cleanly() {
 
 #[test]
 fn scalar_accessor_rejects_multi_row_results() {
-    let mut s = Session::with_hosting(tiny_db(3), HostingModel::free());
+    let mut s = Engine::new(tiny_db(3)).session_with_hosting(HostingModel::free());
     assert!(s.query_scalar("SELECT id FROM t").is_err());
     assert_eq!(
         s.query_scalar("SELECT COUNT(*) FROM t").unwrap(),
@@ -57,7 +57,7 @@ fn scalar_accessor_rejects_multi_row_results() {
 
 #[test]
 fn stats_expose_cpu_percent_and_rates() {
-    let mut s = Session::with_hosting(tiny_db(2000), HostingModel::free());
+    let mut s = Engine::new(tiny_db(2000)).session_with_hosting(HostingModel::free());
     s.db().store.clear_cache();
     let r = s.query("SELECT SUM(x) FROM t").unwrap();
     let st = &r.stats;
@@ -92,7 +92,7 @@ fn group_by_with_uda_and_builtin_mix() {
         )
         .unwrap();
     }
-    let mut s = Session::with_hosting(db, HostingModel::free());
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
     let r = s
         .query("SELECT g, COUNT(*), FloatArrayMax.VectorAvg(a) FROM v GROUP BY g")
         .unwrap();
@@ -107,7 +107,7 @@ fn group_by_with_uda_and_builtin_mix() {
 
 #[test]
 fn variables_persist_across_execute_calls() {
-    let mut s = Session::with_hosting(Database::new(), HostingModel::free());
+    let mut s = Engine::new(Database::new()).session_with_hosting(HostingModel::free());
     s.execute("DECLARE @x FLOAT = 2.5").unwrap();
     s.execute("SET @x = @x * 2").unwrap();
     assert_eq!(s.query_scalar("SELECT @x").unwrap(), Value::F64(5.0));
@@ -118,7 +118,7 @@ fn variables_persist_across_execute_calls() {
 
 #[test]
 fn empty_table_aggregates() {
-    let mut s = Session::with_hosting(tiny_db(0), HostingModel::free());
+    let mut s = Engine::new(tiny_db(0)).session_with_hosting(HostingModel::free());
     let r = s
         .query("SELECT COUNT(*), SUM(x), MIN(x), AVG(x) FROM t")
         .unwrap();
@@ -130,7 +130,7 @@ fn empty_table_aggregates() {
 
 #[test]
 fn hosting_counters_reset_per_query() {
-    let mut s = Session::new(tiny_db(50));
+    let mut s = Engine::new(tiny_db(50)).session();
     s.execute("DECLARE @a VARBINARY(100) = FloatArray.Vector_2(1.0, 2.0)")
         .unwrap();
     let r1 = s
@@ -158,7 +158,7 @@ fn sugar_composes_with_group_by() {
         )
         .unwrap();
     }
-    let mut s = Session::with_hosting(db, HostingModel::free());
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
     let types = sqlarray::engine::SugarTypes::new();
     let r = s
         .query_sugar("SELECT id % 2, SUM(v[1]) FROM m GROUP BY id % 2", &types)
@@ -175,7 +175,7 @@ fn minting_many_sessions_calibrates_the_hosting_spin_at_most_once() {
     // The busy-wait calibration is a per-process measurement: neither a
     // session's construction nor a free model pays for it, and every
     // charging session shares the first one's result.
-    let engine = sqlarray_engine::Engine::new(tiny_db(4));
+    let engine = Engine::new(tiny_db(4));
     let mut sessions: Vec<Session> = (0..256).map(|_| engine.session()).collect();
     sessions.push(engine.session_with_hosting(HostingModel::free()));
     assert!(HostingModel::calibrations() <= 1);
@@ -186,4 +186,90 @@ fn minting_many_sessions_calibrates_the_hosting_spin_at_most_once() {
         assert_eq!(r.stats.udf_calls, 4);
     }
     assert_eq!(HostingModel::calibrations(), 1);
+}
+
+#[test]
+fn configuration_is_read_once_per_engine_and_never_per_session() {
+    use sqlarray::engine::Settings;
+    use std::cell::RefCell;
+
+    // A lookup that answers like an environment and logs every question.
+    let asked = RefCell::new(Vec::<String>::new());
+    let lookup = |name: &str| {
+        asked.borrow_mut().push(name.to_string());
+        match name {
+            "SQLARRAY_DOP" => Some("3"),
+            "SQLARRAY_BATCH_ROWS" => Some("77"),
+            "SQLARRAY_STATEMENT_TIMEOUT_MS" => Some("4321"),
+            "SQLARRAY_QUERY_MEM_BYTES" => Some("65536"),
+            "SQLARRAY_WORKER_BUDGET" => Some("5"),
+            "SQLARRAY_ADMISSION_QUEUE" => Some("9"),
+            _ => None,
+        }
+        .map(String::from)
+    };
+    let (udfs, udas) = Engine::standard_registries();
+    let engine = Engine::with_registries(tiny_db(4), Settings::from_lookup(lookup), udfs, udas);
+
+    // Construction asked for each variable the engine honours, once.
+    let mut construction = asked.borrow().clone();
+    construction.sort();
+    assert_eq!(
+        construction,
+        [
+            "SQLARRAY_ADMISSION_QUEUE",
+            "SQLARRAY_BATCH_ROWS",
+            "SQLARRAY_DOP",
+            "SQLARRAY_QUERY_MEM_BYTES",
+            "SQLARRAY_STATEMENT_TIMEOUT_MS",
+            "SQLARRAY_WORKER_BUDGET",
+        ]
+    );
+    assert_eq!(engine.sched().budget(), 5);
+    assert_eq!(engine.sched().queue_cap(), 9);
+
+    // Minting and using sessions asks nothing more, and every session
+    // starts from what the lookup said.
+    for _ in 0..64 {
+        let mut s = engine.session_with_hosting(HostingModel::free());
+        assert_eq!(s.dop(), 3);
+        assert_eq!(s.batch_rows(), 77);
+        assert_eq!(s.statement_timeout_ms(), Some(4321));
+        assert_eq!(s.query_mem_bytes(), 65536);
+        assert_eq!(
+            s.query_scalar("SELECT COUNT(*) FROM t").unwrap(),
+            Value::I64(4)
+        );
+    }
+    assert_eq!(asked.borrow().len(), construction.len());
+}
+
+/// What the retired `stmt_fixed_cost` bench checked before timing: a
+/// prepared statement over a one-row table answers the same whether the
+/// default pool is empty or has every slot taken by other pages.
+#[test]
+fn prepared_statement_answers_the_same_over_an_empty_and_a_full_pool() {
+    use sqlarray::storage::store::DEFAULT_POOL_PAGES;
+
+    let mut db = tiny_db(1);
+    while (db.store.page_count() as usize) < DEFAULT_POOL_PAGES + 64 {
+        db.store.allocate();
+    }
+    db.commit();
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
+    let prepared = s.prepare("SELECT COUNT(*) FROM t").unwrap();
+    for full in [false, true] {
+        {
+            let mut db = s.db_mut();
+            db.store.clear_cache();
+            if full {
+                for page in 0..db.store.page_count() {
+                    db.store.read(page).unwrap();
+                }
+                assert_eq!(db.store.pool().len(), DEFAULT_POOL_PAGES);
+            }
+        }
+        let rows = s.execute_prepared(&prepared).unwrap().pop().unwrap().rows;
+        assert_eq!(rows, vec![vec![Value::I64(1)]], "pool full: {full}");
+    }
 }

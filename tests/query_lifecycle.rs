@@ -15,13 +15,12 @@
 
 use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build;
-use sqlarray_engine::exec::{exec_select, ExecCtx};
+use sqlarray_engine::faultfn::register_faults;
 use sqlarray_engine::{
-    tsql, Database, Engine, EngineConfig, EngineError, HostingModel, QueryCtx, Session, UdaMode,
-    UdaRegistry, UdaState, UdfRegistry, Value,
+    Database, Engine, EngineError, HostingModel, Session, Settings, UdaState, Value,
 };
 use sqlarray_storage::{ColType, RowValue, Schema, StorageError, MAX_READ_RETRIES};
-use std::collections::HashMap;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -58,9 +57,30 @@ fn seeded_db(rows: i64) -> Database {
     db
 }
 
+/// An engine serving the standard library plus the fault-injection
+/// functions (`dbo.PanicIf`, `dbo.SpinUs`) this suite drives — a standard
+/// engine does not resolve them. `tune` adjusts the construction-time
+/// settings.
+fn fault_engine_with(db: Database, tune: impl FnOnce(&mut Settings)) -> Arc<Engine> {
+    let (mut udfs, udas) = Engine::standard_registries();
+    register_faults(&mut udfs);
+    let mut settings = Settings::from_env();
+    tune(&mut settings);
+    Engine::with_registries(db, settings, udfs, udas)
+}
+
+fn fault_engine(db: Database) -> Arc<Engine> {
+    fault_engine_with(db, |_| {})
+}
+
+/// A free-hosting session over its own fault engine.
+fn fault_session(db: Database) -> Session {
+    fault_engine(db).session_with_hosting(HostingModel::free())
+}
+
 /// The undisturbed replay: a pristine serial session over identical data.
 fn baseline_rows(rows: i64, queries: &[&str]) -> Vec<Vec<Vec<Value>>> {
-    let mut s = Session::with_hosting(seeded_db(rows), HostingModel::free());
+    let mut s = fault_session(seeded_db(rows));
     s.set_dop(1);
     queries.iter().map(|q| s.query(q).unwrap().rows).collect()
 }
@@ -87,7 +107,7 @@ const MATRIX_QUERIES: &[&str] = &[
 /// leave the WAL byte-for-byte untouched.
 fn kill_matrix(batch_rows: usize) {
     const ROWS: i64 = 300;
-    let engine = Engine::new(seeded_db(ROWS));
+    let engine = fault_engine(seeded_db(ROWS));
     let wal_before = engine.db().store.crash_image().wal;
     let want = baseline_rows(ROWS, MATRIX_QUERIES);
 
@@ -136,8 +156,7 @@ fn kill_matrix(batch_rows: usize) {
     // crash image still recovers to the right answers.
     let img = engine.db().store.crash_image();
     assert_eq!(img.wal, wal_before, "kills perturbed the WAL");
-    let mut recovered =
-        Session::with_hosting(Database::recover(&img).unwrap(), HostingModel::free());
+    let mut recovered = fault_session(Database::recover(&img).unwrap());
     for (qi, q) in MATRIX_QUERIES.iter().enumerate() {
         let rows = recovered.query(q).unwrap().rows;
         assert!(
@@ -167,7 +186,7 @@ fn kill_matrix_batch_path() {
 #[test]
 fn cancelled_long_scan_stops_promptly() {
     const ROWS: i64 = 4000;
-    let mut s = Session::with_hosting(seeded_db(ROWS), HostingModel::free());
+    let mut s = fault_session(seeded_db(ROWS));
     s.set_dop(4);
     // Count lifecycle polls without tripping on any.
     s.set_cancel_after_checks(Some(u64::MAX));
@@ -238,7 +257,7 @@ fn cancelled_long_scan_stops_promptly() {
 #[test]
 fn statement_timeout_aborts_with_typed_error_and_partial_stats() {
     const ROWS: i64 = 2000;
-    let mut s = Session::with_hosting(seeded_db(ROWS), HostingModel::free());
+    let mut s = fault_session(seeded_db(ROWS));
     s.set_dop(2);
     s.set_statement_timeout_ms(Some(40));
     let err = s
@@ -288,7 +307,7 @@ fn lob_db(rows: i64) -> Database {
 #[test]
 fn memory_budget_rejects_each_charging_site_and_only_those() {
     const ROWS: i64 = 400;
-    let mut s = Session::with_hosting(seeded_db(ROWS), HostingModel::free());
+    let mut s = fault_session(seeded_db(ROWS));
     let projection = "SELECT id, tag FROM T";
     let grouped = "SELECT id % 3, COUNT(*), SUM(tag) FROM T GROUP BY id % 3";
     let want = baseline_rows(ROWS, &[projection, grouped]);
@@ -348,7 +367,7 @@ fn memory_budget_rejects_each_charging_site_and_only_those() {
 
 #[test]
 fn lob_materialization_is_charged_against_the_budget() {
-    let mut s = Session::with_hosting(lob_db(16), HostingModel::free());
+    let mut s = fault_session(lob_db(16));
     s.set_batch_rows(0);
     let q = "SELECT SUM(dbo.EmptyFunction(v, 0)) FROM B";
     let want = s.query(q).unwrap().rows;
@@ -377,7 +396,7 @@ fn lob_materialization_is_charged_against_the_budget() {
 #[test]
 fn worker_panics_are_contained_at_every_dop_and_path() {
     const ROWS: i64 = 600;
-    let engine = Engine::new(seeded_db(ROWS));
+    let engine = fault_engine(seeded_db(ROWS));
     let wal_before = engine.db().store.crash_image().wal;
 
     for dop in DOPS {
@@ -413,10 +432,41 @@ fn worker_panics_are_contained_at_every_dop_and_path() {
     );
 }
 
+/// The fault functions are test instruments, not part of the library: on a
+/// standard engine no SQL text can reach them — in a scan on either path,
+/// without a FROM, or in an initializer.
+#[test]
+fn standard_engine_does_not_serve_the_fault_functions() {
+    let mut s = Engine::new(seeded_db(50)).session_with_hosting(HostingModel::free());
+    s.execute("DECLARE @x BIGINT").unwrap();
+    for func in ["dbo.PanicIf", "dbo.SpinUs"] {
+        for batch_rows in [0usize, 64] {
+            s.set_batch_rows(batch_rows);
+            let err = s
+                .query(&format!("SELECT SUM({func}(id, 7)) FROM T"))
+                .unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Unknown(what) if what.contains(func)),
+                "{func} in a scan (batch {batch_rows}): {err:?}"
+            );
+        }
+        for sql in [
+            format!("SELECT {func}(7, 7)"),
+            format!("SET @x = {func}(7, 7)"),
+        ] {
+            let err = s.execute(&sql).unwrap_err();
+            assert!(matches!(err, EngineError::Unknown(_)), "`{sql}`: {err:?}");
+        }
+    }
+    // The one managed no-op the paper's Q5 needs is library, not fault.
+    s.query("SELECT SUM(dbo.EmptyFunction(v, 0)) FROM T")
+        .unwrap();
+}
+
 #[test]
 fn aborted_dml_match_phase_leaves_no_durability_trace() {
     const ROWS: i64 = 200;
-    let engine = Engine::new(seeded_db(ROWS));
+    let engine = fault_engine(seeded_db(ROWS));
     let mut s = engine.session_with_hosting(HostingModel::free());
     let wal_before = engine.db().store.crash_image().wal;
 
@@ -439,8 +489,7 @@ fn aborted_dml_match_phase_leaves_no_durability_trace() {
         .unwrap();
     let img = engine.db().store.crash_image();
     assert!(img.wal.len() > wal_before.len(), "commit left no WAL trace");
-    let mut recovered =
-        Session::with_hosting(Database::recover(&img).unwrap(), HostingModel::free());
+    let mut recovered = fault_session(Database::recover(&img).unwrap());
     let sum: f64 = (0..ROWS).map(|k| k as f64).sum();
     assert_eq!(
         recovered.query_scalar("SELECT SUM(tag) FROM T").unwrap(),
@@ -452,7 +501,7 @@ fn aborted_dml_match_phase_leaves_no_durability_trace() {
 
 #[test]
 fn set_initializers_honour_timeout_and_cancel() {
-    let mut s = Session::with_hosting(seeded_db(10), HostingModel::free());
+    let mut s = fault_session(seeded_db(10));
     s.execute("DECLARE @x BIGINT").unwrap();
 
     // 200 ms of mandatory spin against a 20 ms deadline.
@@ -497,40 +546,27 @@ impl UdaState for FailsAtTerminate {
     }
 }
 
-/// The engine's registries are fixed at construction, so this drives the
-/// executor directly with a registry holding the failing aggregate.
+/// The failing aggregate is registered on an engine of its own — user
+/// functions go in at construction — and the statement runs through the
+/// public path: `Session::query`, then `partial_stats()`.
 #[test]
 fn terminate_error_after_the_scan_reports_partial_stats() {
     const ROWS: i64 = 600;
-    let db = seeded_db(ROWS);
-    db.store.clear_cache();
-    let mut udas = UdaRegistry::new();
+    let (udfs, mut udas) = Engine::standard_registries();
     udas.register("dbo.FailsAtTerminate", || Box::new(FailsAtTerminate));
-    let stmts = tsql::parse("SELECT dbo.FailsAtTerminate(tag) FROM T").unwrap();
-    let tsql::Stmt::Select(sel) = &stmts[0] else {
-        panic!("expected a SELECT, got {:?}", stmts[0])
-    };
+    let engine = Engine::with_registries(seeded_db(ROWS), Settings::from_env(), udfs, udas);
+    engine.db().store.clear_cache();
     for dop in [1usize, 4] {
-        let mut hosting = HostingModel::free();
-        let mut partial = None;
-        let mut ctx = ExecCtx {
-            store: &db.store,
-            tables: &db.tables,
-            udfs: &UdfRegistry::new(),
-            udas: &udas,
-            hosting: &mut hosting,
-            vars: &HashMap::new(),
-            uda_mode: UdaMode::InMemory,
-            row_limit: 100,
-            dop,
-            batch_rows: 64,
-            cached: None,
-            query: QueryCtx::unbounded(),
-            partial: &mut partial,
-        };
-        let err = exec_select(&mut ctx, sel).unwrap_err();
+        let mut s = engine.session_with_hosting(HostingModel::free());
+        s.set_dop(dop);
+        s.set_batch_rows(64);
+        let err = s
+            .query("SELECT dbo.FailsAtTerminate(tag) FROM T")
+            .unwrap_err();
         assert_eq!(err, EngineError::Type("terminate refused".into()));
-        let partial = partial.expect("the scan ran: its measurements must survive the error");
+        let partial = s
+            .partial_stats()
+            .expect("the scan ran: its measurements must survive the error");
         assert_eq!(partial.rows_scanned, ROWS as u64, "dop {dop}");
         assert!(partial.io.logical_reads() > 0, "dop {dop}: {partial:?}");
         if dop == 1 {
@@ -547,7 +583,7 @@ fn terminate_error_after_the_scan_reports_partial_stats() {
 #[test]
 fn transient_read_faults_retry_bounded_and_deterministically() {
     const ROWS: i64 = 600;
-    let mut s = Session::with_hosting(seeded_db(ROWS), HostingModel::free());
+    let mut s = fault_session(seeded_db(ROWS));
     s.set_dop(4);
     let q = "SELECT COUNT(*), SUM(tag), MIN(tag), MAX(tag) FROM T";
     let want = s.query(q).unwrap().rows;
@@ -587,14 +623,10 @@ fn transient_read_faults_retry_bounded_and_deterministically() {
 #[test]
 fn overload_is_refused_and_timed_out_with_typed_errors() {
     const ROWS: i64 = 400;
-    let engine = Engine::with_config(
-        seeded_db(ROWS),
-        EngineConfig {
-            worker_budget: 1,
-            admission_queue_cap: 1,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = fault_engine_with(seeded_db(ROWS), |settings| {
+        settings.engine.worker_budget = 1;
+        settings.engine.admission_queue_cap = 1;
+    });
     let agg = "SELECT COUNT(*), SUM(tag) FROM T";
     let want = baseline_rows(ROWS, &[agg]);
 

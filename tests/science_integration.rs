@@ -117,7 +117,7 @@ fn nbody_density_grid_ffts_identically_in_and_out_of_the_engine() {
     let lib_ft = sqlarray::engine::fft_array(&rho).unwrap();
 
     // Engine UDF path.
-    let mut session = Session::with_hosting(Database::new(), HostingModel::free());
+    let mut session = Engine::new(Database::new()).session_with_hosting(HostingModel::free());
     session.set_var("rho", Value::Bytes(rho.as_blob().to_vec()));
     let via_sql = session
         .query_scalar("SELECT FloatArrayMax.FFTForward(@rho)")

@@ -36,7 +36,7 @@ fn spectra_db(rows: i64) -> Database {
 
 #[test]
 fn full_array_lifecycle_through_sql() {
-    let mut s = Session::new(Database::new());
+    let mut s = Engine::new(Database::new()).session();
     let results = s
         .execute(
             "DECLARE @a VARBINARY(MAX) = FloatArray.ToMax(FloatArray.Vector_6(
@@ -58,7 +58,7 @@ fn full_array_lifecycle_through_sql() {
 #[test]
 fn aggregate_queries_over_array_columns() {
     let db = spectra_db(40);
-    let mut s = Session::with_hosting(db, HostingModel::free());
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
     // Per-redshift composite flux via the VectorAvg UDA + GROUP BY.
     let r = s
         .query("SELECT z, FloatArrayMax.VectorAvg(flux), COUNT(*) FROM spectra GROUP BY z")
@@ -78,7 +78,7 @@ fn aggregate_queries_over_array_columns() {
 #[test]
 fn scalar_udfs_inside_where_clauses() {
     let db = spectra_db(30);
-    let mut s = Session::with_hosting(db, HostingModel::free());
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
     // Filter on an array aggregate computed per row.
     let r = s
         .query("SELECT COUNT(*) FROM spectra WHERE FloatArray.Mean(flux) > 14.9")
@@ -91,7 +91,7 @@ fn scalar_udfs_inside_where_clauses() {
 #[test]
 fn concat_and_fft_compose() {
     let db = spectra_db(8);
-    let mut s = Session::with_hosting(db, HostingModel::free());
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
     s.execute(
         "DECLARE @l VARBINARY(100) = IntArray.Vector_1(8);
          DECLARE @sig VARBINARY(MAX);
@@ -110,7 +110,7 @@ fn concat_and_fft_compose() {
 
 #[test]
 fn parse_errors_and_type_errors_are_reported_not_panicked() {
-    let mut s = Session::new(Database::new());
+    let mut s = Engine::new(Database::new()).session();
     assert!(s.execute("SELEKT 1").is_err());
     assert!(s.execute("SELECT FloatArray.Item_1(0x00FF, 0)").is_err()); // bad header
     assert!(s.execute("SELECT FloatArray.Vector_2(1.0, 'two')").is_err());

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sqlarray_core::ops::subarray;
 use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
 use sqlarray_core::{SqlArray, StorageClass};
-use sqlarray_engine::{Database, HostingModel, Session, Value};
+use sqlarray_engine::{Database, Engine, HostingModel, Session, Value};
 use sqlarray_storage::{ColType, RowValue, Schema, PAGE_SIZE};
 
 /// LOB chunk payload per page (mirrors `sqlarray_storage::blob`).
@@ -45,7 +45,10 @@ fn cube_session(dims: &[usize], rows: i64) -> (Session, Vec<SqlArray>) {
         .unwrap();
         arrays.push(a);
     }
-    (Session::with_hosting(db, HostingModel::free()), arrays)
+    (
+        Engine::new(db).session_with_hosting(HostingModel::free()),
+        arrays,
+    )
 }
 
 fn vec3(v: &[usize]) -> String {
@@ -173,7 +176,7 @@ fn pushdown_accounting_is_identical_on_the_batch_and_row_paths() {
             )
             .unwrap();
         }
-        Session::with_hosting(db, HostingModel::free())
+        Engine::new(db).session_with_hosting(HostingModel::free())
     };
     let offset = [2usize, 3, 4];
     let size = [5usize, 5, 3];
