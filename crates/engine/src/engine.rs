@@ -142,7 +142,12 @@ impl Engine {
         (udfs, udas)
     }
 
-    /// Spawns a session with the paper's 2 µs CLR hosting cost.
+    /// Spawns a session that charges the paper's 2 µs per CLR call as a
+    /// modelled, counted cost ([`QueryStats::udf_overhead_ns`]); nothing
+    /// is executed for the charge, so the session runs exactly as fast as
+    /// one built with [`HostingModel::free`].
+    ///
+    /// [`QueryStats::udf_overhead_ns`]: crate::QueryStats::udf_overhead_ns
     pub fn session(self: &Arc<Self>) -> Session {
         self.session_with_hosting(HostingModel::paper_clr())
     }

@@ -73,6 +73,17 @@ use std::collections::HashMap;
 pub const DEFAULT_ROW_LIMIT: usize = 100_000;
 
 /// Per-query measurements — the raw numbers behind a Table 1 row.
+///
+/// Two kinds of column sit side by side and are never mixed here.
+/// **Measured** on this host: [`wall_seconds`](Self::wall_seconds) and
+/// [`cpu_seconds`](Self::cpu_seconds). **Modelled by counting**, hence
+/// bit-reproducible: [`sim_io_seconds`](Self::sim_io_seconds) (pages ×
+/// [`sqlarray_storage::DiskProfile`]) and
+/// [`udf_overhead_ns`](Self::udf_overhead_ns) (managed calls ×
+/// [`HostingModel::overhead_ns`]); no simulated time is ever executed, so
+/// the measured columns contain none. The paper's overlap formulae that
+/// combine the two (execution time, CPU %, MB/s on the 8-core testbed)
+/// are written once, in `sqlarray-bench`'s Table 1 report.
 #[derive(Debug, Clone)]
 pub struct QueryStats {
     /// Rows the scan visited (before WHERE), summed over workers. Under
@@ -96,9 +107,10 @@ pub struct QueryStats {
     /// keeps the first), so its UDF calls — unlike result rows — can
     /// scale with DOP.
     pub udf_calls: u64,
-    /// Hosting overhead charged, nanoseconds, summed over workers.
+    /// Modelled hosting overhead, nanoseconds: `udf_calls` × the session's
+    /// [`HostingModel::overhead_ns`]. Counted, never executed.
     pub udf_overhead_ns: u64,
-    /// Total CPU-busy seconds: the sum of every worker's busy time plus
+    /// Measured CPU-busy seconds: the sum of every worker's busy time plus
     /// the coordinator's non-overlapped setup/merge time. At DOP 1 this
     /// equals [`wall_seconds`](Self::wall_seconds); at DOP > 1 it exceeds
     /// the wall clock by (roughly) the parallel speedup factor.
@@ -110,7 +122,7 @@ pub struct QueryStats {
     pub dop: usize,
     /// Page-level I/O performed (partitioning reads + all workers).
     pub io: IoStats,
-    /// Seconds the simulated disk needs for that I/O.
+    /// Modelled seconds the simulated disk needs for that I/O.
     pub sim_io_seconds: f64,
     /// Rows an UPDATE/DELETE statement changed (0 for SELECT).
     pub rows_affected: u64,
@@ -149,41 +161,6 @@ impl QueryStats {
             io,
             rows_affected: totals.rows_affected,
             fallback: totals.fallback.clone(),
-        }
-    }
-
-    /// Execution time under the overlap model.
-    ///
-    /// The engine computes in memory, so real wall time contains no disk
-    /// component; the simulated disk runs as a concurrent pipeline that
-    /// prefetches ahead of the scan, exactly like the read-ahead of the
-    /// paper's testbed. The slower pipeline bounds the query:
-    /// `max(wall_seconds, sim_io_seconds)`. Before DOP > 1 this was
-    /// equivalently `max(cpu, io)`; now that CPU work is spread over
-    /// workers, the *wall* clock — not the summed CPU — is what overlaps
-    /// with the disk.
-    pub fn exec_seconds(&self) -> f64 {
-        self.wall_seconds.max(self.sim_io_seconds)
-    }
-
-    /// CPU utilization in percent of total core capacity (`dop` cores over
-    /// the execution time), as Table 1 reports it. 100 % means every
-    /// worker was busy for the whole query.
-    pub fn cpu_percent(&self) -> f64 {
-        let capacity = self.dop.max(1) as f64 * self.exec_seconds();
-        if capacity == 0.0 {
-            0.0
-        } else {
-            (100.0 * self.cpu_seconds / capacity).min(100.0)
-        }
-    }
-
-    /// Effective I/O rate in MB/s over the execution time.
-    pub fn io_mb_per_sec(&self) -> f64 {
-        if self.exec_seconds() == 0.0 {
-            0.0
-        } else {
-            self.io.bytes_read() as f64 / (1024.0 * 1024.0) / self.exec_seconds()
         }
     }
 

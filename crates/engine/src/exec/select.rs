@@ -396,6 +396,10 @@ fn select_rows(
     }
     if has_aggregate {
         rows = groups.finish()?;
+        // Groups finish in first-appearance (= key) order at every DOP, so
+        // an explicit `TOP` cuts deterministically; `row_limit` guards
+        // projections only.
+        rows.truncate(stmt.top.unwrap_or(usize::MAX));
     }
     Ok(rows)
 }

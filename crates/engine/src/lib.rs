@@ -11,8 +11,9 @@
 //! * a scalar UDF registry hosting the entire array library under its
 //!   original schema names ([`udf`], [`arraybind`]) plus the LAPACK/FFTW
 //!   bindings ([`mathfn`]);
-//! * an explicit CLR hosting-cost model ([`hosting`]) reproducing the
-//!   ~2 µs/call overhead that makes queries 4 and 5 of Table 1 CPU-bound;
+//! * an explicit CLR hosting-cost model ([`hosting`]) that counts managed
+//!   calls and charges each the ~2 µs that make queries 4 and 5 of Table 1
+//!   CPU-bound — a modelled cost, like the simulated disk, never executed;
 //! * user-defined aggregates with the per-row state-serialization mode
 //!   that made the paper abandon UDAs ([`aggregate`]).
 

@@ -461,7 +461,6 @@ mod tests {
             )
             .unwrap();
         }
-        // Keep unit tests fast: no hosting spin.
         Engine::new(db).session_with_hosting(HostingModel::free())
     }
 
@@ -600,8 +599,7 @@ mod tests {
         let r = s.query("SELECT COUNT(*) FROM Tscalar").unwrap();
         assert!(r.stats.io.pages_read > 5);
         assert!(r.stats.sim_io_seconds > 0.0);
-        assert!(r.stats.exec_seconds() > 0.0);
-        assert!(r.stats.cpu_percent() <= 100.0);
+        assert!(r.stats.wall_seconds > 0.0);
         // Cached re-run does less physical I/O.
         let r2 = s.query("SELECT COUNT(*) FROM Tscalar").unwrap();
         assert!(r2.stats.io.pages_read < r.stats.io.pages_read);
@@ -648,9 +646,9 @@ mod tests {
         assert_eq!(r.stats.dop, 4);
         assert!(r.stats.io.pages_read > 10);
         assert!(r.stats.wall_seconds > 0.0);
-        // Summed CPU can never be less than the wall clock by more than
-        // scheduling noise, and cpu_percent stays a percentage.
-        assert!((0.0..=100.0).contains(&r.stats.cpu_percent()));
+        // Summed worker CPU plus the coordinator's serial part covers the
+        // wall clock (up to float rounding).
+        assert!(r.stats.cpu_seconds >= r.stats.wall_seconds * (1.0 - 1e-9));
         assert!(r.stats.measured_speedup() > 0.0);
     }
 

@@ -25,31 +25,15 @@ use crate::value::{EngineError, Result};
 use std::collections::HashMap;
 
 /// Which function schema a sugared identifier's array belongs to.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SugarTypes {
     map: HashMap<String, String>,
-    default_schema: String,
-}
-
-impl Default for SugarTypes {
-    fn default() -> Self {
-        SugarTypes {
-            map: HashMap::new(),
-            default_schema: "FloatArray".to_string(),
-        }
-    }
 }
 
 impl SugarTypes {
     /// Empty map with `FloatArray` as the default schema.
     pub fn new() -> SugarTypes {
         SugarTypes::default()
-    }
-
-    /// Sets the schema used for identifiers without an explicit entry.
-    pub fn with_default(mut self, schema: &str) -> SugarTypes {
-        self.default_schema = schema.to_string();
-        self
     }
 
     /// Declares the schema of one identifier (variable name without `@`,
@@ -63,7 +47,7 @@ impl SugarTypes {
         self.map
             .get(&ident.to_ascii_lowercase())
             .map(String::as_str)
-            .unwrap_or(&self.default_schema)
+            .unwrap_or("FloatArray")
     }
 }
 

@@ -10,12 +10,11 @@ use crate::source::SourceFile;
 
 /// Path components that never contain library code subject to the rules.
 /// `benchmark` is the standalone repo-benchmark package: a measurement
-/// harness outside the workspace, like `benches`.
+/// harness outside the workspace.
 const SKIP_DIRS: &[&str] = &[
     "target",
     "vendor",
     "tests",
-    "benches",
     "benchmark",
     "examples",
     "fixtures",
@@ -86,7 +85,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// Collects the `.rs` files under `root` that the rules apply to:
 /// everything beneath a `src/` directory, excluding vendored code, test
-/// trees, benches, examples and fixtures. Sorted for deterministic
+/// trees, examples and fixtures. Sorted for deterministic
 /// output.
 pub fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();

@@ -13,6 +13,9 @@
 //! * A `Session` is built in one function and every statement starts and
 //!   ends in one: one `Session { .. }` literal, one `mint_query(` call, one
 //!   `.acquire(` call, all in `session.rs`.
+//! * A modelled cost never executes: `hosting.rs` prices the CLR call by
+//!   counting, the way `DiskProfile` prices pages, so it holds no clock,
+//!   no optimizer barrier, no process-wide state and no loop.
 
 use sqlarray_lint::driver::find_workspace_root;
 use sqlarray_lint::SourceFile;
@@ -35,13 +38,18 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// The workspace-relative path of every non-test token position under
-/// `rel_dir` where `matches(file, k)` holds — one entry per hit.
-fn hits(rel_dir: &str, matches: impl Fn(&SourceFile<'_>, usize) -> bool) -> Vec<String> {
+/// `rel` (a directory, or one file) where `matches(file, k)` holds — one
+/// entry per hit.
+fn hits(rel: &str, matches: impl Fn(&SourceFile<'_>, usize) -> bool) -> Vec<String> {
     let cwd = std::env::current_dir().unwrap();
     let root = find_workspace_root(&cwd).expect("run inside the workspace");
     let mut files = Vec::new();
-    rust_files(&root.join(rel_dir), &mut files);
-    assert!(files.len() >= 5, "{rel_dir} went missing: {files:?}");
+    if rel.ends_with(".rs") {
+        files.push(root.join(rel));
+    } else {
+        rust_files(&root.join(rel), &mut files);
+        assert!(files.len() >= 5, "{rel} went missing: {files:?}");
+    }
     let mut found = Vec::new();
     for path in files {
         let src = std::fs::read_to_string(&path).unwrap();
@@ -122,5 +130,29 @@ fn sessions_are_built_and_statements_run_through_one_door() {
         calls_of("acquire"),
         in_session_rs,
         "one admitted wrapper: `sched().acquire(` has one caller"
+    );
+}
+
+#[test]
+fn a_modelled_cost_never_executes() {
+    let hosting = "crates/engine/src/hosting.rs";
+    assert!(
+        !hits(hosting, |f, k| followed_by_paren(f, k, "charge_call")).is_empty(),
+        "the matcher no longer sees `charge_call`"
+    );
+    let executes = [
+        "Instant",
+        "black_box",
+        "spin_loop",
+        "static",
+        "for",
+        "while",
+        "loop",
+    ];
+    let found = hits(hosting, |f, k| executes.iter().any(|w| f.is_ident(k, w)));
+    assert!(
+        found.is_empty(),
+        "`HostingModel` charges by counting; {} token(s) in {hosting} could spend time",
+        found.len()
     );
 }

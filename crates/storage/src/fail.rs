@@ -1,20 +1,22 @@
 //! Deterministic fault injection for crash-recovery testing.
 //!
-//! [`FailStore`] wraps a [`PageStore`] and models the whole crash
-//! lifecycle the crash-matrix suites drive:
+//! The crash lifecycle the crash-matrix suites drive, on a plain
+//! [`PageStore`](crate::store::PageStore):
 //!
-//! 1. **Arm** a [`FailPlan`] — the store accepts exactly N more durable
-//!    WAL appends, then silently "loses power" (later appends are
-//!    dropped, the first dropped record can leave a torn prefix). The
-//!    in-process state keeps mutating, so the victim operation succeeds
-//!    from the caller's point of view — exactly like an OS that buffered
-//!    the writes the platter never saw.
-//! 2. **Crash** — take the [`DiskImage`] that survived: checkpoint base
-//!    pages + the cut log.
+//! 1. **Arm** a [`FailPlan`](crate::store::FailPlan) with
+//!    [`arm_fail`](crate::store::PageStore::arm_fail) — the store
+//!    accepts exactly N more durable WAL appends, then silently "loses
+//!    power" (later appends are dropped, the first dropped record can
+//!    leave a torn prefix). The in-process state keeps mutating, so the
+//!    victim operation succeeds from the caller's point of view — exactly
+//!    like an OS that buffered the writes the platter never saw.
+//! 2. **Crash** — [`crash_image`](crate::store::PageStore::crash_image)
+//!    takes the [`DiskImage`] that survived: checkpoint base pages + the
+//!    cut log.
 //! 3. Optionally **corrupt** the image like failing media would:
 //!    [`tear_final_page`] (a partial sector write), [`corrupt_image_byte`]
 //!    (a silent bit flip), [`tear_wal`] (an arbitrary mid-record cut).
-//! 4. **Reboot** via [`PageStore::open`] and assert the recovered state
+//! 4. **Reboot** via [`open`](crate::store::PageStore::open) and assert the recovered state
 //!    is byte-for-byte the last committed snapshot.
 //!
 //! Injection points are enumerated from a clean run: every WAL append is
@@ -22,69 +24,8 @@
 //! reaches the durable log, so `stats().wal_records` after an unfailed
 //! victim run is the exact number of distinct crash points to test.
 
-use crate::errors::Result;
 use crate::page::PageId;
-use crate::store::{DiskImage, FailPlan, PageRead, PageStore};
-
-/// A [`PageStore`] wrapper that kills the process-model at the N-th
-/// durable write. Derefs to the store, so tables/B-trees/blobs run on it
-/// unchanged.
-#[derive(Debug)]
-pub struct FailStore {
-    store: PageStore,
-}
-
-impl FailStore {
-    /// Wraps a store (usually freshly built and committed).
-    pub fn new(store: PageStore) -> FailStore {
-        FailStore { store }
-    }
-
-    /// Arms the crash: `allow` more WAL appends reach the disk, then
-    /// power is lost; the first dropped record leaves `torn_bytes` bytes
-    /// of torn prefix (0 = clean cut).
-    pub fn kill_at_write(&mut self, allow: u64, torn_bytes: usize) {
-        self.store.arm_fail(FailPlan {
-            allow_records: allow,
-            torn_bytes,
-        });
-    }
-
-    /// "Pulls the plug": consumes the wrapper and returns what the disk
-    /// actually holds at this instant.
-    pub fn crash(self) -> DiskImage {
-        self.store.crash_image()
-    }
-
-    /// The wrapped store.
-    pub fn store(&self) -> &PageStore {
-        &self.store
-    }
-
-    /// The wrapped store, mutably.
-    pub fn store_mut(&mut self) -> &mut PageStore {
-        &mut self.store
-    }
-}
-
-impl std::ops::Deref for FailStore {
-    type Target = PageStore;
-    fn deref(&self) -> &PageStore {
-        &self.store
-    }
-}
-
-impl std::ops::DerefMut for FailStore {
-    fn deref_mut(&mut self) -> &mut PageStore {
-        &mut self.store
-    }
-}
-
-impl PageRead for FailStore {
-    fn read_page(&mut self, id: PageId) -> Result<&[u8]> {
-        self.store.read(id)
-    }
-}
+use crate::store::DiskImage;
 
 /// Truncates the image's final page to `keep` bytes — a torn (partial)
 /// page write. Recovery refuses the image with
@@ -112,6 +53,7 @@ pub fn tear_wal(image: &mut DiskImage, keep: usize) {
 mod tests {
     use super::*;
     use crate::errors::StorageError;
+    use crate::store::{FailPlan, PageStore};
 
     /// A tiny scripted workload: two committed pages, then a victim write.
     fn committed_store() -> PageStore {
@@ -126,10 +68,13 @@ mod tests {
 
     #[test]
     fn crash_before_any_victim_write_recovers_the_commit() {
-        let mut f = FailStore::new(committed_store());
-        f.kill_at_write(0, 0);
-        f.write(0, |p| p[0..4].copy_from_slice(b"XXXX")).unwrap();
-        let image = f.crash();
+        let mut s = committed_store();
+        s.arm_fail(FailPlan {
+            allow_records: 0,
+            torn_bytes: 0,
+        });
+        s.write(0, |p| p[0..4].copy_from_slice(b"XXXX")).unwrap();
+        let image = s.crash_image();
         let rec = PageStore::open(&image).unwrap();
         assert_eq!(&rec.store.raw_page(0).unwrap()[0..4], b"AAAA");
         assert_eq!(rec.catalog.as_deref(), Some(&b"catalog-v1"[..]));

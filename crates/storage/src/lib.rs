@@ -41,7 +41,6 @@ pub mod zorder;
 pub use blob::{BlobId, BlobStream, ByteRun};
 pub use btree::BTree;
 pub use errors::{Result, StorageError};
-pub use fail::FailStore;
 pub use page::{PageId, PAGE_SIZE};
 pub use pool::ShardedLruPool;
 pub use row::{ColType, Column, RowValue, Schema, INLINE_BLOB_LIMIT};

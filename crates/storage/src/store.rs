@@ -485,11 +485,6 @@ impl PageStore {
         self.fail = Some(FailState { plan, appended: 0 });
     }
 
-    /// Disarms any crash-injection plan.
-    pub fn disarm_fail(&mut self) {
-        self.fail = None;
-    }
-
     /// Arms `count` transient read faults, consumed by scan workers'
     /// physical page reads at up to `burst` faults per read. Each
     /// consumed fault forces one retry through the bounded

@@ -15,8 +15,10 @@
 //! the prefix covered by the last surviving commit.
 
 use proptest::prelude::*;
-use sqlarray_storage::fail::{tear_wal, FailStore};
-use sqlarray_storage::{wal, ColType, DiskImage, PageStore, RowValue, Schema, StorageError, Table};
+use sqlarray_storage::fail::tear_wal;
+use sqlarray_storage::{
+    wal, ColType, DiskImage, FailPlan, PageStore, RowValue, Schema, StorageError, Table,
+};
 
 const CHUNK_DATA: usize = 8176; // PAGE_SIZE - 16, the blob chunk payload
 
@@ -158,11 +160,13 @@ fn run_matrix(setup: &dyn Fn() -> (PageStore, Table), victim: &dyn Fn(&mut PageS
 
     for allow in 0..=n_records {
         for torn in [0usize, 17] {
-            let (store, mut t) = setup();
-            let mut f = FailStore::new(store);
-            f.kill_at_write(allow, torn);
-            victim(&mut f, &mut t);
-            let got = recover(&f.crash());
+            let (mut store, mut t) = setup();
+            store.arm_fail(FailPlan {
+                allow_records: allow,
+                torn_bytes: torn,
+            });
+            victim(&mut store, &mut t);
+            let got = recover(&store.crash_image());
             // The victim's last append is its commit record: any cut that
             // loses a record loses the commit, so recovery must roll the
             // whole victim back; only the full log carries it forward.
@@ -384,14 +388,16 @@ proptest! {
         // Armed run at a derived crash point.
         let allow = u64::from(crash_pick) % (total + 1);
         let torn = [0usize, 1, 17][usize::from(torn_pick) % 3];
-        let (store, mut t) = loaded_committed();
-        let mut f = FailStore::new(store);
-        f.kill_at_write(allow, torn);
+        let (mut store, mut t) = loaded_committed();
+        store.arm_fail(FailPlan {
+            allow_records: allow,
+            torn_bytes: torn,
+        });
         for (i, op) in ops.iter().enumerate() {
-            apply(&mut f, &mut t, op, i as i64);
-            commit(&mut f, &t);
+            apply(&mut store, &mut t, op, i as i64);
+            commit(&mut store, &t);
         }
-        let got = recover(&f.crash());
+        let got = recover(&store.crash_image());
         // Expected: the longest prefix whose commit record survived.
         let covered = cut_records.iter().rposition(|&c| c <= allow).unwrap();
         prop_assert!(

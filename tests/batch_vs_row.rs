@@ -98,6 +98,19 @@ fn build_session(rows: i64, seed: u64) -> Session {
     Engine::new(db).session_with_hosting(HostingModel::free())
 }
 
+/// `TOP n` over an aggregate query cuts the finished group rows (it used
+/// to cut projections only): each statement with the rows it returns over
+/// a table of at least ten rows. The statements ride in [`QUERIES`].
+const TOP_AGGREGATES: [(&str, usize); 4] = [
+    ("SELECT TOP 3 id % 10, SUM(c) FROM T GROUP BY id % 10", 3),
+    ("SELECT TOP 0 COUNT(*) FROM T", 0),
+    (
+        "SELECT TOP 2 id % 4, SUM(FloatArray.Item_1(w, 1)) FROM T GROUP BY id % 4",
+        2,
+    ),
+    ("SELECT TOP 50 id % 4, COUNT(*) FROM T GROUP BY id % 4", 4),
+];
+
 /// Queries that must succeed and agree bit-for-bit on every configuration.
 const QUERIES: &[&str] = &[
     "SELECT COUNT(*) FROM T",
@@ -155,6 +168,10 @@ const QUERIES: &[&str] = &[
     "SELECT m, FloatArrayMax.Item_1(m, 0) FROM T WHERE id % 97 < 5",
     "SELECT id, FloatArrayMax.Dot(m, m) FROM T WHERE id % 97 = 3 OR id % 50 = 0",
     "SELECT FloatArrayMax.Count(m), COUNT(*) FROM T WHERE id % 97 < 9 GROUP BY m",
+    TOP_AGGREGATES[0].0,
+    TOP_AGGREGATES[1].0,
+    TOP_AGGREGATES[2].0,
+    TOP_AGGREGATES[3].0,
     // Fallbacks: both configurations run the interpreter.
     "SELECT id % 2, FloatArray.VectorAvg(w) FROM T GROUP BY id % 2",
     "SELECT COUNT(*) FROM T WHERE FloatArray.ToString(w) = 'x'",
@@ -480,6 +497,14 @@ fn top_k_with_a_udf_filter_never_calls_past_the_kth_match() {
                 "batch {batch} dop {dop}"
             );
         }
+    }
+}
+
+#[test]
+fn top_cuts_finished_group_rows() {
+    let mut s = build_session(100, 0x70B);
+    for (sql, want) in TOP_AGGREGATES {
+        assert_eq!(s.query(sql).unwrap().rows.len(), want, "{sql}");
     }
 }
 

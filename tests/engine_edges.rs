@@ -56,14 +56,19 @@ fn scalar_accessor_rejects_multi_row_results() {
 }
 
 #[test]
-fn stats_expose_cpu_percent_and_rates() {
+fn stats_expose_measured_and_modelled_columns() {
     let mut s = Engine::new(tiny_db(2000)).session_with_hosting(HostingModel::free());
     s.db().store.clear_cache();
     let r = s.query("SELECT SUM(x) FROM t").unwrap();
     let st = &r.stats;
-    assert!(st.exec_seconds() >= st.cpu_seconds.min(st.sim_io_seconds));
-    assert!((0.0..=100.0).contains(&st.cpu_percent()));
-    assert!(st.io_mb_per_sec() >= 0.0);
+    // Measured: a serial scan's CPU is its wall clock (up to rounding).
+    assert!(st.wall_seconds > 0.0);
+    assert!(st.cpu_seconds >= st.wall_seconds * (1.0 - 1e-9));
+    // Modelled: the cold scan's pages priced by the disk profile; no
+    // managed call, so no CLR charge.
+    assert!(st.io.pages_read > 0);
+    assert_eq!(st.sim_io_seconds, s.db().store.profile().io_seconds(&st.io));
+    assert_eq!((st.udf_calls, st.udf_overhead_ns), (0, 0));
     assert_eq!(st.rows_scanned, 2000);
 }
 
@@ -168,24 +173,6 @@ fn sugar_composes_with_group_by() {
     let odd: f64 = [1.0f64, 9.0, 25.0, 49.0].iter().sum();
     assert_eq!(r.rows[0][1], Value::F64(even));
     assert_eq!(r.rows[1][1], Value::F64(odd));
-}
-
-#[test]
-fn minting_many_sessions_calibrates_the_hosting_spin_at_most_once() {
-    // The busy-wait calibration is a per-process measurement: neither a
-    // session's construction nor a free model pays for it, and every
-    // charging session shares the first one's result.
-    let engine = Engine::new(tiny_db(4));
-    let mut sessions: Vec<Session> = (0..256).map(|_| engine.session()).collect();
-    sessions.push(engine.session_with_hosting(HostingModel::free()));
-    assert!(HostingModel::calibrations() <= 1);
-    for s in sessions.iter_mut() {
-        let r = s
-            .query("SELECT SUM(dbo.EmptyFunction(x, 0)) FROM t")
-            .unwrap();
-        assert_eq!(r.stats.udf_calls, 4);
-    }
-    assert_eq!(HostingModel::calibrations(), 1);
 }
 
 #[test]

@@ -279,49 +279,51 @@ fn item_pushdown_matches_full_read() {
 
 #[test]
 fn small_region_of_large_array_reads_bounded_pages() {
-    // 64×64×32 f64 = 1 MiB payload → 129 chunk pages: the blob spans
-    // well over 100 pages.
-    let dims = [64usize, 64, 32];
-    let (mut s, _) = cube_session(&dims, 1);
-    let blob_pages = (dims.iter().product::<usize>() * 8).div_ceil(CHUNK_DATA);
-    assert!(blob_pages >= 100, "fixture too small: {blob_pages} pages");
+    // Contiguous slabs (full leading axes) of a 1 MiB and a 16 MiB array —
+    // 64×64×32 f64 → 129 chunk pages, 128³ → 2 057 — covering 6 % and
+    // 0.8 % of the payload.
+    for (dims, offset, size) in [
+        ([64usize, 64, 32], [0usize, 0, 17], [64usize, 64, 2]),
+        ([128, 128, 128], [0, 0, 64], [128, 128, 1]),
+    ] {
+        let (mut s, _) = cube_session(&dims, 1);
+        let blob_pages = (dims.iter().product::<usize>() * 8).div_ceil(CHUNK_DATA);
+        assert!(blob_pages >= 100, "fixture too small: {blob_pages} pages");
+        let region_bytes = size.iter().product::<usize>() * 8;
+        let region_pages = region_bytes.div_ceil(PAGE_SIZE) as u64;
 
-    // A contiguous slab (full leading axes): 64×64×2 = 64 KiB region.
-    let offset = [0usize, 0, 17];
-    let size = [64usize, 64, 2];
-    let region_bytes = size.iter().product::<usize>() * 8;
-    let region_pages = region_bytes.div_ceil(PAGE_SIZE) as u64;
+        s.set_dop(1);
+        s.db().store.clear_cache();
+        let r = s.query(&pushdown_sql(&offset, &size)).unwrap();
+        // ⌈region bytes / page size⌉ (+1 for straddling a chunk boundary)
+        // plus index/root overhead: B-tree internals + leaf + LOB root +
+        // the header-prefix chunk.
+        let overhead = 8;
+        assert!(
+            r.stats.io.pages_read <= region_pages + 1 + overhead,
+            "pushdown read {} pages for a {}-page region",
+            r.stats.io.pages_read,
+            region_pages
+        );
 
-    s.set_dop(1);
-    s.db().store.clear_cache();
-    let r = s.query(&pushdown_sql(&offset, &size)).unwrap();
-    // ⌈region bytes / page size⌉ (+1 for straddling a chunk boundary)
-    // plus index/root overhead: B-tree internals + leaf + LOB root +
-    // the header-prefix chunk.
-    let overhead = 8;
-    assert!(
-        r.stats.io.pages_read <= region_pages + 1 + overhead,
-        "pushdown read {} pages for a {}-page region",
-        r.stats.io.pages_read,
-        region_pages
-    );
-
-    // The full-materialize form must read the whole blob.
-    s.db().store.clear_cache();
-    let f = s.query(&full_sql(&dims, &offset, &size)).unwrap();
-    assert!(
-        f.stats.io.pages_read >= blob_pages as u64,
-        "full path read only {} of {blob_pages} blob pages",
-        f.stats.io.pages_read
-    );
-    assert!(
-        f.stats.io.pages_read >= 10 * r.stats.io.pages_read,
-        "pushdown saved less than 10x: {} vs {}",
-        f.stats.io.pages_read,
-        r.stats.io.pages_read
-    );
-    // Same result either way.
-    assert_eq!(r.rows, f.rows);
+        // The full-materialize form must read the whole blob: an order of
+        // magnitude more pages at either size.
+        s.db().store.clear_cache();
+        let f = s.query(&full_sql(&dims, &offset, &size)).unwrap();
+        assert!(
+            f.stats.io.pages_read >= blob_pages as u64,
+            "full path read only {} of {blob_pages} blob pages",
+            f.stats.io.pages_read
+        );
+        assert!(
+            f.stats.io.pages_read >= 10 * r.stats.io.pages_read,
+            "pushdown saved less than 10x: {} vs {}",
+            f.stats.io.pages_read,
+            r.stats.io.pages_read
+        );
+        // Same result either way.
+        assert_eq!(r.rows, f.rows);
+    }
 }
 
 #[test]

@@ -1,20 +1,82 @@
-//! Shape assertions for the Table 1 reproduction (experiment E1/E2/E3):
+//! Shape assertions for the Table 1 reproduction (experiments E1/E2/E3):
 //! the qualitative results the paper reports must hold at reduced scale.
+//!
+//! Whatever the *modelled* columns decide — simulated disk seconds, the
+//! counted 2 µs CLR charge, pages, bytes per row — is exact arithmetic
+//! over counts and runs everywhere. Only a comparison of *measured* CPU
+//! with a modelled quantity depends on the build, and runs under
+//! `--release` (`cargo test --release --test table1_shape`).
 
-use sqlarray_bench::{build_table1_db, run_table1, storage_overhead};
+use sqlarray_bench::experiments::{run_report, Scale};
+use sqlarray_bench::{build_table1_db, run_table1, storage_overhead, TABLE1_QUERIES, TESTBED_DOP};
+use sqlarray_engine::PAPER_CLR_CALL_NS;
 
-// The two performance-shape tests compare CPU-per-row against the 2 µs
-// hosting charge; unoptimized builds inflate the interpreter's share and
-// invalidate the comparison, so they only run under `--release`
-// (`cargo test --release -p sqlarray --test table1_shape -- --ignored`
-// runs them explicitly from a debug session).
+#[test]
+fn udf_queries_are_cpu_bound_by_the_counted_clr_charge() {
+    let mut session = build_table1_db(30_000);
+    let rows = run_table1(&mut session);
+    let (q1, q2, q4, q5) = (&rows[0], &rows[1], &rows[3], &rows[4]);
+
+    for q in [q4, q5] {
+        // One managed call per row, 2 µs each.
+        assert_eq!(q.udf_calls, 30_000);
+        assert_eq!(q.clr_seconds, (30_000 * PAPER_CLR_CALL_NS) as f64 * 1e-9);
+        // The CLR charge alone, spread over the testbed's cores, outlasts
+        // the disk: the query is CPU-bound ("easily lead to CPU-bound query
+        // performance", §7.1) whatever the measured part adds…
+        assert!(q.clr_seconds / TESTBED_DOP > q.io_seconds);
+        assert!(
+            q.cpu_percent > 90.0,
+            "Q{} CPU {:.0}%",
+            q.query,
+            q.cpu_percent
+        );
+        // …several times slower than the native scans (paper: 133 s and
+        // 109 s vs 18-25 s)…
+        assert!(q.exec_seconds > 3.0 * q1.io_seconds);
+        // …and the effective I/O rate collapses below the disk's (paper:
+        // 1150 MB/s → 215/265 MB/s).
+        let q1_bytes = q1.pages_read as f64 * sqlarray_storage::PAGE_SIZE as f64;
+        let q1_disk_rate = q1_bytes / (1024.0 * 1024.0) / q1.io_seconds;
+        assert!(q.io_mb_per_sec < 0.6 * q1_disk_rate);
+    }
+
+    // Q2 scans the fatter table: more I/O time than Q1, same row count
+    // (paper ratio 25/18 ≈ 1.39).
+    assert!(q2.io_seconds > 1.15 * q1.io_seconds);
+    assert_eq!(q1.rows, q2.rows);
+}
+
+/// §7.1's "about 2 µs per CLR function call" is an input, charged by
+/// counting: exact on a default session, at every DOP, on both executors.
+#[test]
+fn clr_charge_is_exactly_two_microseconds_per_call() {
+    let rows = 20_000;
+    let mut session = build_table1_db(rows).engine().session();
+    for batch_rows in [0, sqlarray_core::batch::DEFAULT_BATCH_ROWS] {
+        for dop in [1, 2, 4, 8] {
+            session.set_batch_rows(batch_rows);
+            session.set_dop(dop);
+            for sql in &TABLE1_QUERIES[3..] {
+                let stats = session.query(sql).unwrap().stats;
+                assert_eq!(stats.batches > 0, batch_rows > 0, "{sql}");
+                assert_eq!(stats.udf_calls, rows as u64, "{sql} dop {dop}");
+                assert_eq!(
+                    stats.udf_overhead_ns,
+                    PAPER_CLR_CALL_NS * stats.udf_calls,
+                    "{sql} dop {dop} batch {batch_rows}"
+                );
+            }
+        }
+    }
+}
 
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "performance shape requires an optimized build"
+    ignore = "compares measured CPU with modelled costs: needs an optimized build"
 )]
-fn table1_shape_holds_at_reduced_scale() {
+fn measured_cpu_keeps_the_paper_shape() {
     let mut session = build_table1_db(30_000);
     let rows = run_table1(&mut session);
     let (q1, q2, q3, q4, q5) = (&rows[0], &rows[1], &rows[2], &rows[3], &rows[4]);
@@ -23,49 +85,11 @@ fn table1_shape_holds_at_reduced_scale() {
     assert!(q1.cpu_percent < 50.0, "Q1 CPU {:.0}%", q1.cpu_percent);
     assert!(q2.cpu_percent < 50.0, "Q2 CPU {:.0}%", q2.cpu_percent);
     assert!(q3.cpu_percent < 60.0, "Q3 CPU {:.0}%", q3.cpu_percent);
-
-    // Queries 4-5 are CPU-bound ("easily lead to CPU-bound query
-    // performance", §7.1).
-    assert!(q4.cpu_percent > 90.0, "Q4 CPU {:.0}%", q4.cpu_percent);
-    assert!(q5.cpu_percent > 90.0, "Q5 CPU {:.0}%", q5.cpu_percent);
-
-    // The UDF queries are several times slower than the native scans
-    // (paper: 133 s and 109 s vs 18-25 s).
-    assert!(q4.exec_seconds > 3.0 * q1.exec_seconds);
-    assert!(q5.exec_seconds > 3.0 * q1.exec_seconds);
     // Q4 does real work on top of Q5's empty calls.
     assert!(q4.cpu_seconds > q5.cpu_seconds);
-
-    // The effective I/O rate collapses for the CPU-bound queries
-    // (paper: 1150 MB/s → 215/265 MB/s).
-    assert!(q4.io_mb_per_sec < 0.6 * q1.io_mb_per_sec);
-
-    // Q2 scans the fatter table: more I/O time than Q1, same row count
-    // (paper ratio 25/18 ≈ 1.39).
-    assert!(q2.io_seconds > 1.15 * q1.io_seconds);
-    assert_eq!(q1.rows, q2.rows);
-
-    // One managed call per row for Q4/Q5.
-    assert_eq!(q4.udf_calls, 30_000);
-    assert_eq!(q5.udf_calls, 30_000);
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "performance shape requires an optimized build"
-)]
-fn clr_call_cost_is_near_two_microseconds() {
-    let mut session = build_table1_db(20_000);
-    let rows = run_table1(&mut session);
-    let q3 = &rows[2];
-    let q5 = &rows[4];
-    // §7.1: "a cost of about 2 µs per CLR function call".
-    let per_call = (q5.cpu_seconds - q3.cpu_seconds).max(0.0) / q5.udf_calls as f64 * 1e6;
-    assert!(
-        (1.0..5.0).contains(&per_call),
-        "empty CLR call cost {per_call:.2} us, expected ~2 us"
-    );
+    // The charge is counted, not executed: the measured CPU of the empty
+    // calls is a fraction of what they are charged.
+    assert!(q5.cpu_seconds < 0.5 * q5.clr_seconds);
 }
 
 #[test]
@@ -84,4 +108,49 @@ fn storage_overhead_matches_the_43_percent_claim() {
         (20.0..44.0).contains(&delta),
         "per-row overhead {delta:.1} B"
     );
+}
+
+/// The report's smoke scale, twice serial and at DOP 2/4/8: every metric
+/// says by its unit whether it was measured, modelled or derived, and the
+/// modelled ones — simulated I/O seconds, CLR seconds, pages, bytes per
+/// row, ratios, call counts — repeat byte for byte. Derived columns mix in
+/// measured CPU by the paper's own formula, so they carry their own unit
+/// and are not compared.
+#[test]
+fn modelled_metrics_repeat_byte_for_byte_across_runs_and_dops() {
+    let modelled = |dop: usize| -> Vec<(String, String, u64)> {
+        let report = run_report(Scale::smoke(), dop);
+        // One record in the `benchmark run` shape, one entry per metric.
+        let json = report.to_json();
+        for key in [
+            "{\"workload\": \"paper_report\", \"settings\": {",
+            "\"host\": {",
+            "\"result\": {\"metrics\": {\"e1.q1.wall_serial_s\": {\"value\": ",
+        ] {
+            assert!(json.contains(key), "record lacks {key}: {json}");
+        }
+        assert_eq!(json.matches("\"unit\": ").count(), report.metrics().count());
+        assert!(!json.contains('\n'));
+        report
+            .metrics()
+            .filter(|m| m.unit.starts_with("modelled_"))
+            .map(|m| (m.name.clone(), m.unit.clone(), m.value.to_bits()))
+            .collect()
+    };
+    let want = modelled(1);
+    for name in [
+        "e1.q1.sim_io_s",
+        "e1.q5.clr_s",
+        "e1.q2.pages_read",
+        "e1.q4.udf_calls",
+        "e2.tvector_over_tscalar",
+        "e3.clr_call_ns",
+        "e4.block8.partial_kb_per_query",
+        "e6.corner_partial_lob_pages",
+    ] {
+        assert!(want.iter().any(|(n, ..)| n == name), "no modelled {name}");
+    }
+    for dop in [1, 2, 4, 8] {
+        assert_eq!(modelled(dop), want, "modelled metrics moved at DOP {dop}");
+    }
 }
