@@ -1,18 +1,18 @@
 //! The vectorized execution plan: compiling scan expressions to batch
 //! kernels, and evaluating them over columnar batches.
 //!
-//! [`plan_select`] is **the** fallback seam of the vectorized pipeline: it
+//! [`plan_select`] is **the** fallback seam of the vectorized pipeline —
+//! for a SELECT and for the match phase of an UPDATE/DELETE alike: it
 //! returns a [`BatchPlan`] exactly when every expression a scan must
 //! evaluate compiles to the batch kernel set — column references of scalar
-//! type, numeric/boolean literals and session variables, arithmetic,
+//! type, literals and session variables of any non-LOB type, arithmetic,
 //! comparisons, `AND`/`OR`/`NOT`, unary minus, scalar UDF calls (including
 //! the `Subarray`/`Item` LOB pushdown), the built-in aggregates, `GROUP BY`
 //! over scalar expressions and blob columns, and bare blob-column
-//! projections. Anything else returns a typed [`Fallback`] — UDAs,
-//! string/NULL literals outside call arguments, missing variables, blob
-//! columns inside computed expressions, more than one LOB-reading site —
-//! and the executor runs the row-at-a-time interpreter instead. There is
-//! no third path.
+//! projections. Anything else returns a typed [`Fallback`] — UDAs, missing
+//! or LOB-valued variables, blob columns inside computed expressions, more
+//! than one LOB-reading site — and the executor runs the row-at-a-time
+//! interpreter instead. There is no third path.
 //!
 //! Compiled plans reproduce the row interpreter's semantics exactly:
 //!
@@ -27,6 +27,10 @@
 //! * projections and aggregate arguments are evaluated only over rows
 //!   that passed the filter;
 //! * unary minus preserves the operand's type, like the row path;
+//! * a numeric or boolean constant is a typed splat; a string, bytes or
+//!   NULL constant is a *dynamic* lane (one [`Value`] per row), and so is
+//!   everything computed from one — string compares, NULL operands and
+//!   their typed errors are the interpreter's own;
 //! * a UDF call binds its callee, arity check and pushdown
 //!   classification once per statement, then runs the callee's own body
 //!   once per selected row, in row order, charging the hosting model per
@@ -55,9 +59,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Why a SELECT ran the row-at-a-time interpreter instead of a compiled
-/// batch plan — the typed answer the planner gives in place of a plan,
-/// surfaced as [`crate::exec::QueryStats::fallback`].
+/// Why a statement's scan ran the row-at-a-time interpreter instead of a
+/// compiled batch plan — the typed answer the planner gives in place of a
+/// plan, surfaced as [`crate::exec::QueryStats::fallback`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fallback {
     /// Batch execution is switched off (`SQLARRAY_BATCH_ROWS=0` /
@@ -65,9 +69,6 @@ pub enum Fallback {
     BatchDisabled,
     /// The select list calls a user-defined aggregate.
     Uda(String),
-    /// A string, bytes or NULL literal (or variable value) outside a call
-    /// argument: string compares and NULL propagation are interpreter-only.
-    NonNumericLiteral,
     /// A session variable with no binding: a per-row error in the
     /// interpreter (raised only when the table is non-empty).
     MissingVar(String),
@@ -95,7 +96,6 @@ impl fmt::Display for Fallback {
         match self {
             Fallback::BatchDisabled => write!(f, "batch execution disabled"),
             Fallback::Uda(name) => write!(f, "user-defined aggregate `{name}`"),
-            Fallback::NonNumericLiteral => write!(f, "non-numeric literal in a scalar expression"),
             Fallback::MissingVar(name) => write!(f, "unbound variable `@{name}`"),
             Fallback::LobVar(name) => write!(f, "variable `@{name}` holds a LOB reference"),
             Fallback::UnknownColumn(name) => write!(f, "unknown column `{name}`"),
@@ -117,7 +117,8 @@ pub(crate) enum VKind {
     F64,
     F32,
     Bool,
-    /// Typed per value at run time: a UDF result, or an operator over one.
+    /// Typed per value at run time: a UDF result, a string, bytes or NULL
+    /// constant, or an operator over one.
     Dyn,
 }
 
@@ -136,11 +137,8 @@ pub(crate) enum BExpr {
         pos: usize,
         kind: VKind,
     },
-    LitI64(i64),
-    LitI32(i32),
-    LitF64(f64),
-    LitF32(f32),
-    LitBool(bool),
+    /// A literal or session-variable value, never a LOB reference.
+    Const(Value),
     Neg(Box<BExpr>),
     Not(Box<BExpr>),
     And(Box<BExpr>, Box<BExpr>),
@@ -177,11 +175,12 @@ impl BExpr {
     pub(crate) fn kind(&self) -> VKind {
         match self {
             BExpr::Col { kind, .. } => *kind,
-            BExpr::LitI64(_) => VKind::I64,
-            BExpr::LitI32(_) => VKind::I32,
-            BExpr::LitF64(_) => VKind::F64,
-            BExpr::LitF32(_) => VKind::F32,
-            BExpr::LitBool(_) => VKind::Bool,
+            BExpr::Const(Value::I64(_)) => VKind::I64,
+            BExpr::Const(Value::I32(_)) => VKind::I32,
+            BExpr::Const(Value::F64(_)) => VKind::F64,
+            BExpr::Const(Value::F32(_)) => VKind::F32,
+            BExpr::Const(Value::Bool(_)) => VKind::Bool,
+            BExpr::Const(_) => VKind::Dyn,
             BExpr::Neg(e) => e.kind(),
             BExpr::Not(_) | BExpr::And(..) | BExpr::Or(..) | BExpr::Cmp { .. } => VKind::Bool,
             BExpr::IntArith { .. } => VKind::I64,
@@ -299,17 +298,13 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn lit(&self, v: &Value) -> Compiled<BExpr> {
-        match v {
-            Value::I64(x) => Ok(BExpr::LitI64(*x)),
-            Value::I32(x) => Ok(BExpr::LitI32(*x)),
-            Value::F64(x) => Ok(BExpr::LitF64(*x)),
-            Value::F32(x) => Ok(BExpr::LitF32(*x)),
-            Value::Bool(x) => Ok(BExpr::LitBool(*x)),
-            // Null, strings, bytes, and LOB references keep the row
-            // interpreter's semantics (string compares, null propagation)
-            // by falling back.
-            _ => Err(Fallback::NonNumericLiteral),
+    /// A literal (`var` is `None`) or variable value as a plan constant.
+    /// The interpreter re-resolves a LOB reference per row; it stays there.
+    fn constant(v: &Value, var: Option<&str>) -> Compiled<Value> {
+        match (v, var) {
+            (Value::Lob { .. }, Some(name)) => Err(Fallback::LobVar(name.into())),
+            (Value::Lob { .. }, None) => Err(Fallback::BlobInScalarExpr),
+            _ => Ok(v.clone()),
         }
     }
 
@@ -328,8 +323,8 @@ impl<'a> Compiler<'a> {
 
     fn compile(&mut self, e: &Expr) -> Compiled<BExpr> {
         match e {
-            Expr::Lit(v) => self.lit(v),
-            Expr::Var(name) => self.lit(self.var(name)?),
+            Expr::Lit(v) => Ok(BExpr::Const(Self::constant(v, None)?)),
+            Expr::Var(name) => Ok(BExpr::Const(Self::constant(self.var(name)?, Some(name))?)),
             Expr::Col(name) => {
                 let idx = self.col_index(name)?;
                 let kind = match self.schema.columns[idx].ctype {
@@ -441,15 +436,9 @@ impl<'a> Compiler<'a> {
     }
 
     fn call_arg(&mut self, e: &Expr) -> Compiled<CallArg> {
-        let constant = |v: &Value, var: Option<&str>| match (v, var) {
-            // The interpreter re-resolves a LOB-valued variable per row;
-            // it stays there.
-            (Value::Lob { .. }, Some(name)) => Err(Fallback::LobVar(name.into())),
-            _ => Ok(CallArg::Const(v.clone())),
-        };
         match e {
-            Expr::Lit(v) => constant(v, None),
-            Expr::Var(name) => constant(self.var(name)?, Some(name)),
+            Expr::Lit(v) => Ok(CallArg::Const(Self::constant(v, None)?)),
+            Expr::Var(name) => Ok(CallArg::Const(Self::constant(self.var(name)?, Some(name))?)),
             _ => match self.blob_col(e) {
                 Some(pos) => {
                     self.blob_sites += 1;
@@ -631,6 +620,22 @@ impl BVal {
         Ok(out)
     }
 
+    /// Lanes as a DML predicate: a typed non-boolean lane is an error for
+    /// its first row (so none for an empty selection — the interpreter
+    /// over an empty table raises nothing either), a dynamic lane for its
+    /// first non-boolean value.
+    fn into_strict_bool(self, stmt: &str) -> Result<Vec<bool>> {
+        if let BVal::Bool(v) = self {
+            return Ok(v);
+        }
+        let mut flags = Vec::new();
+        self.drain(|_, v| {
+            flags.push(crate::expr::strict_bool(v, stmt)?);
+            Ok(())
+        })?;
+        Ok(flags)
+    }
+
     /// Lanes as row-path truthiness (nonzero → true).
     fn into_truthy(self) -> Vec<bool> {
         let mut out = Vec::new();
@@ -647,15 +652,22 @@ impl BVal {
 }
 
 /// Evaluates a filter over the current selection, refining `sel` in place
-/// (`scratch` is the swap buffer, reused across batches).
+/// (`scratch` is the swap buffer, reused across batches). SELECT coerces
+/// the filter's lane to truthiness; the match phase of a DML statement
+/// (`strict` names it) requires booleans, like [`crate::expr::strict_bool`].
 pub(crate) fn apply_filter(
     f: &BExpr,
     batch: &Batch,
     sel: &mut Vec<u32>,
     scratch: &mut Vec<u32>,
     env: &mut EvalEnv<'_>,
+    strict: Option<&str>,
 ) -> Result<()> {
-    let flags = eval(f, batch, sel, env)?.into_truthy();
+    let lane = eval(f, batch, sel, env)?;
+    let flags = match strict {
+        Some(stmt) => lane.into_strict_bool(stmt)?,
+        None => lane.into_truthy(),
+    };
     b::refine_selection(&flags, sel, scratch);
     std::mem::swap(sel, scratch);
     Ok(())
@@ -786,30 +798,21 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>)
                 "batch plan error: blob column in scalar expression".into(),
             )),
         },
-        BExpr::LitI64(x) => {
-            let mut out = Vec::new();
-            b::splat(*x, sel.len(), &mut out);
-            Ok(BVal::I64(out))
-        }
-        BExpr::LitI32(x) => {
-            let mut out = Vec::new();
-            b::splat(*x, sel.len(), &mut out);
-            Ok(BVal::I32(out))
-        }
-        BExpr::LitF64(x) => {
-            let mut out = Vec::new();
-            b::splat(*x, sel.len(), &mut out);
-            Ok(BVal::F64(out))
-        }
-        BExpr::LitF32(x) => {
-            let mut out = Vec::new();
-            b::splat(*x, sel.len(), &mut out);
-            Ok(BVal::F32(out))
-        }
-        BExpr::LitBool(x) => {
-            let mut out = Vec::new();
-            b::splat(*x, sel.len(), &mut out);
-            Ok(BVal::Bool(out))
+        BExpr::Const(v) => {
+            fn splat<T: Copy>(x: T, n: usize) -> Vec<T> {
+                let mut out = Vec::new();
+                b::splat(x, n, &mut out);
+                out
+            }
+            let n = sel.len();
+            Ok(match v {
+                Value::I64(x) => BVal::I64(splat(*x, n)),
+                Value::I32(x) => BVal::I32(splat(*x, n)),
+                Value::F64(x) => BVal::F64(splat(*x, n)),
+                Value::F32(x) => BVal::F32(splat(*x, n)),
+                Value::Bool(x) => BVal::Bool(splat(*x, n)),
+                other => BVal::Dyn(vec![other.clone(); n]),
+            })
         }
         BExpr::Neg(inner) => match eval(inner, batch, sel, env)? {
             BVal::I64(v) => {
@@ -1068,13 +1071,6 @@ mod tests {
             why(&[uda], None, true),
             Fallback::Uda("FloatArray.VectorAvg".into())
         );
-        // String literal comparison.
-        let wh = bin(
-            BinOp::Eq,
-            Expr::Col("id".into()),
-            Expr::Lit(Value::Str("x".into())),
-        );
-        assert_eq!(why(&[id()], Some(&wh), false), Fallback::NonNumericLiteral);
         // Missing session variable (error parity).
         let wh = bin(BinOp::Gt, Expr::Col("x".into()), Expr::Var("gone".into()));
         assert_eq!(
@@ -1202,7 +1198,7 @@ mod tests {
         let e = BExpr::IntArith {
             op: ArithOp::Add,
             l: Box::new(col0.clone()),
-            r: Box::new(BExpr::LitI64(i64::MAX)),
+            r: Box::new(BExpr::Const(Value::I64(i64::MAX))),
         };
         match eval_free(&e, &batch, &sel).unwrap() {
             BVal::I64(v) => assert_eq!(v, vec![i64::MIN, i64::MIN + 1, i64::MIN + 2, i64::MIN + 3]),
@@ -1222,7 +1218,7 @@ mod tests {
         let e = BExpr::Cmp {
             op: CmpOp::Gt,
             l: Box::new(col1.clone()),
-            r: Box::new(BExpr::LitF64(0.0)),
+            r: Box::new(BExpr::Const(Value::F64(0.0))),
         };
         match eval_free(&e, &batch, &[1, 3]).unwrap() {
             BVal::Bool(v) => assert_eq!(v, vec![true, false]),
@@ -1232,7 +1228,7 @@ mod tests {
         let e = BExpr::IntArith {
             op: ArithOp::Div,
             l: Box::new(col0.clone()),
-            r: Box::new(BExpr::LitI64(0)),
+            r: Box::new(BExpr::Const(Value::I64(0))),
         };
         let err = eval_free(&e, &batch, &sel).unwrap_err();
         assert!(err.to_string().contains("integer division by zero"));
@@ -1252,20 +1248,20 @@ mod tests {
         let lhs = BExpr::Cmp {
             op: CmpOp::Gt,
             l: Box::new(col0.clone()),
-            r: Box::new(BExpr::LitI64(2)),
+            r: Box::new(BExpr::Const(Value::I64(2))),
         };
         let rhs = BExpr::Cmp {
             op: CmpOp::Gt,
             l: Box::new(BExpr::IntArith {
                 op: ArithOp::Div,
-                l: Box::new(BExpr::LitI64(1)),
+                l: Box::new(BExpr::Const(Value::I64(1))),
                 r: Box::new(BExpr::IntArith {
                     op: ArithOp::Sub,
                     l: Box::new(col0.clone()),
-                    r: Box::new(BExpr::LitI64(2)),
+                    r: Box::new(BExpr::Const(Value::I64(2))),
                 }),
             }),
-            r: Box::new(BExpr::LitI64(0)),
+            r: Box::new(BExpr::Const(Value::I64(0))),
         };
         // Lanes passing lhs: values 3, 4 → rhs divisors 1, 2 → no error,
         // and 1/1 > 0 but 1/2 = 0 is not.
@@ -1299,9 +1295,9 @@ mod tests {
                 pos: 1,
                 kind: VKind::F64,
             }),
-            r: Box::new(BExpr::LitF64(0.0)),
+            r: Box::new(BExpr::Const(Value::F64(0.0))),
         };
-        apply_filter(&f, &batch, &mut sel, &mut scratch, &mut env).unwrap();
+        apply_filter(&f, &batch, &mut sel, &mut scratch, &mut env, None).unwrap();
         assert_eq!(sel, vec![0, 1]);
         // A second filter composes over the refined selection.
         let f2 = BExpr::Cmp {
@@ -1310,10 +1306,93 @@ mod tests {
                 pos: 0,
                 kind: VKind::I64,
             }),
-            r: Box::new(BExpr::LitI64(2)),
+            r: Box::new(BExpr::Const(Value::I64(2))),
         };
-        apply_filter(&f2, &batch, &mut sel, &mut scratch, &mut env).unwrap();
+        apply_filter(&f2, &batch, &mut sel, &mut scratch, &mut env, None).unwrap();
         assert_eq!(sel, vec![1]);
+    }
+
+    #[test]
+    fn string_bytes_and_null_constants_compile_to_dynamic_lanes() {
+        // `id = 'x'` used to fall back; it compiles to the interpreter's
+        // own compare over a dynamic lane — and raises its error.
+        let wh = bin(
+            BinOp::Eq,
+            Expr::Col("id".into()),
+            Expr::Lit(Value::Str("x".into())),
+        );
+        let p = plan(&[item(Expr::Col("id".into()))], Some(&wh), false).expect("should compile");
+        let filter = p.filter.expect("a filter");
+        assert!(matches!(filter, BExpr::DynBin { .. }), "{filter:?}");
+        let batch = test_batch();
+        let err = eval_free(&filter, &batch, &all(4)).unwrap_err();
+        assert!(err.to_string().contains("is not numeric"), "{err}");
+        // No row selected, nothing evaluated: an empty table raises nothing.
+        assert!(matches!(eval_free(&filter, &batch, &[]), Ok(BVal::Dyn(v)) if v.is_empty()));
+
+        for v in [
+            Value::Str("s".into()),
+            Value::Bytes(vec![1, 2]),
+            Value::Null,
+        ] {
+            let c = BExpr::Const(v.clone());
+            assert_eq!(c.kind(), VKind::Dyn);
+            match eval_free(&c, &batch, &[0, 2]).unwrap() {
+                BVal::Dyn(lane) => assert_eq!(lane, vec![v.clone(), v]),
+                other => panic!("expected Dyn, got {other:?}"),
+            }
+        }
+        // Typed constants keep their typed splat.
+        assert_eq!(BExpr::Const(Value::I32(3)).kind(), VKind::I32);
+        assert!(matches!(
+            eval_free(&BExpr::Const(Value::Bool(true)), &batch, &[1]).unwrap(),
+            BVal::Bool(v) if v == [true]
+        ));
+        // A LOB reference is never a plan constant.
+        let lob = item(Expr::Lit(Value::Lob { id: 1, len: 2 }));
+        assert_eq!(
+            plan(&[lob], None, false).unwrap_err(),
+            Fallback::BlobInScalarExpr
+        );
+    }
+
+    #[test]
+    fn strict_filters_reject_non_boolean_lanes_of_selected_rows_only() {
+        let batch = test_batch();
+        let mut scratch = Vec::new();
+        let (udfs, vars) = (registry(), no_vars());
+        let mut env = EvalEnv {
+            udfs: &udfs,
+            hosting: &mut HostingModel::free(),
+            vars: &vars,
+            lobs: None,
+        };
+        let col0 = BExpr::Col {
+            pos: 0,
+            kind: VKind::I64,
+        };
+        let mut strict = |f: &BExpr, sel: &mut Vec<u32>| {
+            apply_filter(f, &batch, sel, &mut scratch, &mut env, Some("DELETE"))
+        };
+        // A typed non-boolean lane: an error as soon as a row is selected.
+        let err = strict(&col0, &mut all(4)).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Type("DELETE WHERE clause must evaluate to a boolean, got BIGINT".into())
+        );
+        strict(&col0, &mut Vec::new()).expect("no row, no error");
+        // A dynamic lane: per value.
+        let err = strict(&BExpr::Const(Value::Null), &mut all(4)).unwrap_err();
+        assert!(err.to_string().ends_with("got NULL"), "{err}");
+        // Booleans filter as ever.
+        let f = BExpr::Cmp {
+            op: CmpOp::Ge,
+            l: Box::new(col0),
+            r: Box::new(BExpr::Const(Value::I64(3))),
+        };
+        let mut sel = all(4);
+        strict(&f, &mut sel).unwrap();
+        assert_eq!(sel, vec![2, 3]);
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //! DML runs in three phases so that the WAL byte stream is identical at
 //! every DOP and a failing statement changes nothing:
 //!
-//! 1. **Match** (parallel, read-only): the same partitioned scan SELECT
-//!    uses evaluates the WHERE clause — strictly boolean for DML — and,
-//!    for UPDATE, every SET expression against each matching row. Workers
-//!    hand back `(clustered key, evaluated values)` in partition order,
-//!    which is key order.
-//! 2. **Resolve** (serial, read-only): every matched row's evaluated
-//!    values become storage values and patch lists — the column range and
-//!    type checks, the in-place patch conditions, the `ArrayUpdate` UDF
-//!    fallback. Everything a user's data can make fail happens here, so a
+//! 1. **Match** (parallel, read-only): one more [`SelectJob`] — the scan
+//!    job SELECT runs, on whichever of its two bodies the fallback seam
+//!    picks — over the statement's WHERE (strictly boolean for DML) and,
+//!    for UPDATE, the list of its SET expressions, with no row limit. It
+//!    hands back `[clustered key, evaluated values…]` per matching row in
+//!    partition order, which is key order; out-of-row values are copied at
+//!    its projection boundary, while the worker's reader is live.
+//! 2. **Resolve** (serial, read-only): every matched row's stored image is
+//!    read once and its evaluated values become the new row and its patch
+//!    list — the column range and type checks, the in-place patch
+//!    conditions, the `ArrayUpdate` UDF fallback, the leaf-record size
+//!    limit. Everything a user's data can make fail happens here, so a
 //!    typed error leaves zero pages and zero WAL bytes changed.
 //! 3. **Apply** (serial, mutating): rows change through [`Table::update`]
 //!    / [`Table::delete`] in key order. Scans never write log records, so
@@ -24,87 +27,64 @@
 //! don't cover falls back to the registered `ArrayUpdate` UDF plus a
 //! full-row update, so both paths agree on semantics and on errors.
 
-use super::scan::{run_scan, ScanTotals, ScanWorker};
-use super::{QueryResult, StmtCtx};
+use super::scan::ScanTotals;
+use super::select::SelectJob;
+use super::{QueryResult, SelectOpts, StmtCtx};
 use crate::database::Database;
-use crate::expr::{eval, Expr, RowCtx};
-use crate::tsql::{DeleteStmt, UpdateStmt};
+use crate::expr::Expr;
+use crate::tsql::{DeleteStmt, SelectItem, UpdateStmt};
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::stream::ArrayReader;
 use sqlarray_core::{ElementType, StorageClass};
-use sqlarray_storage::row::{decode_col_ref, RowValueRef};
-use sqlarray_storage::{BlobStream, ColType, Column, PageStore, RowValue, Schema, Table};
+use sqlarray_storage::{
+    btree, row, BlobStream, ColType, Column, PageStore, RowValue, StorageError, Table,
+};
 
-/// One planned SET item: target column index plus how to produce its value.
+/// One planned SET item: target column index plus how its value comes to
+/// be. The expressions themselves ride in the match scan's item list, in
+/// SET order.
 struct SetItem {
     col: usize,
     plan: SetPlan,
 }
 
 enum SetPlan {
-    /// Evaluate the expression per matched row during the match phase.
-    Eval(Expr),
+    /// One scan item: the expression, evaluated per matched row.
+    Eval,
+    /// `SET c = c` — no scan item: the stored value passes through. A bare
+    /// reference to the target column is the only expression that can
+    /// yield the row's own LOB chain; every other out-of-row value was
+    /// copied at the scan's projection boundary.
+    Keep,
     /// `SET col = Schema.ArrayUpdate(col, offset, replacement)` with the
-    /// target column as its own first argument: only `offset` and
-    /// `replacement` are evaluated in the match phase; the stored array is
-    /// never materialized unless the in-place patch conditions fail.
+    /// target column as its own first argument — two scan items, `offset`
+    /// and `replacement`: the stored array is never materialized unless
+    /// the in-place patch conditions fail.
     ArrayPatch {
         name: String,
         elem: ElementType,
         class: StorageClass,
-        offset: Expr,
-        replacement: Expr,
     },
 }
-
-/// One SET item's evaluated value for one matched row.
-enum SetValue {
-    Plain(Value),
-    Patch { offset: Value, replacement: Value },
-}
-
-/// One matched row out of the match phase.
-type Match = (i64, Vec<SetValue>);
 
 /// One matched row out of the resolve phase: everything the apply phase
 /// writes, with nothing left that can fail on the user's data.
 struct RowChange {
     key: i64,
-    /// The stored row, when resolving had to read it (an `ArrayPatch`
-    /// item needs the stored value) — handed on so apply does not read it
-    /// again.
-    old: Option<Vec<RowValue>>,
-    /// Whole-column replacements.
-    cols: Vec<(usize, RowValue)>,
+    /// The full new row, when any column is replaced whole.
+    row: Option<Vec<RowValue>>,
     /// In-place LOB patches: column, blob byte offset, payload.
     patches: Vec<(usize, usize, Vec<u8>)>,
 }
 
-fn value_kind(v: &Value) -> &'static str {
-    match v {
-        Value::Null => "NULL",
-        Value::I64(_) => "BIGINT",
-        Value::I32(_) => "INT",
-        Value::F64(_) => "FLOAT",
-        Value::F32(_) => "REAL",
-        Value::Bytes(_) => "VARBINARY",
-        Value::Str(_) => "VARCHAR",
-        Value::Bool(_) => "BIT",
-        Value::Lob { .. } => "VARBINARY(MAX)",
-    }
+/// A match-scan row that does not carry what its statement planned.
+fn short_row() -> EngineError {
+    EngineError::Type("DML plan error: match row shorter than its SET list".into())
 }
 
-/// DML predicates are strict: unlike SELECT's truthiness coercion, a
-/// WHERE clause that does not evaluate to a boolean is a typed error —
-/// silently coercing would make `WHERE id` delete every non-zero row.
-fn strict_bool(v: Value, kind: &str) -> Result<bool> {
-    match v {
-        Value::Bool(b) => Ok(b),
-        other => Err(EngineError::Type(format!(
-            "{kind} WHERE clause must evaluate to a boolean, got {}",
-            value_kind(&other)
-        ))),
-    }
+/// The clustered key every match-scan row leads with.
+fn leading_key(row: &[Value]) -> Result<i64> {
+    row.first().ok_or_else(short_row)?.as_i64()
 }
 
 /// Converts an evaluated SET value into the storage representation the
@@ -125,14 +105,10 @@ fn to_row_value(col: &Column, v: Value) -> Result<RowValue> {
         ColType::F32 => RowValue::F32(v.as_f64()? as f32),
         ColType::Blob => match v {
             Value::Bytes(b) => RowValue::Bytes(b),
-            // A lazy reference that survived the match phase aliases the
-            // row's own stored chain (`SET v = v`): keep the reference so
-            // `Table::update` keeps the chain.
-            Value::Lob { id, len } => RowValue::LobRef(id, len),
             other => {
                 return Err(EngineError::Type(format!(
                     "cannot store {} into binary column `{}`",
-                    value_kind(&other),
+                    other.kind_name(),
                     col.name
                 )))
             }
@@ -140,95 +116,47 @@ fn to_row_value(col: &Column, v: Value) -> Result<RowValue> {
     })
 }
 
-/// Recognizes the in-place candidate shape of a SET expression. Anything
-/// else — including an `ArrayUpdate` whose first argument is *not* the
-/// target column itself — evaluates as an ordinary expression.
-fn plan_set_item(col_name: &str, expr: &Expr) -> SetPlan {
-    if let Expr::Func { name, args } = expr {
-        if args.len() == 3 {
-            if let Some((schema_part, func)) = name.rsplit_once('.') {
-                if func.eq_ignore_ascii_case("ArrayUpdate") {
-                    if let Some((elem, class)) = crate::arraybind::parse_schema(schema_part) {
-                        if let Expr::Col(c) = &args[0] {
-                            if c.eq_ignore_ascii_case(col_name) {
-                                return SetPlan::ArrayPatch {
-                                    name: name.clone(),
-                                    elem,
-                                    class,
-                                    offset: args[1].clone(),
-                                    replacement: args[2].clone(),
-                                };
-                            }
-                        }
-                    }
-                }
-            }
-        }
+/// The in-place candidate shape of a SET expression:
+/// `Schema.ArrayUpdate(col, offset, replacement)` over the target column
+/// itself.
+fn array_patch<'e>(col_name: &str, expr: &'e Expr) -> Option<(SetPlan, &'e Expr, &'e Expr)> {
+    let Expr::Func { name, args } = expr else {
+        return None;
+    };
+    let [Expr::Col(c), offset, replacement] = args.as_slice() else {
+        return None;
+    };
+    let (schema_part, func) = name.rsplit_once('.')?;
+    if !func.eq_ignore_ascii_case("ArrayUpdate") || !c.eq_ignore_ascii_case(col_name) {
+        return None;
     }
-    SetPlan::Eval(expr.clone())
+    let (elem, class) = crate::arraybind::parse_schema(schema_part)?;
+    let name = name.clone();
+    Some((
+        SetPlan::ArrayPatch { name, elem, class },
+        offset,
+        replacement,
+    ))
 }
 
-/// The match-phase body: one partition's matching keys with their
-/// evaluated SET values, in key order.
-fn match_rows(
-    w: &mut ScanWorker<'_>,
-    schema: &Schema,
-    where_clause: Option<&Expr>,
-    sets: &[SetItem],
-    kind: &str,
-) -> Result<Vec<Match>> {
-    let mut matched: Vec<Match> = Vec::new();
-    w.for_each_row(|env, key, bytes| {
-        let row = RowCtx { schema, bytes, key };
-        if let Some(w) = where_clause {
-            if !strict_bool(eval(w, Some(&row), env)?, kind)? {
-                return Ok(true);
-            }
-        }
-        let mut vals = Vec::with_capacity(sets.len());
-        for item in sets {
-            match &item.plan {
-                SetPlan::Eval(e) => {
-                    let mut v = eval(e, Some(&row), env)?;
-                    if let Value::Lob { id, .. } = v {
-                        // A reference to the target column's own chain
-                        // passes through (the apply phase keeps it); a
-                        // reference to any *other* chain is copied here,
-                        // while the worker's reader is live — two rows
-                        // must never share a chain, or freeing one
-                        // corrupts the other. The borrowed decode inspects
-                        // the stored reference without copying inline
-                        // blob bytes.
-                        let own = matches!(
-                            decode_col_ref(schema, bytes, item.col)?,
-                            RowValueRef::LobRef(cid, _) if cid == id
-                        );
-                        if !own {
-                            crate::pushdown::resolve_lob_in_place(&mut v, env)?;
-                        }
-                    }
-                    vals.push(SetValue::Plain(v));
-                }
-                SetPlan::ArrayPatch {
-                    offset,
-                    replacement,
-                    ..
-                } => {
-                    let mut off = eval(offset, Some(&row), env)?;
-                    crate::pushdown::resolve_lob_in_place(&mut off, env)?;
-                    let mut repl = eval(replacement, Some(&row), env)?;
-                    crate::pushdown::resolve_lob_in_place(&mut repl, env)?;
-                    vals.push(SetValue::Patch {
-                        offset: off,
-                        replacement: repl,
-                    });
-                }
-            }
-        }
-        matched.push((key, vals));
-        Ok(true)
-    })?;
-    Ok(matched)
+/// Plans one SET item, appending the expressions the match scan must
+/// evaluate for it to `items`. Anything but the two recognized shapes —
+/// including an `ArrayUpdate` whose first argument is *not* the target
+/// column itself — evaluates as an ordinary expression.
+fn plan_set_item(col_name: &str, expr: &Expr, items: &mut Vec<SelectItem>) -> SetPlan {
+    if matches!(expr, Expr::Col(c) if c.eq_ignore_ascii_case(col_name)) {
+        return SetPlan::Keep;
+    }
+    let (plan, scanned) = match array_patch(col_name, expr) {
+        Some((plan, offset, replacement)) => (plan, vec![offset, replacement]),
+        None => (SetPlan::Eval, vec![expr]),
+    };
+    items.extend(scanned.into_iter().map(|e| SelectItem {
+        expr: e.clone(),
+        alias: None,
+        assign: None,
+    }));
+    plan
 }
 
 /// Checks the in-place patch conditions for one `ArrayUpdate` against the
@@ -292,94 +220,81 @@ fn materialize(store: &mut PageStore, v: RowValue) -> Result<Value> {
     }
 }
 
-/// The resolve phase for one matched UPDATE row: reads and conversions
-/// only. `None` when the row is gone.
+/// The resolve phase for one matched UPDATE row (`[key, values…]` as the
+/// match scan evaluated them, in SET order): reads and conversions only.
+/// The stored row is read once, here, and handed on to the apply phase
+/// inside the change. `None` when the row is gone.
 fn resolve_row(
     ctx: &mut StmtCtx<'_>,
     store: &mut PageStore,
     table: &Table,
     sets: &[SetItem],
-    (key, vals): Match,
+    matched: Vec<Value>,
 ) -> Result<Option<RowChange>> {
     let schema = table.schema();
-    let mut change = RowChange {
-        key,
-        old: None,
-        cols: Vec::new(),
-        patches: Vec::new(),
+    let key = leading_key(&matched)?;
+    let mut vals = matched.into_iter().skip(1);
+    let mut next = || vals.next().ok_or_else(short_row);
+    let Some(mut row) = table.get(store, key)? else {
+        return Ok(None);
     };
-    for (item, sv) in sets.iter().zip(vals) {
-        match (&item.plan, sv) {
-            (_, SetValue::Plain(v)) => {
-                let v = to_row_value(&schema.columns[item.col], v)?;
-                change.cols.push((item.col, v));
+    let mut rewrite = false;
+    let mut patches = Vec::new();
+    for item in sets {
+        // A column is set at most once, so `row[item.col]` still holds the
+        // stored value here.
+        let col = &schema.columns[item.col];
+        match &item.plan {
+            SetPlan::Keep => rewrite = true,
+            SetPlan::Eval => {
+                row[item.col] = to_row_value(col, next()?)?;
+                rewrite = true;
             }
-            (
-                SetPlan::ArrayPatch {
-                    name, elem, class, ..
-                },
-                SetValue::Patch {
-                    offset,
-                    replacement,
-                },
-            ) => {
-                if change.old.is_none() {
-                    change.old = table.get(store, key)?;
-                }
-                let Some(old) = &change.old else {
-                    return Ok(None);
-                };
-                let stored = &old[item.col];
+            SetPlan::ArrayPatch { name, elem, class } => {
+                let (offset, replacement) = (next()?, next()?);
+                let stored = &row[item.col];
                 match try_in_place(store, stored, *elem, *class, &offset, &replacement)? {
-                    Some((byte_off, payload)) => {
-                        change.patches.push((item.col, byte_off, payload));
-                    }
+                    Some((byte_off, payload)) => patches.push((item.col, byte_off, payload)),
                     None => {
                         let cur = materialize(store, stored.clone())?;
                         let v = ctx
                             .udfs
                             .call(name, &[cur, offset, replacement], ctx.hosting)?;
-                        let v = to_row_value(&schema.columns[item.col], v)?;
-                        change.cols.push((item.col, v));
+                        row[item.col] = to_row_value(col, v)?;
+                        rewrite = true;
                     }
                 }
             }
-            (SetPlan::Eval(_), SetValue::Patch { .. }) => {
-                unreachable!("Patch values only come from ArrayPatch plans")
-            }
         }
     }
-    Ok(Some(change))
+    if rewrite {
+        // Only the B-tree would notice an oversized record, in the apply
+        // phase, with earlier rows already rewritten: check it here (a
+        // blob past the in-row limit counts as its 17-byte reference).
+        let bytes = row::encoded_len(schema, &row)?;
+        if bytes > btree::MAX_PAYLOAD {
+            let limit = btree::MAX_PAYLOAD;
+            return Err(StorageError::RecordTooLarge { bytes, limit }.into());
+        }
+    }
+    Ok(Some(RowChange {
+        key,
+        row: rewrite.then_some(row),
+        patches,
+    }))
 }
 
-/// The apply phase for one resolved UPDATE row. Returns whether the row
-/// existed.
-fn apply_row(store: &mut PageStore, table: &mut Table, change: RowChange) -> Result<bool> {
-    let RowChange {
-        key,
-        old,
-        cols,
-        patches,
-    } = change;
-    let old = match old {
-        Some(old) => Some(old),
-        None => table.get(store, key)?,
-    };
-    let Some(mut row) = old else {
-        return Ok(false);
-    };
+/// The apply phase for one resolved UPDATE row.
+fn apply_row(store: &mut PageStore, table: &mut Table, change: RowChange) -> Result<()> {
     // The full-row update goes first: untouched LOB columns pass their
     // references through, so a subsequent patch addresses the same chain.
-    if !cols.is_empty() {
-        for (col, v) in cols {
-            row[col] = v;
-        }
-        table.update(store, key, &row)?;
+    if let Some(row) = change.row {
+        table.update(store, change.key, &row)?;
     }
-    for (col, byte_off, payload) in patches {
-        table.update_col_blob_range(store, key, col, byte_off, &payload)?;
+    for (col, byte_off, payload) in change.patches {
+        table.update_col_blob_range(store, change.key, col, byte_off, &payload)?;
     }
-    Ok(true)
+    Ok(())
 }
 
 /// Executes one UPDATE. The caller holds exclusive access to the
@@ -387,11 +302,13 @@ fn apply_row(store: &mut PageStore, table: &mut Table, change: RowChange) -> Res
 pub(crate) fn exec_update(
     ctx: &mut StmtCtx<'_>,
     db: &mut Database,
+    opts: &SelectOpts<'_>,
     stmt: &UpdateStmt,
 ) -> Result<QueryResult> {
     let (store, table) = db.store_and_table_mut(&stmt.table)?;
     let schema = table.schema();
     let mut sets: Vec<SetItem> = Vec::with_capacity(stmt.sets.len());
+    let mut items = Vec::new();
     for (col_name, expr) in &stmt.sets {
         let col = schema
             .col_index(col_name)
@@ -403,17 +320,11 @@ pub(crate) fn exec_update(
         }
         sets.push(SetItem {
             col,
-            plan: plan_set_item(col_name, expr),
+            plan: plan_set_item(col_name, expr, &mut items),
         });
     }
-    exec_dml(
-        ctx,
-        store,
-        table,
-        stmt.where_clause.as_ref(),
-        Some(&sets[..]),
-        "UPDATE",
-    )
+    let scan = SelectJob::dml("UPDATE", &items, stmt.where_clause.as_ref(), opts);
+    exec_dml(ctx, store, table, &scan, Some(&sets))
 }
 
 /// Executes one DELETE. The caller holds exclusive access to the
@@ -421,17 +332,12 @@ pub(crate) fn exec_update(
 pub(crate) fn exec_delete(
     ctx: &mut StmtCtx<'_>,
     db: &mut Database,
+    opts: &SelectOpts<'_>,
     stmt: &DeleteStmt,
 ) -> Result<QueryResult> {
     let (store, table) = db.store_and_table_mut(&stmt.table)?;
-    exec_dml(
-        ctx,
-        store,
-        table,
-        stmt.where_clause.as_ref(),
-        None,
-        "DELETE",
-    )
+    let scan = SelectJob::dml("DELETE", &[], stmt.where_clause.as_ref(), opts);
+    exec_dml(ctx, store, table, &scan, None)
 }
 
 /// The shared DML driver: parallel match, then serial resolve and apply.
@@ -440,12 +346,11 @@ fn exec_dml(
     ctx: &mut StmtCtx<'_>,
     store: &mut PageStore,
     table: &mut Table,
-    where_clause: Option<&Expr>,
+    scan: &SelectJob<'_>,
     sets: Option<&[SetItem]>,
-    kind: &'static str,
 ) -> Result<QueryResult> {
     let mut totals = ScanTotals::start(store, ctx.hosting);
-    let done = match_resolve_apply(ctx, store, table, where_clause, sets, kind, &mut totals);
+    let done = match_resolve_apply(ctx, store, table, scan, sets, &mut totals);
     let ((), stats) = totals.close(done, store, ctx)?;
     Ok(QueryResult {
         columns: Vec::new(),
@@ -459,27 +364,18 @@ fn match_resolve_apply(
     ctx: &mut StmtCtx<'_>,
     store: &mut PageStore,
     table: &mut Table,
-    where_clause: Option<&Expr>,
+    scan: &SelectJob<'_>,
     sets: Option<&[SetItem]>,
-    kind: &'static str,
     totals: &mut ScanTotals,
 ) -> Result<()> {
-    // DML match scans run row-at-a-time (the WAL byte stream, not scan
-    // throughput, dominates). Concatenating the workers' matches in
-    // partition order yields them in clustered-key order, so the apply
-    // phase — and with it the WAL record stream — is identical at every
-    // DOP.
-    let schema = table.schema();
-    let matched: Vec<Match> = run_scan(ctx, store, table, totals, |w| {
-        match_rows(w, schema, where_clause, sets.unwrap_or(&[]), kind)
-    })?
-    .into_iter()
-    .flatten()
-    .collect();
+    // The workers' matches, concatenated in partition order, arrive in
+    // clustered-key order, so the apply phase — and with it the WAL record
+    // stream — is identical at every DOP and on both scan bodies.
+    let matched = scan.run(ctx, store, table, totals)?;
 
     let Some(sets) = sets else {
-        for (key, _) in matched {
-            totals.rows_affected += u64::from(table.delete(store, key)?);
+        for row in matched {
+            totals.rows_affected += u64::from(table.delete(store, leading_key(&row)?)?);
         }
         return Ok(());
     };
@@ -488,7 +384,8 @@ fn match_resolve_apply(
         changes.extend(resolve_row(ctx, store, table, sets, m)?);
     }
     for change in changes {
-        totals.rows_affected += u64::from(apply_row(store, table, change)?);
+        apply_row(store, table, change)?;
+        totals.rows_affected += 1;
     }
     Ok(())
 }

@@ -4,9 +4,10 @@
 //!
 //! ## The parallel pipeline
 //!
-//! Every statement that reads a table — SELECT on the row interpreter,
-//! SELECT on the vectorized path, and the match phase of UPDATE/DELETE —
-//! goes through one driver, `scan::run_scan`, regardless of DOP:
+//! Every statement that reads a table — a SELECT, or the match phase of
+//! an UPDATE/DELETE — is one scan job (`select::SelectJob`: WHERE plus an
+//! item list) with two bodies, the row interpreter and the vectorized
+//! path, and goes through one driver, `scan::run_scan`, regardless of DOP:
 //!
 //! 1. [`sqlarray_storage::Table::partition`] splits the clustered index
 //!    into at most `dop` contiguous leaf-page ranges (key order
@@ -15,7 +16,7 @@
 //!    for one partition, on [`std::thread::scope`] threads otherwise —
 //!    holding its own [`sqlarray_storage::PartitionReader`], a
 //!    [`HostingModel`] fork, and whatever private state the statement's
-//!    body closure builds (accumulators, projected rows, DML matches);
+//!    body closure builds (accumulators, projected or matched rows);
 //!    every worker read touches the **live** sharded buffer pool
 //!    immediately, while the simulated I/O classifies against the
 //!    start-of-scan residency snapshot in [`sqlarray_storage::ScanCtx`];
@@ -28,9 +29,10 @@
 //!    simulated disk head to the scan's last *physical* read —
 //!    unconditionally, failed workers included, and hands the bodies'
 //!    outputs back **in partition order**: projection rows concatenate
-//!    (and truncate to `TOP`), groups combine accumulator by accumulator
+//!    (and truncate to `TOP`; a DML match phase has no limit and its rows
+//!    arrive in key order), groups combine accumulator by accumulator
 //!    (exact-sum merge for `SUM`/`AVG`, `Merge()`-style state merge for
-//!    UDAs), DML matches concatenate into key order.
+//!    UDAs).
 //!
 //! Results are **bit-identical at every DOP**: partitions cover the scan in
 //! key order, `SUM`/`AVG` accumulate in an order-independent exact
@@ -46,10 +48,12 @@
 //! * `scan` — the partitioned-scan driver and the statement meter that
 //!   becomes [`QueryStats`];
 //! * `agg` — GROUP BY keys and select-list accumulators;
-//! * `select` — SELECT: the row and batch scan bodies and the merge
-//!   (which body runs is decided by `crate::batch::plan_select`, the one
-//!   fallback seam; its typed reason lands in [`QueryStats::fallback`]);
-//! * `dml` — UPDATE/DELETE: the match body, then resolve and apply.
+//! * `select` — SELECT and the scan job: the row and batch scan bodies
+//!   and the merge (which body runs is decided by
+//!   `crate::batch::plan_select`, the one fallback seam; its typed reason
+//!   lands in [`QueryStats::fallback`]);
+//! * `dml` — UPDATE/DELETE: the match phase handed to the scan job, then
+//!   resolve and apply.
 
 mod agg;
 mod dml;
@@ -92,9 +96,10 @@ pub struct QueryStats {
     /// path counts a whole batch when it is handed to the filter, so under
     /// `TOP` it can run slightly ahead of the row-at-a-time count.
     pub rows_scanned: u64,
-    /// Column batches the vectorized scan produced, summed over workers.
-    /// 0 when the query ran the row-at-a-time path (fallback or batch
-    /// execution disabled).
+    /// Column batches the vectorized scan — a SELECT's, or the match phase
+    /// of an UPDATE/DELETE — produced, summed over workers. 0 when the
+    /// statement ran the row-at-a-time path (fallback or batch execution
+    /// disabled).
     pub batches: u64,
     /// Mean rows per batch (`rows_scanned / batches`); 0 when no batches
     /// ran. Full batches (≈ the configured batch size) mean the scan
@@ -126,10 +131,10 @@ pub struct QueryStats {
     pub sim_io_seconds: f64,
     /// Rows an UPDATE/DELETE statement changed (0 for SELECT).
     pub rows_affected: u64,
-    /// Why a SELECT over a table ran the row-at-a-time interpreter
-    /// instead of a compiled batch plan; `None` when it ran vectorized
-    /// (and for FROM-less SELECTs and DML, which have no batch plan to
-    /// fall back from).
+    /// Why the statement's table scan (a SELECT's, or the match phase of
+    /// an UPDATE/DELETE) ran the row-at-a-time interpreter instead of a
+    /// compiled batch plan; `None` when it ran vectorized (and for
+    /// FROM-less SELECTs, which scan nothing).
     pub fallback: Option<Fallback>,
 }
 
@@ -236,7 +241,9 @@ pub(crate) struct StmtCtx<'a> {
     pub partial: &'a mut Option<QueryStats>,
 }
 
-/// What only SELECT reads besides [`StmtCtx`].
+/// What a table-scanning statement reads besides [`StmtCtx`]: SELECT all
+/// of it, the match phase of UPDATE/DELETE the batch size and the plan
+/// slot (it aggregates nothing and no row limit applies to it).
 pub(crate) struct SelectOpts<'a> {
     /// User-defined aggregates.
     pub udas: &'a UdaRegistry,
@@ -245,7 +252,7 @@ pub(crate) struct SelectOpts<'a> {
     /// Row cap for projections without TOP.
     pub row_limit: usize,
     /// Target rows per column batch for vectorized scans; 0 disables
-    /// batch execution entirely (every query runs row-at-a-time).
+    /// batch execution entirely (every statement runs row-at-a-time).
     pub batch_rows: usize,
     /// This statement's compiled-plan slot in the engine's plan cache.
     pub cached: &'a crate::plancache::SelectSlot,

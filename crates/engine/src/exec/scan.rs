@@ -39,8 +39,8 @@ pub(super) struct ScanTotals {
     pub max_busy: f64,
     /// Rows a DML apply phase has changed so far.
     pub rows_affected: u64,
-    /// Why a SELECT's scan ran the row interpreter (`None`: it ran a
-    /// compiled batch plan, or the statement is not a table SELECT).
+    /// Why the scan ran the row interpreter (`None`: it ran a compiled
+    /// batch plan, or the statement scans no table).
     pub fallback: Option<crate::batch::Fallback>,
 }
 

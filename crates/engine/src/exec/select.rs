@@ -1,5 +1,8 @@
-//! SELECT: the row-at-a-time and vectorized scan bodies handed to the
-//! driver, and the partition-order merge of what they return.
+//! SELECT, and the scan job every table-reading statement runs: the
+//! row-at-a-time and vectorized bodies handed to the driver, and the
+//! partition-order merge of what they return. The match phase of
+//! UPDATE/DELETE is one more [`SelectJob`] — WHERE plus an item list, no
+//! row limit — whose rows lead with the clustered key.
 
 use super::agg::{make_accs, BatchAgg, GroupKey, Groups};
 use super::scan::{eval_scalars, run_scan, ScanTotals, ScanWorker};
@@ -7,11 +10,11 @@ use super::{QueryResult, SelectOpts, StmtCtx};
 use crate::aggregate::UdaRegistry;
 use crate::batch::{blob_cell, BItem, BVal, BatchPlan, BlobCell, Fallback};
 use crate::database::Database;
-use crate::expr::{eval, EvalEnv, Expr, RowCtx};
+use crate::expr::{eval, strict_bool, EvalEnv, Expr, RowCtx};
 use crate::tsql::{SelectItem, SelectStmt};
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::batch::Batch;
-use sqlarray_storage::Schema;
+use sqlarray_storage::{PageStore, Schema, Table};
 
 /// Rewrites scalar-function calls that name a registered UDA into
 /// [`Expr::UdaCall`] nodes.
@@ -55,42 +58,127 @@ enum WorkerOut {
     Groups(Groups),
 }
 
-/// The immutable part of one SELECT, shared by all its workers.
-struct SelectJob<'a> {
-    schema: &'a Schema,
+/// The immutable part of one table scan, shared by all its workers: a
+/// SELECT's lists, or the WHERE and `[SET expressions…]` an UPDATE/DELETE
+/// hands over for its match phase.
+pub(super) struct SelectJob<'a> {
     items: &'a [SelectItem],
     where_clause: Option<&'a Expr>,
     group_by: &'a [Expr],
     has_aggregate: bool,
+    /// Projection rows to return at most.
     limit: usize,
+    /// The statement kind of a DML match phase (`"UPDATE"`/`"DELETE"`):
+    /// WHERE must be strictly boolean and every output row leads with the
+    /// row's clustered key. `None` for SELECT.
+    dml: Option<&'static str>,
     opts: &'a SelectOpts<'a>,
 }
 
-impl SelectJob<'_> {
+impl<'a> SelectJob<'a> {
+    /// The match phase of an UPDATE/DELETE (`stmt`): every row passing
+    /// `where_clause`, as `[clustered key, items…]`. `TOP` does not parse
+    /// on DML and the session's `row_limit` guards result sets, not
+    /// writes: no limit applies.
+    pub fn dml(
+        stmt: &'static str,
+        items: &'a [SelectItem],
+        where_clause: Option<&'a Expr>,
+        opts: &'a SelectOpts<'a>,
+    ) -> SelectJob<'a> {
+        SelectJob {
+            items,
+            where_clause,
+            group_by: &[],
+            has_aggregate: false,
+            limit: usize::MAX,
+            dml: Some(stmt),
+            opts,
+        }
+    }
+
+    /// Scans `table` and returns the job's output rows: projections in
+    /// key order, or one row per group in first-appearance order.
+    ///
+    /// Vectorized by default: the scan runs batch-at-a-time whenever the
+    /// plan compiles; `batch_rows == 0` (or a plan that does not compile)
+    /// runs the row-at-a-time interpreter. The statement's plan-cache slot
+    /// answers for var-free statements without recompiling. This is the
+    /// executor side of the fallback seam.
+    pub fn run(
+        &self,
+        ctx: &mut StmtCtx<'_>,
+        store: &PageStore,
+        table: &Table,
+        totals: &mut ScanTotals,
+    ) -> Result<Vec<Vec<Value>>> {
+        let schema = table.schema();
+        let batch_plan = if self.opts.batch_rows > 0 {
+            self.opts.cached.plan_for(schema, || {
+                crate::batch::plan_select(
+                    schema,
+                    self.items,
+                    self.where_clause,
+                    self.group_by,
+                    self.has_aggregate,
+                    ctx.vars,
+                    ctx.udfs,
+                )
+            })
+        } else {
+            Err(Fallback::BatchDisabled)
+        };
+        totals.fallback = batch_plan.as_ref().err().cloned();
+        let outs = run_scan(ctx, store, table, totals, |w| match &batch_plan {
+            Ok(plan) => self.scan_batches(plan, w),
+            Err(_) => self.scan_rows(schema, w),
+        })?;
+
+        // Merge partials in partition (key) order.
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut groups = Groups::default();
+        for out in outs {
+            match out {
+                WorkerOut::Rows(mut r) => {
+                    r.truncate(self.limit.saturating_sub(rows.len()));
+                    rows.extend(r);
+                }
+                WorkerOut::Groups(g) => groups.merge(g)?,
+            }
+        }
+        if self.has_aggregate {
+            rows = groups.finish()?;
+        }
+        Ok(rows)
+    }
+
     /// The row-at-a-time body: the interpreter every expression shape
-    /// runs on (UDAs, string and NULL expressions, blob comparisons), and
+    /// runs on (UDAs, blob comparisons, multi-LOB-site statements), and
     /// the reference the vectorized body is differentially tested against.
-    fn scan_rows(&self, w: &mut ScanWorker<'_>) -> Result<WorkerOut> {
+    fn scan_rows(&self, schema: &Schema, w: &mut ScanWorker<'_>) -> Result<WorkerOut> {
         if !self.has_aggregate {
             let mut rows: Vec<Vec<Value>> = Vec::new();
             w.for_each_row(|env, key, bytes| {
                 if rows.len() >= self.limit {
                     return Ok(false);
                 }
-                let row = RowCtx {
-                    schema: self.schema,
-                    bytes,
-                    key,
-                };
+                let row = RowCtx { schema, bytes, key };
                 if !self.passes_where(&row, env)? {
                     return Ok(true);
                 }
-                let mut out = Vec::with_capacity(self.items.len());
+                let keyed = self.dml.is_some();
+                let mut out = Vec::with_capacity(self.items.len() + usize::from(keyed));
+                if keyed {
+                    out.push(Value::I64(key));
+                }
                 for it in self.items {
                     let mut v = eval(&it.expr, Some(&row), env)?;
                     // The projection boundary is blob-aware: a bare
                     // `SELECT v` of a LOB column returns the array bytes
-                    // (one ranged read), not a placeholder.
+                    // (one ranged read), not a placeholder — and a DML
+                    // value outlives the scan, so it is copied while the
+                    // worker's reader is live (two rows must never share
+                    // a chain, or freeing one corrupts the other).
                     crate::pushdown::resolve_lob_in_place(&mut v, env)?;
                     out.push(v);
                 }
@@ -110,11 +198,7 @@ impl SelectJob<'_> {
         // is cloned only when a new group is inserted.
         let mut group_key = GroupKey::default();
         w.for_each_row(|env, key, bytes| {
-            let row = RowCtx {
-                schema: self.schema,
-                bytes,
-                key,
-            };
+            let row = RowCtx { schema, bytes, key };
             if !self.passes_where(&row, env)? {
                 return Ok(true);
             }
@@ -142,11 +226,15 @@ impl SelectJob<'_> {
         Ok(WorkerOut::Groups(groups))
     }
 
-    /// SELECT's WHERE is truthiness-coerced (DML's is strictly boolean).
+    /// SELECT's WHERE is truthiness-coerced, DML's is strictly boolean.
     fn passes_where(&self, row: &RowCtx<'_>, env: &mut EvalEnv<'_>) -> Result<bool> {
-        match self.where_clause {
-            Some(w) => Ok(eval(w, Some(row), env)?.is_true()),
-            None => Ok(true),
+        let Some(w) = self.where_clause else {
+            return Ok(true);
+        };
+        let v = eval(w, Some(row), env)?;
+        match self.dml {
+            Some(stmt) => strict_bool(v, stmt),
+            None => Ok(v.is_true()),
         }
     }
 
@@ -182,7 +270,7 @@ impl SelectJob<'_> {
             sel.clear();
             sel.extend(from as u32..to as u32);
             if let Some(f) = &plan.filter {
-                crate::batch::apply_filter(f, b, sel, &mut scratch, env)?;
+                crate::batch::apply_filter(f, b, sel, &mut scratch, env, self.dml)?;
             }
             Ok(())
         };
@@ -217,10 +305,10 @@ impl SelectJob<'_> {
                     // charge, LOB read or error happens on a row past the
                     // last match. (Unless `TOP` is small this is the whole
                     // batch.)
-                    let to = b.len().min(from + missing);
+                    let to = b.len().min(from.saturating_add(missing));
                     select(b, &mut sel, (from, to), env)?;
                     if !sel.is_empty() {
-                        batch_project(plan, b, &sel, &mut rows, env)?;
+                        batch_project(plan, b, &sel, self.dml.is_some(), &mut rows, env)?;
                     }
                     from = to;
                 }
@@ -231,14 +319,16 @@ impl SelectJob<'_> {
     }
 }
 
-/// Materializes the selected rows of one batch as projection output.
-/// Scalar items evaluate column-at-a-time; blob items resolve per row in
-/// row-major order, so LOB page reads interleave exactly like the
-/// row-at-a-time scan (the plan is leaf-aligned whenever blobs appear).
+/// Materializes the selected rows of one batch as projection output
+/// (`keyed`: each led by its clustered key). Scalar items evaluate
+/// column-at-a-time; blob items resolve per row in row-major order, so LOB
+/// page reads interleave exactly like the row-at-a-time scan (the plan is
+/// leaf-aligned whenever blobs appear).
 fn batch_project(
     plan: &BatchPlan,
     b: &Batch,
     sel: &[u32],
+    keyed: bool,
     rows: &mut Vec<Vec<Value>>,
     env: &mut EvalEnv<'_>,
 ) -> Result<()> {
@@ -260,7 +350,10 @@ fn batch_project(
     }
     for (r, &row_idx) in sel.iter().enumerate() {
         env.check_interrupt()?;
-        let mut out = Vec::with_capacity(cols.len());
+        let mut out = Vec::with_capacity(cols.len() + usize::from(keyed));
+        if keyed {
+            out.push(Value::I64(b.keys[row_idx as usize]));
+        }
         for col in cols.iter_mut() {
             match col {
                 ProjCol::Vals(v) => out.push(v.take_at(r)),
@@ -347,55 +440,17 @@ fn select_rows(
         .ok_or_else(|| EngineError::Unknown(format!("table `{table_name}`")))?;
     let has_aggregate =
         items.iter().any(|it| it.expr.contains_aggregate()) || !stmt.group_by.is_empty();
-    // Vectorized by default: scans run batch-at-a-time whenever the plan
-    // compiles; `batch_rows == 0` (or a plan that does not compile) runs
-    // the row-at-a-time interpreter. The statement's plan-cache slot
-    // answers for var-free statements without recompiling. This is the
-    // executor side of the fallback seam.
-    let batch_plan = if opts.batch_rows > 0 {
-        opts.cached.plan_for(table.schema(), || {
-            crate::batch::plan_select(
-                table.schema(),
-                items,
-                stmt.where_clause.as_ref(),
-                &stmt.group_by,
-                has_aggregate,
-                ctx.vars,
-                ctx.udfs,
-            )
-        })
-    } else {
-        Err(Fallback::BatchDisabled)
-    };
-    totals.fallback = batch_plan.as_ref().err().cloned();
     let job = SelectJob {
-        schema: table.schema(),
         items,
         where_clause: stmt.where_clause.as_ref(),
         group_by: &stmt.group_by,
         has_aggregate,
         limit: stmt.top.unwrap_or(opts.row_limit),
+        dml: None,
         opts,
     };
-    let outs = run_scan(ctx, &db.store, table, totals, |w| match &batch_plan {
-        Ok(plan) => job.scan_batches(plan, w),
-        Err(_) => job.scan_rows(w),
-    })?;
-
-    // Merge partials in partition (key) order.
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    let mut groups = Groups::default();
-    for out in outs {
-        match out {
-            WorkerOut::Rows(mut r) => {
-                r.truncate(job.limit.saturating_sub(rows.len()));
-                rows.extend(r);
-            }
-            WorkerOut::Groups(g) => groups.merge(g)?,
-        }
-    }
+    let mut rows = job.run(ctx, &db.store, table, totals)?;
     if has_aggregate {
-        rows = groups.finish()?;
         // Groups finish in first-appearance (= key) order at every DOP, so
         // an explicit `TOP` cuts deterministically; `row_limit` guards
         // projections only.

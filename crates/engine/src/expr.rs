@@ -245,6 +245,20 @@ fn resolve_row_value(v: RowValue) -> Value {
     Value::from(v)
 }
 
+/// A DML predicate's value: unlike SELECT's truthiness coercion, an
+/// `UPDATE`/`DELETE` (`stmt`) WHERE clause that does not evaluate to a
+/// boolean is a typed error — silently coercing would make `WHERE id`
+/// delete every non-zero row.
+pub(crate) fn strict_bool(v: Value, stmt: &str) -> Result<bool> {
+    match v {
+        Value::Bool(b) => Ok(b),
+        other => Err(EngineError::Type(format!(
+            "{stmt} WHERE clause must evaluate to a boolean, got {}",
+            other.kind_name()
+        ))),
+    }
+}
+
 /// Unary minus: preserves the operand's numeric type.
 pub(crate) fn negate(v: Value) -> Result<Value> {
     Ok(match v {

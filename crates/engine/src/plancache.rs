@@ -2,15 +2,16 @@
 //! reused across statements, sessions, and prepared-statement executions.
 //!
 //! Two levels are cached, keyed by **normalized statement text**
-//! (whitespace runs outside string literals collapse to one space; case
-//! and literals are preserved, so normalization can never conflate two
-//! semantically different batches):
+//! (whitespace runs and `--` comments outside string literals collapse to
+//! one space; case and literals are preserved, so normalization can never
+//! conflate two semantically different batches):
 //!
 //! * the **parsed batch** — an `Arc<Vec<Stmt>>` shared by every session
 //!   executing the same text, so repeated statements skip the parser
 //!   entirely;
-//! * per-SELECT **compiled batch plans** — the `BatchPlan` the vectorized
-//!   scan runs. A compiled plan folds session-variable values into its
+//! * per-statement **compiled batch plans** — the `BatchPlan` the
+//!   vectorized scan of a SELECT, or of an UPDATE/DELETE match phase,
+//!   runs. A compiled plan folds session-variable values into its
 //!   constants, so a plan is only reusable when the statement references
 //!   no `@variables`; schemas are immutable once created (the dialect has
 //!   no `ALTER`/`DROP`), which is what makes a cached compiled plan valid
@@ -23,6 +24,7 @@
 //! sequence). Hit/miss/eviction counters feed `Engine::stats`.
 
 use crate::batch::Fallback;
+use crate::expr::Expr;
 use crate::tsql::{parse, Stmt};
 use crate::value::Result;
 use sqlarray_storage::Schema;
@@ -48,7 +50,8 @@ pub struct PlanCacheStats {
 }
 
 /// One cached batch: the shared parsed statements plus a compiled-plan
-/// slot per statement (filled lazily on first execution, SELECTs only).
+/// slot per statement (filled lazily on first execution; only SELECT,
+/// UPDATE and DELETE ever fill theirs).
 pub struct CachedPlan {
     /// The parsed statements, shared by every executing session.
     pub stmts: Arc<Vec<Stmt>>,
@@ -81,7 +84,8 @@ impl CachedPlan {
 #[derive(Default)]
 struct ReuseCounter(std::sync::atomic::AtomicU64);
 
-/// The compiled-`BatchPlan` slot of one SELECT statement.
+/// The compiled-`BatchPlan` slot of one scanning statement (SELECT, or
+/// the match phase of an UPDATE/DELETE).
 ///
 /// `fill` state machine: `Empty` until the statement first executes with
 /// batching enabled; then either `Plan` (compiled) or `NoPlan` (the
@@ -107,16 +111,18 @@ enum SlotState {
 
 impl SelectSlot {
     fn for_stmt(stmt: &Stmt, reuses: Arc<ReuseCounter>) -> SelectSlot {
+        let var_free = |e: &Expr| !e.contains_var();
         let cacheable = match stmt {
             Stmt::Select(sel) => {
-                !sel.items.iter().any(|it| it.expr.contains_var())
-                    && !sel
-                        .where_clause
-                        .as_ref()
-                        .is_some_and(crate::expr::Expr::contains_var)
-                    && !sel.group_by.iter().any(crate::expr::Expr::contains_var)
+                sel.items.iter().all(|it| var_free(&it.expr))
+                    && sel.where_clause.iter().all(var_free)
+                    && sel.group_by.iter().all(var_free)
             }
-            _ => false,
+            Stmt::Update(u) => {
+                u.sets.iter().all(|(_, e)| var_free(e)) && u.where_clause.iter().all(var_free)
+            }
+            Stmt::Delete(d) => d.where_clause.iter().all(var_free),
+            Stmt::Declare { .. } | Stmt::Set { .. } => false,
         };
         SelectSlot {
             cacheable,
@@ -166,7 +172,8 @@ impl SelectSlot {
         }
     }
 
-    /// Whether this slot may retain a compiled plan (SELECT, var-free).
+    /// Whether this slot may retain a compiled plan (a var-free SELECT,
+    /// UPDATE or DELETE).
     pub fn cacheable(&self) -> bool {
         self.cacheable
     }
@@ -285,21 +292,27 @@ impl PlanCache {
 
 /// Normalizes statement text for cache keying: whitespace runs outside
 /// single-quoted string literals collapse to a single space, leading and
-/// trailing whitespace drops. Case and literal contents are untouched —
-/// `'a  b'` and `'a b'` stay distinct keys.
+/// trailing whitespace drops, and a `--` comment — which, as in the lexer,
+/// starts only outside a literal, runs to the end of its line and holds no
+/// quote that counts — is a separator like any whitespace. Case and
+/// literal contents are untouched — `'a  b'` and `'a b'` stay distinct
+/// keys.
 pub fn normalize(sql: &str) -> String {
     let mut out = String::with_capacity(sql.len());
     let mut in_str = false;
     let mut pending_space = false;
-    for c in sql.chars() {
+    let mut chars = sql.chars().peekable();
+    while let Some(c) = chars.next() {
         if in_str {
             out.push(c);
-            if c == '\'' {
-                in_str = false;
-            }
+            in_str = c != '\'';
             continue;
         }
-        if c.is_whitespace() {
+        let comment = c == '-' && chars.peek() == Some(&'-');
+        if comment {
+            chars.by_ref().find(|&c| c == '\n');
+        }
+        if comment || c.is_whitespace() {
             pending_space = !out.is_empty();
             continue;
         }
@@ -308,9 +321,7 @@ pub fn normalize(sql: &str) -> String {
             pending_space = false;
         }
         out.push(c);
-        if c == '\'' {
-            in_str = true;
-        }
+        in_str = c == '\'';
     }
     out
 }
@@ -325,6 +336,33 @@ mod tests {
         assert_eq!(normalize("SELECT 'a  b'  "), "SELECT 'a  b'");
         // Case is preserved: lowercasing would fold string literals.
         assert_eq!(normalize("select X"), "select X");
+    }
+
+    #[test]
+    fn normalize_is_comment_aware() {
+        // The newline that ends a comment ends it in the key too: what
+        // follows is SQL in one text and comment in the other.
+        let (live, dead) = ("SELECT 1 -- c\n, 2", "SELECT 1 -- c , 2");
+        assert_eq!(normalize(live), "SELECT 1 , 2");
+        assert_eq!(normalize(dead), "SELECT 1");
+        // A quote inside a comment opens no literal.
+        let (wide, narrow) = ("-- it's\nSELECT 'a  b'", "-- it's\nSELECT 'a b'");
+        assert_eq!(normalize(wide), "SELECT 'a  b'");
+        assert_eq!(normalize(narrow), "SELECT 'a b'");
+        // `--` inside a literal is text, and a comment separates tokens.
+        assert_eq!(normalize("SELECT '--x'  -- y"), "SELECT '--x'");
+        assert_eq!(normalize("SELECT 1--c\n+ 2"), "SELECT 1 + 2");
+        assert_eq!(normalize("SELECT 'it''s  --'"), "SELECT 'it''s  --'");
+
+        // Either order on one cache: each text keeps its own parse.
+        for pair in [[live, dead], [dead, live], [wide, narrow], [narrow, wide]] {
+            let cache = PlanCache::new(8);
+            for sql in pair {
+                let cached = cache.get_or_parse(sql).unwrap();
+                assert_eq!(*cached.stmts, parse(sql).unwrap(), "{sql:?} after {pair:?}");
+            }
+            assert_eq!(cache.stats().misses, 2, "{pair:?} shared a key");
+        }
     }
 
     #[test]
@@ -375,7 +413,20 @@ mod tests {
             .get_or_parse("SELECT v1 FROM t WHERE v1 > @lo")
             .unwrap();
         assert!(!var_in_where.statements().next().unwrap().1.cacheable());
-        let dml = cache.get_or_parse("DELETE FROM t WHERE v1 > 1").unwrap();
-        assert!(!dml.statements().next().unwrap().1.cacheable());
+        // DML match phases plan like SELECTs: var-free ones keep theirs.
+        for (sql, cacheable) in [
+            ("DELETE FROM t WHERE v1 > 1", true),
+            ("DELETE FROM t WHERE v1 > @lo", false),
+            ("UPDATE t SET v1 = v1 + 1 WHERE v1 > 1", true),
+            ("UPDATE t SET v1 = @x WHERE v1 > 1", false),
+            ("DECLARE @x BIGINT = 1", false),
+        ] {
+            let plan = cache.get_or_parse(sql).unwrap();
+            assert_eq!(
+                plan.statements().next().unwrap().1.cacheable(),
+                cacheable,
+                "{sql}"
+            );
+        }
     }
 }

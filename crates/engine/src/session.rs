@@ -14,17 +14,17 @@ use crate::exec::{
     StmtCtx, DEFAULT_ROW_LIMIT,
 };
 use crate::hosting::HostingModel;
-use crate::plancache::CachedPlan;
+use crate::plancache::{CachedPlan, SelectSlot};
 use crate::tsql::Stmt;
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::lifecycle::{CancelHandle, QueryCtx, QueryLimits};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 
-/// A prepared statement: the batch's cached parse (and, per SELECT, its
-/// compiled-plan slot) pinned so repeated executions skip both the cache
-/// lookup and — for var-free statements — recompilation. Cheap to clone;
-/// executable from any session of the same engine.
+/// A prepared statement: the batch's cached parse (and, per SELECT, UPDATE
+/// and DELETE, its compiled-plan slot) pinned so repeated executions skip
+/// both the cache lookup and — for var-free statements — recompilation.
+/// Cheap to clone; executable from any session of the same engine.
 #[derive(Clone)]
 pub struct Prepared {
     plan: Arc<CachedPlan>,
@@ -54,7 +54,7 @@ pub struct Session {
     /// Maximum degree of parallelism for scans (≥ 1).
     dop: usize,
     /// Target rows per column batch for vectorized scans; 0 runs every
-    /// query row-at-a-time.
+    /// statement row-at-a-time.
     batch_rows: usize,
     vars: HashMap<String, Value>,
     /// The cancellation flag every statement of this session polls;
@@ -142,8 +142,9 @@ impl Session {
     }
 
     /// Sets the target rows per column batch. `set_batch_rows(0)` disables
-    /// the vectorized path entirely — every query runs the row-at-a-time
-    /// interpreter; results are bit-identical at every setting.
+    /// the vectorized path entirely — every SELECT and every UPDATE/DELETE
+    /// match phase runs the row-at-a-time interpreter; results are
+    /// bit-identical at every setting.
     pub fn set_batch_rows(&mut self, rows: usize) {
         self.batch_rows = rows;
     }
@@ -252,21 +253,31 @@ impl Session {
         outcome
     }
 
-    /// A statement that scans: the lifecycle plus an admission ticket,
-    /// held until `body` returns. Ticket before lock: a queued session
-    /// must not hold the database lock while it waits, or it would block
-    /// the very writers whose release frees the budget. The admission
-    /// wait itself polls the statement's lifecycle (deadline, cancel) and
-    /// can refuse with a typed error.
+    /// A statement that scans — SELECT, UPDATE, DELETE: the lifecycle plus
+    /// an admission ticket, held until `body` returns, and the session's
+    /// scan settings over the statement's plan-cache `slot`. Ticket before
+    /// lock: a queued session must not hold the database lock while it
+    /// waits, or it would block the very writers whose release frees the
+    /// budget. The admission wait itself polls the statement's lifecycle
+    /// (deadline, cancel) and can refuse with a typed error.
     fn admitted<T>(
         &mut self,
-        body: impl FnOnce(&Engine, &mut StmtCtx<'_>) -> Result<T>,
+        slot: &SelectSlot,
+        body: impl FnOnce(&Engine, &mut StmtCtx<'_>, &SelectOpts<'_>) -> Result<T>,
     ) -> Result<T> {
-        let requested = self.dop;
+        let (requested, uda_mode, row_limit, batch_rows) =
+            (self.dop, self.uda_mode, self.row_limit, self.batch_rows);
         self.statement(|engine, ctx| {
             let ticket = engine.sched().acquire(requested, ctx.query)?;
             ctx.dop = ticket.granted();
-            body(engine, ctx)
+            let opts = SelectOpts {
+                udas: engine.udas(),
+                uda_mode,
+                row_limit,
+                batch_rows,
+                cached: slot,
+            };
+            body(engine, ctx, &opts)
         })
     }
 
@@ -284,8 +295,8 @@ impl Session {
 
     /// Prepares a batch: parses it through the engine's plan cache and
     /// pins the result. Repeated [`execute_prepared`](Self::execute_prepared)
-    /// calls skip the parser; var-free SELECTs also reuse their compiled
-    /// batch plan.
+    /// calls skip the parser; var-free SELECTs, UPDATEs and DELETEs also
+    /// reuse their compiled batch plan.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         Ok(Prepared {
             plan: self.engine.plans().get_or_parse(sql)?,
@@ -332,17 +343,8 @@ impl Session {
                     self.vars.insert(key, v);
                 }
                 Stmt::Select(sel) => {
-                    let (uda_mode, row_limit, batch_rows) =
-                        (self.uda_mode, self.row_limit, self.batch_rows);
-                    let result = self.admitted(|engine, ctx| {
-                        let opts = SelectOpts {
-                            udas: engine.udas(),
-                            uda_mode,
-                            row_limit,
-                            batch_rows,
-                            cached: slot,
-                        };
-                        exec_select(ctx, &engine.db(), &opts, sel)
+                    let result = self.admitted(slot, |engine, ctx, opts| {
+                        exec_select(ctx, &engine.db(), opts, sel)
                     })?;
                     for (name, v) in &result.assignments {
                         self.vars.insert(name.to_ascii_lowercase(), v.clone());
@@ -350,10 +352,10 @@ impl Session {
                     results.push(result);
                 }
                 Stmt::Update(u) => {
-                    results.push(self.run_dml(|ctx, db| exec_update(ctx, db, u))?);
+                    results.push(self.run_dml(slot, |ctx, db, opts| exec_update(ctx, db, opts, u))?)
                 }
                 Stmt::Delete(d) => {
-                    results.push(self.run_dml(|ctx, db| exec_delete(ctx, db, d))?);
+                    results.push(self.run_dml(slot, |ctx, db, opts| exec_delete(ctx, db, opts, d))?)
                 }
             }
         }
@@ -365,11 +367,12 @@ impl Session {
     /// guard therefore only ever observe committed state.
     fn run_dml(
         &mut self,
-        f: impl FnOnce(&mut StmtCtx<'_>, &mut Database) -> Result<QueryResult>,
+        slot: &SelectSlot,
+        f: impl FnOnce(&mut StmtCtx<'_>, &mut Database, &SelectOpts<'_>) -> Result<QueryResult>,
     ) -> Result<QueryResult> {
-        self.admitted(|engine, ctx| {
+        self.admitted(slot, |engine, ctx, opts| {
             let mut db = engine.db_mut();
-            let result = f(ctx, &mut db)?;
+            let result = f(ctx, &mut db, opts)?;
             // Statement-level autocommit: each DML statement is a
             // durability point, written while this session is still the
             // exclusive owner. An aborted match phase commits nothing —

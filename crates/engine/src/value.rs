@@ -315,6 +315,21 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
+
+    /// The value's SQL type name, as error messages quote it.
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            Value::Null => "NULL",
+            Value::I64(_) => "BIGINT",
+            Value::I32(_) => "INT",
+            Value::F64(_) => "FLOAT",
+            Value::F32(_) => "REAL",
+            Value::Bytes(_) => "VARBINARY",
+            Value::Str(_) => "VARCHAR",
+            Value::Bool(_) => "BIT",
+            Value::Lob { .. } => "VARBINARY(MAX)",
+        }
+    }
 }
 
 impl From<Scalar> for Value {

@@ -6,7 +6,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sqlarray_core::build;
-use sqlarray_engine::{Database, Engine, EngineError, HostingModel, Session, Value};
+use sqlarray_engine::{Database, Engine, EngineError, Fallback, HostingModel, Session, Value};
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
 use sqlarray_storage::{ColType, FailPlan, RowValue, Schema};
 use std::collections::BTreeMap;
@@ -385,17 +385,30 @@ fn dml_error_matrix() {
 }
 
 /// Every row's full content, blobs included.
-fn all_rows(s: &mut Session) -> Vec<Vec<Value>> {
-    s.query("SELECT id, tag, v FROM T").unwrap().rows
+fn all_rows(s: &mut Session, table: &str) -> Vec<Vec<Value>> {
+    let columns: Vec<String> = {
+        let db = s.db();
+        let schema = db.table(table).unwrap().schema();
+        schema.columns.iter().map(|c| c.name.clone()).collect()
+    };
+    let sql = format!("SELECT {} FROM {table}", columns.join(", "));
+    s.query(&sql).unwrap().rows
 }
 
 /// Runs `failing` — an UPDATE whose *second or later* matched row is
-/// rejected after earlier rows resolved fine — and asserts it changed
-/// nothing: not the rows, not one WAL byte, not the crash image, and
-/// nothing a later statement's commit could make durable.
-fn assert_failed_update_leaves_no_trace(rows: i64, failing: &str, want: fn(&EngineError) -> bool) {
+/// rejected after earlier rows resolved fine — on fresh sessions from
+/// `fixture` and asserts it changed nothing: not the rows, not one WAL
+/// byte, not the crash image, and nothing a later statement's commit
+/// could make durable.
+fn assert_failed_update_leaves_no_trace(
+    fixture: impl Fn() -> Session,
+    failing: &str,
+    want: fn(&EngineError) -> bool,
+) {
+    let table = failing.split_whitespace().nth(1).expect("UPDATE <table> …");
+    let all_rows = |s: &mut Session| all_rows(s, table);
     for dop in [1usize, 4] {
-        let mut s = session(rows);
+        let mut s = fixture();
         s.set_dop(dop);
         let before = all_rows(&mut s);
         let wal_before = s.db().store.wal_len();
@@ -414,7 +427,8 @@ fn assert_failed_update_leaves_no_trace(rows: i64, failing: &str, want: fn(&Engi
 
         // The next committed statement must not carry a half-applied
         // update into the durable state.
-        s.execute("DELETE FROM T WHERE id < 0").unwrap();
+        s.execute(&format!("DELETE FROM {table} WHERE id < 0"))
+            .unwrap();
         let db = Database::recover(&s.db().store.crash_image()).unwrap();
         let mut rec = Engine::new(db).session_with_hosting(HostingModel::free());
         assert_eq!(all_rows(&mut rec), before, "dop {dop}: recovery differs");
@@ -426,7 +440,7 @@ fn failing_update_is_not_half_applied() {
     // Rows 0..=7 fit an INT; row 8 is the first to overflow. 400 rows
     // span several leaves, so DOP 4 genuinely splits the match scan.
     assert_failed_update_leaves_no_trace(
-        400,
+        || session(400),
         "UPDATE T SET tag = 2147483640 + id",
         |e| matches!(e, EngineError::Type(m) if m.contains("out of range for INT column")),
     );
@@ -437,18 +451,16 @@ fn failing_array_update_fallback_is_not_half_applied() {
     // Inline 5-element vectors take the UDF fallback. Row 0 patches
     // elements 0..2; row 1 asks for 4..6, which the UDF rejects.
     assert_failed_update_leaves_no_trace(
-        400,
+        || session(400),
         "UPDATE T SET v = FloatArray.ArrayUpdate(v, IntArray.Vector_1(id * 4), \
          FloatArray.Vector_2(1.0, 2.0)) WHERE id < 3",
         |e| matches!(e, EngineError::Array(_)),
     );
 }
 
-#[test]
-fn apply_phase_error_still_reports_partial_stats() {
-    // Two inline blobs of 5000 bytes each do not fit one leaf record, and
-    // only the B-tree knows: the failure surfaces in the apply phase,
-    // after the match scan read its pages.
+/// `W(id, a BLOB, b BLOB)` with `rows` rows of `a`/`b` payload lengths
+/// `lens(k)`.
+fn two_blob_session(rows: i64, lens: impl Fn(i64) -> (usize, usize)) -> Session {
     let mut db = Database::new();
     db.create_table(
         "W",
@@ -459,20 +471,42 @@ fn apply_phase_error_still_reports_partial_stats() {
         ]),
     )
     .unwrap();
-    for k in 0..50 {
+    for k in 0..rows {
+        let (a, b) = lens(k);
         db.insert(
             "W",
             k,
             &[
                 RowValue::I64(k),
-                RowValue::Bytes(vec![1u8; 16]),
-                RowValue::Bytes(vec![2u8; 5000]),
+                RowValue::Bytes(vec![1u8; a]),
+                RowValue::Bytes(vec![2u8; b]),
             ],
         )
         .unwrap();
     }
     db.commit();
-    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
+    Engine::new(db).session_with_hosting(HostingModel::free())
+}
+
+#[test]
+fn failing_oversized_record_is_not_half_applied() {
+    // Rows 0..=4 copy a 100-byte `a` into `b` fine; from row 5 on the two
+    // inline 5 000-byte blobs exceed one leaf record. Only the B-tree used
+    // to know, in the apply phase, after rows 0..=4 were rewritten.
+    assert_failed_update_leaves_no_trace(
+        || two_blob_session(10, |k| (if k < 5 { 100 } else { 5000 }, 16)),
+        "UPDATE W SET b = a",
+        |e| matches!(e, EngineError::Storage(m) if m.contains("exceeds the page limit")),
+    );
+}
+
+#[test]
+fn apply_phase_error_still_reports_partial_stats() {
+    // Two inline blobs of 5000 bytes each do not fit one leaf record. The
+    // resolve phase rejects the row with the B-tree's own error before any
+    // page changes — after the match scan read its pages, so the failure
+    // still owes the session its partial measurements.
+    let mut s = two_blob_session(50, |_| (16, 5000));
     s.set_var("big", Value::Bytes(vec![3u8; 5000]));
     s.db().store.clear_cache();
     let err = s.execute("UPDATE W SET a = @big WHERE id = 7").unwrap_err();
@@ -483,6 +517,167 @@ fn apply_phase_error_still_reports_partial_stats() {
     assert!(partial.io.pages_read > 0, "{partial:?}");
     assert_eq!(partial.rows_scanned, 50);
     assert_eq!(partial.rows_affected, 0);
+}
+
+// --- LOB aliasing and limits ----------------------------------------------
+
+/// `L(id, v, w)`: `v` a 20 000-byte out-of-row blob, `w` a 40-byte inline
+/// one, both seeded by the key.
+fn lob_session(rows: i64) -> Session {
+    let mut db = Database::new();
+    db.create_table(
+        "L",
+        Schema::new(&[
+            ("id", ColType::I64),
+            ("v", ColType::Blob),
+            ("w", ColType::Blob),
+        ]),
+    )
+    .unwrap();
+    for k in 0..rows {
+        db.insert(
+            "L",
+            k,
+            &[
+                RowValue::I64(k),
+                RowValue::Bytes(big_v(k)),
+                RowValue::Bytes(small_w(k)),
+            ],
+        )
+        .unwrap();
+    }
+    db.commit();
+    Engine::new(db).session_with_hosting(HostingModel::free())
+}
+
+fn big_v(k: i64) -> Vec<u8> {
+    (0..20_000).map(|i| (i as i64 * 7 + k) as u8).collect()
+}
+
+fn small_w(k: i64) -> Vec<u8> {
+    vec![k as u8 + 1; 40]
+}
+
+/// The stored (unresolved) row at `key`.
+fn stored_row(s: &mut Session, key: i64) -> Vec<RowValue> {
+    let table = s.db().table("L").unwrap().clone();
+    let row = table.get(&mut s.db_mut().store, key).unwrap();
+    row.expect("row exists")
+}
+
+fn pages_and_free(s: &Session) -> (u64, usize) {
+    let db = s.db();
+    (db.store.page_count(), db.store.free_pages().len())
+}
+
+#[test]
+fn lob_columns_alias_copy_and_swap_correctly() {
+    // On both executors: 0 is the interpreter, 1024 the batch plan (the
+    // swap has two LOB sites and runs the interpreter on both).
+    for batch in [0usize, 1024] {
+        let mut s = lob_session(4);
+        s.set_batch_rows(batch);
+
+        // `SET v = v` keeps the stored reference: same chain, no page
+        // allocated or freed.
+        let before = (stored_row(&mut s, 1), pages_and_free(&s));
+        assert!(matches!(before.0[1], RowValue::LobRef(_, 20_000)));
+        let r = s.execute("UPDATE L SET v = v").unwrap();
+        assert_eq!(r[0].stats.rows_affected, 4);
+        assert_eq!(r[0].stats.batches > 0, batch > 0);
+        assert_eq!((stored_row(&mut s, 1), pages_and_free(&s)), before);
+
+        // `SET w = v` copies: equal contents in a chain of its own.
+        let r = s.execute("UPDATE L SET w = v WHERE id = 1").unwrap();
+        assert_eq!(r[0].stats.rows_affected, 1);
+        assert_eq!(r[0].stats.batches > 0, batch > 0);
+        let copied = stored_row(&mut s, 1);
+        let (RowValue::LobRef(v_id, _), RowValue::LobRef(w_id, 20_000)) = (&copied[1], &copied[2])
+        else {
+            panic!("both columns must be out of row: {copied:?}");
+        };
+        assert_ne!(v_id, w_id, "two rows' columns must never share a chain");
+        assert_eq!(copied[1], before.0[1], "the source keeps its chain");
+        // 20 000 bytes: three chunk pages and the index page.
+        let after_copy = pages_and_free(&s);
+        assert_eq!(after_copy.0, before.1 .0 + 4, "a copy of four pages");
+        let r = s.query("SELECT v, w FROM L WHERE id = 1").unwrap();
+        assert_eq!(r.rows, [[Value::Bytes(big_v(1)), Value::Bytes(big_v(1))]]);
+
+        // Deleting that row frees both chains.
+        let r = s.execute("DELETE FROM L WHERE id = 1").unwrap();
+        assert_eq!(r[0].stats.rows_affected, 1);
+        let after_delete = pages_and_free(&s);
+        assert_eq!(after_delete.0, after_copy.0);
+        assert_eq!(after_delete.1, after_copy.1 + 8, "two chains of four pages");
+
+        // `SET v = w, w = v` swaps: both sides read the stored row.
+        let r = s.execute("UPDATE L SET v = w, w = v WHERE id = 2").unwrap();
+        assert_eq!(r[0].stats.rows_affected, 1);
+        assert_eq!(r[0].stats.batches, 0, "two LOB sites: the interpreter");
+        let r = s.query("SELECT v, w FROM L WHERE id = 2").unwrap();
+        assert_eq!(r.rows, [[Value::Bytes(small_w(2)), Value::Bytes(big_v(2))]]);
+        let swapped = stored_row(&mut s, 2);
+        assert!(matches!(swapped[1], RowValue::Bytes(_)), "{swapped:?}");
+        assert!(matches!(swapped[2], RowValue::LobRef(_, 20_000)));
+        // Untouched rows still read back whole.
+        let r = s.query("SELECT v, w FROM L WHERE id = 3").unwrap();
+        assert_eq!(r.rows, [[Value::Bytes(big_v(3)), Value::Bytes(small_w(3))]]);
+    }
+}
+
+#[test]
+fn row_limit_never_applies_to_dml() {
+    for batch in [0usize, 1024] {
+        let mut s = session(6);
+        s.set_batch_rows(batch);
+        s.row_limit = 2;
+        assert_eq!(s.query("SELECT id FROM T").unwrap().rows.len(), 2);
+        let r = s.execute("UPDATE T SET tag = tag + 10").unwrap();
+        assert_eq!(r[0].stats.rows_affected, 6, "batch {batch}");
+        assert_eq!(r[0].stats.batches > 0, batch > 0);
+        s.row_limit = 100;
+        let tags: Vec<i32> = id_tag_rows(&mut s).into_iter().map(|(_, t)| t).collect();
+        assert_eq!(tags, [10, 11, 12, 13, 14, 15], "batch {batch}");
+        s.row_limit = 2;
+        let r = s.execute("DELETE FROM T").unwrap();
+        assert_eq!(r[0].stats.rows_affected, 6, "batch {batch}");
+        assert!(id_tag_rows(&mut s).is_empty());
+    }
+}
+
+/// The plan-cache slot governs DML like SELECT: a var-free statement
+/// compiles once and reuses its plan — or its typed refusal — a statement
+/// naming a variable compiles per execution.
+#[test]
+fn var_free_dml_reuses_its_compiled_plan() {
+    let mut s = session(6);
+    let reuses = |s: &Session| s.engine().stats().plans.compiled_reuses;
+    for (sql, reused) in [
+        ("UPDATE T SET tag = tag + 1 WHERE id < 3", 1),
+        ("DELETE FROM T WHERE id = 5", 1),
+        ("UPDATE T SET tag = @t WHERE id = 0", 0),
+    ] {
+        s.set_var("t", Value::I64(9));
+        let before = reuses(&s);
+        for _ in 0..2 {
+            let r = s.execute(sql).unwrap();
+            assert!(r[0].stats.batches > 0 && r[0].stats.fallback.is_none());
+        }
+        assert_eq!(reuses(&s) - before, reused, "{sql}");
+    }
+    assert_eq!(
+        id_tag_rows(&mut s),
+        [(0, 9), (1, 3), (2, 4), (3, 3), (4, 4)]
+    );
+    // Prepared, and refused: the cached reason answers the second time.
+    let mut s = lob_session(2);
+    let swap = s.prepare("UPDATE L SET v = w, w = v").unwrap();
+    for _ in 0..2 {
+        let r = s.execute_prepared(&swap).unwrap();
+        assert_eq!(r[0].stats.fallback, Some(Fallback::MultipleLobSites));
+        assert_eq!(r[0].stats.rows_affected, 2);
+    }
 }
 
 // --- Model-based differential test ---------------------------------------

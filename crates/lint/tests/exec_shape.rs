@@ -7,6 +7,11 @@
 //!   `scoped_map_ranges(` or `catch_unwind(` means a twin harness grew
 //!   back (the pre-split `exec.rs` carried two of each, one for SELECT and
 //!   one for the DML match phase).
+//! * The scan driver has two bodies and every table-reading statement runs
+//!   one of them: `for_each_row(` is called from one function, the row
+//!   interpreter, `for_each_batch(` from one, the vectorized body, and
+//!   `exec/dml.rs` drives no scan of its own (its match phase is the job
+//!   SELECT runs; a private copy of the interpreter's loop lived there).
 //! * The engine reads the process environment in one module, `config.rs`;
 //!   a second `env_usize(` / `env::var` means a knob is parsed beside
 //!   [`Settings`](../../engine/src/config.rs) again.
@@ -41,6 +46,15 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// `rel` (a directory, or one file) where `matches(file, k)` holds — one
 /// entry per hit.
 fn hits(rel: &str, matches: impl Fn(&SourceFile<'_>, usize) -> bool) -> Vec<String> {
+    hits_in_fn(rel, matches, |_, _| String::new())
+}
+
+/// [`hits`], each entry followed by `suffix(file, k)`.
+fn hits_in_fn(
+    rel: &str,
+    matches: impl Fn(&SourceFile<'_>, usize) -> bool,
+    suffix: impl Fn(&SourceFile<'_>, usize) -> String,
+) -> Vec<String> {
     let cwd = std::env::current_dir().unwrap();
     let root = find_workspace_root(&cwd).expect("run inside the workspace");
     let mut files = Vec::new();
@@ -58,7 +72,7 @@ fn hits(rel: &str, matches: impl Fn(&SourceFile<'_>, usize) -> bool) -> Vec<Stri
         let f = SourceFile::parse(&label, &src);
         for k in 0..f.sig.len() {
             if matches(&f, k) && !f.in_test(f.tok(k).start) {
-                found.push(label.clone());
+                found.push(format!("{label}{}", suffix(&f, k)));
             }
         }
     }
@@ -81,6 +95,43 @@ fn the_executor_has_one_fan_out_and_one_panic_boundary() {
             "`{name}(` must appear exactly once, in the scan driver"
         );
     }
+}
+
+/// `::name` of the function enclosing token `k`: the name after the
+/// nearest preceding `fn` (closures and `fn(..)` pointer types have none,
+/// so they resolve to the function around them).
+fn enclosing_fn(f: &SourceFile<'_>, k: usize) -> String {
+    let named = |j: &usize| f.is_ident(*j, "fn") && !f.is_punct(j + 1, "(");
+    let name = (0..k).rev().find(named).map_or("", |j| f.text(j + 1));
+    format!("::{name}")
+}
+
+#[test]
+fn the_scan_driver_has_two_bodies_and_dml_owns_neither() {
+    for (visit, body) in [
+        ("for_each_row", "scan_rows"),
+        ("for_each_batch", "scan_batches"),
+    ] {
+        let is_call = |f: &SourceFile<'_>, k: usize| {
+            followed_by_paren(f, k, visit) && !(k > 0 && f.is_ident(k - 1, "fn"))
+        };
+        let callers = hits_in_fn("crates/engine/src", is_call, enclosing_fn);
+        assert!(!callers.is_empty(), "the matcher no longer sees `{visit}(`");
+        let want = format!("crates/engine/src/exec/select.rs::{body}");
+        assert!(
+            callers.iter().all(|c| *c == want),
+            "`{visit}(` is called from one function, `{body}`: {callers:?}"
+        );
+    }
+    let scans = ["for_each_row", "for_each_batch", "RowCtx", "decode_col_ref"];
+    let found = hits("crates/engine/src/exec/dml.rs", |f, k| {
+        scans.iter().any(|w| f.is_ident(k, w))
+    });
+    assert!(
+        found.is_empty(),
+        "`exec/dml.rs` hands its match phase to the scan job; it names a scan loop {} time(s)",
+        found.len()
+    );
 }
 
 #[test]

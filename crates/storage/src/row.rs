@@ -274,29 +274,6 @@ pub fn decode_col(schema: &Schema, bytes: &[u8], col_idx: usize) -> Result<RowVa
     unreachable!("col_idx checked above")
 }
 
-/// Like [`decode_col`] but borrows inline blob payloads from the encoded
-/// row instead of copying them.
-pub fn decode_col_ref<'a>(
-    schema: &Schema,
-    bytes: &'a [u8],
-    col_idx: usize,
-) -> Result<RowValueRef<'a>> {
-    if col_idx >= schema.columns.len() {
-        return Err(StorageError::SchemaMismatch(format!(
-            "column index {col_idx} out of range"
-        )));
-    }
-    let mut off = 0usize;
-    for (i, col) in schema.columns.iter().enumerate() {
-        if i == col_idx {
-            let (v, _) = decode_value_ref(col.ctype, bytes, off, &col.name)?;
-            return Ok(v);
-        }
-        off = skip_value(col.ctype, bytes, off, &col.name)?;
-    }
-    unreachable!("col_idx checked above")
-}
-
 /// Appends the LOB ids a row references to `out`, without materializing any
 /// inline payloads. `UPDATE`/`DELETE` walk old and new images through this
 /// to free orphaned blobs.
@@ -699,32 +676,6 @@ mod tests {
         bytes.pop();
         bytes[16] = 9; // invalid blob tag
         assert!(decode_row(&schema, &bytes).is_err());
-    }
-
-    #[test]
-    fn decode_col_ref_borrows_inline_blobs() {
-        let mut store = PageStore::new();
-        let schema = test_schema();
-        let row = vec![
-            RowValue::I64(1),
-            RowValue::F64(3.25),
-            RowValue::Bytes(vec![9; 50]),
-            RowValue::I32(11),
-        ];
-        let bytes = encode_row(&mut store, &schema, &row).unwrap();
-        assert_eq!(
-            decode_col_ref(&schema, &bytes, 0).unwrap(),
-            RowValueRef::I64(1)
-        );
-        match decode_col_ref(&schema, &bytes, 2).unwrap() {
-            RowValueRef::Bytes(b) => assert_eq!(b, &[9u8; 50][..]),
-            other => panic!("expected borrowed bytes, got {other:?}"),
-        }
-        assert_eq!(
-            decode_col_ref(&schema, &bytes, 3).unwrap(),
-            RowValueRef::I32(11)
-        );
-        assert!(decode_col_ref(&schema, &bytes, 4).is_err());
     }
 
     #[test]

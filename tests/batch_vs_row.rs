@@ -12,12 +12,19 @@
 //!   scalar UDF calls — plain, nested, in `WHERE`, under aggregates, over
 //!   out-of-row arrays through the `Item`/`Subarray` pushdown — and
 //!   `GROUP BY` over scalar, UDF-valued, blob and LOB keys);
-//! * fallback constructs (UDAs, string comparisons) that must route both
-//!   configurations through the same row interpreter;
+//! * string, bytes and NULL constants (dynamic lanes: the interpreter's
+//!   own operators per value) projected, compared, grouped on and summed;
+//! * fallback constructs (UDAs, multi-LOB-site statements) that must route
+//!   both configurations through the same row interpreter;
 //! * edge-case table sizes: empty, one row, exactly one batch, one batch
 //!   plus one row;
 //! * batch sizes {7, 1024} × DOP {1, 2, 4, 8}, compared byte-for-byte
-//!   (floats by `to_bits`) against the serial row-at-a-time baseline.
+//!   (floats by `to_bits`) against the serial row-at-a-time baseline;
+//! * UPDATE/DELETE, whose match phase is the same scan job: every
+//!   statement of [`DML_STATEMENTS`] on fresh copies of the table at batch
+//!   {0, 7, 1024} × DOP {1, 2, 4, 8} must leave identical rows, WAL bytes,
+//!   disk image, I/O counters, simulated seconds, seek position and pool
+//!   recency order, and report the executor that ran.
 //!
 //! Error parity is checked too: a query that fails on the row path must
 //! fail on the batch path (messages may legitimately differ in ordering
@@ -28,7 +35,7 @@ use sqlarray::prelude::*;
 use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build::{max_vector, short_vector};
 use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
-use sqlarray_engine::Fallback;
+use sqlarray_engine::{EngineError, Fallback};
 
 /// Rows whose `id % 97 == 3` carry an out-of-row LOB payload (> 8000
 /// bytes); everything else keeps a short in-row blob.
@@ -172,9 +179,16 @@ const QUERIES: &[&str] = &[
     TOP_AGGREGATES[1].0,
     TOP_AGGREGATES[2].0,
     TOP_AGGREGATES[3].0,
-    // Fallbacks: both configurations run the interpreter.
-    "SELECT id % 2, FloatArray.VectorAvg(w) FROM T GROUP BY id % 2",
+    // String, bytes and NULL constants: projected, compared, grouped on,
+    // aggregated.
     "SELECT COUNT(*) FROM T WHERE FloatArray.ToString(w) = 'x'",
+    "SELECT id, 'tag', 0x0AFF, NULL FROM T WHERE id % 5 = 0",
+    "SELECT id FROM T WHERE 'abc' < 'abd' AND id % 7 = 0",
+    "SELECT COUNT(*) FROM T WHERE FloatArray.Raw(w) > 0x00 OR NOT 0x0102 = 0x0102",
+    "SELECT COUNT(*), MIN(id), 'k' FROM T GROUP BY 'k', NULL, id % 3",
+    "SELECT MAX('x'), MIN(0x01), COUNT(NULL), SUM(NULL), COUNT('y') FROM T",
+    // Fallback: both configurations run the interpreter.
+    "SELECT id % 2, FloatArray.VectorAvg(w) FROM T GROUP BY id % 2",
 ];
 
 /// Queries that must fail identically on nonempty tables (both arms
@@ -197,6 +211,14 @@ const ERROR_QUERIES: &[&str] = &[
     "SELECT -FloatArray.ToString(w) FROM T",
     "SELECT SUM(FloatArray.Raw(w)) FROM T",
     "SELECT 1 / (FloatArray.Count(w) - 4) FROM T GROUP BY id % 3",
+    // Constants the typed kernels have no lane for meet the interpreter's
+    // typed errors: a string summed, compared with a number, negated; NULL
+    // as an operand.
+    "SELECT SUM('x') FROM T",
+    "SELECT id FROM T WHERE a = 'x'",
+    "SELECT -'x' FROM T",
+    "SELECT a + NULL FROM T",
+    "SELECT COUNT(*) FROM T WHERE NULL < 1",
 ];
 
 const BATCH_SIZES: [usize; 2] = [7, 1024];
@@ -294,6 +316,9 @@ fn batch_stats_reflect_the_active_path() {
         "SELECT id % 4, SUM(FloatArray.Item_1(w, 1)) FROM T WHERE a > 0 GROUP BY id % 4",
         "SELECT id % 4, SUM(c) FROM T WHERE FloatArray.Max(w) > 0.0 GROUP BY id % 4",
         "SELECT COUNT(*) FROM T GROUP BY v",
+        // A string constant is a dynamic lane, not a fallback (the sweep
+        // over `QUERIES` holds it bit-identical to the interpreter).
+        "SELECT COUNT(*) FROM T WHERE FloatArray.ToString(w) = 'x'",
     ] {
         let r = s.query(sql).unwrap();
         assert!(r.stats.batches > 0, "{sql:?} fell back to rows");
@@ -305,10 +330,6 @@ fn batch_stats_reflect_the_active_path() {
         (
             "SELECT id % 2, FloatArray.VectorAvg(w) FROM T GROUP BY id % 2",
             Fallback::Uda("FloatArray.VectorAvg".into()),
-        ),
-        (
-            "SELECT COUNT(*) FROM T WHERE FloatArray.ToString(w) = 'x'",
-            Fallback::NonNumericLiteral,
         ),
         (
             "SELECT id FROM T WHERE a > @gone",
@@ -386,8 +407,8 @@ fn integer_overflow_wraps_identically_on_every_path() {
                     r.rows[0]
                 );
             }
-            // The DML match phase evaluates SET expressions on the row
-            // interpreter, under the same panic boundary.
+            // The DML match phase evaluates SET expressions through the
+            // same scan job, under the same panic boundary.
             s.execute(&format!("UPDATE T SET a = {per_row} WHERE id >= 100"))
                 .unwrap_or_else(|e| panic!("UPDATE SET a = {per_row} dop {dop}: {e}"));
             let changed = s
@@ -506,6 +527,260 @@ fn top_cuts_finished_group_rows() {
     for (sql, want) in TOP_AGGREGATES {
         assert_eq!(s.query(sql).unwrap().rows.len(), want, "{sql}");
     }
+}
+
+// --- UPDATE / DELETE: the match phase is the same scan job ----------------
+
+/// A session over the fixture with the variables the DML lists name.
+fn dml_session(rows: i64, seed: u64) -> Session {
+    let mut s = build_session(rows, seed);
+    let patch = short_vector(&[1.0, 2.0, 3.0, 4.0]).unwrap().into_blob();
+    s.set_var("bytes_var", Value::Bytes(patch));
+    s
+}
+
+/// Statements the sweep runs on fresh copies of the 300-row fixture, each
+/// with the reason its match phase runs the interpreter at a non-zero
+/// batch size (`None`: it compiles). LOB rows are `id % 97 = 3`.
+const DML_STATEMENTS: &[(&str, Option<Fallback>)] = &[
+    // Typed errors of the resolve phase ([`DML_RESOLVE_ERRORS`]): nothing
+    // may change.
+    (DML_RESOLVE_ERRORS[0], None),
+    (DML_RESOLVE_ERRORS[1], None),
+    // A scalar by key and by range.
+    ("UPDATE T SET a = a + 1 WHERE id = 5", None),
+    (
+        "UPDATE T SET c = c * 2.0, b = b - 1 WHERE id >= 10 AND id < 140",
+        None,
+    ),
+    // The paper's write statement: a bare bytes variable.
+    ("UPDATE T SET w = @bytes_var WHERE id % 9 = 0", None),
+    // UDF-valued SET; UDFs in WHERE on either side of AND / OR.
+    (
+        "UPDATE T SET c = FloatArray.Item_1(w, 1) WHERE id % 4 = 1",
+        None,
+    ),
+    (
+        "UPDATE T SET a = 0 WHERE FloatArray.Item_1(w, 0) > 0.5 AND b > 0",
+        None,
+    ),
+    (
+        "DELETE FROM T WHERE b < -900 OR FloatArrayMax.Item_1(m, 1) > 25.0",
+        None,
+    ),
+    // The row's own chain, another column's chain (one LOB site), and two
+    // LOB sites (the interpreter, on every arm).
+    ("UPDATE T SET m = m WHERE id % 97 = 3 OR id % 10 = 0", None),
+    ("UPDATE T SET w = m WHERE id % 97 < 5", None),
+    (
+        "UPDATE T SET v = m, w = v WHERE id % 97 < 5",
+        Some(Fallback::MultipleLobSites),
+    ),
+    // `ArrayUpdate`: patched in place on the out-of-row arrays, through
+    // the UDF fallback on the in-row ones.
+    (
+        "UPDATE T SET m = FloatArrayMax.ArrayUpdate(m, IntArray.Vector_1(2), \
+         FloatArrayMax.Vector_2(7.0, 8.0)) WHERE id % 97 = 3",
+        None,
+    ),
+    (
+        "UPDATE T SET m = FloatArrayMax.ArrayUpdate(m, IntArray.Vector_1(a - a + 1), \
+         FloatArrayMax.Vector_2(7.0, 8.0)), a = 1 WHERE id % 97 < 6",
+        None,
+    ),
+    // A range DELETE, and one matching nothing.
+    ("DELETE FROM T WHERE id >= 20 AND id < 160", None),
+    ("DELETE FROM T WHERE a > 100000", None),
+    ("DELETE FROM T", None),
+];
+
+/// The members of [`DML_STATEMENTS`] that must fail: every row matches
+/// and evaluates, the conversion to the column type rejects the value.
+const DML_RESOLVE_ERRORS: [&str; 2] = [
+    "UPDATE T SET b = NULL WHERE id < 3",
+    "UPDATE T SET w = 'text' WHERE id >= 100",
+];
+const DML_BATCH_SIZES: [usize; 3] = [0, 7, 1024];
+const ALL_COLUMNS: &str = "SELECT id, a, b, c, d, v, w, m FROM T";
+
+/// Everything one DML statement leaves behind.
+struct DmlTrace {
+    /// `rows_affected`, or the error text.
+    outcome: std::result::Result<u64, String>,
+    udf_calls: u64,
+    io: sqlarray::storage::IoStats,
+    sim_io_bits: u64,
+    seek: Option<sqlarray::storage::PageId>,
+    pool_mru: Vec<sqlarray::storage::PageId>,
+    image: sqlarray::storage::DiskImage,
+    table: Vec<Vec<Value>>,
+}
+
+/// Runs `sql` on a fresh copy of the 300-row fixture from a cold pool and
+/// checks that the executor `fallback` predicts ran its match phase.
+fn dml_trace(sql: &str, fallback: &Option<Fallback>, batch: usize, dop: usize) -> DmlTrace {
+    let mut s = dml_session(300, 0xD31);
+    s.set_batch_rows(batch);
+    s.set_dop(dop);
+    s.db().store.clear_cache();
+    let outcome = s.execute(sql).map(|mut r| r.remove(0).stats);
+    let stats = match &outcome {
+        Ok(stats) => stats.clone(),
+        Err(_) => s.partial_stats().expect("the scan started").clone(),
+    };
+    let want = match batch {
+        0 => Some(Fallback::BatchDisabled),
+        _ => fallback.clone(),
+    };
+    assert_eq!(stats.fallback, want, "batch {batch} dop {dop}: {sql}");
+    assert_eq!(stats.batches > 0, want.is_none(), "batch {batch}: {sql}");
+    let (seek, pool_mru, image) = {
+        let db = s.db();
+        let store = &db.store;
+        (
+            store.seek_position(),
+            store.pool().keys_mru_order(),
+            store.crash_image(),
+        )
+    };
+    DmlTrace {
+        outcome: outcome
+            .map(|st| st.rows_affected)
+            .map_err(|e| e.to_string()),
+        udf_calls: stats.udf_calls,
+        io: stats.io,
+        sim_io_bits: stats.sim_io_seconds.to_bits(),
+        seek,
+        pool_mru,
+        image,
+        table: s.query(ALL_COLUMNS).unwrap().rows,
+    }
+}
+
+#[test]
+fn dml_is_bit_identical_on_the_batch_and_row_paths() {
+    for (sql, fallback) in DML_STATEMENTS {
+        let serial = dml_trace(sql, fallback, 0, 1);
+        // Not a vacuous sweep: the listed errors fail, the rest change rows.
+        let fails = DML_RESOLVE_ERRORS.contains(sql);
+        assert_eq!(
+            serial.outcome.is_err(),
+            fails,
+            "{sql}: {:?}",
+            serial.outcome
+        );
+        assert!(
+            fails || serial.outcome != Ok(0) || sql.contains("100000"),
+            "{sql} matched nothing"
+        );
+        assert!(serial.io.pages_read > 0, "{sql}: the pool was not cold");
+        for dop in DOPS {
+            for batch in DML_BATCH_SIZES {
+                let got = dml_trace(sql, fallback, batch, dop);
+                // Field by field, by name: a disk image makes a poor panic
+                // message.
+                macro_rules! same {
+                    ($($field:ident),*) => {$(assert!(
+                        got.$field == serial.$field,
+                        "{} differs at batch {batch} dop {dop}: {sql}",
+                        stringify!($field)
+                    );)*};
+                }
+                same!(outcome, udf_calls, io, sim_io_bits, seek, pool_mru, image);
+                assert!(
+                    rows_bit_identical(&got.table, &serial.table),
+                    "table contents differ at batch {batch} dop {dop}: {sql}"
+                );
+            }
+        }
+    }
+}
+
+/// Statements that fail on their first row — so on every non-empty table,
+/// on both paths, with the same text — and affect zero rows of an empty
+/// one: a WHERE that is not boolean (a typed lane, a dynamic lane, NULL),
+/// an unbound variable and an INT overflow in SET.
+const DML_ERROR_STATEMENTS: &[&str] = &[
+    "DELETE FROM T WHERE b",
+    "UPDATE T SET a = 0 WHERE id + 1",
+    "DELETE FROM T WHERE FloatArray.Item_1(w, 1)",
+    "DELETE FROM T WHERE NULL",
+    "UPDATE T SET a = @gone WHERE id = 0",
+    "UPDATE T SET b = 3000000000 WHERE id % 2 = 0",
+];
+
+#[test]
+fn dml_errors_agree_on_both_paths_and_edge_case_table_sizes() {
+    for (i, &rows) in [0i64, 1, 1024, 1025].iter().enumerate() {
+        let mut s = dml_session(rows, 0xD3E + i as u64);
+        // A statement that fails logs nothing (one that affects no row
+        // still commits).
+        let run = |s: &mut Session, sql: &str| {
+            let wal_before = s.db().store.wal_len();
+            let got = s.execute(sql).map(|r| r[0].stats.rows_affected);
+            assert!(
+                got.is_ok() || s.db().store.wal_len() == wal_before,
+                "{sql} logged"
+            );
+            got.map_err(|e| e.to_string())
+        };
+        for dop in DOPS {
+            s.set_dop(dop);
+            // An unbound variable nothing evaluates is no error.
+            for batch in DML_BATCH_SIZES {
+                s.set_batch_rows(batch);
+                let r = s.execute("UPDATE T SET a = @gone WHERE id < 0").unwrap();
+                assert_eq!(r[0].stats.rows_affected, 0);
+            }
+            for sql in DML_ERROR_STATEMENTS {
+                s.set_batch_rows(0);
+                let want = run(&mut s, sql);
+                match rows {
+                    0 => assert_eq!(want, Ok(0), "{sql} over the empty table"),
+                    _ => assert!(want.is_err(), "{rows} rows, row path accepted {sql}"),
+                }
+                for batch in [7usize, 1024] {
+                    s.set_batch_rows(batch);
+                    let got = run(&mut s, sql);
+                    assert_eq!(got, want, "{rows} rows, batch {batch} dop {dop}: {sql}");
+                }
+            }
+        }
+        assert_eq!(s.query(ALL_COLUMNS).unwrap().rows.len() as i64, rows);
+    }
+    // The strict-WHERE text names the statement and the type it got.
+    let mut s = dml_session(10, 0xD3E);
+    for (sql, text) in [
+        (
+            DML_ERROR_STATEMENTS[0],
+            "DELETE WHERE clause must evaluate to a boolean, got INT",
+        ),
+        (
+            DML_ERROR_STATEMENTS[1],
+            "UPDATE WHERE clause must evaluate to a boolean, got BIGINT",
+        ),
+        (
+            DML_ERROR_STATEMENTS[2],
+            "DELETE WHERE clause must evaluate to a boolean, got FLOAT",
+        ),
+        (
+            DML_ERROR_STATEMENTS[3],
+            "DELETE WHERE clause must evaluate to a boolean, got NULL",
+        ),
+    ] {
+        let err = s.execute(sql).unwrap_err();
+        assert_eq!(err, EngineError::Type(text.into()), "{sql}");
+        assert_eq!(s.partial_stats().unwrap().fallback, None, "{sql} compiles");
+    }
+    // An unbound variable a row does evaluate is the interpreter's typed
+    // error, on the interpreter.
+    let err = s.execute(DML_ERROR_STATEMENTS[4]).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::Unknown(what) if what.contains("@gone")),
+        "{err:?}"
+    );
+    let why = s.partial_stats().unwrap().fallback.clone();
+    assert_eq!(why, Some(Fallback::MissingVar("gone".into())));
 }
 
 proptest! {

@@ -260,3 +260,42 @@ fn prepared_statement_answers_the_same_over_an_empty_and_a_full_pool() {
         assert_eq!(rows, vec![vec![Value::I64(1)]], "pool full: {full}");
     }
 }
+
+/// Texts that differ only in where a `--` comment ends, or in a string
+/// literal after a comment that holds a quote, are different statements:
+/// the plan cache must not answer one with the other's parse, in either
+/// order, ad hoc or prepared.
+#[test]
+fn comments_never_make_two_statements_share_a_plan() {
+    let live = "SELECT 1 -- c\n, 2";
+    let dead = "SELECT 1 -- c , 2";
+    let wide = "-- it's\nSELECT 'a  b'";
+    let narrow = "-- it's\nSELECT 'a b'";
+    let fresh = |sql: &str| {
+        let mut s = Engine::new(tiny_db(1)).session_with_hosting(HostingModel::free());
+        s.query(sql).unwrap().rows
+    };
+    assert_eq!(fresh(live), [[Value::I64(1), Value::I64(2)]]);
+    assert_eq!(fresh(dead), [[Value::I64(1)]]);
+    assert_eq!(fresh(wide), [[Value::Str("a  b".into())]]);
+    assert_eq!(fresh(narrow), [[Value::Str("a b".into())]]);
+    for pair in [[live, dead], [dead, live], [wide, narrow], [narrow, wide]] {
+        // Through `Session::query`…
+        let mut s = Engine::new(tiny_db(1)).session_with_hosting(HostingModel::free());
+        for sql in pair {
+            assert_eq!(
+                s.query(sql).unwrap().rows,
+                fresh(sql),
+                "{sql:?} in {pair:?}"
+            );
+        }
+        // …and through `prepare` / `execute_prepared`, on one engine.
+        let mut s = Engine::new(tiny_db(1)).session_with_hosting(HostingModel::free());
+        let prepared = pair.map(|sql| s.prepare(sql).unwrap());
+        assert_ne!(prepared[0].key(), prepared[1].key(), "{pair:?}");
+        for (sql, p) in pair.iter().zip(&prepared) {
+            let rows = s.execute_prepared(p).unwrap().pop().unwrap().rows;
+            assert_eq!(rows, fresh(sql), "prepared {sql:?} in {pair:?}");
+        }
+    }
+}

@@ -166,14 +166,76 @@ fn kill_matrix(batch_rows: usize) {
     }
 }
 
+/// UPDATE/DELETE statements the matrix kills: their match phase is the
+/// scan job the queries above run — a filtered projection led by the
+/// clustered key, here also with a call lane in SET and in WHERE.
+const MATRIX_DML: &[&str] = &[
+    "UPDATE T SET tag = tag + 1 WHERE id % 2 = 0",
+    "UPDATE T SET v = FloatArray.Vector_2(id, tag) WHERE FloatArray.Item_1(v, 1) > 100.0",
+    "DELETE FROM T WHERE id % 3 = 0",
+];
+
+/// The DML half of the matrix. Every lifecycle check of an UPDATE/DELETE
+/// belongs to its read-only match phase (resolve and apply run to the
+/// commit), so every trip point must abort with `Cancelled`, zero rows
+/// affected and not one WAL byte — and the statement, run undisturbed
+/// afterwards, must leave the disk image of an engine that was never
+/// disturbed at all.
+fn kill_matrix_dml(batch_rows: usize) {
+    const ROWS: i64 = 120;
+    const CONTENTS: &str = "SELECT id, tag, v FROM T";
+    for sql in MATRIX_DML {
+        for dop in DOPS {
+            let session = |engine: &Arc<Engine>| {
+                let mut s = engine.session_with_hosting(HostingModel::free());
+                s.set_dop(dop);
+                s.set_batch_rows(batch_rows);
+                s
+            };
+            // The undisturbed replay doubles as the dry run.
+            let undisturbed = fault_engine(seeded_db(ROWS));
+            let mut dry = session(&undisturbed);
+            dry.set_cancel_after_checks(Some(u64::MAX));
+            let affected = dry.execute(sql).unwrap()[0].stats.rows_affected;
+            assert!(affected > 0, "`{sql}` matched nothing");
+            let points = dry.last_query_ctx().unwrap().checks();
+            assert!(points > 0, "no lifecycle checks at dop {dop}: `{sql}`");
+
+            let engine = fault_engine(seeded_db(ROWS));
+            let image_before = engine.db().store.crash_image();
+            let mut s = session(&engine);
+            for k in 1..=points {
+                s.set_cancel_after_checks(Some(k));
+                let err = s.execute(sql).unwrap_err();
+                let at = format!("trip {k}/{points} dop {dop} batch {batch_rows}: `{sql}`");
+                assert_eq!(err, EngineError::Cancelled, "{at}");
+                assert_eq!(s.partial_stats().unwrap().rows_affected, 0, "{at}");
+                assert_eq!(engine.sched().in_flight(), 0, "leaked workers, {at}");
+                assert_eq!(engine.sched().active(), 0, "leaked active query, {at}");
+                assert!(engine.db().store.crash_image() == image_before, "{at}");
+            }
+            s.set_cancel_after_checks(None);
+            assert_eq!(s.execute(sql).unwrap()[0].stats.rows_affected, affected);
+            assert!(
+                engine.db().store.crash_image() == undisturbed.db().store.crash_image(),
+                "post-massacre image diverges at dop {dop} batch {batch_rows}: `{sql}`"
+            );
+            let (got, want) = (s.query(CONTENTS).unwrap(), dry.query(CONTENTS).unwrap());
+            assert!(rows_bit_identical(&got.rows, &want.rows), "`{sql}`");
+        }
+    }
+}
+
 #[test]
 fn kill_matrix_row_path() {
     kill_matrix(0);
+    kill_matrix_dml(0);
 }
 
 #[test]
 fn kill_matrix_batch_path() {
     kill_matrix(64);
+    kill_matrix_dml(64);
 }
 
 // --- Asynchronous cancellation -------------------------------------------
@@ -466,35 +528,40 @@ fn standard_engine_does_not_serve_the_fault_functions() {
 #[test]
 fn aborted_dml_match_phase_leaves_no_durability_trace() {
     const ROWS: i64 = 200;
-    let engine = fault_engine(seeded_db(ROWS));
-    let mut s = engine.session_with_hosting(HostingModel::free());
-    let wal_before = engine.db().store.crash_image().wal;
+    // On both scan bodies: 0 is the interpreter, 64 the batch plan.
+    for batch_rows in [0usize, 64] {
+        let engine = fault_engine(seeded_db(ROWS));
+        let mut s = engine.session_with_hosting(HostingModel::free());
+        s.set_batch_rows(batch_rows);
+        let wal_before = engine.db().store.crash_image().wal;
 
-    // A cancelled match phase commits nothing: no page, no WAL byte.
-    s.set_cancel_after_checks(Some(5));
-    let err = s
-        .execute("UPDATE T SET tag = tag + 1 WHERE tag >= 0")
-        .unwrap_err();
-    assert_eq!(err, EngineError::Cancelled);
-    s.set_cancel_after_checks(None);
-    assert_eq!(engine.db().store.crash_image().wal, wal_before);
-    let partial = s
-        .partial_stats()
-        .expect("aborted DML reports partial stats");
-    assert_eq!(partial.rows_affected, 0);
+        // A cancelled match phase commits nothing: no page, no WAL byte.
+        s.set_cancel_after_checks(Some(5));
+        let err = s
+            .execute("UPDATE T SET tag = tag + 1 WHERE tag >= 0")
+            .unwrap_err();
+        assert_eq!(err, EngineError::Cancelled);
+        s.set_cancel_after_checks(None);
+        assert_eq!(engine.db().store.crash_image().wal, wal_before);
+        let partial = s
+            .partial_stats()
+            .expect("aborted DML reports partial stats");
+        assert_eq!(partial.rows_affected, 0);
+        assert_eq!(partial.batches > 0, batch_rows > 0, "wrong scan body");
 
-    // The engine still commits real DML afterwards, and the image
-    // recovers to exactly that one statement's effect.
-    s.execute("UPDATE T SET tag = 0 - tag WHERE id >= 0")
-        .unwrap();
-    let img = engine.db().store.crash_image();
-    assert!(img.wal.len() > wal_before.len(), "commit left no WAL trace");
-    let mut recovered = fault_session(Database::recover(&img).unwrap());
-    let sum: f64 = (0..ROWS).map(|k| k as f64).sum();
-    assert_eq!(
-        recovered.query_scalar("SELECT SUM(tag) FROM T").unwrap(),
-        Value::F64(-sum)
-    );
+        // The engine still commits real DML afterwards, and the image
+        // recovers to exactly that one statement's effect.
+        s.execute("UPDATE T SET tag = 0 - tag WHERE id >= 0")
+            .unwrap();
+        let img = engine.db().store.crash_image();
+        assert!(img.wal.len() > wal_before.len(), "commit left no WAL trace");
+        let mut recovered = fault_session(Database::recover(&img).unwrap());
+        let sum: f64 = (0..ROWS).map(|k| k as f64).sum();
+        assert_eq!(
+            recovered.query_scalar("SELECT SUM(tag) FROM T").unwrap(),
+            Value::F64(-sum)
+        );
+    }
 }
 
 // --- DECLARE / SET initializers are statements too -------------------------
