@@ -57,9 +57,14 @@ impl Database {
         Ok((&mut self.store, table))
     }
 
-    /// Inserts a row into a table.
+    /// Inserts a row into a table. A `BIGINT` column 0 is the clustered
+    /// key column — the `id` a `WHERE id = k` seeks by — so `values[0]`
+    /// must then be `RowValue::I64(key)`; anything else is a typed error
+    /// and nothing is written ([`bulk_insert`](Self::bulk_insert) checks
+    /// the same for every row before it loads any).
     pub fn insert(&mut self, table: &str, key: i64, values: &[RowValue]) -> Result<()> {
         let (store, t) = self.store_and_table_mut(table)?;
+        check_key_column(t, key, values)?;
         t.insert(store, key, values)?;
         Ok(())
     }
@@ -84,6 +89,9 @@ impl Database {
         dop: usize,
     ) -> Result<()> {
         let (store, t) = self.store_and_table_mut(table)?;
+        // Before the load's own pre-flight: a refused load touches nothing.
+        rows.iter()
+            .try_for_each(|(key, values)| check_key_column(t, *key, values))?;
         t.bulk_load(store, rows, dop)?;
         Ok(())
     }
@@ -148,6 +156,29 @@ impl Database {
             EngineError::Storage("commit record carries a malformed catalog".into())
         })?;
         Ok(db)
+    }
+}
+
+/// The column that repeats the clustered key: column 0, when it is a
+/// `BIGINT`. Storage keys rows by an opaque `i64` passed beside the row;
+/// this is the layer that ties it to a column, so that `WHERE id = k` may
+/// seek the B-tree. The tie is enforced where rows enter
+/// ([`Database::insert`], [`Database::bulk_insert`]) and where they change
+/// (`UPDATE` may not assign the column). A table whose column 0 has
+/// another type has no key column and is always scanned in full.
+pub(crate) fn clustered_key_column(schema: &Schema) -> Option<&sqlarray_storage::Column> {
+    schema.columns.first().filter(|c| c.ctype == ColType::I64)
+}
+
+/// Refuses a row whose key column does not hold its clustered key. (A
+/// row with no values at all is storage's arity error, not this one.)
+fn check_key_column(table: &Table, key: i64, values: &[RowValue]) -> Result<()> {
+    match (clustered_key_column(table.schema()), values.first()) {
+        (Some(col), Some(v)) if *v != RowValue::I64(key) => Err(EngineError::Type(format!(
+            "row inserted under clustered key {key} holds {v:?} in its key column `{}`",
+            col.name
+        ))),
+        _ => Ok(()),
     }
 }
 

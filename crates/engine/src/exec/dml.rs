@@ -6,7 +6,9 @@
 //! 1. **Match** (parallel, read-only): one more [`SelectJob`] — the scan
 //!    job SELECT runs, on whichever of its two bodies the fallback seam
 //!    picks — over the statement's WHERE (strictly boolean for DML) and,
-//!    for UPDATE, the list of its SET expressions, with no row limit. It
+//!    for UPDATE, the list of its SET expressions, with no row limit,
+//!    visiting only the leaves that WHERE's key interval covers (`WHERE
+//!    id = k` is a seek; the job decides, nothing here does). It
 //!    hands back `[clustered key, evaluated values…]` per matching row in
 //!    partition order, which is key order; out-of-row values are copied at
 //!    its projection boundary, while the worker's reader is live.
@@ -30,7 +32,7 @@
 use super::scan::ScanTotals;
 use super::select::SelectJob;
 use super::{QueryResult, SelectOpts, StmtCtx};
-use crate::database::Database;
+use crate::database::{clustered_key_column, Database};
 use crate::expr::Expr;
 use crate::tsql::{DeleteStmt, SelectItem, UpdateStmt};
 use crate::value::{EngineError, Result, Value};
@@ -313,6 +315,14 @@ pub(crate) fn exec_update(
         let col = schema
             .col_index(col_name)
             .ok_or_else(|| EngineError::Unknown(format!("column `{col_name}`")))?;
+        // SQL Server would move the row to its new key position; this
+        // engine keeps column 0 equal to the clustered key by refusing.
+        if let Some(key) = clustered_key_column(schema).filter(|_| col == 0) {
+            return Err(EngineError::Unsupported(format!(
+                "cannot update the clustered key column `{}`",
+                key.name
+            )));
+        }
         if sets.iter().any(|s| s.col == col) {
             return Err(EngineError::Unsupported(format!(
                 "column `{col_name}` is set more than once"

@@ -1,4 +1,5 @@
-//! The query executor: partitioned clustered-index scans with filters,
+//! The query executor: partitioned clustered-index scans — of the whole
+//! index, or of the key interval a WHERE admits — with filters,
 //! projections, built-in aggregates, GROUP BY and user-defined aggregates,
 //! fanned out over a configurable degree of parallelism.
 //!
@@ -9,9 +10,11 @@
 //! item list) with two bodies, the row interpreter and the vectorized
 //! path, and goes through one driver, `scan::run_scan`, regardless of DOP:
 //!
-//! 1. [`sqlarray_storage::Table::partition`] splits the clustered index
-//!    into at most `dop` contiguous leaf-page ranges (key order
-//!    preserved);
+//! 1. [`sqlarray_storage::Table::partition_keys`] splits the leaves the
+//!    statement's key interval covers (`access::KeyRange::of` its WHERE:
+//!    every leaf without a predicate on the clustered key, one
+//!    root-to-leaf path for `WHERE id = k`) into at most `dop` contiguous
+//!    leaf-page ranges (key order preserved);
 //! 2. each partition is scanned by a worker — inline on the calling thread
 //!    for one partition, on [`std::thread::scope`] threads otherwise —
 //!    holding its own [`sqlarray_storage::PartitionReader`], a
@@ -34,8 +37,8 @@
 //!    (exact-sum merge for `SUM`/`AVG`, `Merge()`-style state merge for
 //!    UDAs).
 //!
-//! Results are **bit-identical at every DOP**: partitions cover the scan in
-//! key order, `SUM`/`AVG` accumulate in an order-independent exact
+//! Results are **bit-identical at every DOP**: partitions cover the scanned
+//! leaves in key order, `SUM`/`AVG` accumulate in an order-independent exact
 //! accumulator ([`sqlarray_core::exact::ExactSum`]), and order-sensitive
 //! UDA state merges in partition order. The serial plan is literally the
 //! parallel plan at width 1, so both sides of that guarantee share the
@@ -47,6 +50,9 @@
 //!   context;
 //! * `scan` — the partitioned-scan driver and the statement meter that
 //!   becomes [`QueryStats`];
+//! * `access` — the key interval a WHERE confines its scan to, and the
+//!   rules that keep a keyed scan bit-identical to the full one
+//!   ([`QueryStats::access`] reports the outcome);
 //! * `agg` — GROUP BY keys and select-list accumulators;
 //! * `select` — SELECT and the scan job: the row and batch scan bodies
 //!   and the merge (which body runs is decided by
@@ -55,11 +61,13 @@
 //! * `dml` — UPDATE/DELETE: the match phase handed to the scan job, then
 //!   resolve and apply.
 
+mod access;
 mod agg;
 mod dml;
 mod scan;
 mod select;
 
+pub use access::Access;
 pub(crate) use dml::{exec_delete, exec_update};
 pub(crate) use scan::eval_scalars;
 pub(crate) use select::exec_select;
@@ -136,6 +144,10 @@ pub struct QueryStats {
     /// compiled batch plan; `None` when it ran vectorized (and for
     /// FROM-less SELECTs, which scan nothing).
     pub fallback: Option<Fallback>,
+    /// How the statement's table scan found its rows: [`Access::Seek`] or
+    /// [`Access::Range`] when its WHERE confined the clustered key,
+    /// [`Access::Full`] otherwise (and for FROM-less SELECTs).
+    pub access: Access,
 }
 
 impl QueryStats {
@@ -166,6 +178,7 @@ impl QueryStats {
             io,
             rows_affected: totals.rows_affected,
             fallback: totals.fallback.clone(),
+            access: totals.access,
         }
     }
 

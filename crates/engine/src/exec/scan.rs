@@ -1,5 +1,5 @@
-//! The partitioned-scan driver: the one place a table scan is fanned
-//! out, accounted and timed.
+//! The partitioned-scan driver: the one place a table scan — full, or
+//! confined to a key interval — is fanned out, accounted and timed.
 //!
 //! [`run_scan`] owns partitioning, the per-worker reader and hosting
 //! fork, the panic boundary, and the counter fold; a statement supplies
@@ -7,7 +7,7 @@
 //! [`ScanWorker`]. [`ScanTotals`] is the statement-long meter those
 //! counters fold into and [`QueryStats`] is built from.
 
-use super::{QueryStats, StmtCtx};
+use super::{Access, QueryStats, StmtCtx};
 use crate::expr::{eval, EvalEnv, Expr};
 use crate::hosting::HostingModel;
 use crate::udf::UdfRegistry;
@@ -42,6 +42,8 @@ pub(super) struct ScanTotals {
     /// Why the scan ran the row interpreter (`None`: it ran a compiled
     /// batch plan, or the statement scans no table).
     pub fallback: Option<crate::batch::Fallback>,
+    /// How the scan found its rows (`Full` when there was no scan).
+    pub access: Access,
 }
 
 impl ScanTotals {
@@ -60,6 +62,7 @@ impl ScanTotals {
             max_busy: 0.0,
             rows_affected: 0,
             fallback: None,
+            access: Access::Full,
         }
     }
 
@@ -207,10 +210,12 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Scans `table` with `body` run once per partition and returns the
-/// bodies' outputs in partition (= key) order, folding every worker's
-/// counters into `totals`. With one partition the fan-out helper runs
-/// inline, so the serial plan is the parallel plan at width 1.
+/// Scans the leaves of `table` that can hold a key of `keys` (every leaf
+/// for the full interval, one root-to-leaf path for a single key) with
+/// `body` run once per partition, and returns the bodies' outputs in
+/// partition (= key) order, folding every worker's counters into
+/// `totals`. With one partition the fan-out helper runs inline, so the
+/// serial plan is the parallel plan at width 1.
 ///
 /// Each worker runs under [`with_serial_kernels`]: it is already one lane
 /// of the statement's fan-out, so any chunked array kernels its
@@ -221,10 +226,11 @@ pub(super) fn run_scan<T: Send>(
     store: &PageStore,
     table: &Table,
     totals: &mut ScanTotals,
+    keys: std::ops::RangeInclusive<i64>,
     body: impl Fn(&mut ScanWorker<'_>) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
     totals.scanned = true;
-    let parts = table.partition(store, ctx.dop.max(1))?;
+    let parts = table.partition_keys(store, ctx.dop.max(1), keys)?;
     let scan = store.begin_scan_for(ctx.query.clone());
     let (udfs, vars) = (ctx.udfs, ctx.vars);
     let hosting: &HostingModel = ctx.hosting;

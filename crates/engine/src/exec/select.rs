@@ -1,9 +1,11 @@
-//! SELECT, and the scan job every table-reading statement runs: the
-//! row-at-a-time and vectorized bodies handed to the driver, and the
-//! partition-order merge of what they return. The match phase of
-//! UPDATE/DELETE is one more [`SelectJob`] — WHERE plus an item list, no
-//! row limit — whose rows lead with the clustered key.
+//! SELECT, and the scan job every table-reading statement runs: the key
+//! interval its WHERE admits and the row-at-a-time and vectorized bodies,
+//! handed to the driver, and the partition-order merge of what they
+//! return. The match phase of UPDATE/DELETE is one more [`SelectJob`] —
+//! WHERE plus an item list, no row limit — whose rows lead with the
+//! clustered key, so a write by key seeks exactly as a read by key does.
 
+use super::access::KeyRange;
 use super::agg::{make_accs, BatchAgg, GroupKey, Groups};
 use super::scan::{eval_scalars, run_scan, ScanTotals, ScanWorker};
 use super::{QueryResult, SelectOpts, StmtCtx};
@@ -97,8 +99,9 @@ impl<'a> SelectJob<'a> {
         }
     }
 
-    /// Scans `table` and returns the job's output rows: projections in
-    /// key order, or one row per group in first-appearance order.
+    /// Scans `table` — the leaves its WHERE's [`KeyRange`] covers — and
+    /// returns the job's output rows: projections in key order, or one
+    /// row per group in first-appearance order.
     ///
     /// Vectorized by default: the scan runs batch-at-a-time whenever the
     /// plan compiles; `batch_rows == 0` (or a plan that does not compile)
@@ -129,10 +132,15 @@ impl<'a> SelectJob<'a> {
             Err(Fallback::BatchDisabled)
         };
         totals.fallback = batch_plan.as_ref().err().cloned();
-        let outs = run_scan(ctx, store, table, totals, |w| match &batch_plan {
+        // WHERE stays the filter on both bodies; the interval it admits
+        // only decides which leaves and slots they are shown.
+        let range = KeyRange::of(schema, self.where_clause, ctx.vars);
+        totals.access = range.access();
+        let body = |w: &mut ScanWorker<'_>| match &batch_plan {
             Ok(plan) => self.scan_batches(plan, w),
             Err(_) => self.scan_rows(schema, w),
-        })?;
+        };
+        let outs = run_scan(ctx, store, table, totals, range.keys(), body)?;
 
         // Merge partials in partition (key) order.
         let mut rows: Vec<Vec<Value>> = Vec::new();

@@ -45,7 +45,7 @@ pub use batch::Fallback;
 pub use config::Settings;
 pub use database::Database;
 pub use engine::{Engine, EngineConfig, EngineStats};
-pub use exec::{QueryResult, QueryStats};
+pub use exec::{Access, QueryResult, QueryStats};
 pub use hosting::{CostClass, HostingModel, PAPER_CLR_CALL_NS};
 pub use mathfn::{fft_array, gesvd_array, ifft_array, power_spectrum_array};
 pub use plancache::{PlanCache, PlanCacheStats};

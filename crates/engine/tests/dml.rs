@@ -6,7 +6,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sqlarray_core::build;
-use sqlarray_engine::{Database, Engine, EngineError, Fallback, HostingModel, Session, Value};
+use sqlarray_engine::{
+    Access, Database, Engine, EngineError, Fallback, HostingModel, Session, Value,
+};
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
 use sqlarray_storage::{ColType, FailPlan, RowValue, Schema};
 use std::collections::BTreeMap;
@@ -458,6 +460,81 @@ fn failing_array_update_fallback_is_not_half_applied() {
     );
 }
 
+// --- Column 0 is the clustered key ----------------------------------------
+
+#[test]
+fn update_may_not_assign_the_clustered_key_column() {
+    // Moving a row is what SQL Server would do; here `id = 103` would sit
+    // at key position 3, out of key order, and a seek would never find it.
+    // Refused before any scan — also over an empty table.
+    for rows in [0, 400] {
+        assert_failed_update_leaves_no_trace(
+            move || session(rows),
+            "UPDATE T SET tag = 1, ID = id + 100 WHERE id = 3",
+            |e| matches!(e, EngineError::Unsupported(m) if m == "cannot update the clustered key column `id`"),
+        );
+    }
+    let mut s = session(4);
+    let err = s.execute("UPDATE T SET id = 9").unwrap_err();
+    assert!(matches!(err, EngineError::Unsupported(_)), "{err:?}");
+    assert!(s.partial_stats().is_none(), "refused before its scan began");
+}
+
+#[test]
+fn inserts_must_carry_the_key_in_the_key_column() {
+    let row = |id: RowValue| [id, RowValue::I32(0), RowValue::Bytes(Vec::new())];
+    let refused =
+        |e: EngineError| matches!(e, EngineError::Type(m) if m.contains("key column `id`"));
+    for rows in [0, 6] {
+        let mut s = session(rows);
+        let before = (all_rows(&mut s, "T"), s.db().store.crash_image());
+        let mut db = s.db_mut();
+        let (pages, stats) = (db.store.page_count(), db.store.stats());
+        assert!(refused(
+            db.insert("T", 50, &row(RowValue::I64(7))).unwrap_err()
+        ));
+        assert!(refused(
+            db.insert("T", 50, &row(RowValue::I32(50))).unwrap_err()
+        ));
+        let bulk: Vec<(i64, Vec<RowValue>)> = (100..110)
+            .map(|k| (k, row(RowValue::I64(k + i64::from(k == 105))).to_vec()))
+            .collect();
+        assert!(refused(db.bulk_insert_with_dop("T", &bulk, 2).unwrap_err()));
+        assert_eq!((db.store.page_count(), db.store.stats()), (pages, stats));
+        drop(db);
+        assert_eq!((all_rows(&mut s, "T"), s.db().store.crash_image()), before);
+        // The well-formed row is still welcome.
+        s.db_mut().insert("T", 50, &row(RowValue::I64(50))).unwrap();
+        assert_eq!(all_rows(&mut s, "T").len() as i64, rows + 1);
+    }
+}
+
+#[test]
+fn a_table_without_a_bigint_first_column_has_no_key_column() {
+    let mut db = Database::new();
+    let schema = Schema::new(&[("x", ColType::F64), ("id", ColType::I64)]);
+    db.create_table("F", schema).unwrap();
+    for k in 0..4 {
+        let values = [RowValue::F64(k as f64 / 2.0), RowValue::I64(10 - k)];
+        db.insert("F", k, &values).unwrap();
+    }
+    db.commit();
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
+    // Column 0 is an ordinary column here: assignable, and `id` (column 1)
+    // is no key, so nothing seeks.
+    let r = s.execute("UPDATE F SET x = x + 1 WHERE id = 8").unwrap();
+    assert_eq!(
+        (r[0].stats.rows_affected, r[0].stats.access),
+        (1, Access::Full)
+    );
+    let r = s.query("SELECT x FROM F WHERE id >= 8").unwrap();
+    assert_eq!(
+        r.rows,
+        [[Value::F64(0.0)], [Value::F64(0.5)], [Value::F64(2.0)]]
+    );
+    assert_eq!(r.stats.access, Access::Full);
+}
+
 /// `W(id, a BLOB, b BLOB)` with `rows` rows of `a`/`b` payload lengths
 /// `lens(k)`.
 fn two_blob_session(rows: i64, lens: impl Fn(i64) -> (usize, usize)) -> Session {
@@ -515,7 +592,7 @@ fn apply_phase_error_still_reports_partial_stats() {
         .partial_stats()
         .expect("a failed apply phase reports the match scan's work");
     assert!(partial.io.pages_read > 0, "{partial:?}");
-    assert_eq!(partial.rows_scanned, 50);
+    assert_eq!((partial.access, partial.rows_scanned), (Access::Seek, 1));
     assert_eq!(partial.rows_affected, 0);
 }
 
@@ -661,8 +738,12 @@ fn var_free_dml_reuses_its_compiled_plan() {
         s.set_var("t", Value::I64(9));
         let before = reuses(&s);
         for _ in 0..2 {
-            let r = s.execute(sql).unwrap();
-            assert!(r[0].stats.batches > 0 && r[0].stats.fallback.is_none());
+            let stats = &s.execute(sql).unwrap()[0].stats;
+            // Vectorized: every visited row arrived in a batch (the second
+            // `DELETE … WHERE id = 5` seeks a key that is gone and visits
+            // none).
+            assert!(stats.fallback.is_none());
+            assert_eq!(stats.batches > 0, stats.rows_scanned > 0, "{sql}");
         }
         assert_eq!(reuses(&s) - before, reused, "{sql}");
     }

@@ -12,6 +12,13 @@
 //!   interpreter, `for_each_batch(` from one, the vectorized body, and
 //!   `exec/dml.rs` drives no scan of its own (its match phase is the job
 //!   SELECT runs; a private copy of the interpreter's loop lived there).
+//! * One statement has one access-path decision: `KeyRange::of(` is called
+//!   from `SelectJob::run` and the table is partitioned — over the interval
+//!   that call produced — from `run_scan`, nowhere else under
+//!   `crates/engine/src`; `exec/dml.rs` names neither, so UPDATE/DELETE
+//!   seek because SELECT does. (`Table::partition`, the two-argument
+//!   full-range delegate the frozen benchmark still calls, has no engine
+//!   caller.)
 //! * The engine reads the process environment in one module, `config.rs`;
 //!   a second `env_usize(` / `env::var` means a knob is parsed beside
 //!   [`Settings`](../../engine/src/config.rs) again.
@@ -130,6 +137,44 @@ fn the_scan_driver_has_two_bodies_and_dml_owns_neither() {
     assert!(
         found.is_empty(),
         "`exec/dml.rs` hands its match phase to the scan job; it names a scan loop {} time(s)",
+        found.len()
+    );
+}
+
+#[test]
+fn a_statement_chooses_its_access_path_once() {
+    let callers_of = |name: &'static str| {
+        let is_call = move |f: &SourceFile<'_>, k: usize| {
+            followed_by_paren(f, k, name) && !(k > 0 && f.is_ident(k - 1, "fn"))
+        };
+        hits_in_fn("crates/engine/src", is_call, enclosing_fn)
+    };
+    assert_eq!(
+        callers_of("partition_keys"),
+        ["crates/engine/src/exec/scan.rs::run_scan"],
+        "the scan driver is the one place a table is partitioned"
+    );
+    assert_eq!(
+        callers_of("partition"),
+        [""; 0],
+        "the engine always hands the driver an interval"
+    );
+    // `KeyRange::of(`: `of` preceded by `KeyRange ::`.
+    let key_range_of = |f: &SourceFile<'_>, k: usize| {
+        followed_by_paren(f, k, "of") && k >= 3 && f.is_ident(k - 3, "KeyRange")
+    };
+    assert_eq!(
+        hits_in_fn("crates/engine/src", key_range_of, enclosing_fn),
+        ["crates/engine/src/exec/select.rs::run"],
+        "the interval is computed once per execution, in `SelectJob::run`"
+    );
+    let names = ["KeyRange", "partition", "partition_keys", "Access"];
+    let found = hits("crates/engine/src/exec/dml.rs", |f, k| {
+        names.iter().any(|w| f.is_ident(k, w))
+    });
+    assert!(
+        found.is_empty(),
+        "`exec/dml.rs` inherits its access path from the scan job; it names one {} time(s)",
         found.len()
     );
 }

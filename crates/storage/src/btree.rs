@@ -17,6 +17,7 @@
 use crate::errors::{Result, StorageError};
 use crate::page::{page_type, PageId, SlottedPage, SlottedRead, PAGE_SIZE};
 use crate::store::PageStore;
+use std::ops::{Range, RangeInclusive};
 
 /// Largest payload storable in a leaf record (key bytes deducted). Rows
 /// beyond this move their blobs out of page — see `sqlarray-storage::row`.
@@ -805,65 +806,33 @@ impl BTree {
         Ok(())
     }
 
-    /// Range scan over `[lo, hi]` inclusive, in key order.
-    pub fn scan_range(
-        &self,
-        store: &mut PageStore,
-        lo: i64,
-        hi: i64,
-        mut f: impl FnMut(i64, &[u8]) -> Result<bool>,
-    ) -> Result<()> {
-        // Descend to the leaf containing lo.
-        let mut page = self.root;
-        loop {
-            let bytes = store.read(page)?;
-            if bytes[0] == page_type::BTREE_LEAF {
-                break;
-            }
-            let v = SlottedRead::open(bytes, page_type::BTREE_INTERNAL, page)?;
-            let (child, _) = descend(&v, lo)?;
-            page = child;
-        }
-        let mut cur = Some(page);
-        while let Some(pid) = cur {
-            let bytes = store.read(pid)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
-            for i in 0..v.slot_count() {
-                let rec = v.record(i)?;
-                let k = leaf_key(rec);
-                if k < lo {
-                    continue;
-                }
-                if k > hi {
-                    return Ok(());
-                }
-                if !f(k, &rec[8..])? {
-                    return Ok(());
-                }
-            }
-            cur = v.next_page();
-        }
-        Ok(())
-    }
-
-    /// All leaf page ids in key (chain) order, collected by walking the
-    /// internal levels only — the scan partitioner needs the leaf list
-    /// without paying a full leaf-level read, exactly as a real engine
-    /// derives parallel range boundaries from the index upper levels.
-    /// Cost: one read per *internal* page (a few hundredths of the leaf
-    /// count at normal fan-outs).
+    /// The leaf pages that can hold a key of `keys`, in key (chain) order,
+    /// collected by walking the internal levels only — the scan
+    /// partitioner needs the leaf list without paying a leaf-level read,
+    /// exactly as a real engine derives parallel range boundaries from the
+    /// index upper levels. The walk descends only the children whose
+    /// separator span intersects `keys`: the full range reads every
+    /// internal page (a few hundredths of the leaf count at normal
+    /// fan-outs), a single key one page per internal level, an empty
+    /// range nothing.
     ///
     /// Generic over [`PageRead`](crate::store::PageRead) so the walk can
     /// run either through the serial `&mut PageStore` path or through a
     /// scan worker's [`PartitionReader`](crate::store::PartitionReader) —
-    /// the latter is how `Table::partition` enumerates leaves over a
+    /// the latter is how `Table::partition_keys` enumerates leaves over a
     /// *shared* store reference when many sessions scan concurrently.
-    pub fn leaf_page_ids<R: crate::store::PageRead>(&self, store: &mut R) -> Result<Vec<PageId>> {
+    pub fn leaf_page_ids<R: crate::store::PageRead>(
+        &self,
+        store: &mut R,
+        keys: &RangeInclusive<i64>,
+    ) -> Result<Vec<PageId>> {
         // Knowing the depth up front lets the walk stop one level above
         // the leaves: a depth-`d` tree's level-`d−1` entries *are* leaf
         // ids, so no leaf page is ever faulted in.
         let mut out = Vec::new();
-        self.collect_leaves(store, self.root, self.depth, &mut out)?;
+        if !keys.is_empty() {
+            self.collect_leaves(store, self.root, self.depth, keys, &mut out)?;
+        }
         Ok(out)
     }
 
@@ -872,23 +841,36 @@ impl BTree {
         store: &mut R,
         page: PageId,
         levels_to_leaf: u32,
+        keys: &RangeInclusive<i64>,
         out: &mut Vec<PageId>,
     ) -> Result<()> {
         if levels_to_leaf == 1 {
             out.push(page);
             return Ok(());
         }
+        // A child holds the keys from its own separator up to the next
+        // one, so the children to visit run from the one covering the low
+        // bound to the last whose separator is not past the high bound.
         let children = {
             let bytes = store.read_page(page)?;
             let v = SlottedRead::open(bytes, page_type::BTREE_INTERNAL, page)?;
-            let mut cs = vec![leftmost_child(&v)?];
-            for i in 0..v.slot_count() {
-                cs.push(internal_entry(v.record(i)?).1);
+            let (first, pos) = descend(&v, *keys.start())?;
+            let mut cs = vec![first];
+            let next = match pos {
+                InternalPos::Leftmost => 0,
+                InternalPos::Slot(i) => i.saturating_add(1),
+            };
+            for i in next..v.slot_count() {
+                let (separator, child) = internal_entry(v.record(i)?);
+                if separator > *keys.end() {
+                    break;
+                }
+                cs.push(child);
             }
             cs
         };
         for child in children {
-            self.collect_leaves(store, child, levels_to_leaf - 1, out)?;
+            self.collect_leaves(store, child, levels_to_leaf - 1, keys, out)?;
         }
         Ok(())
     }
@@ -967,6 +949,24 @@ fn leaf_lower_bound(v: &SlottedRead<'_>, key: i64) -> Result<usize> {
         }
     }
     Ok(lo)
+}
+
+/// The slots of leaf `v` whose keys lie in `keys`: a bound that is set
+/// is binary-searched, an open one costs nothing — so every leaf of a full
+/// scan keeps all its slots without a key being looked at.
+pub(crate) fn leaf_slots_within(
+    v: &SlottedRead<'_>,
+    keys: &RangeInclusive<i64>,
+) -> Result<Range<usize>> {
+    let from = match *keys.start() {
+        i64::MIN => 0,
+        lo => leaf_lower_bound(v, lo)?,
+    };
+    let to = match *keys.end() {
+        i64::MAX => v.slot_count(),
+        hi => leaf_lower_bound(v, hi.saturating_add(1))?,
+    };
+    Ok(from..to)
 }
 
 fn free_space_of(bytes: &[u8]) -> usize {
@@ -1091,28 +1091,66 @@ mod tests {
         assert_eq!(n, 10);
     }
 
+    /// The keys the one range scan (`Table::partition_keys` +
+    /// `scan_partition`) visits over a bare tree, at `dop` partitions.
+    fn keys_in(store: &PageStore, t: &BTree, dop: usize, keys: RangeInclusive<i64>) -> Vec<i64> {
+        let table = crate::Table::from_parts("t".into(), crate::Schema::new(&[]), t.parts());
+        let parts = table.partition_keys(store, dop, keys).unwrap();
+        let scan = store.begin_scan();
+        let mut seen = Vec::new();
+        let mut ios = Vec::new();
+        for (pi, p) in parts.iter().enumerate() {
+            let mut r = store.reader(&scan, pi as u32);
+            table
+                .scan_partition(&mut r, p, |_, k, _| {
+                    seen.push(k);
+                    Ok(true)
+                })
+                .unwrap();
+            ios.push(r.finish());
+        }
+        drop(scan);
+        store.finish_scan(ios.iter());
+        seen
+    }
+
     #[test]
     fn range_scan_bounds_inclusive() {
-        let (mut store, t) = tree_with(2000, 16);
-        let mut seen = Vec::new();
-        t.scan_range(&mut store, 995, 1005, |k, _| {
-            seen.push(k);
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(seen, (995..=1005).collect::<Vec<_>>());
+        let (store, t) = tree_with(2000, 16);
+        for dop in [1, 3] {
+            let seen = keys_in(&store, &t, dop, 995..=1005);
+            assert_eq!(seen, (995..=1005).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn range_scan_empty_window() {
-        let (mut store, t) = tree_with(100, 8);
-        let mut n = 0;
-        t.scan_range(&mut store, 200, 300, |_, _| {
-            n += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(n, 0);
+        let (store, t) = tree_with(100, 8);
+        assert_eq!(keys_in(&store, &t, 1, 200..=300), Vec::<i64>::new());
+        // An inverted interval covers no leaf at all and reads nothing.
+        let before = store.stats();
+        #[allow(clippy::reversed_empty_ranges)]
+        let seen = keys_in(&store, &t, 4, 50..=40);
+        assert_eq!(seen, Vec::<i64>::new());
+        assert_eq!(store.stats(), before);
+    }
+
+    #[test]
+    fn a_seek_reads_one_page_per_level() {
+        // ~400 children per internal page and two 3 000-byte records per
+        // leaf: 2 000 rows need a third level.
+        let mut store = PageStore::new();
+        let entries: Vec<(i64, Vec<u8>)> = (0..2000).map(|k| (k, vec![7; 3000])).collect();
+        let t = BTree::bulk_build(&mut store, &entries, 1, None).unwrap();
+        assert!(t.depth >= 3, "depth {}", t.depth);
+        let all = t.leaf_page_ids(&mut store, &(i64::MIN..=i64::MAX)).unwrap();
+        let internal_pages = store.page_count() - all.len() as u64;
+        store.clear_cache();
+        let before = store.stats();
+        assert_eq!(keys_in(&store, &t, 8, 1234..=1234), vec![1234]);
+        let d = store.stats().since(&before);
+        assert_eq!(d.pages_read + d.cache_hits, u64::from(t.depth));
+        assert!(u64::from(t.depth) < internal_pages + 1);
     }
 
     #[test]
@@ -1314,7 +1352,7 @@ mod tests {
     fn leaf_page_ids_match_chain_order() {
         for n in [0i64, 1, 5, 5000] {
             let (mut store, t) = tree_with(n, 40);
-            let ids = t.leaf_page_ids(&mut store).unwrap();
+            let ids = t.leaf_page_ids(&mut store, &(i64::MIN..=i64::MAX)).unwrap();
             assert_eq!(ids.len() as u64, t.leaf_pages(&mut store).unwrap());
             // The tracked depth must agree with the walked depth.
             assert_eq!(t.depth, t.depth(&mut store).unwrap());
@@ -1337,7 +1375,7 @@ mod tests {
         let leaves = t.leaf_pages(&mut store).unwrap();
         store.clear_cache();
         let before = store.stats();
-        t.leaf_page_ids(&mut store).unwrap();
+        t.leaf_page_ids(&mut store, &(i64::MIN..=i64::MAX)).unwrap();
         let d = store.stats().since(&before);
         // Collecting the leaf list must not read the leaf level itself.
         assert!(

@@ -1,33 +1,31 @@
 //! Clustered tables: schema + B-tree + blob store, with storage accounting.
 
 use crate::blob;
-use crate::btree::BTree;
+use crate::btree::{self, BTree};
 use crate::errors::{Result, StorageError};
 use crate::page::{page_type, PageId, SlottedRead};
 use crate::row::{self, RowValue, Schema, INLINE_BLOB_LIMIT};
 use crate::store::{PageStore, PartitionReader};
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 /// One contiguous chunk of a clustered-index scan: a run of leaf pages in
-/// key order, produced by [`Table::partition`] and consumed by
-/// [`Table::scan_partition`]. Partitions of one table are disjoint and
-/// concatenate (in production order) to the full leaf chain, so scanning
-/// them in order — serially or on parallel workers — visits exactly the
-/// rows of a full scan, in the same order.
+/// key order plus the key interval the scan is restricted to, produced by
+/// [`Table::partition_keys`] and consumed by [`Table::scan_partition`].
+/// Partitions of one call are disjoint and concatenate (in production
+/// order) to the leaves the interval covers, so scanning them in order —
+/// serially or on parallel workers — visits exactly the rows of a full
+/// scan whose keys lie in the interval, in the same order.
 #[derive(Debug, Clone)]
 pub struct ScanPartition {
     leaves: Vec<PageId>,
+    keys: RangeInclusive<i64>,
 }
 
 impl ScanPartition {
     /// The leaf pages of this partition, in key order.
     pub fn leaves(&self) -> &[PageId] {
         &self.leaves
-    }
-
-    /// True when the partition covers no pages (empty table).
-    pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
     }
 }
 
@@ -316,40 +314,58 @@ impl Table {
         self.tree.scan(store, f)
     }
 
-    /// Splits the clustered index into at most `dop` contiguous
-    /// [`ScanPartition`]s of near-equal page count, in key order. The leaf
-    /// list comes from the index upper levels (cheap — no leaf reads); the
-    /// same `dop` always produces the same boundaries, and any `dop`
-    /// produces partitions that concatenate to the full scan. There is
-    /// always at least one partition (an empty table yields one partition
-    /// holding the empty root leaf).
+    /// [`partition_keys`](Self::partition_keys) over every key. Kept only
+    /// because `benchmark/src/probes.rs` calls it with two arguments and
+    /// engine changes may not edit the benchmark; everything else passes
+    /// its interval.
+    pub fn partition(&self, store: &PageStore, dop: usize) -> Result<Vec<ScanPartition>> {
+        self.partition_keys(store, dop, i64::MIN..=i64::MAX)
+    }
+
+    /// Splits the leaves that can hold a key of `keys` into at most `dop`
+    /// contiguous [`ScanPartition`]s of near-equal page count, in key
+    /// order — the one range scan: `i64::MIN..=i64::MAX` is the full
+    /// clustered-index scan, `k..=k` a seek. The leaf list comes from the
+    /// index upper levels ([`BTree::leaf_page_ids`]: no leaf reads, and
+    /// only the root-to-leaf paths the interval covers); the same `dop`
+    /// always produces the same boundaries, and any `dop` produces
+    /// partitions that concatenate to the same scan. There is always at
+    /// least one partition: an empty table yields one holding the empty
+    /// root leaf, an empty interval one holding no leaf at all.
     ///
     /// Takes `&PageStore`: the internal-level walk runs through its own
     /// one-partition scan (snapshot-classified [`PartitionReader`], folded
-    /// back via `finish_scan`), which produces byte-identical accounting
-    /// to the old serial `&mut` path while letting concurrent sessions
-    /// partition the same table under a shared read lock.
-    pub fn partition(&self, store: &PageStore, dop: usize) -> Result<Vec<ScanPartition>> {
+    /// back via `finish_scan`), so its accounting does not depend on `dop`
+    /// and concurrent sessions can partition the same table under a shared
+    /// read lock.
+    pub fn partition_keys(
+        &self,
+        store: &PageStore,
+        dop: usize,
+        keys: RangeInclusive<i64>,
+    ) -> Result<Vec<ScanPartition>> {
         let scan = store.begin_scan();
         let mut r = store.reader(&scan, 0);
-        let leaves = self.tree.leaf_page_ids(&mut r)?;
+        let leaves = self.tree.leaf_page_ids(&mut r, &keys)?;
         let io = r.finish();
         store.finish_scan([&io]);
-        // A tree always has at least one leaf (possibly empty), so this
-        // always yields at least one partition.
-        let ranges = sqlarray_core::parallel::partition_ranges(leaves.len(), dop.max(1));
+        let mut ranges = sqlarray_core::parallel::partition_ranges(leaves.len(), dop.max(1));
+        if ranges.is_empty() {
+            ranges.push(0..0);
+        }
         Ok(ranges
             .into_iter()
             .map(|r| ScanPartition {
                 leaves: leaves[r].to_vec(),
+                keys: keys.clone(),
             })
             .collect())
     }
 
     /// Scans one partition through a worker's [`PartitionReader`]. `f`
     /// sees `(reader, key, encoded row)` in key order, exactly like
-    /// [`scan_raw`](Self::scan_raw) restricted to the partition, and
-    /// returns `true` to keep scanning.
+    /// [`scan_raw`](Self::scan_raw) restricted to the partition's leaves
+    /// and key interval, and returns `true` to keep scanning.
     ///
     /// The reader is handed *into* the callback (leaf-page bytes borrow
     /// the page file, not the reader) so a row visitor can resolve the
@@ -363,19 +379,8 @@ impl Table {
         mut f: impl FnMut(&mut PartitionReader<'_>, i64, &[u8]) -> Result<bool>,
     ) -> Result<()> {
         for &pid in &part.leaves {
-            let bytes = reader.read(pid)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
-            for i in 0..v.slot_count() {
-                let rec = v.record(i)?;
-                if rec.len() < 8 {
-                    return Err(StorageError::RowCorrupt(format!(
-                        "leaf record on page {pid} shorter than its 8-byte key"
-                    )));
-                }
-                let key = sqlarray_core::le::i64_at(rec, 0);
-                if !f(reader, key, &rec[8..])? {
-                    return Ok(());
-                }
+            if !walk_leaf(reader, part, pid, &mut f)? {
+                break;
             }
         }
         Ok(())
@@ -416,24 +421,18 @@ impl Table {
         let rows_cap = rows_cap.max(1);
         batch.clear();
         for &pid in &part.leaves {
-            let bytes = reader.read(pid)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
-            for i in 0..v.slot_count() {
-                let rec = v.record(i)?;
-                if rec.len() < 8 {
-                    return Err(StorageError::RowCorrupt(format!(
-                        "leaf record on page {pid} shorter than its 8-byte key"
-                    )));
+            let more = walk_leaf(reader, part, pid, |reader, key, row| {
+                batch.keys.push(key);
+                dec.decode_row_into(&self.schema, row, &mut batch.cols)?;
+                if batch.len() < rows_cap {
+                    return Ok(true);
                 }
-                batch.keys.push(sqlarray_core::le::i64_at(rec, 0));
-                dec.decode_row_into(&self.schema, &rec[8..], &mut batch.cols)?;
-                if batch.len() >= rows_cap {
-                    let keep_going = f(reader, batch)?;
-                    batch.clear();
-                    if !keep_going {
-                        return Ok(());
-                    }
-                }
+                let keep_going = f(reader, batch)?;
+                batch.clear();
+                Ok(keep_going)
+            })?;
+            if !more {
+                return Ok(());
             }
             if leaf_aligned && !batch.is_empty() {
                 let keep_going = f(reader, batch)?;
@@ -448,17 +447,6 @@ impl Table {
             batch.clear();
         }
         Ok(())
-    }
-
-    /// Range scan over `[lo, hi]` (inclusive) with encoded rows.
-    pub fn scan_range_raw(
-        &self,
-        store: &mut PageStore,
-        lo: i64,
-        hi: i64,
-        f: impl FnMut(i64, &[u8]) -> Result<bool>,
-    ) -> Result<()> {
-        self.tree.scan_range(store, lo, hi, f)
     }
 
     /// Convenience scan with fully decoded rows.
@@ -505,6 +493,31 @@ impl Table {
             StorageError::SchemaMismatch(format!("table `{}` has no column `{name}`", self.name))
         })
     }
+}
+
+/// The leaf walk both partition scans share: reads leaf `pid` and hands
+/// `f` the records whose keys lie in the partition's interval, in key
+/// order. `false` when `f` asked to stop.
+fn walk_leaf(
+    reader: &mut PartitionReader<'_>,
+    part: &ScanPartition,
+    pid: PageId,
+    mut f: impl FnMut(&mut PartitionReader<'_>, i64, &[u8]) -> Result<bool>,
+) -> Result<bool> {
+    let bytes = reader.read(pid)?;
+    let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
+    for i in btree::leaf_slots_within(&v, &part.keys)? {
+        let rec = v.record(i)?;
+        if rec.len() < 8 {
+            return Err(StorageError::RowCorrupt(format!(
+                "leaf record on page {pid} shorter than its 8-byte key"
+            )));
+        }
+        if !f(reader, sqlarray_core::le::i64_at(rec, 0), &rec[8..])? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -1269,12 +1282,16 @@ mod tests {
     fn range_scan_decodes() {
         let mut store = PageStore::new();
         let t = vector_table(&mut store, 100, 2);
-        let mut keys = Vec::new();
-        t.scan_range_raw(&mut store, 10, 14, |k, _| {
-            keys.push(k);
+        let parts = t.partition_keys(&store, 1, 10..=14).unwrap();
+        let scan = store.begin_scan();
+        let mut r = store.reader(&scan, 0);
+        let mut seen = Vec::new();
+        t.scan_partition(&mut r, &parts[0], |_, k, bytes| {
+            seen.push((k, row::decode_col(t.schema(), bytes, 0)?));
             Ok(true)
         })
         .unwrap();
-        assert_eq!(keys, vec![10, 11, 12, 13, 14]);
+        let expect: Vec<_> = (10..=14).map(|k| (k, RowValue::I64(k))).collect();
+        assert_eq!(seen, expect);
     }
 }

@@ -4,9 +4,14 @@
 
 use proptest::prelude::*;
 use sqlarray_storage::{
-    blob, row, BTree, ColType, DiskProfile, IoStats, PageStore, RowValue, ScanIo, Schema, Table,
+    blob, row, BTree, ColType, DiskProfile, IoStats, PageId, PageStore, RowValue, ScanIo, Schema,
+    Table,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
+
+/// Every key: the interval of a full clustered-index scan.
+const ALL: RangeInclusive<i64> = i64::MIN..=i64::MAX;
 
 /// Builds a vector table with `rows` rows over a store with a `pool_pages`
 /// buffer pool, for the scan-accounting properties.
@@ -31,7 +36,7 @@ fn scan_fixture(rows: i64, pool_pages: usize) -> (PageStore, Table) {
 /// reads according to `schedule` (a deterministic stand-in for arbitrary
 /// thread timing), then folds it back. Returns the merged [`IoStats`].
 fn run_scan(store: &mut PageStore, table: &Table, dop: usize, schedule: &[u8]) -> IoStats {
-    let parts = table.partition(store, dop).unwrap();
+    let parts = table.partition_keys(store, dop, ALL).unwrap();
     let scan = store.begin_scan();
     let mut readers: Vec<_> = (0..parts.len())
         .map(|pi| store.reader(&scan, pi as u32))
@@ -59,6 +64,66 @@ fn run_scan(store: &mut PageStore, table: &Table, dop: usize, schedule: &[u8]) -
     let ios: Vec<ScanIo> = readers.into_iter().map(|r| r.finish()).collect();
     drop(scan);
     store.finish_scan(ios.iter())
+}
+
+/// A bare tree as a (schema-less) table, for the partitioned range scan.
+fn as_table(tree: &BTree) -> Table {
+    Table::from_parts("t".into(), Schema::new(&[]), tree.parts())
+}
+
+/// One range scan — `partition_keys` + `scan_partition`, workers in
+/// partition order — folded back into the store: the keys visited, each
+/// partition's leaf list, and the I/O of partitioning plus scanning.
+fn range_scan(
+    store: &mut PageStore,
+    table: &Table,
+    dop: usize,
+    keys: RangeInclusive<i64>,
+) -> (Vec<i64>, Vec<Vec<PageId>>, IoStats) {
+    let before = store.stats();
+    let parts = table.partition_keys(store, dop, keys).unwrap();
+    assert!(!parts.is_empty() && parts.len() <= dop);
+    let scan = store.begin_scan();
+    let mut seen = Vec::new();
+    let mut ios = Vec::new();
+    for (pi, p) in parts.iter().enumerate() {
+        let mut r = store.reader(&scan, pi as u32);
+        table
+            .scan_partition(&mut r, p, |_, k, _| {
+                seen.push(k);
+                Ok(true)
+            })
+            .unwrap();
+        ios.push(r.finish());
+    }
+    drop(scan);
+    store.finish_scan(ios.iter());
+    let leaves = parts.iter().map(|p| p.leaves().to_vec()).collect();
+    (seen, leaves, store.stats().since(&before))
+}
+
+/// A tree that came to be the way tables do: bulk-built from `base`, then
+/// churned row at a time — inserts split leaves, deletes leave half-empty
+/// and empty ones in the chain. ~10 records per leaf, so a few hundred
+/// keys span dozens of leaves. Deterministic in its inputs.
+fn churned_tree(base: &BTreeSet<i64>, ops: &[(i64, bool)]) -> (PageStore, BTree, BTreeSet<i64>) {
+    let mut store = PageStore::with_pool(32, DiskProfile::default());
+    let payload = vec![0xA5u8; 700];
+    let entries: Vec<(i64, Vec<u8>)> = base.iter().map(|&k| (k, payload.clone())).collect();
+    let mut tree = BTree::bulk_build(&mut store, &entries, 1, None).unwrap();
+    let mut model = base.clone();
+    for &(k, insert) in ops {
+        if insert {
+            assert_eq!(
+                tree.insert(&mut store, k, &payload).is_ok(),
+                model.insert(k)
+            );
+        } else {
+            assert_eq!(tree.delete(&mut store, k).is_ok(), model.remove(&k));
+        }
+    }
+    store.clear_cache();
+    (store, tree, model)
 }
 
 proptest! {
@@ -114,14 +179,83 @@ proptest! {
         for &k in &keys {
             tree.insert(&mut store, k, &k.to_le_bytes()).unwrap();
         }
-        let mut got = Vec::new();
-        tree.scan_range(&mut store, lo, hi, |k, _| {
-            got.push(k);
-            Ok(true)
-        })
-        .unwrap();
+        let (got, _, _) = range_scan(&mut store, &as_table(&tree), 1, lo..=hi);
         let expect: Vec<i64> = keys.iter().copied().filter(|&k| k >= lo && k <= hi).collect();
         prop_assert_eq!(got, expect);
+    }
+
+    /// The pruned, clipped range scan over bulk-built-then-churned trees,
+    /// for any interval (inverted ones included) and DOP: it
+    /// visits exactly the full scan's keys inside the interval, in order;
+    /// it reads a contiguous run of the full scan's leaf chain with at
+    /// most one leaf on either side that holds no key of the interval (the
+    /// leaves the bounds descend to); and its `IoStats`, head position and
+    /// pool recency are those of the serial range scan.
+    #[test]
+    fn clipped_partitions_are_the_full_scan_within_the_interval(
+        base in prop::collection::btree_set(-2000i64..2000, 0..400),
+        ops in prop::collection::vec((-2000i64..2000, any::<bool>()), 0..200),
+        ends in (any::<u16>(), any::<u16>()),
+        nudge in (-1i64..=1, -1i64..=1),
+        dop in 1usize..=8,
+    ) {
+        let (mut store, tree, model) = churned_tree(&base, &ops);
+        let table = as_table(&tree);
+        // Bounds sit on, or one off, a stored key: separators are keys, so
+        // the interval's ends keep landing on leaf boundaries.
+        let stored: Vec<i64> = model.iter().copied().collect();
+        let near = |pick: u16, nudge: i64| match stored.len() {
+            0 => i64::from(pick),
+            n => stored[usize::from(pick) % n] + nudge,
+        };
+        let (lo, hi) = (near(ends.0, nudge.0), near(ends.1, nudge.1));
+
+        let (got, leaves, io) = range_scan(&mut store, &table, dop, lo..=hi);
+        let expect: Vec<i64> = model.iter().copied().filter(|k| (lo..=hi).contains(k)).collect();
+        prop_assert_eq!(&got, &expect);
+
+        // The same scan, serially, on an identically built store.
+        let (mut serial, serial_tree, _) = churned_tree(&base, &ops);
+        let (serial_got, serial_leaves, serial_io) =
+            range_scan(&mut serial, &as_table(&serial_tree), 1, lo..=hi);
+        prop_assert_eq!(&serial_got, &expect);
+        prop_assert_eq!(leaves.concat(), serial_leaves.concat());
+        prop_assert!(io == serial_io, "dop {dop}: {io:?} vs serial {serial_io:?}");
+        prop_assert_eq!(store.seek_position(), serial.seek_position());
+        prop_assert_eq!(store.pool().keys_mru_order(), serial.pool().keys_mru_order());
+
+        // One partition per leaf of the full scan: the chain, and each
+        // leaf's keys.
+        let mut chain: Vec<PageId> = Vec::new();
+        let mut keys_of: BTreeMap<PageId, Vec<i64>> = BTreeMap::new();
+        let scan = store.begin_scan();
+        for (pi, p) in table.partition_keys(&store, usize::MAX, ALL).unwrap().iter().enumerate() {
+            prop_assert_eq!(p.leaves().len(), 1);
+            chain.push(p.leaves()[0]);
+            let slot = keys_of.entry(p.leaves()[0]).or_default();
+            let mut r = store.reader(&scan, pi as u32);
+            table.scan_partition(&mut r, p, |_, k, _| { slot.push(k); Ok(true) }).unwrap();
+        }
+        drop(scan);
+        let all: Vec<i64> = chain.iter().flat_map(|l| keys_of[l].iter().copied()).collect();
+        prop_assert_eq!(all, model.iter().copied().collect::<Vec<_>>());
+
+        let run = leaves.concat();
+        if lo > hi {
+            prop_assert!(run.is_empty(), "an empty interval reads no leaf");
+        } else {
+            let start = chain.iter().position(|l| Some(l) == run.first());
+            let start = start.expect("the run starts on the chain");
+            prop_assert_eq!(&chain[start..start + run.len()], &run[..]);
+            for (i, leaf) in run.iter().enumerate() {
+                let keys = &keys_of[leaf];
+                prop_assert!(i == 0 || keys.iter().all(|&k| k > lo), "leaf {i} is left of the span");
+                prop_assert!(
+                    i + 1 == run.len() || keys.iter().all(|&k| k < hi),
+                    "leaf {i} is right of the span"
+                );
+            }
+        }
     }
 
     /// Blob range reads return exactly the bytes of the source slice, for
@@ -216,13 +350,13 @@ proptest! {
         t.scan_raw(&mut store, |k, _| { full.push(k); Ok(true) }).unwrap();
         prop_assert_eq!(full.len() as i64, rows);
 
-        let parts = t.partition(&store, dop).unwrap();
+        let parts = t.partition_keys(&store, dop, ALL).unwrap();
         // Always at least one partition, never more than requested, and
         // no partition is a useless empty tail when the table has rows.
         prop_assert!(!parts.is_empty());
         prop_assert!(parts.len() <= dop);
         if rows > 0 {
-            prop_assert!(parts.iter().all(|p| !p.is_empty()));
+            prop_assert!(parts.iter().all(|p| !p.leaves().is_empty()));
         }
         // Leaf counts are balanced to within one page.
         let lens: Vec<usize> = parts.iter().map(|p| p.leaves().len()).collect();
@@ -239,7 +373,7 @@ proptest! {
         prop_assert_eq!(seen, full);
 
         // Same DOP, same boundaries: partitioning is deterministic.
-        let again = t.partition(&store, dop).unwrap();
+        let again = t.partition_keys(&store, dop, ALL).unwrap();
         prop_assert_eq!(
             again.iter().map(|p| p.leaves().to_vec()).collect::<Vec<_>>(),
             parts.iter().map(|p| p.leaves().to_vec()).collect::<Vec<_>>()

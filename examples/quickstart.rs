@@ -193,6 +193,17 @@ fn main() {
         parallel.stats.measured_speedup()
     );
 
+    // --- keyed access: a WHERE on the clustered key seeks the B-tree ------
+    let by_key = session.query("SELECT x FROM big WHERE id = 12345").unwrap();
+    assert_eq!(by_key.rows, [[Value::F64(12345f64.sin())]]);
+    println!(
+        "by-key read: access = {:?}, fallback = {:?}, {} of 20k rows examined, {} page reads",
+        by_key.stats.access,
+        by_key.stats.fallback,
+        by_key.stats.rows_scanned,
+        by_key.stats.io.cache_hits + by_key.stats.io.pages_read
+    );
+
     // Bonus: Value interop sanity.
     assert_eq!(item, Value::F64(4.0));
     println!("\nquickstart: all checks passed");

@@ -24,7 +24,13 @@
 //!   statement of [`DML_STATEMENTS`] on fresh copies of the table at batch
 //!   {0, 7, 1024} × DOP {1, 2, 4, 8} must leave identical rows, WAL bytes,
 //!   disk image, I/O counters, simulated seconds, seek position and pool
-//!   recency order, and report the executor that ran.
+//!   recency order, and report the executor that ran;
+//! * keyed access paths: every statement of [`keyed_statements`] — a
+//!   predicate on the clustered key under SELECT, UPDATE and DELETE —
+//!   seeks or range-scans at batch {0, 1, 7, 1024} × DOP {1, 2, 4, 8} and
+//!   must leave what the same predicate spelled unextractably
+//!   (`id + 0 = k`, a full scan) leaves: rows, `rows_affected`, error
+//!   text, `udf_calls`, table contents, WAL and disk image.
 //!
 //! Error parity is checked too: a query that fails on the row path must
 //! fail on the batch path (messages may legitimately differ in ordering
@@ -35,13 +41,20 @@ use sqlarray::prelude::*;
 use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build::{max_vector, short_vector};
 use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
-use sqlarray_engine::{EngineError, Fallback};
+use sqlarray_engine::{Access, EngineError, Fallback};
 
 /// Rows whose `id % 97 == 3` carry an out-of-row LOB payload (> 8000
 /// bytes); everything else keeps a short in-row blob.
 const LOB_STRIDE: i64 = 97;
 
 fn build_session(rows: i64, seed: u64) -> Session {
+    build_session_in(0..rows, seed)
+}
+
+/// The fixture over an explicit key list, inserted row by row in that
+/// order (ascending keys append leaf after leaf; anything else splits
+/// them).
+fn build_session_in(keys: impl Iterator<Item = i64>, seed: u64) -> Session {
     let mut db = Database::new();
     db.create_table(
         "T",
@@ -58,7 +71,7 @@ fn build_session(rows: i64, seed: u64) -> Session {
     )
     .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    for k in 0..rows {
+    for k in keys {
         let a = (rng.next_u64() % 2001) as i64 - 1000;
         let b = (rng.next_u64() % 2001) as i32 - 1000;
         let c = (rng.next_u64() % 10_000) as f64 / 64.0 - 70.0;
@@ -533,7 +546,10 @@ fn top_cuts_finished_group_rows() {
 
 /// A session over the fixture with the variables the DML lists name.
 fn dml_session(rows: i64, seed: u64) -> Session {
-    let mut s = build_session(rows, seed);
+    with_dml_vars(build_session(rows, seed))
+}
+
+fn with_dml_vars(mut s: Session) -> Session {
     let patch = short_vector(&[1.0, 2.0, 3.0, 4.0]).unwrap().into_blob();
     s.set_var("bytes_var", Value::Bytes(patch));
     s
@@ -603,10 +619,14 @@ const DML_RESOLVE_ERRORS: [&str; 2] = [
 const DML_BATCH_SIZES: [usize; 3] = [0, 7, 1024];
 const ALL_COLUMNS: &str = "SELECT id, a, b, c, d, v, w, m FROM T";
 
-/// Everything one DML statement leaves behind.
+/// Everything one statement leaves behind.
 struct DmlTrace {
     /// `rows_affected`, or the error text.
     outcome: std::result::Result<u64, String>,
+    /// The rows a SELECT returned.
+    rows: Vec<Vec<Value>>,
+    access: Access,
+    rows_scanned: u64,
     udf_calls: u64,
     io: sqlarray::storage::IoStats,
     sim_io_bits: u64,
@@ -619,13 +639,24 @@ struct DmlTrace {
 /// Runs `sql` on a fresh copy of the 300-row fixture from a cold pool and
 /// checks that the executor `fallback` predicts ran its match phase.
 fn dml_trace(sql: &str, fallback: &Option<Fallback>, batch: usize, dop: usize) -> DmlTrace {
-    let mut s = dml_session(300, 0xD31);
+    trace_on(dml_session(300, 0xD31), sql, fallback, batch, dop)
+}
+
+/// [`dml_trace`] on a session the caller built (`s`, fresh): any one
+/// statement, SELECT included.
+fn trace_on(
+    mut s: Session,
+    sql: &str,
+    fallback: &Option<Fallback>,
+    batch: usize,
+    dop: usize,
+) -> DmlTrace {
     s.set_batch_rows(batch);
     s.set_dop(dop);
     s.db().store.clear_cache();
-    let outcome = s.execute(sql).map(|mut r| r.remove(0).stats);
+    let outcome = s.execute(sql).map(|mut r| r.remove(0));
     let stats = match &outcome {
-        Ok(stats) => stats.clone(),
+        Ok(r) => r.stats.clone(),
         Err(_) => s.partial_stats().expect("the scan started").clone(),
     };
     let want = match batch {
@@ -633,7 +664,9 @@ fn dml_trace(sql: &str, fallback: &Option<Fallback>, batch: usize, dop: usize) -
         _ => fallback.clone(),
     };
     assert_eq!(stats.fallback, want, "batch {batch} dop {dop}: {sql}");
-    assert_eq!(stats.batches > 0, want.is_none(), "batch {batch}: {sql}");
+    // Vectorized: whatever rows the scan visited arrived in batches.
+    let batched = want.is_none() && stats.rows_scanned > 0;
+    assert_eq!(stats.batches > 0, batched, "batch {batch}: {sql}");
     let (seek, pool_mru, image) = {
         let db = s.db();
         let store = &db.store;
@@ -644,9 +677,12 @@ fn dml_trace(sql: &str, fallback: &Option<Fallback>, batch: usize, dop: usize) -
         )
     };
     DmlTrace {
+        rows: outcome.as_ref().map_or(Vec::new(), |r| r.rows.clone()),
         outcome: outcome
-            .map(|st| st.rows_affected)
+            .map(|r| r.stats.rows_affected)
             .map_err(|e| e.to_string()),
+        access: stats.access,
+        rows_scanned: stats.rows_scanned,
         udf_calls: stats.udf_calls,
         io: stats.io,
         sim_io_bits: stats.sim_io_seconds.to_bits(),
@@ -693,6 +729,274 @@ fn dml_is_bit_identical_on_the_batch_and_row_paths() {
                 );
             }
         }
+    }
+}
+
+// --- Keyed access paths: a seek is the full scan minus what it skips -------
+
+/// 2⁵³: from here on `f64` — which every comparison goes through — no
+/// longer tells neighbouring keys apart.
+const P53: i64 = 1 << 53;
+
+/// The 300-row fixture with its even keys inserted before its odd ones,
+/// so every leaf was split by row-by-row inserts.
+fn keyed_session() -> Session {
+    let keys = (0..300).step_by(2).chain((1..300).step_by(2));
+    let mut s = with_dml_vars(build_session_in(keys, 0x5EE4));
+    s.set_var("v", Value::I64(141));
+    s
+}
+
+/// The first key of every leaf of `T`, in chain order.
+fn leaf_first_keys(s: &Session) -> Vec<i64> {
+    let db = s.db();
+    let table = db.table("T").unwrap();
+    let every_key = i64::MIN..=i64::MAX;
+    let leaves = table.partition_keys(&db.store, usize::MAX, every_key);
+    let scan = db.store.begin_scan();
+    let mut firsts = Vec::new();
+    for (i, leaf) in leaves.unwrap().iter().enumerate() {
+        let mut reader = db.store.reader(&scan, i as u32);
+        table
+            .scan_partition(&mut reader, leaf, |_, key, _| {
+                firsts.push(key);
+                Ok(false)
+            })
+            .unwrap();
+    }
+    firsts
+}
+
+/// The same statement with its WHERE spelled so that no key interval can
+/// be extracted: every `id` becomes `(id + 0)`. Wrapping `+ 0` is the
+/// identity, so it selects the same rows — by a full scan. This is the
+/// differential oracle; there is no switch that turns seeks off.
+fn unextractable(sql: &str) -> String {
+    let (head, predicate) = sql.split_once(" WHERE ").expect("a WHERE clause");
+    let words: Vec<&str> = predicate.split(' ').collect();
+    let spelled: Vec<String> = words
+        .iter()
+        .map(|w| match w.trim_start_matches('(') {
+            "id" => w.replace("id", "(id + 0)"),
+            _ => w.to_string(),
+        })
+        .collect();
+    format!("{head} WHERE {}", spelled.join(" "))
+}
+
+/// Statements over [`keyed_session`] with the access path each must
+/// report: predicates on the clustered key under SELECT, UPDATE and DELETE,
+/// then the shapes only a SELECT has and the cases that pin each rule of
+/// `KeyRange::of` (a case whose expectation is `Full` *is* its own oracle;
+/// it still runs against its `(id + 0)` spelling).
+fn keyed_statements(boundary: i64) -> Vec<(String, Access)> {
+    use Access::{Full, Range, Seek};
+    let below = boundary - 1;
+    let predicates = [
+        ("id = 5".to_string(), Seek),
+        ("141 = id".to_string(), Seek),
+        ("id = @v".to_string(), Seek),
+        // First and last key of the table, a key past either end, a LOB row.
+        ("id = 0".to_string(), Seek),
+        ("id = 299".to_string(), Seek),
+        ("id = 1000".to_string(), Seek),
+        ("id = -4".to_string(), Seek),
+        ("id = 100".to_string(), Seek),
+        // Either side of a leaf boundary, and a range across it.
+        (format!("id = {below}"), Seek),
+        (format!("id = {boundary}"), Seek),
+        (format!("id >= {below} AND {boundary} >= id"), Range),
+        ("id >= 40 AND id < 180".to_string(), Range),
+        // The `dml_mix` DELETE, open-ended and empty intervals.
+        ("id % 2 = 1 AND id >= 40 AND id < 180".to_string(), Range),
+        ("id <= 20".to_string(), Range),
+        ("id > -@v AND id > 280".to_string(), Range),
+        ("id > 180 AND id < 40".to_string(), Range),
+        // Calls right of the key conjuncts run on the rows they admit.
+        (
+            "id >= 90 AND id < 110 AND FloatArray.Item_1(w, 0) > 0.5".to_string(),
+            Range,
+        ),
+    ];
+    let mut statements = Vec::new();
+    for (p, access) in predicates {
+        statements.push((format!("SELECT id, a, c FROM T WHERE {p}"), access));
+        let set = "a = a + 1, w = @bytes_var";
+        statements.push((format!("UPDATE T SET {set} WHERE {p}"), access));
+        statements.push((format!("DELETE FROM T WHERE {p}"), access));
+    }
+    for (sql, access) in [
+        (
+            "SELECT TOP 7 id, c FROM T WHERE id >= 40 AND id < 180",
+            Range,
+        ),
+        (
+            "SELECT id % 4, COUNT(*), SUM(c) FROM T WHERE id >= 40 AND id < 180 GROUP BY id % 4",
+            Range,
+        ),
+        // A global aggregate still returns its one row over no rows.
+        (
+            "SELECT COUNT(*), SUM(c), MIN(id) FROM T WHERE id > 180 AND id < 40",
+            Range,
+        ),
+        ("SELECT COUNT(*), MAX(a) FROM T WHERE id = 5", Seek),
+        // In-row and out-of-row blobs (row 100 is a LOB row), whole and
+        // through the pushdown.
+        ("SELECT id, v FROM T WHERE id >= 95 AND id <= 105", Range),
+        (
+            "SELECT FloatArrayMax.Item_1(m, 3) FROM T WHERE id = 100",
+            Seek,
+        ),
+        // Error visibility: row 7 divides by zero. Left of the key
+        // conjunct it must still raise, so nothing may be skipped; right
+        // of it, row 7 was never a candidate.
+        ("SELECT id FROM T WHERE id = 1 AND 10 / (id - 7) < 0", Seek),
+        ("SELECT id FROM T WHERE 10 / (id - 7) < 0 AND id = 1", Full),
+        ("DELETE FROM T WHERE id = 1 AND 10 / (id - 7) < 0", Seek),
+        ("DELETE FROM T WHERE 10 / (id - 7) < 0 AND id = 1", Full),
+        // A call or a float column left of the key conjunct: its calls,
+        // charges and possible errors on other rows are observable.
+        (
+            "SELECT id FROM T WHERE FloatArray.Item_1(w, 0) > -1000.0 AND id = 5",
+            Full,
+        ),
+        (
+            "UPDATE T SET a = 0 WHERE FloatArray.Item_1(w, 0) > -1000.0 AND id = 5",
+            Full,
+        ),
+        ("SELECT id FROM T WHERE c > -1000.0 AND id = 5", Full),
+        // Constants the `f64` comparison does not resolve to one key.
+        ("SELECT id FROM T WHERE id = 1.5", Full),
+        ("SELECT id FROM T WHERE id = '1'", Full),
+        ("DELETE FROM T WHERE id = '1'", Full),
+    ] {
+        statements.push((sql.to_string(), access));
+    }
+    statements
+}
+
+#[test]
+fn keyed_access_is_the_full_scan_minus_what_it_skips() {
+    let firsts = leaf_first_keys(&keyed_session());
+    assert!(
+        firsts.len() >= 8,
+        "the fixture spans {} leaves",
+        firsts.len()
+    );
+    let boundary = firsts[firsts.len() / 2];
+    for (sql, access) in keyed_statements(boundary) {
+        // The oracle: the unextractable spelling, on the serial interpreter.
+        let oracle = trace_on(keyed_session(), &unextractable(&sql), &None, 0, 1);
+        assert_eq!(oracle.access, Access::Full, "{sql}");
+        let serial = trace_on(keyed_session(), &sql, &None, 0, 1);
+        for dop in DOPS {
+            for batch in [0usize, 1, 7, 1024] {
+                let got = trace_on(keyed_session(), &sql, &None, batch, dop);
+                let at = format!("at batch {batch} dop {dop}: {sql}");
+                assert_eq!(got.access, access, "{at}");
+                assert!(access != Access::Seek || got.rows_scanned <= 1, "{at}");
+                let keyed = access != Access::Full;
+                assert!(!keyed || got.rows_scanned <= oracle.rows_scanned, "{at}");
+                macro_rules! same {
+                    ($other:ident: $($field:ident),*) => {$(assert!(
+                        got.$field == $other.$field,
+                        "{} differs from the {} {at}", stringify!($field), stringify!($other)
+                    );)*};
+                }
+                same!(oracle: outcome, udf_calls, image);
+                assert!(
+                    rows_bit_identical(&got.rows, &oracle.rows),
+                    "rows differ {at}"
+                );
+                assert!(
+                    rows_bit_identical(&got.table, &oracle.table),
+                    "table differs {at}"
+                );
+                // Each worker stops at its own `TOP`-th match, and a batch
+                // is decoded before the row that fails it is evaluated: how
+                // far such a scan read depends on the configuration.
+                if !sql.contains(" TOP ") && got.outcome.is_ok() {
+                    same!(serial: io, sim_io_bits, seek, pool_mru);
+                }
+            }
+        }
+    }
+}
+
+/// A prepared `WHERE id = @v` seeks wherever `@v` points at each execution:
+/// the interval is recomputed per run, the plan slot holds none of it.
+#[test]
+fn a_prepared_seek_follows_its_variable() {
+    let mut s = keyed_session();
+    let by_key = s.prepare("SELECT id, a, v FROM T WHERE id = @v").unwrap();
+    let bump = s.prepare("UPDATE T SET a = a + 1 WHERE id = @v").unwrap();
+    for batch in [0usize, 1024] {
+        s.set_batch_rows(batch);
+        for key in [141i64, 3, 299, 1000, 0] {
+            s.set_var("v", Value::I64(key));
+            let adhoc = s
+                .query(&format!("SELECT id, a, v FROM T WHERE id = {key}"))
+                .unwrap();
+            let got = s.execute_prepared(&by_key).unwrap().remove(0);
+            assert!(rows_bit_identical(&got.rows, &adhoc.rows), "key {key}");
+            assert_eq!(got.rows.len(), usize::from(key < 300), "key {key}");
+            assert_eq!(
+                (got.stats.access, got.stats.rows_scanned),
+                (Access::Seek, got.rows.len() as u64)
+            );
+            let changed = s.execute_prepared(&bump).unwrap().remove(0).stats;
+            assert_eq!(
+                (changed.access, changed.rows_affected),
+                (Access::Seek, got.rows.len() as u64)
+            );
+        }
+        // Re-bound to a float, the same statement scans: `3.0` is no key
+        // bound, though it equals key 3.
+        s.set_var("v", Value::F64(3.0));
+        let got = s.execute_prepared(&by_key).unwrap().remove(0);
+        assert_eq!((got.rows.len(), got.stats.access), (1, Access::Full));
+    }
+}
+
+/// Both sides of every comparison pass through `f64`, so around 2⁵³ one
+/// constant equals two keys. Such a constant is no key bound and the
+/// answer stays what the full scan always gave; one below, `f64` is still
+/// exact and the statement seeks.
+#[test]
+fn constants_f64_cannot_tell_apart_are_not_key_bounds() {
+    let key_rows =
+        |keys: &[i64]| -> Vec<Vec<Value>> { keys.iter().map(|&k| vec![Value::I64(k)]).collect() };
+    for batch in [0usize, 1024] {
+        let mut s = build_session_in(P53 - 1..=P53 + 2, 0x2F53);
+        s.set_batch_rows(batch);
+        for (constant, keys, access) in [
+            (P53 - 1, vec![P53 - 1], Access::Seek),
+            (P53, vec![P53, P53 + 1], Access::Full),
+            (P53 + 1, vec![P53, P53 + 1], Access::Full),
+        ] {
+            let r = s
+                .query(&format!("SELECT id FROM T WHERE id = {constant}"))
+                .unwrap();
+            assert_eq!(
+                (r.rows, r.stats.access),
+                (key_rows(&keys), access),
+                "id = {constant}"
+            );
+        }
+        let r = s
+            .query(&format!("SELECT id FROM T WHERE id < {}", P53 + 1))
+            .unwrap();
+        assert_eq!(
+            (r.rows, r.stats.access),
+            (key_rows(&[P53 - 1]), Access::Full)
+        );
+        let r = s
+            .execute(&format!("DELETE FROM T WHERE id = {}", P53 + 1))
+            .unwrap();
+        assert_eq!(
+            (r[0].stats.rows_affected, r[0].stats.access),
+            (2, Access::Full)
+        );
     }
 }
 

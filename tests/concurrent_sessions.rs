@@ -13,7 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build;
-use sqlarray_engine::{Database, Engine, HostingModel, Session, Value};
+use sqlarray_engine::{Access, Database, Engine, HostingModel, Session, Value};
 use sqlarray_storage::{ColType, RowValue, Schema};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -24,9 +24,12 @@ const READER_DOPS: [usize; READERS] = [1, 2, 4, 8];
 
 /// Read-only statements the reader sessions hammer. Together they cover
 /// scalar aggregation, filtered projection, grouped aggregation and
-/// expression projection — every executor path a reader can take.
+/// expression projection, by full scan, seek and key range — every
+/// executor and access path a reader can take.
 const QUERIES: &[&str] = &[
     "SELECT COUNT(*), SUM(tag), MIN(tag), MAX(tag) FROM T",
+    "SELECT id, tag, FloatArray.Item_1(v, 0) FROM T WHERE id = 7",
+    "SELECT COUNT(*), SUM(tag) FROM T WHERE id >= 5 AND id < 17",
     "SELECT id, tag FROM T WHERE id % 2 = 0",
     "SELECT id % 3, COUNT(*), SUM(tag) FROM T GROUP BY id % 3",
     "SELECT id, tag + 1 FROM T WHERE tag >= 0",
@@ -192,7 +195,9 @@ proptest! {
 /// *committed* state, never a torn one. The writer flips every tag's
 /// sign in one statement, so any committed snapshot satisfies
 /// `SUM(tag) ∈ {S, -S}` and `COUNT(*) = ROWS`; a reader that caught the
-/// update mid-flight would see anything else.
+/// update mid-flight would see anything else. The same holds row by row
+/// and range by range, so every reader also seeks single keys and scans a
+/// key range while the writer rewrites the leaves under them.
 #[test]
 fn snapshot_reads_never_observe_torn_writes() {
     const ROWS: i64 = 64;
@@ -229,6 +234,25 @@ fn snapshot_reads_never_observe_torn_writes() {
                         assert!(
                             *got == sum || *got == -sum,
                             "torn read: SUM(tag) = {got}, expected ±{sum}",
+                        );
+                        let key = (reads as i64 * 7 + r as i64) % ROWS;
+                        let by_key = format!("SELECT id, tag FROM T WHERE id = {key}");
+                        let hit = s.query(&by_key).unwrap();
+                        assert_eq!(hit.stats.access, Access::Seek);
+                        let tag = |sign: i64| Value::I32((sign * key) as i32);
+                        assert!(
+                            hit.rows == [[Value::I64(key), tag(1)]]
+                                || hit.rows == [[Value::I64(key), tag(-1)]],
+                            "torn seek: {:?}",
+                            hit.rows
+                        );
+                        let range = "SELECT COUNT(*), SUM(tag) FROM T WHERE id >= 16 AND id < 48";
+                        let rows = s.query(range).unwrap().rows;
+                        let half = (16..48).sum::<i64>() as f64;
+                        assert!(
+                            rows == [[Value::I64(32), Value::F64(half)]]
+                                || rows == [[Value::I64(32), Value::F64(-half)]],
+                            "torn range read: {rows:?}"
                         );
                         reads += 1;
                     }

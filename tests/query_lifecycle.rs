@@ -91,8 +91,11 @@ fn baseline_rows(rows: i64, queries: &[&str]) -> Vec<Vec<Vec<Value>>> {
 /// merge phase), filtered expression projection (row emission), and the
 /// two shapes whose batch evaluation polls *inside* a decoded batch — a
 /// grouped aggregate over an array accessor and a per-row `dbo.SpinUs`
-/// call lane — the executor shapes with distinct abort surfaces.
+/// call lane — the executor shapes with distinct abort surfaces; and a
+/// by-key statement, whose scan is one root-to-leaf path (a handful of
+/// trip points where the others have hundreds).
 const MATRIX_QUERIES: &[&str] = &[
+    "SELECT id, tag, FloatArray.Item_1(v, 0) FROM T WHERE id = 137",
     "SELECT id % 3, COUNT(*), SUM(tag) FROM T GROUP BY id % 3",
     "SELECT id, tag + 1 FROM T WHERE id % 2 = 0",
     "SELECT id % 4, SUM(FloatArray.Item_1(v, 1)), MAX(tag) FROM T GROUP BY id % 4",
@@ -168,8 +171,10 @@ fn kill_matrix(batch_rows: usize) {
 
 /// UPDATE/DELETE statements the matrix kills: their match phase is the
 /// scan job the queries above run — a filtered projection led by the
-/// clustered key, here also with a call lane in SET and in WHERE.
+/// clustered key, here also with a call lane in SET and in WHERE, and as
+/// a seek.
 const MATRIX_DML: &[&str] = &[
+    "UPDATE T SET tag = tag + 1 WHERE id = 57",
     "UPDATE T SET tag = tag + 1 WHERE id % 2 = 0",
     "UPDATE T SET v = FloatArray.Vector_2(id, tag) WHERE FloatArray.Item_1(v, 1) > 100.0",
     "DELETE FROM T WHERE id % 3 = 0",
@@ -561,6 +566,53 @@ fn aborted_dml_match_phase_leaves_no_durability_trace() {
             recovered.query_scalar("SELECT SUM(tag) FROM T").unwrap(),
             Value::F64(-sum)
         );
+    }
+}
+
+/// A keyed statement visits few rows, and those visits are as abortable
+/// as a scan's (the kill matrix trips every checkpoint of a seek): the
+/// timeout and the memory budget surface typed, with partial stats that
+/// name the access path, and an aborted keyed UPDATE logs nothing.
+#[test]
+fn keyed_statements_time_out_and_run_out_of_budget_like_scans() {
+    use sqlarray_engine::Access;
+    for batch_rows in [0usize, 64] {
+        let engine = fault_engine(seeded_db(200));
+        let mut s = engine.session_with_hosting(HostingModel::free());
+        s.set_batch_rows(batch_rows);
+        let wal_before = engine.db().store.crash_image().wal;
+
+        // Ten rows of 20 ms mandatory spin each against a 20 ms deadline
+        // (the deadline is polled between rows, so it takes two).
+        s.set_statement_timeout_ms(Some(20));
+        for sql in [
+            "SELECT dbo.SpinUs(tag, 20000) FROM T WHERE id >= 50 AND id < 60",
+            "UPDATE T SET tag = dbo.SpinUs(tag, 20000) WHERE id >= 50 AND id < 60",
+        ] {
+            let err = s.execute(sql).unwrap_err();
+            assert_eq!(err, EngineError::Timeout { timeout_ms: 20 }, "{sql}");
+            let partial = s.partial_stats().expect("the range scan started");
+            assert_eq!((partial.access, partial.rows_affected), (Access::Range, 0));
+            assert!(partial.rows_scanned <= 10 && partial.io.cache_hits > 0);
+        }
+        s.set_statement_timeout_ms(None);
+        assert_eq!(engine.db().store.crash_image().wal, wal_before);
+        assert_eq!(engine.sched().in_flight(), 0, "leaked workers");
+
+        // Materializing the one row's 16 KB array blows a 1 KB budget.
+        let mut s = fault_session(lob_db(16));
+        s.set_batch_rows(batch_rows);
+        let by_key = "SELECT dbo.EmptyFunction(v, 0) FROM B WHERE id = 9";
+        let want = s.query(by_key).unwrap().rows;
+        s.set_query_mem_bytes(1024);
+        let err = s.query(by_key).unwrap_err();
+        assert!(
+            matches!(err, EngineError::ResourceExhausted { .. }),
+            "{err:?}"
+        );
+        assert_eq!(s.partial_stats().unwrap().access, Access::Seek);
+        s.set_query_mem_bytes(0);
+        assert!(rows_bit_identical(&s.query(by_key).unwrap().rows, &want));
     }
 }
 
