@@ -1,6 +1,6 @@
-//! Source-shape pins for the engine crate — things a type cannot enforce
-//! and a unit test cannot see, checked over the token stream (comments,
-//! strings and `#[cfg(test)]` code do not count):
+//! Source-shape pins for the engine and storage crates — things a type
+//! cannot enforce and a unit test cannot see, checked over the token stream
+//! (comments, strings and `#[cfg(test)]` code do not count):
 //!
 //! * `crates/engine/src/exec/` has one partitioned-scan driver, so it has
 //!   exactly one fan-out call and one panic boundary. A second
@@ -25,6 +25,13 @@
 //! * A `Session` is built in one function and every statement starts and
 //!   ends in one: one `Session { .. }` literal, one `mint_query(` call, one
 //!   `.acquire(` call, all in `session.rs`.
+//! * A page write is logged through one path: `wal::append_write(` — the
+//!   run-list diff of a before- and an after-image — has one caller under
+//!   `crates/storage/src`, `PageStore::write`; a `WalRecord::Write { .. }`
+//!   value is built only by the log decoder (one per run; the frozen
+//!   benchmark builds its own through `append_record`), so no second,
+//!   single-span way to log a write exists beside it, and `diff_range`,
+//!   which computed that span, stays gone.
 //! * A modelled cost never executes: `hosting.rs` prices the CLR call by
 //!   counting, the way `DiskProfile` prices pages, so it holds no clock,
 //!   no optimizer barrier, no process-wide state and no loop.
@@ -250,5 +257,40 @@ fn a_modelled_cost_never_executes() {
         found.is_empty(),
         "`HostingModel` charges by counting; {} token(s) in {hosting} could spend time",
         found.len()
+    );
+}
+
+#[test]
+fn a_page_write_is_logged_through_one_path() {
+    let storage = "crates/storage/src";
+    let is_call = |f: &SourceFile<'_>, k: usize| {
+        followed_by_paren(f, k, "append_write") && !(k > 0 && f.is_ident(k - 1, "fn"))
+    };
+    assert_eq!(
+        hits_in_fn(storage, is_call, enclosing_fn),
+        ["crates/storage/src/store.rs::write"],
+        "`PageStore::write` is the one place a page write reaches the log"
+    );
+    // `WalRecord::Write {` that opens a value, not a pattern: no `..`
+    // inside, and no `=` (`=>`, `let … =`) after the closing brace.
+    let builds_write = |f: &SourceFile<'_>, k: usize| {
+        let opens = f.is_ident(k, "Write")
+            && f.is_punct(k + 1, "{")
+            && k >= 3
+            && f.is_ident(k - 3, "WalRecord");
+        let close = || (k + 2..f.sig.len()).find(|&j| f.is_punct(j, "}"));
+        opens
+            && close()
+                .is_some_and(|c| !f.is_punct(c + 1, "=") && !(k + 2..c).any(|j| f.is_punct(j, ".")))
+    };
+    assert_eq!(
+        hits_in_fn(storage, builds_write, enclosing_fn),
+        ["crates/storage/src/wal.rs::decode_runs"],
+        "only the decoder builds `WalRecord::Write` values, one per logged run"
+    );
+    assert_eq!(
+        hits(storage, |f, k| f.is_ident(k, "diff_range")),
+        [""; 0],
+        "the first-to-last-difference span is not computed anywhere"
     );
 }

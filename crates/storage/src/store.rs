@@ -137,6 +137,10 @@ pub struct PageStore {
     base_sums: Vec<u32>,
     base_free: Vec<PageId>,
     base_catalog: Option<Vec<u8>>,
+    /// Pages of the base image whose live bytes have changed since the
+    /// last checkpoint (ids below `base_pages.len()`; repeats allowed) —
+    /// what the next checkpoint copies.
+    dirty: Vec<PageId>,
     /// Catalog of the latest [`commit`](Self::commit); the next checkpoint
     /// makes it the base image's, because truncating the log drops the
     /// commit record that carried it.
@@ -210,6 +214,7 @@ impl PageStore {
             base_sums: Vec::new(),
             base_free: Vec::new(),
             base_catalog: None,
+            dirty: Vec::new(),
             last_catalog: None,
             fail: None,
             scratch: vec![0u8; PAGE_SIZE].into_boxed_slice(),
@@ -251,36 +256,44 @@ impl PageStore {
         pool_stamp(self.clock.fetch_add(1, Ordering::Relaxed), 0, 0)
     }
 
-    /// Appends one record to the write-ahead log, honoring any armed
-    /// [`FailPlan`]: appends past the plan's allowance are dropped (the
-    /// first dropped one optionally leaves a torn prefix). The attempt is
-    /// always counted in [`IoStats`], which is how crash harnesses
-    /// enumerate injection points from a clean run.
+    /// Appends one record to the write-ahead log under the next LSN.
     fn append_wal(&mut self, rec: &WalRecord<'_>) {
-        let lsn = self.next_lsn;
+        let start = self.wal_buf.len();
+        wal::append_record(&mut self.wal_buf, self.next_lsn, rec);
+        self.settle_append(start);
+    }
+
+    /// Accounts for the frame just appended at `start` under `next_lsn`,
+    /// honoring any armed [`FailPlan`]: a frame past the plan's allowance
+    /// is truncated away again (the first one optionally down to a torn
+    /// prefix). The attempt is always counted in [`IoStats`], which is how
+    /// crash harnesses enumerate injection points from a clean run.
+    fn settle_append(&mut self, start: usize) {
+        let frame_len = self.wal_buf.len() - start;
         self.next_lsn += 1;
-        let appended_bytes;
-        match &mut self.fail {
-            None => {
-                appended_bytes = wal::append_record(&mut self.wal_buf, lsn, rec);
-            }
-            Some(f) => {
-                let mut frame = Vec::new();
-                appended_bytes = wal::append_record(&mut frame, lsn, rec);
-                if f.appended < f.plan.allow_records {
-                    self.wal_buf.extend_from_slice(&frame);
-                } else if f.appended == f.plan.allow_records && f.plan.torn_bytes > 0 {
-                    // A torn write is strictly shorter than the frame, so
-                    // it can never verify as complete.
-                    let keep = f.plan.torn_bytes.min(frame.len().saturating_sub(1));
-                    self.wal_buf.extend_from_slice(&frame[..keep]);
-                }
-                f.appended += 1;
-            }
+        if let Some(f) = &mut self.fail {
+            let keep = match f.appended.cmp(&f.plan.allow_records) {
+                std::cmp::Ordering::Less => frame_len,
+                // A torn write is strictly shorter than the frame, so it
+                // can never verify as complete.
+                std::cmp::Ordering::Equal => f.plan.torn_bytes.min(frame_len.saturating_sub(1)),
+                std::cmp::Ordering::Greater => 0,
+            };
+            self.wal_buf.truncate(start + keep);
+            f.appended += 1;
         }
         let mut acct = self.acct();
         acct.stats.wal_records += 1;
-        acct.stats.wal_bytes += appended_bytes as u64;
+        acct.stats.wal_bytes += frame_len as u64;
+    }
+
+    /// Notes that base-image page `id` no longer matches its live bytes.
+    /// Pages past the base image need no mark: the next checkpoint appends
+    /// them whole.
+    fn mark_dirty(&mut self, id: PageId) {
+        if (id as usize) < self.base_pages.len() {
+            self.dirty.push(id);
+        }
     }
 
     /// Allocates a zeroed page **at the end of the file** and returns its
@@ -307,6 +320,7 @@ impl PageStore {
         };
         self.pages[id as usize].fill(0);
         self.sums[id as usize] = zero_page_sum();
+        self.mark_dirty(id);
         self.append_wal(&WalRecord::Alloc { page: id });
         self.pool.touch_or_insert(id, self.serial_stamp());
         id
@@ -339,24 +353,24 @@ impl PageStore {
     }
 
     /// Writes a page through a closure, going through the buffer pool and
-    /// counting one page write. The minimal contiguous byte range the
-    /// closure changed is appended to the write-ahead log as a
-    /// physiological record, and the page's checksum is restamped.
+    /// counting one page write. The byte runs the closure changed — found
+    /// against a before-image, see [`wal::append_write`] — are appended to
+    /// the write-ahead log as one physiological frame, the page's checksum
+    /// is restamped, and the page is marked for the next checkpoint. A
+    /// closure that changes nothing logs nothing.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) -> Result<()> {
         self.fault_in(id)?;
         self.acct().stats.pages_written += 1;
-        self.scratch.copy_from_slice(&self.pages[id as usize]);
-        f(&mut self.pages[id as usize]);
-        let Some((first, last)) = diff_range(&self.scratch, &self.pages[id as usize]) else {
+        let page = &mut self.pages[id as usize];
+        self.scratch.copy_from_slice(page);
+        f(page);
+        let start = self.wal_buf.len();
+        if wal::append_write(&mut self.wal_buf, self.next_lsn, id, &self.scratch, page) == 0 {
             return Ok(()); // byte-identical rewrite: nothing to log
-        };
-        self.sums[id as usize] = wal::checksum32(&self.pages[id as usize]);
-        let bytes = self.pages[id as usize][first..=last].to_vec();
-        self.append_wal(&WalRecord::Write {
-            page: id,
-            off: first as u32,
-            bytes: &bytes,
-        });
+        }
+        self.sums[id as usize] = wal::checksum32(page);
+        self.mark_dirty(id);
+        self.settle_append(start);
         Ok(())
     }
 
@@ -460,14 +474,25 @@ impl PageStore {
     }
 
     /// Folds the current state — pages, checksums, free list and the last
-    /// committed catalog — into a fresh base image and truncates the log.
-    /// Modeled as atomic: a crash is either before (old base + old log)
-    /// or after (new base + empty log).
+    /// committed catalog — into the base image and truncates the log. Only
+    /// what changed is copied: the base pages marked dirty since the
+    /// previous checkpoint, into their existing buffers, plus every page
+    /// allocated past the old image's end (all of them, on a fresh or
+    /// just-recovered store, whose base is empty). The image it leaves
+    /// equals the live page file byte for byte. Modeled as atomic: a crash
+    /// is either before (old base + old log) or after (new base + empty
+    /// log).
     pub fn checkpoint(&mut self) {
-        self.base_pages = self.pages.clone();
-        self.base_sums = self.sums.clone();
-        self.base_free = self.free.clone();
-        self.base_catalog = self.last_catalog.clone();
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        for id in self.dirty.drain(..) {
+            self.base_pages[id as usize].copy_from_slice(&self.pages[id as usize]);
+        }
+        let grown = &self.pages[self.base_pages.len()..];
+        self.base_pages.extend_from_slice(grown);
+        self.base_sums.clone_from(&self.sums);
+        self.base_free.clone_from(&self.free);
+        self.base_catalog.clone_from(&self.last_catalog);
         self.wal_buf.clear();
     }
 
@@ -519,9 +544,10 @@ impl PageStore {
 
     /// Boots a store from a (possibly crash-cut, possibly corrupted) disk
     /// image: verifies the base pages against their checksums, replays the
-    /// log **up to the last complete commit record**, and discards the
-    /// uncommitted/torn tail. The recovered store starts checkpointed at
-    /// the committed state with a cold (empty) buffer pool.
+    /// log **up to the last complete commit record** — stamping each page
+    /// the replay wrote with its checksum once, after the last record —
+    /// and discards the uncommitted/torn tail. The recovered store starts
+    /// checkpointed at the committed state with a cold (empty) buffer pool.
     pub fn open(image: &DiskImage) -> Result<Recovery> {
         PageStore::open_with(image, DEFAULT_POOL_PAGES, DiskProfile::default())
     }
@@ -570,13 +596,24 @@ impl PageStore {
 
         let mut catalog = image.catalog.clone();
         let mut applied_records = 0usize;
-        let mut max_lsn = 0u64;
         if let Some(last) = last_commit {
-            for (i, (lsn, rec)) in scanned.records.iter().take(last + 1).enumerate() {
-                store.apply_replay(i, rec)?;
-                max_lsn = max_lsn.max(*lsn);
-                applied_records = i + 1;
+            // Pages the replay writes; their checksums are stamped once,
+            // below, not once per record.
+            let mut written = Vec::new();
+            for (i, (_, rec)) in scanned.records[..=last].iter().enumerate() {
+                store.apply_replay(i, rec, &mut written)?;
             }
+            written.sort_unstable();
+            written.dedup();
+            for p in written {
+                store.sums[p] = wal::checksum32(&store.pages[p]);
+            }
+            // `scan` vouches for an unbroken LSN chain, so the frames
+            // replayed (a write frame is one, however many runs it holds)
+            // are the span of their LSNs.
+            let (first_lsn, last_lsn) = (scanned.records[0].0, scanned.records[last].0);
+            applied_records = (last_lsn - first_lsn + 1) as usize;
+            store.next_lsn = last_lsn + 1;
             if let WalRecord::Commit { catalog: c } = &scanned.records[last].1 {
                 catalog = Some(c.to_vec());
             }
@@ -584,7 +621,6 @@ impl PageStore {
         let clean_end = last_commit.map(|i| scanned.ends[i]).unwrap_or(0);
         let discarded_bytes = image.wal.len() - clean_end;
 
-        store.next_lsn = max_lsn + 1;
         store.pool.set_page_count(store.pages.len() as u64);
         store.last_catalog = catalog.clone();
         store.checkpoint();
@@ -597,8 +633,15 @@ impl PageStore {
     }
 
     /// Applies one replayed WAL record to the booting store, mirroring
-    /// exactly what the live mutation did. `idx` only feeds error reports.
-    fn apply_replay(&mut self, idx: usize, rec: &WalRecord<'_>) -> Result<()> {
+    /// exactly what the live mutation did — except that a written page's
+    /// checksum is left to the caller, who gets the page's index in
+    /// `written`. `idx` only feeds error reports.
+    fn apply_replay(
+        &mut self,
+        idx: usize,
+        rec: &WalRecord<'_>,
+        written: &mut Vec<usize>,
+    ) -> Result<()> {
         let corrupt = |msg: String| StorageError::WalCorrupt { offset: idx, msg };
         match rec {
             WalRecord::Alloc { page } => {
@@ -626,7 +669,7 @@ impl PageStore {
             }
             WalRecord::Write { page, off, bytes } => {
                 let p = *page as usize;
-                let start = *off as usize;
+                let start = usize::from(*off);
                 let end = start.checked_add(bytes.len()).filter(|&e| e <= PAGE_SIZE);
                 let (Some(target), Some(end)) = (self.pages.get_mut(p), end) else {
                     return Err(corrupt(format!(
@@ -635,7 +678,7 @@ impl PageStore {
                     )));
                 };
                 target[start..end].copy_from_slice(bytes);
-                self.sums[p] = wal::checksum32(target);
+                written.push(p);
             }
             WalRecord::Commit { .. } => {}
         }
@@ -967,19 +1010,6 @@ impl Default for PageStore {
     fn default() -> Self {
         PageStore::new()
     }
-}
-
-/// The minimal contiguous byte range where `before` and `after` differ,
-/// as inclusive `(first, last)` indices — `None` when identical. This is
-/// what makes the WAL's write records physiological rather than full-page.
-fn diff_range(before: &[u8], after: &[u8]) -> Option<(usize, usize)> {
-    let first = before.iter().zip(after).position(|(a, b)| a != b)?;
-    let last = before
-        .iter()
-        .zip(after)
-        .rposition(|(a, b)| a != b)
-        .unwrap_or(first);
-    Some((first, last))
 }
 
 #[cfg(test)]
@@ -1417,6 +1447,56 @@ mod tests {
         // Recovery's own checkpoint keeps it: reboot twice, same catalog.
         let again = PageStore::open(&rec.store.crash_image()).unwrap();
         assert_eq!(again.catalog.as_deref(), Some(&b"v1"[..]));
+    }
+
+    proptest::proptest! {
+        /// Whatever ran since the last one, a checkpoint leaves the base
+        /// image equal to the live file — pages, checksums, free list —
+        /// though it copies only the pages marked dirty and the pages
+        /// past the old image; and a crash at the end recovers the last
+        /// commit from that image plus the log.
+        #[test]
+        fn checkpoint_image_equals_the_live_file(
+            ops in proptest::collection::vec(
+                (0u8..10, proptest::prelude::any::<u16>(), 0usize..PAGE_SIZE, 1u8..=255),
+                1..120,
+            ),
+        ) {
+            let mut s = PageStore::new();
+            let assert_image_is_live = |s: &PageStore| {
+                let image = s.crash_image();
+                assert!(image.wal.is_empty());
+                assert_eq!((&image.pages, &image.sums, &image.free), (&s.pages, &s.sums, &s.free));
+            };
+            for (i, &(kind, pick, at, val)) in ops.iter().enumerate() {
+                let page = (!s.pages.is_empty()).then(|| u64::from(pick) % s.page_count());
+                match (kind, page) {
+                    (0, _) => drop(s.allocate()),
+                    (1, _) => drop(s.allocate_reuse()),
+                    (2, Some(p)) if !s.free.contains(&p) => s.free_page(p).unwrap(),
+                    (3, _) => s.commit(&[i as u8]),
+                    (4, _) => {
+                        s.checkpoint();
+                        assert_image_is_live(&s);
+                    }
+                    (_, Some(p)) => s
+                        .write(p, |b| {
+                            b[at] = b[at].wrapping_add(val);
+                            b[PAGE_SIZE - 1 - at] ^= val;
+                        })
+                        .unwrap(),
+                    _ => {}
+                }
+            }
+            s.commit(b"end");
+            let rec = PageStore::open(&s.crash_image()).unwrap();
+            assert_eq!((&rec.store.pages, &rec.store.sums, &rec.store.free), (&s.pages, &s.sums, &s.free));
+            assert_eq!(rec.catalog.as_deref(), Some(&b"end"[..]));
+            assert_image_is_live(&rec.store);
+            s.checkpoint();
+            assert_image_is_live(&s);
+            assert_eq!(s.crash_image(), rec.store.crash_image());
+        }
     }
 
     #[test]

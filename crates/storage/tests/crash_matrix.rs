@@ -1,8 +1,11 @@
-//! The crash matrix: every mutation path (bulk load, UPDATE-style row and
-//! blob-range maintenance, DELETE) is killed at **every** WAL-append
-//! injection point — with clean and torn cuts — and recovery must land
-//! byte-for-byte on the last complete commit: base pages, checksums,
-//! free list, catalog, and every decodable row and LOB chain.
+//! The crash matrix: every mutation path (bulk load, row-at-a-time INSERT,
+//! UPDATE-style row and blob-range maintenance, DELETE) is killed at
+//! **every** WAL-append injection point — with clean and torn cuts — and
+//! recovery must land byte-for-byte on the last complete commit: base
+//! pages, checksums, free list, catalog, and every decodable row and LOB
+//! chain. Each family runs a second time from a base image a checkpoint
+//! produced by copying the pages dirtied since the one before it, so a
+//! page that copy missed shows here as a wrong byte.
 //!
 //! Injection points are enumerated from one clean run of the victim
 //! ([`IoStats::wal_records`] counts every append, durable or not), so the
@@ -275,6 +278,147 @@ fn delete_crash_matrix() {
     });
 }
 
+/// Keys 2, 6, …, `4 * n - 2` with 1500-byte inline blobs: five rows fill a
+/// leaf, so a bulk load leaves every leaf but the last full and any insert
+/// between them splits one.
+fn spaced_rows(n: i64) -> Vec<(i64, Vec<RowValue>)> {
+    (0..n).map(|i| row(4 * i + 2, i as i32, 1500)).collect()
+}
+
+fn spaced_committed(n: i64) -> (PageStore, Table) {
+    let (mut store, mut t) = empty_committed();
+    t.bulk_load(&mut store, &spaced_rows(n), 1).unwrap();
+    commit(&mut store, &t);
+    (store, t)
+}
+
+fn insert_keys(store: &mut PageStore, t: &mut Table, keys: &[i64]) {
+    for &k in keys {
+        t.insert(store, k, &row(k, -(k as i32), 1500).1).unwrap();
+    }
+}
+
+#[test]
+fn insert_crash_matrix() {
+    // Front, middle and end of the key range of three full leaves under an
+    // internal root: every first insert into a leaf splits it.
+    let spread = [0i64, 1, 29, 31, 62, 63, 3, 33, 61];
+    let (mut store, mut t) = spaced_committed(15);
+    let leaves = t.data_pages(&mut store).unwrap();
+    insert_keys(&mut store, &mut t, &spread);
+    assert!(t.data_pages(&mut store).unwrap() >= leaves + 3);
+    run_matrix(&|| spaced_committed(15), &|store, t| {
+        insert_keys(store, t, &spread);
+        commit(store, t);
+    });
+
+    // One full leaf that is also the root: the first insert splits the
+    // root and the tree grows a level.
+    let (mut store, mut t) = spaced_committed(5);
+    let depth = t.tree_parts().3;
+    insert_keys(&mut store, &mut t, &[0]);
+    assert_eq!(t.tree_parts().3, depth + 1, "the root split");
+    run_matrix(&|| spaced_committed(5), &|store, t| {
+        insert_keys(store, t, &[0, 9, 63]);
+        commit(store, t);
+    });
+}
+
+/// [`run_matrix`] over `second`, started from a base image that a
+/// checkpoint produced incrementally: `setup`, a checkpoint (so `first`
+/// has base pages to dirty), `first`, and the checkpoint under test, which
+/// copies what `first` dirtied and appends what it allocated. That image
+/// must equal the live file, and every crash of `second` must recover
+/// from it plus the log.
+fn checkpoint_then_crash(
+    setup: &dyn Fn() -> (PageStore, Table),
+    first: &dyn Fn(&mut PageStore, &mut Table),
+    second: &dyn Fn(&mut PageStore, &mut Table),
+) {
+    let start = || {
+        let (mut store, mut t) = setup();
+        store.checkpoint();
+        first(&mut store, &mut t);
+        commit(&mut store, &t);
+        store.checkpoint();
+        let image = store.crash_image();
+        assert_eq!(image.pages.len() as u64, store.page_count());
+        for (p, page) in image.pages.iter().enumerate() {
+            let live = store.raw_page(p as u64).unwrap();
+            assert!(page[..] == *live, "checkpoint image differs on page {p}");
+        }
+        assert_eq!(image.free, store.free_pages());
+        (store, t)
+    };
+    run_matrix(&start, &|store, t| {
+        second(store, t);
+        commit(store, t);
+    });
+}
+
+#[test]
+fn checkpoint_then_crash_bulk_load_and_insert() {
+    // `first` bulk-loads over the checkpointed empty table (its root leaf
+    // is a base page) and inserts; `second` keeps inserting.
+    checkpoint_then_crash(
+        &empty_committed,
+        &|store, t| {
+            t.bulk_load(store, &spaced_rows(15), 2).unwrap();
+            insert_keys(store, t, &[0, 29, 63]);
+        },
+        &|store, t| insert_keys(store, t, &[1, 31, 62, 3]),
+    );
+}
+
+#[test]
+fn checkpoint_then_crash_update() {
+    // Both halves replace LOB chains, so `first` frees base pages and
+    // `second` reuses them.
+    checkpoint_then_crash(
+        &loaded_committed,
+        &|store, t| {
+            t.update(store, 2, &row(2, 99, 15_000).1).unwrap();
+            t.update(store, 0, &row(0, 7, 11_000).1).unwrap();
+        },
+        &|store, t| {
+            t.update(store, 3, &row(3, -7, 80).1).unwrap();
+            t.update(store, 2, &row(2, 100, 9_000).1).unwrap();
+            t.update(store, 1, &row(1, 1000, 7000).1).unwrap();
+        },
+    );
+}
+
+#[test]
+fn checkpoint_then_crash_blob_range_update() {
+    checkpoint_then_crash(
+        &loaded_committed,
+        &|store, t| {
+            t.update_col_blob_range(store, 7, 2, CHUNK_DATA - 50, &pattern(77, 300))
+                .unwrap();
+        },
+        &|store, t| {
+            t.update_col_blob_range(store, 7, 2, CHUNK_DATA - 10, &pattern(79, 40))
+                .unwrap();
+            t.update_col_blob_range(store, 1, 2, 100, &pattern(78, 64))
+                .unwrap();
+        },
+    );
+}
+
+#[test]
+fn checkpoint_then_crash_delete() {
+    let delete = |store: &mut PageStore, t: &mut Table, keys: &[i64]| {
+        for &k in keys {
+            assert!(t.delete(store, k).unwrap());
+        }
+    };
+    checkpoint_then_crash(
+        &loaded_committed,
+        &|store, t| delete(store, t, &[0, 2, 3]),
+        &|store, t| delete(store, t, &[5, 7, 11]),
+    );
+}
+
 #[test]
 fn torn_wal_tail_is_typed_and_recovery_discards_it() {
     let (mut store, mut t) = loaded_committed();
@@ -369,11 +513,33 @@ proptest! {
     #[test]
     fn random_dml_crashes_recover_the_last_committed_prefix(
         ops in proptest::collection::vec(op_strategy(), 1..10),
+        checkpoint_pick in any::<u8>(),
         crash_pick in any::<u32>(),
         torn_pick in any::<u8>(),
     ) {
+        // The first `settled` ops run before the crash plan is armed and
+        // end in two explicit checkpoints (none when `settled` is 0: the
+        // log then reaches back to the bulk load), the second of which
+        // copies only what the ops dirtied; the rest are the victims.
+        let settled = usize::from(checkpoint_pick) % ops.len();
+        let (settled_ops, ops) = ops.split_at(settled);
+        let start = || {
+            let (mut store, mut t) = loaded_committed();
+            for (i, op) in settled_ops.iter().enumerate() {
+                if i + 1 == settled {
+                    store.checkpoint();
+                }
+                apply(&mut store, &mut t, op, -1 - i as i64);
+                commit(&mut store, &t);
+            }
+            if settled > 0 {
+                store.checkpoint();
+            }
+            (store, t)
+        };
+
         // Clean run: per-prefix cumulative record counts and states.
-        let (mut store, mut t) = loaded_committed();
+        let (mut store, mut t) = start();
         let base_records = store.stats().wal_records;
         let mut cut_records = vec![0u64]; // records consumed by prefix i
         let mut states = vec![recover(&store.crash_image())];
@@ -388,7 +554,7 @@ proptest! {
         // Armed run at a derived crash point.
         let allow = u64::from(crash_pick) % (total + 1);
         let torn = [0usize, 1, 17][usize::from(torn_pick) % 3];
-        let (mut store, mut t) = loaded_committed();
+        let (mut store, mut t) = start();
         store.arm_fail(FailPlan {
             allow_records: allow,
             torn_bytes: torn,
