@@ -32,6 +32,14 @@
 //!   benchmark builds its own through `append_record`), so no second,
 //!   single-span way to log a write exists beside it, and `diff_range`,
 //!   which computed that span, stays gone.
+//! * A partition scan has two bodies over one open-and-clip step:
+//!   `open_leaf` is the only function in `storage/src/table.rs` that calls
+//!   `leaf_slots_within(`, and it has two callers — `walk_leaf`, the row
+//!   body `scan_partition` drives, and `scan_partition_batches`, which
+//!   decodes a leaf a column at a time and so never calls `walk_leaf(`
+//!   with a per-record closure. `decode_row_into`, the row-at-a-time batch
+//!   decoder that closure fed, is named nowhere under `crates/`, test code
+//!   included: nothing decodes a batch row by row beside the leaf kernel.
 //! * A modelled cost never executes: `hosting.rs` prices the CLR call by
 //!   counting, the way `DiskProfile` prices pages, so it holds no clock,
 //!   no optimizer barrier, no process-wide state and no loop.
@@ -69,6 +77,19 @@ fn hits_in_fn(
     matches: impl Fn(&SourceFile<'_>, usize) -> bool,
     suffix: impl Fn(&SourceFile<'_>, usize) -> String,
 ) -> Vec<String> {
+    hits_where(
+        rel,
+        |f, k| matches(f, k) && !f.in_test(f.tok(k).start),
+        suffix,
+    )
+}
+
+/// [`hits_in_fn`] with `#[cfg(test)]` code counted too.
+fn hits_where(
+    rel: &str,
+    matches: impl Fn(&SourceFile<'_>, usize) -> bool,
+    suffix: impl Fn(&SourceFile<'_>, usize) -> String,
+) -> Vec<String> {
     let cwd = std::env::current_dir().unwrap();
     let root = find_workspace_root(&cwd).expect("run inside the workspace");
     let mut files = Vec::new();
@@ -85,7 +106,7 @@ fn hits_in_fn(
         let label = label.to_string_lossy().replace('\\', "/");
         let f = SourceFile::parse(&label, &src);
         for k in 0..f.sig.len() {
-            if matches(&f, k) && !f.in_test(f.tok(k).start) {
+            if matches(&f, k) {
                 found.push(format!("{label}{}", suffix(&f, k)));
             }
         }
@@ -292,5 +313,40 @@ fn a_page_write_is_logged_through_one_path() {
         hits(storage, |f, k| f.is_ident(k, "diff_range")),
         [""; 0],
         "the first-to-last-difference span is not computed anywhere"
+    );
+}
+
+#[test]
+fn a_partition_scan_has_two_bodies_over_one_open_and_clip_step() {
+    let table = "crates/storage/src/table.rs";
+    let callers_of = |name: &'static str| {
+        let is_call = move |f: &SourceFile<'_>, k: usize| {
+            followed_by_paren(f, k, name) && !(k > 0 && f.is_ident(k - 1, "fn"))
+        };
+        hits_in_fn(table, is_call, enclosing_fn)
+    };
+    assert_eq!(
+        callers_of("leaf_slots_within"),
+        [format!("{table}::open_leaf")],
+        "one function opens a leaf and clips it to the key interval"
+    );
+    assert_eq!(
+        callers_of("open_leaf"),
+        ["scan_partition_batches", "walk_leaf"].map(|body| format!("{table}::{body}")),
+        "the row body and the batch body share that step, and nothing else takes it"
+    );
+    assert_eq!(
+        callers_of("walk_leaf"),
+        [format!("{table}::scan_partition")],
+        "the batch body decodes a leaf at a time, not through a per-record callback"
+    );
+    assert_eq!(
+        hits_where(
+            "crates",
+            |f, k| f.is_ident(k, "decode_row_into"),
+            |_, _| String::new()
+        ),
+        [""; 0],
+        "the row-at-a-time batch decoder stays gone, from tests too"
     );
 }

@@ -18,6 +18,7 @@
 //! `(offset u16, len u16)` per record, growing downward.
 
 use crate::errors::{Result, StorageError};
+use std::ops::Range;
 
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 8192;
@@ -257,12 +258,21 @@ impl<'a> SlottedPage<'a> {
 }
 
 /// Read-only view over a slotted page (for scans that must not copy).
+///
+/// Page bytes come from disk, so nothing in them is trusted: `open` checks
+/// the slot count once, every directory entry is checked before the record
+/// it names is sliced, and a page that fails either is a typed error, never
+/// an out-of-bounds panic in a scan worker.
 pub struct SlottedRead<'a> {
     bytes: &'a [u8],
+    page: PageId,
+    /// Slot count, checked by `open` to leave the page header intact.
+    count: usize,
 }
 
 impl<'a> SlottedRead<'a> {
-    /// Views existing page bytes, checking the type tag.
+    /// Views existing page bytes, checking the type tag and that the slot
+    /// directory the header declares fits behind the header.
     pub fn open(bytes: &'a [u8], expect_type: u8, page: PageId) -> Result<SlottedRead<'a>> {
         if bytes[0] != expect_type {
             return Err(StorageError::PageTypeMismatch {
@@ -271,12 +281,24 @@ impl<'a> SlottedRead<'a> {
                 got: bytes[0],
             });
         }
-        Ok(SlottedRead { bytes })
+        let count = u16::from_le_bytes([bytes[2], bytes[3]]) as usize;
+        if count > (PAGE_SIZE - PAGE_HEADER_LEN) / SLOT_LEN {
+            return Err(StorageError::RowCorrupt(format!(
+                "page {page}: a directory of {count} slots overlaps the page header"
+            )));
+        }
+        Ok(SlottedRead { bytes, page, count })
     }
 
     /// Number of records.
     pub fn slot_count(&self) -> usize {
-        u16::from_le_bytes([self.bytes[2], self.bytes[3]]) as usize
+        self.count
+    }
+
+    /// The whole page, for readers that address it by the byte ranges
+    /// [`record_ranges`](Self::record_ranges) hands out.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
     }
 
     /// Sibling link; `None` when this is the last page in the chain.
@@ -285,18 +307,60 @@ impl<'a> SlottedRead<'a> {
         (v != u64::MAX).then_some(v)
     }
 
+    /// The byte range directory entry `entry` (of slot `i`) names, if it
+    /// lies inside the page below the slot directory.
+    #[inline]
+    fn checked_range(&self, i: usize, entry: &[u8]) -> Result<Range<usize>> {
+        let off = u16::from_le_bytes([entry[0], entry[1]]) as usize;
+        let end = off + u16::from_le_bytes([entry[2], entry[3]]) as usize;
+        if end > PAGE_SIZE - self.count * SLOT_LEN {
+            return Err(self.past_record_area(i, off..end));
+        }
+        Ok(off..end)
+    }
+
+    #[cold]
+    fn past_record_area(&self, i: usize, named: Range<usize>) -> StorageError {
+        StorageError::RowCorrupt(format!(
+            "page {}: slot {i} names bytes {named:?}, past the record area",
+            self.page
+        ))
+    }
+
     /// Returns record `i`.
     pub fn record(&self, i: usize) -> Result<&'a [u8]> {
-        if i >= self.slot_count() {
+        if i >= self.count {
             return Err(StorageError::BadSlot {
                 slot: i,
-                count: self.slot_count(),
+                count: self.count,
             });
         }
         let base = PAGE_SIZE - (i + 1) * SLOT_LEN;
-        let off = u16::from_le_bytes([self.bytes[base], self.bytes[base + 1]]) as usize;
-        let len = u16::from_le_bytes([self.bytes[base + 2], self.bytes[base + 3]]) as usize;
-        Ok(&self.bytes[off..off + len])
+        let range = self.checked_range(i, &self.bytes[base..base + SLOT_LEN])?;
+        Ok(&self.bytes[range])
+    }
+
+    /// The byte ranges of records `slots` within [`bytes`](Self::bytes), in
+    /// slot order: one walk over that stretch of the directory, each entry
+    /// read and checked once, as [`record`](Self::record) checks it.
+    pub fn record_ranges(
+        &self,
+        slots: Range<usize>,
+    ) -> Result<impl Iterator<Item = Result<Range<usize>>> + '_> {
+        if slots.end > self.count {
+            return Err(StorageError::BadSlot {
+                slot: slots.end - 1,
+                count: self.count,
+            });
+        }
+        // Slot `i` sits `(i + 1) * SLOT_LEN` bytes before the page end, so
+        // ascending slots are descending addresses.
+        let first = slots.start.min(slots.end);
+        let dir = &self.bytes[PAGE_SIZE - slots.end * SLOT_LEN..PAGE_SIZE - first * SLOT_LEN];
+        Ok(dir
+            .rchunks_exact(SLOT_LEN)
+            .zip(slots)
+            .map(|(entry, i)| self.checked_range(i, entry)))
     }
 }
 
@@ -324,6 +388,56 @@ mod tests {
         assert_eq!(v.next_page(), Some(9));
         assert!(v.record(2).is_err());
         assert!(SlottedRead::open(&bytes, page_type::BLOB_ROOT, 0).is_err());
+    }
+
+    #[test]
+    fn a_damaged_directory_is_a_typed_error() {
+        let mut bytes = fresh();
+        {
+            let mut p = SlottedPage::init(&mut bytes, page_type::BTREE_LEAF);
+            p.push_record(b"alpha").unwrap();
+            p.push_record(b"beta").unwrap();
+        }
+        let ranges = |bytes: &[u8], slots| {
+            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, 7)?;
+            let found = v.record_ranges(slots)?.collect::<Result<Vec<_>>>();
+            found
+        };
+        assert_eq!(ranges(&bytes, 0..2).unwrap(), [16..21, 21..25]);
+        assert_eq!(ranges(&bytes, 1..1).unwrap(), []);
+        assert!(matches!(
+            ranges(&bytes, 1..3),
+            Err(StorageError::BadSlot { slot: 2, count: 2 })
+        ));
+        // Slot 1's length now carries it into the slot directory (which
+        // starts at 8184): `record` used to slice that, or panic past the
+        // page end.
+        let dir_start = PAGE_SIZE - 2 * SLOT_LEN;
+        let entry = PAGE_SIZE - 2 * SLOT_LEN;
+        for len in [dir_start - 21 + 1, u16::MAX as usize] {
+            bytes[entry + 2..entry + 4].copy_from_slice(&(len as u16).to_le_bytes());
+            let v = SlottedRead::open(&bytes, page_type::BTREE_LEAF, 7).unwrap();
+            assert_eq!(v.record(0).unwrap(), b"alpha");
+            let err = v.record(1).unwrap_err();
+            assert!(matches!(err, StorageError::RowCorrupt(_)), "{err}");
+            assert_eq!(
+                err.to_string(),
+                ranges(&bytes, 0..2).unwrap_err().to_string()
+            );
+        }
+        // The last length that fits still reads.
+        bytes[entry + 2..entry + 4].copy_from_slice(&((dir_start - 21) as u16).to_le_bytes());
+        assert_eq!(ranges(&bytes, 1..2).unwrap().pop(), Some(21..dir_start));
+        // A slot count whose directory would run over the header.
+        for count in [2045u16, u16::MAX] {
+            bytes[2..4].copy_from_slice(&count.to_le_bytes());
+            let err = SlottedRead::open(&bytes, page_type::BTREE_LEAF, 7)
+                .err()
+                .expect("overlapping directory");
+            assert!(matches!(err, StorageError::RowCorrupt(_)), "{err}");
+        }
+        bytes[2..4].copy_from_slice(&2044u16.to_le_bytes());
+        assert!(SlottedRead::open(&bytes, page_type::BTREE_LEAF, 7).is_ok());
     }
 
     #[test]

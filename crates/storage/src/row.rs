@@ -9,7 +9,7 @@
 use crate::blob::{self, BlobId};
 use crate::errors::{Result, StorageError};
 use crate::store::PageStore;
-use sqlarray_core::batch::{Batch, BytesVec, ColVec};
+use sqlarray_core::batch::{Batch, BytesVec, ColVec, LobRef};
 
 /// Largest blob stored inside the row — the `VARBINARY(8000)` budget that
 /// also caps short arrays.
@@ -315,22 +315,61 @@ pub fn new_batch(schema: &Schema, cols: &[usize]) -> Result<Batch> {
     Ok(Batch::new(out))
 }
 
-/// Decodes the projected columns of encoded rows straight into a batch's
-/// column vectors, amortizing the per-row schema walk: the directory maps
-/// schema index → batch column position once, and decoding stops at the
-/// last projected column instead of walking the full row.
-#[derive(Debug, Clone)]
-pub struct BatchDecoder {
-    /// `dir[schema_idx]` = batch column position, if projected.
-    dir: Vec<Option<usize>>,
-    /// Last projected schema index; columns past it are never touched.
-    last: Option<usize>,
+/// Where one leaf record stands in a [`BatchDecoder::fill`]: byte offsets
+/// into the record's page.
+#[derive(Debug, Clone, Copy)]
+pub struct RowCursor {
+    /// The first byte of the next undecoded column.
+    pub at: u32,
+    /// One past the record's last byte.
+    pub end: u32,
 }
 
-impl BatchDecoder {
+/// One column's turn in a [`BatchDecoder::fill`].
+#[derive(Debug, Clone)]
+struct Step {
+    /// Schema index of the column.
+    col: usize,
+    /// Byte offset of the column from the row cursor when the step runs.
+    off: usize,
+    /// Batch column to append to; `None` for a `Blob` that is only stepped
+    /// over to reach a projected column behind it.
+    pos: Option<usize>,
+    /// `Blob` steps: bytes of the fixed-width columns between this one and
+    /// the next `Blob` step (or the last projected column), checked per
+    /// row as the cursor moves past the cell.
+    tail: usize,
+}
+
+fn fixed_width(ctype: ColType) -> Option<usize> {
+    match ctype {
+        ColType::I64 | ColType::F64 => Some(8),
+        ColType::I32 | ColType::F32 => Some(4),
+        ColType::Blob => None,
+    }
+}
+
+/// Decodes the projected columns of one leaf's records straight into a
+/// batch's column vectors, a column at a time: a fixed-width column sits at
+/// a constant offset from the row cursor, so its lane is one `extend` over
+/// the cursors with no per-row schema walk, type match or length check; a
+/// `Blob` reads its tag and length at the cursor and moves the cursor past
+/// the cell, which puts the columns behind it at constant offsets again.
+/// Columns past the last projected one are never touched.
+#[derive(Debug, Clone)]
+pub struct BatchDecoder<'a> {
+    schema: &'a Schema,
+    /// The projected columns and the `Blob`s before them, in schema order.
+    steps: Vec<Step>,
+    /// Bytes of the fixed-width columns before the first step that moves
+    /// the cursor; every row must hold them before any lane is filled.
+    fixed_prefix: usize,
+}
+
+impl<'a> BatchDecoder<'a> {
     /// Builds a decoder for the given projected schema indices (`cols` must
     /// match the column order used for [`new_batch`]).
-    pub fn new(schema: &Schema, cols: &[usize]) -> Result<BatchDecoder> {
+    pub fn new(schema: &'a Schema, cols: &[usize]) -> Result<BatchDecoder<'a>> {
         let mut dir = vec![None; schema.columns.len()];
         let mut last = None;
         for (pos, &idx) in cols.iter().enumerate() {
@@ -347,73 +386,108 @@ impl BatchDecoder {
             dir[idx] = Some(pos);
             last = Some(last.map_or(idx, |l: usize| l.max(idx)));
         }
-        Ok(BatchDecoder { dir, last })
+        let mut steps: Vec<Step> = Vec::with_capacity(cols.len());
+        let mut fixed_prefix = 0;
+        // Bytes from the cursor to the column at hand, and the step that
+        // last moved the cursor.
+        let mut off = 0;
+        let mut moved_by: Option<usize> = None;
+        let walked = last.map_or(0, |l| l + 1);
+        for (col, c) in schema.columns.iter().enumerate().take(walked) {
+            let pos = dir[col];
+            let width = fixed_width(c.ctype);
+            if width.is_none() {
+                // A `Blob` ends the run of fixed-width columns before it.
+                match moved_by {
+                    Some(b) => steps[b].tail = off,
+                    None => fixed_prefix = off,
+                }
+                moved_by = Some(steps.len());
+            }
+            if width.is_none() || pos.is_some() {
+                steps.push(Step {
+                    col,
+                    off,
+                    pos,
+                    tail: 0,
+                });
+            }
+            off = width.map_or(0, |w| off + w);
+        }
+        match moved_by {
+            Some(b) => steps[b].tail = off,
+            None => fixed_prefix = off,
+        }
+        Ok(BatchDecoder {
+            schema,
+            steps,
+            fixed_prefix,
+        })
     }
 
-    /// Appends one encoded row's projected columns to `out` (one push per
-    /// projected column; inline blob payloads are copied once, directly
-    /// into the batch's packed cell storage).
-    pub fn decode_row_into(&self, schema: &Schema, bytes: &[u8], out: &mut [ColVec]) -> Result<()> {
-        let Some(last) = self.last else {
-            return Ok(());
-        };
-        let mut off = 0usize;
-        for (i, col) in schema.columns.iter().enumerate().take(last + 1) {
-            let Some(pos) = self.dir[i] else {
-                off = skip_value(col.ctype, bytes, off, &col.name)?;
-                continue;
+    /// Bytes every row holds past its cursor before [`fill`](Self::fill)
+    /// may run — the caller's one check per record, failing with
+    /// [`truncated`](Self::truncated).
+    pub fn fixed_prefix(&self) -> usize {
+        self.fixed_prefix
+    }
+
+    /// The error for a row with only `have` bytes where the fixed-width
+    /// columns from schema index `first` on need more: names the first
+    /// column that does not fit, as the row-at-a-time decoders do.
+    #[cold]
+    pub fn truncated(&self, first: usize, have: usize) -> StorageError {
+        let mut room = have;
+        let mut name = "?";
+        for c in self.schema.columns.iter().skip(first) {
+            name = &c.name;
+            match fixed_width(c.ctype) {
+                Some(w) if w <= room => room -= w,
+                _ => break,
+            }
+        }
+        truncated_in(name)
+    }
+
+    /// Appends the projected columns of `rows` — records of `page`, each
+    /// cursor on its first column with [`fixed_prefix`](Self::fixed_prefix)
+    /// bytes checked — to `out`, one column at a time. Leaves the cursors
+    /// wherever the last `Blob` step moved them.
+    pub fn fill(&self, page: &[u8], rows: &mut [RowCursor], out: &mut [ColVec]) -> Result<()> {
+        use sqlarray_core::le;
+        for step in &self.steps {
+            let col = &self.schema.columns[step.col];
+            let off = step.off;
+            let at = |r: &RowCursor| r.at as usize + off;
+            let lane = match step.pos {
+                Some(pos) => out.get_mut(pos),
+                None => None,
             };
-            match (col.ctype, &mut out[pos]) {
-                (ColType::I64, ColVec::I64(v)) => {
-                    need(bytes, off, 8, &col.name)?;
-                    v.push(sqlarray_core::le::i64_at(bytes, off));
-                    off += 8;
+            match (col.ctype, lane) {
+                (ColType::I64, Some(ColVec::I64(v))) => {
+                    v.extend(rows.iter().map(|r| le::i64_at(page, at(r))))
                 }
-                (ColType::I32, ColVec::I32(v)) => {
-                    need(bytes, off, 4, &col.name)?;
-                    v.push(sqlarray_core::le::i32_at(bytes, off));
-                    off += 4;
+                (ColType::I32, Some(ColVec::I32(v))) => {
+                    v.extend(rows.iter().map(|r| le::i32_at(page, at(r))))
                 }
-                (ColType::F64, ColVec::F64(v)) => {
-                    need(bytes, off, 8, &col.name)?;
-                    v.push(sqlarray_core::le::f64_at(bytes, off));
-                    off += 8;
+                (ColType::F64, Some(ColVec::F64(v))) => {
+                    v.extend(rows.iter().map(|r| le::f64_at(page, at(r))))
                 }
-                (ColType::F32, ColVec::F32(v)) => {
-                    need(bytes, off, 4, &col.name)?;
-                    v.push(sqlarray_core::le::f32_at(bytes, off));
-                    off += 4;
+                (ColType::F32, Some(ColVec::F32(v))) => {
+                    v.extend(rows.iter().map(|r| le::f32_at(page, at(r))))
                 }
-                (ColType::Blob, ColVec::Blob { bytes: cells, lob }) => {
-                    need(bytes, off, 1, &col.name)?;
-                    match bytes[off] {
-                        BLOB_INLINE => {
-                            need(bytes, off + 1, 2, &col.name)?;
-                            let len = sqlarray_core::le::u16_at(bytes, off + 1) as usize;
-                            need(bytes, off + 3, len, &col.name)?;
-                            cells.push(&bytes[off + 3..off + 3 + len]);
-                            lob.push(None);
-                            off += 3 + len;
-                        }
-                        BLOB_LOB => {
-                            need(bytes, off + 1, 16, &col.name)?;
-                            let id = sqlarray_core::le::u64_at(bytes, off + 1);
-                            let len = sqlarray_core::le::u64_at(bytes, off + 9);
-                            cells.push(&[]);
-                            lob.push(Some((id, len)));
-                            off += 17;
-                        }
-                        tag => {
-                            return Err(StorageError::RowCorrupt(format!(
-                                "unknown blob tag {tag} in column `{}`",
-                                col.name
-                            )))
-                        }
-                    }
+                (ColType::Blob, Some(ColVec::Blob { bytes, lob })) => {
+                    self.blob_step(page, rows, step, |cell, lob_ref| {
+                        bytes.push(cell);
+                        lob.push(lob_ref);
+                    })?
+                }
+                (ColType::Blob, None) if step.pos.is_none() => {
+                    self.blob_step(page, rows, step, |_, _| {})?
                 }
                 (t, _) => {
                     return Err(StorageError::SchemaMismatch(format!(
-                        "batch column {pos} does not match schema type {t:?} of `{}`",
+                        "the batch has no {t:?} column where `{}` is projected to",
                         col.name
                     )))
                 }
@@ -421,13 +495,42 @@ impl BatchDecoder {
         }
         Ok(())
     }
+
+    /// Reads one `Blob` column of every row at its cursor, hands the cell
+    /// to `sink`, and moves the cursor past it — checking there that the
+    /// fixed-width columns up to the next step fit, so their lanes fill
+    /// unchecked.
+    fn blob_step<'p>(
+        &self,
+        page: &'p [u8],
+        rows: &mut [RowCursor],
+        step: &Step,
+        mut sink: impl FnMut(&'p [u8], Option<LobRef>),
+    ) -> Result<()> {
+        let name = &self.schema.columns[step.col].name;
+        for r in rows {
+            let rec = &page[..r.end as usize];
+            let (cell, lob_ref, next) = blob_cell(rec, r.at as usize + step.off, name)?;
+            if next + step.tail > rec.len() {
+                return Err(self.truncated(step.col + 1, rec.len() - next));
+            }
+            // `next <= rec.len() == r.end`, so it fits the cursor.
+            r.at = next as u32;
+            sink(cell, lob_ref);
+        }
+        Ok(())
+    }
 }
 
+#[cold]
+fn truncated_in(name: &str) -> StorageError {
+    StorageError::RowCorrupt(format!("row truncated in column `{name}`"))
+}
+
+#[inline]
 fn need(bytes: &[u8], off: usize, n: usize, name: &str) -> Result<()> {
     if off + n > bytes.len() {
-        return Err(StorageError::RowCorrupt(format!(
-            "row truncated in column `{name}`"
-        )));
+        return Err(truncated_in(name));
     }
     Ok(())
 }
@@ -473,59 +576,54 @@ fn decode_value_ref<'a>(
             Ok((RowValueRef::F32(v), off + 4))
         }
         ColType::Blob => {
-            need(bytes, off, 1, name)?;
-            match bytes[off] {
-                BLOB_INLINE => {
-                    need(bytes, off + 1, 2, name)?;
-                    let len = sqlarray_core::le::u16_at(bytes, off + 1) as usize;
-                    need(bytes, off + 3, len, name)?;
-                    Ok((
-                        RowValueRef::Bytes(&bytes[off + 3..off + 3 + len]),
-                        off + 3 + len,
-                    ))
-                }
-                BLOB_LOB => {
-                    need(bytes, off + 1, 16, name)?;
-                    let id = sqlarray_core::le::u64_at(bytes, off + 1);
-                    let len = sqlarray_core::le::u64_at(bytes, off + 9);
-                    Ok((RowValueRef::LobRef(id, len), off + 17))
-                }
-                tag => Err(StorageError::RowCorrupt(format!(
-                    "unknown blob tag {tag} in column `{name}`"
-                ))),
-            }
+            let (cell, lob_ref, next) = blob_cell(bytes, off, name)?;
+            let v = match lob_ref {
+                Some((id, len)) => RowValueRef::LobRef(id, len),
+                None => RowValueRef::Bytes(cell),
+            };
+            Ok((v, next))
         }
     }
 }
 
+/// Reads the blob cell at `off` the way a batch lane stores it: the in-row
+/// payload (empty for a value kept out of row), the LOB reference (for one
+/// that is), and the offset one past the cell.
+fn blob_cell<'a>(
+    bytes: &'a [u8],
+    off: usize,
+    name: &str,
+) -> Result<(&'a [u8], Option<LobRef>, usize)> {
+    need(bytes, off, 1, name)?;
+    match bytes[off] {
+        BLOB_INLINE => {
+            need(bytes, off + 1, 2, name)?;
+            let len = sqlarray_core::le::u16_at(bytes, off + 1) as usize;
+            need(bytes, off + 3, len, name)?;
+            Ok((&bytes[off + 3..off + 3 + len], None, off + 3 + len))
+        }
+        BLOB_LOB => {
+            need(bytes, off + 1, 16, name)?;
+            let id = sqlarray_core::le::u64_at(bytes, off + 1);
+            let len = sqlarray_core::le::u64_at(bytes, off + 9);
+            Ok((&[], Some((id, len)), off + 17))
+        }
+        tag => Err(unknown_blob_tag(tag, name)),
+    }
+}
+
+#[cold]
+fn unknown_blob_tag(tag: u8, name: &str) -> StorageError {
+    StorageError::RowCorrupt(format!("unknown blob tag {tag} in column `{name}`"))
+}
+
 fn skip_value(ctype: ColType, bytes: &[u8], off: usize, name: &str) -> Result<usize> {
-    match ctype {
-        ColType::I64 | ColType::F64 => {
-            need(bytes, off, 8, name)?;
-            Ok(off + 8)
+    match fixed_width(ctype) {
+        Some(width) => {
+            need(bytes, off, width, name)?;
+            Ok(off + width)
         }
-        ColType::I32 | ColType::F32 => {
-            need(bytes, off, 4, name)?;
-            Ok(off + 4)
-        }
-        ColType::Blob => {
-            need(bytes, off, 1, name)?;
-            match bytes[off] {
-                BLOB_INLINE => {
-                    need(bytes, off + 1, 2, name)?;
-                    let len = sqlarray_core::le::u16_at(bytes, off + 1) as usize;
-                    need(bytes, off + 3, len, name)?;
-                    Ok(off + 3 + len)
-                }
-                BLOB_LOB => {
-                    need(bytes, off + 1, 16, name)?;
-                    Ok(off + 17)
-                }
-                tag => Err(StorageError::RowCorrupt(format!(
-                    "unknown blob tag {tag} in column `{name}`"
-                ))),
-            }
-        }
+        None => blob_cell(bytes, off, name).map(|(_, _, next)| next),
     }
 }
 
@@ -723,16 +821,23 @@ mod tests {
                 RowValue::I32(-2),
             ],
         ];
+        // A stand-in for a leaf page: the encoded rows end to end, one
+        // cursor per row.
+        let mut page = Vec::new();
+        let mut cursors = Vec::new();
         for r in &rows {
-            let bytes = encode_row(&mut store, &schema, r).unwrap();
-            batch.keys.push(match r[0] {
-                RowValue::I64(k) => k,
-                _ => unreachable!(),
-            });
-            dec.decode_row_into(&schema, &bytes, &mut batch.cols)
-                .unwrap();
+            let at = page.len() as u32;
+            page.extend(encode_row(&mut store, &schema, r).unwrap());
+            let end = page.len() as u32;
+            assert!((end - at) as usize >= dec.fixed_prefix());
+            cursors.push(RowCursor { at, end });
         }
-        assert_eq!(batch.keys, vec![1, 2]);
+        assert_eq!(dec.fixed_prefix(), 16, "id and x sit before the blob");
+        dec.fill(&page, &mut cursors, &mut batch.cols).unwrap();
+        assert!(
+            cursors.iter().all(|c| c.at + 4 == c.end),
+            "the blob step leaves each cursor on `n`"
+        );
         assert!(matches!(&batch.cols[0], ColVec::I32(v) if *v == vec![-1, -2]));
         match &batch.cols[1] {
             ColVec::Blob { bytes, lob } => {
@@ -750,10 +855,29 @@ mod tests {
         assert!(BatchDecoder::new(&schema, &[4]).is_err());
         assert!(BatchDecoder::new(&schema, &[0, 0]).is_err());
         assert!(new_batch(&schema, &[9]).is_err());
-        // Empty projection decodes nothing but still validates keys-only scans.
+        // An empty projection has nothing to check and nothing to fill.
         let empty = BatchDecoder::new(&schema, &[]).unwrap();
-        let bytes = encode_row(&mut store, &schema, &rows[0]).unwrap();
-        empty.decode_row_into(&schema, &bytes, &mut []).unwrap();
+        assert_eq!(empty.fixed_prefix(), 0);
+        empty.fill(&page, &mut cursors, &mut []).unwrap();
+
+        // A row cut short names the first column that no longer fits, in
+        // the fixed prefix and behind the blob alike, as `decode_col` does.
+        let whole = encode_row(&mut store, &schema, &rows[0]).unwrap();
+        for cut in [0, 7, 8, 15, 16, 18, 21, whole.len() - 1] {
+            let bytes = &whole[..cut];
+            let want = decode_col(&schema, bytes, 3).unwrap_err().to_string();
+            let got = if cut < dec.fixed_prefix() {
+                dec.truncated(0, cut)
+            } else {
+                let mut one = [RowCursor {
+                    at: 0,
+                    end: cut as u32,
+                }];
+                let mut scratch = new_batch(&schema, &cols).unwrap();
+                dec.fill(bytes, &mut one, &mut scratch.cols).unwrap_err()
+            };
+            assert_eq!(got.to_string(), want, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@ use crate::blob;
 use crate::btree::{self, BTree};
 use crate::errors::{Result, StorageError};
 use crate::page::{page_type, PageId, SlottedRead};
-use crate::row::{self, RowValue, Schema, INLINE_BLOB_LIMIT};
+use crate::row::{self, BatchDecoder, RowCursor, RowValue, Schema, INLINE_BLOB_LIMIT};
 use crate::store::{PageStore, PartitionReader};
+use sqlarray_core::batch::Batch;
+use sqlarray_core::le;
 use std::collections::HashMap;
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 /// One contiguous chunk of a clustered-index scan: a run of leaf pages in
 /// key order plus the key interval the scan is restricted to, produced by
@@ -391,14 +393,14 @@ impl Table {
     /// schema columns named by `cols`, in that order) and hands the filled
     /// batch to `f`, which returns `true` to keep scanning.
     ///
-    /// Batching amortizes the per-row schema walk and LE decoding and
-    /// replaces the per-row callback with one call per ~`rows_cap` rows.
-    /// The batch flushes as soon as it reaches `rows_cap` rows — even in
-    /// the middle of a leaf, so a caller that stops early (`TOP`) never
-    /// decodes more than one cap past its limit — and additionally at
-    /// *every* leaf boundary when `leaf_aligned` is set, which callers
-    /// that resolve out-of-row LOB values per batch use to keep the
-    /// page-read interleaving (leaf, then that leaf's LOB pages)
+    /// A leaf is decoded a column at a time (`fill_batch`), in segments
+    /// that end where the batch fills: the batch flushes as soon as it
+    /// reaches `rows_cap` rows — even in the middle of a leaf, and no
+    /// record past that row has been looked at, so a caller that stops
+    /// early (`TOP`) never decodes more than one cap past its limit — and
+    /// additionally at *every* leaf boundary when `leaf_aligned` is set,
+    /// which callers that resolve out-of-row LOB values per batch use to
+    /// keep the page-read interleaving (leaf, then that leaf's LOB pages)
     /// identical to the row-at-a-time scan at any DOP. (A mid-leaf flush
     /// preserves that order too: the leaf page is already read, and the
     /// flushed rows resolve in row order.) The same `batch` is reused
@@ -409,42 +411,41 @@ impl Table {
         reader: &mut PartitionReader<'_>,
         part: &ScanPartition,
         opts: BatchScanOpts<'_>,
-        batch: &mut sqlarray_core::batch::Batch,
-        mut f: impl FnMut(&mut PartitionReader<'_>, &sqlarray_core::batch::Batch) -> Result<bool>,
+        batch: &mut Batch,
+        mut f: impl FnMut(&mut PartitionReader<'_>, &Batch) -> Result<bool>,
     ) -> Result<()> {
         let BatchScanOpts {
             cols,
             rows_cap,
             leaf_aligned,
         } = opts;
-        let dec = row::BatchDecoder::new(&self.schema, cols)?;
+        let dec = BatchDecoder::new(&self.schema, cols)?;
         let rows_cap = rows_cap.max(1);
+        let mut cursors = Vec::new();
+        let mut flush = |reader: &mut PartitionReader<'_>, batch: &mut Batch| {
+            let keep_going = f(reader, batch)?;
+            batch.clear();
+            Ok(keep_going)
+        };
         batch.clear();
         for &pid in &part.leaves {
-            let more = walk_leaf(reader, part, pid, |reader, key, row| {
-                batch.keys.push(key);
-                dec.decode_row_into(&self.schema, row, &mut batch.cols)?;
-                if batch.len() < rows_cap {
-                    return Ok(true);
-                }
-                let keep_going = f(reader, batch)?;
-                batch.clear();
-                Ok(keep_going)
-            })?;
-            if !more {
-                return Ok(());
-            }
-            if leaf_aligned && !batch.is_empty() {
-                let keep_going = f(reader, batch)?;
-                batch.clear();
-                if !keep_going {
+            let (v, mut slots) = open_leaf(reader, part, pid)?;
+            while !slots.is_empty() {
+                // The batch was flushed when it last filled: room >= 1.
+                let room = rows_cap - batch.len();
+                let segment = slots.start..slots.start + room.min(slots.len());
+                slots.start = segment.end;
+                fill_batch(&v, pid, segment, &dec, &mut cursors, batch)?;
+                if batch.len() == rows_cap && !flush(reader, batch)? {
                     return Ok(());
                 }
             }
+            if leaf_aligned && !batch.is_empty() && !flush(reader, batch)? {
+                return Ok(());
+            }
         }
         if !batch.is_empty() {
-            f(reader, batch)?;
-            batch.clear();
+            flush(reader, batch)?;
         }
         Ok(())
     }
@@ -495,8 +496,27 @@ impl Table {
     }
 }
 
-/// The leaf walk both partition scans share: reads leaf `pid` and hands
-/// `f` the records whose keys lie in the partition's interval, in key
+/// The step both partition scans share: reads leaf `pid` and clips it to
+/// the slots whose keys lie in the partition's interval.
+fn open_leaf<'s>(
+    reader: &mut PartitionReader<'s>,
+    part: &ScanPartition,
+    pid: PageId,
+) -> Result<(SlottedRead<'s>, Range<usize>)> {
+    let v = SlottedRead::open(reader.read(pid)?, page_type::BTREE_LEAF, pid)?;
+    let slots = btree::leaf_slots_within(&v, &part.keys)?;
+    Ok((v, slots))
+}
+
+#[cold]
+fn key_cut_short(pid: PageId) -> StorageError {
+    StorageError::RowCorrupt(format!(
+        "leaf record on page {pid} shorter than its 8-byte key"
+    ))
+}
+
+/// The row body of a partition scan: hands `f` the key and encoded row of
+/// each record of leaf `pid` inside the partition's interval, in key
 /// order. `false` when `f` asked to stop.
 fn walk_leaf(
     reader: &mut PartitionReader<'_>,
@@ -504,20 +524,56 @@ fn walk_leaf(
     pid: PageId,
     mut f: impl FnMut(&mut PartitionReader<'_>, i64, &[u8]) -> Result<bool>,
 ) -> Result<bool> {
-    let bytes = reader.read(pid)?;
-    let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
-    for i in btree::leaf_slots_within(&v, &part.keys)? {
-        let rec = v.record(i)?;
+    let (v, slots) = open_leaf(reader, part, pid)?;
+    for rec in v.record_ranges(slots)? {
+        let rec = &v.bytes()[rec?];
         if rec.len() < 8 {
-            return Err(StorageError::RowCorrupt(format!(
-                "leaf record on page {pid} shorter than its 8-byte key"
-            )));
+            return Err(key_cut_short(pid));
         }
-        if !f(reader, sqlarray_core::le::i64_at(rec, 0), &rec[8..])? {
+        if !f(reader, le::i64_at(rec, 0), &rec[8..])? {
             return Ok(false);
         }
     }
     Ok(true)
+}
+
+/// The batch body of a partition scan: appends records `slots` of leaf `v`
+/// to `batch`. One pass over that stretch of the slot directory checks
+/// every record once — inside the page, long enough for its key and for
+/// the fixed-width columns `dec` reads without looking — and notes where
+/// its columns start (`cursors` is scratch, reused across calls); then the
+/// keys and each projected column are appended by one loop apiece over
+/// those cursors.
+fn fill_batch(
+    v: &SlottedRead<'_>,
+    pid: PageId,
+    slots: Range<usize>,
+    dec: &BatchDecoder<'_>,
+    cursors: &mut Vec<RowCursor>,
+    batch: &mut Batch,
+) -> Result<()> {
+    let shortest = 8 + dec.fixed_prefix();
+    cursors.clear();
+    cursors.reserve(slots.len());
+    for rec in v.record_ranges(slots)? {
+        let rec = rec?;
+        if rec.len() < shortest {
+            return Err(match rec.len().checked_sub(8) {
+                Some(row_len) => dec.truncated(0, row_len),
+                None => key_cut_short(pid),
+            });
+        }
+        // Both ends lie inside the 8 KiB page.
+        cursors.push(RowCursor {
+            at: (rec.start + 8) as u32,
+            end: rec.end as u32,
+        });
+    }
+    let page = v.bytes();
+    batch
+        .keys
+        .extend(cursors.iter().map(|c| le::i64_at(page, c.at as usize - 8)));
+    dec.fill(page, cursors, &mut batch.cols)
 }
 
 #[cfg(test)]
@@ -805,6 +861,80 @@ mod tests {
             )
             .unwrap();
         assert_eq!(calls, 0, "empty table produces no batches");
+    }
+
+    /// Both scan bodies over the whole of `t`, cold: the error text of
+    /// each (`None` for a clean scan). The row body decodes `col` of every
+    /// row, the batch body projects it.
+    fn scan_errors(store: &mut PageStore, t: &Table, col: usize) -> [Option<String>; 2] {
+        store.clear_cache();
+        let part = t.partition(store, 1).unwrap().remove(0);
+        let scan = store.begin_scan();
+        let by_row = t.scan_partition(&mut store.reader(&scan, 0), &part, |_, _, bytes| {
+            row::decode_col(t.schema(), bytes, col).map(|_| true)
+        });
+        let by_batch = t.scan_partition_batches(
+            &mut store.reader(&scan, 0),
+            &part,
+            BatchScanOpts {
+                cols: &[col],
+                rows_cap: 64,
+                leaf_aligned: false,
+            },
+            &mut row::new_batch(t.schema(), &[col]).unwrap(),
+            |_, _| Ok(true),
+        );
+        [by_row, by_batch].map(|r| r.err().map(|e| e.to_string()))
+    }
+
+    #[test]
+    fn a_hand_corrupted_leaf_is_a_typed_error_on_both_scan_bodies() {
+        use crate::page::{PAGE_SIZE, SLOT_LEN};
+        let mut store = PageStore::new();
+        let t = vector_table(&mut store, 300, 5);
+        let leaf = t.partition(&store, 1).unwrap()[0].leaves()[1];
+        // Slot 3 of the second leaf: `off u16 | len u16`, 83 bytes long.
+        let entry = PAGE_SIZE - 4 * SLOT_LEN;
+        let intact = store.read(leaf).unwrap().to_vec();
+        assert_eq!(
+            u16::from_le_bytes([intact[entry + 2], intact[entry + 3]]),
+            83
+        );
+        assert_eq!(scan_errors(&mut store, &t, 1), [None, None]);
+
+        // `PageStore::write` re-stamps the checksum, so each cold scan
+        // below gets past the page read and meets the damage in the
+        // decoder. Both bodies used to panic on the first two.
+        let mut damaged = |at: usize, bytes: &[u8], col: usize, expect: &str| {
+            store
+                .write(leaf, |page| {
+                    page.copy_from_slice(&intact);
+                    page[at..at + bytes.len()].copy_from_slice(bytes);
+                })
+                .unwrap();
+            let [by_row, by_batch] = scan_errors(&mut store, &t, col);
+            let by_row = by_row.expect("the row body must fail");
+            assert!(by_row.starts_with("row corrupt: "), "{by_row}");
+            assert!(by_row.contains(expect), "{by_row}");
+            assert_eq!(Some(by_row), by_batch);
+        };
+        let off = u16::from_le_bytes([intact[entry], intact[entry + 1]]) as usize;
+        let lens = |len: u16| len.to_le_bytes();
+        damaged(entry + 2, &lens(u16::MAX), 1, "past the record area");
+        damaged(2, &lens(u16::MAX), 1, "overlaps the page header");
+        damaged(entry + 2, &lens(5), 1, "shorter than its 8-byte key");
+        damaged(entry + 2, &lens(8 + 6), 0, "truncated in column `id`");
+        damaged(entry + 2, &lens(8 + 8), 1, "truncated in column `v`");
+        damaged(entry + 2, &lens(82), 1, "truncated in column `v`");
+        damaged(off + 16, &[7], 1, "unknown blob tag 7 in column `v`");
+        // A row cut behind the projected column goes unseen by both.
+        store
+            .write(leaf, |page| {
+                page.copy_from_slice(&intact);
+                page[entry + 2..entry + 4].copy_from_slice(&lens(8 + 8));
+            })
+            .unwrap();
+        assert_eq!(scan_errors(&mut store, &t, 0), [None, None]);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! DOP-invariance contract.
 
 use proptest::prelude::*;
+use sqlarray_core::batch::ColVec;
 use sqlarray_storage::{
-    blob, row, BTree, ColType, DiskProfile, IoStats, PageId, PageStore, RowValue, ScanIo, Schema,
-    Table,
+    blob, row, BTree, BatchScanOpts, ColType, DiskProfile, IoStats, PageId, PageStore, RowValue,
+    ScanIo, ScanPartition, Schema, Table, PAGE_SIZE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
@@ -418,6 +419,310 @@ proptest! {
             serial_store.pool().keys_mru_order(),
             par_store.pool().keys_mru_order()
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The batch body of a partition scan against the row body
+// ---------------------------------------------------------------------------
+
+/// A deterministic stream of draws for the fixtures below.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 11
+    }
+}
+
+/// A table of random shape: `types` picks each column's type (0–3 the
+/// numeric types, 4 a `Blob`, the fourth and later `Blob`s demoted to
+/// `I32`), every other key from 0 holds a row, and the cells come from
+/// `seed` — blob cells a mix of empty, short, leaf-filling and out-of-row
+/// values. Bulk-loaded, then churned a little so leaves carry dead space
+/// and slot directories out of append order.
+fn shaped_table(types: &[u8], rows: usize, seed: u64) -> (PageStore, Table) {
+    let mut blobs = 0;
+    let cols: Vec<(String, ColType)> = types
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| {
+            let ctype = match t {
+                0 => ColType::I64,
+                1 => ColType::I32,
+                2 => ColType::F64,
+                3 => ColType::F32,
+                _ if blobs < 3 => {
+                    blobs += 1;
+                    ColType::Blob
+                }
+                _ => ColType::I32,
+            };
+            (format!("c{i}"), ctype)
+        })
+        .collect();
+    let named: Vec<(&str, ColType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let schema = Schema::new(&named);
+    let mut draws = Draws(seed);
+    let mut cells = |key: i64| -> Vec<RowValue> {
+        schema
+            .columns
+            .iter()
+            .map(|c| {
+                let d = draws.next();
+                match c.ctype {
+                    ColType::I64 => RowValue::I64(d as i64 ^ key),
+                    ColType::I32 => RowValue::I32(d as i32),
+                    ColType::F64 => RowValue::F64(d as i32 as f64 * 0.25),
+                    ColType::F32 => RowValue::F32(d as i16 as f32 * 0.5),
+                    ColType::Blob => {
+                        let len = match d % 40 {
+                            0 => 8001 + (d >> 8) as usize % 600, // out of row
+                            1..=2 => 700,
+                            3..=8 => 0,
+                            _ => (d >> 8) as usize % 90,
+                        };
+                        RowValue::Bytes((0..len).map(|i| (d as usize + i) as u8).collect())
+                    }
+                }
+            })
+            .collect()
+    };
+    let mut store = PageStore::new();
+    let mut t = Table::create(&mut store, "T", schema.clone()).unwrap();
+    let loaded: Vec<_> = (0..rows as i64).map(|i| (2 * i, cells(2 * i))).collect();
+    t.bulk_load(&mut store, &loaded, 1).unwrap();
+    for i in 0..rows as i64 / 8 {
+        let k = 16 * i;
+        assert!(t.delete(&mut store, k + 2).unwrap());
+        t.insert(&mut store, k + 1, &cells(k + 1)).unwrap();
+        assert!(t.update(&mut store, k, &cells(k)).unwrap());
+    }
+    (store, t)
+}
+
+/// A projection drawn from `seed`: a subset of the schema's columns, in
+/// any order.
+fn projection(columns: usize, seed: u64) -> Vec<usize> {
+    let mut draws = Draws(seed);
+    let mut cols: Vec<usize> = (0..columns).collect();
+    for i in (1..cols.len()).rev() {
+        cols.swap(i, draws.next() as usize % (i + 1));
+    }
+    cols.truncate(draws.next() as usize % (columns + 1));
+    cols
+}
+
+/// Row `i` of a batch lane as the row decoder would return it.
+fn lane_value(lane: &ColVec, i: usize) -> RowValue {
+    match lane {
+        ColVec::I64(v) => RowValue::I64(v[i]),
+        ColVec::I32(v) => RowValue::I32(v[i]),
+        ColVec::F64(v) => RowValue::F64(v[i]),
+        ColVec::F32(v) => RowValue::F32(v[i]),
+        ColVec::Blob { bytes, lob } => match lob[i] {
+            Some((id, len)) => {
+                assert!(bytes.get(i).is_empty(), "an out-of-row cell holds no bytes");
+                RowValue::LobRef(id, len)
+            }
+            None => RowValue::Bytes(bytes.get(i).to_vec()),
+        },
+    }
+}
+
+/// A scanned row: its key and its projected cells, in projection order.
+type ScannedRow = (i64, Vec<RowValue>);
+
+/// The row body over one partition: `scan_partition` + `decode_col`, the
+/// columns decoded in schema order as a row visitor would reach them.
+fn row_body(
+    store: &PageStore,
+    table: &Table,
+    part: &ScanPartition,
+    cols: &[usize],
+) -> (Result<Vec<ScannedRow>, String>, IoStats) {
+    let scan = store.begin_scan();
+    let mut r = store.reader(&scan, 0);
+    let mut in_schema_order = cols.to_vec();
+    in_schema_order.sort_unstable();
+    let mut rows = Vec::new();
+    let outcome = table.scan_partition(&mut r, part, |_, key, bytes| {
+        let mut cells = vec![RowValue::I64(0); cols.len()];
+        for &c in &in_schema_order {
+            let at = cols.iter().position(|&p| p == c).unwrap();
+            cells[at] = row::decode_col(table.schema(), bytes, c)?;
+        }
+        rows.push((key, cells));
+        Ok(true)
+    });
+    (
+        outcome.map(|()| rows).map_err(|e| e.to_string()),
+        r.finish().io,
+    )
+}
+
+/// The batch body over one partition: the rows of every flush (`f`
+/// returns `false` on flush number `stop_at`, never for 0), the size of
+/// each flush, and the scan's I/O.
+fn batch_body(
+    store: &PageStore,
+    table: &Table,
+    part: &ScanPartition,
+    opts: BatchScanOpts<'_>,
+    stop_at: usize,
+) -> (Result<Vec<ScannedRow>, String>, Vec<usize>, IoStats) {
+    let scan = store.begin_scan();
+    let mut r = store.reader(&scan, 0);
+    let mut batch = row::new_batch(table.schema(), opts.cols).unwrap();
+    let (mut rows, mut fills) = (Vec::new(), Vec::new());
+    let outcome = table.scan_partition_batches(&mut r, part, opts, &mut batch, |_, b| {
+        assert!(b.cols.iter().all(|lane| lane.len() == b.len()));
+        for (i, &key) in b.keys.iter().enumerate() {
+            rows.push((key, b.cols.iter().map(|lane| lane_value(lane, i)).collect()));
+        }
+        fills.push(b.len());
+        Ok(fills.len() != stop_at)
+    });
+    (
+        outcome.map(|()| rows).map_err(|e| e.to_string()),
+        fills,
+        r.finish().io,
+    )
+}
+
+proptest! {
+    /// The batch body is the row body read column by column: for any
+    /// schema, projection (subset *and* order), key interval, DOP, batch
+    /// cap, leaf alignment and early stop, every flushed lane holds what
+    /// `scan_partition` + `decode_col` return row for row; a flush happens
+    /// exactly when the batch reaches the cap, at each leaf end if
+    /// leaf-aligned, and once for the remainder; a callback that stops
+    /// the scan has seen no row past its last batch; and both bodies read
+    /// the same pages.
+    #[test]
+    fn batch_scan_is_the_row_scan_column_by_column(
+        types in prop::collection::vec(0u8..6, 1..=6),
+        shape in (0usize..260, any::<u64>(), any::<u64>()),
+        ends in (-20i64..540, -20i64..540, 0u8..4),
+        knobs in (0usize..3, any::<bool>(), 0usize..5, 1usize..=4),
+    ) {
+        let (rows, seed, pick) = shape;
+        let (store, t) = shaped_table(&types, rows, seed);
+        let cols = projection(types.len(), pick);
+        let keys = match ends {
+            (_, _, 0) => ALL,
+            (lo, _, 1) => lo..=i64::MAX,
+            (_, hi, 2) => i64::MIN..=hi,
+            (lo, hi, _) => lo..=hi, // inverted and empty ones included
+        };
+        let (cap_choice, leaf_aligned, stop_at, dop) = knobs;
+        let rows_cap = [1usize, 7, 1024][cap_choice];
+        let opts = BatchScanOpts { cols: &cols, rows_cap, leaf_aligned };
+
+        // Rows per leaf inside the interval: one partition per leaf.
+        let leaves = t.partition_keys(&store, usize::MAX, keys.clone()).unwrap();
+        let mut rows_in_leaf = BTreeMap::new();
+        for leaf in leaves.iter().filter(|p| !p.leaves().is_empty()) {
+            prop_assert_eq!(leaf.leaves().len(), 1);
+            let (in_leaf, _) = row_body(&store, &t, leaf, &[]);
+            rows_in_leaf.insert(leaf.leaves()[0], in_leaf.unwrap().len());
+        }
+
+        for part in t.partition_keys(&store, dop, keys.clone()).unwrap() {
+            let (expect, row_io) = row_body(&store, &t, &part, &cols);
+            let mut expect = expect.unwrap();
+            let (got, fills, batch_io) = batch_body(&store, &t, &part, opts, stop_at);
+
+            let mut flushes = Vec::new();
+            let mut held = 0;
+            for pid in part.leaves() {
+                for _ in 0..rows_in_leaf[pid] {
+                    held += 1;
+                    if held == rows_cap {
+                        flushes.push(std::mem::take(&mut held));
+                    }
+                }
+                if leaf_aligned && held > 0 {
+                    flushes.push(std::mem::take(&mut held));
+                }
+            }
+            flushes.extend((held > 0).then_some(held));
+            if (1..=flushes.len()).contains(&stop_at) {
+                flushes.truncate(stop_at);
+                expect.truncate(flushes.iter().sum());
+            } else {
+                prop_assert_eq!(batch_io, row_io);
+            }
+            prop_assert_eq!(fills, flushes);
+            prop_assert_eq!(got.unwrap(), expect);
+        }
+    }
+
+    /// A damaged leaf fails both scan bodies alike, and panics neither: a
+    /// row cut short anywhere, a blob tag that is neither inline nor LOB,
+    /// a record shorter than its key, a slot entry that leaves the record
+    /// area and a slot count that overruns the page each surface as the
+    /// same typed error text from the row body and from the batch body —
+    /// or, where the damage lies behind the last projected column, go
+    /// unseen by both. (The page is rewritten through `PageStore::write`,
+    /// so its checksum is re-stamped and the damage reaches the decoders.)
+    #[test]
+    fn damaged_leaves_fail_alike_on_both_scan_bodies(
+        types in prop::collection::vec(0u8..6, 1..=6),
+        shape in (1usize..120, any::<u64>(), any::<u64>()),
+        damage in (0u8..5, any::<u16>(), any::<u16>()),
+        knobs in (0usize..3, any::<bool>()),
+    ) {
+        let (rows, seed, pick) = shape;
+        let (mut store, t) = shaped_table(&types, rows, seed);
+        let cols = projection(types.len(), pick);
+        let (cap_choice, leaf_aligned) = knobs;
+        let opts = BatchScanOpts { cols: &cols, rows_cap: [1usize, 7, 1024][cap_choice], leaf_aligned };
+
+        let part = t.partition_keys(&store, 1, ALL).unwrap().remove(0);
+        let (kind, which, how) = damage;
+        let pid = part.leaves()[which as usize % part.leaves().len()];
+        store.write(pid, |page| {
+            let slots = u16::from_le_bytes([page[2], page[3]]) as usize;
+            assert!(slots > 0, "the churn empties no leaf");
+            let entry = PAGE_SIZE - 4 * (1 + which as usize % slots);
+            let off = u16::from_le_bytes([page[entry], page[entry + 1]]) as usize;
+            let len = u16::from_le_bytes([page[entry + 2], page[entry + 3]]) as usize;
+            match kind {
+                // A row cut short: anywhere from inside the key to one byte shy.
+                0 => {
+                    let cut = (how as usize % len.max(1)) as u16;
+                    page[entry + 2..entry + 4].copy_from_slice(&cut.to_le_bytes());
+                }
+                // A byte of the row flipped to a value no blob tag has
+                // (harmless where it lands in a numeric cell or a payload).
+                1 => page[off + 8 + how as usize % (len - 8).max(1)] = 2 + (how >> 8) as u8 % 250,
+                // A record shorter than its key.
+                2 => page[entry + 2..entry + 4].copy_from_slice(&(how % 8).to_le_bytes()),
+                // A slot entry reaching into, or past, the slot directory.
+                3 => {
+                    let far = (PAGE_SIZE - 4 * slots - off + 1 + how as usize % 70_000).min(65_535);
+                    page[entry + 2..entry + 4].copy_from_slice(&(far as u16).to_le_bytes());
+                }
+                // A slot count whose directory runs over the page header.
+                _ => page[2..4].copy_from_slice(&(2045 + how % 63_000).to_le_bytes()),
+            }
+        }).unwrap();
+        store.clear_cache(); // the next read verifies the re-stamped checksum
+
+        let (by_row, _) = row_body(&store, &t, &part, &cols);
+        let (by_batch, _, _) = batch_body(&store, &t, &part, opts, 0);
+        match (by_row, by_batch) {
+            (Ok(a), Ok(b)) => {
+                prop_assert!(kind <= 1, "damage of kind {kind} went unseen");
+                prop_assert_eq!(a, b);
+            }
+            (a, b) => prop_assert_eq!(a.err(), b.err()),
+        }
     }
 }
 
