@@ -22,8 +22,9 @@
 //!   are the second layer for panics on serial paths.
 //!
 //! Centralizing the recovery makes the policy auditable: grep for
-//! `lock_unpoisoned|read_unpoisoned|write_unpoisoned` and you have the
-//! complete list of places a poisoned guard can be revived. If a future
+//! `lock_unpoisoned|get_mut_unpoisoned|read_unpoisoned|write_unpoisoned`
+//! and you have the complete list of places a poisoned lock's contents can
+//! be revived. If a future
 //! structure ever needs propagate-on-poison semantics, it must NOT use
 //! these helpers — take the `LockResult` explicitly and justify it at the
 //! site.
@@ -34,6 +35,13 @@ use std::time::Duration;
 /// Locks `m`, recovering from poison per the module policy.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The contents of `m` through an exclusive borrow — no lock taken, since
+/// `&mut` already proves no other thread holds a guard — recovering from
+/// poison per the module policy.
+pub fn get_mut_unpoisoned<T>(m: &mut Mutex<T>) -> &mut T {
+    m.get_mut().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Read-locks `l`, recovering from poison per the module policy.
@@ -79,6 +87,10 @@ mod tests {
         assert!(m.is_poisoned());
         *lock_unpoisoned(&m) += 1;
         assert_eq!(*lock_unpoisoned(&m), 42);
+        let mut m = Arc::into_inner(m).unwrap();
+        assert!(m.is_poisoned());
+        *get_mut_unpoisoned(&mut m) += 1;
+        assert_eq!(*get_mut_unpoisoned(&mut m), 43);
     }
 
     #[test]

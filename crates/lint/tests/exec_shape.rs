@@ -43,6 +43,18 @@
 //! * A modelled cost never executes: `hosting.rs` prices the CLR call by
 //!   counting, the way `DiskProfile` prices pages, so it holds no clock,
 //!   no optimizer barrier, no process-wide state and no loop.
+//! * A page access pays for what it touched. The pool keeps its stamps in
+//!   arrays indexed by page and a lazy heap, so `pool.rs` names no
+//!   `HashMap` or `BTreeMap` outside its tests (the map-based shard lives
+//!   on only as the property test's oracle). A full-page checksum
+//!   (`block_sum(`) runs in `store.rs` only where a page comes from
+//!   "disk" — a pool miss, a scan worker's cold read, `open` and its
+//!   replay — never in `PageStore::write`, which restamps the blocks it
+//!   changed. No `&mut self` method of the store locks the accounting
+//!   mutex through `self.acct()`: exclusive access reaches it directly.
+//!   And `wal.rs` has one mixing primitive: `wrapping_mul` appears in
+//!   `mix` alone, so the page sum and the frame check are one function of
+//!   the bytes, not two.
 
 use sqlarray_lint::driver::find_workspace_root;
 use sqlarray_lint::SourceFile;
@@ -348,5 +360,66 @@ fn a_partition_scan_has_two_bodies_over_one_open_and_clip_step() {
         ),
         [""; 0],
         "the row-at-a-time batch decoder stays gone, from tests too"
+    );
+}
+
+/// True when the function enclosing token `k` takes `&mut self`.
+fn in_mut_self_fn(f: &SourceFile<'_>, k: usize) -> bool {
+    let named = |j: &usize| f.is_ident(*j, "fn") && !f.is_punct(j + 1, "(");
+    let Some(start) = (0..k).rev().find(named) else {
+        return false;
+    };
+    let body = (start..k).find(|&j| f.is_punct(j, "{")).unwrap_or(k);
+    (start..body)
+        .any(|j| f.is_punct(j, "&") && f.is_ident(j + 1, "mut") && f.is_ident(j + 2, "self"))
+}
+
+#[test]
+fn a_page_access_pays_for_what_it_touched() {
+    let pool = "crates/storage/src/pool.rs";
+    assert!(
+        !hits(pool, |f, k| f.is_ident(k, "BinaryHeap")).is_empty(),
+        "the matcher no longer sees the pool's heap"
+    );
+    assert_eq!(
+        hits(pool, |f, k| f.is_ident(k, "HashMap")
+            || f.is_ident(k, "BTreeMap")),
+        [""; 0],
+        "a pool hit is an array store plus a heap push: no map outside the tests' oracle"
+    );
+
+    let store = "crates/storage/src/store.rs";
+    let calls = |name: &'static str| {
+        move |f: &SourceFile<'_>, k: usize| {
+            followed_by_paren(f, k, name) && !(k > 0 && f.is_ident(k - 1, "fn"))
+        }
+    };
+    assert_eq!(
+        hits_in_fn(store, calls("block_sum"), enclosing_fn),
+        ["fault_in", "open_with", "open_with", "read"].map(|f| format!("{store}::{f}")),
+        "a full-page checksum runs where a page comes from disk, never in `write`"
+    );
+    let acct = |f: &SourceFile<'_>, k: usize| {
+        f.is_ident(k, "self") && f.is_punct(k + 1, ".") && followed_by_paren(f, k + 2, "acct")
+    };
+    assert!(
+        !hits(store, acct).is_empty(),
+        "the matcher no longer sees the `&self` paths' `self.acct()`"
+    );
+    assert_eq!(
+        hits_in_fn(
+            store,
+            |f, k| acct(f, k) && in_mut_self_fn(f, k),
+            enclosing_fn
+        ),
+        [""; 0],
+        "a `&mut self` store path reaches the accounting without locking it"
+    );
+
+    let wal = "crates/storage/src/wal.rs";
+    assert_eq!(
+        hits_in_fn(wal, |f, k| f.is_ident(k, "wrapping_mul"), enclosing_fn),
+        [format!("{wal}::mix")],
+        "one mixing primitive: pages and frames are summed by the same chain"
     );
 }

@@ -37,15 +37,32 @@ pub struct BTree {
     depth: u32,
 }
 
-fn leaf_key(rec: &[u8]) -> i64 {
-    sqlarray_core::le::i64_at(rec, 0)
+/// The key of leaf record `rec`; a record too short to hold one (page
+/// bytes are not trusted) is a typed error, not an out-of-bounds panic.
+fn leaf_key(rec: &[u8]) -> Result<i64> {
+    if rec.len() < 8 {
+        return Err(short_record("leaf", rec.len(), 8));
+    }
+    Ok(sqlarray_core::le::i64_at(rec, 0))
 }
 
-fn internal_entry(rec: &[u8]) -> (i64, PageId) {
-    (
+/// The `(separator, child)` of internal record `rec`, checked like
+/// [`leaf_key`].
+fn internal_entry(rec: &[u8]) -> Result<(i64, PageId)> {
+    if rec.len() < 16 {
+        return Err(short_record("internal", rec.len(), 16));
+    }
+    Ok((
         sqlarray_core::le::i64_at(rec, 0),
         sqlarray_core::le::u64_at(rec, 8),
-    )
+    ))
+}
+
+#[cold]
+fn short_record(kind: &str, len: usize, need: usize) -> StorageError {
+    StorageError::RowCorrupt(format!(
+        "{kind} record of {len} bytes is shorter than its {need}-byte entry"
+    ))
 }
 
 /// The leftmost-child link of an internal node; a corrupt page without
@@ -199,7 +216,7 @@ impl BTree {
                 page_type::BTREE_LEAF => {
                     let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
                     let pos = leaf_lower_bound(&v, key)?;
-                    let hit = pos < v.slot_count() && leaf_key(v.record(pos)?) == key;
+                    let hit = pos < v.slot_count() && leaf_key(v.record(pos)?)? == key;
                     return Ok((page, pos, hit));
                 }
                 other => {
@@ -396,7 +413,7 @@ impl BTree {
             let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
             let count = v.slot_count();
             let pos = leaf_lower_bound(&v, key)?;
-            if pos < count && leaf_key(v.record(pos)?) == key {
+            if pos < count && leaf_key(v.record(pos)?)? == key {
                 return Err(StorageError::DuplicateKey { key });
             }
             let need = 8 + payload.len();
@@ -498,8 +515,8 @@ impl BTree {
         let splits: Vec<(i64, PageId)> = rest
             .iter()
             .zip(&pages)
-            .map(|(g, &pid)| (leaf_key(&g[0]), pid))
-            .collect();
+            .map(|(g, &pid)| Ok((leaf_key(&g[0])?, pid)))
+            .collect::<Result<_>>()?;
         store.write(page, |bytes| {
             let mut p = open_verified(bytes, page_type::BTREE_LEAF, page);
             p.reset();
@@ -562,7 +579,7 @@ impl BTree {
             let bytes = store.read(page)?;
             let v = SlottedRead::open(bytes, page_type::BTREE_INTERNAL, page)?;
             let es: Vec<(i64, PageId)> = (0..v.slot_count())
-                .map(|i| v.record(i).map(internal_entry))
+                .map(|i| internal_entry(v.record(i)?))
                 .collect::<Result<_>>()?;
             (es, leftmost_child(&v)?)
         };
@@ -765,7 +782,7 @@ impl BTree {
                     let pos = leaf_lower_bound(&v, key)?;
                     if pos < v.slot_count() {
                         let rec = v.record(pos)?;
-                        if leaf_key(rec) == key {
+                        if leaf_key(rec)? == key {
                             return Ok(Some(rec[8..].to_vec()));
                         }
                     }
@@ -797,7 +814,7 @@ impl BTree {
             let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
             for i in 0..v.slot_count() {
                 let rec = v.record(i)?;
-                if !f(leaf_key(rec), &rec[8..])? {
+                if !f(leaf_key(rec)?, &rec[8..])? {
                     return Ok(());
                 }
             }
@@ -861,7 +878,7 @@ impl BTree {
                 InternalPos::Slot(i) => i.saturating_add(1),
             };
             for i in next..v.slot_count() {
-                let (separator, child) = internal_entry(v.record(i)?);
+                let (separator, child) = internal_entry(v.record(i)?)?;
                 if separator > *keys.end() {
                     break;
                 }
@@ -921,7 +938,7 @@ fn descend(v: &SlottedRead<'_>, key: i64) -> Result<(PageId, InternalPos)> {
     let mut hi = count; // exclusive
     while lo < hi {
         let mid = (lo + hi) / 2;
-        let (k, _) = internal_entry(v.record(mid)?);
+        let (k, _) = internal_entry(v.record(mid)?)?;
         if k <= key {
             lo = mid + 1;
         } else {
@@ -931,7 +948,7 @@ fn descend(v: &SlottedRead<'_>, key: i64) -> Result<(PageId, InternalPos)> {
     if lo == 0 {
         Ok((leftmost_child(v)?, InternalPos::Leftmost))
     } else {
-        let (_, child) = internal_entry(v.record(lo - 1)?);
+        let (_, child) = internal_entry(v.record(lo - 1)?)?;
         Ok((child, InternalPos::Slot(lo - 1)))
     }
 }
@@ -942,7 +959,7 @@ fn leaf_lower_bound(v: &SlottedRead<'_>, key: i64) -> Result<usize> {
     let mut hi = v.slot_count();
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if leaf_key(v.record(mid)?) < key {
+        if leaf_key(v.record(mid)?)? < key {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -1094,24 +1111,85 @@ mod tests {
     /// The keys the one range scan (`Table::partition_keys` +
     /// `scan_partition`) visits over a bare tree, at `dop` partitions.
     fn keys_in(store: &PageStore, t: &BTree, dop: usize, keys: RangeInclusive<i64>) -> Vec<i64> {
+        try_keys_in(store, t, dop, keys).unwrap()
+    }
+
+    /// [`keys_in`], with the scan's error handed back.
+    fn try_keys_in(
+        store: &PageStore,
+        t: &BTree,
+        dop: usize,
+        keys: RangeInclusive<i64>,
+    ) -> Result<Vec<i64>> {
         let table = crate::Table::from_parts("t".into(), crate::Schema::new(&[]), t.parts());
-        let parts = table.partition_keys(store, dop, keys).unwrap();
+        let parts = table.partition_keys(store, dop, keys)?;
         let scan = store.begin_scan();
         let mut seen = Vec::new();
         let mut ios = Vec::new();
         for (pi, p) in parts.iter().enumerate() {
             let mut r = store.reader(&scan, pi as u32);
-            table
-                .scan_partition(&mut r, p, |_, k, _| {
-                    seen.push(k);
-                    Ok(true)
-                })
-                .unwrap();
+            table.scan_partition(&mut r, p, |_, k, _| {
+                seen.push(k);
+                Ok(true)
+            })?;
             ios.push(r.finish());
         }
         drop(scan);
         store.finish_scan(ios.iter());
-        seen
+        Ok(seen)
+    }
+
+    /// Cuts every record of `page` down to `len` bytes by rewriting the
+    /// lengths in its slot directory through [`PageStore::write`] — so the
+    /// page's checksum stays valid, a cold read passes, and only the record
+    /// decoder can notice.
+    fn shorten_records(store: &mut PageStore, page: PageId, len: u16) {
+        let count = usize::from(sqlarray_core::le::u16_at(store.read(page).unwrap(), 2));
+        assert!(count > 0);
+        store
+            .write(page, |b| {
+                for i in 0..count {
+                    sqlarray_core::le::put_u16(
+                        b,
+                        PAGE_SIZE - (i + 1) * crate::page::SLOT_LEN + 2,
+                        len,
+                    );
+                }
+            })
+            .unwrap();
+        store.clear_cache();
+    }
+
+    /// A leaf record shorter than its key, or an internal one shorter than
+    /// its key and child, is a typed `RowCorrupt` on every path that
+    /// decodes it — lookup, insert, delete and a key-range scan — and
+    /// never a panic.
+    #[test]
+    fn short_records_are_typed_errors_on_every_descent() {
+        for internal in [false, true] {
+            let (mut store, mut t) = tree_with(2000, 40);
+            assert_eq!(t.depth, 2);
+            let (page, len) = if internal {
+                (t.root, 15)
+            } else {
+                (t.leaf_page_ids(&mut store, &(1000..=1000)).unwrap()[0], 7)
+            };
+            shorten_records(&mut store, page, len);
+            for (what, got) in [
+                ("get", t.get(&mut store, 1000).map(drop)),
+                ("insert", t.insert(&mut store, 1000, b"x")),
+                ("delete", t.delete(&mut store, 1000).map(drop)),
+                (
+                    "range scan",
+                    try_keys_in(&store, &t, 2, 990..=1010).map(drop),
+                ),
+            ] {
+                assert!(
+                    matches!(got, Err(StorageError::RowCorrupt(_))),
+                    "{what}, internal {internal}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub enum StorageError {
     /// A page's stored checksum did not match its contents on a cold read.
     PageCorrupt {
         page: u64,
-        stored: u32,
-        computed: u32,
+        stored: u64,
+        computed: u64,
     },
     /// The write-ahead log ends in an incomplete or checksum-failing
     /// record at the given byte offset.
@@ -91,7 +91,7 @@ impl fmt::Display for StorageError {
                 computed,
             } => write!(
                 f,
-                "page {page} corrupt: stored checksum {stored:#010x}, computed {computed:#010x}"
+                "page {page} corrupt: stored checksum {stored:#018x}, computed {computed:#018x}"
             ),
             StorageError::WalTorn { offset } => {
                 write!(f, "write-ahead log torn at byte offset {offset}")

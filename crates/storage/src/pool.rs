@@ -23,15 +23,29 @@
 //! Shards are selected by `page_id % shards`; each shard is an
 //! independently locked stamp-ordered set, so concurrent readers and
 //! writers (scan workers, the parallel bulk loader) contend only when
-//! they touch the same stripe.
+//! they touch the same stripe. A caller holding the pool exclusively
+//! (`&mut`, the store's serial path) reaches a shard without locking it.
 //!
-//! Each shard also keeps one residency bit per page of the file it could
-//! hold, flipped in lockstep with its stamp maps, so a scan's start-of-scan
-//! snapshot ([`ShardedLruPool::snapshot`]) copies `page_count / 64` words:
-//! nothing hashed, no work per resident page.
+//! ## What a hit and a miss cost
+//!
+//! A shard is indexed by the page's position in its stripe, `id / shards`:
+//! one residency bit and one stamp per page of the file it could hold.
+//! The bit *is* membership, so a scan's start-of-scan snapshot
+//! ([`ShardedLruPool::snapshot`]) copies `page_count / 64` words, and a
+//! hit is a bit test, a stamp store and a push onto the shard's min-heap
+//! of `(stamp, page)` — nothing hashed, no ordered map rebalanced. The
+//! heap is lazy: a re-stamp or an eviction leaves the page's older entries
+//! behind, an entry counts only while its page is resident under exactly
+//! that stamp, and a miss on a full shard pops stale entries until the top
+//! one counts — that page is the minimum-stamp victim. Once the heap holds
+//! more than twice the shard's capacity plus `HEAP_SLACK` entries it is
+//! rebuilt from the entries that count, so it stays within that bound and
+//! the rebuild costs O(1) amortized per push.
 
 use crate::page::PageId;
-use std::collections::{BTreeMap, HashMap};
+use sqlarray_core::sync::{get_mut_unpoisoned, lock_unpoisoned};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 /// Shard count for pools large enough to stripe. Pools smaller than
@@ -41,6 +55,10 @@ pub const POOL_SHARDS: usize = 16;
 
 /// Pools below this capacity collapse to one shard.
 pub const MIN_CAPACITY_TO_SHARD: usize = 64;
+
+/// Entries a shard's heap may hold beyond twice its capacity before it is
+/// rebuilt from the entries that still count.
+const HEAP_SLACK: usize = 32;
 
 /// A deterministic recency stamp: higher = more recently used.
 ///
@@ -106,49 +124,106 @@ impl PageBits {
     }
 }
 
-/// One lock stripe: membership plus the stamp order, both O(log n).
+/// One lock stripe: residency bits, per-page stamps and a lazy min-heap
+/// over them, all indexed by `id / stride`.
 #[derive(Debug, Default)]
 struct PoolShard {
-    /// Page → its current stamp.
-    stamps: HashMap<PageId, PoolStamp>,
-    /// Stamp → page, ordered; the first entry is the eviction victim.
-    by_stamp: BTreeMap<PoolStamp, PageId>,
-    /// Bit `id / stride` is set iff `id` is in `stamps`; `stride` is the
+    /// Bit `id / stride` is set iff `id` is resident; `stride` is the
     /// owning pool's shard count.
     resident: Vec<u64>,
+    /// Entry `id / stride` is `id`'s current stamp while it is resident
+    /// (stale otherwise); one entry per bit of `resident`.
+    stamps: Vec<PoolStamp>,
+    /// `(stamp, page)` pushed at every insert and re-stamp, minimum first;
+    /// an entry counts iff its page is resident with exactly that stamp.
+    heap: BinaryHeap<Reverse<(PoolStamp, PageId)>>,
+    /// Resident pages.
+    len: usize,
     stride: u64,
     capacity: usize,
 }
 
 impl PoolShard {
-    fn touch(&mut self, id: PageId, stamp: PoolStamp) -> bool {
-        match self.stamps.get_mut(&id) {
-            Some(cur) => {
-                // A stale stamp (older than the page's current one) must
-                // not demote the page: under concurrent touches the
-                // maximum stamp wins, matching the serial outcome where
-                // the latest touch is the one that sticks.
-                if stamp > *cur {
-                    let old = *cur;
-                    *cur = stamp;
-                    self.by_stamp.remove(&old);
-                    self.by_stamp.insert(stamp, id);
-                }
-                true
-            }
-            None => false,
+    /// `id`'s slot in `stamps` and its word and mask in `resident`.
+    #[inline]
+    fn slot(&self, id: PageId) -> (usize, usize, u64) {
+        let local = id / self.stride;
+        (local as usize, (local / 64) as usize, 1 << (local % 64))
+    }
+
+    #[inline]
+    fn is_resident(&self, id: PageId) -> bool {
+        let (_, word, bit) = self.slot(id);
+        self.resident.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// True when heap entry `(stamp, id)` still counts.
+    fn counts(&self, stamp: PoolStamp, id: PageId) -> bool {
+        self.is_resident(id) && self.stamps[self.slot(id).0] == stamp
+    }
+
+    /// Most entries the heap holds after any operation.
+    fn heap_bound(&self) -> usize {
+        2 * self.capacity + HEAP_SLACK
+    }
+
+    /// Records `(stamp, id)` as `id`'s current entry, rebuilding the heap
+    /// from the entries that count once it passes its bound.
+    fn push(&mut self, id: PageId, stamp: PoolStamp) {
+        self.heap.push(Reverse((stamp, id)));
+        if self.heap.len() > self.heap_bound() {
+            let mut heap = std::mem::take(&mut self.heap);
+            heap.retain(|&Reverse((s, p))| self.counts(s, p));
+            self.heap = heap;
         }
     }
 
-    fn insert(&mut self, id: PageId, stamp: PoolStamp) -> Option<PageId> {
-        // lint:allow(L001, reason = "insert is only reachable after touch() missed on the same shard guard; an always-on probe would double the hash lookups on the page-miss path")
-        debug_assert!(!self.stamps.contains_key(&id));
-        let evicted = if self.stamps.len() >= self.capacity {
-            let (&victim_stamp, &victim) = self
-                .by_stamp
-                .iter()
-                .next()
-                // lint:allow(L005, reason = "stamps and by_stamp are mutated in lockstep under the same guard, and stamps.len() >= capacity >= 1 here, so by_stamp is non-empty")
+    /// Sizes the bitmap and the stamps for `words` words of pages.
+    fn resize(&mut self, words: usize) {
+        self.resident.resize(words, 0);
+        self.stamps.resize(words * 64, 0);
+    }
+
+    fn clear(&mut self) {
+        self.resident.fill(0);
+        self.heap.clear();
+        self.len = 0;
+    }
+
+    fn touch(&mut self, id: PageId, stamp: PoolStamp) -> bool {
+        if !self.is_resident(id) {
+            return false;
+        }
+        // A stale stamp (older than the page's current one) must not
+        // demote the page: under concurrent touches the maximum stamp
+        // wins, matching the serial outcome where the latest touch is the
+        // one that sticks.
+        let local = self.slot(id).0;
+        if stamp > self.stamps[local] {
+            self.stamps[local] = stamp;
+            self.push(id, stamp);
+        }
+        true
+    }
+
+    /// The minimum-stamp resident page, its stale heap entries popped.
+    fn min_resident(&mut self) -> Option<(PoolStamp, PageId)> {
+        while let Some(&Reverse((stamp, id))) = self.heap.peek() {
+            if self.counts(stamp, id) {
+                return Some((stamp, id));
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Makes `id` resident under `stamp`, evicting the minimum-stamp page
+    /// of a full shard.
+    fn insert(&mut self, id: PageId, stamp: PoolStamp) {
+        if self.len >= self.capacity {
+            let (victim_stamp, victim) = self
+                .min_resident()
+                // lint:allow(L005, reason = "every resident page has a counting heap entry (pushed at insert and re-stamp, kept by every rebuild), and len >= capacity >= 1 here, so one is found")
                 .expect("full shard has a minimum stamp");
             if stamp < victim_stamp {
                 // The newcomer is already the least-recently-used entry:
@@ -157,25 +232,49 @@ impl PoolShard {
                 // keeps the survivor set equal to the top-`capacity`
                 // stamps regardless of arrival order — the property that
                 // makes the live pool DOP-invariant.
-                return Some(id);
+                return;
             }
-            self.by_stamp.remove(&victim_stamp);
-            self.stamps.remove(&victim);
+            self.heap.pop();
             self.flip(victim);
-            Some(victim)
-        } else {
-            None
-        };
-        self.stamps.insert(id, stamp);
-        self.by_stamp.insert(stamp, id);
+            self.len -= 1;
+        }
+        let local = self.slot(id).0;
+        self.stamps[local] = stamp;
         self.flip(id);
-        evicted
+        self.len += 1;
+        self.push(id, stamp);
     }
 
-    /// Toggles `id`'s residency bit, wherever `stamps` gains or loses it.
+    /// Touches `id` if resident, inserts it otherwise; `true` on a hit.
+    fn touch_or_insert(&mut self, id: PageId, stamp: PoolStamp) -> bool {
+        if self.touch(id, stamp) {
+            true
+        } else {
+            self.insert(id, stamp);
+            false
+        }
+    }
+
+    /// Toggles `id`'s residency bit, wherever it joins or leaves the shard.
     fn flip(&mut self, id: PageId) {
-        let local = id / self.stride;
-        self.resident[(local / 64) as usize] ^= 1u64 << (local % 64);
+        let (_, word, bit) = self.slot(id);
+        self.resident[word] ^= bit;
+    }
+
+    /// `(stamp, page)` of every resident page, in page order; `stripe` is
+    /// this shard's index in its pool.
+    fn entries(&self, stripe: u64) -> impl Iterator<Item = (PoolStamp, PageId)> + '_ {
+        self.resident
+            .iter()
+            .enumerate()
+            .flat_map(move |(w, &word)| {
+                (0..64u64)
+                    .filter(move |b| word & (1 << b) != 0)
+                    .map(move |b| {
+                        let local = w as u64 * 64 + b;
+                        (self.stamps[local as usize], local * self.stride + stripe)
+                    })
+            })
     }
 }
 
@@ -187,7 +286,7 @@ impl PoolShard {
 /// recency bookkeeping was torn by a panic inside the pool itself can
 /// only mis-prioritize evictions, never corrupt page data.
 fn lock_shard(m: &Mutex<PoolShard>) -> std::sync::MutexGuard<'_, PoolShard> {
-    sqlarray_core::sync::lock_unpoisoned(m)
+    lock_unpoisoned(m)
 }
 
 /// A fixed-capacity, lock-striped, stamp-ordered LRU set of pages — the
@@ -236,22 +335,32 @@ impl ShardedLruPool {
         (self.pages.div_ceil(self.shards.len() as u64)).div_ceil(64) as usize
     }
 
-    /// Sizes the residency bitmaps for a file of `pages` pages; the store
-    /// calls this as the file grows (it never shrinks). Only ids below
-    /// `pages` may then be offered to the pool.
+    /// Sizes the residency bitmaps and stamps for a file of `pages` pages;
+    /// the store calls this as the file grows (it never shrinks). Only ids
+    /// below `pages` may then be offered to the pool.
     pub fn set_page_count(&mut self, pages: u64) {
         let before = self.words_per_shard();
         self.pages = self.pages.max(pages);
         let words = self.words_per_shard();
         if words > before {
-            for s in &self.shards {
-                lock_shard(s).resident.resize(words, 0);
+            for s in &mut self.shards {
+                get_mut_unpoisoned(s).resize(words);
             }
         }
     }
 
-    fn shard(&self, id: PageId) -> &Mutex<PoolShard> {
-        &self.shards[(id % self.shards.len() as u64) as usize]
+    fn shard_index(&self, id: PageId) -> usize {
+        (id % self.shards.len() as u64) as usize
+    }
+
+    /// Panics when `id` is not below the [page count](Self::set_page_count):
+    /// the bitmaps and stamps cover the file.
+    fn check_in_file(&self, id: PageId) {
+        assert!(
+            id < self.pages,
+            "page {id} offered to a pool sized for {} pages",
+            self.pages
+        );
     }
 
     /// Maximum number of resident pages.
@@ -267,7 +376,7 @@ impl ShardedLruPool {
     /// Number of resident pages (sums the shards; a racing snapshot under
     /// concurrent access, exact when quiescent).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).stamps.len()).sum()
+        self.shards.iter().map(|s| lock_shard(s).len).sum()
     }
 
     /// True when no pages are resident.
@@ -278,7 +387,7 @@ impl ShardedLruPool {
     /// If `id` is resident, refreshes its stamp (keeping the newer of the
     /// current and offered stamps) and returns `true`.
     pub fn touch(&self, id: PageId, stamp: PoolStamp) -> bool {
-        lock_shard(self.shard(id)).touch(id, stamp)
+        lock_shard(&self.shards[self.shard_index(id)]).touch(id, stamp)
     }
 
     /// Touches `id` if resident, inserts it otherwise — one lock round
@@ -286,32 +395,27 @@ impl ShardedLruPool {
     /// already resident. Panics when `id` is not below the
     /// [page count](Self::set_page_count): the bitmaps cover the file.
     pub fn touch_or_insert(&self, id: PageId, stamp: PoolStamp) -> bool {
-        assert!(
-            id < self.pages,
-            "page {id} offered to a pool sized for {} pages",
-            self.pages
-        );
-        let mut shard = lock_shard(self.shard(id));
-        if shard.touch(id, stamp) {
-            true
-        } else {
-            shard.insert(id, stamp);
-            false
-        }
+        self.check_in_file(id);
+        lock_shard(&self.shards[self.shard_index(id)]).touch_or_insert(id, stamp)
+    }
+
+    /// [`touch_or_insert`](Self::touch_or_insert) through an exclusive
+    /// borrow: the same shard logic, reached without taking its lock.
+    pub(crate) fn touch_or_insert_mut(&mut self, id: PageId, stamp: PoolStamp) -> bool {
+        self.check_in_file(id);
+        let i = self.shard_index(id);
+        get_mut_unpoisoned(&mut self.shards[i]).touch_or_insert(id, stamp)
     }
 
     /// True when `id` is resident (no stamp refresh).
     pub fn contains(&self, id: PageId) -> bool {
-        lock_shard(self.shard(id)).stamps.contains_key(&id)
+        lock_shard(&self.shards[self.shard_index(id)]).is_resident(id)
     }
 
     /// Removes every resident page (`DBCC DROPCLEANBUFFERS`).
     pub fn clear(&self) {
         for s in &self.shards {
-            let mut s = lock_shard(s);
-            s.stamps.clear();
-            s.by_stamp.clear();
-            s.resident.fill(0);
+            lock_shard(s).clear();
         }
     }
 
@@ -335,24 +439,11 @@ impl ShardedLruPool {
     /// DOP-invariance property test).
     pub fn keys_mru_order(&self) -> Vec<PageId> {
         let mut all: Vec<(PoolStamp, PageId)> = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            all.extend(lock_shard(s).by_stamp.iter().map(|(&st, &id)| (st, id)));
+        for (i, s) in self.shards.iter().enumerate() {
+            all.extend(lock_shard(s).entries(i as u64));
         }
-        all.sort_unstable_by_key(|&(stamp, _)| std::cmp::Reverse(stamp));
+        all.sort_unstable_by_key(|&(stamp, _)| Reverse(stamp));
         all.into_iter().map(|(_, id)| id).collect()
-    }
-}
-
-#[cfg(test)]
-impl ShardedLruPool {
-    /// Membership of the shards' `stamps` maps: what the bitmaps must
-    /// mirror, so the oracle for [`ShardedLruPool::snapshot`].
-    fn resident_set(&self) -> std::collections::HashSet<PageId> {
-        let mut out = std::collections::HashSet::new();
-        for s in &self.shards {
-            out.extend(lock_shard(s).stamps.keys().copied());
-        }
-        out
     }
 }
 
@@ -360,6 +451,110 @@ impl ShardedLruPool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// The shard this pool had before its stamps moved into dense arrays:
+    /// page → stamp in a hash map, stamp → page in an ordered map. Kept as
+    /// the oracle the property test below holds the pool to.
+    #[derive(Debug)]
+    struct ModelShard {
+        stamps: HashMap<PageId, PoolStamp>,
+        by_stamp: BTreeMap<PoolStamp, PageId>,
+        capacity: usize,
+    }
+
+    impl ModelShard {
+        fn touch(&mut self, id: PageId, stamp: PoolStamp) -> bool {
+            match self.stamps.get_mut(&id) {
+                Some(cur) => {
+                    if stamp > *cur {
+                        let old = *cur;
+                        *cur = stamp;
+                        self.by_stamp.remove(&old);
+                        self.by_stamp.insert(stamp, id);
+                    }
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn insert(&mut self, id: PageId, stamp: PoolStamp) {
+            if self.stamps.len() >= self.capacity {
+                let (&victim_stamp, &victim) = self.by_stamp.iter().next().unwrap();
+                if stamp < victim_stamp {
+                    return;
+                }
+                self.by_stamp.remove(&victim_stamp);
+                self.stamps.remove(&victim);
+            }
+            self.stamps.insert(id, stamp);
+            self.by_stamp.insert(stamp, id);
+        }
+    }
+
+    /// The pool over [`ModelShard`]s: same striping, same capacities.
+    struct ModelPool {
+        shards: Vec<ModelShard>,
+    }
+
+    impl ModelPool {
+        fn like(pool: &ShardedLruPool) -> ModelPool {
+            let shards = pool
+                .shards
+                .iter()
+                .map(|s| ModelShard {
+                    stamps: HashMap::new(),
+                    by_stamp: BTreeMap::new(),
+                    capacity: lock_shard(s).capacity,
+                })
+                .collect();
+            ModelPool { shards }
+        }
+
+        fn shard(&mut self, id: PageId) -> &mut ModelShard {
+            let n = self.shards.len() as u64;
+            &mut self.shards[(id % n) as usize]
+        }
+
+        fn touch(&mut self, id: PageId, stamp: PoolStamp) -> bool {
+            self.shard(id).touch(id, stamp)
+        }
+
+        fn touch_or_insert(&mut self, id: PageId, stamp: PoolStamp) -> bool {
+            let shard = self.shard(id);
+            shard.touch(id, stamp) || {
+                shard.insert(id, stamp);
+                false
+            }
+        }
+
+        fn clear(&mut self) {
+            for s in &mut self.shards {
+                s.stamps.clear();
+                s.by_stamp.clear();
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.stamps.len()).sum()
+        }
+
+        fn contains(&self, id: PageId) -> bool {
+            let n = self.shards.len() as u64;
+            self.shards[(id % n) as usize].stamps.contains_key(&id)
+        }
+
+        fn keys_mru_order(&self) -> Vec<PageId> {
+            let mut all: Vec<(PoolStamp, PageId)> = self
+                .shards
+                .iter()
+                .flat_map(|s| s.by_stamp.iter().map(|(&st, &id)| (st, id)))
+                .collect();
+            all.sort_unstable_by_key(|&(stamp, _)| Reverse(stamp));
+            all.into_iter().map(|(_, id)| id).collect()
+        }
+    }
 
     /// A pool of `capacity` pages over a `pages`-page file.
     fn pool_over(capacity: usize, pages: u64) -> ShardedLruPool {
@@ -478,6 +673,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "pool sized for 10 pages")]
+    fn ids_beyond_the_file_are_refused_through_mut_too() {
+        pool_over(4, 10).touch_or_insert_mut(10, pool_stamp(1, 0, 0));
+    }
+
+    #[test]
+    fn ids_beyond_the_file_are_not_resident() {
+        let pool = pool_over(4, 10);
+        assert!(!pool.contains(10) && !pool.contains(10_000));
+        assert!(!pool.touch(10_000, pool_stamp(1, 0, 0)));
+    }
+
+    #[test]
     fn page_bits_cover_exactly_their_range() {
         let mut bits = PageBits::new(130);
         assert!(bits.insert(129));
@@ -491,57 +699,95 @@ mod tests {
         PageBits::new(130).contains(192);
     }
 
-    /// The snapshot must say exactly what `stamps` says, for every id of
-    /// the file.
-    fn assert_snapshot_matches(pool: &ShardedLruPool, pages: u64) -> Result<(), TestCaseError> {
+    /// Everything observable about `pool` equals `model`: length,
+    /// membership (through the snapshot) of every page of the file, and
+    /// the recency order; and no shard's heap is past its bound.
+    fn assert_matches_model(
+        pool: &ShardedLruPool,
+        model: &ModelPool,
+        pages: u64,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(pool.len(), model.len());
         let snap = pool.snapshot();
-        let oracle = pool.resident_set();
-        prop_assert_eq!(oracle.len(), pool.len());
         for id in 0..pages {
-            prop_assert_eq!((id, snap.contains(id)), (id, oracle.contains(&id)));
+            prop_assert_eq!((id, snap.contains(id)), (id, model.contains(id)));
+        }
+        prop_assert_eq!(pool.keys_mru_order(), model.keys_mru_order());
+        for s in &pool.shards {
+            let s = lock_shard(s);
+            prop_assert!(
+                s.heap.len() <= s.heap_bound(),
+                "heap {} past its bound",
+                s.heap.len()
+            );
         }
         Ok(())
     }
 
     proptest! {
         /// Random touch / touch_or_insert / clear / file-growth sequences
-        /// — fresh stamps (evicting inserts once the shard is full) and
-        /// stale ones (self-evicting inserts, non-demoting touches) —
-        /// over a 1-shard and a 16-shard pool: after every step the
-        /// bitmap snapshot equals the membership of `stamps`, and a
-        /// snapshot taken earlier is not changed by later mutations.
+        /// over a 1-shard and a 16-shard pool, against the map-based
+        /// [`ModelPool`]. Stamps are unique and come in two orders: serial
+        /// ones, each above every stamp before it, and the stamps of a
+        /// parallel scan, several partitions' `(partition, seq)` sequences
+        /// interleaved — so inserts arrive below the shard's minimum
+        /// (self-evicting) and touches below the page's stamp
+        /// (non-demoting). After every step the return value, `len`,
+        /// `snapshot` and `keys_mru_order` equal the model's, the heaps
+        /// stay within their bound, and a snapshot taken earlier is not
+        /// changed by later mutations.
         #[test]
-        fn snapshot_tracks_stamps_under_random_ops(
+        fn pool_is_the_map_model_under_random_ops(
             capacity in 1usize..40,
             sharded in any::<bool>(),
-            ops in prop::collection::vec((0u8..16, 0u64..400, 0u64..64), 1..300),
+            via_mut in any::<bool>(),
+            ops in prop::collection::vec((0u8..16, 0u64..400, 0u32..4), 1..300),
         ) {
             let capacity = capacity + if sharded { MIN_CAPACITY_TO_SHARD } else { 0 };
             let mut pages = 70u64;
             let mut pool = pool_over(capacity, pages);
             prop_assert_eq!(pool.shard_count(), if sharded { POOL_SHARDS } else { 1 });
-            let mut epoch = 64u64;
+            let mut model = ModelPool::like(&pool);
+            let mut epoch = 1u64;
+            let mut seqs = [0u32; 4];
             let mut held = None;
-            for (kind, id, stale) in ops {
+            for (kind, id, part) in ops {
                 let id = id % pages;
-                epoch += 1;
+                // Kinds 8..=11 stamp within the current scan epoch (by
+                // partition, in each partition's own order); every other
+                // kind opens a fresh epoch above all of them.
+                let stamp = if (8..=11).contains(&kind) {
+                    seqs[part as usize] += 1;
+                    pool_stamp(epoch, part, seqs[part as usize])
+                } else {
+                    epoch += 1;
+                    seqs = [0; 4];
+                    pool_stamp(epoch, 0, 0)
+                };
                 match kind {
-                    0 => pool.clear(),
+                    0 => {
+                        pool.clear();
+                        model.clear();
+                    }
                     1 => {
                         pages += id + 1;
                         pool.set_page_count(pages);
                     }
-                    2 => held = Some((pool.snapshot(), pool.resident_set(), pages)),
-                    3..=5 => { pool.touch(id, pool_stamp(epoch, 0, 0)); }
-                    // A stamp older than every fresh one (and unique, like
-                    // all stamps): a full shard of fresh pages rejects it.
-                    6..=8 => { pool.touch_or_insert(id, pool_stamp(stale, 0, epoch as u32)); }
-                    _ => { pool.touch_or_insert(id, pool_stamp(epoch, 0, 0)); }
+                    2 => held = Some((pool.snapshot(), (0..pages).map(|p| model.contains(p)).collect::<Vec<_>>())),
+                    3..=5 => prop_assert_eq!(pool.touch(id, stamp), model.touch(id, stamp)),
+                    _ => {
+                        let hit = if via_mut {
+                            pool.touch_or_insert_mut(id, stamp)
+                        } else {
+                            pool.touch_or_insert(id, stamp)
+                        };
+                        prop_assert_eq!(hit, model.touch_or_insert(id, stamp));
+                    }
                 }
-                assert_snapshot_matches(&pool, pages)?;
-                if let Some((snap, oracle, pages)) = &held {
-                    for id in 0..*pages {
-                        prop_assert_eq!(snap.contains(id), oracle.contains(&id));
+                assert_matches_model(&pool, &model, pages)?;
+                if let Some((snap, oracle)) = &held {
+                    for (id, &resident) in oracle.iter().enumerate() {
+                        prop_assert_eq!(snap.contains(id as u64), resident);
                     }
                 }
             }

@@ -12,7 +12,9 @@
 //! ## Serial path vs. scan path
 //!
 //! Serial accesses (`read`/`write`/`allocate`, `&mut self`) consult the
-//! live pool directly. Parallel scans split the work: each worker holds a
+//! live pool directly — and, holding the store exclusively, reach the pool
+//! shard, the stamp clock and the I/O counters without taking a lock.
+//! Parallel scans split the work: each worker holds a
 //! [`PartitionReader`] that touches the **live pool as it reads** (so
 //! concurrent readers and writers observe true residency immediately)
 //! while classifying its I/O for the *cost model* against the
@@ -29,9 +31,9 @@ use crate::pool::{pool_stamp, PageBits, PoolStamp, ShardedLruPool};
 use crate::stats::{DiskProfile, IoStats};
 use crate::wal::{self, WalRecord};
 use sqlarray_core::lifecycle::QueryCtx;
-use sqlarray_core::sync::lock_unpoisoned;
+use sqlarray_core::sync::{get_mut_unpoisoned, lock_unpoisoned};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Default buffer-pool capacity (pages). 4096 pages = 32 MiB, small enough
 /// that the Table 1 scans (hundreds of MB) are disk-bound after a cache
@@ -48,12 +50,6 @@ pub const AUTO_CHECKPOINT_BYTES: usize = 8 * 1024 * 1024;
 /// device from wedging a scan; the retries themselves are counted in
 /// [`IoStats::transient_retries`].
 pub const MAX_READ_RETRIES: u32 = 3;
-
-/// Checksum of an all-zero page (every fresh allocation starts here).
-fn zero_page_sum() -> u32 {
-    static SUM: OnceLock<u32> = OnceLock::new();
-    *SUM.get_or_init(|| wal::checksum32(&[0u8; PAGE_SIZE]))
-}
 
 /// A deterministic crash-injection plan: the store accepts exactly
 /// `allow_records` more durable WAL appends, then "loses power" — later
@@ -91,7 +87,7 @@ pub struct DiskImage {
     /// Base page images from the last checkpoint.
     pub pages: Vec<Box<[u8]>>,
     /// Per-page checksums of `pages`, verified on reboot.
-    pub sums: Vec<u32>,
+    pub sums: Vec<u64>,
     /// Free-list state at the last checkpoint (LIFO order).
     pub free: Vec<PageId>,
     /// Catalog of the last commit the checkpoint folded in (`None` before
@@ -123,9 +119,10 @@ pub struct Recovery {
 /// The page file plus its buffer pool.
 pub struct PageStore {
     pages: Vec<Box<[u8]>>,
-    /// Per-page checksum of the current contents, restamped on every
-    /// write and verified on every cold (pool-miss) read.
-    sums: Vec<u32>,
+    /// Per-page checksum (`wal::block_sum`) of the current contents,
+    /// restamped by every write over the blocks it changed and verified
+    /// on every cold (pool-miss) read.
+    sums: Vec<u64>,
     /// Freed page ids available for reuse, LIFO.
     free: Vec<PageId>,
     /// Write-ahead log since the last checkpoint.
@@ -134,7 +131,7 @@ pub struct PageStore {
     /// Base image from the last checkpoint (empty = genesis: an empty
     /// file, with the whole history in `wal_buf`).
     base_pages: Vec<Box<[u8]>>,
-    base_sums: Vec<u32>,
+    base_sums: Vec<u64>,
     base_free: Vec<PageId>,
     base_catalog: Option<Vec<u8>>,
     /// Pages of the base image whose live bytes have changed since the
@@ -161,7 +158,7 @@ pub struct PageStore {
     /// ([`stats`](Self::stats), [`finish_scan`](Self::finish_scan),
     /// [`io_seconds_since`](Self::io_seconds_since)) work through
     /// `&self` — which is what lets many sessions scan one shared store
-    /// under a read lock.
+    /// under a read lock. The `&mut self` paths reach it without locking.
     acct: Mutex<Acct>,
     /// Armed transient-read faults remaining (see
     /// [`arm_read_faults`](Self::arm_read_faults)); atomic so concurrent
@@ -228,11 +225,17 @@ impl PageStore {
         }
     }
 
-    /// The accounting guard. The critical sections are counter arithmetic
-    /// only, so the repo-wide recover-on-poison policy
-    /// ([`sqlarray_core::sync`]) applies trivially.
+    /// The accounting guard, for the `&self` paths. The critical sections
+    /// are counter arithmetic only, so the repo-wide recover-on-poison
+    /// policy ([`sqlarray_core::sync`]) applies trivially.
     fn acct(&self) -> MutexGuard<'_, Acct> {
         lock_unpoisoned(&self.acct)
+    }
+
+    /// The accounting state through `&mut self`: the borrow already rules
+    /// out every other holder, so no lock is taken.
+    fn acct_mut(&mut self) -> &mut Acct {
+        get_mut_unpoisoned(&mut self.acct)
     }
 
     /// Number of allocated pages.
@@ -251,9 +254,20 @@ impl PageStore {
     }
 
     /// A fresh serial stamp: a new epoch, higher than every stamp issued
-    /// before it.
-    fn serial_stamp(&self) -> PoolStamp {
-        pool_stamp(self.clock.fetch_add(1, Ordering::Relaxed), 0, 0)
+    /// before it. Serial accesses hold `&mut self`, so the clock is bumped
+    /// in place rather than by an atomic read-modify-write.
+    fn serial_stamp(&mut self) -> PoolStamp {
+        let clock = self.clock.get_mut();
+        let epoch = *clock;
+        *clock += 1;
+        pool_stamp(epoch, 0, 0)
+    }
+
+    /// Touches `id` in the pool under a fresh serial stamp, inserting it
+    /// when absent; `true` on a hit.
+    fn touch_serial(&mut self, id: PageId) -> bool {
+        let stamp = self.serial_stamp();
+        self.pool.touch_or_insert_mut(id, stamp)
     }
 
     /// Appends one record to the write-ahead log under the next LSN.
@@ -282,7 +296,7 @@ impl PageStore {
             self.wal_buf.truncate(start + keep);
             f.appended += 1;
         }
-        let mut acct = self.acct();
+        let acct = self.acct_mut();
         acct.stats.wal_records += 1;
         acct.stats.wal_bytes += frame_len as u64;
     }
@@ -304,10 +318,10 @@ impl PageStore {
     pub fn allocate(&mut self) -> PageId {
         let id = self.pages.len() as PageId;
         self.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
-        self.sums.push(zero_page_sum());
+        self.sums.push(wal::ZERO_PAGE_SUM);
         self.pool.set_page_count(self.pages.len() as u64);
         self.append_wal(&WalRecord::Alloc { page: id });
-        self.pool.touch_or_insert(id, self.serial_stamp());
+        self.touch_serial(id);
         id
     }
 
@@ -319,10 +333,10 @@ impl PageStore {
             return self.allocate();
         };
         self.pages[id as usize].fill(0);
-        self.sums[id as usize] = zero_page_sum();
+        self.sums[id as usize] = wal::ZERO_PAGE_SUM;
         self.mark_dirty(id);
         self.append_wal(&WalRecord::Alloc { page: id });
-        self.pool.touch_or_insert(id, self.serial_stamp());
+        self.touch_serial(id);
         id
     }
 
@@ -355,20 +369,21 @@ impl PageStore {
     /// Writes a page through a closure, going through the buffer pool and
     /// counting one page write. The byte runs the closure changed — found
     /// against a before-image, see [`wal::append_write`] — are appended to
-    /// the write-ahead log as one physiological frame, the page's checksum
-    /// is restamped, and the page is marked for the next checkpoint. A
-    /// closure that changes nothing logs nothing.
+    /// the write-ahead log as one physiological frame, the same pass
+    /// restamps the page's checksum over the 64-byte blocks those runs
+    /// touch, and the page is marked for the next checkpoint. A closure
+    /// that changes nothing logs nothing.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) -> Result<()> {
         self.fault_in(id)?;
-        self.acct().stats.pages_written += 1;
+        self.acct_mut().stats.pages_written += 1;
         let page = &mut self.pages[id as usize];
         self.scratch.copy_from_slice(page);
         f(page);
-        let start = self.wal_buf.len();
-        if wal::append_write(&mut self.wal_buf, self.next_lsn, id, &self.scratch, page) == 0 {
+        let (start, lsn) = (self.wal_buf.len(), self.next_lsn);
+        let sum = &mut self.sums[id as usize];
+        if wal::append_write(&mut self.wal_buf, lsn, id, &self.scratch, page, sum) == 0 {
             return Ok(()); // byte-identical rewrite: nothing to log
         }
-        self.sums[id as usize] = wal::checksum32(page);
         self.mark_dirty(id);
         self.settle_append(start);
         Ok(())
@@ -385,32 +400,28 @@ impl PageStore {
                 max: self.pages.len() as u64,
             });
         }
-        if self.pool.touch_or_insert(id, self.serial_stamp()) {
-            self.acct().stats.cache_hits += 1;
-        } else {
-            {
-                let mut acct = self.acct();
-                acct.stats.pages_read += 1;
-                match acct.last_physical_read {
-                    // `checked_add`: `prev` can be `u64::MAX`-adjacent in
-                    // synthetic tests; a plain `prev + 1` overflows in debug
-                    // builds.
-                    Some(prev) if prev.checked_add(1) == Some(id) => {
-                        acct.stats.sequential_reads += 1
-                    }
-                    _ => acct.stats.random_reads += 1,
-                }
-                acct.last_physical_read = Some(id);
-            }
-            let computed = wal::checksum32(&self.pages[id as usize]);
-            let stored = self.sums[id as usize];
-            if stored != computed {
-                return Err(StorageError::PageCorrupt {
-                    page: id,
-                    stored,
-                    computed,
-                });
-            }
+        let hit = self.touch_serial(id);
+        let acct = self.acct_mut();
+        if hit {
+            acct.stats.cache_hits += 1;
+            return Ok(());
+        }
+        acct.stats.pages_read += 1;
+        match acct.last_physical_read {
+            // `checked_add`: `prev` can be `u64::MAX`-adjacent in synthetic
+            // tests; a plain `prev + 1` overflows in debug builds.
+            Some(prev) if prev.checked_add(1) == Some(id) => acct.stats.sequential_reads += 1,
+            _ => acct.stats.random_reads += 1,
+        }
+        acct.last_physical_read = Some(id);
+        let computed = wal::block_sum(&self.pages[id as usize]);
+        let stored = self.sums[id as usize];
+        if stored != computed {
+            return Err(StorageError::PageCorrupt {
+                page: id,
+                stored,
+                computed,
+            });
         }
         Ok(())
     }
@@ -573,7 +584,7 @@ impl PageStore {
                     computed: 0,
                 });
             }
-            let computed = wal::checksum32(page);
+            let computed = wal::block_sum(page);
             if computed != stored {
                 return Err(StorageError::PageCorrupt {
                     page: i as u64,
@@ -606,7 +617,7 @@ impl PageStore {
             written.sort_unstable();
             written.dedup();
             for p in written {
-                store.sums[p] = wal::checksum32(&store.pages[p]);
+                store.sums[p] = wal::block_sum(&store.pages[p]);
             }
             // `scan` vouches for an unbroken LSN chain, so the frames
             // replayed (a write frame is one, however many runs it holds)
@@ -648,12 +659,12 @@ impl PageStore {
                 let p = *page as usize;
                 if p == self.pages.len() {
                     self.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
-                    self.sums.push(zero_page_sum());
+                    self.sums.push(wal::ZERO_PAGE_SUM);
                 } else if self.free.last() == Some(page) {
                     self.free.pop();
                     if let Some(bytes) = self.pages.get_mut(p) {
                         bytes.fill(0);
-                        self.sums[p] = zero_page_sum();
+                        self.sums[p] = wal::ZERO_PAGE_SUM;
                     }
                 } else {
                     return Err(corrupt(format!(
@@ -882,7 +893,7 @@ pub struct ScanIo {
 #[derive(Debug)]
 pub struct PartitionReader<'a> {
     pages: &'a [Box<[u8]>],
-    sums: &'a [u32],
+    sums: &'a [u64],
     pool: &'a ShardedLruPool,
     resident: &'a PageBits,
     epoch: u64,
@@ -973,7 +984,7 @@ impl<'a> PartitionReader<'a> {
                 // This worker's first touch of a snapshot-cold page is the
                 // scan's (simulated) transfer from disk: verify its
                 // checksum, like the serial path's pool-miss check.
-                let computed = wal::checksum32(page);
+                let computed = wal::block_sum(page);
                 let stored = self.sums[id as usize];
                 if stored != computed {
                     return Err(StorageError::PageCorrupt {
@@ -1410,6 +1421,92 @@ mod tests {
             s.read(p),
             Err(StorageError::PageCorrupt { page, .. }) if page == p
         ));
+    }
+
+    /// A byte that goes bad in a resident page, behind the log's back, is
+    /// not laundered by later writes of that page: a write restamps the
+    /// blocks it changed by their old and new terms, so the mismatch the
+    /// corruption made is still there at the next cold read — whether the
+    /// write lands in another block or in the damaged one.
+    #[test]
+    fn restamp_keeps_a_resident_corruption_visible() {
+        for other in [200, 4001] {
+            let mut s = PageStore::new();
+            let p = s.allocate();
+            s.write(p, |b| b[100] = 7).unwrap();
+            s.corrupt_byte(p, 4000);
+            s.write(p, |b| b[other] ^= 0x5A).unwrap();
+            s.clear_cache();
+            assert!(
+                matches!(s.read(p), Err(StorageError::PageCorrupt { page, .. }) if page == p),
+                "write at {other}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Random writes — single bytes, several scattered runs, whole-page
+        /// images onto fresh zero pages and over written ones, rewrites
+        /// back to zeros, pages freed and reallocated in between — leave
+        /// every page's stored checksum equal to a full recompute of its
+        /// bytes.
+        #[test]
+        fn restamp_is_a_full_recompute_after_every_write(
+            ops in proptest::collection::vec(
+                (0u8..7, proptest::prelude::any::<u16>(), 0usize..PAGE_SIZE, proptest::prelude::any::<u64>()),
+                1..60,
+            ),
+        ) {
+            let byte = |seed: u64, i: usize| {
+                (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32 % 61) >> 7) as u8
+            };
+            let mut s = PageStore::new();
+            s.allocate();
+            for (kind, pick, at, seed) in ops {
+                let live: Vec<PageId> = (0..s.page_count()).filter(|p| !s.free.contains(p)).collect();
+                let p = live[usize::from(pick) % live.len()];
+                match kind {
+                    0 => {
+                        let fresh = s.allocate();
+                        s.write(fresh, |b| {
+                            // A leaf-like image: data at the front, zero
+                            // blocks in the middle, a directory at the back.
+                            for (i, x) in b.iter_mut().enumerate() {
+                                if i < at / 2 || i >= PAGE_SIZE - 64 {
+                                    *x = byte(seed, i);
+                                }
+                            }
+                        })
+                        .unwrap();
+                    }
+                    1 => s.write(p, |b| b[at] = byte(seed, at)).unwrap(),
+                    2 => s
+                        .write(p, |b| {
+                            for r in 0..1 + seed % 8 {
+                                let from = (at + r as usize * 997) % PAGE_SIZE;
+                                let to = (from + 1 + (seed >> (8 * r)) as usize % 40).min(PAGE_SIZE);
+                                for (i, x) in b.iter_mut().enumerate().take(to).skip(from) {
+                                    *x = byte(seed, i);
+                                }
+                            }
+                        })
+                        .unwrap(),
+                    3 => s
+                        .write(p, |b| b.iter_mut().enumerate().for_each(|(i, x)| *x = byte(seed, i)))
+                        .unwrap(),
+                    4 => s.write(p, |b| b.fill(0)).unwrap(),
+                    5 if live.len() > 1 => {
+                        s.free_page(p).unwrap();
+                        let again = s.allocate_reuse();
+                        s.write(again, |b| b[at] = byte(seed, at) | 1).unwrap();
+                    }
+                    _ => s.clear_cache(),
+                }
+                for (p, page) in s.pages.iter().enumerate() {
+                    proptest::prop_assert_eq!((p, s.sums[p]), (p, wal::block_sum(page)));
+                }
+            }
+        }
     }
 
     #[test]

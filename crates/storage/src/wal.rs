@@ -35,11 +35,6 @@
 //! check  u32  LE, checksum32 over magic..payload
 //! ```
 //!
-//! [`checksum32`] reads its input as little-endian 8-byte words and runs
-//! four interleaved lanes (word `i` goes to lane `i % 4`, so one 32-byte
-//! stride feeds each lane once); the lanes and the byte length are folded
-//! into 32 bits at the end. The same function stamps every store page.
-//!
 //! Payloads: `alloc`/`free` are `page u64`; `commit` is the opaque catalog
 //! image; `write` is `page u64` followed by one or more runs
 //! `off u16 | len u16 | bytes[len]` (`off` relative to the page start) that
@@ -67,7 +62,30 @@
 //! crash-matrix tests enumerate injection points once and assert the count
 //! is the same at DOP 1/2/4/8.
 //!
+//! ## Checksums
+//!
+//! One sum serves the log and the page file. `block_sum` cuts its input
+//! into 64-byte blocks (the last one zero-padded) and adds up, wrapping at
+//! 64 bits, one term per block: a `mix` chain over the block's eight
+//! little-endian words, seeded by the block's index. Every step of the
+//! chain is a bijection of the word it absorbs, so a change confined to
+//! one word always changes the sum. A page's stored checksum is its block
+//! sum over 128 blocks; a frame's [`checksum32`] is the block sum of
+//! `magic..payload` absorbed into a state seeded with the byte length and
+//! folded to 32 bits.
+//!
+//! Being a sum is what makes a page write cheap to restamp: [`append_write`]
+//! already finds the blocks that hold a changed word, and in the same pass
+//! adds each one's new term and subtracts its old one — an old block of
+//! zeros (a fresh page's) from a table worked out at compile time. So a
+//! one-row insert pays for the few blocks it touched rather than for 8 KiB,
+//! and a page whose bytes went bad in memory, behind the log's back, keeps
+//! its mismatch through later writes instead of having it hashed into a
+//! fresh stamp. A full `block_sum` runs only where a page comes from
+//! "disk": on a pool miss, at [`open`], and once per page a replay wrote.
+//!
 //! [`PageStore::write`]: crate::store::PageStore::write
+//! [`open`]: crate::store::PageStore::open
 
 use crate::errors::{Result, StorageError};
 use crate::page::PAGE_SIZE;
@@ -96,48 +114,135 @@ const KIND_FREE: u8 = 2;
 const KIND_WRITE: u8 = 3;
 const KIND_COMMIT: u8 = 4;
 
-/// Seeds of the four checksum lanes (distinct, so equal words in
-/// different lanes contribute differently).
-const LANE_SEEDS: [u64; 4] = [
-    0x9E37_79B9_7F4A_7C15,
-    0xBF58_476D_1CE4_E5B9,
-    0x94D0_49BB_1331_11EB,
-    0xD6E8_FEB8_6659_FD93,
-];
+/// Bytes in one checksum block: eight little-endian words.
+const BLOCK_BYTES: usize = 64;
+
+/// Checksum blocks in a page.
+const PAGE_BLOCKS: usize = PAGE_SIZE / BLOCK_BYTES;
+
+const _: () = assert!(PAGE_SIZE % BLOCK_BYTES == 0);
+
+/// Seed of every block's chain, before the block index is absorbed.
+const SUM_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One checksum step: absorbs `word` into `h`. A bijection of either
 /// argument with the other fixed (xor, odd multiply and xor-shift all
-/// are), so a changed word always changes the 64-bit state.
+/// are), so a changed word always changes the 64-bit state — and, every
+/// later step being a bijection of the state, the chain's result.
 #[inline(always)]
-fn mix(h: u64, word: u64) -> u64 {
+const fn mix(h: u64, word: u64) -> u64 {
     let h = (h ^ word).wrapping_mul(0x2545_F491_4F6C_DD1D);
     h ^ (h >> 29)
 }
 
-/// A fast non-cryptographic 32-bit checksum. Used both for WAL frame
-/// integrity and for the store's per-page checksums verified on cold
-/// reads — cheap enough to run on every pool miss.
-///
-/// The input is read as little-endian 8-byte words (the last one
-/// zero-padded) and word `i` is absorbed by lane `i % 4`, so a 32-byte
-/// stride advances four independent chains and the multiplies pipeline
-/// instead of waiting on each other. The lane states are then absorbed,
-/// in order, into a state seeded with the byte length, folded to 32 bits.
-pub fn checksum32(bytes: &[u8]) -> u32 {
-    let mut lanes = LANE_SEEDS;
-    let mut absorb = |stride: &[u8]| {
-        for (lane, bytes) in lanes.iter_mut().zip(stride.chunks(8)) {
-            let mut word = [0u8; 8];
-            word[..bytes.len()].copy_from_slice(bytes);
-            *lane = mix(*lane, u64::from_le_bytes(word));
+/// The state block `index`'s chain starts from.
+#[inline(always)]
+const fn block_seed(index: usize) -> u64 {
+    mix(SUM_SEED, index as u64)
+}
+
+/// Block `index`'s term of the block sum: the `mix` chain over its eight
+/// little-endian words, seeded by the index. (The sums below run four
+/// such chains side by side; this one-block form defines the table.)
+const fn chain(index: usize, words: [u64; 8]) -> u64 {
+    let mut h = block_seed(index);
+    let mut w = 0;
+    while w < 8 {
+        h = mix(h, words[w]);
+        w += 1;
+    }
+    h
+}
+
+/// The term of an all-zero block at each page position, worked out at
+/// compile time: summing blocks of zeros — the free gap of a page, or the
+/// whole of a fresh one — is a table lookup, not a chain.
+const ZERO_TERMS: [u64; PAGE_BLOCKS] = {
+    let mut terms = [0; PAGE_BLOCKS];
+    let mut b = 0;
+    while b < PAGE_BLOCKS {
+        terms[b] = chain(b, [0; 8]);
+        b += 1;
+    }
+    terms
+};
+
+/// The block sum of an all-zero page — every fresh allocation's.
+pub(crate) const ZERO_PAGE_SUM: u64 = {
+    let mut sum = 0u64;
+    let mut b = 0;
+    while b < PAGE_BLOCKS {
+        sum = sum.wrapping_add(ZERO_TERMS[b]);
+        b += 1;
+    }
+    sum
+};
+
+/// Bytes in the four blocks whose chains run side by side.
+const QUAD_BYTES: usize = 4 * BLOCK_BYTES;
+
+/// The summed terms of the first `n` blocks of `quad` (`QUAD_BYTES`
+/// long), block `at` and the three after it. The four chains run side by
+/// side, so the multiplies pipeline instead of waiting on each other; four
+/// blocks of zeros inside a page take their terms from [`ZERO_TERMS`]
+/// instead.
+#[inline(always)]
+fn quad_terms(quad: &[u8], at: usize, n: usize) -> u64 {
+    let word = |k: usize| le::u64_at(quad, k * 8);
+    // Stops at the first non-zero word: one compare for a block of data.
+    let zero = || (0..QUAD_BYTES / 8).all(|k| word(k) == 0);
+    let terms: [u64; 4] = match ZERO_TERMS.get(at..at + 4).filter(|_| zero()) {
+        Some(zeros) => std::array::from_fn(|l| zeros[l]),
+        None => {
+            let mut chains = std::array::from_fn(|l| block_seed(at + l));
+            for w in 0..8 {
+                for (l, h) in chains.iter_mut().enumerate() {
+                    *h = mix(*h, word(l * 8 + w));
+                }
+            }
+            chains
         }
     };
-    let mut strides = bytes.chunks_exact(32);
-    strides.by_ref().for_each(&mut absorb);
-    absorb(strides.remainder());
-    let h = lanes
-        .iter()
-        .fold(LANE_SEEDS[0] ^ bytes.len() as u64, |h, &lane| mix(h, lane));
+    terms[..n].iter().fold(0u64, |s, &t| s.wrapping_add(t))
+}
+
+/// The summed terms of the blocks of `bytes` (the last one zero-padded),
+/// the first of which is block `first`: four blocks at a time, the last
+/// few padded out to four whose extra terms are left out.
+fn terms(bytes: &[u8], first: usize) -> u64 {
+    let mut quads = bytes.chunks_exact(QUAD_BYTES);
+    let mut sum = 0u64;
+    let mut at = first;
+    for quad in quads.by_ref() {
+        sum = sum.wrapping_add(quad_terms(quad, at, 4));
+        at += 4;
+    }
+    let rest = quads.remainder();
+    if rest.is_empty() {
+        return sum;
+    }
+    let mut last = [0u8; QUAD_BYTES];
+    last[..rest.len()].copy_from_slice(rest);
+    sum.wrapping_add(quad_terms(&last, at, rest.len().div_ceil(BLOCK_BYTES)))
+}
+
+/// The block sum of `bytes`: the wrapping sum, over its 64-byte blocks
+/// (the last one zero-padded), of each block's term — its `mix` chain,
+/// seeded by its index. The store's page checksum, and under
+/// [`checksum32`] the log's frame check.
+///
+/// Because the sum is a sum, a write that changed some blocks moves it by
+/// their terms' differences alone ([`append_write`] does exactly that);
+/// because each term is a chain of bijections, a change confined to one
+/// 8-byte word always changes it.
+pub(crate) fn block_sum(bytes: &[u8]) -> u64 {
+    terms(bytes, 0)
+}
+
+/// The 4-byte check of a WAL frame: the `block_sum` of its bytes,
+/// absorbed into a state seeded with their length and folded to 32 bits.
+pub fn checksum32(bytes: &[u8]) -> u32 {
+    let h = mix(mix(SUM_SEED, bytes.len() as u64), block_sum(bytes));
     (h ^ (h >> 32)) as u32
 }
 
@@ -230,8 +335,8 @@ pub fn append_record(log: &mut Vec<u8>, lsn: u64, rec: &WalRecord<'_>) -> usize 
 
 /// 8-byte words in a page.
 const WORDS: usize = PAGE_SIZE / 8;
-/// Words in the block [`find_word`] rules out at once (64 bytes).
-const BLOCK: usize = 8;
+/// Words in the block [`find_word`] rules out at once: one checksum block.
+const BLOCK: usize = BLOCK_BYTES / 8;
 
 /// The first word at or after `from` that changed (`CHANGED`) or that kept
 /// its value (`!CHANGED`), `WORDS` if there is none; `diff(j)` is word `j`
@@ -261,8 +366,8 @@ fn find_word<const CHANGED: bool>(diff: &impl Fn(usize) -> u64, from: usize) -> 
 
 /// Appends the write frame that turns page image `before` into `after`:
 /// the changed byte runs, copied straight from `after`. Returns the
-/// frame's byte length, or 0 — and leaves `log` alone — when the images
-/// are identical. The frame is a pure function of the two images.
+/// frame's byte length, or 0 — and leaves `log` and `sum` alone — when the
+/// images are identical. The frame is a pure function of the two images.
 ///
 /// A run is a maximal stretch of changed 8-byte words, cut back at both
 /// ends to its first and last changed byte, so finding the runs is one
@@ -271,7 +376,22 @@ fn find_word<const CHANGED: bool>(diff: &impl Fn(usize) -> u64, from: usize) -> 
 /// one pass of word compares. Two runs are at least a word
 /// of unchanged bytes apart, more than the [`RUN_HEADER`] the second one
 /// costs, so splitting there always pays.
-pub fn append_write(log: &mut Vec<u8>, lsn: u64, page: u64, before: &[u8], after: &[u8]) -> usize {
+///
+/// The same pass restamps `sum`, the page's stored `block_sum`: each
+/// 64-byte block holding a changed word adds its term in `after` and
+/// subtracts its term in `before` — a block of zeros from a table, so a
+/// fresh page costs one chain per block written, no more than a full
+/// checksum. Blocks the write left alone are never read, and what `sum`
+/// stood at against `before` is carried over: a stored sum that did not
+/// match the page before the write does not match it after.
+pub fn append_write(
+    log: &mut Vec<u8>,
+    lsn: u64,
+    page: u64,
+    before: &[u8],
+    after: &[u8],
+    sum: &mut u64,
+) -> usize {
     assert!(before.len() == PAGE_SIZE && after.len() == PAGE_SIZE);
     // Non-zero in the bytes that changed, lowest page offset in the lowest
     // bits.
@@ -282,11 +402,19 @@ pub fn append_write(log: &mut Vec<u8>, lsn: u64, page: u64, before: &[u8], after
     }
     let start = open_frame(log, KIND_WRITE, lsn);
     le::push_u64(log, page);
+    // Blocks below this one are restamped already (two runs can share one).
+    let mut restamped = 0;
     while first < WORDS {
         let past = find_word::<false>(&diff, first + 1);
         let from = first * 8 + (diff(first).trailing_zeros() / 8) as usize;
         let to = past * 8 - (diff(past - 1).leading_zeros() / 8) as usize;
         push_run(log, from, &after[from..to]);
+        let blocks = (first / BLOCK).max(restamped)..past.div_ceil(BLOCK);
+        let bytes = blocks.start * BLOCK_BYTES..blocks.end * BLOCK_BYTES;
+        let new = terms(&after[bytes.clone()], blocks.start);
+        let old = terms(&before[bytes], blocks.start);
+        *sum = sum.wrapping_add(new).wrapping_sub(old);
+        restamped = blocks.end;
         first = find_word::<true>(&diff, past);
     }
     seal_frame(log, start)
@@ -512,12 +640,15 @@ mod tests {
             .collect()
     }
 
-    /// Every single-bit flip of `buf` must change its checksum.
+    /// Every single-bit flip of `buf` must change its frame check and its
+    /// block sum (the page checksum).
     fn assert_every_bit_flip_is_seen(buf: &mut [u8]) {
-        let clean = checksum32(buf);
+        let clean = (checksum32(buf), block_sum(buf));
         for bit in 0..buf.len() * 8 {
             buf[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(checksum32(buf), clean, "bit {bit} of {} bytes", buf.len());
+            let (check, sum) = (checksum32(buf), block_sum(buf));
+            assert_ne!(check, clean.0, "frame: bit {bit} of {} bytes", buf.len());
+            assert_ne!(sum, clean.1, "sum: bit {bit} of {} bytes", buf.len());
             buf[bit / 8] ^= 1 << (bit % 8);
         }
     }
@@ -528,9 +659,82 @@ mod tests {
         assert_every_bit_flip_is_seen(&mut vec![0u8; crate::page::PAGE_SIZE]);
     }
 
-    /// Lengths around the 8-byte word and 32-byte stride boundaries: the
-    /// tail words land in the right lanes, the padding is not confused
-    /// with data, and the length itself is part of the sum.
+    /// The page checksum's promise, word by word: whatever a single 8-byte
+    /// word of a page changes to, the block sum changes — each chain step
+    /// is a bijection of the word it absorbs. Checked for every word of a
+    /// page against a handful of replacement values.
+    #[test]
+    fn any_single_word_change_changes_the_page_sum() {
+        for mut page in [filler(PAGE_SIZE), vec![0u8; PAGE_SIZE]] {
+            let clean = block_sum(&page);
+            for w in 0..PAGE_SIZE / 8 {
+                let old = le::u64_at(&page, w * 8);
+                for delta in [1, 1 << 63, u64::MAX, 0x0123_4567_89AB_CDEF] {
+                    le::put_u64(&mut page, w * 8, old ^ delta);
+                    assert_ne!(block_sum(&page), clean, "word {w}, delta {delta:#x}");
+                }
+                le::put_u64(&mut page, w * 8, old);
+            }
+        }
+    }
+
+    /// Block `b`'s term straight from its definition: the index absorbed
+    /// into the seed, then the block's words in order.
+    fn reference_term(b: usize, block: &[u8]) -> u64 {
+        (0..8).fold(mix(SUM_SEED, b as u64), |h, w| {
+            mix(h, le::u64_at(block, w * 8))
+        })
+    }
+
+    /// The table of zero-block terms is the chains it stands for, the
+    /// fresh-page sum is a zero page's, and at every position of a page a
+    /// block's term differs from the table's entry by exactly what it adds
+    /// to the page's sum.
+    #[test]
+    fn zero_block_table_is_the_computed_terms() {
+        let zero = [0u8; BLOCK_BYTES];
+        for (b, &term) in ZERO_TERMS.iter().enumerate() {
+            assert_eq!(term, reference_term(b, &zero), "block {b}");
+        }
+        assert_eq!(ZERO_PAGE_SUM, block_sum(&[0u8; PAGE_SIZE]));
+        for b in 0..PAGE_BLOCKS {
+            let mut page = vec![0u8; PAGE_SIZE];
+            page[b * BLOCK_BYTES + 13] = 0xA5;
+            let block = &page[b * BLOCK_BYTES..][..BLOCK_BYTES];
+            let want = ZERO_PAGE_SUM
+                .wrapping_sub(ZERO_TERMS[b])
+                .wrapping_add(reference_term(b, block));
+            assert_eq!(block_sum(&page), want, "block {b}");
+        }
+    }
+
+    /// The four-wide, table-assisted sum is the plain sum of the block
+    /// terms, at lengths around the block size and the four-block stride,
+    /// with stretches of zero blocks inside the page and past its end (a
+    /// frame longer than a page).
+    #[test]
+    fn block_sum_is_the_sum_of_its_terms() {
+        let mut data = filler(PAGE_SIZE + 5 * BLOCK_BYTES + 70);
+        for zeros in [2..7, 9..10, 20..24, PAGE_BLOCKS - 2..PAGE_BLOCKS + 3] {
+            data[zeros.start * BLOCK_BYTES..zeros.end * BLOCK_BYTES].fill(0);
+        }
+        let lens = (0..=data.len()).filter(|l| l % 97 == 0 || l % 256 < 2 || l % 256 > 253);
+        for len in lens.chain([PAGE_SIZE, data.len()]) {
+            let mut padded = data[..len].to_vec();
+            padded.resize(len.div_ceil(BLOCK_BYTES) * BLOCK_BYTES, 0);
+            let want = padded
+                .chunks(BLOCK_BYTES)
+                .enumerate()
+                .fold(0u64, |s, (b, block)| {
+                    s.wrapping_add(reference_term(b, block))
+                });
+            assert_eq!(block_sum(&data[..len]), want, "len {len}");
+        }
+    }
+
+    /// Lengths around the 8-byte word and 64-byte block boundaries: the
+    /// padding of the tail block is not confused with data, and the length
+    /// itself is part of the frame check.
     #[test]
     fn every_length_up_to_72_is_distinguished_and_fully_covered() {
         let data = filler(72);
@@ -549,18 +753,20 @@ mod tests {
         }
     }
 
-    /// Words in the same lane and in different lanes alike: the sum
-    /// depends on where a word sits, not just on which words are present.
+    /// Words in the same block and in different blocks alike: the frame
+    /// check and the block sum depend on where a word sits, not just on
+    /// which words are present.
     #[test]
     fn swapping_any_two_words_changes_the_sum() {
         let mut buf = filler(64 * 8 + 5);
-        let clean = checksum32(&buf);
+        let clean = (checksum32(&buf), block_sum(&buf));
         for a in 0..64 {
             for b in a + 1..64 {
                 for k in 0..8 {
                     buf.swap(a * 8 + k, b * 8 + k);
                 }
-                assert_ne!(checksum32(&buf), clean, "words {a} and {b}");
+                assert_ne!(checksum32(&buf), clean.0, "frame: words {a} and {b}");
+                assert_ne!(block_sum(&buf), clean.1, "sum: words {a} and {b}");
                 for k in 0..8 {
                     buf.swap(a * 8 + k, b * 8 + k);
                 }
@@ -588,7 +794,7 @@ mod tests {
         let before = filler(PAGE_SIZE);
         let after = edited(&before, &[(0, 3), (4000, 60), (8190, 2)]);
         let mut three_runs = Vec::new();
-        append_write(&mut three_runs, 9, 3, &before, &after);
+        append_write(&mut three_runs, 9, 3, &before, &after, &mut 0);
         for (mut frame, runs) in [(one_run, 1), (three_runs, 3)] {
             assert_eq!(scan_strict(&frame).unwrap().len(), runs);
             for bit in 0..frame.len() * 8 {
@@ -670,11 +876,22 @@ mod tests {
     /// reference diff (so ascending, disjoint, and changed at both ends),
     /// replaying them onto `before` gives `after`, and it is no longer
     /// than the frame that logged the one span from the first to the last
-    /// change. Returns the number of runs.
+    /// change. The restamp moves `before`'s block sum to `after`'s — and a
+    /// sum that was off by some amount stays off by exactly that amount.
+    /// Returns the number of runs.
     fn check_write_frame(before: &[u8], after: &[u8]) -> usize {
         let earlier = filler(21);
         let mut log = earlier.clone();
-        let frame_len = append_write(&mut log, 7, 3, before, after);
+        let mut sum = block_sum(before);
+        let frame_len = append_write(&mut log, 7, 3, before, after, &mut sum);
+        assert_eq!(sum, block_sum(after), "the restamp is a full recompute");
+        let mut off_sum = block_sum(before).wrapping_add(0x51);
+        append_write(&mut Vec::new(), 7, 3, before, after, &mut off_sum);
+        assert_eq!(
+            off_sum,
+            block_sum(after).wrapping_add(0x51),
+            "a mismatch survives"
+        );
         assert_eq!(log.len(), earlier.len() + frame_len);
         assert_eq!(log[..earlier.len()], earlier[..]);
         let want = reference_runs(before, after);
@@ -733,6 +950,10 @@ mod tests {
                 }
             }
         }
+        // A fresh page written whole, and a written page back to zeros.
+        let (zeros, full) = (vec![0u8; PAGE_SIZE], filler(PAGE_SIZE));
+        assert_eq!(check_write_frame(&zeros, &full), 1);
+        assert_eq!(check_write_frame(&full, &zeros), 1);
         // Changed words whose bytes partly keep their value (small
         // integers over zeros): a run keeps the unchanged bytes inside it
         // and drops the ones at its ends.
@@ -741,7 +962,7 @@ mod tests {
         le::put_u64(&mut after, 520, 0x0000_0000_0001_0000); // byte 2
         le::put_u64(&mut after, 1024, 0x0000_0000_0100_0000); // byte 3
         let mut log = Vec::new();
-        append_write(&mut log, 1, 0, &vec![0u8; PAGE_SIZE], &after);
+        append_write(&mut log, 1, 0, &vec![0u8; PAGE_SIZE], &after, &mut 0);
         let runs: Vec<_> = scan_strict(&log).unwrap();
         let run = |off, bytes| WalRecord::Write {
             page: 0,
@@ -809,7 +1030,7 @@ mod tests {
             assert!(s.records.is_empty() && s.tear == Some(0), "{what}");
             let image = DiskImage {
                 pages: vec![vec![0u8; PAGE_SIZE].into_boxed_slice()],
-                sums: vec![checksum32(&[0u8; PAGE_SIZE])],
+                sums: vec![ZERO_PAGE_SUM],
                 free: Vec::new(),
                 catalog: None,
                 wal: log,

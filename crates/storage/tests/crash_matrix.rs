@@ -80,7 +80,7 @@ fn parse_catalog(cat: &[u8]) -> (u64, u64, u64, u32) {
 #[derive(PartialEq, Debug)]
 struct RecoveredState {
     pages: Vec<Box<[u8]>>,
-    sums: Vec<u32>,
+    sums: Vec<u64>,
     free: Vec<u64>,
     catalog: Option<Vec<u8>>,
     /// The catalog the recovered store's own checkpoint carries — what a
