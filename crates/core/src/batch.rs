@@ -10,7 +10,9 @@
 //!   or blob cells as packed bytes + out-of-row LOB references);
 //! * [`Batch`] — the clustered keys plus the decoded columns of ~1–4K rows;
 //! * selection vectors (`Vec<u32>` of in-batch row indices) produced by
-//!   filters and consumed by every downstream kernel;
+//!   filters and consumed by every downstream kernel, narrowed by
+//!   branch-free kernels ([`refine_selection`], and [`select_cmp`], which
+//!   fuses a column-vs-constant comparison into the same pass);
 //! * arithmetic/comparison/gather/sum kernels with branch-light inner
 //!   loops the compiler can autovectorize.
 //!
@@ -222,14 +224,67 @@ impl Batch {
 /// Keeps only the selected rows whose flag is set: `out` receives
 /// `sel[i]` for every `i` with `flags[i]`. `flags` is aligned to `sel`
 /// (one flag per *selected* row), not to the batch.
+///
+/// Branch-free: every row is written, and the output position advances
+/// by the flag, so a filter passing half its rows at random costs no
+/// mispredictions.
 pub fn refine_selection(flags: &[bool], sel: &[u32], out: &mut Vec<u32>) {
     assert_eq!(flags.len(), sel.len());
     out.clear();
+    out.resize(sel.len(), 0);
+    let mut n = 0;
     for (&keep, &row) in flags.iter().zip(sel) {
-        if keep {
-            out.push(row);
+        out[n] = row;
+        n += usize::from(keep);
+    }
+    out.truncate(n);
+}
+
+/// The rows of `sel` not in `sub`, an ascending subsequence of `sel` (what
+/// a filter kept of it): `NOT`, and the rows an `OR`'s left operand left
+/// undecided.
+pub fn selection_minus(sel: &[u32], sub: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.resize(sel.len(), 0);
+    let (mut n, mut j) = (0, 0);
+    for &row in sel {
+        let kept = sub.get(j) == Some(&row);
+        out[n] = row;
+        n += usize::from(!kept);
+        j += usize::from(kept);
+    }
+    out.truncate(n);
+}
+
+/// Whether each row of `sel` is in `sub`, an ascending subsequence of
+/// `sel`: a refined selection turned back into one flag per selected row.
+pub fn selection_flags(sel: &[u32], sub: &[u32], out: &mut Vec<bool>) {
+    out.clear();
+    out.reserve(sel.len());
+    let mut j = 0;
+    for &row in sel {
+        let kept = sub.get(j) == Some(&row);
+        out.push(kept);
+        j += usize::from(kept);
+    }
+}
+
+/// Merges two disjoint ascending selections into one.
+pub fn selection_union(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
         }
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 // ---------------------------------------------------------------------------
@@ -269,40 +324,40 @@ pub fn widen_i32(src: &[i32], out: &mut Vec<i64>) {
     }
 }
 
-/// Converts `i64` lanes to `f64` (same rounding as a scalar `as f64` cast).
-pub fn f64_from_i64(src: &[i64], out: &mut Vec<f64>) {
-    out.clear();
-    out.reserve(src.len());
-    for &x in src {
-        out.push(x as f64);
+/// A lane element's numeric view, the one every comparison, `SUM` and
+/// `AVG` of the row path takes: a scalar `as f64` cast (`i64` rounds to
+/// nearest, `i32`/`f32` are exact), `BIT` as 0/1.
+pub trait ToF64: Copy {
+    /// The element as `f64`.
+    fn to_f64(self) -> f64;
+}
+
+macro_rules! to_f64_impl {
+    ($($t:ty),*) => {$(
+        impl ToF64 for $t {
+            #[inline]
+            fn to_f64(self) -> f64 {
+                self as f64
+            }
+        }
+    )*};
+}
+
+to_f64_impl!(i64, i32, f64, f32);
+
+impl ToF64 for bool {
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as i64 as f64
     }
 }
 
-/// Converts `i32` lanes to `f64` (exact).
-pub fn f64_from_i32(src: &[i32], out: &mut Vec<f64>) {
+/// Converts lanes to `f64` through [`ToF64`].
+pub fn f64_from<T: ToF64>(src: &[T], out: &mut Vec<f64>) {
     out.clear();
     out.reserve(src.len());
     for &x in src {
-        out.push(x as f64);
-    }
-}
-
-/// Widens `f32` lanes to `f64` (exact).
-pub fn f64_from_f32(src: &[f32], out: &mut Vec<f64>) {
-    out.clear();
-    out.reserve(src.len());
-    for &x in src {
-        out.push(x as f64);
-    }
-}
-
-/// Converts `bool` lanes to `f64` (`false` → 0.0, `true` → 1.0), matching
-/// the row path's `Bool as i64 as f64` coercion.
-pub fn f64_from_bool(src: &[bool], out: &mut Vec<f64>) {
-    out.clear();
-    out.reserve(src.len());
-    for &x in src {
-        out.push(x as i64 as f64);
+        out.push(x.to_f64());
     }
 }
 
@@ -455,6 +510,19 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// The operator with its operands swapped: `a op b` ⇔ `b op.flipped() a`.
+    pub fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            symmetric => symmetric,
+        }
+    }
+}
+
 /// Lane-wise `f64` comparison.
 ///
 /// Returns `false` if any lane had a NaN operand — the row path's
@@ -508,13 +576,56 @@ pub fn cmp_f64(op: CmpOp, a: &[f64], b: &[f64], out: &mut Vec<bool>) -> bool {
     !nan_seen
 }
 
-/// Lane-wise boolean NOT.
-pub fn not_bool(a: &[bool], out: &mut Vec<bool>) {
-    out.clear();
-    out.reserve(a.len());
-    for &x in a {
-        out.push(!x);
+/// Keeps the rows of `sel` whose `lane` value compares `op` against the
+/// constant `k` — [`cmp_f64`] and [`refine_selection`] fused into one pass
+/// that reads the lane in place at each selected row, converts it through
+/// [`ToF64`], and writes survivors without branching.
+///
+/// Returns `false` — `out` then unspecified — if a *selected* row's value
+/// or, over a non-empty selection, `k` is NaN: exactly when [`cmp_f64`]
+/// over the gathered lane and a splat of `k` would have.
+#[must_use]
+pub fn select_cmp<T: ToF64>(
+    op: CmpOp,
+    lane: &[T],
+    k: f64,
+    sel: &[u32],
+    out: &mut Vec<u32>,
+) -> bool {
+    if k.is_nan() {
+        out.clear();
+        return sel.is_empty();
     }
+    match op {
+        CmpOp::Eq => select_where(lane, sel, out, |x| x == k),
+        CmpOp::Ne => select_where(lane, sel, out, |x| x != k),
+        CmpOp::Lt => select_where(lane, sel, out, |x| x < k),
+        CmpOp::Le => select_where(lane, sel, out, |x| x <= k),
+        CmpOp::Gt => select_where(lane, sel, out, |x| x > k),
+        CmpOp::Ge => select_where(lane, sel, out, |x| x >= k),
+    }
+}
+
+/// [`select_cmp`]'s loop, monomorphized per operator.
+#[inline(always)]
+fn select_where<T: ToF64>(
+    lane: &[T],
+    sel: &[u32],
+    out: &mut Vec<u32>,
+    keep: impl Fn(f64) -> bool,
+) -> bool {
+    out.clear();
+    out.resize(sel.len(), 0);
+    let mut n = 0;
+    let mut nan_seen = false;
+    for &row in sel {
+        let x = lane[row as usize].to_f64();
+        nan_seen |= x.is_nan();
+        out[n] = row;
+        n += usize::from(keep(x));
+    }
+    out.truncate(n);
+    !nan_seen
 }
 
 macro_rules! truthy_impl {
@@ -553,6 +664,7 @@ pub fn sum_f64(vals: &[f64], sum: &mut ExactSum) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn bytes_vec_cells() {
@@ -612,6 +724,151 @@ mod tests {
         assert_eq!(out2, vec![3]);
     }
 
+    /// An ascending selection over `0..n`, each row kept with probability `p`.
+    fn random_sel(rng: &mut StdRng, n: usize, p: f64) -> Vec<u32> {
+        (0..n as u32).filter(|_| rng.gen_bool(p)).collect()
+    }
+
+    /// What a naive filter keeps of `sel`.
+    fn naive_keep(sel: &[u32], mut keep: impl FnMut(usize, u32) -> bool) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (i, &row) in sel.iter().enumerate() {
+            if keep(i, row) {
+                out.push(row);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn branch_free_refine_is_the_naive_filter() {
+        let mut rng = StdRng::seed_from_u64(0x5E1);
+        // Stale contents and capacity must not leak into the result.
+        let mut out = vec![9; 700];
+        for case in 0..2000 {
+            let n = rng.gen_range(0..600usize);
+            let density = rng.gen::<f64>();
+            let sel = random_sel(&mut rng, n, density);
+            let p = [0.0, 1.0, rng.gen::<f64>()][case % 3];
+            let flags: Vec<bool> = sel.iter().map(|_| rng.gen_bool(p)).collect();
+            refine_selection(&flags, &sel, &mut out);
+            assert_eq!(out, naive_keep(&sel, |i, _| flags[i]), "case {case}");
+        }
+    }
+
+    #[test]
+    fn selection_set_operations_are_the_naive_ones() {
+        let mut rng = StdRng::seed_from_u64(0x5E75);
+        let (mut minus, mut flags, mut union) = (vec![9; 3], vec![true; 3], vec![9; 3]);
+        for case in 0..2000 {
+            let n = rng.gen_range(0..400usize);
+            let density = rng.gen::<f64>();
+            let sel = random_sel(&mut rng, n, density);
+            let p = [0.0, 1.0, rng.gen::<f64>()][case % 3];
+            let sub = naive_keep(&sel, |_, _| rng.gen_bool(p));
+            selection_minus(&sel, &sub, &mut minus);
+            assert_eq!(
+                minus,
+                naive_keep(&sel, |_, r| !sub.contains(&r)),
+                "case {case}"
+            );
+            selection_flags(&sel, &sub, &mut flags);
+            let want: Vec<bool> = sel.iter().map(|r| sub.contains(r)).collect();
+            assert_eq!(flags, want, "case {case}");
+            // `OR`: what the left operand kept, merged with what the right
+            // one kept of the rest.
+            let right = naive_keep(&minus, |_, _| rng.gen_bool(0.5));
+            selection_union(&sub, &right, &mut union);
+            let want = naive_keep(&sel, |_, r| sub.contains(&r) || right.contains(&r));
+            assert_eq!(union, want, "case {case}");
+        }
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    #[test]
+    fn flipped_swaps_the_operands() {
+        let grid = [-1.0, -0.0, 0.0, 2.5];
+        let (mut ab, mut ba) = (Vec::new(), Vec::new());
+        for op in OPS {
+            for x in grid {
+                let (xs, ys) = (vec![x; grid.len()], grid.to_vec());
+                assert!(cmp_f64(op, &xs, &ys, &mut ab));
+                assert!(cmp_f64(op.flipped(), &ys, &xs, &mut ba));
+                assert_eq!(ab, ba, "{op:?} at {x}");
+            }
+        }
+    }
+
+    /// [`select_cmp`] against the unfused path — gather, convert, splat,
+    /// [`cmp_f64`], [`refine_selection`] — over random lanes drawn from
+    /// `pool`, random selections and constants, for every operator with
+    /// the column on either side. NaN verdicts must agree too.
+    fn check_select_cmp<T: ToF64 + std::fmt::Debug>(seed: u64, pool: &[T]) {
+        let ks = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            -1.0,
+            (1u64 << 53) as f64,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut got, mut flags, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        for case in 0..400 {
+            let n = rng.gen_range(0..160usize);
+            let lane: Vec<T> = (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let density = rng.gen::<f64>();
+            let sel = random_sel(&mut rng, n, density);
+            let k = ks[rng.gen_range(0..ks.len())];
+            let xs: Vec<f64> = sel.iter().map(|&r| lane[r as usize].to_f64()).collect();
+            let splat_k = vec![k; sel.len()];
+            for op in OPS {
+                for flip in [false, true] {
+                    // `x op k`; with the constant on the left, `k op x`,
+                    // which the kernel runs as `x op.flipped() k`.
+                    let (ordered, kernel_op) = if flip {
+                        (cmp_f64(op, &splat_k, &xs, &mut flags), op.flipped())
+                    } else {
+                        (cmp_f64(op, &xs, &splat_k, &mut flags), op)
+                    };
+                    let at =
+                        format!("case {case}: {op:?} flip {flip} k {k} over {lane:?} at {sel:?}");
+                    assert_eq!(
+                        select_cmp(kernel_op, &lane, k, &sel, &mut got),
+                        ordered,
+                        "{at}"
+                    );
+                    if ordered {
+                        refine_selection(&flags, &sel, &mut want);
+                        assert_eq!(got, want, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn select_cmp_is_the_unfused_compare_and_refine_for_every_op_flip_and_lane() {
+        check_select_cmp(1, &[i64::MIN, -1, 0, 1, 1 << 53, (1 << 53) + 1, i64::MAX]);
+        check_select_cmp(2, &[i32::MIN, -1, 0, 1, 2, i32::MAX]);
+        check_select_cmp(
+            3,
+            &[-0.0f64, 0.0, 0.1, 0.5, 1.0, -1.0, f64::INFINITY, f64::NAN],
+        );
+        check_select_cmp(4, &[-0.0f32, 0.0, 0.1, 0.5, 1.0, f32::NAN]);
+        check_select_cmp(5, &[false, true]);
+    }
+
     #[test]
     fn gather_and_widen() {
         let src = [10i64, 20, 30, 40];
@@ -624,13 +881,13 @@ mod tests {
         assert_eq!(wide, vec![-1i64, i32::MAX as i64]);
 
         let mut f = Vec::new();
-        f64_from_bool(&[true, false], &mut f);
+        f64_from(&[true, false], &mut f);
         assert_eq!(f, vec![1.0, 0.0]);
-        f64_from_i64(&[1i64 << 60], &mut f);
-        assert_eq!(f, vec![(1i64 << 60) as f64]);
-        f64_from_f32(&[0.1f32], &mut f);
+        f64_from(&[1i64 << 60, (1 << 53) + 1], &mut f);
+        assert_eq!(f, vec![(1i64 << 60) as f64, (1i64 << 53) as f64]);
+        f64_from(&[0.1f32], &mut f);
         assert_eq!(f, vec![0.1f32 as f64]);
-        f64_from_i32(&[7], &mut f);
+        f64_from(&[7i32], &mut f);
         assert_eq!(f, vec![7.0]);
     }
 
@@ -720,9 +977,6 @@ mod tests {
         assert_eq!(out, vec![false, true]);
         truthy_f32(&[0.0, 2.0], &mut out);
         assert_eq!(out, vec![false, true]);
-        let mut notted = Vec::new();
-        not_bool(&out, &mut notted);
-        assert_eq!(notted, vec![true, false]);
     }
 
     #[test]

@@ -20,10 +20,16 @@
 //!   any float or boolean operand switches the operator to `f64`;
 //! * comparisons coerce both sides to `f64`; a NaN operand raises the
 //!   same typed error;
-//! * `AND`/`OR` short-circuit *per row* via selection splitting: the right
-//!   operand is evaluated only over rows the left operand did not decide,
-//!   so an error in the right operand surfaces for exactly the rows the
-//!   row interpreter would have evaluated it on;
+//! * `AND`/`OR`/`NOT` short-circuit *per row* in one place, [`refine`],
+//!   which narrows the selection a conjunct at a time: `AND` refines by
+//!   its right operand only the rows its left one kept, `OR` evaluates its
+//!   right operand only over the rows its left one did not keep, so an
+//!   error in the right operand surfaces for exactly the rows the row
+//!   interpreter would have evaluated it on ([`eval`] asks `refine` for
+//!   a boolean lane of these nodes);
+//! * a comparison of a column with a numeric or boolean constant (on
+//!   either side) is one fused pass, [`b::select_cmp`]: no gathered lane,
+//!   no splat, no flag vector;
 //! * projections and aggregate arguments are evaluated only over rows
 //!   that passed the filter;
 //! * unary minus preserves the operand's type, like the row path;
@@ -607,10 +613,10 @@ impl BVal {
         let mut out = Vec::new();
         match self {
             BVal::F64(v) => return Ok(v),
-            BVal::I64(v) => b::f64_from_i64(&v, &mut out),
-            BVal::I32(v) => b::f64_from_i32(&v, &mut out),
-            BVal::F32(v) => b::f64_from_f32(&v, &mut out),
-            BVal::Bool(v) => b::f64_from_bool(&v, &mut out),
+            BVal::I64(v) => b::f64_from(&v, &mut out),
+            BVal::I32(v) => b::f64_from(&v, &mut out),
+            BVal::F32(v) => b::f64_from(&v, &mut out),
+            BVal::Bool(v) => b::f64_from(&v, &mut out),
             BVal::Dyn(_) => {
                 return Err(EngineError::Type(
                     "batch plan error: dynamic lane in a typed kernel".into(),
@@ -651,11 +657,19 @@ impl BVal {
     }
 }
 
-/// Evaluates a filter over the current selection, refining `sel` in place
+/// Narrows `sel` in place to the rows where the filter `f` holds
 /// (`scratch` is the swap buffer, reused across batches). SELECT coerces
-/// the filter's lane to truthiness; the match phase of a DML statement
-/// (`strict` names it) requires booleans, like [`crate::expr::strict_bool`].
-pub(crate) fn apply_filter(
+/// the filter to truthiness; the match phase of a DML statement (`strict`
+/// names it) requires booleans, like [`crate::expr::strict_bool`] — at the
+/// top only, where `AND`/`OR`/`NOT` are booleans anyway: their operands
+/// are truthiness-coerced on both paths.
+///
+/// **The** short-circuit rule of the batch path. `AND` refines by its
+/// left operand, then by its right over the survivors; `OR` keeps what its
+/// left operand keeps plus what its right keeps of the rest; `NOT` keeps
+/// what its operand drops. So an operand runs over exactly the rows the
+/// interpreter evaluates it on, and no per-row flag vector is merged.
+pub(crate) fn refine(
     f: &BExpr,
     batch: &Batch,
     sel: &mut Vec<u32>,
@@ -663,14 +677,71 @@ pub(crate) fn apply_filter(
     env: &mut EvalEnv<'_>,
     strict: Option<&str>,
 ) -> Result<()> {
-    let lane = eval(f, batch, sel, env)?;
-    let flags = match strict {
-        Some(stmt) => lane.into_strict_bool(stmt)?,
-        None => lane.into_truthy(),
-    };
-    b::refine_selection(&flags, sel, scratch);
+    if sel.is_empty() {
+        return Ok(());
+    }
+    match f {
+        BExpr::And(l, r) => {
+            refine(l, batch, sel, scratch, env, None)?;
+            return refine(r, batch, sel, scratch, env, None);
+        }
+        BExpr::Or(l, r) => {
+            let mut kept = sel.clone();
+            refine(l, batch, &mut kept, scratch, env, None)?;
+            let mut rest = Vec::new();
+            b::selection_minus(sel, &kept, &mut rest);
+            refine(r, batch, &mut rest, scratch, env, None)?;
+            b::selection_union(&kept, &rest, scratch);
+        }
+        BExpr::Not(e) => {
+            let mut kept = sel.clone();
+            refine(e, batch, &mut kept, scratch, env, None)?;
+            b::selection_minus(sel, &kept, scratch);
+        }
+        _ => match col_vs_const(f) {
+            Some((pos, op, k)) => {
+                let ordered = match &batch.cols[pos] {
+                    ColVec::I64(lane) => b::select_cmp(op, lane, k, sel, scratch),
+                    ColVec::I32(lane) => b::select_cmp(op, lane, k, sel, scratch),
+                    ColVec::F64(lane) => b::select_cmp(op, lane, k, sel, scratch),
+                    ColVec::F32(lane) => b::select_cmp(op, lane, k, sel, scratch),
+                    ColVec::Blob { .. } => return Err(blob_in_scalar_expr()),
+                };
+                if !ordered {
+                    return Err(crate::expr::nan_comparison());
+                }
+            }
+            None => {
+                let lane = eval(f, batch, sel, env)?;
+                let flags = match strict {
+                    Some(stmt) => lane.into_strict_bool(stmt)?,
+                    None => lane.into_truthy(),
+                };
+                b::refine_selection(&flags, sel, scratch);
+            }
+        },
+    }
     std::mem::swap(sel, scratch);
     Ok(())
+}
+
+/// A comparison of a scalar column with a numeric or boolean constant, as
+/// (batch column, operator with the column on its left, the constant's
+/// `f64` view — what [`BVal::into_f64`] would splat).
+fn col_vs_const(f: &BExpr) -> Option<(usize, CmpOp, f64)> {
+    let BExpr::Cmp { op, l, r } = f else {
+        return None;
+    };
+    match (&**l, &**r) {
+        (BExpr::Col { pos, .. }, BExpr::Const(v)) => Some((*pos, *op, v.as_f64().ok()?)),
+        (BExpr::Const(v), BExpr::Col { pos, .. }) => Some((*pos, op.flipped(), v.as_f64().ok()?)),
+        _ => None,
+    }
+}
+
+#[cold]
+fn blob_in_scalar_expr() -> EngineError {
+    EngineError::Type("batch plan error: blob column in scalar expression".into())
 }
 
 /// The blob cell of batch column `pos` at batch row `row`: a lazy LOB
@@ -794,9 +865,7 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>)
                 b::gather_f32(src, sel, &mut out);
                 Ok(BVal::F32(out))
             }
-            ColVec::Blob { .. } => Err(EngineError::Type(
-                "batch plan error: blob column in scalar expression".into(),
-            )),
+            ColVec::Blob { .. } => Err(blob_in_scalar_expr()),
         },
         BExpr::Const(v) => {
             fn splat<T: Copy>(x: T, n: usize) -> Vec<T> {
@@ -844,49 +913,13 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>)
                 "batch plan error: negation of a boolean".into(),
             )),
         },
-        BExpr::Not(inner) => {
-            let t = eval(inner, batch, sel, env)?.into_truthy();
+        BExpr::Not(_) | BExpr::And(..) | BExpr::Or(..) => {
+            // Short-circuiting is `refine`'s alone: the lane is which
+            // selected rows it keeps.
+            let mut kept = sel.to_vec();
+            refine(e, batch, &mut kept, &mut Vec::new(), env, None)?;
             let mut out = Vec::new();
-            b::not_bool(&t, &mut out);
-            Ok(BVal::Bool(out))
-        }
-        BExpr::And(l, r) => {
-            // Per-row short-circuit via selection splitting: the right
-            // side sees only rows where the left side was truthy, so its
-            // errors (and only its errors) match the row interpreter.
-            let lt = eval(l, batch, sel, env)?.into_truthy();
-            let mut rhs_sel = Vec::new();
-            b::refine_selection(&lt, sel, &mut rhs_sel);
-            let rt = eval(r, batch, &rhs_sel, env)?.into_truthy();
-            let mut out = Vec::with_capacity(lt.len());
-            let mut j = 0usize;
-            for &t in lt.iter() {
-                if t {
-                    out.push(rt[j]);
-                    j += 1;
-                } else {
-                    out.push(false);
-                }
-            }
-            Ok(BVal::Bool(out))
-        }
-        BExpr::Or(l, r) => {
-            let lt = eval(l, batch, sel, env)?.into_truthy();
-            let mut not_lt = Vec::new();
-            b::not_bool(&lt, &mut not_lt);
-            let mut rhs_sel = Vec::new();
-            b::refine_selection(&not_lt, sel, &mut rhs_sel);
-            let rt = eval(r, batch, &rhs_sel, env)?.into_truthy();
-            let mut out = Vec::with_capacity(lt.len());
-            let mut j = 0usize;
-            for &t in lt.iter() {
-                if t {
-                    out.push(true);
-                } else {
-                    out.push(rt[j]);
-                    j += 1;
-                }
-            }
+            b::selection_flags(sel, &kept, &mut out);
             Ok(BVal::Bool(out))
         }
         BExpr::Cmp { op, l, r } => {
@@ -894,7 +927,7 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>)
             let bv = eval(r, batch, sel, env)?.into_f64()?;
             let mut out = Vec::new();
             if !b::cmp_f64(*op, &a, &bv, &mut out) {
-                return Err(EngineError::Type("NaN comparison".into()));
+                return Err(crate::expr::nan_comparison());
             }
             Ok(BVal::Bool(out))
         }
@@ -1297,7 +1330,7 @@ mod tests {
             }),
             r: Box::new(BExpr::Const(Value::F64(0.0))),
         };
-        apply_filter(&f, &batch, &mut sel, &mut scratch, &mut env, None).unwrap();
+        refine(&f, &batch, &mut sel, &mut scratch, &mut env, None).unwrap();
         assert_eq!(sel, vec![0, 1]);
         // A second filter composes over the refined selection.
         let f2 = BExpr::Cmp {
@@ -1308,7 +1341,7 @@ mod tests {
             }),
             r: Box::new(BExpr::Const(Value::I64(2))),
         };
-        apply_filter(&f2, &batch, &mut sel, &mut scratch, &mut env, None).unwrap();
+        refine(&f2, &batch, &mut sel, &mut scratch, &mut env, None).unwrap();
         assert_eq!(sel, vec![1]);
     }
 
@@ -1372,7 +1405,7 @@ mod tests {
             kind: VKind::I64,
         };
         let mut strict = |f: &BExpr, sel: &mut Vec<u32>| {
-            apply_filter(f, &batch, sel, &mut scratch, &mut env, Some("DELETE"))
+            refine(f, &batch, sel, &mut scratch, &mut env, Some("DELETE"))
         };
         // A typed non-boolean lane: an error as soon as a row is selected.
         let err = strict(&col0, &mut all(4)).unwrap_err();

@@ -4,10 +4,10 @@
 
 use crate::aggregate::{UdaMode, UdaRegistry, UdaState};
 use crate::batch::{blob_cell, BItem, BKey, BVal, BatchPlan, BlobCell};
-use crate::expr::{compare, eval, AggFunc, EvalEnv, Expr, RowCtx};
+use crate::expr::{eval, nan_comparison, AggFunc, EvalEnv, Expr, RowCtx};
 use crate::tsql::SelectItem;
 use crate::value::{EngineError, Result, Value};
-use sqlarray_core::batch::Batch;
+use sqlarray_core::batch::{Batch, ToF64};
 use sqlarray_core::exact::ExactSum;
 use sqlarray_core::QueryCtx;
 use std::cmp::Ordering;
@@ -121,15 +121,31 @@ pub(super) fn make_accs(items: &[SelectItem], udas: &UdaRegistry) -> Result<Vec<
     items.iter().map(|it| make_acc(&it.expr, udas)).collect()
 }
 
-/// The MIN/MAX replacement rule: `cand` takes the slot when it is empty
-/// or `cand` compares strictly `better` (`Less` for MIN, `Greater` for
-/// MAX) than the incumbent. Strictness keeps the *first* of equal values,
-/// so folding rows, batches or worker partials in scan order all agree.
+/// **The** MIN/MAX replacement rule, over the `f64` view every non-string
+/// value compares as: a candidate replaces the incumbent only when it
+/// compares strictly `better` (`Less` for MIN, `Greater` for MAX). Strictness
+/// keeps the *first* of equal values (of `-0.0` and `0.0`, or of `2⁵³` and
+/// `2⁵³ + 1`), so folding rows, batches or worker partials in scan order all
+/// agree; a NaN on either side is the comparison's typed error — and since
+/// an empty slot compares with nothing, a lone NaN is none.
+#[inline]
+fn replaces(cand: f64, cur: f64, better: Ordering) -> Result<bool> {
+    Ok(cand.partial_cmp(&cur).ok_or_else(nan_comparison)? == better)
+}
+
+/// [`replaces`] for values: `cand` takes the slot when it is empty or
+/// beats the incumbent. Two strings or two byte strings compare the way
+/// [`compare`](crate::expr::compare) orders them; everything else by its
+/// numeric view.
 fn beats(cand: &Value, incumbent: &Option<Value>, better: Ordering) -> Result<bool> {
-    Ok(match incumbent {
-        None => true,
-        Some(cur) => compare(cand, cur)? == better,
-    })
+    let Some(cur) = incumbent else {
+        return Ok(true);
+    };
+    match (cand, cur) {
+        (Value::Str(a), Value::Str(b)) => Ok(a.cmp(b) == better),
+        (Value::Bytes(a), Value::Bytes(b)) => Ok(a.cmp(b) == better),
+        _ => replaces(cand.as_f64()?, cur.as_f64()?, better),
+    }
 }
 
 fn shape_mismatch() -> EngineError {
@@ -140,9 +156,9 @@ impl ItemAcc {
     /// **The** value update of `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`: folds
     /// evaluated, LOB-resolved argument values in order, skipping NULLs.
     /// The row interpreter feeds it one value per row, grouped batches one
-    /// value per (row, group), ungrouped batches a whole lane — the
-    /// aggregate is matched once, outside the loop, so a typed lane folds
-    /// as tightly as a dedicated kernel would.
+    /// value per (row, group), ungrouped batches a whole dynamic lane; an
+    /// ungrouped typed lane takes [`fold_typed`](Self::fold_typed), the
+    /// same rules without a `Value` per element.
     #[inline]
     pub fn fold(&mut self, values: impl IntoIterator<Item = Value>) -> Result<()> {
         let ItemAcc::Agg {
@@ -186,20 +202,63 @@ impl ItemAcc {
         Ok(())
     }
 
-    /// [`fold`](Self::fold) over a whole evaluated lane, in lane order.
-    /// Its own dispatch on the lane type (not [`BVal::drain`]) so the
-    /// loop above runs over the typed vector with the aggregate already
-    /// chosen: folding value by value through `drain` measured +7 % on
-    /// the ungrouped five-aggregate scan.
+    /// [`fold`](Self::fold) over a whole evaluated lane, in lane order: a
+    /// dynamic lane value by value, a typed one by
+    /// [`fold_typed`](Self::fold_typed).
     fn fold_lane(&mut self, lane: BVal) -> Result<()> {
         match lane {
-            BVal::I64(v) => self.fold(v.into_iter().map(Value::I64)),
-            BVal::I32(v) => self.fold(v.into_iter().map(Value::I32)),
-            BVal::F64(v) => self.fold(v.into_iter().map(Value::F64)),
-            BVal::F32(v) => self.fold(v.into_iter().map(Value::F32)),
-            BVal::Bool(v) => self.fold(v.into_iter().map(Value::Bool)),
+            BVal::I64(v) => self.fold_typed(&v, Value::I64),
+            BVal::I32(v) => self.fold_typed(&v, Value::I32),
+            BVal::F64(v) => self.fold_typed(&v, Value::F64),
+            BVal::F32(v) => self.fold_typed(&v, Value::F32),
+            BVal::Bool(v) => self.fold_typed(&v, Value::Bool),
             BVal::Dyn(v) => self.fold(v),
         }
+    }
+
+    /// [`fold`](Self::fold) over a typed lane, which holds no NULL:
+    /// `COUNT` adds its length, `SUM`/`AVG` add its numeric view, and
+    /// `MIN`/`MAX` find the lane's winner by [`replaces`] and turn only that
+    /// one element into a [`Value`] (`wrap`, which keeps the lane type) for
+    /// the test against the incumbent. Each element meets the same
+    /// comparisons, with the same verdict, as fed one by one.
+    fn fold_typed<T: ToF64>(&mut self, lane: &[T], wrap: fn(T) -> Value) -> Result<()> {
+        let ItemAcc::Agg {
+            func,
+            count,
+            sum,
+            min,
+            max,
+        } = self
+        else {
+            return Err(shape_mismatch());
+        };
+        *count += lane.len() as u64;
+        let (slot, better) = match func {
+            AggFunc::Count | AggFunc::CountStar => return Ok(()),
+            AggFunc::Sum | AggFunc::Avg => {
+                for &x in lane {
+                    sum.add(x.to_f64());
+                }
+                return Ok(());
+            }
+            AggFunc::Min => (min, Ordering::Less),
+            AggFunc::Max => (max, Ordering::Greater),
+        };
+        let Some((&first, rest)) = lane.split_first() else {
+            return Ok(());
+        };
+        let (mut win, mut best) = (first, first.to_f64());
+        for &x in rest {
+            if replaces(x.to_f64(), best, better)? {
+                (win, best) = (x, x.to_f64());
+            }
+        }
+        let cand = wrap(win);
+        if beats(&cand, slot, better)? {
+            *slot = Some(cand);
+        }
+        Ok(())
     }
 
     /// Counts `n` rows without looking at a value: `COUNT(*)`, and `COUNT`

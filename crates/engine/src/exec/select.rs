@@ -278,7 +278,7 @@ impl<'a> SelectJob<'a> {
             sel.clear();
             sel.extend(from as u32..to as u32);
             if let Some(f) = &plan.filter {
-                crate::batch::apply_filter(f, b, sel, &mut scratch, env, self.dml)?;
+                crate::batch::refine(f, b, sel, &mut scratch, env, self.dml)?;
             }
             Ok(())
         };

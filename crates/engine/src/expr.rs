@@ -341,10 +341,16 @@ pub fn compare(l: &Value, r: &Value) -> Result<std::cmp::Ordering> {
         _ => {
             let a = l.as_f64()?;
             let b = r.as_f64()?;
-            a.partial_cmp(&b)
-                .ok_or_else(|| EngineError::Type("NaN comparison".into()))
+            a.partial_cmp(&b).ok_or_else(nan_comparison)
         }
     }
+}
+
+/// The typed error of a numeric comparison with a NaN operand — on every
+/// path that compares: `compare`, the batch kernels and the MIN/MAX folds.
+#[cold]
+pub(crate) fn nan_comparison() -> EngineError {
+    EngineError::Type("NaN comparison".into())
 }
 
 #[cfg(test)]

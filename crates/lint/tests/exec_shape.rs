@@ -55,6 +55,16 @@
 //!   And `wal.rs` has one mixing primitive: `wrapping_mul` appears in
 //!   `mix` alone, so the page sum and the frame check are one function of
 //!   the bytes, not two.
+//! * The batch path short-circuits in one place: only `batch.rs::refine`
+//!   destructures a `BExpr::And`/`Or`/`Not` (binds its operands), and
+//!   `eval` answers those nodes by calling it — no second merge of flag
+//!   vectors decides which rows an operand runs on. An ungrouped typed lane
+//!   folds without a `Value` per element: `fold_lane` hands typed lanes to
+//!   `fold_typed`, whose loops name no `Value` and call no per-value fold.
+//!   And the selection kernels that filters spend their time in —
+//!   `refine_selection`, the fused compare's `select_where`,
+//!   `selection_minus` — have no `if` in their loops: a random filter
+//!   costs no mispredicted branch per row.
 
 use sqlarray_lint::driver::find_workspace_root;
 use sqlarray_lint::SourceFile;
@@ -145,11 +155,29 @@ fn the_executor_has_one_fan_out_and_one_panic_boundary() {
 }
 
 /// `::name` of the function enclosing token `k`: the name after the
-/// nearest preceding `fn` (closures and `fn(..)` pointer types have none,
-/// so they resolve to the function around them).
+/// nearest preceding `fn` whose body holds `k` (closures and `fn(..)`
+/// pointer types have none, so they resolve to the function around them,
+/// and so does code after a nested `fn` item).
 fn enclosing_fn(f: &SourceFile<'_>, k: usize) -> String {
-    let named = |j: &usize| f.is_ident(*j, "fn") && !f.is_punct(j + 1, "(");
-    let name = (0..k).rev().find(named).map_or("", |j| f.text(j + 1));
+    let encloses = |j: &usize| {
+        if !f.is_ident(*j, "fn") || f.is_punct(j + 1, "(") {
+            return false;
+        }
+        // The body is the first `{` outside parentheses and brackets; a
+        // `;` there first ends a declaration without one.
+        let mut depth = 0i32;
+        for i in *j..k {
+            match f.text(i) {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth -= 1,
+                ";" if depth == 0 => return false,
+                "{" if depth == 0 => return matching(f, i, "{", "}") > k,
+                _ => {}
+            }
+        }
+        false
+    };
+    let name = (0..k).rev().find(encloses).map_or("", |j| f.text(j + 1));
     format!("::{name}")
 }
 
@@ -422,4 +450,130 @@ fn a_page_access_pays_for_what_it_touched() {
         [format!("{wal}::mix")],
         "one mixing primitive: pages and frames are summed by the same chain"
     );
+}
+
+/// Runs `check` over the parsed workspace file `rel`.
+fn with_file<R>(rel: &str, check: impl FnOnce(&SourceFile<'_>) -> R) -> R {
+    let cwd = std::env::current_dir().unwrap();
+    let root = find_workspace_root(&cwd).expect("run inside the workspace");
+    let src = std::fs::read_to_string(root.join(rel)).unwrap();
+    check(&SourceFile::parse(rel, &src))
+}
+
+/// The token after the `close` that matches the `open` at `k`.
+fn matching(f: &SourceFile<'_>, k: usize, open: &str, close: &str) -> usize {
+    let mut depth = 0i32;
+    (k..f.sig.len())
+        .find(|&j| {
+            if f.is_punct(j, open) {
+                depth += 1;
+            } else if f.is_punct(j, close) {
+                depth -= 1;
+            }
+            depth == 0
+        })
+        .expect("unbalanced delimiters")
+}
+
+/// The braces `(open, close)` of the non-test `fn name`.
+fn fn_body(f: &SourceFile<'_>, name: &str) -> (usize, usize) {
+    let k = (0..f.sig.len())
+        .find(|&k| f.is_ident(k, "fn") && f.is_ident(k + 1, name) && !f.in_test(f.tok(k).start))
+        .unwrap_or_else(|| panic!("`fn {name}` went missing from {}", f.path));
+    let open = (k..f.sig.len()).find(|&j| f.is_punct(j, "{")).unwrap();
+    (open, matching(f, open, "{", "}"))
+}
+
+/// The body ranges of every `for` loop inside the non-test `fn name`.
+fn loops_in(f: &SourceFile<'_>, name: &str) -> Vec<(usize, usize)> {
+    let (open, close) = fn_body(f, name);
+    let loops: Vec<(usize, usize)> = (open..close)
+        .filter(|&k| f.is_ident(k, "for"))
+        .map(|k| {
+            let body = (k..close).find(|&j| f.is_punct(j, "{")).unwrap();
+            (body, matching(f, body, "{", "}"))
+        })
+        .collect();
+    assert!(
+        !loops.is_empty(),
+        "the matcher no longer sees a loop in `{name}`"
+    );
+    loops
+}
+
+#[test]
+fn the_batch_path_short_circuits_in_refine_alone() {
+    // `BExpr::And(..)`/`Or(..)`/`Not(..)` as a match pattern (`=>` or `|`
+    // follows) that binds a name inside the parentheses.
+    let looks_inside = |f: &SourceFile<'_>, k: usize| {
+        let node = ["And", "Or", "Not"].iter().any(|n| f.is_ident(k, n))
+            && k >= 3
+            && f.is_ident(k - 3, "BExpr")
+            && f.is_punct(k + 1, "(");
+        if !node {
+            return false;
+        }
+        let close = matching(f, k + 1, "(", ")");
+        let pattern = f.is_punct(close + 1, "|") || f.is_punct(close + 1, "=");
+        let binds = (k + 2..close)
+            .any(|j| f.kind(j) == Some(sqlarray_lint::lexer::TokKind::Ident) && f.text(j) != "_");
+        pattern && binds
+    };
+    let batch = "crates/engine/src/batch.rs";
+    assert_eq!(
+        hits_in_fn("crates/engine/src", looks_inside, enclosing_fn),
+        ["refine"; 3].map(|f| format!("{batch}::{f}")),
+        "only `refine` looks inside AND/OR/NOT: the short-circuit rule exists once"
+    );
+    let calls_refine = |f: &SourceFile<'_>, k: usize| {
+        followed_by_paren(f, k, "refine") && !(k > 0 && f.is_ident(k - 1, "fn"))
+    };
+    let callers: Vec<String> = hits_in_fn("crates/engine/src", calls_refine, enclosing_fn)
+        .into_iter()
+        .filter(|c| *c != format!("{batch}::refine"))
+        .collect();
+    assert_eq!(
+        callers,
+        [
+            format!("{batch}::eval"),
+            "crates/engine/src/exec/select.rs::scan_batches".to_string()
+        ],
+        "a WHERE is refined by `refine`, and `eval` asks it for AND/OR/NOT lanes"
+    );
+}
+
+#[test]
+fn an_ungrouped_typed_lane_folds_without_a_value_per_element() {
+    with_file("crates/engine/src/exec/agg.rs", |f| {
+        let (open, close) = fn_body(f, "fold_lane");
+        let named = |name: &str| (open..close).filter(|&j| f.is_ident(j, name)).count();
+        assert_eq!(
+            (named("fold_typed"), named("fold"), named("map")),
+            (5, 1, 0),
+            "`fold_lane` sends its five typed arms to `fold_typed` and only the dynamic one to `fold`"
+        );
+        let per_value = ["Value", "wrap", "fold", "beats"];
+        for (body, end) in loops_in(f, "fold_typed") {
+            let hit = (body..end).find(|&j| per_value.iter().any(|w| f.is_ident(j, w)));
+            assert!(
+                hit.is_none(),
+                "a `fold_typed` loop names `{}`: a value per element is back",
+                hit.map_or("", |j| f.text(j))
+            );
+        }
+    });
+}
+
+#[test]
+fn selection_kernels_do_not_branch_per_row() {
+    with_file("crates/core/src/batch.rs", |f| {
+        for kernel in ["refine_selection", "select_where", "selection_minus"] {
+            for (body, end) in loops_in(f, kernel) {
+                assert!(
+                    !(body..end).any(|j| f.is_ident(j, "if")),
+                    "`{kernel}` branches inside its loop"
+                );
+            }
+        }
+    });
 }

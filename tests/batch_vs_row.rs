@@ -33,8 +33,11 @@
 //!   text, `udf_calls`, table contents, WAL and disk image.
 //!
 //! Error parity is checked too: a query that fails on the row path must
-//! fail on the batch path (messages may legitimately differ in ordering
-//! of discovery, but Ok-vs-Err must agree).
+//! fail on the batch path with the same error text. So must the edge
+//! values of [`EDGE_QUERIES`] — ties under the `f64` comparison, NaN cells
+//! and variables, constants on either side of a comparison — where a typed
+//! fold or the fused column-vs-constant comparison could drift from the
+//! interpreter.
 
 use proptest::prelude::*;
 use sqlarray::prelude::*;
@@ -168,6 +171,13 @@ const QUERIES: &[&str] = &[
     "SELECT id FROM T WHERE FloatArray.Item_1(w, 0) > 0.5 AND a > 0",
     "SELECT COUNT(*) FROM T WHERE b < 0 OR FloatArrayMax.Item_1(m, 1) > 0.0",
     "SELECT SUM(c) FROM T WHERE NOT FloatArray.Max(w) < 10.0",
+    // `NOT`/`OR` nesting whose zero divisors sit on arms the left operand
+    // already decided; as a filter, and as boolean lanes (projected, and
+    // compared with each other).
+    "SELECT id FROM T WHERE NOT (a > -10000 OR 1 / (a - a) > 0)",
+    "SELECT COUNT(*) FROM T WHERE id % 5 = 0 OR NOT (id % 5 = 4 OR 10 / (id % 5) > 2)",
+    "SELECT id, NOT (id % 5 = 0 OR 10 / (id % 5) > 2) FROM T WHERE id % 3 = 0",
+    "SELECT SUM(a) FROM T WHERE (id % 5 = 0 OR 10 / (id % 5) > 2) = (NOT a > 0 AND b < 0)",
     // Grouped aggregation: scalar keys, UDF arguments, UDF-valued keys,
     // non-aggregate items, blob and LOB keys.
     "SELECT id % 4, COUNT(*), MIN(id), MAX(id), AVG(c) FROM T GROUP BY id % 4",
@@ -232,6 +242,8 @@ const ERROR_QUERIES: &[&str] = &[
     "SELECT -'x' FROM T",
     "SELECT a + NULL FROM T",
     "SELECT COUNT(*) FROM T WHERE NULL < 1",
+    // The undecided arm of an `OR` under `NOT` meets a zero divisor.
+    "SELECT COUNT(*) FROM T WHERE NOT (a < -10000 OR 1 / (a - a) > 0)",
 ];
 
 const BATCH_SIZES: [usize; 2] = [7, 1024];
@@ -242,8 +254,9 @@ fn run(s: &mut Session, sql: &str) -> std::result::Result<Vec<Vec<Value>>, Strin
 }
 
 /// Runs `sql` once on the serial row path and once per (batch, dop)
-/// configuration, asserting bit-identity (or matching failure).
-fn assert_differential(s: &mut Session, sql: &str) {
+/// configuration, asserting bit-identity (or the same error text). Returns
+/// the row path's answer.
+fn assert_differential(s: &mut Session, sql: &str) -> std::result::Result<Vec<Vec<Value>>, String> {
     s.set_batch_rows(0);
     s.set_dop(1);
     let base = run(s, sql);
@@ -257,7 +270,10 @@ fn assert_differential(s: &mut Session, sql: &str) {
                     rows_bit_identical(want, have),
                     "batch={batch} dop={dop} diverged for {sql:?}:\nrow:   {want:?}\nbatch: {have:?}"
                 ),
-                (Err(_), Err(_)) => {}
+                (Err(want), Err(have)) => assert_eq!(
+                    want, have,
+                    "batch={batch} dop={dop} failed differently for {sql:?}"
+                ),
                 (w, h) => panic!(
                     "batch={batch} dop={dop} Ok/Err mismatch for {sql:?}:\nrow:   {w:?}\nbatch: {h:?}"
                 ),
@@ -267,6 +283,7 @@ fn assert_differential(s: &mut Session, sql: &str) {
     // Leave the session back on defaults for the next query.
     s.set_batch_rows(sqlarray_core::batch::DEFAULT_BATCH_ROWS);
     s.set_dop(1);
+    base
 }
 
 #[test]
@@ -277,9 +294,144 @@ fn batch_matches_row_on_edge_case_table_sizes() {
         // The error queries too: on the empty table both arms succeed
         // (nothing is evaluated), everywhere else both fail.
         for sql in QUERIES.iter().chain(ERROR_QUERIES) {
-            assert_differential(&mut s, sql);
+            let _ = assert_differential(&mut s, sql);
         }
     }
+}
+
+// --- Edge values: ties, 2⁵³, NaN, constants on either side ----------------
+
+/// A table `E (id BIGINT, a BIGINT, b INT, c FLOAT, d REAL)`, one row per
+/// `(a, b, c, d)`, keyed `0..`.
+fn edge_session(rows: &[(i64, i32, f64, f32)]) -> Session {
+    let mut db = Database::new();
+    db.create_table(
+        "E",
+        Schema::new(&[
+            ("id", ColType::I64),
+            ("a", ColType::I64),
+            ("b", ColType::I32),
+            ("c", ColType::F64),
+            ("d", ColType::F32),
+        ]),
+    )
+    .unwrap();
+    for (k, &(a, b, c, d)) in rows.iter().enumerate() {
+        let k = k as i64;
+        let row = [
+            RowValue::I64(k),
+            RowValue::I64(a),
+            RowValue::I32(b),
+            RowValue::F64(c),
+            RowValue::F32(d),
+        ];
+        db.insert("E", k, &row).unwrap();
+    }
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
+    s.set_var("nan", Value::F64(f64::NAN));
+    s
+}
+
+/// `n` rows cycling through values that tie under the `f64` comparison:
+/// `a` through `2⁵³ + 1, 2⁵³` (equal as `f64`), `c` through `0.0, -0.0`
+/// (the minima) and `d` through `-0.0, 0.0` (the maxima).
+fn edge_rows(n: usize) -> Vec<(i64, i32, f64, f32)> {
+    (0..n)
+        .map(|k| {
+            let a = [P53 + 1, P53, -5, 3][k % 4];
+            let c = [0.0, -0.0, 1.0, 0.5][k % 4];
+            let d = [-0.0, 0.0, -1.0, -0.5][k % 4];
+            (a, (k % 7) as i32 - 3, c, d)
+        })
+        .collect()
+}
+
+/// Statements where a typed fold or the fused comparison could drift from
+/// the interpreter unnoticed by the main fixture: the first of equal
+/// extremes must win (bit for bit, sign of zero included, and `2⁵³ + 1`
+/// before `2⁵³`, which `f64` cannot tell apart), constants stand on either
+/// side of a comparison, integer constants meet float and `INT` columns, and
+/// NaN cells and a NaN variable raise the interpreter's error exactly where
+/// it does.
+const EDGE_QUERIES: &[&str] = &[
+    "SELECT MIN(c), MAX(c), MIN(d), MAX(d), MIN(a), MAX(a) FROM E",
+    "SELECT MIN(c), MAX(d), MIN(a), MAX(a) FROM E WHERE id > 0",
+    "SELECT MIN(c), MAX(d), MAX(a) FROM E WHERE id > 500",
+    "SELECT MIN(a), MAX(a), COUNT(*) FROM E WHERE a > 100",
+    "SELECT id % 3, MIN(c), MAX(d), MIN(a), MAX(a) FROM E GROUP BY id % 3",
+    "SELECT id, a FROM E WHERE a = 9007199254740993",
+    "SELECT COUNT(*) FROM E WHERE a = 9007199254740992 AND 9007199254740993 = a",
+    "SELECT id FROM E WHERE 0.5 < c",
+    "SELECT COUNT(*) FROM E WHERE 1 >= b AND 0 > d",
+    "SELECT COUNT(*) FROM E WHERE c > 0 OR d = 0 OR b <> 0",
+    "SELECT COUNT(*) FROM E WHERE c = 1 AND NOT 0 <= d",
+    "SELECT SUM(c), AVG(d), SUM(b), COUNT(a) FROM E WHERE -3 = b",
+    "SELECT MIN(c), MAX(d) FROM E WHERE id <> 5",
+    "SELECT COUNT(*) FROM E WHERE c > @nan",
+    "SELECT COUNT(*) FROM E WHERE a > 100000000000000000 AND @nan < c",
+];
+
+#[test]
+fn edge_values_fold_and_compare_like_the_interpreter() {
+    let clean = edge_rows(1100);
+    let mut nan_at_5 = clean.clone();
+    (nan_at_5[5].2, nan_at_5[5].3) = (f64::NAN, f32::NAN);
+    let lone_nan = [(1, 1, f64::NAN, f32::NAN)];
+    for rows in [&clean[..], &nan_at_5[..], &lone_nan[..], &[][..]] {
+        let mut s = edge_session(rows);
+        for sql in EDGE_QUERIES {
+            let _ = assert_differential(&mut s, sql);
+        }
+    }
+
+    // Not vacuous: the row path's answers are the ones described above —
+    // the first tied extreme, over the whole table and from row 1 on.
+    let bits = |row: &[Value]| -> Vec<u64> {
+        row.iter()
+            .map(|v| match v {
+                Value::F64(x) => x.to_bits(),
+                Value::F32(x) => u64::from(x.to_bits()),
+                Value::I64(x) => *x as u64,
+                other => panic!("{other:?}"),
+            })
+            .collect()
+    };
+    let mut s = edge_session(&clean);
+    let whole = assert_differential(&mut s, EDGE_QUERIES[0]).unwrap();
+    let want = [0.0, 1.0].map(Value::F64).into_iter();
+    let want = want.chain([-1.0, -0.0].map(Value::F32));
+    let want: Vec<Value> = want.chain([-5, P53 + 1].map(Value::I64)).collect();
+    assert_eq!(bits(&whole[0]), bits(&want), "{whole:?}");
+    let later = assert_differential(&mut s, EDGE_QUERIES[1]).unwrap();
+    let want = [
+        Value::F64(-0.0),
+        Value::F32(0.0),
+        Value::I64(-5),
+        Value::I64(P53),
+    ];
+    assert_eq!(bits(&later[0]), bits(&want), "{later:?}");
+    let count = assert_differential(&mut s, EDGE_QUERIES[6]).unwrap();
+    assert_eq!(count, [[Value::I64(550)]]);
+    let nan = EngineError::Type("NaN comparison".into()).to_string();
+    assert_eq!(
+        assert_differential(&mut s, EDGE_QUERIES[13]),
+        Err(nan.clone())
+    );
+    assert_eq!(
+        assert_differential(&mut s, EDGE_QUERIES[14]).unwrap(),
+        [[Value::I64(0)]]
+    );
+    let mut s = edge_session(&nan_at_5);
+    for sql in [EDGE_QUERIES[0], EDGE_QUERIES[7]] {
+        assert_eq!(assert_differential(&mut s, sql), Err(nan.clone()), "{sql}");
+    }
+    assert!(assert_differential(&mut s, EDGE_QUERIES[12]).is_ok());
+    let mut s = edge_session(&lone_nan);
+    let lone = assert_differential(&mut s, EDGE_QUERIES[0]).unwrap();
+    assert!(
+        matches!(lone[0][0], Value::F64(x) if x.is_nan()),
+        "{lone:?}"
+    );
 }
 
 #[test]
@@ -604,6 +756,10 @@ const DML_STATEMENTS: &[(&str, Option<Fallback>)] = &[
          FloatArrayMax.Vector_2(7.0, 8.0)), a = 1 WHERE id % 97 < 6",
         None,
     ),
+    // Strict predicates through the fused comparisons: an `AND` of two,
+    // and a constant on the left under `OR`/`NOT`.
+    ("DELETE FROM T WHERE c > 0 AND a < 0", None),
+    ("UPDATE T SET b = b + 1 WHERE 0.5 < c OR NOT -100 < a", None),
     // A range DELETE, and one matching nothing.
     ("DELETE FROM T WHERE id >= 20 AND id < 160", None),
     ("DELETE FROM T WHERE a > 100000", None),
@@ -1113,7 +1269,11 @@ proptest! {
                     "rows={} batch={} dop={} diverged for {:?}",
                     rows, batch, dop, sql
                 ),
-                (Err(_), Err(_)) => {}
+                (Err(want), Err(have)) => prop_assert!(
+                    want == have,
+                    "rows={} batch={} dop={} failed differently for {:?}: {:?} vs {:?}",
+                    rows, batch, dop, sql, want, have
+                ),
                 (w, h) => prop_assert!(
                     false,
                     "rows={} batch={} dop={} Ok/Err mismatch for {:?}: {:?} vs {:?}",
