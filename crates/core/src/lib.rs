@@ -44,6 +44,7 @@ pub mod element;
 pub mod env;
 pub mod errors;
 pub mod exact;
+pub mod fault;
 pub mod fmt;
 pub mod header;
 pub mod le;
@@ -63,6 +64,7 @@ pub use element::{Element, ElementType};
 pub use env::env_usize;
 pub use errors::{ArrayError, Result};
 pub use exact::ExactSum;
+pub use fault::{Fault, FaultPlan};
 pub use header::{Header, StorageClass, SHORT_MAX_BYTES, SHORT_MAX_RANK};
 pub use lifecycle::{CancelHandle, Interrupt, QueryCtx, QueryLimits};
 pub use scalar::Scalar;

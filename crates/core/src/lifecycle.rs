@@ -16,18 +16,19 @@
 //!   [`QueryCtx::charge`] for batch lane growth, aggregation state and
 //!   LOB materialization.
 //!
-//! The context is also the *fault-injection* surface for the query
-//! kill-matrix tests: [`QueryLimits::cancel_after_checks`] arms a
-//! deterministic trip point — the N-th `check` anywhere in the pipeline
-//! reports [`Interrupt::Cancelled`] — which lets a test enumerate every
-//! cancellation point of a statement from a counting dry run, exactly the
-//! way the WAL crash matrix enumerates its kill points from
-//! `IoStats::wal_records`.
+//! The context is also a *fault-injection* site for the query
+//! kill-matrix tests: a [`Fault::Cancel`] plan in [`QueryLimits::fault`]
+//! makes the `at`-th `check` anywhere in the pipeline, and every later
+//! one, report [`Interrupt::Cancelled`]. A count-only plan
+//! ([`FaultPlan::count`]) enumerates a statement's cancellation points in
+//! a dry run, the way the WAL crash matrix enumerates its cut points — the
+//! same [`crate::fault`] plan, at another site.
 //!
-//! The happy-path cost is one relaxed atomic load per check (plus an
-//! `Instant::now()` only when a deadline is armed), so checks can sit in
-//! per-row loops without showing up in profiles.
+//! The happy-path cost is one `Option` test and one relaxed atomic load
+//! per check (plus an `Instant::now()` only when a deadline is armed), so
+//! checks can sit in per-row loops without showing up in profiles.
 
+use crate::fault::{Fault, FaultPlan};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -99,17 +100,15 @@ impl CancelHandle {
 }
 
 /// Mint-time limits for a [`QueryCtx`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 pub struct QueryLimits {
     /// Statement timeout; `None` = no deadline.
     pub timeout_ms: Option<u64>,
     /// Memory budget in bytes; `0` = unlimited.
     pub mem_limit_bytes: u64,
-    /// Deterministic trip point for kill-matrix tests: the N-th `check`
-    /// (1-based, counted across all threads) reports `Cancelled`. Arming
-    /// with `u64::MAX` counts checks without ever tripping (the dry-run
-    /// mode that enumerates a statement's cancellation points).
-    pub cancel_after_checks: Option<u64>,
+    /// A [`Fault::Cancel`] plan for kill-matrix tests, counted over every
+    /// `check` of the statement on every thread; `None` = no fault.
+    pub fault: Option<FaultPlan>,
 }
 
 #[derive(Debug)]
@@ -119,13 +118,7 @@ struct QueryInner {
     timeout_ms: u64,
     mem_limit: u64,
     mem_used: AtomicU64,
-    /// Checks observed so far; only counted while a trip point is armed,
-    /// so the unarmed fast path is a single branch.
-    checks: AtomicU64,
-    /// 1-based check ordinal that trips, `u64::MAX` = count only, `0`
-    /// (via `None`) = don't even count.
-    trip_at: u64,
-    count_checks: bool,
+    fault: Option<FaultPlan>,
 }
 
 /// The per-statement lifecycle context. Cheap to clone (one `Arc`); every
@@ -141,12 +134,12 @@ impl QueryCtx {
     /// recovery) and as the default for [`crate::batch`]-free serial
     /// paths.
     pub fn unbounded() -> QueryCtx {
-        QueryCtx::with_limits(CancelHandle::new(), &QueryLimits::default())
+        QueryCtx::with_limits(CancelHandle::new(), QueryLimits::default())
     }
 
     /// A context wired to `cancel` with `limits` applied. The deadline is
     /// computed *now*, so mint the context when the statement starts.
-    pub fn with_limits(cancel: CancelHandle, limits: &QueryLimits) -> QueryCtx {
+    pub fn with_limits(cancel: CancelHandle, limits: QueryLimits) -> QueryCtx {
         QueryCtx {
             inner: Arc::new(QueryInner {
                 cancel,
@@ -156,9 +149,7 @@ impl QueryCtx {
                 timeout_ms: limits.timeout_ms.unwrap_or(0),
                 mem_limit: limits.mem_limit_bytes,
                 mem_used: AtomicU64::new(0),
-                checks: AtomicU64::new(0),
-                trip_at: limits.cancel_after_checks.unwrap_or(0),
-                count_checks: limits.cancel_after_checks.is_some(),
+                fault: limits.fault,
             }),
         }
     }
@@ -168,9 +159,8 @@ impl QueryCtx {
     /// cheap when nothing is armed.
     pub fn check(&self) -> Result<(), Interrupt> {
         let i = &*self.inner;
-        if i.count_checks {
-            let n = i.checks.fetch_add(1, Ordering::Relaxed) + 1;
-            if n >= i.trip_at {
+        if let Some(plan) = &i.fault {
+            if plan.fault == Fault::Cancel && plan.tick().is_ge() {
                 return Err(Interrupt::Cancelled);
             }
         }
@@ -206,11 +196,11 @@ impl QueryCtx {
         self.inner.mem_used.load(Ordering::Relaxed)
     }
 
-    /// Checks observed so far. Zero unless `cancel_after_checks` armed
-    /// counting; the kill matrix reads this off a `u64::MAX` dry run to
+    /// The statement's fault plan, if one was armed: the kill matrix reads
+    /// a count-only plan's [`seen`](FaultPlan::seen) off a dry run to
     /// enumerate trip points.
-    pub fn checks(&self) -> u64 {
-        self.inner.checks.load(Ordering::Relaxed)
+    pub fn fault(&self) -> Option<&FaultPlan> {
+        self.inner.fault.as_ref()
     }
 
     /// The armed deadline, if any (the scheduler bounds its admission
@@ -242,13 +232,13 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(q.check(), Ok(()));
         }
-        assert_eq!(q.checks(), 0, "unarmed checks are not counted");
+        assert!(q.fault().is_none(), "unarmed checks are not counted");
     }
 
     #[test]
     fn cancel_handle_trips_check() {
         let h = CancelHandle::new();
-        let q = QueryCtx::with_limits(h.clone(), &QueryLimits::default());
+        let q = QueryCtx::with_limits(h.clone(), QueryLimits::default());
         assert_eq!(q.check(), Ok(()));
         h.cancel();
         assert_eq!(q.check(), Err(Interrupt::Cancelled));
@@ -262,7 +252,7 @@ mod tests {
     fn deadline_trips_with_timeout_payload() {
         let q = QueryCtx::with_limits(
             CancelHandle::new(),
-            &QueryLimits {
+            QueryLimits {
                 timeout_ms: Some(0),
                 ..QueryLimits::default()
             },
@@ -274,7 +264,7 @@ mod tests {
     fn budget_charges_cumulatively() {
         let q = QueryCtx::with_limits(
             CancelHandle::new(),
-            &QueryLimits {
+            QueryLimits {
                 mem_limit_bytes: 100,
                 ..QueryLimits::default()
             },
@@ -291,33 +281,46 @@ mod tests {
         assert_eq!(q.mem_used(), 101);
     }
 
-    #[test]
-    fn trip_point_fires_on_exact_check() {
-        let q = QueryCtx::with_limits(
+    /// A context whose cancel plan fires at its `at`-th check.
+    fn cancel_at(at: u64) -> QueryCtx {
+        QueryCtx::with_limits(
             CancelHandle::new(),
-            &QueryLimits {
-                cancel_after_checks: Some(3),
+            QueryLimits {
+                fault: Some(FaultPlan::new(Fault::Cancel, at)),
                 ..QueryLimits::default()
             },
-        );
+        )
+    }
+
+    #[test]
+    fn trip_point_fires_on_exact_check() {
+        let q = cancel_at(3);
         assert_eq!(q.check(), Ok(()));
         assert_eq!(q.check(), Ok(()));
         assert_eq!(q.check(), Err(Interrupt::Cancelled));
-        assert_eq!(q.checks(), 3);
+        assert_eq!(q.check(), Err(Interrupt::Cancelled), "and every later one");
+        assert_eq!(q.fault().map(FaultPlan::seen), Some(4));
     }
 
     #[test]
     fn count_only_mode_never_trips() {
-        let q = QueryCtx::with_limits(
-            CancelHandle::new(),
-            &QueryLimits {
-                cancel_after_checks: Some(u64::MAX),
-                ..QueryLimits::default()
-            },
-        );
+        let q = cancel_at(u64::MAX);
         for _ in 0..100 {
             assert_eq!(q.check(), Ok(()));
         }
-        assert_eq!(q.checks(), 100);
+        assert_eq!(q.fault().map(FaultPlan::seen), Some(100));
+    }
+
+    #[test]
+    fn a_plan_for_another_site_neither_fires_nor_counts() {
+        let q = QueryCtx::with_limits(
+            CancelHandle::new(),
+            QueryLimits {
+                fault: Some(FaultPlan::new(Fault::ReadFault { times: 1 }, 1)),
+                ..QueryLimits::default()
+            },
+        );
+        assert_eq!(q.check(), Ok(()));
+        assert_eq!(q.fault().map(FaultPlan::seen), Some(0));
     }
 }

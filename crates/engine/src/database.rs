@@ -60,8 +60,9 @@ impl Database {
     /// Inserts a row into a table. A `BIGINT` column 0 is the clustered
     /// key column — the `id` a `WHERE id = k` seeks by — so `values[0]`
     /// must then be `RowValue::I64(key)`; anything else is a typed error
-    /// and nothing is written ([`bulk_insert`](Self::bulk_insert) checks
-    /// the same for every row before it loads any).
+    /// and nothing is written
+    /// ([`bulk_insert_with_dop`](Self::bulk_insert_with_dop) checks the
+    /// same for every row before it loads any).
     pub fn insert(&mut self, table: &str, key: i64, values: &[RowValue]) -> Result<()> {
         let (store, t) = self.store_and_table_mut(table)?;
         check_key_column(t, key, values)?;
@@ -70,18 +71,9 @@ impl Database {
     }
 
     /// Bulk-loads an **empty** table from key-sorted rows through the
-    /// parallel ingest path, at the environment-configured DOP
-    /// (`SQLARRAY_DOP`, else the core count; serial inside
-    /// `parallel::with_serial_kernels` — the knob `fftn` and the dense
-    /// linalg kernels read; loading happens outside any engine, so it
-    /// does not go through [`crate::config`]). The resulting layout, pool
-    /// state and I/O accounting are identical at every DOP.
-    pub fn bulk_insert(&mut self, table: &str, rows: &[(i64, Vec<RowValue>)]) -> Result<()> {
-        self.bulk_insert_with_dop(table, rows, sqlarray_core::parallel::configured_dop())
-    }
-
-    /// [`bulk_insert`](Self::bulk_insert) with an explicit degree of
-    /// parallelism for the encode/leaf-build stages.
+    /// parallel ingest path, with `dop` workers for the encode and
+    /// leaf-build stages. The resulting layout, pool state and I/O
+    /// accounting are identical at every DOP.
     pub fn bulk_insert_with_dop(
         &mut self,
         table: &str,
@@ -163,9 +155,10 @@ impl Database {
 /// `BIGINT`. Storage keys rows by an opaque `i64` passed beside the row;
 /// this is the layer that ties it to a column, so that `WHERE id = k` may
 /// seek the B-tree. The tie is enforced where rows enter
-/// ([`Database::insert`], [`Database::bulk_insert`]) and where they change
-/// (`UPDATE` may not assign the column). A table whose column 0 has
-/// another type has no key column and is always scanned in full.
+/// ([`Database::insert`], [`Database::bulk_insert_with_dop`]) and where
+/// they change (`UPDATE` may not assign the column). A table whose
+/// column 0 has another type has no key column and is always scanned in
+/// full.
 pub(crate) fn clustered_key_column(schema: &Schema) -> Option<&sqlarray_storage::Column> {
     schema.columns.first().filter(|c| c.ctype == ColType::I64)
 }

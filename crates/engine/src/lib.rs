@@ -51,6 +51,7 @@ pub use mathfn::{fft_array, gesvd_array, ifft_array, power_spectrum_array};
 pub use plancache::{PlanCache, PlanCacheStats};
 pub use sched::{DopScheduler, DopTicket, SchedStats};
 pub use session::{Prepared, Session};
+pub use sqlarray_core::fault::{Fault, FaultPlan};
 pub use sqlarray_core::lifecycle::{CancelHandle, Interrupt, QueryCtx, QueryLimits};
 pub use sugar::{desugar, SugarTypes};
 pub use udf::UdfRegistry;

@@ -330,7 +330,7 @@ mod tests {
         let _hold = s.acquire(1, &unbounded()).unwrap();
         let q = QueryCtx::with_limits(
             CancelHandle::new(),
-            &QueryLimits {
+            QueryLimits {
                 timeout_ms: Some(20),
                 ..QueryLimits::default()
             },
@@ -349,7 +349,7 @@ mod tests {
         let s = Arc::new(sched(1));
         let hold = s.acquire(1, &unbounded()).unwrap();
         let h = CancelHandle::new();
-        let q = QueryCtx::with_limits(h.clone(), &QueryLimits::default());
+        let q = QueryCtx::with_limits(h.clone(), QueryLimits::default());
         let s2 = Arc::clone(&s);
         let waiter = std::thread::spawn(move || s2.acquire(1, &q).unwrap_err());
         while s.stats().queued == 0 {
@@ -371,7 +371,7 @@ mod tests {
         let _parked = std::thread::spawn(move || {
             let q = QueryCtx::with_limits(
                 CancelHandle::new(),
-                &QueryLimits {
+                QueryLimits {
                     timeout_ms: Some(60_000),
                     ..QueryLimits::default()
                 },

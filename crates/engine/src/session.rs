@@ -17,6 +17,7 @@ use crate::hosting::HostingModel;
 use crate::plancache::{CachedPlan, SelectSlot};
 use crate::tsql::Stmt;
 use crate::value::{EngineError, Result, Value};
+use sqlarray_core::fault::FaultPlan;
 use sqlarray_core::lifecycle::{CancelHandle, QueryCtx, QueryLimits};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
@@ -64,9 +65,9 @@ pub struct Session {
     statement_timeout_ms: Option<u64>,
     /// Per-statement memory budget in bytes; 0 = unlimited.
     query_mem_bytes: u64,
-    /// Kill-matrix knob: trip the N-th lifecycle check of the next
-    /// statements ([`QueryLimits::cancel_after_checks`]).
-    cancel_after_checks: Option<u64>,
+    /// Kill-matrix knob: the cancel plan each following statement's
+    /// lifecycle context gets a fresh copy of ([`QueryLimits::fault`]).
+    fault: Option<FaultPlan>,
     /// Measurements of the most recent *aborted* statement (cancel,
     /// timeout, budget, worker panic); `None` after a successful one.
     last_partial: Option<QueryStats>,
@@ -92,7 +93,7 @@ impl Session {
             cancel: CancelHandle::new(),
             statement_timeout_ms: defaults.statement_timeout_ms,
             query_mem_bytes: defaults.query_mem_bytes,
-            cancel_after_checks: None,
+            fault: None,
             last_partial: None,
             last_query: None,
         }
@@ -112,8 +113,8 @@ impl Session {
     }
 
     /// Exclusive access to the shared database — for loading data
-    /// (`s.db_mut().bulk_insert(...)`) or direct mutation. Drop the guard
-    /// before executing statements.
+    /// (`s.db_mut().bulk_insert_with_dop(...)`) or direct mutation. Drop
+    /// the guard before executing statements.
     pub fn db_mut(&self) -> RwLockWriteGuard<'_, Database> {
         self.engine.db_mut()
     }
@@ -185,12 +186,15 @@ impl Session {
         self.query_mem_bytes = bytes;
     }
 
-    /// Arms a deterministic trip point for the kill-matrix tests: the
-    /// N-th lifecycle check of each following statement reports
-    /// cancellation ([`QueryLimits::cancel_after_checks`]; `u64::MAX`
-    /// counts checks without tripping). `None` disarms.
-    pub fn set_cancel_after_checks(&mut self, n: Option<u64>) {
-        self.cancel_after_checks = n;
+    /// Arms a deterministic trip point for the kill-matrix tests: each
+    /// following statement polls its lifecycle under a copy of `plan`
+    /// whose count starts at zero, so a
+    /// [`Fault::Cancel`](sqlarray_core::fault::Fault::Cancel) plan at `at`
+    /// cancels the statement at its `at`-th check, and a count-only plan
+    /// counts them ([`last_query_ctx`](Self::last_query_ctx) reads the
+    /// count back). `None` disarms.
+    pub fn set_fault(&mut self, plan: Option<FaultPlan>) {
+        self.fault = plan;
     }
 
     /// Measurements of the most recent aborted statement — the partial
@@ -201,8 +205,8 @@ impl Session {
         self.last_partial.as_ref()
     }
 
-    /// The lifecycle context of the most recent statement: its observed
-    /// check count (when counting was armed) and charged bytes.
+    /// The lifecycle context of the most recent statement: its fault
+    /// plan's count (when one was armed) and charged bytes.
     pub fn last_query_ctx(&self) -> Option<&QueryCtx> {
         self.last_query.as_ref()
     }
@@ -213,10 +217,10 @@ impl Session {
     fn mint_query(&mut self) -> QueryCtx {
         let query = QueryCtx::with_limits(
             self.cancel.clone(),
-            &QueryLimits {
+            QueryLimits {
                 timeout_ms: self.statement_timeout_ms,
                 mem_limit_bytes: self.query_mem_bytes,
-                cancel_after_checks: self.cancel_after_checks,
+                fault: self.fault.as_ref().map(FaultPlan::rearmed),
             },
         );
         self.last_partial = None;
@@ -734,7 +738,10 @@ mod tests {
             }
         }
         // Bulk loading a non-empty table errors.
-        assert!(bulk.db_mut().bulk_insert("Tscalar", &rows).is_err());
+        assert!(bulk
+            .db_mut()
+            .bulk_insert_with_dop("Tscalar", &rows, 4)
+            .is_err());
     }
 
     #[test]

@@ -7,10 +7,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sqlarray_core::build;
 use sqlarray_engine::{
-    Access, Database, Engine, EngineError, Fallback, HostingModel, Session, Value,
+    Access, Database, Engine, EngineError, Fallback, Fault, FaultPlan, HostingModel, Session, Value,
 };
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
-use sqlarray_storage::{ColType, FailPlan, RowValue, Schema};
+use sqlarray_storage::{ColType, RowValue, Schema};
 use std::collections::BTreeMap;
 
 fn schema() -> Schema {
@@ -252,10 +252,9 @@ fn dml_crash_recovery_through_sql() {
     let pre_image = s.db().store.crash_image();
 
     // Crash with only part of the UPDATE's log durable.
-    s.db_mut().store.arm_fail(FailPlan {
-        allow_records: 3,
-        torn_bytes: 0,
-    });
+    s.db_mut()
+        .store
+        .arm(Some(FaultPlan::new(Fault::PowerLoss { torn_bytes: 0 }, 4)));
     s.execute("UPDATE T SET tag = tag + 500 WHERE id < 10")
         .unwrap();
     let crashed = s.db().store.crash_image();

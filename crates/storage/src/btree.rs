@@ -799,30 +799,6 @@ impl BTree {
         }
     }
 
-    /// Full ordered scan. `f` receives `(key, payload)` for every entry in
-    /// key order and returns `true` to continue, `false` to stop early.
-    /// The payload slice borrows the page — zero copies on the scan path,
-    /// exactly like an in-process clustered index scan.
-    pub fn scan(
-        &self,
-        store: &mut PageStore,
-        mut f: impl FnMut(i64, &[u8]) -> Result<bool>,
-    ) -> Result<()> {
-        let mut page = Some(self.first_leaf);
-        while let Some(pid) = page {
-            let bytes = store.read(pid)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
-            for i in 0..v.slot_count() {
-                let rec = v.record(i)?;
-                if !f(leaf_key(rec)?, &rec[8..])? {
-                    return Ok(());
-                }
-            }
-            page = v.next_page();
-        }
-        Ok(())
-    }
-
     /// The leaf pages that can hold a key of `keys`, in key (chain) order,
     /// collected by walking the internal levels only — the scan
     /// partitioner needs the leaf list without paying a leaf-level read,
@@ -1036,15 +1012,8 @@ mod tests {
     #[test]
     fn sequential_load_scans_in_order() {
         let (mut store, t) = tree_with(10_000, 40);
-        let mut seen = Vec::new();
-        t.scan(&mut store, |k, payload| {
-            assert_eq!(payload.len(), 40);
-            seen.push(k);
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(seen.len(), 10_000);
-        assert!(seen.windows(2).all(|w| w[0] < w[1]));
+        let want: Vec<(i64, Vec<u8>)> = (0..10_000).map(|k| (k, vec![0xCD; 40])).collect();
+        assert_eq!(entries(&store, &t), want);
         assert!(t.depth(&mut store).unwrap() >= 2);
     }
 
@@ -1054,22 +1023,15 @@ mod tests {
         let mut t = BTree::create(&mut store).unwrap();
         // Deterministic shuffle of 0..4000 via multiplication by a unit
         // mod 2^k.
-        let n = 4000i64;
-        for i in 0..n {
-            let k = (i * 2654435761 % 4096) * 100000 + i;
-            t.insert(&mut store, k, &k.to_le_bytes()).unwrap();
+        let mut want: Vec<(i64, Vec<u8>)> = (0..4000i64)
+            .map(|i| (i * 2654435761 % 4096) * 100000 + i)
+            .map(|k| (k, k.to_le_bytes().to_vec()))
+            .collect();
+        for (k, payload) in &want {
+            t.insert(&mut store, *k, payload).unwrap();
         }
-        let mut last = i64::MIN;
-        let mut count = 0;
-        t.scan(&mut store, |k, payload| {
-            assert!(k > last);
-            assert_eq!(payload, &k.to_le_bytes());
-            last = k;
-            count += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(count, n);
+        want.sort_unstable();
+        assert_eq!(entries(&store, &t), want);
     }
 
     #[test]
@@ -1098,38 +1060,57 @@ mod tests {
 
     #[test]
     fn scan_early_stop() {
-        let (mut store, t) = tree_with(1000, 16);
+        let (store, t) = tree_with(1000, 16);
+        let table = as_table(&t);
+        let part = table.partition_keys(&store, 1, ALL).unwrap().remove(0);
+        let scan = store.begin_scan();
         let mut n = 0;
-        t.scan(&mut store, |_, _| {
-            n += 1;
-            Ok(n < 10)
-        })
-        .unwrap();
+        table
+            .scan_partition(&mut store.reader(&scan, 0), &part, |_, _, _| {
+                n += 1;
+                Ok(n < 10)
+            })
+            .unwrap();
         assert_eq!(n, 10);
+    }
+
+    /// Every key: the interval of a full scan.
+    const ALL: RangeInclusive<i64> = i64::MIN..=i64::MAX;
+
+    /// A bare tree as a (schema-less) table, whose rows are its payloads.
+    fn as_table(t: &BTree) -> crate::Table {
+        crate::Table::from_parts("t".into(), crate::Schema::new(&[]), t.parts())
     }
 
     /// The keys the one range scan (`Table::partition_keys` +
     /// `scan_partition`) visits over a bare tree, at `dop` partitions.
     fn keys_in(store: &PageStore, t: &BTree, dop: usize, keys: RangeInclusive<i64>) -> Vec<i64> {
-        try_keys_in(store, t, dop, keys).unwrap()
+        let entries = try_entries_in(store, t, dop, keys).unwrap();
+        entries.into_iter().map(|(k, _)| k).collect()
     }
 
-    /// [`keys_in`], with the scan's error handed back.
-    fn try_keys_in(
+    /// Every `(key, payload)` of `t`, in key order.
+    fn entries(store: &PageStore, t: &BTree) -> Vec<(i64, Vec<u8>)> {
+        try_entries_in(store, t, 1, ALL).unwrap()
+    }
+
+    /// The `(key, payload)` entries behind [`keys_in`], with the scan's
+    /// error handed back.
+    fn try_entries_in(
         store: &PageStore,
         t: &BTree,
         dop: usize,
         keys: RangeInclusive<i64>,
-    ) -> Result<Vec<i64>> {
-        let table = crate::Table::from_parts("t".into(), crate::Schema::new(&[]), t.parts());
+    ) -> Result<Vec<(i64, Vec<u8>)>> {
+        let table = as_table(t);
         let parts = table.partition_keys(store, dop, keys)?;
         let scan = store.begin_scan();
         let mut seen = Vec::new();
         let mut ios = Vec::new();
         for (pi, p) in parts.iter().enumerate() {
             let mut r = store.reader(&scan, pi as u32);
-            table.scan_partition(&mut r, p, |_, k, _| {
-                seen.push(k);
+            table.scan_partition(&mut r, p, |_, k, payload| {
+                seen.push((k, payload.to_vec()));
                 Ok(true)
             })?;
             ios.push(r.finish());
@@ -1181,7 +1162,7 @@ mod tests {
                 ("delete", t.delete(&mut store, 1000).map(drop)),
                 (
                     "range scan",
-                    try_keys_in(&store, &t, 2, 990..=1010).map(drop),
+                    try_entries_in(&store, &t, 2, 990..=1010).map(drop),
                 ),
             ] {
                 assert!(
@@ -1283,13 +1264,7 @@ mod tests {
         );
         assert_eq!(t.get(&mut store, 2).unwrap().unwrap(), vec![9u8; half]);
         // The leaf chain must still visit every key in order.
-        let mut seen = Vec::new();
-        t.scan(&mut store, |k, _| {
-            seen.push(k);
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(seen, vec![0, 1, 2]);
+        assert_eq!(keys_in(&store, &t, 1, ALL), vec![0, 1, 2]);
     }
 
     #[test]
@@ -1335,14 +1310,7 @@ mod tests {
         for k in (0..3000).rev() {
             t.insert(&mut store, k, &(k as i32).to_le_bytes()).unwrap();
         }
-        let mut expected = 0i64;
-        t.scan(&mut store, |k, _| {
-            assert_eq!(k, expected);
-            expected += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(expected, 3000);
+        assert_eq!(keys_in(&store, &t, 1, ALL), (0..3000).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1360,16 +1328,9 @@ mod tests {
         for k in 0..400 {
             t.delete(&mut store, k).unwrap();
         }
-        let mut seen = 0u64;
-        let mut last = i64::MIN;
-        t.scan(&mut store, |k, _| {
-            assert!(k > last && k >= 400 && k != 2500);
-            last = k;
-            seen += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(seen, t.len());
+        let want: Vec<i64> = (400..5000).filter(|&k| k != 2500).collect();
+        assert_eq!(keys_in(&store, &t, 1, ALL), want);
+        assert_eq!(want.len() as u64, t.len());
     }
 
     #[test]
@@ -1386,16 +1347,7 @@ mod tests {
         t.update(&mut store, 9, &[3u8; 4000]).unwrap();
         assert_eq!(t.get(&mut store, 9).unwrap().unwrap(), vec![3u8; 4000]);
         assert_eq!(t.len(), 3000);
-        let mut last = i64::MIN;
-        let mut n = 0;
-        t.scan(&mut store, |k, _| {
-            assert!(k > last);
-            last = k;
-            n += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(n, 3000);
+        assert_eq!(keys_in(&store, &t, 1, ALL), (0..3000).collect::<Vec<_>>());
         // Typed errors.
         assert!(matches!(
             t.update(&mut store, -1, b"x"),
@@ -1417,13 +1369,7 @@ mod tests {
             t2.get(&mut store, 1234).unwrap(),
             t.get(&mut store, 1234).unwrap()
         );
-        let mut n = 0;
-        t2.scan(&mut store, |_, _| {
-            n += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(n, 2000);
+        assert_eq!(keys_in(&store, &t2, 1, ALL).len(), 2000);
     }
 
     #[test]
@@ -1465,10 +1411,10 @@ mod tests {
 
     #[test]
     fn scan_is_sequential_io_after_sequential_load() {
-        let (mut store, t) = tree_with(20_000, 40);
+        let (store, t) = tree_with(20_000, 40);
         store.clear_cache();
         store.reset_stats();
-        t.scan(&mut store, |_, _| Ok(true)).unwrap();
+        keys_in(&store, &t, 1, ALL);
         let st = store.stats();
         // Leaf chain allocation order is ascending for sequential loads, so
         // the scan should be dominated by sequential page reads.

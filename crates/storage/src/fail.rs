@@ -3,13 +3,17 @@
 //! The crash lifecycle the crash-matrix suites drive, on a plain
 //! [`PageStore`](crate::store::PageStore):
 //!
-//! 1. **Arm** a [`FailPlan`](crate::store::FailPlan) with
-//!    [`arm_fail`](crate::store::PageStore::arm_fail) — the store
-//!    accepts exactly N more durable WAL appends, then silently "loses
-//!    power" (later appends are dropped, the first dropped record can
-//!    leave a torn prefix). The in-process state keeps mutating, so the
-//!    victim operation succeeds from the caller's point of view — exactly
-//!    like an OS that buffered the writes the platter never saw.
+//! 1. **Arm** a
+//!    [`Fault::PowerLoss`](sqlarray_core::fault::Fault::PowerLoss) plan
+//!    with [`arm`](crate::store::PageStore::arm) — the plan's `at`-th WAL
+//!    append is where the store silently "loses power" (that append can
+//!    leave a torn prefix, every later one is dropped). The in-process
+//!    state keeps mutating, so the victim operation succeeds from the
+//!    caller's point of view — exactly like an OS that buffered the writes
+//!    the platter never saw. Arming changes nothing before the cut: a
+//!    commit whose log passed the trigger still auto-checkpoints. After
+//!    the cut no checkpoint, explicit or automatic, touches the base
+//!    image.
 //! 2. **Crash** — [`crash_image`](crate::store::PageStore::crash_image)
 //!    takes the [`DiskImage`] that survived: checkpoint base pages + the
 //!    cut log.
@@ -22,7 +26,13 @@
 //! Injection points are enumerated from a clean run: every WAL append is
 //! counted in [`crate::stats::IoStats::wal_records`] whether or not it
 //! reaches the durable log, so `stats().wal_records` after an unfailed
-//! victim run is the exact number of distinct crash points to test.
+//! victim run is the exact number of distinct crash points to test —
+//! `n` appends are `at = 1..=n`, plus `at = n + 1`, the cut past the end.
+//!
+//! The same [`FaultPlan`](sqlarray_core::fault::FaultPlan) armed with a
+//! [`Fault::ReadFault`](sqlarray_core::fault::Fault::ReadFault) fails a
+//! scan's cold page read instead; [`sqlarray_core::fault`] lists every
+//! site.
 
 use crate::page::PageId;
 use crate::store::DiskImage;
@@ -53,7 +63,8 @@ pub fn tear_wal(image: &mut DiskImage, keep: usize) {
 mod tests {
     use super::*;
     use crate::errors::StorageError;
-    use crate::store::{FailPlan, PageStore};
+    use crate::store::PageStore;
+    use sqlarray_core::fault::{Fault, FaultPlan};
 
     /// A tiny scripted workload: two committed pages, then a victim write.
     fn committed_store() -> PageStore {
@@ -69,10 +80,7 @@ mod tests {
     #[test]
     fn crash_before_any_victim_write_recovers_the_commit() {
         let mut s = committed_store();
-        s.arm_fail(FailPlan {
-            allow_records: 0,
-            torn_bytes: 0,
-        });
+        s.arm(Some(FaultPlan::new(Fault::PowerLoss { torn_bytes: 0 }, 1)));
         s.write(0, |p| p[0..4].copy_from_slice(b"XXXX")).unwrap();
         let image = s.crash_image();
         let rec = PageStore::open(&image).unwrap();

@@ -46,7 +46,6 @@ pub use pool::ShardedLruPool;
 pub use row::{ColType, Column, RowValue, Schema, INLINE_BLOB_LIMIT};
 pub use stats::{DiskProfile, IoStats};
 pub use store::{
-    DiskImage, FailPlan, PageRead, PageStore, PartitionReader, Recovery, ScanCtx, ScanIo,
-    MAX_READ_RETRIES,
+    DiskImage, PageRead, PageStore, PartitionReader, Recovery, ScanCtx, ScanIo, MAX_READ_RETRIES,
 };
 pub use table::{BatchScanOpts, ScanPartition, Table};

@@ -30,6 +30,7 @@ use crate::page::{PageId, PAGE_SIZE};
 use crate::pool::{pool_stamp, PageBits, PoolStamp, ShardedLruPool};
 use crate::stats::{DiskProfile, IoStats};
 use crate::wal::{self, WalRecord};
+use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_core::lifecycle::QueryCtx;
 use sqlarray_core::sync::{get_mut_unpoisoned, lock_unpoisoned};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,35 +46,11 @@ pub const DEFAULT_POOL_PAGES: usize = 4096;
 pub const AUTO_CHECKPOINT_BYTES: usize = 8 * 1024 * 1024;
 
 /// How many times a [`PartitionReader`] re-attempts a physical page read
-/// that hit a (simulated) transient fault before surfacing
-/// [`StorageError::ReadFaulted`]. The bound keeps a persistently failing
-/// device from wedging a scan; the retries themselves are counted in
-/// [`IoStats::transient_retries`].
+/// that hit a (simulated) transient fault — a [`Fault::ReadFault`] —
+/// before surfacing [`StorageError::ReadFaulted`]. The bound keeps a
+/// persistently failing device from wedging a scan; the retries
+/// themselves are counted in [`IoStats::transient_retries`].
 pub const MAX_READ_RETRIES: u32 = 3;
-
-/// A deterministic crash-injection plan: the store accepts exactly
-/// `allow_records` more durable WAL appends, then "loses power" — later
-/// appends are dropped, and the first dropped record can optionally leave
-/// a torn prefix of `torn_bytes` bytes (always strictly shorter than the
-/// frame, so it never verifies).
-///
-/// Arming a plan also disables auto-checkpointing, since a checkpoint is
-/// modeled as an atomic rewrite of the base image and would absorb the
-/// very log the harness wants to cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailPlan {
-    /// Number of WAL appends that still reach the durable log.
-    pub allow_records: u64,
-    /// Bytes of the first *dropped* record to keep as a torn tail
-    /// (0 = clean cut at a record boundary).
-    pub torn_bytes: usize,
-}
-
-#[derive(Debug)]
-struct FailState {
-    plan: FailPlan,
-    appended: u64,
-}
 
 /// The durable state of a store at a crash point: the last checkpoint's
 /// base image plus whatever log bytes survived. This is everything
@@ -142,7 +119,9 @@ pub struct PageStore {
     /// makes it the base image's, because truncating the log drops the
     /// commit record that carried it.
     last_catalog: Option<Vec<u8>>,
-    fail: Option<FailState>,
+    /// The armed fault plan ([`arm`](Self::arm)): a [`Fault::PowerLoss`]
+    /// cuts the log, a [`Fault::ReadFault`] fails a scan's cold read.
+    fault: Option<FaultPlan>,
     /// Before-image scratch for computing physiological write diffs.
     scratch: Box<[u8]>,
     pool: ShardedLruPool,
@@ -160,14 +139,6 @@ pub struct PageStore {
     /// `&self` — which is what lets many sessions scan one shared store
     /// under a read lock. The `&mut self` paths reach it without locking.
     acct: Mutex<Acct>,
-    /// Armed transient-read faults remaining (see
-    /// [`arm_read_faults`](Self::arm_read_faults)); atomic so concurrent
-    /// scan workers consume from one deterministic global pool.
-    read_faults: AtomicU64,
-    /// Faults a single physical read consumes at most (the per-read
-    /// "burst"); values above [`MAX_READ_RETRIES`] make a read fail for
-    /// good.
-    read_fault_burst: AtomicU64,
     profile: DiskProfile,
 }
 
@@ -213,14 +184,12 @@ impl PageStore {
             base_catalog: None,
             dirty: Vec::new(),
             last_catalog: None,
-            fail: None,
+            fault: None,
             scratch: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             pool: ShardedLruPool::new(pool_pages),
             clock: AtomicU64::new(1),
             committed: AtomicU64::new(0),
             acct: Mutex::new(Acct::default()),
-            read_faults: AtomicU64::new(0),
-            read_fault_burst: AtomicU64::new(0),
             profile,
         }
     }
@@ -278,23 +247,25 @@ impl PageStore {
     }
 
     /// Accounts for the frame just appended at `start` under `next_lsn`,
-    /// honoring any armed [`FailPlan`]: a frame past the plan's allowance
-    /// is truncated away again (the first one optionally down to a torn
-    /// prefix). The attempt is always counted in [`IoStats`], which is how
-    /// crash harnesses enumerate injection points from a clean run.
+    /// honoring an armed [`Fault::PowerLoss`]: the plan's `at`-th append
+    /// and every later one are truncated away again (the first one
+    /// optionally down to a torn prefix). The attempt is always counted in
+    /// [`IoStats`], which is how crash harnesses enumerate injection
+    /// points from a clean run.
     fn settle_append(&mut self, start: usize) {
         let frame_len = self.wal_buf.len() - start;
         self.next_lsn += 1;
-        if let Some(f) = &mut self.fail {
-            let keep = match f.appended.cmp(&f.plan.allow_records) {
-                std::cmp::Ordering::Less => frame_len,
-                // A torn write is strictly shorter than the frame, so it
-                // can never verify as complete.
-                std::cmp::Ordering::Equal => f.plan.torn_bytes.min(frame_len.saturating_sub(1)),
-                std::cmp::Ordering::Greater => 0,
-            };
-            self.wal_buf.truncate(start + keep);
-            f.appended += 1;
+        if let Some(plan) = &self.fault {
+            if let Fault::PowerLoss { torn_bytes } = plan.fault {
+                let keep = match plan.tick() {
+                    std::cmp::Ordering::Less => frame_len,
+                    // A torn write is strictly shorter than the frame, so
+                    // it can never verify as complete.
+                    std::cmp::Ordering::Equal => torn_bytes.min(frame_len.saturating_sub(1)),
+                    std::cmp::Ordering::Greater => 0,
+                };
+                self.wal_buf.truncate(start + keep);
+            }
         }
         let acct = self.acct_mut();
         acct.stats.wal_records += 1;
@@ -473,13 +444,12 @@ impl PageStore {
     /// never applies past the last complete commit.
     ///
     /// When the log has grown past [`AUTO_CHECKPOINT_BYTES`] the commit
-    /// also checkpoints — unless a [`FailPlan`] is armed, because the
-    /// crash harness needs the log to stay cuttable.
+    /// also checkpoints.
     pub fn commit(&mut self, catalog: &[u8]) {
         self.append_wal(&WalRecord::Commit { catalog });
         self.last_catalog = Some(catalog.to_vec());
         self.committed.fetch_add(1, Ordering::AcqRel);
-        if self.fail.is_none() && self.wal_buf.len() >= AUTO_CHECKPOINT_BYTES {
+        if self.wal_buf.len() >= AUTO_CHECKPOINT_BYTES {
             self.checkpoint();
         }
     }
@@ -493,7 +463,16 @@ impl PageStore {
     /// equals the live page file byte for byte. Modeled as atomic: a crash
     /// is either before (old base + old log) or after (new base + empty
     /// log).
+    ///
+    /// A store whose armed [`Fault::PowerLoss`] has fired writes nothing
+    /// more to disk, so its checkpoint changes nothing: the base image and
+    /// the cut log stay what the crash left.
     pub fn checkpoint(&mut self) {
+        if let Some(plan) = &self.fault {
+            if matches!(plan.fault, Fault::PowerLoss { .. }) && plan.fired() {
+                return;
+            }
+        }
         self.dirty.sort_unstable();
         self.dirty.dedup();
         for id in self.dirty.drain(..) {
@@ -512,32 +491,14 @@ impl PageStore {
         self.wal_buf.len()
     }
 
-    /// Arms a deterministic crash-injection plan. Subsequent WAL appends
-    /// beyond the plan's allowance are dropped (see [`FailPlan`]); the
-    /// in-memory state keeps mutating so the victim operation "succeeds"
-    /// in-process, exactly like a process that loses power after the
-    /// kernel buffered its writes.
-    pub fn arm_fail(&mut self, plan: FailPlan) {
-        self.fail = Some(FailState { plan, appended: 0 });
-    }
-
-    /// Arms `count` transient read faults, consumed by scan workers'
-    /// physical page reads at up to `burst` faults per read. Each
-    /// consumed fault forces one retry through the bounded
-    /// retry-with-backoff path (counted in
-    /// [`IoStats::transient_retries`]); a `burst` above
-    /// [`MAX_READ_RETRIES`] exhausts a read's retry budget and surfaces
-    /// [`StorageError::ReadFaulted`]. The pool is global and atomic, so
-    /// the *total* number of retries is deterministic at any DOP even
-    /// though which worker absorbs each fault is not.
-    pub fn arm_read_faults(&self, count: u64, burst: u32) {
-        self.read_fault_burst.store(burst as u64, Ordering::Relaxed);
-        self.read_faults.store(count, Ordering::Relaxed);
-    }
-
-    /// Transient read faults still armed (0 = disarmed or all consumed).
-    pub fn read_faults_remaining(&self) -> u64 {
-        self.read_faults.load(Ordering::Relaxed)
+    /// Arms `plan` on this store (`None` disarms): a [`Fault::PowerLoss`]
+    /// counts WAL appends, a [`Fault::ReadFault`] the snapshot-cold page
+    /// reads of every scan worker. Past a power loss the in-memory state
+    /// keeps mutating, so the victim operation "succeeds" in-process,
+    /// exactly like a process whose kernel buffered writes the platter
+    /// never saw; [`crash_image`](Self::crash_image) is what the disk kept.
+    pub fn arm(&mut self, plan: Option<FaultPlan>) {
+        self.fault = plan;
     }
 
     /// The durable state a crash right now would preserve: the last
@@ -757,8 +718,7 @@ impl PageStore {
             last_physical_read: None,
             seen: PageBits::new(self.pages.len() as u64),
             query: &scan.query,
-            read_faults: &self.read_faults,
-            fault_burst: self.read_fault_burst.load(Ordering::Relaxed) as u32,
+            fault: self.fault.as_ref(),
         }
     }
 
@@ -905,8 +865,7 @@ pub struct PartitionReader<'a> {
     /// Pages this worker has already read (re-reads are cache hits).
     seen: PageBits,
     query: &'a QueryCtx,
-    read_faults: &'a AtomicU64,
-    fault_burst: u32,
+    fault: Option<&'a FaultPlan>,
 }
 
 impl<'a> PartitionReader<'a> {
@@ -923,14 +882,6 @@ impl<'a> PartitionReader<'a> {
     /// materialization) against it.
     pub fn query(&self) -> &QueryCtx {
         self.query
-    }
-
-    /// Consumes one armed transient fault if any remain; atomic across
-    /// all concurrent readers of the store.
-    fn consume_read_fault(&self) -> bool {
-        self.read_faults
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok()
     }
 
     /// Reads a page; the slice borrows the page file, not the reader, so
@@ -965,20 +916,13 @@ impl<'a> PartitionReader<'a> {
                     self.first_physical_read = Some(id);
                 }
                 self.last_physical_read = Some(id);
-                // Transient-fault retry: a physical read may hit armed
-                // injected faults; each one costs a retry with a
-                // deterministic (counted, not timed) exponential backoff.
-                // More than MAX_READ_RETRIES faults on one read exhaust
-                // the budget.
-                let mut attempts = 0u32;
-                while attempts < self.fault_burst && self.consume_read_fault() {
-                    attempts += 1;
-                    self.stats.transient_retries += 1;
-                    if attempts > MAX_READ_RETRIES {
-                        return Err(StorageError::ReadFaulted { page: id, attempts });
-                    }
-                    for _ in 0..(1u32 << attempts.min(10)) {
-                        std::hint::spin_loop();
+                // The cold read an armed read fault lands on fails
+                // `times` times before it succeeds.
+                if let Some(plan) = self.fault {
+                    if let Fault::ReadFault { times } = plan.fault {
+                        if plan.tick().is_eq() {
+                            self.retry(id, times)?;
+                        }
                     }
                 }
                 // This worker's first touch of a snapshot-cold page is the
@@ -999,6 +943,23 @@ impl<'a> PartitionReader<'a> {
             self.stats.cache_hits += 1;
         }
         Ok(page)
+    }
+
+    /// Retries the physical read of `id` through `times` injected
+    /// failures, each costing one counted retry and a deterministic
+    /// (counted, not timed) exponential backoff; more than
+    /// [`MAX_READ_RETRIES`] failures exhaust the budget.
+    fn retry(&mut self, id: PageId, times: u32) -> Result<()> {
+        for attempts in 1..=times {
+            self.stats.transient_retries += 1;
+            if attempts > MAX_READ_RETRIES {
+                return Err(StorageError::ReadFaulted { page: id, attempts });
+            }
+            for _ in 0..(1u32 << attempts.min(10)) {
+                std::hint::spin_loop();
+            }
+        }
+        Ok(())
     }
 
     /// The counters accumulated so far.
@@ -1338,16 +1299,14 @@ mod tests {
         // Scripted workload: commit v1, then a multi-record victim
         // transaction, then commit v2. Killing the log at every append
         // count must recover either v1 (cut before the v2 commit) or v2.
-        let run = |plan: Option<FailPlan>| {
+        let run = |plan: Option<FaultPlan>| {
             let mut s = PageStore::new();
             let a = s.allocate();
             let b = s.allocate();
             s.write(a, |p| p[0] = 0xA1).unwrap();
             s.write(b, |p| p[0] = 0xB1).unwrap();
             s.commit(b"v1");
-            if let Some(p) = plan {
-                s.arm_fail(p);
-            }
+            s.arm(plan);
             // Victim: update both pages, free one, allocate a reuse.
             s.write(a, |p| p[0] = 0xA2).unwrap();
             s.free_page(b).unwrap();
@@ -1372,10 +1331,10 @@ mod tests {
         };
         for k in 0..=total {
             for torn in [0usize, 3] {
-                let s = run(Some(FailPlan {
-                    allow_records: k,
-                    torn_bytes: torn,
-                }));
+                let s = run(Some(FaultPlan::new(
+                    Fault::PowerLoss { torn_bytes: torn },
+                    k + 1,
+                )));
                 let rec = PageStore::open(&s.crash_image()).unwrap();
                 if k >= total {
                     assert_eq!(rec.catalog.as_deref(), Some(&b"v2"[..]), "k={k}");
@@ -1632,6 +1591,34 @@ mod tests {
         let rec = PageStore::open(&s.crash_image()).unwrap();
         assert_eq!(rec.catalog.as_deref(), Some(&b"big"[..]));
         assert_eq!(rec.store.page_count(), pages as u64);
+    }
+
+    /// A store that has lost power makes nothing durable: neither a
+    /// checkpoint its next commit triggers nor an explicit one folds the
+    /// lost write, or the lost commit's catalog, into the base image.
+    #[test]
+    fn a_checkpoint_after_the_cut_changes_nothing_on_disk() {
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        s.write(a, |p| p[0..4].copy_from_slice(b"AAAA")).unwrap();
+        s.commit(b"v1");
+        // Uncommitted log past the trigger, so the next commit checkpoints.
+        for i in 0..=AUTO_CHECKPOINT_BYTES / PAGE_SIZE {
+            let p = s.allocate();
+            s.write(p, |b| b.fill(i as u8 | 1)).unwrap();
+        }
+        assert!(s.wal_len() >= AUTO_CHECKPOINT_BYTES);
+        s.arm(Some(FaultPlan::new(Fault::PowerLoss { torn_bytes: 0 }, 1)));
+        s.write(a, |p| p[0..4].copy_from_slice(b"XXXX")).unwrap();
+        s.commit(b"v2");
+        let recovered = |s: &PageStore| {
+            let rec = PageStore::open(&s.crash_image()).unwrap();
+            (rec.store.raw_page(a).unwrap()[0..4].to_vec(), rec.catalog)
+        };
+        let pre_arm = (b"AAAA".to_vec(), Some(b"v1".to_vec()));
+        assert_eq!(recovered(&s), pre_arm, "auto-checkpoint after the cut");
+        s.checkpoint();
+        assert_eq!(recovered(&s), pre_arm, "explicit checkpoint after the cut");
     }
 
     /// A scan opened on a full default-size pool classifies every page

@@ -304,18 +304,6 @@ impl Table {
         }
     }
 
-    /// Clustered index scan: `f` receives the key and the *encoded* row and
-    /// returns `true` to keep scanning. Decoding is the caller's choice —
-    /// the engine's projections decode only the columns an expression
-    /// touches, like a real scan operator.
-    pub fn scan_raw(
-        &self,
-        store: &mut PageStore,
-        f: impl FnMut(i64, &[u8]) -> Result<bool>,
-    ) -> Result<()> {
-        self.tree.scan(store, f)
-    }
-
     /// [`partition_keys`](Self::partition_keys) over every key. Kept only
     /// because `benchmark/src/probes.rs` calls it with two arguments and
     /// engine changes may not edit the benchmark; everything else passes
@@ -365,9 +353,11 @@ impl Table {
     }
 
     /// Scans one partition through a worker's [`PartitionReader`]. `f`
-    /// sees `(reader, key, encoded row)` in key order, exactly like
-    /// [`scan_raw`](Self::scan_raw) restricted to the partition's leaves
-    /// and key interval, and returns `true` to keep scanning.
+    /// sees `(reader, key, encoded row)` for every row of the partition's
+    /// leaves inside its key interval, in key order, and returns `true` to
+    /// keep scanning. Decoding is the caller's choice — the engine's
+    /// projections decode only the columns an expression touches, like a
+    /// real scan operator.
     ///
     /// The reader is handed *into* the callback (leaf-page bytes borrow
     /// the page file, not the reader) so a row visitor can resolve the
@@ -448,19 +438,6 @@ impl Table {
             flush(reader, batch)?;
         }
         Ok(())
-    }
-
-    /// Convenience scan with fully decoded rows.
-    pub fn scan(
-        &self,
-        store: &mut PageStore,
-        mut f: impl FnMut(i64, Vec<RowValue>) -> Result<bool>,
-    ) -> Result<()> {
-        let schema = self.schema.clone();
-        self.tree.scan(store, |key, bytes| {
-            let values = row::decode_row(&schema, bytes)?;
-            f(key, values)
-        })
     }
 
     /// Number of leaf (data) pages.
@@ -581,6 +558,23 @@ mod tests {
     use super::*;
     use crate::row::ColType;
 
+    /// Every `(key, encoded row)` of `t`, in key order, through the one
+    /// range scan over every key.
+    fn rows_of(store: &PageStore, t: &Table) -> Vec<(i64, Vec<u8>)> {
+        let part = t
+            .partition_keys(store, 1, i64::MIN..=i64::MAX)
+            .unwrap()
+            .remove(0);
+        let scan = store.begin_scan();
+        let mut rows = Vec::new();
+        t.scan_partition(&mut store.reader(&scan, 0), &part, |_, k, bytes| {
+            rows.push((k, bytes.to_vec()));
+            Ok(true)
+        })
+        .unwrap();
+        rows
+    }
+
     fn vector_table(store: &mut PageStore, rows: i64, dim: usize) -> Table {
         let schema = Schema::new(&[("id", ColType::I64), ("v", ColType::Blob)]);
         let mut t = Table::create(store, "Tvector", schema).unwrap();
@@ -616,13 +610,11 @@ mod tests {
         assert_eq!(t.get(&mut store, 100).unwrap(), None);
 
         let mut sum = 0.0;
-        t.scan(&mut store, |_, vals| {
-            if let RowValue::F64(x) = vals[1] {
+        for (_, bytes) in rows_of(&store, &t) {
+            if let RowValue::F64(x) = row::decode_row(t.schema(), &bytes).unwrap()[1] {
                 sum += x;
             }
-            Ok(true)
-        })
-        .unwrap();
+        }
         assert_eq!(sum, (0..100).map(|k| k as f64 * 0.5).sum::<f64>());
     }
 
@@ -721,12 +713,7 @@ mod tests {
     fn partitions_concatenate_to_the_full_scan() {
         let mut store = PageStore::new();
         let t = vector_table(&mut store, 3000, 5);
-        let mut full = Vec::new();
-        t.scan_raw(&mut store, |k, _| {
-            full.push(k);
-            Ok(true)
-        })
-        .unwrap();
+        let full: Vec<i64> = rows_of(&store, &t).into_iter().map(|(k, _)| k).collect();
         for dop in [1usize, 2, 3, 7, 64] {
             let parts = t.partition(&store, dop).unwrap();
             assert!(!parts.is_empty() && parts.len() <= dop);
@@ -751,12 +738,10 @@ mod tests {
         let t = vector_table(&mut store, 3000, 5);
         let mut row_keys = Vec::new();
         let mut row_blobs: Vec<RowValue> = Vec::new();
-        t.scan_raw(&mut store, |k, bytes| {
+        for (k, bytes) in rows_of(&store, &t) {
             row_keys.push(k);
-            row_blobs.push(row::decode_col(t.schema(), bytes, 1)?);
-            Ok(true)
-        })
-        .unwrap();
+            row_blobs.push(row::decode_col(t.schema(), &bytes, 1).unwrap());
+        }
         for (dop, cap, aligned) in [(1usize, 1024usize, false), (3, 7, false), (2, 256, true)] {
             let parts = t.partition(&store, dop).unwrap();
             let scan = store.begin_scan();
@@ -1078,20 +1063,7 @@ mod tests {
             bulk.data_pages(&mut store_b).unwrap(),
             inserted.data_pages(&mut store_a).unwrap()
         );
-        let mut a = Vec::new();
-        inserted
-            .scan_raw(&mut store_a, |k, bytes| {
-                a.push((k, bytes.to_vec()));
-                Ok(true)
-            })
-            .unwrap();
-        let mut b = Vec::new();
-        bulk.scan_raw(&mut store_b, |k, bytes| {
-            b.push((k, bytes.to_vec()));
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(a, b);
+        assert_eq!(rows_of(&store_a, &inserted), rows_of(&store_b, &bulk));
         // Point lookups work through the bulk-built internal levels.
         for k in [0i64, 1, 1499, 2999] {
             assert_eq!(
@@ -1208,13 +1180,7 @@ mod tests {
         let mut t = Table::create(&mut store, "T", schema).unwrap();
         t.bulk_load(&mut store, &[], 4).unwrap();
         assert_eq!(t.row_count(), 0);
-        let mut n = 0;
-        t.scan_raw(&mut store, |_, _| {
-            n += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(n, 0);
+        assert!(rows_of(&store, &t).is_empty());
     }
 
     #[test]
@@ -1398,14 +1364,7 @@ mod tests {
             reopened.get(&mut store, 123).unwrap(),
             t.get(&mut store, 123).unwrap()
         );
-        let mut keys = Vec::new();
-        reopened
-            .scan_raw(&mut store, |k, _| {
-                keys.push(k);
-                Ok(true)
-            })
-            .unwrap();
-        assert_eq!(keys.len(), 500);
+        assert_eq!(rows_of(&store, &reopened).len(), 500);
     }
 
     #[test]

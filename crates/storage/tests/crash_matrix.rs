@@ -11,6 +11,13 @@
 //! ([`IoStats::wal_records`] counts every append, durable or not), so the
 //! matrix is exhaustive by construction: a new WAL record type or an
 //! extra logged write in some code path automatically widens the matrix.
+//! A cut that lets `n` appends through is a [`Fault::PowerLoss`] plan
+//! armed at `n + 1`.
+//!
+//! One victim runs its log past the auto-checkpoint trigger: an armed
+//! power loss lets that checkpoint run before the cut and keeps every
+//! checkpoint after it off the base image, so sampled cuts around the
+//! checkpointing commit recover the last commit too.
 //!
 //! The property-based suite generalizes the fixed victims: random
 //! insert/update/patch/delete interleavings with a commit after every
@@ -18,10 +25,10 @@
 //! the prefix covered by the last surviving commit.
 
 use proptest::prelude::*;
+use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_storage::fail::tear_wal;
-use sqlarray_storage::{
-    wal, ColType, DiskImage, FailPlan, PageStore, RowValue, Schema, StorageError, Table,
-};
+use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
+use sqlarray_storage::{wal, ColType, DiskImage, PageStore, RowValue, Schema, StorageError, Table};
 
 const CHUNK_DATA: usize = 8176; // PAGE_SIZE - 16, the blob chunk payload
 
@@ -145,6 +152,12 @@ fn recover(image: &DiskImage) -> RecoveredState {
     }
 }
 
+/// The power loss that lets exactly `allow` more WAL appends reach the
+/// log, leaving `torn` bytes of the next one.
+fn power_loss(allow: u64, torn: usize) -> FaultPlan {
+    FaultPlan::new(Fault::PowerLoss { torn_bytes: torn }, allow + 1)
+}
+
 /// Kills `victim` at every WAL-append injection point (clean cut and a
 /// 17-byte torn prefix of the first lost record), asserting recovery is
 /// byte-identical to the pre-victim commit for every incomplete cut, and
@@ -164,10 +177,7 @@ fn run_matrix(setup: &dyn Fn() -> (PageStore, Table), victim: &dyn Fn(&mut PageS
     for allow in 0..=n_records {
         for torn in [0usize, 17] {
             let (mut store, mut t) = setup();
-            store.arm_fail(FailPlan {
-                allow_records: allow,
-                torn_bytes: torn,
-            });
+            store.arm(Some(power_loss(allow, torn)));
             victim(&mut store, &mut t);
             let got = recover(&store.crash_image());
             // The victim's last append is its commit record: any cut that
@@ -419,6 +429,80 @@ fn checkpoint_then_crash_delete() {
     );
 }
 
+/// Arming a power loss leaves auto-checkpoints alone until the cut. The
+/// victim's first statement writes a LOB one chunk longer than
+/// [`AUTO_CHECKPOINT_BYTES`], so its commit checkpoints; two more
+/// statements follow. Cuts before, at and after that commit (and at the
+/// next one), clean and torn, each recover the last commit that reached
+/// the disk — and the image's base catalog shows the checkpoint ran
+/// exactly when its commit did.
+#[test]
+fn crash_around_an_auto_checkpoint_recovers_the_last_commit() {
+    type Step = fn(&mut PageStore, &mut Table);
+    let steps: [Step; 3] = [
+        |store, t| {
+            let big = row(40, 40, AUTO_CHECKPOINT_BYTES + CHUNK_DATA).1;
+            t.insert(store, 40, &big).unwrap();
+        },
+        |store, t| assert!(t.update(store, 2, &row(2, 99, 15_000).1).unwrap()),
+        |store, t| assert!(t.delete(store, 40).unwrap()),
+    ];
+
+    // Clean run: the records each commit closes, the state it leaves, and
+    // the base catalogs before and after the checkpoint.
+    let (mut store, mut t) = loaded_committed();
+    let before = store.stats().wal_records;
+    let uncheckpointed = store.crash_image().catalog;
+    let mut cuts = vec![0u64];
+    let mut states = vec![recover(&store.crash_image())];
+    for step in steps {
+        step(&mut store, &mut t);
+        commit(&mut store, &t);
+        cuts.push(store.stats().wal_records - before);
+        states.push(recover(&store.crash_image()));
+    }
+    let (mut store, mut t) = loaded_committed();
+    steps[0](&mut store, &mut t);
+    commit(&mut store, &t);
+    assert_eq!(store.wal_len(), 0, "the first commit checkpoints");
+    let checkpointed = store.crash_image().catalog;
+    assert_ne!(checkpointed, uncheckpointed);
+
+    let at_ckpt = cuts[1];
+    for allow in [
+        0,
+        at_ckpt - 2,
+        at_ckpt - 1,
+        at_ckpt,
+        at_ckpt + 1,
+        cuts[2] - 1,
+        cuts[2],
+        cuts[3],
+    ] {
+        for torn in [0usize, 17] {
+            let (mut store, mut t) = loaded_committed();
+            store.arm(Some(power_loss(allow, torn)));
+            for step in steps {
+                step(&mut store, &mut t);
+                commit(&mut store, &t);
+            }
+            let image = store.crash_image();
+            let at = format!("crash at record {allow} (torn {torn})");
+            let base = if allow >= at_ckpt {
+                &checkpointed
+            } else {
+                &uncheckpointed
+            };
+            assert!(&image.catalog == base, "{at}: wrong base image");
+            let covered = cuts.iter().rposition(|&c| c <= allow).unwrap();
+            assert!(
+                recover(&image) == states[covered],
+                "{at} must recover commit {covered}"
+            );
+        }
+    }
+}
+
 #[test]
 fn torn_wal_tail_is_typed_and_recovery_discards_it() {
     let (mut store, mut t) = loaded_committed();
@@ -555,10 +639,7 @@ proptest! {
         let allow = u64::from(crash_pick) % (total + 1);
         let torn = [0usize, 1, 17][usize::from(torn_pick) % 3];
         let (mut store, mut t) = start();
-        store.arm_fail(FailPlan {
-            allow_records: allow,
-            torn_bytes: torn,
-        });
+        store.arm(Some(power_loss(allow, torn)));
         for (i, op) in ops.iter().enumerate() {
             apply(&mut store, &mut t, op, i as i64);
             commit(&mut store, &t);

@@ -157,12 +157,16 @@ proptest! {
             prop_assert_eq!(got.as_ref(), Some(v));
         }
         // Scan yields the model's entries in order.
+        let table = as_table(&tree);
+        let part = table.partition_keys(&store, 1, ALL).unwrap().remove(0);
+        let scan = store.begin_scan();
         let mut scanned = Vec::new();
-        tree.scan(&mut store, |k, p| {
-            scanned.push((k, p.to_vec()));
-            Ok(true)
-        })
-        .unwrap();
+        table
+            .scan_partition(&mut store.reader(&scan, 0), &part, |_, k, p| {
+                scanned.push((k, p.to_vec()));
+                Ok(true)
+            })
+            .unwrap();
         let expect: Vec<(i64, Vec<u8>)> = model.into_iter().collect();
         prop_assert_eq!(scanned, expect);
     }
@@ -347,8 +351,7 @@ proptest! {
         for k in 0..rows {
             t.insert(&mut store, k, &[RowValue::I64(k), RowValue::F64(k as f64)]).unwrap();
         }
-        let mut full = Vec::new();
-        t.scan_raw(&mut store, |k, _| { full.push(k); Ok(true) }).unwrap();
+        let full = range_scan(&mut store, &t, 1, ALL).0;
         prop_assert_eq!(full.len() as i64, rows);
 
         let parts = t.partition_keys(&store, dop, ALL).unwrap();

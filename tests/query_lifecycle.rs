@@ -17,7 +17,8 @@ use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build;
 use sqlarray_engine::faultfn::register_faults;
 use sqlarray_engine::{
-    Database, Engine, EngineError, HostingModel, Session, Settings, UdaState, Value,
+    Database, Engine, EngineError, Fault, FaultPlan, HostingModel, Session, Settings, UdaState,
+    Value,
 };
 use sqlarray_storage::{ColType, RowValue, Schema, StorageError, MAX_READ_RETRIES};
 use std::sync::Arc;
@@ -87,6 +88,24 @@ fn baseline_rows(rows: i64, queries: &[&str]) -> Vec<Vec<Vec<Value>>> {
 
 // --- The kill matrix ------------------------------------------------------
 
+/// Cancels each following statement of a session at its `at`-th lifecycle
+/// poll.
+fn cancel_at(at: u64) -> Option<FaultPlan> {
+    Some(FaultPlan::new(Fault::Cancel, at))
+}
+
+/// Counts each following statement's lifecycle polls without tripping.
+fn count_polls() -> Option<FaultPlan> {
+    Some(FaultPlan::count(Fault::Cancel))
+}
+
+/// The lifecycle polls of the session's last statement, as its armed plan
+/// counted them.
+fn polls(s: &Session) -> u64 {
+    let query = s.last_query_ctx().expect("statement ran");
+    query.fault().expect("a fault plan is armed").seen()
+}
+
 /// Statements the matrix kills: grouped aggregation (per-group state,
 /// merge phase), filtered expression projection (row emission), and the
 /// two shapes whose batch evaluation polls *inside* a decoded batch — a
@@ -122,17 +141,17 @@ fn kill_matrix(batch_rows: usize) {
 
             // Dry run: count this configuration's checkpoints without
             // tripping any (and prove counting doesn't perturb results).
-            s.set_cancel_after_checks(Some(u64::MAX));
+            s.set_fault(count_polls());
             let dry = s.query(q).unwrap();
             assert!(
                 rows_bit_identical(&dry.rows, &want[qi]),
                 "dry run diverges at dop {dop}: `{q}`"
             );
-            let points = s.last_query_ctx().unwrap().checks();
+            let points = polls(&s);
             assert!(points > 0, "no lifecycle checks at dop {dop}: `{q}`");
 
             for k in 1..=points {
-                s.set_cancel_after_checks(Some(k));
+                s.set_fault(cancel_at(k));
                 let err = s.query(q).unwrap_err();
                 assert_eq!(
                     err,
@@ -145,7 +164,7 @@ fn kill_matrix(batch_rows: usize) {
                 assert_eq!(engine.sched().active(), 0, "leaked active query");
                 // Post-abort health: the same session, disarmed, answers
                 // the same statement exactly like the undisturbed replay.
-                s.set_cancel_after_checks(None);
+                s.set_fault(None);
                 let again = s.query(q).unwrap();
                 assert!(
                     rows_bit_identical(&again.rows, &want[qi]),
@@ -200,17 +219,17 @@ fn kill_matrix_dml(batch_rows: usize) {
             // The undisturbed replay doubles as the dry run.
             let undisturbed = fault_engine(seeded_db(ROWS));
             let mut dry = session(&undisturbed);
-            dry.set_cancel_after_checks(Some(u64::MAX));
+            dry.set_fault(count_polls());
             let affected = dry.execute(sql).unwrap()[0].stats.rows_affected;
             assert!(affected > 0, "`{sql}` matched nothing");
-            let points = dry.last_query_ctx().unwrap().checks();
+            let points = polls(&dry);
             assert!(points > 0, "no lifecycle checks at dop {dop}: `{sql}`");
 
             let engine = fault_engine(seeded_db(ROWS));
             let image_before = engine.db().store.crash_image();
             let mut s = session(&engine);
             for k in 1..=points {
-                s.set_cancel_after_checks(Some(k));
+                s.set_fault(cancel_at(k));
                 let err = s.execute(sql).unwrap_err();
                 let at = format!("trip {k}/{points} dop {dop} batch {batch_rows}: `{sql}`");
                 assert_eq!(err, EngineError::Cancelled, "{at}");
@@ -219,7 +238,7 @@ fn kill_matrix_dml(batch_rows: usize) {
                 assert_eq!(engine.sched().active(), 0, "leaked active query, {at}");
                 assert!(engine.db().store.crash_image() == image_before, "{at}");
             }
-            s.set_cancel_after_checks(None);
+            s.set_fault(None);
             assert_eq!(s.execute(sql).unwrap()[0].stats.rows_affected, affected);
             assert!(
                 engine.db().store.crash_image() == undisturbed.db().store.crash_image(),
@@ -256,7 +275,7 @@ fn cancelled_long_scan_stops_promptly() {
     let mut s = fault_session(seeded_db(ROWS));
     s.set_dop(4);
     // Count lifecycle polls without tripping on any.
-    s.set_cancel_after_checks(Some(u64::MAX));
+    s.set_fault(count_polls());
     // 1 ms of spin per row = 1 s of mandatory wall clock per worker for
     // a full scan, all of it inside a single 1000-row batch on the
     // vectorized path — the cancel below must beat that by a wide margin.
@@ -270,7 +289,7 @@ fn cancelled_long_scan_stops_promptly() {
             // What the statement polls when nothing disturbs it: the same
             // shape without the spin.
             s.query(&shape.replace("{us}", "0")).unwrap();
-            let full_polls = s.last_query_ctx().expect("statement ran").checks();
+            let full_polls = polls(&s);
             let handle = s.cancel_handle();
             let killer = thread::spawn(move || {
                 thread::sleep(Duration::from_millis(40));
@@ -304,10 +323,10 @@ fn cancelled_long_scan_stops_promptly() {
                     partial.rows_scanned
                 );
             }
-            let polls = s.last_query_ctx().expect("statement ran").checks();
+            let polled = polls(&s);
             assert!(
-                polls > 0 && polls + (ROWS as u64) / 4 < full_polls,
-                "batch {batch_rows}: {polls} of {full_polls} polls, the scan did not stop \
+                polled > 0 && polled + (ROWS as u64) / 4 < full_polls,
+                "batch {batch_rows}: {polled} of {full_polls} polls, the scan did not stop \
                  inside its batch: `{slow}`"
             );
             // The session consumed the cancel: the next statement runs.
@@ -541,12 +560,12 @@ fn aborted_dml_match_phase_leaves_no_durability_trace() {
         let wal_before = engine.db().store.crash_image().wal;
 
         // A cancelled match phase commits nothing: no page, no WAL byte.
-        s.set_cancel_after_checks(Some(5));
+        s.set_fault(cancel_at(5));
         let err = s
             .execute("UPDATE T SET tag = tag + 1 WHERE tag >= 0")
             .unwrap_err();
         assert_eq!(err, EngineError::Cancelled);
-        s.set_cancel_after_checks(None);
+        s.set_fault(None);
         assert_eq!(engine.db().store.crash_image().wal, wal_before);
         let partial = s
             .partial_stats()
@@ -699,6 +718,16 @@ fn terminate_error_after_the_scan_reports_partial_stats() {
 
 // --- Transient read faults ------------------------------------------------
 
+/// Arms a read fault on the session's store: the third snapshot-cold page
+/// read of the next statement — on whichever scan worker meets it — fails
+/// `times` times. The pool is cleared first, so the reads are cold.
+fn fail_third_cold_read(s: &Session, times: u32) {
+    let mut db = s.db_mut();
+    db.store.clear_cache();
+    db.store
+        .arm(Some(FaultPlan::new(Fault::ReadFault { times }, 3)));
+}
+
 #[test]
 fn transient_read_faults_retry_bounded_and_deterministically() {
     const ROWS: i64 = 600;
@@ -707,21 +736,25 @@ fn transient_read_faults_retry_bounded_and_deterministically() {
     let q = "SELECT COUNT(*), SUM(tag), MIN(tag), MAX(tag) FROM T";
     let want = s.query(q).unwrap().rows;
 
-    // Four faults at two per read: absorbed by the bounded retry path,
-    // counted, answer unchanged.
-    s.db().store.clear_cache();
-    s.db().store.arm_read_faults(4, 2);
-    let r = s.query(q).unwrap();
-    assert!(rows_bit_identical(&r.rows, &want));
-    assert_eq!(r.stats.io.transient_retries, 4, "{:?}", r.stats.io);
-    assert_eq!(s.db().store.read_faults_remaining(), 0);
+    // As many failures as the retry budget allows: absorbed by the bounded
+    // retry path, each one counted, the answer unchanged — whichever
+    // worker of a parallel scan meets the faulted read.
+    for dop in [1, 4] {
+        s.set_dop(dop);
+        fail_third_cold_read(&s, MAX_READ_RETRIES);
+        let r = s.query(q).unwrap();
+        assert!(rows_bit_identical(&r.rows, &want), "dop {dop}");
+        assert_eq!(
+            r.stats.io.transient_retries,
+            u64::from(MAX_READ_RETRIES),
+            "dop {dop}: {:?}",
+            r.stats.io
+        );
+    }
 
-    // A burst past MAX_READ_RETRIES exhausts one read's budget and
+    // One failure past MAX_READ_RETRIES exhausts the read's budget and
     // surfaces the typed storage error through the engine.
-    s.db().store.clear_cache();
-    s.db()
-        .store
-        .arm_read_faults(u64::from(MAX_READ_RETRIES) * 2 + 2, MAX_READ_RETRIES + 1);
+    fail_third_cold_read(&s, MAX_READ_RETRIES + 1);
     let err = s.query(q).unwrap_err();
     match err {
         EngineError::Storage(msg) => {
@@ -731,10 +764,11 @@ fn transient_read_faults_retry_bounded_and_deterministically() {
     }
 
     // Disarm; the same session recovers to the same answer.
-    s.db().store.arm_read_faults(0, 0);
+    s.db_mut().store.arm(None);
     s.db().store.clear_cache();
     let r = s.query(q).unwrap();
     assert!(rows_bit_identical(&r.rows, &want));
+    assert_eq!(r.stats.io.transient_retries, 0);
 }
 
 // --- Admission control under overload -------------------------------------
