@@ -152,6 +152,54 @@ pub fn norm2(a: &impl ArrayData) -> Result<f64> {
     Ok(acc.value().sqrt())
 }
 
+/// Fails with [`Scalar::as_f64`]'s error unless every element has an `f64`
+/// view: real arrays always do, a complex array when every imaginary part
+/// is zero.
+pub fn check_real(a: &impl ArrayData) -> Result<()> {
+    fn all_real<T: Element>(payload: &[u8]) -> bool {
+        payload
+            .chunks_exact(T::SIZE)
+            .all(|c| T::read_le(c).to_f64_checked().is_some())
+    }
+    let real = match a.elem() {
+        ElementType::Complex32 => all_real::<Complex32>(a.payload()),
+        ElementType::Complex64 => all_real::<Complex64>(a.payload()),
+        _ => true,
+    };
+    if real {
+        Ok(())
+    } else {
+        Err(ArrayError::BadConversion {
+            from: a.elem(),
+            to: ElementType::Float64,
+        })
+    }
+}
+
+/// Adds the `f64` view of each element into its own register: element `k`
+/// (storage order) into `acc[k]` — the elementwise sum behind `VectorAvg`.
+/// The view is [`Scalar::as_f64`]'s without a `Scalar` per element; a
+/// complex element adds its real part, which is all of it exactly when
+/// [`check_real`] passes.
+pub fn add_elementwise(a: &impl ArrayData, acc: &mut [ExactSum]) {
+    fn add<T: Element>(payload: &[u8], acc: &mut [ExactSum], view: impl Fn(T) -> f64) {
+        for (reg, c) in acc.iter_mut().zip(payload.chunks_exact(T::SIZE)) {
+            reg.add(view(T::read_le(c)));
+        }
+    }
+    let p = a.payload();
+    match a.elem() {
+        ElementType::Int8 => add::<i8>(p, acc, |v| v as f64),
+        ElementType::Int16 => add::<i16>(p, acc, |v| v as f64),
+        ElementType::Int32 => add::<i32>(p, acc, |v| v as f64),
+        ElementType::Int64 => add::<i64>(p, acc, |v| v as f64),
+        ElementType::Float32 => add::<f32>(p, acc, |v| v as f64),
+        ElementType::Float64 => add::<f64>(p, acc, |v| v),
+        ElementType::Complex32 => add::<Complex32>(p, acc, |c| c.re as f64),
+        ElementType::Complex64 => add::<Complex64>(p, acc, |c| c.re),
+    }
+}
+
 /// Order-statistic fold (`min`/`max`). Unlike the summations above it
 /// carries no rounding — `min`/`max` over `f64` views are exact by
 /// construction — so a plain fold is already order-independent here.

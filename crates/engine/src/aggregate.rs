@@ -14,8 +14,9 @@
 //! SQL Server 2008 CLR UDA behaviour that experiment E5 quantifies.
 
 use crate::value::{EngineError, Result, Value};
+use sqlarray_core::ops::agg;
 use sqlarray_core::ops::table::ConcatBuilder;
-use sqlarray_core::{ElementType, ExactSum, Scalar, StorageClass};
+use sqlarray_core::{ArrayData, ArrayView, ElementType, ExactSum, Scalar, StorageClass};
 use std::collections::HashMap;
 
 /// How the executor maintains aggregate state between rows.
@@ -230,6 +231,11 @@ fn scalar_from_value(v: &Value, elem: ElementType) -> Result<Scalar> {
 /// Element sums accumulate in [`ExactSum`] registers, so partial states
 /// built by parallel scan workers merge without rounding: the parallel
 /// `VectorAvg` is bit-identical to the serial one.
+///
+/// A row's array is read where it lies: `accumulate` borrows the argument
+/// as an [`ArrayView`] and adds each element's `f64` view (the one
+/// `Scalar::as_f64` gives, complex elements included) straight into its
+/// register — no blob copy, no `Scalar` per element, no `Vec` per row.
 pub struct VectorAvgUda {
     class: StorageClass,
     sum: Option<Vec<ExactSum>>,
@@ -258,33 +264,25 @@ impl UdaState for VectorAvgUda {
                 want: "1..=1".into(),
             });
         }
-        let a = args[0].as_array()?;
-        let vals: Vec<f64> = a
-            .iter_scalars()
-            .map(|s| s.as_f64())
-            .collect::<sqlarray_core::Result<_>>()?;
-        match &mut self.sum {
-            None => {
-                self.dims = a.dims().to_vec();
-                let mut acc: Vec<ExactSum> = vec![ExactSum::new(); vals.len()];
-                for (s, v) in acc.iter_mut().zip(&vals) {
-                    s.add(*v);
-                }
-                self.sum = Some(acc);
+        let a = ArrayView::from_blob(args[0].as_bytes()?)?;
+        // Every element converts before the shape is compared or a
+        // register changes: a row that fails adds nothing.
+        agg::check_real(&a)?;
+        match &self.sum {
+            Some(_) if a.dims() != self.dims.as_slice() => {
+                return Err(EngineError::Type(format!(
+                    "VectorAvg over mixed shapes: {:?} vs {:?}",
+                    a.dims(),
+                    self.dims
+                )));
             }
-            Some(acc) => {
-                if a.dims() != self.dims.as_slice() {
-                    return Err(EngineError::Type(format!(
-                        "VectorAvg over mixed shapes: {:?} vs {:?}",
-                        a.dims(),
-                        self.dims
-                    )));
-                }
-                for (s, v) in acc.iter_mut().zip(&vals) {
-                    s.add(*v);
-                }
-            }
+            Some(_) => {}
+            None => a.dims().clone_into(&mut self.dims),
         }
+        let acc = self
+            .sum
+            .get_or_insert_with(|| vec![ExactSum::new(); a.count()]);
+        agg::add_elementwise(&a, acc);
         self.count += 1;
         Ok(())
     }
@@ -320,13 +318,23 @@ impl UdaState for VectorAvgUda {
             self.dims.push(sqlarray_core::le::u64_at(buf, off) as usize);
             off += 8;
         }
-        let n: usize = self.dims.iter().product();
+        // A decoded length is not trusted: a product or a byte count that
+        // overflows is a corrupt state, not a wrapped (or panicking) size.
+        let n = self
+            .dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .ok_or_else(corrupt)?;
         if self.count == 0 {
             self.sum = None;
             return Ok(());
         }
         const REG: usize = ExactSum::SERIALIZED_LEN;
-        if buf.len() != off + REG * n {
+        let len = n
+            .checked_mul(REG)
+            .and_then(|bytes| bytes.checked_add(off))
+            .ok_or_else(corrupt)?;
+        if buf.len() != len {
             return Err(corrupt());
         }
         let mut sum = Vec::with_capacity(n);
@@ -577,6 +585,68 @@ mod tests {
         )])
         .unwrap();
         assert!(a.merge_state(&b.serialize_state()).is_err());
+    }
+
+    fn short_blob<T: sqlarray_core::Element>(data: &[T]) -> Value {
+        let a = sqlarray_core::SqlArray::from_vec(StorageClass::Short, &[data.len()], data);
+        Value::Bytes(a.unwrap().into_blob())
+    }
+
+    #[test]
+    fn vector_avg_converts_complex_elements_like_as_f64() {
+        use sqlarray_core::{Complex32, Complex64};
+        let mut s = VectorAvgUda::new(StorageClass::Short);
+        // A zero imaginary part (either sign) converts to the real part.
+        s.accumulate(&[short_blob(&[
+            Complex64::new(1.0, 0.0),
+            Complex64::new(-2.0, -0.0),
+        ])])
+        .unwrap();
+        s.accumulate(&[short_blob(&[
+            Complex32::new(3.0, 0.0),
+            Complex32::new(4.0, 0.0),
+        ])])
+        .unwrap();
+        let before = s.serialize_state();
+        // A non-zero (or NaN) one fails with `Scalar::as_f64`'s error, and
+        // the row adds nothing — also when its shape is wrong as well.
+        for bad in [
+            short_blob(&[Complex64::new(5.0, 0.0), Complex64::new(0.0, 0.5)]),
+            short_blob(&[Complex64::new(5.0, f64::NAN), Complex64::ONE]),
+            short_blob(&[Complex64::I; 3]),
+        ] {
+            let want = Scalar::C64(Complex64::I).as_f64().unwrap_err();
+            assert_eq!(s.accumulate(&[bad]), Err(EngineError::from(want)));
+            assert_eq!(s.serialize_state(), before);
+        }
+        let c32 = short_blob(&[Complex32::new(1.0, 1.0), Complex32::ONE]);
+        let want = Scalar::C32(Complex32::I).as_f64().unwrap_err();
+        assert_eq!(s.accumulate(&[c32]), Err(EngineError::from(want)));
+        assert_eq!(
+            s.accumulate(&[short_blob(&[1.0f64, 2.0, 3.0])]),
+            Err(EngineError::Type(
+                "VectorAvg over mixed shapes: [3] vs [2]".into()
+            ))
+        );
+        assert_eq!(s.serialize_state(), before);
+        let out = s.terminate().unwrap().as_array().unwrap();
+        assert_eq!(out.to_vec::<f64>().unwrap(), vec![2.0, 1.0]);
+    }
+
+    #[test]
+    fn vector_avg_state_with_an_overflowing_length_is_corrupt() {
+        let corrupt = Err(EngineError::Storage("corrupt VectorAvg state".into()));
+        // dims whose product wraps, and dims whose register bytes do.
+        for dims in [[1u64 << 32, 1 << 32], [1 << 40, 1 << 20]] {
+            let mut buf = 1u64.to_le_bytes().to_vec();
+            buf.extend_from_slice(&2u32.to_le_bytes());
+            for d in dims {
+                buf.extend_from_slice(&d.to_le_bytes());
+            }
+            let mut s = VectorAvgUda::new(StorageClass::Short);
+            assert_eq!(s.load_state(&buf), corrupt);
+            assert_eq!(s.merge_state(&buf), corrupt);
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl GroupKey {
 /// maintains for one item of one group. State only: the item's
 /// expression stays in the select list (row path) or the compiled plan
 /// (batch path), so opening a group clones nothing.
-// The `Agg` variant carries an inline `ExactSum` register (~0.3 kB);
+// The `Agg` variant carries an inline `ExactSum` register (~0.6 kB);
 // boxing it would cost a pointer chase on every accumulated row for a
 // structure that only exists once per (group × select item).
 #[allow(clippy::large_enum_variant)]

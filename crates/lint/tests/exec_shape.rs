@@ -75,6 +75,12 @@
 //!   it — `settle_append` (WAL appends), `PartitionReader::read` (cold
 //!   reads) and `QueryCtx::check` (polls) — and the lost-power rule is
 //!   `checkpoint`'s alone: `PageStore::commit` names no plan.
+//! * Exact summation pays per addend, not per carry, and `VectorAvg` per
+//!   element, not per copy: `ExactSum::add` has no loop (its carries wait
+//!   for the periodic pass), `VectorAvgUda::accumulate` borrows its
+//!   argument as an `ArrayView` and names none of `as_array`,
+//!   `iter_scalars`, `collect`, `to_vec`, and the register's digit array
+//!   (`[i64; DIGITS]`) is declared in `core/src/exact.rs` alone.
 
 use sqlarray_lint::driver::find_workspace_root;
 use sqlarray_lint::SourceFile;
@@ -595,6 +601,65 @@ fn selection_kernels_do_not_branch_per_row() {
             }
         }
     });
+}
+
+/// The body braces of `fn name` inside the non-test `impl … for ty { … }`.
+fn method_body(f: &SourceFile<'_>, ty: &str, name: &str) -> (usize, usize) {
+    let imp = (0..f.sig.len())
+        .find(|&k| {
+            f.is_ident(k, "for")
+                && f.is_ident(k + 1, ty)
+                && f.is_punct(k + 2, "{")
+                && !f.in_test(f.tok(k).start)
+        })
+        .unwrap_or_else(|| panic!("`impl … for {ty}` went missing from {}", f.path));
+    let end = matching(f, imp + 2, "{", "}");
+    let k = (imp..end)
+        .find(|&k| f.is_ident(k, "fn") && f.is_ident(k + 1, name))
+        .unwrap_or_else(|| panic!("`{ty}::{name}` went missing from {}", f.path));
+    let open = (k..end).find(|&j| f.is_punct(j, "{")).unwrap();
+    (open, matching(f, open, "{", "}"))
+}
+
+#[test]
+fn an_exact_sum_pays_per_addend_and_vector_avg_reads_in_place() {
+    with_file("crates/core/src/exact.rs", |f| {
+        let (open, close) = fn_body(f, "add");
+        let looping = ["for", "while", "loop"];
+        let hit = (open..close).find(|&j| looping.iter().any(|w| f.is_ident(j, w)));
+        assert!(
+            hit.is_none(),
+            "`ExactSum::add` has a `{}`: a per-addend carry chain is back",
+            hit.map_or("", |j| f.text(j))
+        );
+    });
+    with_file("crates/engine/src/aggregate.rs", |f| {
+        let (open, close) = method_body(f, "VectorAvgUda", "accumulate");
+        let named = |w: &str| (open..close).any(|j| f.is_ident(j, w));
+        assert!(
+            named("ArrayView"),
+            "the matcher no longer sees the borrowed view"
+        );
+        for copy in ["as_array", "iter_scalars", "collect", "to_vec"] {
+            assert!(
+                !named(copy),
+                "`VectorAvgUda::accumulate` names `{copy}`: a row's array is copied again"
+            );
+        }
+    });
+    // `[i64; DIGITS]` (or its literal length): the carry-save digits.
+    let digit_array = |f: &SourceFile<'_>, k: usize| {
+        f.is_punct(k, "[")
+            && f.is_ident(k + 1, "i64")
+            && f.is_punct(k + 2, ";")
+            && (f.is_ident(k + 3, "DIGITS") || f.text(k + 3) == "68")
+    };
+    let found = hits_where("crates", digit_array, |_, _| String::new());
+    assert!(!found.is_empty(), "the matcher no longer sees the register");
+    assert!(
+        found.iter().all(|p| p == "crates/core/src/exact.rs"),
+        "one exact register: its digit array is declared in `core::exact` alone: {found:?}"
+    );
 }
 
 #[test]
