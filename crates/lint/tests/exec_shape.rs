@@ -81,6 +81,13 @@
 //!   argument as an `ArrayView` and names none of `as_array`,
 //!   `iter_scalars`, `collect`, `to_vec`, and the register's digit array
 //!   (`[i64; DIGITS]`) is declared in `core/src/exact.rs` alone.
+//! * A checkpoint and a recovery copy no page: page buffers are shared
+//!   `Arc<[u8]>`s, so in `store.rs` bytes are copied (`copy_from_slice`)
+//!   only by `write` and `apply_replay`, no page is duplicated through
+//!   `to_vec`/`into_boxed_slice` or held as a `Box<[u8]>`, the dirty list
+//!   (`dirty`, `mark_dirty`) stays gone — pointer inequality is the dirty
+//!   set — and `Arc::get_mut`, the "is this page unshared" test, is asked
+//!   by `write` alone.
 
 use sqlarray_lint::driver::find_workspace_root;
 use sqlarray_lint::SourceFile;
@@ -724,4 +731,42 @@ fn every_injected_fault_is_one_fault_plan() {
             "`PageStore::commit` names no fault plan: arming changes nothing before the cut"
         );
     });
+}
+
+#[test]
+fn a_checkpoint_and_a_recovery_copy_no_page() {
+    let store = "crates/storage/src/store.rs";
+    assert_eq!(
+        hits_in_fn(store, |f, k| f.is_ident(k, "copy_from_slice"), enclosing_fn),
+        ["write", "apply_replay"].map(|f| format!("{store}::{f}")),
+        "a page's bytes are copied where it is written, live or replayed, and nowhere else"
+    );
+    let copies = ["to_vec", "into_boxed_slice", "dirty", "mark_dirty"];
+    let boxed = |f: &SourceFile<'_>, k: usize| {
+        f.is_ident(k, "Box")
+            && f.is_punct(k + 1, "<")
+            && f.is_punct(k + 2, "[")
+            && f.is_ident(k + 3, "u8")
+    };
+    assert_eq!(
+        hits_in_fn(
+            store,
+            |f, k| copies.iter().any(|w| f.is_ident(k, w)) || boxed(f, k),
+            |f, k| format!(": `{}`", f.text(k))
+        ),
+        [""; 0],
+        "pages are shared `Arc<[u8]>`s and a checkpoint finds the changed ones by pointer"
+    );
+    let get_mut = |f: &SourceFile<'_>, k: usize| {
+        f.is_ident(k, "get_mut")
+            && k >= 3
+            && f.is_ident(k - 3, "Arc")
+            && f.is_punct(k - 2, ":")
+            && f.is_punct(k - 1, ":")
+    };
+    assert_eq!(
+        hits_in_fn(store, get_mut, enclosing_fn),
+        [format!("{store}::write")],
+        "only `write` asks whether a page is unshared; everything else copies on write"
+    );
 }

@@ -20,6 +20,9 @@
 //! 3. Optionally **corrupt** the image like failing media would:
 //!    [`tear_final_page`] (a partial sector write), [`corrupt_image_byte`]
 //!    (a silent bit flip), [`tear_wal`] (an arbitrary mid-record cut).
+//!    An image's pages are shared with the store it came from, so these
+//!    helpers replace or copy a page before they damage it: the store,
+//!    and every other image, keep their bytes.
 //! 4. **Reboot** via [`open`](crate::store::PageStore::open) and assert the recovered state
 //!    is byte-for-byte the last committed snapshot.
 //!
@@ -36,6 +39,7 @@
 
 use crate::page::PageId;
 use crate::store::DiskImage;
+use std::sync::Arc;
 
 /// Truncates the image's final page to `keep` bytes — a torn (partial)
 /// page write. Recovery refuses the image with
@@ -43,14 +47,14 @@ use crate::store::DiskImage;
 pub fn tear_final_page(image: &mut DiskImage, keep: usize) {
     if let Some(last) = image.pages.last_mut() {
         let keep = keep.min(last.len().saturating_sub(1));
-        *last = last[..keep].to_vec().into_boxed_slice();
+        *last = Arc::from(&last[..keep]);
     }
 }
 
 /// Flips one bit of a base page without fixing its checksum — silent
 /// media corruption recovery must detect.
 pub fn corrupt_image_byte(image: &mut DiskImage, page: PageId, off: usize) {
-    image.pages[page as usize][off] ^= 0x01;
+    Arc::make_mut(&mut image.pages[page as usize])[off] ^= 0x01;
 }
 
 /// Cuts the image's log to its first `keep` bytes — an arbitrary

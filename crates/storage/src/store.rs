@@ -34,7 +34,7 @@ use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_core::lifecycle::QueryCtx;
 use sqlarray_core::sync::{get_mut_unpoisoned, lock_unpoisoned};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default buffer-pool capacity (pages). 4096 pages = 32 MiB, small enough
 /// that the Table 1 scans (hundreds of MB) are disk-bound after a cache
@@ -59,10 +59,15 @@ pub const MAX_READ_RETRIES: u32 = 3;
 /// The fields are public so fault-injection harnesses can corrupt the
 /// "disk" between crash and reboot (tear the final page, flip a byte)
 /// and assert the typed errors recovery raises.
+///
+/// The page buffers are shared, copy-on-write, with the store that took
+/// the image and with any store [`PageStore::open`] boots from it: a
+/// caller changes one only through `Arc::make_mut` (as the [`crate::fail`]
+/// helpers do), which copies it first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiskImage {
     /// Base page images from the last checkpoint.
-    pub pages: Vec<Box<[u8]>>,
+    pub pages: Vec<Arc<[u8]>>,
     /// Per-page checksums of `pages`, verified on reboot.
     pub sums: Vec<u64>,
     /// Free-list state at the last checkpoint (LIFO order).
@@ -94,8 +99,14 @@ pub struct Recovery {
 }
 
 /// The page file plus its buffer pool.
+///
+/// Page buffers are shared and copy-on-write: the live file, the base
+/// image and every [`DiskImage`] taken from it hold the same `Arc` until a
+/// write copies the one page it changes. So a live page that is not the
+/// very buffer of its base-image slot is exactly a page written since the
+/// last checkpoint.
 pub struct PageStore {
-    pages: Vec<Box<[u8]>>,
+    pages: Vec<Arc<[u8]>>,
     /// Per-page checksum (`wal::block_sum`) of the current contents,
     /// restamped by every write over the blocks it changed and verified
     /// on every cold (pool-miss) read.
@@ -107,14 +118,12 @@ pub struct PageStore {
     next_lsn: u64,
     /// Base image from the last checkpoint (empty = genesis: an empty
     /// file, with the whole history in `wal_buf`).
-    base_pages: Vec<Box<[u8]>>,
+    base_pages: Vec<Arc<[u8]>>,
     base_sums: Vec<u64>,
     base_free: Vec<PageId>,
     base_catalog: Option<Vec<u8>>,
-    /// Pages of the base image whose live bytes have changed since the
-    /// last checkpoint (ids below `base_pages.len()`; repeats allowed) —
-    /// what the next checkpoint copies.
-    dirty: Vec<PageId>,
+    /// The one zero page every fresh or reclaimed page starts out sharing.
+    zero: Arc<[u8]>,
     /// Catalog of the latest [`commit`](Self::commit); the next checkpoint
     /// makes it the base image's, because truncating the log drops the
     /// commit record that carried it.
@@ -122,8 +131,9 @@ pub struct PageStore {
     /// The armed fault plan ([`arm`](Self::arm)): a [`Fault::PowerLoss`]
     /// cuts the log, a [`Fault::ReadFault`] fails a scan's cold read.
     fault: Option<FaultPlan>,
-    /// Before-image scratch for computing physiological write diffs.
-    scratch: Box<[u8]>,
+    /// Before-image scratch for computing physiological write diffs of an
+    /// unshared page (a shared one is its own before-image).
+    scratch: Vec<u8>,
     pool: ShardedLruPool,
     /// Logical clock behind every pool stamp: serial touches take a fresh
     /// epoch each, a parallel scan takes one epoch for all its workers.
@@ -182,10 +192,10 @@ impl PageStore {
             base_sums: Vec::new(),
             base_free: Vec::new(),
             base_catalog: None,
-            dirty: Vec::new(),
+            zero: Arc::from(vec![0u8; PAGE_SIZE]),
             last_catalog: None,
             fault: None,
-            scratch: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+            scratch: vec![0u8; PAGE_SIZE],
             pool: ShardedLruPool::new(pool_pages),
             clock: AtomicU64::new(1),
             committed: AtomicU64::new(0),
@@ -272,23 +282,15 @@ impl PageStore {
         acct.stats.wal_bytes += frame_len as u64;
     }
 
-    /// Notes that base-image page `id` no longer matches its live bytes.
-    /// Pages past the base image need no mark: the next checkpoint appends
-    /// them whole.
-    fn mark_dirty(&mut self, id: PageId) {
-        if (id as usize) < self.base_pages.len() {
-            self.dirty.push(id);
-        }
-    }
-
     /// Allocates a zeroed page **at the end of the file** and returns its
-    /// id. The fresh page is resident in the pool (it was just produced in
+    /// id: a share of the store's zero page, copied at its first write.
+    /// The fresh page is resident in the pool (it was just produced in
     /// memory). Bulk builds rely on consecutive calls returning
     /// consecutive ids; reuse-aware callers want
     /// [`allocate_reuse`](Self::allocate_reuse) instead.
     pub fn allocate(&mut self) -> PageId {
         let id = self.pages.len() as PageId;
-        self.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
+        self.pages.push(Arc::clone(&self.zero));
         self.sums.push(wal::ZERO_PAGE_SUM);
         self.pool.set_page_count(self.pages.len() as u64);
         self.append_wal(&WalRecord::Alloc { page: id });
@@ -303,16 +305,15 @@ impl PageStore {
         let Some(id) = self.free.pop() else {
             return self.allocate();
         };
-        self.pages[id as usize].fill(0);
+        self.pages[id as usize] = Arc::clone(&self.zero);
         self.sums[id as usize] = wal::ZERO_PAGE_SUM;
-        self.mark_dirty(id);
         self.append_wal(&WalRecord::Alloc { page: id });
         self.touch_serial(id);
         id
     }
 
     /// Returns a page to the free list for later reuse. The bytes are left
-    /// in place (zeroed on reallocation); only the allocation state
+    /// in place (reallocation swaps in the zero page); only the allocation state
     /// changes, and the transition is WAL-logged.
     pub fn free_page(&mut self, id: PageId) -> Result<()> {
         if id as usize >= self.pages.len() {
@@ -342,20 +343,29 @@ impl PageStore {
     /// against a before-image, see [`wal::append_write`] — are appended to
     /// the write-ahead log as one physiological frame, the same pass
     /// restamps the page's checksum over the 64-byte blocks those runs
-    /// touch, and the page is marked for the next checkpoint. A closure
-    /// that changes nothing logs nothing.
+    /// touch. A closure that changes nothing logs nothing.
+    ///
+    /// Outside recovery's replay, this is the one place a page is copied:
+    /// an unshared page copies its before-image aside, a shared one (with
+    /// the base image, a crash image or the zero page) is its own
+    /// before-image and is copied once, into the live slot, before the
+    /// closure runs.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) -> Result<()> {
         self.fault_in(id)?;
         self.acct_mut().stats.pages_written += 1;
-        let page = &mut self.pages[id as usize];
-        self.scratch.copy_from_slice(page);
+        let slot = &mut self.pages[id as usize];
+        let shared = Arc::get_mut(slot).is_none().then(|| Arc::clone(slot));
+        if shared.is_none() {
+            self.scratch.copy_from_slice(slot);
+        }
+        let page = Arc::make_mut(slot);
         f(page);
+        let before = shared.as_deref().unwrap_or(&self.scratch[..]);
         let (start, lsn) = (self.wal_buf.len(), self.next_lsn);
         let sum = &mut self.sums[id as usize];
-        if wal::append_write(&mut self.wal_buf, lsn, id, &self.scratch, page, sum) == 0 {
+        if wal::append_write(&mut self.wal_buf, lsn, id, before, page, sum) == 0 {
             return Ok(()); // byte-identical rewrite: nothing to log
         }
-        self.mark_dirty(id);
         self.settle_append(start);
         Ok(())
     }
@@ -447,7 +457,7 @@ impl PageStore {
     /// also checkpoints.
     pub fn commit(&mut self, catalog: &[u8]) {
         self.append_wal(&WalRecord::Commit { catalog });
-        self.last_catalog = Some(catalog.to_vec());
+        self.last_catalog = Some(catalog.to_owned());
         self.committed.fetch_add(1, Ordering::AcqRel);
         if self.wal_buf.len() >= AUTO_CHECKPOINT_BYTES {
             self.checkpoint();
@@ -455,14 +465,15 @@ impl PageStore {
     }
 
     /// Folds the current state — pages, checksums, free list and the last
-    /// committed catalog — into the base image and truncates the log. Only
-    /// what changed is copied: the base pages marked dirty since the
-    /// previous checkpoint, into their existing buffers, plus every page
-    /// allocated past the old image's end (all of them, on a fresh or
-    /// just-recovered store, whose base is empty). The image it leaves
-    /// equals the live page file byte for byte. Modeled as atomic: a crash
-    /// is either before (old base + old log) or after (new base + empty
-    /// log).
+    /// committed catalog — into the base image and truncates the log. No
+    /// page is copied: each base slot whose buffer is no longer the live
+    /// one (a page written or reallocated since the previous checkpoint)
+    /// takes a share of the live buffer, and the pages allocated past the
+    /// old image's end (all of them, on a fresh or just-recovered store,
+    /// whose base is empty) are appended as shares too. The image it
+    /// leaves is the live page file, buffer for buffer. Modeled as atomic:
+    /// a crash is either before (old base + old log) or after (new base +
+    /// empty log).
     ///
     /// A store whose armed [`Fault::PowerLoss`] has fired writes nothing
     /// more to disk, so its checkpoint changes nothing: the base image and
@@ -473,10 +484,10 @@ impl PageStore {
                 return;
             }
         }
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        for id in self.dirty.drain(..) {
-            self.base_pages[id as usize].copy_from_slice(&self.pages[id as usize]);
+        for (base, live) in self.base_pages.iter_mut().zip(&self.pages) {
+            if !Arc::ptr_eq(base, live) {
+                *base = Arc::clone(live);
+            }
         }
         let grown = &self.pages[self.base_pages.len()..];
         self.base_pages.extend_from_slice(grown);
@@ -503,7 +514,9 @@ impl PageStore {
 
     /// The durable state a crash right now would preserve: the last
     /// checkpoint's base image plus the surviving log bytes. Feed it to
-    /// [`PageStore::open`] to model the reboot.
+    /// [`PageStore::open`] to model the reboot. The image shares the base
+    /// image's page buffers; later writes to this store copy, so it never
+    /// changes.
     pub fn crash_image(&self) -> DiskImage {
         DiskImage {
             pages: self.base_pages.clone(),
@@ -520,6 +533,11 @@ impl PageStore {
     /// the replay wrote with its checksum once, after the last record —
     /// and discards the uncommitted/torn tail. The recovered store starts
     /// checkpointed at the committed state with a cold (empty) buffer pool.
+    ///
+    /// The store shares the image's page buffers: only the pages the
+    /// replay writes are copied. A free list that names a page past the
+    /// file, or one page twice, is refused as
+    /// [`StorageError::CatalogCorrupt`].
     pub fn open(image: &DiskImage) -> Result<Recovery> {
         PageStore::open_with(image, DEFAULT_POOL_PAGES, DiskProfile::default())
     }
@@ -552,6 +570,15 @@ impl PageStore {
                     stored,
                     computed,
                 });
+            }
+        }
+        let mut listed = PageBits::new(image.pages.len() as u64);
+        for &id in &image.free {
+            if id >= image.pages.len() as u64 || !listed.insert(id) {
+                return Err(StorageError::CatalogCorrupt(format!(
+                    "disk image free list names page {id} past the {}-page file or twice",
+                    image.pages.len()
+                )));
             }
         }
 
@@ -587,7 +614,7 @@ impl PageStore {
             applied_records = (last_lsn - first_lsn + 1) as usize;
             store.next_lsn = last_lsn + 1;
             if let WalRecord::Commit { catalog: c } = &scanned.records[last].1 {
-                catalog = Some(c.to_vec());
+                catalog = Some(Vec::from(*c));
             }
         }
         let clean_end = last_commit.map(|i| scanned.ends[i]).unwrap_or(0);
@@ -607,7 +634,8 @@ impl PageStore {
     /// Applies one replayed WAL record to the booting store, mirroring
     /// exactly what the live mutation did — except that a written page's
     /// checksum is left to the caller, who gets the page's index in
-    /// `written`. `idx` only feeds error reports.
+    /// `written`, and that a write copies a page still shared with the
+    /// image without logging a diff. `idx` only feeds error reports.
     fn apply_replay(
         &mut self,
         idx: usize,
@@ -619,14 +647,15 @@ impl PageStore {
             WalRecord::Alloc { page } => {
                 let p = *page as usize;
                 if p == self.pages.len() {
-                    self.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
+                    self.pages.push(Arc::clone(&self.zero));
                     self.sums.push(wal::ZERO_PAGE_SUM);
                 } else if self.free.last() == Some(page) {
+                    // Every free-list entry is a page of the file: `open`
+                    // checked the image's, and a replayed `Free` checks
+                    // its own.
                     self.free.pop();
-                    if let Some(bytes) = self.pages.get_mut(p) {
-                        bytes.fill(0);
-                        self.sums[p] = wal::ZERO_PAGE_SUM;
-                    }
+                    self.pages[p] = Arc::clone(&self.zero);
+                    self.sums[p] = wal::ZERO_PAGE_SUM;
                 } else {
                     return Err(corrupt(format!(
                         "alloc of page {page} matches neither the file end nor the free-list top"
@@ -649,7 +678,7 @@ impl PageStore {
                         bytes.len()
                     )));
                 };
-                target[start..end].copy_from_slice(bytes);
+                Arc::make_mut(target)[start..end].copy_from_slice(bytes);
                 written.push(p);
             }
             WalRecord::Commit { .. } => {}
@@ -662,7 +691,7 @@ impl PageStore {
     /// that the next cold read of the page must surface as
     /// [`StorageError::PageCorrupt`].
     pub fn corrupt_byte(&mut self, id: PageId, off: usize) {
-        self.pages[id as usize][off] ^= 0x01;
+        Arc::make_mut(&mut self.pages[id as usize])[off] ^= 0x01;
     }
 
     /// Direct page-image access without pool or I/O accounting — for
@@ -852,7 +881,7 @@ pub struct ScanIo {
 /// global accounting in partition order.
 #[derive(Debug)]
 pub struct PartitionReader<'a> {
-    pages: &'a [Box<[u8]>],
+    pages: &'a [Arc<[u8]>],
     sums: &'a [u64],
     pool: &'a ShardedLruPool,
     resident: &'a PageBits,
@@ -1508,15 +1537,22 @@ mod tests {
     proptest::proptest! {
         /// Whatever ran since the last one, a checkpoint leaves the base
         /// image equal to the live file — pages, checksums, free list —
-        /// though it copies only the pages marked dirty and the pages
-        /// past the old image; and a crash at the end recovers the last
-        /// commit from that image plus the log.
+        /// though it replaces only the base buffers no longer live and
+        /// appends the pages past the old image; and a crash at the end
+        /// recovers the last commit from that image plus the log.
+        ///
+        /// A crash image taken at a random op shares its buffers with the
+        /// store, and later with the checkpoints and the recovered store;
+        /// everything after it — the later ops, a checkpoint, a recovery,
+        /// a flipped byte in the live file, damage done to a second image
+        /// — leaves its bytes what they were when it was taken.
         #[test]
         fn checkpoint_image_equals_the_live_file(
             ops in proptest::collection::vec(
                 (0u8..10, proptest::prelude::any::<u16>(), 0usize..PAGE_SIZE, 1u8..=255),
                 1..120,
             ),
+            snap_at in proptest::prelude::any::<u16>(),
         ) {
             let mut s = PageStore::new();
             let assert_image_is_live = |s: &PageStore| {
@@ -1524,7 +1560,14 @@ mod tests {
                 assert!(image.wal.is_empty());
                 assert_eq!((&image.pages, &image.sums, &image.free), (&s.pages, &s.sums, &s.free));
             };
+            let snap_at = usize::from(snap_at) % ops.len();
+            let mut snapshot = None;
             for (i, &(kind, pick, at, val)) in ops.iter().enumerate() {
+                if i == snap_at {
+                    let image = s.crash_image();
+                    let bytes: Vec<Vec<u8>> = image.pages.iter().map(|p| p.to_vec()).collect();
+                    snapshot = Some((image, bytes));
+                }
                 let page = (!s.pages.is_empty()).then(|| u64::from(pick) % s.page_count());
                 match (kind, page) {
                     (0, _) => drop(s.allocate()),
@@ -1552,6 +1595,19 @@ mod tests {
             s.checkpoint();
             assert_image_is_live(&s);
             assert_eq!(s.crash_image(), rec.store.crash_image());
+
+            for p in 0..s.page_count() {
+                s.corrupt_byte(p, p as usize % PAGE_SIZE);
+            }
+            let mut second = rec.store.crash_image();
+            for p in 0..second.pages.len() {
+                crate::fail::corrupt_image_byte(&mut second, p as PageId, PAGE_SIZE - 1);
+            }
+            crate::fail::tear_final_page(&mut second, 100);
+            let (image, bytes) = snapshot.expect("a snapshot was taken");
+            let now: Vec<Vec<u8>> = image.pages.iter().map(|p| p.to_vec()).collect();
+            proptest::prop_assert_eq!(now, bytes);
+            assert_eq!(rec.store.crash_image(), s.crash_image(), "the damage stayed in `second`");
         }
     }
 
@@ -1619,6 +1675,149 @@ mod tests {
         assert_eq!(recovered(&s), pre_arm, "auto-checkpoint after the cut");
         s.checkpoint();
         assert_eq!(recovered(&s), pre_arm, "explicit checkpoint after the cut");
+    }
+
+    /// A fresh page and a reclaimed one are shares of the store's zero
+    /// page; the first write copies it, so it stays zero.
+    #[test]
+    fn fresh_and_reclaimed_pages_share_the_zero_page() {
+        let mut s = PageStore::new();
+        let a = s.allocate();
+        let b = s.allocate();
+        s.write(a, |p| p[0] = 1).unwrap();
+        s.free_page(a).unwrap();
+        assert_eq!(s.allocate_reuse(), a);
+        for p in [a, b] {
+            assert!(Arc::ptr_eq(&s.pages[p as usize], &s.zero), "page {p}");
+        }
+        s.write(b, |p| p[0] = 2).unwrap();
+        assert!(!Arc::ptr_eq(&s.pages[b as usize], &s.zero));
+        assert!(s.zero.iter().all(|&x| x == 0));
+        assert_eq!(s.raw_page(a).unwrap(), &[0u8; PAGE_SIZE][..]);
+    }
+
+    /// Recovery copies the pages its log writes and no other: every other
+    /// page of the booted store is the image's own buffer, a page the log
+    /// only allocated is the zero page, and the final checkpoint shares
+    /// all of them.
+    #[test]
+    fn open_copies_only_the_pages_its_log_writes() {
+        let mut s = PageStore::new();
+        for i in 0..16u8 {
+            let p = s.allocate();
+            s.write(p, |b| b[0] = i | 1).unwrap();
+        }
+        s.commit(b"v1");
+        s.checkpoint();
+        let written = [3usize, 7, 8];
+        for &p in &written {
+            s.write(p as PageId, |b| b[1] = 0xEE).unwrap();
+        }
+        let fresh = s.allocate() as usize;
+        s.commit(b"v2");
+        let image = s.crash_image();
+        let rec = PageStore::open(&image).unwrap();
+        assert_eq!(rec.applied_records, 5);
+        let store = &rec.store;
+        for p in 0..image.pages.len() {
+            let shared = Arc::ptr_eq(&store.pages[p], &image.pages[p]);
+            assert_eq!(shared, !written.contains(&p), "page {p}");
+            assert_eq!(store.raw_page(p as PageId), s.raw_page(p as PageId));
+        }
+        assert!(Arc::ptr_eq(&store.pages[fresh], &store.zero));
+        for (p, (base, live)) in store.base_pages.iter().zip(&store.pages).enumerate() {
+            assert!(
+                Arc::ptr_eq(base, live),
+                "recovery's checkpoint copied page {p}"
+            );
+        }
+    }
+
+    /// A checkpoint with nothing written since the previous one replaces
+    /// no base buffer.
+    #[test]
+    fn an_idle_checkpoint_replaces_no_base_page() {
+        let mut s = PageStore::new();
+        for i in 0..8u8 {
+            let p = s.allocate();
+            s.write(p, |b| b[9] = i | 1).unwrap();
+        }
+        s.free_page(2).unwrap();
+        s.commit(b"v1");
+        s.checkpoint();
+        let before = s.base_pages.clone();
+        s.clear_cache();
+        s.read(5).unwrap();
+        s.commit(b"v2");
+        s.checkpoint();
+        assert_eq!(s.base_pages.len(), before.len());
+        for (p, (base, live)) in s.base_pages.iter().zip(&s.pages).enumerate() {
+            assert!(Arc::ptr_eq(base, &before[p]), "page {p} was replaced");
+            assert!(Arc::ptr_eq(base, live), "page {p} is not the live buffer");
+        }
+    }
+
+    /// The crash image taken right after a checkpoint is the live file,
+    /// buffer for buffer: taking it copies no page.
+    #[test]
+    fn a_crash_image_after_a_checkpoint_shares_every_page() {
+        let mut s = PageStore::new();
+        for i in 0..8u8 {
+            let p = s.allocate();
+            s.write(p, |b| b[i as usize] = i | 1).unwrap();
+        }
+        s.commit(b"v1");
+        s.checkpoint();
+        s.write(4, |b| b[100] = 7).unwrap();
+        s.free_page(6).unwrap();
+        assert_eq!(s.allocate_reuse(), 6);
+        s.allocate();
+        s.commit(b"v2");
+        s.checkpoint();
+        let image = s.crash_image();
+        assert_eq!(image.pages.len(), s.pages.len());
+        for (p, (img, live)) in image.pages.iter().zip(&s.pages).enumerate() {
+            assert!(Arc::ptr_eq(img, live), "page {p}");
+        }
+    }
+
+    /// `open` takes the image's free list only if it names each page of
+    /// the file at most once: an id past the file would make the next
+    /// `allocate_reuse` index out of bounds, a repeated one would hand one
+    /// page to two owners.
+    #[test]
+    fn open_refuses_a_free_list_past_the_file_or_with_a_repeat() {
+        let mut s = PageStore::new();
+        for _ in 0..3 {
+            s.allocate();
+        }
+        s.commit(b"v");
+        s.checkpoint();
+        let image = s.crash_image();
+        let cases: [(&[PageId], bool); 6] = [
+            (&[], true),
+            (&[2, 0], true),
+            (&[3], false),
+            (&[0, u64::MAX], false),
+            (&[1, 1], false),
+            (&[0, 2, 0], false),
+        ];
+        for (free, valid) in cases {
+            let mut listed = image.clone();
+            listed.free = free.to_vec();
+            match PageStore::open(&listed) {
+                Ok(mut rec) if valid => {
+                    assert_eq!(rec.store.free_pages(), free);
+                    if let Some(&top) = free.last() {
+                        assert_eq!(rec.store.allocate_reuse(), top);
+                    }
+                }
+                Err(StorageError::CatalogCorrupt(msg)) if !valid => {
+                    assert!(msg.contains("free list"), "{msg}")
+                }
+                other => panic!("free list {free:?}: {other:?}"),
+            }
+        }
     }
 
     /// A scan opened on a full default-size pool classifies every page

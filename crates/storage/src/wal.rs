@@ -1029,7 +1029,7 @@ mod tests {
             let s = scan(&log);
             assert!(s.records.is_empty() && s.tear == Some(0), "{what}");
             let image = DiskImage {
-                pages: vec![vec![0u8; PAGE_SIZE].into_boxed_slice()],
+                pages: vec![std::sync::Arc::from(vec![0u8; PAGE_SIZE])],
                 sums: vec![ZERO_PAGE_SUM],
                 free: Vec::new(),
                 catalog: None,

@@ -4,8 +4,9 @@
 //! recovery must land byte-for-byte on the last complete commit: base
 //! pages, checksums, free list, catalog, and every decodable row and LOB
 //! chain. Each family runs a second time from a base image a checkpoint
-//! produced by copying the pages dirtied since the one before it, so a
-//! page that copy missed shows here as a wrong byte.
+//! produced by sharing the pages written since the one before it, so a
+//! page that share missed, or a buffer a later write changed in place,
+//! shows here as a wrong byte.
 //!
 //! Injection points are enumerated from one clean run of the victim
 //! ([`IoStats::wal_records`] counts every append, durable or not), so the
@@ -29,6 +30,7 @@ use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_storage::fail::tear_wal;
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
 use sqlarray_storage::{wal, ColType, DiskImage, PageStore, RowValue, Schema, StorageError, Table};
+use std::sync::Arc;
 
 const CHUNK_DATA: usize = 8176; // PAGE_SIZE - 16, the blob chunk payload
 
@@ -86,7 +88,7 @@ fn parse_catalog(cat: &[u8]) -> (u64, u64, u64, u32) {
 /// catalog's tree can decode — LOB chains read back to bytes.
 #[derive(PartialEq, Debug)]
 struct RecoveredState {
-    pages: Vec<Box<[u8]>>,
+    pages: Vec<Arc<[u8]>>,
     sums: Vec<u64>,
     free: Vec<u64>,
     catalog: Option<Vec<u8>>,
@@ -336,8 +338,8 @@ fn insert_crash_matrix() {
 
 /// [`run_matrix`] over `second`, started from a base image that a
 /// checkpoint produced incrementally: `setup`, a checkpoint (so `first`
-/// has base pages to dirty), `first`, and the checkpoint under test, which
-/// copies what `first` dirtied and appends what it allocated. That image
+/// has base pages to write), `first`, and the checkpoint under test, which
+/// shares what `first` wrote and appends what it allocated. That image
 /// must equal the live file, and every crash of `second` must recover
 /// from it plus the log.
 fn checkpoint_then_crash(
@@ -604,7 +606,7 @@ proptest! {
         // The first `settled` ops run before the crash plan is armed and
         // end in two explicit checkpoints (none when `settled` is 0: the
         // log then reaches back to the bulk load), the second of which
-        // copies only what the ops dirtied; the rest are the victims.
+        // replaces only what the ops wrote; the rest are the victims.
         let settled = usize::from(checkpoint_pick) % ops.len();
         let (settled_ops, ops) = ops.split_at(settled);
         let start = || {
