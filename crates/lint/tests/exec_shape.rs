@@ -49,14 +49,19 @@
 //!   arrays indexed by page and a lazy heap, so `pool.rs` names no
 //!   `HashMap` or `BTreeMap` outside its tests (the map-based shard lives
 //!   on only as the property test's oracle). A full-page checksum
-//!   (`block_sum(`) runs in `store.rs` only where a page comes from
-//!   "disk" — a pool miss, a scan worker's cold read, `open` and its
-//!   replay — never in `PageStore::write`, which restamps the blocks it
-//!   changed. No `&mut self` method of the store locks the accounting
-//!   mutex through `self.acct()`: exclusive access reaches it directly.
-//!   And `wal.rs` has one mixing primitive: `wrapping_mul` appears in
-//!   `mix` alone, so the page sum and the frame check are one function of
-//!   the bytes, not two.
+//!   (`block_sum(`, or `block_sums(` for a group of pages) runs in
+//!   `store.rs` only where a page comes from "disk" — a pool miss, a scan
+//!   worker's cold read (`cold_sum`), `open`'s verify pass and its replay
+//!   restamp — never in `PageStore::write`, which restamps the blocks it
+//!   changed. A read-ahead hint only names pages: no `read_ahead` names
+//!   `tick`, a pool touch or the accounting, so every page is still
+//!   touched, counted and judged by its own read. No `&mut self` method of
+//!   the store locks the accounting mutex through `self.acct()`: exclusive
+//!   access reaches it directly. `wal.rs` has one mixing primitive:
+//!   `wrapping_mul` appears in `mix` alone, so the page sum and the frame
+//!   check are one function of the bytes, not two. And `blob.rs` builds no
+//!   zero-filled buffer (`vec![0u8`) outside its tests: a LOB read writes
+//!   each byte of its result once.
 //! * The batch path short-circuits in one place: only `batch.rs::refine`
 //!   destructures a `BExpr::And`/`Or`/`Not` (binds its operands), and
 //!   `eval` answers those nodes by calling it — no second merge of flag
@@ -454,10 +459,68 @@ fn a_page_access_pays_for_what_it_touched() {
             followed_by_paren(f, k, name) && !(k > 0 && f.is_ident(k - 1, "fn"))
         }
     };
+    let full_sum =
+        |f: &SourceFile<'_>, k: usize| calls("block_sum")(f, k) || calls("block_sums")(f, k);
     assert_eq!(
-        hits_in_fn(store, calls("block_sum"), enclosing_fn),
-        ["fault_in", "open_with", "open_with", "read"].map(|f| format!("{store}::{f}")),
-        "a full-page checksum runs where a page comes from disk, never in `write`"
+        hits_in_fn(store, full_sum, enclosing_fn),
+        [
+            "fault_in",
+            "open_with",
+            "open_with",
+            "open_with",
+            "cold_sum",
+            "cold_sum"
+        ]
+        .map(|f| format!("{store}::{f}")),
+        "a full-page checksum runs where a page comes from disk — a pool miss, `open`'s \
+         verify pass and replay restamp, a scan worker's cold read — never in `write`"
+    );
+    with_file(store, |f| {
+        let hints: Vec<usize> = (0..f.sig.len())
+            .filter(|&k| {
+                f.is_ident(k, "fn") && f.is_ident(k + 1, "read_ahead") && !f.in_test(f.tok(k).start)
+            })
+            .collect();
+        assert_eq!(
+            hints.len(),
+            3,
+            "`read_ahead`: the trait's default, the worker's impl, the worker's method"
+        );
+        let effects = [
+            "tick",
+            "touch_or_insert",
+            "touch_or_insert_mut",
+            "acct",
+            "acct_mut",
+        ];
+        for k in hints {
+            let open = (k..f.sig.len()).find(|&j| f.is_punct(j, "{")).unwrap();
+            let close = matching(f, open, "{", "}");
+            let named: Vec<&str> = (open..close)
+                .map(|j| f.text(j))
+                .filter(|t| effects.contains(t))
+                .collect();
+            assert_eq!(
+                named, [""; 0],
+                "a read-ahead hint touches, counts and ticks nothing: `read` does, at its page"
+            );
+        }
+    });
+    let blob = "crates/storage/src/blob.rs";
+    let zero_filled = |f: &SourceFile<'_>, k: usize| {
+        f.is_ident(k, "vec")
+            && f.is_punct(k + 1, "!")
+            && f.is_punct(k + 2, "[")
+            && f.text(k + 3) == "0u8"
+    };
+    assert!(
+        !hits_where(blob, zero_filled, |_, _| String::new()).is_empty(),
+        "the matcher no longer sees the tests' zero-filled buffers"
+    );
+    assert_eq!(
+        hits_in_fn(blob, zero_filled, enclosing_fn),
+        [""; 0],
+        "a LOB read writes each byte of its result once: no zero-filled buffer first"
     );
     let acct = |f: &SourceFile<'_>, k: usize| {
         f.is_ident(k, "self") && f.is_punct(k + 1, ".") && followed_by_paren(f, k + 2, "acct")

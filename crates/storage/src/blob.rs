@@ -199,27 +199,12 @@ pub fn free_blob(store: &mut PageStore, id: BlobId) -> Result<u64> {
     let mut index_pages: Vec<PageId> = Vec::new();
     let mut page = continuation;
     while chunks.len() < n_chunks {
-        let Some(pid) = page else {
-            return Err(StorageError::RowCorrupt(
-                "blob index chain shorter than chunk count".into(),
-            ));
-        };
-        let bytes = store.read(pid)?;
-        if bytes[0] != page_type::BLOB_INDEX {
-            return Err(StorageError::PageTypeMismatch {
-                page: pid,
-                expected: page_type::BLOB_INDEX,
-                got: bytes[0],
-            });
-        }
-        let count = sqlarray_core::le::u32_at(bytes, 4) as usize;
-        let take = count.min(n_chunks - chunks.len());
-        for i in 0..take {
+        let (bytes, count, next) = index_page(store, page, chunks.len(), n_chunks)?;
+        for i in 0..count {
             chunks.push(sqlarray_core::le::u64_at(bytes, 16 + 8 * i));
         }
-        let next = sqlarray_core::le::u64_at(bytes, 8);
-        index_pages.push(pid);
-        page = if next == u64::MAX { None } else { Some(next) };
+        index_pages.extend(page); // `Some`: `index_page` refuses a missing one
+        page = next;
     }
     // Chunks first, then the chain, root last: `allocate_reuse` is LIFO,
     // so the next `write_blob` grabs the root page first.
@@ -231,7 +216,11 @@ pub fn free_blob(store: &mut PageStore, id: BlobId) -> Result<u64> {
     Ok(freed)
 }
 
+/// A blob's byte length and chunk count, read off its root page: the
+/// count is the one the length implies, and no more than the file has
+/// pages, or the root is corrupt.
 fn root_info<R: PageRead + ?Sized>(reader: &mut R, id: BlobId) -> Result<(usize, usize)> {
+    let file_pages = reader.page_count();
     let bytes = reader.read_page(id)?;
     if bytes[0] != page_type::BLOB_ROOT {
         return Err(StorageError::PageTypeMismatch {
@@ -242,7 +231,52 @@ fn root_info<R: PageRead + ?Sized>(reader: &mut R, id: BlobId) -> Result<(usize,
     }
     let total = sqlarray_core::le::u64_at(bytes, 4) as usize;
     let n_chunks = sqlarray_core::le::u32_at(bytes, 12) as usize;
+    if n_chunks != total.div_ceil(CHUNK_DATA) || n_chunks as u64 > file_pages {
+        return Err(StorageError::RowCorrupt(format!(
+            "blob root {id} lists {n_chunks} chunks for {total} bytes in a {file_pages}-page file"
+        )));
+    }
     Ok((total, n_chunks))
+}
+
+/// Reads `page`, the index page of a blob of `n_chunks` chunks whose ids
+/// start at chunk `base`: its bytes, how many ids it holds, and the next
+/// index page. A missing page, a count outside `1..=INDEX_IDS` or one that
+/// runs past `n_chunks` is a corrupt chain — so a chain that loops back on
+/// itself ends, at the latest, once it has claimed more than `n_chunks`.
+fn index_page<R: PageRead + ?Sized>(
+    reader: &mut R,
+    page: Option<PageId>,
+    base: usize,
+    n_chunks: usize,
+) -> Result<(&[u8], usize, Option<PageId>)> {
+    let Some(pid) = page else {
+        return Err(StorageError::RowCorrupt(
+            "blob index chain shorter than chunk count".into(),
+        ));
+    };
+    let bytes = reader.read_page(pid)?;
+    if bytes[0] != page_type::BLOB_INDEX {
+        return Err(StorageError::PageTypeMismatch {
+            page: pid,
+            expected: page_type::BLOB_INDEX,
+            got: bytes[0],
+        });
+    }
+    let count = sqlarray_core::le::u32_at(bytes, 4) as usize;
+    if !(1..=INDEX_IDS).contains(&count) {
+        return Err(StorageError::RowCorrupt(format!(
+            "blob index page {pid} holds {count} ids, not 1 to {INDEX_IDS}"
+        )));
+    }
+    if count > n_chunks - base {
+        return Err(StorageError::RowCorrupt(format!(
+            "blob index chain longer than chunk count: page {pid} lists chunks {base} to {} of {n_chunks}",
+            base + count - 1
+        )));
+    }
+    let next = sqlarray_core::le::u64_at(bytes, 8);
+    Ok((bytes, count, (next != u64::MAX).then_some(next)))
 }
 
 /// Number of directly rooted chunk ids for a blob of `n_chunks` chunks.
@@ -292,20 +326,7 @@ fn resolve_chunk_pages<R: PageRead + ?Sized>(
     let mut base = direct; // first chunk index covered by the current page
     let mut page = continuation;
     while rest.peek().is_some() {
-        let Some(pid) = page else {
-            return Err(StorageError::RowCorrupt(
-                "blob index chain shorter than chunk count".into(),
-            ));
-        };
-        let bytes = reader.read_page(pid)?;
-        if bytes[0] != page_type::BLOB_INDEX {
-            return Err(StorageError::PageTypeMismatch {
-                page: pid,
-                expected: page_type::BLOB_INDEX,
-                got: bytes[0],
-            });
-        }
-        let count = sqlarray_core::le::u32_at(bytes, 4) as usize;
+        let (bytes, count, next) = index_page(reader, page, base, n_chunks)?;
         while let Some(&c) = rest.peek() {
             if c >= base + count {
                 break;
@@ -314,9 +335,8 @@ fn resolve_chunk_pages<R: PageRead + ?Sized>(
             out.push(sqlarray_core::le::u64_at(bytes, 16 + 8 * rel));
             rest.next();
         }
-        let next = sqlarray_core::le::u64_at(bytes, 8);
         base += count;
-        page = if next == u64::MAX { None } else { Some(next) };
+        page = next;
     }
     Ok(out)
 }
@@ -344,12 +364,45 @@ pub fn read_blob_range<R: PageRead + ?Sized>(
 /// every page touch goes through `reader` — so the touches land in the
 /// live pool with the caller's stamps and classify into its
 /// [`crate::IoStats`] just like leaf-page reads, keeping parallel scans
-/// bit-identical to serial.
+/// bit-identical to serial. Before each chunk read, `reader` is told the
+/// chunk pages still ahead ([`PageRead::read_ahead`]), so a scan worker
+/// verifies cold chunks a group at a time.
 pub fn read_blob_runs<R: PageRead + ?Sized>(
     reader: &mut R,
     id: BlobId,
     runs: &[ByteRun],
     out: &mut [u8],
+) -> Result<()> {
+    let mut cursor = 0usize;
+    copy_runs(reader, id, runs, out.len(), |piece| {
+        out[cursor..cursor + piece.len()].copy_from_slice(piece);
+        cursor += piece.len();
+    })?;
+    assert_eq!(cursor, out.len());
+    Ok(())
+}
+
+/// Reads the entire blob. Each byte of the result is written once, by the
+/// copy from its chunk page.
+pub fn read_blob<R: PageRead + ?Sized>(reader: &mut R, id: BlobId) -> Result<Vec<u8>> {
+    let len = blob_len(reader, id)?;
+    let mut out = Vec::with_capacity(len);
+    copy_runs(reader, id, &[(0, len)], len, |piece| {
+        out.extend_from_slice(piece)
+    })?;
+    Ok(out)
+}
+
+/// The copy loop behind [`read_blob_runs`] and [`read_blob`]: checks
+/// `runs` against the blob's length and their total against `want`, the
+/// bytes the caller takes, then hands `sink` the runs' bytes in order, one
+/// chunk page's share at a time.
+fn copy_runs<R: PageRead + ?Sized>(
+    reader: &mut R,
+    id: BlobId,
+    runs: &[ByteRun],
+    want: usize,
+    mut sink: impl FnMut(&[u8]),
 ) -> Result<()> {
     let (total, n_chunks) = root_info(reader, id)?;
     let mut need_len = 0usize;
@@ -361,10 +414,9 @@ pub fn read_blob_runs<R: PageRead + ?Sized>(
         }
         need_len += len;
     }
-    if need_len != out.len() {
+    if need_len != want {
         return Err(StorageError::RowCorrupt(format!(
-            "vectored blob read plans {need_len} bytes into a {}-byte buffer",
-            out.len()
+            "vectored blob read plans {need_len} bytes into a {want}-byte buffer"
         )));
     }
     if need_len == 0 {
@@ -396,10 +448,7 @@ pub fn read_blob_runs<R: PageRead + ?Sized>(
         }
     }
     let pages = resolve_chunk_pages(reader, id, n_chunks, &needed)?;
-    // lint:allow(L005, reason = "the planning loop above inserted every chunk index each segment touches into `needed`, so the closure only ever looks up planned chunks")
-    let page_of = |c: usize| pages[needed.binary_search(&c).expect("chunk was planned")];
 
-    let mut cursor = 0usize;
     for &(offset, len) in &segments {
         let mut pos = offset;
         let mut remaining = len;
@@ -407,7 +456,10 @@ pub fn read_blob_runs<R: PageRead + ?Sized>(
             let c = pos / CHUNK_DATA;
             let lo = pos - c * CHUNK_DATA;
             let take = (CHUNK_DATA - lo).min(remaining);
-            let page = page_of(c);
+            // lint:allow(L005, reason = "the planning loop above inserted every chunk index each segment touches into `needed`, so only planned chunks are looked up")
+            let k = needed.binary_search(&c).expect("chunk was planned");
+            let page = pages[k];
+            reader.read_ahead(&pages[k..]);
             let bytes = reader.read_page(page)?;
             if bytes[0] != page_type::BLOB_CHUNK {
                 return Err(StorageError::PageTypeMismatch {
@@ -416,22 +468,12 @@ pub fn read_blob_runs<R: PageRead + ?Sized>(
                     got: bytes[0],
                 });
             }
-            out[cursor..cursor + take].copy_from_slice(&bytes[16 + lo..16 + lo + take]);
-            cursor += take;
+            sink(&bytes[16 + lo..16 + lo + take]);
             pos += take;
             remaining -= take;
         }
     }
-    assert_eq!(cursor, out.len());
     Ok(())
-}
-
-/// Reads the entire blob.
-pub fn read_blob<R: PageRead + ?Sized>(reader: &mut R, id: BlobId) -> Result<Vec<u8>> {
-    let len = blob_len(reader, id)?;
-    let mut out = vec![0u8; len];
-    read_blob_range(reader, id, 0, &mut out)?;
-    Ok(out)
 }
 
 /// A streamed view over one blob, implementing the array crate's
@@ -779,6 +821,234 @@ mod tests {
         let freed = free_blob(&mut store, id).unwrap();
         assert_eq!(freed, pages);
         assert_eq!(store.free_pages().len() as u64, pages);
+    }
+
+    /// `read_blob` (which appends into a buffer it never zero-fills) and
+    /// `read_blob_runs` (which copies into the caller's) return the bytes
+    /// written, through the serial store and through a scan worker, at
+    /// lengths around one chunk and one chunk past what the root holds.
+    #[test]
+    fn a_full_read_returns_every_byte_once() {
+        let mut store = PageStore::new();
+        let lens = [
+            0,
+            1,
+            CHUNK_DATA - 1,
+            CHUNK_DATA,
+            CHUNK_DATA + 1,
+            (ROOT_DIRECT + 1) * CHUNK_DATA,
+        ];
+        let blobs: Vec<(BlobId, Vec<u8>)> = lens
+            .iter()
+            .map(|&len| {
+                let data = pattern(len);
+                (write_blob(&mut store, &data).unwrap(), data)
+            })
+            .collect();
+        store.clear_cache();
+        for (id, data) in &blobs {
+            let len = data.len();
+            assert_eq!(read_blob(&mut store, *id).unwrap(), *data, "len {len}");
+            let scan = store.begin_scan();
+            let mut r = store.reader(&scan, 0);
+            assert_eq!(read_blob(&mut r, *id).unwrap(), *data, "len {len}, worker");
+            let mut out = vec![0xEEu8; len];
+            read_blob_runs(
+                &mut r,
+                *id,
+                &[(0, len / 2), (len / 2, len - len / 2)],
+                &mut out,
+            )
+            .unwrap();
+            assert_eq!(out, *data, "len {len}, runs");
+        }
+    }
+
+    /// A scan worker's reads with read-ahead hints dropped: how LOB pages
+    /// were read before hints existed.
+    struct Unhinted<'r, 'a>(&'r mut crate::PartitionReader<'a>);
+
+    impl PageRead for Unhinted<'_, '_> {
+        fn read_page(&mut self, id: PageId) -> Result<&[u8]> {
+            self.0.read(id)
+        }
+
+        fn page_count(&self) -> u64 {
+            PageRead::page_count(&*self.0)
+        }
+    }
+
+    /// A LOB read through a scan worker sums cold chunks a group at a time
+    /// and still fails like one page at a time: the same `PageCorrupt`
+    /// payload, counters and pool order when the flipped chunk is first,
+    /// in the middle or last in its group — for a full read and for a
+    /// vectored one that skips chunks.
+    #[test]
+    fn a_corrupt_chunk_fails_a_grouped_lob_read_like_a_page_by_page_one() {
+        const G: usize = crate::wal::SUM_GROUP;
+        let data = pattern(3 * G * CHUNK_DATA + 5);
+        let runs: Vec<ByteRun> = (0..3 * G)
+            .step_by(2)
+            .map(|c| (c * CHUNK_DATA + 9, 40))
+            .collect();
+        let read = |flipped: Option<usize>, vectored: bool, hinted: bool| {
+            let mut store = PageStore::new();
+            let id = write_blob(&mut store, &data).unwrap();
+            let chunks =
+                resolve_chunk_pages(&mut store, id, 3 * G + 1, &(0..=3 * G).collect::<Vec<_>>())
+                    .unwrap();
+            if let Some(c) = flipped {
+                store.corrupt_byte(chunks[c], 500);
+            }
+            store.clear_cache();
+            let scan = store.begin_scan();
+            let mut r = store.reader(&scan, 0);
+            let mut out = vec![0u8; runs.len() * 40];
+            let res = match (vectored, hinted) {
+                (false, true) => read_blob(&mut r, id).map(drop),
+                (false, false) => read_blob(&mut Unhinted(&mut r), id).map(drop),
+                (true, true) => read_blob_runs(&mut r, id, &runs, &mut out),
+                (true, false) => read_blob_runs(&mut Unhinted(&mut r), id, &runs, &mut out),
+            };
+            let io = r.finish();
+            drop(scan);
+            store.finish_scan([&io]);
+            let named = res.as_ref().err().map(|e| match e {
+                StorageError::PageCorrupt { page, .. } => chunks.iter().position(|p| p == page),
+                other => panic!("{other:?}"),
+            });
+            (res.err(), named, io.io, store.pool().keys_mru_order())
+        };
+        for vectored in [false, true] {
+            for flipped in [
+                None,
+                Some(G),
+                Some(G + G / 2),
+                Some(2 * G - 1),
+                Some(2 * G + 2),
+            ] {
+                let hinted = read(flipped, vectored, true);
+                assert_eq!(hinted, read(flipped, vectored, false), "chunk {flipped:?}");
+                let read_there = flipped.filter(|c| !vectored || c % 2 == 0);
+                assert_eq!(
+                    hinted.1,
+                    read_there.map(Some),
+                    "chunk {flipped:?}, vectored {vectored}"
+                );
+            }
+        }
+    }
+
+    /// Damaged root and index pages — written through the store, so their
+    /// checksums hold — are `RowCorrupt` for every reader of the blob, not
+    /// a panic, an abort-sized allocation or an endless walk: a chunk
+    /// count that disagrees with the length or exceeds the file, an index
+    /// count of 0 or past the page, and a chain that loops back on itself.
+    #[test]
+    fn damaged_root_and_index_pages_are_typed_errors() {
+        let mut store = PageStore::new();
+        let n_chunks = ROOT_DIRECT + 78;
+        let data = pattern(n_chunks * CHUNK_DATA - 3);
+        let id = write_blob(&mut store, &data).unwrap();
+        let index = sqlarray_core::le::u64_at(store.read(id).unwrap(), 16 + 8 * (ROOT_DIRECT - 1));
+        let root_fields = |total: u64, n: u32| {
+            move |b: &mut [u8]| {
+                b[4..12].copy_from_slice(&total.to_le_bytes());
+                b[12..16].copy_from_slice(&n.to_le_bytes());
+            }
+        };
+        let index_fields = |count: u32, next: u64| {
+            move |b: &mut [u8]| {
+                b[4..8].copy_from_slice(&count.to_le_bytes());
+                b[8..16].copy_from_slice(&next.to_le_bytes());
+            }
+        };
+        let (total, n) = (data.len() as u64, n_chunks as u32);
+        type Damage = Box<dyn Fn(&mut [u8])>;
+        let cases: [(&str, PageId, Damage, &str); 7] = [
+            (
+                "one chunk too many",
+                id,
+                Box::new(root_fields(total, n + 1)),
+                "lists",
+            ),
+            (
+                "one chunk too few",
+                id,
+                Box::new(root_fields(total, n - 1)),
+                "lists",
+            ),
+            (
+                "more chunks than the file has pages",
+                id,
+                Box::new(root_fields(
+                    u64::from(u32::MAX) * CHUNK_DATA as u64,
+                    u32::MAX,
+                )),
+                "page file",
+            ),
+            (
+                "an empty index page",
+                index,
+                Box::new(index_fields(0, u64::MAX)),
+                "holds 0 ids",
+            ),
+            (
+                "an empty index page naming itself next",
+                index,
+                Box::new(index_fields(0, index)),
+                "holds 0 ids",
+            ),
+            (
+                "an index count past the page",
+                index,
+                Box::new(index_fields(INDEX_IDS as u32 + 1, u64::MAX)),
+                "not 1 to",
+            ),
+            (
+                "a chain that loops back on itself",
+                index,
+                Box::new(index_fields(40, index)),
+                "longer than chunk count",
+            ),
+        ];
+        let tail = data.len() - 10;
+        let ops = |store: &mut PageStore| -> [Result<()>; 4] {
+            let mut buf = [0u8; 10];
+            [
+                read_blob(store, id).map(drop),
+                read_blob_runs(store, id, &[(tail, 10)], &mut buf),
+                update_blob_range(store, id, tail, &[7; 10]).map(drop),
+                free_blob(store, id).map(drop),
+            ]
+        };
+        for (what, page, damage, says) in &cases {
+            let intact = store.read(*page).unwrap().to_vec();
+            store.write(*page, |b| damage(b)).unwrap();
+            for (op, res) in [
+                "read_blob",
+                "read_blob_runs",
+                "update_blob_range",
+                "free_blob",
+            ]
+            .iter()
+            .zip(ops(&mut store))
+            {
+                match res {
+                    Err(StorageError::RowCorrupt(msg)) => {
+                        assert!(msg.contains(says), "{what}, {op}: {msg}")
+                    }
+                    other => panic!("{what}, {op}: {other:?}"),
+                }
+            }
+            store.write(*page, |b| b.copy_from_slice(&intact)).unwrap();
+        }
+        let [read, runs, update, free] = ops(&mut store);
+        assert!(
+            read.is_ok() && runs.is_ok() && update.is_ok(),
+            "the intact blob reads"
+        );
+        assert!(free.is_ok());
     }
 
     #[test]

@@ -555,20 +555,25 @@ impl PageStore {
                 image.sums.len()
             )));
         }
-        for (i, (page, &stored)) in image.pages.iter().zip(&image.sums).enumerate() {
-            if page.len() != PAGE_SIZE {
+        // In page order, a group at a time so the cache misses overlap: the
+        // whole pages in front of a group's first short one are summed (a
+        // full group together), then the first of them that mismatches, or
+        // else the short page, is the error.
+        for (g, group) in image.pages.chunks(wal::SUM_GROUP).enumerate() {
+            let whole = group.iter().take_while(|p| p.len() == PAGE_SIZE).count();
+            let computed: [u64; wal::SUM_GROUP] = if whole == wal::SUM_GROUP {
+                wal::block_sums(std::array::from_fn(|k| &group[k][..]))
+            } else {
+                std::array::from_fn(|k| group[..whole].get(k).map_or(0, |p| wal::block_sum(p)))
+            };
+            let first = g * wal::SUM_GROUP;
+            let stored = &image.sums[first..first + group.len()];
+            let bad = (0..whole).find(|&k| computed[k] != stored[k]);
+            if let Some(k) = bad.or((whole < group.len()).then_some(whole)) {
                 return Err(StorageError::PageCorrupt {
-                    page: i as u64,
-                    stored,
-                    computed: 0,
-                });
-            }
-            let computed = wal::block_sum(page);
-            if computed != stored {
-                return Err(StorageError::PageCorrupt {
-                    page: i as u64,
-                    stored,
-                    computed,
+                    page: (first + k) as u64,
+                    stored: stored[k],
+                    computed: computed[k],
                 });
             }
         }
@@ -746,6 +751,9 @@ impl PageStore {
             first_physical_read: None,
             last_physical_read: None,
             seen: PageBits::new(self.pages.len() as u64),
+            hint: [0; wal::SUM_GROUP],
+            hinted: 0,
+            ahead: [None; AHEAD],
             query: &scan.query,
             fault: self.fault.as_ref(),
         }
@@ -803,6 +811,19 @@ pub trait PageRead {
     /// classifying the access in this reader's [`IoStats`].
     fn read_page(&mut self, id: PageId) -> Result<&[u8]>;
 
+    /// A hint: `next` are the pages this reader is about to read, in
+    /// order, the first of them next. A reader may use it to verify
+    /// several cold pages together ([`PartitionReader::read_ahead`]); what
+    /// a read touches, counts and reports never depends on it. The
+    /// default ignores it.
+    fn read_ahead(&mut self, next: &[PageId]) {
+        let _ = next;
+    }
+
+    /// Pages in the file this reader reads: a bound that decoders check
+    /// counts read off a page against before they allocate by them.
+    fn page_count(&self) -> u64;
+
     /// The query lifecycle this reader runs under, when it has one. LOB
     /// materialization only sees `dyn PageRead`, so budget charging rides
     /// on this seam; a bare [`PageStore`] (recovery, DML apply, DDL)
@@ -816,11 +837,23 @@ impl PageRead for PageStore {
     fn read_page(&mut self, id: PageId) -> Result<&[u8]> {
         self.read(id)
     }
+
+    fn page_count(&self) -> u64 {
+        self.pages.len() as u64
+    }
 }
 
 impl PageRead for PartitionReader<'_> {
     fn read_page(&mut self, id: PageId) -> Result<&[u8]> {
         self.read(id)
+    }
+
+    fn read_ahead(&mut self, next: &[PageId]) {
+        PartitionReader::read_ahead(self, next);
+    }
+
+    fn page_count(&self) -> u64 {
+        self.pages.len() as u64
     }
 
     fn lifecycle(&self) -> Option<&QueryCtx> {
@@ -893,9 +926,20 @@ pub struct PartitionReader<'a> {
     last_physical_read: Option<PageId>,
     /// Pages this worker has already read (re-reads are cache hits).
     seen: PageBits,
+    /// The first pages of the last [`read_ahead`](Self::read_ahead) hint,
+    /// in order; `hinted` of them are set.
+    hint: [PageId; wal::SUM_GROUP],
+    hinted: usize,
+    /// Checksums of cold pages computed before their own read, `(page,
+    /// sum)`, each taken out by that read.
+    ahead: [Option<(PageId, u64)>; AHEAD],
     query: &'a QueryCtx,
     fault: Option<&'a FaultPlan>,
 }
+
+/// Slots for checksums summed ahead: a scan's group of leaves and, beside
+/// it, the group of a LOB read nested in one of their rows.
+const AHEAD: usize = 2 * wal::SUM_GROUP;
 
 impl<'a> PartitionReader<'a> {
     /// Polls the scan's lifecycle context: cancellation, deadline, and
@@ -957,7 +1001,7 @@ impl<'a> PartitionReader<'a> {
                 // This worker's first touch of a snapshot-cold page is the
                 // scan's (simulated) transfer from disk: verify its
                 // checksum, like the serial path's pool-miss check.
-                let computed = wal::block_sum(page);
+                let computed = self.cold_sum(id);
                 let stored = self.sums[id as usize];
                 if stored != computed {
                     return Err(StorageError::PageCorrupt {
@@ -972,6 +1016,78 @@ impl<'a> PartitionReader<'a> {
             self.stats.cache_hits += 1;
         }
         Ok(page)
+    }
+
+    /// Names the pages this worker reads next, in order, the first of them
+    /// next: a hint that lets a cold read verify the cold pages after it
+    /// together with it, so that their cache misses overlap. Only the
+    /// first `wal::SUM_GROUP` are kept, so the call costs the
+    /// same however long `next` is. It reads, touches and counts nothing:
+    /// each page is still touched, counted, fault-ticked and judged by its
+    /// own [`read`](Self::read), and a page never read is never judged.
+    pub fn read_ahead(&mut self, next: &[PageId]) {
+        for (slot, &id) in self.hint.iter_mut().zip(next) {
+            *slot = id;
+        }
+        self.hinted = next.len().min(wal::SUM_GROUP);
+    }
+
+    /// Whether `id` is a page this worker's next read of it would fetch
+    /// from "disk": in the file, cold in the scan's snapshot, not yet read.
+    fn is_cold(&self, id: PageId) -> bool {
+        id < self.pages.len() as u64 && !self.resident.contains(id) && !self.seen.contains(id)
+    }
+
+    /// The computed checksum of cold page `id`, being read now. Either an
+    /// earlier cold read summed it ahead, or it is summed now — together
+    /// with the cold pages the hint names after it when they fill a group;
+    /// their sums wait in `ahead` for their own reads (one that finds no
+    /// free slot is dropped, and computed again at its read). The page file
+    /// is borrowed immutably for the reader's lifetime, so a sum computed
+    /// ahead is the sum at the read.
+    fn cold_sum(&mut self, id: PageId) -> u64 {
+        let slot_of = |ahead: &[Option<(PageId, u64)>], id| {
+            ahead
+                .iter()
+                .position(|s| matches!(s, Some((p, _)) if *p == id))
+        };
+        if let Some((_, sum)) = slot_of(&self.ahead, id).and_then(|k| self.ahead[k].take()) {
+            return sum;
+        }
+        let hint = &self.hint[..self.hinted];
+        let after = hint
+            .iter()
+            .position(|&p| p == id)
+            .map_or(&[][..], |k| &hint[k + 1..]);
+        let mut group = [id; wal::SUM_GROUP];
+        let mut n = 1;
+        for &p in after {
+            if n < wal::SUM_GROUP
+                && self.is_cold(p)
+                && !group[..n].contains(&p)
+                && slot_of(&self.ahead, p).is_none()
+            {
+                group[n] = p;
+                n += 1;
+            }
+        }
+        if n < wal::SUM_GROUP {
+            return wal::block_sum(&self.pages[id as usize]);
+        }
+        let sums = wal::block_sums(group.map(|p| &self.pages[p as usize][..]));
+        let empty = self.ahead.iter_mut().filter(|s| s.is_none());
+        for (slot, pair) in empty.zip(group.into_iter().zip(sums).skip(1)) {
+            *slot = Some(pair);
+        }
+        sums[0]
+    }
+
+    /// The pages whose checksums wait in the read-ahead buffer.
+    #[cfg(test)]
+    pub(crate) fn summed_ahead(&self) -> Vec<PageId> {
+        let mut ids: Vec<PageId> = self.ahead.iter().flatten().map(|&(p, _)| p).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Retries the physical read of `id` through `times` injected
@@ -1510,6 +1626,184 @@ mod tests {
             r.read(p),
             Err(StorageError::PageCorrupt { page: 0, .. })
         ));
+    }
+
+    /// A store of `pages` pages, each written with its own bytes, the
+    /// pages in `warm` resident, everything else cold.
+    fn distinct_pages(pages: u64, warm: &[PageId]) -> PageStore {
+        let mut s = PageStore::with_pool(64, DiskProfile::default());
+        for i in 0..pages {
+            let p = s.allocate();
+            s.write(p, |b| {
+                b[(i as usize * 40) % (PAGE_SIZE - 8)..][..8]
+                    .copy_from_slice(&(i | 1).to_le_bytes())
+            })
+            .unwrap();
+        }
+        s.clear_cache();
+        for &p in warm {
+            s.read(p).unwrap();
+        }
+        s
+    }
+
+    /// Reads `visit` in order through one scan worker — with each read
+    /// hinted the rest of `visit` or not hinted at all — stopping at the
+    /// first error or after `stop` reads. What is left behind: the error,
+    /// the worker's counters and endpoints, the pool's recency order and
+    /// how many events the armed plan saw.
+    fn visit_pages(
+        s: &PageStore,
+        visit: &[PageId],
+        stop: usize,
+        hinted: bool,
+    ) -> (
+        Option<StorageError>,
+        IoStats,
+        [Option<PageId>; 2],
+        Vec<PageId>,
+        u64,
+    ) {
+        let scan = s.begin_scan();
+        let mut r = s.reader(&scan, 0);
+        let mut err = None;
+        for (i, &p) in visit.iter().enumerate().take(stop) {
+            if hinted {
+                r.read_ahead(&visit[i..]);
+            }
+            if let Err(e) = r.read(p) {
+                err = Some(e);
+                break;
+            }
+        }
+        let io = r.finish();
+        drop(scan);
+        s.finish_scan([&io]);
+        let seen = s.fault.as_ref().map_or(0, |plan| plan.seen());
+        let ends = [io.first_physical_read, io.last_physical_read];
+        (err, io.io, ends, s.pool().keys_mru_order(), seen)
+    }
+
+    /// A hinted read verifies cold pages a group at a time, yet fails,
+    /// counts, ticks the fault plan and leaves the pool exactly like the
+    /// page-by-page read: a flipped page first, in the middle or last in
+    /// a group, or where no group forms; a read fault landing inside a
+    /// group; and a walk that stops before the damaged page of its group,
+    /// which was summed ahead but is never judged. The walk mixes cold
+    /// pages with a resident one, a re-read and a page past the file.
+    #[test]
+    fn a_hinted_read_fails_and_counts_like_an_unhinted_one() {
+        const G: u64 = wal::SUM_GROUP as u64;
+        let warm = [3 * G + 1];
+        let mut visit: Vec<PageId> = (0..4 * G).collect();
+        visit.insert(2 * G as usize, 2);
+        visit.push(u64::MAX);
+        let all = usize::MAX;
+        // (flipped page, read fault `(times, at)`, reads before stopping,
+        // the page the error names)
+        let cases = [
+            (None, None, all, Some(u64::MAX)),
+            (Some(G), None, all, Some(G)),
+            (Some(G + G / 2), None, all, Some(G + G / 2)),
+            (Some(2 * G - 1), None, all, Some(2 * G - 1)),
+            (Some(2 * G + 1), None, all, Some(2 * G + 1)),
+            (Some(3 * G + 2), None, all, Some(3 * G + 2)),
+            (Some(G - 1), None, 2, None),
+            (None, Some((9, G + 1)), all, Some(G)),
+            (None, Some((2, 3)), all, Some(u64::MAX)),
+        ];
+        for (corrupt, fault, stop, want) in cases {
+            let run = |hinted: bool| {
+                let mut s = distinct_pages(4 * G, &warm);
+                if let Some(p) = corrupt {
+                    s.corrupt_byte(p, 77);
+                }
+                s.arm(fault.map(|(times, at)| FaultPlan::new(Fault::ReadFault { times }, at)));
+                visit_pages(&s, &visit, stop, hinted)
+            };
+            let (hinted, unhinted) = (run(true), run(false));
+            let what = format!("flipped {corrupt:?}, fault {fault:?}, stop {stop}");
+            assert_eq!(hinted, unhinted, "{what}");
+            let named = hinted.0.as_ref().map(|e| match e {
+                StorageError::PageCorrupt { page, .. }
+                | StorageError::ReadFaulted { page, .. }
+                | StorageError::PageOutOfRange { page, .. } => *page,
+                other => panic!("{what}: {other:?}"),
+            });
+            assert_eq!(named, want, "{what}");
+        }
+        // The stopped walk did sum its group's damaged page ahead.
+        let mut s = distinct_pages(4 * G, &warm);
+        s.corrupt_byte(G - 1, 77);
+        let scan = s.begin_scan();
+        let mut r = s.reader(&scan, 0);
+        r.read_ahead(&visit);
+        r.read(0).unwrap();
+        assert_eq!(r.summed_ahead(), (1..G).collect::<Vec<_>>());
+    }
+
+    /// Recovery verifies base pages a group at a time but reports what a
+    /// page-by-page pass reports: the lowest damaged page, its stored sum
+    /// and the one computed (0 for a short page). Every pair of damaged
+    /// pages — flipped or cut short, in one group, across a group
+    /// boundary, in the short tail group — and every single one.
+    #[test]
+    fn open_reports_the_lowest_damaged_page_in_page_order() {
+        const G: usize = wal::SUM_GROUP;
+        let pages = 2 * G + 3;
+        let mut s = distinct_pages(pages as u64, &[]);
+        s.commit(b"v");
+        s.checkpoint();
+        let clean = s.crash_image();
+        assert_eq!(clean.pages.len(), pages);
+        let first_bad = |image: &DiskImage| {
+            image
+                .pages
+                .iter()
+                .zip(&image.sums)
+                .enumerate()
+                .find_map(|(p, (page, &stored))| {
+                    let computed = if page.len() == PAGE_SIZE {
+                        wal::block_sum(page)
+                    } else {
+                        0
+                    };
+                    (page.len() != PAGE_SIZE || computed != stored).then_some(
+                        StorageError::PageCorrupt {
+                            page: p as u64,
+                            stored,
+                            computed,
+                        },
+                    )
+                })
+        };
+        let damage = |image: &mut DiskImage, p: usize, short: bool| {
+            if short {
+                image.pages[p] = Arc::from(&image.pages[p][..100]);
+            } else {
+                crate::fail::corrupt_image_byte(image, p as PageId, 300);
+            }
+        };
+        for a in 0..pages {
+            for b in a..pages {
+                for kinds in 0..4 {
+                    let mut image = clean.clone();
+                    damage(&mut image, a, kinds & 1 != 0);
+                    if b != a {
+                        damage(&mut image, b, kinds & 2 != 0);
+                    }
+                    let want = first_bad(&image);
+                    assert!(
+                        matches!(want, Some(StorageError::PageCorrupt { page, .. }) if page == a as u64)
+                    );
+                    assert_eq!(
+                        PageStore::open(&image).err(),
+                        want,
+                        "pages {a} and {b}, kinds {kinds}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

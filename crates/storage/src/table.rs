@@ -370,7 +370,8 @@ impl Table {
         part: &ScanPartition,
         mut f: impl FnMut(&mut PartitionReader<'_>, i64, &[u8]) -> Result<bool>,
     ) -> Result<()> {
-        for &pid in &part.leaves {
+        for (i, &pid) in part.leaves.iter().enumerate() {
+            reader.read_ahead(&part.leaves[i..]);
             if !walk_leaf(reader, part, pid, &mut f)? {
                 break;
             }
@@ -418,7 +419,8 @@ impl Table {
             Ok(keep_going)
         };
         batch.clear();
-        for &pid in &part.leaves {
+        for (i, &pid) in part.leaves.iter().enumerate() {
+            reader.read_ahead(&part.leaves[i..]);
             let (v, mut slots) = open_leaf(reader, part, pid)?;
             while !slots.is_empty() {
                 // The batch was flushed when it last filled: room >= 1.
@@ -920,6 +922,139 @@ mod tests {
             })
             .unwrap();
         assert_eq!(scan_errors(&mut store, &t, 0), [None, None]);
+    }
+
+    /// A 2 000-row table of at least three groups of leaves, its one
+    /// full-range partition, and the store holding it with the cache
+    /// cleared.
+    fn cold_table() -> (PageStore, Table, ScanPartition) {
+        let mut store = PageStore::new();
+        let t = vector_table(&mut store, 2000, 5);
+        let part = t.partition(&store, 1).unwrap().remove(0);
+        assert!(part.leaves().len() >= 3 * crate::wal::SUM_GROUP);
+        store.clear_cache();
+        (store, t, part)
+    }
+
+    /// A cold scan of every leaf of [`cold_table`] with leaf `flipped`
+    /// corrupted, through the row body (`0`), the batch body (`1`), or
+    /// leaf reads one at a time and never hinted (`2`): the error, the
+    /// worker's I/O and the pool's recency order afterwards.
+    fn scan_with_flipped_leaf(
+        flipped: Option<usize>,
+        body: u8,
+    ) -> (Option<StorageError>, crate::stats::IoStats, Vec<PageId>) {
+        let (mut store, t, part) = cold_table();
+        if let Some(i) = flipped {
+            store.corrupt_byte(part.leaves()[i], 100);
+        }
+        let scan = store.begin_scan();
+        let mut r = store.reader(&scan, 0);
+        let opts = BatchScanOpts {
+            cols: &[0],
+            rows_cap: 64,
+            leaf_aligned: false,
+        };
+        let mut batch = row::new_batch(t.schema(), &[0]).unwrap();
+        let res = match body {
+            0 => t.scan_partition(&mut r, &part, |_, _, _| Ok(true)),
+            1 => t.scan_partition_batches(&mut r, &part, opts, &mut batch, |_, _| Ok(true)),
+            _ => part
+                .leaves()
+                .iter()
+                .try_for_each(|&pid| r.read(pid).map(drop)),
+        };
+        let io = r.finish();
+        drop(scan);
+        store.finish_scan([&io]);
+        (res.err(), io.io, store.pool().keys_mru_order())
+    }
+
+    /// Both scan bodies verify their leaves a group at a time and still
+    /// fail like leaf reads one by one: the same `PageCorrupt` payload,
+    /// counters and pool order, whether the flipped leaf is first, in the
+    /// middle or last in its group.
+    #[test]
+    fn a_corrupt_leaf_fails_a_grouped_scan_like_a_leaf_by_leaf_one() {
+        const G: usize = crate::wal::SUM_GROUP;
+        for flipped in [None, Some(0), Some(G), Some(G + G / 2), Some(2 * G - 1)] {
+            let reference = scan_with_flipped_leaf(flipped, 2);
+            let leaf = flipped.map(|i| cold_table().2.leaves()[i]);
+            assert_eq!(
+                reference.0.as_ref().map(|e| match e {
+                    StorageError::PageCorrupt { page, .. } => *page,
+                    other => panic!("{other:?}"),
+                }),
+                leaf
+            );
+            for body in [0, 1] {
+                assert_eq!(
+                    scan_with_flipped_leaf(flipped, body),
+                    reference,
+                    "leaf {flipped:?}, body {body}"
+                );
+            }
+        }
+    }
+
+    /// A `TOP` that stops inside a group succeeds although a later leaf
+    /// of the group, summed ahead with the first, is corrupt: a page that
+    /// is never read is never judged.
+    #[test]
+    fn a_scan_that_stops_inside_a_group_never_judges_the_rest() {
+        let (mut store, t, part) = cold_table();
+        let last = part.leaves()[crate::wal::SUM_GROUP - 1];
+        store.corrupt_byte(last, 100);
+        let scan = store.begin_scan();
+        let mut r = store.reader(&scan, 0);
+        t.scan_partition(&mut r, &part, |r, _, _| Ok(r.stats().pages_read < 2))
+            .unwrap();
+        assert!(
+            r.summed_ahead().contains(&last),
+            "the group was summed ahead"
+        );
+    }
+
+    /// A LOB read nested in a row callback names its own chunk pages as
+    /// the next reads and sums them a group at a time; the leaf sums the
+    /// scan's group left waiting stay, and each leaf's read takes its
+    /// own.
+    #[test]
+    fn a_nested_lob_read_keeps_the_leaf_sums_it_was_handed() {
+        const G: usize = crate::wal::SUM_GROUP;
+        let mut store = PageStore::new();
+        let t = vector_table(&mut store, 2000, 5);
+        let data: Vec<u8> = (0..3 * G * blob::CHUNK_DATA)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let id = blob::write_blob(&mut store, &data).unwrap();
+        let part = t.partition(&store, 1).unwrap().remove(0);
+        store.clear_cache();
+        let scan = store.begin_scan();
+        let mut r = store.reader(&scan, 0);
+        let mut waiting = part.leaves()[1..G].to_vec();
+        waiting.sort_unstable();
+        let mut nested = 0;
+        t.scan_partition(&mut r, &part, |r, _, _| {
+            if nested == 0 {
+                assert_eq!(r.summed_ahead(), waiting);
+                assert_eq!(blob::read_blob(r, id)?, data);
+                assert_eq!(r.summed_ahead(), waiting, "the LOB read took no leaf's sum");
+            }
+            nested += 1;
+            Ok(true)
+        })
+        .unwrap();
+        assert_eq!(nested, 2000);
+        assert_eq!(
+            r.summed_ahead(),
+            [0u64; 0],
+            "every sum was taken by its read"
+        );
+        assert_eq!(
+            r.stats().pages_read as usize,
+            part.leaves().len() + 1 + 3 * G
+        );
     }
 
     #[test]

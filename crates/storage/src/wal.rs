@@ -83,6 +83,10 @@
 //! its mismatch through later writes instead of having it hashed into a
 //! fresh stamp. A full `block_sum` runs only where a page comes from
 //! "disk": on a pool miss, at [`open`], and once per page a replay wrote.
+//! Where several such pages are known at once — [`open`]'s verify pass, a
+//! scan worker told which pages it reads next — `block_sums` sums a group
+//! of them together, lane for lane the same values, so that their cache
+//! misses overlap.
 //!
 //! [`PageStore::write`]: crate::store::PageStore::write
 //! [`open`]: crate::store::PageStore::open
@@ -237,6 +241,37 @@ fn terms(bytes: &[u8], first: usize) -> u64 {
 /// 8-byte word always changes it.
 pub(crate) fn block_sum(bytes: &[u8]) -> u64 {
     terms(bytes, 0)
+}
+
+/// How many cold pages [`block_sums`] checksums together: recovery's
+/// verify pass and a scan worker's cold reads sum this many at a time.
+pub(crate) const SUM_GROUP: usize = 4;
+
+/// The [`block_sum`] of `N` pages at once: lane `k` is
+/// `block_sum(pages[k])`, bit for bit. Each block runs its `N` chains side
+/// by side, one per page, so the pages' cache misses overlap instead of
+/// waiting on each other — one cold page at a time, the chains stall on
+/// memory; `N` at a time, they keep `N` misses in flight. Every lane is one
+/// page long.
+pub(crate) fn block_sums<const N: usize>(pages: [&[u8]; N]) -> [u64; N] {
+    assert!(
+        pages.iter().all(|p| p.len() == PAGE_SIZE),
+        "every lane is one page"
+    );
+    let pages = pages.map(|p| &p[..PAGE_SIZE]);
+    let mut sums = [0u64; N];
+    for b in 0..PAGE_BLOCKS {
+        let mut chains = [block_seed(b); N];
+        for w in 0..BLOCK {
+            for (h, page) in chains.iter_mut().zip(pages) {
+                *h = mix(*h, le::u64_at(page, b * BLOCK_BYTES + w * 8));
+            }
+        }
+        for (sum, h) in sums.iter_mut().zip(chains) {
+            *sum = sum.wrapping_add(h);
+        }
+    }
+    sums
 }
 
 /// The 4-byte check of a WAL frame: the `block_sum` of its bytes,
@@ -729,6 +764,62 @@ mod tests {
                     s.wrapping_add(reference_term(b, block))
                 });
             assert_eq!(block_sum(&data[..len]), want, "len {len}");
+        }
+    }
+
+    /// `block_sums` is `block_sum` lane by lane, over 2 000 random groups
+    /// of pages: random bytes, all zeros, random bytes with whole quads of
+    /// blocks zeroed (where `block_sum` takes its table shortcut and
+    /// `block_sums` runs the chains), a few words set in a zero page — and
+    /// lanes that repeat an earlier lane's page. At the group size the
+    /// store uses and at one and eight lanes.
+    #[test]
+    fn block_sums_is_block_sum_lane_by_lane() {
+        use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
+        fn random(rng: &mut StdRng, page: &mut [u8]) {
+            for w in page.chunks_exact_mut(8) {
+                w.copy_from_slice(&rng.next_u64().to_le_bytes());
+            }
+        }
+        fn page(rng: &mut StdRng) -> Vec<u8> {
+            let mut page = vec![0u8; PAGE_SIZE];
+            match rng.next_u64() % 4 {
+                0 => {}
+                1 => random(rng, &mut page),
+                2 => {
+                    random(rng, &mut page);
+                    for quad in page.chunks_exact_mut(QUAD_BYTES) {
+                        if rng.next_u64() % 2 == 0 {
+                            quad.fill(0);
+                        }
+                    }
+                }
+                _ => {
+                    for _ in 0..rng.next_u64() % 9 {
+                        let at = (rng.next_u64() as usize % WORDS) * 8;
+                        le::put_u64(&mut page, at, rng.next_u64());
+                    }
+                }
+            }
+            page
+        }
+        fn check<const N: usize>(rng: &mut StdRng, case: usize) {
+            let mut pages: Vec<Vec<u8>> = (0..N).map(|_| page(rng)).collect();
+            for k in 1..N {
+                if rng.next_u64() % 4 == 0 {
+                    pages[k] = pages[rng.next_u64() as usize % k].clone();
+                }
+            }
+            let lanes: [&[u8]; N] = std::array::from_fn(|k| &pages[k][..]);
+            assert_eq!(block_sums(lanes), lanes.map(block_sum), "case {case}");
+        }
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for case in 0..2000 {
+            check::<SUM_GROUP>(&mut rng, case);
+        }
+        for case in 0..100 {
+            check::<1>(&mut rng, case);
+            check::<8>(&mut rng, case);
         }
     }
 
