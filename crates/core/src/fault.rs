@@ -8,9 +8,12 @@
 //!   dropped; the store keeps mutating in memory, like a process whose
 //!   kernel buffered writes the platter never saw. Once the power is lost
 //!   a checkpoint changes nothing in the base image.
-//! * [`Fault::ReadFault`] — snapshot-cold page reads of a scan. The
-//!   `at`-th one fails `times` times through the bounded retry; more
-//!   failures than the retry budget surface as a typed read fault.
+//! * [`Fault::ReadFault`] — cold page reads: a serial access's pool miss
+//!   (a B-tree descent, a DML's resolve and apply, a blob patch or free)
+//!   and a scan worker's snapshot-cold read alike, since both end in the
+//!   store's one page-in step. The `at`-th one fails `times` times through
+//!   the bounded retry; more failures than the retry budget surface as a
+//!   typed read fault.
 //! * [`Fault::Cancel`] —
 //!   [`QueryCtx::check`](crate::lifecycle::QueryCtx::check) polls. The
 //!   `at`-th poll and every later one report cancellation.
@@ -39,7 +42,7 @@ pub enum Fault {
         /// than the frame, so a torn frame never verifies.
         torn_bytes: usize,
     },
-    /// At snapshot-cold page reads: the read at the plan's ordinal fails
+    /// At cold page reads: the read at the plan's ordinal fails
     /// `times` times before it succeeds.
     ReadFault {
         /// Consecutive failures of that one read.

@@ -140,15 +140,30 @@ impl Database {
     /// that ran [`PageStore::open_with`] themselves (custom pool size or
     /// disk profile) or need [`Recovery`]'s replay counters.
     pub fn from_recovery(rec: Recovery) -> Result<Database> {
-        let mut db = Database::with_store(rec.store);
-        let Some(catalog) = rec.catalog else {
-            return Ok(db);
-        };
-        db.tables = parse_catalog(&catalog).ok_or_else(|| {
-            EngineError::Storage("commit record carries a malformed catalog".into())
-        })?;
-        Ok(db)
+        let tables = tables_of(rec.catalog.as_deref())?;
+        Ok(Database {
+            store: rec.store,
+            tables,
+        })
     }
+
+    /// Returns to the last commit: the store drops everything logged after
+    /// it ([`PageStore::rollback`]) and the tables are read back from that
+    /// commit's catalog.
+    pub(crate) fn rollback(&mut self) -> Result<()> {
+        let catalog = self.store.rollback()?;
+        self.tables = tables_of(catalog.as_deref())?;
+        Ok(())
+    }
+}
+
+/// The tables a commit's catalog names — none before the first commit.
+fn tables_of(catalog: Option<&[u8]>) -> Result<HashMap<String, Table>> {
+    let Some(catalog) = catalog else {
+        return Ok(HashMap::new());
+    };
+    parse_catalog(catalog)
+        .ok_or_else(|| EngineError::Storage("commit record carries a malformed catalog".into()))
 }
 
 /// The column that repeats the clustered key: column 0, when it is a

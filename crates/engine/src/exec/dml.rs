@@ -36,10 +36,9 @@ use crate::database::{clustered_key_column, Database};
 use crate::expr::Expr;
 use crate::tsql::{DeleteStmt, SelectItem, UpdateStmt};
 use crate::value::{EngineError, Result, Value};
-use sqlarray_core::stream::ArrayReader;
-use sqlarray_core::{ElementType, StorageClass};
+use sqlarray_core::{ElementType, Header, StorageClass};
 use sqlarray_storage::{
-    btree, row, BlobStream, ColType, Column, PageStore, RowValue, StorageError, Table,
+    blob, btree, row, ColType, Column, PageStore, RowValue, StorageError, Table,
 };
 
 /// One planned SET item: target column index plus how its value comes to
@@ -184,10 +183,16 @@ fn try_in_place(
     let Ok(repl) = replacement.as_array() else {
         return Ok(None);
     };
-    // One header-prefix read — the stored payload is never touched.
+    // One header-prefix read — the stored payload is never touched. The
+    // bytes come straight from the store, so a page that fails its read or
+    // its checksum is a storage error, not an array one.
     let header = {
-        let stream = BlobStream::open(&mut *store, id)?;
-        ArrayReader::open(stream)?.header().clone()
+        let mut probe = [0u8; 8];
+        let probe = &mut probe[..blob::blob_len(store, id)?.min(8)];
+        blob::read_blob_range(store, id, 0, probe)?;
+        let mut bytes = vec![0u8; Header::probe_len(probe)?];
+        blob::read_blob_range(store, id, 0, &mut bytes)?;
+        Header::decode(&bytes)?
     };
     if header.elem != elem || header.class != class {
         return Ok(None);

@@ -241,7 +241,10 @@ pub(crate) struct StmtCtx<'a> {
     /// resolve and apply phases deliberately ignore it — every fallible
     /// conversion runs before the first page mutates, and from then on
     /// the statement runs to its commit, so neither an abort nor a typed
-    /// user error can leave a half-applied update behind.
+    /// user error can leave a half-applied update behind. What can still
+    /// stop an apply phase is storage: a cold page that fails its checksum
+    /// or its read. The session then returns the database to the last
+    /// commit (`Database::rollback`).
     pub query: &'a QueryCtx,
     /// Workers the scan may fan out over (≥ 1): the admission grant, or 1
     /// for an initializer, which takes no ticket.

@@ -376,13 +376,27 @@ impl Session {
     ) -> Result<QueryResult> {
         self.admitted(slot, |engine, ctx, opts| {
             let mut db = engine.db_mut();
-            let result = f(ctx, &mut db, opts)?;
-            // Statement-level autocommit: each DML statement is a
-            // durability point, written while this session is still the
-            // exclusive owner. An aborted match phase commits nothing —
-            // no page or WAL byte has changed.
-            db.commit();
-            Ok(result)
+            let logged = db.store.stats().wal_records;
+            match f(ctx, &mut db, opts) {
+                // Statement-level autocommit: each DML statement is a
+                // durability point, written while this session is still
+                // the exclusive owner.
+                Ok(result) => {
+                    db.commit();
+                    Ok(result)
+                }
+                // An aborted match or resolve phase changed no page and
+                // logged nothing. A storage error in the apply phase (a
+                // corrupt or unreadable page) stops a statement that has
+                // begun to write: it returns to the last commit, so no
+                // later commit makes its first rows durable.
+                Err(e) => {
+                    if db.store.stats().wal_records != logged {
+                        db.rollback()?;
+                    }
+                    Err(e)
+                }
+            }
         })
     }
 

@@ -10,7 +10,7 @@ use sqlarray_engine::{
     Access, Database, Engine, EngineError, Fallback, Fault, FaultPlan, HostingModel, Session, Value,
 };
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
-use sqlarray_storage::{ColType, RowValue, Schema};
+use sqlarray_storage::{ColType, RowValue, Schema, MAX_READ_RETRIES};
 use std::collections::BTreeMap;
 
 fn schema() -> Schema {
@@ -406,19 +406,39 @@ fn assert_failed_update_leaves_no_trace(
     failing: &str,
     want: fn(&EngineError) -> bool,
 ) {
-    let table = failing.split_whitespace().nth(1).expect("UPDATE <table> …");
+    assert_failed_dml_leaves_no_trace(fixture, failing, |_| {}, want);
+}
+
+/// [`assert_failed_update_leaves_no_trace`] for an UPDATE or a DELETE,
+/// with `inject` run on each session right before `failing` (after the
+/// "before" snapshot).
+fn assert_failed_dml_leaves_no_trace(
+    fixture: impl Fn() -> Session,
+    failing: &str,
+    inject: impl Fn(&Session),
+    want: fn(&EngineError) -> bool,
+) {
+    let verbs = ["UPDATE", "DELETE", "FROM"];
+    let table = failing
+        .split_whitespace()
+        .find(|w| !verbs.contains(w))
+        .expect("UPDATE <table> … or DELETE FROM <table> …");
     let all_rows = |s: &mut Session| all_rows(s, table);
+    // The catalog entry: root, first leaf, row count, depth.
+    let tree = |s: &Session| s.db().table(table).unwrap().tree_parts();
     for dop in [1usize, 4] {
         let mut s = fixture();
         s.set_dop(dop);
         let before = all_rows(&mut s);
-        let wal_before = s.db().store.wal_len();
+        let (tree_before, wal_before) = (tree(&s), s.db().store.wal_len());
         let image_before = s.db().store.crash_image();
 
+        inject(&s);
         let err = s.execute(failing).unwrap_err();
         assert!(want(&err), "dop {dop}: got {err:?}");
 
         assert_eq!(all_rows(&mut s), before, "dop {dop}: rows changed");
+        assert_eq!(tree(&s), tree_before, "dop {dop}: catalog entry changed");
         assert_eq!(s.db().store.wal_len(), wal_before, "dop {dop}: WAL grew");
         assert_eq!(
             s.db().store.crash_image(),
@@ -574,6 +594,137 @@ fn failing_oversized_record_is_not_half_applied() {
         "UPDATE W SET b = a",
         |e| matches!(e, EngineError::Storage(m) if m.contains("exceeds the page limit")),
     );
+}
+
+// --- Storage errors in the serial phases ----------------------------------
+
+/// Elements of each stored `A.v` array: 24 000 bytes of `f64`, out of row
+/// in three chunk pages, the array header in the first.
+const ARRAY_LEN: usize = 3000;
+
+/// `A(id, v)` with `rows` rows, `v` an out-of-row `FloatArrayMax` vector
+/// of `ARRAY_LEN` elements seeded by the key; `@r` is a 4-element patch
+/// and `@small` an inline blob.
+fn array_session(rows: i64) -> Session {
+    let mut db = Database::new();
+    let schema = Schema::new(&[("id", ColType::I64), ("v", ColType::Blob)]);
+    db.create_table("A", schema).unwrap();
+    for k in 0..rows {
+        let data: Vec<f64> = (0..ARRAY_LEN)
+            .map(|i| (k * 10_000) as f64 + i as f64)
+            .collect();
+        let blob = build::max_vector(&data).unwrap().into_blob();
+        db.insert("A", k, &[RowValue::I64(k), RowValue::Bytes(blob)])
+            .unwrap();
+    }
+    db.commit();
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
+    let patch = build::max_vector(&[-1.0, -2.0, -3.0, -4.0]).unwrap();
+    s.set_var("r", Value::Bytes(patch.into_blob()));
+    s.set_var("small", Value::Bytes(vec![7u8; 40]));
+    s
+}
+
+/// Patches elements 1500..1504 of rows 0..3 in place: the resolve phase
+/// reads each row's LOB root and header chunk, the apply phase writes the
+/// second chunk page, which nothing before it reads.
+const PATCH: &str = "UPDATE A SET v = FloatArrayMax.ArrayUpdate(v, IntArray.Vector_1(1500), @r) \
+                     WHERE id < 3";
+
+/// The chunk page of row `key`'s array that [`PATCH`] writes: the second
+/// chunk id on the LOB's root page.
+fn patched_chunk(s: &Session, key: i64) -> u64 {
+    let table = s.db().table("A").unwrap().clone();
+    let mut db = s.db_mut();
+    let Some(RowValue::LobRef(root, _)) =
+        table.get(&mut db.store, key).unwrap().map(|r| r[1].clone())
+    else {
+        panic!("row {key} holds no LOB");
+    };
+    let root = db.store.raw_page(root).unwrap();
+    u64::from_le_bytes(root[24..32].try_into().unwrap())
+}
+
+/// A corrupt chunk page met in the apply phase, after the first row's
+/// patch was written: the statement returns to the last commit, so the
+/// next commit makes none of it durable.
+#[test]
+fn a_corrupt_page_in_the_apply_phase_returns_to_the_last_commit() {
+    assert_failed_dml_leaves_no_trace(
+        || array_session(4),
+        PATCH,
+        |s| {
+            let page = patched_chunk(s, 1);
+            let mut db = s.db_mut();
+            db.store.corrupt_byte(page, 100);
+            db.store.clear_cache();
+        },
+        |e| matches!(e, EngineError::Storage(m) if m.contains("corrupt")),
+    );
+}
+
+/// A read fault at any cold read after a statement's match scan — in its
+/// resolve phase, its apply phase, a blob patch or a blob free — is
+/// absorbed by the bounded retry, leaving rows, log and disk exactly as
+/// the unfaulted statement leaves them; one failure more fails the
+/// statement with a typed storage error and leaves no trace.
+#[test]
+fn a_read_fault_at_any_serial_read_of_a_dml_retries_or_leaves_no_trace() {
+    let cold = |s: &Session, plan: Option<FaultPlan>| {
+        let mut db = s.db_mut();
+        db.store.clear_cache();
+        db.store.arm(plan);
+    };
+    let fault_at = |times: u32, at: u64| Some(FaultPlan::new(Fault::ReadFault { times }, at));
+    let statements = [
+        PATCH,
+        // A full-row rewrite: the old chain is freed.
+        "UPDATE A SET v = @small WHERE id < 2",
+        "DELETE FROM A WHERE id >= 2",
+    ];
+    for sql in statements {
+        // Dry runs over a cold pool: the match scan alone, then the whole
+        // statement.
+        let cold_reads = |stmt: &str| {
+            let mut s = array_session(4);
+            cold(&s, Some(FaultPlan::count(Fault::ReadFault { times: 1 })));
+            s.execute(stmt).unwrap();
+            let seen = s.db().store.armed().unwrap().seen();
+            seen
+        };
+        let matched = cold_reads(&format!(
+            "SELECT id FROM A {}",
+            &sql[sql.find("WHERE").unwrap()..]
+        ));
+        let total = cold_reads(sql);
+        assert!(total > matched, "{sql}: no cold read after the match scan");
+        let clean = {
+            let mut s = array_session(4);
+            cold(&s, None);
+            s.execute(sql).unwrap();
+            let image = s.db().store.crash_image();
+            (all_rows(&mut s, "A"), image)
+        };
+        for at in matched + 1..=total {
+            for dop in [1, 4] {
+                let mut s = array_session(4);
+                s.set_dop(dop);
+                cold(&s, fault_at(MAX_READ_RETRIES, at));
+                let r = s.execute(sql).unwrap();
+                let what = format!("{sql}: read {at} of {total}, dop {dop}");
+                let retries = r[0].stats.io.transient_retries;
+                assert_eq!(retries, u64::from(MAX_READ_RETRIES), "{what}");
+                let got = (all_rows(&mut s, "A"), s.db().store.crash_image());
+                assert!(got == clean, "{what}: the retried statement differs");
+            }
+            assert_failed_dml_leaves_no_trace(
+                || array_session(4),
+                sql,
+                |s| cold(s, fault_at(MAX_READ_RETRIES + 1, at)),
+                |e| matches!(e, EngineError::Storage(m) if m.contains("transient read fault")),
+            );
+        }
+    }
 }
 
 #[test]

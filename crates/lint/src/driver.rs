@@ -28,6 +28,8 @@ pub struct Options {
     pub json: bool,
     /// Exit nonzero if any finding survives suppression.
     pub deny_all: bool,
+    /// Count code lines per crate ([`loc`]) instead of linting.
+    pub loc: bool,
     /// Explicit files/dirs to lint; empty means the whole workspace.
     pub paths: Vec<PathBuf>,
 }
@@ -41,6 +43,7 @@ impl Options {
                 "--format=json" => opts.json = true,
                 "--format=human" => opts.json = false,
                 "--deny-all" => opts.deny_all = true,
+                "--loc" => opts.loc = true,
                 "--help" | "-h" => return Err(usage()),
                 f if f.starts_with('-') => return Err(format!("unknown flag `{f}`\n{}", usage())),
                 p => opts.paths.push(PathBuf::from(p)),
@@ -51,11 +54,27 @@ impl Options {
 }
 
 fn usage() -> String {
-    "usage: sqlarray-lint [--format=json|human] [--deny-all] [paths…]\n\
+    "usage: sqlarray-lint [--format=json|human] [--deny-all] [--loc] [paths…]\n\
      Lints the workspace's library sources against the repo invariants \
      (L001–L010). With no paths, walks up to the workspace root and lints \
-     every crate's src/ tree."
+     every crate's src/ tree. --loc prints, per crate, the lines of those \
+     sources that hold code outside #[cfg(test)] instead."
         .to_string()
+}
+
+/// The code lines of one file: the lines that hold a significant token
+/// (not whitespace, not a comment) outside `#[cfg(test)]` code. A token
+/// that spans lines, such as a multi-line string, holds each of them.
+pub fn loc(f: &SourceFile<'_>) -> usize {
+    let mut lines = std::collections::BTreeSet::new();
+    for k in 0..f.sig.len() {
+        let tok = f.tok(k);
+        if !f.in_test(tok.start) {
+            let spanned = tok.text(f.src).matches('\n').count() as u32;
+            lines.extend(tok.line..=tok.line + spanned);
+        }
+    }
+    lines.len()
 }
 
 /// Lints one in-memory source. `path_label` drives crate attribution
@@ -143,6 +162,25 @@ fn rel_label(root: &Path, path: &Path) -> String {
 /// returns (findings, files_scanned). IO failures on individual files
 /// are reported to stderr and skipped, never fatal.
 pub fn run(opts: &Options, cwd: &Path) -> (Vec<Finding>, usize) {
+    let mut findings = Vec::new();
+    let scanned = for_each_source(opts, cwd, |f| findings.extend(rules::run_all(f)));
+    (findings, scanned)
+}
+
+/// [`loc`] summed per crate over the requested paths (or the whole
+/// workspace), in crate-name order.
+pub fn loc_per_crate(opts: &Options, cwd: &Path) -> Vec<(String, usize)> {
+    let mut per_crate = std::collections::BTreeMap::new();
+    for_each_source(opts, cwd, |f| {
+        *per_crate.entry(f.crate_name().to_string()).or_default() += loc(f);
+    });
+    per_crate.into_iter().collect()
+}
+
+/// Parses every source file the options select and hands it to `visit`;
+/// returns how many were read. IO failures on individual files are
+/// reported to stderr and skipped, never fatal.
+fn for_each_source(opts: &Options, cwd: &Path, mut visit: impl FnMut(&SourceFile<'_>)) -> usize {
     let root = find_workspace_root(cwd).unwrap_or_else(|| cwd.to_path_buf());
     let files: Vec<PathBuf> = if opts.paths.is_empty() {
         collect_sources(&root)
@@ -163,7 +201,6 @@ pub fn run(opts: &Options, cwd: &Path) -> (Vec<Finding>, usize) {
         v.sort();
         v
     };
-    let mut findings = Vec::new();
     let mut scanned = 0usize;
     for path in &files {
         let src = match fs::read_to_string(path) {
@@ -175,9 +212,9 @@ pub fn run(opts: &Options, cwd: &Path) -> (Vec<Finding>, usize) {
         };
         scanned += 1;
         let label = rel_label(&root, path);
-        findings.extend(lint_source(&label, &src));
+        visit(&SourceFile::parse(&label, &src));
     }
-    (findings, scanned)
+    scanned
 }
 
 /// Renders findings in the requested format and returns the process exit

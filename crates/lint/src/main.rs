@@ -19,6 +19,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if opts.loc {
+        let counts = driver::loc_per_crate(&opts, &cwd);
+        for (name, lines) in &counts {
+            println!("{name} {lines}");
+        }
+        println!("total {}", counts.iter().map(|(_, n)| n).sum::<usize>());
+        return ExitCode::SUCCESS;
+    }
     let (findings, scanned) = driver::run(&opts, &cwd);
     ExitCode::from(driver::report(&opts, &findings, scanned) as u8)
 }

@@ -50,13 +50,11 @@
 //!   `HashMap` or `BTreeMap` outside its tests (the map-based shard lives
 //!   on only as the property test's oracle). A full-page checksum
 //!   (`block_sum(`, or `block_sums(` for a group of pages) runs in
-//!   `store.rs` only where a page comes from "disk" — a pool miss, a scan
-//!   worker's cold read (`cold_sum`), `open`'s verify pass and its replay
-//!   restamp — never in `PageStore::write`, which restamps the blocks it
-//!   changed. A read-ahead hint only names pages: no `read_ahead` names
-//!   `tick`, a pool touch or the accounting, so every page is still
-//!   touched, counted and judged by its own read. No `&mut self` method of
-//!   the store locks the accounting mutex through `self.acct()`: exclusive
+//!   `store.rs` only where a page comes from "disk" — the one page-in step
+//!   (`page_in`), a scan worker's group summed ahead (`summed`), `open`'s
+//!   verify pass and the replay restamp — never in `PageStore::write`,
+//!   which restamps the blocks it changed. No `&mut self` method of the
+//!   store locks the accounting mutex through `self.acct()`: exclusive
 //!   access reaches it directly. `wal.rs` has one mixing primitive:
 //!   `wrapping_mul` appears in `mix` alone, so the page sum and the frame
 //!   check are one function of the bytes, not two. And `blob.rs` builds no
@@ -77,9 +75,10 @@
 //!   three mechanisms it replaced (`FailPlan`/`arm_fail`, the read-fault
 //!   pool, the check-count trip) is named anywhere, tests included. The
 //!   plan's counter lives in `core/src/fault.rs`: the sites only `tick(`
-//!   it — `settle_append` (WAL appends), `PartitionReader::read` (cold
-//!   reads) and `QueryCtx::check` (polls) — and the lost-power rule is
-//!   `checkpoint`'s alone: `PageStore::commit` names no plan.
+//!   it — `settle_append` (WAL appends), `ScanIo::page_in` (cold reads,
+//!   serial and a scan worker's alike) and `QueryCtx::check` (polls) — and
+//!   the lost-power rule is `checkpoint`'s alone: `PageStore::commit` names
+//!   no plan.
 //! * Exact summation pays per addend, not per carry, and `VectorAvg` per
 //!   element, not per copy: `ExactSum::add` has no loop (its carries wait
 //!   for the periodic pass), `VectorAvgUda::accumulate` borrows its
@@ -463,49 +462,10 @@ fn a_page_access_pays_for_what_it_touched() {
         |f: &SourceFile<'_>, k: usize| calls("block_sum")(f, k) || calls("block_sums")(f, k);
     assert_eq!(
         hits_in_fn(store, full_sum, enclosing_fn),
-        [
-            "fault_in",
-            "open_with",
-            "open_with",
-            "open_with",
-            "cold_sum",
-            "cold_sum"
-        ]
-        .map(|f| format!("{store}::{f}")),
-        "a full-page checksum runs where a page comes from disk — a pool miss, `open`'s \
-         verify pass and replay restamp, a scan worker's cold read — never in `write`"
+        ["open_with", "open_with", "replay", "page_in", "summed"].map(|f| format!("{store}::{f}")),
+        "a full-page checksum runs where a page comes from disk — `open`'s verify pass, the \
+         replay restamp, the one page-in step and a scan worker's group — never in `write`"
     );
-    with_file(store, |f| {
-        let hints: Vec<usize> = (0..f.sig.len())
-            .filter(|&k| {
-                f.is_ident(k, "fn") && f.is_ident(k + 1, "read_ahead") && !f.in_test(f.tok(k).start)
-            })
-            .collect();
-        assert_eq!(
-            hints.len(),
-            3,
-            "`read_ahead`: the trait's default, the worker's impl, the worker's method"
-        );
-        let effects = [
-            "tick",
-            "touch_or_insert",
-            "touch_or_insert_mut",
-            "acct",
-            "acct_mut",
-        ];
-        for k in hints {
-            let open = (k..f.sig.len()).find(|&j| f.is_punct(j, "{")).unwrap();
-            let close = matching(f, open, "{", "}");
-            let named: Vec<&str> = (open..close)
-                .map(|j| f.text(j))
-                .filter(|t| effects.contains(t))
-                .collect();
-            assert_eq!(
-                named, [""; 0],
-                "a read-ahead hint touches, counts and ticks nothing: `read` does, at its page"
-            );
-        }
-    });
     let blob = "crates/storage/src/blob.rs";
     let zero_filled = |f: &SourceFile<'_>, k: usize| {
         f.is_ident(k, "vec")
@@ -771,7 +731,7 @@ fn every_injected_fault_is_one_fault_plan() {
         [
             "crates/core/src/lifecycle.rs::check",
             "crates/storage/src/store.rs::settle_append",
-            "crates/storage/src/store.rs::read",
+            "crates/storage/src/store.rs::page_in",
         ],
         "a fault site counts its events on the plan, nowhere else"
     );

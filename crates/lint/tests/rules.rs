@@ -231,3 +231,30 @@ fn allow_covers_same_line_and_line_below_only() {
         "// lint:allow(L003, reason = \"bounded\")\n\nfn f(offset: u64) -> u64 { offset + 1 }";
     assert_eq!(count("crates/storage/src/x.rs", too_far, "L003"), 1);
 }
+
+#[test]
+fn loc_counts_lines_holding_code_outside_tests() {
+    use sqlarray_lint::{driver::loc, SourceFile};
+    let src = include_str!("../fixtures/loc.rs");
+    assert_eq!(
+        loc(&SourceFile::parse("crates/core/src/fixture.rs", src)),
+        9
+    );
+    // Without its test module, the same file counts the same.
+    let live = src.replace(
+        "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n",
+        "",
+    );
+    assert_ne!(live, src);
+    assert_eq!(
+        loc(&SourceFile::parse("crates/core/src/fixture.rs", &live)),
+        9
+    );
+    assert_eq!(
+        loc(&SourceFile::parse(
+            "crates/core/src/fixture.rs",
+            "\n// only\n\n"
+        )),
+        0
+    );
+}

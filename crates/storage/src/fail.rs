@@ -34,8 +34,12 @@
 //!
 //! The same [`FaultPlan`](sqlarray_core::fault::FaultPlan) armed with a
 //! [`Fault::ReadFault`](sqlarray_core::fault::Fault::ReadFault) fails a
-//! scan's cold page read instead; [`sqlarray_core::fault`] lists every
-//! site.
+//! cold page read instead — a serial one as well as a scan worker's;
+//! [`PageStore::armed`](crate::store::PageStore::armed) hands the plan
+//! back for a dry run's count, and [`sqlarray_core::fault`] lists every
+//! site. A statement that fails after it began to write is undone by
+//! [`rollback`](crate::store::PageStore::rollback), which returns the live
+//! store to its last commit.
 
 use crate::page::PageId;
 use crate::store::DiskImage;

@@ -122,6 +122,13 @@ impl PageBits {
         self.words[word] |= bit;
         fresh
     }
+
+    /// Takes `id` out of the set.
+    #[inline]
+    pub fn remove(&mut self, id: PageId) {
+        let (word, bit) = self.slot(id);
+        self.words[word] &= !bit;
+    }
 }
 
 /// One lock stripe: residency bits, per-page stamps and a lazy min-heap

@@ -9,21 +9,32 @@
 //! [`DiskProfile`] converts them into simulated
 //! disk seconds.
 //!
-//! ## Serial path vs. scan path
+//! ## One page-in, two ways to decide hit or miss
 //!
-//! Serial accesses (`read`/`write`/`allocate`, `&mut self`) consult the
-//! live pool directly — and, holding the store exclusively, reach the pool
-//! shard, the stamp clock and the I/O counters without taking a lock.
-//! Parallel scans split the work: each worker holds a
-//! [`PartitionReader`] that touches the **live pool as it reads** (so
-//! concurrent readers and writers observe true residency immediately)
-//! while classifying its I/O for the *cost model* against the
-//! start-of-scan residency snapshot in [`ScanCtx`] — which keeps the
-//! simulated [`IoStats`] deterministic and DOP-invariant even though the
-//! pool itself is shared live. [`PageStore::finish_scan`] folds the
-//! per-worker counters back in partition order, fixing up the
-//! sequential/random classification across partition boundaries so the
-//! merged counters equal a serial scan's exactly.
+//! Every page read ends in one step, `ScanIo::page_in`: a hit is counted;
+//! a cold read is counted, classified sequential or random against the
+//! last physical read, ticks an armed [`Fault::ReadFault`] through the
+//! bounded retry and has its checksum compared. The two read paths differ
+//! only in who decides hit or miss:
+//!
+//! * Serial accesses (`read`/`write`/`allocate`, `&mut self`) ask the live
+//!   pool — and, holding the store exclusively, reach the pool shard, the
+//!   stamp clock and the I/O counters without taking a lock.
+//! * Each parallel-scan worker holds a [`PartitionReader`] that touches
+//!   the **live pool as it reads** (so concurrent readers and writers
+//!   observe true residency immediately) but decides hit or miss for the
+//!   *cost model* against the start-of-scan residency snapshot in
+//!   [`ScanCtx`] and its own earlier reads — which keeps the simulated
+//!   [`IoStats`] deterministic and DOP-invariant even though the pool
+//!   itself is shared live. [`PageStore::finish_scan`] folds the
+//!   per-worker counters back in partition order, fixing up the
+//!   sequential/random classification across partition boundaries so the
+//!   merged counters equal a serial scan's exactly.
+//!
+//! Only a worker polls its statement's lifecycle and sums cold pages ahead
+//! of their reads. The serial path does neither, on purpose: DML resolve
+//! and apply run to their commit once they start writing, and a `&mut`
+//! store may rewrite a page between a sum taken ahead and that page's read.
 
 use crate::errors::{Result, StorageError};
 use crate::page::{PageId, PAGE_SIZE};
@@ -45,11 +56,11 @@ pub const DEFAULT_POOL_PAGES: usize = 4096;
 /// bytes folds the log into a fresh base image and truncates it.
 pub const AUTO_CHECKPOINT_BYTES: usize = 8 * 1024 * 1024;
 
-/// How many times a [`PartitionReader`] re-attempts a physical page read
-/// that hit a (simulated) transient fault — a [`Fault::ReadFault`] —
-/// before surfacing [`StorageError::ReadFaulted`]. The bound keeps a
-/// persistently failing device from wedging a scan; the retries
-/// themselves are counted in [`IoStats::transient_retries`].
+/// How many times a cold page read — serial or a scan worker's —
+/// re-attempts a physical read that hit a (simulated) transient fault — a
+/// [`Fault::ReadFault`] — before surfacing [`StorageError::ReadFaulted`].
+/// The bound keeps a persistently failing device from wedging a statement;
+/// the retries themselves are counted in [`IoStats::transient_retries`].
 pub const MAX_READ_RETRIES: u32 = 3;
 
 /// The durable state of a store at a crash point: the last checkpoint's
@@ -129,7 +140,7 @@ pub struct PageStore {
     /// commit record that carried it.
     last_catalog: Option<Vec<u8>>,
     /// The armed fault plan ([`arm`](Self::arm)): a [`Fault::PowerLoss`]
-    /// cuts the log, a [`Fault::ReadFault`] fails a scan's cold read.
+    /// cuts the log, a [`Fault::ReadFault`] fails a cold page read.
     fault: Option<FaultPlan>,
     /// Before-image scratch for computing physiological write diffs of an
     /// unshared page (a shared one is its own before-image).
@@ -143,22 +154,15 @@ pub struct PageStore {
     /// committed state its snapshot was taken against.
     committed: AtomicU64,
     /// I/O accounting shared by the serial path and concurrent scan
-    /// merges. Behind its own mutex so read-only consumers
-    /// ([`stats`](Self::stats), [`finish_scan`](Self::finish_scan),
-    /// [`io_seconds_since`](Self::io_seconds_since)) work through
-    /// `&self` — which is what lets many sessions scan one shared store
-    /// under a read lock. The `&mut self` paths reach it without locking.
-    acct: Mutex<Acct>,
+    /// merges; its last physical read is the simulated disk head. Behind
+    /// one short-lived mutex — never held across a page access or a scan
+    /// fan-out — so read-only consumers ([`stats`](Self::stats),
+    /// [`finish_scan`](Self::finish_scan),
+    /// [`io_seconds_since`](Self::io_seconds_since)) work through `&self`,
+    /// which is what lets many sessions scan one shared store under a read
+    /// lock. The `&mut self` paths reach it without locking.
+    acct: Mutex<ScanIo>,
     profile: DiskProfile,
-}
-
-/// The mutable I/O-accounting state: counters plus the simulated disk
-/// head. Grouped so it can sit behind one short-lived [`Mutex`] — the
-/// guard is never held across a page access or a scan fan-out.
-#[derive(Debug, Default, Clone, Copy)]
-struct Acct {
-    stats: IoStats,
-    last_physical_read: Option<PageId>,
 }
 
 impl std::fmt::Debug for PageStore {
@@ -168,7 +172,7 @@ impl std::fmt::Debug for PageStore {
             .field("pool_resident", &self.pool.len())
             .field("wal_bytes", &self.wal_buf.len())
             .field("free_pages", &self.free.len())
-            .field("stats", &self.acct().stats)
+            .field("stats", &self.acct().io)
             .finish()
     }
 }
@@ -199,7 +203,7 @@ impl PageStore {
             pool: ShardedLruPool::new(pool_pages),
             clock: AtomicU64::new(1),
             committed: AtomicU64::new(0),
-            acct: Mutex::new(Acct::default()),
+            acct: Mutex::new(ScanIo::default()),
             profile,
         }
     }
@@ -207,13 +211,13 @@ impl PageStore {
     /// The accounting guard, for the `&self` paths. The critical sections
     /// are counter arithmetic only, so the repo-wide recover-on-poison
     /// policy ([`sqlarray_core::sync`]) applies trivially.
-    fn acct(&self) -> MutexGuard<'_, Acct> {
+    fn acct(&self) -> MutexGuard<'_, ScanIo> {
         lock_unpoisoned(&self.acct)
     }
 
     /// The accounting state through `&mut self`: the borrow already rules
     /// out every other holder, so no lock is taken.
-    fn acct_mut(&mut self) -> &mut Acct {
+    fn acct_mut(&mut self) -> &mut ScanIo {
         get_mut_unpoisoned(&mut self.acct)
     }
 
@@ -278,8 +282,8 @@ impl PageStore {
             }
         }
         let acct = self.acct_mut();
-        acct.stats.wal_records += 1;
-        acct.stats.wal_bytes += frame_len as u64;
+        acct.io.wal_records += 1;
+        acct.io.wal_bytes += frame_len as u64;
     }
 
     /// Allocates a zeroed page **at the end of the file** and returns its
@@ -316,12 +320,7 @@ impl PageStore {
     /// in place (reallocation swaps in the zero page); only the allocation state
     /// changes, and the transition is WAL-logged.
     pub fn free_page(&mut self, id: PageId) -> Result<()> {
-        if id as usize >= self.pages.len() {
-            return Err(StorageError::PageOutOfRange {
-                page: id,
-                max: self.pages.len() as u64,
-            });
-        }
+        page_of(&self.pages, id)?;
         self.free.push(id);
         self.append_wal(&WalRecord::Free { page: id });
         Ok(())
@@ -352,7 +351,7 @@ impl PageStore {
     /// closure runs.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) -> Result<()> {
         self.fault_in(id)?;
-        self.acct_mut().stats.pages_written += 1;
+        self.acct_mut().io.pages_written += 1;
         let slot = &mut self.pages[id as usize];
         let shared = Arc::get_mut(slot).is_none().then(|| Arc::clone(slot));
         if shared.is_none() {
@@ -370,41 +369,16 @@ impl PageStore {
         Ok(())
     }
 
-    /// Pool/disk bookkeeping for one logical access of `id`. A pool miss
-    /// is a (simulated) transfer from disk, so the page's checksum is
-    /// verified before the bytes are handed out — cache hits skip the
-    /// check, exactly like a real buffer pool only checksums on page-in.
+    /// The serial path's page-in of `id`: the live pool decides hit or
+    /// miss (a miss inserts the page) and [`ScanIo::page_in`] does the
+    /// rest, so a pool miss is verified before the bytes are handed out —
+    /// exactly like a real buffer pool only checksums on page-in.
     fn fault_in(&mut self, id: PageId) -> Result<()> {
-        if id as usize >= self.pages.len() {
-            return Err(StorageError::PageOutOfRange {
-                page: id,
-                max: self.pages.len() as u64,
-            });
-        }
-        let hit = self.touch_serial(id);
-        let acct = self.acct_mut();
-        if hit {
-            acct.stats.cache_hits += 1;
-            return Ok(());
-        }
-        acct.stats.pages_read += 1;
-        match acct.last_physical_read {
-            // `checked_add`: `prev` can be `u64::MAX`-adjacent in synthetic
-            // tests; a plain `prev + 1` overflows in debug builds.
-            Some(prev) if prev.checked_add(1) == Some(id) => acct.stats.sequential_reads += 1,
-            _ => acct.stats.random_reads += 1,
-        }
-        acct.last_physical_read = Some(id);
-        let computed = wal::block_sum(&self.pages[id as usize]);
-        let stored = self.sums[id as usize];
-        if stored != computed {
-            return Err(StorageError::PageCorrupt {
-                page: id,
-                stored,
-                computed,
-            });
-        }
-        Ok(())
+        page_of(&self.pages, id)?;
+        let cold = !self.touch_serial(id);
+        let (page, stored) = (&self.pages[id as usize], self.sums[id as usize]);
+        let fault = self.fault.as_ref();
+        get_mut_unpoisoned(&mut self.acct).page_in(id, page, stored, cold, fault, || None)
     }
 
     /// Empties the buffer pool — the cache clear the paper performs before
@@ -417,12 +391,12 @@ impl PageStore {
 
     /// Current I/O counters.
     pub fn stats(&self) -> IoStats {
-        self.acct().stats
+        self.acct().io
     }
 
     /// Resets the I/O counters (the cache contents are unaffected).
     pub fn reset_stats(&self) {
-        *self.acct() = Acct::default();
+        *self.acct() = ScanIo::default();
     }
 
     /// The simulated disk head: the last page physically read. Cache hits
@@ -438,7 +412,7 @@ impl PageStore {
 
     /// Simulated disk seconds for the I/O performed since `before`.
     pub fn io_seconds_since(&self, before: &IoStats) -> f64 {
-        self.profile.io_seconds(&self.acct().stats.since(before))
+        self.profile.io_seconds(&self.acct().io.since(before))
     }
 
     /// The current commit epoch: how many [`commit`](Self::commit)s this
@@ -503,13 +477,21 @@ impl PageStore {
     }
 
     /// Arms `plan` on this store (`None` disarms): a [`Fault::PowerLoss`]
-    /// counts WAL appends, a [`Fault::ReadFault`] the snapshot-cold page
-    /// reads of every scan worker. Past a power loss the in-memory state
+    /// counts WAL appends, a [`Fault::ReadFault`] every cold page read —
+    /// a serial access's pool miss (a B-tree descent, a DML's resolve and
+    /// apply, a blob patch or free) and a scan worker's snapshot-cold read
+    /// alike. Past a power loss the in-memory state
     /// keeps mutating, so the victim operation "succeeds" in-process,
     /// exactly like a process whose kernel buffered writes the platter
     /// never saw; [`crash_image`](Self::crash_image) is what the disk kept.
     pub fn arm(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
+    }
+
+    /// The armed plan, if any: a dry run ([`FaultPlan::count`]) reads its
+    /// [`seen`](FaultPlan::seen) back through it.
+    pub fn armed(&self) -> Option<&FaultPlan> {
+        self.fault.as_ref()
     }
 
     /// The durable state a crash right now would preserve: the last
@@ -537,7 +519,8 @@ impl PageStore {
     /// The store shares the image's page buffers: only the pages the
     /// replay writes are copied. A free list that names a page past the
     /// file, or one page twice, is refused as
-    /// [`StorageError::CatalogCorrupt`].
+    /// [`StorageError::CatalogCorrupt`], and a log that frees a page
+    /// already free as [`StorageError::WalCorrupt`].
     pub fn open(image: &DiskImage) -> Result<Recovery> {
         PageStore::open_with(image, DEFAULT_POOL_PAGES, DiskProfile::default())
     }
@@ -577,75 +560,104 @@ impl PageStore {
                 });
             }
         }
-        let mut listed = PageBits::new(image.pages.len() as u64);
-        for &id in &image.free {
-            if id >= image.pages.len() as u64 || !listed.insert(id) {
+        let mut store = PageStore::with_pool(pool_pages, profile);
+        store.base_pages = image.pages.clone();
+        store.base_sums = image.sums.clone();
+        store.base_free = image.free.clone();
+        store.base_catalog = image.catalog.clone();
+        let (applied_records, clean_end) = store.replay(&image.wal)?;
+        store.pool.set_page_count(store.pages.len() as u64);
+        store.checkpoint();
+        Ok(Recovery {
+            catalog: store.last_catalog.clone(),
+            store,
+            applied_records,
+            discarded_bytes: image.wal.len() - clean_end,
+        })
+    }
+
+    /// Returns the store to its last commit: cuts the log back to its last
+    /// complete commit record and rebuilds the live pages, checksums and
+    /// free list from the base image plus that log, as [`open`](Self::open)
+    /// does — but without verifying the base pages again and without a
+    /// checkpoint. The pool, the I/O counters, the armed plan and the
+    /// clocks stay as they are. Returns that commit's catalog (the base
+    /// image's when the log holds no commit). After a power loss the log
+    /// is what the disk kept, so the store returns to the durable commit.
+    pub fn rollback(&mut self) -> Result<Option<Vec<u8>>> {
+        let wal = std::mem::take(&mut self.wal_buf);
+        let replayed = self.replay(&wal);
+        self.wal_buf = wal;
+        self.wal_buf.truncate(replayed?.1);
+        Ok(self.last_catalog.clone())
+    }
+
+    /// Makes the live file the base image plus the records of `wal` up to
+    /// its last complete commit record, and that commit's catalog (the
+    /// base image's when `wal` holds none) the last one. Each page the log
+    /// writes has its checksum stamped once, after the last record, not
+    /// once per record. A base free list that names a page past the file,
+    /// or one page twice, is refused as [`StorageError::CatalogCorrupt`].
+    /// Returns the log frames applied and the byte length of the log
+    /// through that commit.
+    fn replay(&mut self, wal: &[u8]) -> Result<(usize, usize)> {
+        self.pages.clone_from(&self.base_pages);
+        self.sums.clone_from(&self.base_sums);
+        self.free.clone_from(&self.base_free);
+        self.last_catalog.clone_from(&self.base_catalog);
+        let scanned = wal::scan(wal);
+        // Every page id a replayed record can name: the file, plus one
+        // page per record at most.
+        let bound = (self.pages.len() + scanned.records.len()) as u64;
+        let mut listed = PageBits::new(bound);
+        for &id in &self.free {
+            if id >= self.pages.len() as u64 || !listed.insert(id) {
                 return Err(StorageError::CatalogCorrupt(format!(
                     "disk image free list names page {id} past the {}-page file or twice",
-                    image.pages.len()
+                    self.pages.len()
                 )));
             }
         }
-
-        let scanned = wal::scan(&image.wal);
         let last_commit = scanned
             .records
             .iter()
             .rposition(|(_, r)| matches!(r, WalRecord::Commit { .. }));
-
-        let mut store = PageStore::with_pool(pool_pages, profile);
-        store.pages = image.pages.clone();
-        store.sums = image.sums.clone();
-        store.free = image.free.clone();
-
-        let mut catalog = image.catalog.clone();
-        let mut applied_records = 0usize;
-        if let Some(last) = last_commit {
-            // Pages the replay writes; their checksums are stamped once,
-            // below, not once per record.
-            let mut written = Vec::new();
-            for (i, (_, rec)) in scanned.records[..=last].iter().enumerate() {
-                store.apply_replay(i, rec, &mut written)?;
-            }
-            written.sort_unstable();
-            written.dedup();
-            for p in written {
-                store.sums[p] = wal::block_sum(&store.pages[p]);
-            }
-            // `scan` vouches for an unbroken LSN chain, so the frames
-            // replayed (a write frame is one, however many runs it holds)
-            // are the span of their LSNs.
-            let (first_lsn, last_lsn) = (scanned.records[0].0, scanned.records[last].0);
-            applied_records = (last_lsn - first_lsn + 1) as usize;
-            store.next_lsn = last_lsn + 1;
-            if let WalRecord::Commit { catalog: c } = &scanned.records[last].1 {
-                catalog = Some(Vec::from(*c));
-            }
+        let Some(last) = last_commit else {
+            return Ok((0, 0));
+        };
+        let mut written = Vec::new();
+        for (i, (_, rec)) in scanned.records[..=last].iter().enumerate() {
+            self.apply_replay(i, rec, &mut written, &mut listed)?;
         }
-        let clean_end = last_commit.map(|i| scanned.ends[i]).unwrap_or(0);
-        let discarded_bytes = image.wal.len() - clean_end;
-
-        store.pool.set_page_count(store.pages.len() as u64);
-        store.last_catalog = catalog.clone();
-        store.checkpoint();
-        Ok(Recovery {
-            store,
-            catalog,
-            applied_records,
-            discarded_bytes,
-        })
+        written.sort_unstable();
+        written.dedup();
+        for p in written {
+            self.sums[p] = wal::block_sum(&self.pages[p]);
+        }
+        // `scan` vouches for an unbroken LSN chain, so the frames replayed
+        // (a write frame is one, however many runs it holds) are the span
+        // of their LSNs.
+        let (first_lsn, last_lsn) = (scanned.records[0].0, scanned.records[last].0);
+        self.next_lsn = last_lsn + 1;
+        if let WalRecord::Commit { catalog } = &scanned.records[last].1 {
+            self.last_catalog = Some(Vec::from(*catalog));
+        }
+        Ok(((last_lsn - first_lsn + 1) as usize, scanned.ends[last]))
     }
 
-    /// Applies one replayed WAL record to the booting store, mirroring
-    /// exactly what the live mutation did — except that a written page's
-    /// checksum is left to the caller, who gets the page's index in
-    /// `written`, and that a write copies a page still shared with the
-    /// image without logging a diff. `idx` only feeds error reports.
+    /// Applies one replayed WAL record to the store, mirroring exactly
+    /// what the live mutation did — except that a written page's checksum
+    /// is left to the caller, who gets the page's index in `written`, and
+    /// that a write copies a page still shared with the image without
+    /// logging a diff. `listed` holds the free list's pages: a `Free` of a
+    /// page already free is refused, since two later allocations would
+    /// hand it to two owners. `idx` only feeds error reports.
     fn apply_replay(
         &mut self,
         idx: usize,
         rec: &WalRecord<'_>,
         written: &mut Vec<usize>,
+        listed: &mut PageBits,
     ) -> Result<()> {
         let corrupt = |msg: String| StorageError::WalCorrupt { offset: idx, msg };
         match rec {
@@ -655,10 +667,11 @@ impl PageStore {
                     self.pages.push(Arc::clone(&self.zero));
                     self.sums.push(wal::ZERO_PAGE_SUM);
                 } else if self.free.last() == Some(page) {
-                    // Every free-list entry is a page of the file: `open`
-                    // checked the image's, and a replayed `Free` checks
-                    // its own.
+                    // Every free-list entry is a page of the file: `replay`
+                    // checked the base image's, and a replayed `Free`
+                    // checks its own.
                     self.free.pop();
+                    listed.remove(*page);
                     self.pages[p] = Arc::clone(&self.zero);
                     self.sums[p] = wal::ZERO_PAGE_SUM;
                 } else {
@@ -668,8 +681,9 @@ impl PageStore {
                 }
             }
             WalRecord::Free { page } => {
-                if *page as usize >= self.pages.len() {
-                    return Err(corrupt(format!("free of unallocated page {page}")));
+                if *page as usize >= self.pages.len() || !listed.insert(*page) {
+                    let msg = format!("free of page {page}, unallocated or already free");
+                    return Err(corrupt(msg));
                 }
                 self.free.push(*page);
             }
@@ -747,13 +761,9 @@ impl PageStore {
             epoch: scan.epoch,
             partition,
             seq: 0,
-            stats: IoStats::default(),
-            first_physical_read: None,
-            last_physical_read: None,
+            io: ScanIo::default(),
             seen: PageBits::new(self.pages.len() as u64),
-            hint: [0; wal::SUM_GROUP],
-            hinted: 0,
-            ahead: [None; AHEAD],
+            ahead: Ahead::default(),
             query: &scan.query,
             fault: self.fault.as_ref(),
         }
@@ -792,10 +802,19 @@ impl PageStore {
             }
             merged.merge(&io);
         }
-        acct.stats.merge(&merged);
+        acct.io.merge(&merged);
         acct.last_physical_read = head;
         merged
     }
+}
+
+/// Page `id` of `pages`, or [`StorageError::PageOutOfRange`].
+fn page_of(pages: &[Arc<[u8]>], id: PageId) -> Result<&[u8]> {
+    let max = pages.len() as u64;
+    pages
+        .get(id as usize)
+        .map(|p| &p[..])
+        .ok_or(StorageError::PageOutOfRange { page: id, max })
 }
 
 /// Anything that can serve page reads with full pool/I/O accounting: the
@@ -813,9 +832,11 @@ pub trait PageRead {
 
     /// A hint: `next` are the pages this reader is about to read, in
     /// order, the first of them next. A reader may use it to verify
-    /// several cold pages together ([`PartitionReader::read_ahead`]); what
+    /// several cold pages together (a [`PartitionReader`] does); what
     /// a read touches, counts and reports never depends on it. The
-    /// default ignores it.
+    /// default ignores it, and the serial [`PageStore`] keeps the default:
+    /// through `&mut` a page can be rewritten between a sum taken ahead
+    /// and its read, so that sum could be stale.
     fn read_ahead(&mut self, next: &[PageId]) {
         let _ = next;
     }
@@ -848,8 +869,18 @@ impl PageRead for PartitionReader<'_> {
         self.read(id)
     }
 
+    /// Keeps the first `wal::SUM_GROUP` pages of `next`, so the call costs
+    /// the same however long `next` is, and lets a cold read verify the
+    /// cold pages after it together with it, so that their cache misses
+    /// overlap. It reads, touches and counts nothing: each page is still
+    /// touched, counted, fault-ticked and judged by its own
+    /// [`read`](PartitionReader::read), and a page never read is never
+    /// judged.
     fn read_ahead(&mut self, next: &[PageId]) {
-        PartitionReader::read_ahead(self, next);
+        for (slot, &id) in self.ahead.hint.iter_mut().zip(next) {
+            *slot = id;
+        }
+        self.ahead.hinted = next.len().min(wal::SUM_GROUP);
     }
 
     fn page_count(&self) -> u64 {
@@ -888,17 +919,80 @@ impl ScanCtx {
     }
 }
 
-/// What one scan worker hands back to [`PageStore::finish_scan`]: its
-/// counters plus the physical-read endpoints the coordinator needs to
-/// stitch the sequential/random classification across partitions.
+/// The I/O accounting of one read path: its counters plus its first and
+/// last physical reads. A scan worker keeps its own and hands it to
+/// [`PageStore::finish_scan`], which needs the endpoints to stitch the
+/// sequential/random classification across partitions; the store keeps
+/// one for the serial path and the merged scans, whose last physical read
+/// is the simulated disk head.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScanIo {
-    /// The worker's I/O counters (classified against the scan snapshot).
+    /// The I/O counters.
     pub io: IoStats,
-    /// First page the worker physically read, if any.
+    /// First page physically read, if any.
     pub first_physical_read: Option<PageId>,
-    /// Last page the worker physically read, if any.
+    /// Last page physically read, if any.
     pub last_physical_read: Option<PageId>,
+}
+
+impl ScanIo {
+    /// The page-in step both read paths end in: one logical read of page
+    /// `id` — its bytes `page`, its stored checksum `stored` — which the
+    /// caller's residency oracle found `cold` or not. A hit is counted and
+    /// done. A cold read is counted, classified sequential or random
+    /// against the last physical read and recorded as an endpoint; an
+    /// armed [`Fault::ReadFault`] ticks and, at its ordinal, fails the
+    /// read `times` times, each failure a counted retry with a
+    /// deterministic (counted, not timed) exponential backoff, more than
+    /// [`MAX_READ_RETRIES`] of them exhausting the budget; and the page's
+    /// checksum — `summed()` when the caller already has it, a full
+    /// recompute otherwise — must equal the stored one, or the read fails
+    /// with [`StorageError::PageCorrupt`].
+    fn page_in(
+        &mut self,
+        id: PageId,
+        page: &[u8],
+        stored: u64,
+        cold: bool,
+        fault: Option<&FaultPlan>,
+        summed: impl FnOnce() -> Option<u64>,
+    ) -> Result<()> {
+        if !cold {
+            self.io.cache_hits += 1;
+            return Ok(());
+        }
+        self.io.pages_read += 1;
+        match self.last_physical_read {
+            // `checked_add`: `prev` can be `u64::MAX`-adjacent in synthetic
+            // tests; a plain `prev + 1` overflows in debug builds.
+            Some(prev) if prev.checked_add(1) == Some(id) => self.io.sequential_reads += 1,
+            _ => self.io.random_reads += 1,
+        }
+        self.first_physical_read.get_or_insert(id);
+        self.last_physical_read = Some(id);
+        let read_fault = |plan: &FaultPlan| match plan.fault {
+            Fault::ReadFault { times } if plan.tick().is_eq() => times,
+            _ => 0,
+        };
+        for attempts in 1..=fault.map_or(0, read_fault) {
+            self.io.transient_retries += 1;
+            if attempts > MAX_READ_RETRIES {
+                return Err(StorageError::ReadFaulted { page: id, attempts });
+            }
+            for _ in 0..(1u32 << attempts.min(10)) {
+                std::hint::spin_loop();
+            }
+        }
+        let computed = summed().unwrap_or_else(|| wal::block_sum(page));
+        if stored != computed {
+            return Err(StorageError::PageCorrupt {
+                page: id,
+                stored,
+                computed,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// A concurrent, share-nothing read path over a [`PageStore`] for one
@@ -906,12 +1000,12 @@ pub struct ScanIo {
 ///
 /// Readers borrow the page file immutably (so any number of workers can
 /// read at once from `std::thread::scope` threads) and keep their own
-/// [`IoStats`] and sequential/random classification state, while touching
-/// the **live** buffer pool on every read — stamped with the scan's epoch
-/// and this worker's `(partition, sequence)`, the deterministic serial
-/// visit order. When the worker finishes, [`finish`](Self::finish) hands
-/// a [`ScanIo`] back for [`PageStore::finish_scan`] to fold into the
-/// global accounting in partition order.
+/// [`ScanIo`], while touching the **live** buffer pool on every read —
+/// stamped with the scan's epoch and this worker's `(partition,
+/// sequence)`, the deterministic serial visit order. When the worker
+/// finishes, [`finish`](Self::finish) hands its [`ScanIo`] back for
+/// [`PageStore::finish_scan`] to fold into the global accounting in
+/// partition order.
 #[derive(Debug)]
 pub struct PartitionReader<'a> {
     pages: &'a [Arc<[u8]>],
@@ -921,18 +1015,10 @@ pub struct PartitionReader<'a> {
     epoch: u64,
     partition: u32,
     seq: u32,
-    stats: IoStats,
-    first_physical_read: Option<PageId>,
-    last_physical_read: Option<PageId>,
+    io: ScanIo,
     /// Pages this worker has already read (re-reads are cache hits).
     seen: PageBits,
-    /// The first pages of the last [`read_ahead`](Self::read_ahead) hint,
-    /// in order; `hinted` of them are set.
-    hint: [PageId; wal::SUM_GROUP],
-    hinted: usize,
-    /// Checksums of cold pages computed before their own read, `(page,
-    /// sum)`, each taken out by that read.
-    ahead: [Option<(PageId, u64)>; AHEAD],
+    ahead: Ahead,
     query: &'a QueryCtx,
     fault: Option<&'a FaultPlan>,
 }
@@ -940,6 +1026,70 @@ pub struct PartitionReader<'a> {
 /// Slots for checksums summed ahead: a scan's group of leaves and, beside
 /// it, the group of a LOB read nested in one of their rows.
 const AHEAD: usize = 2 * wal::SUM_GROUP;
+
+/// A scan worker's read-ahead state: the pages it was told it reads next
+/// and the checksums of cold pages summed before their own reads.
+#[derive(Debug, Default)]
+struct Ahead {
+    /// The first pages of the last
+    /// [`read_ahead`](PageRead::read_ahead) hint, in order;
+    /// `hinted` of them are set.
+    hint: [PageId; wal::SUM_GROUP],
+    hinted: usize,
+    /// Checksums of cold pages computed before their own read, `(page,
+    /// sum)`, each taken out by that read.
+    sums: [Option<(PageId, u64)>; AHEAD],
+}
+
+impl Ahead {
+    /// The checksum of cold page `id`, being read now, when it need not be
+    /// summed alone: an earlier cold read summed it ahead, or it is summed
+    /// now together with the cold pages (`is_cold`) the hint names after
+    /// it, when they fill a group — their sums wait in `sums` for their
+    /// own reads (one that finds no free slot is dropped, and computed
+    /// again at its read). A reader borrows the page file immutably for
+    /// its lifetime, so a sum computed ahead is the sum at the read.
+    fn summed(
+        &mut self,
+        id: PageId,
+        pages: &[Arc<[u8]>],
+        is_cold: impl Fn(PageId) -> bool,
+    ) -> Option<u64> {
+        let slot_of = |sums: &[Option<(PageId, u64)>], id| {
+            sums.iter()
+                .position(|s| matches!(s, Some((p, _)) if *p == id))
+        };
+        if let Some((_, sum)) = slot_of(&self.sums, id).and_then(|k| self.sums[k].take()) {
+            return Some(sum);
+        }
+        let hint = &self.hint[..self.hinted];
+        let after = hint
+            .iter()
+            .position(|&p| p == id)
+            .map_or(&[][..], |k| &hint[k + 1..]);
+        let mut group = [id; wal::SUM_GROUP];
+        let mut n = 1;
+        for &p in after {
+            if n < wal::SUM_GROUP
+                && is_cold(p)
+                && !group[..n].contains(&p)
+                && slot_of(&self.sums, p).is_none()
+            {
+                group[n] = p;
+                n += 1;
+            }
+        }
+        if n < wal::SUM_GROUP {
+            return None;
+        }
+        let sums = wal::block_sums(group.map(|p| &pages[p as usize][..]));
+        let empty = self.sums.iter_mut().filter(|s| s.is_none());
+        for (slot, pair) in empty.zip(group.into_iter().zip(sums).skip(1)) {
+            *slot = Some(pair);
+        }
+        Some(sums[0])
+    }
+}
 
 impl<'a> PartitionReader<'a> {
     /// Polls the scan's lifecycle context: cancellation, deadline, and
@@ -961,165 +1111,45 @@ impl<'a> PartitionReader<'a> {
     /// records can be held while the reader keeps accounting.
     pub fn read(&mut self, id: PageId) -> Result<&'a [u8]> {
         self.check_interrupt()?;
-        let Some(page) = self.pages.get(id as usize) else {
-            return Err(StorageError::PageOutOfRange {
-                page: id,
-                max: self.pages.len() as u64,
-            });
-        };
+        let page = page_of(self.pages, id)?;
         // Every logical read touches the live pool immediately — this is
         // what concurrent writers and other scans observe.
         let stamp = pool_stamp(self.epoch, self.partition, self.seq);
         self.seq += 1;
         self.pool.touch_or_insert(id, stamp);
-        // The *cost model* classifies against the start-of-scan snapshot,
-        // which is what keeps the simulated I/O DOP-invariant.
-        if self.seen.insert(id) {
-            if self.resident.contains(id) {
-                self.stats.cache_hits += 1;
-            } else {
-                self.stats.pages_read += 1;
-                match self.last_physical_read {
-                    Some(prev) if prev.checked_add(1) == Some(id) => {
-                        self.stats.sequential_reads += 1
-                    }
-                    _ => self.stats.random_reads += 1,
-                }
-                if self.first_physical_read.is_none() {
-                    self.first_physical_read = Some(id);
-                }
-                self.last_physical_read = Some(id);
-                // The cold read an armed read fault lands on fails
-                // `times` times before it succeeds.
-                if let Some(plan) = self.fault {
-                    if let Fault::ReadFault { times } = plan.fault {
-                        if plan.tick().is_eq() {
-                            self.retry(id, times)?;
-                        }
-                    }
-                }
-                // This worker's first touch of a snapshot-cold page is the
-                // scan's (simulated) transfer from disk: verify its
-                // checksum, like the serial path's pool-miss check.
-                let computed = self.cold_sum(id);
-                let stored = self.sums[id as usize];
-                if stored != computed {
-                    return Err(StorageError::PageCorrupt {
-                        page: id,
-                        stored,
-                        computed,
-                    });
-                }
-            }
-        } else {
-            // Re-read within the same worker: the page is in the pool.
-            self.stats.cache_hits += 1;
-        }
+        // The *cost model* decides hit or miss against the start-of-scan
+        // snapshot, which is what keeps the simulated I/O DOP-invariant: a
+        // page is cold at this worker's first read of it, unless resident
+        // when the scan began.
+        let cold = self.seen.insert(id) && !self.resident.contains(id);
+        let (pages, resident, seen) = (self.pages, self.resident, &self.seen);
+        let is_cold =
+            |p: PageId| p < pages.len() as u64 && !resident.contains(p) && !seen.contains(p);
+        let ahead = &mut self.ahead;
+        let stored = self.sums[id as usize];
+        let summed = || ahead.summed(id, pages, is_cold);
+        self.io
+            .page_in(id, page, stored, cold, self.fault, summed)?;
         Ok(page)
-    }
-
-    /// Names the pages this worker reads next, in order, the first of them
-    /// next: a hint that lets a cold read verify the cold pages after it
-    /// together with it, so that their cache misses overlap. Only the
-    /// first `wal::SUM_GROUP` are kept, so the call costs the
-    /// same however long `next` is. It reads, touches and counts nothing:
-    /// each page is still touched, counted, fault-ticked and judged by its
-    /// own [`read`](Self::read), and a page never read is never judged.
-    pub fn read_ahead(&mut self, next: &[PageId]) {
-        for (slot, &id) in self.hint.iter_mut().zip(next) {
-            *slot = id;
-        }
-        self.hinted = next.len().min(wal::SUM_GROUP);
-    }
-
-    /// Whether `id` is a page this worker's next read of it would fetch
-    /// from "disk": in the file, cold in the scan's snapshot, not yet read.
-    fn is_cold(&self, id: PageId) -> bool {
-        id < self.pages.len() as u64 && !self.resident.contains(id) && !self.seen.contains(id)
-    }
-
-    /// The computed checksum of cold page `id`, being read now. Either an
-    /// earlier cold read summed it ahead, or it is summed now — together
-    /// with the cold pages the hint names after it when they fill a group;
-    /// their sums wait in `ahead` for their own reads (one that finds no
-    /// free slot is dropped, and computed again at its read). The page file
-    /// is borrowed immutably for the reader's lifetime, so a sum computed
-    /// ahead is the sum at the read.
-    fn cold_sum(&mut self, id: PageId) -> u64 {
-        let slot_of = |ahead: &[Option<(PageId, u64)>], id| {
-            ahead
-                .iter()
-                .position(|s| matches!(s, Some((p, _)) if *p == id))
-        };
-        if let Some((_, sum)) = slot_of(&self.ahead, id).and_then(|k| self.ahead[k].take()) {
-            return sum;
-        }
-        let hint = &self.hint[..self.hinted];
-        let after = hint
-            .iter()
-            .position(|&p| p == id)
-            .map_or(&[][..], |k| &hint[k + 1..]);
-        let mut group = [id; wal::SUM_GROUP];
-        let mut n = 1;
-        for &p in after {
-            if n < wal::SUM_GROUP
-                && self.is_cold(p)
-                && !group[..n].contains(&p)
-                && slot_of(&self.ahead, p).is_none()
-            {
-                group[n] = p;
-                n += 1;
-            }
-        }
-        if n < wal::SUM_GROUP {
-            return wal::block_sum(&self.pages[id as usize]);
-        }
-        let sums = wal::block_sums(group.map(|p| &self.pages[p as usize][..]));
-        let empty = self.ahead.iter_mut().filter(|s| s.is_none());
-        for (slot, pair) in empty.zip(group.into_iter().zip(sums).skip(1)) {
-            *slot = Some(pair);
-        }
-        sums[0]
     }
 
     /// The pages whose checksums wait in the read-ahead buffer.
     #[cfg(test)]
     pub(crate) fn summed_ahead(&self) -> Vec<PageId> {
-        let mut ids: Vec<PageId> = self.ahead.iter().flatten().map(|&(p, _)| p).collect();
+        let mut ids: Vec<PageId> = self.ahead.sums.iter().flatten().map(|&(p, _)| p).collect();
         ids.sort_unstable();
         ids
     }
 
-    /// Retries the physical read of `id` through `times` injected
-    /// failures, each costing one counted retry and a deterministic
-    /// (counted, not timed) exponential backoff; more than
-    /// [`MAX_READ_RETRIES`] failures exhaust the budget.
-    fn retry(&mut self, id: PageId, times: u32) -> Result<()> {
-        for attempts in 1..=times {
-            self.stats.transient_retries += 1;
-            if attempts > MAX_READ_RETRIES {
-                return Err(StorageError::ReadFaulted { page: id, attempts });
-            }
-            for _ in 0..(1u32 << attempts.min(10)) {
-                std::hint::spin_loop();
-            }
-        }
-        Ok(())
-    }
-
     /// The counters accumulated so far.
     pub fn stats(&self) -> IoStats {
-        self.stats
+        self.io.io
     }
 
     /// Consumes the reader, returning its counters and physical-read
     /// endpoints for [`PageStore::finish_scan`].
     pub fn finish(self) -> ScanIo {
-        ScanIo {
-            io: self.stats,
-            first_physical_read: self.first_physical_read,
-            last_physical_read: self.last_physical_read,
-        }
+        self.io
     }
 }
 
@@ -1679,7 +1709,7 @@ mod tests {
         let io = r.finish();
         drop(scan);
         s.finish_scan([&io]);
-        let seen = s.fault.as_ref().map_or(0, |plan| plan.seen());
+        let seen = s.armed().map_or(0, |plan| plan.seen());
         let ends = [io.first_physical_read, io.last_physical_read];
         (err, io.io, ends, s.pool().keys_mru_order(), seen)
     }
@@ -1740,6 +1770,126 @@ mod tests {
         r.read_ahead(&visit);
         r.read(0).unwrap();
         assert_eq!(r.summed_ahead(), (1..G).collect::<Vec<_>>());
+    }
+
+    proptest::proptest! {
+        /// The one page-in step judges a serial read and a scan worker's
+        /// read alike: the same page walk over a cold store — re-reads,
+        /// pages past the file, flipped pages, a read fault at any ordinal
+        /// that is absorbed or exhausts the retries — counts the same hits,
+        /// misses, sequential and random reads and retries, records the
+        /// same endpoints, ticks the plan as often and stops at the same
+        /// first error through `PageStore::read` as through one worker
+        /// whose scan began with nothing resident.
+        #[test]
+        fn a_serial_read_pages_in_like_a_worker_read(
+            visit in proptest::collection::vec(0u64..20, 1..60),
+            flips in proptest::collection::vec(0u64..18, 0..3),
+            (times, at) in (0u32..MAX_READ_RETRIES + 3, 1u64..40),
+        ) {
+            // 18 pages, so 18 and 19 are past the file; `times` past the
+            // retry budget plus one arms no plan.
+            let cold_store = || {
+                let mut s = distinct_pages(18, &[]);
+                for &p in &flips {
+                    s.corrupt_byte(p, 77);
+                }
+                let armed = times <= MAX_READ_RETRIES + 1;
+                s.arm(armed.then(|| FaultPlan::new(Fault::ReadFault { times }, at)));
+                s.reset_stats();
+                s
+            };
+            let seen = |s: &PageStore| s.armed().map(|plan| plan.seen());
+            let mut s = cold_store();
+            let err = visit.iter().find_map(|&p| s.read(p).err());
+            let serial = (err, *s.acct(), seen(&s));
+            let s = cold_store();
+            let scan = s.begin_scan();
+            let mut r = s.reader(&scan, 0);
+            let err = visit.iter().find_map(|&p| r.read(p).err());
+            let io = r.finish();
+            let ends = |io: ScanIo| (io.io, io.first_physical_read, io.last_physical_read);
+            proptest::prop_assert_eq!(
+                (&serial.0, ends(serial.1), serial.2),
+                (&err, ends(io), seen(&s))
+            );
+        }
+    }
+
+    /// Replay carries the free list's pages: a log that frees a page
+    /// already free — listed by the checkpoint or freed earlier in the log
+    /// — is refused, because two later allocations would hand that page
+    /// to two owners; a page freed, reallocated and freed again replays.
+    #[test]
+    fn replay_refuses_a_free_of_a_page_already_free() {
+        for checkpoint_between in [false, true] {
+            let mut s = PageStore::new();
+            for _ in 0..3 {
+                s.allocate();
+            }
+            s.free_page(1).unwrap();
+            assert_eq!(s.allocate_reuse(), 1);
+            s.free_page(1).unwrap();
+            s.commit(b"v1");
+            let rec = PageStore::open(&s.crash_image()).unwrap();
+            assert_eq!(rec.store.free_pages(), [1]);
+            if checkpoint_between {
+                s.checkpoint();
+            }
+            s.free_page(1).unwrap();
+            s.commit(b"v2");
+            match PageStore::open(&s.crash_image()) {
+                Err(StorageError::WalCorrupt { msg, .. }) => {
+                    assert!(msg.contains("already free"), "{msg}")
+                }
+                other => panic!("checkpoint between: {checkpoint_between}: {other:?}"),
+            }
+        }
+    }
+
+    /// `rollback` returns the live file — pages, checksums, free list, log
+    /// — to the last commit, whether the base image is genesis or a
+    /// checkpoint, and hands back that commit's catalog; the pool and the
+    /// counters stay as they were, and the log goes on from the commit, so
+    /// a later commit recovers.
+    #[test]
+    fn rollback_returns_to_the_last_commit_and_keeps_the_pool() {
+        for checkpointed in [false, true] {
+            let mut s = distinct_pages(6, &[]);
+            s.free_page(5).unwrap();
+            s.commit(b"v1");
+            if checkpointed {
+                s.checkpoint();
+            }
+            s.write(2, |b| b[5] ^= 0xFF).unwrap();
+            s.commit(b"v2");
+            let committed = (s.pages.clone(), s.sums.clone(), s.free.clone());
+            let image = s.crash_image();
+            s.write(1, |b| b[9] ^= 0x0F).unwrap();
+            s.write(2, |b| b[7] = 3).unwrap();
+            s.free_page(3).unwrap();
+            assert_eq!(s.allocate_reuse(), 3);
+            assert_eq!(s.allocate_reuse(), 5);
+            s.allocate();
+            s.clear_cache();
+            s.read(4).unwrap();
+            let (stats, pool) = (s.stats(), s.pool().keys_mru_order());
+            assert_eq!(s.rollback().unwrap().as_deref(), Some(&b"v2"[..]));
+            assert_eq!(
+                (&s.pages, &s.sums, &s.free),
+                (&committed.0, &committed.1, &committed.2)
+            );
+            assert_eq!(s.crash_image(), image);
+            assert_eq!((s.stats(), s.pool().keys_mru_order()), (stats, pool));
+            for p in 0..s.page_count() {
+                s.read(p).unwrap();
+            }
+            s.write(4, |b| b[0] = 9).unwrap();
+            s.commit(b"v3");
+            let rec = PageStore::open(&s.crash_image()).unwrap();
+            assert_eq!(rec.catalog.as_deref(), Some(&b"v3"[..]));
+            assert_eq!((&rec.store.pages, &rec.store.free), (&s.pages, &s.free));
+        }
     }
 
     /// Recovery verifies base pages a group at a time but reports what a

@@ -5,7 +5,7 @@ use crate::btree::{self, BTree};
 use crate::errors::{Result, StorageError};
 use crate::page::{page_type, PageId, SlottedRead};
 use crate::row::{self, BatchDecoder, RowCursor, RowValue, Schema, INLINE_BLOB_LIMIT};
-use crate::store::{PageStore, PartitionReader};
+use crate::store::{PageRead, PageStore, PartitionReader};
 use sqlarray_core::batch::Batch;
 use sqlarray_core::le;
 use std::collections::HashMap;
