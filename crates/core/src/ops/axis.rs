@@ -11,35 +11,16 @@ use crate::errors::{ArrayError, Result};
 use crate::header::Header;
 use crate::shape::Shape;
 
-/// The reduction applied along an axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AxisReduce {
-    /// Sum of the elements along the axis.
-    Sum,
-    /// Arithmetic mean along the axis.
-    Mean,
-    /// Minimum along the axis (real types only).
-    Min,
-    /// Maximum along the axis (real types only).
-    Max,
-}
-
-/// Reduces `a` along `axis`, producing an array whose rank is one lower
+/// Sums `a` along `axis`, producing an array whose rank is one lower
 /// (unless the input is 1-D, in which case the result is the 1-element
-/// vector). Real inputs produce `float64` output; complex inputs support
-/// `Sum`/`Mean` and produce `complex64`.
-pub fn reduce_axis(a: &SqlArray, axis: usize, op: AxisReduce) -> Result<SqlArray> {
+/// vector). Real inputs produce `float64` output, complex inputs
+/// `complex64`.
+pub fn sum_axis(a: &SqlArray, axis: usize) -> Result<SqlArray> {
     let rank = a.rank();
     if axis >= rank {
         return Err(ArrayError::BadAxis { axis, rank });
     }
     let complex = a.elem().is_complex();
-    if complex && matches!(op, AxisReduce::Min | AxisReduce::Max) {
-        return Err(ArrayError::BadConversion {
-            from: a.elem(),
-            to: ElementType::Float64,
-        });
-    }
 
     let dims = a.dims();
     let out_dims: Vec<usize> = if rank == 1 {
@@ -62,7 +43,6 @@ pub fn reduce_axis(a: &SqlArray, axis: usize, op: AxisReduce) -> Result<SqlArray
     let mut out = vec![0u8; header.blob_len()];
     header.encode(&mut out);
 
-    let n = dims[axis] as f64;
     let strides = a.shape().strides();
     let axis_stride = strides[axis];
     let axis_len = dims[axis];
@@ -88,36 +68,16 @@ pub fn reduce_axis(a: &SqlArray, axis: usize, op: AxisReduce) -> Result<SqlArray
             for k in 0..axis_len {
                 acc += a.item_linear(base + k * axis_stride).as_c64();
             }
-            if matches!(op, AxisReduce::Mean) {
-                acc = acc.scale(1.0 / n);
-            }
             crate::scalar::Scalar::C64(acc).write_le(&mut out[hlen + out_lin * es..]);
         } else {
-            let mut acc = match op {
-                AxisReduce::Sum | AxisReduce::Mean => 0.0,
-                AxisReduce::Min => f64::INFINITY,
-                AxisReduce::Max => f64::NEG_INFINITY,
-            };
+            let mut acc = 0.0;
             for k in 0..axis_len {
-                let v = a.item_linear(base + k * axis_stride).as_f64()?;
-                acc = match op {
-                    AxisReduce::Sum | AxisReduce::Mean => acc + v,
-                    AxisReduce::Min => acc.min(v),
-                    AxisReduce::Max => acc.max(v),
-                };
-            }
-            if matches!(op, AxisReduce::Mean) {
-                acc /= n;
+                acc += a.item_linear(base + k * axis_stride).as_f64()?;
             }
             crate::scalar::Scalar::F64(acc).write_le(&mut out[hlen + out_lin * es..]);
         }
     }
     SqlArray::from_blob(out)
-}
-
-/// Sums along an axis (the common case).
-pub fn sum_axis(a: &SqlArray, axis: usize) -> Result<SqlArray> {
-    reduce_axis(a, axis, AxisReduce::Sum)
 }
 
 #[cfg(test)]
@@ -143,17 +103,6 @@ mod tests {
         // Reducing axis 1 (columns) leaves the 2 row sums.
         let rows = sum_axis(&m, 1).unwrap();
         assert_eq!(rows.to_vec::<f64>().unwrap(), vec![6.0, 15.0]);
-    }
-
-    #[test]
-    fn mean_min_max_along_axis() {
-        let m = matrix(StorageClass::Short, 2, 2, &[1.0f64, 8.0, 3.0, 4.0]).unwrap();
-        let mean0 = reduce_axis(&m, 0, AxisReduce::Mean).unwrap();
-        assert_eq!(mean0.to_vec::<f64>().unwrap(), vec![2.0, 6.0]);
-        let min1 = reduce_axis(&m, 1, AxisReduce::Min).unwrap();
-        assert_eq!(min1.to_vec::<f64>().unwrap(), vec![1.0, 3.0]);
-        let max1 = reduce_axis(&m, 1, AxisReduce::Max).unwrap();
-        assert_eq!(max1.to_vec::<f64>().unwrap(), vec![8.0, 4.0]);
     }
 
     #[test]
@@ -209,7 +158,6 @@ mod tests {
         let vals = s.to_vec::<Complex64>().unwrap();
         assert_eq!(vals[0], Complex64::new(3.0, 0.0));
         assert_eq!(vals[1], Complex64::new(1.0, 2.0));
-        assert!(reduce_axis(&v, 0, AxisReduce::Min).is_err());
     }
 
     #[test]

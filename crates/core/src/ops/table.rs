@@ -218,10 +218,18 @@ impl ConcatBuilder {
             return Err(ArrayError::Io("truncated builder state".into()));
         }
         let array = SqlArray::from_blob(rest[..blob_len].to_vec())?;
-        let seen = rest[blob_len..blob_len + array.count()]
+        let seen: Vec<bool> = rest[blob_len..blob_len + array.count()]
             .iter()
             .map(|&b| b != 0)
             .collect();
+        // `filled` and `sequential` are not trusted either: a merge reads
+        // the first `filled` cells (sequential) or the `seen` ones, so the
+        // count must be what `seen` marks (and so at most the cell count)
+        // and a sequential fill a prefix.
+        let marked = seen.iter().filter(|&&b| b).count();
+        if filled != marked || (sequential && !seen[..filled].iter().all(|&b| b)) {
+            return Err(ArrayError::Io("corrupt builder state".into()));
+        }
         Ok(ConcatBuilder {
             array,
             filled,

@@ -37,18 +37,6 @@ impl<T: Element> TypedArray<T> {
         })
     }
 
-    /// The underlying dynamic array.
-    #[inline]
-    pub fn as_dyn(&self) -> &SqlArray {
-        &self.inner
-    }
-
-    /// Unwraps back into the dynamic array.
-    #[inline]
-    pub fn into_dyn(self) -> SqlArray {
-        self.inner
-    }
-
     /// Per-dimension sizes.
     #[inline]
     pub fn dims(&self) -> &[usize] {
@@ -64,18 +52,6 @@ impl<T: Element> TypedArray<T> {
     /// Typed multi-index read.
     pub fn get(&self, idx: &[usize]) -> Result<T> {
         let lin = self.inner.shape().linear_index(idx)?;
-        Ok(self.inner.item_linear_as_unchecked::<T>(lin))
-    }
-
-    /// Typed linear read (column-major offset); bounds-checked.
-    pub fn get_linear(&self, lin: usize) -> Result<T> {
-        if lin >= self.count() {
-            return Err(ArrayError::IndexOutOfBounds {
-                axis: 0,
-                index: lin,
-                size: self.count(),
-            });
-        }
         Ok(self.inner.item_linear_as_unchecked::<T>(lin))
     }
 
@@ -122,7 +98,7 @@ impl<T: Element> TryFrom<SqlArray> for TypedArray<T> {
 
 impl<T: Element> From<TypedArray<T>> for SqlArray {
     fn from(a: TypedArray<T>) -> SqlArray {
-        a.into_dyn()
+        a.inner
     }
 }
 
@@ -152,18 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn get_linear_bounds() {
-        let t = TypedArray::<i16>::from_vec(StorageClass::Short, &[3], &[7, 8, 9]).unwrap();
-        assert_eq!(t.get_linear(2).unwrap(), 9);
-        assert!(t.get_linear(3).is_err());
-    }
-
-    #[test]
     fn map_changes_type() {
         let t = TypedArray::<i32>::from_vec(StorageClass::Short, &[3], &[1, 2, 3]).unwrap();
         let d = t.map(|v| v as f64 * 0.5).unwrap();
         assert_eq!(d.to_vec(), vec![0.5, 1.0, 1.5]);
-        assert_eq!(d.as_dyn().class(), StorageClass::Short);
+        assert_eq!(SqlArray::from(d).class(), StorageClass::Short);
     }
 
     #[test]
@@ -176,8 +145,8 @@ mod tests {
         let c = t
             .map(|v| crate::complex::Complex64::new(v as f64, 0.0))
             .unwrap();
-        assert_eq!(c.as_dyn().class(), StorageClass::Max);
         assert_eq!(c.count(), 900);
+        assert_eq!(SqlArray::from(c).class(), StorageClass::Max);
     }
 
     #[test]

@@ -650,6 +650,51 @@ mod tests {
     }
 
     #[test]
+    fn concat_state_whose_fill_disagrees_with_its_cells_is_corrupt() {
+        use sqlarray_core::ArrayError;
+        // A sequential builder over three cells with one value pushed:
+        // state = sequential flag, `filled` (u64), the array blob, `seen`.
+        let mut b = ConcatBuilder::new(StorageClass::Short, ElementType::Float64, &[3]).unwrap();
+        b.push_next(Scalar::F64(1.0)).unwrap();
+        let good = b.serialize_state();
+        let seen_at = good.len() - 3;
+        let with = |sequential: u8, filled: u64, seen: [u8; 3]| {
+            let mut s = good.clone();
+            s[0] = sequential;
+            s[1..9].copy_from_slice(&filled.to_le_bytes());
+            s[seen_at..].copy_from_slice(&seen);
+            s
+        };
+        for state in [
+            with(1, 5, [1, 0, 0]), // more filled than cells
+            with(1, 5, [1, 1, 1]),
+            with(0, 2, [1, 0, 0]), // a count the cells do not mark
+            with(1, 1, [0, 1, 0]), // a sequential fill that is not a prefix
+        ] {
+            let want = ArrayError::Io("corrupt builder state".into());
+            assert_eq!(ConcatBuilder::deserialize_state(&state).unwrap_err(), want);
+            let mut uda_state = vec![1u8];
+            uda_state.extend_from_slice(&state);
+            let mut fresh = ConcatUda::new(ElementType::Float64, StorageClass::Short);
+            assert_eq!(
+                fresh.load_state(&uda_state),
+                Err(EngineError::from(want.clone()))
+            );
+            let mut live = ConcatUda::new(ElementType::Float64, StorageClass::Short);
+            live.accumulate(&[size_vec(&[3]), Value::F64(0.5)]).unwrap();
+            assert_eq!(live.merge_state(&uda_state), Err(EngineError::from(want)));
+        }
+        // The untouched state still loads and merges.
+        let mut live = ConcatUda::new(ElementType::Float64, StorageClass::Short);
+        live.accumulate(&[size_vec(&[3]), Value::F64(0.5)]).unwrap();
+        let mut uda_state = vec![1u8];
+        uda_state.extend_from_slice(&good);
+        live.merge_state(&uda_state).unwrap();
+        let out = live.terminate().unwrap().as_array().unwrap();
+        assert_eq!(out.to_vec::<f64>().unwrap(), vec![0.5, 1.0, 0.0]);
+    }
+
+    #[test]
     fn registry_lookup_and_creation() {
         let mut reg = UdaRegistry::new();
         reg.register_array_aggregates();

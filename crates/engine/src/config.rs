@@ -2,7 +2,7 @@
 //! once per engine.
 //!
 //! This is the only module of the crate that touches the process
-//! environment (`crates/lint/tests/exec_shape.rs` pins that). The
+//! environment (`sqlarray-lint`'s L004 flags a read anywhere else). The
 //! variables are parsed through a *lookup closure* — [`Settings::from_env`]
 //! passes `std::env::var`, a test passes a map — into a [`Settings`] value
 //! the engine constructor consumes. The engine keeps the parsed session

@@ -7,7 +7,7 @@
 //! | L001 | correctness guards must survive release builds | PR 4: `debug_assert`-only length checks silently zip-truncated `blas::dot`/`axpy` |
 //! | L002 | real summation goes through `exact::ExactSum` | PR 5: `agg::sum` diverged from parallel `SUM` bit-for-bit |
 //! | L003 | page/offset arithmetic in `storage` is overflow-checked | PR 3: unchecked page arithmetic in the sequential-read classifiers |
-//! | L004 | thread fan-out routes through `core::parallel` | the `SQLARRAY_DOP` / `with_serial_kernels` knobs must stay authoritative |
+//! | L004 | a thread fan-out (`thread::spawn`/`scope`: `core::parallel`; the executor's one call of its wrappers: `exec/scan.rs`), a panic boundary (`catch_unwind`: `exec/scan.rs`, once) and an engine environment read (`engine/src/config.rs`; `configured_dop` nowhere) each have one home module | the `SQLARRAY_DOP` / `with_serial_kernels` knobs must stay authoritative; PR 13's `exec.rs` carried two scan harnesses, each with its own fan-out and panic boundary; a knob parsed beside `Settings` escapes "read once per engine" |
 //! | L005 | no `unwrap`/`expect` on fallible paths in library code | PR 5: silent `<lob:…>` placeholder replaced by typed `UnresolvedLob` |
 //! | L006 | shard locks are acquired in ascending index order | deadlock class a multi-session server will make real |
 //! | L007 | every `unsafe` block carries a `// SAFETY:` comment | unsafe-audit companion |
@@ -22,7 +22,7 @@
 mod l001_debug_assert;
 mod l002_exact_sum;
 mod l003_checked_arith;
-mod l004_thread_fanout;
+mod l004_one_home;
 mod l005_unwrap;
 mod l006_lock_order;
 mod l007_safety_comment;
@@ -97,7 +97,7 @@ pub fn run_all(f: &SourceFile<'_>) -> Vec<Finding> {
     out.extend(l001_debug_assert::check(f));
     out.extend(l002_exact_sum::check(f));
     out.extend(l003_checked_arith::check(f));
-    out.extend(l004_thread_fanout::check(f));
+    out.extend(l004_one_home::check(f));
     out.extend(l005_unwrap::check(f));
     out.extend(l006_lock_order::check(f));
     out.extend(l007_safety_comment::check(f));

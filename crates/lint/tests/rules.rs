@@ -97,6 +97,36 @@ fn l004_core_parallel_is_sanctioned() {
 }
 
 #[test]
+fn l004_flags_each_effect_outside_its_home() {
+    let pos = include_str!("../fixtures/l004_homes_pos.rs");
+    // Per path: fan-outs, panic boundaries, environment reads and the
+    // test's `configured_dop()` that land outside their home. In the
+    // scan driver the second fan-out and the second `catch_unwind` do.
+    for (path, want) in [
+        ("crates/engine/src/exec/select.rs", 2 + 2 + 2 + 1),
+        ("crates/engine/src/exec/scan.rs", 1 + 1 + 2 + 1),
+        ("crates/engine/src/config.rs", 2 + 1),
+        ("crates/engine/src/session.rs", 2 + 2 + 1),
+        ("crates/storage/src/table.rs", 2),
+        ("crates/bench/src/lib.rs", 2),
+    ] {
+        assert_eq!(count(path, pos, "L004"), want, "{path}");
+    }
+}
+
+#[test]
+fn l004_silent_on_each_effect_at_home() {
+    let neg = include_str!("../fixtures/l004_homes_neg.rs");
+    assert_eq!(count("crates/engine/src/exec/scan.rs", neg, "L004"), 0);
+    let read = "pub fn lookup() -> Option<String> { std::env::var(\"SQLARRAY_DOP\").ok() }";
+    assert_eq!(count("crates/engine/src/config.rs", read, "L004"), 0);
+    assert_eq!(count("crates/engine/src/session.rs", read, "L004"), 1);
+    // Outside the engine the knobs are not the engine's: the report
+    // binary's row count, the kernels' DOP.
+    assert_eq!(count("crates/bench/src/lib.rs", read, "L004"), 0);
+}
+
+#[test]
 fn l005_flags_unwrap_and_expect_in_library_code() {
     let pos = include_str!("../fixtures/l005_pos.rs");
     assert_eq!(count("crates/storage/src/fixture.rs", pos, "L005"), 2);

@@ -51,40 +51,6 @@ pub fn morton3_decode(key: u64) -> (u64, u64, u64) {
     (compact3(key), compact3(key >> 1), compact3(key >> 2))
 }
 
-/// 2-D Morton key (up to 31 bits per coordinate).
-#[inline]
-pub fn morton2_encode(x: u64, y: u64) -> u64 {
-    spread2(x) | (spread2(y) << 1)
-}
-
-/// Inverse of [`morton2_encode`].
-#[inline]
-pub fn morton2_decode(key: u64) -> (u64, u64) {
-    (compact2(key), compact2(key >> 1))
-}
-
-#[inline]
-fn spread2(v: u64) -> u64 {
-    let mut x = v & 0x7FFF_FFFF;
-    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-    x = (x | (x << 1)) & 0x5555_5555_5555_5555;
-    x
-}
-
-#[inline]
-fn compact2(v: u64) -> u64 {
-    let mut x = v & 0x5555_5555_5555_5555;
-    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
-    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF;
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,16 +106,6 @@ mod tests {
             .unwrap();
         let min_high = morton3_encode(4, 4, 4);
         assert!(max_low < min_high);
-    }
-
-    #[test]
-    fn round_trip_2d() {
-        for (x, y) in [(0u64, 0u64), (3, 5), (1000, 1), ((1 << 30) - 1, 77)] {
-            let key = morton2_encode(x, y);
-            assert_eq!(morton2_decode(key), (x, y));
-        }
-        assert_eq!(morton2_encode(1, 0), 1);
-        assert_eq!(morton2_encode(0, 1), 2);
     }
 
     #[test]

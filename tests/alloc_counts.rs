@@ -1,0 +1,347 @@
+//! Allocation counts: the per-row and per-page cost claims, as behaviour.
+//!
+//! The paper's lesson about user-defined aggregates is a per-row cost: the
+//! CLR serialized an aggregate's state once per row, and that made them
+//! unusable (§4.2). A heap allocation per row, per addend or per page is
+//! the same kind of cost, and the easiest one to add back by accident. A
+//! counting global allocator makes it visible: every `alloc`,
+//! `alloc_zeroed` and `realloc` in this process, and the bytes they ask
+//! for, land in global atomics, so the threads of a DOP > 1 scan are
+//! counted too.
+//!
+//! Each claim is a scaling law, not an absolute count: a scan of four
+//! times the rows may allocate a few more times per extra batch (the leaf
+//! list, the group table), never once per extra row; a warm page read, an
+//! exact addend or a scan worker's read-ahead hint allocates nothing; a
+//! LOB read never zero-fills its result; an idle checkpoint copies no
+//! page. The claims run one at a time (one lock), and each count is the
+//! smallest of three runs, because the test harness's own threads can
+//! only add to it.
+//!
+//! Run it under `--release` too: the optimizer is what could add or
+//! remove an allocation.
+
+use sqlarray::array::batch::DEFAULT_BATCH_ROWS;
+use sqlarray::array::build::short_vector;
+use sqlarray::array::header::Header;
+use sqlarray::array::{ExactSum, StorageClass};
+use sqlarray::engine::aggregate::VectorAvgUda;
+use sqlarray::engine::{Database, Engine, HostingModel, Session, UdaState, Value};
+use sqlarray::storage::blob::{read_blob, write_blob};
+use sqlarray::storage::store::PageRead;
+use sqlarray::storage::{ColType, DiskProfile, PageStore, RowValue, Schema, PAGE_SIZE};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
+
+/// The system allocator, counting.
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ZEROED: AtomicU64 = AtomicU64::new(0);
+static REALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        // SAFETY: the caller's layout, passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ZEROED.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        // SAFETY: the caller's layout, passed on.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
+        // SAFETY: a block this allocator handed out, with its layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: a block this allocator handed out, with its layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// What the allocator was asked for over some stretch of the process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counts {
+    allocs: u64,
+    zeroed: u64,
+    reallocs: u64,
+    bytes: u64,
+}
+
+impl Counts {
+    fn now() -> Counts {
+        Counts {
+            allocs: ALLOCS.load(Relaxed),
+            zeroed: ZEROED.load(Relaxed),
+            reallocs: REALLOCS.load(Relaxed),
+            bytes: BYTES.load(Relaxed),
+        }
+    }
+
+    /// Calls into the allocator that hand out or grow a block.
+    fn calls(&self) -> u64 {
+        self.allocs + self.zeroed + self.reallocs
+    }
+
+    fn min(self, o: Counts) -> Counts {
+        Counts {
+            allocs: self.allocs.min(o.allocs),
+            zeroed: self.zeroed.min(o.zeroed),
+            reallocs: self.reallocs.min(o.reallocs),
+            bytes: self.bytes.min(o.bytes),
+        }
+    }
+}
+
+/// The allocations of one run of `f`; what `f` returns is dropped
+/// outside the count.
+fn count<R>(f: impl FnOnce() -> R) -> Counts {
+    let before = Counts::now();
+    let out = f();
+    let after = Counts::now();
+    drop(out);
+    Counts {
+        allocs: after.allocs - before.allocs,
+        zeroed: after.zeroed - before.zeroed,
+        reallocs: after.reallocs - before.reallocs,
+        bytes: after.bytes - before.bytes,
+    }
+}
+
+/// [`count`], the smallest of three runs.
+fn measure<R>(mut f: impl FnMut() -> R) -> Counts {
+    (0..3).map(|_| count(&mut f)).reduce(Counts::min).unwrap()
+}
+
+/// One claim at a time: the counters are process-wide.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A session over `T(id, a, c, w)`: `a` an integer in 0..100, `c` a float
+/// in 0..25, `w` a four-element float vector stored in the row.
+fn table(rows: i64) -> Session {
+    let mut db = Database::new();
+    let schema = Schema::new(&[
+        ("id", ColType::I64),
+        ("a", ColType::I64),
+        ("c", ColType::F64),
+        ("w", ColType::Blob),
+    ]);
+    db.create_table("T", schema).unwrap();
+    for id in 0..rows {
+        let c = (id % 50) as f64 * 0.5;
+        let w = short_vector(&[c, c + 1.0, c + 2.0, c + 3.0]).unwrap();
+        let row = [
+            RowValue::I64(id),
+            RowValue::I64(id * 7919 % 100),
+            RowValue::F64(c),
+            RowValue::Bytes(w.into_blob()),
+        ];
+        db.insert("T", id, &row).unwrap();
+    }
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
+    s.set_batch_rows(DEFAULT_BATCH_ROWS);
+    s
+}
+
+/// Allocations per extra batch a scan may make. The scans below make at
+/// most ~5.3 (`GROUP BY`: +64 for 12 more batches); one per row would be
+/// ~1 000.
+const PER_BATCH: u64 = 8;
+
+/// Statements the batch planner runs end to end: a filter through
+/// `refine` (an AND of two fused compares), typed folds through
+/// `fold_typed`, and a grouped aggregate; every one decodes its lanes
+/// through `BatchDecoder::fill`.
+const SCANS: [&str; 3] = [
+    "SELECT COUNT(*) FROM T WHERE a < 40 AND c > 10.0",
+    "SELECT SUM(a), MIN(c), MAX(c) FROM T",
+    "SELECT id % 7, COUNT(*), SUM(c) FROM T GROUP BY id % 7",
+];
+
+#[test]
+fn a_batch_scan_allocates_per_batch_not_per_row() {
+    let _one = serial();
+    let (mut small, mut large) = (table(4_000), table(16_000));
+    for dop in [1, 2] {
+        small.set_dop(dop);
+        large.set_dop(dop);
+        for sql in SCANS {
+            // A warm run: the plan is cached and the pages are resident.
+            let warm = |s: &mut Session| {
+                let stats = s.query(sql).unwrap().stats;
+                assert!(stats.batches > 0, "{sql} left the batch path");
+                (measure(|| s.query(sql).unwrap()), stats.batches)
+            };
+            let ((few, few_batches), (many, many_batches)) = (warm(&mut small), warm(&mut large));
+            let extra_batches = many_batches - few_batches;
+            assert!(
+                extra_batches >= 10,
+                "{sql}: {few_batches} vs {many_batches} batches"
+            );
+            let extra = many.calls().saturating_sub(few.calls());
+            assert!(
+                extra <= PER_BATCH * extra_batches,
+                "{sql} at DOP {dop}: {extra} more allocations for {extra_batches} more batches \
+                 (12 000 more rows): {few:?} vs {many:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_exact_sum_adds_without_allocating() {
+    let _one = serial();
+    let mut sum = ExactSum::new();
+    let counts = measure(|| {
+        for i in 0..100_000 {
+            sum.add(i as f64 * 0.37 - 1.0e4);
+        }
+    });
+    assert_eq!(counts.calls(), 0, "{counts:?}");
+}
+
+#[test]
+fn vector_avg_reads_its_argument_where_it_lies() {
+    let _one = serial();
+    // Decoding an array's header is the one allocation a row may cost
+    // (its `Shape` holds a `Vec`); the array itself is never copied, so a
+    // 900-element row costs what a 4-element one does.
+    for len in [4, 900] {
+        let data: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
+        let row = [Value::Bytes(short_vector(&data).unwrap().into_blob())];
+        let Value::Bytes(blob) = &row[0] else {
+            unreachable!()
+        };
+        let header = measure(|| Header::decode(blob).unwrap());
+        let mut uda = VectorAvgUda::new(StorageClass::Short);
+        uda.accumulate(&row).unwrap();
+        let counts = measure(|| uda.accumulate(&row).unwrap());
+        assert_eq!(counts.calls(), header.calls(), "{len} elements: {counts:?}");
+    }
+}
+
+/// A store of `pages` written pages behind a pool of `pool` pages.
+fn store(pages: u64, pool: usize) -> PageStore {
+    let mut store = PageStore::with_pool(pool, DiskProfile::default());
+    for id in 0..pages {
+        assert_eq!(store.allocate(), id);
+        store
+            .write(id, |p| p[..8].copy_from_slice(&id.to_le_bytes()))
+            .unwrap();
+    }
+    store.commit(b"catalog");
+    store.checkpoint();
+    store
+}
+
+#[test]
+fn a_warm_page_read_allocates_nothing() {
+    let _one = serial();
+    let mut store = store(48, 64);
+    // Enough touches that every shard's recency heap reached its bound.
+    for _ in 0..50 {
+        for id in 0..48 {
+            store.read(id).unwrap();
+        }
+    }
+    let counts = measure(|| {
+        for _ in 0..20 {
+            for id in 0..48 {
+                store.read(id).unwrap();
+            }
+        }
+    });
+    assert_eq!(counts.calls(), 0, "{counts:?}");
+}
+
+#[test]
+fn a_scan_worker_reads_and_reads_ahead_without_allocating() {
+    let _one = serial();
+    let store = store(48, 64);
+    let ids: Vec<u64> = (0..48).collect();
+    let scan = store.begin_scan();
+    let mut reader = store.reader(&scan, 0);
+    let hints = measure(|| {
+        for _ in 0..1_000 {
+            reader.read_ahead(&ids);
+        }
+    });
+    assert_eq!(hints.calls(), 0, "{hints:?}");
+    // Cold reads told what comes next, each verifying a group of pages:
+    // a fresh scan over an emptied pool each time.
+    let reads = (0..3)
+        .map(|_| {
+            store.clear_cache();
+            let scan = store.begin_scan();
+            let mut reader = store.reader(&scan, 0);
+            let counts = count(|| {
+                for (k, &id) in ids.iter().enumerate() {
+                    reader.read_ahead(&ids[k..]);
+                    reader.read(id).unwrap();
+                }
+            });
+            assert_eq!(reader.stats().pages_read, 48);
+            counts
+        })
+        .reduce(Counts::min)
+        .unwrap();
+    assert_eq!(reads.calls(), 0, "{reads:?}");
+}
+
+#[test]
+fn a_lob_read_never_zero_fills_its_result() {
+    let _one = serial();
+    let mut store = PageStore::new();
+    let data: Vec<u8> = (0..100_000u32).map(|i| (i * 31 % 251) as u8).collect();
+    let id = write_blob(&mut store, &data).unwrap();
+    for cold in [true, false] {
+        let counts = measure(|| {
+            if cold {
+                store.clear_cache();
+            }
+            let out = read_blob(&mut store, id).unwrap();
+            assert_eq!(out, data);
+        });
+        assert_eq!(counts.zeroed, 0, "cold: {cold}, {counts:?}");
+    }
+}
+
+#[test]
+fn a_checkpoint_copies_no_page() {
+    let _one = serial();
+    let mut store = store(64, 128);
+    let idle = measure(|| store.checkpoint());
+    assert!(idle.bytes < PAGE_SIZE as u64, "idle: {idle:?}");
+    // After writes too: the written pages are already the live buffers,
+    // and the checkpoint only shares them.
+    let after_writes = (0..3)
+        .map(|round| {
+            for id in [3, 17, 40] {
+                store.write(id, |p| p[100] = round).unwrap();
+            }
+            store.commit(b"catalog");
+            count(|| store.checkpoint())
+        })
+        .reduce(Counts::min)
+        .unwrap();
+    assert!(after_writes.bytes < PAGE_SIZE as u64, "{after_writes:?}");
+}
