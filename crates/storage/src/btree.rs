@@ -9,13 +9,32 @@
 //! * internal: `key i64 | child u64` (the leftmost child — subtree with
 //!   keys below the first separator — is stored in the page's link field)
 //!
-//! Splits are 50/50 by bytes, except the classic append optimization: an
-//! insert past the last key of the rightmost leaf starts a fresh page, so
-//! monotonically increasing bulk loads (the paper's 357 M-row `IDENTITY`
-//! style load) leave near-full pages.
+//! **One descent.** `get`, `insert`, `update` and `delete` start from
+//! `BTree::find`, which walks exactly `depth` levels — an internal page
+//! at each level above the last, a leaf at the last — and reads each page
+//! once. A child link that points back up the tree, or at a page of the
+//! wrong kind, is a typed [`StorageError::RowCorrupt`], never an endless
+//! walk; so is a leaf chain longer than the file ([`BTree::leaf_pages`]).
+//!
+//! **One placement rule.** A record — an insert's, or an update's
+//! replacement — goes, in this order:
+//! 1. into the leaf's free tail, when it fits there (a replacement reuses
+//!    its slot entry, and its own bytes when it does not grow);
+//! 2. into the leaf rewritten without its dead space — the bytes deleted
+//!    and outgrown records left behind — when the live records then fit
+//!    `PAGE_SIZE − PAGE_HEADER_LEN`, so a leaf that deletes emptied is
+//!    refilled rather than split again;
+//! 3. through a split: 50/50 by bytes, except the classic append
+//!    optimization — a record past the last key of the rightmost leaf
+//!    starts a fresh page, so monotonically increasing bulk loads (the
+//!    paper's 357 M-row `IDENTITY` style load) leave near-full pages. A
+//!    record close to [`MAX_PAYLOAD`] between wide neighbours splits its
+//!    leaf three ways. The separators walk back up the descent's path.
 
 use crate::errors::{Result, StorageError};
-use crate::page::{page_type, PageId, SlottedPage, SlottedRead, PAGE_SIZE};
+use crate::page::{
+    page_type, PageId, SlottedPage, SlottedRead, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_LEN,
+};
 use crate::store::PageStore;
 use std::ops::{Range, RangeInclusive};
 
@@ -27,6 +46,9 @@ pub const MAX_PAYLOAD: usize = SlottedPage::max_record() - 8;
 /// transient page-image memory to ~8 MiB per round while keeping each
 /// worker's run long enough to amortize the thread spawn.
 pub const BULK_BUILD_BATCH_LEAVES: usize = 1024;
+
+/// Record and slot bytes a page offers, past its header.
+const USABLE: usize = PAGE_SIZE - PAGE_HEADER_LEN;
 
 /// A clustered B+tree.
 #[derive(Debug, Clone)]
@@ -73,42 +95,49 @@ fn leftmost_child(v: &SlottedRead<'_>) -> Result<PageId> {
     })
 }
 
-/// Re-opens a page for writing after the caller's `SlottedRead::open` of
-/// the same page (under the same store borrow) already verified the type
-/// byte.
-fn open_verified<'a>(bytes: &'a mut [u8], ptype: u8, page: PageId) -> SlottedPage<'a> {
-    // lint:allow(L005, reason = "the caller read-opened the same page under the same store borrow and the type byte cannot change in between, so the Err arm is unreachable")
-    SlottedPage::open(bytes, ptype, page).expect("page type verified by the preceding read")
+/// Opens `page` as the node kind its place in the tree calls for. A page
+/// of the other kind means a link points back up the tree or at the wrong
+/// level: the tree is damaged.
+fn tree_node(bytes: &[u8], kind: u8, page: PageId) -> Result<SlottedRead<'_>> {
+    SlottedRead::open(bytes, kind, page).map_err(|e| match e {
+        StorageError::PageTypeMismatch { got, .. } => StorageError::RowCorrupt(format!(
+            "page {page} of type {got} stands where the tree links a page of type {kind}"
+        )),
+        other => other,
+    })
 }
 
-/// Pushes a record the surrounding split/fill arithmetic already sized to
-/// fit. `store.write` closures cannot propagate `?`, and a failure here
-/// would be a split-arithmetic bug, not a runtime condition.
+/// Rewrites `page` through `f` and hands back `f`'s error. Every record
+/// the callers put was sized to fit by the placement rule or the split
+/// arithmetic, so an error here is a broken invariant, surfaced as a
+/// typed error rather than a panic.
+fn write_page(
+    store: &mut PageStore,
+    page: PageId,
+    f: impl FnOnce(&mut [u8]) -> Result<()>,
+) -> Result<()> {
+    let mut out = Ok(());
+    store.write(page, |bytes| out = f(bytes))?;
+    out
+}
+
+/// Pushes a record the surrounding fill arithmetic already sized to fit,
+/// onto a page image no store write is open on.
 fn push_sized(p: &mut SlottedPage<'_>, rec: &[u8]) {
-    // lint:allow(L005, reason = "every caller just established room on the page (fresh page, 50/50 split, greedy fill, or an explicit free-space check); failure would be a split-arithmetic bug, not a runtime condition")
+    // lint:allow(L005, reason = "the bulk build's greedy page breaks budget every record against the same free-space rule push_record enforces; failure would be a fill-arithmetic bug, not a runtime condition")
     let _slot = p.push_record(rec).expect("sized to fit by the caller");
 }
 
-/// Inserts a record at `pos` after the caller's explicit free-space check.
-fn insert_sized(p: &mut SlottedPage<'_>, pos: usize, rec: &[u8]) {
-    let res = p.insert_record(pos, rec);
-    // lint:allow(L005, reason = "both callers compared free_space_of(bytes) against the record size immediately before taking the write borrow")
-    res.expect("caller verified free space");
+/// Writes `records` as the whole content of an empty slotted page.
+fn push_all(p: &mut SlottedPage<'_>, records: &[Vec<u8>]) -> Result<()> {
+    records.iter().try_for_each(|r| p.push_record(r).map(drop))
 }
 
-/// Replaces record `pos` after the caller's explicit size/free-space check.
-fn replace_sized(p: &mut SlottedPage<'_>, pos: usize, rec: &[u8]) {
-    let res = p.replace_record(pos, rec);
-    // lint:allow(L005, reason = "the caller compared the new record size against the old record / page free space immediately before taking the write borrow")
-    res.expect("caller verified replacement fits");
-}
-
-/// Removes slot `pos` that the caller's read of the same page just proved
-/// present.
-fn remove_sized(p: &mut SlottedPage<'_>, pos: usize) {
-    let res = p.remove_slot(pos);
-    // lint:allow(L005, reason = "the caller located pos < slot_count under the same store borrow; the page cannot change in between")
-    res.expect("caller located the slot");
+/// Appends `(separator, child)` entries to an internal page.
+fn push_entries(p: &mut SlottedPage<'_>, entries: &[(i64, PageId)]) -> Result<()> {
+    entries
+        .iter()
+        .try_for_each(|&(k, c)| p.push_record(&encode_internal(k, c)).map(drop))
 }
 
 fn encode_leaf(key: i64, payload: &[u8]) -> Vec<u8> {
@@ -125,13 +154,151 @@ fn encode_internal(key: i64, child: PageId) -> [u8; 16] {
     rec
 }
 
-/// Result of inserting into a subtree: one `(separator, new right
-/// sibling)` pair per page the child split off, in ascending key order
-/// (empty when the insert fit in place). A leaf holding records close to
+/// Rejects a payload no leaf can hold.
+fn check_payload(payload: &[u8]) -> Result<()> {
+    if payload.len() > MAX_PAYLOAD {
+        return Err(StorageError::RecordTooLarge {
+            bytes: payload.len(),
+            limit: MAX_PAYLOAD,
+        });
+    }
+    Ok(())
+}
+
+/// Result of placing records in a node: one `(separator, new right
+/// sibling)` pair per page the node split off, in ascending key order
+/// (empty when they fit in place). A leaf holding records close to
 /// [`MAX_PAYLOAD`] can be forced into a three-way split — no single
 /// boundary leaves both halves under a page — so this is a `Vec`, not an
 /// `Option`.
 type SplitInfo = Vec<(i64, PageId)>;
+
+/// Where a key goes: the internal pages from the root down, each with the
+/// slot the descent left it through; the leaf; the key's slot there.
+struct Spot {
+    path: Vec<(PageId, InternalPos)>,
+    leaf: PageId,
+    slot: usize,
+}
+
+/// Where [`BTree::find`] ended: the key's [`Spot`], a view of its leaf,
+/// and whether the key is present.
+struct Found<'s> {
+    at: Spot,
+    view: SlottedRead<'s>,
+    hit: bool,
+}
+
+/// Which step of the placement rule takes a record (see the module doc).
+enum Placement {
+    /// 1: the leaf's free tail.
+    Tail,
+    /// 2: the leaf rewritten without its dead space, to these records.
+    Compact(Vec<Vec<u8>>),
+    /// 3: the record is past the last key of the rightmost leaf and
+    /// starts a fresh page (a replaced record leaves the leaf).
+    Append,
+    /// 3: these records split over two or three pages, the last of which
+    /// links to `next`.
+    Split {
+        records: Vec<Vec<u8>>,
+        next: Option<PageId>,
+    },
+}
+
+impl Placement {
+    /// The step that takes `rec` into the leaf `f` found: at its slot as a
+    /// new record, or over the record there when `replace`.
+    fn choose(f: &Found<'_>, rec: &[u8], replace: bool) -> Result<Placement> {
+        let (v, slot) = (&f.view, f.at.slot);
+        let old = if replace {
+            Some(v.record(slot)?.len())
+        } else {
+            None
+        };
+        let fits_tail = match old {
+            Some(old) => rec.len() <= old || rec.len() <= v.free_tail(),
+            None => rec.len() + SLOT_LEN <= v.free_tail(),
+        };
+        if fits_tail {
+            return Ok(Placement::Tail);
+        }
+        let held: usize = (0..v.slot_count())
+            .map(|i| Ok(v.record(i)?.len() + SLOT_LEN))
+            .sum::<Result<usize>>()?;
+        let live = held + rec.len() + SLOT_LEN - old.map_or(0, |old| old + SLOT_LEN);
+        let last = slot + usize::from(replace) == v.slot_count();
+        if live > USABLE && last && v.next_page().is_none() {
+            return Ok(Placement::Append);
+        }
+        let mut records = (0..v.slot_count())
+            .map(|i| v.record(i).map(<[u8]>::to_vec))
+            .collect::<Result<Vec<_>>>()?;
+        if replace {
+            records[slot] = rec.to_vec();
+        } else {
+            records.insert(slot, rec.to_vec());
+        }
+        Ok(if live <= USABLE {
+            Placement::Compact(records)
+        } else {
+            Placement::Split {
+                records,
+                next: v.next_page(),
+            }
+        })
+    }
+}
+
+/// The groups a leaf's records split into: 50/50 by bytes, but never more
+/// than a page on either side. Records run up to a full page
+/// ([`MAX_PAYLOAD`]), so the balanced boundary can overflow one side —
+/// and when a page-wide record sits between page-wide neighbours, *no*
+/// two-way boundary exists and the records split three ways.
+fn split_groups(mut records: Vec<Vec<u8>>) -> Vec<Vec<Vec<u8>>> {
+    let sizes: Vec<usize> = records.iter().map(|r| r.len() + SLOT_LEN).collect();
+    let total: usize = sizes.iter().sum();
+    let mut left_bytes = 0usize;
+    let mut split_at = records.len();
+    for (i, s) in sizes.iter().enumerate() {
+        if left_bytes + s > total / 2 && i > 0 {
+            split_at = i;
+            break;
+        }
+        left_bytes += s;
+    }
+    let prefix = |i: usize| sizes[..i].iter().sum::<usize>();
+    let both_fit = |i: usize| prefix(i) <= USABLE && total - prefix(i) <= USABLE;
+    if !both_fit(split_at) {
+        // The balanced boundary overflows one side; take the valid
+        // boundary closest to it — `0` is the no-boundary sentinel.
+        split_at = (1..records.len())
+            .filter(|&i| both_fit(i))
+            .min_by_key(|&i| prefix(i).abs_diff(total / 2))
+            .unwrap_or(0);
+    }
+    if split_at > 0 {
+        let tail = records.split_off(split_at);
+        return vec![records, tail];
+    }
+    // No two-way boundary fits both sides; pack greedily. The page held
+    // at most one page's worth and gained one record, so this yields
+    // exactly three groups.
+    let mut groups: Vec<Vec<Vec<u8>>> = Vec::new();
+    let mut cur: Vec<Vec<u8>> = Vec::new();
+    let mut cur_bytes = 0usize;
+    for r in records {
+        let s = r.len() + SLOT_LEN;
+        if cur_bytes + s > USABLE && !cur.is_empty() {
+            groups.push(std::mem::take(&mut cur));
+            cur_bytes = 0;
+        }
+        cur_bytes += s;
+        cur.push(r);
+    }
+    groups.push(cur);
+    groups
+}
 
 /// Validates the bulk-load key contract (strictly increasing) — shared by
 /// [`BTree::bulk_build`] and `Table::bulk_load`, which must check *before*
@@ -201,345 +368,196 @@ impl BTree {
         }
     }
 
-    /// Locates the leaf holding `key`'s position: `(leaf page, slot, hit)`
-    /// where `hit` says the key is actually present at that slot.
-    fn locate_leaf(&self, store: &mut PageStore, key: i64) -> Result<(PageId, usize, bool)> {
+    /// The one descent: from the root down exactly `depth` levels to the
+    /// leaf that holds `key`'s position, reading each page once.
+    fn find<'s>(&self, store: &'s mut PageStore, key: i64) -> Result<Found<'s>> {
+        let mut path = Vec::new();
         let mut page = self.root;
-        loop {
-            let bytes = store.read(page)?;
-            match bytes[0] {
-                page_type::BTREE_INTERNAL => {
-                    let v = SlottedRead::open(bytes, page_type::BTREE_INTERNAL, page)?;
-                    let (child, _) = descend(&v, key)?;
-                    page = child;
-                }
-                page_type::BTREE_LEAF => {
-                    let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
-                    let pos = leaf_lower_bound(&v, key)?;
-                    let hit = pos < v.slot_count() && leaf_key(v.record(pos)?)? == key;
-                    return Ok((page, pos, hit));
-                }
-                other => {
-                    return Err(StorageError::PageTypeMismatch {
-                        page,
-                        expected: page_type::BTREE_LEAF,
-                        got: other,
-                    })
-                }
-            }
+        for _ in 1..self.depth {
+            let v = tree_node(store.read(page)?, page_type::BTREE_INTERNAL, page)?;
+            let (child, pos) = descend(&v, key)?;
+            path.push((page, pos));
+            page = child;
         }
+        let view = tree_node(store.read(page)?, page_type::BTREE_LEAF, page)?;
+        let slot = leaf_lower_bound(&view, key)?;
+        let hit = slot < view.slot_count() && leaf_key(view.record(slot)?)? == key;
+        Ok(Found {
+            at: Spot {
+                path,
+                leaf: page,
+                slot,
+            },
+            view,
+            hit,
+        })
+    }
+
+    /// Point lookup; returns the payload when the key exists.
+    pub fn get(&self, store: &mut PageStore, key: i64) -> Result<Option<Vec<u8>>> {
+        let f = self.find(store, key)?;
+        if !f.hit {
+            return Ok(None);
+        }
+        Ok(Some(f.view.record(f.at.slot)?[8..].to_vec()))
     }
 
     /// Deletes `key`, returning its payload. Leaf-local maintenance only:
-    /// the slot is removed and later slots shift; a leaf emptied by
-    /// deletes stays in the sibling chain (scans skip zero-slot pages for
-    /// free), matching the lazy-reclamation behavior of a real clustered
-    /// index without rebalancing.
+    /// the slot is removed and later slots shift; the record's bytes stay
+    /// behind as dead space until the placement rule compacts the leaf,
+    /// and a leaf emptied by deletes stays in the sibling chain (scans
+    /// skip zero-slot pages for free).
     pub fn delete(&mut self, store: &mut PageStore, key: i64) -> Result<Vec<u8>> {
-        let (page, pos, hit) = self.locate_leaf(store, key)?;
-        if !hit {
+        let f = self.find(store, key)?;
+        if !f.hit {
             return Err(StorageError::KeyNotFound { key });
         }
-        let old = {
-            let bytes = store.read(page)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
-            v.record(pos)?[8..].to_vec()
-        };
-        store.write(page, |bytes| {
-            let mut p = open_verified(bytes, page_type::BTREE_LEAF, page);
-            remove_sized(&mut p, pos);
+        let old = f.view.record(f.at.slot)?[8..].to_vec();
+        let Spot { leaf, slot, .. } = f.at;
+        write_page(store, leaf, |bytes| {
+            SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?.remove_slot(slot)
         })?;
         self.len -= 1;
         Ok(old)
     }
 
-    /// Replaces `key`'s payload in place, returning the old payload.
-    ///
-    /// Three escalation tiers, each bounded to the touched leaf:
-    /// 1. the new record fits the old slot or the page's free tail —
-    ///    [`SlottedPage::replace_record`], one page write;
-    /// 2. it fits after compacting the page's dead space — reset and
-    ///    re-push, still one page write;
-    /// 3. it genuinely outgrows the leaf — delete + insert, which may
-    ///    split exactly like any insert.
-    pub fn update(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<Vec<u8>> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(StorageError::RecordTooLarge {
-                bytes: payload.len(),
-                limit: MAX_PAYLOAD,
-            });
-        }
-        let (page, pos, hit) = self.locate_leaf(store, key)?;
-        if !hit {
-            return Err(StorageError::KeyNotFound { key });
-        }
-        let rec = encode_leaf(key, payload);
-        enum Tier {
-            InPlace,
-            Compact,
-            Reinsert,
-        }
-        let (old, tier) = {
-            let bytes = store.read(page)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
-            let old_rec = v.record(pos)?;
-            let old = old_rec[8..].to_vec();
-            let tier = if rec.len() <= old_rec.len() || rec.len() <= free_space_of(bytes) + 4 {
-                // `+ 4`: replacement reuses the existing slot entry, so the
-                // admission rule is free bytes only, not bytes + slot.
-                Tier::InPlace
-            } else {
-                // Would the record fit if the dead space were compacted
-                // away? Live bytes = all records with `pos` swapped out.
-                let live: usize = (0..v.slot_count())
-                    .map(|i| {
-                        v.record(i).map(|r| {
-                            let len = if i == pos { rec.len() } else { r.len() };
-                            len + crate::page::SLOT_LEN
-                        })
-                    })
-                    .sum::<Result<usize>>()?;
-                if live <= PAGE_SIZE - crate::page::PAGE_HEADER_LEN {
-                    Tier::Compact
-                } else {
-                    Tier::Reinsert
-                }
-            };
-            (old, tier)
-        };
-        match tier {
-            Tier::InPlace => {
-                store.write(page, |bytes| {
-                    let mut p = open_verified(bytes, page_type::BTREE_LEAF, page);
-                    replace_sized(&mut p, pos, &rec);
-                })?;
-            }
-            Tier::Compact => {
-                let mut records = {
-                    let bytes = store.read(page)?;
-                    let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
-                    (0..v.slot_count())
-                        .map(|i| v.record(i).map(|r| r.to_vec()))
-                        .collect::<Result<Vec<_>>>()?
-                };
-                records[pos] = rec;
-                store.write(page, |bytes| {
-                    let mut p = open_verified(bytes, page_type::BTREE_LEAF, page);
-                    p.reset();
-                    for r in &records {
-                        push_sized(&mut p, r);
-                    }
-                })?;
-            }
-            Tier::Reinsert => {
-                self.delete(store, key)?;
-                self.insert(store, key, payload)?;
-            }
-        }
-        Ok(old)
+    /// Replaces `key`'s payload, placed by the one placement rule.
+    pub fn update(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<()> {
+        self.put(store, key, payload, true)
     }
 
-    /// Inserts a key/payload pair; duplicate keys are rejected (clustered
-    /// primary key semantics).
+    /// Inserts a key/payload pair, placed by the one placement rule;
+    /// duplicate keys are rejected (clustered primary key semantics).
     pub fn insert(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<()> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(StorageError::RecordTooLarge {
-                bytes: payload.len(),
-                limit: MAX_PAYLOAD,
-            });
+        self.put(store, key, payload, false)?;
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Places `key`'s record — over the present one when `replace`, as a
+    /// new one otherwise — by the one placement rule, then hands a split's
+    /// separators up the descent's path, growing the tree by one level
+    /// when the root splits.
+    fn put(
+        &mut self,
+        store: &mut PageStore,
+        key: i64,
+        payload: &[u8],
+        replace: bool,
+    ) -> Result<()> {
+        check_payload(payload)?;
+        let rec = encode_leaf(key, payload);
+        let f = self.find(store, key)?;
+        match (f.hit, replace) {
+            (true, false) => return Err(StorageError::DuplicateKey { key }),
+            (false, true) => return Err(StorageError::KeyNotFound { key }),
+            _ => {}
         }
-        let splits = self.insert_rec(store, self.root, key, payload)?;
+        let placement = Placement::choose(&f, &rec, replace)?;
+        let Found {
+            at: Spot { path, leaf, slot },
+            ..
+        } = f;
+        let mut splits = match placement {
+            Placement::Tail => {
+                return write_page(store, leaf, |bytes| {
+                    let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
+                    if replace {
+                        p.replace_record(slot, &rec)
+                    } else {
+                        p.insert_record(slot, &rec)
+                    }
+                });
+            }
+            Placement::Compact(records) => {
+                return write_page(store, leaf, |bytes| {
+                    let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
+                    p.reset();
+                    push_all(&mut p, &records)
+                });
+            }
+            Placement::Append => {
+                let right = store.allocate();
+                write_page(store, right, |bytes| {
+                    SlottedPage::init(bytes, page_type::BTREE_LEAF)
+                        .push_record(&rec)
+                        .map(drop)
+                })?;
+                write_page(store, leaf, |bytes| {
+                    let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
+                    if replace {
+                        p.remove_slot(slot)?;
+                    }
+                    p.set_next_page(Some(right));
+                    Ok(())
+                })?;
+                vec![(key, right)]
+            }
+            Placement::Split { records, next } => Self::split_leaf(store, leaf, records, next)?,
+        };
+        for &(page, pos) in path.iter().rev() {
+            if splits.is_empty() {
+                return Ok(());
+            }
+            splits = Self::insert_internal(store, page, pos, &splits)?;
+        }
         if !splits.is_empty() {
             // Root split: grow the tree by one level. A leaf root can
             // split into up to three pages (two separators); the new
             // internal root trivially holds them.
             let new_root = store.allocate();
             let old_root = self.root;
-            store.write(new_root, |bytes| {
+            write_page(store, new_root, |bytes| {
                 let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
                 p.set_next_page(Some(old_root)); // leftmost child
-                for &(sep, right) in &splits {
-                    push_sized(&mut p, &encode_internal(sep, right));
-                }
+                push_entries(&mut p, &splits)
             })?;
             self.root = new_root;
             self.depth += 1;
         }
-        self.len += 1;
         Ok(())
     }
 
-    fn insert_rec(
-        &mut self,
+    /// Rewrites `leaf` with the first of `records`' split groups and each
+    /// further group onto a fresh page chained after it, the last linking
+    /// to `next`.
+    fn split_leaf(
         store: &mut PageStore,
-        page: PageId,
-        key: i64,
-        payload: &[u8],
+        leaf: PageId,
+        records: Vec<Vec<u8>>,
+        next: Option<PageId>,
     ) -> Result<SplitInfo> {
-        let ptype = store.read(page)?[0];
-        match ptype {
-            page_type::BTREE_LEAF => self.insert_leaf(store, page, key, payload),
-            page_type::BTREE_INTERNAL => {
-                let (child, child_slot) = {
-                    let bytes = store.read(page)?;
-                    let v = SlottedRead::open(bytes, page_type::BTREE_INTERNAL, page)?;
-                    descend(&v, key)?
-                };
-                let splits = self.insert_rec(store, child, key, payload)?;
-                if splits.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    self.insert_internal(store, page, child_slot, &splits)
-                }
-            }
-            other => Err(StorageError::PageTypeMismatch {
-                page,
-                expected: page_type::BTREE_LEAF,
-                got: other,
-            }),
-        }
-    }
-
-    fn insert_leaf(
-        &mut self,
-        store: &mut PageStore,
-        page: PageId,
-        key: i64,
-        payload: &[u8],
-    ) -> Result<SplitInfo> {
-        // Find the slot position and detect duplicates.
-        let (pos, count, fits, at_end_of_chain) = {
-            let bytes = store.read(page)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
-            let count = v.slot_count();
-            let pos = leaf_lower_bound(&v, key)?;
-            if pos < count && leaf_key(v.record(pos)?)? == key {
-                return Err(StorageError::DuplicateKey { key });
-            }
-            let need = 8 + payload.len();
-            let free = free_space_of(bytes);
-            (pos, count, need <= free, v.next_page().is_none())
-        };
-
-        let rec = encode_leaf(key, payload);
-        if fits {
-            store.write(page, |bytes| {
-                let mut p = open_verified(bytes, page_type::BTREE_LEAF, page);
-                insert_sized(&mut p, pos, &rec);
-            })?;
-            return Ok(Vec::new());
-        }
-
-        // Split. Append optimization: a brand-new rightmost key gets a
-        // fresh page of its own.
-        if pos == count && at_end_of_chain {
-            let right = store.allocate();
-            store.write(right, |bytes| {
-                let mut p = SlottedPage::init(bytes, page_type::BTREE_LEAF);
-                push_sized(&mut p, &rec);
-            })?;
-            store.write(page, |bytes| {
-                let mut p = open_verified(bytes, page_type::BTREE_LEAF, page);
-                p.set_next_page(Some(right));
-            })?;
-            return Ok(vec![(key, right)]);
-        }
-
-        // General split by bytes: aim for 50/50, but never hand either
-        // side more than a page can hold. Records run up to a full page
-        // ([`MAX_PAYLOAD`]), so the balanced boundary can overflow one
-        // side — and when a page-wide record sits between page-wide
-        // neighbours, *no* two-way boundary exists and the leaf splits
-        // three ways.
-        let (mut records, old_next) = {
-            let bytes = store.read(page)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
-            let recs: Vec<Vec<u8>> = (0..v.slot_count())
-                .map(|i| v.record(i).map(|r| r.to_vec()))
-                .collect::<Result<_>>()?;
-            (recs, v.next_page())
-        };
-        records.insert(pos, rec);
-        let usable = PAGE_SIZE - crate::page::PAGE_HEADER_LEN;
-        let sizes: Vec<usize> = records
-            .iter()
-            .map(|r| r.len() + crate::page::SLOT_LEN)
-            .collect();
-        let total: usize = sizes.iter().sum();
-        let mut left_bytes = 0usize;
-        let mut split_at = records.len();
-        for (i, s) in sizes.iter().enumerate() {
-            if left_bytes + s > total / 2 && i > 0 {
-                split_at = i;
-                break;
-            }
-            left_bytes += s;
-        }
-        let prefix = |i: usize| sizes[..i].iter().sum::<usize>();
-        let both_fit = |i: usize| prefix(i) <= usable && total - prefix(i) <= usable;
-        if !both_fit(split_at) {
-            // The balanced boundary overflows one side; take the valid
-            // boundary closest to it — `0` is the no-boundary sentinel.
-            split_at = (1..records.len())
-                .filter(|&i| both_fit(i))
-                .min_by_key(|&i| prefix(i).abs_diff(total / 2))
-                .unwrap_or(0);
-        }
-        let groups: Vec<Vec<Vec<u8>>> = if split_at > 0 {
-            let tail = records.split_off(split_at);
-            vec![records, tail]
-        } else {
-            // No two-way boundary fits both sides; pack greedily. The
-            // page held at most one page's worth and gained one record,
-            // so this yields exactly three groups.
-            let mut gs: Vec<Vec<Vec<u8>>> = Vec::new();
-            let mut cur: Vec<Vec<u8>> = Vec::new();
-            let mut cur_bytes = 0usize;
-            for r in records {
-                let s = r.len() + crate::page::SLOT_LEN;
-                if cur_bytes + s > usable && !cur.is_empty() {
-                    gs.push(std::mem::take(&mut cur));
-                    cur_bytes = 0;
-                }
-                cur_bytes += s;
-                cur.push(r);
-            }
-            gs.push(cur);
-            gs
-        };
-
-        let mut iter = groups.into_iter();
-        let first = iter.next().unwrap_or_default();
-        let rest: Vec<Vec<Vec<u8>>> = iter.collect();
+        let mut groups = split_groups(records).into_iter();
+        let first = groups.next().unwrap_or_default();
+        let rest: Vec<Vec<Vec<u8>>> = groups.collect();
         let pages: Vec<PageId> = rest.iter().map(|_| store.allocate()).collect();
-        let splits: Vec<(i64, PageId)> = rest
+        let splits: SplitInfo = rest
             .iter()
             .zip(&pages)
             .map(|(g, &pid)| Ok((leaf_key(&g[0])?, pid)))
             .collect::<Result<_>>()?;
-        store.write(page, |bytes| {
-            let mut p = open_verified(bytes, page_type::BTREE_LEAF, page);
+        write_page(store, leaf, |bytes| {
+            let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
             p.reset();
-            for r in &first {
-                push_sized(&mut p, r);
-            }
-            p.set_next_page(pages.first().copied().or(old_next));
+            push_all(&mut p, &first)?;
+            p.set_next_page(pages.first().copied().or(next));
+            Ok(())
         })?;
         for (gi, (g, &pid)) in rest.iter().zip(&pages).enumerate() {
-            let next = pages.get(gi + 1).copied().or(old_next);
-            store.write(pid, |bytes| {
+            let link = pages.get(gi + 1).copied().or(next);
+            write_page(store, pid, |bytes| {
                 let mut p = SlottedPage::init(bytes, page_type::BTREE_LEAF);
-                for r in g {
-                    push_sized(&mut p, r);
-                }
-                p.set_next_page(next);
+                push_all(&mut p, g)?;
+                p.set_next_page(link);
+                Ok(())
             })?;
         }
         Ok(splits)
     }
 
+    /// Adds `seps` to internal node `page` right after the slot the
+    /// descent left it through, splitting the node when they do not fit.
     fn insert_internal(
-        &mut self,
         store: &mut PageStore,
         page: PageId,
         child_slot: InternalPos,
@@ -551,61 +569,45 @@ impl BTree {
             InternalPos::Leftmost => 0,
             InternalPos::Slot(i) => i + 1,
         };
-        let recs: Vec<[u8; 16]> = seps
-            .iter()
-            .map(|&(sep, child)| encode_internal(sep, child))
-            .collect();
-        let fits = {
-            let bytes = store.read(page)?;
-            // `free_space_of` already budgets one slot; each extra
-            // record needs its record bytes plus its own slot.
-            let need: usize = recs.iter().map(|r| r.len()).sum::<usize>()
-                + (recs.len() - 1) * crate::page::SLOT_LEN;
-            free_space_of(bytes) >= need
+        let full = {
+            let v = SlottedRead::open(store.read(page)?, page_type::BTREE_INTERNAL, page)?;
+            if seps.len() * (16 + SLOT_LEN) <= v.free_tail() {
+                None
+            } else {
+                let entries: Vec<(i64, PageId)> = (0..v.slot_count())
+                    .map(|i| internal_entry(v.record(i)?))
+                    .collect::<Result<_>>()?;
+                Some((entries, leftmost_child(&v)?))
+            }
         };
-        if fits {
-            store.write(page, |bytes| {
-                let mut p = open_verified(bytes, page_type::BTREE_INTERNAL, page);
-                for (i, rec) in recs.iter().enumerate() {
-                    insert_sized(&mut p, insert_pos + i, rec);
-                }
+        let Some((mut entries, leftmost)) = full else {
+            write_page(store, page, |bytes| {
+                let mut p = SlottedPage::open(bytes, page_type::BTREE_INTERNAL, page)?;
+                seps.iter().enumerate().try_for_each(|(i, &(sep, child))| {
+                    p.insert_record(insert_pos + i, &encode_internal(sep, child))
+                })
             })?;
             return Ok(Vec::new());
-        }
+        };
 
         // Split the internal node: middle key moves up. Entries are 16
         // bytes each, so (unlike leaves) a two-way split always fits.
-        let (mut entries, leftmost) = {
-            let bytes = store.read(page)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_INTERNAL, page)?;
-            let es: Vec<(i64, PageId)> = (0..v.slot_count())
-                .map(|i| internal_entry(v.record(i)?))
-                .collect::<Result<_>>()?;
-            (es, leftmost_child(&v)?)
-        };
         for (i, &e) in seps.iter().enumerate() {
             entries.insert(insert_pos + i, e);
         }
         let mid = entries.len() / 2;
         let (up_key, up_child) = entries[mid];
-        let right_entries: Vec<(i64, PageId)> = entries[mid + 1..].to_vec();
-        let left_entries: Vec<(i64, PageId)> = entries[..mid].to_vec();
-
         let right = store.allocate();
-        store.write(page, |bytes| {
-            let mut p = open_verified(bytes, page_type::BTREE_INTERNAL, page);
+        write_page(store, page, |bytes| {
+            let mut p = SlottedPage::open(bytes, page_type::BTREE_INTERNAL, page)?;
             p.reset();
             p.set_next_page(Some(leftmost));
-            for &(k, c) in &left_entries {
-                push_sized(&mut p, &encode_internal(k, c));
-            }
+            push_entries(&mut p, &entries[..mid])
         })?;
-        store.write(right, |bytes| {
+        write_page(store, right, |bytes| {
             let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
             p.set_next_page(Some(up_child)); // leftmost child of the right node
-            for &(k, c) in &right_entries {
-                push_sized(&mut p, &encode_internal(k, c));
-            }
+            push_entries(&mut p, &entries[mid + 1..])
         })?;
         Ok(vec![(up_key, right)])
     }
@@ -657,18 +659,13 @@ impl BTree {
         // 8 (key) + len record bytes + 4 slot bytes out of the
         // PAGE_SIZE − PAGE_HEADER_LEN byte budget — exactly the
         // `SlottedPage::free_space` admission rule.
-        let budget = PAGE_SIZE - crate::page::PAGE_HEADER_LEN;
+        let budget = USABLE;
         let mut leaf_ranges: Vec<std::ops::Range<usize>> = Vec::new();
         let mut start = 0usize;
         let mut used = 0usize;
         for (i, (_, payload)) in entries.iter().enumerate() {
-            if payload.len() > MAX_PAYLOAD {
-                return Err(StorageError::RecordTooLarge {
-                    bytes: payload.len(),
-                    limit: MAX_PAYLOAD,
-                });
-            }
-            let cost = 8 + payload.len() + crate::page::SLOT_LEN;
+            check_payload(payload)?;
+            let cost = 8 + payload.len() + SLOT_LEN;
             if used + cost > budget {
                 leaf_ranges.push(start..i);
                 start = i;
@@ -735,7 +732,7 @@ impl BTree {
 
         // Assemble the internal levels bottom-up. Each internal record
         // costs 16 + 4 slot bytes; the leftmost child rides in the link.
-        let children_per_internal = 1 + budget / (16 + crate::page::SLOT_LEN);
+        let children_per_internal = 1 + budget / (16 + SLOT_LEN);
         let mut level: Vec<(i64, PageId)> = leaf_ranges
             .iter()
             .enumerate()
@@ -764,39 +761,6 @@ impl BTree {
             len: entries.len() as u64,
             depth,
         })
-    }
-
-    /// Point lookup; returns the payload when the key exists.
-    pub fn get(&self, store: &mut PageStore, key: i64) -> Result<Option<Vec<u8>>> {
-        let mut page = self.root;
-        loop {
-            let bytes = store.read(page)?;
-            match bytes[0] {
-                page_type::BTREE_INTERNAL => {
-                    let v = SlottedRead::open(bytes, page_type::BTREE_INTERNAL, page)?;
-                    let (child, _) = descend(&v, key)?;
-                    page = child;
-                }
-                page_type::BTREE_LEAF => {
-                    let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, page)?;
-                    let pos = leaf_lower_bound(&v, key)?;
-                    if pos < v.slot_count() {
-                        let rec = v.record(pos)?;
-                        if leaf_key(rec)? == key {
-                            return Ok(Some(rec[8..].to_vec()));
-                        }
-                    }
-                    return Ok(None);
-                }
-                other => {
-                    return Err(StorageError::PageTypeMismatch {
-                        page,
-                        expected: page_type::BTREE_LEAF,
-                        got: other,
-                    })
-                }
-            }
-        }
     }
 
     /// The leaf pages that can hold a key of `keys`, in key (chain) order,
@@ -868,32 +832,31 @@ impl BTree {
         Ok(())
     }
 
-    /// Number of leaf pages (for storage accounting).
+    /// Number of leaf pages (for storage accounting): the leaf chain's
+    /// length. A chain longer than the file has pages — a link that loops
+    /// back — is a typed error.
     pub fn leaf_pages(&self, store: &mut PageStore) -> Result<u64> {
+        let limit = store.page_count();
         let mut n = 0;
         let mut page = Some(self.first_leaf);
         while let Some(pid) = page {
+            if n == limit {
+                return Err(StorageError::RowCorrupt(format!(
+                    "the leaf chain from page {} runs past the file's {limit} pages",
+                    self.first_leaf
+                )));
+            }
             n += 1;
-            let bytes = store.read(pid)?;
-            let v = SlottedRead::open(bytes, page_type::BTREE_LEAF, pid)?;
-            page = v.next_page();
+            page = tree_node(store.read(pid)?, page_type::BTREE_LEAF, pid)?.next_page();
         }
         Ok(n)
     }
 
-    /// Tree depth (1 = root is a leaf).
+    /// Tree depth (1 = root is a leaf), checked by one descent to the
+    /// leftmost leaf: a page of the wrong kind on the way is a typed error.
     pub fn depth(&self, store: &mut PageStore) -> Result<u32> {
-        let mut d = 1;
-        let mut page = self.root;
-        loop {
-            let bytes = store.read(page)?;
-            if bytes[0] == page_type::BTREE_LEAF {
-                return Ok(d);
-            }
-            let v = SlottedRead::open(bytes, page_type::BTREE_INTERNAL, page)?;
-            page = leftmost_child(&v)?;
-            d += 1;
-        }
+        self.find(store, i64::MIN)?;
+        Ok(self.depth)
     }
 }
 
@@ -960,14 +923,6 @@ pub(crate) fn leaf_slots_within(
         hi => leaf_lower_bound(v, hi.saturating_add(1))?,
     };
     Ok(from..to)
-}
-
-fn free_space_of(bytes: &[u8]) -> usize {
-    let slot_count = u16::from_le_bytes([bytes[2], bytes[3]]) as usize;
-    let free_off = u16::from_le_bytes([bytes[4], bytes[5]]) as usize;
-    (PAGE_SIZE - slot_count * crate::page::SLOT_LEN)
-        .saturating_sub(free_off)
-        .saturating_sub(crate::page::SLOT_LEN)
 }
 
 #[cfg(test)]
@@ -1130,11 +1085,7 @@ mod tests {
         store
             .write(page, |b| {
                 for i in 0..count {
-                    sqlarray_core::le::put_u16(
-                        b,
-                        PAGE_SIZE - (i + 1) * crate::page::SLOT_LEN + 2,
-                        len,
-                    );
+                    sqlarray_core::le::put_u16(b, PAGE_SIZE - (i + 1) * SLOT_LEN + 2, len);
                 }
             })
             .unwrap();
@@ -1143,8 +1094,8 @@ mod tests {
 
     /// A leaf record shorter than its key, or an internal one shorter than
     /// its key and child, is a typed `RowCorrupt` on every path that
-    /// decodes it — lookup, insert, delete and a key-range scan — and
-    /// never a panic.
+    /// decodes it — lookup, insert, update, delete and a key-range scan —
+    /// and never a panic.
     #[test]
     fn short_records_are_typed_errors_on_every_descent() {
         for internal in [false, true] {
@@ -1159,6 +1110,7 @@ mod tests {
             for (what, got) in [
                 ("get", t.get(&mut store, 1000).map(drop)),
                 ("insert", t.insert(&mut store, 1000, b"x")),
+                ("update", t.update(&mut store, 1000, b"x")),
                 ("delete", t.delete(&mut store, 1000).map(drop)),
                 (
                     "range scan",
@@ -1171,6 +1123,122 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A three-level tree: two 3 000-byte records per leaf, ~400 children
+    /// per internal page, so 2 000 rows need three level-2 pages.
+    fn deep_tree() -> (PageStore, BTree) {
+        let mut store = PageStore::new();
+        let entries: Vec<(i64, Vec<u8>)> = (0..2000).map(|k| (k, vec![7; 3000])).collect();
+        let t = BTree::bulk_build(&mut store, &entries, 1, None).unwrap();
+        assert_eq!(t.depth, 3);
+        (store, t)
+    }
+
+    /// Points the link field of `page` — an internal page's leftmost
+    /// child, a leaf's successor — at `to`, through [`PageStore::write`] so
+    /// the checksum stays valid.
+    fn relink(store: &mut PageStore, page: PageId, to: PageId) {
+        store
+            .write(page, |b| b[6..14].copy_from_slice(&to.to_le_bytes()))
+            .unwrap();
+        store.clear_cache();
+    }
+
+    /// Four trees whose links lead somewhere they must not: every
+    /// operation that follows the damaged link returns a typed
+    /// `RowCorrupt` — none walks forever — and the others still answer.
+    #[test]
+    fn damaged_links_are_typed_errors_not_endless_walks() {
+        // The root's leftmost child and its first separator's child: the
+        // first two level-2 pages.
+        let level2 = |store: &mut PageStore, t: &BTree| {
+            let v = SlottedRead::open(store.read(t.root).unwrap(), page_type::BTREE_INTERNAL, 0)
+                .unwrap();
+            (
+                leftmost_child(&v).unwrap(),
+                internal_entry(v.record(0).unwrap()).unwrap().1,
+            )
+        };
+        let descents: &[&str] = &["get", "insert", "update", "delete", "depth"];
+        type Damage = Box<dyn Fn(&mut PageStore, &BTree)>;
+        let cases: [(&str, Damage, &[&str]); 4] = [
+            (
+                "a self-looping root",
+                Box::new(|s, t| relink(s, t.root, t.root)),
+                descents,
+            ),
+            (
+                "a leaf where an internal page is due",
+                Box::new(|s, t| relink(s, t.root, t.first_leaf)),
+                descents,
+            ),
+            (
+                "an internal page where a leaf is due",
+                Box::new(move |s, t| {
+                    let (first, second) = level2(s, t);
+                    relink(s, first, second)
+                }),
+                descents,
+            ),
+            (
+                "a self-linked leaf chain",
+                Box::new(|s, t| relink(s, t.first_leaf, t.first_leaf)),
+                &["leaf_pages"],
+            ),
+        ];
+        for (what, damage, failing) in &cases {
+            for op in ["get", "insert", "update", "delete", "leaf_pages", "depth"] {
+                // Key 0 and key -1 both descend through every leftmost link.
+                let (mut store, mut t) = deep_tree();
+                damage(&mut store, &t);
+                let store = &mut store;
+                let got = match op {
+                    "get" => t.get(store, 0).map(drop),
+                    "insert" => t.insert(store, -1, b"x"),
+                    "update" => t.update(store, 0, b"x"),
+                    "delete" => t.delete(store, 0).map(drop),
+                    "leaf_pages" => t.leaf_pages(store).map(drop),
+                    _ => t.depth(store).map(drop),
+                };
+                if failing.contains(&op) {
+                    assert!(
+                        matches!(got, Err(StorageError::RowCorrupt(_))),
+                        "{what}, {op}: {got:?}"
+                    );
+                } else {
+                    assert!(got.is_ok(), "{what}, {op}: {got:?}");
+                }
+            }
+        }
+    }
+
+    /// Inserting and deleting the same fresh keys over and over leaves the
+    /// leaf level where the first round left it: a leaf whose room the
+    /// deletes left as dead space is compacted and refilled, not split
+    /// again.
+    #[test]
+    fn replayed_inserts_and_deletes_keep_the_leaf_count() {
+        let mut store = PageStore::new();
+        let entries: Vec<(i64, Vec<u8>)> = (0..20_000).map(|k| (2 * k, vec![0xCD; 40])).collect();
+        let mut t = BTree::bulk_build(&mut store, &entries, 1, None).unwrap();
+        let built = t.leaf_pages(&mut store).unwrap();
+        // ~16 odd keys into each of the ~128 full leaves.
+        let fresh: Vec<i64> = (0..2_000).map(|k| 20 * k + 1).collect();
+        let mut first = None;
+        for replay in 1..=33 {
+            for &k in &fresh {
+                t.insert(&mut store, k, &[0xEF; 40]).unwrap();
+            }
+            for &k in &fresh {
+                t.delete(&mut store, k).unwrap();
+            }
+            let leaves = t.leaf_pages(&mut store).unwrap();
+            assert!(leaves > built);
+            assert_eq!(leaves, *first.get_or_insert(leaves), "replay {replay}");
+        }
+        let keys: Vec<i64> = entries.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys_in(&store, &t, 1, ALL), keys);
     }
 
     #[test]
@@ -1251,7 +1319,7 @@ mod tests {
         // Adversarial: two records filling a page exactly, then a
         // MAX_PAYLOAD record between them. No two-way boundary leaves
         // both sides under a page, so the leaf must split three ways.
-        let half = (PAGE_SIZE - crate::page::PAGE_HEADER_LEN) / 2 - 12;
+        let half = (PAGE_SIZE - PAGE_HEADER_LEN) / 2 - 12;
         let mut store = PageStore::new();
         let mut t = BTree::create(&mut store).unwrap();
         t.insert(&mut store, 0, &vec![7u8; half]).unwrap();
@@ -1268,9 +1336,10 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_update_with_wide_records_survives_splits() {
-        // Regression: `update` (Reinsert tier) of near-page-wide inline
-        // rows used to panic in the leaf split when one side overflowed.
+    fn growing_updates_of_wide_records_split_like_inserts() {
+        // Regression: an `update` that outgrows its leaf of near-page-wide
+        // inline rows used to panic in the leaf split when one side
+        // overflowed.
         let mut store = PageStore::new();
         let mut t = BTree::create(&mut store).unwrap();
         for k in 0..6 {
@@ -1287,6 +1356,7 @@ mod tests {
             assert_eq!(got.len(), 6900);
             assert!(got.iter().all(|&b| b == k as u8));
         }
+        assert_eq!(keys_in(&store, &t, 1, ALL), (0..6).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1334,18 +1404,27 @@ mod tests {
     }
 
     #[test]
-    fn update_tiers_preserve_scan_order() {
+    fn updates_at_every_placement_step_preserve_scan_order() {
         let (mut store, mut t) = tree_with(3000, 40);
-        // Tier 1: same-size in-place.
-        assert_eq!(t.update(&mut store, 7, &[1u8; 40]).unwrap(), vec![0xCD; 40]);
+        // Step 1: same size, over the old bytes.
+        t.update(&mut store, 7, &[1u8; 40]).unwrap();
         assert_eq!(t.get(&mut store, 7).unwrap().unwrap(), vec![1u8; 40]);
-        // Tier 1: shrink.
+        // Step 1: shrink.
         t.update(&mut store, 8, &[2u8; 5]).unwrap();
         assert_eq!(t.get(&mut store, 8).unwrap().unwrap(), vec![2u8; 5]);
-        // Tier 2/3: grow well past the page's free space — full pages from
-        // a sequential load force compaction or reinsert.
-        t.update(&mut store, 9, &[3u8; 4000]).unwrap();
-        assert_eq!(t.get(&mut store, 9).unwrap().unwrap(), vec![3u8; 4000]);
+        // Step 2: full pages from a sequential load have no free tail,
+        // but 100 bytes fit once the shrink's 35 and a delete's 48 dead
+        // bytes are compacted away — and the leaf does not split.
+        let leaves = t.leaf_pages(&mut store).unwrap();
+        t.delete(&mut store, 10).unwrap();
+        t.update(&mut store, 9, &[3u8; 100]).unwrap();
+        assert_eq!(t.get(&mut store, 9).unwrap().unwrap(), vec![3u8; 100]);
+        assert_eq!(t.leaf_pages(&mut store).unwrap(), leaves);
+        t.insert(&mut store, 10, &[0xCD; 40]).unwrap();
+        // Step 3: grow well past a page's worth of neighbours.
+        t.update(&mut store, 11, &[4u8; 4000]).unwrap();
+        assert_eq!(t.get(&mut store, 11).unwrap().unwrap(), vec![4u8; 4000]);
+        assert!(t.leaf_pages(&mut store).unwrap() > leaves);
         assert_eq!(t.len(), 3000);
         assert_eq!(keys_in(&store, &t, 1, ALL), (0..3000).collect::<Vec<_>>());
         // Typed errors.

@@ -110,15 +110,9 @@ impl<'a> SlottedPage<'a> {
         self.bytes[6..14].copy_from_slice(&v.to_le_bytes());
     }
 
-    fn slot_dir_start(&self) -> usize {
-        PAGE_SIZE - self.slot_count() * SLOT_LEN
-    }
-
     /// Free bytes available for one more record (slot entry included).
     pub fn free_space(&self) -> usize {
-        self.slot_dir_start()
-            .saturating_sub(self.free_off())
-            .saturating_sub(SLOT_LEN)
+        free_tail(self.bytes, self.slot_count()).saturating_sub(SLOT_LEN)
     }
 
     /// Largest record this layout can ever hold in one page.
@@ -205,7 +199,7 @@ impl<'a> SlottedPage<'a> {
         }
         // Growing: the slot entry itself is already paid for, so the only
         // cost is the new record bytes.
-        let free = self.slot_dir_start().saturating_sub(self.free_off());
+        let free = free_tail(self.bytes, count);
         if rec.len() > free {
             return Err(StorageError::RecordTooLarge {
                 bytes: rec.len(),
@@ -234,14 +228,6 @@ impl<'a> SlottedPage<'a> {
         Ok(())
     }
 
-    /// Copies all records out (used when splitting/compacting).
-    pub fn all_records(&self) -> Vec<Vec<u8>> {
-        (0..self.slot_count())
-            // lint:allow(L005, reason = "i ranges over 0..slot_count(), exactly the domain record() validates; the Err arm is unreachable")
-            .map(|i| self.record(i).expect("slot in range").to_vec())
-            .collect()
-    }
-
     /// Clears the page back to an empty slotted page of the same type,
     /// keeping the sibling link.
     pub fn reset(&mut self) {
@@ -255,6 +241,14 @@ impl<'a> SlottedPage<'a> {
         self.set_free_off(PAGE_HEADER_LEN);
         self.set_next_page(next);
     }
+}
+
+/// The bytes between the record area and a `count`-slot directory: what
+/// one more record's bytes and slot entry, or a replacement's grown bytes,
+/// must fit in. The one free-space rule of both page views.
+fn free_tail(bytes: &[u8], count: usize) -> usize {
+    let free_off = u16::from_le_bytes([bytes[4], bytes[5]]) as usize;
+    (PAGE_SIZE - count * SLOT_LEN).saturating_sub(free_off)
 }
 
 /// Read-only view over a slotted page (for scans that must not copy).
@@ -305,6 +299,13 @@ impl<'a> SlottedRead<'a> {
     pub fn next_page(&self) -> Option<PageId> {
         let v = sqlarray_core::le::u64_at(self.bytes, 6);
         (v != u64::MAX).then_some(v)
+    }
+
+    /// Free bytes between the records and the slot directory: a new
+    /// record needs its bytes plus [`SLOT_LEN`] of them, a grown
+    /// replacement only its bytes.
+    pub fn free_tail(&self) -> usize {
+        free_tail(self.bytes, self.count)
     }
 
     /// The byte range directory entry `entry` (of slot `i`) names, if it
@@ -370,6 +371,12 @@ mod tests {
 
     fn fresh() -> Vec<u8> {
         vec![0u8; PAGE_SIZE]
+    }
+
+    fn records(p: &SlottedPage<'_>) -> Vec<Vec<u8>> {
+        (0..p.slot_count())
+            .map(|i| p.record(i).unwrap().to_vec())
+            .collect()
     }
 
     #[test]
@@ -469,7 +476,7 @@ mod tests {
         p.push_record(b"a").unwrap();
         p.push_record(b"c").unwrap();
         p.insert_record(1, b"b").unwrap();
-        let recs = p.all_records();
+        let recs = records(&p);
         assert_eq!(recs, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
     }
 
@@ -481,7 +488,7 @@ mod tests {
             p.push_record(r).unwrap();
         }
         p.remove_slot(1).unwrap();
-        assert_eq!(p.all_records(), vec![b"x".to_vec(), b"z".to_vec()]);
+        assert_eq!(records(&p), vec![b"x".to_vec(), b"z".to_vec()]);
         assert!(p.remove_slot(5).is_err());
     }
 

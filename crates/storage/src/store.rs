@@ -290,7 +290,8 @@ impl PageStore {
     /// id: a share of the store's zero page, copied at its first write.
     /// The fresh page is resident in the pool (it was just produced in
     /// memory). Bulk builds rely on consecutive calls returning
-    /// consecutive ids; reuse-aware callers want
+    /// consecutive ids, and B-tree splits and root growth take their new
+    /// pages here too; the LOB writer wants
     /// [`allocate_reuse`](Self::allocate_reuse) instead.
     pub fn allocate(&mut self) -> PageId {
         let id = self.pages.len() as PageId;
@@ -303,8 +304,10 @@ impl PageStore {
     }
 
     /// Allocates a zeroed page, preferring to reclaim the most recently
-    /// freed page over growing the file — the path blob-chunk and B-tree
-    /// maintenance use so UPDATE/DELETE churn does not leak pages.
+    /// freed page over growing the file — the path the LOB writer's root,
+    /// index and chunk pages take, so blob UPDATE/DELETE churn does not
+    /// leak pages. B-tree pages are never freed, so the tree allocates
+    /// with [`allocate`](Self::allocate).
     pub fn allocate_reuse(&mut self) -> PageId {
         let Some(id) = self.free.pop() else {
             return self.allocate();

@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 use sqlarray_core::batch::ColVec;
+use sqlarray_storage::btree::MAX_PAYLOAD;
 use sqlarray_storage::{
     blob, row, BTree, BatchScanOpts, ColType, DiskProfile, IoStats, PageId, PageStore, RowValue,
-    ScanIo, ScanPartition, Schema, Table, PAGE_SIZE,
+    ScanIo, ScanPartition, Schema, StorageError, Table, PAGE_SIZE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
@@ -128,33 +129,67 @@ fn churned_tree(base: &BTreeSet<i64>, ops: &[(i64, bool)]) -> (PageStore, BTree,
 }
 
 proptest! {
-    /// The clustered B-tree behaves exactly like an ordered map: same
-    /// point lookups, same full-scan order, same length.
+    /// The clustered B-tree behaves exactly like an ordered map under
+    /// inserts, updates and deletes: same answers and errors, same point
+    /// lookups, same full-scan order, same length. Payloads run from empty
+    /// to page-wide ([`MAX_PAYLOAD`]) over a narrow key range, so records
+    /// land in free tails, in compacted leaves, and through two- and
+    /// three-way splits.
     #[test]
     fn btree_matches_btreemap_model(
-        ops in prop::collection::vec((any::<i16>(), prop::collection::vec(any::<u8>(), 0..40)), 1..300)
+        ops in prop::collection::vec(
+            (0u8..4, -64i16..64, 0u8..3, 0usize..=MAX_PAYLOAD, any::<u8>()),
+            1..300,
+        )
     ) {
         let mut store = PageStore::new();
         let mut tree = BTree::create(&mut store).unwrap();
         let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
-        for (k, payload) in ops {
+        for (op, k, size, len, fill) in ops {
             let key = k as i64;
-            let inserted = tree.insert(&mut store, key, &payload);
-            if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(key) {
-                prop_assert!(inserted.is_ok());
-                slot.insert(payload);
-            } else {
-                prop_assert!(inserted.is_err(), "duplicate accepted");
+            // Short, any, or within 64 bytes of a page.
+            let len = match size {
+                0 => len % 48,
+                1 => len,
+                _ => MAX_PAYLOAD - len % 64,
+            };
+            let payload = vec![fill; len];
+            match op {
+                0 | 1 => {
+                    let inserted = tree.insert(&mut store, key, &payload);
+                    if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(key) {
+                        prop_assert!(inserted.is_ok(), "{inserted:?}");
+                        slot.insert(payload);
+                    } else {
+                        prop_assert!(
+                            matches!(inserted, Err(StorageError::DuplicateKey { .. })),
+                            "duplicate accepted: {inserted:?}"
+                        );
+                    }
+                }
+                2 => {
+                    let updated = tree.update(&mut store, key, &payload);
+                    match model.get_mut(&key) {
+                        Some(v) => {
+                            prop_assert!(updated.is_ok(), "{updated:?}");
+                            *v = payload;
+                        }
+                        None => prop_assert!(
+                            matches!(updated, Err(StorageError::KeyNotFound { .. })),
+                            "{updated:?}"
+                        ),
+                    }
+                }
+                _ => {
+                    let deleted = tree.delete(&mut store, key).ok();
+                    prop_assert_eq!(deleted, model.remove(&key));
+                }
             }
         }
         prop_assert_eq!(tree.len(), model.len() as u64);
-        // Point lookups agree, including misses.
-        for probe in [-40000i64, -1, 0, 1, 17, 40000] {
+        // Point lookups agree on every key of the range, misses included.
+        for probe in -70i64..70 {
             prop_assert_eq!(tree.get(&mut store, probe).unwrap(), model.get(&probe).cloned());
-        }
-        for (&k, v) in model.iter().take(20) {
-            let got = tree.get(&mut store, k).unwrap();
-            prop_assert_eq!(got.as_ref(), Some(v));
         }
         // Scan yields the model's entries in order.
         let table = as_table(&tree);

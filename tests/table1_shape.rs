@@ -110,12 +110,34 @@ fn storage_overhead_matches_the_43_percent_claim() {
     );
 }
 
+/// The committed golden: every modelled metric of the smoke-scale report.
+const BENCH_PAPER: &str = include_str!("../BENCH_paper.json");
+
+/// `BENCH_paper.json` as `metrics` would write it: one `{name, unit,
+/// value}` object per line, in report order. Rust prints an `f64` as the
+/// shortest decimal that parses back to the same bits, so equal text is
+/// equal values.
+fn bench_paper_json(metrics: &[(String, String, u64)]) -> String {
+    let rows: Vec<String> = metrics
+        .iter()
+        .map(|(name, unit, bits)| {
+            let value = f64::from_bits(*bits);
+            format!("  {{\"name\": {name:?}, \"unit\": {unit:?}, \"value\": {value}}}")
+        })
+        .collect();
+    format!(
+        "{{\"scale\": \"smoke\", \"modelled\": [\n{}\n]}}\n",
+        rows.join(",\n")
+    )
+}
+
 /// The report's smoke scale, twice serial and at DOP 2/4/8: every metric
 /// says by its unit whether it was measured, modelled or derived, and the
 /// modelled ones — simulated I/O seconds, CLR seconds, pages, bytes per
-/// row, ratios, call counts — repeat byte for byte. Derived columns mix in
-/// measured CPU by the paper's own formula, so they carry their own unit
-/// and are not compared.
+/// row, ratios, call counts — repeat byte for byte, and equal the values
+/// committed in `BENCH_paper.json`. Derived columns mix in measured CPU by
+/// the paper's own formula, so they carry their own unit and are not
+/// compared.
 #[test]
 fn modelled_metrics_repeat_byte_for_byte_across_runs_and_dops() {
     let modelled = |dop: usize| -> Vec<(String, String, u64)> {
@@ -150,6 +172,12 @@ fn modelled_metrics_repeat_byte_for_byte_across_runs_and_dops() {
     ] {
         assert!(want.iter().any(|(n, ..)| n == name), "no modelled {name}");
     }
+    let regenerated = bench_paper_json(&want);
+    assert!(
+        regenerated == BENCH_PAPER,
+        "a modelled metric differs from BENCH_paper.json; if the change is \
+         intended, write this into the file:\n{regenerated}"
+    );
     for dop in [1, 2, 4, 8] {
         assert_eq!(modelled(dop), want, "modelled metrics moved at DOP {dop}");
     }
