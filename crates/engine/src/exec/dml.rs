@@ -18,9 +18,11 @@
 //!    conditions, the `ArrayUpdate` UDF fallback, the leaf-record size
 //!    limit. Everything a user's data can make fail happens here, so a
 //!    typed error leaves zero pages and zero WAL bytes changed.
-//! 3. **Apply** (serial, mutating): rows change through [`Table::update`]
-//!    / [`Table::delete`] in key order. Scans never write log records, so
-//!    all WAL appends happen here, in a DOP-independent order.
+//! 3. **Apply** (serial, mutating): UPDATE rows change through
+//!    [`Table::update`] in key order; a DELETE hands every matched key to
+//!    one [`Table::delete_keys`], which removes each leaf's matched rows in
+//!    one page write, leaf after leaf in key order. Scans never write log
+//!    records, so all WAL appends happen here, in a DOP-independent order.
 //!
 //! `SET v = Schema.ArrayUpdate(v, @offset, @replacement)` on a stored LOB
 //! column is the paper's partial-update path: the apply phase patches only
@@ -389,9 +391,11 @@ fn match_resolve_apply(
     let matched = scan.run(ctx, store, table, totals)?;
 
     let Some(sets) = sets else {
-        for row in matched {
-            totals.rows_affected += u64::from(table.delete(store, leading_key(&row)?)?);
-        }
+        let keys = matched
+            .iter()
+            .map(|row| leading_key(row))
+            .collect::<Result<Vec<_>>>()?;
+        totals.rows_affected += table.delete_keys(store, &keys)?;
         return Ok(());
     };
     let mut changes = Vec::with_capacity(matched.len());

@@ -11,7 +11,7 @@ use sqlarray_engine::{
 };
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
 use sqlarray_storage::{ColType, RowValue, Schema, MAX_READ_RETRIES};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn schema() -> Schema {
     Schema::new(&[
@@ -96,6 +96,54 @@ fn update_and_delete_basic() {
     let r = s.execute("DELETE FROM T").unwrap();
     assert_eq!(r[0].stats.rows_affected, 7);
     assert!(id_tag_rows(&mut s).is_empty());
+}
+
+/// A range DELETE writes each leaf once: over inline rows it adds exactly
+/// one page write per leaf that held a matched row, its log and disk image
+/// are the same at every DOP, and it logs no more than deleting the same
+/// rows one `WHERE id = k` statement at a time.
+#[test]
+fn a_range_delete_writes_each_leaf_once() {
+    let (lo, hi) = (100i64, 449i64);
+    let range = format!("DELETE FROM T WHERE id >= {lo} AND id <= {hi}");
+    let leaves = {
+        let s = session(600);
+        let db = s.db();
+        let t = db.table("T").unwrap();
+        let leaf_of = |k: i64| t.partition_keys(&db.store, 1, k..=k).unwrap()[0].leaves()[0];
+        (lo..=hi).map(leaf_of).collect::<BTreeSet<_>>().len() as u64
+    };
+    assert!(leaves >= 3, "the range spans {leaves} leaves");
+    let logged = |s: &mut Session, sql: &str| {
+        let before = s.db().store.stats();
+        let r = s.execute(sql).unwrap();
+        (r[0].stats.clone(), s.db().store.stats().since(&before))
+    };
+    let mut first = None;
+    for dop in [1usize, 2, 4] {
+        let mut s = session(600);
+        s.set_dop(dop);
+        let (stats, io) = logged(&mut s, &range);
+        assert_eq!(stats.rows_affected, (hi - lo + 1) as u64);
+        assert_eq!(stats.io.pages_written, leaves, "dop {dop}");
+        let got = (io.wal_bytes, s.db().store.crash_image());
+        match &first {
+            None => first = Some(got),
+            Some(want) => assert!(got == *want, "log or disk image differs at dop {dop}"),
+        }
+    }
+    let (ranged, image) = first.unwrap();
+    let mut s = session(600);
+    let mut one_by_one = 0;
+    for k in lo..=hi {
+        one_by_one += logged(&mut s, &format!("DELETE FROM T WHERE id = {k}"))
+            .1
+            .wal_bytes;
+    }
+    assert!(ranged <= one_by_one, "{ranged} > {one_by_one} WAL bytes");
+    let mut ranged_session =
+        Engine::new(Database::recover(&image).unwrap()).session_with_hosting(HostingModel::free());
+    assert_eq!(id_tag_rows(&mut ranged_session), id_tag_rows(&mut s));
 }
 
 #[test]

@@ -9,12 +9,13 @@
 //! * internal: `key i64 | child u64` (the leftmost child — subtree with
 //!   keys below the first separator — is stored in the page's link field)
 //!
-//! **One descent.** `get`, `insert`, `update` and `delete` start from
-//! `BTree::find`, which walks exactly `depth` levels — an internal page
-//! at each level above the last, a leaf at the last — and reads each page
-//! once. A child link that points back up the tree, or at a page of the
-//! wrong kind, is a typed [`StorageError::RowCorrupt`], never an endless
-//! walk; so is a leaf chain longer than the file ([`BTree::leaf_pages`]).
+//! **One descent.** `get`, `insert`, `update` and each leaf of a delete
+//! start from `BTree::find`, which walks exactly `depth` levels — an
+//! internal page at each level above the last, a leaf at the last — and
+//! reads each page once. A child link that points back up the tree, or at
+//! a page of the wrong kind, is a typed [`StorageError::RowCorrupt`], never
+//! an endless walk; so is a leaf chain longer than the file
+//! ([`BTree::leaf_pages`]).
 //!
 //! **One placement rule.** A record — an insert's, or an update's
 //! replacement — goes, in this order:
@@ -30,6 +31,15 @@
 //!    paper's 357 M-row `IDENTITY` style load) leave near-full pages. A
 //!    record close to [`MAX_PAYLOAD`] between wide neighbours splits its
 //!    leaf three ways. The separators walk back up the descent's path.
+//!
+//! Steps 2 and 3 rebuild from one snapshot: a copy of the leaf as the
+//! descent read it, whose records — with the new one among them — the
+//! rebuilt pages take as slices of that copy.
+//!
+//! **A delete is per leaf.** [`BTree::delete_keys`] takes ascending keys;
+//! those one leaf answers for share its descent and leave it in one page
+//! write, whose image is the one deleting them one at a time leaves.
+//! [`BTree::delete`] is that routine with one key.
 
 use crate::errors::{Result, StorageError};
 use crate::page::{
@@ -129,7 +139,7 @@ fn push_sized(p: &mut SlottedPage<'_>, rec: &[u8]) {
 }
 
 /// Writes `records` as the whole content of an empty slotted page.
-fn push_all(p: &mut SlottedPage<'_>, records: &[Vec<u8>]) -> Result<()> {
+fn push_all(p: &mut SlottedPage<'_>, records: &[&[u8]]) -> Result<()> {
     records.iter().try_for_each(|r| p.push_record(r).map(drop))
 }
 
@@ -190,20 +200,18 @@ struct Found<'s> {
 }
 
 /// Which step of the placement rule takes a record (see the module doc).
+/// Steps 2 and 3 rebuild the leaf from its records plus the new one, read
+/// by [`rebuilt`] out of one copy of the page.
 enum Placement {
     /// 1: the leaf's free tail.
     Tail,
-    /// 2: the leaf rewritten without its dead space, to these records.
-    Compact(Vec<Vec<u8>>),
+    /// 2: the leaf rewritten without its dead space.
+    Compact,
     /// 3: the record is past the last key of the rightmost leaf and
     /// starts a fresh page (a replaced record leaves the leaf).
     Append,
-    /// 3: these records split over two or three pages, the last of which
-    /// links to `next`.
-    Split {
-        records: Vec<Vec<u8>>,
-        next: Option<PageId>,
-    },
+    /// 3: the records split over two or three pages.
+    Split,
 }
 
 impl Placement {
@@ -231,31 +239,43 @@ impl Placement {
         if live > USABLE && last && v.next_page().is_none() {
             return Ok(Placement::Append);
         }
-        let mut records = (0..v.slot_count())
-            .map(|i| v.record(i).map(<[u8]>::to_vec))
-            .collect::<Result<Vec<_>>>()?;
-        if replace {
-            records[slot] = rec.to_vec();
-        } else {
-            records.insert(slot, rec.to_vec());
-        }
         Ok(if live <= USABLE {
-            Placement::Compact(records)
+            Placement::Compact
         } else {
-            Placement::Split {
-                records,
-                next: v.next_page(),
-            }
+            Placement::Split
         })
     }
 }
 
-/// The groups a leaf's records split into: 50/50 by bytes, but never more
-/// than a page on either side. Records run up to a full page
-/// ([`MAX_PAYLOAD`]), so the balanced boundary can overflow one side —
-/// and when a page-wide record sits between page-wide neighbours, *no*
-/// two-way boundary exists and the records split three ways.
-fn split_groups(mut records: Vec<Vec<u8>>) -> Vec<Vec<Vec<u8>>> {
+/// The records a rebuilt leaf holds, in key order: those of `leaf` — a
+/// copy of page `page` as the descent read it — as slices of that copy,
+/// with `rec` at `slot`, over the record there when `replace`.
+fn rebuilt<'a>(
+    leaf: &'a [u8],
+    page: PageId,
+    slot: usize,
+    rec: &'a [u8],
+    replace: bool,
+) -> Result<Vec<&'a [u8]>> {
+    let v = SlottedRead::open(leaf, page_type::BTREE_LEAF, page)?;
+    let mut records = Vec::with_capacity(v.slot_count() + 1);
+    for r in v.record_ranges(0..v.slot_count())? {
+        records.push(&leaf[r?]);
+    }
+    if replace {
+        records[slot] = rec;
+    } else {
+        records.insert(slot, rec);
+    }
+    Ok(records)
+}
+
+/// The groups a leaf's records split into, as runs of `records`: 50/50 by
+/// bytes, but never more than a page on either side. Records run up to a
+/// full page ([`MAX_PAYLOAD`]), so the balanced boundary can overflow one
+/// side — and when a page-wide record sits between page-wide neighbours,
+/// *no* two-way boundary exists and the records split three ways.
+fn split_groups<'r, 'a>(records: &'r [&'a [u8]]) -> Vec<&'r [&'a [u8]]> {
     let sizes: Vec<usize> = records.iter().map(|r| r.len() + SLOT_LEN).collect();
     let total: usize = sizes.iter().sum();
     let mut left_bytes = 0usize;
@@ -278,25 +298,22 @@ fn split_groups(mut records: Vec<Vec<u8>>) -> Vec<Vec<Vec<u8>>> {
             .unwrap_or(0);
     }
     if split_at > 0 {
-        let tail = records.split_off(split_at);
-        return vec![records, tail];
+        let (head, tail) = records.split_at(split_at);
+        return vec![head, tail];
     }
     // No two-way boundary fits both sides; pack greedily. The page held
     // at most one page's worth and gained one record, so this yields
     // exactly three groups.
-    let mut groups: Vec<Vec<Vec<u8>>> = Vec::new();
-    let mut cur: Vec<Vec<u8>> = Vec::new();
-    let mut cur_bytes = 0usize;
-    for r in records {
-        let s = r.len() + SLOT_LEN;
-        if cur_bytes + s > USABLE && !cur.is_empty() {
-            groups.push(std::mem::take(&mut cur));
-            cur_bytes = 0;
+    let mut groups = Vec::new();
+    let (mut start, mut cur_bytes) = (0, 0);
+    for (i, s) in sizes.iter().enumerate() {
+        if cur_bytes + s > USABLE && i > start {
+            groups.push(&records[start..i]);
+            (start, cur_bytes) = (i, 0);
         }
         cur_bytes += s;
-        cur.push(r);
     }
-    groups.push(cur);
+    groups.push(&records[start..]);
     groups
 }
 
@@ -380,7 +397,7 @@ impl BTree {
             page = child;
         }
         let view = tree_node(store.read(page)?, page_type::BTREE_LEAF, page)?;
-        let slot = leaf_lower_bound(&view, key)?;
+        let slot = leaf_lower_bound(&view, 0, key)?;
         let hit = slot < view.slot_count() && leaf_key(view.record(slot)?)? == key;
         Ok(Found {
             at: Spot {
@@ -402,23 +419,75 @@ impl BTree {
         Ok(Some(f.view.record(f.at.slot)?[8..].to_vec()))
     }
 
-    /// Deletes `key`, returning its payload. Leaf-local maintenance only:
-    /// the slot is removed and later slots shift; the record's bytes stay
-    /// behind as dead space until the placement rule compacts the leaf,
-    /// and a leaf emptied by deletes stays in the sibling chain (scans
-    /// skip zero-slot pages for free).
+    /// Deletes `key`, returning its payload: [`delete_keys`](Self::delete_keys)
+    /// with one key.
     pub fn delete(&mut self, store: &mut PageStore, key: i64) -> Result<Vec<u8>> {
-        let f = self.find(store, key)?;
-        if !f.hit {
-            return Err(StorageError::KeyNotFound { key });
-        }
-        let old = f.view.record(f.at.slot)?[8..].to_vec();
-        let Spot { leaf, slot, .. } = f.at;
-        write_page(store, leaf, |bytes| {
-            SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?.remove_slot(slot)
+        let mut old = None;
+        self.delete_keys(store, &[key], |_, payload| {
+            old = Some(payload.to_vec());
+            Ok(())
         })?;
-        self.len -= 1;
-        Ok(old)
+        old.ok_or(StorageError::KeyNotFound { key })
+    }
+
+    /// Deletes each of `keys` — strictly ascending, or refused with
+    /// [`StorageError::KeysNotAscending`] before anything is written — that
+    /// the tree holds, and returns how many it held. Leaf-local maintenance
+    /// only: the keys one leaf answers for share one descent, and their
+    /// slots leave it in one page write, whose image is the one deleting
+    /// them one at a time leaves; the records' bytes stay behind as dead
+    /// space until the placement rule compacts the leaf, and a leaf
+    /// emptied by deletes stays in the sibling chain (scans skip zero-slot
+    /// pages for free). After each leaf's write, `freed` sees the payload
+    /// of each record it lost, in key order.
+    pub fn delete_keys(
+        &mut self,
+        store: &mut PageStore,
+        keys: &[i64],
+        mut freed: impl FnMut(&mut PageStore, &[u8]) -> Result<()>,
+    ) -> Result<u64> {
+        if let Some(w) = keys.windows(2).find(|w| w[1] <= w[0]) {
+            return Err(StorageError::KeysNotAscending {
+                key: w[1],
+                after: w[0],
+            });
+        }
+        let (mut rest, held) = (keys, self.len);
+        let (mut slots, mut copy) = (Vec::new(), Vec::new());
+        while let Some(&first) = rest.first() {
+            let Found { at, view, .. } = self.find(store, first)?;
+            // The descent for `first` ended here; a later key belongs to
+            // this leaf too when it is not past the leaf's last key.
+            let (mut slot, mut used) = (at.slot, 0);
+            slots.clear();
+            for &key in rest {
+                slot = leaf_lower_bound(&view, slot, key)?;
+                if slot == view.slot_count() && used > 0 {
+                    break;
+                }
+                used += 1;
+                if slot < view.slot_count() && leaf_key(view.record(slot)?)? == key {
+                    slots.push(slot);
+                    slot += 1;
+                }
+            }
+            rest = &rest[used..];
+            if slots.is_empty() {
+                continue;
+            }
+            copy.clear();
+            copy.extend_from_slice(view.bytes());
+            let leaf = at.leaf;
+            write_page(store, leaf, |bytes| {
+                SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?.remove_slots(&slots)
+            })?;
+            self.len -= slots.len() as u64;
+            let lost = SlottedRead::open(&copy, page_type::BTREE_LEAF, leaf)?;
+            for &s in &slots {
+                freed(store, &lost.record(s)?[8..])?;
+            }
+        }
+        Ok(held - self.len)
     }
 
     /// Replaces `key`'s payload, placed by the one placement rule.
@@ -456,6 +525,7 @@ impl BTree {
         let placement = Placement::choose(&f, &rec, replace)?;
         let Found {
             at: Spot { path, leaf, slot },
+            view,
             ..
         } = f;
         let mut splits = match placement {
@@ -469,12 +539,14 @@ impl BTree {
                     }
                 });
             }
-            Placement::Compact(records) => {
-                return write_page(store, leaf, |bytes| {
-                    let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
-                    p.reset();
-                    push_all(&mut p, &records)
-                });
+            Placement::Compact | Placement::Split => {
+                let (copy, next) = (view.bytes().to_vec(), view.next_page());
+                let records = rebuilt(&copy, leaf, slot, &rec, replace)?;
+                let groups = match placement {
+                    Placement::Split => split_groups(&records),
+                    _ => vec![&records[..]],
+                };
+                Self::rebuild_leaf(store, leaf, &groups, next)?
             }
             Placement::Append => {
                 let right = store.allocate();
@@ -493,7 +565,6 @@ impl BTree {
                 })?;
                 vec![(key, right)]
             }
-            Placement::Split { records, next } => Self::split_leaf(store, leaf, records, next)?,
         };
         for &(page, pos) in path.iter().rev() {
             if splits.is_empty() {
@@ -518,28 +589,28 @@ impl BTree {
         Ok(())
     }
 
-    /// Rewrites `leaf` with the first of `records`' split groups and each
-    /// further group onto a fresh page chained after it, the last linking
-    /// to `next`.
-    fn split_leaf(
+    /// Rewrites `leaf` with the first of `groups` — all of its records, for
+    /// a compaction — and each further group onto a fresh page chained
+    /// after it, the last linking to `next`.
+    fn rebuild_leaf(
         store: &mut PageStore,
         leaf: PageId,
-        records: Vec<Vec<u8>>,
+        groups: &[&[&[u8]]],
         next: Option<PageId>,
     ) -> Result<SplitInfo> {
-        let mut groups = split_groups(records).into_iter();
-        let first = groups.next().unwrap_or_default();
-        let rest: Vec<Vec<Vec<u8>>> = groups.collect();
+        let [first, rest @ ..] = groups else {
+            return Ok(Vec::new());
+        };
         let pages: Vec<PageId> = rest.iter().map(|_| store.allocate()).collect();
         let splits: SplitInfo = rest
             .iter()
             .zip(&pages)
-            .map(|(g, &pid)| Ok((leaf_key(&g[0])?, pid)))
+            .map(|(g, &pid)| Ok((leaf_key(g[0])?, pid)))
             .collect::<Result<_>>()?;
         write_page(store, leaf, |bytes| {
             let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
             p.reset();
-            push_all(&mut p, &first)?;
+            push_all(&mut p, first)?;
             p.set_next_page(pages.first().copied().or(next));
             Ok(())
         })?;
@@ -892,9 +963,10 @@ fn descend(v: &SlottedRead<'_>, key: i64) -> Result<(PageId, InternalPos)> {
     }
 }
 
-/// Binary search a leaf for the first slot with key >= `key`.
-fn leaf_lower_bound(v: &SlottedRead<'_>, key: i64) -> Result<usize> {
-    let mut lo = 0usize;
+/// Binary search a leaf, from slot `from` on, for the first slot with key
+/// >= `key`.
+fn leaf_lower_bound(v: &SlottedRead<'_>, from: usize, key: i64) -> Result<usize> {
+    let mut lo = from;
     let mut hi = v.slot_count();
     while lo < hi {
         let mid = (lo + hi) / 2;
@@ -916,11 +988,11 @@ pub(crate) fn leaf_slots_within(
 ) -> Result<Range<usize>> {
     let from = match *keys.start() {
         i64::MIN => 0,
-        lo => leaf_lower_bound(v, lo)?,
+        lo => leaf_lower_bound(v, 0, lo)?,
     };
     let to = match *keys.end() {
         i64::MAX => v.slot_count(),
-        hi => leaf_lower_bound(v, hi.saturating_add(1))?,
+        hi => leaf_lower_bound(v, 0, hi.saturating_add(1))?,
     };
     Ok(from..to)
 }
@@ -928,6 +1000,7 @@ pub(crate) fn leaf_slots_within(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn tree_with(n: i64, payload_len: usize) -> (PageStore, BTree) {
         let mut store = PageStore::new();
@@ -1160,7 +1233,7 @@ mod tests {
                 internal_entry(v.record(0).unwrap()).unwrap().1,
             )
         };
-        let descents: &[&str] = &["get", "insert", "update", "delete", "depth"];
+        let descents: &[&str] = &["get", "insert", "update", "delete", "delete_keys", "depth"];
         type Damage = Box<dyn Fn(&mut PageStore, &BTree)>;
         let cases: [(&str, Damage, &[&str]); 4] = [
             (
@@ -1188,7 +1261,15 @@ mod tests {
             ),
         ];
         for (what, damage, failing) in &cases {
-            for op in ["get", "insert", "update", "delete", "leaf_pages", "depth"] {
+            for op in [
+                "get",
+                "insert",
+                "update",
+                "delete",
+                "delete_keys",
+                "leaf_pages",
+                "depth",
+            ] {
                 // Key 0 and key -1 both descend through every leftmost link.
                 let (mut store, mut t) = deep_tree();
                 damage(&mut store, &t);
@@ -1198,6 +1279,7 @@ mod tests {
                     "insert" => t.insert(store, -1, b"x"),
                     "update" => t.update(store, 0, b"x"),
                     "delete" => t.delete(store, 0).map(drop),
+                    "delete_keys" => t.delete_keys(store, &[0, 1], |_, _| Ok(())).map(drop),
                     "leaf_pages" => t.leaf_pages(store).map(drop),
                     _ => t.depth(store).map(drop),
                 };
@@ -1211,6 +1293,107 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A one-leaf tree whose page carries what a live leaf does: record
+    /// bytes out of key order (`inserts` in the order given), dead space
+    /// (`deletes`, and the bytes `grows` outgrow) and grown replacements
+    /// appended at the free offset. Returns the model of its records too.
+    fn messy_leaf(
+        inserts: &[(i64, usize)],
+        deletes: &[i64],
+        grows: &[(i64, usize)],
+    ) -> (PageStore, BTree, BTreeMap<i64, Vec<u8>>) {
+        let mut store = PageStore::new();
+        let mut t = BTree::create(&mut store).unwrap();
+        let mut model = BTreeMap::new();
+        let payload = |k: i64, len: usize| -> Vec<u8> {
+            (0..len).map(|i| (i as i64 * 31 + k) as u8).collect()
+        };
+        for &(k, len) in inserts {
+            t.insert(&mut store, k, &payload(k, len)).unwrap();
+            model.insert(k, payload(k, len));
+        }
+        for &k in deletes {
+            t.delete(&mut store, k).unwrap();
+            model.remove(&k);
+        }
+        for &(k, len) in grows {
+            t.update(&mut store, k, &payload(k, len)).unwrap();
+            model.insert(k, payload(k, len));
+        }
+        assert_eq!(t.leaf_pages(&mut store).unwrap(), 1);
+        (store, t, model)
+    }
+
+    /// Places `key`'s record on `messy_leaf`'s page, then walks the leaf
+    /// chain: there must be `leaves` pages, and each must be byte for byte
+    /// `SlottedPage::init` plus `push_record` over its share of the model's
+    /// records in key order (the old leaf over its own former bytes, a new
+    /// one over zeros), linked on as the chain is.
+    fn assert_rebuilt_from_the_model(
+        (mut store, mut t, mut model): (PageStore, BTree, BTreeMap<i64, Vec<u8>>),
+        key: i64,
+        len: usize,
+        leaves: u64,
+    ) {
+        let before = store.read(t.first_leaf).unwrap().to_vec();
+        let old = SlottedRead::open(&before, page_type::BTREE_LEAF, t.first_leaf).unwrap();
+        assert!(
+            old.free_tail() < 8 + len + SLOT_LEN,
+            "the free tail takes it"
+        );
+        let live: usize = model.values().map(|p| 8 + p.len()).sum();
+        let used = usize::from(sqlarray_core::le::u16_at(&before, 4)) - PAGE_HEADER_LEN;
+        assert!(live < used, "the leaf holds no dead space");
+        let payload = vec![0x5A; len];
+        t.insert(&mut store, key, &payload).unwrap();
+        model.insert(key, payload);
+        let mut records = model.iter().map(|(&k, p)| encode_leaf(k, p));
+        let (mut page, mut seen) = (Some(t.first_leaf), 0);
+        while let Some(pid) = page {
+            let got = store.read(pid).unwrap().to_vec();
+            let v = SlottedRead::open(&got, page_type::BTREE_LEAF, pid).unwrap();
+            let mut want = if pid == t.first_leaf {
+                before.clone()
+            } else {
+                vec![0; PAGE_SIZE]
+            };
+            let mut p = SlottedPage::init(&mut want, page_type::BTREE_LEAF);
+            for rec in records.by_ref().take(v.slot_count()) {
+                p.push_record(&rec).unwrap();
+            }
+            p.set_next_page(v.next_page());
+            assert!(got == want, "leaf {seen} (page {pid}) is not the model's");
+            page = v.next_page();
+            seen += 1;
+        }
+        assert_eq!(records.next(), None, "a record is missing from the chain");
+        assert_eq!(seen, leaves);
+        assert_eq!(t.len(), model.len() as u64);
+    }
+
+    /// The leaf a placement rebuilds — compacted in place, split two or
+    /// three ways — is written fresh from the records alone: no dead byte,
+    /// no outgrown copy and no slot order of the old page survives in it.
+    #[test]
+    fn a_rebuilt_leaf_is_a_fresh_page_of_its_records() {
+        // 40 records of 158 bytes, inserted out of key order; 10 deleted
+        // and 5 grown to 258 bytes leave ~2 900 dead bytes and a 446-byte
+        // free tail.
+        let shuffled: Vec<(i64, usize)> = (0..40).map(|k| (k * 7 % 40, 150)).collect();
+        let deletes: Vec<i64> = (0..10).map(|k| 4 * k + 1).collect();
+        let grows: Vec<(i64, usize)> = (0..5).map(|k| (8 * k + 2, 250)).collect();
+        let messy = || messy_leaf(&shuffled, &deletes, &grows);
+        // Compaction: 608 bytes fit only without the dead space.
+        assert_rebuilt_from_the_model(messy(), 21, 600, 1);
+        // Two-way split: 3 000 bytes do not fit even then.
+        assert_rebuilt_from_the_model(messy(), 21, 3000, 2);
+        // Three-way split: a page-wide record between two half-page ones
+        // whose page also holds a deleted record and an outgrown one.
+        let half = USABLE / 2 - 40;
+        let wide = messy_leaf(&[(2, half), (0, 10), (5, 8)], &[5], &[(0, half)]);
+        assert_rebuilt_from_the_model(wide, 1, MAX_PAYLOAD, 3);
     }
 
     /// Inserting and deleting the same fresh keys over and over leaves the

@@ -17,6 +17,9 @@ pub enum StorageError {
     DuplicateKey { key: i64 },
     /// Key not found.
     KeyNotFound { key: i64 },
+    /// A key list that must be strictly ascending has `key` right after
+    /// `after`.
+    KeysNotAscending { key: i64, after: i64 },
     /// A page's type byte does not match the structure reading it.
     PageTypeMismatch { page: u64, expected: u8, got: u8 },
     /// Blob byte range outside the stored length.
@@ -73,6 +76,12 @@ impl fmt::Display for StorageError {
             }
             StorageError::DuplicateKey { key } => write!(f, "duplicate key {key}"),
             StorageError::KeyNotFound { key } => write!(f, "key {key} not found"),
+            StorageError::KeysNotAscending { key, after } => {
+                write!(
+                    f,
+                    "keys must be strictly ascending (key {key} follows {after})"
+                )
+            }
             StorageError::PageTypeMismatch {
                 page,
                 expected,
@@ -130,6 +139,7 @@ impl StorageError {
             | StorageError::BadSlot { .. }
             | StorageError::DuplicateKey { .. }
             | StorageError::KeyNotFound { .. }
+            | StorageError::KeysNotAscending { .. }
             | StorageError::PageTypeMismatch { .. }
             | StorageError::BlobRangeOutOfBounds { .. }
             | StorageError::RowCorrupt(_)
@@ -149,6 +159,7 @@ impl StorageError {
         match self {
             StorageError::DuplicateKey { .. }
             | StorageError::KeyNotFound { .. }
+            | StorageError::KeysNotAscending { .. }
             | StorageError::BlobRangeOutOfBounds { .. }
             | StorageError::SchemaMismatch(_)
             | StorageError::BulkLoad(_)

@@ -161,12 +161,11 @@ impl<'a> SlottedPage<'a> {
         }
         let off = self.free_off();
         self.bytes[off..off + rec.len()].copy_from_slice(rec);
-        // Shift slots [i, count) one position toward the page start
-        // (their directory entries move 4 bytes down).
-        for j in (i..count).rev() {
-            let (o, l) = self.slot(j);
-            self.write_slot(j + 1, o, l);
-        }
+        // Shift slots [i, count) one position toward the page start: their
+        // directory entries move 4 bytes down, in one move.
+        let dir = PAGE_SIZE - count * SLOT_LEN;
+        self.bytes
+            .copy_within(dir..PAGE_SIZE - i * SLOT_LEN, dir - SLOT_LEN);
         self.write_slot(i, off, rec.len());
         self.set_slot_count(count + 1);
         self.set_free_off(off + rec.len());
@@ -214,17 +213,44 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Removes slot `i` (the record bytes become dead space until the page
-    /// is compacted by a split).
+    /// is compacted by a split): [`remove_slots`](Self::remove_slots) with
+    /// one slot, so later slots move up one entry in one move and the entry
+    /// at the old last position stays behind, stale.
     pub fn remove_slot(&mut self, i: usize) -> Result<()> {
+        self.remove_slots(&[i])
+    }
+
+    /// Removes `slots` (strictly ascending) in one pass, leaving the image
+    /// [`remove_slot`](Self::remove_slot) leaves when called for each in
+    /// turn: the remaining entries close up, one move per run between two
+    /// removed slots, and every position the directory gave up holds a
+    /// stale copy of its old last entry — the one entry no earlier removal
+    /// of the sequence shifted.
+    pub fn remove_slots(&mut self, slots: &[usize]) -> Result<()> {
         let count = self.slot_count();
-        if i >= count {
-            return Err(StorageError::BadSlot { slot: i, count });
+        let mut floor = 0;
+        for &slot in slots {
+            if slot < floor || slot >= count {
+                return Err(StorageError::BadSlot { slot, count });
+            }
+            floor = slot + 1;
         }
-        for j in i + 1..count {
-            let (o, l) = self.slot(j);
-            self.write_slot(j - 1, o, l);
+        // Slot `j`'s entry sits at `PAGE_SIZE - (j + 1) * SLOT_LEN`: the
+        // entries after the `k`-th removed slot, up to the next one, move
+        // `k + 1` entries toward the page end.
+        for (k, &slot) in slots.iter().enumerate() {
+            let end = slots.get(k + 1).copied().unwrap_or(count);
+            self.bytes.copy_within(
+                PAGE_SIZE - end * SLOT_LEN..PAGE_SIZE - (slot + 1) * SLOT_LEN,
+                PAGE_SIZE - (end - k - 1) * SLOT_LEN,
+            );
         }
-        self.set_slot_count(count - 1);
+        let kept = count - slots.len();
+        let last = PAGE_SIZE - count * SLOT_LEN;
+        for at in (last + SLOT_LEN..PAGE_SIZE - kept * SLOT_LEN).step_by(SLOT_LEN) {
+            self.bytes.copy_within(last..last + SLOT_LEN, at);
+        }
+        self.set_slot_count(kept);
         Ok(())
     }
 
@@ -490,6 +516,131 @@ mod tests {
         p.remove_slot(1).unwrap();
         assert_eq!(records(&p), vec![b"x".to_vec(), b"z".to_vec()]);
         assert!(p.remove_slot(5).is_err());
+    }
+
+    /// Reference directory shifts for `insert_record` and `remove_slot`:
+    /// an entry at a time.
+    fn insert_record_by_entry(p: &mut SlottedPage<'_>, i: usize, rec: &[u8]) {
+        let count = p.slot_count();
+        let off = p.free_off();
+        p.bytes[off..off + rec.len()].copy_from_slice(rec);
+        for j in (i..count).rev() {
+            let (o, l) = p.slot(j);
+            p.write_slot(j + 1, o, l);
+        }
+        p.write_slot(i, off, rec.len());
+        p.set_slot_count(count + 1);
+        p.set_free_off(off + rec.len());
+    }
+
+    fn remove_slot_by_entry(p: &mut SlottedPage<'_>, i: usize) {
+        let count = p.slot_count();
+        for j in i + 1..count {
+            let (o, l) = p.slot(j);
+            p.write_slot(j - 1, o, l);
+        }
+        p.set_slot_count(count - 1);
+    }
+
+    /// A page of `count` records of 1 to 5 bytes, whose directory already
+    /// carries stale entries past its end and records out of slot order.
+    fn page_of(count: usize) -> Vec<u8> {
+        let mut bytes = fresh();
+        let mut p = SlottedPage::init(&mut bytes, page_type::BTREE_LEAF);
+        for k in 0..count + 3 {
+            p.insert_record(k / 2, &vec![k as u8; 1 + k % 5]).unwrap();
+        }
+        for _ in 0..3 {
+            p.remove_slot(p.slot_count() / 3).unwrap();
+        }
+        assert_eq!(p.slot_count(), count);
+        bytes
+    }
+
+    /// Each directory shift is one move, and leaves every page byte where
+    /// the entry-at-a-time loop left it — the stale entry a removal leaves
+    /// at the old last position included — at every slot position.
+    #[test]
+    fn one_move_shifts_are_the_entry_at_a_time_loops() {
+        for count in [0usize, 1, 2, 3, 17, 100, 1000] {
+            let base = page_of(count);
+            for i in 0..=count {
+                let (mut want, mut got) = (base.clone(), base.clone());
+                let rec = [0xE7, i as u8, 3];
+                insert_record_by_entry(&mut SlottedPage { bytes: &mut want }, i, &rec);
+                SlottedPage { bytes: &mut got }
+                    .insert_record(i, &rec)
+                    .unwrap();
+                assert!(got == want, "insert at {i} of {count}");
+                if i == count {
+                    continue;
+                }
+                let (mut want, mut got) = (base.clone(), base.clone());
+                remove_slot_by_entry(&mut SlottedPage { bytes: &mut want }, i);
+                SlottedPage { bytes: &mut got }.remove_slot(i).unwrap();
+                assert!(got == want, "remove {i} of {count}");
+            }
+        }
+    }
+
+    /// Removing a set of slots in one pass leaves the image removing them
+    /// one at a time, lowest first, leaves — not the one a highest-first
+    /// order leaves, which differs in the stale entries past the end.
+    #[test]
+    fn remove_slots_is_remove_slot_lowest_first() {
+        let mut draws = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            draws ^= draws << 13;
+            draws ^= draws >> 7;
+            draws ^= draws << 17;
+            draws
+        };
+        for count in [1usize, 2, 5, 40, 300] {
+            let base = page_of(count);
+            for round in 0..60 {
+                let slots: Vec<usize> = (0..count)
+                    .filter(|_| match round % 3 {
+                        0 => next() % 2 == 0,
+                        1 => next() % 8 == 0,
+                        _ => next() % 8 != 0,
+                    })
+                    .collect();
+                let mut want = base.clone();
+                let mut p = SlottedPage { bytes: &mut want };
+                for (gone, &s) in slots.iter().enumerate() {
+                    p.remove_slot(s - gone).unwrap();
+                }
+                let mut got = base.clone();
+                SlottedPage { bytes: &mut got }
+                    .remove_slots(&slots)
+                    .unwrap();
+                assert!(got == want, "{slots:?} of {count}");
+            }
+        }
+        // Slots 1 and 3 of four: lowest first leaves the old last entry in
+        // both vacated positions, highest first does not.
+        let base = page_of(4);
+        let mut lowest = base.clone();
+        SlottedPage { bytes: &mut lowest }
+            .remove_slots(&[1, 3])
+            .unwrap();
+        let mut highest = base.clone();
+        let mut p = SlottedPage {
+            bytes: &mut highest,
+        };
+        p.remove_slot(3).unwrap();
+        p.remove_slot(1).unwrap();
+        assert!(lowest != highest);
+        let entry = |b: &[u8], i: usize| b[PAGE_SIZE - (i + 1) * SLOT_LEN..][..SLOT_LEN].to_vec();
+        assert_eq!(entry(&lowest, 2), entry(&base, 3));
+        assert_eq!(entry(&highest, 2), entry(&base, 2));
+        // Out of order, repeated or past the end: refused, page untouched.
+        for bad in [&[2usize, 1][..], &[1, 1], &[4]] {
+            let mut bytes = base.clone();
+            let got = SlottedPage { bytes: &mut bytes }.remove_slots(bad);
+            assert!(matches!(got, Err(StorageError::BadSlot { .. })), "{bad:?}");
+            assert!(bytes == base);
+        }
     }
 
     #[test]

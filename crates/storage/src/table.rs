@@ -213,20 +213,26 @@ impl Table {
         Ok(true)
     }
 
-    /// Deletes the row at `key`, freeing its out-of-page LOB chains.
-    /// Returns `false` when the key does not exist.
+    /// Deletes the row at `key`, freeing its out-of-page LOB chains:
+    /// [`delete_keys`](Self::delete_keys) with one key. Returns `false`
+    /// when the key does not exist.
     pub fn delete(&mut self, store: &mut PageStore, key: i64) -> Result<bool> {
-        let old = match self.tree.delete(store, key) {
-            Ok(bytes) => bytes,
-            Err(StorageError::KeyNotFound { .. }) => return Ok(false),
-            Err(e) => return Err(e),
-        };
+        Ok(self.delete_keys(store, &[key])? == 1)
+    }
+
+    /// Deletes the rows at `keys` — strictly ascending, or refused with
+    /// [`StorageError::KeysNotAscending`] before anything is written — and
+    /// returns how many existed. The rows one leaf holds leave it in one
+    /// page write ([`BTree::delete_keys`]); their out-of-page LOB chains
+    /// are freed right after that write, in key order.
+    pub fn delete_keys(&mut self, store: &mut PageStore, keys: &[i64]) -> Result<u64> {
+        let schema = &self.schema;
         let mut ids: Vec<blob::BlobId> = Vec::new();
-        row::lob_refs(&self.schema, &old, &mut ids)?;
-        for id in ids {
-            blob::free_blob(store, id)?;
-        }
-        Ok(true)
+        self.tree.delete_keys(store, keys, |store, old| {
+            row::lob_refs(schema, old, &mut ids)?;
+            ids.drain(..)
+                .try_for_each(|id| blob::free_blob(store, id).map(drop))
+        })
     }
 
     /// Overwrites `data.len()` bytes of the blob column `col` of row `key`

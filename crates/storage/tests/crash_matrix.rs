@@ -290,6 +290,25 @@ fn delete_crash_matrix() {
     });
 }
 
+#[test]
+fn delete_keys_crash_matrix() {
+    // One key list over several leaves, 2- and 3-chunk LOB rows among its
+    // rows: each leaf loses its rows in one write, then their chains are
+    // freed, so every cut between two leaves or inside a chain's free
+    // must roll the whole statement back.
+    let keys = [1i64, 2, 3, 6, 7, 10, 11, 40];
+    let (store, t) = loaded_committed();
+    let leaves: std::collections::BTreeSet<u64> = keys[..7]
+        .iter()
+        .map(|&k| t.partition_keys(&store, 1, k..=k).unwrap()[0].leaves()[0])
+        .collect();
+    assert!(leaves.len() >= 3, "the keys span {} leaves", leaves.len());
+    run_matrix(&loaded_committed, &|store, t| {
+        assert_eq!(t.delete_keys(store, &keys).unwrap(), 7);
+        commit(store, t);
+    });
+}
+
 /// Keys 2, 6, …, `4 * n - 2` with 1500-byte inline blobs: five rows fill a
 /// leaf, so a bulk load leaves every leaf but the last full and any insert
 /// between them splits one.

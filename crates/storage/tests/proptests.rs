@@ -831,3 +831,116 @@ fn row_sized_changes_log_row_sized_frames() {
         "insert/delete churn logged {churn} bytes"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Deleting a key list: one write per leaf
+// ---------------------------------------------------------------------------
+
+/// `T(id, v)` bulk-loaded under `base`, then grown row at a time by
+/// `inserts` (which split leaves), ~10 rows a leaf. With `lobs`, every
+/// third row's `v` lies out of row, so deletes free LOB chains.
+fn keyed_table(base: &BTreeSet<i64>, inserts: &[i64], lobs: bool) -> (PageStore, Table) {
+    let row = |k: i64| {
+        let len = match k.rem_euclid(3) {
+            0 if lobs => 9000,
+            _ => 600 + k.rem_euclid(200) as usize,
+        };
+        let blob = (0..len).map(|i| (i as i64 * 7 + k) as u8).collect();
+        vec![RowValue::I64(k), RowValue::Bytes(blob)]
+    };
+    let mut store = PageStore::with_pool(64, DiskProfile::default());
+    let schema = Schema::new(&[("id", ColType::I64), ("v", ColType::Blob)]);
+    let mut t = Table::create(&mut store, "T", schema).unwrap();
+    let loaded: Vec<_> = base.iter().map(|&k| (k, row(k))).collect();
+    t.bulk_load(&mut store, &loaded, 1).unwrap();
+    let mut held = base.clone();
+    for &k in inserts {
+        if held.insert(k) {
+            t.insert(&mut store, k, &row(k)).unwrap();
+        }
+    }
+    store.commit(b"built");
+    (store, t)
+}
+
+/// The leaf that holds `key`, found from the index's upper levels.
+fn leaf_of(store: &PageStore, t: &Table, key: i64) -> PageId {
+    let parts = t.partition_keys(store, 1, key..=key).unwrap();
+    parts[0].leaves()[0]
+}
+
+proptest! {
+    /// `delete_keys` is `delete` key by key: over bulk-built trees grown by
+    /// splitting inserts, and ascending key lists that mix absent keys with
+    /// present ones — sparse, dense, whole leaves, the first and the last
+    /// leaf — it removes the same rows and leaves the same row count, leaf
+    /// count, page bytes (stale directory entries included) and free list.
+    /// Over inline rows it writes exactly one page per leaf that held a
+    /// removed key.
+    #[test]
+    fn delete_keys_is_delete_key_by_key(
+        base in prop::collection::btree_set(0i64..3000, 0..300),
+        inserts in prop::collection::vec(0i64..3000, 0..120),
+        window in (-20i64..3020, 0i64..3040),
+        knobs in (0u64..4, any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let (density, first, last, lobs) = knobs;
+        let (mut store, mut t) = keyed_table(&base, &inserts, lobs);
+        let stored: Vec<i64> = base.iter().chain(&inserts).copied().collect::<BTreeSet<_>>()
+            .into_iter().collect();
+        let every = [1u64, 2, 5, 17][density as usize];
+        let mut keys: BTreeSet<i64> = (window.0..=window.0 + window.1)
+            .filter(|&k| (k as u64).wrapping_mul(0x9E37_79B9) % every == 0)
+            .collect();
+        keys.extend(stored.first().filter(|_| first));
+        keys.extend(stored.last().filter(|_| last));
+        let keys: Vec<i64> = keys.into_iter().collect();
+
+        let leaves: BTreeSet<PageId> = keys
+            .iter()
+            .filter(|k| stored.binary_search(k).is_ok())
+            .map(|&k| leaf_of(&store, &t, k))
+            .collect();
+        let before = store.stats();
+        let removed = t.delete_keys(&mut store, &keys).unwrap();
+        let written = store.stats().since(&before).pages_written;
+
+        let (mut one_by_one, mut u) = keyed_table(&base, &inserts, lobs);
+        let mut want = 0;
+        for &k in &keys {
+            want += u64::from(u.delete(&mut one_by_one, k).unwrap());
+        }
+        prop_assert_eq!(removed, want);
+        prop_assert_eq!(t.row_count(), u.row_count());
+        prop_assert_eq!(t.data_pages(&mut store).unwrap(), u.data_pages(&mut one_by_one).unwrap());
+        prop_assert_eq!(store.page_count(), one_by_one.page_count());
+        for p in 0..store.page_count() {
+            prop_assert!(store.raw_page(p) == one_by_one.raw_page(p), "page {} differs", p);
+        }
+        prop_assert_eq!(store.free_pages(), one_by_one.free_pages());
+        if !lobs {
+            prop_assert_eq!(written, leaves.len() as u64);
+        }
+    }
+}
+
+/// A key list out of order, or with a repeat, is refused before anything
+/// is written: not a page, not a WAL byte, not a row.
+#[test]
+fn a_key_list_out_of_order_is_refused_before_any_write() {
+    let base: BTreeSet<i64> = (0..200).collect();
+    let (mut store, mut t) = keyed_table(&base, &[], true);
+    for keys in [&[5i64, 3][..], &[1, 2, 9, 9], &[0, 150, 149]] {
+        let before = store.stats();
+        let got = t.delete_keys(&mut store, keys);
+        assert!(
+            matches!(got, Err(StorageError::KeysNotAscending { .. })),
+            "{keys:?}: {got:?}"
+        );
+        let d = store.stats().since(&before);
+        assert_eq!((d.wal_bytes, d.wal_records, d.pages_written), (0, 0, 0));
+        assert_eq!(t.row_count(), 200);
+    }
+    assert_eq!(t.delete_keys(&mut store, &[]).unwrap(), 0);
+    assert_eq!(t.delete_keys(&mut store, &[-1, 0, 199, 200]).unwrap(), 2);
+}

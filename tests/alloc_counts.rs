@@ -14,7 +14,7 @@
 //! list, the group table), never once per extra row; a warm page read, an
 //! exact addend or a scan worker's read-ahead hint allocates nothing; a
 //! LOB read never zero-fills its result; an idle checkpoint copies no
-//! page. The claims run one at a time (one lock), and each count is the
+//! page; a leaf split costs the same whatever the leaf holds. The claims run one at a time (one lock), and each count is the
 //! smallest of three runs, because the test harness's own threads can
 //! only add to it.
 //!
@@ -29,7 +29,7 @@ use sqlarray::engine::aggregate::VectorAvgUda;
 use sqlarray::engine::{Database, Engine, HostingModel, Session, UdaState, Value};
 use sqlarray::storage::blob::{read_blob, write_blob};
 use sqlarray::storage::store::PageRead;
-use sqlarray::storage::{ColType, DiskProfile, PageStore, RowValue, Schema, PAGE_SIZE};
+use sqlarray::storage::{BTree, ColType, DiskProfile, PageStore, RowValue, Schema, PAGE_SIZE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
@@ -344,4 +344,38 @@ fn a_checkpoint_copies_no_page() {
         .reduce(Counts::min)
         .unwrap();
     assert!(after_writes.bytes < PAGE_SIZE as u64, "{after_writes:?}");
+}
+
+/// An insert that splits a leaf allocates the same, within 2, whether the
+/// leaf holds ~40 records or ~160: the split reads the records as slices
+/// of one copy of the page, so no allocation is made per record.
+#[test]
+fn a_leaf_split_allocates_per_split_not_per_record() {
+    let _one = serial();
+    let split = |payload: usize, rows: i64| {
+        let runs = (0..3).map(|_| {
+            let mut store = PageStore::new();
+            let entries: Vec<(i64, Vec<u8>)> =
+                (0..rows).map(|k| (2 * k, vec![7; payload])).collect();
+            let mut t = BTree::bulk_build(&mut store, &entries, 1, None).unwrap();
+            let leaves = t.leaf_pages(&mut store).unwrap();
+            store.commit(b"catalog");
+            store.checkpoint();
+            let record = vec![9; payload];
+            let counts = count(|| t.insert(&mut store, 41, &record).unwrap());
+            assert_eq!(t.leaf_pages(&mut store).unwrap(), leaves + 1, "no split");
+            (counts, rows as u64 / leaves)
+        });
+        let (counts, per_leaf): (Vec<Counts>, Vec<u64>) = runs.unzip();
+        (counts.into_iter().reduce(Counts::min).unwrap(), per_leaf[0])
+    };
+    let ((few, few_records), (many, many_records)) = (split(190, 800), split(40, 3200));
+    assert!(
+        few_records <= 42 && many_records >= 150,
+        "{few_records} vs {many_records}"
+    );
+    assert!(
+        few.calls().abs_diff(many.calls()) <= 2,
+        "a split of a {few_records}-record leaf: {few:?}; of a {many_records}-record leaf: {many:?}"
+    );
 }

@@ -911,6 +911,7 @@ fn storage_expected(e: &StorageError) -> (bool, bool) {
         StorageError::BadSlot { .. } => (false, false),
         StorageError::DuplicateKey { .. } => (false, true),
         StorageError::KeyNotFound { .. } => (false, true),
+        StorageError::KeysNotAscending { .. } => (false, true),
         StorageError::PageTypeMismatch { .. } => (false, false),
         StorageError::BlobRangeOutOfBounds { .. } => (false, true),
         StorageError::RowCorrupt(_) => (false, false),
@@ -933,6 +934,7 @@ fn storage_error_taxonomy_is_total_and_stable() {
         StorageError::BadSlot { slot: 1, count: 0 },
         StorageError::DuplicateKey { key: 1 },
         StorageError::KeyNotFound { key: 1 },
+        StorageError::KeysNotAscending { key: 1, after: 2 },
         StorageError::PageTypeMismatch {
             page: 1,
             expected: 1,
