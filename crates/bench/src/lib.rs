@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod experiments;
 
 use sqlarray_engine::{Database, Engine, HostingModel, QueryStats, Session, Value};
@@ -298,6 +299,28 @@ pub const BATCH_QUERIES: [(&str, &str); 2] = [
          FROM Tscalar WITH (NOLOCK) WHERE v5 > 0.25",
     ),
 ];
+
+/// A golden file's text: `{"scale": "smoke", "<list>": [...]}` with one
+/// JSON object of `rows` per line, as `BENCH_paper.json` and
+/// `BENCH_counters.json` are committed.
+pub fn golden_text(list: &str, rows: &[String]) -> String {
+    let rows: Vec<String> = rows.iter().map(|r| format!("  {r}")).collect();
+    format!(
+        "{{\"scale\": \"smoke\", {list:?}: [\n{}\n]}}\n",
+        rows.join(",\n")
+    )
+}
+
+/// The one golden check: panics unless `regenerated` equals the text
+/// committed as `file`, printing the new text to paste into the file when
+/// the change is intended. There is no flag or environment variable.
+pub fn assert_golden(file: &str, committed: &str, regenerated: &str) {
+    assert!(
+        regenerated == committed,
+        "a counted value differs from {file}; if the change is intended, \
+         write this into the file:\n{regenerated}"
+    );
+}
 
 /// Reads the row-count override from `SQLARRAY_ROWS`.
 pub fn rows_from_env() -> i64 {

@@ -18,11 +18,12 @@
 //!    conditions, the `ArrayUpdate` UDF fallback, the leaf-record size
 //!    limit. Everything a user's data can make fail happens here, so a
 //!    typed error leaves zero pages and zero WAL bytes changed.
-//! 3. **Apply** (serial, mutating): UPDATE rows change through
-//!    [`Table::update`] in key order; a DELETE hands every matched key to
-//!    one [`Table::delete_keys`], which removes each leaf's matched rows in
-//!    one page write, leaf after leaf in key order. Scans never write log
-//!    records, so all WAL appends happen here, in a DOP-independent order.
+//! 3. **Apply** (serial, mutating): one [`Table::apply`] call takes every
+//!    matched key — a delete each, for DELETE; the rewritten row of each
+//!    change that carries one, for UPDATE — and changes each leaf's rows in
+//!    one page write, leaf after leaf in key order. An UPDATE's in-place
+//!    LOB patches follow, in key order. Scans never write log records, so
+//!    all WAL appends happen here, in a DOP-independent order.
 //!
 //! `SET v = Schema.ArrayUpdate(v, @offset, @replacement)` on a stored LOB
 //! column is the paper's partial-update path: the apply phase patches only
@@ -39,9 +40,7 @@ use crate::expr::Expr;
 use crate::tsql::{DeleteStmt, SelectItem, UpdateStmt};
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::{ElementType, Header, StorageClass};
-use sqlarray_storage::{
-    blob, btree, row, ColType, Column, PageStore, RowValue, StorageError, Table,
-};
+use sqlarray_storage::{blob, row, ColType, Column, PageStore, RowOp, RowValue, Table};
 
 /// One planned SET item: target column index plus how its value comes to
 /// be. The expressions themselves ride in the match scan's item list, in
@@ -277,33 +276,16 @@ fn resolve_row(
         }
     }
     if rewrite {
-        // Only the B-tree would notice an oversized record, in the apply
-        // phase, with earlier rows already rewritten: check it here (a
-        // blob past the in-row limit counts as its 17-byte reference).
-        let bytes = row::encoded_len(schema, &row)?;
-        if bytes > btree::MAX_PAYLOAD {
-            let limit = btree::MAX_PAYLOAD;
-            return Err(StorageError::RecordTooLarge { bytes, limit }.into());
-        }
+        // The apply phase would refuse an oversized record with earlier
+        // rows already rewritten: check it here (a blob past the in-row
+        // limit counts as its 17-byte reference).
+        row::encoded_len(schema, &row)?;
     }
     Ok(Some(RowChange {
         key,
         row: rewrite.then_some(row),
         patches,
     }))
-}
-
-/// The apply phase for one resolved UPDATE row.
-fn apply_row(store: &mut PageStore, table: &mut Table, change: RowChange) -> Result<()> {
-    // The full-row update goes first: untouched LOB columns pass their
-    // references through, so a subsequent patch addresses the same chain.
-    if let Some(row) = change.row {
-        table.update(store, change.key, &row)?;
-    }
-    for (col, byte_off, payload) in change.patches {
-        table.update_col_blob_range(store, change.key, col, byte_off, &payload)?;
-    }
-    Ok(())
 }
 
 /// Executes one UPDATE. The caller holds exclusive access to the
@@ -391,20 +373,30 @@ fn match_resolve_apply(
     let matched = scan.run(ctx, store, table, totals)?;
 
     let Some(sets) = sets else {
-        let keys = matched
+        let ops = matched
             .iter()
-            .map(|row| leading_key(row))
+            .map(|row| Ok((leading_key(row)?, RowOp::Delete)))
             .collect::<Result<Vec<_>>>()?;
-        totals.rows_affected += table.delete_keys(store, &keys)?;
+        totals.rows_affected += table.apply(store, &ops)?;
         return Ok(());
     };
     let mut changes = Vec::with_capacity(matched.len());
     for m in matched {
         changes.extend(resolve_row(ctx, store, table, sets, m)?);
     }
-    for change in changes {
-        apply_row(store, table, change)?;
-        totals.rows_affected += 1;
+    // Full-row rewrites first, leaf by leaf: untouched LOB columns pass
+    // their references through, so the patches after them address the
+    // same chains.
+    let ops: Vec<_> = changes
+        .iter()
+        .filter_map(|c| Some((c.key, RowOp::Update(c.row.as_deref()?))))
+        .collect();
+    table.apply(store, &ops)?;
+    for change in &changes {
+        for (col, byte_off, payload) in &change.patches {
+            table.update_col_blob_range(store, change.key, *col, *byte_off, payload)?;
+        }
     }
+    totals.rows_affected += changes.len() as u64;
     Ok(())
 }

@@ -9,13 +9,21 @@
 //! * internal: `key i64 | child u64` (the leftmost child — subtree with
 //!   keys below the first separator — is stored in the page's link field)
 //!
-//! **One descent.** `get`, `insert`, `update` and each leaf of a delete
-//! start from `BTree::find`, which walks exactly `depth` levels — an
-//! internal page at each level above the last, a leaf at the last — and
-//! reads each page once. A child link that points back up the tree, or at
-//! a page of the wrong kind, is a typed [`StorageError::RowCorrupt`], never
-//! an endless walk; so is a leaf chain longer than the file
-//! ([`BTree::leaf_pages`]).
+//! **One descent.** `get` and each leaf group of a write start from
+//! `BTree::find`, which walks exactly `depth` levels — an internal page at
+//! each level above the last, a leaf at the last — and reads each page
+//! once. A child link that points back up the tree, or at a page of the
+//! wrong kind, is a typed [`StorageError::RowCorrupt`], never an endless
+//! walk; so is a leaf chain longer than the file ([`BTree::leaf_pages`]).
+//!
+//! **One write routine.** Outside [`BTree::bulk_build`], every insert,
+//! update and delete goes through [`BTree::apply`]: strictly ascending
+//! keys, and an edit that makes each key's record a put, a delete or
+//! nothing. The keys one leaf answers for — those below the separator the
+//! descent passed on its way down — form a group: one descent copies the
+//! leaf into a scratch page, each edit is placed on the scratch in key
+//! order, and the group ends with one write of the scratch. A range
+//! UPDATE or DELETE thus costs one page write per leaf, not one per row.
 //!
 //! **One placement rule.** A record — an insert's, or an update's
 //! replacement — goes, in this order:
@@ -32,14 +40,13 @@
 //!    record close to [`MAX_PAYLOAD`] between wide neighbours splits its
 //!    leaf three ways. The separators walk back up the descent's path.
 //!
-//! Steps 2 and 3 rebuild from one snapshot: a copy of the leaf as the
-//! descent read it, whose records — with the new one among them — the
-//! rebuilt pages take as slices of that copy.
-//!
-//! **A delete is per leaf.** [`BTree::delete_keys`] takes ascending keys;
-//! those one leaf answers for share its descent and leave it in one page
-//! write, whose image is the one deleting them one at a time leaves.
-//! [`BTree::delete`] is that routine with one key.
+//! Steps 2 and 3 rebuild from the scratch, whose records — with the new
+//! one among them — the rebuilt pages take as slices of it. A compaction
+//! keeps the group going; a split or an append ends it, and the group's
+//! later keys start a new one from a fresh descent. So a split cuts its
+//! leaf exactly where one call per op would, and every page image equals
+//! the one that applying the ops one call at a time leaves — only the
+//! WAL, which logs one frame per leaf write, is shorter.
 
 use crate::errors::{Result, StorageError};
 use crate::page::{
@@ -150,13 +157,6 @@ fn push_entries(p: &mut SlottedPage<'_>, entries: &[(i64, PageId)]) -> Result<()
         .try_for_each(|&(k, c)| p.push_record(&encode_internal(k, c)).map(drop))
 }
 
-fn encode_leaf(key: i64, payload: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(8 + payload.len());
-    rec.extend_from_slice(&key.to_le_bytes());
-    rec.extend_from_slice(payload);
-    rec
-}
-
 fn encode_internal(key: i64, child: PageId) -> [u8; 16] {
     let mut rec = [0u8; 16];
     rec[..8].copy_from_slice(&key.to_le_bytes());
@@ -183,25 +183,22 @@ fn check_payload(payload: &[u8]) -> Result<()> {
 /// `Option`.
 type SplitInfo = Vec<(i64, PageId)>;
 
-/// Where a key goes: the internal pages from the root down, each with the
-/// slot the descent left it through; the leaf; the key's slot there.
-struct Spot {
+/// Where [`BTree::find`] ended: the internal pages from the root down,
+/// each with the slot the descent left it through; the leaf, a view of
+/// it, the key's slot there and whether the key is present; and the
+/// separator past the leaf's keys (`None` for the rightmost leaf).
+struct Found<'s> {
     path: Vec<(PageId, InternalPos)>,
     leaf: PageId,
-    slot: usize,
-}
-
-/// Where [`BTree::find`] ended: the key's [`Spot`], a view of its leaf,
-/// and whether the key is present.
-struct Found<'s> {
-    at: Spot,
     view: SlottedRead<'s>,
+    slot: usize,
     hit: bool,
+    end: Option<i64>,
 }
 
 /// Which step of the placement rule takes a record (see the module doc).
 /// Steps 2 and 3 rebuild the leaf from its records plus the new one, read
-/// by [`rebuilt`] out of one copy of the page.
+/// by [`BTree::rebuild_leaf`] out of one copy of the page.
 enum Placement {
     /// 1: the leaf's free tail.
     Tail,
@@ -215,18 +212,15 @@ enum Placement {
 }
 
 impl Placement {
-    /// The step that takes `rec` into the leaf `f` found: at its slot as a
-    /// new record, or over the record there when `replace`.
-    fn choose(f: &Found<'_>, rec: &[u8], replace: bool) -> Result<Placement> {
-        let (v, slot) = (&f.view, f.at.slot);
-        let old = if replace {
-            Some(v.record(slot)?.len())
-        } else {
-            None
-        };
+    /// The step that takes a record of `len` bytes into leaf `v`: at
+    /// `slot` as a new record, or over the record there when `replace`.
+    fn choose(v: &SlottedRead<'_>, slot: usize, len: usize, replace: bool) -> Result<Placement> {
+        let old = replace
+            .then(|| v.record(slot).map(<[u8]>::len))
+            .transpose()?;
         let fits_tail = match old {
-            Some(old) => rec.len() <= old || rec.len() <= v.free_tail(),
-            None => rec.len() + SLOT_LEN <= v.free_tail(),
+            Some(old) => len <= old || len <= v.free_tail(),
+            None => len + SLOT_LEN <= v.free_tail(),
         };
         if fits_tail {
             return Ok(Placement::Tail);
@@ -234,7 +228,7 @@ impl Placement {
         let held: usize = (0..v.slot_count())
             .map(|i| Ok(v.record(i)?.len() + SLOT_LEN))
             .sum::<Result<usize>>()?;
-        let live = held + rec.len() + SLOT_LEN - old.map_or(0, |old| old + SLOT_LEN);
+        let live = held + len + SLOT_LEN - old.map_or(0, |old| old + SLOT_LEN);
         let last = slot + usize::from(replace) == v.slot_count();
         if live > USABLE && last && v.next_page().is_none() {
             return Ok(Placement::Append);
@@ -247,27 +241,16 @@ impl Placement {
     }
 }
 
-/// The records a rebuilt leaf holds, in key order: those of `leaf` — a
-/// copy of page `page` as the descent read it — as slices of that copy,
-/// with `rec` at `slot`, over the record there when `replace`.
-fn rebuilt<'a>(
-    leaf: &'a [u8],
-    page: PageId,
-    slot: usize,
-    rec: &'a [u8],
-    replace: bool,
-) -> Result<Vec<&'a [u8]>> {
-    let v = SlottedRead::open(leaf, page_type::BTREE_LEAF, page)?;
-    let mut records = Vec::with_capacity(v.slot_count() + 1);
-    for r in v.record_ranges(0..v.slot_count())? {
-        records.push(&leaf[r?]);
-    }
-    if replace {
-        records[slot] = rec;
-    } else {
-        records.insert(slot, rec);
-    }
-    Ok(records)
+/// What [`BTree::apply`]'s edit makes of one key's record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Edit {
+    /// Store this payload under the key: over the record there, or as a
+    /// new record when there is none.
+    Put(Vec<u8>),
+    /// Remove the key's record (nothing, when there is none).
+    Delete,
+    /// Leave the key as it is.
+    Keep,
 }
 
 /// The groups a leaf's records split into, as runs of `records`: 50/50 by
@@ -386,65 +369,66 @@ impl BTree {
     }
 
     /// The one descent: from the root down exactly `depth` levels to the
-    /// leaf that holds `key`'s position, reading each page once.
+    /// leaf that holds `key`'s position, reading each page once. The
+    /// separator after the slot it leaves a level through bounds the
+    /// leaf's keys; the deepest one found is the tightest.
     fn find<'s>(&self, store: &'s mut PageStore, key: i64) -> Result<Found<'s>> {
-        let mut path = Vec::new();
+        let (mut path, mut end) = (Vec::new(), None);
         let mut page = self.root;
         for _ in 1..self.depth {
             let v = tree_node(store.read(page)?, page_type::BTREE_INTERNAL, page)?;
             let (child, pos) = descend(&v, key)?;
+            let after = match pos {
+                InternalPos::Leftmost => 0,
+                InternalPos::Slot(i) => i + 1,
+            };
+            if after < v.slot_count() {
+                end = Some(internal_entry(v.record(after)?)?.0);
+            }
             path.push((page, pos));
             page = child;
         }
         let view = tree_node(store.read(page)?, page_type::BTREE_LEAF, page)?;
         let slot = leaf_lower_bound(&view, 0, key)?;
         let hit = slot < view.slot_count() && leaf_key(view.record(slot)?)? == key;
+        let leaf = page;
         Ok(Found {
-            at: Spot {
-                path,
-                leaf: page,
-                slot,
-            },
+            path,
+            leaf,
             view,
+            slot,
             hit,
+            end,
         })
     }
 
     /// Point lookup; returns the payload when the key exists.
     pub fn get(&self, store: &mut PageStore, key: i64) -> Result<Option<Vec<u8>>> {
         let f = self.find(store, key)?;
-        if !f.hit {
-            return Ok(None);
-        }
-        Ok(Some(f.view.record(f.at.slot)?[8..].to_vec()))
+        let rec = f.hit.then(|| f.view.record(f.slot)).transpose()?;
+        Ok(rec.map(|rec| rec[8..].to_vec()))
     }
 
-    /// Deletes `key`, returning its payload: [`delete_keys`](Self::delete_keys)
-    /// with one key.
-    pub fn delete(&mut self, store: &mut PageStore, key: i64) -> Result<Vec<u8>> {
-        let mut old = None;
-        self.delete_keys(store, &[key], |_, payload| {
-            old = Some(payload.to_vec());
-            Ok(())
-        })?;
-        old.ok_or(StorageError::KeyNotFound { key })
-    }
-
-    /// Deletes each of `keys` — strictly ascending, or refused with
-    /// [`StorageError::KeysNotAscending`] before anything is written — that
-    /// the tree holds, and returns how many it held. Leaf-local maintenance
-    /// only: the keys one leaf answers for share one descent, and their
-    /// slots leave it in one page write, whose image is the one deleting
-    /// them one at a time leaves; the records' bytes stay behind as dead
-    /// space until the placement rule compacts the leaf, and a leaf
-    /// emptied by deletes stays in the sibling chain (scans skip zero-slot
-    /// pages for free). After each leaf's write, `freed` sees the payload
-    /// of each record it lost, in key order.
-    pub fn delete_keys(
+    /// The one write routine. Applies `edit`'s verdict to each of `keys`
+    /// — strictly ascending, or refused with
+    /// [`StorageError::KeysNotAscending`] before anything is written — and
+    /// returns how many records it put or deleted. `edit(store, i, old)`
+    /// sees op `i`'s current payload (`None` when the key is absent) and
+    /// the store, so it can spill or free a row's LOB chains at its turn.
+    ///
+    /// The keys one leaf answers for — those below the separator its
+    /// descent passed — form a group: one descent, for the group's first
+    /// key, copies the leaf into a scratch page; each edit is placed there
+    /// by the placement rule; the group ends with one write of the
+    /// scratch. A split or an append ends its group early (see the module
+    /// doc), so every page equals the one a call per op leaves. On an
+    /// error at op `i`, the group's scratch — the ops before `i` — is
+    /// written, and the error returned.
+    pub fn apply(
         &mut self,
         store: &mut PageStore,
         keys: &[i64],
-        mut freed: impl FnMut(&mut PageStore, &[u8]) -> Result<()>,
+        mut edit: impl FnMut(&mut PageStore, usize, Option<&[u8]>) -> Result<Edit>,
     ) -> Result<u64> {
         if let Some(w) = keys.windows(2).find(|w| w[1] <= w[0]) {
             return Err(StorageError::KeysNotAscending {
@@ -452,101 +436,93 @@ impl BTree {
                 after: w[0],
             });
         }
-        let (mut rest, held) = (keys, self.len);
-        let (mut slots, mut copy) = (Vec::new(), Vec::new());
-        while let Some(&first) = rest.first() {
-            let Found { at, view, .. } = self.find(store, first)?;
-            // The descent for `first` ended here; a later key belongs to
-            // this leaf too when it is not past the leaf's last key.
-            let (mut slot, mut used) = (at.slot, 0);
-            slots.clear();
-            for &key in rest {
-                slot = leaf_lower_bound(&view, slot, key)?;
-                if slot == view.slot_count() && used > 0 {
-                    break;
-                }
-                used += 1;
-                if slot < view.slot_count() && leaf_key(view.record(slot)?)? == key {
-                    slots.push(slot);
-                    slot += 1;
-                }
-            }
-            rest = &rest[used..];
-            if slots.is_empty() {
-                continue;
-            }
-            copy.clear();
-            copy.extend_from_slice(view.bytes());
-            let leaf = at.leaf;
-            write_page(store, leaf, |bytes| {
-                SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?.remove_slots(&slots)
-            })?;
-            self.len -= slots.len() as u64;
-            let lost = SlottedRead::open(&copy, page_type::BTREE_LEAF, leaf)?;
-            for &s in &slots {
-                freed(store, &lost.record(s)?[8..])?;
-            }
-        }
-        Ok(held - self.len)
-    }
-
-    /// Replaces `key`'s payload, placed by the one placement rule.
-    pub fn update(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<()> {
-        self.put(store, key, payload, true)
-    }
-
-    /// Inserts a key/payload pair, placed by the one placement rule;
-    /// duplicate keys are rejected (clustered primary key semantics).
-    pub fn insert(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<()> {
-        self.put(store, key, payload, false)?;
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Places `key`'s record — over the present one when `replace`, as a
-    /// new one otherwise — by the one placement rule, then hands a split's
-    /// separators up the descent's path, growing the tree by one level
-    /// when the root splits.
-    fn put(
-        &mut self,
-        store: &mut PageStore,
-        key: i64,
-        payload: &[u8],
-        replace: bool,
-    ) -> Result<()> {
-        check_payload(payload)?;
-        let rec = encode_leaf(key, payload);
-        let f = self.find(store, key)?;
-        match (f.hit, replace) {
-            (true, false) => return Err(StorageError::DuplicateKey { key }),
-            (false, true) => return Err(StorageError::KeyNotFound { key }),
-            _ => {}
-        }
-        let placement = Placement::choose(&f, &rec, replace)?;
-        let Found {
-            at: Spot { path, leaf, slot },
-            view,
-            ..
-        } = f;
-        let mut splits = match placement {
-            Placement::Tail => {
-                return write_page(store, leaf, |bytes| {
-                    let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
-                    if replace {
-                        p.replace_record(slot, &rec)
-                    } else {
-                        p.insert_record(slot, &rec)
-                    }
+        // The scratch copy of the group's leaf, and the page a compaction
+        // or split rebuilds it into.
+        let mut bufs = [Vec::with_capacity(PAGE_SIZE), Vec::new()];
+        let (mut changed, mut next) = (0, 0);
+        while next < keys.len() {
+            let f = self.find(store, keys[next])?;
+            bufs[0].clear();
+            bufs[0].extend_from_slice(f.view.bytes());
+            let (path, leaf, end) = (f.path, f.leaf, f.end);
+            // The group: the keys below the separator that bounds the leaf.
+            let bounded = keys[next..]
+                .iter()
+                .take_while(|&&k| end.map_or(true, |end| k < end));
+            let group = next + bounded.count();
+            let (mut from, mut dirty, mut ended) = (f.slot, false, Ok(Vec::new()));
+            // A split or an append ends the group early.
+            while next < group && ended.as_ref().is_ok_and(Vec::is_empty) {
+                let step = self.step(
+                    store,
+                    &mut bufs,
+                    leaf,
+                    &mut from,
+                    (next, keys[next]),
+                    &mut edit,
+                );
+                next += 1;
+                ended = step.map(|placed| {
+                    dirty |= placed.is_some();
+                    changed += u64::from(placed.is_some());
+                    placed.unwrap_or_default()
                 });
             }
-            Placement::Compact | Placement::Split => {
-                let (copy, next) = (view.bytes().to_vec(), view.next_page());
-                let records = rebuilt(&copy, leaf, slot, &rec, replace)?;
-                let groups = match placement {
-                    Placement::Split => split_groups(&records),
-                    _ => vec![&records[..]],
-                };
-                Self::rebuild_leaf(store, leaf, &groups, next)?
+            if dirty {
+                store.write(leaf, |bytes| bytes.copy_from_slice(&bufs[0]))?;
+            }
+            self.push_up(store, &path, ended?)?;
+        }
+        Ok(changed)
+    }
+
+    /// Op `i` of a group: finds `key`'s slot on the scratch leaf
+    /// `bufs[0]` (searching from `*from`, the slot of the key before it),
+    /// hands its payload to `edit`, and places the verdict by the
+    /// placement rule. `None` when the scratch is as it was; otherwise the
+    /// separators a split or an append hands up, which end the group (none
+    /// when the group goes on).
+    fn step(
+        &mut self,
+        store: &mut PageStore,
+        bufs: &mut [Vec<u8>; 2],
+        leaf: PageId,
+        from: &mut usize,
+        (i, key): (usize, i64),
+        edit: &mut impl FnMut(&mut PageStore, usize, Option<&[u8]>) -> Result<Edit>,
+    ) -> Result<Option<SplitInfo>> {
+        let v = SlottedRead::open(&bufs[0], page_type::BTREE_LEAF, leaf)?;
+        let slot = leaf_lower_bound(&v, *from, key)?;
+        *from = slot;
+        let mut old = None;
+        if slot < v.slot_count() {
+            let rec = v.record(slot)?;
+            old = (leaf_key(rec)? == key).then_some(&rec[8..]);
+        }
+        let hit = old.is_some();
+        let payload = match edit(store, i, old)? {
+            Edit::Put(payload) => payload,
+            Edit::Delete if hit => {
+                SlottedPage::open(&mut bufs[0], page_type::BTREE_LEAF, leaf)?.remove_slot(slot)?;
+                self.len -= 1;
+                return Ok(Some(Vec::new()));
+            }
+            Edit::Delete | Edit::Keep => return Ok(None),
+        };
+        check_payload(&payload)?;
+        let rec = [&key.to_le_bytes()[..], &payload].concat();
+        let v = SlottedRead::open(&bufs[0], page_type::BTREE_LEAF, leaf)?;
+        let placement = Placement::choose(&v, slot, rec.len(), hit)?;
+        let [page, spare] = bufs;
+        let splits = match placement {
+            Placement::Tail => {
+                let mut p = SlottedPage::open(page, page_type::BTREE_LEAF, leaf)?;
+                if hit {
+                    p.replace_record(slot, &rec)?;
+                } else {
+                    p.insert_record(slot, &rec)?;
+                }
+                Vec::new()
             }
             Placement::Append => {
                 let right = store.allocate();
@@ -555,17 +531,33 @@ impl BTree {
                         .push_record(&rec)
                         .map(drop)
                 })?;
-                write_page(store, leaf, |bytes| {
-                    let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
-                    if replace {
-                        p.remove_slot(slot)?;
-                    }
-                    p.set_next_page(Some(right));
-                    Ok(())
-                })?;
+                let mut p = SlottedPage::open(page, page_type::BTREE_LEAF, leaf)?;
+                if hit {
+                    p.remove_slot(slot)?;
+                }
+                p.set_next_page(Some(right));
                 vec![(key, right)]
             }
+            Placement::Compact | Placement::Split => {
+                let split = matches!(placement, Placement::Split);
+                let splits =
+                    Self::rebuild_leaf(store, spare, page, leaf, (slot, &rec, hit), split)?;
+                std::mem::swap(page, spare);
+                splits
+            }
         };
+        self.len += u64::from(!hit);
+        Ok(Some(splits))
+    }
+
+    /// Hands a leaf's separators up the descent's `path`, growing the tree
+    /// by one level when the root splits.
+    fn push_up(
+        &mut self,
+        store: &mut PageStore,
+        path: &[(PageId, InternalPos)],
+        mut splits: SplitInfo,
+    ) -> Result<()> {
         for &(page, pos) in path.iter().rev() {
             if splits.is_empty() {
                 return Ok(());
@@ -589,16 +581,35 @@ impl BTree {
         Ok(())
     }
 
-    /// Rewrites `leaf` with the first of `groups` — all of its records, for
-    /// a compaction — and each further group onto a fresh page chained
-    /// after it, the last linking to `next`.
+    /// Rebuilds leaf `leaf` from `base` — its scratch copy — with `rec` at
+    /// `slot`, over the record there when `replace`; the records are
+    /// slices of `base`. A compaction puts all of them onto `out`, a copy
+    /// of `base`; a `split` puts its first group there and each further
+    /// group onto a fresh page chained after it, the last linking on to
+    /// where `base` linked.
     fn rebuild_leaf(
         store: &mut PageStore,
+        out: &mut Vec<u8>,
+        base: &[u8],
         leaf: PageId,
-        groups: &[&[&[u8]]],
-        next: Option<PageId>,
+        (slot, rec, replace): (usize, &[u8], bool),
+        split: bool,
     ) -> Result<SplitInfo> {
-        let [first, rest @ ..] = groups else {
+        let v = SlottedRead::open(base, page_type::BTREE_LEAF, leaf)?;
+        let mut records = Vec::with_capacity(v.slot_count() + 1);
+        for r in v.record_ranges(0..v.slot_count())? {
+            records.push(&base[r?]);
+        }
+        if replace {
+            records[slot] = rec;
+        } else {
+            records.insert(slot, rec);
+        }
+        let groups = match split {
+            true => split_groups(&records),
+            false => vec![&records[..]],
+        };
+        let [first, rest @ ..] = &groups[..] else {
             return Ok(Vec::new());
         };
         let pages: Vec<PageId> = rest.iter().map(|_| store.allocate()).collect();
@@ -607,15 +618,14 @@ impl BTree {
             .zip(&pages)
             .map(|(g, &pid)| Ok((leaf_key(g[0])?, pid)))
             .collect::<Result<_>>()?;
-        write_page(store, leaf, |bytes| {
-            let mut p = SlottedPage::open(bytes, page_type::BTREE_LEAF, leaf)?;
-            p.reset();
-            push_all(&mut p, first)?;
-            p.set_next_page(pages.first().copied().or(next));
-            Ok(())
-        })?;
+        out.clear();
+        out.extend_from_slice(base);
+        let mut p = SlottedPage::open(out, page_type::BTREE_LEAF, leaf)?;
+        p.reset();
+        push_all(&mut p, first)?;
+        p.set_next_page(pages.first().copied().or(v.next_page()));
         for (gi, (g, &pid)) in rest.iter().zip(&pages).enumerate() {
-            let link = pages.get(gi + 1).copied().or(next);
+            let link = pages.get(gi + 1).copied().or(v.next_page());
             write_page(store, pid, |bytes| {
                 let mut p = SlottedPage::init(bytes, page_type::BTREE_LEAF);
                 push_all(&mut p, g)?;
@@ -769,7 +779,7 @@ impl BTree {
             let mut bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
             let mut p = SlottedPage::init(&mut bytes, page_type::BTREE_LEAF);
             for (key, payload) in &entries[leaf_ranges[leaf_idx].clone()] {
-                push_sized(&mut p, &encode_leaf(*key, payload));
+                push_sized(&mut p, &[&key.to_le_bytes()[..], payload].concat());
             }
             if leaf_idx + 1 < n_leaves {
                 p.set_next_page(Some(leaf_page(leaf_idx + 1)));
@@ -1002,6 +1012,42 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
+    /// Single-key calls of [`BTree::apply`], with the verdicts a clustered
+    /// index gives one op: an insert of a held key and an update or delete
+    /// of an absent one are errors.
+    trait OneOp {
+        fn insert(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<()>;
+        fn update(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<()>;
+        fn delete(&mut self, store: &mut PageStore, key: i64) -> Result<Vec<u8>>;
+    }
+
+    impl OneOp for BTree {
+        fn insert(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<()> {
+            self.apply(store, &[key], |_, _, old| match old {
+                Some(_) => Err(StorageError::DuplicateKey { key }),
+                None => Ok(Edit::Put(payload.to_vec())),
+            })
+            .map(drop)
+        }
+
+        fn update(&mut self, store: &mut PageStore, key: i64, payload: &[u8]) -> Result<()> {
+            self.apply(store, &[key], |_, _, old| match old {
+                Some(_) => Ok(Edit::Put(payload.to_vec())),
+                None => Err(StorageError::KeyNotFound { key }),
+            })
+            .map(drop)
+        }
+
+        fn delete(&mut self, store: &mut PageStore, key: i64) -> Result<Vec<u8>> {
+            let mut gone = None;
+            self.apply(store, &[key], |_, _, old| {
+                gone = old.map(<[u8]>::to_vec);
+                Ok(Edit::Delete)
+            })?;
+            gone.ok_or(StorageError::KeyNotFound { key })
+        }
+    }
+
     fn tree_with(n: i64, payload_len: usize) -> (PageStore, BTree) {
         let mut store = PageStore::new();
         let mut t = BTree::create(&mut store).unwrap();
@@ -1233,7 +1279,7 @@ mod tests {
                 internal_entry(v.record(0).unwrap()).unwrap().1,
             )
         };
-        let descents: &[&str] = &["get", "insert", "update", "delete", "delete_keys", "depth"];
+        let descents: &[&str] = &["get", "insert", "update", "delete", "apply", "depth"];
         type Damage = Box<dyn Fn(&mut PageStore, &BTree)>;
         let cases: [(&str, Damage, &[&str]); 4] = [
             (
@@ -1266,7 +1312,7 @@ mod tests {
                 "insert",
                 "update",
                 "delete",
-                "delete_keys",
+                "apply",
                 "leaf_pages",
                 "depth",
             ] {
@@ -1279,7 +1325,9 @@ mod tests {
                     "insert" => t.insert(store, -1, b"x"),
                     "update" => t.update(store, 0, b"x"),
                     "delete" => t.delete(store, 0).map(drop),
-                    "delete_keys" => t.delete_keys(store, &[0, 1], |_, _| Ok(())).map(drop),
+                    "apply" => t
+                        .apply(store, &[0, 1], |_, _, _| Ok(Edit::Delete))
+                        .map(drop),
                     "leaf_pages" => t.leaf_pages(store).map(drop),
                     _ => t.depth(store).map(drop),
                 };
@@ -1349,7 +1397,9 @@ mod tests {
         let payload = vec![0x5A; len];
         t.insert(&mut store, key, &payload).unwrap();
         model.insert(key, payload);
-        let mut records = model.iter().map(|(&k, p)| encode_leaf(k, p));
+        let mut records = model
+            .iter()
+            .map(|(&k, p)| [&k.to_le_bytes()[..], p].concat());
         let (mut page, mut seen) = (Some(t.first_leaf), 0);
         while let Some(pid) = page {
             let got = store.read(pid).unwrap().to_vec();

@@ -39,7 +39,7 @@ pub mod wal;
 pub mod zorder;
 
 pub use blob::{BlobId, BlobStream, ByteRun};
-pub use btree::BTree;
+pub use btree::{BTree, Edit};
 pub use errors::{Result, StorageError};
 pub use page::{PageId, PAGE_SIZE};
 pub use pool::ShardedLruPool;
@@ -48,4 +48,4 @@ pub use stats::{DiskProfile, IoStats};
 pub use store::{
     DiskImage, PageRead, PageStore, PartitionReader, Recovery, ScanCtx, ScanIo, MAX_READ_RETRIES,
 };
-pub use table::{BatchScanOpts, ScanPartition, Table};
+pub use table::{BatchScanOpts, RowOp, ScanPartition, Table};

@@ -213,44 +213,18 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Removes slot `i` (the record bytes become dead space until the page
-    /// is compacted by a split): [`remove_slots`](Self::remove_slots) with
-    /// one slot, so later slots move up one entry in one move and the entry
-    /// at the old last position stays behind, stale.
+    /// is compacted): later slots move up one entry in one move, and the
+    /// entry at the old last position stays behind, stale.
     pub fn remove_slot(&mut self, i: usize) -> Result<()> {
-        self.remove_slots(&[i])
-    }
-
-    /// Removes `slots` (strictly ascending) in one pass, leaving the image
-    /// [`remove_slot`](Self::remove_slot) leaves when called for each in
-    /// turn: the remaining entries close up, one move per run between two
-    /// removed slots, and every position the directory gave up holds a
-    /// stale copy of its old last entry — the one entry no earlier removal
-    /// of the sequence shifted.
-    pub fn remove_slots(&mut self, slots: &[usize]) -> Result<()> {
         let count = self.slot_count();
-        let mut floor = 0;
-        for &slot in slots {
-            if slot < floor || slot >= count {
-                return Err(StorageError::BadSlot { slot, count });
-            }
-            floor = slot + 1;
+        if i >= count {
+            return Err(StorageError::BadSlot { slot: i, count });
         }
-        // Slot `j`'s entry sits at `PAGE_SIZE - (j + 1) * SLOT_LEN`: the
-        // entries after the `k`-th removed slot, up to the next one, move
-        // `k + 1` entries toward the page end.
-        for (k, &slot) in slots.iter().enumerate() {
-            let end = slots.get(k + 1).copied().unwrap_or(count);
-            self.bytes.copy_within(
-                PAGE_SIZE - end * SLOT_LEN..PAGE_SIZE - (slot + 1) * SLOT_LEN,
-                PAGE_SIZE - (end - k - 1) * SLOT_LEN,
-            );
-        }
-        let kept = count - slots.len();
-        let last = PAGE_SIZE - count * SLOT_LEN;
-        for at in (last + SLOT_LEN..PAGE_SIZE - kept * SLOT_LEN).step_by(SLOT_LEN) {
-            self.bytes.copy_within(last..last + SLOT_LEN, at);
-        }
-        self.set_slot_count(kept);
+        // Slot `j`'s entry sits at `PAGE_SIZE - (j + 1) * SLOT_LEN`.
+        let dir = PAGE_SIZE - count * SLOT_LEN;
+        self.bytes
+            .copy_within(dir..PAGE_SIZE - (i + 1) * SLOT_LEN, dir + SLOT_LEN);
+        self.set_slot_count(count - 1);
         Ok(())
     }
 
@@ -580,66 +554,6 @@ mod tests {
                 SlottedPage { bytes: &mut got }.remove_slot(i).unwrap();
                 assert!(got == want, "remove {i} of {count}");
             }
-        }
-    }
-
-    /// Removing a set of slots in one pass leaves the image removing them
-    /// one at a time, lowest first, leaves — not the one a highest-first
-    /// order leaves, which differs in the stale entries past the end.
-    #[test]
-    fn remove_slots_is_remove_slot_lowest_first() {
-        let mut draws = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            draws ^= draws << 13;
-            draws ^= draws >> 7;
-            draws ^= draws << 17;
-            draws
-        };
-        for count in [1usize, 2, 5, 40, 300] {
-            let base = page_of(count);
-            for round in 0..60 {
-                let slots: Vec<usize> = (0..count)
-                    .filter(|_| match round % 3 {
-                        0 => next() % 2 == 0,
-                        1 => next() % 8 == 0,
-                        _ => next() % 8 != 0,
-                    })
-                    .collect();
-                let mut want = base.clone();
-                let mut p = SlottedPage { bytes: &mut want };
-                for (gone, &s) in slots.iter().enumerate() {
-                    p.remove_slot(s - gone).unwrap();
-                }
-                let mut got = base.clone();
-                SlottedPage { bytes: &mut got }
-                    .remove_slots(&slots)
-                    .unwrap();
-                assert!(got == want, "{slots:?} of {count}");
-            }
-        }
-        // Slots 1 and 3 of four: lowest first leaves the old last entry in
-        // both vacated positions, highest first does not.
-        let base = page_of(4);
-        let mut lowest = base.clone();
-        SlottedPage { bytes: &mut lowest }
-            .remove_slots(&[1, 3])
-            .unwrap();
-        let mut highest = base.clone();
-        let mut p = SlottedPage {
-            bytes: &mut highest,
-        };
-        p.remove_slot(3).unwrap();
-        p.remove_slot(1).unwrap();
-        assert!(lowest != highest);
-        let entry = |b: &[u8], i: usize| b[PAGE_SIZE - (i + 1) * SLOT_LEN..][..SLOT_LEN].to_vec();
-        assert_eq!(entry(&lowest, 2), entry(&base, 3));
-        assert_eq!(entry(&highest, 2), entry(&base, 2));
-        // Out of order, repeated or past the end: refused, page untouched.
-        for bad in [&[2usize, 1][..], &[1, 1], &[4]] {
-            let mut bytes = base.clone();
-            let got = SlottedPage { bytes: &mut bytes }.remove_slots(bad);
-            assert!(matches!(got, Err(StorageError::BadSlot { .. })), "{bad:?}");
-            assert!(bytes == base);
         }
     }
 

@@ -145,8 +145,10 @@ pub fn encode_row_inline(schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>
 /// Computes the encoded length of a row **without encoding it** (and
 /// without touching any store), validating arity and column types along
 /// the way. Oversized blob values are costed as LOB pointers (17 bytes),
-/// matching what [`encode_row`] produces after spilling — this is the
-/// bulk loader's pre-flight check, run before any store mutation.
+/// matching what [`encode_row`] produces after spilling; a row longer
+/// than a leaf record holds ([`MAX_PAYLOAD`](crate::btree::MAX_PAYLOAD))
+/// is [`StorageError::RecordTooLarge`]. This is every writer's pre-flight
+/// check, run before any store mutation.
 ///
 /// Kept adjacent to `encode_row_impl` because the two must agree
 /// byte-for-byte; `encoded_len_matches_encoding` pins that.
@@ -178,6 +180,10 @@ pub fn encoded_len(schema: &Schema, values: &[RowValue]) -> Result<usize> {
                 )))
             }
         };
+    }
+    let limit = crate::btree::MAX_PAYLOAD;
+    if len > limit {
+        return Err(StorageError::RecordTooLarge { bytes: len, limit });
     }
     Ok(len)
 }
@@ -655,8 +661,18 @@ mod tests {
             let bytes = encode_row(&mut store, &schema, &row).unwrap();
             assert_eq!(predicted, bytes.len(), "blob_len {blob_len}");
         }
-        // Arity and type mismatches are caught without a store.
+        // Arity and type mismatches, and a row past the leaf-record
+        // limit, are caught without a store.
         assert!(encoded_len(&schema, &[RowValue::I64(1)]).is_err());
+        let wide = Schema::new(&[("a", ColType::Blob), ("b", ColType::Blob)]);
+        let halves = [
+            RowValue::Bytes(vec![1; 5000]),
+            RowValue::Bytes(vec![2; 5000]),
+        ];
+        assert!(matches!(
+            encoded_len(&wide, &halves),
+            Err(StorageError::RecordTooLarge { bytes: 10_006, .. })
+        ));
         assert!(encoded_len(
             &schema,
             &[

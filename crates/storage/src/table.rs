@@ -1,7 +1,14 @@
 //! Clustered tables: schema + B-tree + blob store, with storage accounting.
+//!
+//! Rows change through one call, [`Table::apply`]: a keyed, ascending list
+//! of inserts, updates and deletes that the B-tree's one write routine
+//! ([`BTree::apply`]) applies leaf by leaf. Each op validates its row
+//! before it spills a blob, and frees the LOB chains its old row loses, at
+//! its own turn. [`Table::insert`] is that call with one op;
+//! [`Table::bulk_load`] fills an empty table.
 
 use crate::blob;
-use crate::btree::{self, BTree};
+use crate::btree::{self, BTree, Edit};
 use crate::errors::{Result, StorageError};
 use crate::page::{page_type, PageId, SlottedRead};
 use crate::row::{self, BatchDecoder, RowCursor, RowValue, Schema, INLINE_BLOB_LIMIT};
@@ -45,6 +52,17 @@ pub struct BatchScanOpts<'a> {
     pub leaf_aligned: bool,
 }
 
+/// One row operation of [`Table::apply`].
+#[derive(Debug, Clone, Copy)]
+pub enum RowOp<'a> {
+    /// A new row; its key must not be held.
+    Insert(&'a [RowValue]),
+    /// The row that replaces the one held under the key, if any.
+    Update(&'a [RowValue]),
+    /// Removes the row held under the key, if any.
+    Delete,
+}
+
 /// A clustered table. Rows are stored in the leaf level of a B+tree in key
 /// order; blob columns spill to the LOB store past the in-row limit.
 #[derive(Debug, Clone)]
@@ -79,10 +97,66 @@ impl Table {
         self.tree.len()
     }
 
-    /// Inserts a row under the clustered key.
+    /// Inserts a row under the clustered key: [`apply`](Self::apply) with
+    /// one [`RowOp::Insert`].
     pub fn insert(&mut self, store: &mut PageStore, key: i64, values: &[RowValue]) -> Result<()> {
-        let bytes = row::encode_row(store, &self.schema, values)?;
-        self.tree.insert(store, key, &bytes)
+        self.apply(store, &[(key, RowOp::Insert(values))]).map(drop)
+    }
+
+    /// Applies `ops` — keyed, strictly ascending, or refused with
+    /// [`StorageError::KeysNotAscending`] before anything is written —
+    /// through the one B-tree write routine ([`BTree::apply`]): the rows
+    /// one leaf holds change in one page write. Returns how many rows were
+    /// inserted, replaced or deleted.
+    ///
+    /// Each op, at its turn, first checks its key (an insert of a held key
+    /// is [`StorageError::DuplicateKey`]; an update or delete of an absent
+    /// one does nothing), then validates the new row — arity, types and
+    /// the leaf-record limit — before a blob is spilled, so a refused row
+    /// leaves no LOB chain behind. Blob values past the in-row limit spill
+    /// through the LOB writer; the replaced row's out-of-page chains that
+    /// the new row does not keep come back through [`blob::free_blob`] (a
+    /// pass-through `LobRef` keeps its chain — the engine's in-place
+    /// `ArrayUpdate` relies on that), so repeated UPDATEs recycle pages
+    /// instead of growing the file. Spills and frees happen in the order
+    /// one call per op makes them, so every page and the free list are
+    /// those a call per op leaves.
+    pub fn apply(&mut self, store: &mut PageStore, ops: &[(i64, RowOp<'_>)]) -> Result<u64> {
+        let keys: Vec<i64> = ops.iter().map(|&(key, _)| key).collect();
+        let schema = &self.schema;
+        let (mut old_ids, mut kept) = (Vec::new(), Vec::new());
+        self.tree.apply(store, &keys, |store, i, old| {
+            let (key, op) = ops[i];
+            let values = match (op, old) {
+                (RowOp::Insert(_), Some(_)) => return Err(StorageError::DuplicateKey { key }),
+                (RowOp::Update(_) | RowOp::Delete, None) => return Ok(Edit::Keep),
+                (RowOp::Insert(values) | RowOp::Update(values), _) => Some(values),
+                (RowOp::Delete, Some(_)) => None,
+            };
+            // LOB ids come from the encoded images directly: decoding the
+            // rows would copy every inline blob just to drop it.
+            if let Some(old) = old {
+                row::lob_refs(schema, old, &mut old_ids)?;
+            }
+            let payload = match values {
+                Some(values) => {
+                    // Refuse the row before a blob of it spills.
+                    row::encoded_len(schema, values)?;
+                    Some(row::encode_row(store, schema, values)?)
+                }
+                None => None,
+            };
+            if let Some(new) = &payload {
+                row::lob_refs(schema, new, &mut kept)?;
+            }
+            for id in old_ids.drain(..) {
+                if !kept.contains(&id) {
+                    blob::free_blob(store, id)?;
+                }
+            }
+            kept.clear();
+            Ok(payload.map_or(Edit::Delete, Edit::Put))
+        })
     }
 
     /// Bulk-loads an **empty** table from rows sorted by strictly
@@ -127,13 +201,7 @@ impl Table {
         // encoding a byte.
         crate::btree::validate_bulk_key_order(rows.iter().map(|(k, _)| *k))?;
         for (_, values) in rows {
-            let len = row::encoded_len(&self.schema, values)?;
-            if len > crate::btree::MAX_PAYLOAD {
-                return Err(StorageError::RecordTooLarge {
-                    bytes: len,
-                    limit: crate::btree::MAX_PAYLOAD,
-                });
-            }
+            row::encoded_len(&self.schema, values)?;
         }
 
         // Stage 1: spill oversized blobs serially (store mutation), so the
@@ -181,60 +249,6 @@ impl Table {
         Ok(())
     }
 
-    /// Replaces the row at `key` with `values`, freeing any out-of-page
-    /// LOB chains the new row no longer references. Returns `false` when
-    /// the key does not exist (nothing is written, no blob is spilled).
-    ///
-    /// New oversized blob values spill through the same LOB writer as
-    /// inserts; the pages of the replaced value come back through
-    /// [`blob::free_blob`], so repeated UPDATEs recycle pages instead of
-    /// growing the file.
-    pub fn update(&mut self, store: &mut PageStore, key: i64, values: &[RowValue]) -> Result<bool> {
-        let Some(old) = self.tree.get(store, key)? else {
-            return Ok(false);
-        };
-        // Collect LOB ids from the encoded images directly — decoding the
-        // full rows here would copy every inline blob payload twice per
-        // updated row just to throw the bytes away.
-        let mut old_ids: Vec<blob::BlobId> = Vec::new();
-        row::lob_refs(&self.schema, &old, &mut old_ids)?;
-        let bytes = row::encode_row(store, &self.schema, values)?;
-        self.tree.update(store, key, &bytes)?;
-        // Free LOB chains the new row stopped referencing (a pass-through
-        // `LobRef` keeps its chain — the engine's in-place array-update
-        // path relies on that).
-        let mut kept: Vec<blob::BlobId> = Vec::new();
-        row::lob_refs(&self.schema, &bytes, &mut kept)?;
-        for id in old_ids {
-            if !kept.contains(&id) {
-                blob::free_blob(store, id)?;
-            }
-        }
-        Ok(true)
-    }
-
-    /// Deletes the row at `key`, freeing its out-of-page LOB chains:
-    /// [`delete_keys`](Self::delete_keys) with one key. Returns `false`
-    /// when the key does not exist.
-    pub fn delete(&mut self, store: &mut PageStore, key: i64) -> Result<bool> {
-        Ok(self.delete_keys(store, &[key])? == 1)
-    }
-
-    /// Deletes the rows at `keys` — strictly ascending, or refused with
-    /// [`StorageError::KeysNotAscending`] before anything is written — and
-    /// returns how many existed. The rows one leaf holds leave it in one
-    /// page write ([`BTree::delete_keys`]); their out-of-page LOB chains
-    /// are freed right after that write, in key order.
-    pub fn delete_keys(&mut self, store: &mut PageStore, keys: &[i64]) -> Result<u64> {
-        let schema = &self.schema;
-        let mut ids: Vec<blob::BlobId> = Vec::new();
-        self.tree.delete_keys(store, keys, |store, old| {
-            row::lob_refs(schema, old, &mut ids)?;
-            ids.drain(..)
-                .try_for_each(|id| blob::free_blob(store, id).map(drop))
-        })
-    }
-
     /// Overwrites `data.len()` bytes of the blob column `col` of row `key`
     /// starting at byte `offset` — the storage path of the paper's
     /// `ArrayUpdate`. For an out-of-page value only the intersecting chunk
@@ -267,8 +281,7 @@ impl Table {
                 b[offset..end].copy_from_slice(data);
                 let mut vals = row::decode_row(&self.schema, &bytes)?;
                 vals[col] = RowValue::Bytes(b);
-                let enc = row::encode_row(store, &self.schema, &vals)?;
-                self.tree.update(store, key, &enc)?;
+                self.apply(store, &[(key, RowOp::Update(&vals))])?;
                 Ok(1)
             }
             other => Err(StorageError::SchemaMismatch(format!(
@@ -1339,13 +1352,13 @@ mod tests {
             .unwrap();
         }
         assert!(store.free_pages().is_empty());
-        assert!(t.delete(&mut store, 4).unwrap());
+        assert_eq!(t.apply(&mut store, &[(4, RowOp::Delete)]).unwrap(), 1);
         assert_eq!(t.row_count(), 9);
         assert_eq!(t.get(&mut store, 4).unwrap(), None);
         // The deleted row's LOB chain (root + 8 chunks) is on the free list.
         assert_eq!(store.free_pages().len(), 9);
         // Deleting a missing key reports false and frees nothing.
-        assert!(!t.delete(&mut store, 4).unwrap());
+        assert_eq!(t.apply(&mut store, &[(4, RowOp::Delete)]).unwrap(), 0);
         assert_eq!(store.free_pages().len(), 9);
         // Remaining rows are intact.
         let row = t.get(&mut store, 5).unwrap().unwrap();
@@ -1364,34 +1377,46 @@ mod tests {
         // before the old one is freed (crash safety), so the first UPDATE
         // grows the file by one chain — and every later one recycles it.
         let newer = vec![0x22; 60_000];
-        assert!(t
-            .update(
+        assert_eq!(
+            t.apply(
                 &mut store,
-                1,
-                &[RowValue::I64(1), RowValue::Bytes(newer.clone())]
+                &[(
+                    1,
+                    RowOp::Update(&[RowValue::I64(1), RowValue::Bytes(newer.clone())])
+                )]
             )
-            .unwrap());
+            .unwrap(),
+            1
+        );
         let steady = store.page_count();
         for _ in 0..3 {
-            assert!(t
-                .update(
+            assert_eq!(
+                t.apply(
                     &mut store,
-                    1,
-                    &[RowValue::I64(1), RowValue::Bytes(newer.clone())]
+                    &[(
+                        1,
+                        RowOp::Update(&[RowValue::I64(1), RowValue::Bytes(newer.clone())])
+                    )]
                 )
-                .unwrap());
+                .unwrap(),
+                1
+            );
         }
         assert_eq!(store.page_count(), steady);
         let row = t.get(&mut store, 1).unwrap().unwrap();
         assert_eq!(row[1].blob_bytes(&mut store).unwrap(), newer);
         // Updating a missing key writes nothing.
-        assert!(!t
-            .update(
+        assert_eq!(
+            t.apply(
                 &mut store,
-                2,
-                &[RowValue::I64(2), RowValue::Bytes(vec![1; 9000])]
+                &[(
+                    2,
+                    RowOp::Update(&[RowValue::I64(2), RowValue::Bytes(vec![1; 9000])])
+                )]
             )
-            .unwrap());
+            .unwrap(),
+            0
+        );
         assert_eq!(store.page_count(), steady);
     }
 
@@ -1408,13 +1433,17 @@ mod tests {
         .unwrap();
         // LOB → inline: the chain is freed.
         let small = vec![5u8; 100];
-        assert!(t
-            .update(
+        assert_eq!(
+            t.apply(
                 &mut store,
-                1,
-                &[RowValue::I64(1), RowValue::Bytes(small.clone())]
+                &[(
+                    1,
+                    RowOp::Update(&[RowValue::I64(1), RowValue::Bytes(small.clone())])
+                )]
             )
-            .unwrap());
+            .unwrap(),
+            1
+        );
         assert!(!store.free_pages().is_empty());
         assert_eq!(
             t.get(&mut store, 1).unwrap().unwrap()[1],
@@ -1423,13 +1452,17 @@ mod tests {
         // Inline → LOB again: freed pages are recycled.
         let grown = vec![6u8; 40_000];
         let pages = store.page_count();
-        assert!(t
-            .update(
+        assert_eq!(
+            t.apply(
                 &mut store,
-                1,
-                &[RowValue::I64(1), RowValue::Bytes(grown.clone())]
+                &[(
+                    1,
+                    RowOp::Update(&[RowValue::I64(1), RowValue::Bytes(grown.clone())])
+                )]
             )
-            .unwrap());
+            .unwrap(),
+            1
+        );
         assert_eq!(store.page_count(), pages);
         let row = t.get(&mut store, 1).unwrap().unwrap();
         assert_eq!(row[1].blob_bytes(&mut store).unwrap(), grown);
@@ -1459,6 +1492,70 @@ mod tests {
         assert_eq!(row[1].blob_bytes(&mut store).unwrap(), big);
         // The leaf row is untouched: same LobRef id and length.
         assert!(matches!(row[1], RowValue::LobRef(_, 200_000)));
+    }
+
+    /// A row the table refuses — an insert of a held key, a value of the
+    /// wrong type after a blob column, a record past the leaf limit once
+    /// its blob is spilled, and an update with a wrongly typed value —
+    /// spills no LOB chain: the page count, the free list and the log are
+    /// as they were.
+    #[test]
+    fn a_refused_row_spills_no_lob_chain() {
+        let mut store = PageStore::new();
+        let schema = Schema::new(&[
+            ("id", ColType::I64),
+            ("a", ColType::Blob),
+            ("b", ColType::I32),
+            ("c", ColType::Blob),
+            ("d", ColType::Blob),
+        ]);
+        let mut t = Table::create(&mut store, "T", schema).unwrap();
+        let big = || RowValue::Bytes(vec![0xAB; 100_000]);
+        let small = || RowValue::Bytes(vec![1; 10]);
+        let ok = [RowValue::I64(1), big(), RowValue::I32(0), small(), small()];
+        t.insert(&mut store, 1, &ok).unwrap();
+        let mistyped = [
+            RowValue::I64(2),
+            big(),
+            RowValue::F64(0.0),
+            small(),
+            small(),
+        ];
+        let (wide, d) = (vec![2; 8000], vec![3; 200]);
+        let too_long = [
+            RowValue::I64(3),
+            big(),
+            RowValue::I32(0),
+            RowValue::Bytes(wide),
+            RowValue::Bytes(d),
+        ];
+        let refused = [
+            ("duplicate", 1, RowOp::Insert(&ok)),
+            ("mistyped", 2, RowOp::Insert(&mistyped)),
+            ("too long", 3, RowOp::Insert(&too_long)),
+            ("mistyped update", 1, RowOp::Update(&mistyped)),
+        ];
+        for (what, key, op) in refused {
+            let before = (store.page_count(), store.free_pages().len());
+            let wal = store.stats().wal_bytes;
+            let got = t.apply(&mut store, &[(key, op)]);
+            assert!(
+                matches!(
+                    got,
+                    Err(StorageError::DuplicateKey { .. }
+                        | StorageError::SchemaMismatch(_)
+                        | StorageError::RecordTooLarge { .. })
+                ),
+                "{what}: {got:?}"
+            );
+            assert_eq!(
+                (store.page_count(), store.free_pages().len()),
+                before,
+                "{what}"
+            );
+            assert_eq!(store.stats().wal_bytes, wal, "{what}");
+        }
+        assert_eq!(t.row_count(), 1);
     }
 
     #[test]

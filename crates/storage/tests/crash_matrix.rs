@@ -29,7 +29,9 @@ use proptest::prelude::*;
 use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_storage::fail::tear_wal;
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
-use sqlarray_storage::{wal, ColType, DiskImage, PageStore, RowValue, Schema, StorageError, Table};
+use sqlarray_storage::{
+    wal, ColType, DiskImage, PageStore, RowOp, RowValue, Schema, StorageError, Table,
+};
 use std::sync::Arc;
 
 const CHUNK_DATA: usize = 8176; // PAGE_SIZE - 16, the blob chunk payload
@@ -58,6 +60,11 @@ fn row(k: i64, tag: i32, blob_len: usize) -> (i64, Vec<RowValue>) {
             RowValue::Bytes(pattern(k, blob_len)),
         ],
     )
+}
+
+/// One op through `Table::apply`: whether the key held a row.
+fn one(store: &mut PageStore, t: &mut Table, key: i64, op: RowOp<'_>) -> bool {
+    t.apply(store, &[(key, op)]).unwrap() == 1
 }
 
 /// Commits with the table's tree geometry as the catalog payload, the
@@ -258,10 +265,10 @@ fn update_crash_matrix() {
     run_matrix(&loaded_committed, &|store, t| {
         // Replace a LOB chain (free + rewrite), grow an inline value out
         // of page, shrink a LOB back inline, and touch a scalar column.
-        t.update(store, 2, &row(2, 99, 15_000).1).unwrap();
-        t.update(store, 0, &row(0, 7, 11_000).1).unwrap();
-        t.update(store, 3, &row(3, -7, 80).1).unwrap();
-        t.update(store, 1, &row(1, 1000, 7000).1).unwrap();
+        assert!(one(store, t, 2, RowOp::Update(&row(2, 99, 15_000).1)));
+        assert!(one(store, t, 0, RowOp::Update(&row(0, 7, 11_000).1)));
+        assert!(one(store, t, 3, RowOp::Update(&row(3, -7, 80).1)));
+        assert!(one(store, t, 1, RowOp::Update(&row(1, 1000, 7000).1)));
         commit(store, t);
     });
 }
@@ -284,18 +291,18 @@ fn delete_crash_matrix() {
     run_matrix(&loaded_committed, &|store, t| {
         // Inline rows and both LOB shapes, including a whole leaf's worth.
         for k in [0i64, 2, 3, 5, 7, 11] {
-            assert!(t.delete(store, k).unwrap());
+            assert!(one(store, t, k, RowOp::Delete));
         }
         commit(store, t);
     });
 }
 
 #[test]
-fn delete_keys_crash_matrix() {
+fn delete_list_crash_matrix() {
     // One key list over several leaves, 2- and 3-chunk LOB rows among its
-    // rows: each leaf loses its rows in one write, then their chains are
-    // freed, so every cut between two leaves or inside a chain's free
-    // must roll the whole statement back.
+    // rows: each leaf loses its rows in one write, their chains freed at
+    // their turns, so every cut between two leaves or inside a chain's
+    // free must roll the whole statement back.
     let keys = [1i64, 2, 3, 6, 7, 10, 11, 40];
     let (store, t) = loaded_committed();
     let leaves: std::collections::BTreeSet<u64> = keys[..7]
@@ -304,7 +311,51 @@ fn delete_keys_crash_matrix() {
         .collect();
     assert!(leaves.len() >= 3, "the keys span {} leaves", leaves.len());
     run_matrix(&loaded_committed, &|store, t| {
-        assert_eq!(t.delete_keys(store, &keys).unwrap(), 7);
+        let ops: Vec<_> = keys.iter().map(|&k| (k, RowOp::Delete)).collect();
+        assert_eq!(t.apply(store, &ops).unwrap(), 7);
+        commit(store, t);
+    });
+}
+
+#[test]
+fn mixed_apply_crash_matrix() {
+    // One op list over several leaves of LOB rows: inserts, deletes, and
+    // updates that replace a chain, move a value out of row and back in,
+    // and grow an inline row, with absent keys among them.
+    let rows = [
+        row(1, 5, 80),
+        row(2, 99, 15_000),
+        row(4, 8, 9_000),
+        row(6, -6, 80),
+        row(9, 9, 7_000),
+        row(12, 12, 12_000),
+        row(13, 13, 64),
+        row(20, 20, 64),
+    ];
+    let (store, t) = loaded_committed();
+    let leaves: std::collections::BTreeSet<u64> = [1, 5, 9]
+        .iter()
+        .map(|&k| t.partition_keys(&store, 1, k..=k).unwrap()[0].leaves()[0])
+        .collect();
+    assert!(leaves.len() >= 3, "the ops span {} leaves", leaves.len());
+    run_matrix(&loaded_committed, &|store, t| {
+        let [r1, r2, r4, r6, r9, r12, r13, r20] = &rows;
+        let ops = [
+            (1, RowOp::Update(&r1.1)),
+            (2, RowOp::Update(&r2.1)),
+            (3, RowOp::Delete),
+            (4, RowOp::Update(&r4.1)),
+            (5, RowOp::Delete),
+            (6, RowOp::Update(&r6.1)),
+            (7, RowOp::Delete),
+            (9, RowOp::Update(&r9.1)),
+            (10, RowOp::Delete),
+            (12, RowOp::Insert(&r12.1)),
+            (13, RowOp::Insert(&r13.1)),
+            (20, RowOp::Update(&r20.1)),
+            (21, RowOp::Delete),
+        ];
+        assert_eq!(t.apply(store, &ops).unwrap(), 11);
         commit(store, t);
     });
 }
@@ -408,13 +459,13 @@ fn checkpoint_then_crash_update() {
     checkpoint_then_crash(
         &loaded_committed,
         &|store, t| {
-            t.update(store, 2, &row(2, 99, 15_000).1).unwrap();
-            t.update(store, 0, &row(0, 7, 11_000).1).unwrap();
+            assert!(one(store, t, 2, RowOp::Update(&row(2, 99, 15_000).1)));
+            assert!(one(store, t, 0, RowOp::Update(&row(0, 7, 11_000).1)));
         },
         &|store, t| {
-            t.update(store, 3, &row(3, -7, 80).1).unwrap();
-            t.update(store, 2, &row(2, 100, 9_000).1).unwrap();
-            t.update(store, 1, &row(1, 1000, 7000).1).unwrap();
+            assert!(one(store, t, 3, RowOp::Update(&row(3, -7, 80).1)));
+            assert!(one(store, t, 2, RowOp::Update(&row(2, 100, 9_000).1)));
+            assert!(one(store, t, 1, RowOp::Update(&row(1, 1000, 7000).1)));
         },
     );
 }
@@ -440,7 +491,7 @@ fn checkpoint_then_crash_blob_range_update() {
 fn checkpoint_then_crash_delete() {
     let delete = |store: &mut PageStore, t: &mut Table, keys: &[i64]| {
         for &k in keys {
-            assert!(t.delete(store, k).unwrap());
+            assert!(one(store, t, k, RowOp::Delete));
         }
     };
     checkpoint_then_crash(
@@ -465,8 +516,8 @@ fn crash_around_an_auto_checkpoint_recovers_the_last_commit() {
             let big = row(40, 40, AUTO_CHECKPOINT_BYTES + CHUNK_DATA).1;
             t.insert(store, 40, &big).unwrap();
         },
-        |store, t| assert!(t.update(store, 2, &row(2, 99, 15_000).1).unwrap()),
-        |store, t| assert!(t.delete(store, 40).unwrap()),
+        |store, t| assert!(one(store, t, 2, RowOp::Update(&row(2, 99, 15_000).1))),
+        |store, t| assert!(one(store, t, 40, RowOp::Delete)),
     ];
 
     // Clean run: the records each commit closes, the state it leaves, and
@@ -527,7 +578,12 @@ fn crash_around_an_auto_checkpoint_recovers_the_last_commit() {
 #[test]
 fn torn_wal_tail_is_typed_and_recovery_discards_it() {
     let (mut store, mut t) = loaded_committed();
-    t.update(&mut store, 2, &row(2, 5, 9_000).1).unwrap();
+    assert!(one(
+        &mut store,
+        &mut t,
+        2,
+        RowOp::Update(&row(2, 5, 9_000).1)
+    ));
     commit(&mut store, &t);
     let mut image = store.crash_image();
     let full = image.wal.len();
@@ -583,7 +639,7 @@ fn apply(store: &mut PageStore, t: &mut Table, op: &Op, step: i64) {
         Op::Upsert(k, len) => {
             let vals = row(k, (step + 1) as i32, len).1;
             if t.get(store, k).unwrap().is_some() {
-                assert!(t.update(store, k, &vals).unwrap());
+                assert!(one(store, t, k, RowOp::Update(&vals)));
             } else {
                 t.insert(store, k, &vals).unwrap();
             }
@@ -606,7 +662,7 @@ fn apply(store: &mut PageStore, t: &mut Table, op: &Op, step: i64) {
                 .unwrap();
         }
         Op::Delete(k) => {
-            t.delete(store, k).unwrap();
+            one(store, t, k, RowOp::Delete);
         }
     }
 }

@@ -6,14 +6,47 @@ use proptest::prelude::*;
 use sqlarray_core::batch::ColVec;
 use sqlarray_storage::btree::MAX_PAYLOAD;
 use sqlarray_storage::{
-    blob, row, BTree, BatchScanOpts, ColType, DiskProfile, IoStats, PageId, PageStore, RowValue,
-    ScanIo, ScanPartition, Schema, StorageError, Table, PAGE_SIZE,
+    blob, row, BTree, BatchScanOpts, ColType, DiskProfile, Edit, IoStats, PageId, PageStore, RowOp,
+    RowValue, ScanIo, ScanPartition, Schema, StorageError, Table, PAGE_SIZE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
 
 /// Every key: the interval of a full clustered-index scan.
 const ALL: RangeInclusive<i64> = i64::MIN..=i64::MAX;
+
+/// One insert (`replace` false: a held key is `DuplicateKey`) or update
+/// (`true`: an absent key is `KeyNotFound`) through `BTree::apply`.
+fn put(
+    tree: &mut BTree,
+    store: &mut PageStore,
+    key: i64,
+    payload: &[u8],
+    replace: bool,
+) -> Result<(), StorageError> {
+    let put = |_: &mut PageStore, _, old: Option<&[u8]>| match (old.is_some(), replace) {
+        (true, false) => Err(StorageError::DuplicateKey { key }),
+        (false, true) => Err(StorageError::KeyNotFound { key }),
+        _ => Ok(Edit::Put(payload.to_vec())),
+    };
+    tree.apply(store, &[key], put).map(drop)
+}
+
+/// Deletes `key` through `BTree::apply`, handing back its payload.
+fn delete(tree: &mut BTree, store: &mut PageStore, key: i64) -> Option<Vec<u8>> {
+    let mut gone = None;
+    tree.apply(store, &[key], |_, _, old| {
+        gone = old.map(<[u8]>::to_vec);
+        Ok(Edit::Delete)
+    })
+    .unwrap();
+    gone
+}
+
+/// One row op through `Table::apply`: whether it changed a row.
+fn one(t: &mut Table, store: &mut PageStore, key: i64, op: RowOp<'_>) -> bool {
+    t.apply(store, &[(key, op)]).unwrap() == 1
+}
 
 /// Builds a vector table with `rows` rows over a store with a `pool_pages`
 /// buffer pool, for the scan-accounting properties.
@@ -117,11 +150,11 @@ fn churned_tree(base: &BTreeSet<i64>, ops: &[(i64, bool)]) -> (PageStore, BTree,
     for &(k, insert) in ops {
         if insert {
             assert_eq!(
-                tree.insert(&mut store, k, &payload).is_ok(),
+                put(&mut tree, &mut store, k, &payload, false).is_ok(),
                 model.insert(k)
             );
         } else {
-            assert_eq!(tree.delete(&mut store, k).is_ok(), model.remove(&k));
+            assert_eq!(delete(&mut tree, &mut store, k).is_some(), model.remove(&k));
         }
     }
     store.clear_cache();
@@ -156,7 +189,7 @@ proptest! {
             let payload = vec![fill; len];
             match op {
                 0 | 1 => {
-                    let inserted = tree.insert(&mut store, key, &payload);
+                    let inserted = put(&mut tree, &mut store, key, &payload, false);
                     if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(key) {
                         prop_assert!(inserted.is_ok(), "{inserted:?}");
                         slot.insert(payload);
@@ -168,7 +201,7 @@ proptest! {
                     }
                 }
                 2 => {
-                    let updated = tree.update(&mut store, key, &payload);
+                    let updated = put(&mut tree, &mut store, key, &payload, true);
                     match model.get_mut(&key) {
                         Some(v) => {
                             prop_assert!(updated.is_ok(), "{updated:?}");
@@ -181,7 +214,7 @@ proptest! {
                     }
                 }
                 _ => {
-                    let deleted = tree.delete(&mut store, key).ok();
+                    let deleted = delete(&mut tree, &mut store, key);
                     prop_assert_eq!(deleted, model.remove(&key));
                 }
             }
@@ -217,7 +250,7 @@ proptest! {
         let mut store = PageStore::new();
         let mut tree = BTree::create(&mut store).unwrap();
         for &k in &keys {
-            tree.insert(&mut store, k, &k.to_le_bytes()).unwrap();
+            put(&mut tree, &mut store, k, &k.to_le_bytes(), false).unwrap();
         }
         let (got, _, _) = range_scan(&mut store, &as_table(&tree), 1, lo..=hi);
         let expect: Vec<i64> = keys.iter().copied().filter(|&k| k >= lo && k <= hi).collect();
@@ -536,9 +569,9 @@ fn shaped_table(types: &[u8], rows: usize, seed: u64) -> (PageStore, Table) {
     t.bulk_load(&mut store, &loaded, 1).unwrap();
     for i in 0..rows as i64 / 8 {
         let k = 16 * i;
-        assert!(t.delete(&mut store, k + 2).unwrap());
+        assert!(one(&mut t, &mut store, k + 2, RowOp::Delete));
         t.insert(&mut store, k + 1, &cells(k + 1)).unwrap();
-        assert!(t.update(&mut store, k, &cells(k)).unwrap());
+        assert!(one(&mut t, &mut store, k, RowOp::Update(&cells(k))));
     }
     (store, t)
 }
@@ -808,10 +841,10 @@ fn row_sized_changes_log_row_sized_frames() {
     // Mid-leaf: half of the slot directory shifts.
     let insert = logged(&mut store, |s| t.insert(s, 35, &small_row(35, 1)).unwrap());
     assert!(insert < 512, "insert logged {insert} bytes");
-    let delete = logged(&mut store, |s| assert!(t.delete(s, 34).unwrap()));
+    let delete = logged(&mut store, |s| assert!(one(&mut t, s, 34, RowOp::Delete)));
     assert!(delete < 400, "delete logged {delete} bytes");
     let update = logged(&mut store, |s| {
-        assert!(t.update(s, 20, &small_row(20, 77)).unwrap())
+        assert!(one(&mut t, s, 20, RowOp::Update(&small_row(20, 77))))
     });
     assert!(update < 64, "in-place I32 update logged {update} bytes");
 
@@ -823,7 +856,7 @@ fn row_sized_changes_log_row_sized_frames() {
             t.insert(s, k, &small_row(k, 1)).unwrap();
         }
         for k in (1..200).step_by(2) {
-            assert!(t.delete(s, k).unwrap());
+            assert!(one(&mut t, s, k, RowOp::Delete));
         }
     });
     assert!(
@@ -833,20 +866,26 @@ fn row_sized_changes_log_row_sized_frames() {
 }
 
 // ---------------------------------------------------------------------------
-// Deleting a key list: one write per leaf
+// Applying an op list: one write per leaf
 // ---------------------------------------------------------------------------
+
+/// A row of `T(id, v)` whose `v` is `len` bytes seeded by `k` and `len`:
+/// 9 000 bytes lie out of row.
+fn keyed_row(k: i64, len: usize) -> Vec<RowValue> {
+    let blob = (0..len)
+        .map(|i| (i as i64 * 7 + k + len as i64) as u8)
+        .collect();
+    vec![RowValue::I64(k), RowValue::Bytes(blob)]
+}
 
 /// `T(id, v)` bulk-loaded under `base`, then grown row at a time by
 /// `inserts` (which split leaves), ~10 rows a leaf. With `lobs`, every
-/// third row's `v` lies out of row, so deletes free LOB chains.
+/// third row's `v` lies out of row, so deletes and updates free LOB
+/// chains.
 fn keyed_table(base: &BTreeSet<i64>, inserts: &[i64], lobs: bool) -> (PageStore, Table) {
-    let row = |k: i64| {
-        let len = match k.rem_euclid(3) {
-            0 if lobs => 9000,
-            _ => 600 + k.rem_euclid(200) as usize,
-        };
-        let blob = (0..len).map(|i| (i as i64 * 7 + k) as u8).collect();
-        vec![RowValue::I64(k), RowValue::Bytes(blob)]
+    let row = |k: i64| match k.rem_euclid(3) {
+        0 if lobs => keyed_row(k, 9000),
+        _ => keyed_row(k, 600 + k.rem_euclid(200) as usize),
     };
     let mut store = PageStore::with_pool(64, DiskProfile::default());
     let schema = Schema::new(&[("id", ColType::I64), ("v", ColType::Blob)]);
@@ -869,19 +908,68 @@ fn leaf_of(store: &PageStore, t: &Table, key: i64) -> PageId {
     parts[0].leaves()[0]
 }
 
+/// Every page, the page count and the free list of two stores are equal.
+fn assert_same_store(a: &PageStore, b: &PageStore) {
+    assert_eq!(a.page_count(), b.page_count());
+    for p in 0..a.page_count() {
+        assert!(a.raw_page(p) == b.raw_page(p), "page {p} differs");
+    }
+    assert_eq!(a.free_pages(), b.free_pages());
+}
+
+/// What an op list does to one key: `(kind, size)` picks delete, update
+/// or insert (an update, for a held key), and a `v` that is short, grown
+/// to half a leaf, near a page, or out of row (with `lobs`).
+fn op_rows(
+    keys: &[i64],
+    held: &[i64],
+    picks: &[(u8, u8)],
+    lobs: bool,
+) -> Vec<(i64, Option<Vec<RowValue>>, bool)> {
+    keys.iter()
+        .enumerate()
+        .map(|(j, &k)| {
+            let (kind, size) = picks[j % picks.len()];
+            let len = match size {
+                0 => 600 + (j * 37) % 200,
+                1 => 2500 + (j * 91) % 1000,
+                2 => 7000,
+                _ if lobs => 9000,
+                _ => 700,
+            };
+            let insert = kind == 2 && held.binary_search(&k).is_err();
+            (k, (kind > 0).then(|| keyed_row(k, len)), insert)
+        })
+        .collect()
+}
+
+/// The `RowOp`s of [`op_rows`].
+fn row_ops(rows: &[(i64, Option<Vec<RowValue>>, bool)]) -> Vec<(i64, RowOp<'_>)> {
+    rows.iter()
+        .map(|(k, values, insert)| match (values, insert) {
+            (None, _) => (*k, RowOp::Delete),
+            (Some(v), true) => (*k, RowOp::Insert(v)),
+            (Some(v), false) => (*k, RowOp::Update(v)),
+        })
+        .collect()
+}
+
 proptest! {
-    /// `delete_keys` is `delete` key by key: over bulk-built trees grown by
-    /// splitting inserts, and ascending key lists that mix absent keys with
-    /// present ones — sparse, dense, whole leaves, the first and the last
-    /// leaf — it removes the same rows and leaves the same row count, leaf
-    /// count, page bytes (stale directory entries included) and free list.
-    /// Over inline rows it writes exactly one page per leaf that held a
-    /// removed key.
+    /// `Table::apply` over an op list is `Table::apply` op by op: over
+    /// bulk-built trees grown by splitting inserts, and ascending lists
+    /// that mix inserts, updates and deletes of present and absent keys —
+    /// short rows, replacements grown until their leaf compacts or splits,
+    /// rows moving out of row and back, sparse, dense, the first and the
+    /// last leaf — it changes the same rows and leaves the same row count,
+    /// leaf count, page bytes (stale directory entries included), page
+    /// count and free list. Over inline rows that split no leaf it writes
+    /// exactly one page per leaf it changed.
     #[test]
-    fn delete_keys_is_delete_key_by_key(
+    fn apply_is_op_by_op(
         base in prop::collection::btree_set(0i64..3000, 0..300),
         inserts in prop::collection::vec(0i64..3000, 0..120),
         window in (-20i64..3020, 0i64..3040),
+        picks in prop::collection::vec((0u8..3, 0u8..4), 1..16),
         knobs in (0u64..4, any::<bool>(), any::<bool>(), any::<bool>()),
     ) {
         let (density, first, last, lobs) = knobs;
@@ -895,33 +983,72 @@ proptest! {
         keys.extend(stored.first().filter(|_| first));
         keys.extend(stored.last().filter(|_| last));
         let keys: Vec<i64> = keys.into_iter().collect();
+        let rows = op_rows(&keys, &stored, &picks, lobs);
+        let ops = row_ops(&rows);
 
-        let leaves: BTreeSet<PageId> = keys
+        // The leaves an op changes: a held key's update or delete, a
+        // fresh key's insert.
+        let leaves: BTreeSet<PageId> = ops
             .iter()
-            .filter(|k| stored.binary_search(k).is_ok())
-            .map(|&k| leaf_of(&store, &t, k))
+            .filter(|(k, op)| matches!(op, RowOp::Insert(_)) != stored.binary_search(k).is_ok())
+            .map(|&(k, _)| leaf_of(&store, &t, k))
             .collect();
-        let before = store.stats();
-        let removed = t.delete_keys(&mut store, &keys).unwrap();
+        let (before, pages) = (store.stats(), store.page_count());
+        let changed = t.apply(&mut store, &ops).unwrap();
         let written = store.stats().since(&before).pages_written;
 
         let (mut one_by_one, mut u) = keyed_table(&base, &inserts, lobs);
         let mut want = 0;
-        for &k in &keys {
-            want += u64::from(u.delete(&mut one_by_one, k).unwrap());
+        for op in &ops {
+            want += u.apply(&mut one_by_one, std::slice::from_ref(op)).unwrap();
         }
-        prop_assert_eq!(removed, want);
+        prop_assert_eq!(changed, want);
         prop_assert_eq!(t.row_count(), u.row_count());
         prop_assert_eq!(t.data_pages(&mut store).unwrap(), u.data_pages(&mut one_by_one).unwrap());
-        prop_assert_eq!(store.page_count(), one_by_one.page_count());
-        for p in 0..store.page_count() {
-            prop_assert!(store.raw_page(p) == one_by_one.raw_page(p), "page {} differs", p);
-        }
-        prop_assert_eq!(store.free_pages(), one_by_one.free_pages());
-        if !lobs {
+        assert_same_store(&store, &one_by_one);
+        if !lobs && store.page_count() == pages {
             prop_assert_eq!(written, leaves.len() as u64);
         }
     }
+}
+
+/// An op list that fails at op `i` — an insert of a held key, whose row
+/// would spill a LOB chain — leaves the store as applying ops `0..i` one
+/// at a time leaves it: every page, the page count and the free list.
+#[test]
+fn an_error_mid_list_leaves_the_ops_before_it() {
+    let base: BTreeSet<i64> = (0..120).map(|k| 3 * k).collect();
+    let held: Vec<i64> = base.iter().copied().collect();
+    let keys: Vec<i64> = (30..150).step_by(7).collect();
+    let rows = op_rows(
+        &keys,
+        &held,
+        &[(1, 3), (0, 0), (2, 1), (1, 2), (2, 3)],
+        true,
+    );
+    let dup = keyed_row(0, 9000);
+    let mut failed = 0;
+    for (i, &key) in keys.iter().enumerate() {
+        if held.binary_search(&key).is_err() {
+            continue;
+        }
+        let mut ops = row_ops(&rows);
+        ops[i].1 = RowOp::Insert(&dup);
+        let (mut store, mut t) = keyed_table(&base, &[], true);
+        let got = t.apply(&mut store, &ops);
+        assert!(
+            matches!(got, Err(StorageError::DuplicateKey { key: k }) if k == key),
+            "op {i}: {got:?}"
+        );
+        let (mut one_by_one, mut u) = keyed_table(&base, &[], true);
+        for op in &ops[..i] {
+            u.apply(&mut one_by_one, std::slice::from_ref(op)).unwrap();
+        }
+        assert_same_store(&store, &one_by_one);
+        assert_eq!(t.row_count(), u.row_count());
+        failed += 1;
+    }
+    assert!(failed >= 5, "{failed} refused inserts");
 }
 
 /// A key list out of order, or with a repeat, is refused before anything
@@ -930,9 +1057,12 @@ proptest! {
 fn a_key_list_out_of_order_is_refused_before_any_write() {
     let base: BTreeSet<i64> = (0..200).collect();
     let (mut store, mut t) = keyed_table(&base, &[], true);
+    let deletes = |keys: &[i64]| -> Vec<(i64, RowOp<'static>)> {
+        keys.iter().map(|&k| (k, RowOp::Delete)).collect()
+    };
     for keys in [&[5i64, 3][..], &[1, 2, 9, 9], &[0, 150, 149]] {
         let before = store.stats();
-        let got = t.delete_keys(&mut store, keys);
+        let got = t.apply(&mut store, &deletes(keys));
         assert!(
             matches!(got, Err(StorageError::KeysNotAscending { .. })),
             "{keys:?}: {got:?}"
@@ -941,6 +1071,9 @@ fn a_key_list_out_of_order_is_refused_before_any_write() {
         assert_eq!((d.wal_bytes, d.wal_records, d.pages_written), (0, 0, 0));
         assert_eq!(t.row_count(), 200);
     }
-    assert_eq!(t.delete_keys(&mut store, &[]).unwrap(), 0);
-    assert_eq!(t.delete_keys(&mut store, &[-1, 0, 199, 200]).unwrap(), 2);
+    assert_eq!(t.apply(&mut store, &[]).unwrap(), 0);
+    assert_eq!(
+        t.apply(&mut store, &deletes(&[-1, 0, 199, 200])).unwrap(),
+        2
+    );
 }

@@ -29,7 +29,9 @@ use sqlarray::engine::aggregate::VectorAvgUda;
 use sqlarray::engine::{Database, Engine, HostingModel, Session, UdaState, Value};
 use sqlarray::storage::blob::{read_blob, write_blob};
 use sqlarray::storage::store::PageRead;
-use sqlarray::storage::{BTree, ColType, DiskProfile, PageStore, RowValue, Schema, PAGE_SIZE};
+use sqlarray::storage::{
+    BTree, ColType, DiskProfile, Edit, PageStore, RowValue, Schema, PAGE_SIZE,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
@@ -362,7 +364,8 @@ fn a_leaf_split_allocates_per_split_not_per_record() {
             store.commit(b"catalog");
             store.checkpoint();
             let record = vec![9; payload];
-            let counts = count(|| t.insert(&mut store, 41, &record).unwrap());
+            let insert = |_: &mut PageStore, _, _: Option<&[u8]>| Ok(Edit::Put(record.clone()));
+            let counts = count(|| t.apply(&mut store, &[41], insert).unwrap());
             assert_eq!(t.leaf_pages(&mut store).unwrap(), leaves + 1, "no split");
             (counts, rows as u64 / leaves)
         });

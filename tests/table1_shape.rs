@@ -8,7 +8,10 @@
 //! `--release` (`cargo test --release --test table1_shape`).
 
 use sqlarray_bench::experiments::{run_report, Scale};
-use sqlarray_bench::{build_table1_db, run_table1, storage_overhead, TABLE1_QUERIES, TESTBED_DOP};
+use sqlarray_bench::{
+    assert_golden, build_table1_db, golden_text, run_table1, storage_overhead, TABLE1_QUERIES,
+    TESTBED_DOP,
+};
 use sqlarray_engine::PAPER_CLR_CALL_NS;
 
 #[test]
@@ -122,13 +125,10 @@ fn bench_paper_json(metrics: &[(String, String, u64)]) -> String {
         .iter()
         .map(|(name, unit, bits)| {
             let value = f64::from_bits(*bits);
-            format!("  {{\"name\": {name:?}, \"unit\": {unit:?}, \"value\": {value}}}")
+            format!("{{\"name\": {name:?}, \"unit\": {unit:?}, \"value\": {value}}}")
         })
         .collect();
-    format!(
-        "{{\"scale\": \"smoke\", \"modelled\": [\n{}\n]}}\n",
-        rows.join(",\n")
-    )
+    golden_text("modelled", &rows)
 }
 
 /// The report's smoke scale, twice serial and at DOP 2/4/8: every metric
@@ -172,12 +172,7 @@ fn modelled_metrics_repeat_byte_for_byte_across_runs_and_dops() {
     ] {
         assert!(want.iter().any(|(n, ..)| n == name), "no modelled {name}");
     }
-    let regenerated = bench_paper_json(&want);
-    assert!(
-        regenerated == BENCH_PAPER,
-        "a modelled metric differs from BENCH_paper.json; if the change is \
-         intended, write this into the file:\n{regenerated}"
-    );
+    assert_golden("BENCH_paper.json", BENCH_PAPER, &bench_paper_json(&want));
     for dop in [1, 2, 4, 8] {
         assert_eq!(modelled(dop), want, "modelled metrics moved at DOP {dop}");
     }
