@@ -9,8 +9,8 @@
 //!
 //! The classes are the write path's (row-by-row ingest, by-key and range
 //! UPDATEs over inline and out-of-row values, an `ArrayUpdate` patch, a
-//! range DELETE, the records a recovery replays, a checkpoint) and, as
-//! controls, Table 1's five queries, cold.
+//! range DELETE, a range UPDATE refused mid-range, the records a recovery
+//! replays, a checkpoint) and, as controls, Table 1's five queries, cold.
 
 use crate::{build_table1_db, TABLE1_QUERIES};
 use sqlarray_engine::{Database, Engine, QueryStats, Value};
@@ -148,6 +148,15 @@ fn dml_classes(dop: usize, out: &mut Vec<Counter>) {
         let r = s.execute(sql).expect("DML statement");
         push_stmt(out, class, &r[0].stats);
     }
+
+    // A range UPDATE refused in the third leaf of its range: `tag`
+    // overflows INT from id 3161 on. Its partial stats count the writes
+    // the rollback to the last commit then undoes.
+    s.db_mut().store.clear_cache();
+    let refused = "UPDATE T SET tag = id + 2147480487 WHERE id >= 3000 AND id <= 3998";
+    s.execute(refused).expect_err("tag overflows INT");
+    let partial = s.partial_stats().expect("the match scan ran");
+    push_stmt(out, "dml.update_refused", partial);
 
     // Everything since the load's commit is in the log: a recovery
     // replays it.

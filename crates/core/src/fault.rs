@@ -9,7 +9,7 @@
 //!   kernel buffered writes the platter never saw. Once the power is lost
 //!   a checkpoint changes nothing in the base image.
 //! * [`Fault::ReadFault`] — cold page reads: a serial access's pool miss
-//!   (a B-tree descent, a DML's resolve and apply, a blob patch or free)
+//!   (a B-tree descent, a DML's apply phase, a blob patch or free)
 //!   and a scan worker's snapshot-cold read alike, since both end in the
 //!   store's one page-in step. The `at`-th one fails `times` times through
 //!   the bounded retry; more failures than the retry budget surface as a

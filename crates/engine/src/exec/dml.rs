@@ -1,7 +1,7 @@
 //! UPDATE / DELETE.
 //!
-//! DML runs in three phases so that the WAL byte stream is identical at
-//! every DOP and a failing statement changes nothing:
+//! DML runs in two phases, so that the WAL byte stream is identical at
+//! every DOP:
 //!
 //! 1. **Match** (parallel, read-only): one more [`SelectJob`] — the scan
 //!    job SELECT runs, on whichever of its two bodies the fallback seam
@@ -12,22 +12,24 @@
 //!    hands back `[clustered key, evaluated values…]` per matching row in
 //!    partition order, which is key order; out-of-row values are copied at
 //!    its projection boundary, while the worker's reader is live.
-//! 2. **Resolve** (serial, read-only): every matched row's stored image is
-//!    read once and its evaluated values become the new row and its patch
-//!    list — the column range and type checks, the in-place patch
-//!    conditions, the `ArrayUpdate` UDF fallback, the leaf-record size
-//!    limit. Everything a user's data can make fail happens here, so a
-//!    typed error leaves zero pages and zero WAL bytes changed.
-//! 3. **Apply** (serial, mutating): one [`Table::apply`] call takes every
-//!    matched key — a delete each, for DELETE; the rewritten row of each
-//!    change that carries one, for UPDATE — and changes each leaf's rows in
-//!    one page write, leaf after leaf in key order. An UPDATE's in-place
-//!    LOB patches follow, in key order. Scans never write log records, so
-//!    all WAL appends happen here, in a DOP-independent order.
+//! 2. **Apply** (serial, mutating): one [`Table::apply`] call over every
+//!    matched key changes each leaf's rows in one page write, leaf after
+//!    leaf in key order. A DELETE deletes each key. An UPDATE resolves
+//!    each row at its turn, from the stored image the B-tree group holds:
+//!    the column range and type checks, the in-place patch conditions,
+//!    the `ArrayUpdate` UDF fallback — then the row's in-place LOB
+//!    patches, and its rewritten row, if any, for the table to validate
+//!    and store. Scans never write log records, so all WAL appends happen
+//!    here, in a DOP-independent order.
+//!
+//! A statement that fails after its first write — a value the column
+//! cannot hold, a row past the leaf-record limit, a page that fails its
+//! read — is returned to the last commit by the session
+//! (`Database::rollback`), so a failing statement changes nothing.
 //!
 //! `SET v = Schema.ArrayUpdate(v, @offset, @replacement)` on a stored LOB
-//! column is the paper's partial-update path: the apply phase patches only
-//! the chunk pages the replacement intersects ([`Table::update_col_blob_range`])
+//! column is the paper's partial-update path: the row's turn patches only
+//! the chunk pages the replacement intersects ([`blob::update_blob_range`])
 //! instead of rewriting the whole chain. Anything the in-place conditions
 //! don't cover falls back to the registered `ArrayUpdate` UDF plus a
 //! full-row update, so both paths agree on semantics and on errors.
@@ -40,7 +42,9 @@ use crate::expr::Expr;
 use crate::tsql::{DeleteStmt, SelectItem, UpdateStmt};
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::{ElementType, Header, StorageClass};
-use sqlarray_storage::{blob, row, ColType, Column, PageStore, RowOp, RowValue, Table};
+use sqlarray_storage::{
+    blob, row, BlobId, ColType, Column, PageStore, RowOp, RowValue, Schema, Table,
+};
 
 /// One planned SET item: target column index plus how its value comes to
 /// be. The expressions themselves ride in the match scan's item list, in
@@ -69,16 +73,6 @@ enum SetPlan {
     },
 }
 
-/// One matched row out of the resolve phase: everything the apply phase
-/// writes, with nothing left that can fail on the user's data.
-struct RowChange {
-    key: i64,
-    /// The full new row, when any column is replaced whole.
-    row: Option<Vec<RowValue>>,
-    /// In-place LOB patches: column, blob byte offset, payload.
-    patches: Vec<(usize, usize, Vec<u8>)>,
-}
-
 /// A match-scan row that does not carry what its statement planned.
 fn short_row() -> EngineError {
     EngineError::Type("DML plan error: match row shorter than its SET list".into())
@@ -92,19 +86,24 @@ fn leading_key(row: &[Value]) -> Result<i64> {
 /// Converts an evaluated SET value into the storage representation the
 /// column holds.
 fn to_row_value(col: &Column, v: Value) -> Result<RowValue> {
+    let range = |x: &dyn std::fmt::Display, kind| {
+        EngineError::Type(format!(
+            "value {x} out of range for {kind} column `{}`",
+            col.name
+        ))
+    };
     Ok(match col.ctype {
         ColType::I64 => RowValue::I64(v.as_i64()?),
         ColType::I32 => {
             let x = v.as_i64()?;
-            RowValue::I32(i32::try_from(x).map_err(|_| {
-                EngineError::Type(format!(
-                    "value {x} out of range for INT column `{}`",
-                    col.name
-                ))
-            })?)
+            RowValue::I32(i32::try_from(x).map_err(|_| range(&x, "INT"))?)
         }
         ColType::F64 => RowValue::F64(v.as_f64()?),
-        ColType::F32 => RowValue::F32(v.as_f64()? as f32),
+        // A finite value past `f32::MAX` would narrow to infinity.
+        ColType::F32 => match v.as_f64()? {
+            x if (x as f32).is_infinite() && x.is_finite() => return Err(range(&x, "REAL")),
+            x => RowValue::F32(x as f32),
+        },
         ColType::Blob => match v {
             Value::Bytes(b) => RowValue::Bytes(b),
             other => {
@@ -162,10 +161,10 @@ fn plan_set_item(col_name: &str, expr: &Expr, items: &mut Vec<SelectItem>) -> Se
 }
 
 /// Checks the in-place patch conditions for one `ArrayUpdate` against the
-/// stored value and, when they hold, returns the blob byte offset and raw
-/// payload to splice. `None` means "use the UDF fallback" — every
-/// condition here is also enforced by the fallback, so the two paths
-/// accept and reject the same calls.
+/// stored value and, when they hold, returns the LOB chain, the blob byte
+/// offset and the raw payload to splice. `None` means "use the UDF
+/// fallback" — every condition here is also enforced by the fallback, so
+/// the two paths accept and reject the same calls.
 fn try_in_place(
     store: &mut PageStore,
     stored: &RowValue,
@@ -173,7 +172,7 @@ fn try_in_place(
     class: StorageClass,
     offset: &Value,
     replacement: &Value,
-) -> Result<Option<(usize, Vec<u8>)>> {
+) -> Result<Option<(BlobId, usize, Vec<u8>)>> {
     // Only out-of-page chains benefit; in-row blobs re-encode cheaply.
     let &RowValue::LobRef(id, _) = stored else {
         return Ok(None);
@@ -214,38 +213,34 @@ fn try_in_place(
         return Ok(None);
     }
     let byte_off = header.header_len() + off[0] * elem.size();
-    Ok(Some((byte_off, sqlarray_core::ops::cast::raw(&repl))))
+    Ok(Some((id, byte_off, sqlarray_core::ops::cast::raw(&repl))))
 }
 
 /// Materializes a stored value for a UDF-fallback argument.
-fn materialize(store: &mut PageStore, v: RowValue) -> Result<Value> {
-    match v {
-        RowValue::LobRef(id, _) => Ok(Value::Bytes(sqlarray_storage::blob::read_blob(
-            &mut *store,
-            id,
-        )?)),
-        other => Ok(Value::from(other)),
-    }
+fn materialize(store: &mut PageStore, v: &RowValue) -> Result<Value> {
+    Ok(match *v {
+        RowValue::LobRef(id, _) => Value::Bytes(blob::read_blob(store, id)?),
+        ref other => Value::from(other.clone()),
+    })
 }
 
-/// The resolve phase for one matched UPDATE row (`[key, values…]` as the
-/// match scan evaluated them, in SET order): reads and conversions only.
-/// The stored row is read once, here, and handed on to the apply phase
-/// inside the change. `None` when the row is gone.
+/// One matched UPDATE row (`[key, values…]` as the match scan evaluated
+/// them, in SET order) at its turn in the apply phase: `old` is the stored
+/// row's encoding, which the B-tree group already holds. The row's
+/// in-place LOB patches are written once every conversion has succeeded;
+/// the row is rewritten when any column is replaced whole, and kept as it
+/// is otherwise.
 fn resolve_row(
     ctx: &mut StmtCtx<'_>,
     store: &mut PageStore,
-    table: &Table,
+    schema: &Schema,
     sets: &[SetItem],
     matched: Vec<Value>,
-) -> Result<Option<RowChange>> {
-    let schema = table.schema();
-    let key = leading_key(&matched)?;
+    old: &[u8],
+) -> Result<RowOp<'static>> {
+    let mut row = row::decode_row(schema, old)?;
     let mut vals = matched.into_iter().skip(1);
     let mut next = || vals.next().ok_or_else(short_row);
-    let Some(mut row) = table.get(store, key)? else {
-        return Ok(None);
-    };
     let mut rewrite = false;
     let mut patches = Vec::new();
     for item in sets {
@@ -262,9 +257,9 @@ fn resolve_row(
                 let (offset, replacement) = (next()?, next()?);
                 let stored = &row[item.col];
                 match try_in_place(store, stored, *elem, *class, &offset, &replacement)? {
-                    Some((byte_off, payload)) => patches.push((item.col, byte_off, payload)),
+                    Some(patch) => patches.push(patch),
                     None => {
-                        let cur = materialize(store, stored.clone())?;
+                        let cur = materialize(store, stored)?;
                         let v = ctx
                             .udfs
                             .call(name, &[cur, offset, replacement], ctx.hosting)?;
@@ -275,17 +270,14 @@ fn resolve_row(
             }
         }
     }
-    if rewrite {
-        // The apply phase would refuse an oversized record with earlier
-        // rows already rewritten: check it here (a blob past the in-row
-        // limit counts as its 17-byte reference).
-        row::encoded_len(schema, &row)?;
+    // A rewritten row passes the patched chains' references through.
+    for (id, byte_off, payload) in patches {
+        blob::update_blob_range(store, id, byte_off, &payload)?;
     }
-    Ok(Some(RowChange {
-        key,
-        row: rewrite.then_some(row),
-        patches,
-    }))
+    Ok(match rewrite {
+        true => RowOp::Update(row.into()),
+        false => RowOp::Keep,
+    })
 }
 
 /// Executes one UPDATE. The caller holds exclusive access to the
@@ -339,8 +331,8 @@ pub(crate) fn exec_delete(
     exec_dml(ctx, store, table, &scan, None)
 }
 
-/// The shared DML driver: parallel match, then serial resolve and apply.
-/// `sets` is `None` for DELETE.
+/// The shared DML driver: parallel match, then serial apply. `sets` is
+/// `None` for DELETE.
 fn exec_dml(
     ctx: &mut StmtCtx<'_>,
     store: &mut PageStore,
@@ -349,7 +341,7 @@ fn exec_dml(
     sets: Option<&[SetItem]>,
 ) -> Result<QueryResult> {
     let mut totals = ScanTotals::start(store, ctx.hosting);
-    let done = match_resolve_apply(ctx, store, table, scan, sets, &mut totals);
+    let done = match_and_apply(ctx, store, table, scan, sets, &mut totals);
     let ((), stats) = totals.close(done, store, ctx)?;
     Ok(QueryResult {
         columns: Vec::new(),
@@ -359,7 +351,7 @@ fn exec_dml(
     })
 }
 
-fn match_resolve_apply(
+fn match_and_apply(
     ctx: &mut StmtCtx<'_>,
     store: &mut PageStore,
     table: &mut Table,
@@ -370,33 +362,26 @@ fn match_resolve_apply(
     // The workers' matches, concatenated in partition order, arrive in
     // clustered-key order, so the apply phase — and with it the WAL record
     // stream — is identical at every DOP and on both scan bodies.
-    let matched = scan.run(ctx, store, table, totals)?;
-
+    let mut matched = scan.run(ctx, store, table, totals)?;
+    let keys = matched
+        .iter()
+        .map(|row| leading_key(row))
+        .collect::<Result<Vec<_>>>()?;
     let Some(sets) = sets else {
-        let ops = matched
-            .iter()
-            .map(|row| Ok((leading_key(row)?, RowOp::Delete)))
-            .collect::<Result<Vec<_>>>()?;
-        totals.rows_affected += table.apply(store, &ops)?;
+        let deleted = table.apply::<EngineError>(store, &keys, |_, _, _| Ok(RowOp::Delete))?;
+        totals.rows_affected += deleted;
         return Ok(());
     };
-    let mut changes = Vec::with_capacity(matched.len());
-    for m in matched {
-        changes.extend(resolve_row(ctx, store, table, sets, m)?);
-    }
-    // Full-row rewrites first, leaf by leaf: untouched LOB columns pass
-    // their references through, so the patches after them address the
-    // same chains.
-    let ops: Vec<_> = changes
-        .iter()
-        .filter_map(|c| Some((c.key, RowOp::Update(c.row.as_deref()?))))
-        .collect();
-    table.apply(store, &ops)?;
-    for change in &changes {
-        for (col, byte_off, payload) in &change.patches {
-            table.update_col_blob_range(store, change.key, *col, *byte_off, payload)?;
-        }
-    }
-    totals.rows_affected += changes.len() as u64;
+    // Every matched row still present counts, patched in place or not.
+    let (schema, mut present) = (table.schema().clone(), 0);
+    table.apply(store, &keys, |store, i, old| {
+        let Some(old) = old else {
+            return Ok(RowOp::Keep);
+        };
+        present += 1;
+        let matched = std::mem::take(&mut matched[i]);
+        resolve_row(ctx, store, &schema, sets, matched, old)
+    })?;
+    totals.rows_affected += present;
     Ok(())
 }

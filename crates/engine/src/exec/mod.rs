@@ -59,7 +59,7 @@
 //!   `crate::batch::plan_select`, the one fallback seam; its typed reason
 //!   lands in [`QueryStats::fallback`]);
 //! * `dml` — UPDATE/DELETE: the match phase handed to the scan job, then
-//!   resolve and apply.
+//!   one `Table::apply` call that resolves and writes each matched row.
 
 mod access;
 mod agg;
@@ -238,13 +238,13 @@ pub(crate) struct StmtCtx<'a> {
     /// The statement's lifecycle context: cancellation, deadline, memory
     /// budget. Stamped into the scan context so every worker's reader
     /// polls it. DML polls it throughout the parallel match phase; the
-    /// resolve and apply phases deliberately ignore it — every fallible
-    /// conversion runs before the first page mutates, and from then on
-    /// the statement runs to its commit, so neither an abort nor a typed
-    /// user error can leave a half-applied update behind. What can still
-    /// stop an apply phase is storage: a cold page that fails its checksum
-    /// or its read. The session then returns the database to the last
-    /// commit (`Database::rollback`).
+    /// apply phase deliberately ignores it — once its first page mutates,
+    /// the statement runs to its commit or to its first error. What can
+    /// stop an apply phase is the data or the storage: a value its column
+    /// cannot hold, a row past the leaf-record limit, a cold page that
+    /// fails its checksum or its read. The session then returns the
+    /// database to the last commit (`Database::rollback`), so no failure
+    /// leaves a half-applied statement behind.
     pub query: &'a QueryCtx,
     /// Workers the scan may fan out over (≥ 1): the admission grant, or 1
     /// for an initializer, which takes no ticket.

@@ -385,10 +385,10 @@ impl Session {
                     db.commit();
                     Ok(result)
                 }
-                // An aborted match or resolve phase changed no page and
-                // logged nothing. A storage error in the apply phase (a
-                // corrupt or unreadable page) stops a statement that has
-                // begun to write: it returns to the last commit, so no
+                // An aborted match phase changed no page and logged
+                // nothing. Any error in the apply phase — a refused row, a
+                // corrupt or unreadable page — may stop a statement that
+                // has begun to write: it returns to the last commit, so no
                 // later commit makes its first rows durable.
                 Err(e) => {
                     if db.store.stats().wal_records != logged {

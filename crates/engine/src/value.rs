@@ -260,13 +260,13 @@ impl Value {
         }
     }
 
-    /// Integer view (floats must be integral).
+    /// Integer view (floats must be integral and in `i64` range).
     pub fn as_i64(&self) -> Result<i64> {
         match self {
             Value::I64(v) => Ok(*v),
             Value::I32(v) => Ok(*v as i64),
-            Value::F64(v) if v.fract() == 0.0 => Ok(*v as i64),
-            Value::F32(v) if v.fract() == 0.0 => Ok(*v as i64),
+            Value::F64(v) if v.fract() == 0.0 => integral(*v),
+            Value::F32(v) if v.fract() == 0.0 => integral(f64::from(*v)),
             other => Err(other
                 .unresolved_lob()
                 .unwrap_or_else(|| EngineError::Type(format!("{other:?} is not an integer")))),
@@ -329,6 +329,17 @@ impl Value {
             Value::Bool(_) => "BIT",
             Value::Lob { .. } => "VARBINARY(MAX)",
         }
+    }
+}
+
+/// An integral float as `i64`, refused outside −2⁶³ ≤ v < 2⁶³, where
+/// `as` would saturate.
+fn integral(v: f64) -> Result<i64> {
+    const END: f64 = 9_223_372_036_854_775_808.0; // 2⁶³, exact in f64
+    if (-END..END).contains(&v) {
+        Ok(v as i64)
+    } else {
+        Err(EngineError::Type(format!("{v} is out of range for BIGINT")))
     }
 }
 
@@ -426,6 +437,18 @@ mod tests {
         assert_eq!(Value::I32(5).as_f64().unwrap(), 5.0);
         assert_eq!(Value::F64(2.0).as_i64().unwrap(), 2);
         assert!(Value::F64(2.5).as_i64().is_err());
+        // 2⁶³ and past it would saturate under `as`; −2⁶³ is the last
+        // float in range.
+        let end = 9_223_372_036_854_775_808.0f64;
+        assert_eq!(Value::F64(-end).as_i64().unwrap(), i64::MIN);
+        for v in [end, 1e19, -1e19, -end * 2.0, 1e300] {
+            let err = Value::F64(v).as_i64().unwrap_err();
+            assert!(matches!(err, EngineError::Type(_)), "{v}: {err:?}");
+        }
+        assert!(matches!(
+            Value::F32(1e19).as_i64(),
+            Err(EngineError::Type(_))
+        ));
         assert!(Value::Str("x".into()).as_f64().is_err());
         assert_eq!(Value::I64(3).as_index().unwrap(), 3);
         assert!(Value::I64(-1).as_index().is_err());

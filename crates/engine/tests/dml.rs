@@ -521,11 +521,38 @@ fn dml_error_matrix() {
     // INT overflow from a BIGINT expression.
     let err = s.execute("UPDATE T SET tag = 3000000000").unwrap_err();
     assert!(matches!(err, EngineError::Type(_)), "got {err:?}");
+    // A float past the column's range is refused, not saturated.
+    s.db_mut()
+        .create_table(
+            "N",
+            Schema::new(&[
+                ("id", ColType::I64),
+                ("a", ColType::I64),
+                ("r", ColType::F32),
+            ]),
+        )
+        .unwrap();
+    let zeros = [RowValue::I64(0), RowValue::I64(0), RowValue::F32(0.0)];
+    s.db_mut().insert("N", 0, &zeros).unwrap();
+    for sql in [
+        "UPDATE N SET a = 1e19",
+        "UPDATE N SET a = -1e19",
+        "UPDATE N SET r = 1e300",
+        "SELECT IntArray.Item_1(IntArray.Vector_1(5), 1e19) FROM N",
+    ] {
+        let err = s.execute(sql).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Type(m) if m.contains("out of range")),
+            "{sql}: got {err:?}"
+        );
+    }
     // A failed statement must leave the table untouched.
     assert_eq!(
         id_tag_rows(&mut s),
         vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]
     );
+    let stored = s.query("SELECT a, r FROM N").unwrap().rows;
+    assert_eq!(stored, [[Value::I64(0), Value::F32(0.0)]]);
 }
 
 /// Every row's full content, blobs included.
@@ -540,9 +567,10 @@ fn all_rows(s: &mut Session, table: &str) -> Vec<Vec<Value>> {
 }
 
 /// Runs `failing` — an UPDATE whose *second or later* matched row is
-/// rejected after earlier rows resolved fine — on fresh sessions from
-/// `fixture` and asserts it changed nothing: not the rows, not one WAL
-/// byte, not the crash image, and nothing a later statement's commit
+/// rejected after earlier rows were applied — on fresh sessions from
+/// `fixture`, at DOP 1 and 4 on both scan bodies, and asserts it changed
+/// nothing: not the rows, not one WAL byte, not the page count or the
+/// free list, not the crash image, and nothing a later statement's commit
 /// could make durable.
 fn assert_failed_update_leaves_no_trace(
     fixture: impl Fn() -> Session,
@@ -569,24 +597,30 @@ fn assert_failed_dml_leaves_no_trace(
     let all_rows = |s: &mut Session| all_rows(s, table);
     // The catalog entry: root, first leaf, row count, depth.
     let tree = |s: &Session| s.db().table(table).unwrap().tree_parts();
-    for dop in [1usize, 4] {
+    let free = |s: &Session| s.db().store.free_pages().to_vec();
+    for (dop, batch) in [1usize, 4].into_iter().flat_map(|d| [(d, 0), (d, 1024)]) {
+        let at = format!("dop {dop}, batch rows {batch}");
         let mut s = fixture();
         s.set_dop(dop);
+        s.set_batch_rows(batch);
         let before = all_rows(&mut s);
         let (tree_before, wal_before) = (tree(&s), s.db().store.wal_len());
+        let (pages_before, free_before) = (s.db().store.page_count(), free(&s));
         let image_before = s.db().store.crash_image();
 
         inject(&s);
         let err = s.execute(failing).unwrap_err();
-        assert!(want(&err), "dop {dop}: got {err:?}");
+        assert!(want(&err), "{at}: got {err:?}");
 
-        assert_eq!(all_rows(&mut s), before, "dop {dop}: rows changed");
-        assert_eq!(tree(&s), tree_before, "dop {dop}: catalog entry changed");
-        assert_eq!(s.db().store.wal_len(), wal_before, "dop {dop}: WAL grew");
+        assert_eq!(all_rows(&mut s), before, "{at}: rows changed");
+        assert_eq!(tree(&s), tree_before, "{at}: catalog entry changed");
+        assert_eq!(s.db().store.wal_len(), wal_before, "{at}: WAL grew");
+        assert_eq!(s.db().store.page_count(), pages_before, "{at}: pages");
+        assert_eq!(free(&s), free_before, "{at}: free list changed");
         assert_eq!(
             s.db().store.crash_image(),
             image_before,
-            "dop {dop}: crash image changed"
+            "{at}: crash image changed"
         );
 
         // The next committed statement must not carry a half-applied
@@ -595,8 +629,39 @@ fn assert_failed_dml_leaves_no_trace(
             .unwrap();
         let db = Database::recover(&s.db().store.crash_image()).unwrap();
         let mut rec = Engine::new(db).session_with_hosting(HostingModel::free());
-        assert_eq!(all_rows(&mut rec), before, "dop {dop}: recovery differs");
+        assert_eq!(all_rows(&mut rec), before, "{at}: recovery differs");
     }
+}
+
+/// `G(id, tag INT, v BLOB, w BLOB)` with `rows` rows: `tag` equal to the
+/// key, `v` a 20 000-byte out-of-row blob, `w` a 40-byte inline one;
+/// `@big` is a fresh out-of-row value and `@wide` a 1 000-byte inline one.
+fn growing_session(rows: i64) -> Session {
+    let mut db = Database::new();
+    db.create_table(
+        "G",
+        Schema::new(&[
+            ("id", ColType::I64),
+            ("tag", ColType::I32),
+            ("v", ColType::Blob),
+            ("w", ColType::Blob),
+        ]),
+    )
+    .unwrap();
+    for k in 0..rows {
+        let values = [
+            RowValue::I64(k),
+            RowValue::I32(k as i32),
+            RowValue::Bytes(big_v(k)),
+            RowValue::Bytes(vec![1; 40]),
+        ];
+        db.insert("G", k, &values).unwrap();
+    }
+    db.commit();
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
+    s.set_var("big", Value::Bytes(big_v(-1)));
+    s.set_var("wide", Value::Bytes(vec![9; 1000]));
+    s
 }
 
 #[test]
@@ -606,6 +671,36 @@ fn failing_update_is_not_half_applied() {
     assert_failed_update_leaves_no_trace(
         || session(400),
         "UPDATE T SET tag = 2147483640 + id",
+        |e| matches!(e, EngineError::Type(m) if m.contains("out of range for INT column")),
+    );
+
+    // Rows 0..10 grow `w` until their leaf splits and replace `v`, which
+    // spills a chain and frees one per row; row 250, in a later leaf,
+    // then overflows `tag`. Every write before it is undone.
+    const SET: &str = "UPDATE G SET w = @wide, v = @big, tag = tag + 2147483400";
+    let mut s = growing_session(300);
+    let (leaves, pages) = {
+        let mut db = s.db_mut();
+        let t = db.table("G").unwrap().clone();
+        (t.data_pages(&mut db.store).unwrap(), db.store.page_count())
+    };
+    s.execute(&format!("{SET} WHERE id < 10")).unwrap();
+    let mut db = s.db_mut();
+    let t = db.table("G").unwrap().clone();
+    assert!(t.data_pages(&mut db.store).unwrap() > leaves, "no split");
+    assert!(db.store.page_count() > pages, "no chain spilled");
+    assert!(!db.store.free_pages().is_empty(), "no chain freed");
+    let leaves_of = |keys| {
+        t.partition_keys(&db.store, 1, keys).unwrap()[0]
+            .leaves()
+            .to_vec()
+    };
+    let (grown, refused) = (leaves_of(0..=9), leaves_of(250..=250));
+    assert!(grown.len() > 1 && !grown.contains(&refused[0]));
+    drop(db);
+    assert_failed_update_leaves_no_trace(
+        || growing_session(300),
+        &format!("{SET} WHERE id < 10 OR id >= 250"),
         |e| matches!(e, EngineError::Type(m) if m.contains("out of range for INT column")),
     );
 }
@@ -730,8 +825,8 @@ fn two_blob_session(rows: i64, lens: impl Fn(i64) -> (usize, usize)) -> Session 
 #[test]
 fn failing_oversized_record_is_not_half_applied() {
     // Rows 0..=4 copy a 100-byte `a` into `b` fine; from row 5 on the two
-    // inline 5 000-byte blobs exceed one leaf record. Only the B-tree used
-    // to know, in the apply phase, after rows 0..=4 were rewritten.
+    // inline 5 000-byte blobs exceed one leaf record. The table refuses
+    // row 5 after rows 0..=4 were rewritten; the rollback undoes them.
     assert_failed_update_leaves_no_trace(
         || two_blob_session(10, |k| (if k < 5 { 100 } else { 5000 }, 16)),
         "UPDATE W SET b = a",
@@ -739,7 +834,7 @@ fn failing_oversized_record_is_not_half_applied() {
     );
 }
 
-// --- Storage errors in the serial phases ----------------------------------
+// --- Storage errors in the apply phase ------------------------------------
 
 /// Elements of each stored `A.v` array: 24 000 bytes of `f64`, out of row
 /// in three chunk pages, the array header in the first.
@@ -768,8 +863,8 @@ fn array_session(rows: i64) -> Session {
     s
 }
 
-/// Patches elements 1500..1504 of rows 0..3 in place: the resolve phase
-/// reads each row's LOB root and header chunk, the apply phase writes the
+/// Patches elements 1500..1504 of rows 0..3 in place: each row's turn in
+/// the apply phase reads its LOB root and header chunk, then writes the
 /// second chunk page, which nothing before it reads.
 const PATCH: &str = "UPDATE A SET v = FloatArrayMax.ArrayUpdate(v, IntArray.Vector_1(1500), @r) \
                      WHERE id < 3";
@@ -806,8 +901,8 @@ fn a_corrupt_page_in_the_apply_phase_returns_to_the_last_commit() {
     );
 }
 
-/// A read fault at any cold read after a statement's match scan — in its
-/// resolve phase, its apply phase, a blob patch or a blob free — is
+/// A read fault at any cold read after a statement's match scan — a
+/// B-tree descent of its apply phase, a blob patch or a blob free — is
 /// absorbed by the bounded retry, leaving rows, log and disk exactly as
 /// the unfaulted statement leaves them; one failure more fails the
 /// statement with a typed storage error and leaves no trace.
@@ -873,9 +968,9 @@ fn a_read_fault_at_any_serial_read_of_a_dml_retries_or_leaves_no_trace() {
 #[test]
 fn apply_phase_error_still_reports_partial_stats() {
     // Two inline blobs of 5000 bytes each do not fit one leaf record. The
-    // resolve phase rejects the row with the B-tree's own error before any
-    // page changes — after the match scan read its pages, so the failure
-    // still owes the session its partial measurements.
+    // table refuses the row before any page changes — after the match scan
+    // read its pages, so the failure still owes the session its partial
+    // measurements.
     let mut s = two_blob_session(50, |_| (16, 5000));
     s.set_var("big", Value::Bytes(vec![3u8; 5000]));
     s.db().store.clear_cache();

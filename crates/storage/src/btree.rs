@@ -423,18 +423,20 @@ impl BTree {
     /// scratch. A split or an append ends its group early (see the module
     /// doc), so every page equals the one a call per op leaves. On an
     /// error at op `i`, the group's scratch — the ops before `i` — is
-    /// written, and the error returned.
-    pub fn apply(
+    /// written, and the error returned. `edit` may fail with an error of
+    /// its own type, which every storage error converts into.
+    pub fn apply<E: From<StorageError>>(
         &mut self,
         store: &mut PageStore,
         keys: &[i64],
-        mut edit: impl FnMut(&mut PageStore, usize, Option<&[u8]>) -> Result<Edit>,
-    ) -> Result<u64> {
+        mut edit: impl FnMut(&mut PageStore, usize, Option<&[u8]>) -> std::result::Result<Edit, E>,
+    ) -> std::result::Result<u64, E> {
         if let Some(w) = keys.windows(2).find(|w| w[1] <= w[0]) {
             return Err(StorageError::KeysNotAscending {
                 key: w[1],
                 after: w[0],
-            });
+            }
+            .into());
         }
         // The scratch copy of the group's leaf, and the page a compaction
         // or split rebuilds it into.
@@ -482,15 +484,15 @@ impl BTree {
     /// placement rule. `None` when the scratch is as it was; otherwise the
     /// separators a split or an append hands up, which end the group (none
     /// when the group goes on).
-    fn step(
+    fn step<E: From<StorageError>>(
         &mut self,
         store: &mut PageStore,
         bufs: &mut [Vec<u8>; 2],
         leaf: PageId,
         from: &mut usize,
         (i, key): (usize, i64),
-        edit: &mut impl FnMut(&mut PageStore, usize, Option<&[u8]>) -> Result<Edit>,
-    ) -> Result<Option<SplitInfo>> {
+        edit: &mut impl FnMut(&mut PageStore, usize, Option<&[u8]>) -> std::result::Result<Edit, E>,
+    ) -> std::result::Result<Option<SplitInfo>, E> {
         let v = SlottedRead::open(&bufs[0], page_type::BTREE_LEAF, leaf)?;
         let slot = leaf_lower_bound(&v, *from, key)?;
         *from = slot;

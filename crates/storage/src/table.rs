@@ -1,10 +1,11 @@
 //! Clustered tables: schema + B-tree + blob store, with storage accounting.
 //!
-//! Rows change through one call, [`Table::apply`]: a keyed, ascending list
-//! of inserts, updates and deletes that the B-tree's one write routine
-//! ([`BTree::apply`]) applies leaf by leaf. Each op validates its row
-//! before it spills a blob, and frees the LOB chains its old row loses, at
-//! its own turn. [`Table::insert`] is that call with one op;
+//! Rows change through one call, [`Table::apply`]: a strictly ascending
+//! key list whose op turns each key's stored row into an insert, an
+//! update, a delete or nothing, applied leaf by leaf by the B-tree's one
+//! write routine ([`BTree::apply`]). Each op validates its row before it
+//! spills a blob, and frees the LOB chains its old row loses, at its own
+//! turn. [`Table::insert`] is that call with one op;
 //! [`Table::bulk_load`] fills an empty table.
 
 use crate::blob;
@@ -15,6 +16,7 @@ use crate::row::{self, BatchDecoder, RowCursor, RowValue, Schema, INLINE_BLOB_LI
 use crate::store::{PageRead, PageStore, PartitionReader};
 use sqlarray_core::batch::Batch;
 use sqlarray_core::le;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::{Range, RangeInclusive};
 
@@ -52,15 +54,18 @@ pub struct BatchScanOpts<'a> {
     pub leaf_aligned: bool,
 }
 
-/// One row operation of [`Table::apply`].
-#[derive(Debug, Clone, Copy)]
+/// What [`Table::apply`]'s op makes of one key's row. The values are
+/// borrowed or owned, so a caller that holds its row copies nothing.
+#[derive(Debug, Clone)]
 pub enum RowOp<'a> {
     /// A new row; its key must not be held.
-    Insert(&'a [RowValue]),
+    Insert(Cow<'a, [RowValue]>),
     /// The row that replaces the one held under the key, if any.
-    Update(&'a [RowValue]),
+    Update(Cow<'a, [RowValue]>),
     /// Removes the row held under the key, if any.
     Delete,
+    /// Leaves the key as it is.
+    Keep,
 }
 
 /// A clustered table. Rows are stored in the leaf level of a B+tree in key
@@ -100,36 +105,48 @@ impl Table {
     /// Inserts a row under the clustered key: [`apply`](Self::apply) with
     /// one [`RowOp::Insert`].
     pub fn insert(&mut self, store: &mut PageStore, key: i64, values: &[RowValue]) -> Result<()> {
-        self.apply(store, &[(key, RowOp::Insert(values))]).map(drop)
+        self.apply(store, &[key], |_, _, _| Ok(RowOp::Insert(values.into())))
+            .map(drop)
     }
 
-    /// Applies `ops` — keyed, strictly ascending, or refused with
-    /// [`StorageError::KeysNotAscending`] before anything is written —
-    /// through the one B-tree write routine ([`BTree::apply`]): the rows
-    /// one leaf holds change in one page write. Returns how many rows were
-    /// inserted, replaced or deleted.
+    /// Applies `op`'s verdict to each of `keys` — strictly ascending, or
+    /// refused with [`StorageError::KeysNotAscending`] before anything is
+    /// written — through the one B-tree write routine ([`BTree::apply`]):
+    /// the rows one leaf holds change in one page write. `op(store, i,
+    /// old)` sees key `i`'s stored row encoding (`None` when the key is
+    /// absent; [`row::decode_row`] reads it) and may fail with an error of
+    /// its own type. Returns how many rows were inserted, replaced or
+    /// deleted.
     ///
-    /// Each op, at its turn, first checks its key (an insert of a held key
-    /// is [`StorageError::DuplicateKey`]; an update or delete of an absent
-    /// one does nothing), then validates the new row — arity, types and
-    /// the leaf-record limit — before a blob is spilled, so a refused row
-    /// leaves no LOB chain behind. Blob values past the in-row limit spill
-    /// through the LOB writer; the replaced row's out-of-page chains that
-    /// the new row does not keep come back through [`blob::free_blob`] (a
-    /// pass-through `LobRef` keeps its chain — the engine's in-place
-    /// `ArrayUpdate` relies on that), so repeated UPDATEs recycle pages
-    /// instead of growing the file. Spills and frees happen in the order
-    /// one call per op makes them, so every page and the free list are
-    /// those a call per op leaves.
-    pub fn apply(&mut self, store: &mut PageStore, ops: &[(i64, RowOp<'_>)]) -> Result<u64> {
-        let keys: Vec<i64> = ops.iter().map(|&(key, _)| key).collect();
+    /// Each verdict, at its key's turn, is first checked against the key
+    /// (an insert of a held key is [`StorageError::DuplicateKey`]; an
+    /// update or delete of an absent one does nothing), then the new row
+    /// is validated — arity, types and the leaf-record limit — before a
+    /// blob is spilled, so a refused row leaves no LOB chain behind. Blob
+    /// values past the in-row limit spill through the LOB writer; the
+    /// replaced row's out-of-page chains that the new row does not keep
+    /// come back through [`blob::free_blob`] (a pass-through `LobRef`
+    /// keeps its chain — the engine's in-place `ArrayUpdate` relies on
+    /// that), so repeated UPDATEs recycle pages instead of growing the
+    /// file. Spills and frees happen in the order one call per key makes
+    /// them, so every page and the free list are those a call per key
+    /// leaves.
+    pub fn apply<'a, E: From<StorageError>>(
+        &mut self,
+        store: &mut PageStore,
+        keys: &[i64],
+        mut op: impl FnMut(&mut PageStore, usize, Option<&[u8]>) -> std::result::Result<RowOp<'a>, E>,
+    ) -> std::result::Result<u64, E> {
         let schema = &self.schema;
         let (mut old_ids, mut kept) = (Vec::new(), Vec::new());
-        self.tree.apply(store, &keys, |store, i, old| {
-            let (key, op) = ops[i];
-            let values = match (op, old) {
-                (RowOp::Insert(_), Some(_)) => return Err(StorageError::DuplicateKey { key }),
-                (RowOp::Update(_) | RowOp::Delete, None) => return Ok(Edit::Keep),
+        self.tree.apply(store, keys, |store, i, old| {
+            let values = match (op(store, i, old)?, old) {
+                (RowOp::Insert(_), Some(_)) => {
+                    return Err(StorageError::DuplicateKey { key: keys[i] }.into())
+                }
+                (RowOp::Keep, _) | (RowOp::Update(_) | RowOp::Delete, None) => {
+                    return Ok(Edit::Keep)
+                }
                 (RowOp::Insert(values) | RowOp::Update(values), _) => Some(values),
                 (RowOp::Delete, Some(_)) => None,
             };
@@ -141,8 +158,8 @@ impl Table {
             let payload = match values {
                 Some(values) => {
                     // Refuse the row before a blob of it spills.
-                    row::encoded_len(schema, values)?;
-                    Some(row::encode_row(store, schema, values)?)
+                    row::encoded_len(schema, &values)?;
+                    Some(row::encode_row(store, schema, &values)?)
                 }
                 None => None,
             };
@@ -247,48 +264,6 @@ impl Table {
         self.tree =
             BTree::bulk_build_prevalidated(store, &entries, dop, Some(self.tree.root_page()))?;
         Ok(())
-    }
-
-    /// Overwrites `data.len()` bytes of the blob column `col` of row `key`
-    /// starting at byte `offset` — the storage path of the paper's
-    /// `ArrayUpdate`. For an out-of-page value only the intersecting chunk
-    /// pages are rewritten (the leaf row is untouched: id and length are
-    /// unchanged); an in-row value is spliced and the row re-stored.
-    /// Returns the number of pages written.
-    pub fn update_col_blob_range(
-        &mut self,
-        store: &mut PageStore,
-        key: i64,
-        col: usize,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<u64> {
-        let Some(bytes) = self.tree.get(store, key)? else {
-            return Err(StorageError::KeyNotFound { key });
-        };
-        match row::decode_col(&self.schema, &bytes, col)? {
-            RowValue::LobRef(id, _) => blob::update_blob_range(store, id, offset, data),
-            RowValue::Bytes(mut b) => {
-                // checked_add: a wrapping `offset + len` must not pass.
-                let end = offset
-                    .checked_add(data.len())
-                    .filter(|&end| end <= b.len())
-                    .ok_or(StorageError::BlobRangeOutOfBounds {
-                        offset,
-                        len: data.len(),
-                        total: b.len(),
-                    })?;
-                b[offset..end].copy_from_slice(data);
-                let mut vals = row::decode_row(&self.schema, &bytes)?;
-                vals[col] = RowValue::Bytes(b);
-                self.apply(store, &[(key, RowOp::Update(&vals))])?;
-                Ok(1)
-            }
-            other => Err(StorageError::SchemaMismatch(format!(
-                "column {col} of table `{}` holds {other:?}, not a blob",
-                self.name
-            ))),
-        }
     }
 
     /// The tree geometry needed to re-open this table from a catalog:
@@ -578,6 +553,12 @@ fn fill_batch(
 mod tests {
     use super::*;
     use crate::row::ColType;
+
+    /// `ops` through one [`Table::apply`] call.
+    fn apply_ops(t: &mut Table, store: &mut PageStore, ops: &[(i64, RowOp<'_>)]) -> Result<u64> {
+        let keys: Vec<i64> = ops.iter().map(|&(key, _)| key).collect();
+        t.apply(store, &keys, |_, i, _| Ok(ops[i].1.clone()))
+    }
 
     /// Every `(key, encoded row)` of `t`, in key order, through the one
     /// range scan over every key.
@@ -1352,13 +1333,19 @@ mod tests {
             .unwrap();
         }
         assert!(store.free_pages().is_empty());
-        assert_eq!(t.apply(&mut store, &[(4, RowOp::Delete)]).unwrap(), 1);
+        assert_eq!(
+            apply_ops(&mut t, &mut store, &[(4, RowOp::Delete)]).unwrap(),
+            1
+        );
         assert_eq!(t.row_count(), 9);
         assert_eq!(t.get(&mut store, 4).unwrap(), None);
         // The deleted row's LOB chain (root + 8 chunks) is on the free list.
         assert_eq!(store.free_pages().len(), 9);
         // Deleting a missing key reports false and frees nothing.
-        assert_eq!(t.apply(&mut store, &[(4, RowOp::Delete)]).unwrap(), 0);
+        assert_eq!(
+            apply_ops(&mut t, &mut store, &[(4, RowOp::Delete)]).unwrap(),
+            0
+        );
         assert_eq!(store.free_pages().len(), 9);
         // Remaining rows are intact.
         let row = t.get(&mut store, 5).unwrap().unwrap();
@@ -1378,11 +1365,12 @@ mod tests {
         // grows the file by one chain — and every later one recycles it.
         let newer = vec![0x22; 60_000];
         assert_eq!(
-            t.apply(
+            apply_ops(
+                &mut t,
                 &mut store,
                 &[(
                     1,
-                    RowOp::Update(&[RowValue::I64(1), RowValue::Bytes(newer.clone())])
+                    RowOp::Update(vec![RowValue::I64(1), RowValue::Bytes(newer.clone())].into())
                 )]
             )
             .unwrap(),
@@ -1391,11 +1379,14 @@ mod tests {
         let steady = store.page_count();
         for _ in 0..3 {
             assert_eq!(
-                t.apply(
+                apply_ops(
+                    &mut t,
                     &mut store,
                     &[(
                         1,
-                        RowOp::Update(&[RowValue::I64(1), RowValue::Bytes(newer.clone())])
+                        RowOp::Update(
+                            vec![RowValue::I64(1), RowValue::Bytes(newer.clone())].into()
+                        )
                     )]
                 )
                 .unwrap(),
@@ -1407,11 +1398,12 @@ mod tests {
         assert_eq!(row[1].blob_bytes(&mut store).unwrap(), newer);
         // Updating a missing key writes nothing.
         assert_eq!(
-            t.apply(
+            apply_ops(
+                &mut t,
                 &mut store,
                 &[(
                     2,
-                    RowOp::Update(&[RowValue::I64(2), RowValue::Bytes(vec![1; 9000])])
+                    RowOp::Update(vec![RowValue::I64(2), RowValue::Bytes(vec![1; 9000])].into())
                 )]
             )
             .unwrap(),
@@ -1434,11 +1426,12 @@ mod tests {
         // LOB → inline: the chain is freed.
         let small = vec![5u8; 100];
         assert_eq!(
-            t.apply(
+            apply_ops(
+                &mut t,
                 &mut store,
                 &[(
                     1,
-                    RowOp::Update(&[RowValue::I64(1), RowValue::Bytes(small.clone())])
+                    RowOp::Update(vec![RowValue::I64(1), RowValue::Bytes(small.clone())].into())
                 )]
             )
             .unwrap(),
@@ -1453,11 +1446,12 @@ mod tests {
         let grown = vec![6u8; 40_000];
         let pages = store.page_count();
         assert_eq!(
-            t.apply(
+            apply_ops(
+                &mut t,
                 &mut store,
                 &[(
                     1,
-                    RowOp::Update(&[RowValue::I64(1), RowValue::Bytes(grown.clone())])
+                    RowOp::Update(vec![RowValue::I64(1), RowValue::Bytes(grown.clone())].into())
                 )]
             )
             .unwrap(),
@@ -1468,37 +1462,6 @@ mod tests {
         assert_eq!(row[1].blob_bytes(&mut store).unwrap(), grown);
     }
 
-    #[test]
-    fn blob_range_update_touches_only_intersecting_pages() {
-        let mut store = PageStore::new();
-        let schema = Schema::new(&[("id", ColType::I64), ("v", ColType::Blob)]);
-        let mut t = Table::create(&mut store, "T", schema).unwrap();
-        let mut big: Vec<u8> = (0..200_000).map(|i| (i % 251) as u8).collect();
-        t.insert(
-            &mut store,
-            1,
-            &[RowValue::I64(1), RowValue::Bytes(big.clone())],
-        )
-        .unwrap();
-        let before = store.stats();
-        let patch = vec![0xF0u8; 1000];
-        let touched = t
-            .update_col_blob_range(&mut store, 1, 1, 10_000, &patch)
-            .unwrap();
-        assert!(touched <= 2, "1000-byte patch touched {touched} pages");
-        assert_eq!(store.stats().since(&before).pages_written, touched);
-        big[10_000..11_000].copy_from_slice(&patch);
-        let row = t.get(&mut store, 1).unwrap().unwrap();
-        assert_eq!(row[1].blob_bytes(&mut store).unwrap(), big);
-        // The leaf row is untouched: same LobRef id and length.
-        assert!(matches!(row[1], RowValue::LobRef(_, 200_000)));
-    }
-
-    /// A row the table refuses — an insert of a held key, a value of the
-    /// wrong type after a blob column, a record past the leaf limit once
-    /// its blob is spilled, and an update with a wrongly typed value —
-    /// spills no LOB chain: the page count, the free list and the log are
-    /// as they were.
     #[test]
     fn a_refused_row_spills_no_lob_chain() {
         let mut store = PageStore::new();
@@ -1530,15 +1493,19 @@ mod tests {
             RowValue::Bytes(d),
         ];
         let refused = [
-            ("duplicate", 1, RowOp::Insert(&ok)),
-            ("mistyped", 2, RowOp::Insert(&mistyped)),
-            ("too long", 3, RowOp::Insert(&too_long)),
-            ("mistyped update", 1, RowOp::Update(&mistyped)),
+            ("duplicate", 1, RowOp::Insert(Cow::Borrowed(&ok))),
+            ("mistyped", 2, RowOp::Insert(Cow::Borrowed(&mistyped))),
+            ("too long", 3, RowOp::Insert(Cow::Borrowed(&too_long))),
+            (
+                "mistyped update",
+                1,
+                RowOp::Update(Cow::Borrowed(&mistyped)),
+            ),
         ];
         for (what, key, op) in refused {
             let before = (store.page_count(), store.free_pages().len());
             let wal = store.stats().wal_bytes;
-            let got = t.apply(&mut store, &[(key, op)]);
+            let got = apply_ops(&mut t, &mut store, &[(key, op)]);
             assert!(
                 matches!(
                     got,
@@ -1556,40 +1523,6 @@ mod tests {
             assert_eq!(store.stats().wal_bytes, wal, "{what}");
         }
         assert_eq!(t.row_count(), 1);
-    }
-
-    #[test]
-    fn blob_range_update_splices_inline_values() {
-        let mut store = PageStore::new();
-        let schema = Schema::new(&[("id", ColType::I64), ("v", ColType::Blob)]);
-        let mut t = Table::create(&mut store, "T", schema).unwrap();
-        let mut small = vec![1u8; 500];
-        t.insert(
-            &mut store,
-            1,
-            &[RowValue::I64(1), RowValue::Bytes(small.clone())],
-        )
-        .unwrap();
-        t.update_col_blob_range(&mut store, 1, 1, 100, &[9u8; 50])
-            .unwrap();
-        small[100..150].copy_from_slice(&[9u8; 50]);
-        assert_eq!(
-            t.get(&mut store, 1).unwrap().unwrap()[1],
-            RowValue::Bytes(small.clone())
-        );
-        // Out-of-bounds and type errors are typed.
-        assert!(matches!(
-            t.update_col_blob_range(&mut store, 1, 1, 499, &[0; 2]),
-            Err(StorageError::BlobRangeOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            t.update_col_blob_range(&mut store, 1, 0, 0, &[0; 2]),
-            Err(StorageError::SchemaMismatch(_))
-        ));
-        assert!(matches!(
-            t.update_col_blob_range(&mut store, 99, 1, 0, &[0; 2]),
-            Err(StorageError::KeyNotFound { key: 99 })
-        ));
     }
 
     #[test]

@@ -30,8 +30,9 @@ use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_storage::fail::tear_wal;
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
 use sqlarray_storage::{
-    wal, ColType, DiskImage, PageStore, RowOp, RowValue, Schema, StorageError, Table,
+    blob, wal, ColType, DiskImage, PageStore, RowOp, RowValue, Schema, StorageError, Table,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 const CHUNK_DATA: usize = 8176; // PAGE_SIZE - 16, the blob chunk payload
@@ -62,9 +63,28 @@ fn row(k: i64, tag: i32, blob_len: usize) -> (i64, Vec<RowValue>) {
     )
 }
 
+/// `ops` through one `Table::apply` call: how many rows changed.
+fn apply_ops(store: &mut PageStore, t: &mut Table, ops: &[(i64, RowOp<'_>)]) -> u64 {
+    let keys: Vec<i64> = ops.iter().map(|&(key, _)| key).collect();
+    t.apply(store, &keys, |_, i, _| {
+        Ok::<_, StorageError>(ops[i].1.clone())
+    })
+    .unwrap()
+}
+
 /// One op through `Table::apply`: whether the key held a row.
 fn one(store: &mut PageStore, t: &mut Table, key: i64, op: RowOp<'_>) -> bool {
-    t.apply(store, &[(key, op)]).unwrap() == 1
+    apply_ops(store, t, &[(key, op)]) == 1
+}
+
+/// Overwrites `data.len()` bytes of row `key`'s out-of-row blob at `off`,
+/// as the engine's `ArrayUpdate` does: in place, through
+/// `blob::update_blob_range` on the chain id `get_col` returns.
+fn patch(store: &mut PageStore, t: &Table, key: i64, off: usize, data: &[u8]) {
+    let Some(RowValue::LobRef(id, _)) = t.get_col(store, key, 2).unwrap() else {
+        panic!("row {key} holds no out-of-row blob");
+    };
+    blob::update_blob_range(store, id, off, data).unwrap();
 }
 
 /// Commits with the table's tree geometry as the catalog payload, the
@@ -265,10 +285,10 @@ fn update_crash_matrix() {
     run_matrix(&loaded_committed, &|store, t| {
         // Replace a LOB chain (free + rewrite), grow an inline value out
         // of page, shrink a LOB back inline, and touch a scalar column.
-        assert!(one(store, t, 2, RowOp::Update(&row(2, 99, 15_000).1)));
-        assert!(one(store, t, 0, RowOp::Update(&row(0, 7, 11_000).1)));
-        assert!(one(store, t, 3, RowOp::Update(&row(3, -7, 80).1)));
-        assert!(one(store, t, 1, RowOp::Update(&row(1, 1000, 7000).1)));
+        assert!(one(store, t, 2, RowOp::Update(row(2, 99, 15_000).1.into())));
+        assert!(one(store, t, 0, RowOp::Update(row(0, 7, 11_000).1.into())));
+        assert!(one(store, t, 3, RowOp::Update(row(3, -7, 80).1.into())));
+        assert!(one(store, t, 1, RowOp::Update(row(1, 1000, 7000).1.into())));
         commit(store, t);
     });
 }
@@ -277,11 +297,9 @@ fn update_crash_matrix() {
 fn blob_range_update_crash_matrix() {
     run_matrix(&loaded_committed, &|store, t| {
         // The ArrayUpdate path: splice bytes across a chunk boundary of a
-        // stored chain, and splice inside an inline blob.
-        t.update_col_blob_range(store, 7, 2, CHUNK_DATA - 50, &pattern(77, 300))
-            .unwrap();
-        t.update_col_blob_range(store, 1, 2, 100, &pattern(78, 64))
-            .unwrap();
+        // stored chain, and inside the first chunk of another.
+        patch(store, t, 7, CHUNK_DATA - 50, &pattern(77, 300));
+        patch(store, t, 2, 100, &pattern(78, 64));
         commit(store, t);
     });
 }
@@ -312,7 +330,7 @@ fn delete_list_crash_matrix() {
     assert!(leaves.len() >= 3, "the keys span {} leaves", leaves.len());
     run_matrix(&loaded_committed, &|store, t| {
         let ops: Vec<_> = keys.iter().map(|&k| (k, RowOp::Delete)).collect();
-        assert_eq!(t.apply(store, &ops).unwrap(), 7);
+        assert_eq!(apply_ops(store, t, &ops), 7);
         commit(store, t);
     });
 }
@@ -341,21 +359,21 @@ fn mixed_apply_crash_matrix() {
     run_matrix(&loaded_committed, &|store, t| {
         let [r1, r2, r4, r6, r9, r12, r13, r20] = &rows;
         let ops = [
-            (1, RowOp::Update(&r1.1)),
-            (2, RowOp::Update(&r2.1)),
+            (1, RowOp::Update(Cow::Borrowed(&r1.1))),
+            (2, RowOp::Update(Cow::Borrowed(&r2.1))),
             (3, RowOp::Delete),
-            (4, RowOp::Update(&r4.1)),
+            (4, RowOp::Update(Cow::Borrowed(&r4.1))),
             (5, RowOp::Delete),
-            (6, RowOp::Update(&r6.1)),
+            (6, RowOp::Update(Cow::Borrowed(&r6.1))),
             (7, RowOp::Delete),
-            (9, RowOp::Update(&r9.1)),
+            (9, RowOp::Update(Cow::Borrowed(&r9.1))),
             (10, RowOp::Delete),
-            (12, RowOp::Insert(&r12.1)),
-            (13, RowOp::Insert(&r13.1)),
-            (20, RowOp::Update(&r20.1)),
+            (12, RowOp::Insert(Cow::Borrowed(&r12.1))),
+            (13, RowOp::Insert(Cow::Borrowed(&r13.1))),
+            (20, RowOp::Update(Cow::Borrowed(&r20.1))),
             (21, RowOp::Delete),
         ];
-        assert_eq!(t.apply(store, &ops).unwrap(), 11);
+        assert_eq!(apply_ops(store, t, &ops), 11);
         commit(store, t);
     });
 }
@@ -459,13 +477,13 @@ fn checkpoint_then_crash_update() {
     checkpoint_then_crash(
         &loaded_committed,
         &|store, t| {
-            assert!(one(store, t, 2, RowOp::Update(&row(2, 99, 15_000).1)));
-            assert!(one(store, t, 0, RowOp::Update(&row(0, 7, 11_000).1)));
+            assert!(one(store, t, 2, RowOp::Update(row(2, 99, 15_000).1.into())));
+            assert!(one(store, t, 0, RowOp::Update(row(0, 7, 11_000).1.into())));
         },
         &|store, t| {
-            assert!(one(store, t, 3, RowOp::Update(&row(3, -7, 80).1)));
-            assert!(one(store, t, 2, RowOp::Update(&row(2, 100, 9_000).1)));
-            assert!(one(store, t, 1, RowOp::Update(&row(1, 1000, 7000).1)));
+            assert!(one(store, t, 3, RowOp::Update(row(3, -7, 80).1.into())));
+            assert!(one(store, t, 2, RowOp::Update(row(2, 100, 9_000).1.into())));
+            assert!(one(store, t, 1, RowOp::Update(row(1, 1000, 7000).1.into())));
         },
     );
 }
@@ -474,15 +492,10 @@ fn checkpoint_then_crash_update() {
 fn checkpoint_then_crash_blob_range_update() {
     checkpoint_then_crash(
         &loaded_committed,
+        &|store, t| patch(store, t, 7, CHUNK_DATA - 50, &pattern(77, 300)),
         &|store, t| {
-            t.update_col_blob_range(store, 7, 2, CHUNK_DATA - 50, &pattern(77, 300))
-                .unwrap();
-        },
-        &|store, t| {
-            t.update_col_blob_range(store, 7, 2, CHUNK_DATA - 10, &pattern(79, 40))
-                .unwrap();
-            t.update_col_blob_range(store, 1, 2, 100, &pattern(78, 64))
-                .unwrap();
+            patch(store, t, 7, CHUNK_DATA - 10, &pattern(79, 40));
+            patch(store, t, 2, 100, &pattern(78, 64));
         },
     );
 }
@@ -516,7 +529,7 @@ fn crash_around_an_auto_checkpoint_recovers_the_last_commit() {
             let big = row(40, 40, AUTO_CHECKPOINT_BYTES + CHUNK_DATA).1;
             t.insert(store, 40, &big).unwrap();
         },
-        |store, t| assert!(one(store, t, 2, RowOp::Update(&row(2, 99, 15_000).1))),
+        |store, t| assert!(one(store, t, 2, RowOp::Update(row(2, 99, 15_000).1.into()))),
         |store, t| assert!(one(store, t, 40, RowOp::Delete)),
     ];
 
@@ -582,7 +595,7 @@ fn torn_wal_tail_is_typed_and_recovery_discards_it() {
         &mut store,
         &mut t,
         2,
-        RowOp::Update(&row(2, 5, 9_000).1)
+        RowOp::Update(row(2, 5, 9_000).1.into())
     ));
     commit(&mut store, &t);
     let mut image = store.crash_image();
@@ -639,27 +652,20 @@ fn apply(store: &mut PageStore, t: &mut Table, op: &Op, step: i64) {
         Op::Upsert(k, len) => {
             let vals = row(k, (step + 1) as i32, len).1;
             if t.get(store, k).unwrap().is_some() {
-                assert!(one(store, t, k, RowOp::Update(&vals)));
+                assert!(one(store, t, k, RowOp::Update(vals.into())));
             } else {
                 t.insert(store, k, &vals).unwrap();
             }
         }
         Op::Patch(k, off, len) => {
-            let Some(vals) = t.get(store, k).unwrap() else {
+            // Only an out-of-row chain patches in place; the engine
+            // rewrites an inline value's row, as `Upsert` does.
+            let Some(RowValue::LobRef(_, total)) = t.get_col(store, k, 2).unwrap() else {
                 return;
             };
-            let total = match &vals[2] {
-                RowValue::Bytes(b) => b.len(),
-                &RowValue::LobRef(_, l) => l as usize,
-                _ => unreachable!(),
-            };
-            if total == 0 {
-                return;
-            }
-            let off = off % total;
-            let len = len.min(total - off);
-            t.update_col_blob_range(store, k, 2, off, &pattern(step, len))
-                .unwrap();
+            let off = off % total as usize;
+            let len = len.min(total as usize - off);
+            patch(store, t, k, off, &pattern(step, len));
         }
         Op::Delete(k) => {
             one(store, t, k, RowOp::Delete);

@@ -9,6 +9,7 @@ use sqlarray_storage::{
     blob, row, BTree, BatchScanOpts, ColType, DiskProfile, Edit, IoStats, PageId, PageStore, RowOp,
     RowValue, ScanIo, ScanPartition, Schema, StorageError, Table, PAGE_SIZE,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
 
@@ -37,15 +38,25 @@ fn delete(tree: &mut BTree, store: &mut PageStore, key: i64) -> Option<Vec<u8>> 
     let mut gone = None;
     tree.apply(store, &[key], |_, _, old| {
         gone = old.map(<[u8]>::to_vec);
-        Ok(Edit::Delete)
+        Ok::<_, StorageError>(Edit::Delete)
     })
     .unwrap();
     gone
 }
 
+/// `ops` through one `Table::apply` call.
+fn apply_ops(
+    t: &mut Table,
+    store: &mut PageStore,
+    ops: &[(i64, RowOp<'_>)],
+) -> Result<u64, StorageError> {
+    let keys: Vec<i64> = ops.iter().map(|&(key, _)| key).collect();
+    t.apply(store, &keys, |_, i, _| Ok(ops[i].1.clone()))
+}
+
 /// One row op through `Table::apply`: whether it changed a row.
 fn one(t: &mut Table, store: &mut PageStore, key: i64, op: RowOp<'_>) -> bool {
-    t.apply(store, &[(key, op)]).unwrap() == 1
+    apply_ops(t, store, &[(key, op)]).unwrap() == 1
 }
 
 /// Builds a vector table with `rows` rows over a store with a `pool_pages`
@@ -571,7 +582,7 @@ fn shaped_table(types: &[u8], rows: usize, seed: u64) -> (PageStore, Table) {
         let k = 16 * i;
         assert!(one(&mut t, &mut store, k + 2, RowOp::Delete));
         t.insert(&mut store, k + 1, &cells(k + 1)).unwrap();
-        assert!(one(&mut t, &mut store, k, RowOp::Update(&cells(k))));
+        assert!(one(&mut t, &mut store, k, RowOp::Update(cells(k).into())));
     }
     (store, t)
 }
@@ -844,7 +855,7 @@ fn row_sized_changes_log_row_sized_frames() {
     let delete = logged(&mut store, |s| assert!(one(&mut t, s, 34, RowOp::Delete)));
     assert!(delete < 400, "delete logged {delete} bytes");
     let update = logged(&mut store, |s| {
-        assert!(one(&mut t, s, 20, RowOp::Update(&small_row(20, 77))))
+        assert!(one(&mut t, s, 20, RowOp::Update(small_row(20, 77).into())))
     });
     assert!(update < 64, "in-place I32 update logged {update} bytes");
 
@@ -948,8 +959,8 @@ fn row_ops(rows: &[(i64, Option<Vec<RowValue>>, bool)]) -> Vec<(i64, RowOp<'_>)>
     rows.iter()
         .map(|(k, values, insert)| match (values, insert) {
             (None, _) => (*k, RowOp::Delete),
-            (Some(v), true) => (*k, RowOp::Insert(v)),
-            (Some(v), false) => (*k, RowOp::Update(v)),
+            (Some(v), true) => (*k, RowOp::Insert(v.into())),
+            (Some(v), false) => (*k, RowOp::Update(v.into())),
         })
         .collect()
 }
@@ -994,13 +1005,13 @@ proptest! {
             .map(|&(k, _)| leaf_of(&store, &t, k))
             .collect();
         let (before, pages) = (store.stats(), store.page_count());
-        let changed = t.apply(&mut store, &ops).unwrap();
+        let changed = apply_ops(&mut t, &mut store, &ops).unwrap();
         let written = store.stats().since(&before).pages_written;
 
         let (mut one_by_one, mut u) = keyed_table(&base, &inserts, lobs);
         let mut want = 0;
         for op in &ops {
-            want += u.apply(&mut one_by_one, std::slice::from_ref(op)).unwrap();
+            want += apply_ops(&mut u, &mut one_by_one, std::slice::from_ref(op)).unwrap();
         }
         prop_assert_eq!(changed, want);
         prop_assert_eq!(t.row_count(), u.row_count());
@@ -1033,16 +1044,16 @@ fn an_error_mid_list_leaves_the_ops_before_it() {
             continue;
         }
         let mut ops = row_ops(&rows);
-        ops[i].1 = RowOp::Insert(&dup);
+        ops[i].1 = RowOp::Insert(Cow::Borrowed(&dup));
         let (mut store, mut t) = keyed_table(&base, &[], true);
-        let got = t.apply(&mut store, &ops);
+        let got = apply_ops(&mut t, &mut store, &ops);
         assert!(
             matches!(got, Err(StorageError::DuplicateKey { key: k }) if k == key),
             "op {i}: {got:?}"
         );
         let (mut one_by_one, mut u) = keyed_table(&base, &[], true);
         for op in &ops[..i] {
-            u.apply(&mut one_by_one, std::slice::from_ref(op)).unwrap();
+            apply_ops(&mut u, &mut one_by_one, std::slice::from_ref(op)).unwrap();
         }
         assert_same_store(&store, &one_by_one);
         assert_eq!(t.row_count(), u.row_count());
@@ -1062,7 +1073,7 @@ fn a_key_list_out_of_order_is_refused_before_any_write() {
     };
     for keys in [&[5i64, 3][..], &[1, 2, 9, 9], &[0, 150, 149]] {
         let before = store.stats();
-        let got = t.apply(&mut store, &deletes(keys));
+        let got = apply_ops(&mut t, &mut store, &deletes(keys));
         assert!(
             matches!(got, Err(StorageError::KeysNotAscending { .. })),
             "{keys:?}: {got:?}"
@@ -1071,9 +1082,9 @@ fn a_key_list_out_of_order_is_refused_before_any_write() {
         assert_eq!((d.wal_bytes, d.wal_records, d.pages_written), (0, 0, 0));
         assert_eq!(t.row_count(), 200);
     }
-    assert_eq!(t.apply(&mut store, &[]).unwrap(), 0);
+    assert_eq!(apply_ops(&mut t, &mut store, &[]).unwrap(), 0);
     assert_eq!(
-        t.apply(&mut store, &deletes(&[-1, 0, 199, 200])).unwrap(),
+        apply_ops(&mut t, &mut store, &deletes(&[-1, 0, 199, 200])).unwrap(),
         2
     );
 }

@@ -30,7 +30,7 @@ use sqlarray::engine::{Database, Engine, HostingModel, Session, UdaState, Value}
 use sqlarray::storage::blob::{read_blob, write_blob};
 use sqlarray::storage::store::PageRead;
 use sqlarray::storage::{
-    BTree, ColType, DiskProfile, Edit, PageStore, RowValue, Schema, PAGE_SIZE,
+    BTree, ColType, DiskProfile, Edit, PageStore, RowValue, Schema, StorageError, PAGE_SIZE,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -365,7 +365,7 @@ fn a_leaf_split_allocates_per_split_not_per_record() {
             store.checkpoint();
             let record = vec![9; payload];
             let insert = |_: &mut PageStore, _, _: Option<&[u8]>| Ok(Edit::Put(record.clone()));
-            let counts = count(|| t.apply(&mut store, &[41], insert).unwrap());
+            let counts = count(|| t.apply::<StorageError>(&mut store, &[41], insert).unwrap());
             assert_eq!(t.leaf_pages(&mut store).unwrap(), leaves + 1, "no split");
             (counts, rows as u64 / leaves)
         });

@@ -711,10 +711,10 @@ fn with_dml_vars(mut s: Session) -> Session {
 /// with the reason its match phase runs the interpreter at a non-zero
 /// batch size (`None`: it compiles). LOB rows are `id % 97 = 3`.
 const DML_STATEMENTS: &[(&str, Option<Fallback>)] = &[
-    // Typed errors of the resolve phase ([`DML_RESOLVE_ERRORS`]): nothing
-    // may change.
-    (DML_RESOLVE_ERRORS[0], None),
-    (DML_RESOLVE_ERRORS[1], None),
+    // Typed conversion errors of the apply phase
+    // ([`DML_CONVERSION_ERRORS`]): nothing may change.
+    (DML_CONVERSION_ERRORS[0], None),
+    (DML_CONVERSION_ERRORS[1], None),
     // A scalar by key and by range.
     ("UPDATE T SET a = a + 1 WHERE id = 5", None),
     (
@@ -768,7 +768,7 @@ const DML_STATEMENTS: &[(&str, Option<Fallback>)] = &[
 
 /// The members of [`DML_STATEMENTS`] that must fail: every row matches
 /// and evaluates, the conversion to the column type rejects the value.
-const DML_RESOLVE_ERRORS: [&str; 2] = [
+const DML_CONVERSION_ERRORS: [&str; 2] = [
     "UPDATE T SET b = NULL WHERE id < 3",
     "UPDATE T SET w = 'text' WHERE id >= 100",
 ];
@@ -854,7 +854,7 @@ fn dml_is_bit_identical_on_the_batch_and_row_paths() {
     for (sql, fallback) in DML_STATEMENTS {
         let serial = dml_trace(sql, fallback, 0, 1);
         // Not a vacuous sweep: the listed errors fail, the rest change rows.
-        let fails = DML_RESOLVE_ERRORS.contains(sql);
+        let fails = DML_CONVERSION_ERRORS.contains(sql);
         assert_eq!(
             serial.outcome.is_err(),
             fails,

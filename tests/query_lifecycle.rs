@@ -200,7 +200,7 @@ const MATRIX_DML: &[&str] = &[
 ];
 
 /// The DML half of the matrix. Every lifecycle check of an UPDATE/DELETE
-/// belongs to its read-only match phase (resolve and apply run to the
+/// belongs to its read-only match phase (the apply phase runs to the
 /// commit), so every trip point must abort with `Cancelled`, zero rows
 /// affected and not one WAL byte — and the statement, run undisturbed
 /// afterwards, must leave the disk image of an engine that was never
