@@ -53,6 +53,7 @@ use crate::page::{
     page_type, PageId, SlottedPage, SlottedRead, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_LEN,
 };
 use crate::store::PageStore;
+use crate::wal::MoveClaim;
 use std::ops::{Range, RangeInclusive};
 
 /// Largest payload storable in a leaf record (key bytes deducted). Rows
@@ -124,17 +125,19 @@ fn tree_node(bytes: &[u8], kind: u8, page: PageId) -> Result<SlottedRead<'_>> {
     })
 }
 
-/// Rewrites `page` through `f` and hands back `f`'s error. Every record
-/// the callers put was sized to fit by the placement rule or the split
-/// arithmetic, so an error here is a broken invariant, surfaced as a
-/// typed error rather than a panic.
+/// Rewrites `page` through `f`, which copies the bytes `claims` name from
+/// other pages, and hands back `f`'s error. Every record the callers put
+/// was sized to fit by the placement rule or the split arithmetic, so an
+/// error here is a broken invariant, surfaced as a typed error rather than
+/// a panic.
 fn write_page(
     store: &mut PageStore,
     page: PageId,
+    claims: &[MoveClaim],
     f: impl FnOnce(&mut [u8]) -> Result<()>,
 ) -> Result<()> {
     let mut out = Ok(());
-    store.write(page, |bytes| out = f(bytes))?;
+    store.write(page, claims, |bytes| out = f(bytes))?;
     out
 }
 
@@ -322,7 +325,7 @@ impl BTree {
     /// Creates an empty tree (a single empty leaf).
     pub fn create(store: &mut PageStore) -> Result<BTree> {
         let root = store.allocate();
-        store.write(root, |bytes| {
+        store.write(root, &[], |bytes| {
             SlottedPage::init(bytes, page_type::BTREE_LEAF);
         })?;
         Ok(BTree {
@@ -471,7 +474,7 @@ impl BTree {
                 });
             }
             if dirty {
-                store.write(leaf, |bytes| bytes.copy_from_slice(&bufs[0]))?;
+                store.write(leaf, &[], |bytes| bytes.copy_from_slice(&bufs[0]))?;
             }
             self.push_up(store, &path, ended?)?;
         }
@@ -528,7 +531,7 @@ impl BTree {
             }
             Placement::Append => {
                 let right = store.allocate();
-                write_page(store, right, |bytes| {
+                write_page(store, right, &[], |bytes| {
                     SlottedPage::init(bytes, page_type::BTREE_LEAF)
                         .push_record(&rec)
                         .map(drop)
@@ -572,7 +575,7 @@ impl BTree {
             // internal root trivially holds them.
             let new_root = store.allocate();
             let old_root = self.root;
-            write_page(store, new_root, |bytes| {
+            write_page(store, new_root, &[], |bytes| {
                 let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
                 p.set_next_page(Some(old_root)); // leftmost child
                 push_entries(&mut p, &splits)
@@ -589,6 +592,13 @@ impl BTree {
     /// of `base`; a `split` puts its first group there and each further
     /// group onto a fresh page chained after it, the last linking on to
     /// where `base` linked.
+    ///
+    /// A fresh page's write claims each record it takes from `base` as a
+    /// copy of `leaf`'s bytes at the record's place in `base`. The store's
+    /// leaf still holds its image from before the group (it is written
+    /// after the fresh pages), so a record no earlier edit of the group
+    /// moved or changed is there, and is logged as a reference to it; the
+    /// store logs the others' bytes.
     fn rebuild_leaf(
         store: &mut PageStore,
         out: &mut Vec<u8>,
@@ -599,13 +609,19 @@ impl BTree {
     ) -> Result<SplitInfo> {
         let v = SlottedRead::open(base, page_type::BTREE_LEAF, leaf)?;
         let mut records = Vec::with_capacity(v.slot_count() + 1);
+        // Where each record starts in `base`; `None` for `rec`.
+        let mut starts = Vec::with_capacity(v.slot_count() + 1);
         for r in v.record_ranges(0..v.slot_count())? {
-            records.push(&base[r?]);
+            let r = r?;
+            starts.push(Some(r.start));
+            records.push(&base[r]);
         }
         if replace {
             records[slot] = rec;
+            starts[slot] = None;
         } else {
             records.insert(slot, rec);
+            starts.insert(slot, None);
         }
         let groups = match split {
             true => split_groups(&records),
@@ -626,9 +642,25 @@ impl BTree {
         p.reset();
         push_all(&mut p, first)?;
         p.set_next_page(pages.first().copied().or(v.next_page()));
+        let (mut claims, mut at) = (Vec::with_capacity(records.len()), first.len());
         for (gi, (g, &pid)) in rest.iter().zip(&pages).enumerate() {
             let link = pages.get(gi + 1).copied().or(v.next_page());
-            write_page(store, pid, |bytes| {
+            claims.clear();
+            let mut dst_off = PAGE_HEADER_LEN; // where `push_all` puts the next record
+            for (r, start) in g.iter().zip(&starts[at..]) {
+                if let Some(src_off) = *start {
+                    let len = r.len();
+                    claims.push(MoveClaim {
+                        src: leaf,
+                        src_off,
+                        dst_off,
+                        len,
+                    });
+                }
+                dst_off += r.len();
+            }
+            at += g.len();
+            write_page(store, pid, &claims, |bytes| {
                 let mut p = SlottedPage::init(bytes, page_type::BTREE_LEAF);
                 push_all(&mut p, g)?;
                 p.set_next_page(link);
@@ -664,7 +696,7 @@ impl BTree {
             }
         };
         let Some((mut entries, leftmost)) = full else {
-            write_page(store, page, |bytes| {
+            write_page(store, page, &[], |bytes| {
                 let mut p = SlottedPage::open(bytes, page_type::BTREE_INTERNAL, page)?;
                 seps.iter().enumerate().try_for_each(|(i, &(sep, child))| {
                     p.insert_record(insert_pos + i, &encode_internal(sep, child))
@@ -681,13 +713,13 @@ impl BTree {
         let mid = entries.len() / 2;
         let (up_key, up_child) = entries[mid];
         let right = store.allocate();
-        write_page(store, page, |bytes| {
+        write_page(store, page, &[], |bytes| {
             let mut p = SlottedPage::open(bytes, page_type::BTREE_INTERNAL, page)?;
             p.reset();
             p.set_next_page(Some(leftmost));
             push_entries(&mut p, &entries[..mid])
         })?;
-        write_page(store, right, |bytes| {
+        write_page(store, right, &[], |bytes| {
             let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
             p.set_next_page(Some(up_child)); // leftmost child of the right node
             push_entries(&mut p, &entries[mid + 1..])
@@ -809,7 +841,7 @@ impl BTree {
                     _ => store.allocate(),
                 };
                 assert_eq!(id, leaf_page(leaf_idx));
-                store.write(id, |bytes| bytes.copy_from_slice(&image))?;
+                store.write(id, &[], |bytes| bytes.copy_from_slice(&image))?;
             }
         }
 
@@ -826,7 +858,7 @@ impl BTree {
             let mut next_level = Vec::with_capacity(level.len() / children_per_internal + 1);
             for run in level.chunks(children_per_internal) {
                 let id = store.allocate();
-                store.write(id, |bytes| {
+                store.write(id, &[], |bytes| {
                     let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
                     p.set_next_page(Some(run[0].1)); // leftmost child
                     for &(key, child) in &run[1..] {
@@ -1204,7 +1236,7 @@ mod tests {
         let count = usize::from(sqlarray_core::le::u16_at(store.read(page).unwrap(), 2));
         assert!(count > 0);
         store
-            .write(page, |b| {
+            .write(page, &[], |b| {
                 for i in 0..count {
                     sqlarray_core::le::put_u16(b, PAGE_SIZE - (i + 1) * SLOT_LEN + 2, len);
                 }
@@ -1261,7 +1293,7 @@ mod tests {
     /// the checksum stays valid.
     fn relink(store: &mut PageStore, page: PageId, to: PageId) {
         store
-            .write(page, |b| b[6..14].copy_from_slice(&to.to_le_bytes()))
+            .write(page, &[], |b| b[6..14].copy_from_slice(&to.to_le_bytes()))
             .unwrap();
         store.clear_cache();
     }

@@ -347,15 +347,36 @@ impl PageStore {
     /// restamps the page's checksum over the 64-byte blocks those runs
     /// touch. A closure that changes nothing logs nothing.
     ///
+    /// `claims` say which of the bytes the closure writes it copied from
+    /// other pages (`&[]`: none). Changed bytes a claim covers are logged
+    /// as a copy run — a reference to the source page's bytes — when those
+    /// bytes are still on the source as the log leaves it, the source is
+    /// another page of the file not on the free list, and the run shortens
+    /// the frame; anything else is logged literally, so a wrong claim
+    /// costs log bytes, never a wrong replay. Claims change nothing else:
+    /// the page, its checksum, the counters and the frame count are the
+    /// same with or without them. The source pages are read as they are,
+    /// without touching the pool.
+    ///
     /// Outside recovery's replay, this is the one place a page is copied:
     /// an unshared page copies its before-image aside, a shared one (with
     /// the base image, a crash image or the zero page) is its own
     /// before-image and is copied once, into the live slot, before the
     /// closure runs.
-    pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) -> Result<()> {
+    pub fn write(
+        &mut self,
+        id: PageId,
+        claims: &[wal::MoveClaim],
+        f: impl FnOnce(&mut [u8]),
+    ) -> Result<()> {
         self.fault_in(id)?;
         self.acct_mut().io.pages_written += 1;
-        let slot = &mut self.pages[id as usize];
+        // `fault_in` vouched for `id`: the page is in the file.
+        let (below, rest) = self.pages.split_at_mut(id as usize);
+        let Some((slot, above)) = rest.split_first_mut() else {
+            let max = below.len() as u64;
+            return Err(StorageError::PageOutOfRange { page: id, max });
+        };
         let shared = Arc::get_mut(slot).is_none().then(|| Arc::clone(slot));
         if shared.is_none() {
             self.scratch.copy_from_slice(slot);
@@ -363,9 +384,28 @@ impl PageStore {
         let page = Arc::make_mut(slot);
         f(page);
         let before = shared.as_deref().unwrap_or(&self.scratch[..]);
+        // Whether the last source asked for is on the free list: a write's
+        // claims name one page, or a few, over and over.
+        let (free, last) = (&self.free, std::cell::Cell::new(None));
+        let source = |src: PageId| {
+            let is_free = match last.get() {
+                Some((page, is_free)) if page == src => is_free,
+                _ => free.contains(&src),
+            };
+            last.set(Some((src, is_free)));
+            let live = match src.checked_sub(id + 1) {
+                None => below.get(src as usize),
+                Some(past) => above.get(past as usize),
+            };
+            live.filter(|_| !is_free).map(|p| &p[..])
+        };
+        let moves = wal::Moves {
+            claims,
+            source: &source,
+        };
         let (start, lsn) = (self.wal_buf.len(), self.next_lsn);
         let sum = &mut self.sums[id as usize];
-        if wal::append_write(&mut self.wal_buf, lsn, id, before, page, sum) == 0 {
+        if wal::append_write(&mut self.wal_buf, lsn, id, before, page, sum, &moves) == 0 {
             return Ok(()); // byte-identical rewrite: nothing to log
         }
         self.settle_append(start);
@@ -652,9 +692,12 @@ impl PageStore {
     /// what the live mutation did — except that a written page's checksum
     /// is left to the caller, who gets the page's index in `written`, and
     /// that a write copies a page still shared with the image without
-    /// logging a diff. `listed` holds the free list's pages: a `Free` of a
-    /// page already free is refused, since two later allocations would
-    /// hand it to two owners. `idx` only feeds error reports.
+    /// logging a diff. A copy run copies its bytes from its source page as
+    /// the replay holds it, which is what the live write checked them
+    /// against. `listed` holds the free list's pages: a `Free` of a page
+    /// already free is refused, since two later allocations would hand it
+    /// to two owners, and so is a copy from a free page or one past the
+    /// file. `idx` only feeds error reports.
     fn apply_replay(
         &mut self,
         idx: usize,
@@ -701,6 +744,32 @@ impl PageStore {
                     )));
                 };
                 Arc::make_mut(target)[start..end].copy_from_slice(bytes);
+                written.push(p);
+            }
+            WalRecord::Copy {
+                page,
+                off,
+                len,
+                src,
+                src_off,
+            } => {
+                let (p, s) = (*page as usize, *src as usize);
+                if s >= self.pages.len() || listed.contains(*src) {
+                    let msg = format!("copy from page {src}, past the file or free");
+                    return Err(corrupt(msg));
+                }
+                let (at, from, len) = (usize::from(*off), usize::from(*src_off), usize::from(*len));
+                let source = Arc::clone(&self.pages[s]);
+                let bytes = source.get(from..from + len);
+                let target = self.pages.get_mut(p).filter(|_| p != s);
+                let run = target.and_then(|t| Arc::make_mut(t).get_mut(at..at + len));
+                let (Some(run), Some(bytes)) = (run, bytes) else {
+                    return Err(corrupt(format!(
+                        "copy of {len} bytes from {src_off} on page {src} to {off} on page {page} \
+                         is out of bounds"
+                    )));
+                };
+                run.copy_from_slice(bytes);
                 written.push(p);
             }
             WalRecord::Commit { .. } => {}
@@ -1170,7 +1239,7 @@ mod tests {
     fn allocate_read_write_round_trip() {
         let mut s = PageStore::new();
         let p = s.allocate();
-        s.write(p, |bytes| bytes[0] = 0xAB).unwrap();
+        s.write(p, &[], |bytes| bytes[0] = 0xAB).unwrap();
         assert_eq!(s.read(p).unwrap()[0], 0xAB);
         assert_eq!(s.page_count(), 1);
         assert_eq!(s.file_bytes(), 8192);
@@ -1265,8 +1334,8 @@ mod tests {
     fn writes_are_counted() {
         let mut s = PageStore::new();
         let p = s.allocate();
-        s.write(p, |b| b[1] = 1).unwrap();
-        s.write(p, |b| b[2] = 2).unwrap();
+        s.write(p, &[], |b| b[1] = 1).unwrap();
+        s.write(p, &[], |b| b[2] = 2).unwrap();
         assert_eq!(s.stats().pages_written, 2);
     }
 
@@ -1449,7 +1518,8 @@ mod tests {
     fn commit_crash_recover_round_trips() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, |p| p[10..14].copy_from_slice(b"DATA")).unwrap();
+        s.write(a, &[], |p| p[10..14].copy_from_slice(b"DATA"))
+            .unwrap();
         s.commit(b"cat");
         let rec = PageStore::open(&s.crash_image()).unwrap();
         assert_eq!(rec.catalog.as_deref(), Some(&b"cat"[..]));
@@ -1462,9 +1532,9 @@ mod tests {
     fn uncommitted_tail_is_rolled_back() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, |p| p[0] = 1).unwrap();
+        s.write(a, &[], |p| p[0] = 1).unwrap();
         s.commit(b"v1");
-        s.write(a, |p| p[0] = 2).unwrap(); // never committed
+        s.write(a, &[], |p| p[0] = 2).unwrap(); // never committed
         let before = s.raw_page(a).unwrap().to_vec();
         assert_eq!(before[0], 2, "in-process state has the new value");
         let rec = PageStore::open(&s.crash_image()).unwrap();
@@ -1481,16 +1551,16 @@ mod tests {
             let mut s = PageStore::new();
             let a = s.allocate();
             let b = s.allocate();
-            s.write(a, |p| p[0] = 0xA1).unwrap();
-            s.write(b, |p| p[0] = 0xB1).unwrap();
+            s.write(a, &[], |p| p[0] = 0xA1).unwrap();
+            s.write(b, &[], |p| p[0] = 0xB1).unwrap();
             s.commit(b"v1");
             s.arm(plan);
             // Victim: update both pages, free one, allocate a reuse.
-            s.write(a, |p| p[0] = 0xA2).unwrap();
+            s.write(a, &[], |p| p[0] = 0xA2).unwrap();
             s.free_page(b).unwrap();
             let c = s.allocate_reuse();
             assert_eq!(c, b, "LIFO reuse picks the freed page");
-            s.write(c, |p| p[0] = 0xC2).unwrap();
+            s.write(c, &[], |p| p[0] = 0xC2).unwrap();
             s.commit(b"v2");
             s
         };
@@ -1502,8 +1572,8 @@ mod tests {
             let mut s = PageStore::new();
             let a = s.allocate();
             let b = s.allocate();
-            s.write(a, |p| p[0] = 0xA1).unwrap();
-            s.write(b, |p| p[0] = 0xB1).unwrap();
+            s.write(a, &[], |p| p[0] = 0xA1).unwrap();
+            s.write(b, &[], |p| p[0] = 0xB1).unwrap();
             s.commit(b"v1");
             s
         };
@@ -1545,7 +1615,7 @@ mod tests {
     fn cold_read_verifies_checksum_both_ways() {
         let mut s = PageStore::new();
         let p = s.allocate();
-        s.write(p, |b| b[100] = 7).unwrap();
+        s.write(p, &[], |b| b[100] = 7).unwrap();
         // Positive: clean page survives a cold read.
         s.clear_cache();
         assert!(s.read(p).is_ok());
@@ -1570,9 +1640,9 @@ mod tests {
         for other in [200, 4001] {
             let mut s = PageStore::new();
             let p = s.allocate();
-            s.write(p, |b| b[100] = 7).unwrap();
+            s.write(p, &[], |b| b[100] = 7).unwrap();
             s.corrupt_byte(p, 4000);
-            s.write(p, |b| b[other] ^= 0x5A).unwrap();
+            s.write(p, &[], |b| b[other] ^= 0x5A).unwrap();
             s.clear_cache();
             assert!(
                 matches!(s.read(p), Err(StorageError::PageCorrupt { page, .. }) if page == p),
@@ -1605,7 +1675,7 @@ mod tests {
                 match kind {
                     0 => {
                         let fresh = s.allocate();
-                        s.write(fresh, |b| {
+                        s.write(fresh, &[], |b| {
                             // A leaf-like image: data at the front, zero
                             // blocks in the middle, a directory at the back.
                             for (i, x) in b.iter_mut().enumerate() {
@@ -1616,9 +1686,9 @@ mod tests {
                         })
                         .unwrap();
                     }
-                    1 => s.write(p, |b| b[at] = byte(seed, at)).unwrap(),
+                    1 => s.write(p, &[], |b| b[at] = byte(seed, at)).unwrap(),
                     2 => s
-                        .write(p, |b| {
+                        .write(p, &[], |b| {
                             for r in 0..1 + seed % 8 {
                                 let from = (at + r as usize * 997) % PAGE_SIZE;
                                 let to = (from + 1 + (seed >> (8 * r)) as usize % 40).min(PAGE_SIZE);
@@ -1629,13 +1699,13 @@ mod tests {
                         })
                         .unwrap(),
                     3 => s
-                        .write(p, |b| b.iter_mut().enumerate().for_each(|(i, x)| *x = byte(seed, i)))
+                        .write(p, &[], |b| b.iter_mut().enumerate().for_each(|(i, x)| *x = byte(seed, i)))
                         .unwrap(),
-                    4 => s.write(p, |b| b.fill(0)).unwrap(),
+                    4 => s.write(p, &[], |b| b.fill(0)).unwrap(),
                     5 if live.len() > 1 => {
                         s.free_page(p).unwrap();
                         let again = s.allocate_reuse();
-                        s.write(again, |b| b[at] = byte(seed, at) | 1).unwrap();
+                        s.write(again, &[], |b| b[at] = byte(seed, at) | 1).unwrap();
                     }
                     _ => s.clear_cache(),
                 }
@@ -1650,7 +1720,7 @@ mod tests {
     fn scan_reader_verifies_checksum_on_cold_pages() {
         let mut s = PageStore::new();
         let p = s.allocate();
-        s.write(p, |b| b[0] = 1).unwrap();
+        s.write(p, &[], |b| b[0] = 1).unwrap();
         s.corrupt_byte(p, 50);
         s.clear_cache();
         let scan = s.begin_scan();
@@ -1667,7 +1737,7 @@ mod tests {
         let mut s = PageStore::with_pool(64, DiskProfile::default());
         for i in 0..pages {
             let p = s.allocate();
-            s.write(p, |b| {
+            s.write(p, &[], |b| {
                 b[(i as usize * 40) % (PAGE_SIZE - 8)..][..8]
                     .copy_from_slice(&(i | 1).to_le_bytes())
             })
@@ -1850,6 +1920,126 @@ mod tests {
         }
     }
 
+    /// Copies bytes 50..350 of page 0 to 100..400 of page 1 under `claims`,
+    /// on a store whose page 2 is free, commits, and returns the store,
+    /// the copy runs its write frame holds, and the frame's byte length.
+    fn claimed_copy(claims: &[wal::MoveClaim]) -> (PageStore, usize, u64) {
+        let mut s = PageStore::new();
+        let (a, b, c) = (s.allocate(), s.allocate(), s.allocate());
+        for p in [a, c] {
+            s.write(p, &[], |bytes| {
+                for (i, x) in bytes.iter_mut().enumerate() {
+                    *x = (i * 7 + p as usize * 13) as u8 | 1;
+                }
+            })
+            .unwrap();
+        }
+        s.free_page(c).unwrap();
+        s.commit(b"before");
+        let source = s.raw_page(a).unwrap()[50..350].to_vec();
+        let (wal_at, stats) = (s.wal_len(), s.stats());
+        s.write(b, claims, |bytes| bytes[100..400].copy_from_slice(&source))
+            .unwrap();
+        let d = s.stats().since(&stats);
+        assert_eq!((d.pages_written, d.wal_records), (1, 1), "{claims:?}");
+        let copies = wal::scan_strict(&s.wal_buf[wal_at..])
+            .unwrap()
+            .iter()
+            .filter(|(_, r)| matches!(r, WalRecord::Copy { .. }))
+            .count();
+        s.commit(b"after");
+        (s, copies, d.wal_bytes)
+    }
+
+    /// A claim whose bytes do not match its source — or that names the
+    /// written page, a free page or a page past the file — logs the
+    /// literal bytes a write without claims logs; a claim that holds logs
+    /// a copy run. Either way the page, its checksum and the counters are
+    /// the same, and a reboot and a rollback replay the page to its bytes.
+    #[test]
+    fn a_claim_that_does_not_hold_logs_literal_bytes_and_replays_alike() {
+        let claim = |src, src_off| wal::MoveClaim {
+            src,
+            src_off,
+            dst_off: 100,
+            len: 300,
+        };
+        let (plain, none, plain_bytes) = claimed_copy(&[]);
+        assert_eq!(none, 0);
+        for (claims, holds) in [
+            ([claim(0, 50)], true),
+            ([claim(0, 51)], false),
+            ([claim(1, 50)], false),
+            ([claim(2, 50)], false),
+            ([claim(9, 50)], false),
+        ] {
+            let (mut s, copies, bytes) = claimed_copy(&claims);
+            assert_eq!((copies, bytes < plain_bytes), (usize::from(holds), holds));
+            if !holds {
+                assert_eq!(bytes, plain_bytes, "{claims:?}");
+            }
+            for p in 0..3 {
+                assert_eq!(s.raw_page(p), plain.raw_page(p), "page {p}");
+                assert_eq!(s.sums[p as usize], plain.sums[p as usize]);
+            }
+            let rec = PageStore::open(&s.crash_image()).unwrap();
+            assert_eq!(rec.store.raw_page(1), plain.raw_page(1), "{claims:?}");
+            s.write(1, &[], |b| b.fill(0)).unwrap();
+            s.rollback().unwrap();
+            assert_eq!(s.raw_page(1), plain.raw_page(1), "{claims:?}");
+        }
+    }
+
+    /// A logged copy run that names a page past the file, or a page on the
+    /// free list, is refused by replay as `WalCorrupt`, never a panic; one
+    /// from a live page replays as a copy of its bytes.
+    #[test]
+    fn replay_refuses_a_copy_from_past_the_file_or_a_free_page() {
+        let source: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8 | 1).collect();
+        let pages: Vec<Arc<[u8]>> = vec![Arc::from(vec![0u8; PAGE_SIZE]), Arc::from(source)];
+        let image_of = |records: &[WalRecord<'_>]| {
+            let mut wal = Vec::new();
+            for (lsn, rec) in records.iter().enumerate() {
+                wal::append_record(&mut wal, lsn as u64 + 1, rec);
+            }
+            wal::append_record(
+                &mut wal,
+                records.len() as u64 + 1,
+                &WalRecord::Commit { catalog: b"c" },
+            );
+            DiskImage {
+                sums: pages.iter().map(|p| wal::block_sum(p)).collect(),
+                pages: pages.clone(),
+                free: Vec::new(),
+                catalog: None,
+                wal,
+            }
+        };
+        let copy = |src| WalRecord::Copy {
+            page: 0,
+            off: 16,
+            len: 40,
+            src,
+            src_off: 100,
+        };
+        for (what, records) in [
+            ("past the file", vec![copy(2)]),
+            ("past the file", vec![copy(u64::MAX)]),
+            ("free", vec![WalRecord::Free { page: 1 }, copy(1)]),
+        ] {
+            match PageStore::open(&image_of(&records)) {
+                Err(StorageError::WalCorrupt { msg, .. }) => {
+                    assert!(msg.contains("past the file or free"), "{what}: {msg}")
+                }
+                other => panic!("a copy from a page {what}: {other:?}"),
+            }
+        }
+        let mut rec = PageStore::open(&image_of(&[copy(1)])).unwrap();
+        let page = rec.store.read(0).unwrap();
+        assert_eq!(page[16..56], pages[1][100..140]);
+        assert!(page[..16].iter().chain(&page[56..]).all(|&b| b == 0));
+    }
+
     /// `rollback` returns the live file — pages, checksums, free list, log
     /// — to the last commit, whether the base image is genesis or a
     /// checkpoint, and hands back that commit's catalog; the pool and the
@@ -1864,12 +2054,12 @@ mod tests {
             if checkpointed {
                 s.checkpoint();
             }
-            s.write(2, |b| b[5] ^= 0xFF).unwrap();
+            s.write(2, &[], |b| b[5] ^= 0xFF).unwrap();
             s.commit(b"v2");
             let committed = (s.pages.clone(), s.sums.clone(), s.free.clone());
             let image = s.crash_image();
-            s.write(1, |b| b[9] ^= 0x0F).unwrap();
-            s.write(2, |b| b[7] = 3).unwrap();
+            s.write(1, &[], |b| b[9] ^= 0x0F).unwrap();
+            s.write(2, &[], |b| b[7] = 3).unwrap();
             s.free_page(3).unwrap();
             assert_eq!(s.allocate_reuse(), 3);
             assert_eq!(s.allocate_reuse(), 5);
@@ -1887,7 +2077,7 @@ mod tests {
             for p in 0..s.page_count() {
                 s.read(p).unwrap();
             }
-            s.write(4, |b| b[0] = 9).unwrap();
+            s.write(4, &[], |b| b[0] = 9).unwrap();
             s.commit(b"v3");
             let rec = PageStore::open(&s.crash_image()).unwrap();
             assert_eq!(rec.catalog.as_deref(), Some(&b"v3"[..]));
@@ -1963,7 +2153,7 @@ mod tests {
     fn checkpoint_truncates_the_log_and_preserves_state() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, |p| p[0] = 9).unwrap();
+        s.write(a, &[], |p| p[0] = 9).unwrap();
         s.commit(b"v1");
         assert!(s.wal_len() > 0);
         s.checkpoint();
@@ -2026,7 +2216,7 @@ mod tests {
                         assert_image_is_live(&s);
                     }
                     (_, Some(p)) => s
-                        .write(p, |b| {
+                        .write(p, &[], |b| {
                             b[at] = b[at].wrapping_add(val);
                             b[PAGE_SIZE - 1 - at] ^= val;
                         })
@@ -2064,9 +2254,9 @@ mod tests {
         let a = s.allocate();
         s.commit(b"v1");
         s.checkpoint();
-        s.write(a, |p| p[0] = 1).unwrap();
+        s.write(a, &[], |p| p[0] = 1).unwrap();
         s.commit(b"v2");
-        s.write(a, |p| p[0] = 2).unwrap(); // uncommitted tail
+        s.write(a, &[], |p| p[0] = 2).unwrap(); // uncommitted tail
         let mut image = s.crash_image();
         assert_eq!(image.catalog.as_deref(), Some(&b"v1"[..]));
         let rec = PageStore::open(&image).unwrap();
@@ -2086,7 +2276,7 @@ mod tests {
         let pages = AUTO_CHECKPOINT_BYTES / PAGE_SIZE + 2;
         for i in 0..pages {
             let p = s.allocate();
-            s.write(p, |b| b.fill(i as u8 | 1)).unwrap();
+            s.write(p, &[], |b| b.fill(i as u8 | 1)).unwrap();
         }
         assert!(s.wal_len() >= AUTO_CHECKPOINT_BYTES);
         s.commit(b"big");
@@ -2103,16 +2293,18 @@ mod tests {
     fn a_checkpoint_after_the_cut_changes_nothing_on_disk() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, |p| p[0..4].copy_from_slice(b"AAAA")).unwrap();
+        s.write(a, &[], |p| p[0..4].copy_from_slice(b"AAAA"))
+            .unwrap();
         s.commit(b"v1");
         // Uncommitted log past the trigger, so the next commit checkpoints.
         for i in 0..=AUTO_CHECKPOINT_BYTES / PAGE_SIZE {
             let p = s.allocate();
-            s.write(p, |b| b.fill(i as u8 | 1)).unwrap();
+            s.write(p, &[], |b| b.fill(i as u8 | 1)).unwrap();
         }
         assert!(s.wal_len() >= AUTO_CHECKPOINT_BYTES);
         s.arm(Some(FaultPlan::new(Fault::PowerLoss { torn_bytes: 0 }, 1)));
-        s.write(a, |p| p[0..4].copy_from_slice(b"XXXX")).unwrap();
+        s.write(a, &[], |p| p[0..4].copy_from_slice(b"XXXX"))
+            .unwrap();
         s.commit(b"v2");
         let recovered = |s: &PageStore| {
             let rec = PageStore::open(&s.crash_image()).unwrap();
@@ -2131,13 +2323,13 @@ mod tests {
         let mut s = PageStore::new();
         let a = s.allocate();
         let b = s.allocate();
-        s.write(a, |p| p[0] = 1).unwrap();
+        s.write(a, &[], |p| p[0] = 1).unwrap();
         s.free_page(a).unwrap();
         assert_eq!(s.allocate_reuse(), a);
         for p in [a, b] {
             assert!(Arc::ptr_eq(&s.pages[p as usize], &s.zero), "page {p}");
         }
-        s.write(b, |p| p[0] = 2).unwrap();
+        s.write(b, &[], |p| p[0] = 2).unwrap();
         assert!(!Arc::ptr_eq(&s.pages[b as usize], &s.zero));
         assert!(s.zero.iter().all(|&x| x == 0));
         assert_eq!(s.raw_page(a).unwrap(), &[0u8; PAGE_SIZE][..]);
@@ -2152,13 +2344,13 @@ mod tests {
         let mut s = PageStore::new();
         for i in 0..16u8 {
             let p = s.allocate();
-            s.write(p, |b| b[0] = i | 1).unwrap();
+            s.write(p, &[], |b| b[0] = i | 1).unwrap();
         }
         s.commit(b"v1");
         s.checkpoint();
         let written = [3usize, 7, 8];
         for &p in &written {
-            s.write(p as PageId, |b| b[1] = 0xEE).unwrap();
+            s.write(p as PageId, &[], |b| b[1] = 0xEE).unwrap();
         }
         let fresh = s.allocate() as usize;
         s.commit(b"v2");
@@ -2187,7 +2379,7 @@ mod tests {
         let mut s = PageStore::new();
         for i in 0..8u8 {
             let p = s.allocate();
-            s.write(p, |b| b[9] = i | 1).unwrap();
+            s.write(p, &[], |b| b[9] = i | 1).unwrap();
         }
         s.free_page(2).unwrap();
         s.commit(b"v1");
@@ -2211,11 +2403,11 @@ mod tests {
         let mut s = PageStore::new();
         for i in 0..8u8 {
             let p = s.allocate();
-            s.write(p, |b| b[i as usize] = i | 1).unwrap();
+            s.write(p, &[], |b| b[i as usize] = i | 1).unwrap();
         }
         s.commit(b"v1");
         s.checkpoint();
-        s.write(4, |b| b[100] = 7).unwrap();
+        s.write(4, &[], |b| b[100] = 7).unwrap();
         s.free_page(6).unwrap();
         assert_eq!(s.allocate_reuse(), 6);
         s.allocate();
@@ -2347,9 +2539,9 @@ mod tests {
     fn identical_rewrite_logs_nothing() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, |p| p[0] = 5).unwrap();
+        s.write(a, &[], |p| p[0] = 5).unwrap();
         let before = s.stats();
-        s.write(a, |p| p[0] = 5).unwrap(); // no byte changes
+        s.write(a, &[], |p| p[0] = 5).unwrap(); // no byte changes
         let d = s.stats().since(&before);
         assert_eq!(d.pages_written, 1, "the write is still counted");
         assert_eq!(d.wal_records, 0, "but nothing needs logging");
@@ -2364,7 +2556,7 @@ mod tests {
             s.allocate();
         }
         for p in 0..8 {
-            s.write(p, |b| b[0] = p as u8).unwrap();
+            s.write(p, &[], |b| b[0] = p as u8).unwrap();
         }
         s.commit(b"v");
         let wal_before = s.crash_image().wal;

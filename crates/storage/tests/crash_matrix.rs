@@ -1,9 +1,10 @@
 //! The crash matrix: every mutation path (bulk load, row-at-a-time INSERT,
-//! UPDATE-style row and blob-range maintenance, DELETE) is killed at
-//! **every** WAL-append injection point — with clean and torn cuts — and
-//! recovery must land byte-for-byte on the last complete commit: base
-//! pages, checksums, free list, catalog, and every decodable row and LOB
-//! chain. Each family runs a second time from a base image a checkpoint
+//! UPDATE-style row and blob-range maintenance, DELETE, and leaf splits,
+//! whose log names the rows they move as copies of the leaf they left) is
+//! killed at **every** WAL-append injection point — with clean and torn
+//! cuts — and recovery must land byte-for-byte on the last complete
+//! commit: base pages, checksums, free list, catalog, and every decodable
+//! row and LOB chain. Each family runs a second time from a base image a checkpoint
 //! produced by sharing the pages written since the one before it, so a
 //! page that share missed, or a buffer a later write changed in place,
 //! shows here as a wrong byte.
@@ -29,8 +30,9 @@ use proptest::prelude::*;
 use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_storage::fail::tear_wal;
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
+use sqlarray_storage::wal::{self, WalRecord};
 use sqlarray_storage::{
-    blob, wal, ColType, DiskImage, PageStore, RowOp, RowValue, Schema, StorageError, Table,
+    blob, ColType, DiskImage, PageStore, RowOp, RowValue, Schema, StorageError, Table,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -393,8 +395,14 @@ fn spaced_committed(n: i64) -> (PageStore, Table) {
 }
 
 fn insert_keys(store: &mut PageStore, t: &mut Table, keys: &[i64]) {
-    for &k in keys {
-        t.insert(store, k, &row(k, -(k as i32), 1500).1).unwrap();
+    let sized: Vec<_> = keys.iter().map(|&k| (k, 1500)).collect();
+    insert_keys_sized(store, t, &sized);
+}
+
+/// Inserts each `(key, blob bytes)` row.
+fn insert_keys_sized(store: &mut PageStore, t: &mut Table, keys: &[(i64, usize)]) {
+    for &(k, len) in keys {
+        t.insert(store, k, &row(k, -(k as i32), len).1).unwrap();
     }
 }
 
@@ -422,6 +430,126 @@ fn insert_crash_matrix() {
         insert_keys(store, t, &[0, 9, 63]);
         commit(store, t);
     });
+}
+
+/// Two rows of 3 900-byte inline blobs fill a leaf: keys 4i + 2 for
+/// i < 8, four full leaves. A row of 7 000 bytes between two of them
+/// splits their leaf three ways; one of 1 500 bytes, two ways.
+fn wide_committed() -> (PageStore, Table) {
+    let (mut store, mut t) = empty_committed();
+    let rows: Vec<_> = (0..8).map(|i| row(4 * i + 2, i as i32, 3900)).collect();
+    t.bulk_load(&mut store, &rows, 1).unwrap();
+    commit(&mut store, &t);
+    (store, t)
+}
+
+/// What `ops` — statements that split leaves — promise beside the matrix,
+/// on a clean run from `setup`: once committed, their log holds copy
+/// runs; a reboot from the crash image gives the live file byte for byte;
+/// and so does a rollback of a later statement, which replays the same
+/// log. Returns the bytes the copy runs cover and the literal bytes
+/// logged on the pages `ops` allocated.
+fn check_copy_runs(
+    setup: &dyn Fn() -> (PageStore, Table),
+    ops: &dyn Fn(&mut PageStore, &mut Table),
+) -> (usize, usize) {
+    let (mut store, mut t) = setup();
+    let (wal_at, fresh) = (store.wal_len(), store.page_count());
+    ops(&mut store, &mut t);
+    commit(&mut store, &t);
+    let live: Vec<Vec<u8>> = (0..store.page_count())
+        .map(|p| store.raw_page(p).unwrap().to_vec())
+        .collect();
+    let image = store.crash_image();
+    let (mut copied, mut literal) = (0, 0);
+    for (_, rec) in wal::scan_strict(&image.wal[wal_at..]).unwrap() {
+        match rec {
+            WalRecord::Copy { len, .. } => copied += usize::from(len),
+            WalRecord::Write { page, bytes, .. } if page >= fresh => literal += bytes.len(),
+            _ => {}
+        }
+    }
+    assert!(copied > 0, "the splits log copy runs");
+    let rebooted = PageStore::open(&image).unwrap().store;
+    // The later statement overwrites every page; its rollback replays the
+    // log from the base image.
+    for p in 0..store.page_count() {
+        store.write(p, &[], |b| b.fill(0xA5)).unwrap();
+    }
+    store.rollback().unwrap();
+    for (what, s) in [("reboot", &rebooted), ("rollback", &store)] {
+        assert_eq!(s.page_count(), live.len() as u64, "{what}");
+        for (p, page) in live.iter().enumerate() {
+            assert!(s.raw_page(p as u64).unwrap() == page, "{what}: page {p}");
+        }
+    }
+    (copied, literal)
+}
+
+/// Splits log the rows they move to a fresh page as copy runs from the
+/// leaf they left, and every crash of them recovers the last commit:
+/// a split that follows an edit of the same group — whose edited row is
+/// not on the store's leaf and so is logged literally — and a three-way
+/// and a two-way split.
+#[test]
+fn split_copy_runs_crash_matrix() {
+    // Leaf [2, 6, 10, 14, 18] is full: row 14 changes its tag in place,
+    // then 16 splits the leaf, and 14, 16 and 18 move to a fresh page.
+    let edit_then_split = |store: &mut PageStore, t: &mut Table| {
+        let (r14, r16) = (row(14, 99, 1500).1, row(16, -16, 1500).1);
+        let ops = [
+            (14, RowOp::Update(Cow::Borrowed(&r14))),
+            (16, RowOp::Insert(Cow::Borrowed(&r16))),
+        ];
+        assert_eq!(apply_ops(store, t, &ops), 2);
+    };
+    let (copied, literal) = check_copy_runs(&|| spaced_committed(15), &edit_then_split);
+    assert!(copied >= 1500, "row 18 is a copy run ({copied} bytes)");
+    assert!(
+        literal >= 3000,
+        "rows 14 and 16 are literal ({literal} bytes)"
+    );
+    run_matrix(&|| spaced_committed(15), &|store, t| {
+        edit_then_split(store, t);
+        commit(store, t);
+    });
+
+    let wide_splits = |store: &mut PageStore, t: &mut Table| {
+        let leaves = t.data_pages(store).unwrap();
+        insert_keys_sized(store, t, &[(4, 7000)]);
+        assert_eq!(
+            t.data_pages(store).unwrap(),
+            leaves + 2,
+            "a three-way split"
+        );
+        insert_keys_sized(store, t, &[(12, 1500)]);
+        assert_eq!(t.data_pages(store).unwrap(), leaves + 3, "a two-way split");
+    };
+    check_copy_runs(&wide_committed, &wide_splits);
+    run_matrix(&wide_committed, &|store, t| {
+        wide_splits(store, t);
+        commit(store, t);
+    });
+}
+
+/// A split after a checkpoint logs copy runs whose source is a page of
+/// the base image, not of the log.
+#[test]
+fn checkpoint_then_crash_split_copy_runs() {
+    let split_two = |store: &mut PageStore, t: &mut Table| insert_keys(store, t, &[36, 56]);
+    let after_first = || {
+        let (mut store, mut t) = spaced_committed(15);
+        insert_keys(&mut store, &mut t, &[16]);
+        commit(&mut store, &t);
+        store.checkpoint();
+        (store, t)
+    };
+    check_copy_runs(&after_first, &split_two);
+    checkpoint_then_crash(
+        &|| spaced_committed(15),
+        &|store, t| insert_keys(store, t, &[16]),
+        &split_two,
+    );
 }
 
 /// [`run_matrix`] over `second`, started from a base image that a

@@ -768,7 +768,7 @@ proptest! {
         let part = t.partition_keys(&store, 1, ALL).unwrap().remove(0);
         let (kind, which, how) = damage;
         let pid = part.leaves()[which as usize % part.leaves().len()];
-        store.write(pid, |page| {
+        store.write(pid, &[], |page| {
             let slots = u16::from_le_bytes([page[2], page[3]]) as usize;
             assert!(slots > 0, "the churn empties no leaf");
             let entry = PAGE_SIZE - 4 * (1 + which as usize % slots);
@@ -873,6 +873,50 @@ fn row_sized_changes_log_row_sized_frames() {
     assert!(
         churn < 1_618_863 / 8,
         "insert/delete churn logged {churn} bytes"
+    );
+}
+
+/// Two leaves of ~110-byte rows under the even keys, bulk-loaded so the
+/// first is full, committed; returns the first leaf's row count.
+fn full_leaf() -> (PageStore, Table, i64) {
+    let mut store = PageStore::new();
+    let schema = Schema::new(&[
+        ("id", ColType::I64),
+        ("tag", ColType::I32),
+        ("v", ColType::Blob),
+    ]);
+    let mut t = Table::create(&mut store, "T", schema).unwrap();
+    let rows: Vec<_> = (0..100).map(|i| (2 * i, small_row(2 * i, 0))).collect();
+    t.bulk_load(&mut store, &rows, 1).unwrap();
+    store.commit(b"loaded");
+    assert_eq!(t.data_pages(&mut store).unwrap(), 2);
+    let first = leaf_of(&store, &t, 0);
+    let held = (0..100)
+        .take_while(|&i| leaf_of(&store, &t, 2 * i) == first)
+        .count();
+    (store, t, held as i64)
+}
+
+/// A split moves half a leaf to a fresh page, and the log names those
+/// rows as bytes of the leaf they came from instead of carrying them. At
+/// the parent of the change that introduced copy runs, the split below
+/// logged 4 141 bytes over 4 frames (456 with them).
+#[test]
+fn a_mid_leaf_split_logs_the_moved_rows_by_reference() {
+    let (mut store, mut t, held) = full_leaf();
+    let before = store.stats();
+    let split = logged(&mut store, |s| {
+        t.insert(s, held + 1, &small_row(held + 1, 1)).unwrap()
+    });
+    let frames = store.stats().since(&before).wal_records;
+    assert_eq!(
+        t.data_pages(&mut store).unwrap(),
+        3,
+        "the insert split the leaf"
+    );
+    assert!(
+        split < 1024,
+        "a {held}-row leaf's split logged {split} bytes over {frames} frames"
     );
 }
 

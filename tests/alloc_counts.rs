@@ -247,7 +247,7 @@ fn store(pages: u64, pool: usize) -> PageStore {
     for id in 0..pages {
         assert_eq!(store.allocate(), id);
         store
-            .write(id, |p| p[..8].copy_from_slice(&id.to_le_bytes()))
+            .write(id, &[], |p| p[..8].copy_from_slice(&id.to_le_bytes()))
             .unwrap();
     }
     store.commit(b"catalog");
@@ -338,7 +338,7 @@ fn a_checkpoint_copies_no_page() {
     let after_writes = (0..3)
         .map(|round| {
             for id in [3, 17, 40] {
-                store.write(id, |p| p[100] = round).unwrap();
+                store.write(id, &[], |p| p[100] = round).unwrap();
             }
             store.commit(b"catalog");
             count(|| store.checkpoint())
