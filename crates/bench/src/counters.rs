@@ -14,7 +14,7 @@
 
 use crate::{build_table1_db, TABLE1_QUERIES};
 use sqlarray_engine::{Database, Engine, QueryStats, Value};
-use sqlarray_storage::{ColType, DiskProfile, IoStats, PageStore, RowValue, Schema};
+use sqlarray_storage::{ColType, DiskImage, DiskProfile, IoStats, PageStore, RowValue, Schema};
 
 /// One line of the golden.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,9 +87,16 @@ fn l_array(seed: i64) -> Vec<u8> {
         .into_blob()
 }
 
+/// The write path's log: the crash image the `dml.recovery` class boots,
+/// holding every write since the bulk load's commit.
+pub fn write_path_image() -> DiskImage {
+    dml_classes(1, &mut Vec::new())
+}
+
 /// The write path's classes over one database, in order; every class but
-/// the ingest and the recovery starts from a cold pool.
-fn dml_classes(dop: usize, out: &mut Vec<Counter>) {
+/// the ingest and the recovery starts from a cold pool. Returns the crash
+/// image the recovery boots.
+fn dml_classes(dop: usize, out: &mut Vec<Counter>) -> DiskImage {
     let mut db = Database::with_store(PageStore::with_pool(256, DiskProfile::default()));
     let t_schema = Schema::new(&[
         ("id", ColType::I64),
@@ -171,6 +178,7 @@ fn dml_classes(dop: usize, out: &mut Vec<Counter>) {
     let before = db.store.stats();
     db.store.checkpoint();
     push_io(out, "dml.checkpoint", &db.store.stats().since(&before));
+    image
 }
 
 fn push(out: &mut Vec<Counter>, class: &str, counter: &'static str, value: u64) {

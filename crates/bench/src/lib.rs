@@ -12,6 +12,9 @@
 
 pub mod counters;
 pub mod experiments;
+pub mod wal_breakdown;
+
+pub use wal_breakdown::{wal_breakdown, WalBreakdown};
 
 use sqlarray_engine::{Database, Engine, HostingModel, QueryStats, Session, Value};
 use sqlarray_storage::{ColType, DiskProfile, PageStore, RowValue, Schema};

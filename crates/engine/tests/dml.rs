@@ -901,6 +901,37 @@ fn a_corrupt_page_in_the_apply_phase_returns_to_the_last_commit() {
     );
 }
 
+/// A LOB root whose second chunk slot names its first chunk's page — a
+/// logged, committed write made it so: deleting the row frees that page
+/// once and is refused, typed, at the second free, and the statement
+/// returns to the last commit instead of leaving a log its own replay
+/// would refuse.
+#[test]
+fn a_delete_that_would_free_a_page_twice_returns_to_the_last_commit() {
+    let fixture = || {
+        let s = array_session(4);
+        let table = s.db().table("A").unwrap().clone();
+        let mut db = s.db_mut();
+        let Some(RowValue::LobRef(root, _)) =
+            table.get(&mut db.store, 1).unwrap().map(|r| r[1].clone())
+        else {
+            panic!("row 1 holds no LOB");
+        };
+        db.store
+            .write(root, &[], |b| b.copy_within(16..24, 24))
+            .unwrap();
+        db.commit();
+        drop(db);
+        s
+    };
+    assert_failed_dml_leaves_no_trace(
+        fixture,
+        "DELETE FROM A WHERE id = 1",
+        |_| {},
+        |e| matches!(e, EngineError::Storage(m) if m.contains("already free")),
+    );
+}
+
 /// A read fault at any cold read after a statement's match scan — a
 /// B-tree descent of its apply phase, a blob patch or a blob free — is
 /// absorbed by the bounded retry, leaving rows, log and disk exactly as

@@ -524,6 +524,38 @@ mod tests {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
     }
 
+    /// A root whose slot 1 names chunk 0's page — a correctly logged
+    /// write made it so — is freed up to the page it names twice: that
+    /// free is refused, typed, before it is logged, so no page leaks into
+    /// the free list twice and the log still replays, cut at the last
+    /// commit or committed past the refusal.
+    #[test]
+    fn a_root_naming_one_chunk_twice_frees_it_once() {
+        let mut store = PageStore::new();
+        let id = write_blob(&mut store, &pattern(3 * CHUNK_DATA - 100)).unwrap();
+        let first = sqlarray_core::le::u64_at(store.raw_page(id).unwrap(), 16);
+        store
+            .write(id, &[], |b| b[24..32].copy_from_slice(&first.to_le_bytes()))
+            .unwrap();
+        store.commit(b"linked twice");
+        let logged = store.stats().wal_records;
+        assert_eq!(
+            free_blob(&mut store, id),
+            Err(StorageError::PageAlreadyFree { page: first })
+        );
+        assert_eq!(store.free_pages(), [first]);
+        assert_eq!(
+            store.stats().wal_records,
+            logged + 1,
+            "the refused free logs nothing"
+        );
+        let rec = PageStore::open(&store.crash_image()).unwrap();
+        assert!(rec.store.free_pages().is_empty());
+        store.commit(b"after the refusal");
+        let rec = PageStore::open(&store.crash_image()).unwrap();
+        assert_eq!(rec.store.free_pages(), [first]);
+    }
+
     #[test]
     fn small_blob_round_trip() {
         let mut store = PageStore::new();

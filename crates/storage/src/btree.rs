@@ -47,6 +47,14 @@
 //! leaf exactly where one call per op would, and every page image equals
 //! the one that applying the ops one call at a time leaves — only the
 //! WAL, which logs one frame per leaf write, is shorter.
+//!
+//! **Moves are claimed, not logged.** Every write of a tree page that
+//! moves bytes — the group-end leaf write, a split's fresh leaves, an
+//! internal node's write, an internal split's fresh right node — tells the
+//! store what it holds of a page's image before the write at another place
+//! ([`MoveClaim`]), found by one helper that compares that image with the
+//! one written (`moved_bytes`). The store logs a claim that holds as a
+//! copy run.
 
 use crate::errors::{Result, StorageError};
 use crate::page::{
@@ -139,6 +147,123 @@ fn write_page(
     let mut out = Ok(());
     store.write(page, claims, |bytes| out = f(bytes))?;
     out
+}
+
+/// Record `slot` of node `v`: its key and byte range, or `None` when its
+/// directory entry is damaged or names a record too short to hold a key.
+fn keyed_record(v: &SlottedRead<'_>, slot: usize) -> Option<(i64, Range<usize>)> {
+    let r = v.record_range(slot).ok().filter(|r| r.len() >= 8)?;
+    Some((sqlarray_core::le::i64_at(v.bytes(), r.start), r))
+}
+
+/// Sets `claims` to what node image `to`, about to be written to page
+/// `dst`, holds of node image `from` — page `src` as it stands before the
+/// write — at another place: each record found by key at another offset,
+/// and (on the node's own page) each directory entry found unchanged at
+/// another slot. `src` may be `dst`: a slot shift, a compaction or a
+/// split's left half moves bytes within their own page. Both directories
+/// are in key order, so one two-pointer walk pairs the records, and no
+/// edit tracks what it moved. On its own page a stretch of entries equal
+/// slot for slot is claimed as one run when it moved; so are the records
+/// that follow a moved record on both pages.
+/// The claims ascend by `dst_off`, as [`PageStore::write`] takes them.
+/// Neither image is trusted: a damaged directory ends the walk, and the
+/// store logs a claim as a copy run only where the bytes match.
+fn moved_bytes(
+    kind: u8,
+    (src, from): (PageId, &[u8]),
+    (dst, to): (PageId, &[u8]),
+    claims: &mut Vec<MoveClaim>,
+) {
+    claims.clear();
+    if from.len() != PAGE_SIZE || to.len() != PAGE_SIZE {
+        return;
+    }
+    let (Ok(old), Ok(new)) = (
+        SlottedRead::open(from, kind, src),
+        SlottedRead::open(to, kind, dst),
+    ) else {
+        return;
+    };
+    let (n_old, n_new, own) = (old.slot_count(), new.slot_count(), src == dst);
+    let entry = |slot: usize| PAGE_SIZE - (slot + 1) * SLOT_LEN;
+    let entry_at = |bytes: &[u8], slot: usize| sqlarray_core::le::u32_at(bytes, entry(slot));
+    let (mut i, mut j) = (0, 0);
+    while i < n_old && j < n_new {
+        if own && entry_at(from, i) == entry_at(to, j) {
+            // The slots from here whose entries are equal, slot for slot:
+            // the same records, which moved slot together when `i` is not
+            // `j` — unless the page was rebuilt and an entry came to name
+            // another record, so the keys at both ends of the stretch are
+            // checked, and every key when one of them differs.
+            let equal = (0..(n_old - i).min(n_new - j))
+                .take_while(|&k| entry_at(from, i + k) == entry_at(to, j + k))
+                .count();
+            let same_key = |k: usize| {
+                use sqlarray_core::le::{u16_at, u64_at};
+                let off = usize::from(u16_at(from, entry(i + k)));
+                off + 8 <= PAGE_SIZE && u64_at(from, off) == u64_at(to, off)
+            };
+            let same = match equal {
+                0 => 0,
+                _ if same_key(0) && same_key(equal - 1) => equal,
+                _ => (0..equal).take_while(|&k| same_key(k)).count(),
+            };
+            if same > 0 {
+                if i != j {
+                    claims.push(MoveClaim {
+                        src,
+                        src_off: entry(i + same - 1),
+                        dst_off: entry(j + same - 1),
+                        len: same * SLOT_LEN,
+                    });
+                }
+                (i, j) = (i + same, j + same);
+                continue;
+            }
+        }
+        let (Some((k_old, o)), Some((k_new, r))) = (keyed_record(&old, i), keyed_record(&new, j))
+        else {
+            break;
+        };
+        match k_old.cmp(&k_new) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                (i, j) = (i + 1, j + 1);
+                if (own && o.start == r.start) || o.len() != r.len() {
+                    continue;
+                }
+                // The record moved. The records after it that follow it on
+                // both pages, at equal lengths and under one key, go in its
+                // claim: their entries and keys are read, not their bytes,
+                // which the store checks.
+                let mut len = r.len();
+                while i < n_old && j < n_new {
+                    let (a, b) = (entry_at(from, i), entry_at(to, j));
+                    let (o_at, r_at) = (o.start + len, r.start + len);
+                    let at = |e: u32| usize::from(e as u16); // the entry's low half
+                    let key = |bytes: &[u8], at: usize| sqlarray_core::le::u64_at(bytes, at);
+                    if a >> 16 != b >> 16
+                        || (at(a), at(b)) != (o_at, r_at)
+                        || r_at.max(o_at) + 8 > PAGE_SIZE
+                        || key(from, o_at) != key(to, r_at)
+                    {
+                        break;
+                    }
+                    len += (b >> 16) as usize;
+                    (i, j) = (i + 1, j + 1);
+                }
+                claims.push(MoveClaim {
+                    src,
+                    src_off: o.start,
+                    dst_off: r.start,
+                    len,
+                });
+            }
+        }
+    }
+    claims.sort_unstable_by_key(|c| c.dst_off);
 }
 
 /// Pushes a record the surrounding fill arithmetic already sized to fit,
@@ -444,6 +569,7 @@ impl BTree {
         // The scratch copy of the group's leaf, and the page a compaction
         // or split rebuilds it into.
         let mut bufs = [Vec::with_capacity(PAGE_SIZE), Vec::new()];
+        let mut claims = Vec::new();
         let (mut changed, mut next) = (0, 0);
         while next < keys.len() {
             let f = self.find(store, keys[next])?;
@@ -474,7 +600,12 @@ impl BTree {
                 });
             }
             if dirty {
-                store.write(leaf, &[], |bytes| bytes.copy_from_slice(&bufs[0]))?;
+                // The store's leaf is still the image the descent read:
+                // the group wrote only other pages.
+                let before = store.raw_page(leaf).unwrap_or_default();
+                let (kind, after) = (page_type::BTREE_LEAF, &bufs[0][..]);
+                moved_bytes(kind, (leaf, before), (leaf, after), &mut claims);
+                store.write(leaf, &claims, |bytes| bytes.copy_from_slice(after))?;
             }
             self.push_up(store, &path, ended?)?;
         }
@@ -593,12 +724,11 @@ impl BTree {
     /// group onto a fresh page chained after it, the last linking on to
     /// where `base` linked.
     ///
-    /// A fresh page's write claims each record it takes from `base` as a
-    /// copy of `leaf`'s bytes at the record's place in `base`. The store's
-    /// leaf still holds its image from before the group (it is written
-    /// after the fresh pages), so a record no earlier edit of the group
-    /// moved or changed is there, and is logged as a reference to it; the
-    /// store logs the others' bytes.
+    /// Each fresh page is built in `out` first, and its write claims what
+    /// it holds of the store's leaf ([`moved_bytes`]). The store's leaf
+    /// still holds its image from before the group (it is written after
+    /// the fresh pages), so a record no earlier edit of the group changed
+    /// is there, and is logged as a reference to it.
     fn rebuild_leaf(
         store: &mut PageStore,
         out: &mut Vec<u8>,
@@ -607,21 +737,16 @@ impl BTree {
         (slot, rec, replace): (usize, &[u8], bool),
         split: bool,
     ) -> Result<SplitInfo> {
-        let v = SlottedRead::open(base, page_type::BTREE_LEAF, leaf)?;
+        let kind = page_type::BTREE_LEAF;
+        let v = SlottedRead::open(base, kind, leaf)?;
         let mut records = Vec::with_capacity(v.slot_count() + 1);
-        // Where each record starts in `base`; `None` for `rec`.
-        let mut starts = Vec::with_capacity(v.slot_count() + 1);
         for r in v.record_ranges(0..v.slot_count())? {
-            let r = r?;
-            starts.push(Some(r.start));
-            records.push(&base[r]);
+            records.push(&base[r?]);
         }
         if replace {
             records[slot] = rec;
-            starts[slot] = None;
         } else {
             records.insert(slot, rec);
-            starts.insert(slot, None);
         }
         let groups = match split {
             true => split_groups(&records),
@@ -636,95 +761,86 @@ impl BTree {
             .zip(&pages)
             .map(|(g, &pid)| Ok((leaf_key(g[0])?, pid)))
             .collect::<Result<_>>()?;
+        let mut claims = Vec::new();
+        for (gi, (g, &pid)) in rest.iter().zip(&pages).enumerate() {
+            out.clear();
+            out.resize(PAGE_SIZE, 0);
+            let mut p = SlottedPage::init(out, kind);
+            push_all(&mut p, g)?;
+            p.set_next_page(pages.get(gi + 1).copied().or(v.next_page()));
+            let before = store.raw_page(leaf).unwrap_or_default();
+            moved_bytes(kind, (leaf, before), (pid, &out[..]), &mut claims);
+            store.write(pid, &claims, |bytes| bytes.copy_from_slice(&out[..]))?;
+        }
         out.clear();
         out.extend_from_slice(base);
-        let mut p = SlottedPage::open(out, page_type::BTREE_LEAF, leaf)?;
+        let mut p = SlottedPage::open(out, kind, leaf)?;
         p.reset();
         push_all(&mut p, first)?;
         p.set_next_page(pages.first().copied().or(v.next_page()));
-        let (mut claims, mut at) = (Vec::with_capacity(records.len()), first.len());
-        for (gi, (g, &pid)) in rest.iter().zip(&pages).enumerate() {
-            let link = pages.get(gi + 1).copied().or(v.next_page());
-            claims.clear();
-            let mut dst_off = PAGE_HEADER_LEN; // where `push_all` puts the next record
-            for (r, start) in g.iter().zip(&starts[at..]) {
-                if let Some(src_off) = *start {
-                    let len = r.len();
-                    claims.push(MoveClaim {
-                        src: leaf,
-                        src_off,
-                        dst_off,
-                        len,
-                    });
-                }
-                dst_off += r.len();
-            }
-            at += g.len();
-            write_page(store, pid, &claims, |bytes| {
-                let mut p = SlottedPage::init(bytes, page_type::BTREE_LEAF);
-                push_all(&mut p, g)?;
-                p.set_next_page(link);
-                Ok(())
-            })?;
-        }
         Ok(splits)
     }
 
     /// Adds `seps` to internal node `page` right after the slot the
     /// descent left it through, splitting the node when they do not fit.
+    ///
+    /// The node's new image is built on a copy of its bytes, so its write
+    /// claims what stayed on the page at another place ([`moved_bytes`]):
+    /// the directory entries a separator shifts, the entries a split's
+    /// left half re-packs. A split writes the fresh right node first,
+    /// claiming its entries from the node it leaves while the node still
+    /// holds them.
     fn insert_internal(
         store: &mut PageStore,
         page: PageId,
         child_slot: InternalPos,
         seps: &[(i64, PageId)],
     ) -> Result<SplitInfo> {
+        let kind = page_type::BTREE_INTERNAL;
         // The new separators go immediately after the slot we descended
         // through, in the (ascending) order the child produced them.
         let insert_pos = match child_slot {
             InternalPos::Leftmost => 0,
             InternalPos::Slot(i) => i + 1,
         };
-        let full = {
-            let v = SlottedRead::open(store.read(page)?, page_type::BTREE_INTERNAL, page)?;
-            if seps.len() * (16 + SLOT_LEN) <= v.free_tail() {
-                None
-            } else {
-                let entries: Vec<(i64, PageId)> = (0..v.slot_count())
-                    .map(|i| internal_entry(v.record(i)?))
-                    .collect::<Result<_>>()?;
-                Some((entries, leftmost_child(&v)?))
-            }
-        };
-        let Some((mut entries, leftmost)) = full else {
-            write_page(store, page, &[], |bytes| {
-                let mut p = SlottedPage::open(bytes, page_type::BTREE_INTERNAL, page)?;
-                seps.iter().enumerate().try_for_each(|(i, &(sep, child))| {
-                    p.insert_record(insert_pos + i, &encode_internal(sep, child))
-                })
+        let mut node = store.read(page)?.to_vec();
+        let mut claims = Vec::new();
+        let v = SlottedRead::open(&node, kind, page)?;
+        let mut splits = Vec::new();
+        if seps.len() * (16 + SLOT_LEN) <= v.free_tail() {
+            let mut p = SlottedPage::open(&mut node, kind, page)?;
+            seps.iter().enumerate().try_for_each(|(i, &(sep, child))| {
+                p.insert_record(insert_pos + i, &encode_internal(sep, child))
             })?;
-            return Ok(Vec::new());
-        };
-
-        // Split the internal node: middle key moves up. Entries are 16
-        // bytes each, so (unlike leaves) a two-way split always fits.
-        for (i, &e) in seps.iter().enumerate() {
-            entries.insert(insert_pos + i, e);
-        }
-        let mid = entries.len() / 2;
-        let (up_key, up_child) = entries[mid];
-        let right = store.allocate();
-        write_page(store, page, &[], |bytes| {
-            let mut p = SlottedPage::open(bytes, page_type::BTREE_INTERNAL, page)?;
+        } else {
+            // Split the internal node: middle key moves up. Entries are 16
+            // bytes each, so (unlike leaves) a two-way split always fits.
+            let mut entries: Vec<(i64, PageId)> = (0..v.slot_count())
+                .map(|i| internal_entry(v.record(i)?))
+                .collect::<Result<_>>()?;
+            let leftmost = leftmost_child(&v)?;
+            for (i, &e) in seps.iter().enumerate() {
+                entries.insert(insert_pos + i, e);
+            }
+            let mid = entries.len() / 2;
+            let (up_key, up_child) = entries[mid];
+            let right = store.allocate();
+            let mut image = vec![0u8; PAGE_SIZE];
+            let mut p = SlottedPage::init(&mut image, kind);
+            p.set_next_page(Some(up_child)); // leftmost child of the right node
+            push_entries(&mut p, &entries[mid + 1..])?;
+            moved_bytes(kind, (page, &node), (right, &image), &mut claims);
+            store.write(right, &claims, |bytes| bytes.copy_from_slice(&image))?;
+            let mut p = SlottedPage::open(&mut node, kind, page)?;
             p.reset();
             p.set_next_page(Some(leftmost));
-            push_entries(&mut p, &entries[..mid])
-        })?;
-        write_page(store, right, &[], |bytes| {
-            let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
-            p.set_next_page(Some(up_child)); // leftmost child of the right node
-            push_entries(&mut p, &entries[mid + 1..])
-        })?;
-        Ok(vec![(up_key, right)])
+            push_entries(&mut p, &entries[..mid])?;
+            splits.push((up_key, right));
+        }
+        let before = store.raw_page(page).unwrap_or_default();
+        moved_bytes(kind, (page, before), (page, &node), &mut claims);
+        store.write(page, &claims, |bytes| bytes.copy_from_slice(&node))?;
+        Ok(splits)
     }
 
     /// Builds a clustered tree bottom-up from pre-encoded leaf records

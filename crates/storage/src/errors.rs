@@ -57,6 +57,10 @@ pub enum StorageError {
     /// A (simulated) transient read fault persisted past the bounded
     /// retry budget ([`crate::store::MAX_READ_RETRIES`]).
     ReadFaulted { page: u64, attempts: u32 },
+    /// A free of a page already on the free list: whatever named the page
+    /// named it twice. Refused before anything is logged, since two later
+    /// allocations would hand the page to two owners.
+    PageAlreadyFree { page: u64 },
 }
 
 impl fmt::Display for StorageError {
@@ -114,6 +118,9 @@ impl fmt::Display for StorageError {
                 f,
                 "transient read fault on page {page} persisted through {attempts} attempts"
             ),
+            StorageError::PageAlreadyFree { page } => {
+                write!(f, "free of page {page}, which is already free")
+            }
         }
     }
 }
@@ -148,7 +155,8 @@ impl StorageError {
             | StorageError::PageCorrupt { .. }
             | StorageError::WalTorn { .. }
             | StorageError::WalCorrupt { .. }
-            | StorageError::CatalogCorrupt(_) => false,
+            | StorageError::CatalogCorrupt(_)
+            | StorageError::PageAlreadyFree { .. } => false,
         }
     }
 
@@ -173,7 +181,8 @@ impl StorageError {
             | StorageError::WalTorn { .. }
             | StorageError::WalCorrupt { .. }
             | StorageError::CatalogCorrupt(_)
-            | StorageError::ReadFaulted { .. } => false,
+            | StorageError::ReadFaulted { .. }
+            | StorageError::PageAlreadyFree { .. } => false,
         }
     }
 }

@@ -330,6 +330,11 @@ impl<'a> SlottedRead<'a> {
 
     /// Returns record `i`.
     pub fn record(&self, i: usize) -> Result<&'a [u8]> {
+        Ok(&self.bytes[self.record_range(i)?])
+    }
+
+    /// The byte range of record `i` within [`bytes`](Self::bytes).
+    pub(crate) fn record_range(&self, i: usize) -> Result<Range<usize>> {
         if i >= self.count {
             return Err(StorageError::BadSlot {
                 slot: i,
@@ -337,8 +342,7 @@ impl<'a> SlottedRead<'a> {
             });
         }
         let base = PAGE_SIZE - (i + 1) * SLOT_LEN;
-        let range = self.checked_range(i, &self.bytes[base..base + SLOT_LEN])?;
-        Ok(&self.bytes[range])
+        self.checked_range(i, &self.bytes[base..base + SLOT_LEN])
     }
 
     /// The byte ranges of records `slots` within [`bytes`](Self::bytes), in

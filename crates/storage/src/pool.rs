@@ -96,6 +96,18 @@ impl PageBits {
         }
     }
 
+    /// Widens a set built by [`new`](Self::new) to page ids `0..pages`,
+    /// keeping the ids it holds: the live store's free-list set grows with
+    /// its file.
+    pub fn grow(&mut self, pages: u64) {
+        assert_eq!(self.stride, 1, "only a set built by `new` grows");
+        let words = pages.div_ceil(64) as usize;
+        if words > self.per_stripe {
+            self.words.resize(words, 0);
+            self.per_stripe = words;
+        }
+    }
+
     /// Word index and bit mask of `id`. Panics beyond the page count
     /// (rounded up to whole words): callers range-check ids against the
     /// file first, and a stray index would land in another stripe.

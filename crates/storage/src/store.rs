@@ -124,6 +124,9 @@ pub struct PageStore {
     sums: Vec<u64>,
     /// Freed page ids available for reuse, LIFO.
     free: Vec<PageId>,
+    /// The pages of `free`, as a set: whether a page is free is one bit
+    /// test, for a free, a copy run's source check and replay alike.
+    free_bits: PageBits,
     /// Write-ahead log since the last checkpoint.
     wal_buf: Vec<u8>,
     next_lsn: u64,
@@ -190,6 +193,7 @@ impl PageStore {
             pages: Vec::new(),
             sums: Vec::new(),
             free: Vec::new(),
+            free_bits: PageBits::new(0),
             wal_buf: Vec::new(),
             next_lsn: 1,
             base_pages: Vec::new(),
@@ -297,6 +301,7 @@ impl PageStore {
         let id = self.pages.len() as PageId;
         self.pages.push(Arc::clone(&self.zero));
         self.sums.push(wal::ZERO_PAGE_SUM);
+        self.free_bits.grow(self.pages.len() as u64);
         self.pool.set_page_count(self.pages.len() as u64);
         self.append_wal(&WalRecord::Alloc { page: id });
         self.touch_serial(id);
@@ -312,6 +317,7 @@ impl PageStore {
         let Some(id) = self.free.pop() else {
             return self.allocate();
         };
+        self.free_bits.remove(id);
         self.pages[id as usize] = Arc::clone(&self.zero);
         self.sums[id as usize] = wal::ZERO_PAGE_SUM;
         self.append_wal(&WalRecord::Alloc { page: id });
@@ -321,9 +327,15 @@ impl PageStore {
 
     /// Returns a page to the free list for later reuse. The bytes are left
     /// in place (reallocation swaps in the zero page); only the allocation state
-    /// changes, and the transition is WAL-logged.
+    /// changes, and the transition is WAL-logged. A page already on the
+    /// free list is refused as [`StorageError::PageAlreadyFree`] before
+    /// anything is logged — replay refuses such a log, and two later
+    /// allocations would hand the page to two owners.
     pub fn free_page(&mut self, id: PageId) -> Result<()> {
         page_of(&self.pages, id)?;
+        if !self.free_bits.insert(id) {
+            return Err(StorageError::PageAlreadyFree { page: id });
+        }
         self.free.push(id);
         self.append_wal(&WalRecord::Free { page: id });
         Ok(())
@@ -348,15 +360,16 @@ impl PageStore {
     /// touch. A closure that changes nothing logs nothing.
     ///
     /// `claims` say which of the bytes the closure writes it copied from
-    /// other pages (`&[]`: none). Changed bytes a claim covers are logged
-    /// as a copy run — a reference to the source page's bytes — when those
-    /// bytes are still on the source as the log leaves it, the source is
-    /// another page of the file not on the free list, and the run shortens
-    /// the frame; anything else is logged literally, so a wrong claim
-    /// costs log bytes, never a wrong replay. Claims change nothing else:
-    /// the page, its checksum, the counters and the frame count are the
-    /// same with or without them. The source pages are read as they are,
-    /// without touching the pool.
+    /// other pages, or from elsewhere on `id` itself (`&[]`: none).
+    /// Changed bytes a claim covers are logged as a copy run — a reference
+    /// to the source page's bytes — when those bytes are on the source as
+    /// it stood before this write (for another page: as the log leaves it,
+    /// a page of the file not on the free list; for `id`: its
+    /// before-image), and the run shortens the frame; anything else is
+    /// logged literally, so a wrong claim costs log bytes, never a wrong
+    /// replay. Claims change nothing else: the page, its checksum, the
+    /// counters and the frame count are the same with or without them.
+    /// The source pages are read as they are, without touching the pool.
     ///
     /// Outside recovery's replay, this is the one place a page is copied:
     /// an unshared page copies its before-image aside, a shared one (with
@@ -384,20 +397,14 @@ impl PageStore {
         let page = Arc::make_mut(slot);
         f(page);
         let before = shared.as_deref().unwrap_or(&self.scratch[..]);
-        // Whether the last source asked for is on the free list: a write's
-        // claims name one page, or a few, over and over.
-        let (free, last) = (&self.free, std::cell::Cell::new(None));
+        let free = &self.free_bits;
+        // Another page's live bytes, unless it is past the file or free.
         let source = |src: PageId| {
-            let is_free = match last.get() {
-                Some((page, is_free)) if page == src => is_free,
-                _ => free.contains(&src),
-            };
-            last.set(Some((src, is_free)));
             let live = match src.checked_sub(id + 1) {
                 None => below.get(src as usize),
                 Some(past) => above.get(past as usize),
             };
-            live.filter(|_| !is_free).map(|p| &p[..])
+            live.filter(|_| !free.contains(src)).map(|p| &p[..])
         };
         let moves = wal::Moves {
             claims,
@@ -643,6 +650,11 @@ impl PageStore {
     /// or one page twice, is refused as [`StorageError::CatalogCorrupt`].
     /// Returns the log frames applied and the byte length of the log
     /// through that commit.
+    ///
+    /// A write frame is applied as a unit: first the bytes its own-page
+    /// copy runs read are gathered, from the page as it stands before the
+    /// frame, into the before-image scratch — a frame's runs are disjoint,
+    /// so they fit — then its runs are applied in order.
     fn replay(&mut self, wal: &[u8]) -> Result<(usize, usize)> {
         self.pages.clone_from(&self.base_pages);
         self.sums.clone_from(&self.base_sums);
@@ -652,9 +664,9 @@ impl PageStore {
         // Every page id a replayed record can name: the file, plus one
         // page per record at most.
         let bound = (self.pages.len() + scanned.records.len()) as u64;
-        let mut listed = PageBits::new(bound);
+        self.free_bits = PageBits::new(bound);
         for &id in &self.free {
-            if id >= self.pages.len() as u64 || !listed.insert(id) {
+            if id >= self.pages.len() as u64 || !self.free_bits.insert(id) {
                 return Err(StorageError::CatalogCorrupt(format!(
                     "disk image free list names page {id} past the {}-page file or twice",
                     self.pages.len()
@@ -669,9 +681,23 @@ impl PageStore {
             return Ok((0, 0));
         };
         let mut written = Vec::new();
-        for (i, (_, rec)) in scanned.records[..=last].iter().enumerate() {
-            self.apply_replay(i, rec, &mut written, &mut listed)?;
+        let records = &scanned.records[..=last];
+        let (mut gathered, mut taken) = (std::mem::take(&mut self.scratch), 0);
+        let mut applied = Ok(());
+        for (i, (lsn, rec)) in records.iter().enumerate() {
+            if i == 0 || records[i - 1].0 != *lsn {
+                let frame = records[i..].iter().take_while(|(l, _)| l == lsn);
+                self.gather_own_copies(frame.map(|(_, r)| r), &mut gathered);
+                taken = 0;
+            }
+            applied = self.apply_replay(i, rec, &mut written, (&gathered, &mut taken));
+            if applied.is_err() {
+                break;
+            }
         }
+        gathered.resize(PAGE_SIZE, 0);
+        self.scratch = gathered;
+        applied?;
         written.sort_unstable();
         written.dedup();
         for p in written {
@@ -688,22 +714,53 @@ impl PageStore {
         Ok(((last_lsn - first_lsn + 1) as usize, scanned.ends[last]))
     }
 
+    /// Sets `gathered` to the bytes the own-page copy runs among `frame` —
+    /// one write frame's records — read, in run order, off the page as it
+    /// stands before the frame. A page past the file gathers nothing: its
+    /// first run is refused when it is applied.
+    fn gather_own_copies<'r>(
+        &self,
+        frame: impl Iterator<Item = &'r WalRecord<'r>>,
+        gathered: &mut Vec<u8>,
+    ) {
+        gathered.clear();
+        for rec in frame {
+            if let WalRecord::Copy {
+                page,
+                len,
+                src,
+                src_off,
+                ..
+            } = rec
+            {
+                let from = usize::from(*src_off);
+                let source = self.pages.get(*page as usize).filter(|_| src == page);
+                if let Some(bytes) = source.and_then(|p| p.get(from..from + usize::from(*len))) {
+                    gathered.extend_from_slice(bytes);
+                }
+            }
+        }
+    }
+
     /// Applies one replayed WAL record to the store, mirroring exactly
     /// what the live mutation did — except that a written page's checksum
     /// is left to the caller, who gets the page's index in `written`, and
     /// that a write copies a page still shared with the image without
     /// logging a diff. A copy run copies its bytes from its source page as
-    /// the replay holds it, which is what the live write checked them
-    /// against. `listed` holds the free list's pages: a `Free` of a page
-    /// already free is refused, since two later allocations would hand it
-    /// to two owners, and so is a copy from a free page or one past the
-    /// file. `idx` only feeds error reports.
+    /// the replay held it before the run's frame, which is what the live
+    /// write checked them against: another page's bytes straight from it,
+    /// an own-page run's from the frame's `gathered` bytes (see
+    /// [`gather_own_copies`](Self::gather_own_copies)), the first `taken`
+    /// of which the frame's earlier runs used. The free-list set refuses a
+    /// `Free` of a page already free, since two later allocations would
+    /// hand it to two owners, and a copy from another page that is free or
+    /// past the file. `idx` only feeds error reports.
     fn apply_replay(
         &mut self,
         idx: usize,
         rec: &WalRecord<'_>,
         written: &mut Vec<usize>,
-        listed: &mut PageBits,
+        (gathered, taken): (&[u8], &mut usize),
     ) -> Result<()> {
         let corrupt = |msg: String| StorageError::WalCorrupt { offset: idx, msg };
         match rec {
@@ -717,7 +774,7 @@ impl PageStore {
                     // checked the base image's, and a replayed `Free`
                     // checks its own.
                     self.free.pop();
-                    listed.remove(*page);
+                    self.free_bits.remove(*page);
                     self.pages[p] = Arc::clone(&self.zero);
                     self.sums[p] = wal::ZERO_PAGE_SUM;
                 } else {
@@ -727,7 +784,7 @@ impl PageStore {
                 }
             }
             WalRecord::Free { page } => {
-                if *page as usize >= self.pages.len() || !listed.insert(*page) {
+                if *page as usize >= self.pages.len() || !self.free_bits.insert(*page) {
                     let msg = format!("free of page {page}, unallocated or already free");
                     return Err(corrupt(msg));
                 }
@@ -754,14 +811,21 @@ impl PageStore {
                 src_off,
             } => {
                 let (p, s) = (*page as usize, *src as usize);
-                if s >= self.pages.len() || listed.contains(*src) {
+                // `None`: an own-page run, whose bytes were gathered.
+                let source = if p == s {
+                    None
+                } else if s >= self.pages.len() || self.free_bits.contains(*src) {
                     let msg = format!("copy from page {src}, past the file or free");
                     return Err(corrupt(msg));
-                }
+                } else {
+                    Some(Arc::clone(&self.pages[s]))
+                };
                 let (at, from, len) = (usize::from(*off), usize::from(*src_off), usize::from(*len));
-                let source = Arc::clone(&self.pages[s]);
-                let bytes = source.get(from..from + len);
-                let target = self.pages.get_mut(p).filter(|_| p != s);
+                let bytes = match &source {
+                    None => gathered.get(*taken..*taken + len),
+                    Some(source) => source.get(from..from + len),
+                };
+                let target = self.pages.get_mut(p);
                 let run = target.and_then(|t| Arc::make_mut(t).get_mut(at..at + len));
                 let (Some(run), Some(bytes)) = (run, bytes) else {
                     return Err(corrupt(format!(
@@ -770,6 +834,9 @@ impl PageStore {
                     )));
                 };
                 run.copy_from_slice(bytes);
+                if source.is_none() {
+                    *taken += len;
+                }
                 written.push(p);
             }
             WalRecord::Commit { .. } => {}
@@ -1893,6 +1960,8 @@ mod tests {
     /// already free — listed by the checkpoint or freed earlier in the log
     /// — is refused, because two later allocations would hand that page
     /// to two owners; a page freed, reallocated and freed again replays.
+    /// The live store refuses such a free before logging it, so the bad
+    /// frame is appended by hand.
     #[test]
     fn replay_refuses_a_free_of_a_page_already_free() {
         for checkpoint_between in [false, true] {
@@ -1909,7 +1978,8 @@ mod tests {
             if checkpoint_between {
                 s.checkpoint();
             }
-            s.free_page(1).unwrap();
+            wal::append_record(&mut s.wal_buf, s.next_lsn, &WalRecord::Free { page: 1 });
+            s.next_lsn += 1;
             s.commit(b"v2");
             match PageStore::open(&s.crash_image()) {
                 Err(StorageError::WalCorrupt { msg, .. }) => {
@@ -1951,11 +2021,12 @@ mod tests {
         (s, copies, d.wal_bytes)
     }
 
-    /// A claim whose bytes do not match its source — or that names the
-    /// written page, a free page or a page past the file — logs the
-    /// literal bytes a write without claims logs; a claim that holds logs
-    /// a copy run. Either way the page, its checksum and the counters are
-    /// the same, and a reboot and a rollback replay the page to its bytes.
+    /// A claim whose bytes do not match its source — the written page as
+    /// it stood before the write included, which held zeros there — or
+    /// that names a free page or a page past the file logs the literal
+    /// bytes a write without claims logs; a claim that holds logs a copy
+    /// run. Either way the page, its checksum and the counters are the
+    /// same, and a reboot and a rollback replay the page to its bytes.
     #[test]
     fn a_claim_that_does_not_hold_logs_literal_bytes_and_replays_alike() {
         let claim = |src, src_off| wal::MoveClaim {
@@ -1988,6 +2059,63 @@ mod tests {
             s.rollback().unwrap();
             assert_eq!(s.raw_page(1), plain.raw_page(1), "{claims:?}");
         }
+    }
+
+    /// Bytes moved within their own page are logged as a copy of the page
+    /// before the write — read off the page before the frame's runs are
+    /// applied, however they overlap the bytes the frame writes — and a
+    /// reboot and a rollback replay the page to its bytes. A rewrite of a
+    /// free page may still claim its own bytes.
+    #[test]
+    fn an_own_page_claim_replays_from_the_page_before_its_frame() {
+        let mut s = PageStore::new();
+        let p = s.allocate();
+        let q = s.allocate();
+        let fill = |bytes: &mut [u8]| {
+            for (i, x) in bytes.iter_mut().enumerate() {
+                *x = (i * 13 % 251) as u8 | 1;
+            }
+        };
+        s.write(p, &[], fill).unwrap();
+        s.write(q, &[], fill).unwrap();
+        s.free_page(q).unwrap();
+        s.commit(b"filled");
+        let claim = |src_off, dst_off, len| wal::MoveClaim {
+            src: p,
+            src_off,
+            dst_off,
+            len,
+        };
+        // 1000..1400 move up by 100 over their own tail, and the bytes
+        // they came from take new values a run ahead of the copy.
+        let shift = |b: &mut [u8]| {
+            b.copy_within(1000..1400, 1100);
+            b[1000..1100].fill(0xEE);
+        };
+        let wal_at = s.wal_len();
+        s.write(p, &[claim(1000, 1100, 400)], shift).unwrap();
+        // The same claim on a free page's rewrite.
+        let free_claim = wal::MoveClaim {
+            src: q,
+            ..claim(1000, 1100, 400)
+        };
+        s.write(q, &[free_claim], shift).unwrap();
+        let own = |r: &WalRecord<'_>| matches!(r, WalRecord::Copy { page, src, len: 400, .. } if page == src);
+        let frames = wal::scan_strict(&s.wal_buf[wal_at..]).unwrap();
+        assert_eq!(frames.iter().filter(|(_, r)| own(r)).count(), 2);
+        s.commit(b"shifted");
+        let want: Vec<Vec<u8>> = [p, q].map(|id| s.raw_page(id).unwrap().to_vec()).into();
+        let rec = PageStore::open(&s.crash_image()).unwrap();
+        for (id, page) in [p, q].into_iter().zip(&want) {
+            assert_eq!(
+                rec.store.raw_page(id).unwrap(),
+                &page[..],
+                "reboot, page {id}"
+            );
+        }
+        s.write(p, &[], |b| b.fill(0)).unwrap();
+        s.rollback().unwrap();
+        assert_eq!(s.raw_page(p).unwrap(), &want[0][..], "rollback");
     }
 
     /// A logged copy run that names a page past the file, or a page on the

@@ -9,13 +9,15 @@
 //! header at byte 0 and its slot directory at byte 8191, so that span is
 //! the page. Measured on a half-full leaf of 35 rows of ~110 bytes (frame
 //! bytes, [`FRAME_OVERHEAD`] included): an in-place `I32` column update
-//! logs 31 B; an insert 147 B at the end of the key range, 214 B in the
-//! middle and 286 B at the front (the record, the header fields, and four
-//! bytes per slot entry that moved); a delete 31, 101 and 168 B (the same
-//! less the record); a split of a full 76-row leaf in the middle 456 B
-//! over 4 frames (4.1 KiB before the rows that moved to the new leaf were
-//! logged as copy runs), an append-side split 301 B over 5; and a patch of
-//! one 8 176-byte blob chunk 8 206 B in one frame — what it rewrote.
+//! logs 31 B; an insert 147 B at the end of the key range and 152 B in
+//! the middle or at the front (the record, the header fields, the new
+//! slot entry, and one 6-byte copy of the slot entries that moved — 214
+//! and 286 B when they were logged as bytes); a delete 31 B at the end
+//! and 37 B elsewhere (101 and 168 B before); a split of a full 76-row
+//! leaf in the middle 456 B over 4 frames (4.1 KiB before the rows that
+//! moved to the new leaf were logged as copy runs), an append-side split
+//! 301 B over 5; and a patch of one 8 176-byte blob chunk 8 206 B in one
+//! frame — what it rewrote.
 //!
 //! A transaction becomes durable with a [`WalRecord::Commit`] marker, which
 //! carries the serialized catalog (table name → schema → B-tree roots) as
@@ -38,18 +40,26 @@
 //! Payloads: `alloc`/`free` are `page u64`; `commit` is the opaque catalog
 //! image; `write` is `page u64` followed by one or more runs that fill the
 //! payload exactly, ascending and non-overlapping, none empty, none past
-//! the page end (`off` is relative to the page start), each of one of two
-//! forms:
+//! the page end (`off` is relative to the page start), each of one of
+//! three forms:
 //!
 //! ```text
-//! literal  off u16 | len u16                 | bytes[len]
-//! copy     off u16 | len u16 with bit 15 set | src u64 | src_off u16
+//! literal   off u16 | len u16                         | bytes[len]
+//! copy      off u16 | len u16 with bit 15 set         | src u64 | src_off u16
+//! own copy  off u16 | len u16 with bits 15 and 14 set | src_off u16
 //! ```
 //!
-//! A copy run's `len` bytes are bytes `src_off..` of page `src` as the log
-//! leaves `src` before this frame. `src` is never the frame's own page, so
-//! a frame replays one run at a time with no before-image, and
-//! `src_off + len` lies inside the page.
+//! One rule covers both copy forms: a copy run's `len` bytes are bytes
+//! `src_off..` of its source page **as they stood before the frame**, and
+//! `src_off + len` lies inside the page. A `copy` names another page `src`
+//! (never the frame's own: that is what the 6-byte `own copy` is for); an
+//! `own copy` names the frame's own page — bytes that moved within it, as
+//! a slot directory shifts when a record goes in or out, or as a leaf
+//! rebuilt in place re-packs its records. Both decode to
+//! [`WalRecord::Copy`], an own copy with `src` equal to `page`. A frame
+//! is replayed as a unit: the bytes its own copies read are gathered from
+//! the page first, then its runs are applied in order, so a run may read
+//! bytes an earlier run of the same frame overwrote.
 //!
 //! One [`PageStore::write`] is one frame however many runs it changed.
 //! [`append_write`] finds them by comparing the before- and after-image a
@@ -58,23 +68,29 @@
 //! so two stretches are always more than a [`RUN_HEADER`] of unchanged
 //! bytes apart and logging them separately always pays. A stretch is one
 //! literal run — unless the write claims ([`MoveClaim`]) that some of its
-//! bytes were copied from another page. Claimed bytes that still equal
-//! that page's live bytes, which are the bytes replay holds when it
-//! reaches the frame, are a copy run instead; claims that continue each
-//! other on one source make one run, across the unchanged bytes between
-//! two stretches too (a fresh page's records hold words of zeros). A copy
-//! run is taken only when the changed bytes it stands for outnumber its
-//! [`COPY_RUN_HEADER`] plus the [`RUN_HEADER`] it may cut a literal run in
-//! two with, so it only ever shortens a frame. A one-literal-run payload
-//! is 12 bytes plus the run, each further run [`RUN_HEADER`] more — never
-//! more than the one span from the first to the last change would take.
+//! bytes were copied from another page, or from elsewhere on its own.
+//! Claimed bytes that still equal their source's bytes before the write —
+//! another page's live bytes, or the written page's before-image, which
+//! are the bytes replay holds when it reaches the frame — are a copy run
+//! instead; claims that continue each other on one source make one run,
+//! across the unchanged bytes between two stretches too (a fresh page's
+//! records hold words of zeros). A copy run is taken only when the
+//! changed bytes it stands for outnumber its header ([`COPY_RUN_HEADER`],
+//! or [`OWN_COPY_RUN_HEADER`] on its own page) plus the [`RUN_HEADER`] it
+//! may cut a literal run in two with, so it only ever shortens a frame. A
+//! one-literal-run payload is 12 bytes plus the run, each further run
+//! [`RUN_HEADER`] more — never more than the one span from the first to
+//! the last change would take.
 //! [`scan`] hands a frame's runs back as consecutive [`WalRecord::Write`]
 //! and [`WalRecord::Copy`] records under the frame's LSN.
 //!
 //! A B-tree split claims every record it moves from the leaf onto a fresh
 //! page, which is most of what a split writes: on the repo benchmark's
 //! `dml_mix` workload (seed 1; a count, the same on any machine) the log
-//! falls from 4.74 to 2.74 bytes per user byte.
+//! falls from 4.74 to 2.74 bytes per user byte. Every rewrite of a tree
+//! page also claims what stayed on the page at another place — slot
+//! entries shifted by an insert or a delete, records a compaction or a
+//! split's left half re-packed — and the log falls to 1.54.
 //!
 //! A frame that fails any of this — short, bad magic or kind, bad
 //! checksum, a malformed run table, or an LSN that is not its
@@ -134,18 +150,26 @@ const FRAME_HEADER: usize = 1 + 1 + 8 + 4;
 /// `off u16 | len u16`.
 pub const RUN_HEADER: usize = 2 + 2;
 
-/// Bytes a copy run takes, all of it header: `off u16 | len u16 | src u64
-/// | src_off u16`, with bit 15 of `len` set.
+/// Bytes a copy run from another page takes, all of it header: `off u16 |
+/// len u16 | src u64 | src_off u16`, with bit 15 of `len` set.
 pub const COPY_RUN_HEADER: usize = 2 + 2 + 8 + 2;
+
+/// Bytes a copy run from the written page itself takes, all of it header:
+/// `off u16 | len u16 | src_off u16`, with bits 15 and 14 of `len` set.
+pub const OWN_COPY_RUN_HEADER: usize = 2 + 2 + 2;
 
 /// The top bit of a run's `len` field: set, the run is a copy run.
 const COPY_BIT: u16 = 0x8000;
 
+/// The next bit of a copy run's `len` field: set, the run copies from the
+/// written page and names no source page.
+const OWN_BIT: u16 = 0x4000;
+
 // Run offsets and lengths are logged as `u16`, and a length leaves the
-// copy bit free; a page is whole words; and the word of unchanged bytes
-// that parts two runs is longer than the header the second run costs, so
-// no two runs are worth logging as one.
-const _: () = assert!(PAGE_SIZE < COPY_BIT as usize && PAGE_SIZE % 8 == 0 && RUN_HEADER < 8);
+// two form bits free; a page is whole words; and the word of unchanged
+// bytes that parts two runs is longer than the header the second run
+// costs, so no two runs are worth logging as one.
+const _: () = assert!(PAGE_SIZE < OWN_BIT as usize && PAGE_SIZE % 8 == 0 && RUN_HEADER < 8);
 
 const KIND_ALLOC: u8 = 1;
 const KIND_FREE: u8 = 2;
@@ -341,9 +365,9 @@ pub enum WalRecord<'a> {
         bytes: &'a [u8],
     },
     /// One copied run of a page: its `len` bytes at `off` are bytes
-    /// `src_off..` of page `src` as the log leaves `src` before the frame.
-    /// `src` is never `page`, so replaying a frame's runs one at a time
-    /// reads no byte the frame itself wrote.
+    /// `src_off..` of page `src` as they stood before the frame. `src` may
+    /// be `page` itself — bytes that moved within the page — so a replay
+    /// reads what a frame's runs copy before it writes any of them.
     Copy {
         /// The written page id.
         page: u64,
@@ -403,22 +427,37 @@ fn push_run(log: &mut Vec<u8>, at: usize, bytes: &[u8]) {
     log.extend_from_slice(bytes);
 }
 
-/// Appends one copy run of a write payload: `len` bytes at `at` are bytes
-/// `src_at..` of page `src`.
-fn push_copy(log: &mut Vec<u8>, at: usize, len: usize, src: u64, src_at: usize) {
+/// The bytes a copy run of a write frame of `page` takes when it copies
+/// from page `src`.
+fn copy_run_header(page: u64, src: u64) -> usize {
+    if src == page {
+        OWN_COPY_RUN_HEADER
+    } else {
+        COPY_RUN_HEADER
+    }
+}
+
+/// Appends one copy run of a write payload of `page`: `len` bytes at `at`
+/// are bytes `src_at..` of page `src` — in the short form, naming no
+/// page, when `src` is `page` itself.
+fn push_copy(log: &mut Vec<u8>, page: u64, at: usize, len: usize, src: u64, src_at: usize) {
     assert!(
         at + len <= PAGE_SIZE && src_at + len <= PAGE_SIZE,
         "a copy run lies inside both pages"
     );
     le::push_u16(log, at as u16);
-    le::push_u16(log, len as u16 | COPY_BIT);
-    le::push_u64(log, src);
+    if src == page {
+        le::push_u16(log, len as u16 | COPY_BIT | OWN_BIT);
+    } else {
+        le::push_u16(log, len as u16 | COPY_BIT);
+        le::push_u64(log, src);
+    }
     le::push_u16(log, src_at as u16);
 }
 
 /// Appends one framed record to `log`, returning the frame's byte length.
 /// A [`WalRecord::Write`] or [`WalRecord::Copy`] becomes a one-run write
-/// frame.
+/// frame — a copy whose `src` is its `page` in the own-page form.
 pub fn append_record(log: &mut Vec<u8>, lsn: u64, rec: &WalRecord<'_>) -> usize {
     let start = open_frame(log, rec.kind(), lsn);
     match rec {
@@ -436,7 +475,7 @@ pub fn append_record(log: &mut Vec<u8>, lsn: u64, rec: &WalRecord<'_>) -> usize 
         } => {
             le::push_u64(log, *page);
             let (at, src_at) = (usize::from(*off), usize::from(*src_off));
-            push_copy(log, at, usize::from(*len), *src, src_at);
+            push_copy(log, *page, at, usize::from(*len), *src, src_at);
         }
         WalRecord::Commit { catalog } => log.extend_from_slice(catalog),
     }
@@ -475,7 +514,8 @@ fn find_word<const CHANGED: bool>(diff: &impl Fn(usize) -> u64, from: usize) -> 
 }
 
 /// A page writer's claim that the `len` bytes it puts at `dst_off` are
-/// bytes `src_off..` of page `src`: where they were moved from.
+/// bytes `src_off..` of page `src` as it stood before the write: where
+/// they were moved from. `src` may be the written page itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveClaim {
     /// The page the bytes were copied from.
@@ -488,14 +528,16 @@ pub struct MoveClaim {
     pub len: usize,
 }
 
-/// What a page write claims it moved from other pages: `claims`, ascending
-/// and disjoint by `dst_off`, and `source`, which hands out a page's live
-/// bytes — `None` for a page a copy run may not name. [`append_write`]
-/// trusts neither: a claim whose bytes do not match is logged literally.
+/// What a page write claims it moved: `claims`, ascending and disjoint by
+/// `dst_off`, and `source`, which hands out another page's live bytes —
+/// `None` for a page a copy run may not name. A claim on the written page
+/// itself is checked against the write's before-image instead.
+/// [`append_write`] trusts neither: a claim whose bytes do not match is
+/// logged literally.
 pub struct Moves<'a> {
     /// The claimed moves.
     pub claims: &'a [MoveClaim],
-    /// The live bytes of a claim's source page.
+    /// The live bytes of a claim's source page, other than the written one.
     pub source: &'a dyn Fn(u64) -> Option<&'a [u8]>,
 }
 
@@ -512,17 +554,19 @@ struct Copied {
 }
 
 impl Copied {
-    /// Whether the copy run shortens its frame: the changed bytes it
-    /// stands for outweigh its header and the literal run header it may
-    /// cut a changed stretch in two with.
-    fn pays(&self) -> bool {
-        self.covered > COPY_RUN_HEADER + RUN_HEADER
+    /// Whether the copy run shortens a frame of `page`: the changed bytes
+    /// it stands for outweigh its header and the literal run header it
+    /// may cut a changed stretch in two with.
+    fn pays(&self, page: u64) -> bool {
+        self.covered > copy_run_header(page, self.src) + RUN_HEADER
     }
 }
 
 /// The runs of one write frame as [`append_write`] lays them, stretch by
 /// stretch.
 struct Runs {
+    /// The written page.
+    page: u64,
     /// Every changed byte below this is logged, or is inside `pending`.
     logged: usize,
     /// Verified claimed bytes not yet logged.
@@ -537,48 +581,48 @@ impl Runs {
     /// `logged` up to it; one that does not pay is left to the literal
     /// bytes.
     fn flush(&mut self, log: &mut Vec<u8>, after: &[u8]) {
-        let Some(p) = self.pending.take().filter(Copied::pays) else {
+        let Some(p) = self.pending.take().filter(|p| p.pays(self.page)) else {
             return;
         };
         if self.logged < p.at {
             push_run(log, self.logged, &after[self.logged..p.at]);
         }
-        push_copy(log, p.at, p.end - p.at, p.src, p.src_at);
+        push_copy(log, self.page, p.at, p.end - p.at, p.src, p.src_at);
         self.logged = self.logged.max(p.end);
     }
 }
 
 /// Where on its source the bytes `part` of `after` that claim `c` covers
-/// start, if they are there: `c` names a page other than `page`, and that
-/// page's live bytes at the spot equal them.
+/// start, if they are there: the source's bytes at the spot as they stood
+/// before the write — `before`, when `c` names the written page itself —
+/// equal them.
 fn verify(
     c: &MoveClaim,
     part: std::ops::Range<usize>,
     page: u64,
-    after: &[u8],
+    (before, after): (&[u8], &[u8]),
     moves: &Moves<'_>,
 ) -> Option<usize> {
-    if c.src == page {
-        return None;
-    }
     let src_at = c.src_off.checked_add(part.start - c.dst_off)?;
     let src_end = src_at.checked_add(part.len()).filter(|&e| e <= PAGE_SIZE)?;
-    let src = (moves.source)(c.src)?.get(src_at..src_end)?;
-    (*src == after[part]).then_some(src_at)
+    let source = match c.src == page {
+        true => before,
+        false => (moves.source)(c.src)?,
+    };
+    (source.get(src_at..src_end)? == &after[part]).then_some(src_at)
 }
 
 /// Appends the runs of the changed stretch `stretch` of `after`, the image
-/// of `page`. The parts the claims cover whose bytes equal their source's
-/// live bytes — what replay holds when it reaches this frame — are copy
-/// runs, verified parts that continue each other on one source one run
-/// (across the unchanged bytes between two stretches too, which the claim
-/// verified with them), when the run pays; the rest are literal runs. A
-/// paying copy that reaches the stretch's end is held, to go on in the
-/// next stretch.
+/// of `runs.page` that was `before`. The parts the claims cover whose
+/// bytes equal their source's bytes before the write — what replay holds
+/// when it reaches this frame — are copy runs, verified parts that
+/// continue each other on one source one run (across the unchanged bytes
+/// between two stretches too, which the claim verified with them), when
+/// the run pays; the rest are literal runs. A paying copy that reaches the
+/// stretch's end is held, to go on in the next stretch.
 fn push_stretch(
     log: &mut Vec<u8>,
-    page: u64,
-    after: &[u8],
+    (before, after): (&[u8], &[u8]),
     stretch: std::ops::Range<usize>,
     moves: &Moves<'_>,
     runs: &mut Runs,
@@ -594,7 +638,8 @@ fn push_stretch(
         let (at, end) = (c.dst_off.max(floor), claim_end.min(stretch.end));
         let covered = end.saturating_sub(at.max(stretch.start));
         if at < end {
-            match (verify(c, at..end, page, after, moves), &mut runs.pending) {
+            let verified = verify(c, at..end, runs.page, (before, after), moves);
+            match (verified, &mut runs.pending) {
                 (Some(src_at), Some(p))
                     if p.end == at && p.src == c.src && p.src_at + (at - p.at) == src_at =>
                 {
@@ -619,7 +664,7 @@ fn push_stretch(
         runs.next += 1;
     }
     match &runs.pending {
-        Some(p) if p.end == stretch.end && p.pays() => {
+        Some(p) if p.end == stretch.end && p.pays(runs.page) => {
             if runs.logged < p.at {
                 push_run(log, runs.logged, &after[runs.logged..p.at]);
             }
@@ -636,10 +681,11 @@ fn push_stretch(
 
 /// Appends the write frame that turns page image `before` into `after`:
 /// the changed byte runs, copied straight from `after` — or, where
-/// `moves` claims them and the claim holds, named as a copy of another
-/// page's bytes. Returns the frame's byte length, or 0 — and leaves `log`
-/// and `sum` alone — when the images are identical. The frame is a pure
-/// function of the two images, the claims and their sources' bytes.
+/// `moves` claims them and the claim holds, named as a copy of bytes of
+/// another page or of `before`. Returns the frame's byte length, or 0 —
+/// and leaves `log` and `sum` alone — when the images are identical. The
+/// frame is a pure function of the two images, the claims and their
+/// sources' bytes.
 ///
 /// A stretch is a maximal stretch of changed 8-byte words, cut back at
 /// both ends to its first and last changed byte, so finding them is one
@@ -649,8 +695,10 @@ fn push_stretch(
 /// unchanged bytes apart, more than the [`RUN_HEADER`] the second one
 /// costs, so splitting there always pays. With no claims, each stretch is
 /// one literal run; a claimed part of one is logged as a copy run only
-/// when its bytes equal the live source's and the run shortens the frame
-/// (see `push_stretch`), so a wrong claim costs bytes, never a wrong page.
+/// when its bytes equal the source's before the write — another page's
+/// live bytes, or `before` for the written page — and the run shortens
+/// the frame (see `push_stretch`), so a wrong claim costs bytes, never a
+/// wrong page.
 ///
 /// The same pass restamps `sum`, the page's stored `block_sum`: each
 /// 64-byte block holding a changed word adds its term in `after` and
@@ -681,6 +729,7 @@ pub fn append_write(
     // Blocks below this one are restamped already (two runs can share one).
     let mut restamped = 0;
     let mut runs = Runs {
+        page,
         logged: 0,
         pending: None,
         next: 0,
@@ -689,7 +738,7 @@ pub fn append_write(
         let past = find_word::<false>(&diff, first + 1);
         let from = first * 8 + (diff(first).trailing_zeros() / 8) as usize;
         let to = past * 8 - (diff(past - 1).leading_zeros() / 8) as usize;
-        push_stretch(log, page, after, from..to, moves, &mut runs);
+        push_stretch(log, (before, after), from..to, moves, &mut runs);
         let blocks = (first / BLOCK).max(restamped)..past.div_ceil(BLOCK);
         let bytes = blocks.start * BLOCK_BYTES..blocks.end * BLOCK_BYTES;
         let new = terms(&after[bytes.clone()], blocks.start);
@@ -806,7 +855,8 @@ fn decode_frame<'a>(
 /// [`WalRecord::Copy`] per run; `None` (with `out` possibly grown) unless
 /// it is a page id followed by one or more ascending, non-overlapping,
 /// non-empty, in-page runs that fill the payload exactly, no copy run
-/// naming the page itself or reaching past its source's end.
+/// reaching past its source's end and none in the long form naming the
+/// page itself (that is the short form's).
 fn decode_runs<'a>(payload: &'a [u8], lsn: u64, out: &mut Vec<(u64, WalRecord<'a>)>) -> Option<()> {
     let mut table = payload.get(8..).filter(|t| !t.is_empty())?;
     let page = le::u64_at(payload, 0);
@@ -816,33 +866,47 @@ fn decode_runs<'a>(payload: &'a [u8], lsn: u64, out: &mut Vec<(u64, WalRecord<'a
             return None;
         }
         let (off, field) = (le::u16_at(table, 0), le::u16_at(table, 2));
-        let len = usize::from(field & !COPY_BIT);
+        let len = usize::from(field & !(COPY_BIT | OWN_BIT));
         let (start, end) = (usize::from(off), usize::from(off) + len);
         if len == 0 || start < floor || end > PAGE_SIZE {
             return None;
         }
-        let used = if field & COPY_BIT == 0 {
-            let bytes = table.get(RUN_HEADER..RUN_HEADER + len)?;
-            out.push((lsn, WalRecord::Write { page, off, bytes }));
-            RUN_HEADER + len
-        } else {
-            let run = table.get(..COPY_RUN_HEADER)?;
-            let (src, src_off) = (le::u64_at(run, 4), le::u16_at(run, 12));
-            if src == page || usize::from(src_off) + len > PAGE_SIZE {
-                return None;
+        let used = match (field & COPY_BIT != 0, field & OWN_BIT != 0) {
+            (false, false) => {
+                let bytes = table.get(RUN_HEADER..RUN_HEADER + len)?;
+                out.push((lsn, WalRecord::Write { page, off, bytes }));
+                RUN_HEADER + len
             }
-            let len = len as u16;
-            out.push((
-                lsn,
-                WalRecord::Copy {
-                    page,
-                    off,
-                    len,
-                    src,
-                    src_off,
-                },
-            ));
-            COPY_RUN_HEADER
+            // A literal run's length never reaches the own-page bit.
+            (false, true) => return None,
+            (true, own) => {
+                let header = if own {
+                    OWN_COPY_RUN_HEADER
+                } else {
+                    COPY_RUN_HEADER
+                };
+                let run = table.get(..header)?;
+                // `src_off` closes either form; only the long one names `src`.
+                let (src, src_off) = (
+                    if own { page } else { le::u64_at(run, 4) },
+                    le::u16_at(run, header - 2),
+                );
+                if (!own && src == page) || usize::from(src_off) + len > PAGE_SIZE {
+                    return None;
+                }
+                let len = len as u16;
+                out.push((
+                    lsn,
+                    WalRecord::Copy {
+                        page,
+                        off,
+                        len,
+                        src,
+                        src_off,
+                    },
+                ));
+                header
+            }
         };
         floor = end;
         table = &table[used..];
@@ -870,6 +934,19 @@ mod tests {
         src_off: 16,
     };
 
+    /// The own-page copy run of the sample log: 40 bytes at 300 of page 1
+    /// are bytes 120.. of page 1 as it stood before the frame — a stretch
+    /// overlapping the one written.
+    const SAMPLE_OWN_COPY: WalRecord<'static> = WalRecord::Copy {
+        page: 1,
+        off: 300,
+        len: 40,
+        src: 1,
+        src_off: 290,
+    };
+
+    /// Alloc, literal write, copy, own-page copy and free frames (LSNs 1
+    /// to 5), then a commit; returns the log and where the commit starts.
     fn sample_log() -> (Vec<u8>, usize) {
         let mut log = Vec::new();
         append_record(&mut log, 1, &WalRecord::Alloc { page: 0 });
@@ -883,9 +960,10 @@ mod tests {
             },
         );
         append_record(&mut log, 3, &SAMPLE_COPY);
-        append_record(&mut log, 4, &WalRecord::Free { page: 0 });
+        append_record(&mut log, 4, &SAMPLE_OWN_COPY);
+        append_record(&mut log, 5, &WalRecord::Free { page: 0 });
         let commit_at = log.len();
-        append_record(&mut log, 5, &WalRecord::Commit { catalog: b"cat" });
+        append_record(&mut log, 6, &WalRecord::Commit { catalog: b"cat" });
         (log, commit_at)
     }
 
@@ -893,7 +971,7 @@ mod tests {
     fn round_trips_every_kind() {
         let (log, _) = sample_log();
         let recs = scan_strict(&log).unwrap();
-        assert_eq!(recs.len(), 5);
+        assert_eq!(recs.len(), 6);
         assert_eq!(recs[0], (1, WalRecord::Alloc { page: 0 }));
         assert_eq!(
             recs[1],
@@ -907,8 +985,20 @@ mod tests {
             )
         );
         assert_eq!(recs[2], (3, SAMPLE_COPY));
-        assert_eq!(recs[3], (4, WalRecord::Free { page: 0 }));
-        assert_eq!(recs[4], (5, WalRecord::Commit { catalog: b"cat" }));
+        assert_eq!(recs[3], (4, SAMPLE_OWN_COPY));
+        assert_eq!(recs[4], (5, WalRecord::Free { page: 0 }));
+        assert_eq!(recs[5], (6, WalRecord::Commit { catalog: b"cat" }));
+        // The own-page run takes the short form: the frame names no source
+        // page.
+        let own = append_record(&mut Vec::new(), 4, &SAMPLE_OWN_COPY);
+        let other = append_record(&mut Vec::new(), 3, &SAMPLE_COPY);
+        assert_eq!(
+            (own, other),
+            (
+                FRAME_OVERHEAD + 8 + OWN_COPY_RUN_HEADER,
+                FRAME_OVERHEAD + 8 + COPY_RUN_HEADER
+            )
+        );
     }
 
     #[test]
@@ -917,7 +1007,7 @@ mod tests {
         // Cut mid-way through the commit frame.
         let torn = &log[..commit_at + 5];
         let s = scan(torn);
-        assert_eq!(s.records.len(), 4);
+        assert_eq!(s.records.len(), 5);
         assert_eq!(s.clean_len, commit_at);
         assert_eq!(s.tear, Some(commit_at));
         assert_eq!(
@@ -945,6 +1035,22 @@ mod tests {
         log[mid] ^= 0x40;
         let s = scan(&log);
         assert!(s.tear.is_some(), "flipped bit must be detected");
+        // Any one bit flipped, in any frame: the scan keeps only the
+        // frames before it.
+        log[mid] ^= 0x40;
+        let clean = log.clone();
+        let whole = scan_strict(&clean).unwrap();
+        let starts: Vec<usize> = std::iter::once(0)
+            .chain(scan(&clean).ends.iter().copied())
+            .collect();
+        for bit in 0..log.len() * 8 {
+            log[bit / 8] ^= 1 << (bit % 8);
+            let s = scan(&log);
+            let frame = starts.iter().rposition(|&at| at <= bit / 8).unwrap();
+            assert_eq!(s.tear, Some(starts[frame]), "bit {bit}");
+            assert_eq!(s.records, whole[..frame], "bit {bit}");
+            log[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]
@@ -1156,8 +1262,9 @@ mod tests {
     /// A frame with any one bit flipped — magic, kind, LSN, length, page
     /// id, run table or the stored check — never decodes, and neither does
     /// any proper prefix of it (a torn write). Once for a one-run frame as
-    /// [`append_record`] builds it, once for a three-run frame, and once
-    /// for a frame of literal runs around a copy run.
+    /// [`append_record`] builds it, once for a three-run frame, once for a
+    /// frame of literal runs around a copy run, and once for a literal run
+    /// before an own-page copy run.
     #[test]
     fn damaged_or_torn_frames_never_decode() {
         let payload = filler(100);
@@ -1190,7 +1297,14 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(kinds(&copied), [false, true, false]);
-        for (mut frame, runs) in [(one_run, 1), (three_runs, 3), (copied, 3)] {
+        let mut after = edited(&before, &[(2000, 10)]);
+        after[3000..3300].copy_from_slice(&before[3100..3400]);
+        let mut own = Vec::new();
+        with_moves(&[claim(3, 3100, 3000, 300)], &source, |moves| {
+            append_write(&mut own, 9, 3, &before, &after, &mut 0, moves)
+        });
+        assert_eq!(kinds(&own), [false, true]);
+        for (mut frame, runs) in [(one_run, 1), (three_runs, 3), (copied, 3), (own, 2)] {
             assert_eq!(scan_strict(&frame).unwrap().len(), runs);
             for bit in 0..frame.len() * 8 {
                 frame[bit / 8] ^= 1 << (bit % 8);
@@ -1210,20 +1324,20 @@ mod tests {
     /// the scan where the live log was cut.
     #[test]
     fn stale_lsns_after_a_cut_end_the_scan() {
-        let (log, cut) = sample_log(); // LSNs 1..=4, then the commit at `cut`
+        let (log, cut) = sample_log(); // LSNs 1..=5, then the commit at `cut`
         let mut spliced = log[..cut].to_vec();
-        for lsn in [2, 3, 4] {
+        for lsn in [2, 3, 4, 5] {
             append_record(&mut spliced, lsn, &WalRecord::Free { page: lsn });
         }
         let s = scan(&spliced);
-        assert_eq!(s.records, scan_strict(&log).unwrap()[..4]);
+        assert_eq!(s.records, scan_strict(&log).unwrap()[..5]);
         assert_eq!((s.clean_len, s.tear), (cut, Some(cut)));
         assert_eq!(
             scan_strict(&spliced),
             Err(StorageError::WalTorn { offset: cut })
         );
         // A repeated LSN is a gap too; the right one carries the log on.
-        for (lsn, whole) in [(4, false), (6, false), (5, true)] {
+        for (lsn, whole) in [(5, false), (7, false), (6, true)] {
             let mut next = log[..cut].to_vec();
             append_record(&mut next, lsn, &WalRecord::Free { page: 0 });
             assert_eq!(scan(&next).tear.is_none(), whole, "lsn {lsn}");
@@ -1267,8 +1381,8 @@ mod tests {
 
     /// `f` of `claims` over one source page: `source` is the live image of
     /// every page id but 7, a page a copy run may not name — 3, the page
-    /// these tests write, included, which `append_write` must refuse on
-    /// its own.
+    /// these tests write, included, which `append_write` must not consult:
+    /// a claim on the written page is checked against its before-image.
     fn with_moves<R>(claims: &[MoveClaim], source: &[u8], f: impl FnOnce(&Moves<'_>) -> R) -> R {
         let lookup = |src: u64| (src != 7).then_some(source);
         f(&Moves {
@@ -1446,16 +1560,35 @@ mod tests {
             le::push_u16(&mut t, src_off);
             t
         };
+        let own = |off: u16, len: u16, src_off: u16| {
+            let mut t = Vec::new();
+            le::push_u16(&mut t, off);
+            le::push_u16(&mut t, len | COPY_BIT | OWN_BIT);
+            le::push_u16(&mut t, src_off);
+            t
+        };
         let page_end = PAGE_SIZE as u16;
         let good = [
             run(10, 2, b"ab"),
             run(12, 1, b"c"),
             copy(13, 20, 1, page_end - 20),
+            own(40, 30, 20),
             run(page_end - 1, 1, b"z"),
         ]
         .concat();
-        assert_eq!(scan_strict(&frame_of(&good)).unwrap().len(), 5);
-        let bad: [(&str, Vec<u8>); 16] = [
+        assert_eq!(scan_strict(&frame_of(&good)).unwrap().len(), 6);
+        let bad: [(&str, Vec<u8>); 21] = [
+            ("empty own copy run", own(100, 0, 8)),
+            ("own copy past its page's end", own(100, 20, page_end - 19)),
+            ("truncated own copy run", own(100, 20, 8)[..5].to_vec()),
+            (
+                "own copy overlapping the run before it",
+                [run(10, 4, b"abcd"), own(13, 20, 100)].concat(),
+            ),
+            (
+                "literal run with the own-page bit",
+                run(10, 2 | OWN_BIT, b"ab"),
+            ),
             ("copy naming its own page", copy(100, 20, 0, 8)),
             (
                 "copy past its source's end",
@@ -1524,8 +1657,10 @@ mod tests {
     /// Logs `before` → `after` of page 3 with `claims` over `source` and
     /// checks what a claimed frame promises: the restamped sum is the one
     /// without claims; the frame scans whole and replays onto `before` —
-    /// a copy run from `source` — to `after`; every copy run names neither
-    /// page 3 nor page 7 and is longer than [`COPY_RUN_HEADER`] plus
+    /// a copy run from page 3 reading `before`, whatever the frame's
+    /// earlier runs wrote, any other from `source` — to `after`; no copy
+    /// run names page 7, and each is longer than its header
+    /// ([`OWN_COPY_RUN_HEADER`] or [`COPY_RUN_HEADER`]) plus
     /// [`RUN_HEADER`]; and the frame is no longer than the one without
     /// claims. Returns the copy runs and the bytes they cover.
     fn check_claimed_frame(
@@ -1563,11 +1698,18 @@ mod tests {
                     src,
                     src_off,
                 } => {
-                    assert!(src != 3 && src != 7, "a copy run names page {src}");
+                    assert!(src != 7, "a copy run names page {src}");
                     let (at, from, len) =
                         (usize::from(off), usize::from(src_off), usize::from(len));
-                    assert!(len > COPY_RUN_HEADER + RUN_HEADER, "a {len}-byte copy run");
-                    replayed[at..at + len].copy_from_slice(&source[from..from + len]);
+                    let (bytes, header) = match src {
+                        3 => (before, OWN_COPY_RUN_HEADER),
+                        _ => (source, COPY_RUN_HEADER),
+                    };
+                    assert!(
+                        len > header + RUN_HEADER,
+                        "a {len}-byte copy run from {src}"
+                    );
+                    replayed[at..at + len].copy_from_slice(&bytes[from..from + len]);
                     (runs, copied) = (runs + 1, copied + len);
                 }
                 other => panic!("a write frame holds runs of its page, got {other:?}"),
@@ -1578,10 +1720,11 @@ mod tests {
     }
 
     /// Claimed bytes become a copy run where the claim holds, and stay
-    /// literal where it does not: wrong source bytes, the written page
-    /// itself or a page without a source, bytes changed after the copy,
-    /// or too short a run. Adjacent claims of adjacent source bytes make
-    /// one run.
+    /// literal where it does not: wrong source bytes — on another page or
+    /// on the written page before the write — a page without a source,
+    /// bytes changed after the copy, or too short a run. Adjacent claims of
+    /// adjacent source bytes make one run. On its own page a run pays from
+    /// a shorter length.
     #[test]
     fn claimed_bytes_become_copy_runs_only_where_the_claim_holds() {
         let (before, source) = (filler(PAGE_SIZE), seeded(PAGE_SIZE, 5));
@@ -1622,6 +1765,19 @@ mod tests {
         );
         // Nothing changed, nothing logged, claims or not.
         assert_eq!(check(&before, &[claim(5, 0, 0, 500)]), (0, 0));
+        // Bytes moved within the page, their source overlapping where they
+        // land: a claim on page 3 is read off `before`.
+        let mut moved = before.clone();
+        moved.copy_within(3000..3400, 3100);
+        assert_eq!(check(&moved, &[claim(3, 3000, 3100, 400)]), (1, 400));
+        assert_eq!(check(&moved, &[claim(3, 3001, 3100, 400)]), (0, 0));
+        assert_eq!(check(&moved, &[claim(5, 3000, 3100, 400)]), (0, 0));
+        let limit = OWN_COPY_RUN_HEADER + RUN_HEADER;
+        assert_eq!(check(&moved, &[claim(3, 3200, 3300, limit)]), (0, 0));
+        assert_eq!(
+            check(&moved, &[claim(3, 3200, 3300, limit + 1)]),
+            (1, limit + 1)
+        );
         // Onto a zero page, the copied words of zeros part the changed
         // stretches; one run spans them, and stops where a claim breaks.
         let zeros = vec![0u8; PAGE_SIZE];
@@ -1645,15 +1801,17 @@ mod tests {
 
     proptest::proptest! {
         /// Random claimed writes through [`check_claimed_frame`]: stretches
-        /// copied from a source page over a zero or a filled page, each
-        /// claimed rightly or with a shifted source offset, the written
-        /// page or a page without a source; later copies and edits
-        /// overwrite parts of earlier ones.
+        /// copied from a source page or from elsewhere on the written page
+        /// as it was (a source that may overlap where the bytes land, or
+        /// what an earlier copy wrote) over a zero or a filled page, each
+        /// claimed rightly or with a shifted source offset, the wrong page
+        /// or a page without a source; later copies and edits overwrite
+        /// parts of earlier ones.
         #[test]
         fn claimed_frames_replay_to_the_written_page(
             zero_page in proptest::prelude::any::<bool>(),
             copies in proptest::collection::vec(
-                (0usize..PAGE_SIZE, 0usize..PAGE_SIZE, 1usize..600, 0u8..6),
+                (0usize..PAGE_SIZE, 0usize..PAGE_SIZE, 1usize..600, 0u8..9),
                 0..8,
             ),
             edits in proptest::collection::vec((0usize..PAGE_SIZE, 1usize..24), 0..6),
@@ -1669,12 +1827,16 @@ mod tests {
             let mut claims = Vec::new();
             for (dst_off, src_off, len, how) in copies {
                 let len = len.min(PAGE_SIZE - dst_off).min(PAGE_SIZE - src_off);
-                after[dst_off..dst_off + len].copy_from_slice(&source[src_off..src_off + len]);
+                // Copies 6..=8 move bytes of the written page as it was.
+                let from = if how < 6 { &source } else { &before };
+                after[dst_off..dst_off + len].copy_from_slice(&from[src_off..src_off + len]);
                 claims.push(match how {
                     0..=2 => claim(5, src_off, dst_off, len),
                     3 => claim(5, src_off + 1, dst_off, len),
                     4 => claim(3, src_off, dst_off, len),
-                    _ => claim(7, src_off, dst_off, len),
+                    5 => claim(7, src_off, dst_off, len),
+                    6 | 7 => claim(3, src_off, dst_off, len),
+                    _ => claim(3, src_off + 1, dst_off, len),
                 });
             }
             for (at, len) in edits {

@@ -1,6 +1,8 @@
 //! The crash matrix: every mutation path (bulk load, row-at-a-time INSERT,
-//! UPDATE-style row and blob-range maintenance, DELETE, and leaf splits,
-//! whose log names the rows they move as copies of the leaf they left) is
+//! UPDATE-style row and blob-range maintenance, DELETE, leaf splits, whose
+//! log names the rows they move as copies of the leaf they left, and
+//! rewrites of leaves and internal nodes, whose log names the bytes that
+//! moved within the page as copies of the page before the write) is
 //! killed at **every** WAL-append injection point — with clean and torn
 //! cuts — and recovery must land byte-for-byte on the last complete
 //! commit: base pages, checksums, free list, catalog, and every decodable
@@ -137,10 +139,12 @@ fn recover(image: &DiskImage) -> RecoveredState {
     if let Some(cat) = &rec.catalog {
         let t = Table::from_parts("T".into(), schema(), parse_catalog(cat));
         let n = t.tree_parts().2 as i64;
-        // Keys are drawn from 0..64 in every workload here; probing the
-        // whole range exercises both present and absent keys.
+        // Keys are drawn from 0..64 in every workload here but the one
+        // wide enough to split an internal node, whose keys lie below
+        // twice its row count; probing the whole range exercises both
+        // present and absent keys.
         let mut seen = 0i64;
-        for k in 0..64 {
+        for k in 0..64.max(2 * n) {
             if let Some(vals) = t.get(&mut store, k).expect("recovered leaf decodes") {
                 seen += 1;
                 let RowValue::I64(id) = vals[0] else {
@@ -443,16 +447,17 @@ fn wide_committed() -> (PageStore, Table) {
     (store, t)
 }
 
-/// What `ops` — statements that split leaves — promise beside the matrix,
-/// on a clean run from `setup`: once committed, their log holds copy
-/// runs; a reboot from the crash image gives the live file byte for byte;
-/// and so does a rollback of a later statement, which replays the same
-/// log. Returns the bytes the copy runs cover and the literal bytes
-/// logged on the pages `ops` allocated.
+/// What `ops` — statements that split leaves or move bytes within a
+/// page — promise beside the matrix, on a clean run from `setup`: once
+/// committed, their log holds copy runs; a reboot from the crash image
+/// gives the live file byte for byte; and so does a rollback of a later
+/// statement, which replays the same log. Returns the bytes the copy runs
+/// cover, those of them that copy within their own page, and the literal
+/// bytes logged on the pages `ops` allocated.
 fn check_copy_runs(
     setup: &dyn Fn() -> (PageStore, Table),
     ops: &dyn Fn(&mut PageStore, &mut Table),
-) -> (usize, usize) {
+) -> (usize, usize, usize) {
     let (mut store, mut t) = setup();
     let (wal_at, fresh) = (store.wal_len(), store.page_count());
     ops(&mut store, &mut t);
@@ -461,15 +466,18 @@ fn check_copy_runs(
         .map(|p| store.raw_page(p).unwrap().to_vec())
         .collect();
     let image = store.crash_image();
-    let (mut copied, mut literal) = (0, 0);
+    let (mut copied, mut own, mut literal) = (0, 0, 0);
     for (_, rec) in wal::scan_strict(&image.wal[wal_at..]).unwrap() {
         match rec {
-            WalRecord::Copy { len, .. } => copied += usize::from(len),
+            WalRecord::Copy { page, len, src, .. } => {
+                copied += usize::from(len);
+                own += if src == page { usize::from(len) } else { 0 };
+            }
             WalRecord::Write { page, bytes, .. } if page >= fresh => literal += bytes.len(),
             _ => {}
         }
     }
-    assert!(copied > 0, "the splits log copy runs");
+    assert!(copied > 0, "the statements log copy runs");
     let rebooted = PageStore::open(&image).unwrap().store;
     // The later statement overwrites every page; its rollback replays the
     // log from the base image.
@@ -483,7 +491,7 @@ fn check_copy_runs(
             assert!(s.raw_page(p as u64).unwrap() == page, "{what}: page {p}");
         }
     }
-    (copied, literal)
+    (copied, own, literal)
 }
 
 /// Splits log the rows they move to a fresh page as copy runs from the
@@ -503,7 +511,7 @@ fn split_copy_runs_crash_matrix() {
         ];
         assert_eq!(apply_ops(store, t, &ops), 2);
     };
-    let (copied, literal) = check_copy_runs(&|| spaced_committed(15), &edit_then_split);
+    let (copied, _, literal) = check_copy_runs(&|| spaced_committed(15), &edit_then_split);
     assert!(copied >= 1500, "row 18 is a copy run ({copied} bytes)");
     assert!(
         literal >= 3000,
@@ -549,6 +557,173 @@ fn checkpoint_then_crash_split_copy_runs() {
         &|| spaced_committed(15),
         &|store, t| insert_keys(store, t, &[16]),
         &split_two,
+    );
+}
+
+/// Rows under keys 4i + 2, i < 14, with 400-byte inline blobs: one leaf,
+/// the root, three quarters full.
+fn one_leaf_committed() -> (PageStore, Table) {
+    let (mut store, mut t) = empty_committed();
+    let rows: Vec<_> = (0..14).map(|i| row(4 * i + 2, i as i32, 400)).collect();
+    t.bulk_load(&mut store, &rows, 1).unwrap();
+    commit(&mut store, &t);
+    assert_eq!(t.data_pages(&mut store).unwrap(), 1);
+    (store, t)
+}
+
+/// `ops` through one `Table::apply` call, each key's row a fresh
+/// 400-byte one for an insert.
+fn insert_delete(store: &mut PageStore, t: &mut Table, ops: &[(i64, bool)]) {
+    let rows: Vec<_> = ops
+        .iter()
+        .map(|&(k, _)| row(k, -(k as i32), 400).1)
+        .collect();
+    let ops: Vec<_> = ops
+        .iter()
+        .zip(&rows)
+        .map(|(&(k, insert), r)| match insert {
+            true => (k, RowOp::Insert(Cow::Borrowed(r))),
+            false => (k, RowOp::Delete),
+        })
+        .collect();
+    assert_eq!(apply_ops(store, t, &ops), ops.len() as u64);
+}
+
+/// [`check_copy_runs`] and [`run_matrix`] over `victim` from `setup`: the
+/// victim's log copies bytes within their own page.
+fn own_page_matrix(
+    setup: &dyn Fn() -> (PageStore, Table),
+    victim: &dyn Fn(&mut PageStore, &mut Table),
+) {
+    let (_, own, _) = check_copy_runs(setup, victim);
+    assert!(own > 0, "no bytes were logged as moved within their page");
+    run_matrix(setup, &|store, t| {
+        victim(store, t);
+        commit(store, t);
+    });
+}
+
+/// Edits that move bytes within their own leaf log them as a copy of the
+/// leaf before the write, and every crash of them recovers the last
+/// commit: an insert at slot 0 (the whole slot directory shifts), a group
+/// of deletes, inserts and deletes in one group, a compaction (the rows
+/// after a dead one move down), and a split whose left half re-packs.
+#[test]
+fn own_page_copy_runs_crash_matrix() {
+    own_page_matrix(&one_leaf_committed, &|store, t| {
+        insert_delete(store, t, &[(0, true)])
+    });
+    own_page_matrix(&one_leaf_committed, &|store, t| {
+        insert_delete(store, t, &[(6, false), (14, false), (30, false)])
+    });
+    own_page_matrix(&one_leaf_committed, &|store, t| {
+        insert_delete(store, t, &[(0, true), (10, false), (16, true), (30, false)])
+    });
+    // Leaf [2, 6, 10, 14, 18] is full; with 6 deleted, a 1 000-byte row
+    // does not fit its tail but fits it compacted, and 10, 14 and 18 move
+    // down.
+    let with_a_gap = || {
+        let (mut store, mut t) = spaced_committed(15);
+        assert!(one(&mut store, &mut t, 6, RowOp::Delete));
+        commit(&mut store, &t);
+        (store, t)
+    };
+    own_page_matrix(&with_a_gap, &|store, t| {
+        let leaves = t.data_pages(store).unwrap();
+        insert_keys_sized(store, t, &[(4, 1000)]);
+        assert_eq!(t.data_pages(store).unwrap(), leaves, "a compaction");
+    });
+    // 4 splits [2, 6, 10, 14, 18]: 6 moves up on the left half.
+    own_page_matrix(&|| spaced_committed(15), &|store, t| {
+        let leaves = t.data_pages(store).unwrap();
+        insert_keys(store, t, &[4]);
+        assert_eq!(t.data_pages(store).unwrap(), leaves + 1, "a split");
+    });
+}
+
+/// Rows under keys 2i + 2, i < 30, with 3 900-byte inline blobs: fifteen
+/// full leaves under one internal root of fourteen separators.
+fn fifteen_leaves_committed() -> (PageStore, Table) {
+    let (mut store, mut t) = empty_committed();
+    let rows: Vec<_> = (0..30).map(|i| row(2 * i + 2, i as i32, 3900)).collect();
+    t.bulk_load(&mut store, &rows, 1).unwrap();
+    commit(&mut store, &t);
+    assert_eq!(
+        (t.data_pages(&mut store).unwrap(), t.tree_parts().3),
+        (15, 2)
+    );
+    (store, t)
+}
+
+/// Rows under keys 2i, i < 409, each a 7 000-byte inline blob alone on
+/// its leaf: 409 leaves, whose 408 separators fill the internal root.
+fn full_root_committed() -> (PageStore, Table) {
+    let (mut store, mut t) = empty_committed();
+    let rows: Vec<_> = (0..409).map(|i| row(2 * i, i as i32, 7000)).collect();
+    t.bulk_load(&mut store, &rows, 1).unwrap();
+    commit(&mut store, &t);
+    assert_eq!(
+        (t.data_pages(&mut store).unwrap(), t.tree_parts().3),
+        (409, 2)
+    );
+    (store, t)
+}
+
+/// Internal nodes log the entries they move the same way: a separator
+/// inserted at the front of a node shifts its whole slot directory, and a
+/// node that splits writes its fresh right half first — its entries a
+/// copy of the node they leave — then re-packs its left half in place.
+/// Every crash of either recovers the last commit.
+#[test]
+fn internal_node_copy_runs_crash_matrix() {
+    own_page_matrix(&fifteen_leaves_committed, &|store, t| {
+        insert_keys_sized(store, t, &[(1, 3900)]);
+        assert_eq!(t.data_pages(store).unwrap(), 16, "the first leaf split");
+    });
+    // Key 1 splits the first leaf: its separator goes in at the root's
+    // front, and the root splits.
+    let (mut store, mut t) = full_root_committed();
+    let (wal_at, fresh) = (store.wal_len(), store.page_count());
+    insert_keys_sized(&mut store, &mut t, &[(1, 7000)]);
+    assert_eq!(t.tree_parts().3, 3, "the root split");
+    let from_the_root = wal::scan_strict(&store.crash_image().wal[wal_at..])
+        .unwrap()
+        .iter()
+        .filter_map(|(_, r)| match *r {
+            WalRecord::Copy { page, src, len, .. } if page >= fresh && src < fresh => Some(len),
+            _ => None,
+        })
+        .map(usize::from)
+        .max();
+    assert!(
+        from_the_root.is_some_and(|len| len >= 200 * 16),
+        "the right half's entries are copies of the node they left: {from_the_root:?}"
+    );
+    own_page_matrix(&full_root_committed, &|store, t| {
+        insert_keys_sized(store, t, &[(1, 7000)]);
+    });
+}
+
+/// Moves within a page after a checkpoint copy bytes of a page the base
+/// image holds.
+#[test]
+fn checkpoint_then_crash_own_page_copy_runs() {
+    let after_first = || {
+        let (mut store, mut t) = one_leaf_committed();
+        insert_delete(&mut store, &mut t, &[(0, true)]);
+        commit(&mut store, &t);
+        store.checkpoint();
+        (store, t)
+    };
+    let second = |store: &mut PageStore, t: &mut Table| {
+        insert_delete(store, t, &[(4, true), (6, false), (22, false)])
+    };
+    let (_, own, _) = check_copy_runs(&after_first, &second);
+    assert!(own > 0);
+    checkpoint_then_crash(
+        &one_leaf_committed,
+        &|store, t| insert_delete(store, t, &[(0, true)]),
+        &second,
     );
 }
 

@@ -816,6 +816,11 @@ proptest! {
 /// committed. A slotted page keeps its header at byte 0 and its slot
 /// directory at byte 8191, so any change to this leaf spans the page.
 fn half_full_leaf() -> (PageStore, Table) {
+    one_leaf(35)
+}
+
+/// One leaf of `rows` rows of ~110 bytes under the even keys, committed.
+fn one_leaf(rows: i64) -> (PageStore, Table) {
     let mut store = PageStore::new();
     let schema = Schema::new(&[
         ("id", ColType::I64),
@@ -823,7 +828,7 @@ fn half_full_leaf() -> (PageStore, Table) {
         ("v", ColType::Blob),
     ]);
     let mut t = Table::create(&mut store, "T", schema).unwrap();
-    let rows: Vec<_> = (0..35).map(|i| (2 * i, small_row(2 * i, 0))).collect();
+    let rows: Vec<_> = (0..rows).map(|i| (2 * i, small_row(2 * i, 0))).collect();
     t.bulk_load(&mut store, &rows, 1).unwrap();
     store.commit(b"loaded");
     assert_eq!(t.data_pages(&mut store).unwrap(), 1);
@@ -874,6 +879,34 @@ fn row_sized_changes_log_row_sized_frames() {
         churn < 1_618_863 / 8,
         "insert/delete churn logged {churn} bytes"
     );
+}
+
+/// An insert or a delete at the front of a leaf shifts its whole slot
+/// directory, which the log names as a copy of the leaf's own bytes: on a
+/// 72-row leaf each logs the record it writes, if any, and a fixed few
+/// dozen bytes besides: 152 bytes for a 103-byte row, and 37. At the
+/// parent of the change that logged moves within a page, the insert
+/// logged 434 bytes and the two deletes 321 and 316.
+#[test]
+fn a_front_insert_or_delete_logs_the_row_not_the_directory() {
+    let (mut store, mut t) = one_leaf(72);
+    let rec = 8 + row::encode_row(&mut PageStore::new(), t.schema(), &small_row(-1, 1))
+        .unwrap()
+        .len() as u64;
+    let insert = logged(&mut store, |s| t.insert(s, -1, &small_row(-1, 1)).unwrap());
+    assert_eq!(
+        t.data_pages(&mut store).unwrap(),
+        1,
+        "the insert fit the leaf"
+    );
+    assert!(
+        insert <= rec + 64,
+        "a {rec}-byte row's insert at slot 0 logged {insert} bytes"
+    );
+    for key in [-1, 0] {
+        let delete = logged(&mut store, |s| assert!(one(&mut t, s, key, RowOp::Delete)));
+        assert!(delete <= 64, "a delete at slot 0 logged {delete} bytes");
+    }
 }
 
 /// Two leaves of ~110-byte rows under the even keys, bulk-loaded so the

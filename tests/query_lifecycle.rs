@@ -923,6 +923,7 @@ fn storage_expected(e: &StorageError) -> (bool, bool) {
         StorageError::CatalogCorrupt(_) => (false, false),
         StorageError::Interrupted(_) => (true, true),
         StorageError::ReadFaulted { .. } => (true, false),
+        StorageError::PageAlreadyFree { .. } => (false, false),
     }
 }
 
@@ -964,6 +965,7 @@ fn storage_error_taxonomy_is_total_and_stable() {
             page: 1,
             attempts: 4,
         },
+        StorageError::PageAlreadyFree { page: 1 },
     ];
     for e in &cases {
         let (retryable, user) = storage_expected(e);
