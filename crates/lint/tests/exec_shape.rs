@@ -201,7 +201,7 @@ fn a_page_write_is_logged_through_one_path() {
     };
     assert_eq!(
         hits_in_fn(storage, is_call, enclosing_fn),
-        ["crates/storage/src/store.rs::write"],
+        ["crates/storage/src/store/mod.rs::write"],
         "`PageStore::write` is the one place a page write reaches the log"
     );
     // `WalRecord::Write {` that opens a value, not a pattern: no `..`
@@ -241,8 +241,7 @@ fn in_mut_self_fn(f: &SourceFile<'_>, k: usize) -> bool {
 
 #[test]
 fn a_page_write_restamps_and_the_accounting_is_reached_directly() {
-    let store = "crates/storage/src/store.rs";
-    with_file(store, |f| {
+    with_file("crates/storage/src/store/mod.rs", |f| {
         let (open, close) = fn_body(f, "write");
         let hit =
             (open..close).find(|&j| f.is_ident(j, "block_sum") || f.is_ident(j, "block_sums"));
@@ -251,6 +250,8 @@ fn a_page_write_restamps_and_the_accounting_is_reached_directly() {
             "`PageStore::write` sums the whole page: it restamps the blocks it changed"
         );
     });
+    // The live store, its image (replay, rollback) and its scan reader.
+    let store = "crates/storage/src/store";
     let acct = |f: &SourceFile<'_>, k: usize| {
         f.is_ident(k, "self") && f.is_punct(k + 1, ".") && followed_by_paren(f, k + 2, "acct")
     };

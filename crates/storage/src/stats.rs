@@ -36,11 +36,6 @@ impl IoStats {
         self.pages_read * crate::page::PAGE_SIZE as u64
     }
 
-    /// Bytes written to disk.
-    pub fn bytes_written(&self) -> u64 {
-        self.pages_written * crate::page::PAGE_SIZE as u64
-    }
-
     /// Total logical reads (cache hits + physical reads).
     pub fn logical_reads(&self) -> u64 {
         self.cache_hits + self.pages_read

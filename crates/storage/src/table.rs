@@ -460,13 +460,6 @@ impl Table {
     pub fn index_depth(&self, store: &mut PageStore) -> Result<u32> {
         self.tree.depth(store)
     }
-
-    /// Looks up a column index by name, with a schema-style error.
-    pub fn require_col(&self, name: &str) -> Result<usize> {
-        self.schema.col_index(name).ok_or_else(|| {
-            StorageError::SchemaMismatch(format!("table `{}` has no column `{name}`", self.name))
-        })
-    }
 }
 
 /// The step both partition scans share: reads leaf `pid` and clips it to
@@ -701,14 +694,6 @@ mod tests {
         assert_eq!(t.data_pages(&mut store).unwrap(), 1);
         let row = t.get(&mut store, 3).unwrap().unwrap();
         assert_eq!(row[1].blob_bytes(&mut store).unwrap(), big);
-    }
-
-    #[test]
-    fn require_col_errors_on_missing() {
-        let mut store = PageStore::new();
-        let t = vector_table(&mut store, 1, 2);
-        assert_eq!(t.require_col("V").unwrap(), 1);
-        assert!(t.require_col("w").is_err());
     }
 
     #[test]
