@@ -196,6 +196,7 @@ fn push_io(out: &mut Vec<Counter>, class: &str, io: &IoStats) {
         ("sequential_reads", io.sequential_reads),
         ("random_reads", io.random_reads),
         ("pages_written", io.pages_written),
+        ("page_copies", io.page_copies),
         ("wal_records", io.wal_records),
         ("wal_bytes", io.wal_bytes),
     ] {

@@ -917,9 +917,7 @@ fn a_delete_that_would_free_a_page_twice_returns_to_the_last_commit() {
         else {
             panic!("row 1 holds no LOB");
         };
-        db.store
-            .write(root, &[], |b| b.copy_within(16..24, 24))
-            .unwrap();
+        db.store.write(root, |b| b.copy_within(16..24, 24)).unwrap();
         db.commit();
         drop(db);
         s

@@ -217,31 +217,28 @@ fn for_each_source(opts: &Options, cwd: &Path, mut visit: impl FnMut(&SourceFile
     scanned
 }
 
-/// Renders findings in the requested format and returns the process exit
-/// code: 1 when `--deny-all` and findings survived, 0 otherwise.
-pub fn report(opts: &Options, findings: &[Finding], scanned: usize) -> i32 {
+/// The report of `findings` over `scanned` files, as the text to print
+/// and the exit code: 1 under `--deny-all` when there is a finding, else 0.
+pub fn report(opts: &Options, findings: &[Finding], scanned: usize) -> (String, u8) {
+    let mut out = String::new();
     if opts.json {
-        println!("[");
+        out.push_str("[\n");
         for (i, f) in findings.iter().enumerate() {
             let comma = if i + 1 == findings.len() { "" } else { "," };
-            println!("  {}{}", f.render_json(), comma);
+            out.push_str(&format!("  {}{}\n", f.render_json(), comma));
         }
-        println!("]");
+        out.push_str("]\n");
     } else {
         for f in findings {
-            println!("{}", f.render_human());
+            out.push_str(&format!("{}\n", f.render_human()));
         }
-        println!(
-            "sqlarray-lint: {} finding(s) across {} file(s)",
+        out.push_str(&format!(
+            "sqlarray-lint: {} finding(s) across {} file(s)\n",
             findings.len(),
             scanned
-        );
+        ));
     }
-    if opts.deny_all && !findings.is_empty() {
-        1
-    } else {
-        0
-    }
+    (out, u8::from(opts.deny_all && !findings.is_empty()))
 }
 
 #[cfg(test)]

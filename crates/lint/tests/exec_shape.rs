@@ -10,11 +10,13 @@
 //!   no optimizer barrier, no process-wide state and no loop.
 //! * A page write is logged through one path: `wal::append_write(` — the
 //!   run-list diff of a before- and an after-image — has one caller under
-//!   `crates/storage/src`, `PageStore::write`; a `WalRecord::Write { .. }`
+//!   `crates/storage/src`, `PageStore::install`; a `WalRecord::Write { .. }`
 //!   value is built only by the log decoder (the frozen benchmark builds
-//!   its own through `append_record`), and `diff_range`, which computed a
-//!   single first-to-last span, stays gone.
-//! * A page write restamps the blocks it changed: `PageStore::write`
+//!   its own through `append_record`), `diff_range`, which computed a
+//!   single first-to-last span, stays gone, and so does `moved_bytes`,
+//!   which found a tree write's moves by comparing two page images: the
+//!   edit records them.
+//! * A page write restamps the blocks it changed: `PageStore::install`
 //!   calls no full-page sum (`block_sum(`/`block_sums(`). No `&mut self`
 //!   store method locks the accounting mutex through `self.acct()`:
 //!   exclusive access reaches it directly. And `wal.rs` has one mixing
@@ -201,8 +203,8 @@ fn a_page_write_is_logged_through_one_path() {
     };
     assert_eq!(
         hits_in_fn(storage, is_call, enclosing_fn),
-        ["crates/storage/src/store/mod.rs::write"],
-        "`PageStore::write` is the one place a page write reaches the log"
+        ["crates/storage/src/store/mod.rs::install"],
+        "`PageStore::install` is the one place a page write reaches the log"
     );
     // `WalRecord::Write {` that opens a value, not a pattern: no `..`
     // inside, and no `=` (`=>`, `let … =`) after the closing brace.
@@ -226,6 +228,11 @@ fn a_page_write_is_logged_through_one_path() {
         [""; 0],
         "the first-to-last-difference span is not computed anywhere"
     );
+    assert_eq!(
+        hits(storage, |f, k| f.is_ident(k, "moved_bytes")),
+        [""; 0],
+        "a tree write's moves are recorded by its edit, not found by comparing images"
+    );
 }
 
 /// True when the function enclosing token `k` takes `&mut self`.
@@ -242,12 +249,12 @@ fn in_mut_self_fn(f: &SourceFile<'_>, k: usize) -> bool {
 #[test]
 fn a_page_write_restamps_and_the_accounting_is_reached_directly() {
     with_file("crates/storage/src/store/mod.rs", |f| {
-        let (open, close) = fn_body(f, "write");
+        let (open, close) = fn_body(f, "install");
         let hit =
             (open..close).find(|&j| f.is_ident(j, "block_sum") || f.is_ident(j, "block_sums"));
         assert!(
             hit.is_none(),
-            "`PageStore::write` sums the whole page: it restamps the blocks it changed"
+            "`PageStore::install` sums the whole page: it restamps the blocks it changed"
         );
     });
     // The live store, its image (replay, rollback) and its scan reader.

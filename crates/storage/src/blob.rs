@@ -48,7 +48,7 @@ pub fn write_blob(store: &mut PageStore, data: &[u8]) -> Result<BlobId> {
         let id = store.allocate_reuse();
         let start = c * CHUNK_DATA;
         let end = ((c + 1) * CHUNK_DATA).min(data.len());
-        store.write(id, &[], |bytes| {
+        store.write(id, |bytes| {
             bytes[0] = page_type::BLOB_CHUNK;
             bytes[16..16 + (end - start)].copy_from_slice(&data[start..end]);
         })?;
@@ -69,7 +69,7 @@ pub fn write_blob(store: &mut PageStore, data: &[u8]) -> Result<BlobId> {
         for chunk_slice in overflow.chunks(INDEX_IDS).rev() {
             let id = store.allocate_reuse();
             let next_val = next.unwrap_or(u64::MAX);
-            store.write(id, &[], |bytes| {
+            store.write(id, |bytes| {
                 bytes[0] = page_type::BLOB_INDEX;
                 bytes[4..8].copy_from_slice(&(chunk_slice.len() as u32).to_le_bytes());
                 bytes[8..16].copy_from_slice(&next_val.to_le_bytes());
@@ -84,7 +84,7 @@ pub fn write_blob(store: &mut PageStore, data: &[u8]) -> Result<BlobId> {
 
     // Root last, so the blob becomes visible atomically.
     let root = store.allocate_reuse();
-    store.write(root, &[], |bytes| {
+    store.write(root, |bytes| {
         bytes[0] = page_type::BLOB_ROOT;
         bytes[4..12].copy_from_slice(&(data.len() as u64).to_le_bytes());
         bytes[12..16].copy_from_slice(&(n_chunks as u32).to_le_bytes());
@@ -170,7 +170,7 @@ pub fn update_blob_range(
         let lo = offset.max(chunk_start) - chunk_start;
         let hi = end.min(chunk_start + CHUNK_DATA) - chunk_start;
         let src = chunk_start + lo - offset;
-        store.write(pid, &[], |bytes| {
+        store.write(pid, |bytes| {
             bytes[16 + lo..16 + hi].copy_from_slice(&data[src..src + (hi - lo)]);
         })?;
     }
@@ -535,7 +535,7 @@ mod tests {
         let id = write_blob(&mut store, &pattern(3 * CHUNK_DATA - 100)).unwrap();
         let first = sqlarray_core::le::u64_at(store.raw_page(id).unwrap(), 16);
         store
-            .write(id, &[], |b| b[24..32].copy_from_slice(&first.to_le_bytes()))
+            .write(id, |b| b[24..32].copy_from_slice(&first.to_le_bytes()))
             .unwrap();
         store.commit(b"linked twice");
         let logged = store.stats().wal_records;
@@ -1056,7 +1056,7 @@ mod tests {
         };
         for (what, page, damage, says) in &cases {
             let intact = store.read(*page).unwrap().to_vec();
-            store.write(*page, &[], |b| damage(b)).unwrap();
+            store.write(*page, |b| damage(b)).unwrap();
             for (op, res) in [
                 "read_blob",
                 "read_blob_runs",
@@ -1073,9 +1073,7 @@ mod tests {
                     other => panic!("{what}, {op}: {other:?}"),
                 }
             }
-            store
-                .write(*page, &[], |b| b.copy_from_slice(&intact))
-                .unwrap();
+            store.write(*page, |b| b.copy_from_slice(&intact)).unwrap();
         }
         let [read, runs, update, free] = ops(&mut store);
         assert!(

@@ -20,10 +20,11 @@
 //! update and delete goes through [`BTree::apply`]: strictly ascending
 //! keys, and an edit that makes each key's record a put, a delete or
 //! nothing. The keys one leaf answers for — those below the separator the
-//! descent passed on its way down — form a group: one descent copies the
-//! leaf into a scratch page, each edit is placed on the scratch in key
-//! order, and the group ends with one write of the scratch. A range
-//! UPDATE or DELETE thus costs one page write per leaf, not one per row.
+//! descent passed on its way down — form a group: one descent takes the
+//! store's private copy of the leaf (`PageStore::copy_page`), each edit
+//! is placed on the copy in key order, and the group ends by installing
+//! it (`PageStore::install`). A range UPDATE or DELETE thus costs one
+//! page copy and one page write per leaf, not one per row.
 //!
 //! **One placement rule.** A record — an insert's, or an update's
 //! replacement — goes, in this order:
@@ -40,27 +41,27 @@
 //!    record close to [`MAX_PAYLOAD`] between wide neighbours splits its
 //!    leaf three ways. The separators walk back up the descent's path.
 //!
-//! Steps 2 and 3 rebuild from the scratch, whose records — with the new
-//! one among them — the rebuilt pages take as slices of it. A compaction
+//! Steps 2 and 3 rebuild the copy in place from its records — with the
+//! new one among them — copied aside once; a split's further pages, like
+//! a new root, are built in blank buffers the store adopts. A compaction
 //! keeps the group going; a split or an append ends it, and the group's
 //! later keys start a new one from a fresh descent. So a split cuts its
 //! leaf exactly where one call per op would, and every page image equals
 //! the one that applying the ops one call at a time leaves — only the
 //! WAL, which logs one frame per leaf write, is shorter.
 //!
-//! **Moves are claimed, not logged.** Every write of a tree page that
-//! moves bytes — the group-end leaf write, a split's fresh leaves, an
-//! internal node's write, an internal split's fresh right node — tells the
-//! store what it holds of a page's image before the write at another place
-//! ([`MoveClaim`]), found by one helper that compares that image with the
-//! one written (`moved_bytes`). The store logs a claim that holds as a
-//! copy run.
+//! **Moves are stated, not found.** A tree write knows what it moved: for
+//! each slot of the image it builds, it records which slot of the store's
+//! page the record came from (`None` for a record it made). Its install
+//! claims ([`MoveClaim`]) each record that moved, and on the node's own
+//! page each directory entry that shifted, read off that list
+//! (`claims_of`); the store logs a claim that holds as a copy run.
 
 use crate::errors::{Result, StorageError};
 use crate::page::{
     page_type, PageId, SlottedPage, SlottedRead, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_LEN,
 };
-use crate::store::PageStore;
+use crate::store::{PageBuf, PageStore};
 use crate::wal::MoveClaim;
 use std::ops::{Range, RangeInclusive};
 
@@ -133,137 +134,63 @@ fn tree_node(bytes: &[u8], kind: u8, page: PageId) -> Result<SlottedRead<'_>> {
     })
 }
 
-/// Rewrites `page` through `f`, which copies the bytes `claims` name from
-/// other pages, and hands back `f`'s error. Every record the callers put
-/// was sized to fit by the placement rule or the split arithmetic, so an
-/// error here is a broken invariant, surfaced as a typed error rather than
-/// a panic.
-fn write_page(
-    store: &mut PageStore,
-    page: PageId,
-    claims: &[MoveClaim],
-    f: impl FnOnce(&mut [u8]) -> Result<()>,
-) -> Result<()> {
-    let mut out = Ok(());
-    store.write(page, claims, |bytes| out = f(bytes))?;
-    out
-}
-
-/// Record `slot` of node `v`: its key and byte range, or `None` when its
-/// directory entry is damaged or names a record too short to hold a key.
-fn keyed_record(v: &SlottedRead<'_>, slot: usize) -> Option<(i64, Range<usize>)> {
-    let r = v.record_range(slot).ok().filter(|r| r.len() >= 8)?;
-    Some((sqlarray_core::le::i64_at(v.bytes(), r.start), r))
-}
-
-/// Sets `claims` to what node image `to`, about to be written to page
-/// `dst`, holds of node image `from` — page `src` as it stands before the
-/// write — at another place: each record found by key at another offset,
-/// and (on the node's own page) each directory entry found unchanged at
-/// another slot. `src` may be `dst`: a slot shift, a compaction or a
-/// split's left half moves bytes within their own page. Both directories
-/// are in key order, so one two-pointer walk pairs the records, and no
-/// edit tracks what it moved. On its own page a stretch of entries equal
-/// slot for slot is claimed as one run when it moved; so are the records
-/// that follow a moved record on both pages.
-/// The claims ascend by `dst_off`, as [`PageStore::write`] takes them.
-/// Neither image is trusted: a damaged directory ends the walk, and the
-/// store logs a claim as a copy run only where the bytes match.
-fn moved_bytes(
-    kind: u8,
-    (src, from): (PageId, &[u8]),
+/// What node image `to`, about to be written to page `dst`, holds of page
+/// `src` as the store holds it — the image before the write — at another
+/// place, as the edit that built `to` recorded it: slot `j` of `to` holds
+/// the record of slot `origin[j]` of `src`, or one the edit made (`None`).
+/// Such a record is claimed where it moved; on its own page (`src` is
+/// `dst`), a record whose directory entry is unchanged but sits at another
+/// slot is claimed by that entry. Claims that continue each other on both
+/// pages are one claim, so a shifted directory or a run of re-packed
+/// records costs the store one check. The claims ascend by `dst_off`, as
+/// `PageStore::install` takes them. Neither image is trusted: a damaged
+/// directory entry claims nothing, and the store logs a claim as a copy
+/// run only where the bytes match.
+fn claims_of(
+    store: &PageStore,
+    (kind, src): (u8, PageId),
     (dst, to): (PageId, &[u8]),
-    claims: &mut Vec<MoveClaim>,
-) {
-    claims.clear();
-    if from.len() != PAGE_SIZE || to.len() != PAGE_SIZE {
-        return;
-    }
-    let (Ok(old), Ok(new)) = (
-        SlottedRead::open(from, kind, src),
-        SlottedRead::open(to, kind, dst),
-    ) else {
-        return;
+    origin: &[Option<usize>],
+) -> Vec<MoveClaim> {
+    let mut claims: Vec<MoveClaim> = Vec::new();
+    let from = store.raw_page(src).map(|b| SlottedRead::open(b, kind, src));
+    let (Some(Ok(from)), Ok(to)) = (from, SlottedRead::open(to, kind, dst)) else {
+        return claims;
     };
-    let (n_old, n_new, own) = (old.slot_count(), new.slot_count(), src == dst);
     let entry = |slot: usize| PAGE_SIZE - (slot + 1) * SLOT_LEN;
-    let entry_at = |bytes: &[u8], slot: usize| sqlarray_core::le::u32_at(bytes, entry(slot));
-    let (mut i, mut j) = (0, 0);
-    while i < n_old && j < n_new {
-        if own && entry_at(from, i) == entry_at(to, j) {
-            // The slots from here whose entries are equal, slot for slot:
-            // the same records, which moved slot together when `i` is not
-            // `j` — unless the page was rebuilt and an entry came to name
-            // another record, so the keys at both ends of the stretch are
-            // checked, and every key when one of them differs.
-            let equal = (0..(n_old - i).min(n_new - j))
-                .take_while(|&k| entry_at(from, i + k) == entry_at(to, j + k))
-                .count();
-            let same_key = |k: usize| {
-                use sqlarray_core::le::{u16_at, u64_at};
-                let off = usize::from(u16_at(from, entry(i + k)));
-                off + 8 <= PAGE_SIZE && u64_at(from, off) == u64_at(to, off)
-            };
-            let same = match equal {
-                0 => 0,
-                _ if same_key(0) && same_key(equal - 1) => equal,
-                _ => (0..equal).take_while(|&k| same_key(k)).count(),
-            };
-            if same > 0 {
-                if i != j {
-                    claims.push(MoveClaim {
-                        src,
-                        src_off: entry(i + same - 1),
-                        dst_off: entry(j + same - 1),
-                        len: same * SLOT_LEN,
-                    });
-                }
-                (i, j) = (i + same, j + same);
+    let dir = |v: &SlottedRead<'_>, slot| sqlarray_core::le::u32_at(v.bytes(), entry(slot));
+    for (j, &i) in origin.iter().enumerate() {
+        let Some(i) = i.filter(|&i| i < from.slot_count() && j < to.slot_count()) else {
+            continue;
+        };
+        let c = if src == dst && dir(&from, i) == dir(&to, j) {
+            if i == j {
                 continue;
             }
-        }
-        let (Some((k_old, o)), Some((k_new, r))) = (keyed_record(&old, i), keyed_record(&new, j))
-        else {
-            break;
-        };
-        match k_old.cmp(&k_new) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                (i, j) = (i + 1, j + 1);
-                if (own && o.start == r.start) || o.len() != r.len() {
-                    continue;
-                }
-                // The record moved. The records after it that follow it on
-                // both pages, at equal lengths and under one key, go in its
-                // claim: their entries and keys are read, not their bytes,
-                // which the store checks.
-                let mut len = r.len();
-                while i < n_old && j < n_new {
-                    let (a, b) = (entry_at(from, i), entry_at(to, j));
-                    let (o_at, r_at) = (o.start + len, r.start + len);
-                    let at = |e: u32| usize::from(e as u16); // the entry's low half
-                    let key = |bytes: &[u8], at: usize| sqlarray_core::le::u64_at(bytes, at);
-                    if a >> 16 != b >> 16
-                        || (at(a), at(b)) != (o_at, r_at)
-                        || r_at.max(o_at) + 8 > PAGE_SIZE
-                        || key(from, o_at) != key(to, r_at)
-                    {
-                        break;
-                    }
-                    len += (b >> 16) as usize;
-                    (i, j) = (i + 1, j + 1);
-                }
-                claims.push(MoveClaim {
-                    src,
-                    src_off: o.start,
-                    dst_off: r.start,
-                    len,
-                });
+            (entry(i), entry(j), SLOT_LEN)
+        } else {
+            match (from.record_range(i), to.record_range(j)) {
+                (Ok(o), Ok(r)) if o.len() == r.len() => (o.start, r.start, r.len()),
+                _ => continue,
             }
+        };
+        // A record's claim may continue the last one upward, a directory
+        // entry's (one slot on) downward.
+        match claims.last_mut() {
+            Some(l) if (l.src_off + l.len, l.dst_off + l.len) == (c.0, c.1) => l.len += c.2,
+            Some(l) if (c.0 + c.2, c.1 + c.2) == (l.src_off, l.dst_off) => {
+                (l.src_off, l.dst_off, l.len) = (c.0, c.1, l.len + c.2);
+            }
+            _ => claims.push(MoveClaim {
+                src,
+                src_off: c.0,
+                dst_off: c.1,
+                len: c.2,
+            }),
         }
     }
     claims.sort_unstable_by_key(|c| c.dst_off);
+    claims
 }
 
 /// Pushes a record the surrounding fill arithmetic already sized to fit,
@@ -322,6 +249,17 @@ struct Found<'s> {
     slot: usize,
     hit: bool,
     end: Option<i64>,
+}
+
+/// A leaf group's edit: the store's private copy of the leaf, and for each
+/// of the copy's slots the slot of the store's leaf its record came from
+/// (`None`: a record the group put) — what the copy's install claims.
+struct LeafEdit {
+    leaf: PageId,
+    page: PageBuf,
+    origin: Vec<Option<usize>>,
+    /// The slot of the group's last key: the next key's search starts here.
+    from: usize,
 }
 
 /// Which step of the placement rule takes a record (see the module doc).
@@ -450,9 +388,9 @@ impl BTree {
     /// Creates an empty tree (a single empty leaf).
     pub fn create(store: &mut PageStore) -> Result<BTree> {
         let root = store.allocate();
-        store.write(root, &[], |bytes| {
-            SlottedPage::init(bytes, page_type::BTREE_LEAF);
-        })?;
+        let mut page = store.blank_page();
+        SlottedPage::init(&mut page, page_type::BTREE_LEAF);
+        store.install(root, page, &[])?;
         Ok(BTree {
             root,
             first_leaf: root,
@@ -546,13 +484,13 @@ impl BTree {
     ///
     /// The keys one leaf answers for — those below the separator its
     /// descent passed — form a group: one descent, for the group's first
-    /// key, copies the leaf into a scratch page; each edit is placed there
-    /// by the placement rule; the group ends with one write of the
-    /// scratch. A split or an append ends its group early (see the module
-    /// doc), so every page equals the one a call per op leaves. On an
-    /// error at op `i`, the group's scratch — the ops before `i` — is
-    /// written, and the error returned. `edit` may fail with an error of
-    /// its own type, which every storage error converts into.
+    /// key, takes the store's private copy of the leaf; each edit is placed
+    /// on it by the placement rule; the group ends by installing it. A
+    /// split or an append ends its group early (see the module doc), so
+    /// every page equals the one a call per op leaves. On an error at op
+    /// `i`, the group's copy — the ops before `i` — is installed, and the
+    /// error returned. `edit` may fail with an error of its own type,
+    /// which every storage error converts into.
     pub fn apply<E: From<StorageError>>(
         &mut self,
         store: &mut PageStore,
@@ -566,32 +504,26 @@ impl BTree {
             }
             .into());
         }
-        // The scratch copy of the group's leaf, and the page a compaction
-        // or split rebuilds it into.
-        let mut bufs = [Vec::with_capacity(PAGE_SIZE), Vec::new()];
-        let mut claims = Vec::new();
         let (mut changed, mut next) = (0, 0);
         while next < keys.len() {
             let f = self.find(store, keys[next])?;
-            bufs[0].clear();
-            bufs[0].extend_from_slice(f.view.bytes());
-            let (path, leaf, end) = (f.path, f.leaf, f.end);
+            let (path, end, leaf, from) = (f.path, f.end, f.leaf, f.slot);
+            let origin = (0..f.view.slot_count()).map(Some).collect();
+            let mut leaf = LeafEdit {
+                page: store.copy_page(leaf)?,
+                leaf,
+                origin,
+                from,
+            };
             // The group: the keys below the separator that bounds the leaf.
             let bounded = keys[next..]
                 .iter()
                 .take_while(|&&k| end.map_or(true, |end| k < end));
             let group = next + bounded.count();
-            let (mut from, mut dirty, mut ended) = (f.slot, false, Ok(Vec::new()));
+            let (mut dirty, mut ended) = (false, Ok(Vec::new()));
             // A split or an append ends the group early.
             while next < group && ended.as_ref().is_ok_and(Vec::is_empty) {
-                let step = self.step(
-                    store,
-                    &mut bufs,
-                    leaf,
-                    &mut from,
-                    (next, keys[next]),
-                    &mut edit,
-                );
+                let step = self.step(store, &mut leaf, (next, keys[next]), &mut edit);
                 next += 1;
                 ended = step.map(|placed| {
                     dirty |= placed.is_some();
@@ -602,34 +534,32 @@ impl BTree {
             if dirty {
                 // The store's leaf is still the image the descent read:
                 // the group wrote only other pages.
-                let before = store.raw_page(leaf).unwrap_or_default();
-                let (kind, after) = (page_type::BTREE_LEAF, &bufs[0][..]);
-                moved_bytes(kind, (leaf, before), (leaf, after), &mut claims);
-                store.write(leaf, &claims, |bytes| bytes.copy_from_slice(after))?;
+                let (id, kind) = (leaf.leaf, page_type::BTREE_LEAF);
+                let claims = claims_of(store, (kind, id), (id, &leaf.page), &leaf.origin);
+                store.install(id, leaf.page, &claims)?;
             }
             self.push_up(store, &path, ended?)?;
         }
         Ok(changed)
     }
 
-    /// Op `i` of a group: finds `key`'s slot on the scratch leaf
-    /// `bufs[0]` (searching from `*from`, the slot of the key before it),
-    /// hands its payload to `edit`, and places the verdict by the
-    /// placement rule. `None` when the scratch is as it was; otherwise the
-    /// separators a split or an append hands up, which end the group (none
-    /// when the group goes on).
+    /// Op `i` of a group: finds `key`'s slot on the group's copy of the
+    /// leaf (searching from the slot of the key before it), hands its
+    /// payload to `edit`, and places the verdict by the placement rule.
+    /// `None` when the copy is as it was; otherwise the separators a split
+    /// or an append hands up, which end the group (none when the group
+    /// goes on).
     fn step<E: From<StorageError>>(
         &mut self,
         store: &mut PageStore,
-        bufs: &mut [Vec<u8>; 2],
-        leaf: PageId,
-        from: &mut usize,
+        leaf: &mut LeafEdit,
         (i, key): (usize, i64),
         edit: &mut impl FnMut(&mut PageStore, usize, Option<&[u8]>) -> std::result::Result<Edit, E>,
     ) -> std::result::Result<Option<SplitInfo>, E> {
-        let v = SlottedRead::open(&bufs[0], page_type::BTREE_LEAF, leaf)?;
-        let slot = leaf_lower_bound(&v, *from, key)?;
-        *from = slot;
+        let (id, kind) = (leaf.leaf, page_type::BTREE_LEAF);
+        let v = SlottedRead::open(&leaf.page, kind, id)?;
+        let slot = leaf_lower_bound(&v, leaf.from, key)?;
+        leaf.from = slot;
         let mut old = None;
         if slot < v.slot_count() {
             let rec = v.record(slot)?;
@@ -639,7 +569,8 @@ impl BTree {
         let payload = match edit(store, i, old)? {
             Edit::Put(payload) => payload,
             Edit::Delete if hit => {
-                SlottedPage::open(&mut bufs[0], page_type::BTREE_LEAF, leaf)?.remove_slot(slot)?;
+                SlottedPage::open(&mut leaf.page, kind, id)?.remove_slot(slot)?;
+                leaf.origin.remove(slot);
                 self.len -= 1;
                 return Ok(Some(Vec::new()));
             }
@@ -647,39 +578,35 @@ impl BTree {
         };
         check_payload(&payload)?;
         let rec = [&key.to_le_bytes()[..], &payload].concat();
-        let v = SlottedRead::open(&bufs[0], page_type::BTREE_LEAF, leaf)?;
+        let v = SlottedRead::open(&leaf.page, kind, id)?;
         let placement = Placement::choose(&v, slot, rec.len(), hit)?;
-        let [page, spare] = bufs;
         let splits = match placement {
             Placement::Tail => {
-                let mut p = SlottedPage::open(page, page_type::BTREE_LEAF, leaf)?;
+                let mut p = SlottedPage::open(&mut leaf.page, kind, id)?;
                 if hit {
                     p.replace_record(slot, &rec)?;
                 } else {
                     p.insert_record(slot, &rec)?;
+                    leaf.origin.insert(slot, None);
                 }
                 Vec::new()
             }
             Placement::Append => {
                 let right = store.allocate();
-                write_page(store, right, &[], |bytes| {
-                    SlottedPage::init(bytes, page_type::BTREE_LEAF)
-                        .push_record(&rec)
-                        .map(drop)
-                })?;
-                let mut p = SlottedPage::open(page, page_type::BTREE_LEAF, leaf)?;
+                let mut page = store.blank_page();
+                SlottedPage::init(&mut page, kind).push_record(&rec)?;
+                store.install(right, page, &[])?;
+                let mut p = SlottedPage::open(&mut leaf.page, kind, id)?;
                 if hit {
                     p.remove_slot(slot)?;
+                    leaf.origin.remove(slot);
                 }
                 p.set_next_page(Some(right));
                 vec![(key, right)]
             }
             Placement::Compact | Placement::Split => {
                 let split = matches!(placement, Placement::Split);
-                let splits =
-                    Self::rebuild_leaf(store, spare, page, leaf, (slot, &rec, hit), split)?;
-                std::mem::swap(page, spare);
-                splits
+                Self::rebuild_leaf(store, leaf, (slot, &rec, hit), split)?
             }
         };
         self.len += u64::from(!hit);
@@ -705,49 +632,57 @@ impl BTree {
             // split into up to three pages (two separators); the new
             // internal root trivially holds them.
             let new_root = store.allocate();
-            let old_root = self.root;
-            write_page(store, new_root, &[], |bytes| {
-                let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
-                p.set_next_page(Some(old_root)); // leftmost child
-                push_entries(&mut p, &splits)
-            })?;
+            let mut page = store.blank_page();
+            let mut p = SlottedPage::init(&mut page, page_type::BTREE_INTERNAL);
+            p.set_next_page(Some(self.root)); // leftmost child
+            push_entries(&mut p, &splits)?;
+            store.install(new_root, page, &[])?;
             self.root = new_root;
             self.depth += 1;
         }
         Ok(())
     }
 
-    /// Rebuilds leaf `leaf` from `base` — its scratch copy — with `rec` at
-    /// `slot`, over the record there when `replace`; the records are
-    /// slices of `base`. A compaction puts all of them onto `out`, a copy
-    /// of `base`; a `split` puts its first group there and each further
-    /// group onto a fresh page chained after it, the last linking on to
-    /// where `base` linked.
+    /// Rebuilds the group's leaf with `rec` at `slot`, over the record
+    /// there when `replace`. A compaction puts all the records back onto
+    /// the leaf's copy; a `split` puts its first group there and each
+    /// further group onto a fresh page chained after it, the last linking
+    /// on to where the leaf linked. The copy is rebuilt in place, so the
+    /// records are copied aside first, once.
     ///
-    /// Each fresh page is built in `out` first, and its write claims what
-    /// it holds of the store's leaf ([`moved_bytes`]). The store's leaf
-    /// still holds its image from before the group (it is written after
-    /// the fresh pages), so a record no earlier edit of the group changed
-    /// is there, and is logged as a reference to it.
+    /// Each fresh page is built in a blank buffer, and its install claims
+    /// the records it holds of the store's leaf ([`claims_of`]), read off
+    /// the group's `origin`. The store's leaf still holds its image from
+    /// before the group (it is installed after the fresh pages), so a
+    /// record no earlier edit of the group changed is there, and is logged
+    /// as a reference to it.
     fn rebuild_leaf(
         store: &mut PageStore,
-        out: &mut Vec<u8>,
-        base: &[u8],
-        leaf: PageId,
+        leaf: &mut LeafEdit,
         (slot, rec, replace): (usize, &[u8], bool),
         split: bool,
     ) -> Result<SplitInfo> {
-        let kind = page_type::BTREE_LEAF;
-        let v = SlottedRead::open(base, kind, leaf)?;
+        let (id, kind) = (leaf.leaf, page_type::BTREE_LEAF);
+        let v = SlottedRead::open(&leaf.page, kind, id)?;
+        let next = v.next_page();
         let mut records = Vec::with_capacity(v.slot_count() + 1);
         for r in v.record_ranges(0..v.slot_count())? {
-            records.push(&base[r?]);
+            records.push(&leaf.page[r?]);
         }
         if replace {
             records[slot] = rec;
         } else {
             records.insert(slot, rec);
+            leaf.origin.insert(slot, None);
         }
+        let (kept, mut end) = (records.concat(), 0);
+        let records: Vec<&[u8]> = records
+            .iter()
+            .map(|r| {
+                end += r.len();
+                &kept[end - r.len()..end]
+            })
+            .collect();
         let groups = match split {
             true => split_groups(&records),
             false => vec![&records[..]],
@@ -761,35 +696,34 @@ impl BTree {
             .zip(&pages)
             .map(|(g, &pid)| Ok((leaf_key(g[0])?, pid)))
             .collect::<Result<_>>()?;
-        let mut claims = Vec::new();
+        let mut at = first.len();
         for (gi, (g, &pid)) in rest.iter().zip(&pages).enumerate() {
-            out.clear();
-            out.resize(PAGE_SIZE, 0);
-            let mut p = SlottedPage::init(out, kind);
+            let mut page = store.blank_page();
+            let mut p = SlottedPage::init(&mut page, kind);
             push_all(&mut p, g)?;
-            p.set_next_page(pages.get(gi + 1).copied().or(v.next_page()));
-            let before = store.raw_page(leaf).unwrap_or_default();
-            moved_bytes(kind, (leaf, before), (pid, &out[..]), &mut claims);
-            store.write(pid, &claims, |bytes| bytes.copy_from_slice(&out[..]))?;
+            p.set_next_page(pages.get(gi + 1).copied().or(next));
+            let origin = &leaf.origin[at..at + g.len()];
+            let claims = claims_of(store, (kind, id), (pid, &page), origin);
+            store.install(pid, page, &claims)?;
+            at += g.len();
         }
-        out.clear();
-        out.extend_from_slice(base);
-        let mut p = SlottedPage::open(out, kind, leaf)?;
+        let mut p = SlottedPage::open(&mut leaf.page, kind, id)?;
         p.reset();
         push_all(&mut p, first)?;
-        p.set_next_page(pages.first().copied().or(v.next_page()));
+        p.set_next_page(pages.first().copied().or(next));
+        leaf.origin.truncate(first.len());
         Ok(splits)
     }
 
     /// Adds `seps` to internal node `page` right after the slot the
     /// descent left it through, splitting the node when they do not fit.
     ///
-    /// The node's new image is built on a copy of its bytes, so its write
-    /// claims what stayed on the page at another place ([`moved_bytes`]):
-    /// the directory entries a separator shifts, the entries a split's
-    /// left half re-packs. A split writes the fresh right node first,
-    /// claiming its entries from the node it leaves while the node still
-    /// holds them.
+    /// The node's new image is built on the store's private copy of it,
+    /// and its install claims what stayed on the page at another place
+    /// ([`claims_of`]): the directory entries the separators shift, which
+    /// start at `insert_pos`, and the entries a split's left half
+    /// re-packs. A split installs the fresh right node first, claiming its
+    /// entries from the node it leaves while the node still holds them.
     fn insert_internal(
         store: &mut PageStore,
         page: PageId,
@@ -803,11 +737,20 @@ impl BTree {
             InternalPos::Leftmost => 0,
             InternalPos::Slot(i) => i + 1,
         };
-        let mut node = store.read(page)?.to_vec();
-        let mut claims = Vec::new();
+        store.read(page)?;
+        let mut node = store.copy_page(page)?;
         let v = SlottedRead::open(&node, kind, page)?;
-        let mut splits = Vec::new();
-        if seps.len() * (16 + SLOT_LEN) <= v.free_tail() {
+        // Where each entry of the node, separators in, came from.
+        let (n, k) = (v.slot_count(), seps.len());
+        let origin: Vec<Option<usize>> = (0..n + k)
+            .map(|e| match e.checked_sub(insert_pos) {
+                None => Some(e),
+                Some(past) if past < k => None,
+                Some(_) => Some(e - k),
+            })
+            .collect();
+        let (mut splits, mut left) = (Vec::new(), &origin[..]);
+        if k * (16 + SLOT_LEN) <= v.free_tail() {
             let mut p = SlottedPage::open(&mut node, kind, page)?;
             seps.iter().enumerate().try_for_each(|(i, &(sep, child))| {
                 p.insert_record(insert_pos + i, &encode_internal(sep, child))
@@ -815,7 +758,7 @@ impl BTree {
         } else {
             // Split the internal node: middle key moves up. Entries are 16
             // bytes each, so (unlike leaves) a two-way split always fits.
-            let mut entries: Vec<(i64, PageId)> = (0..v.slot_count())
+            let mut entries: Vec<(i64, PageId)> = (0..n)
                 .map(|i| internal_entry(v.record(i)?))
                 .collect::<Result<_>>()?;
             let leftmost = leftmost_child(&v)?;
@@ -825,21 +768,21 @@ impl BTree {
             let mid = entries.len() / 2;
             let (up_key, up_child) = entries[mid];
             let right = store.allocate();
-            let mut image = vec![0u8; PAGE_SIZE];
+            let mut image = store.blank_page();
             let mut p = SlottedPage::init(&mut image, kind);
             p.set_next_page(Some(up_child)); // leftmost child of the right node
             push_entries(&mut p, &entries[mid + 1..])?;
-            moved_bytes(kind, (page, &node), (right, &image), &mut claims);
-            store.write(right, &claims, |bytes| bytes.copy_from_slice(&image))?;
+            let claims = claims_of(store, (kind, page), (right, &image), &origin[mid + 1..]);
+            store.install(right, image, &claims)?;
             let mut p = SlottedPage::open(&mut node, kind, page)?;
             p.reset();
             p.set_next_page(Some(leftmost));
             push_entries(&mut p, &entries[..mid])?;
+            left = &origin[..mid];
             splits.push((up_key, right));
         }
-        let before = store.raw_page(page).unwrap_or_default();
-        moved_bytes(kind, (page, before), (page, &node), &mut claims);
-        store.write(page, &claims, |bytes| bytes.copy_from_slice(&node))?;
+        let claims = claims_of(store, (kind, page), (page, &node), left);
+        store.install(page, node, &claims)?;
         Ok(splits)
     }
 
@@ -925,8 +868,8 @@ impl BTree {
             }
         };
         let first_leaf = leaf_page(0);
-        let build_leaf = |leaf_idx: usize| -> Box<[u8]> {
-            let mut bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        let build_leaf = |leaf_idx: usize| -> PageBuf {
+            let mut bytes = PageBuf::zeroed();
             let mut p = SlottedPage::init(&mut bytes, page_type::BTREE_LEAF);
             for (key, payload) in &entries[leaf_ranges[leaf_idx].clone()] {
                 push_sized(&mut p, &[&key.to_le_bytes()[..], payload].concat());
@@ -938,7 +881,7 @@ impl BTree {
         };
         for batch_start in (0..n_leaves).step_by(BULK_BUILD_BATCH_LEAVES) {
             let batch_len = BULK_BUILD_BATCH_LEAVES.min(n_leaves - batch_start);
-            let images: Vec<Box<[u8]>> =
+            let images: Vec<PageBuf> =
                 sqlarray_core::parallel::scoped_map_ranges(batch_len, dop.max(1), |r| {
                     (batch_start + r.start..batch_start + r.end)
                         .map(&build_leaf)
@@ -957,7 +900,7 @@ impl BTree {
                     _ => store.allocate(),
                 };
                 assert_eq!(id, leaf_page(leaf_idx));
-                store.write(id, &[], |bytes| bytes.copy_from_slice(&image))?;
+                store.install(id, image, &[])?;
             }
         }
 
@@ -974,13 +917,13 @@ impl BTree {
             let mut next_level = Vec::with_capacity(level.len() / children_per_internal + 1);
             for run in level.chunks(children_per_internal) {
                 let id = store.allocate();
-                store.write(id, &[], |bytes| {
-                    let mut p = SlottedPage::init(bytes, page_type::BTREE_INTERNAL);
-                    p.set_next_page(Some(run[0].1)); // leftmost child
-                    for &(key, child) in &run[1..] {
-                        push_sized(&mut p, &encode_internal(key, child));
-                    }
-                })?;
+                let mut page = store.blank_page();
+                let mut p = SlottedPage::init(&mut page, page_type::BTREE_INTERNAL);
+                p.set_next_page(Some(run[0].1)); // leftmost child
+                for &(key, child) in &run[1..] {
+                    push_sized(&mut p, &encode_internal(key, child));
+                }
+                store.install(id, page, &[])?;
                 next_level.push((run[0].0, id));
             }
             level = next_level;
@@ -1352,7 +1295,7 @@ mod tests {
         let count = usize::from(sqlarray_core::le::u16_at(store.read(page).unwrap(), 2));
         assert!(count > 0);
         store
-            .write(page, &[], |b| {
+            .write(page, |b| {
                 for i in 0..count {
                     sqlarray_core::le::put_u16(b, PAGE_SIZE - (i + 1) * SLOT_LEN + 2, len);
                 }
@@ -1409,7 +1352,7 @@ mod tests {
     /// the checksum stays valid.
     fn relink(store: &mut PageStore, page: PageId, to: PageId) {
         store
-            .write(page, &[], |b| b[6..14].copy_from_slice(&to.to_le_bytes()))
+            .write(page, |b| b[6..14].copy_from_slice(&to.to_le_bytes()))
             .unwrap();
         store.clear_cache();
     }
@@ -1643,6 +1586,29 @@ mod tests {
         let seen = keys_in(&store, &t, 4, 50..=40);
         assert_eq!(seen, Vec::<i64>::new());
         assert_eq!(store.stats(), before);
+    }
+
+    /// A tree write copies one page, the leaf it edits: an insert into a
+    /// leaf with room copies that page and writes it; one that splits the
+    /// root leaf builds the fresh leaf and the new root in blank buffers,
+    /// so it copies that one page too, and writes three.
+    #[test]
+    fn a_tree_write_copies_only_the_leaf_it_edits() {
+        // 73 records of 100 bytes fill a leaf exactly.
+        for (rows, written, depth) in [(10, 1, 1), (73, 3, 2)] {
+            let mut store = PageStore::new();
+            let entries: Vec<(i64, Vec<u8>)> = (0..rows).map(|k| (2 * k, vec![7; 100])).collect();
+            let mut t = BTree::bulk_build(&mut store, &entries, 1, None).unwrap();
+            let before = store.stats();
+            t.insert(&mut store, 5, &[9; 100]).unwrap();
+            let d = store.stats().since(&before);
+            assert_eq!(
+                (d.page_copies, d.pages_written),
+                (1, written),
+                "{rows} rows"
+            );
+            assert_eq!(t.depth, depth, "{rows} rows");
+        }
     }
 
     #[test]

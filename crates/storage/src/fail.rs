@@ -79,10 +79,8 @@ mod tests {
         let mut s = PageStore::new();
         let a = s.allocate();
         let b = s.allocate();
-        s.write(a, &[], |p| p[0..4].copy_from_slice(b"AAAA"))
-            .unwrap();
-        s.write(b, &[], |p| p[0..4].copy_from_slice(b"BBBB"))
-            .unwrap();
+        s.write(a, |p| p[0..4].copy_from_slice(b"AAAA")).unwrap();
+        s.write(b, |p| p[0..4].copy_from_slice(b"BBBB")).unwrap();
         s.commit(b"catalog-v1");
         s
     }
@@ -91,8 +89,7 @@ mod tests {
     fn crash_before_any_victim_write_recovers_the_commit() {
         let mut s = committed_store();
         s.arm(Some(FaultPlan::new(Fault::PowerLoss { torn_bytes: 0 }, 1)));
-        s.write(0, &[], |p| p[0..4].copy_from_slice(b"XXXX"))
-            .unwrap();
+        s.write(0, |p| p[0..4].copy_from_slice(b"XXXX")).unwrap();
         let image = s.crash_image();
         let rec = PageStore::open(&image).unwrap();
         assert_eq!(&rec.store.raw_page(0).unwrap()[0..4], b"AAAA");
@@ -128,8 +125,7 @@ mod tests {
     #[test]
     fn wal_cut_past_last_commit_only_loses_uncommitted_work() {
         let mut s = committed_store();
-        s.write(1, &[], |p| p[0..4].copy_from_slice(b"CCCC"))
-            .unwrap(); // uncommitted
+        s.write(1, |p| p[0..4].copy_from_slice(b"CCCC")).unwrap(); // uncommitted
         let mut image = s.crash_image();
         let cut = image.wal.len() - 3;
         tear_wal(&mut image, cut);

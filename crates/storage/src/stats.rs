@@ -21,6 +21,10 @@ pub struct IoStats {
     pub random_reads: u64,
     /// Pages written.
     pub pages_written: u64,
+    /// Full page images copied for a write: the private copy of a live
+    /// page a write edits (`PageStore::copy_page`). A page built from
+    /// nothing copies none.
+    pub page_copies: u64,
     /// Write-ahead log records appended.
     pub wal_records: u64,
     /// Write-ahead log bytes appended (record framing included).
@@ -60,6 +64,7 @@ impl IoStats {
         self.sequential_reads += other.sequential_reads;
         self.random_reads += other.random_reads;
         self.pages_written += other.pages_written;
+        self.page_copies += other.page_copies;
         self.wal_records += other.wal_records;
         self.wal_bytes += other.wal_bytes;
         self.transient_retries += other.transient_retries;
@@ -73,6 +78,7 @@ impl IoStats {
             sequential_reads: self.sequential_reads - before.sequential_reads,
             random_reads: self.random_reads - before.random_reads,
             pages_written: self.pages_written - before.pages_written,
+            page_copies: self.page_copies - before.page_copies,
             wal_records: self.wal_records - before.wal_records,
             wal_bytes: self.wal_bytes - before.wal_bytes,
             transient_retries: self.transient_retries - before.transient_retries,

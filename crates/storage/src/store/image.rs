@@ -192,8 +192,8 @@ impl PageStore {
     ///
     /// A write frame is applied as a unit: first the bytes its own-page
     /// copy runs read are gathered, from the page as it stands before the
-    /// frame, into the before-image scratch — a frame's runs are disjoint,
-    /// so they fit — then its runs are applied in order.
+    /// frame — a frame's runs are disjoint, so they are at most a page —
+    /// then its runs are applied in order.
     fn replay(&mut self, image: &DiskImage) -> Result<(usize, usize)> {
         self.pages.clone_from(&image.pages);
         self.sums.clone_from(&image.sums);
@@ -218,7 +218,7 @@ impl PageStore {
         };
         let mut written = Vec::new();
         let records = &scanned.records[..=last];
-        let (mut gathered, mut taken) = (std::mem::take(&mut self.scratch), 0);
+        let (mut gathered, mut taken) = (Vec::with_capacity(PAGE_SIZE), 0);
         let mut applied = Ok(());
         for (i, (lsn, rec)) in records.iter().enumerate() {
             if i == 0 || records[i - 1].0 != *lsn {
@@ -231,8 +231,6 @@ impl PageStore {
                 break;
             }
         }
-        gathered.resize(PAGE_SIZE, 0);
-        self.scratch = gathered;
         applied?;
         written.sort_unstable();
         written.dedup();
@@ -378,8 +376,7 @@ mod tests {
     fn commit_crash_recover_round_trips() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, &[], |p| p[10..14].copy_from_slice(b"DATA"))
-            .unwrap();
+        s.write(a, |p| p[10..14].copy_from_slice(b"DATA")).unwrap();
         s.commit(b"cat");
         let rec = PageStore::open(&s.crash_image()).unwrap();
         assert_eq!(rec.catalog.as_deref(), Some(&b"cat"[..]));
@@ -392,9 +389,9 @@ mod tests {
     fn uncommitted_tail_is_rolled_back() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, &[], |p| p[0] = 1).unwrap();
+        s.write(a, |p| p[0] = 1).unwrap();
         s.commit(b"v1");
-        s.write(a, &[], |p| p[0] = 2).unwrap(); // never committed
+        s.write(a, |p| p[0] = 2).unwrap(); // never committed
         let before = s.raw_page(a).unwrap().to_vec();
         assert_eq!(before[0], 2, "in-process state has the new value");
         let rec = PageStore::open(&s.crash_image()).unwrap();
@@ -411,16 +408,16 @@ mod tests {
             let mut s = PageStore::new();
             let a = s.allocate();
             let b = s.allocate();
-            s.write(a, &[], |p| p[0] = 0xA1).unwrap();
-            s.write(b, &[], |p| p[0] = 0xB1).unwrap();
+            s.write(a, |p| p[0] = 0xA1).unwrap();
+            s.write(b, |p| p[0] = 0xB1).unwrap();
             s.commit(b"v1");
             s.arm(plan);
             // Victim: update both pages, free one, allocate a reuse.
-            s.write(a, &[], |p| p[0] = 0xA2).unwrap();
+            s.write(a, |p| p[0] = 0xA2).unwrap();
             s.free_page(b).unwrap();
             let c = s.allocate_reuse();
             assert_eq!(c, b, "LIFO reuse picks the freed page");
-            s.write(c, &[], |p| p[0] = 0xC2).unwrap();
+            s.write(c, |p| p[0] = 0xC2).unwrap();
             s.commit(b"v2");
             s
         };
@@ -432,8 +429,8 @@ mod tests {
             let mut s = PageStore::new();
             let a = s.allocate();
             let b = s.allocate();
-            s.write(a, &[], |p| p[0] = 0xA1).unwrap();
-            s.write(b, &[], |p| p[0] = 0xB1).unwrap();
+            s.write(a, |p| p[0] = 0xA1).unwrap();
+            s.write(b, |p| p[0] = 0xB1).unwrap();
             s.commit(b"v1");
             s
         };
@@ -569,12 +566,12 @@ mod tests {
             if checkpointed {
                 s.checkpoint();
             }
-            s.write(2, &[], |b| b[5] ^= 0xFF).unwrap();
+            s.write(2, |b| b[5] ^= 0xFF).unwrap();
             s.commit(b"v2");
             let committed = (s.pages.clone(), s.sums.clone(), s.free.clone());
             let image = s.crash_image();
-            s.write(1, &[], |b| b[9] ^= 0x0F).unwrap();
-            s.write(2, &[], |b| b[7] = 3).unwrap();
+            s.write(1, |b| b[9] ^= 0x0F).unwrap();
+            s.write(2, |b| b[7] = 3).unwrap();
             s.free_page(3).unwrap();
             assert_eq!(s.allocate_reuse(), 3);
             assert_eq!(s.allocate_reuse(), 5);
@@ -592,7 +589,7 @@ mod tests {
             for p in 0..s.page_count() {
                 s.read(p).unwrap();
             }
-            s.write(4, &[], |b| b[0] = 9).unwrap();
+            s.write(4, |b| b[0] = 9).unwrap();
             s.commit(b"v3");
             let rec = PageStore::open(&s.crash_image()).unwrap();
             assert_eq!(rec.catalog.as_deref(), Some(&b"v3"[..]));
@@ -668,7 +665,7 @@ mod tests {
     fn checkpoint_truncates_the_log_and_preserves_state() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, &[], |p| p[0] = 9).unwrap();
+        s.write(a, |p| p[0] = 9).unwrap();
         s.commit(b"v1");
         assert!(s.wal_len() > 0);
         s.checkpoint();
@@ -733,7 +730,7 @@ mod tests {
                         assert_image_is_live(s);
                     }
                     (_, Some(p)) => s
-                        .write(p, &[], |b| {
+                        .write(p, |b| {
                             b[at] = b[at].wrapping_add(val);
                             b[PAGE_SIZE - 1 - at] ^= val;
                         })
@@ -793,9 +790,9 @@ mod tests {
         let a = s.allocate();
         s.commit(b"v1");
         s.checkpoint();
-        s.write(a, &[], |p| p[0] = 1).unwrap();
+        s.write(a, |p| p[0] = 1).unwrap();
         s.commit(b"v2");
-        s.write(a, &[], |p| p[0] = 2).unwrap(); // uncommitted tail
+        s.write(a, |p| p[0] = 2).unwrap(); // uncommitted tail
         let mut image = s.crash_image();
         assert_eq!(image.catalog.as_deref(), Some(&b"v1"[..]));
         let rec = PageStore::open(&image).unwrap();
@@ -815,7 +812,7 @@ mod tests {
         let pages = AUTO_CHECKPOINT_BYTES / PAGE_SIZE + 2;
         for i in 0..pages {
             let p = s.allocate();
-            s.write(p, &[], |b| b.fill(i as u8 | 1)).unwrap();
+            s.write(p, |b| b.fill(i as u8 | 1)).unwrap();
         }
         assert!(s.wal_len() >= AUTO_CHECKPOINT_BYTES);
         s.commit(b"big");
@@ -832,18 +829,16 @@ mod tests {
     fn a_checkpoint_after_the_cut_changes_nothing_on_disk() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, &[], |p| p[0..4].copy_from_slice(b"AAAA"))
-            .unwrap();
+        s.write(a, |p| p[0..4].copy_from_slice(b"AAAA")).unwrap();
         s.commit(b"v1");
         // Uncommitted log past the trigger, so the next commit checkpoints.
         for i in 0..=AUTO_CHECKPOINT_BYTES / PAGE_SIZE {
             let p = s.allocate();
-            s.write(p, &[], |b| b.fill(i as u8 | 1)).unwrap();
+            s.write(p, |b| b.fill(i as u8 | 1)).unwrap();
         }
         assert!(s.wal_len() >= AUTO_CHECKPOINT_BYTES);
         s.arm(Some(FaultPlan::new(Fault::PowerLoss { torn_bytes: 0 }, 1)));
-        s.write(a, &[], |p| p[0..4].copy_from_slice(b"XXXX"))
-            .unwrap();
+        s.write(a, |p| p[0..4].copy_from_slice(b"XXXX")).unwrap();
         s.commit(b"v2");
         let recovered = |s: &PageStore| {
             let rec = PageStore::open(&s.crash_image()).unwrap();
@@ -864,13 +859,13 @@ mod tests {
         let mut s = PageStore::new();
         for i in 0..16u8 {
             let p = s.allocate();
-            s.write(p, &[], |b| b[0] = i | 1).unwrap();
+            s.write(p, |b| b[0] = i | 1).unwrap();
         }
         s.commit(b"v1");
         s.checkpoint();
         let written = [3usize, 7, 8];
         for &p in &written {
-            s.write(p as PageId, &[], |b| b[1] = 0xEE).unwrap();
+            s.write(p as PageId, |b| b[1] = 0xEE).unwrap();
         }
         let fresh = s.allocate() as usize;
         s.commit(b"v2");
@@ -899,7 +894,7 @@ mod tests {
         let mut s = PageStore::new();
         for i in 0..8u8 {
             let p = s.allocate();
-            s.write(p, &[], |b| b[9] = i | 1).unwrap();
+            s.write(p, |b| b[9] = i | 1).unwrap();
         }
         s.free_page(2).unwrap();
         s.commit(b"v1");
@@ -923,11 +918,11 @@ mod tests {
         let mut s = PageStore::new();
         for i in 0..8u8 {
             let p = s.allocate();
-            s.write(p, &[], |b| b[i as usize] = i | 1).unwrap();
+            s.write(p, |b| b[i as usize] = i | 1).unwrap();
         }
         s.commit(b"v1");
         s.checkpoint();
-        s.write(4, &[], |b| b[100] = 7).unwrap();
+        s.write(4, |b| b[100] = 7).unwrap();
         s.free_page(6).unwrap();
         assert_eq!(s.allocate_reuse(), 6);
         s.allocate();
@@ -938,6 +933,21 @@ mod tests {
         for (p, (img, live)) in image.pages.iter().zip(&s.pages).enumerate() {
             assert!(Arc::ptr_eq(img, live), "page {p}");
         }
+        // Buffer recycling never reaches the image. The first write of a
+        // page the image shares leaves the image its buffer; the second
+        // recycles the buffer the first installed, and the third copies
+        // the page into it.
+        let bytes = |pages: &[Arc<[u8]>]| pages.iter().map(|p| p.to_vec()).collect::<Vec<_>>();
+        let (want, opened) = (bytes(&image.pages), PageStore::open(&image).unwrap());
+        s.write(4, |b| b[101] = 1).unwrap();
+        let first = Arc::as_ptr(&s.pages[4]);
+        s.write(4, |b| b[102] = 2).unwrap();
+        s.write(4, |b| b[103] = 3).unwrap();
+        assert_eq!(Arc::as_ptr(&s.pages[4]), first, "the spare was not reused");
+        assert_eq!(bytes(&image.pages), want);
+        let again = PageStore::open(&image).unwrap();
+        assert_eq!(bytes(&again.store.pages), bytes(&opened.store.pages));
+        assert_eq!(again.catalog, opened.catalog);
     }
 
     /// `open` takes the image's free list only if it names each page of

@@ -70,11 +70,11 @@ const GENESIS: DiskImage = DiskImage {
 
 /// The page file plus its buffer pool.
 ///
-/// Page buffers are shared and copy-on-write: the live file, the base
-/// image and every [`DiskImage`] taken from it hold the same `Arc` until a
-/// write copies the one page it changes. So a live page that is not the
-/// very buffer of its base-image slot is exactly a page written since the
-/// last checkpoint.
+/// Page buffers are shared: the live file, the base image and every
+/// [`DiskImage`] taken from it hold the same `Arc` until a write installs
+/// a new buffer for the one page it changes. So a live page that is not
+/// the very buffer of its base-image slot is exactly a page written since
+/// the last checkpoint.
 pub struct PageStore {
     pages: Vec<Arc<[u8]>>,
     /// Per-page checksum (`wal::block_sum`) of the current contents,
@@ -101,9 +101,10 @@ pub struct PageStore {
     /// The armed fault plan ([`arm`](Self::arm)): a [`Fault::PowerLoss`]
     /// cuts the log, a [`Fault::ReadFault`] fails a cold page read.
     fault: Option<FaultPlan>,
-    /// Before-image scratch for computing physiological write diffs of an
-    /// unshared page (a shared one is its own before-image).
-    scratch: Vec<u8>,
+    /// A page buffer no one else holds — the before-image of an earlier
+    /// write, once the image it was installed over let go of it — that
+    /// the next private copy or blank page is made in.
+    spare: Option<Arc<[u8]>>,
     pool: ShardedLruPool,
     /// Logical clock behind every pool stamp: serial touches take a fresh
     /// epoch each, a parallel scan takes one epoch for all its workers.
@@ -155,7 +156,7 @@ impl PageStore {
             zero: Arc::from(vec![0u8; PAGE_SIZE]),
             last_catalog: None,
             fault: None,
-            scratch: vec![0u8; PAGE_SIZE],
+            spare: None,
             pool: ShardedLruPool::new(pool_pages),
             clock: AtomicU64::new(1),
             committed: AtomicU64::new(0),
@@ -333,70 +334,95 @@ impl PageStore {
         Ok(&self.pages[id as usize])
     }
 
-    /// Writes a page through a closure, going through the buffer pool and
-    /// counting one page write. The byte runs the closure changed — found
-    /// against a before-image, see [`wal::append_write`] — are appended to
-    /// the write-ahead log as one physiological frame, the same pass
-    /// restamps the page's checksum over the 64-byte blocks those runs
-    /// touch. A closure that changes nothing logs nothing.
+    /// Writes a page through a closure: the store's private copy of the
+    /// page (`copy_page`), `f` on the copy, then `install` without claims.
+    /// A closure that changes nothing logs nothing.
+    pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) -> Result<()> {
+        let mut page = self.copy_page(id)?;
+        f(&mut page);
+        self.install(id, page, &[])
+    }
+
+    /// A private copy of page `id`'s live image, to edit and hand back to
+    /// [`install`](Self::install). This is the one place a live page is
+    /// copied for a write (counted in [`IoStats::page_copies`]); the copy
+    /// is made in the spare buffer when there is one. No pool access and
+    /// no I/O is counted: the install is the page's write.
+    pub(crate) fn copy_page(&mut self, id: PageId) -> Result<PageBuf> {
+        let live = page_of(&self.pages, id)?;
+        let copy = match self.spare.take() {
+            Some(mut spare) => {
+                Arc::make_mut(&mut spare).copy_from_slice(live);
+                spare
+            }
+            None => Arc::from(live),
+        };
+        self.acct_mut().io.page_copies += 1;
+        Ok(PageBuf(copy))
+    }
+
+    /// A zeroed page buffer for an image built from nothing — a fresh
+    /// page's — made in the spare buffer when there is one. It copies no
+    /// page.
+    pub(crate) fn blank_page(&mut self) -> PageBuf {
+        match self.spare.take() {
+            Some(mut spare) => {
+                Arc::make_mut(&mut spare).fill(0);
+                PageBuf(spare)
+            }
+            None => PageBuf::zeroed(),
+        }
+    }
+
+    /// Makes `page` the live image of page `id`, going through the buffer
+    /// pool and counting one page write. The buffer is installed as it
+    /// is, no byte copied: the image it replaces is the before-image the
+    /// write frame is found against (the byte runs that changed, see
+    /// [`wal::append_write`]), and the same pass restamps the page's
+    /// checksum over the 64-byte blocks those runs touch. An image equal
+    /// to the one it replaces logs nothing. The replaced buffer becomes
+    /// the store's spare when nothing else holds it — a base image, a
+    /// crash image or the zero page keeps its own.
     ///
-    /// `claims` say which of the bytes the closure writes it copied from
-    /// other pages, or from elsewhere on `id` itself (`&[]`: none).
-    /// Changed bytes a claim covers are logged as a copy run — a reference
-    /// to the source page's bytes — when those bytes are on the source as
-    /// it stood before this write (for another page: as the log leaves it,
-    /// a page of the file not on the free list; for `id`: its
+    /// `claims` say which of the image's bytes were copied from other
+    /// pages, or from elsewhere on `id` itself (`&[]`: none). Changed
+    /// bytes a claim covers are logged as a copy run — a reference to the
+    /// source page's bytes — when those bytes are on the source as it
+    /// stood before this write (for another page: as the log leaves it, a
+    /// page of the file not on the free list; for `id`: its
     /// before-image), and the run shortens the frame; anything else is
     /// logged literally, so a wrong claim costs log bytes, never a wrong
     /// replay. Claims change nothing else: the page, its checksum, the
     /// counters and the frame count are the same with or without them.
     /// The source pages are read as they are, without touching the pool.
-    ///
-    /// Outside recovery's replay, this is the one place a page is copied:
-    /// an unshared page copies its before-image aside, a shared one (with
-    /// the base image, a crash image or the zero page) is its own
-    /// before-image and is copied once, into the live slot, before the
-    /// closure runs.
-    pub fn write(
+    pub(crate) fn install(
         &mut self,
         id: PageId,
+        page: PageBuf,
         claims: &[wal::MoveClaim],
-        f: impl FnOnce(&mut [u8]),
     ) -> Result<()> {
         self.fault_in(id)?;
         self.acct_mut().io.pages_written += 1;
-        // `fault_in` vouched for `id`: the page is in the file.
-        let (below, rest) = self.pages.split_at_mut(id as usize);
-        let Some((slot, above)) = rest.split_first_mut() else {
-            let max = below.len() as u64;
-            return Err(StorageError::PageOutOfRange { page: id, max });
-        };
-        let shared = Arc::get_mut(slot).is_none().then(|| Arc::clone(slot));
-        if shared.is_none() {
-            self.scratch.copy_from_slice(slot);
-        }
-        let page = Arc::make_mut(slot);
-        f(page);
-        let before = shared.as_deref().unwrap_or(&self.scratch[..]);
-        let free = &self.free_bits;
+        let mut before = std::mem::replace(&mut self.pages[id as usize], page.0);
+        let (pages, free) = (&self.pages, &self.free_bits);
         // Another page's live bytes, unless it is past the file or free.
         let source = |src: PageId| {
-            let live = match src.checked_sub(id + 1) {
-                None => below.get(src as usize),
-                Some(past) => above.get(past as usize),
-            };
-            live.filter(|_| !free.contains(src)).map(|p| &p[..])
+            let live = pages.get(src as usize).filter(|_| !free.contains(src));
+            live.map(|p| &p[..])
         };
         let moves = wal::Moves {
             claims,
             source: &source,
         };
         let (start, lsn) = (self.image.wal.len(), self.next_lsn);
-        let sum = &mut self.sums[id as usize];
-        if wal::append_write(&mut self.image.wal, lsn, id, before, page, sum, &moves) == 0 {
-            return Ok(()); // byte-identical rewrite: nothing to log
+        let (after, sum) = (&pages[id as usize], &mut self.sums[id as usize]);
+        let logged = wal::append_write(&mut self.image.wal, lsn, id, &before, after, sum, &moves);
+        if Arc::get_mut(&mut before).is_some() {
+            self.spare = Some(before);
         }
-        self.settle_append(start);
+        if logged > 0 {
+            self.settle_append(start);
+        }
         Ok(())
     }
 
@@ -516,6 +542,33 @@ fn page_of(pages: &[Arc<[u8]>], id: PageId) -> Result<&[u8]> {
         .ok_or(StorageError::PageOutOfRange { page: id, max })
 }
 
+/// A page image only its holder can see: a private copy of a live page
+/// ([`PageStore::copy_page`]) or a blank one ([`PageStore::blank_page`]),
+/// edited in place and made live by [`PageStore::install`] without a copy.
+pub(crate) struct PageBuf(Arc<[u8]>);
+
+impl PageBuf {
+    /// A zeroed buffer, made without a store — for page images built away
+    /// from it, as a bulk build's workers do.
+    pub(crate) fn zeroed() -> PageBuf {
+        PageBuf(std::iter::repeat(0).take(PAGE_SIZE).collect())
+    }
+}
+
+impl std::ops::Deref for PageBuf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for PageBuf {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        // The buffer is never shared, so this copies nothing.
+        Arc::make_mut(&mut self.0)
+    }
+}
+
 impl Default for PageStore {
     fn default() -> Self {
         PageStore::new()
@@ -530,7 +583,7 @@ mod tests {
     fn allocate_read_write_round_trip() {
         let mut s = PageStore::new();
         let p = s.allocate();
-        s.write(p, &[], |bytes| bytes[0] = 0xAB).unwrap();
+        s.write(p, |bytes| bytes[0] = 0xAB).unwrap();
         assert_eq!(s.read(p).unwrap()[0], 0xAB);
         assert_eq!(s.page_count(), 1);
         assert_eq!(s.file_bytes(), 8192);
@@ -625,8 +678,8 @@ mod tests {
     fn writes_are_counted() {
         let mut s = PageStore::new();
         let p = s.allocate();
-        s.write(p, &[], |b| b[1] = 1).unwrap();
-        s.write(p, &[], |b| b[2] = 2).unwrap();
+        s.write(p, |b| b[1] = 1).unwrap();
+        s.write(p, |b| b[2] = 2).unwrap();
         assert_eq!(s.stats().pages_written, 2);
     }
 
@@ -664,7 +717,7 @@ mod tests {
     fn cold_read_verifies_checksum_both_ways() {
         let mut s = PageStore::new();
         let p = s.allocate();
-        s.write(p, &[], |b| b[100] = 7).unwrap();
+        s.write(p, |b| b[100] = 7).unwrap();
         // Positive: clean page survives a cold read.
         s.clear_cache();
         assert!(s.read(p).is_ok());
@@ -689,9 +742,9 @@ mod tests {
         for other in [200, 4001] {
             let mut s = PageStore::new();
             let p = s.allocate();
-            s.write(p, &[], |b| b[100] = 7).unwrap();
+            s.write(p, |b| b[100] = 7).unwrap();
             s.corrupt_byte(p, 4000);
-            s.write(p, &[], |b| b[other] ^= 0x5A).unwrap();
+            s.write(p, |b| b[other] ^= 0x5A).unwrap();
             s.clear_cache();
             assert!(
                 matches!(s.read(p), Err(StorageError::PageCorrupt { page, .. }) if page == p),
@@ -724,7 +777,7 @@ mod tests {
                 match kind {
                     0 => {
                         let fresh = s.allocate();
-                        s.write(fresh, &[], |b| {
+                        s.write(fresh, |b| {
                             // A leaf-like image: data at the front, zero
                             // blocks in the middle, a directory at the back.
                             for (i, x) in b.iter_mut().enumerate() {
@@ -735,9 +788,9 @@ mod tests {
                         })
                         .unwrap();
                     }
-                    1 => s.write(p, &[], |b| b[at] = byte(seed, at)).unwrap(),
+                    1 => s.write(p, |b| b[at] = byte(seed, at)).unwrap(),
                     2 => s
-                        .write(p, &[], |b| {
+                        .write(p, |b| {
                             for r in 0..1 + seed % 8 {
                                 let from = (at + r as usize * 997) % PAGE_SIZE;
                                 let to = (from + 1 + (seed >> (8 * r)) as usize % 40).min(PAGE_SIZE);
@@ -748,13 +801,13 @@ mod tests {
                         })
                         .unwrap(),
                     3 => s
-                        .write(p, &[], |b| b.iter_mut().enumerate().for_each(|(i, x)| *x = byte(seed, i)))
+                        .write(p, |b| b.iter_mut().enumerate().for_each(|(i, x)| *x = byte(seed, i)))
                         .unwrap(),
-                    4 => s.write(p, &[], |b| b.fill(0)).unwrap(),
+                    4 => s.write(p, |b| b.fill(0)).unwrap(),
                     5 if live.len() > 1 => {
                         s.free_page(p).unwrap();
                         let again = s.allocate_reuse();
-                        s.write(again, &[], |b| b[at] = byte(seed, at) | 1).unwrap();
+                        s.write(again, |b| b[at] = byte(seed, at) | 1).unwrap();
                     }
                     _ => s.clear_cache(),
                 }
@@ -771,7 +824,7 @@ mod tests {
         let mut s = PageStore::with_pool(64, DiskProfile::default());
         for i in 0..pages {
             let p = s.allocate();
-            s.write(p, &[], |b| {
+            s.write(p, |b| {
                 b[(i as usize * 40) % (PAGE_SIZE - 8)..][..8]
                     .copy_from_slice(&(i | 1).to_le_bytes())
             })
@@ -784,6 +837,19 @@ mod tests {
         s
     }
 
+    /// Runs `f` on a private copy of page `id` and installs it under
+    /// `claims`.
+    fn write_claimed(
+        s: &mut PageStore,
+        id: PageId,
+        claims: &[wal::MoveClaim],
+        f: impl FnOnce(&mut [u8]),
+    ) {
+        let mut page = s.copy_page(id).unwrap();
+        f(&mut page);
+        s.install(id, page, claims).unwrap();
+    }
+
     /// Copies bytes 50..350 of page 0 to 100..400 of page 1 under `claims`,
     /// on a store whose page 2 is free, commits, and returns the store,
     /// the copy runs its write frame holds, and the frame's byte length.
@@ -791,7 +857,7 @@ mod tests {
         let mut s = PageStore::new();
         let (a, b, c) = (s.allocate(), s.allocate(), s.allocate());
         for p in [a, c] {
-            s.write(p, &[], |bytes| {
+            s.write(p, |bytes| {
                 for (i, x) in bytes.iter_mut().enumerate() {
                     *x = (i * 7 + p as usize * 13) as u8 | 1;
                 }
@@ -802,8 +868,9 @@ mod tests {
         s.commit(b"before");
         let source = s.raw_page(a).unwrap()[50..350].to_vec();
         let (wal_at, stats) = (s.wal_len(), s.stats());
-        s.write(b, claims, |bytes| bytes[100..400].copy_from_slice(&source))
-            .unwrap();
+        write_claimed(&mut s, b, claims, |bytes| {
+            bytes[100..400].copy_from_slice(&source)
+        });
         let d = s.stats().since(&stats);
         assert_eq!((d.pages_written, d.wal_records), (1, 1), "{claims:?}");
         let copies = wal::scan_strict(&s.image.wal[wal_at..])
@@ -849,7 +916,7 @@ mod tests {
             }
             let rec = PageStore::open(&s.crash_image()).unwrap();
             assert_eq!(rec.store.raw_page(1), plain.raw_page(1), "{claims:?}");
-            s.write(1, &[], |b| b.fill(0)).unwrap();
+            s.write(1, |b| b.fill(0)).unwrap();
             s.rollback().unwrap();
             assert_eq!(s.raw_page(1), plain.raw_page(1), "{claims:?}");
         }
@@ -870,8 +937,8 @@ mod tests {
                 *x = (i * 13 % 251) as u8 | 1;
             }
         };
-        s.write(p, &[], fill).unwrap();
-        s.write(q, &[], fill).unwrap();
+        s.write(p, fill).unwrap();
+        s.write(q, fill).unwrap();
         s.free_page(q).unwrap();
         s.commit(b"filled");
         let claim = |src_off, dst_off, len| wal::MoveClaim {
@@ -887,13 +954,13 @@ mod tests {
             b[1000..1100].fill(0xEE);
         };
         let wal_at = s.wal_len();
-        s.write(p, &[claim(1000, 1100, 400)], shift).unwrap();
+        write_claimed(&mut s, p, &[claim(1000, 1100, 400)], shift);
         // The same claim on a free page's rewrite.
         let free_claim = wal::MoveClaim {
             src: q,
             ..claim(1000, 1100, 400)
         };
-        s.write(q, &[free_claim], shift).unwrap();
+        write_claimed(&mut s, q, &[free_claim], shift);
         let own = |r: &WalRecord<'_>| matches!(r, WalRecord::Copy { page, src, len: 400, .. } if page == src);
         let frames = wal::scan_strict(&s.image.wal[wal_at..]).unwrap();
         assert_eq!(frames.iter().filter(|(_, r)| own(r)).count(), 2);
@@ -907,7 +974,7 @@ mod tests {
                 "reboot, page {id}"
             );
         }
-        s.write(p, &[], |b| b.fill(0)).unwrap();
+        s.write(p, |b| b.fill(0)).unwrap();
         s.rollback().unwrap();
         assert_eq!(s.raw_page(p).unwrap(), &want[0][..], "rollback");
     }
@@ -919,13 +986,13 @@ mod tests {
         let mut s = PageStore::new();
         let a = s.allocate();
         let b = s.allocate();
-        s.write(a, &[], |p| p[0] = 1).unwrap();
+        s.write(a, |p| p[0] = 1).unwrap();
         s.free_page(a).unwrap();
         assert_eq!(s.allocate_reuse(), a);
         for p in [a, b] {
             assert!(Arc::ptr_eq(&s.pages[p as usize], &s.zero), "page {p}");
         }
-        s.write(b, &[], |p| p[0] = 2).unwrap();
+        s.write(b, |p| p[0] = 2).unwrap();
         assert!(!Arc::ptr_eq(&s.pages[b as usize], &s.zero));
         assert!(s.zero.iter().all(|&x| x == 0));
         assert_eq!(s.raw_page(a).unwrap(), &[0u8; PAGE_SIZE][..]);
@@ -935,9 +1002,9 @@ mod tests {
     fn identical_rewrite_logs_nothing() {
         let mut s = PageStore::new();
         let a = s.allocate();
-        s.write(a, &[], |p| p[0] = 5).unwrap();
+        s.write(a, |p| p[0] = 5).unwrap();
         let before = s.stats();
-        s.write(a, &[], |p| p[0] = 5).unwrap(); // no byte changes
+        s.write(a, |p| p[0] = 5).unwrap(); // no byte changes
         let d = s.stats().since(&before);
         assert_eq!(d.pages_written, 1, "the write is still counted");
         assert_eq!(d.wal_records, 0, "but nothing needs logging");

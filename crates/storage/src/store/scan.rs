@@ -617,7 +617,7 @@ mod tests {
     fn scan_reader_verifies_checksum_on_cold_pages() {
         let mut s = PageStore::new();
         let p = s.allocate();
-        s.write(p, &[], |b| b[0] = 1).unwrap();
+        s.write(p, |b| b[0] = 1).unwrap();
         s.corrupt_byte(p, 50);
         s.clear_cache();
         let scan = s.begin_scan();
@@ -852,7 +852,7 @@ mod tests {
             s.allocate();
         }
         for p in 0..8 {
-            s.write(p, &[], |b| b[0] = p as u8).unwrap();
+            s.write(p, |b| b[0] = p as u8).unwrap();
         }
         s.commit(b"v");
         let wal_before = s.crash_image().wal;

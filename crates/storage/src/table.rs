@@ -879,7 +879,7 @@ mod tests {
         // decoder. Both bodies used to panic on the first two.
         let mut damaged = |at: usize, bytes: &[u8], col: usize, expect: &str| {
             store
-                .write(leaf, &[], |page| {
+                .write(leaf, |page| {
                     page.copy_from_slice(&intact);
                     page[at..at + bytes.len()].copy_from_slice(bytes);
                 })
@@ -901,7 +901,7 @@ mod tests {
         damaged(off + 16, &[7], 1, "unknown blob tag 7 in column `v`");
         // A row cut behind the projected column goes unseen by both.
         store
-            .write(leaf, &[], |page| {
+            .write(leaf, |page| {
                 page.copy_from_slice(&intact);
                 page[entry + 2..entry + 4].copy_from_slice(&lens(8 + 8));
             })

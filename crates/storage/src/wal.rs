@@ -61,7 +61,8 @@
 //! the page first, then its runs are applied in order, so a run may read
 //! bytes an earlier run of the same frame overwrote.
 //!
-//! One [`PageStore::write`] is one frame however many runs it changed.
+//! One page write (`PageStore::install`) is one frame however many runs
+//! it changed.
 //! [`append_write`] finds them by comparing the before- and after-image a
 //! word at a time: a changed stretch is a maximal stretch of changed
 //! 8-byte words, cut back at both ends to its first and last changed byte,
@@ -84,13 +85,16 @@
 //! [`scan`] hands a frame's runs back as consecutive [`WalRecord::Write`]
 //! and [`WalRecord::Copy`] records under the frame's LSN.
 //!
-//! A B-tree split claims every record it moves from the leaf onto a fresh
-//! page, which is most of what a split writes: on the repo benchmark's
-//! `dml_mix` workload (seed 1; a count, the same on any machine) the log
-//! falls from 4.74 to 2.74 bytes per user byte. Every rewrite of a tree
-//! page also claims what stayed on the page at another place — slot
+//! The claims come from the writer, which knows what it moved: a B-tree
+//! write records, for each record of the image it builds, the slot of the
+//! store's page it came from, and claims the records that moved and the
+//! directory entries that shifted. A split's claims on the records it
+//! moves onto a fresh page cover most of what a split writes: on the repo
+//! benchmark's `dml_mix` workload (seed 1; a count, the same on any
+//! machine) the log falls from 4.74 to 2.74 bytes per user byte. The
+//! claims on what stayed on a rewritten tree page at another place — slot
 //! entries shifted by an insert or a delete, records a compaction or a
-//! split's left half re-packed — and the log falls to 1.54.
+//! split's left half re-packed — take it to 1.54.
 //!
 //! A frame that fails any of this — short, bad magic or kind, bad
 //! checksum, a malformed run table, or an LSN that is not its
@@ -130,7 +134,6 @@
 //! of them together, lane for lane the same values, so that their cache
 //! misses overlap.
 //!
-//! [`PageStore::write`]: crate::store::PageStore::write
 //! [`open`]: crate::store::PageStore::open
 
 use crate::errors::{Result, StorageError};

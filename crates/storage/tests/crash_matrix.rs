@@ -482,7 +482,7 @@ fn check_copy_runs(
     // The later statement overwrites every page; its rollback replays the
     // log from the base image.
     for p in 0..store.page_count() {
-        store.write(p, &[], |b| b.fill(0xA5)).unwrap();
+        store.write(p, |b| b.fill(0xA5)).unwrap();
     }
     store.rollback().unwrap();
     for (what, s) in [("reboot", &rebooted), ("rollback", &store)] {

@@ -768,7 +768,7 @@ proptest! {
         let part = t.partition_keys(&store, 1, ALL).unwrap().remove(0);
         let (kind, which, how) = damage;
         let pid = part.leaves()[which as usize % part.leaves().len()];
-        store.write(pid, &[], |page| {
+        store.write(pid, |page| {
             let slots = u16::from_le_bytes([page[2], page[3]]) as usize;
             assert!(slots > 0, "the churn empties no leaf");
             let entry = PAGE_SIZE - 4 * (1 + which as usize % slots);
