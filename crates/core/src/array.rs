@@ -105,7 +105,7 @@ impl SqlArray {
     /// in-page budget and the short-class limits, max otherwise. Mirrors
     /// what a user of the original library would do when deciding between
     /// `FloatArray` and `FloatArrayMax` schemas.
-    pub fn auto_class(elem: ElementType, dims: &[usize]) -> Result<StorageClass> {
+    pub(crate) fn auto_class(elem: ElementType, dims: &[usize]) -> Result<StorageClass> {
         let shape = Shape::new(dims)?;
         let fits_short = shape.rank() <= SHORT_MAX_RANK
             && shape
@@ -192,13 +192,6 @@ impl SqlArray {
         &self.buf[self.header.header_len()..]
     }
 
-    /// Mutable payload bytes.
-    #[inline]
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let h = self.header.header_len();
-        &mut self.buf[h..]
-    }
-
     /// Verifies the array carries elements of type `T`, the runtime check
     /// performed when a blob reaches a typed function schema.
     pub fn expect_type<T: Element>(&self) -> Result<()> {
@@ -259,24 +252,9 @@ impl SqlArray {
     /// Reads the element at a linear (column-major) offset. The offset must
     /// be in bounds.
     #[inline]
-    pub fn item_linear(&self, lin: usize) -> Scalar {
+    pub(crate) fn item_linear(&self, lin: usize) -> Scalar {
         let es = self.elem().size();
         Scalar::read_le(self.elem(), &self.payload()[lin * es..])
-    }
-
-    /// Reads a typed element at a multi-index.
-    pub fn item_as<T: Element>(&self, idx: &[usize]) -> Result<T> {
-        self.expect_type::<T>()?;
-        let lin = self.header.shape.linear_index(idx)?;
-        Ok(T::read_le(&self.payload()[lin * T::SIZE..]))
-    }
-
-    /// Typed linear read without bounds re-validation (offset must be in
-    /// bounds, type must match — used by hot kernels after one up-front
-    /// `expect_type`).
-    #[inline]
-    pub fn item_linear_as_unchecked<T: Element>(&self, lin: usize) -> T {
-        T::read_le(&self.payload()[lin * T::SIZE..])
     }
 
     /// Overwrites the element at a multi-index. The value is cast to the
@@ -288,21 +266,6 @@ impl SqlArray {
         let es = self.elem().size();
         let h = self.header.header_len();
         v.write_le(&mut self.buf[h + lin * es..]);
-        Ok(())
-    }
-
-    /// Typed in-place write at a linear offset.
-    pub fn set_linear<T: Element>(&mut self, lin: usize, value: T) -> Result<()> {
-        self.expect_type::<T>()?;
-        if lin >= self.count() {
-            return Err(ArrayError::IndexOutOfBounds {
-                axis: 0,
-                index: lin,
-                size: self.count(),
-            });
-        }
-        let h = self.header.header_len();
-        value.write_le(&mut self.buf[h + lin * T::SIZE..]);
         Ok(())
     }
 
@@ -477,7 +440,6 @@ mod tests {
         let a = SqlArray::from_vec(StorageClass::Short, &[2, 2], &[1i32, 2, 3, 4]).unwrap();
         assert!(a.item(&[2, 0]).is_err());
         assert!(a.item(&[0]).is_err());
-        assert!(a.item_as::<f64>(&[0, 0]).is_err()); // type mismatch
     }
 
     #[test]
@@ -537,15 +499,6 @@ mod tests {
             SqlArray::auto_class(ElementType::Int8, &[1, 1, 1, 1, 1, 1, 2]).unwrap(),
             StorageClass::Max
         );
-    }
-
-    #[test]
-    fn set_linear_bounds_and_type() {
-        let mut a = SqlArray::from_vec(StorageClass::Short, &[2], &[1.0f32, 2.0]).unwrap();
-        a.set_linear(1, 5.0f32).unwrap();
-        assert_eq!(a.item(&[1]).unwrap(), Scalar::F32(5.0));
-        assert!(a.set_linear(2, 0.0f32).is_err());
-        assert!(a.set_linear(0, 0.0f64).is_err());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn matrix<T: Element>(
 }
 
 /// Creates a square matrix with `diag` on the diagonal and zeros elsewhere.
-pub fn diagonal<T: Element>(class: StorageClass, diag: &[T]) -> Result<SqlArray> {
+fn diagonal<T: Element>(class: StorageClass, diag: &[T]) -> Result<SqlArray> {
     let n = diag.len();
     SqlArray::from_fn(class, &[n, n], |idx| {
         if idx[0] == idx[1] {
@@ -63,25 +63,6 @@ pub fn diagonal<T: Element>(class: StorageClass, diag: &[T]) -> Result<SqlArray>
 /// Creates the `n × n` identity matrix.
 pub fn identity(class: StorageClass, n: usize) -> Result<SqlArray> {
     diagonal(class, &vec![1.0f64; n])
-}
-
-/// Creates a vector of `n` evenly spaced doubles from `start` to `stop`
-/// inclusive (wavelength grids, parameter sweeps).
-pub fn linspace(class: StorageClass, start: f64, stop: f64, n: usize) -> Result<SqlArray> {
-    let data: Vec<f64> = if n == 1 {
-        vec![start]
-    } else {
-        (0..n)
-            .map(|i| start + (stop - start) * i as f64 / (n - 1) as f64)
-            .collect()
-    };
-    vector(class, &data)
-}
-
-/// Creates an integer range vector `[start, start+1, ..)` of length `n`.
-pub fn range_i64(class: StorageClass, start: i64, n: usize) -> Result<SqlArray> {
-    let data: Vec<i64> = (0..n as i64).map(|i| start + i).collect();
-    vector(class, &data)
 }
 
 #[cfg(test)]
@@ -126,20 +107,5 @@ mod tests {
         let d = diagonal(StorageClass::Short, &[2i32, 5]).unwrap();
         assert_eq!(d.item(&[1, 1]).unwrap(), Scalar::I32(5));
         assert_eq!(d.item(&[1, 0]).unwrap(), Scalar::I32(0));
-    }
-
-    #[test]
-    fn linspace_endpoints_and_spacing() {
-        let a = linspace(StorageClass::Short, 0.0, 1.0, 5).unwrap();
-        let v = a.to_vec::<f64>().unwrap();
-        assert_eq!(v, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
-        let single = linspace(StorageClass::Short, 3.0, 9.0, 1).unwrap();
-        assert_eq!(single.to_vec::<f64>().unwrap(), vec![3.0]);
-    }
-
-    #[test]
-    fn range_vector() {
-        let r = range_i64(StorageClass::Short, 100, 3).unwrap();
-        assert_eq!(r.to_vec::<i64>().unwrap(), vec![100, 101, 102]);
     }
 }

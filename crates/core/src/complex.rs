@@ -65,7 +65,7 @@ macro_rules! complex_impl {
 
             /// Multiplicative inverse. Returns NaN components for zero input.
             #[inline]
-            pub fn recip(self) -> Self {
+            fn recip(self) -> Self {
                 let d = self.norm_sqr();
                 Self::new(self.re / d, -self.im / d)
             }
@@ -74,12 +74,6 @@ macro_rules! complex_impl {
             #[inline]
             pub fn scale(self, k: $t) -> Self {
                 Self::new(self.re * k, self.im * k)
-            }
-
-            /// True if either component is NaN.
-            #[inline]
-            pub fn is_nan(self) -> bool {
-                self.re.is_nan() || self.im.is_nan()
             }
 
             /// True if both components are finite.
@@ -191,7 +185,7 @@ complex_impl!(
 impl Complex64 {
     /// Widens from single precision.
     #[inline]
-    pub fn from_c32(c: Complex32) -> Self {
+    pub(crate) fn from_c32(c: Complex32) -> Self {
         Self::new(c.re as f64, c.im as f64)
     }
 }
@@ -199,7 +193,7 @@ impl Complex64 {
 impl Complex32 {
     /// Narrows from double precision (lossy).
     #[inline]
-    pub fn from_c64(c: Complex64) -> Self {
+    pub(crate) fn from_c64(c: Complex64) -> Self {
         Self::new(c.re as f32, c.im as f32)
     }
 }
@@ -285,7 +279,8 @@ mod tests {
 
     #[test]
     fn recip_of_zero_is_nan() {
-        assert!(Complex64::ZERO.recip().is_nan());
+        let r = Complex64::ZERO.recip();
+        assert!(r.re.is_nan() && r.im.is_nan());
         assert!(Complex64::ONE.is_finite());
     }
 }

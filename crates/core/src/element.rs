@@ -73,7 +73,7 @@ impl ElementType {
     }
 
     /// Decodes a type code from a header.
-    pub fn from_code(code: u8) -> Result<Self> {
+    pub(crate) fn from_code(code: u8) -> Result<Self> {
         Ok(match code {
             1 => ElementType::Int8,
             2 => ElementType::Int16,
@@ -85,15 +85,6 @@ impl ElementType {
             8 => ElementType::Complex64,
             other => return Err(ArrayError::UnknownElementType(other)),
         })
-    }
-
-    /// True for the integer family.
-    #[inline]
-    pub const fn is_integer(self) -> bool {
-        matches!(
-            self,
-            ElementType::Int8 | ElementType::Int16 | ElementType::Int32 | ElementType::Int64
-        )
     }
 
     /// True for `real`/`float`.
@@ -358,11 +349,9 @@ mod tests {
 
     #[test]
     fn family_predicates() {
-        assert!(ElementType::Int8.is_integer());
         assert!(!ElementType::Int8.is_float());
         assert!(ElementType::Float32.is_float());
         assert!(ElementType::Complex64.is_complex());
-        assert!(!ElementType::Complex64.is_integer());
     }
 
     #[test]

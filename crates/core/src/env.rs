@@ -13,7 +13,7 @@
 /// Returns `Some(n)` when the variable is set and [`parse_usize`] accepts
 /// its value; `None` when unset, empty, or malformed — the caller
 /// supplies its own default and clamp.
-pub fn env_usize(name: &str) -> Option<usize> {
+pub(crate) fn env_usize(name: &str) -> Option<usize> {
     parse_usize(&std::env::var(name).ok()?)
 }
 

@@ -233,11 +233,6 @@ impl ExactSum {
             nan: buf[off + 16] != 0,
         })
     }
-
-    /// True if no finite or non-finite addend has been folded in.
-    pub fn is_zero(&self) -> bool {
-        !self.nan && self.pos_inf == 0 && self.neg_inf == 0 && self.limbs() == [0; LIMBS]
-    }
 }
 
 /// The carry-save digits of a propagated register, each in `[0, 2³²)`.
@@ -561,7 +556,7 @@ mod tests {
         // ...but cancelling the overflow recovers the exact remainder.
         s.merge(&n);
         assert_eq!(s.value(), 0.0);
-        assert!(s.is_zero());
+        assert_eq!(s.to_bytes(), ExactSum::new().to_bytes());
     }
 
     #[test]
@@ -572,9 +567,8 @@ mod tests {
         let mut s = ExactSum::new();
         s.add(half);
         s.add(half);
-        assert!(!s.is_zero());
+        assert_ne!(s.to_bytes(), ExactSum::new().to_bytes());
         s.add(-2.0 * half);
-        assert!(s.is_zero());
         assert_eq!(s.to_bytes(), ExactSum::new().to_bytes());
     }
 

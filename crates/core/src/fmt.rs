@@ -47,7 +47,7 @@ fn render(a: &SqlArray, out: &mut impl fmt::Write) -> fmt::Result {
 
 /// Parses the canonical text form back into an array. The storage class is
 /// chosen automatically from the decoded size.
-pub fn from_string(s: &str) -> Result<SqlArray> {
+fn from_string(s: &str) -> Result<SqlArray> {
     let s = s.trim();
     let bad = |msg: &str| ArrayError::Parse(format!("{msg} in `{s}`"));
 

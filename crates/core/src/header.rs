@@ -100,7 +100,7 @@ impl Header {
     }
 
     /// Checks the storage-class constraints (rank, index width, page budget).
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         let rank = self.shape.rank();
         match self.class {
             StorageClass::Short => {
@@ -180,13 +180,6 @@ impl Header {
                 }
             }
         }
-    }
-
-    /// Serializes into a fresh buffer of exactly the header length.
-    pub fn encode_vec(&self) -> Vec<u8> {
-        let mut v = vec![0u8; self.header_len()];
-        self.encode(&mut v);
-        v
     }
 
     /// Decodes and validates a header from the start of `buf`.
@@ -292,7 +285,7 @@ impl Header {
     ///
     /// Each run is `(byte_offset, byte_len)` with the header length
     /// already folded into the offsets; runs are emitted in ascending
-    /// order (reusing [`Shape::region_runs`], so full leading axes fuse
+    /// order (reusing `Shape::region_runs`, so full leading axes fuse
     /// into long contiguous ranges) and cover exactly the region's
     /// payload bytes. The region is bounds-checked against the shape.
     pub fn region_byte_runs(
@@ -341,11 +334,18 @@ mod tests {
         Shape::new(dims).unwrap()
     }
 
+    /// `h` serialized into a fresh buffer of exactly the header length.
+    fn encode_vec(h: &Header) -> Vec<u8> {
+        let mut v = vec![0u8; h.header_len()];
+        h.encode(&mut v);
+        v
+    }
+
     #[test]
     fn short_header_is_24_bytes() {
         let h = Header::new(StorageClass::Short, ElementType::Float64, shape(&[5])).unwrap();
         assert_eq!(h.header_len(), 24);
-        assert_eq!(h.encode_vec().len(), 24);
+        assert_eq!(encode_vec(&h).len(), 24);
         assert_eq!(h.blob_len(), 24 + 5 * 8);
     }
 
@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn round_trip_short() {
         let h = Header::new(StorageClass::Short, ElementType::Int16, shape(&[4, 3, 2])).unwrap();
-        let buf = h.encode_vec();
+        let buf = encode_vec(&h);
         let d = Header::decode(&buf).unwrap();
         assert_eq!(d, h);
     }
@@ -374,7 +374,7 @@ mod tests {
             shape(&[2, 3, 4, 5, 6, 7, 8]),
         )
         .unwrap();
-        let buf = h.encode_vec();
+        let buf = encode_vec(&h);
         assert_eq!(Header::decode(&buf).unwrap(), h);
     }
 
@@ -424,7 +424,7 @@ mod tests {
 
         // Truncated short header.
         let h = Header::new(StorageClass::Short, ElementType::Int32, shape(&[3])).unwrap();
-        let buf = h.encode_vec();
+        let buf = encode_vec(&h);
         assert!(matches!(
             Header::decode(&buf[..10]),
             Err(ArrayError::HeaderTooShort { .. })
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn decode_rejects_count_mismatch() {
         let h = Header::new(StorageClass::Short, ElementType::Int32, shape(&[3, 2])).unwrap();
-        let mut buf = h.encode_vec();
+        let mut buf = encode_vec(&h);
         buf[4..12].copy_from_slice(&7u64.to_le_bytes()); // corrupt the count
         assert!(matches!(
             Header::decode(&buf),
@@ -448,7 +448,7 @@ mod tests {
     #[test]
     fn decode_rejects_zero_rank() {
         let h = Header::new(StorageClass::Max, ElementType::Int32, shape(&[3])).unwrap();
-        let mut buf = h.encode_vec();
+        let mut buf = encode_vec(&h);
         buf[4..8].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             Header::decode(&buf),
@@ -459,11 +459,11 @@ mod tests {
     #[test]
     fn probe_len_short_and_max() {
         let hs = Header::new(StorageClass::Short, ElementType::Int8, shape(&[2])).unwrap();
-        assert_eq!(Header::probe_len(&hs.encode_vec()).unwrap(), 24);
+        assert_eq!(Header::probe_len(&encode_vec(&hs)).unwrap(), 24);
         let hm = Header::new(StorageClass::Max, ElementType::Int8, shape(&[2, 2, 2])).unwrap();
-        assert_eq!(Header::probe_len(&hm.encode_vec()).unwrap(), 16 + 12);
+        assert_eq!(Header::probe_len(&encode_vec(&hm)).unwrap(), 16 + 12);
         // The probe only needs the first 8 bytes for max arrays.
-        assert_eq!(Header::probe_len(&hm.encode_vec()[..8]).unwrap(), 16 + 12);
+        assert_eq!(Header::probe_len(&encode_vec(&hm)[..8]).unwrap(), 16 + 12);
     }
 
     #[test]
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn negative_dim_rejected_on_decode() {
         let h = Header::new(StorageClass::Max, ElementType::Int8, shape(&[2, 2])).unwrap();
-        let mut buf = h.encode_vec();
+        let mut buf = encode_vec(&h);
         buf[16..20].copy_from_slice(&(-5i32).to_le_bytes());
         assert!(matches!(
             Header::decode(&buf),

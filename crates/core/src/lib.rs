@@ -56,12 +56,10 @@ pub mod scalar;
 pub mod shape;
 pub mod stream;
 pub mod sync;
-pub mod typed;
 
 pub use array::{ArrayData, ArrayView, SqlArray};
 pub use complex::{Complex32, Complex64};
 pub use element::{Element, ElementType};
-pub use env::env_usize;
 pub use errors::{ArrayError, Result};
 pub use exact::ExactSum;
 pub use fault::{Fault, FaultPlan};
@@ -69,7 +67,6 @@ pub use header::{Header, StorageClass, SHORT_MAX_BYTES, SHORT_MAX_RANK};
 pub use lifecycle::{CancelHandle, Interrupt, QueryCtx, QueryLimits};
 pub use scalar::Scalar;
 pub use shape::Shape;
-pub use typed::TypedArray;
 
 /// Everything most callers need, in one import.
 pub mod prelude {
@@ -82,5 +79,4 @@ pub mod prelude {
     pub use crate::ops;
     pub use crate::scalar::Scalar;
     pub use crate::stream::{ArrayReader, ArraySource};
-    pub use crate::typed::TypedArray;
 }

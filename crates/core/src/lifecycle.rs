@@ -88,7 +88,7 @@ impl CancelHandle {
     }
 
     /// Whether cancellation is currently requested.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
 
@@ -192,6 +192,7 @@ impl QueryCtx {
     }
 
     /// Bytes charged so far.
+    // lint:allow(L011, reason = "the budget tests of tests/query_lifecycle.rs read the charge back")
     pub fn mem_used(&self) -> u64 {
         self.inner.mem_used.load(Ordering::Relaxed)
     }

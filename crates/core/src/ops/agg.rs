@@ -118,28 +118,6 @@ pub fn stddev(a: &impl ArrayData) -> Result<Scalar> {
     Ok(Scalar::F64((acc.value() / n).sqrt()))
 }
 
-/// Number of non-zero elements (all types; complex counts non-zero modulus).
-pub fn count_nonzero(a: &impl ArrayData) -> usize {
-    // Every element type's zero is its `Default` (componentwise for the
-    // complex types), and `-0.0 == 0.0`.
-    fn nonzero<T: Element>(payload: &[u8]) -> usize {
-        let mut n = 0usize;
-        walk::<T>(payload, |v| n += (v != T::default()) as usize);
-        n
-    }
-    let p = a.payload();
-    match a.elem() {
-        ElementType::Int8 => nonzero::<i8>(p),
-        ElementType::Int16 => nonzero::<i16>(p),
-        ElementType::Int32 => nonzero::<i32>(p),
-        ElementType::Int64 => nonzero::<i64>(p),
-        ElementType::Float32 => nonzero::<f32>(p),
-        ElementType::Float64 => nonzero::<f64>(p),
-        ElementType::Complex32 => nonzero::<Complex32>(p),
-        ElementType::Complex64 => nonzero::<Complex64>(p),
-    }
-}
-
 /// Euclidean (L2) norm. Complex arrays use the modulus of each element.
 /// The sum of squares is exactly rounded before the square root.
 pub fn norm2(a: &impl ArrayData) -> Result<f64> {
@@ -277,9 +255,7 @@ mod tests {
     fn norm_and_nonzero() {
         let a = short_vector(&[3.0f64, 0.0, 4.0]).unwrap();
         assert!(close(norm2(&a).unwrap(), 5.0));
-        assert_eq!(count_nonzero(&a), 2);
         let c = short_vector(&[Complex64::new(0.0, 0.0), Complex64::new(0.0, 2.0)]).unwrap();
-        assert_eq!(count_nonzero(&c), 1);
         assert!(close(norm2(&c).unwrap(), 2.0));
     }
 

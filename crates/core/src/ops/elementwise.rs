@@ -83,7 +83,7 @@ pub fn zip(a: &SqlArray, b: &SqlArray, op: BinOp) -> Result<SqlArray> {
 /// [`zip`] with an explicit degree of parallelism (1 = serial). Results are
 /// bit-identical for every `dop`; [`zip`] picks the DOP from the array size
 /// and the `SQLARRAY_DOP` configuration.
-pub fn zip_with_dop(a: &SqlArray, b: &SqlArray, op: BinOp, dop: usize) -> Result<SqlArray> {
+fn zip_with_dop(a: &SqlArray, b: &SqlArray, op: BinOp, dop: usize) -> Result<SqlArray> {
     if a.dims() != b.dims() {
         return Err(ArrayError::ShapeMismatch {
             left: a.dims().to_vec(),
@@ -167,8 +167,7 @@ pub fn offset(a: &SqlArray, k: f64) -> Result<SqlArray> {
 }
 
 /// `v ↦ v·mul + add` applied elementwise (componentwise for complex
-/// inputs, matching what [`map_f64`] does for a linear map), with the real
-/// path parallelized over `dop` chunks.
+/// inputs), with the real path parallelized over `dop` chunks.
 fn affine_with_dop(a: &SqlArray, mul: f64, add: f64, dop: usize) -> Result<SqlArray> {
     if a.elem().is_complex() {
         return map_c64(a, |c| Complex64::new(c.re * mul + add, c.im * mul + add));
@@ -184,28 +183,9 @@ fn affine_with_dop(a: &SqlArray, mul: f64, add: f64, dop: usize) -> Result<SqlAr
     SqlArray::from_blob(out)
 }
 
-/// Applies a real function elementwise. Real input → `float64` output;
-/// complex input applies `f` to both components independently only when it
-/// is a linear map — to stay honest, complex arrays route through
-/// [`map_c64`] instead and this function rejects them.
-pub fn map_f64(a: &SqlArray, mut f: impl FnMut(f64) -> f64) -> Result<SqlArray> {
-    if a.elem().is_complex() {
-        return map_c64(a, |c| Complex64::new(f(c.re), f(c.im)));
-    }
-    let header = promote_header(a, ElementType::Float64)?;
-    let hlen = header.header_len();
-    let mut out = vec![0u8; header.blob_len()];
-    header.encode(&mut out);
-    for lin in 0..a.count() {
-        let v = f(a.item_linear(lin).as_f64()?);
-        Scalar::F64(v).write_le(&mut out[hlen + lin * 8..]);
-    }
-    SqlArray::from_blob(out)
-}
-
 /// Applies a complex function elementwise; any input type is widened to
 /// `complex64` first.
-pub fn map_c64(a: &SqlArray, mut f: impl FnMut(Complex64) -> Complex64) -> Result<SqlArray> {
+fn map_c64(a: &SqlArray, mut f: impl FnMut(Complex64) -> Complex64) -> Result<SqlArray> {
     let header = promote_header(a, ElementType::Complex64)?;
     let hlen = header.header_len();
     let mut out = vec![0u8; header.blob_len()];
@@ -238,22 +218,6 @@ pub fn dot(a: &SqlArray, b: &SqlArray) -> Result<f64> {
     let mut acc = 0.0f64;
     for lin in 0..a.count() {
         acc += a.item_linear(lin).as_f64()? * b.item_linear(lin).as_f64()?;
-    }
-    Ok(acc)
-}
-
-/// Hermitian inner product `⟨a, b⟩ = Σ conj(aᵢ)·bᵢ` for complex vectors
-/// (real inputs are widened).
-pub fn dot_c64(a: &SqlArray, b: &SqlArray) -> Result<Complex64> {
-    if a.count() != b.count() {
-        return Err(ArrayError::ShapeMismatch {
-            left: a.dims().to_vec(),
-            right: b.dims().to_vec(),
-        });
-    }
-    let mut acc = Complex64::ZERO;
-    for lin in 0..a.count() {
-        acc += a.item_linear(lin).as_c64().conj() * b.item_linear(lin).as_c64();
     }
     Ok(acc)
 }
@@ -343,23 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn map_f64_applies_function() {
-        let a = short_vector(&[1.0f64, 4.0, 9.0]).unwrap();
-        let r = map_f64(&a, f64::sqrt).unwrap();
-        assert_eq!(r.to_vec::<f64>().unwrap(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn dot_products() {
         let a = short_vector(&[1.0f64, 2.0, 3.0]).unwrap();
         let b = short_vector(&[4.0f64, -5.0, 6.0]).unwrap();
         assert!(close(dot(&a, &b).unwrap(), 4.0 - 10.0 + 18.0));
-
-        let ca = short_vector(&[Complex64::new(0.0, 1.0)]).unwrap();
-        let cb = short_vector(&[Complex64::new(0.0, 1.0)]).unwrap();
-        // <i, i> = conj(i)*i = -i*i = 1
-        let h = dot_c64(&ca, &cb).unwrap();
-        assert!(close(h.re, 1.0) && close(h.im, 0.0));
     }
 
     #[test]

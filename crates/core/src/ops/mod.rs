@@ -11,7 +11,7 @@
 //! | [`agg`]       | whole-array aggregates (sum, min, max, mean, std, ...) |
 //! | [`axis`]      | reductions over one axis (spectrum cube summation)     |
 //! | [`elementwise`]| arithmetic, scaling, dot products, norms              |
-//! | [`table`]     | `ToTable` / `Concat` (array ⇄ rowset)                  |
+//! | [`table`]     | `Concat` (rowset → array)                              |
 
 pub mod agg;
 pub mod axis;

@@ -38,13 +38,6 @@ pub fn subarray(a: &SqlArray, offset: &[usize], size: &[usize], squeeze: bool) -
     SqlArray::from_blob(out)
 }
 
-/// Extracts one full column `j` of a 2-D array as a vector — the paper's
-/// motivating squeeze example.
-pub fn column(a: &SqlArray, j: usize) -> Result<SqlArray> {
-    let dims = a.dims().to_vec();
-    subarray(a, &[0, j], &[dims[0], 1], true)
-}
-
 /// Extracts one full row `i` of a 2-D array as a vector.
 pub fn row(a: &SqlArray, i: usize) -> Result<SqlArray> {
     let dims = a.dims().to_vec();
@@ -130,8 +123,8 @@ mod tests {
             &[1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0],
         )
         .unwrap();
-        // m = [[1,2,3],[4,5,6]]
-        let c1 = column(&m, 1).unwrap();
+        // m = [[1,2,3],[4,5,6]]; column 1, squeezed to a vector.
+        let c1 = subarray(&m, &[0, 1], &[2, 1], true).unwrap();
         assert_eq!(c1.dims(), &[2]);
         assert_eq!(c1.to_vec::<f64>().unwrap(), vec![2.0, 5.0]);
         let r0 = row(&m, 0).unwrap();

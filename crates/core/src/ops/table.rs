@@ -1,78 +1,16 @@
-//! Array ⇄ rowset conversion (`ToTable`, `Concat`).
+//! Rowset → array assembly (`Concat`).
 //!
 //! "Arrays can be created from row-by-row data stored in a table [...] the
 //! array is assembled from a table which has two columns: one containing the
-//! index of the item (as an array of two integers) and the value" and
-//! "arrays can be converted to tables by various table-valued functions,
-//! e.g. ToTable, MatrixToTable" (§5.1).
+//! index of the item (as an array of two integers) and the value" (§5.1).
+//! The opposite direction, the table-valued `ToTable`/`MatrixToTable`, has
+//! no SQL surface here.
 
 use crate::array::SqlArray;
 use crate::element::ElementType;
 use crate::errors::{ArrayError, Result};
 use crate::header::StorageClass;
 use crate::scalar::Scalar;
-
-/// One row of the table form of an array: the multi-index and the value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayRow {
-    /// Multi-dimensional index of the element.
-    pub index: Vec<usize>,
-    /// The element value.
-    pub value: Scalar,
-}
-
-/// Explodes an array into `(index, value)` rows in column-major order — the
-/// `ToTable` table-valued function.
-pub fn to_table(a: &SqlArray) -> Vec<ArrayRow> {
-    (0..a.count())
-        .map(|lin| ArrayRow {
-            index: a.shape().multi_index(lin),
-            value: a.item_linear(lin),
-        })
-        .collect()
-}
-
-/// Explodes a 2-D array into `(row, col, value)` triples — the
-/// `MatrixToTable` convenience form.
-pub fn matrix_to_table(a: &SqlArray) -> Result<Vec<(usize, usize, Scalar)>> {
-    if a.rank() != 2 {
-        return Err(ArrayError::BadRank {
-            rank: a.rank(),
-            max: 2,
-        });
-    }
-    Ok(to_table(a)
-        .into_iter()
-        .map(|r| (r.index[0], r.index[1], r.value))
-        .collect())
-}
-
-/// Assembles an array from indexed rows — the `Concat` operation. Rows may
-/// arrive in any order; each cell must be written exactly once. Cells the
-/// rows never touch are zero (SQL groups with missing members), but a row
-/// count that differs from the cell count is reported so bulk loaders catch
-/// dropped rows.
-pub fn from_rows(
-    class: StorageClass,
-    elem: ElementType,
-    dims: &[usize],
-    rows: &[ArrayRow],
-) -> Result<SqlArray> {
-    let mut a = SqlArray::zeros(class, elem, dims)?;
-    let mut seen = vec![false; a.count()];
-    for row in rows {
-        let lin = a.shape().linear_index(&row.index)?;
-        if seen[lin] {
-            return Err(ArrayError::Parse(format!(
-                "duplicate index {:?} in row stream",
-                row.index
-            )));
-        }
-        seen[lin] = true;
-        a.update_item(&row.index, row.value)?;
-    }
-    Ok(a)
-}
 
 /// Streaming builder used by the engine's `Concat` implementations: rows
 /// are appended one at a time. The builder mirrors the *scalar-function*
@@ -242,55 +180,6 @@ impl ConcatBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::matrix;
-
-    #[test]
-    fn to_table_lists_column_major() {
-        let m = matrix(StorageClass::Short, 2, 2, &[1.0f64, 2.0, 3.0, 4.0]).unwrap();
-        let rows = to_table(&m);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].index, vec![0, 0]);
-        assert_eq!(rows[1].index, vec![1, 0]);
-        assert_eq!(rows[1].value, Scalar::F64(3.0)); // row 1, col 0
-    }
-
-    #[test]
-    fn table_round_trip() {
-        let m = matrix(StorageClass::Short, 3, 2, &[1i32, 2, 3, 4, 5, 6]).unwrap();
-        let rows = to_table(&m);
-        let back = from_rows(m.class(), m.elem(), m.dims(), &rows).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn from_rows_any_order_and_duplicates() {
-        let mut rows = vec![
-            ArrayRow {
-                index: vec![1],
-                value: Scalar::F64(20.0),
-            },
-            ArrayRow {
-                index: vec![0],
-                value: Scalar::F64(10.0),
-            },
-        ];
-        let a = from_rows(StorageClass::Short, ElementType::Float64, &[2], &rows).unwrap();
-        assert_eq!(a.to_vec::<f64>().unwrap(), vec![10.0, 20.0]);
-
-        rows.push(ArrayRow {
-            index: vec![0],
-            value: Scalar::F64(99.0),
-        });
-        assert!(from_rows(StorageClass::Short, ElementType::Float64, &[2], &rows).is_err());
-    }
-
-    #[test]
-    fn matrix_to_table_requires_rank_2() {
-        let v = crate::build::short_vector(&[1.0f64]).unwrap();
-        assert!(matrix_to_table(&v).is_err());
-        let m = matrix(StorageClass::Short, 1, 1, &[5.0f64]).unwrap();
-        assert_eq!(matrix_to_table(&m).unwrap(), vec![(0, 0, Scalar::F64(5.0))]);
-    }
 
     #[test]
     fn concat_builder_sequential() {

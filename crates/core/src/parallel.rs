@@ -73,7 +73,7 @@ pub fn dop_or_cores(setting: Option<usize>) -> usize {
 /// the fan-out used by the value-producing parallel stages (bulk-load row
 /// encoding, leaf-image building, scan workers); kernels that write into
 /// disjoint sub-slices of a caller buffer use [`scoped_for_ranges_mut`]
-/// (or [`scoped_try_for_ranges_mut`] when they can fail), the
+/// (or `scoped_try_for_ranges_mut` when they can fail), the
 /// disjoint-write duals.
 pub fn scoped_map_ranges<T: Send>(
     total: usize,
@@ -138,7 +138,7 @@ pub fn scoped_for_ranges_mut<T: Send>(
 /// slices of a caller buffer and can fail per element (the elementwise
 /// array kernels evaluate user expressions that may divide by zero or
 /// overflow a cast).
-pub fn scoped_try_for_ranges_mut<T: Send, E: Send>(
+pub(crate) fn scoped_try_for_ranges_mut<T: Send, E: Send>(
     data: &mut [T],
     item_len: usize,
     parts: usize,

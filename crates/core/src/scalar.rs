@@ -32,7 +32,7 @@ pub enum Scalar {
 
 impl Scalar {
     /// The element type of this value.
-    pub fn element_type(&self) -> ElementType {
+    pub(crate) fn element_type(&self) -> ElementType {
         match self {
             Scalar::I8(_) => ElementType::Int8,
             Scalar::I16(_) => ElementType::Int16,
@@ -79,6 +79,7 @@ impl Scalar {
     }
 
     /// Complex view; real values are widened with a zero imaginary part.
+    // lint:allow(L011, reason = "tests/sql_end_to_end.rs and tests/science_integration.rs read FFT bins through it")
     pub fn as_c64(&self) -> Complex64 {
         match *self {
             Scalar::C32(v) => Complex64::from_c32(v),

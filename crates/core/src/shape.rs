@@ -63,7 +63,7 @@ impl Shape {
 
     /// Column-major strides, in *elements*: `stride[0] = 1`,
     /// `stride[k] = stride[k-1] * dims[k-1]`.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut s = Vec::with_capacity(self.dims.len());
         let mut acc = 1usize;
         for &d in &self.dims {
@@ -75,7 +75,7 @@ impl Shape {
 
     /// Linearizes a multi-index into an element offset, validating rank and
     /// bounds (this is the `Item_N` address computation).
-    pub fn linear_index(&self, idx: &[usize]) -> Result<usize> {
+    pub(crate) fn linear_index(&self, idx: &[usize]) -> Result<usize> {
         if idx.len() != self.rank() {
             return Err(ArrayError::IndexRankMismatch {
                 got: idx.len(),
@@ -98,8 +98,9 @@ impl Shape {
         Ok(off)
     }
 
-    /// Inverse of [`linear_index`](Self::linear_index): recovers the
+    /// Inverse of `linear_index`: recovers the
     /// multi-index of a linear offset.
+    // lint:allow(L011, reason = "crates/core/tests/proptests.rs checks it inverts linear_index")
     pub fn multi_index(&self, mut linear: usize) -> Vec<usize> {
         assert!(linear < self.count());
         let mut idx = Vec::with_capacity(self.rank());
@@ -112,7 +113,7 @@ impl Shape {
 
     /// Validates a rectangular subarray request and returns the shape of the
     /// result (before any squeeze).
-    pub fn validate_subarray(&self, offset: &[usize], size: &[usize]) -> Result<Shape> {
+    pub(crate) fn validate_subarray(&self, offset: &[usize], size: &[usize]) -> Result<Shape> {
         if offset.len() != self.rank() {
             return Err(ArrayError::IndexRankMismatch {
                 got: offset.len(),
@@ -162,7 +163,11 @@ impl Shape {
     /// additional leading axes that span their whole parent dimension —
     /// this is what makes page-aligned blob subsetting read long sequential
     /// ranges instead of many small ones.
-    pub fn region_runs<'a>(&'a self, offset: &'a [usize], size: &'a [usize]) -> RegionRuns<'a> {
+    pub(crate) fn region_runs<'a>(
+        &'a self,
+        offset: &'a [usize],
+        size: &'a [usize],
+    ) -> RegionRuns<'a> {
         // Number of leading axes fused into a single contiguous run.
         let mut fused = 1;
         while fused < self.rank() && size[fused - 1] == self.dims[fused - 1] {
@@ -182,7 +187,7 @@ impl Shape {
     }
 }
 
-/// Iterator returned by [`Shape::region_runs`].
+/// Iterator returned by `Shape::region_runs`.
 pub struct RegionRuns<'a> {
     shape: &'a Shape,
     offset: &'a [usize],

@@ -28,8 +28,8 @@
 //!
 //! Readers therefore always observe a *committed* state — never a
 //! half-applied mutation — and every page a statement reads belongs to
-//! the same commit epoch ([`sqlarray_storage::ScanCtx::snapshot_epoch`]
-//! names it). This is the single-writer/multi-reader epoch scheme: the
+//! the same commit epoch ([`EngineStats::committed_epoch`] counts them).
+//! This is the single-writer/multi-reader epoch scheme: the
 //! honest stepping stone to MVCC, where readers would keep their snapshot
 //! *while* a writer proceeds instead of briefly excluding it.
 

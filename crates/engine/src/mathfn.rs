@@ -167,7 +167,7 @@ mod tests {
         for lin in 0..back.count() {
             let idx = back.shape().multi_index(lin);
             let expect = (idx[0] + idx[1] + idx[2]) as f64;
-            let got = back.item_linear(lin).as_c64();
+            let got = back.item(&idx).unwrap().as_c64();
             assert!((got.re - expect).abs() < 1e-9 && got.im.abs() < 1e-9);
         }
     }

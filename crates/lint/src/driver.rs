@@ -5,7 +5,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::diag::Finding;
-use crate::rules;
+use crate::rules::{self, Callers};
 use crate::source::SourceFile;
 
 /// Path components that never contain library code subject to the rules.
@@ -56,9 +56,10 @@ impl Options {
 fn usage() -> String {
     "usage: sqlarray-lint [--format=json|human] [--deny-all] [--loc] [paths…]\n\
      Lints the workspace's library sources against the repo invariants \
-     (L001–L010). With no paths, walks up to the workspace root and lints \
-     every crate's src/ tree. --loc prints, per crate, the lines of those \
-     sources that hold code outside #[cfg(test)] instead."
+     (L001–L011). With no paths, walks up to the workspace root and lints \
+     every crate's src/ tree; L011 reads the whole workspace's callers \
+     either way. --loc prints, per crate, the lines of those sources that \
+     hold code outside #[cfg(test)] instead."
         .to_string()
 }
 
@@ -77,12 +78,29 @@ pub fn loc(f: &SourceFile<'_>) -> usize {
     lines.len()
 }
 
-/// Lints one in-memory source. `path_label` drives crate attribution
+/// Lints one in-memory source as a workspace of its own (so L011 finds
+/// no caller). `path_label` drives crate attribution
 /// (`crates/<name>/src/…`), so tests can lint fixtures under pretend
 /// paths.
 pub fn lint_source(path_label: &str, src: &str) -> Vec<Finding> {
-    let f = SourceFile::parse(path_label, src);
-    rules::run_all(&f)
+    lint_files(&[(path_label, src)])
+}
+
+/// Lints in-memory `(path_label, source)` files as one workspace: every
+/// rule runs on each, and L011's callers are the caller files among them.
+pub fn lint_files(files: &[(&str, &str)]) -> Vec<Finding> {
+    let parsed: Vec<SourceFile<'_>> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
+    let mut callers = Callers::default();
+    parsed.iter().for_each(|f| callers.add(f));
+    parsed
+        .iter()
+        .flat_map(|f| rules::run_all(f, &callers))
+        .collect()
+}
+
+/// The workspace root above `cwd`, or `cwd` itself outside a workspace.
+fn workspace_root(cwd: &Path) -> PathBuf {
+    find_workspace_root(cwd).unwrap_or_else(|| cwd.to_path_buf())
 }
 
 /// Walks upward from `start` to the directory whose `Cargo.toml` declares
@@ -108,12 +126,31 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// output.
 pub fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    walk(root, &mut out);
+    walk(root, SKIP_DIRS, &mut out);
+    out.retain(|p| in_src_tree(p));
     out.sort();
     out
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+/// L011's callers, indexed over every source file of the workspace at
+/// `root` ([`Callers::add`] keeps the caller files).
+fn index_callers(root: &Path) -> Callers {
+    let mut files = Vec::new();
+    walk(root, &["target", "vendor"], &mut files);
+    let mut callers = Callers::default();
+    for path in &files {
+        let label = rel_label(root, path);
+        match fs::read_to_string(path) {
+            Ok(src) => callers.add(&SourceFile::parse(&label, &src)),
+            Err(e) => eprintln!("sqlarray-lint: skipping {}: {e}", path.display()),
+        }
+    }
+    callers
+}
+
+/// The `.rs` files under `dir`, outside directories named in `skip` or
+/// starting with `.`.
+fn walk(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -122,11 +159,11 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if skip.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            walk(&path, out);
-        } else if name.ends_with(".rs") && in_src_tree(&path) {
+            walk(&path, skip, out);
+        } else if name.ends_with(".rs") {
             out.push(path);
         }
     }
@@ -159,11 +196,13 @@ fn rel_label(root: &Path, path: &Path) -> String {
 }
 
 /// Runs the lint over the requested paths (or the whole workspace) and
-/// returns (findings, files_scanned). IO failures on individual files
+/// returns (findings, files_scanned). L011's callers are indexed over the
+/// whole workspace whatever the paths. IO failures on individual files
 /// are reported to stderr and skipped, never fatal.
 pub fn run(opts: &Options, cwd: &Path) -> (Vec<Finding>, usize) {
+    let callers = index_callers(&workspace_root(cwd));
     let mut findings = Vec::new();
-    let scanned = for_each_source(opts, cwd, |f| findings.extend(rules::run_all(f)));
+    let scanned = for_each_source(opts, cwd, |f| findings.extend(rules::run_all(f, &callers)));
     (findings, scanned)
 }
 
@@ -181,7 +220,7 @@ pub fn loc_per_crate(opts: &Options, cwd: &Path) -> Vec<(String, usize)> {
 /// returns how many were read. IO failures on individual files are
 /// reported to stderr and skipped, never fatal.
 fn for_each_source(opts: &Options, cwd: &Path, mut visit: impl FnMut(&SourceFile<'_>)) -> usize {
-    let root = find_workspace_root(cwd).unwrap_or_else(|| cwd.to_path_buf());
+    let root = workspace_root(cwd);
     let files: Vec<PathBuf> = if opts.paths.is_empty() {
         collect_sources(&root)
     } else {

@@ -29,5 +29,5 @@ pub mod rules;
 pub mod source;
 
 pub use diag::Finding;
-pub use driver::{lint_source, Options};
+pub use driver::{lint_files, lint_source, Options};
 pub use source::SourceFile;

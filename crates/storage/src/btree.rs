@@ -410,7 +410,7 @@ impl BTree {
     }
 
     /// The root page (for diagnostics).
-    pub fn root_page(&self) -> PageId {
+    pub(crate) fn root_page(&self) -> PageId {
         self.root
     }
 
@@ -804,6 +804,7 @@ impl BTree {
     /// `Table::bulk_load` passes the empty table's root leaf so no page is
     /// orphaned; leaves 1.. are still appended contiguously at the end of
     /// the file.
+    // lint:allow(L011, reason = "crates/storage/tests/proptests.rs and tests/alloc_counts.rs build trees of a given shape")
     pub fn bulk_build(
         store: &mut PageStore,
         entries: &[(i64, Vec<u8>)],
@@ -952,7 +953,7 @@ impl BTree {
     /// scan worker's [`PartitionReader`](crate::store::PartitionReader) —
     /// the latter is how `Table::partition_keys` enumerates leaves over a
     /// *shared* store reference when many sessions scan concurrently.
-    pub fn leaf_page_ids<R: crate::store::PageRead>(
+    pub(crate) fn leaf_page_ids<R: crate::store::PageRead>(
         &self,
         store: &mut R,
         keys: &RangeInclusive<i64>,
@@ -1009,6 +1010,7 @@ impl BTree {
     /// Number of leaf pages (for storage accounting): the leaf chain's
     /// length. A chain longer than the file has pages — a link that loops
     /// back — is a typed error.
+    // lint:allow(L011, reason = "tests/alloc_counts.rs checks a split grew the leaf chain")
     pub fn leaf_pages(&self, store: &mut PageStore) -> Result<u64> {
         let limit = store.page_count();
         let mut n = 0;

@@ -18,7 +18,7 @@
 //!    takes the [`DiskImage`] that survived: checkpoint base pages + the
 //!    cut log.
 //! 3. Optionally **corrupt** the image like failing media would:
-//!    [`tear_final_page`] (a partial sector write), [`corrupt_image_byte`]
+//!    `tear_final_page` (a partial sector write), `corrupt_image_byte`
 //!    (a silent bit flip), [`tear_wal`] (an arbitrary mid-record cut).
 //!    An image's pages are shared with the store it came from, so these
 //!    helpers replace or copy a page before they damage it: the store,
@@ -41,28 +41,29 @@
 //! [`rollback`](crate::store::PageStore::rollback), which returns the live
 //! store to its last commit.
 
-use crate::page::PageId;
 use crate::store::DiskImage;
-use std::sync::Arc;
 
 /// Truncates the image's final page to `keep` bytes — a torn (partial)
 /// page write. Recovery refuses the image with
 /// [`crate::errors::StorageError::PageCorrupt`] for that page.
-pub fn tear_final_page(image: &mut DiskImage, keep: usize) {
+#[cfg(test)]
+pub(crate) fn tear_final_page(image: &mut DiskImage, keep: usize) {
     if let Some(last) = image.pages.last_mut() {
         let keep = keep.min(last.len().saturating_sub(1));
-        *last = Arc::from(&last[..keep]);
+        *last = std::sync::Arc::from(&last[..keep]);
     }
 }
 
 /// Flips one bit of a base page without fixing its checksum — silent
 /// media corruption recovery must detect.
-pub fn corrupt_image_byte(image: &mut DiskImage, page: PageId, off: usize) {
-    Arc::make_mut(&mut image.pages[page as usize])[off] ^= 0x01;
+#[cfg(test)]
+pub(crate) fn corrupt_image_byte(image: &mut DiskImage, page: crate::page::PageId, off: usize) {
+    std::sync::Arc::make_mut(&mut image.pages[page as usize])[off] ^= 0x01;
 }
 
 /// Cuts the image's log to its first `keep` bytes — an arbitrary
 /// (possibly mid-record) tail loss beyond what the armed plan produced.
+// lint:allow(L011, reason = "crates/storage/tests/crash_matrix.rs cuts logs mid-record")
 pub fn tear_wal(image: &mut DiskImage, keep: usize) {
     image.wal.truncate(keep);
 }

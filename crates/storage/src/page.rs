@@ -82,7 +82,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Number of records.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         u16::from_le_bytes([self.bytes[2], self.bytes[3]]) as usize
     }
 
@@ -99,24 +99,24 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Sibling link (next leaf in key order); `u64::MAX` means none.
-    pub fn next_page(&self) -> Option<PageId> {
+    pub(crate) fn next_page(&self) -> Option<PageId> {
         let v = sqlarray_core::le::u64_at(self.bytes, 6);
         (v != u64::MAX).then_some(v)
     }
 
     /// Sets the sibling link.
-    pub fn set_next_page(&mut self, next: Option<PageId>) {
+    pub(crate) fn set_next_page(&mut self, next: Option<PageId>) {
         let v = next.unwrap_or(u64::MAX);
         self.bytes[6..14].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Free bytes available for one more record (slot entry included).
-    pub fn free_space(&self) -> usize {
+    pub(crate) fn free_space(&self) -> usize {
         free_tail(self.bytes, self.slot_count()).saturating_sub(SLOT_LEN)
     }
 
     /// Largest record this layout can ever hold in one page.
-    pub const fn max_record() -> usize {
+    pub(crate) const fn max_record() -> usize {
         PAGE_SIZE - PAGE_HEADER_LEN - SLOT_LEN
     }
 
@@ -148,7 +148,7 @@ impl<'a> SlottedPage<'a> {
     /// Inserts a record at slot position `i`, shifting later slots down.
     /// Record bytes always append at the free offset; only the 4-byte slot
     /// directory entries move.
-    pub fn insert_record(&mut self, i: usize, rec: &[u8]) -> Result<()> {
+    pub(crate) fn insert_record(&mut self, i: usize, rec: &[u8]) -> Result<()> {
         let count = self.slot_count();
         if i > count {
             return Err(StorageError::BadSlot { slot: i, count });
@@ -173,7 +173,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Appends a record after the last slot.
-    pub fn push_record(&mut self, rec: &[u8]) -> Result<usize> {
+    pub(crate) fn push_record(&mut self, rec: &[u8]) -> Result<usize> {
         let i = self.slot_count();
         self.insert_record(i, rec)?;
         Ok(i)
@@ -185,7 +185,7 @@ impl<'a> SlottedPage<'a> {
     /// until the page is compacted). Fails with
     /// [`StorageError::RecordTooLarge`] when the grown record does not fit
     /// the remaining free space — the caller compacts or splits then.
-    pub fn replace_record(&mut self, i: usize, rec: &[u8]) -> Result<()> {
+    pub(crate) fn replace_record(&mut self, i: usize, rec: &[u8]) -> Result<()> {
         let count = self.slot_count();
         if i >= count {
             return Err(StorageError::BadSlot { slot: i, count });
@@ -215,7 +215,7 @@ impl<'a> SlottedPage<'a> {
     /// Removes slot `i` (the record bytes become dead space until the page
     /// is compacted): later slots move up one entry in one move, and the
     /// entry at the old last position stays behind, stale.
-    pub fn remove_slot(&mut self, i: usize) -> Result<()> {
+    pub(crate) fn remove_slot(&mut self, i: usize) -> Result<()> {
         let count = self.slot_count();
         if i >= count {
             return Err(StorageError::BadSlot { slot: i, count });
@@ -285,18 +285,18 @@ impl<'a> SlottedRead<'a> {
     }
 
     /// Number of records.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.count
     }
 
     /// The whole page, for readers that address it by the byte ranges
-    /// [`record_ranges`](Self::record_ranges) hands out.
+    /// `record_ranges` hands out.
     pub fn bytes(&self) -> &'a [u8] {
         self.bytes
     }
 
     /// Sibling link; `None` when this is the last page in the chain.
-    pub fn next_page(&self) -> Option<PageId> {
+    pub(crate) fn next_page(&self) -> Option<PageId> {
         let v = sqlarray_core::le::u64_at(self.bytes, 6);
         (v != u64::MAX).then_some(v)
     }
@@ -304,7 +304,7 @@ impl<'a> SlottedRead<'a> {
     /// Free bytes between the records and the slot directory: a new
     /// record needs its bytes plus [`SLOT_LEN`] of them, a grown
     /// replacement only its bytes.
-    pub fn free_tail(&self) -> usize {
+    pub(crate) fn free_tail(&self) -> usize {
         free_tail(self.bytes, self.count)
     }
 
@@ -348,7 +348,7 @@ impl<'a> SlottedRead<'a> {
     /// The byte ranges of records `slots` within [`bytes`](Self::bytes), in
     /// slot order: one walk over that stretch of the directory, each entry
     /// read and checked once, as [`record`](Self::record) checks it.
-    pub fn record_ranges(
+    pub(crate) fn record_ranges(
         &self,
         slots: Range<usize>,
     ) -> Result<impl Iterator<Item = Result<Range<usize>>> + '_> {

@@ -70,7 +70,7 @@ pub type PoolStamp = u128;
 
 /// Builds a [`PoolStamp`] from its three components.
 #[inline]
-pub fn pool_stamp(epoch: u64, partition: u32, seq: u32) -> PoolStamp {
+pub(crate) fn pool_stamp(epoch: u64, partition: u32, seq: u32) -> PoolStamp {
     ((epoch as u128) << 64) | ((partition as u128) << 32) | seq as u128
 }
 
@@ -99,7 +99,7 @@ impl PageBits {
     /// Widens a set built by [`new`](Self::new) to page ids `0..pages`,
     /// keeping the ids it holds: the live store's free-list set grows with
     /// its file.
-    pub fn grow(&mut self, pages: u64) {
+    pub(crate) fn grow(&mut self, pages: u64) {
         assert_eq!(self.stride, 1, "only a set built by `new` grows");
         let words = pages.div_ceil(64) as usize;
         if words > self.per_stripe {
@@ -357,7 +357,7 @@ impl ShardedLruPool {
     /// Sizes the residency bitmaps and stamps for a file of `pages` pages;
     /// the store calls this as the file grows (it never shrinks). Only ids
     /// below `pages` may then be offered to the pool.
-    pub fn set_page_count(&mut self, pages: u64) {
+    pub(crate) fn set_page_count(&mut self, pages: u64) {
         let before = self.words_per_shard();
         self.pages = self.pages.max(pages);
         let words = self.words_per_shard();
@@ -388,7 +388,8 @@ impl ShardedLruPool {
     }
 
     /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
@@ -405,7 +406,8 @@ impl ShardedLruPool {
 
     /// If `id` is resident, refreshes its stamp (keeping the newer of the
     /// current and offered stamps) and returns `true`.
-    pub fn touch(&self, id: PageId, stamp: PoolStamp) -> bool {
+    #[cfg(test)]
+    fn touch(&self, id: PageId, stamp: PoolStamp) -> bool {
         lock_shard(&self.shards[self.shard_index(id)]).touch(id, stamp)
     }
 
@@ -413,7 +415,7 @@ impl ShardedLruPool {
     /// trip for the fault-in path. Returns `true` when the page was
     /// already resident. Panics when `id` is not below the
     /// [page count](Self::set_page_count): the bitmaps cover the file.
-    pub fn touch_or_insert(&self, id: PageId, stamp: PoolStamp) -> bool {
+    pub(crate) fn touch_or_insert(&self, id: PageId, stamp: PoolStamp) -> bool {
         self.check_in_file(id);
         lock_shard(&self.shards[self.shard_index(id)]).touch_or_insert(id, stamp)
     }
@@ -456,6 +458,7 @@ impl ShardedLruPool {
     /// Resident pages from most- to least-recently stamped, merged across
     /// shards — the deterministic global recency order (for tests and the
     /// DOP-invariance property test).
+    // lint:allow(L011, reason = "tests/parallel_determinism.rs and crates/storage/tests/proptests.rs compare recency orders")
     pub fn keys_mru_order(&self) -> Vec<PageId> {
         let mut all: Vec<(PoolStamp, PageId)> = Vec::with_capacity(self.len());
         for (i, s) in self.shards.iter().enumerate() {

@@ -129,6 +129,7 @@ const BLOB_LOB: u8 = 1;
 
 /// Encodes a row. Blob values larger than the in-row limit are written to
 /// the LOB store as a side effect.
+// lint:allow(L011, reason = "crates/storage/tests/proptests.rs and crash_matrix.rs encode the rows they insert")
 pub fn encode_row(store: &mut PageStore, schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>> {
     encode_row_impl(Some(store), schema, values)
 }
@@ -138,7 +139,7 @@ pub fn encode_row(store: &mut PageStore, schema: &Schema, values: &[RowValue]) -
 /// values are an error here; [`Table::bulk_load`](crate::Table::bulk_load)
 /// spills them to the LOB store in a serial pre-pass (replacing them with
 /// [`RowValue::LobRef`]) before handing rows to the workers.
-pub fn encode_row_inline(schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>> {
+pub(crate) fn encode_row_inline(schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>> {
     encode_row_impl(None, schema, values)
 }
 
@@ -152,7 +153,7 @@ pub fn encode_row_inline(schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>
 ///
 /// Kept adjacent to `encode_row_impl` because the two must agree
 /// byte-for-byte; `encoded_len_matches_encoding` pins that.
-pub fn encoded_len(schema: &Schema, values: &[RowValue]) -> Result<usize> {
+pub(crate) fn encoded_len(schema: &Schema, values: &[RowValue]) -> Result<usize> {
     if values.len() != schema.columns.len() {
         return Err(StorageError::SchemaMismatch(format!(
             "row has {} values, schema has {} columns",
@@ -283,7 +284,7 @@ pub fn decode_col(schema: &Schema, bytes: &[u8], col_idx: usize) -> Result<RowVa
 /// Appends the LOB ids a row references to `out`, without materializing any
 /// inline payloads. `UPDATE`/`DELETE` walk old and new images through this
 /// to free orphaned blobs.
-pub fn lob_refs(schema: &Schema, bytes: &[u8], out: &mut Vec<BlobId>) -> Result<()> {
+pub(crate) fn lob_refs(schema: &Schema, bytes: &[u8], out: &mut Vec<BlobId>) -> Result<()> {
     let mut off = 0usize;
     for col in &schema.columns {
         if col.ctype == ColType::Blob {
@@ -434,7 +435,7 @@ impl<'a> BatchDecoder<'a> {
     /// Bytes every row holds past its cursor before [`fill`](Self::fill)
     /// may run — the caller's one check per record, failing with
     /// [`truncated`](Self::truncated).
-    pub fn fixed_prefix(&self) -> usize {
+    pub(crate) fn fixed_prefix(&self) -> usize {
         self.fixed_prefix
     }
 
@@ -442,7 +443,7 @@ impl<'a> BatchDecoder<'a> {
     /// columns from schema index `first` on need more: names the first
     /// column that does not fit, as the row-at-a-time decoders do.
     #[cold]
-    pub fn truncated(&self, first: usize, have: usize) -> StorageError {
+    pub(crate) fn truncated(&self, first: usize, have: usize) -> StorageError {
         let mut room = have;
         let mut name = "?";
         for c in self.schema.columns.iter().skip(first) {
@@ -456,7 +457,7 @@ impl<'a> BatchDecoder<'a> {
     }
 
     /// Appends the projected columns of `rows` — records of `page`, each
-    /// cursor on its first column with [`fixed_prefix`](Self::fixed_prefix)
+    /// cursor on its first column with `fixed_prefix`
     /// bytes checked — to `out`, one column at a time. Leaves the cursors
     /// wherever the last `Blob` step moved them.
     pub fn fill(&self, page: &[u8], rows: &mut [RowCursor], out: &mut [ColVec]) -> Result<()> {

@@ -45,16 +45,6 @@ impl IoStats {
         self.cache_hits + self.pages_read
     }
 
-    /// Buffer-pool hit ratio in `[0, 1]`; `1.0` for an untouched store.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.logical_reads();
-        if total == 0 {
-            1.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Adds another counter set into this one — used to fold the
     /// per-worker [`IoStats`] of a parallel scan back into the store's
     /// global counters.
@@ -137,16 +127,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.bytes_read(), 3 * 8192);
-    }
-
-    #[test]
-    fn hit_ratio_bounds() {
-        let mut s = IoStats::default();
-        assert_eq!(s.hit_ratio(), 1.0);
-        s.pages_read = 1;
-        assert_eq!(s.hit_ratio(), 0.0);
-        s.cache_hits = 3;
-        assert_eq!(s.hit_ratio(), 0.75);
     }
 
     #[test]

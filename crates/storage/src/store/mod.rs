@@ -109,9 +109,7 @@ pub struct PageStore {
     /// Logical clock behind every pool stamp: serial touches take a fresh
     /// epoch each, a parallel scan takes one epoch for all its workers.
     clock: AtomicU64,
-    /// Commit epoch: bumped by every [`commit`](Self::commit). Scans record
-    /// it at [`begin_scan`](Self::begin_scan) so a reader can name the
-    /// committed state its snapshot was taken against.
+    /// Commit epoch: bumped by every [`commit`](Self::commit).
     committed: AtomicU64,
     /// I/O accounting shared by the serial path and concurrent scan
     /// merges; its last physical read is the simulated disk head. Behind
@@ -189,6 +187,7 @@ impl PageStore {
     }
 
     /// The live buffer pool (resident-set inspection for tests/tools).
+    // lint:allow(L011, reason = "tests/subarray_pushdown.rs, tests/parallel_determinism.rs and crates/storage/tests/proptests.rs read the resident set")
     pub fn pool(&self) -> &ShardedLruPool {
         &self.pool
     }
@@ -249,7 +248,8 @@ impl PageStore {
     /// memory). Bulk builds rely on consecutive calls returning
     /// consecutive ids, and B-tree splits and root growth take their new
     /// pages here too; the LOB writer wants
-    /// [`allocate_reuse`](Self::allocate_reuse) instead.
+    /// `allocate_reuse` instead.
+    // lint:allow(L011, reason = "tests/engine_edges.rs and tests/alloc_counts.rs write pages of their own")
     pub fn allocate(&mut self) -> PageId {
         self.allocate_page(self.page_count())
     }
@@ -259,7 +259,7 @@ impl PageStore {
     /// index and chunk pages take, so blob UPDATE/DELETE churn does not
     /// leak pages. B-tree pages are never freed, so the tree allocates
     /// with [`allocate`](Self::allocate).
-    pub fn allocate_reuse(&mut self) -> PageId {
+    pub(crate) fn allocate_reuse(&mut self) -> PageId {
         let top = self.free.last().copied();
         self.allocate_page(top.unwrap_or(self.page_count()))
     }
@@ -303,7 +303,7 @@ impl PageStore {
     /// free list is refused as [`StorageError::PageAlreadyFree`] before
     /// anything is logged — replay refuses such a log, and two later
     /// allocations would hand the page to two owners.
-    pub fn free_page(&mut self, id: PageId) -> Result<()> {
+    pub(crate) fn free_page(&mut self, id: PageId) -> Result<()> {
         self.release_page(id)?;
         self.append_wal(&WalRecord::Free { page: id });
         Ok(())
@@ -473,8 +473,7 @@ impl PageStore {
     }
 
     /// The current commit epoch: how many [`commit`](Self::commit)s this
-    /// store has accepted. A scan's snapshot names the epoch it read
-    /// against (see [`ScanCtx::snapshot_epoch`]).
+    /// store has accepted.
     pub fn committed_epoch(&self) -> u64 {
         self.committed.load(Ordering::Acquire)
     }
@@ -508,12 +507,14 @@ impl PageStore {
     /// keeps mutating, so the victim operation "succeeds" in-process,
     /// exactly like a process whose kernel buffered writes the platter
     /// never saw; [`crash_image`](Self::crash_image) is what the disk kept.
+    // lint:allow(L011, reason = "crates/storage/tests/crash_matrix.rs, crates/engine/tests/dml.rs and tests/query_lifecycle.rs inject their faults here")
     pub fn arm(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
     }
 
     /// The armed plan, if any: a dry run ([`FaultPlan::count`]) reads its
     /// [`seen`](FaultPlan::seen) back through it.
+    // lint:allow(L011, reason = "crates/engine/tests/dml.rs reads a dry run's count back")
     pub fn armed(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()
     }
@@ -522,6 +523,7 @@ impl PageStore {
     /// checksum or logging anything — simulating silent media corruption
     /// that the next cold read of the page must surface as
     /// [`StorageError::PageCorrupt`].
+    // lint:allow(L011, reason = "crates/engine/tests/dml.rs damages a page under a DML")
     pub fn corrupt_byte(&mut self, id: PageId, off: usize) {
         Arc::make_mut(&mut self.pages[id as usize])[off] ^= 0x01;
     }

@@ -118,7 +118,6 @@ impl PageRead for PartitionReader<'_> {
 pub struct ScanCtx {
     resident: PageBits,
     epoch: u64,
-    committed: u64,
     query: QueryCtx,
 }
 
@@ -127,15 +126,6 @@ impl ScanCtx {
     /// opened with [`PageStore::begin_scan`]).
     pub fn query(&self) -> &QueryCtx {
         &self.query
-    }
-
-    /// The store's commit epoch when this scan began — the committed
-    /// state the snapshot was taken against. Under the engine's
-    /// single-writer/multi-reader scheme every read of one statement
-    /// carries the same epoch, which is what the concurrency tests
-    /// assert when proving a reader never observes a half-applied write.
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.committed
     }
 }
 
@@ -399,7 +389,6 @@ impl PageStore {
         ScanCtx {
             resident: self.pool.snapshot(),
             epoch: self.clock.fetch_add(1, Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Acquire),
             query,
         }
     }

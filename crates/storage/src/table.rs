@@ -125,7 +125,7 @@ impl Table {
     /// blob is spilled, so a refused row leaves no LOB chain behind. Blob
     /// values past the in-row limit spill through the LOB writer; the
     /// replaced row's out-of-page chains that the new row does not keep
-    /// come back through [`blob::free_blob`] (a pass-through `LobRef`
+    /// come back through `blob::free_blob` (a pass-through `LobRef`
     /// keeps its chain — the engine's in-place `ArrayUpdate` relies on
     /// that), so repeated UPDATEs recycle pages instead of growing the
     /// file. Spills and frees happen in the order one call per key makes
@@ -184,7 +184,7 @@ impl Table {
     ///    spilled to the LOB store in row order, exactly as row-at-a-time
     ///    inserts would have written them;
     /// 2. *row encoding* (parallel, `dop` lanes): each worker encodes a
-    ///    contiguous row range with [`row::encode_row_inline`] — pure CPU,
+    ///    contiguous row range with `row::encode_row_inline` — pure CPU,
     ///    no store access;
     /// 3. *leaf building* (parallel): [`BTree::bulk_build`] packs the
     ///    encoded rows into leaf page images on worker threads;
@@ -310,7 +310,7 @@ impl Table {
     /// contiguous [`ScanPartition`]s of near-equal page count, in key
     /// order — the one range scan: `i64::MIN..=i64::MAX` is the full
     /// clustered-index scan, `k..=k` a seek. The leaf list comes from the
-    /// index upper levels ([`BTree::leaf_page_ids`]: no leaf reads, and
+    /// index upper levels (`BTree::leaf_page_ids`: no leaf reads, and
     /// only the root-to-leaf paths the interval covers); the same `dop`
     /// always produces the same boundaries, and any `dop` produces
     /// partitions that concatenate to the same scan. There is always at
@@ -444,7 +444,7 @@ impl Table {
     /// Data size in bytes (leaf pages × page size) — what a clustered index
     /// scan must read. LOB pages are *not* included, matching how the
     /// paper's Table 1 scans touch only in-row data.
-    pub fn data_bytes(&self, store: &mut PageStore) -> Result<u64> {
+    pub(crate) fn data_bytes(&self, store: &mut PageStore) -> Result<u64> {
         Ok(self.data_pages(store)? * crate::page::PAGE_SIZE as u64)
     }
 

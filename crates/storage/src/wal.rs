@@ -63,7 +63,7 @@
 //!
 //! One page write (`PageStore::install`) is one frame however many runs
 //! it changed.
-//! [`append_write`] finds them by comparing the before- and after-image a
+//! `append_write` finds them by comparing the before- and after-image a
 //! word at a time: a changed stretch is a maximal stretch of changed
 //! 8-byte words, cut back at both ends to its first and last changed byte,
 //! so two stretches are always more than a [`RUN_HEADER`] of unchanged
@@ -116,11 +116,11 @@
 //! little-endian words, seeded by the block's index. Every step of the
 //! chain is a bijection of the word it absorbs, so a change confined to
 //! one word always changes the sum. A page's stored checksum is its block
-//! sum over 128 blocks; a frame's [`checksum32`] is the block sum of
+//! sum over 128 blocks; a frame's `checksum32` is the block sum of
 //! `magic..payload` absorbed into a state seeded with the byte length and
 //! folded to 32 bits.
 //!
-//! Being a sum is what makes a page write cheap to restamp: [`append_write`]
+//! Being a sum is what makes a page write cheap to restamp: `append_write`
 //! already finds the blocks that hold a changed word, and in the same pass
 //! adds each one's new term and subtracts its old one — an old block of
 //! zeros (a fresh page's) from a table worked out at compile time. So a
@@ -337,7 +337,7 @@ pub(crate) fn block_sums<const N: usize>(pages: [&[u8]; N]) -> [u64; N] {
 
 /// The 4-byte check of a WAL frame: the `block_sum` of its bytes,
 /// absorbed into a state seeded with their length and folded to 32 bits.
-pub fn checksum32(bytes: &[u8]) -> u32 {
+pub(crate) fn checksum32(bytes: &[u8]) -> u32 {
     let h = mix(mix(SUM_SEED, bytes.len() as u64), block_sum(bytes));
     (h ^ (h >> 32)) as u32
 }
@@ -535,7 +535,7 @@ pub struct MoveClaim {
 /// `dst_off`, and `source`, which hands out another page's live bytes —
 /// `None` for a page a copy run may not name. A claim on the written page
 /// itself is checked against the write's before-image instead.
-/// [`append_write`] trusts neither: a claim whose bytes do not match is
+/// `append_write` trusts neither: a claim whose bytes do not match is
 /// logged literally.
 pub struct Moves<'a> {
     /// The claimed moves.
@@ -710,7 +710,7 @@ fn push_stretch(
 /// checksum. Blocks the write left alone are never read, and what `sum`
 /// stood at against `before` is carried over: a stored sum that did not
 /// match the page before the write does not match it after.
-pub fn append_write(
+pub(crate) fn append_write(
     log: &mut Vec<u8>,
     lsn: u64,
     page: u64,
@@ -798,6 +798,7 @@ pub fn scan(buf: &[u8]) -> WalScan<'_> {
 
 /// Like [`scan`] but a torn tail is a typed error: the caller wants the
 /// log to be whole (integrity checks, tests) rather than crash-tolerant.
+// lint:allow(L011, reason = "crates/storage/tests/crash_matrix.rs reads whole logs")
 pub fn scan_strict(buf: &[u8]) -> Result<Vec<(u64, WalRecord<'_>)>> {
     let s = scan(buf);
     match s.tear {
