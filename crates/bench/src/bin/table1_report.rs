@@ -13,7 +13,7 @@
 //! human table.
 
 use sqlarray_bench::experiments::{run_report, Report, Scale};
-use sqlarray_bench::{rows_from_env, TABLE1_QUERIES, TESTBED_DOP};
+use sqlarray_bench::{default_dop, rows_from_env, TABLE1_QUERIES, TESTBED_DOP};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,7 +31,7 @@ fn main() {
             smoke: false,
         }
     };
-    let dop = sqlarray_core::parallel::configured_dop();
+    let dop = default_dop();
     eprintln!(
         "running E1-E9: {} rows per table, parallel runs at DOP {dop}...",
         scale.rows

@@ -548,30 +548,23 @@ fn e9_nbody_and_gemm(fx: &mut Fixture) -> Vec<Metric> {
     });
 
     // The dense kernels the PCA/spectral analyses funnel through: naive vs
-    // cache-blocked vs blocked + parallel gemm, serial vs parallel PCA fit.
-    // Blocking and fan-out never change a bit.
+    // cache-blocked gemm, then a PCA fit. Blocking never changes a bit.
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let n = fx.scale.pick(64, 512); // gemm n x n
     let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 61) as f64 / 61.0 - 0.5);
     let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 41) % 53) as f64 / 53.0 - 0.5);
     let naive = s.time("gemm_naive_ms", "ms", || blas::gemm_naive(&a, &b));
-    for (name, dop) in [("gemm_blocked_ms", 1), ("gemm_parallel_ms", fx.dop)] {
-        let c = s.time(name, "ms", || blas::gemm_with_dop(&a, &b, dop));
-        assert!(bits(&c) == bits(&naive), "{name}: diverged from naive gemm");
-    }
+    let blocked = s.time("gemm_blocked_ms", "ms", || blas::gemm(&a, &b));
+    assert!(
+        bits(&blocked) == bits(&naive),
+        "blocked gemm diverged from naive gemm"
+    );
 
     let (samples, features, k) = fx.scale.pick((200, 16, 4), (2_000, 64, 16));
     let data = Matrix::from_fn(samples, features, |i, j| {
         let t = i as f64 * 0.01;
         (j as f64 + 1.0) * t.sin() + ((i * 7 + j * 3) % 11) as f64 * 0.02
     });
-    let serial = s.time("pca_fit_serial_ms", "ms", || pca::fit_with_dop(&data, k, 1));
-    let parallel = s.time("pca_fit_parallel_ms", "ms", || {
-        pca::fit_with_dop(&data, k, fx.dop)
-    });
-    assert!(
-        bits(&parallel.components) == bits(&serial.components),
-        "parallel PCA fit diverged from serial"
-    );
+    s.time("pca_fit_ms", "ms", || pca::fit(&data, k));
     s.out
 }

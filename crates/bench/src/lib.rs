@@ -57,10 +57,16 @@ pub fn build_table1_db(rows: i64) -> Session {
 
 /// Same as [`build_table1_db`] with an explicit hosting model (e.g.
 /// [`HostingModel::free`] for the native-cost ablation). Loads through
-/// the parallel bulk-ingest path at the environment-configured DOP — the
-/// resulting layout and accounting are identical at every DOP.
+/// the parallel bulk-ingest path at [`default_dop`] — the resulting
+/// layout and accounting are identical at every DOP.
 pub fn build_table1_db_with(rows: i64, hosting: HostingModel) -> Session {
-    build_table1_db_with_dop(rows, hosting, sqlarray_core::parallel::configured_dop()).0
+    build_table1_db_with_dop(rows, hosting, default_dop()).0
+}
+
+/// The DOP an engine gives its sessions by default: `SQLARRAY_DOP`, else
+/// the core count (read by the engine's configuration, once per engine).
+pub fn default_dop() -> usize {
+    Engine::new(Database::new()).session().dop()
 }
 
 /// The accounting of one bulk ingest, which a parallel load must

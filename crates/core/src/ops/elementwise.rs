@@ -6,49 +6,18 @@
 //! that is a function of the wavelength" (§2.2) — i.e. array⊗array and
 //! array⊗scalar kernels, including mixed-type pairs (double flux × integer
 //! flags).
+//!
+//! Every kernel is one serial loop on the calling thread: inside a query
+//! that is a scan worker (the scan is the parallel unit), otherwise the
+//! session's own thread.
+
+use std::ops::{Add, Div, Mul, Sub};
 
 use crate::array::SqlArray;
 use crate::complex::Complex64;
-use crate::element::ElementType;
+use crate::element::{Element, ElementType};
 use crate::errors::{ArrayError, Result};
 use crate::header::Header;
-use crate::parallel::{configured_dop, scoped_try_for_ranges_mut};
-use crate::scalar::Scalar;
-
-/// Arrays with at least this many elements run the chunked parallel path
-/// in [`zip`], [`scale`] and [`offset`] (when the configured DOP is > 1);
-/// smaller arrays are not worth a thread spawn.
-pub const PARALLEL_MIN_ELEMS: usize = 8192;
-
-/// Picks the effective DOP for a kernel over `count` elements.
-fn kernel_dop(count: usize) -> usize {
-    if count >= PARALLEL_MIN_ELEMS {
-        configured_dop()
-    } else {
-        1
-    }
-}
-
-/// Fills `body` (a raw element buffer of `count` × 8-byte `f64` cells) from
-/// `compute(lin)`, fanning contiguous chunks out through
-/// [`scoped_try_for_ranges_mut`]. Each worker writes a disjoint sub-slice
-/// and the first error is reported in chunk order, so the result is
-/// bit-identical to the serial loop for any `dop`.
-fn fill_f64(
-    body: &mut [u8],
-    count: usize,
-    dop: usize,
-    compute: &(impl Fn(usize) -> Result<f64> + Sync),
-) -> Result<()> {
-    assert_eq!(body.len(), count * 8);
-    scoped_try_for_ranges_mut(body, 8, dop, |r, chunk| {
-        for (slot, lin) in r.enumerate() {
-            let v = compute(lin)?;
-            chunk[slot * 8..slot * 8 + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        Ok(())
-    })
-}
 
 /// The binary operation of [`zip`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,12 +32,32 @@ pub enum BinOp {
     Div,
 }
 
-fn result_type(a: ElementType, b: ElementType) -> ElementType {
-    if a.is_complex() || b.is_complex() {
-        ElementType::Complex64
-    } else {
-        ElementType::Float64
+impl BinOp {
+    fn apply<T>(self, x: T, y: T) -> T
+    where
+        T: Add<Output = T> + Sub<Output = T> + Mul<Output = T> + Div<Output = T>,
+    {
+        match self {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            BinOp::Mul => x * y,
+            BinOp::Div => x / y,
+        }
     }
+}
+
+/// A `T` array of `a`'s shape and storage class (falling back to max if
+/// the widened payload no longer fits in a page), element `lin` set to
+/// `value(lin)`; the first error ends the build.
+fn build<T: Element>(a: &SqlArray, mut value: impl FnMut(usize) -> Result<T>) -> Result<SqlArray> {
+    let header = promote_header(a, T::TYPE)?;
+    let hlen = header.header_len();
+    let mut out = vec![0u8; header.blob_len()];
+    header.encode(&mut out);
+    for (lin, cell) in out[hlen..].chunks_exact_mut(T::SIZE).enumerate() {
+        value(lin)?.write_le(cell);
+    }
+    SqlArray::from_blob(out)
 }
 
 /// Applies `op` elementwise over two arrays of identical shape. The inputs
@@ -77,60 +66,21 @@ fn result_type(a: ElementType, b: ElementType) -> ElementType {
 /// result inherits the storage class of `a` (falling back to max if the
 /// widened payload no longer fits in a page).
 pub fn zip(a: &SqlArray, b: &SqlArray, op: BinOp) -> Result<SqlArray> {
-    zip_with_dop(a, b, op, kernel_dop(a.count()))
-}
-
-/// [`zip`] with an explicit degree of parallelism (1 = serial). Results are
-/// bit-identical for every `dop`; [`zip`] picks the DOP from the array size
-/// and the `SQLARRAY_DOP` configuration.
-fn zip_with_dop(a: &SqlArray, b: &SqlArray, op: BinOp, dop: usize) -> Result<SqlArray> {
     if a.dims() != b.dims() {
         return Err(ArrayError::ShapeMismatch {
             left: a.dims().to_vec(),
             right: b.dims().to_vec(),
         });
     }
-    let out_elem = result_type(a.elem(), b.elem());
-    let header = match Header::new(a.class(), out_elem, a.shape().clone()) {
-        Ok(h) => h,
-        Err(ArrayError::ShortTooLarge { .. }) => Header::new(
-            crate::header::StorageClass::Max,
-            out_elem,
-            a.shape().clone(),
-        )?,
-        Err(e) => return Err(e),
-    };
-    let hlen = header.header_len();
-    let mut out = vec![0u8; header.blob_len()];
-    header.encode(&mut out);
-    let es = out_elem.size();
-
-    if out_elem == ElementType::Complex64 {
-        for lin in 0..a.count() {
-            let x = a.item_linear(lin).as_c64();
-            let y = b.item_linear(lin).as_c64();
-            let r = match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-            };
-            Scalar::C64(r).write_le(&mut out[hlen + lin * es..]);
-        }
+    if a.elem().is_complex() || b.elem().is_complex() {
+        build(a, |lin| {
+            Ok(op.apply(a.item_linear(lin).as_c64(), b.item_linear(lin).as_c64()))
+        })
     } else {
-        let count = a.count();
-        fill_f64(&mut out[hlen..hlen + count * 8], count, dop, &|lin| {
-            let x = a.item_linear(lin).as_f64()?;
-            let y = b.item_linear(lin).as_f64()?;
-            Ok(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-            })
-        })?;
+        build(a, |lin| {
+            Ok(op.apply(a.item_linear(lin).as_f64()?, b.item_linear(lin).as_f64()?))
+        })
     }
-    SqlArray::from_blob(out)
 }
 
 /// Elementwise `a + b`.
@@ -154,47 +104,27 @@ pub fn div(a: &SqlArray, b: &SqlArray) -> Result<SqlArray> {
 }
 
 /// Multiplies every element by a real scalar, preserving the element type
-/// family (real stays `float64`, complex stays `complex64`). Large arrays
-/// run chunked over the configured DOP.
+/// family (real stays `float64`, complex stays `complex64`).
 pub fn scale(a: &SqlArray, k: f64) -> Result<SqlArray> {
-    affine_with_dop(a, k, 0.0, kernel_dop(a.count()))
+    affine(a, k, 0.0)
 }
 
-/// Adds a real scalar to every element. Large arrays run chunked over the
-/// configured DOP.
+/// Adds a real scalar to every element.
 pub fn offset(a: &SqlArray, k: f64) -> Result<SqlArray> {
-    affine_with_dop(a, 1.0, k, kernel_dop(a.count()))
+    affine(a, 1.0, k)
 }
 
 /// `v ↦ v·mul + add` applied elementwise (componentwise for complex
-/// inputs), with the real path parallelized over `dop` chunks.
-fn affine_with_dop(a: &SqlArray, mul: f64, add: f64, dop: usize) -> Result<SqlArray> {
+/// inputs).
+fn affine(a: &SqlArray, mul: f64, add: f64) -> Result<SqlArray> {
     if a.elem().is_complex() {
-        return map_c64(a, |c| Complex64::new(c.re * mul + add, c.im * mul + add));
+        build(a, |lin| {
+            let c = a.item_linear(lin).as_c64();
+            Ok(Complex64::new(c.re * mul + add, c.im * mul + add))
+        })
+    } else {
+        build(a, |lin| Ok(a.item_linear(lin).as_f64()? * mul + add))
     }
-    let header = promote_header(a, ElementType::Float64)?;
-    let hlen = header.header_len();
-    let mut out = vec![0u8; header.blob_len()];
-    header.encode(&mut out);
-    let count = a.count();
-    fill_f64(&mut out[hlen..hlen + count * 8], count, dop, &|lin| {
-        Ok(a.item_linear(lin).as_f64()? * mul + add)
-    })?;
-    SqlArray::from_blob(out)
-}
-
-/// Applies a complex function elementwise; any input type is widened to
-/// `complex64` first.
-fn map_c64(a: &SqlArray, mut f: impl FnMut(Complex64) -> Complex64) -> Result<SqlArray> {
-    let header = promote_header(a, ElementType::Complex64)?;
-    let hlen = header.header_len();
-    let mut out = vec![0u8; header.blob_len()];
-    header.encode(&mut out);
-    for lin in 0..a.count() {
-        let v = f(a.item_linear(lin).as_c64());
-        Scalar::C64(v).write_le(&mut out[hlen + lin * 16..]);
-    }
-    SqlArray::from_blob(out)
 }
 
 fn promote_header(a: &SqlArray, elem: ElementType) -> Result<Header> {
@@ -314,41 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_zip_is_bit_identical_to_serial() {
-        let n = 10_001; // odd, so chunks are non-divisible
-        let xs: Vec<f64> = (0..n).map(|k| (k as f64 * 0.37).sin() * 1e3).collect();
-        let ys: Vec<f64> = (0..n).map(|k| (k as f64 * 0.11).cos() + 2.0).collect();
-        let a = SqlArray::from_vec(StorageClass::Max, &[n], &xs).unwrap();
-        let b = SqlArray::from_vec(StorageClass::Max, &[n], &ys).unwrap();
-        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
-            let serial = zip_with_dop(&a, &b, op, 1).unwrap();
-            for dop in [2, 3, 8] {
-                let par = zip_with_dop(&a, &b, op, dop).unwrap();
-                assert_eq!(par.as_blob(), serial.as_blob(), "{op:?} dop {dop}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_scale_and_offset_match_serial() {
-        let n = 9000;
-        let xs: Vec<f64> = (0..n).map(|k| k as f64 * 0.001 - 4.0).collect();
-        let a = SqlArray::from_vec(StorageClass::Max, &[n], &xs).unwrap();
-        let serial_scale = affine_with_dop(&a, 2.5, 0.0, 1).unwrap();
-        let serial_offset = affine_with_dop(&a, 1.0, -1.25, 1).unwrap();
-        for dop in [2, 5] {
-            assert_eq!(
-                affine_with_dop(&a, 2.5, 0.0, dop).unwrap().as_blob(),
-                serial_scale.as_blob()
-            );
-            assert_eq!(
-                affine_with_dop(&a, 1.0, -1.25, dop).unwrap().as_blob(),
-                serial_offset.as_blob()
-            );
-        }
-    }
-
-    #[test]
     fn int_zip_promotes_without_overflowing_page() {
         // 997 i64 elements fill a short page exactly when widened to f64
         // the byte count stays the same, so the class is preserved.
@@ -357,8 +252,8 @@ mod tests {
         let s = add(&a, &a).unwrap();
         assert_eq!(s.class(), StorageClass::Short);
         // Widening 900 i32 (3624 bytes total) to f64 (7224) still fits; but
-        // widening 997×i64 to complex128 would not — checked in map_c64.
-        let c = map_c64(&a, |v| v).unwrap();
+        // widening 997×i64 to complex128 would not.
+        let c = build(&a, |lin| Ok(a.item_linear(lin).as_c64())).unwrap();
         assert_eq!(c.class(), StorageClass::Max);
     }
 }

@@ -21,8 +21,9 @@ use crate::engine::EngineConfig;
 use crate::plancache::DEFAULT_PLAN_CACHE_CAPACITY;
 use crate::sched::DEFAULT_ADMISSION_QUEUE_CAP;
 use sqlarray_core::batch::DEFAULT_BATCH_ROWS;
-use sqlarray_core::parallel::{dop_or_cores, DOP_ENV_VAR};
+use sqlarray_core::parallel::dop_or_cores;
 
+const DOP_ENV_VAR: &str = "SQLARRAY_DOP";
 const BATCH_ROWS_ENV_VAR: &str = "SQLARRAY_BATCH_ROWS";
 const STATEMENT_TIMEOUT_ENV_VAR: &str = "SQLARRAY_STATEMENT_TIMEOUT_MS";
 const QUERY_MEM_ENV_VAR: &str = "SQLARRAY_QUERY_MEM_BYTES";

@@ -13,7 +13,7 @@ use crate::hosting::HostingModel;
 use crate::udf::UdfRegistry;
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::batch::Batch;
-use sqlarray_core::parallel::{scoped_map_ranges, with_serial_kernels};
+use sqlarray_core::parallel::scoped_map_ranges;
 use sqlarray_core::QueryCtx;
 use sqlarray_storage::{
     BatchScanOpts, IoStats, PageStore, PartitionReader, ScanIo, ScanPartition, Table,
@@ -217,10 +217,10 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// `totals`. With one partition the fan-out helper runs inline, so the
 /// serial plan is the parallel plan at width 1.
 ///
-/// Each worker runs under [`with_serial_kernels`]: it is already one lane
-/// of the statement's fan-out, so any chunked array kernels its
-/// expressions call — elementwise ops, `fftn`, the dense linalg kernels —
-/// must not fan out again. Workers share nothing mutable.
+/// This is the statement's one fan-out: the array, FFT and linear-algebra
+/// kernels a worker's expressions call run on that worker's thread, so a
+/// statement never uses more threads than its admission ticket granted.
+/// Workers share nothing mutable.
 pub(super) fn run_scan<T: Send>(
     ctx: &mut StmtCtx<'_>,
     store: &PageStore,
@@ -235,37 +235,35 @@ pub(super) fn run_scan<T: Send>(
     let (udfs, vars) = (ctx.udfs, ctx.vars);
     let hosting: &HostingModel = ctx.hosting;
     let run_partition = |pi: usize| {
-        with_serial_kernels(|| {
-            let t0 = Instant::now();
-            let mut w = ScanWorker {
-                table,
-                part: &parts[pi],
-                udfs,
-                vars,
-                reader: store.reader(&scan, pi as u32),
-                hosting: hosting.fork(),
-                rows_scanned: 0,
-                batches: 0,
-            };
-            // The panic boundary wraps only the body, not the reader: a
-            // worker that panics mid-row still hands its I/O counters
-            // back through `reader.finish()` below — and the unwind never
-            // crosses a lock guard (the coordinator holds them), so no
-            // lock is poisoned by a buggy UDF. For DML this is the
-            // read-only match phase: a contained panic aborts the
-            // statement before any page or WAL byte changes.
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut w)))
-                .unwrap_or_else(|p| Err(EngineError::WorkerPanicked(panic_message(p.as_ref()))));
-            Partial {
-                rows_scanned: w.rows_scanned,
-                batches: w.batches,
-                scan_io: w.reader.finish(),
-                calls: w.hosting.calls(),
-                charged_ns: w.hosting.charged_ns(),
-                busy_seconds: t0.elapsed().as_secs_f64(),
-                out,
-            }
-        })
+        let t0 = Instant::now();
+        let mut w = ScanWorker {
+            table,
+            part: &parts[pi],
+            udfs,
+            vars,
+            reader: store.reader(&scan, pi as u32),
+            hosting: hosting.fork(),
+            rows_scanned: 0,
+            batches: 0,
+        };
+        // The panic boundary wraps only the body, not the reader: a
+        // worker that panics mid-row still hands its I/O counters
+        // back through `reader.finish()` below — and the unwind never
+        // crosses a lock guard (the coordinator holds them), so no
+        // lock is poisoned by a buggy UDF. For DML this is the
+        // read-only match phase: a contained panic aborts the
+        // statement before any page or WAL byte changes.
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut w)))
+            .unwrap_or_else(|p| Err(EngineError::WorkerPanicked(panic_message(p.as_ref()))));
+        Partial {
+            rows_scanned: w.rows_scanned,
+            batches: w.batches,
+            scan_io: w.reader.finish(),
+            calls: w.hosting.calls(),
+            charged_ns: w.hosting.charged_ns(),
+            busy_seconds: t0.elapsed().as_secs_f64(),
+            out,
+        }
     };
     // One worker per partition (singleton ranges).
     let partials: Vec<Partial<T>> = scoped_map_ranges(parts.len(), parts.len(), |r| {

@@ -323,8 +323,9 @@ impl Session {
 
     /// Runs one cached batch, statement by statement. SELECT and DML are
     /// [`admitted`](Self::admitted); DECLARE/SET initializers run the bare
-    /// [`statement`](Self::statement) lifecycle (they scan nothing, so
-    /// they take no ticket).
+    /// [`statement`](Self::statement) lifecycle: they scan nothing and
+    /// their array, FFT and linear-algebra calls run on this session's
+    /// thread, so they start no worker and take no ticket.
     fn run_plan(&mut self, cached: &CachedPlan) -> Result<Vec<QueryResult>> {
         let mut results = Vec::new();
         for (stmt, slot) in cached.statements() {

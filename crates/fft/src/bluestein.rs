@@ -10,7 +10,6 @@ use sqlarray_core::Complex64;
 #[derive(Debug, Clone)]
 pub struct Bluestein {
     n: usize,
-    dir: Direction,
     m: usize, // padded power-of-two convolution size ≥ 2n-1
     chirp: Vec<Complex64>,
     /// Forward FFT of the zero-padded conjugate chirp (the convolution
@@ -47,7 +46,6 @@ impl Bluestein {
         fft_pow2(&mut kernel, &fwd);
         Bluestein {
             n,
-            dir,
             m,
             chirp,
             kernel_spec: kernel,
@@ -64,11 +62,6 @@ impl Bluestein {
     /// True only for the degenerate size-0 plan (not constructible).
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The direction the plan was built for.
-    pub fn direction(&self) -> Direction {
-        self.dir
     }
 
     /// Executes the transform in place.
@@ -141,7 +134,7 @@ mod tests {
         let input = probe(n);
         let mut b = input.clone();
         Bluestein::new(n, Direction::Forward).execute(&mut b);
-        let r = crate::radix2::fft_forward_pow2(&input);
+        let r = crate::radix2::tests::fft_forward_pow2(&input);
         for (a, c) in b.iter().zip(&r) {
             assert!((*a - *c).abs() < 1e-9);
         }

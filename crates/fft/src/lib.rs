@@ -8,7 +8,9 @@
 //! Plans own their twiddle tables and a reusable scratch buffer that
 //! models FFTW's aligned-allocation requirement: executing through
 //! [`plan::Plan::execute`] pays the copy the paper describes, while
-//! [`plan::Plan::execute_inplace`] is the raw kernel.
+//! [`plan::Plan::execute_inplace`] is the raw kernel. Every transform
+//! runs on the thread that calls it; inside a query the scan is the
+//! parallel unit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,6 +21,6 @@ pub mod plan;
 pub mod radix2;
 pub mod real;
 
-pub use ndim::{fftn, fftn_with_dop, ifftn_normalized};
+pub use ndim::{fftn, ifftn_normalized};
 pub use plan::{fft, ifft, Direction, Plan};
-pub use real::{irfft, power_spectrum, rfft};
+pub use real::{irfft, rfft};

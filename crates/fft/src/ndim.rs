@@ -5,40 +5,16 @@
 //! array blob's: column-major, first index fastest — so an `n₀×n₁×n₂`
 //! max-array payload transforms in place with no reshaping.
 //!
-//! Lattices of at least [`PARALLEL_MIN_ELEMS`] points run each axis pass
-//! with **row-batch parallelism**: the independent 1-D lines of the axis
-//! are fanned over `parallel::configured_dop()` workers through
-//! [`scoped_for_ranges_mut`], the workspace chunking rule. Every line is
-//! transformed by an identical [`Plan`], so the result is bit-identical
-//! to the serial loop at any DOP — and inside a
-//! `parallel::with_serial_kernels` scope (e.g. a scan worker evaluating
-//! FFT UDFs) the configured DOP pins to 1 and the serial path runs.
+//! Every line is transformed on the calling thread — inside a query, the
+//! scan worker evaluating the row (the scan is the parallel unit).
 
 use crate::plan::{Direction, Plan};
-use sqlarray_core::parallel::{configured_dop, scoped_for_ranges_mut};
 use sqlarray_core::Complex64;
-
-/// Lattices with at least this many points run the axis passes on
-/// parallel line batches (when the configured DOP is > 1); smaller
-/// transforms are not worth a thread spawn.
-pub const PARALLEL_MIN_ELEMS: usize = 4096;
 
 /// In-place n-dimensional DFT of column-major `data` with shape `dims`.
 /// Unnormalized in both directions (like FFTW): a forward+inverse round
 /// trip scales by `Πdims`.
 pub fn fftn(data: &mut [Complex64], dims: &[usize], dir: Direction) {
-    let dop = if dims.iter().product::<usize>() >= PARALLEL_MIN_ELEMS {
-        configured_dop()
-    } else {
-        1
-    };
-    fftn_with_dop(data, dims, dir, dop);
-}
-
-/// [`fftn`] with an explicit degree of parallelism (1 = serial). Results
-/// are bit-identical for every `dop`; [`fftn`] picks the DOP from the
-/// lattice size and the `SQLARRAY_DOP` configuration.
-pub fn fftn_with_dop(data: &mut [Complex64], dims: &[usize], dir: Direction, dop: usize) {
     let count: usize = dims.iter().product();
     assert_eq!(data.len(), count, "buffer must hold the whole lattice");
     if count == 0 {
@@ -48,12 +24,7 @@ pub fn fftn_with_dop(data: &mut [Complex64], dims: &[usize], dir: Direction, dop
     let mut stride = 1usize;
     for &n in dims {
         if n > 1 {
-            let lines = count / n;
-            if dop > 1 && lines > 1 {
-                transform_axis_parallel(data, count, n, stride, dir, dop);
-            } else {
-                transform_axis(data, count, n, stride, dir);
-            }
+            transform_axis(data, count, n, stride, dir);
         }
         stride *= n;
     }
@@ -82,47 +53,6 @@ fn transform_axis(data: &mut [Complex64], count: usize, n: usize, stride: usize,
             }
         }
     }
-}
-
-/// The parallel axis pass: gather + transform every line into a scratch
-/// lattice (line batches fanned over workers via
-/// [`scoped_for_ranges_mut`], each line landing in its own contiguous
-/// scratch slot), then scatter back over contiguous output chunks. Two
-/// passes of disjoint writes with the workspace chunking rule; per-line
-/// math identical to [`transform_axis`], so the result is bit-identical
-/// at any `dop`.
-fn transform_axis_parallel(
-    data: &mut [Complex64],
-    count: usize,
-    n: usize,
-    stride: usize,
-    dir: Direction,
-    dop: usize,
-) {
-    let plan = Plan::new(n, dir);
-    let block_len = stride * n;
-    // Line L = block * stride + offset occupies scratch[L*n .. (L+1)*n].
-    let mut scratch = vec![Complex64::ZERO; count];
-    let data_ref: &[Complex64] = data;
-    scoped_for_ranges_mut(&mut scratch, n, dop, |range, mine| {
-        for (slot, line) in range.enumerate() {
-            let base = (line / stride) * block_len + line % stride;
-            let out = &mut mine[slot * n..(slot + 1) * n];
-            for (k, v) in out.iter_mut().enumerate() {
-                *v = data_ref[base + k * stride];
-            }
-            plan.execute_inplace(out);
-        }
-    });
-    let scratch_ref: &[Complex64] = &scratch;
-    scoped_for_ranges_mut(data, 1, dop, |range, mine| {
-        for (slot, idx) in range.enumerate() {
-            let block = idx / block_len;
-            let rem = idx % block_len;
-            let line = block * stride + rem % stride;
-            mine[slot] = scratch_ref[line * n + rem / stride];
-        }
-    });
 }
 
 /// Normalized inverse n-D transform: `ifftn(fftn(x)) = x`.
@@ -232,53 +162,5 @@ mod tests {
     fn shape_mismatch_panics() {
         let mut data = vec![Complex64::ZERO; 5];
         fftn(&mut data, &[2, 3], Direction::Forward);
-    }
-
-    #[test]
-    fn parallel_axis_passes_are_bit_identical_to_serial() {
-        // Shapes chosen to hit every decomposition: contiguous first axis
-        // (stride 1, many blocks), middle axes, and the last axis (one
-        // block, stride = lines) — plus non-power-of-two extents through
-        // the Bluestein path and lines that don't divide the DOP evenly.
-        for dims in [
-            &[16usize, 16][..],
-            &[8, 4, 8][..],
-            &[5, 7, 9][..],
-            &[64, 3][..],
-        ] {
-            let orig = lattice(dims);
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let mut serial = orig.clone();
-                fftn_with_dop(&mut serial, dims, dir, 1);
-                for dop in [2usize, 3, 8] {
-                    let mut par = orig.clone();
-                    fftn_with_dop(&mut par, dims, dir, dop);
-                    for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-                        assert!(
-                            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                            "dims {dims:?} dir {dir:?} dop {dop} diverged at {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn serial_kernel_scope_pins_fftn_to_one_lane() {
-        // Inside a scan worker's with_serial_kernels scope the configured
-        // DOP is 1, so even a large lattice takes the serial path — and
-        // either way the bits match.
-        let dims = [32usize, 32, 4]; // 4096 points: at the parallel gate
-        let orig = lattice(&dims);
-        let mut inside = orig.clone();
-        sqlarray_core::parallel::with_serial_kernels(|| {
-            fftn(&mut inside, &dims, Direction::Forward);
-        });
-        let mut outside = orig.clone();
-        fftn(&mut outside, &dims, Direction::Forward);
-        for (a, b) in inside.iter().zip(&outside) {
-            assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
-        }
     }
 }

@@ -21,7 +21,6 @@ enum Kind {
 /// A reusable transform plan for one `(size, direction)` pair.
 pub struct Plan {
     n: usize,
-    dir: Direction,
     kind: Kind,
     /// Reusable buffer standing in for FFTW's aligned allocation.
     scratch: Vec<Complex64>,
@@ -39,7 +38,6 @@ impl Plan {
         };
         Plan {
             n,
-            dir,
             kind,
             scratch: vec![Complex64::ZERO; n],
         }
@@ -53,11 +51,6 @@ impl Plan {
     /// True only for an (unconstructible) empty plan.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The planned direction.
-    pub fn direction(&self) -> Direction {
-        self.dir
     }
 
     /// Executes in place (data must already live in a caller-managed
@@ -88,6 +81,7 @@ impl Plan {
 
 /// One-shot forward DFT (plans internally; use [`Plan`] for repeated
 /// transforms).
+// lint:allow(L011, reason = "crates/fft/tests/proptests.rs checks round trips, Parseval, linearity and shifts through it")
 pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
     let mut out = input.to_vec();
     Plan::new(input.len(), Direction::Forward).execute_inplace(&mut out);
@@ -95,6 +89,7 @@ pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
 }
 
 /// One-shot inverse DFT, normalized by `1/n` so that `ifft(fft(x)) = x`.
+// lint:allow(L011, reason = "crates/fft/tests/proptests.rs checks round trips through it")
 pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
     let mut out = input.to_vec();

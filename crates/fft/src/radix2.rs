@@ -27,7 +27,6 @@ impl Direction {
 #[derive(Debug, Clone)]
 pub struct Twiddles {
     n: usize,
-    dir: Direction,
     /// `w[k] = e^{sign·2πi·k/n}` for `k < n/2`.
     w: Vec<Complex64>,
 }
@@ -40,7 +39,7 @@ impl Twiddles {
         let w = (0..n / 2)
             .map(|k| Complex64::cis(step * k as f64))
             .collect();
-        Twiddles { n, dir, w }
+        Twiddles { n, w }
     }
 
     /// The transform size.
@@ -52,15 +51,10 @@ impl Twiddles {
     pub fn is_empty(&self) -> bool {
         self.n <= 1
     }
-
-    /// The direction the table was built for.
-    pub fn direction(&self) -> Direction {
-        self.dir
-    }
 }
 
 /// In-place radix-2 FFT of `data` (length must equal the twiddle size).
-pub fn fft_pow2(data: &mut [Complex64], tw: &Twiddles) {
+pub(crate) fn fft_pow2(data: &mut [Complex64], tw: &Twiddles) {
     let n = data.len();
     assert_eq!(n, tw.n, "data length must match the plan size");
     if n <= 1 {
@@ -96,17 +90,17 @@ pub fn fft_pow2(data: &mut [Complex64], tw: &Twiddles) {
     }
 }
 
-/// Convenience: out-of-place forward transform of a power-of-two slice.
-pub fn fft_forward_pow2(input: &[Complex64]) -> Vec<Complex64> {
-    let mut data = input.to_vec();
-    let tw = Twiddles::new(input.len(), Direction::Forward);
-    fft_pow2(&mut data, &tw);
-    data
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Out-of-place forward transform of a power-of-two slice.
+    pub(crate) fn fft_forward_pow2(input: &[Complex64]) -> Vec<Complex64> {
+        let mut data = input.to_vec();
+        let tw = Twiddles::new(input.len(), Direction::Forward);
+        fft_pow2(&mut data, &tw);
+        data
+    }
 
     fn cnear(a: Complex64, b: Complex64, tol: f64) -> bool {
         (a - b).abs() < tol

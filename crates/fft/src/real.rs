@@ -1,10 +1,11 @@
-//! Real-input transforms and spectral helpers.
+//! Real-input transforms.
 
 use crate::plan::{fft, ifft};
 use sqlarray_core::Complex64;
 
 /// Forward DFT of a real signal, returning the non-redundant half spectrum
 /// (`n/2 + 1` bins, like FFTW's `r2c`).
+// lint:allow(L011, reason = "crates/fft/tests/proptests.rs checks real round trips through it")
 pub fn rfft(input: &[f64]) -> Vec<Complex64> {
     let n = input.len();
     let complex: Vec<Complex64> = input.iter().map(|&v| Complex64::new(v, 0.0)).collect();
@@ -14,6 +15,7 @@ pub fn rfft(input: &[f64]) -> Vec<Complex64> {
 
 /// Inverse of [`rfft`]: reconstructs the length-`n` real signal from the
 /// half spectrum using Hermitian symmetry.
+// lint:allow(L011, reason = "crates/fft/tests/proptests.rs checks real round trips through it")
 pub fn irfft(spectrum: &[Complex64], n: usize) -> Vec<f64> {
     assert_eq!(spectrum.len(), n / 2 + 1, "need n/2+1 bins for length n");
     let mut full = vec![Complex64::ZERO; n];
@@ -22,12 +24,6 @@ pub fn irfft(spectrum: &[Complex64], n: usize) -> Vec<f64> {
         full[k] = spectrum[n - k].conj();
     }
     ifft(&full).iter().map(|c| c.re).collect()
-}
-
-/// Two-sided power spectrum `|X[k]|²/n` of a real signal.
-pub fn power_spectrum(input: &[f64]) -> Vec<f64> {
-    let n = input.len() as f64;
-    rfft(input).iter().map(|c| c.norm_sqr() / n).collect()
 }
 
 #[cfg(test)]
@@ -74,28 +70,5 @@ mod tests {
             let b = full[32 - k].conj();
             assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn power_spectrum_parseval() {
-        let x: Vec<f64> = (0..128).map(|j| (j as f64 * 0.81).sin()).collect();
-        let ps = power_spectrum(&x);
-        // Sum over the FULL spectrum equals the time-domain energy; the
-        // half spectrum double-counts interior bins.
-        let mut total = ps[0];
-        for p in &ps[1..ps.len() - 1] {
-            total += 2.0 * p;
-        }
-        total += ps[ps.len() - 1];
-        let energy: f64 = x.iter().map(|v| v * v).sum();
-        assert!((total - energy).abs() < 1e-9 * energy);
-    }
-
-    #[test]
-    fn dc_signal_concentrates_in_bin_zero() {
-        let x = vec![2.5f64; 20];
-        let ps = power_spectrum(&x);
-        assert!((ps[0] - 2.5f64 * 2.5 * 20.0).abs() < 1e-9);
-        assert!(ps[1..].iter().all(|&p| p < 1e-18));
     }
 }

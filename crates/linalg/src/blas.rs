@@ -1,50 +1,26 @@
 //! BLAS-level kernels: dot, axpy, norms, matrix-vector and matrix-matrix
 //! products over column-major buffers.
 //!
-//! # Parallelism and the determinism contract
+//! # Threads and the determinism contract
 //!
-//! The O(n²)/O(n³) kernels (`gemv`, `gemv_t`, `gemm`, `gram`) execute at
-//! the session degree of parallelism (`SQLARRAY_DOP`, else the core
-//! count — [`sqlarray_core::parallel::configured_dop`]) once the kernel
-//! is worth a thread spawn ([`PARALLEL_MIN_WORK`] flops), and stay serial
-//! inside a `parallel::with_serial_kernels` scope (a scan worker is
-//! already one lane of a fan-out). Every kernel fans **disjoint output
-//! columns** (or row chunks, for `gemv`) over
-//! `parallel::scoped_for_ranges_mut`, and the accumulation order *per
-//! output element* is exactly the serial order — so results are
-//! **bit-identical to serial at any DOP**, the same contract the scan
-//! executor and `fftn` honour. The `*_with_dop` variants pin the fan-out
-//! explicitly (1 = serial) and are what the determinism tests sweep.
+//! Every kernel runs on the thread that calls it. Inside a query that is
+//! one scan worker — the scan is the parallel unit, at the DOP its
+//! admission ticket grants — so a kernel never starts threads of its own.
+//! [`gemm`] is cache-blocked, and blocking only re-tiles the loops: each
+//! output element accumulates exactly the sequence [`gemm_naive`] does,
+//! so the two agree **bit for bit**.
 
 use crate::matrix::Matrix;
-use sqlarray_core::parallel::{configured_dop, scoped_for_ranges_mut};
-
-/// Approximate flop count below which the matrix kernels stay serial:
-/// smaller problems finish faster than a thread spawn.
-pub const PARALLEL_MIN_WORK: usize = 64 * 1024;
 
 /// Cache-blocking panel width along the shared (`k`) dimension of
-/// [`gemm`]: the A-panel a worker streams is at most
+/// [`gemm`]: the A-tile it streams is at most
 /// [`GEMM_MC`]` × GEMM_KC` elements.
 pub const GEMM_KC: usize = 128;
 
 /// Cache-blocking row-tile height of [`gemm`]: together with [`GEMM_KC`]
 /// it keeps the reused A-tile (`GEMM_MC × GEMM_KC × 8` bytes = 256 KiB)
-/// resident in L2 while it multiplies every column of the worker's
-/// C-panel.
+/// resident in L2 while it multiplies every column of C.
 pub const GEMM_MC: usize = 256;
-
-/// The DOP a kernel of `work` flops should fan out to: the configured
-/// session DOP when the problem clears [`PARALLEL_MIN_WORK`], else 1.
-/// `configured_dop` pins to 1 inside `with_serial_kernels`, so kernels
-/// called from scan workers never nest threads.
-pub(crate) fn kernel_dop(work: usize) -> usize {
-    if work >= PARALLEL_MIN_WORK {
-        configured_dop()
-    } else {
-        1
-    }
-}
 
 /// `xᵀy`. Panics when the lengths differ (a release-mode guard: a silent
 /// `zip` truncation here returns a plausible but wrong dot product).
@@ -55,7 +31,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// `y ← αx + y`. Panics when the lengths differ (a silent truncation
 /// here updates only a prefix of `y`).
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy requires equal-length vectors");
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
@@ -63,14 +39,14 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// `x ← αx`.
-pub fn scal(alpha: f64, x: &mut [f64]) {
+pub(crate) fn scal(alpha: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
 }
 
 /// Euclidean norm, computed with scaling to avoid overflow.
-pub fn nrm2(x: &[f64]) -> f64 {
+pub(crate) fn nrm2(x: &[f64]) -> f64 {
     let mut scale = 0.0f64;
     let mut ssq = 1.0f64;
     for &v in x {
@@ -87,100 +63,55 @@ pub fn nrm2(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// `y ← A·x` (A is `m × n`, x has n entries, y gets m entries), at the
-/// configured DOP. Bit-identical to serial at any DOP: workers own
-/// disjoint row chunks of `y` and accumulate columns in the same
-/// ascending-`j` order the serial loop uses.
-pub fn gemv(a: &Matrix, x: &[f64], y: &mut [f64]) {
-    gemv_with_dop(a, x, y, kernel_dop(2 * a.rows() * a.cols()));
-}
-
-/// [`gemv`] with an explicit degree of parallelism (1 = serial). The
-/// requested `dop` is honoured as-is — the work gate lives in the auto
-/// front door only, like `fftn_with_dop`.
-pub fn gemv_with_dop(a: &Matrix, x: &[f64], y: &mut [f64], dop: usize) {
+/// `y ← A·x` (A is `m × n`, x has n entries, y gets m entries).
+/// Column-major: accumulates one column at a time (unit-stride inner
+/// loop).
+pub(crate) fn gemv(a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(a.cols(), x.len());
     assert_eq!(a.rows(), y.len());
     y.fill(0.0);
-    // Column-major: accumulate one column at a time (unit-stride inner
-    // loop); each worker applies the identical column sequence to its own
-    // row range.
-    scoped_for_ranges_mut(y, 1, dop, |rows, chunk| {
-        for (j, &xj) in x.iter().enumerate() {
-            if xj != 0.0 {
-                axpy(xj, &a.col(j)[rows.clone()], chunk);
-            }
+    for (j, &xj) in x.iter().enumerate() {
+        if xj != 0.0 {
+            axpy(xj, a.col(j), y);
         }
-    });
+    }
 }
 
-/// `y ← Aᵀ·x`, at the configured DOP (each `y[j]` is one independent,
-/// serially accumulated dot product — determinism is free).
-pub fn gemv_t(a: &Matrix, x: &[f64], y: &mut [f64]) {
-    gemv_t_with_dop(a, x, y, kernel_dop(2 * a.rows() * a.cols()));
-}
-
-/// [`gemv_t`] with an explicit degree of parallelism (1 = serial),
-/// honoured as-is.
-pub fn gemv_t_with_dop(a: &Matrix, x: &[f64], y: &mut [f64], dop: usize) {
+/// `y ← Aᵀ·x`: each `y[j]` is one dot product.
+pub(crate) fn gemv_t(a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(a.rows(), x.len());
     assert_eq!(a.cols(), y.len());
-    scoped_for_ranges_mut(y, 1, dop, |cols, chunk| {
-        for (slot, j) in cols.enumerate() {
-            chunk[slot] = dot(a.col(j), x);
-        }
-    });
+    for (j, yj) in y.iter_mut().enumerate() {
+        *yj = dot(a.col(j), x);
+    }
 }
 
-/// `C ← A·B`, cache-blocked and parallel at the configured DOP.
+/// `C ← A·B`, cache-blocked.
 ///
 /// # Determinism contract
 ///
 /// The result is **bit-for-bit identical** to [`gemm_naive`] at every
-/// DOP and every blocking size: workers own disjoint column panels of C
-/// (column-major ⇒ contiguous), and within a panel the k dimension is
-/// blocked in ascending [`GEMM_KC`] strips, so each `C[i][j]` receives
-/// exactly the serial sequence of `B[k][j]·A[i][k]` contributions — in
-/// the same order, with the same `B[k][j] == 0` terms skipped. Blocking
-/// only re-tiles the *i* loop, which never reorders accumulation into a
-/// single element.
+/// blocking size: the k dimension is blocked in ascending [`GEMM_KC`]
+/// strips, so each `C[i][j]` receives exactly the serial sequence of
+/// `B[k][j]·A[i][k]` contributions — in the same order, with the same
+/// `B[k][j] == 0` terms skipped. Row tiling ([`GEMM_MC`]) only re-tiles
+/// the *i* loop, which never reorders accumulation into a single element;
+/// the `GEMM_MC × GEMM_KC` A-tile stays in cache while it updates every
+/// column of C.
 pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
-    gemm_with_dop(a, b, kernel_dop(2 * a.rows() * a.cols() * b.cols()))
-}
-
-/// [`gemm`] with an explicit degree of parallelism (1 = serial blocked
-/// path), honoured as-is. Same bit-level result as [`gemm_naive`] for
-/// every `dop`.
-pub fn gemm_with_dop(a: &Matrix, b: &Matrix, dop: usize) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let m = a.rows();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 {
-        return c;
-    }
-    scoped_for_ranges_mut(c.as_mut_slice(), m, dop, |cols, chunk| {
-        gemm_panel(a, b, cols, chunk);
-    });
-    c
-}
-
-/// Multiplies the column panel `cols` of C (`chunk` holds exactly those
-/// columns) with `kb`-ascending k-blocking and row tiling: the
-/// `GEMM_MC × GEMM_KC` A-tile stays in cache while it updates every
-/// column of the panel.
-fn gemm_panel(a: &Matrix, b: &Matrix, cols: std::ops::Range<usize>, chunk: &mut [f64]) {
-    let m = a.rows();
     let kdim = a.cols();
+    let mut c = Matrix::zeros(m, b.cols());
     let mut kb = 0;
     while kb < kdim {
         let kbe = (kb + GEMM_KC).min(kdim);
         let mut ib = 0;
         while ib < m {
             let ibe = (ib + GEMM_MC).min(m);
-            for (slot, j) in cols.clone().enumerate() {
+            for j in 0..b.cols() {
                 let bcol = &b.col(j)[kb..kbe];
-                let ccol = &mut chunk[slot * m + ib..slot * m + ibe];
+                let ccol = &mut c.col_mut(j)[ib..ibe];
                 for (k, &bkj) in bcol.iter().enumerate() {
                     if bkj != 0.0 {
                         axpy(bkj, &a.col(kb + k)[ib..ibe], ccol);
@@ -191,13 +122,14 @@ fn gemm_panel(a: &Matrix, b: &Matrix, cols: std::ops::Range<usize>, chunk: &mut 
         }
         kb = kbe;
     }
+    c
 }
 
 /// `C ← A·B` in the reference jki order: C's column j accumulates A's
 /// columns scaled by `B[k][j]` — all unit-stride in a column-major
-/// layout. This is the un-blocked, single-threaded baseline the blocked
-/// and parallel paths must match bit-for-bit (asserted by the
-/// determinism tests and re-checked by `table1_report` on every run).
+/// layout. This is the un-blocked baseline [`gemm`] must match
+/// bit-for-bit (asserted by the tests and re-checked by `table1_report`
+/// on every run).
 pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -214,80 +146,22 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `C ← Aᵀ·A` (the Gram/correlation matrix PCA needs), exploiting
-/// symmetry, at the configured DOP.
-pub fn gram(a: &Matrix) -> Matrix {
-    gram_with_dop(a, kernel_dop(a.rows() * a.cols() * a.cols()))
-}
-
-/// [`gram`] with an explicit degree of parallelism (1 = serial),
-/// honoured as-is. Workers fill disjoint column ranges of C in place
-/// with the upper-triangle dot products (each one serially
-/// accumulated), then the caller thread mirrors the strict upper
-/// triangle into the lower — bit-identical at any DOP, no intermediate
-/// allocation.
-///
-/// The workload is triangular — column `j` costs `j + 1` dot products —
-/// so the column ranges are cut by **area** (`triangle_ranges`), not
-/// by column count: equal-count chunks would leave the last worker with
-/// most of the flops and cap the speedup well below the DOP.
-pub fn gram_with_dop(a: &Matrix, dop: usize) -> Matrix {
+/// symmetry: the upper triangle holds one dot product per entry, the
+/// strict lower triangle mirrors it.
+pub(crate) fn gram(a: &Matrix) -> Matrix {
     let n = a.cols();
     let mut c = Matrix::zeros(n, n);
-    if n == 0 {
-        return c;
+    for j in 0..n {
+        for i in 0..=j {
+            c.set(i, j, dot(a.col(i), a.col(j)));
+        }
     }
-    let ranges = triangle_ranges(n, dop);
-    sqlarray_core::parallel::scoped_for_given_ranges_mut(
-        c.as_mut_slice(),
-        n,
-        ranges,
-        |cols, chunk| {
-            for (slot, j) in cols.enumerate() {
-                let aj = a.col(j);
-                for (i, v) in chunk[slot * n..slot * n + j + 1].iter_mut().enumerate() {
-                    *v = dot(a.col(i), aj);
-                }
-            }
-        },
-    );
     for j in 0..n {
         for i in j + 1..n {
             c.set(i, j, c.get(j, i));
         }
     }
     c
-}
-
-/// Splits columns `0..n` of an upper-triangle workload (column `j`
-/// holds `j + 1` entries) into at most `parts` contiguous, non-empty
-/// ranges of near-equal *area*. Boundaries are a pure function of
-/// `(n, parts)`, so the chunking is deterministic.
-fn triangle_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.clamp(1, n.max(1));
-    let total = n * (n + 1) / 2;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for t in 1..=parts {
-        if start >= n {
-            break;
-        }
-        // Grow the chunk until the cumulative area reaches t/parts of
-        // the triangle (always at least one column); the last chunk
-        // absorbs any remainder.
-        let target = total * t / parts;
-        let mut end = start;
-        while end < n && (acc < target || end == start) {
-            acc += end + 1;
-            end += 1;
-        }
-        if t == parts {
-            end = n;
-        }
-        out.push(start..end);
-        start = end;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -382,51 +256,22 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_parallel_gemm_match_naive_bitwise() {
-        // Shapes straddling the GEMM_KC/GEMM_MC block edges and the
-        // non-divisible DOP splits.
+    fn blocked_gemm_matches_naive_bitwise() {
+        // Shapes straddling the GEMM_KC/GEMM_MC block edges.
         for (m, k, n) in [(1, 1, 1), (7, 5, 3), (64, 129, 33), (257, 130, 17)] {
             let a = awkward(m, k, 42);
             let b = awkward(k, n, 1337);
             let want = gemm_naive(&a, &b);
-            for dop in [1usize, 2, 3, 4, 8] {
-                let got = gemm_with_dop(&a, &b, dop);
-                assert_eq!(got.rows(), m);
-                assert_eq!(got.cols(), n);
-                for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "gemm diverged at dop {dop} shape {m}x{k}x{n}"
-                    );
-                }
+            let got = gemm(&a, &b);
+            assert_eq!(got.rows(), m);
+            assert_eq!(got.cols(), n);
+            for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "gemm diverged at shape {m}x{k}x{n}"
+                );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_gemv_and_gram_match_serial_bitwise() {
-        let a = awkward(211, 37, 7);
-        let x: Vec<f64> = (0..37).map(|i| ((i * 13) % 9) as f64 - 4.0).collect();
-        let xt: Vec<f64> = (0..211).map(|i| ((i * 29) % 11) as f64 - 5.0).collect();
-        let mut y1 = vec![0.0; 211];
-        gemv_with_dop(&a, &x, &mut y1, 1);
-        let mut t1 = vec![0.0; 37];
-        gemv_t_with_dop(&a, &xt, &mut t1, 1);
-        let g1 = gram_with_dop(&a, 1);
-        for dop in [2usize, 4, 8] {
-            let mut y = vec![0.0; 211];
-            gemv_with_dop(&a, &x, &mut y, dop);
-            assert!(y.iter().zip(&y1).all(|(p, q)| p.to_bits() == q.to_bits()));
-            let mut t = vec![0.0; 37];
-            gemv_t_with_dop(&a, &xt, &mut t, dop);
-            assert!(t.iter().zip(&t1).all(|(p, q)| p.to_bits() == q.to_bits()));
-            let g = gram_with_dop(&a, dop);
-            assert!(g
-                .as_slice()
-                .iter()
-                .zip(g1.as_slice())
-                .all(|(p, q)| p.to_bits() == q.to_bits()));
         }
     }
 
@@ -439,37 +284,6 @@ mod tests {
         let d = gemm(&Matrix::zeros(2, 0), &Matrix::zeros(0, 5));
         assert_eq!((d.rows(), d.cols()), (2, 5));
         assert!(d.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn triangle_ranges_cover_and_balance() {
-        for n in [1usize, 2, 3, 7, 16, 100, 257] {
-            for parts in [1usize, 2, 3, 4, 8, 300] {
-                let ranges = triangle_ranges(n, parts);
-                // Contiguous, non-empty, exact cover, at most `parts`.
-                assert!(!ranges.is_empty());
-                assert!(ranges.len() <= parts.max(1));
-                assert_eq!(ranges[0].start, 0);
-                assert_eq!(ranges.last().unwrap().end, n);
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                }
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-                // Balanced by area: no chunk exceeds its fair share by
-                // more than one column's worth of entries.
-                if ranges.len() > 1 {
-                    let total = n * (n + 1) / 2;
-                    let fair = total / ranges.len();
-                    for r in &ranges {
-                        let area: usize = r.clone().map(|j| j + 1).sum();
-                        assert!(
-                            area <= fair + n,
-                            "n {n} parts {parts} range {r:?} area {area} vs fair {fair}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! Symmetric eigendecomposition via the classical Jacobi rotation method.
 //!
 //! PCA over spectra (§2.2) diagonalizes the correlation matrix; Jacobi is
-//! exact, stable, and ideal for the modest dimensions involved. The
-//! rotation sweeps are inherently sequential (each rotation feeds the
-//! next pair), so this kernel stays serial at every DOP — the parallel
-//! PCA path spends its threads on the Gram build instead.
+//! exact, stable, and ideal for the modest dimensions involved.
 
 use crate::matrix::Matrix;
 use std::fmt;
@@ -27,7 +24,7 @@ pub struct Eigen {
 /// and **silently returned whatever it had** — no signal, no error — so
 /// a pathological input produced quietly wrong eigenpairs downstream
 /// (PCA bases, spectrum expansions). Non-convergence is now always
-/// surfaced: [`eigh_checked`] returns it, [`eigh`] panics with it.
+/// surfaced: [`eigh`] panics with it.
 /// Non-finite inputs (NaN/∞) report it immediately with zero sweeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoConvergence {
@@ -52,7 +49,7 @@ impl fmt::Display for NoConvergence {
 
 impl std::error::Error for NoConvergence {}
 
-/// Default sweep budget for [`eigh`]/[`eigh_checked`]. Classical Jacobi
+/// Default sweep budget for [`eigh`]. Classical Jacobi
 /// converges quadratically once rotations start to bite; well-posed
 /// symmetric systems need ~5–15 sweeps, so 100 is a generous ceiling
 /// that only a genuinely pathological input (NaN/∞ entries, or a caller
@@ -62,25 +59,18 @@ pub const DEFAULT_MAX_SWEEPS: usize = 100;
 /// Computes the eigendecomposition of a symmetric matrix.
 ///
 /// Panics if `a` is not square, **or if the Jacobi iteration does not
-/// converge within [`DEFAULT_MAX_SWEEPS`] sweeps** — use [`eigh_checked`]
-/// to handle non-convergence as a value instead. Symmetry is assumed
+/// converge within [`DEFAULT_MAX_SWEEPS`] sweeps**. Symmetry is assumed
 /// (only the upper triangle drives the rotations; the input is
 /// symmetrized defensively).
+// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs checks it reconstructs Gram matrices")
 pub fn eigh(a: &Matrix) -> Eigen {
-    match eigh_checked(a) {
-        Ok(e) => e,
-        Err(err) => panic!("{err}"),
-    }
+    eigh_with_sweeps(a, DEFAULT_MAX_SWEEPS).unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// [`eigh`] returning non-convergence as an error instead of panicking.
-pub fn eigh_checked(a: &Matrix) -> Result<Eigen, NoConvergence> {
-    eigh_with_sweeps(a, DEFAULT_MAX_SWEEPS)
-}
-
-/// [`eigh_checked`] with an explicit sweep budget (the stress tests pin
-/// it low to exercise the non-convergence path deterministically).
-pub fn eigh_with_sweeps(a: &Matrix, max_sweeps: usize) -> Result<Eigen, NoConvergence> {
+/// [`eigh`] with an explicit sweep budget, returning non-convergence as
+/// an error (the tests pin the budget low to exercise that path
+/// deterministically).
+fn eigh_with_sweeps(a: &Matrix, max_sweeps: usize) -> Result<Eigen, NoConvergence> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "eigh requires a square matrix");
 
@@ -269,7 +259,7 @@ mod tests {
         // reconstruct to a residual scaled by the largest eigenvalue.
         let n = 12;
         let a = hilbert(n);
-        let e = eigh_checked(&a).expect("Hilbert must converge");
+        let e = eigh_with_sweeps(&a, DEFAULT_MAX_SWEEPS).expect("Hilbert must converge");
         assert!(e.sweeps <= DEFAULT_MAX_SWEEPS);
         assert!(gram(&e.vectors).max_abs_diff(&Matrix::identity(n)) < 1e-9);
         let mut vd = e.vectors.clone();

@@ -10,14 +10,10 @@
 //! wrapped into a matrix without copying or transposing — the zero-copy
 //! interop claim of §5.3.
 //!
-//! The dense kernels execute at the session degree of parallelism
-//! (`SQLARRAY_DOP` / `Session::set_dop`, read through
-//! `sqlarray_core::parallel::configured_dop`) with results
-//! **bit-identical to serial at any DOP**, and pin to one lane inside a
-//! `parallel::with_serial_kernels` scope — the same contract the scan
-//! executor and the FFT honour. See [`blas`] for the mechanism
-//! (disjoint-output-column fan-out + serial per-element accumulation
-//! order) and the `*_with_dop` variants the determinism tests sweep.
+//! Every kernel runs on the thread that calls it — inside a query, the
+//! scan worker evaluating the row (the scan is the parallel unit) — and
+//! never starts threads of its own. [`blas::gemm`] is cache-blocked and
+//! bit-identical to the naive product; see [`blas`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,10 +27,10 @@ pub mod pca;
 pub mod qr;
 pub mod svd;
 
-pub use eigen::{eigh, eigh_checked, eigh_with_sweeps, Eigen, NoConvergence};
-pub use lstsq::{lstsq, lstsq_svd, lstsq_weighted};
+pub use eigen::{eigh, Eigen, NoConvergence};
+pub use lstsq::{lstsq_svd, lstsq_weighted};
 pub use matrix::Matrix;
 pub use nnls::{nnls, Nnls};
 pub use pca::Pca;
-pub use qr::{qr, qr_with_dop, Qr};
-pub use svd::{gesvd, gesvd_with_dop, Svd};
+pub use qr::{qr, Qr};
+pub use svd::{gesvd, Svd};

@@ -8,21 +8,7 @@
 //! wide range of users." (§2.2)
 
 use crate::matrix::Matrix;
-use crate::qr;
 use crate::svd;
-
-/// Solves `min ‖A·x − b‖₂` via QR. Returns `None` when A is (numerically)
-/// rank deficient — use [`lstsq_svd`] in that case. Panics (with the QR
-/// factorization's message) for underdetermined shapes `rows < cols`,
-/// including the 0-row case; those need [`lstsq_svd`] too.
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(a.rows(), b.len(), "rhs length must match rows");
-    let f = qr::qr(a);
-    // x = R⁻¹ Qᵀ b
-    let mut qtb = vec![0.0; a.cols()];
-    crate::blas::gemv_t(&f.q, b, &mut qtb);
-    qr::solve_upper(&f.r, &qtb)
-}
 
 /// Solves least squares via the SVD pseudo-inverse, dropping singular
 /// values below `rcond * s_max` (negative `rcond` is clamped to 0).
@@ -30,6 +16,7 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
 /// degenerate systems: zero columns yield an empty solution, zero rows
 /// yield the zero vector, and a rank-0 (all-zero) matrix yields the zero
 /// vector — never NaN.
+// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs checks no perturbation beats its fit")
 pub fn lstsq_svd(a: &Matrix, b: &[f64], rcond: f64) -> Vec<f64> {
     assert_eq!(a.rows(), b.len(), "rhs length must match rows");
     let n = a.cols();
@@ -78,6 +65,7 @@ pub fn lstsq_weighted(a: &Matrix, b: &[f64], w: &[f64], rcond: f64) -> Vec<f64> 
 }
 
 /// Residual norm `‖A·x − b‖₂` (diagnostic).
+// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs measures fits with it")
 pub fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
     let mut ax = vec![0.0; a.rows()];
     crate::blas::gemv(a, x, &mut ax);
@@ -102,7 +90,7 @@ mod tests {
     #[test]
     fn exact_system() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, -1.0]]);
-        let x = lstsq(&a, &[3.0, 1.0]).unwrap();
+        let x = lstsq_svd(&a, &[3.0, 1.0], 1e-12);
         close_vec(&x, &[2.0, 1.0], 1e-12);
     }
 
@@ -112,7 +100,7 @@ mod tests {
         let ts = [0.0, 1.0, 2.0, 3.0, 4.0];
         let a = Matrix::from_fn(5, 2, |i, j| if j == 0 { ts[i] } else { 1.0 });
         let b: Vec<f64> = ts.iter().map(|&t| 2.0 * t + 1.0).collect();
-        let x = lstsq(&a, &b).unwrap();
+        let x = lstsq_svd(&a, &b, 1e-12);
         close_vec(&x, &[2.0, 1.0], 1e-10);
         assert!(residual_norm(&a, &x, &b) < 1e-10);
     }
@@ -121,7 +109,7 @@ mod tests {
     fn least_squares_minimizes_residual() {
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
         let b = [1.0, 1.0, 0.0];
-        let x = lstsq(&a, &b).unwrap();
+        let x = lstsq_svd(&a, &b, 1e-12);
         let r_opt = residual_norm(&a, &x, &b);
         // Any perturbation increases the residual.
         for d in [[0.01, 0.0], [0.0, 0.01], [-0.01, 0.01]] {
@@ -131,9 +119,8 @@ mod tests {
     }
 
     #[test]
-    fn rank_deficient_falls_back_to_svd() {
+    fn rank_deficient_gets_minimum_norm_solution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
-        assert!(lstsq(&a, &[1.0, 2.0, 3.0]).is_none());
         let x = lstsq_svd(&a, &[1.0, 2.0, 3.0], 1e-10);
         // Minimum-norm solution of x1 + 2 x2 = 1 is (1/5, 2/5).
         close_vec(&x, &[0.2, 0.4], 1e-10);
@@ -177,7 +164,6 @@ mod tests {
         // 0 columns: no unknowns, empty solution — for any row count.
         assert!(lstsq_svd(&Matrix::zeros(3, 0), &[1.0, 2.0, 3.0], 1e-12).is_empty());
         assert!(lstsq_svd(&Matrix::zeros(0, 0), &[], 1e-12).is_empty());
-        assert_eq!(lstsq(&Matrix::zeros(0, 0), &[]), Some(Vec::new()));
         // 0 rows: no equations, minimum-norm solution is the zero vector.
         assert_eq!(lstsq_svd(&Matrix::zeros(0, 3), &[], 1e-12), vec![0.0; 3]);
         // Weighted path composes the same degenerate handling.
@@ -201,25 +187,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rows >= cols")]
-    fn qr_lstsq_rejects_underdetermined_shapes() {
-        let _ = lstsq(&Matrix::zeros(0, 2), &[]);
-    }
-
-    #[test]
     #[should_panic(expected = "rhs length")]
     fn lstsq_svd_rejects_rhs_length_mismatch() {
         let _ = lstsq_svd(&Matrix::zeros(3, 2), &[1.0], 1e-12);
-    }
-
-    #[test]
-    fn svd_and_qr_agree_on_full_rank() {
-        let a = Matrix::from_fn(6, 3, |i, j| {
-            ((i as f64 + 1.3) * (j as f64 + 0.7)).sin() + 0.1
-        });
-        let b: Vec<f64> = (0..6).map(|i| (i as f64) * 0.7 - 1.0).collect();
-        let x1 = lstsq(&a, &b).unwrap();
-        let x2 = lstsq_svd(&a, &b, 1e-12);
-        close_vec(&x1, &x2, 1e-8);
     }
 }

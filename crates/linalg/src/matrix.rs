@@ -43,8 +43,9 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Builds from row-major literals (convenient in tests and examples).
-    pub fn from_rows(rows: &[&[f64]]) -> Matrix {
+    /// Builds from row-major literals (convenient in tests).
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Matrix {
         let r = rows.len();
         let c = if r == 0 { 0 } else { rows[0].len() };
         let mut m = Matrix::zeros(r, c);
@@ -102,13 +103,8 @@ impl Matrix {
 
     /// Mutable raw buffer.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes into the column-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrows column `j` as a contiguous slice — free in this layout.
@@ -119,7 +115,7 @@ impl Matrix {
 
     /// Mutable column view.
     #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
@@ -133,13 +129,9 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Max absolute elementwise difference to another matrix of the same
     /// shape.
+    // lint:allow(L011, reason = "crates/linalg/tests/proptests.rs compares factorizations through it")
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
@@ -183,7 +175,7 @@ mod tests {
         let i = Matrix::identity(3);
         assert_eq!(i.get(1, 1), 1.0);
         assert_eq!(i.get(0, 2), 0.0);
-        assert_eq!(Matrix::zeros(2, 3).frobenius(), 0.0);
+        assert!(Matrix::zeros(2, 3).as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -200,19 +192,13 @@ mod tests {
         let data = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let m = Matrix::from_col_major(2, 3, data.clone());
         assert_eq!(m.get(1, 2), 6.0);
-        assert_eq!(m.into_vec(), data);
+        assert_eq!(m.as_slice(), &data[..]);
     }
 
     #[test]
     #[should_panic(expected = "rows*cols")]
     fn from_col_major_checks_len() {
         let _ = Matrix::from_col_major(2, 2, vec![1.0]);
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((m.frobenius() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::blas;
 use crate::eigen;
 use crate::matrix::Matrix;
-use sqlarray_core::parallel::scoped_for_ranges_mut;
 
 /// A fitted PCA basis.
 #[derive(Debug, Clone)]
@@ -26,52 +25,25 @@ pub struct Pca {
 }
 
 /// Fits a PCA basis with `k` components from a data matrix whose *rows*
-/// are observations (`samples × features`, `k ≤ features`), at the
-/// configured DOP.
+/// are observations (`samples × features`, `k ≤ features`).
 ///
-/// The mean/centering pass and the Gram (covariance) build fan disjoint
-/// feature columns over workers; each column's accumulation stays
-/// serial, so the fitted basis is **bit-identical to the serial fit at
-/// any DOP** (asserted by the crate's determinism tests). Diagonalizing
-/// the covariance panics if the Jacobi iteration does not converge —
-/// see [`crate::eigen::eigh`]; real (finite) data always converges.
+/// Diagonalizing the covariance panics if the Jacobi iteration does not
+/// converge — see [`crate::eigen::eigh`]; real (finite) data always
+/// converges.
 pub fn fit(data: &Matrix, k: usize) -> Pca {
-    fit_with_dop(
-        data,
-        k,
-        blas::kernel_dop(2 * data.rows() * data.cols() * data.cols()),
-    )
-}
-
-/// [`fit`] with an explicit degree of parallelism (1 = serial).
-pub fn fit_with_dop(data: &Matrix, k: usize, dop: usize) -> Pca {
     let n = data.rows();
     let d = data.cols();
     assert!(k <= d, "cannot keep more components than features");
     assert!(n >= 2, "need at least two samples");
 
-    // Mean-center: each worker owns a disjoint range of feature columns
-    // (contiguous in the column-major layout) and sums serially within
-    // each column.
-    let mut mean = vec![0.0; d];
-    scoped_for_ranges_mut(&mut mean, 1, dop, |cols, chunk| {
-        for (slot, j) in cols.enumerate() {
-            chunk[slot] = data.col(j).iter().sum::<f64>() / n as f64;
-        }
-    });
-    let mut centered = Matrix::zeros(n, d);
-    scoped_for_ranges_mut(centered.as_mut_slice(), n, dop, |cols, chunk| {
-        for (slot, j) in cols.enumerate() {
-            for (i, v) in chunk[slot * n..(slot + 1) * n].iter_mut().enumerate() {
-                *v = data.get(i, j) - mean[j];
-            }
-        }
-    });
+    // Mean-center each feature column.
+    let mean: Vec<f64> = (0..d)
+        .map(|j| data.col(j).iter().sum::<f64>() / n as f64)
+        .collect();
+    let centered = Matrix::from_fn(n, d, |i, j| data.get(i, j) - mean[j]);
 
-    // Covariance = Xᵀ X / (n-1), then diagonalize (the Jacobi sweeps are
-    // sequential by nature; the O(n·d²) Gram build above is where the
-    // threads pay off).
-    let mut cov = blas::gram_with_dop(&centered, dop);
+    // Covariance = Xᵀ X / (n-1), then diagonalize.
+    let mut cov = blas::gram(&centered);
     for v in cov.as_mut_slice().iter_mut() {
         *v /= (n - 1) as f64;
     }
@@ -95,7 +67,8 @@ impl Pca {
     }
 
     /// Projects one observation onto the basis, returning `k` coefficients.
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    fn transform(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.mean.len());
         let centered: Vec<f64> = x.iter().zip(&self.mean).map(|(&v, &m)| v - m).collect();
         let mut coeffs = vec![0.0; self.k()];

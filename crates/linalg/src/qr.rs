@@ -1,14 +1,12 @@
 //! Householder QR factorization.
 //!
 //! `A = Q·R` with Q orthonormal (`m × n`, thin) and R upper triangular
-//! (`n × n`). Used by the least-squares solver, which in turn backs the
-//! spectrum-expansion functionality the paper calls out ("dot product
-//! cannot be used for expanding spectra on a basis but least squares
-//! fitting is necessary", §2.2).
+//! (`n × n`), LAPACK's `geqrf` + `orgqr`. The least-squares solver takes
+//! the SVD route instead ([`crate::lstsq_svd`]), which also covers
+//! rank-deficient and wide systems.
 
 use crate::blas;
 use crate::matrix::Matrix;
-use sqlarray_core::parallel::scoped_for_ranges_mut;
 
 /// The factorization result.
 #[derive(Debug, Clone)]
@@ -20,54 +18,19 @@ pub struct Qr {
 }
 
 /// Applies the Householder reflector `(I − τ·v·vᵀ)` (acting on rows
-/// `k..m`) to columns `lo..hi` of `mat`, fanning disjoint columns over
-/// `dop` workers. Each column's update is an independent dot + axpy
-/// computed exactly as the serial loop computes it, so the result is
-/// bit-identical at any `dop` — this is the Q-application fan-out stage
-/// shared by factorization and Q formation.
-///
-/// The call is gated per reflector: a factorization applies ~2n of
-/// these, and the trailing panel shrinks with every step, so each call
-/// re-checks its own flop count against [`blas::PARALLEL_MIN_WORK`] and
-/// drops to the inline serial path once the panel is too small to repay
-/// a thread spawn.
-fn apply_reflector(
-    mat: &mut Matrix,
-    k: usize,
-    lo: usize,
-    hi: usize,
-    v: &[f64],
-    tau: f64,
-    dop: usize,
-) {
-    let m = mat.rows();
-    let work = 4 * (hi - lo) * (m - k);
-    let dop = if work >= blas::PARALLEL_MIN_WORK {
-        dop
-    } else {
-        1
-    };
-    let panel = &mut mat.as_mut_slice()[lo * m..hi * m];
-    scoped_for_ranges_mut(panel, m, dop, |cols, chunk| {
-        for slot in 0..cols.len() {
-            let cj = &mut chunk[slot * m + k..(slot + 1) * m];
-            let w = blas::dot(v, cj);
-            blas::axpy(-tau * w, v, cj);
-        }
-    });
+/// `k..m`) to columns `lo..hi` of `mat`: one dot + axpy per column. This
+/// is the Q-application step shared by factorization and Q formation.
+fn apply_reflector(mat: &mut Matrix, k: usize, lo: usize, hi: usize, v: &[f64], tau: f64) {
+    for j in lo..hi {
+        let cj = &mut mat.col_mut(j)[k..];
+        let w = blas::dot(v, cj);
+        blas::axpy(-tau * w, v, cj);
+    }
 }
 
-/// Computes the thin QR of `a` (`m × n`, requires `m ≥ n`), at the
-/// configured DOP. The reflector *construction* is sequential (each
-/// reflector depends on the previous update), but its *application* to
-/// the trailing columns — the O(m·n²) bulk of the work — fans columns
-/// out; the factors are bit-identical to the serial run at any DOP.
+/// Computes the thin QR of `a` (`m × n`, requires `m ≥ n`).
+// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs checks the factors reconstruct and are orthonormal")
 pub fn qr(a: &Matrix) -> Qr {
-    qr_with_dop(a, blas::kernel_dop(2 * a.rows() * a.cols() * a.cols()))
-}
-
-/// [`qr`] with an explicit degree of parallelism (1 = serial).
-pub fn qr_with_dop(a: &Matrix, dop: usize) -> Qr {
     let m = a.rows();
     let n = a.cols();
     assert!(m >= n, "qr requires rows >= cols; transpose first");
@@ -100,7 +63,7 @@ pub fn qr_with_dop(a: &Matrix, dop: usize) -> Qr {
         let tau = 2.0;
 
         // Apply (I - tau v vᵀ) to the trailing columns.
-        apply_reflector(&mut work, k, k, n, &v, tau, dop);
+        apply_reflector(&mut work, k, k, n, &v, tau);
         taus.push((tau, v));
     }
 
@@ -122,40 +85,9 @@ pub fn qr_with_dop(a: &Matrix, dop: usize) -> Qr {
         if *tau == 0.0 {
             continue;
         }
-        apply_reflector(&mut q, k, 0, n, v, *tau, dop);
+        apply_reflector(&mut q, k, 0, n, v, *tau);
     }
     Qr { q, r }
-}
-
-/// Solves `R x = b` by back substitution (R upper triangular). Returns
-/// `None` when R is numerically singular — any diagonal below
-/// `ε·max|Rᵢᵢ|`, the same relative criterion LAPACK's condition estimate
-/// would trip on.
-///
-/// Deliberately serial at every DOP: each `x[i]` depends on all the
-/// `x[j]` (j > i) already solved, so a fan-out would have to reorder the
-/// O(n²) accumulation and break the bit-identical contract for no
-/// asymptotic gain — the O(m·n²) factorization above it is where the
-/// threads go.
-pub fn solve_upper(r: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    let n = r.cols();
-    assert_eq!(r.rows(), n);
-    assert_eq!(b.len(), n);
-    let max_diag = (0..n).map(|i| r.get(i, i).abs()).fold(0.0, f64::max);
-    let tol = f64::EPSILON * 16.0 * max_diag;
-    let mut x = b.to_vec();
-    for i in (0..n).rev() {
-        let d = r.get(i, i);
-        if d.abs() <= tol {
-            return None;
-        }
-        let mut s = x[i];
-        for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-            s -= r.get(i, j) * xj;
-        }
-        x[i] = s / d;
-    }
-    Some(x)
 }
 
 #[cfg(test)]
@@ -213,16 +145,6 @@ mod tests {
         assert!(gemm(&f.q, &f.r).max_abs_diff(&a) < 1e-10);
         // R(1,1) collapses to ~0.
         assert!(f.r.get(1, 1).abs() < 1e-10);
-    }
-
-    #[test]
-    fn back_substitution() {
-        let r = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 4.0]]);
-        let x = solve_upper(&r, &[5.0, 8.0]).unwrap();
-        assert_close(x[1], 2.0, 1e-12);
-        assert_close(x[0], 1.5, 1e-12);
-        let singular = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0]]);
-        assert!(solve_upper(&singular, &[1.0, 1.0]).is_none());
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use crate::blas;
 use crate::matrix::Matrix;
-use sqlarray_core::parallel::{scoped_for_ranges_mut, scoped_map_ranges};
 
 /// Thin SVD `A = U · diag(s) · Vᵀ`.
 #[derive(Debug, Clone)]
@@ -24,23 +23,11 @@ pub struct Svd {
     pub v: Matrix,
 }
 
-/// Computes the thin SVD of `a` (`m × n`), at the configured DOP.
-/// Handles `m < n` by factoring the transpose and swapping U and V.
-///
-/// The one-sided Jacobi sweeps are inherently sequential (every rotation
-/// feeds the next pair), but the extraction stage — one `nrm2` per
-/// column, then the permuted, normalized copy-out of U and V — fans
-/// disjoint columns over workers with serial per-column math, so the
-/// factorization is bit-identical to the serial run at any DOP.
+/// Computes the thin SVD of `a` (`m × n`). Handles `m < n` by factoring
+/// the transpose and swapping U and V.
 pub fn gesvd(a: &Matrix) -> Svd {
-    gesvd_with_dop(a, blas::kernel_dop(2 * a.rows() * a.cols()))
-}
-
-/// [`gesvd`] with an explicit degree of parallelism (1 = serial) for the
-/// extraction fan-out.
-pub fn gesvd_with_dop(a: &Matrix, dop: usize) -> Svd {
     if a.rows() < a.cols() {
-        let t = gesvd_with_dop(&a.transpose(), dop);
+        let t = gesvd(&a.transpose());
         return Svd {
             u: t.v,
             s: t.s,
@@ -97,47 +84,22 @@ pub fn gesvd_with_dop(a: &Matrix, dop: usize) -> Svd {
         }
     }
 
-    // Extract singular values (column norms, one serial nrm2 per column,
-    // columns fanned over workers) and sort descending.
+    // Extract singular values (column norms) and sort descending.
     let mut order: Vec<usize> = (0..n).collect();
-    let sigma: Vec<f64> = scoped_map_ranges(n, dop, |cols| {
-        cols.map(|j| blas::nrm2(u.col(j))).collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let sigma: Vec<f64> = (0..n).map(|j| blas::nrm2(u.col(j))).collect();
     order.sort_by(|&i, &j| sigma[j].partial_cmp(&sigma[i]).expect("norms are finite"));
 
-    // Permuted, normalized copy-out: workers own disjoint destination
-    // columns of U and V; each column is a pure function of its source
-    // column and σ, so the output is bit-identical at any DOP.
-    let mut u_out = Matrix::zeros(m, n);
-    let mut v_out = Matrix::zeros(n, n);
-    // (`.max(1)` keeps the item size legal for 0×0 inputs, whose buffers
-    // are empty anyway.)
-    scoped_for_ranges_mut(u_out.as_mut_slice(), m.max(1), dop, |cols, chunk| {
-        for (slot, dst) in cols.enumerate() {
-            let src = order[dst];
-            let sv = sigma[src];
-            let out = &mut chunk[slot * m..(slot + 1) * m];
-            if sv > 0.0 {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = u.get(i, src) / sv;
-                }
-            }
-            // else: null column stays the zero vector (caller can
-            // re-orthonormalize if a full basis is required).
+    // Permuted, normalized copy-out. A null column stays the zero vector
+    // (the caller can re-orthonormalize if a full basis is required).
+    let u_out = Matrix::from_fn(m, n, |i, dst| {
+        let src = order[dst];
+        if sigma[src] > 0.0 {
+            u.get(i, src) / sigma[src]
+        } else {
+            0.0
         }
     });
-    scoped_for_ranges_mut(v_out.as_mut_slice(), n.max(1), dop, |cols, chunk| {
-        for (slot, dst) in cols.enumerate() {
-            let src = order[dst];
-            let out = &mut chunk[slot * n..(slot + 1) * n];
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = v.get(i, src);
-            }
-        }
-    });
+    let v_out = Matrix::from_fn(n, n, |i, dst| v.get(i, order[dst]));
     let s_out: Vec<f64> = order.iter().map(|&src| sigma[src]).collect();
     Svd {
         u: u_out,

@@ -13,6 +13,11 @@ fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
+/// `AᵀA`.
+fn gram(a: &Matrix) -> Matrix {
+    blas::gemm(&a.transpose(), a)
+}
+
 proptest! {
     /// SVD reconstructs any matrix, factors are orthonormal, singular
     /// values sorted and non-negative.
@@ -28,7 +33,7 @@ proptest! {
         prop_assert!(f.s.iter().all(|&v| v >= 0.0));
         let k = rows.min(cols);
         // Thin factor of the smaller side is orthonormal.
-        let g = if rows >= cols { blas::gram(&f.u) } else { blas::gram(&f.v) };
+        let g = if rows >= cols { gram(&f.u) } else { gram(&f.v) };
         prop_assert!(g.max_abs_diff(&Matrix::identity(k)) < 1e-8);
     }
 
@@ -39,7 +44,7 @@ proptest! {
         let a = matrix(rows, cols, seed);
         let f = qr(&a);
         prop_assert!(blas::gemm(&f.q, &f.r).max_abs_diff(&a) < 1e-9);
-        prop_assert!(blas::gram(&f.q).max_abs_diff(&Matrix::identity(cols)) < 1e-9);
+        prop_assert!(gram(&f.q).max_abs_diff(&Matrix::identity(cols)) < 1e-9);
     }
 
     /// Least squares via SVD minimizes the residual: random perturbations
@@ -67,14 +72,12 @@ proptest! {
     #[test]
     fn eigh_reconstructs(n in 1usize..9, seed in any::<u64>()) {
         let b = matrix(n + 2, n, seed);
-        let g = blas::gram(&b); // symmetric PSD
+        let g = gram(&b); // symmetric PSD
         let e = eigh(&g);
-        let mut vd = e.vectors.clone();
-        for j in 0..n {
-            blas::scal(e.values[j], vd.col_mut(j));
-        }
+        let vd = Matrix::from_fn(n, n, |i, j| e.vectors.get(i, j) * e.values[j]);
         let rec = blas::gemm(&vd, &e.vectors.transpose());
-        prop_assert!(rec.max_abs_diff(&g) < 1e-8 * (1.0 + g.frobenius()));
+        let frobenius = g.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt();
+        prop_assert!(rec.max_abs_diff(&g) < 1e-8 * (1.0 + frobenius));
         prop_assert!(e.values.iter().all(|&v| v > -1e-9));
     }
 
@@ -86,7 +89,7 @@ proptest! {
         let b: Vec<f64> = (0..rows).map(|i| ((i as f64) * 1.3).cos()).collect();
         let r = nnls(&a, &b, 0);
         prop_assert!(r.x.iter().all(|&v| v >= 0.0));
-        let zero_resid = blas::nrm2(&b);
+        let zero_resid = b.iter().map(|v| v * v).sum::<f64>().sqrt();
         prop_assert!(r.residual <= zero_resid + 1e-9);
     }
 
@@ -98,4 +101,39 @@ proptest! {
         prop_assert!(blas::gemm(&a, &Matrix::identity(n)).max_abs_diff(&a) < 1e-12);
         prop_assert!(blas::gemm(&Matrix::identity(n), &a).max_abs_diff(&a) < 1e-12);
     }
+
+    /// Blocked gemm == naive gemm, bit for bit (the cache-blocked path
+    /// must preserve the per-element accumulation order exactly), over
+    /// data spanning signs, zeros and several orders of magnitude.
+    #[test]
+    fn gemm_matches_naive_model(
+        (m, k, a_data) in (1usize..=24, 1usize..=16).prop_flat_map(|(m, k)| {
+            (Just(m), Just(k), prop::collection::vec(-1e3f64..1e3, m * k..=m * k))
+        }),
+        n in 1usize..=12,
+        b_seed in any::<u64>(),
+    ) {
+        let a = Matrix::from_col_major(m, k, a_data);
+        // B with exact zeros sprinkled in (the naive path skips them;
+        // blocked must too).
+        let mut state = b_seed | 1;
+        let b = Matrix::from_fn(k, n, |_, _| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if state >> 62 == 0 { 0.0 } else { ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0 }
+        });
+        let want = blas::gemm_naive(&a, &b);
+        let got = blas::gemm(&a, &b);
+        prop_assert!(
+            got.as_slice().iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+        );
+    }
+}
+
+#[test]
+fn large_qr_factors_are_valid() {
+    // 300 × 64: reflector panels far larger than the proptest shapes.
+    let a = Matrix::from_fn(300, 64, |i, j| ((i * 13 + j * 29) % 37) as f64 / 37.0 - 0.5);
+    let f = qr(&a);
+    assert!(gram(&f.q).max_abs_diff(&Matrix::identity(64)) < 1e-10);
+    assert!(blas::gemm(&f.q, &f.r).max_abs_diff(&a) < 1e-9);
 }

@@ -4,21 +4,25 @@
 //! Each of these effects is only authoritative while it happens in one
 //! place, so each is flagged anywhere else in the files it watches:
 //!
-//! * **A thread fan-out.** `SQLARRAY_DOP`, `Session::set_dop` and
-//!   `with_serial_kernels` bind only if every fan-out takes its width from
-//!   `parallel::configured_dop` and its chunking from `partition_ranges`.
-//!   A stray `std::thread::spawn`/`scope` escapes the DOP budget (inside a
-//!   scan worker it nests `dop × dop` threads), so those two belong to
-//!   `core/src/parallel.rs`, whose wrappers (`scoped_map_ranges`,
-//!   `scoped_for_ranges_mut`, …) everyone else calls. Inside the executor
-//!   those wrappers are called once, by the one partitioned-scan driver
-//!   (`exec/scan.rs`): a second call is a twin scan harness growing back.
+//! * **A thread fan-out.** A statement's scan is the one parallel unit:
+//!   `SQLARRAY_DOP`, `Session::set_dop` and the admission ticket bind only
+//!   if every fan-out takes its width from them and its chunking from
+//!   `partition_ranges`, and the array, FFT and linear-algebra kernels run
+//!   on the thread that calls them. A stray `std::thread::spawn`/`scope`
+//!   escapes that budget (inside a scan worker it nests `dop × dop`
+//!   threads), so those two belong to `core/src/parallel.rs`, whose
+//!   `scoped_map_ranges` everyone else calls. Inside the executor it is
+//!   called once, by the one partitioned-scan driver (`exec/scan.rs`): a
+//!   second call is a twin scan harness growing back
+//!   (`scoped_for_ranges_mut`, the deleted disjoint-write helper, counts
+//!   too).
 //! * **A panic boundary.** `catch_unwind` is that driver's too, once: a
 //!   worker panic becomes a typed error in one place, for every statement.
 //! * **An environment read.** The engine parses `SQLARRAY_*` once per
-//!   engine, in `engine/src/config.rs` (`env::var`, `env_usize`). It
-//!   never calls `configured_dop`, the array kernels' own `SQLARRAY_DOP`
-//!   read, not even in its unit tests.
+//!   engine, in `engine/src/config.rs` (`env::var`; `env_usize` was the
+//!   deleted per-call parser). It never calls `configured_dop`, the
+//!   deleted per-call `SQLARRAY_DOP` read the kernels once fanned out by,
+//!   not even in its unit tests.
 //!
 //! Code under `#[cfg(test)]` may fan out, catch panics and read the
 //! environment freely, except for that last call.
@@ -51,8 +55,8 @@ const HOMES: &[Home] = &[
         tests_count: false,
         site: thread_api,
         message: "`std::thread` outside core::parallel escapes the DOP budget \
-                  (`SQLARRAY_DOP`, `with_serial_kernels`); fan out through \
-                  `parallel::scoped_map_ranges`/`scoped_for_ranges_mut` instead",
+                  (`SQLARRAY_DOP`, the admission ticket); fan out through \
+                  `parallel::scoped_map_ranges`; kernels run on their caller's thread",
     },
     Home {
         scope: "crates/engine/src/exec/",
@@ -87,8 +91,8 @@ const HOMES: &[Home] = &[
         once: false,
         tests_count: true,
         site: configured_dop_call,
-        message: "the engine takes its DOP from `Settings`, never from the array \
-                  kernels' own `SQLARRAY_DOP` read (`configured_dop`)",
+        message: "the engine takes its DOP from `Settings`, never from a second \
+                  `SQLARRAY_DOP` read (`configured_dop`)",
     },
 ];
 

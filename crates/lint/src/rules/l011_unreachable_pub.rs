@@ -1,8 +1,9 @@
-//! **L011 — `core` and `storage` export only what something calls.**
+//! **L011 — `core`, `storage`, `linalg` and `fft` export only what
+//! something calls.**
 //!
-//! A `pub fn` or `pub const fn` in `crates/core/src` or
-//! `crates/storage/src`, outside `#[cfg(test)]`, is a finding when no
-//! caller file of another crate names it. The caller files are every
+//! A `pub fn` or `pub const fn` in one of their `src/` trees ([`WATCHED`]),
+//! outside `#[cfg(test)]`, is a finding when no caller file of another
+//! crate names it. The caller files are every
 //! crate's `src/` and the root `src/`, the `examples/` and the benchmark
 //! package's `src/` ([`is_caller`]); a name counts only as an identifier
 //! in their non-test code, so neither a test, a comment, a string nor a
@@ -23,7 +24,12 @@ use crate::rules::finding_at;
 use crate::source::SourceFile;
 
 /// The crates whose public functions the rule checks.
-const WATCHED: &[&str] = &["crates/core/src/", "crates/storage/src/"];
+const WATCHED: &[&str] = &[
+    "crates/core/src/",
+    "crates/storage/src/",
+    "crates/linalg/src/",
+    "crates/fft/src/",
+];
 
 /// Every identifier the caller files name, with the crates that name it
 /// ([`SourceFile::crate_name`]: the root package, its examples and the

@@ -7,14 +7,14 @@
 //! | L001 | correctness guards must survive release builds | PR 4: `debug_assert`-only length checks silently zip-truncated `blas::dot`/`axpy` |
 //! | L002 | real summation goes through `exact::ExactSum` | PR 5: `agg::sum` diverged from parallel `SUM` bit-for-bit |
 //! | L003 | page/offset arithmetic in `storage` is overflow-checked | PR 3: unchecked page arithmetic in the sequential-read classifiers |
-//! | L004 | a thread fan-out (`thread::spawn`/`scope`: `core::parallel`; the executor's one call of its wrappers: `exec/scan.rs`), a panic boundary (`catch_unwind`: `exec/scan.rs`, once) and an engine environment read (`engine/src/config.rs`; `configured_dop` nowhere) each have one home module | the `SQLARRAY_DOP` / `with_serial_kernels` knobs must stay authoritative; PR 13's `exec.rs` carried two scan harnesses, each with its own fan-out and panic boundary; a knob parsed beside `Settings` escapes "read once per engine" |
+//! | L004 | a thread fan-out (`thread::spawn`/`scope`: `core::parallel`; the executor's one call of its wrapper: `exec/scan.rs`), a panic boundary (`catch_unwind`: `exec/scan.rs`, once) and an engine environment read (`engine/src/config.rs`; `configured_dop` nowhere) each have one home module | `SQLARRAY_DOP` and the admission ticket stay authoritative only while the scan is the one fan-out (the kernels once fanned out on their own, with `with_serial_kernels` to switch that off inside scans); one `exec.rs` once carried two scan harnesses, each with its own fan-out and panic boundary; a knob parsed beside `Settings` escapes "read once per engine" |
 //! | L005 | no `unwrap`/`expect` on fallible paths in library code | PR 5: silent `<lob:…>` placeholder replaced by typed `UnresolvedLob` |
 //! | L006 | shard locks are acquired in ascending index order | deadlock class a multi-session server will make real |
 //! | L007 | every `unsafe` block carries a `// SAFETY:` comment | unsafe-audit companion |
 //! | L008 | no per-row heap allocation inside batch-kernel and grouping loops | the vectorized path's speedup dies silently if a kernel loop allocates |
 //! | L009 | no mutex guard held across a scan fan-out in engine code | the shared-engine refactor's lock discipline: guard-across-fan-out serializes or deadlocks concurrent sessions |
 //! | L010 | engine scan loops and per-row selection loops must poll the query lifecycle | PR 10's cancellation contract: a scan loop without `check_interrupt` cannot be killed until its next page fault, and a UDF call lane or grouping loop over a decoded batch never faults at all |
-//! | L011 | a `pub fn` in `core` or `storage` is called by another crate, an example or the benchmark | 87 public functions of `core` and `storage` no other crate called (`build::linspace`, `table::to_table`, …) had piled up under the one T-SQL surface, `engine::arraybind` |
+//! | L011 | a `pub fn` in `core`, `storage`, `linalg` or `fft` is called by another crate, an example or the benchmark | 87 public functions of `core` and `storage` no other crate called (`build::linspace`, `table::to_table`, …) had piled up under the one T-SQL surface, `engine::arraybind`; `linalg` and `fft` held 38 more |
 //!
 //! Suppression: `// lint:allow(L00x, reason = "…")` on the finding's line
 //! or the line above. The reason is mandatory; a malformed or reasonless

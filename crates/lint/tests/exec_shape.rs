@@ -1,6 +1,7 @@
-//! Source-shape pins for the engine and storage crates, over the token
-//! stream (comments, strings and `#[cfg(test)]` code do not count): what
-//! no behaviour test sees, mostly a cost only a timing would show.
+//! Source-shape pins for the engine, storage and kernel crates, over the
+//! token stream (comments never count; strings and `#[cfg(test)]` code
+//! only where a pin says so): what no behaviour test sees, mostly a cost
+//! only a timing would show.
 //!
 //! * A `Session` is built in one function and every statement starts and
 //!   ends in one: one `Session { .. }` literal, one `mint_query(` call, one
@@ -33,6 +34,12 @@
 //! * Every injected fault is one `core::fault::FaultPlan`, so none of the
 //!   three mechanisms it replaced (`FailPlan`/`arm_fail`, the read-fault
 //!   pool, the check-count trip) is named anywhere, tests included.
+//! * The scan is the one parallel unit: the array, FFT and linear-algebra
+//!   kernels (`core/src/ops`, `linalg/src`, `fft/src`) name no
+//!   `parallel::`, no `thread::` and no `*_with_dop` twin, tests included,
+//!   so they run on their caller's thread; and `SQLARRAY_DOP` is read in
+//!   one place: among the library sources only `engine/src/config.rs`
+//!   names `DOP_ENV_VAR` or the literal `"SQLARRAY_DOP"`.
 //!
 //! The rest of the engine's shape is checked as behaviour: allocation per
 //! row, addend or page by `tests/alloc_counts.rs`; one fan-out, one panic
@@ -42,6 +49,7 @@
 //! (ARCHITECTURE.md, "Invariants & mechanical enforcement", maps each).
 
 use sqlarray_lint::driver::find_workspace_root;
+use sqlarray_lint::lexer::TokKind;
 use sqlarray_lint::SourceFile;
 use std::path::{Path, PathBuf};
 
@@ -404,4 +412,34 @@ fn every_injected_fault_is_one_fault_plan() {
         );
         assert_eq!(found, [""; 0], "a replaced fault mechanism is back");
     }
+}
+
+#[test]
+fn kernels_run_on_their_callers_thread() {
+    let fans_out = |f: &SourceFile<'_>, k: usize| {
+        let path_of =
+            |name| f.is_ident(k, name) && f.is_punct(k + 1, ":") && f.is_punct(k + 2, ":");
+        path_of("parallel")
+            || path_of("thread")
+            || (f.kind(k) == Some(TokKind::Ident) && f.text(k).ends_with("_with_dop"))
+    };
+    for rel in ["crates/core/src/ops", "crates/linalg/src", "crates/fft/src"] {
+        let found = hits_where(rel, fans_out, |f, k| format!(": `{}`", f.text(k)));
+        assert_eq!(
+            found, [""; 0],
+            "a kernel fans out on its own; the scan is the one parallel unit"
+        );
+    }
+    let names_dop = |f: &SourceFile<'_>, k: usize| {
+        f.is_ident(k, "DOP_ENV_VAR")
+            || (f.kind(k) == Some(TokKind::Str) && f.text(k) == "\"SQLARRAY_DOP\"")
+    };
+    let mut found = hits_where("crates", names_dop, |_, _| String::new());
+    found.retain(|p| p.contains("/src/"));
+    found.extend(hits_where("src", names_dop, |_, _| String::new()));
+    assert!(!found.is_empty(), "the matcher no longer sees the DOP knob");
+    assert!(
+        found.iter().all(|p| p == "crates/engine/src/config.rs"),
+        "`SQLARRAY_DOP` is read once, by the engine's configuration: {found:?}"
+    );
 }

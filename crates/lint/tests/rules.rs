@@ -122,7 +122,7 @@ fn l004_silent_on_each_effect_at_home() {
     assert_eq!(count("crates/engine/src/config.rs", read, "L004"), 0);
     assert_eq!(count("crates/engine/src/session.rs", read, "L004"), 1);
     // Outside the engine the knobs are not the engine's: the report
-    // binary's row count, the kernels' DOP.
+    // binary's row count.
     assert_eq!(count("crates/bench/src/lib.rs", read, "L004"), 0);
 }
 
@@ -366,6 +366,22 @@ fn l011_another_crate_an_example_or_the_benchmark_is_a_caller() {
     let found = sqlarray_lint::lint_files(&storage);
     assert_eq!(found.len(), 1, "{found:?}");
     assert!(found[0].message.contains("`unread`"));
+    // So are `linalg` and `fft`; an unwatched crate (`nbody`) is not.
+    let kernels = [
+        (
+            "crates/linalg/src/x.rs",
+            "pub fn solve() {}
+pub fn spare() {}",
+        ),
+        ("crates/fft/src/x.rs", "pub fn spare_fft() {}"),
+        ("crates/nbody/src/x.rs", "pub fn spare_nbody() { solve() }"),
+    ];
+    let mut found: Vec<String> = sqlarray_lint::lint_files(&kernels)
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or_default().to_string())
+        .collect();
+    found.sort();
+    assert_eq!(found, ["spare", "spare_fft"]);
 }
 
 #[test]

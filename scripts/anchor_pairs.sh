@@ -7,15 +7,19 @@
 # is measured as it stands) with `git archive` into a temporary directory,
 # builds each side's `benchmark` package in its own target directory, and
 # runs `benchmark run --workload W --seed S --trace 0` at the default run
-# length for seeds 1..N (N >= 6, default 6), alternating which side goes
+# length for seeds 1..N (N >= 6, default 10), alternating which side goes
 # first from one pair to the next. Prints one JSON line per workload and
 # end-to-end metric of BENCHMARK.json:
 #
 #   {"commit", "anchor", "workload", "metric", "commit_median",
-#    "anchor_median", "ratio", "pairs", "seeds", "seconds", "nproc"}
+#    "anchor_median", "ratio", "pairs", "seeds", "seconds", "nproc",
+#    "commit_q1", "commit_q3", "anchor_q1", "anchor_q3", "commit_wins"}
 #
 # `ratio` is commit_median / anchor_median: 1 when both are 0, null when
-# only the anchor's is. A metric a workload does not report is left out. A
+# only the anchor's is. The quartiles (inclusive method) give each side's
+# spread; `commit_wins` counts the seeds whose commit run beats the anchor
+# run in the metric's `better` direction (a tie wins for neither). A
+# metric a workload does not report is left out. A
 # run whose record reports a failed operation or an incorrect result stops
 # the script. Progress goes to stderr; the raw run records go to a
 # temporary directory that is removed only when the lines were printed.
@@ -23,7 +27,7 @@
 # host.
 set -euo pipefail
 
-anchor="" commit="" pairs=6 workloads=()
+anchor="" commit="" pairs=10 workloads=()
 while (($#)); do
     case "$1" in
     --anchor) anchor=$2 ;;
@@ -92,7 +96,7 @@ python3 - "$runs" "$root/BENCHMARK.json" "$commit_name" "$anchor_name" "$pairs" 
 import json, statistics, sys
 
 runs, manifest, commit, anchor, pairs, nproc, *workloads = sys.argv[1:]
-metrics = [m["name"] for m in json.load(open(manifest))["end_to_end"]]
+better = {m["name"]: m["better"] for m in json.load(open(manifest))["end_to_end"]}
 
 def records(side, w):
     out = [json.loads(line) for line in open(f"{runs}/{side}-{w}.jsonl")]
@@ -104,17 +108,27 @@ def records(side, w):
 
 for w in workloads:
     by_side = {side: records(side, w) for side in ("commit", "anchor")}
-    for m in (m for m in metrics if all(m in r["result"]["metrics"] for r in by_side["commit"])):
-        med = {
-            side: statistics.median(r["result"]["metrics"][m]["value"] for r in rs)
+    for m in (m for m in better if all(m in r["result"]["metrics"] for r in by_side["commit"])):
+        vals = {
+            side: {r["seed"]: r["result"]["metrics"][m]["value"] for r in rs}
             for side, rs in by_side.items()
         }
+        med = {side: statistics.median(v.values()) for side, v in vals.items()}
+        quart = {
+            side: statistics.quantiles(v.values(), n=4, method="inclusive")
+            for side, v in vals.items()
+        }
+        sign = 1 if better[m] == "higher" else -1
+        wins = sum(sign * (c - vals["anchor"][s]) > 0 for s, c in vals["commit"].items())
         print(json.dumps({
             "commit": commit, "anchor": anchor, "workload": w, "metric": m,
             "commit_median": med["commit"], "anchor_median": med["anchor"],
             "ratio": med["commit"] / med["anchor"] if med["anchor"] else 1.0 if med["commit"] == 0 else None,
             "pairs": int(pairs), "seeds": [r["seed"] for r in by_side["commit"]],
             "seconds": by_side["commit"][0]["seconds"], "nproc": int(nproc),
+            "commit_q1": quart["commit"][0], "commit_q3": quart["commit"][2],
+            "anchor_q1": quart["anchor"][0], "anchor_q3": quart["anchor"][2],
+            "commit_wins": wins,
         }))
 PY
 echo done >"$runs/done"

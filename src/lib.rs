@@ -12,7 +12,7 @@
 //! | [`array`](mod@array) | `sqlarray-core` | the array blob format: header, short/max storage classes, column-major payload, `Item`/`Subarray`/`Reshape`/`Cast`/aggregates, streamed partial reads |
 //! | [`storage`] | `sqlarray-storage` | 8 kB slotted pages, buffer pool with I/O accounting, clustered B+trees, in-row vs LOB blobs, z-order keys |
 //! | [`engine`] | `sqlarray-engine` | T-SQL-flavoured parser and executor, the sixteen `FloatArray.*`-style UDF schemas, CLR hosting-cost model, UDAs with stream-serialized state |
-//! | [`linalg`] | `sqlarray-linalg` | LAPACK substitute: SVD (`gesvd`), QR, least squares, NNLS, eigen, PCA — cache-blocked + parallel at the session DOP, bit-identical to serial |
+//! | [`linalg`] | `sqlarray-linalg` | LAPACK substitute: SVD (`gesvd`), QR, least squares, NNLS, eigen, PCA — run on the caller's thread; `gemm` cache-blocked, bit-identical to the naive product |
 //! | [`fft`] | `sqlarray-fft` | FFTW substitute: planned radix-2/Bluestein, real and n-D transforms |
 //! | [`turbulence`] | `sqlarray-turbulence` | Sec. 2.1 workload: z-order blob partitioning, ghost zones, Lagrange/PCHIP interpolation service |
 //! | [`spectra`] | `sqlarray-spectra` | Sec. 2.2 workload: flux-conserving resampling, composites, PCA + masked least squares, kd-tree search |

@@ -2,7 +2,8 @@
 //! workload and end-to-end metric of a build measured against an anchor
 //! commit, as `scripts/anchor_pairs.sh` prints them. This checks that
 //! every line parses and that its fields fit together; it gates on no
-//! timing.
+//! timing. Lines the script printed before it reported the spread carry
+//! no quartiles or wins; lines after carry all five fields.
 
 use std::collections::BTreeMap;
 
@@ -174,7 +175,32 @@ fn every_trajectory_line_parses_and_its_fields_fit() {
         );
         assert!(num("seconds") > 0.0, "{at}: run length");
         assert!(num("nproc") >= 1.0, "{at}: nproc");
-        assert_eq!(f.len(), 11, "{at}: {:?}", f.keys().collect::<Vec<_>>());
+        let spread = [
+            "commit_q1",
+            "commit_q3",
+            "anchor_q1",
+            "anchor_q3",
+            "commit_wins",
+        ];
+        let carried = spread.iter().filter(|k| f.contains_key(**k)).count();
+        if carried > 0 {
+            assert_eq!(carried, spread.len(), "{at}: all spread fields or none");
+            for (side, median) in [("commit", commit), ("anchor", anchor)] {
+                let (q1, q3) = (num(&format!("{side}_q1")), num(&format!("{side}_q3")));
+                assert!(q1 <= median && median <= q3, "{at}: {side} quartiles");
+            }
+            let wins = num("commit_wins");
+            assert!(
+                (0.0..=pairs).contains(&wins) && wins.fract() == 0.0,
+                "{at}: {wins} wins of {pairs} pairs"
+            );
+        }
+        assert_eq!(
+            f.len(),
+            11 + carried,
+            "{at}: {:?}",
+            f.keys().collect::<Vec<_>>()
+        );
         lines += 1;
     }
     assert!(lines > 0, "the trajectory is empty");

@@ -112,42 +112,40 @@ fn simulated_io_accounting_is_dop_invariant() {
 
 #[test]
 fn linalg_kernels_are_dop_invariant() {
-    // The dense linalg kernels honour the same contract as the executor:
-    // bit-identical to serial at DOP 1/2/4/8, serial inside a
-    // with_serial_kernels scope. (The linalg crate's own test suite
-    // sweeps shapes property-style; this is the workspace-level smoke
-    // check against the blocked + parallel paths at once.)
-    use sqlarray::linalg::{blas, pca, Matrix};
+    // The math bindings run on the scan worker that evaluates the row —
+    // the scan is the one parallel unit — so a statement calling the SVD
+    // and FFT kernels answers bit-identically at every session DOP.
+    let sql = "SELECT SUM(FloatArray.Item_1(FloatArray.GesvdS( \
+                   FloatArray.Reshape(v, IntArray.Vector_2(5, 1))), 0)), \
+               SUM(FloatArray.Item_1(FloatArray.PowerSpectrum(v), 1)) \
+               FROM Tvector WITH (NOLOCK)";
+    let mut serial = build_table1_db_with(3_000, HostingModel::free());
+    serial.set_dop(1);
+    let baseline = serial.query(sql).unwrap();
+    assert!(matches!(baseline.rows[0][0], Value::F64(s) if s > 0.0));
+    for dop in [2usize, 4, 8] {
+        let mut par = build_table1_db_with(3_000, HostingModel::free());
+        par.set_dop(dop);
+        let got = par.query(sql).unwrap();
+        assert!(got.stats.dop > 1, "the scan did not fan out at dop {dop}");
+        assert_rows_bit_identical(&baseline.rows, &got.rows, &format!("dop {dop}"));
+    }
 
-    let bits = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-
+    // The cache-blocked gemm the PCA/spectral analyses funnel through is
+    // bit-identical to the naive product.
+    use sqlarray::linalg::{blas, Matrix};
     let a = Matrix::from_fn(160, 130, |i, j| ((i * 7 + j * 13) % 29) as f64 - 14.0);
     let b = Matrix::from_fn(130, 96, |i, j| ((i * 11 + j * 3) % 31) as f64 - 15.0);
     let naive = blas::gemm_naive(&a, &b);
-    for dop in [1usize, 2, 4, 8] {
-        let got = blas::gemm_with_dop(&a, &b, dop);
-        assert!(
-            bits(got.as_slice(), naive.as_slice()),
-            "blocked gemm diverged from naive at dop {dop}"
-        );
-    }
-    let pinned = sqlarray_core::parallel::with_serial_kernels(|| blas::gemm(&a, &b));
-    assert!(bits(pinned.as_slice(), naive.as_slice()));
-
-    let data = Matrix::from_fn(400, 32, |i, j| {
-        ((i as f64) * 0.03).sin() * (j as f64 + 1.0) + ((i * j) % 7) as f64 * 0.1
-    });
-    let serial_fit = pca::fit_with_dop(&data, 8, 1);
-    for dop in [2usize, 4, 8] {
-        let par_fit = pca::fit_with_dop(&data, 8, dop);
-        assert!(
-            bits(
-                par_fit.components.as_slice(),
-                serial_fit.components.as_slice()
-            ) && bits(&par_fit.explained_variance, &serial_fit.explained_variance),
-            "pca fit diverged at dop {dop}"
-        );
-    }
+    let blocked = blas::gemm(&a, &b);
+    assert!(
+        blocked
+            .as_slice()
+            .iter()
+            .zip(naive.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits()),
+        "blocked gemm diverged from naive"
+    );
 }
 
 #[test]
