@@ -650,15 +650,14 @@ truthy_impl!(truthy_f32, f32, 0.0f32);
 // Summation
 // ---------------------------------------------------------------------------
 
-/// Accumulates every lane into `sum` through the exact summator.
+/// Accumulates every lane into `sum` through the exact summator, a block
+/// at a time (as [`ExactSum::add_iter`] does, without the copy).
 ///
-/// This is the only summing kernel — there is deliberately no fast-path
-/// naive `+=` variant, so batch `SUM`/`AVG` stay bit-identical to serial
-/// row-at-a-time execution at any DOP.
+/// There is deliberately no fast-path naive `+=` variant: the register
+/// ends as one [`ExactSum::add`] per lane leaves it, so batch `SUM`/`AVG`
+/// stay bit-identical to serial row-at-a-time execution at any DOP.
 pub fn sum_f64(vals: &[f64], sum: &mut ExactSum) {
-    for &x in vals {
-        sum.add(x);
-    }
+    sum.add_slice(vals);
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! Every reduction takes any [`ArrayData`] — an owned [`SqlArray`] or a
 //! borrowed [`ArrayView`] — and walks the payload as typed elements in
 //! storage order: one dispatch on the element type per array, not one
-//! [`Scalar`] per element.
+//! [`Scalar`] per element. The summations hand their values to
+//! [`ExactSum::add_iter`], which sums them a block at a time.
 //!
 //! [`SqlArray`]: crate::array::SqlArray
 //! [`ArrayView`]: crate::array::ArrayView
@@ -53,27 +54,54 @@ fn for_each_real(a: &impl ArrayData, mut f: impl FnMut(f64)) -> Result<()> {
     Ok(())
 }
 
+/// Adds the `view` of every element of a payload of `T`s to `acc`, in
+/// storage order.
+#[inline]
+fn add_views<T: Element>(payload: &[u8], acc: &mut ExactSum, view: impl Fn(T) -> f64) {
+    acc.add_iter(payload.chunks_exact(T::SIZE).map(|c| view(T::read_le(c))));
+}
+
+/// Adds `f` of the `f64` view of every element of a real-typed array to
+/// `acc`, in storage order; complex arrays are rejected.
+fn sum_real(a: &impl ArrayData, acc: &mut ExactSum, f: impl Fn(f64) -> f64) -> Result<()> {
+    let p = a.payload();
+    match a.elem() {
+        ElementType::Int8 => add_views::<i8>(p, acc, |v| f(v as f64)),
+        ElementType::Int16 => add_views::<i16>(p, acc, |v| f(v as f64)),
+        ElementType::Int32 => add_views::<i32>(p, acc, |v| f(v as f64)),
+        ElementType::Int64 => add_views::<i64>(p, acc, |v| f(v as f64)),
+        ElementType::Float32 => add_views::<f32>(p, acc, |v| f(v as f64)),
+        ElementType::Float64 => add_views::<f64>(p, acc, f),
+        ElementType::Complex32 | ElementType::Complex64 => {
+            return Err(ArrayError::BadConversion {
+                from: a.elem(),
+                to: ElementType::Float64,
+            })
+        }
+    }
+    Ok(())
+}
+
 /// Sum of all elements. Complex arrays return a complex sum; real arrays a
 /// double. Real (and complex-component) accumulation is exactly rounded.
 pub fn sum(a: &impl ArrayData) -> Result<Scalar> {
-    let mut re = ExactSum::new();
-    if a.elem().is_complex() {
-        let mut im = ExactSum::new();
-        let mut add = |c: Complex64| {
-            re.add(c.re);
-            im.add(c.im);
-        };
-        match a.elem() {
-            ElementType::Complex32 => {
-                walk::<Complex32>(a.payload(), |c| add(Complex64::from_c32(c)))
-            }
-            _ => walk::<Complex64>(a.payload(), add),
+    let p = a.payload();
+    let (mut re, mut im) = (ExactSum::new(), ExactSum::new());
+    match a.elem() {
+        ElementType::Complex32 => {
+            add_views::<Complex32>(p, &mut re, |c| c.re as f64);
+            add_views::<Complex32>(p, &mut im, |c| c.im as f64);
         }
-        Ok(Scalar::C64(Complex64::new(re.value(), im.value())))
-    } else {
-        for_each_real(a, |v| re.add(v))?;
-        Ok(Scalar::F64(re.value()))
+        ElementType::Complex64 => {
+            add_views::<Complex64>(p, &mut re, |c| c.re);
+            add_views::<Complex64>(p, &mut im, |c| c.im);
+        }
+        _ => {
+            sum_real(a, &mut re, |v| v)?;
+            return Ok(Scalar::F64(re.value()));
+        }
     }
+    Ok(Scalar::C64(Complex64::new(re.value(), im.value())))
 }
 
 /// Arithmetic mean of all elements.
@@ -108,12 +136,12 @@ pub fn max(a: &impl ArrayData) -> Result<Scalar> {
 pub fn stddev(a: &impl ArrayData) -> Result<Scalar> {
     let n = a.count() as f64;
     let mut acc = ExactSum::new();
-    for_each_real(a, |v| acc.add(v))?;
+    sum_real(a, &mut acc, |v| v)?;
     let mu = acc.value() / n;
     let mut acc = ExactSum::new();
-    for_each_real(a, |v| {
+    sum_real(a, &mut acc, |v| {
         let d = v - mu;
-        acc.add(d * d);
+        d * d
     })?;
     Ok(Scalar::F64((acc.value() / n).sqrt()))
 }
@@ -122,10 +150,11 @@ pub fn stddev(a: &impl ArrayData) -> Result<Scalar> {
 /// The sum of squares is exactly rounded before the square root.
 pub fn norm2(a: &impl ArrayData) -> Result<f64> {
     let mut acc = ExactSum::new();
+    let p = a.payload();
     match a.elem() {
-        ElementType::Complex32 => walk::<Complex32>(a.payload(), |c| acc.add(c.norm_sqr() as f64)),
-        ElementType::Complex64 => walk::<Complex64>(a.payload(), |c| acc.add(c.norm_sqr())),
-        _ => for_each_real(a, |v| acc.add(v * v))?,
+        ElementType::Complex32 => add_views::<Complex32>(p, &mut acc, |c| c.norm_sqr() as f64),
+        ElementType::Complex64 => add_views::<Complex64>(p, &mut acc, |c| c.norm_sqr()),
+        _ => sum_real(a, &mut acc, |v| v * v)?,
     }
     Ok(acc.value().sqrt())
 }

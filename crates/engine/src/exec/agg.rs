@@ -217,11 +217,12 @@ impl ItemAcc {
     }
 
     /// [`fold`](Self::fold) over a typed lane, which holds no NULL:
-    /// `COUNT` adds its length, `SUM`/`AVG` add its numeric view, and
-    /// `MIN`/`MAX` find the lane's winner by [`replaces`] and turn only that
-    /// one element into a [`Value`] (`wrap`, which keeps the lane type) for
-    /// the test against the incumbent. Each element meets the same
-    /// comparisons, with the same verdict, as fed one by one.
+    /// `COUNT` adds its length, `SUM`/`AVG` add its numeric view a block at
+    /// a time ([`ExactSum::add_iter`]), and `MIN`/`MAX` find the lane's
+    /// winner by [`replaces`] and turn only that one element into a
+    /// [`Value`] (`wrap`, which keeps the lane type) for the test against
+    /// the incumbent. Each element meets the same comparisons, with the
+    /// same verdict, as fed one by one.
     fn fold_typed<T: ToF64>(&mut self, lane: &[T], wrap: fn(T) -> Value) -> Result<()> {
         let ItemAcc::Agg {
             func,
@@ -237,9 +238,7 @@ impl ItemAcc {
         let (slot, better) = match func {
             AggFunc::Count | AggFunc::CountStar => return Ok(()),
             AggFunc::Sum | AggFunc::Avg => {
-                for &x in lane {
-                    sum.add(x.to_f64());
-                }
+                sum.add_iter(lane.iter().map(|&x| x.to_f64()));
                 return Ok(());
             }
             AggFunc::Min => (min, Ordering::Less),

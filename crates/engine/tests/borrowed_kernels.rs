@@ -13,6 +13,11 @@
 //! * the runtime checks of paper §3.5 stay: truncated and oversized blobs
 //!   raise `PayloadSizeMismatch`, a blob handed to another schema raises
 //!   `TypeMismatch` / `StorageClassMismatch`, with the owned path's text.
+//!
+//! And for `float`/`real` arrays of ±1e300, ±1e-300, subnormals, ±0.0 and
+//! values near 1, of lengths around the kernels' block sizes, `Sum`,
+//! `Mean`, `Std` and `Norm2` equal the same formulas over one
+//! [`ExactSum::add`] per element: summing a block at a time changes no bit.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -198,5 +203,81 @@ proptest! {
         check_elem::<i64>(&reg, &mut rng)?;
         check_elem::<f32>(&reg, &mut rng)?;
         check_elem::<f64>(&reg, &mut rng)?;
+    }
+}
+
+/// An element of magnitude an exact sum finds hard to keep: `±big` far
+/// above its neighbours, `±1/big` far below, subnormal, a signed zero or
+/// close to 1 with low bits set; and, when `non_finite`, now and then NaN
+/// or ±∞.
+fn extreme(rng: &mut StdRng, big: f64, non_finite: bool) -> f64 {
+    let sign = if rng.next_u64() % 2 == 0 { 1.0 } else { -1.0 };
+    sign * match rng.next_u64() % 12 {
+        0 => big,
+        1 => 1.0 / big,
+        2 => f64::from_bits(rng.next_u64() >> 12),
+        3 => 0.0,
+        4 if non_finite => [f64::NAN, f64::INFINITY][(rng.next_u64() % 2) as usize],
+        _ => 1.0 + (rng.next_u64() >> 11) as f64 * 2f64.powi(-60),
+    }
+}
+
+/// `Sum`, `Mean`, `Std` and `Norm2` of `data` through the registry against
+/// the formulas over one [`ExactSum::add`] per element, in storage order.
+fn reductions_are_one_addend_per_element<T: Element>(reg: &UdfRegistry, data: &[T]) {
+    let owned = SqlArray::from_vec(StorageClass::Max, &[data.len()], data).unwrap();
+    let blob = [Value::Bytes(owned.as_blob().to_vec())];
+    let reals: Vec<f64> = owned.iter_scalars().map(|s| s.as_f64().unwrap()).collect();
+    let exact = |xs: &mut dyn Iterator<Item = f64>| {
+        let mut acc = ExactSum::new();
+        xs.for_each(|x| acc.add(x));
+        acc.value()
+    };
+    let n = reals.len() as f64;
+    let sum = exact(&mut reals.iter().copied());
+    let mu = sum / n;
+    let std = (exact(&mut reals.iter().map(|x| (x - mu) * (x - mu))) / n).sqrt();
+    let norm = exact(&mut reals.iter().map(|x| x * x)).sqrt();
+    let schema = schema_name(T::TYPE, StorageClass::Max);
+    for (func, want) in [("Sum", sum), ("Mean", mu), ("Std", std), ("Norm2", norm)] {
+        let got = reg
+            .call(
+                &format!("{schema}.{func}"),
+                &blob,
+                &mut HostingModel::free(),
+            )
+            .unwrap();
+        assert!(
+            same_bits(&got, &Value::F64(want)),
+            "{schema}.{func} over {} elements: {got:?} vs {want:?}",
+            data.len()
+        );
+    }
+}
+
+#[test]
+fn reductions_over_extreme_magnitudes_change_no_bit() {
+    let mut reg = UdfRegistry::new();
+    register_all(&mut reg);
+    let mut rng = StdRng::seed_from_u64(0xE87E);
+    for len in [1, 7, 8, 255, 256, 257, 960, 1024, 1025, 2049] {
+        // ±1e300 for the sums; ±1e150, whose squares are ±1e300, for
+        // `Std` and `Norm2`, which ±1e300 would overflow.
+        for (big, non_finite) in [(1e300, false), (1e300, true), (1e150, false)] {
+            let data: Vec<f64> = (0..len)
+                .map(|_| extreme(&mut rng, big, non_finite))
+                .collect();
+            reductions_are_one_addend_per_element(&reg, &data);
+            let narrow: Vec<f32> = data.iter().map(|&x| x as f32).collect();
+            reductions_are_one_addend_per_element(&reg, &narrow);
+        }
+        // Mantissas of every bit pattern in one binade per array, from the
+        // top of the range to the subnormal edge.
+        for scale in [1e300, 1e150, 1.0, 1e-150, 1e-300, f64::MIN_POSITIVE] {
+            let data: Vec<f64> = (0..len)
+                .map(|_| f64::from_bits(0x3FF0_0000_0000_0000 | rng.next_u64() >> 12) * scale)
+                .collect();
+            reductions_are_one_addend_per_element(&reg, &data);
+        }
     }
 }

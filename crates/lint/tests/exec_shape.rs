@@ -31,6 +31,11 @@
 //!   per-value fold; `ExactSum::add` has no loop (its
 //!   carries wait for the periodic pass); and the register's digit array
 //!   (`[i64; DIGITS]`) is declared in `core/src/exact.rs` alone.
+//! * Summing loops hand the register whole blocks: `fold_typed` (the
+//!   typed batch `SUM`/`AVG`), `core::ops::agg::{sum, stddev, norm2}` and
+//!   their helpers, and `core::batch::sum_f64` call no `.add(` and go
+//!   through `ExactSum::add_slice`/`add_iter`, which cost a block two
+//!   register updates where `.add(` costs one per value.
 //! * Every injected fault is one `core::fault::FaultPlan`, so none of the
 //!   three mechanisms it replaced (`FailPlan`/`arm_fail`, the read-fault
 //!   pool, the check-count trip) is named anywhere, tests included.
@@ -397,6 +402,35 @@ fn an_exact_sum_pays_per_addend_in_one_register() {
         found.iter().all(|p| p == "crates/core/src/exact.rs"),
         "one exact register: its digit array is declared in `core::exact` alone: {found:?}"
     );
+}
+
+#[test]
+fn summing_loops_hand_the_register_whole_blocks() {
+    let kernels: [(&str, &[&str]); 3] = [
+        ("crates/engine/src/exec/agg.rs", &["fold_typed"]),
+        (
+            "crates/core/src/ops/agg.rs",
+            &["sum", "stddev", "norm2", "sum_real", "add_views"],
+        ),
+        ("crates/core/src/batch.rs", &["sum_f64"]),
+    ];
+    for (rel, names) in kernels {
+        with_file(rel, |f| {
+            for name in names {
+                let (open, close) = fn_body(f, name);
+                assert!(
+                    !(open..close)
+                        .any(|j| f.is_punct(j, ".") && followed_by_paren(f, j + 1, "add")),
+                    "`{name}` calls `.add(`: one register update per value is back"
+                );
+                let blocks = ["add_slice", "add_iter", "add_views", "sum_real"];
+                assert!(
+                    (open..close).any(|j| blocks.iter().any(|w| f.is_ident(j, w))),
+                    "`{name}` no longer sums through `ExactSum::add_slice`"
+                );
+            }
+        });
+    }
 }
 
 #[test]

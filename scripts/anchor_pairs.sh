@@ -3,9 +3,10 @@
 #
 #   scripts/anchor_pairs.sh --anchor REV [--commit REV] [--pairs N] [--workload NAME]...
 #
-# Exports the anchor (and --commit, when given; otherwise the working tree
-# is measured as it stands) with `git archive` into a temporary directory,
-# builds each side's `benchmark` package in its own target directory, and
+# Exports the anchor and --commit (default: the working tree as it stands,
+# untracked files included, ignored ones not) with `git archive` into a
+# temporary directory, builds each side's `benchmark` package there in its
+# own target directory, and
 # runs `benchmark run --workload W --seed S --trace 0` at the default run
 # length for seeds 1..N (N >= 6, default 10), alternating which side goes
 # first from one pair to the next. Prints one JSON line per workload and
@@ -24,7 +25,8 @@
 # the script. Progress goes to stderr; the raw run records go to a
 # temporary directory that is removed only when the lines were printed.
 # The two sides never run at once, but the pairs are only as quiet as the
-# host.
+# host. Nothing is built or run in the repository: the script fails if
+# `git status --porcelain` reads differently at its end than at its start.
 set -euo pipefail
 
 anchor="" commit="" pairs=10 workloads=()
@@ -43,6 +45,7 @@ done
 ((${#workloads[@]})) || workloads=(scan_native scan_udf array_cutout dml_mix)
 
 root=$(git rev-parse --show-toplevel)
+status_before=$(git -C "$root" status --porcelain)
 tmp=$(mktemp -d) runs=$(mktemp -d)
 # The run records outlive a failed summary; the trees and builds do not.
 trap 'rm -rf "$tmp"; [[ -s $runs/done ]] && rm -rf "$runs"' EXIT
@@ -65,11 +68,15 @@ anchor_name=$(export_rev "$anchor" "$tmp/anchor")
 build "$tmp/anchor" "$tmp/anchor-target"
 if [[ -n $commit ]]; then
     commit_name=$(export_rev "$commit" "$tmp/commit")
-    commit_tree=$tmp/commit
 else
+    # The working tree as a tree object, staged in a private index: the
+    # repository's own index and files stay as they are.
+    GIT_INDEX_FILE=$tmp/index git -C "$root" read-tree HEAD
+    GIT_INDEX_FILE=$tmp/index git -C "$root" add -A
+    export_rev "$(GIT_INDEX_FILE=$tmp/index git -C "$root" write-tree)" "$tmp/commit" >/dev/null
     commit_name=$(git -C "$root" describe --always --dirty --abbrev=7)
-    commit_tree=$root
 fi
+commit_tree=$tmp/commit
 build "$commit_tree" "$tmp/commit-target"
 
 # Runs side SIDE (anchor|commit) of workload W at seed S and appends its
@@ -131,4 +138,6 @@ for w in workloads:
             "commit_wins": wins,
         }))
 PY
+[[ $(git -C "$root" status --porcelain) == "$status_before" ]] ||
+    { echo "anchor_pairs.sh: git status changed during the run (a build in the repository, or an edit made meanwhile)" >&2; exit 1; }
 echo done >"$runs/done"

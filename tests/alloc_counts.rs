@@ -12,7 +12,8 @@
 //! Each claim is a scaling law, not an absolute count: a scan of four
 //! times the rows may allocate a few more times per extra batch (the leaf
 //! list, the group table), never once per extra row; a warm page read, an
-//! exact addend or a scan worker's read-ahead hint allocates nothing; a
+//! exact addend, a slice of them, a 960-element `Norm2` or a scan worker's
+//! read-ahead hint allocates nothing; a
 //! LOB read never zero-fills its result; an idle checkpoint copies no
 //! page; a leaf split costs the same whatever the leaf holds. The claims run one at a time (one lock), and each count is the
 //! smallest of three runs, because the test harness's own threads can
@@ -21,9 +22,10 @@
 //! Run it under `--release` too: the optimizer is what could add or
 //! remove an allocation.
 
-use sqlarray::array::batch::DEFAULT_BATCH_ROWS;
+use sqlarray::array::batch::{sum_f64, DEFAULT_BATCH_ROWS};
 use sqlarray::array::build::short_vector;
 use sqlarray::array::header::Header;
+use sqlarray::array::ops::agg;
 use sqlarray::array::{ExactSum, StorageClass};
 use sqlarray::engine::aggregate::VectorAvgUda;
 use sqlarray::engine::{Database, Engine, HostingModel, Session, UdaState, Value};
@@ -219,6 +221,25 @@ fn an_exact_sum_adds_without_allocating() {
         }
     });
     assert_eq!(counts.calls(), 0, "{counts:?}");
+}
+
+#[test]
+fn a_slice_sum_and_a_norm_allocate_nothing() {
+    let _one = serial();
+    let xs: Vec<f64> = (0..3000).map(|i| i as f64 * 0.37 - 1.0e4).collect();
+    let mut sum = ExactSum::new();
+    let counts = measure(|| {
+        for n in [7, 8, 960, 1024, 3000] {
+            sum_f64(&xs[..n], &mut sum);
+            sum.add_iter(xs[..n].iter().map(|x| x * x));
+        }
+    });
+    assert_eq!(counts.calls(), 0, "sum_f64 / add_iter: {counts:?}");
+    // `FloatArray.Norm2` over the 960-element arrays the repo benchmark's
+    // `arr_norm` class sums: the blocks live on the stack.
+    let a = short_vector(&xs[..960]).unwrap();
+    let counts = measure(|| agg::norm2(&a).unwrap());
+    assert_eq!(counts.calls(), 0, "norm2: {counts:?}");
 }
 
 #[test]

@@ -20,6 +20,9 @@
 //!   plus one row;
 //! * batch sizes {7, 1024} × DOP {1, 2, 4, 8}, compared byte-for-byte
 //!   (floats by `to_bits`) against the serial row-at-a-time baseline;
+//! * `SUM`/`AVG` over ±1e300, ±1e-300, subnormals and ±0.0 at batch
+//!   {1, 7, 1024} × DOP {1, 2, 4}: typed and dynamic lanes reach the exact
+//!   register a block at a time, the row path one value at a time;
 //! * UPDATE/DELETE, whose match phase is the same scan job: every
 //!   statement of [`DML_STATEMENTS`] on fresh copies of the table at batch
 //!   {0, 7, 1024} × DOP {1, 2, 4, 8} must leave identical rows, WAL bytes,
@@ -43,6 +46,7 @@ use proptest::prelude::*;
 use sqlarray::prelude::*;
 use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build::{max_vector, short_vector};
+use sqlarray_core::exact::ExactSum;
 use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
 use sqlarray_engine::{Access, EngineError, Fallback};
 
@@ -432,6 +436,88 @@ fn edge_values_fold_and_compare_like_the_interpreter() {
         matches!(lone[0][0], Value::F64(x) if x.is_nan()),
         "{lone:?}"
     );
+}
+
+/// `c` and `d` in three stretches of about a thousand rows, so a lane or an
+/// extraction block meets each shape whole and the borders between them:
+/// only subnormals, `±1e-300` and `±0.0` (no block can be split), then
+/// `±1e300` among those (the remainders span the whole range), then values
+/// near 1 with the tiny ones sprinkled in (small remainders past the second
+/// column).
+fn extreme_rows() -> Vec<(i64, i32, f64, f32)> {
+    let tiny = [
+        f64::from_bits(1),
+        -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        1e-300,
+        -1e-300,
+        0.0,
+        -0.0,
+        f64::from_bits(0x8000_0000_0123_4567),
+    ];
+    let tiny_f32 = [
+        f32::from_bits(1),
+        -f32::from_bits(0x7F_FFFF),
+        -0.0,
+        0.0,
+        1e-38,
+    ];
+    (0..3100)
+        .map(|k| {
+            let t = tiny[k % tiny.len()];
+            let tf = tiny_f32[k % tiny_f32.len()];
+            let (c, d) = match k / 1040 {
+                0 => (t, tf),
+                1 if k % 3 == 0 => ([1e300, -1e300][k % 2], [3e38, -3e38][k % 2]),
+                1 => (t, tf),
+                _ if k % 4 == 0 => (t, tf),
+                _ => (
+                    1.0 + k as f64 * 2f64.powi(-40),
+                    1.0 - k as f32 * 2f32.powi(-20),
+                ),
+            };
+            (k as i64, (k % 7) as i32 - 3, c, d)
+        })
+        .collect()
+}
+
+#[test]
+fn sums_of_extreme_magnitudes_match_the_row_path_at_every_batch_and_dop() {
+    const SUMS: &[&str] = &[
+        "SELECT SUM(c), AVG(c), SUM(d), AVG(d) FROM E",
+        "SELECT SUM(c), AVG(d), COUNT(*) FROM E WHERE id > 1000",
+        "SELECT SUM(c), AVG(d) FROM E WHERE b <> 0",
+        // Dynamic lanes: a scalar UDF hands back `Value`s.
+        "SELECT SUM(FloatArray.Item_1(FloatArray.Vector(c), 0)), \
+         AVG(FloatArray.Item_1(FloatArray.Vector(d), 0)) FROM E",
+        "SELECT id % 3, SUM(c), AVG(d) FROM E GROUP BY id % 3",
+    ];
+    let rows = extreme_rows();
+    let mut s = edge_session(&rows);
+    for sql in SUMS {
+        s.set_batch_rows(0);
+        s.set_dop(1);
+        let want = run(&mut s, sql).unwrap();
+        for batch in [1, 7, 1024] {
+            for dop in [1, 2, 4] {
+                s.set_batch_rows(batch);
+                s.set_dop(dop);
+                let r = s.query(sql).unwrap();
+                assert!(r.stats.batches > 0, "{sql:?} fell back to rows");
+                assert!(
+                    rows_bit_identical(&want, &r.rows),
+                    "batch={batch} dop={dop} diverged for {sql:?}:\nrow:   {want:?}\nbatch: {:?}",
+                    r.rows
+                );
+            }
+        }
+    }
+    // Not vacuous: the row path's SUM(c) is the exact sum of the column.
+    let mut exact = ExactSum::new();
+    rows.iter().for_each(|r| exact.add(r.2));
+    s.set_batch_rows(0);
+    let whole = run(&mut s, SUMS[0]).unwrap();
+    assert_eq!(whole[0][0], Value::F64(exact.value()));
+    assert!(exact.value().is_finite() && exact.value() != 0.0);
 }
 
 #[test]
