@@ -352,6 +352,7 @@ pub struct ArrayView<'a> {
 
 impl<'a> ArrayView<'a> {
     /// Borrows a raw blob (header + payload), validating it end to end.
+    #[inline]
     pub fn from_blob(buf: &'a [u8]) -> Result<ArrayView<'a>> {
         let header = Header::decode(buf)?;
         let need = header.blob_len();

@@ -502,7 +502,7 @@ fn extract_bits(limbs: &[u64; LIMBS], pos: usize, count: usize) -> u64 {
 /// added to (or subtracted from) 34 two's-complement `u64` limbs with a
 /// full carry (borrow) chain.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::{round, EXP_BIAS, LIMBS};
 
     pub struct LimbSum {

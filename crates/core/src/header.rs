@@ -93,6 +93,7 @@ pub struct Header {
 
 impl Header {
     /// Builds and validates a header for a new array.
+    #[inline]
     pub fn new(class: StorageClass, elem: ElementType, shape: Shape) -> Result<Header> {
         let h = Header { class, elem, shape };
         h.validate()?;
@@ -100,6 +101,7 @@ impl Header {
     }
 
     /// Checks the storage-class constraints (rank, index width, page budget).
+    #[inline]
     fn validate(&self) -> Result<()> {
         let rank = self.shape.rank();
         match self.class {
@@ -187,6 +189,7 @@ impl Header {
     /// `buf` only needs to contain the header bytes, not the payload — this
     /// is what lets the max-array stream interface fetch the header first
     /// and then issue targeted partial reads for the payload.
+    #[inline]
     pub fn decode(buf: &[u8]) -> Result<Header> {
         if buf.len() < 4 {
             return Err(ArrayError::HeaderTooShort {
@@ -215,18 +218,7 @@ impl Header {
                 });
             }
             let count = crate::le::u64_at(buf, 4) as usize;
-            let mut dims = Vec::with_capacity(rank);
-            for slot in 0..rank {
-                let d = crate::le::i16_at(buf, 12 + 2 * slot);
-                if d <= 0 {
-                    return Err(ArrayError::BadDimension {
-                        dim: slot,
-                        size: d.max(0) as usize,
-                    });
-                }
-                dims.push(d as usize);
-            }
-            let shape = Shape::from_vec(dims)?;
+            let shape = decode_dims(rank, |slot| crate::le::i16_at(buf, 12 + 2 * slot).into())?;
             if shape.count() != count {
                 return Err(ArrayError::CountMismatch {
                     dims_product: shape.count(),
@@ -257,18 +249,7 @@ impl Header {
                 });
             }
             let count = crate::le::u64_at(buf, 8) as usize;
-            let mut dims = Vec::with_capacity(rank);
-            for slot in 0..rank {
-                let d = crate::le::i32_at(buf, 16 + 4 * slot);
-                if d <= 0 {
-                    return Err(ArrayError::BadDimension {
-                        dim: slot,
-                        size: d.max(0) as usize,
-                    });
-                }
-                dims.push(d as usize);
-            }
-            let shape = Shape::from_vec(dims)?;
+            let shape = decode_dims(rank, |slot| crate::le::i32_at(buf, 16 + 4 * slot).into())?;
             if shape.count() != count {
                 return Err(ArrayError::CountMismatch {
                     dims_product: shape.count(),
@@ -323,6 +304,27 @@ impl Header {
             let rank = crate::le::u32_at(buf, 4) as usize;
             Ok(MAX_FIXED_HEADER_LEN + 4 * rank)
         }
+    }
+}
+
+/// The shape of `rank` stored dimensions, `dim(slot)` each: a
+/// non-positive one is [`ArrayError::BadDimension`]. A rank up to
+/// [`SHORT_MAX_RANK`] is gathered on the stack, so the shape it builds
+/// allocates nothing.
+#[inline]
+fn decode_dims(rank: usize, dim: impl Fn(usize) -> i64) -> Result<Shape> {
+    let read = |slot: usize| match dim(slot) {
+        d if d <= 0 => Err(ArrayError::BadDimension { dim: slot, size: 0 }),
+        d => Ok(d as usize),
+    };
+    if rank <= SHORT_MAX_RANK {
+        let mut dims = [0usize; SHORT_MAX_RANK];
+        for (slot, d) in dims[..rank].iter_mut().enumerate() {
+            *d = read(slot)?;
+        }
+        Shape::inline(dims, rank)
+    } else {
+        Shape::from_vec((0..rank).map(read).collect::<Result<_>>()?)
     }
 }
 

@@ -11,62 +11,124 @@ use crate::errors::{ArrayError, Result};
 ///
 /// Invariants enforced at construction: rank ≥ 1 and every dimension ≥ 1,
 /// and the total element count does not overflow `usize`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A shape of rank ≤ [`INLINE_RANK`] (every short array's) keeps its
+/// dimensions inline, so decoding a header allocates nothing; a higher
+/// rank holds them on the heap. The element count is computed once, when
+/// the shape is built.
+#[derive(Clone)]
 pub struct Shape {
-    dims: Vec<usize>,
+    /// Number of dimensions.
+    rank: usize,
+    /// Product of the dimensions.
+    count: usize,
+    /// The dimensions, when `rank ≤ INLINE_RANK` (zero past `rank`).
+    inline: [usize; INLINE_RANK],
+    /// The dimensions, when `rank > INLINE_RANK` (empty otherwise).
+    heap: Vec<usize>,
+}
+
+/// The largest rank a [`Shape`] holds without a heap block: the short
+/// class's rank limit.
+pub(crate) const INLINE_RANK: usize = crate::header::SHORT_MAX_RANK;
+
+impl PartialEq for Shape {
+    fn eq(&self, other: &Shape) -> bool {
+        self.dims() == other.dims()
+    }
+}
+
+impl Eq for Shape {}
+
+impl std::hash::Hash for Shape {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.dims().hash(state)
+    }
+}
+
+impl std::fmt::Debug for Shape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shape").field("dims", &self.dims()).finish()
+    }
 }
 
 impl Shape {
     /// Creates a shape, validating the invariants.
     pub fn new(dims: &[usize]) -> Result<Shape> {
-        Shape::from_vec(dims.to_vec())
+        if dims.len() > INLINE_RANK {
+            return Shape::from_vec(dims.to_vec());
+        }
+        let mut inline = [0usize; INLINE_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        Shape::inline(inline, dims.len())
     }
 
-    /// [`new`](Self::new) over an already-owned dimension list (header
-    /// decode builds one per blob; this adopts it instead of copying).
+    /// [`new`](Self::new) over an already-owned dimension list (a high
+    /// rank keeps the list instead of copying it).
     pub fn from_vec(dims: Vec<usize>) -> Result<Shape> {
-        if dims.is_empty() {
-            return Err(ArrayError::BadRank {
-                rank: 0,
-                max: usize::MAX,
-            });
+        let count = product(&dims)?;
+        Ok(Shape::checked(dims, count))
+    }
+
+    /// A dimension list already checked to multiply to `count`, inline
+    /// when it fits.
+    fn checked(dims: Vec<usize>, count: usize) -> Shape {
+        let (rank, mut inline) = (dims.len(), [0; INLINE_RANK]);
+        let heap = if rank <= INLINE_RANK {
+            inline[..rank].copy_from_slice(&dims);
+            Vec::new()
+        } else {
+            dims
+        };
+        Shape {
+            rank,
+            count,
+            inline,
+            heap,
         }
-        let mut count: usize = 1;
-        for (axis, &d) in dims.iter().enumerate() {
-            if d == 0 {
-                return Err(ArrayError::BadDimension { dim: axis, size: d });
-            }
-            count = count
-                .checked_mul(d)
-                .ok_or(ArrayError::BadDimension { dim: axis, size: d })?;
-        }
-        Ok(Shape { dims })
+    }
+
+    /// [`new`](Self::new) over the first `rank` (≤ [`INLINE_RANK`]) of
+    /// `inline`'s dimensions, the rest zero, moved in as they are (header
+    /// decode gathers them in such a buffer).
+    #[inline]
+    pub(crate) fn inline(inline: [usize; INLINE_RANK], rank: usize) -> Result<Shape> {
+        Ok(Shape {
+            rank,
+            count: product(&inline[..rank])?,
+            inline,
+            heap: Vec::new(),
+        })
     }
 
     /// Number of dimensions.
     #[inline]
     pub fn rank(&self) -> usize {
-        self.dims.len()
+        self.rank
     }
 
     /// The per-dimension sizes.
     #[inline]
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        if self.rank <= INLINE_RANK {
+            &self.inline[..self.rank]
+        } else {
+            &self.heap
+        }
     }
 
     /// Total number of elements (product of the dimensions).
     #[inline]
     pub fn count(&self) -> usize {
-        self.dims.iter().product()
+        self.count
     }
 
     /// Column-major strides, in *elements*: `stride[0] = 1`,
     /// `stride[k] = stride[k-1] * dims[k-1]`.
     pub(crate) fn strides(&self) -> Vec<usize> {
-        let mut s = Vec::with_capacity(self.dims.len());
+        let mut s = Vec::with_capacity(self.rank());
         let mut acc = 1usize;
-        for &d in &self.dims {
+        for &d in self.dims() {
             s.push(acc);
             acc *= d;
         }
@@ -84,7 +146,7 @@ impl Shape {
         }
         let mut off = 0usize;
         let mut stride = 1usize;
-        for (axis, (&i, &d)) in idx.iter().zip(&self.dims).enumerate() {
+        for (axis, (&i, &d)) in idx.iter().zip(self.dims()).enumerate() {
             if i >= d {
                 return Err(ArrayError::IndexOutOfBounds {
                     axis,
@@ -104,7 +166,7 @@ impl Shape {
     pub fn multi_index(&self, mut linear: usize) -> Vec<usize> {
         assert!(linear < self.count());
         let mut idx = Vec::with_capacity(self.rank());
-        for &d in &self.dims {
+        for &d in self.dims() {
             idx.push(linear % d);
             linear /= d;
         }
@@ -130,12 +192,12 @@ impl Shape {
             if size[axis] == 0 {
                 return Err(ArrayError::BadDimension { dim: axis, size: 0 });
             }
-            if offset[axis] + size[axis] > self.dims[axis] {
+            if offset[axis] + size[axis] > self.dims()[axis] {
                 return Err(ArrayError::SubarrayOutOfBounds {
                     axis,
                     offset: offset[axis],
                     size: size[axis],
-                    dim: self.dims[axis],
+                    dim: self.dims()[axis],
                 });
             }
         }
@@ -147,12 +209,12 @@ impl Shape {
     /// dimension are automatically converted to a lower dimensional array").
     /// A shape that is all ones squeezes to the 1-element vector `[1]`.
     pub fn squeeze(&self) -> Shape {
-        let kept: Vec<usize> = self.dims.iter().copied().filter(|&d| d > 1).collect();
+        let mut kept: Vec<usize> = self.dims().iter().copied().filter(|&d| d > 1).collect();
         if kept.is_empty() {
-            Shape { dims: vec![1] }
-        } else {
-            Shape { dims: kept }
+            kept.push(1);
         }
+        // Dropping unit dimensions keeps the product.
+        Shape::checked(kept, self.count)
     }
 
     /// Iterates over the *runs* of a rectangular region: maximal sequences
@@ -163,23 +225,23 @@ impl Shape {
     /// additional leading axes that span their whole parent dimension —
     /// this is what makes page-aligned blob subsetting read long sequential
     /// ranges instead of many small ones.
-    pub(crate) fn region_runs<'a>(
-        &'a self,
-        offset: &'a [usize],
-        size: &'a [usize],
-    ) -> RegionRuns<'a> {
+    pub(crate) fn region_runs<'a>(&self, offset: &[usize], size: &'a [usize]) -> RegionRuns<'a> {
+        let dims = self.dims();
         // Number of leading axes fused into a single contiguous run.
         let mut fused = 1;
-        while fused < self.rank() && size[fused - 1] == self.dims[fused - 1] {
+        while fused < self.rank() && size[fused - 1] == dims[fused - 1] {
             fused += 1;
         }
         let run_len: usize = size[..fused].iter().product();
         let outer_count: usize = size[fused..].iter().product::<usize>().max(1);
+        // Strides and the region origin's offset, once for every run.
+        let mut strides = self.strides();
+        let base = offset.iter().zip(&strides).map(|(o, s)| o * s).sum();
+        strides.drain(..fused);
         RegionRuns {
-            shape: self,
-            offset,
-            size,
-            fused,
+            size: &size[fused..],
+            strides,
+            base,
             run_len,
             outer_count,
             cursor: 0,
@@ -187,12 +249,39 @@ impl Shape {
     }
 }
 
-/// Iterator returned by `Shape::region_runs`.
+/// The element count of a dimension list, checking [`Shape`]'s
+/// invariants: rank ≥ 1, every dimension ≥ 1 and a product that fits
+/// `usize`.
+#[inline]
+fn product(dims: &[usize]) -> Result<usize> {
+    if dims.is_empty() {
+        return Err(ArrayError::BadRank {
+            rank: 0,
+            max: usize::MAX,
+        });
+    }
+    let mut count: usize = 1;
+    for (axis, &d) in dims.iter().enumerate() {
+        if d == 0 {
+            return Err(ArrayError::BadDimension { dim: axis, size: d });
+        }
+        count = count
+            .checked_mul(d)
+            .ok_or(ArrayError::BadDimension { dim: axis, size: d })?;
+    }
+    Ok(count)
+}
+
+/// Iterator returned by `Shape::region_runs`: the strides and the
+/// origin's offset are computed when it is built, so a run costs index
+/// arithmetic only.
 pub struct RegionRuns<'a> {
-    shape: &'a Shape,
-    offset: &'a [usize],
+    /// Region extents of the non-fused axes.
     size: &'a [usize],
-    fused: usize,
+    /// Column-major strides of the non-fused axes.
+    strides: Vec<usize>,
+    /// Element offset of the region's origin.
+    base: usize,
     run_len: usize,
     outer_count: usize,
     cursor: usize,
@@ -207,13 +296,8 @@ impl<'a> Iterator for RegionRuns<'a> {
         }
         // Decompose the cursor into indices over the non-fused axes.
         let mut rem = self.cursor;
-        let strides = self.shape.strides();
-        let mut start = 0usize;
-        // Base offset contributed by the region origin on all axes.
-        for (axis, stride) in strides.iter().enumerate() {
-            start += self.offset[axis] * stride;
-        }
-        for (size, stride) in self.size[self.fused..].iter().zip(&strides[self.fused..]) {
+        let mut start = self.base;
+        for (size, stride) in self.size.iter().zip(&self.strides) {
             let i = rem % size;
             rem /= size;
             start += i * stride;

@@ -13,7 +13,7 @@
 //! through its binary serialization after **every row**, reproducing the
 //! SQL Server 2008 CLR UDA behaviour that experiment E5 quantifies.
 
-use crate::value::{EngineError, Result, Value};
+use crate::value::{Arg, EngineError, Result, Value};
 use sqlarray_core::ops::agg;
 use sqlarray_core::ops::table::ConcatBuilder;
 use sqlarray_core::{ArrayData, ArrayView, ElementType, ExactSum, Scalar, StorageClass};
@@ -32,8 +32,10 @@ pub enum UdaMode {
 
 /// Running state of one aggregate group.
 pub trait UdaState: Send {
-    /// Folds one row's argument values into the state.
-    fn accumulate(&mut self, args: &[Value]) -> Result<()>;
+    /// Folds one row's argument values into the state. The arguments are
+    /// borrowed where the row holds them ([`Arg`]): an array argument is
+    /// read in place, and a state keeps only what it copies out.
+    fn accumulate(&mut self, args: &[Arg<'_>]) -> Result<()>;
     /// Serializes the full state (the CLR `Write(BinaryWriter)` half).
     fn serialize_state(&self) -> Vec<u8>;
     /// Restores the state from its serialization (the `Read` half).
@@ -128,7 +130,7 @@ impl ConcatUda {
         }
     }
 
-    fn ensure_builder(&mut self, size_arg: &Value) -> Result<&mut ConcatBuilder> {
+    fn ensure_builder(&mut self, size_arg: Arg<'_>) -> Result<&mut ConcatBuilder> {
         if self.builder.is_none() {
             let dims_arr = size_arg.as_array()?;
             let dims: Vec<usize> = dims_arr
@@ -144,12 +146,12 @@ impl ConcatUda {
 }
 
 impl UdaState for ConcatUda {
-    fn accumulate(&mut self, args: &[Value]) -> Result<()> {
+    fn accumulate(&mut self, args: &[Arg<'_>]) -> Result<()> {
         match args.len() {
             2 => {
                 // (size, value): fill in scan order.
-                let value = scalar_from_value(&args[1], self.elem)?;
-                self.ensure_builder(&args[0])?
+                let value = scalar_from_value(args[1], self.elem)?;
+                self.ensure_builder(args[0])?
                     .push_next(value)
                     .map_err(EngineError::from)
             }
@@ -160,8 +162,8 @@ impl UdaState for ConcatUda {
                     .iter_scalars()
                     .map(|s| s.as_f64().map(|f| f as usize))
                     .collect::<sqlarray_core::Result<_>>()?;
-                let value = scalar_from_value(&args[2], self.elem)?;
-                self.ensure_builder(&args[0])?
+                let value = scalar_from_value(args[2], self.elem)?;
+                self.ensure_builder(args[0])?
                     .push(&idx, value)
                     .map_err(EngineError::from)
             }
@@ -221,7 +223,7 @@ impl UdaState for ConcatUda {
     }
 }
 
-fn scalar_from_value(v: &Value, elem: ElementType) -> Result<Scalar> {
+fn scalar_from_value(v: Arg<'_>, elem: ElementType) -> Result<Scalar> {
     Ok(Scalar::F64(v.as_f64()?).cast_to(elem)?)
 }
 
@@ -256,7 +258,7 @@ impl VectorAvgUda {
 }
 
 impl UdaState for VectorAvgUda {
-    fn accumulate(&mut self, args: &[Value]) -> Result<()> {
+    fn accumulate(&mut self, args: &[Arg<'_>]) -> Result<()> {
         if args.len() != 1 {
             return Err(EngineError::Arity {
                 func: "VectorAvg".into(),
@@ -408,7 +410,7 @@ pub fn run_uda(
             let buf = state.serialize_state();
             state.load_state(&buf)?;
         }
-        state.accumulate(&args)?;
+        state.accumulate(&args.iter().map(Arg::from).collect::<Vec<_>>())?;
     }
     state.terminate()
 }
@@ -416,6 +418,17 @@ pub fn run_uda(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `accumulate` over owned values, each passed borrowed.
+    trait AccumulateValues {
+        fn accumulate_values(&mut self, row: &[Value]) -> Result<()>;
+    }
+
+    impl<T: UdaState + ?Sized> AccumulateValues for T {
+        fn accumulate_values(&mut self, row: &[Value]) -> Result<()> {
+            self.accumulate(&row.iter().map(Arg::from).collect::<Vec<_>>())
+        }
+    }
 
     fn size_vec(dims: &[i64]) -> Value {
         let a =
@@ -493,8 +506,12 @@ mod tests {
         let mut state = VectorAvgUda::new(StorageClass::Short);
         let a1 = sqlarray_core::build::short_vector(&[1.0f64, 2.0]).unwrap();
         let a2 = sqlarray_core::build::short_vector(&[1.0f64, 2.0, 3.0]).unwrap();
-        state.accumulate(&[Value::Bytes(a1.into_blob())]).unwrap();
-        assert!(state.accumulate(&[Value::Bytes(a2.into_blob())]).is_err());
+        state
+            .accumulate_values(&[Value::Bytes(a1.into_blob())])
+            .unwrap();
+        assert!(state
+            .accumulate_values(&[Value::Bytes(a2.into_blob())])
+            .is_err());
     }
 
     #[test]
@@ -507,7 +524,7 @@ mod tests {
                 let mut s: Box<dyn UdaState> =
                     Box::new(ConcatUda::new(ElementType::Float64, StorageClass::Short));
                 for i in r.clone() {
-                    s.accumulate(&[size_vec(&[9]), Value::F64(i as f64 * 1.5)])
+                    s.accumulate_values(&[size_vec(&[9]), Value::F64(i as f64 * 1.5)])
                         .unwrap();
                 }
                 s
@@ -529,7 +546,8 @@ mod tests {
     fn merge_state_with_empty_partials_is_identity() {
         let mut s: Box<dyn UdaState> =
             Box::new(ConcatUda::new(ElementType::Float64, StorageClass::Short));
-        s.accumulate(&[size_vec(&[2]), Value::F64(1.0)]).unwrap();
+        s.accumulate_values(&[size_vec(&[2]), Value::F64(1.0)])
+            .unwrap();
         let empty = ConcatUda::new(ElementType::Float64, StorageClass::Short);
         s.merge_state(&empty.serialize_state()).unwrap();
         // Empty self adopting a non-empty partial also works.
@@ -537,7 +555,7 @@ mod tests {
             Box::new(ConcatUda::new(ElementType::Float64, StorageClass::Short));
         fresh.merge_state(&s.serialize_state()).unwrap();
         fresh
-            .accumulate(&[size_vec(&[2]), Value::F64(2.0)])
+            .accumulate_values(&[size_vec(&[2]), Value::F64(2.0)])
             .unwrap();
         let arr = fresh.terminate().unwrap().as_array().unwrap();
         assert_eq!(arr.to_vec::<f64>().unwrap(), vec![1.0, 2.0]);
@@ -553,15 +571,15 @@ mod tests {
             .collect();
         let mut serial = VectorAvgUda::new(StorageClass::Short);
         for r in &rows {
-            serial.accumulate(r).unwrap();
+            serial.accumulate_values(r).unwrap();
         }
         let mut left = VectorAvgUda::new(StorageClass::Short);
         let mut right = VectorAvgUda::new(StorageClass::Short);
         for r in &rows[..3] {
-            left.accumulate(r).unwrap();
+            left.accumulate_values(r).unwrap();
         }
         for r in &rows[3..] {
-            right.accumulate(r).unwrap();
+            right.accumulate_values(r).unwrap();
         }
         left.merge_state(&right.serialize_state()).unwrap();
         assert_eq!(
@@ -571,14 +589,14 @@ mod tests {
         );
         // Shape mismatches are rejected at merge time too.
         let mut a = VectorAvgUda::new(StorageClass::Short);
-        a.accumulate(&[Value::Bytes(
+        a.accumulate_values(&[Value::Bytes(
             sqlarray_core::build::short_vector(&[1.0f64])
                 .unwrap()
                 .into_blob(),
         )])
         .unwrap();
         let mut b = VectorAvgUda::new(StorageClass::Short);
-        b.accumulate(&[Value::Bytes(
+        b.accumulate_values(&[Value::Bytes(
             sqlarray_core::build::short_vector(&[1.0f64, 2.0])
                 .unwrap()
                 .into_blob(),
@@ -597,12 +615,12 @@ mod tests {
         use sqlarray_core::{Complex32, Complex64};
         let mut s = VectorAvgUda::new(StorageClass::Short);
         // A zero imaginary part (either sign) converts to the real part.
-        s.accumulate(&[short_blob(&[
+        s.accumulate_values(&[short_blob(&[
             Complex64::new(1.0, 0.0),
             Complex64::new(-2.0, -0.0),
         ])])
         .unwrap();
-        s.accumulate(&[short_blob(&[
+        s.accumulate_values(&[short_blob(&[
             Complex32::new(3.0, 0.0),
             Complex32::new(4.0, 0.0),
         ])])
@@ -616,14 +634,14 @@ mod tests {
             short_blob(&[Complex64::I; 3]),
         ] {
             let want = Scalar::C64(Complex64::I).as_f64().unwrap_err();
-            assert_eq!(s.accumulate(&[bad]), Err(EngineError::from(want)));
+            assert_eq!(s.accumulate_values(&[bad]), Err(EngineError::from(want)));
             assert_eq!(s.serialize_state(), before);
         }
         let c32 = short_blob(&[Complex32::new(1.0, 1.0), Complex32::ONE]);
         let want = Scalar::C32(Complex32::I).as_f64().unwrap_err();
-        assert_eq!(s.accumulate(&[c32]), Err(EngineError::from(want)));
+        assert_eq!(s.accumulate_values(&[c32]), Err(EngineError::from(want)));
         assert_eq!(
-            s.accumulate(&[short_blob(&[1.0f64, 2.0, 3.0])]),
+            s.accumulate_values(&[short_blob(&[1.0f64, 2.0, 3.0])]),
             Err(EngineError::Type(
                 "VectorAvg over mixed shapes: [3] vs [2]".into()
             ))
@@ -681,12 +699,14 @@ mod tests {
                 Err(EngineError::from(want.clone()))
             );
             let mut live = ConcatUda::new(ElementType::Float64, StorageClass::Short);
-            live.accumulate(&[size_vec(&[3]), Value::F64(0.5)]).unwrap();
+            live.accumulate_values(&[size_vec(&[3]), Value::F64(0.5)])
+                .unwrap();
             assert_eq!(live.merge_state(&uda_state), Err(EngineError::from(want)));
         }
         // The untouched state still loads and merges.
         let mut live = ConcatUda::new(ElementType::Float64, StorageClass::Short);
-        live.accumulate(&[size_vec(&[3]), Value::F64(0.5)]).unwrap();
+        live.accumulate_values(&[size_vec(&[3]), Value::F64(0.5)])
+            .unwrap();
         let mut uda_state = vec![1u8];
         uda_state.extend_from_slice(&good);
         live.merge_state(&uda_state).unwrap();
@@ -702,7 +722,8 @@ mod tests {
         assert!(reg.contains("floatarraymax.concat"));
         assert!(!reg.contains("nope"));
         let mut s = reg.create("IntArray.Concat").unwrap();
-        s.accumulate(&[size_vec(&[1]), Value::I64(7)]).unwrap();
+        s.accumulate_values(&[size_vec(&[1]), Value::I64(7)])
+            .unwrap();
         let v = s.terminate().unwrap();
         assert_eq!(
             v.as_array().unwrap().item(&[0]).unwrap().as_f64().unwrap(),
@@ -713,12 +734,15 @@ mod tests {
     #[test]
     fn state_round_trip_preserves_progress() {
         let mut s = ConcatUda::new(ElementType::Float64, StorageClass::Short);
-        s.accumulate(&[size_vec(&[3]), Value::F64(1.0)]).unwrap();
+        s.accumulate_values(&[size_vec(&[3]), Value::F64(1.0)])
+            .unwrap();
         let buf = s.serialize_state();
         let mut s2 = ConcatUda::new(ElementType::Float64, StorageClass::Short);
         s2.load_state(&buf).unwrap();
-        s2.accumulate(&[size_vec(&[3]), Value::F64(2.0)]).unwrap();
-        s2.accumulate(&[size_vec(&[3]), Value::F64(3.0)]).unwrap();
+        s2.accumulate_values(&[size_vec(&[3]), Value::F64(2.0)])
+            .unwrap();
+        s2.accumulate_values(&[size_vec(&[3]), Value::F64(3.0)])
+            .unwrap();
         let out = s2.terminate().unwrap().as_array().unwrap();
         assert_eq!(out.to_vec::<f64>().unwrap(), vec![1.0, 2.0, 3.0]);
     }

@@ -10,7 +10,7 @@
 //! checks the paper's flag bytes enable.
 
 use crate::udf::UdfRegistry;
-use crate::value::{EngineError, Result, Value};
+use crate::value::{Arg, EngineError, Result, Value};
 use sqlarray_core::ops::{agg, axis, cast, convert, elementwise, reshape, subarray};
 use sqlarray_core::{ArrayData, ArrayView, ElementType, Scalar, SqlArray, StorageClass};
 
@@ -56,7 +56,7 @@ pub fn parse_schema(name: &str) -> Option<(ElementType, StorageClass)> {
 /// functions (`Item`, `Rank`, the whole-array aggregates) work on the view
 /// and never copy the array; functions that build a new array from it take
 /// [`expect_owned`].
-fn expect(v: &Value, elem: ElementType, class: StorageClass) -> Result<ArrayView<'_>> {
+fn expect(v: Arg<'_>, elem: ElementType, class: StorageClass) -> Result<ArrayView<'_>> {
     let a = ArrayView::from_blob(v.as_bytes()?)?;
     if a.elem() != elem {
         return Err(EngineError::Array(
@@ -79,19 +79,19 @@ fn expect(v: &Value, elem: ElementType, class: StorageClass) -> Result<ArrayView
 }
 
 /// [`expect`], copied into an owned array for the manipulators.
-fn expect_owned(v: &Value, elem: ElementType, class: StorageClass) -> Result<SqlArray> {
+fn expect_owned(v: Arg<'_>, elem: ElementType, class: StorageClass) -> Result<SqlArray> {
     Ok(expect(v, elem, class)?.into_array())
 }
 
 /// Converts a SQL value into a scalar of the schema's element type.
-fn value_to_scalar(v: &Value, elem: ElementType) -> Result<Scalar> {
+fn value_to_scalar(v: Arg<'_>, elem: ElementType) -> Result<Scalar> {
     if elem.is_complex() {
-        if let Value::Bytes(b) = v {
+        if let Arg::Bytes(b) = v {
             if b.len() == elem.size() {
                 return Ok(Scalar::read_le(elem, b));
             }
         }
-        if let Value::Str(s) = v {
+        if let Arg::Str(s) = v {
             return Ok(Scalar::parse(elem, s)?);
         }
     }
@@ -102,7 +102,7 @@ fn value_to_scalar(v: &Value, elem: ElementType) -> Result<Scalar> {
 /// `IntArray.Vector_N(...)` blobs). Shared with the pushdown rewrite,
 /// which decodes the same offset/size arguments without touching the
 /// target array's payload.
-pub(crate) fn index_vector(v: &Value) -> Result<Vec<usize>> {
+pub(crate) fn index_vector(v: Arg<'_>) -> Result<Vec<usize>> {
     let a = v.as_array()?;
     let mut out = Vec::with_capacity(a.count());
     for s in a.iter_scalars() {
@@ -127,7 +127,7 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
     reg.register(&f("Vector"), Some(1..=1024), move |args| {
         let mut a = SqlArray::zeros(class, elem, &[args.len()])?;
         for (i, v) in args.iter().enumerate() {
-            a.update_item(&[i], value_to_scalar(v, elem)?)?;
+            a.update_item(&[i], value_to_scalar(*v, elem)?)?;
         }
         Ok(blob(a))
     });
@@ -144,24 +144,24 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
         // is column-major.
         let mut a = SqlArray::zeros(class, elem, &[n, n])?;
         for (k, v) in args.iter().enumerate() {
-            a.update_item(&[k / n, k % n], value_to_scalar(v, elem)?)?;
+            a.update_item(&[k / n, k % n], value_to_scalar(*v, elem)?)?;
         }
         Ok(blob(a))
     });
     reg.register(&f("Zeros"), Some(1..=1), move |args| {
-        let dims = index_vector(&args[0])?;
+        let dims = index_vector(args[0])?;
         Ok(blob(SqlArray::zeros(class, elem, &dims)?))
     });
 
     // --- Introspection -------------------------------------------------
     reg.register(&f("Rank"), Some(1..=1), move |args| {
-        Ok(Value::I32(expect(&args[0], elem, class)?.rank() as i32))
+        Ok(Value::I32(expect(args[0], elem, class)?.rank() as i32))
     });
     reg.register(&f("Count"), Some(1..=1), move |args| {
-        Ok(Value::I64(expect(&args[0], elem, class)?.count() as i64))
+        Ok(Value::I64(expect(args[0], elem, class)?.count() as i64))
     });
     reg.register(&f("Size"), Some(2..=2), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect(args[0], elem, class)?;
         let axis = args[1].as_index()?;
         a.dims()
             .get(axis)
@@ -171,7 +171,7 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
 
     // --- Item access ----------------------------------------------------
     reg.register(&f("Item"), Some(2..=9), move |args| {
-        let a = expect(&args[0], elem, class)?;
+        let a = expect(args[0], elem, class)?;
         // At most eight indices (the registered arity): no allocation on
         // the per-row accessor.
         let mut idx = [0usize; 8];
@@ -182,12 +182,12 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
         Ok(Value::from(a.item(&idx[..rank])?))
     });
     reg.register(&f("UpdateItem"), Some(3..=10), move |args| {
-        let mut a = expect_owned(&args[0], elem, class)?;
+        let mut a = expect_owned(args[0], elem, class)?;
         let idx: Vec<usize> = args[1..args.len() - 1]
             .iter()
             .map(|v| v.as_index())
             .collect::<Result<_>>()?;
-        let val = value_to_scalar(&args[args.len() - 1], elem)?;
+        let val = value_to_scalar(args[args.len() - 1], elem)?;
         a.update_item(&idx, val)?;
         Ok(blob(a))
     });
@@ -198,9 +198,9 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
     // chunk pages; this registered body is the general fallback (in-memory
     // arguments, multi-dimensional offsets, class conversions).
     reg.register(&f("ArrayUpdate"), Some(3..=3), move |args| {
-        let mut a = expect_owned(&args[0], elem, class)?;
-        let offset = index_vector(&args[1])?;
-        let b = expect(&args[2], elem, class)?;
+        let mut a = expect_owned(args[0], elem, class)?;
+        let offset = index_vector(args[1])?;
+        let b = expect(args[2], elem, class)?;
         if offset.len() != a.rank() || b.rank() != a.rank() {
             return Err(EngineError::Array(
                 sqlarray_core::ArrayError::IndexRankMismatch {
@@ -248,41 +248,46 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
 
     // --- Structure ------------------------------------------------------
     reg.register(&f("Subarray"), Some(3..=4), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
-        let offset = index_vector(&args[1])?;
-        let size = index_vector(&args[2])?;
+        let a = expect_owned(args[0], elem, class)?;
+        let offset = index_vector(args[1])?;
+        let size = index_vector(args[2])?;
         let squeeze = args.get(3).map(|v| v.is_true()).unwrap_or(false);
         Ok(blob(subarray::subarray(&a, &offset, &size, squeeze)?))
     });
     reg.register(&f("Reshape"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
-        let dims = index_vector(&args[1])?;
+        let a = expect_owned(args[0], elem, class)?;
+        let dims = index_vector(args[1])?;
         Ok(blob(reshape::reshape(&a, &dims)?))
     });
 
     // --- Raw / Cast / conversions ----------------------------------------
     reg.register(&f("Raw"), Some(1..=1), move |args| {
         Ok(Value::Bytes(
-            expect(&args[0], elem, class)?.payload().to_vec(),
+            expect(args[0], elem, class)?.payload().to_vec(),
         ))
     });
     reg.register(&f("Cast"), Some(1..=2), move |args| {
         let raw_bytes = args[0].as_bytes()?;
         match args.get(1) {
             Some(dims_v) => {
-                let dims = index_vector(dims_v)?;
+                let dims = index_vector(*dims_v)?;
                 Ok(blob(cast::cast(raw_bytes, class, elem, &dims)?))
             }
             None => Ok(blob(cast::cast_vector(raw_bytes, class, elem)?)),
         }
     });
     reg.register(&f("ConvertTo"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
-        let target: ElementType = match &args[1] {
-            Value::Str(s) => s
+        let a = expect_owned(args[0], elem, class)?;
+        let target: ElementType = match args[1] {
+            Arg::Str(s) => s
                 .parse()
                 .map_err(|e: sqlarray_core::ArrayError| EngineError::Array(e.to_string()))?,
-            other => return Err(EngineError::Type(format!("{other:?} is not a type name"))),
+            other => {
+                return Err(EngineError::Type(format!(
+                    "{:?} is not a type name",
+                    other.to_value()
+                )))
+            }
         };
         Ok(blob(convert::convert_type(&a, target)?))
     });
@@ -295,20 +300,25 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
         StorageClass::Max => f("ToShort"),
     };
     reg.register(&convert_name, Some(1..=1), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
+        let a = expect_owned(args[0], elem, class)?;
         Ok(blob(convert::convert_class(&a, other_class)?))
     });
 
     // --- Strings ----------------------------------------------------------
     reg.register(&f("ToString"), Some(1..=1), move |args| {
         Ok(Value::Str(sqlarray_core::fmt::to_string(&expect_owned(
-            &args[0], elem, class,
+            args[0], elem, class,
         )?)))
     });
     reg.register(&f("Parse"), Some(1..=1), move |args| {
-        let s = match &args[0] {
-            Value::Str(s) => s,
-            other => return Err(EngineError::Type(format!("{other:?} is not a string"))),
+        let s = match args[0] {
+            Arg::Str(s) => s,
+            other => {
+                return Err(EngineError::Type(format!(
+                    "{:?} is not a string",
+                    other.to_value()
+                )))
+            }
         };
         let a: SqlArray = s
             .parse()
@@ -325,51 +335,51 @@ fn register_schema(reg: &mut UdfRegistry, elem: ElementType, class: StorageClass
 
     // --- Aggregates over the array ----------------------------------------
     reg.register(&f("Sum"), Some(1..=1), move |args| {
-        Ok(Value::from(agg::sum(&expect(&args[0], elem, class)?)?))
+        Ok(Value::from(agg::sum(&expect(args[0], elem, class)?)?))
     });
     reg.register(&f("Mean"), Some(1..=1), move |args| {
-        Ok(Value::from(agg::mean(&expect(&args[0], elem, class)?)?))
+        Ok(Value::from(agg::mean(&expect(args[0], elem, class)?)?))
     });
     reg.register(&f("Min"), Some(1..=1), move |args| {
-        Ok(Value::from(agg::min(&expect(&args[0], elem, class)?)?))
+        Ok(Value::from(agg::min(&expect(args[0], elem, class)?)?))
     });
     reg.register(&f("Max"), Some(1..=1), move |args| {
-        Ok(Value::from(agg::max(&expect(&args[0], elem, class)?)?))
+        Ok(Value::from(agg::max(&expect(args[0], elem, class)?)?))
     });
     reg.register(&f("Std"), Some(1..=1), move |args| {
-        Ok(Value::from(agg::stddev(&expect(&args[0], elem, class)?)?))
+        Ok(Value::from(agg::stddev(&expect(args[0], elem, class)?)?))
     });
     reg.register(&f("Norm2"), Some(1..=1), move |args| {
-        Ok(Value::F64(agg::norm2(&expect(&args[0], elem, class)?)?))
+        Ok(Value::F64(agg::norm2(&expect(args[0], elem, class)?)?))
     });
     reg.register(&f("SumAxis"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
+        let a = expect_owned(args[0], elem, class)?;
         Ok(blob(axis::sum_axis(&a, args[1].as_index()?)?))
     });
 
     // --- Elementwise arithmetic --------------------------------------------
     reg.register(&f("Add"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
+        let a = expect_owned(args[0], elem, class)?;
         Ok(blob(elementwise::add(&a, &args[1].as_array()?)?))
     });
     reg.register(&f("Subtract"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
+        let a = expect_owned(args[0], elem, class)?;
         Ok(blob(elementwise::sub(&a, &args[1].as_array()?)?))
     });
     reg.register(&f("Multiply"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
+        let a = expect_owned(args[0], elem, class)?;
         Ok(blob(elementwise::mul(&a, &args[1].as_array()?)?))
     });
     reg.register(&f("Divide"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
+        let a = expect_owned(args[0], elem, class)?;
         Ok(blob(elementwise::div(&a, &args[1].as_array()?)?))
     });
     reg.register(&f("Scale"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
+        let a = expect_owned(args[0], elem, class)?;
         Ok(blob(elementwise::scale(&a, args[1].as_f64()?)?))
     });
     reg.register(&f("Dot"), Some(2..=2), move |args| {
-        let a = expect_owned(&args[0], elem, class)?;
+        let a = expect_owned(args[0], elem, class)?;
         Ok(Value::F64(elementwise::dot(&a, &args[1].as_array()?)?))
     });
 }
@@ -386,7 +396,7 @@ mod tests {
     }
 
     fn call(reg: &UdfRegistry, h: &mut HostingModel, name: &str, args: &[Value]) -> Value {
-        reg.call(name, args, h)
+        reg.call(name, &args.iter().map(Arg::from).collect::<Vec<_>>(), h)
             .unwrap_or_else(|e| panic!("{name}: {e}"))
     }
 
@@ -493,7 +503,7 @@ mod tests {
             &[Value::I64(1), Value::I64(2)],
         );
         // Handing an int array to the float schema must fail loudly.
-        let err = reg.call("FloatArray.Item_1", &[a, Value::I64(0)], &mut h);
+        let err = reg.call("FloatArray.Item_1", &[Arg::from(&a), Arg::I64(0)], &mut h);
         assert!(matches!(err, Err(EngineError::Array(_))));
     }
 
@@ -501,7 +511,7 @@ mod tests {
     fn storage_class_mismatch_detected() {
         let (reg, mut h) = setup();
         let short = call(&reg, &mut h, "FloatArray.Vector_1", &[Value::F64(1.0)]);
-        let err = reg.call("FloatArrayMax.Rank", std::slice::from_ref(&short), &mut h);
+        let err = reg.call("FloatArrayMax.Rank", &[Arg::from(&short)], &mut h);
         assert!(err.is_err());
         // Conversion fixes it.
         let max = call(&reg, &mut h, "FloatArray.ToMax", &[short]);

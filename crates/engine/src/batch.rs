@@ -57,7 +57,7 @@ use crate::expr::{AggFunc, BinOp, EvalEnv, Expr};
 use crate::pushdown::Pushdown;
 use crate::tsql::SelectItem;
 use crate::udf::{Udf, UdfRegistry};
-use crate::value::{EngineError, Result, Value};
+use crate::value::{Arg, EngineError, Result, Value};
 use sqlarray_core::batch as b;
 use sqlarray_core::batch::{ArithOp, Batch, CmpOp, ColVec};
 use sqlarray_storage::{ColType, Schema};
@@ -569,6 +569,53 @@ impl BVal {
         }
     }
 
+    /// The `i`-th value as a call argument, borrowed from the lane.
+    fn arg_at(&self, i: usize) -> Arg<'_> {
+        match self {
+            BVal::I64(v) => Arg::I64(v[i]),
+            BVal::I32(v) => Arg::I32(v[i]),
+            BVal::F64(v) => Arg::F64(v[i]),
+            BVal::F32(v) => Arg::F32(v[i]),
+            BVal::Bool(v) => Arg::Bool(v[i]),
+            BVal::Dyn(v) => Arg::from(&v[i]),
+        }
+    }
+
+    /// Appends one call result to a lane of `cap` rows that started as an
+    /// empty `Dyn`: the first result, a `FLOAT` or a `BIGINT`, makes the
+    /// lane `F64` or `I64`, and it stays typed while the results agree.
+    /// The first result of any other kind demotes it to `Dyn`, each value
+    /// wrapped as the `Value` it was — so the lane holds exactly the
+    /// values a `Dyn` lane would, typed where it can be.
+    fn push(&mut self, v: Value, cap: usize) -> Result<()> {
+        match (&mut *self, v) {
+            (BVal::F64(xs), Value::F64(x)) => xs.push(x),
+            (BVal::I64(xs), Value::I64(x)) => xs.push(x),
+            (BVal::Dyn(xs), Value::F64(x)) if xs.is_empty() => {
+                *self = BVal::F64(Vec::with_capacity(cap));
+                return self.push(Value::F64(x), cap);
+            }
+            (BVal::Dyn(xs), Value::I64(x)) if xs.is_empty() => {
+                *self = BVal::I64(Vec::with_capacity(cap));
+                return self.push(Value::I64(x), cap);
+            }
+            (BVal::Dyn(xs), v) => {
+                xs.reserve(cap.saturating_sub(xs.len()));
+                xs.push(v);
+            }
+            (typed, v) => {
+                let mut xs = Vec::with_capacity(cap);
+                std::mem::replace(typed, BVal::Dyn(Vec::new())).drain(|_, y| {
+                    xs.push(y);
+                    Ok(())
+                })?;
+                xs.push(v);
+                *self = BVal::Dyn(xs);
+            }
+        }
+        Ok(())
+    }
+
     /// Feeds every value, in lane order, to `f` together with its lane
     /// position: one dispatch on the lane type, then a typed walk.
     pub(crate) fn drain(self, mut f: impl FnMut(usize, Value) -> Result<()>) -> Result<()> {
@@ -767,15 +814,20 @@ pub(crate) fn blob_cell(batch: &Batch, pos: usize, row: u32) -> Result<BlobCell<
 /// Runs one compiled call over the selected rows, in row order.
 ///
 /// Argument lanes are evaluated first; then each row fills the one
-/// reused `argv` (inline blob bytes are copied into the slot's existing
-/// buffer, nothing is allocated per row), takes the LOB pushdown when the
-/// first argument is an out-of-row cell — so every LOB page is read in
-/// the order the interpreter reads it — and otherwise resolves LOB
-/// arguments and invokes the callee, charging the hosting model once per
-/// row either way. The lifecycle is polled per row: a callee may spin
-/// arbitrarily long between two page reads.
-fn eval_call(c: &Call, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<Vec<Value>> {
-    let mut lanes = c
+/// argument list, borrowed ([`Arg`]): an inline blob cell is its bytes in
+/// the batch, a lane value and a constant are read in place, so nothing
+/// is allocated or copied per row. A row whose first argument is an
+/// out-of-row cell takes the LOB pushdown — so every LOB page is read in
+/// the order the interpreter reads it — or else resolves its LOB
+/// arguments; the hosting model is charged once per row either way. The
+/// lifecycle is polled per row: a callee may spin arbitrarily long
+/// between two page reads.
+///
+/// The results come back typed while they agree ([`BVal::push`]): a
+/// callee answering `FLOAT` (or `BIGINT`) on every row fills an `F64`
+/// (`I64`) lane, which folds without a `Value` per row.
+fn eval_call(c: &Call, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<BVal> {
+    let lanes = c
         .args
         .iter()
         .map(|a| match a {
@@ -783,61 +835,70 @@ fn eval_call(c: &Call, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Res
             _ => Ok(None),
         })
         .collect::<Result<Vec<Option<BVal>>>>()?;
-    let mut argv: Vec<Value> = c
+    let mut argv: Vec<Arg<'_>> = c
         .args
         .iter()
         .map(|a| match a {
-            CallArg::Const(v) => v.clone(),
-            _ => Value::Null,
+            CallArg::Const(v) => Arg::from(v),
+            _ => Arg::Null,
         })
         .collect();
-    let mut out = Vec::with_capacity(sel.len());
+    let mut out = BVal::Dyn(Vec::new());
     for (i, &row) in sel.iter().enumerate() {
         env.check_interrupt()?;
         let mut lobs = false;
-        for (k, a) in c.args.iter().enumerate() {
-            match a {
-                CallArg::Const(_) => {}
-                CallArg::Lane(_) => {
-                    if let Some(lane) = lanes[k].as_mut() {
-                        argv[k] = lane.take_at(i);
+        for ((slot, a), lane) in argv.iter_mut().zip(&c.args).zip(&lanes) {
+            match (a, lane) {
+                (CallArg::Lane(_), Some(lane)) => *slot = lane.arg_at(i),
+                (CallArg::Blob(pos), _) => {
+                    *slot = match blob_cell(batch, *pos, row)? {
+                        BlobCell::Lob { id, len } => {
+                            lobs = true;
+                            Arg::Lob { id, len }
+                        }
+                        BlobCell::Inline(cell) => Arg::Bytes(cell),
                     }
                 }
-                CallArg::Blob(pos) => match blob_cell(batch, *pos, row)? {
-                    BlobCell::Lob { id, len } => {
-                        argv[k] = Value::Lob { id, len };
-                        lobs = true;
-                    }
-                    BlobCell::Inline(cell) => fill_bytes(&mut argv[k], cell),
-                },
+                _ => {}
             }
         }
-        if lobs {
-            if let Some(p) = &c.pushdown {
-                if let Some(v) = p.apply(&argv, env)? {
-                    out.push(v);
-                    continue;
-                }
-            }
-            for v in argv.iter_mut() {
-                crate::pushdown::resolve_lob_in_place(v, env)?;
-            }
-        }
-        out.push(c.udf.invoke(&argv, env.hosting)?);
+        let v = if lobs {
+            call_over_lobs(c, &argv, env)?
+        } else {
+            c.udf.invoke(&argv, env.hosting)?
+        };
+        out.push(v, sel.len())?;
     }
     Ok(out)
 }
 
-/// Overwrites an argument slot with `cell`, reusing the slot's buffer
-/// when it already holds bytes.
-fn fill_bytes(slot: &mut Value, cell: &[u8]) {
-    match slot {
-        Value::Bytes(buf) => {
-            buf.clear();
-            buf.extend_from_slice(cell);
+/// One call whose arguments include an out-of-row cell: the pushdown
+/// when it serves the call, otherwise the callee over the LOBs resolved,
+/// each by one full ranged read in argument order.
+fn call_over_lobs(c: &Call, argv: &[Arg<'_>], env: &mut EvalEnv<'_>) -> Result<Value> {
+    if let Some(p) = &c.pushdown {
+        if let Some(v) = p.apply(argv, env)? {
+            return Ok(v);
         }
-        other => *other = Value::Bytes(cell.to_vec()),
     }
+    let mut resolved = Vec::with_capacity(argv.len());
+    for a in argv {
+        let mut v = match a {
+            Arg::Lob { id, len } => Value::Lob { id: *id, len: *len },
+            _ => Value::Null,
+        };
+        crate::pushdown::resolve_lob_in_place(&mut v, env)?;
+        resolved.push(v);
+    }
+    let args: Vec<Arg<'_>> = argv
+        .iter()
+        .zip(&resolved)
+        .map(|(a, r)| match a {
+            Arg::Lob { .. } => Arg::from(r),
+            other => *other,
+        })
+        .collect();
+    c.udf.invoke(&args, env.hosting)
 }
 
 /// Evaluates a compiled expression over the selected rows of a batch,
@@ -960,7 +1021,7 @@ pub(crate) fn eval(e: &BExpr, batch: &Batch, sel: &[u32], env: &mut EvalEnv<'_>)
             }
             Ok(BVal::Dyn(out))
         }
-        BExpr::Call(c) => Ok(BVal::Dyn(eval_call(c, batch, sel, env)?)),
+        BExpr::Call(c) => eval_call(c, batch, sel, env),
     }
 }
 

@@ -4,7 +4,7 @@
 
 use crate::aggregate::{UdaMode, UdaRegistry, UdaState};
 use crate::batch::{blob_cell, BItem, BKey, BVal, BatchPlan, BlobCell};
-use crate::expr::{eval, nan_comparison, AggFunc, EvalEnv, Expr, RowCtx};
+use crate::expr::{eval, nan_comparison, with_args, with_row_args, AggFunc, EvalEnv, Expr, RowCtx};
 use crate::tsql::SelectItem;
 use crate::value::{EngineError, Result, Value};
 use sqlarray_core::batch::{Batch, ToF64};
@@ -12,6 +12,7 @@ use sqlarray_core::exact::ExactSum;
 use sqlarray_core::QueryCtx;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A typed, byte-encoded GROUP BY key: one tag byte per value followed by
 /// that value's canonical little-endian payload.
@@ -311,22 +312,7 @@ impl ItemAcc {
                 self.fold(Some(v))
             }
             (ItemAcc::Uda { state }, Expr::UdaCall { args, .. }) => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args.iter() {
-                    let mut v = eval(a, Some(row), env)?;
-                    // UDA accumulate bodies take bytes, not references:
-                    // materialize lazy LOB arguments here.
-                    crate::pushdown::resolve_lob_in_place(&mut v, env)?;
-                    argv.push(v);
-                }
-                if uda_mode == UdaMode::StreamSerialized {
-                    let buf = state.serialize_state();
-                    state.load_state(&buf)?;
-                }
-                // Each UDA row hop is a managed call, like the CLR
-                // aggregate interface.
-                env.hosting.charge_call();
-                state.accumulate(&argv)
+                uda_step(state.as_mut(), args, row, env, uda_mode)
             }
             (ItemAcc::Plain { value }, expr) => {
                 if value.is_none() {
@@ -428,11 +414,40 @@ impl ItemAcc {
     }
 }
 
+/// One row's step of a UDA: its arguments evaluated against the row (an
+/// inline array read from the row image, a LOB resolved), then folded in
+/// — out of line, so the stack-held argument lists stay out of
+/// [`ItemAcc::accumulate`]'s frame.
+#[inline(never)]
+fn uda_step(
+    state: &mut dyn UdaState,
+    args: &[Expr],
+    row: &RowCtx<'_>,
+    env: &mut EvalEnv<'_>,
+    uda_mode: UdaMode,
+) -> Result<()> {
+    with_row_args(args, Some(row), env, |slots, env| {
+        // UDA accumulate bodies take bytes, not references: materialize
+        // lazy LOB arguments here.
+        for slot in slots.iter_mut() {
+            slot.resolve_lob(env)?;
+        }
+        if uda_mode == UdaMode::StreamSerialized {
+            let buf = state.serialize_state();
+            state.load_state(&buf)?;
+        }
+        // Each UDA row hop is a managed call, like the CLR aggregate
+        // interface.
+        env.hosting.charge_call();
+        with_args(slots, |argv| state.accumulate(argv))
+    })
+}
+
 /// Aggregate groups in first-appearance order: what a worker builds over
 /// its partition and what the coordinator merges worker partials into.
 #[derive(Default)]
 pub(super) struct Groups {
-    index: HashMap<GroupKey, usize>,
+    index: HashMap<GroupKey, usize, KeyHash>,
     keys: Vec<GroupKey>,
     accs: Vec<Vec<ItemAcc>>,
 }
@@ -509,24 +524,201 @@ impl Groups {
 /// One worker's vectorized aggregation: its group table, fed one
 /// selection of a decoded batch at a time, plus the scratch reused across
 /// batches. The batch counterpart of the row loop around
-/// [`ItemAcc::accumulate`] — keys and arguments are evaluated
-/// column-at-a-time, then every value goes through [`ItemAcc::fold`].
+/// [`ItemAcc::accumulate`]: keys and arguments are evaluated
+/// column-at-a-time; a typed argument lane is folded a group at a time
+/// ([`ItemAcc::fold_typed`] over its [`Parts`]), a dynamic one value by
+/// value ([`ItemAcc::fold`]).
 pub(super) struct BatchAgg<'a> {
     plan: &'a BatchPlan,
     items: &'a [SelectItem],
     udas: &'a UdaRegistry,
     query: QueryCtx,
     groups: Groups,
-    /// Key-encoding scratch: re-filled per row, cloned only when a row
-    /// opens a group.
+    /// Key-encoding scratch: re-filled per row (or per new typed key),
+    /// cloned only when a row opens a group.
     key: GroupKey,
+    /// A plan grouped by one scalar lane: each typed key seen so far, as
+    /// its [`GroupKey`] tag and value bits, to its group position — so a
+    /// row of a typed key lane finds its group without encoding a key.
+    typed: TypedIndex,
     /// Group position of every selected row (grouped plans only).
     gids: Vec<u32>,
+    /// The selected rows partitioned by group (grouped plans only).
+    parts: Parts,
     /// Batch rows of the current selection that opened a group, in order
     /// — the rows non-aggregate items are evaluated at.
     opened: Vec<u32>,
     /// Ungrouped plans: the one global group has not seen a row yet.
     unprimed: bool,
+}
+
+/// The group tables' hash: a key is a few words (a typed key's tag and
+/// bits, a [`GroupKey`]'s length and bytes), so an FxHash-style
+/// multiply-rotate per word, finished by murmur3's mixer (which spreads
+/// low and high bits alike: `f64` keys differ only in their top bits),
+/// replaces SipHash. It has no secret seed: the keys are the statement's
+/// own column values, not input chosen to collide.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+        // The last 0..=7 bytes, shifted into one word (no copy call).
+        let tail = words
+            .remainder()
+            .iter()
+            .rev()
+            .fold(0u64, |t, &b| t << 8 | u64::from(b));
+        self.write_u64(tail);
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+type KeyHash = BuildHasherDefault<KeyHasher>;
+
+type TypedIndex = HashMap<(u8, u64), u32, KeyHash>;
+
+/// No part: a group position that has no row in the current batch.
+const NO_PART: u32 = u32::MAX;
+
+/// Values a typed lane's fold gathers per call of
+/// [`ItemAcc::fold_typed`]: one part's rows are handed over a stack block
+/// at a time.
+const PART_BLOCK: usize = 256;
+
+/// The selected rows of one batch, partitioned stably by group: part `p`
+/// holds the lane positions of group `groups[p]`'s rows, ascending, and
+/// parts come in the order their groups first appear in the batch.
+#[derive(Default)]
+struct Parts {
+    /// Per group position: its part in the current batch, or [`NO_PART`].
+    part_of: Vec<u32>,
+    /// Group position of each part.
+    groups: Vec<u32>,
+    /// Part `p` is `order[starts[p]..starts[p + 1]]`.
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl Parts {
+    /// Partitions lane positions `0..gids.len()` by their group position
+    /// (`n_groups` groups exist): a counting sort, stable within a part.
+    fn split(&mut self, gids: &[u32], n_groups: usize) {
+        self.part_of.resize(n_groups, NO_PART);
+        self.groups.clear();
+        self.starts.clear();
+        for &g in gids {
+            let part = &mut self.part_of[g as usize];
+            if *part == NO_PART {
+                *part = self.groups.len() as u32;
+                self.groups.push(g);
+                self.starts.push(0);
+            }
+            self.starts[*part as usize] += 1;
+        }
+        // Each part's end, then one step back per row from the last: the
+        // rows of a part land in ascending order and `starts` ends at
+        // each part's start.
+        let mut end = 0;
+        for count in self.starts.iter_mut() {
+            end += *count;
+            *count = end;
+        }
+        self.order.clear();
+        self.order.resize(gids.len(), 0);
+        for (i, &g) in gids.iter().enumerate().rev() {
+            let at = &mut self.starts[self.part_of[g as usize] as usize];
+            *at -= 1;
+            self.order[*at as usize] = i as u32;
+        }
+        self.starts.push(gids.len() as u32);
+        for &g in &self.groups {
+            self.part_of[g as usize] = NO_PART;
+        }
+    }
+
+    /// Lane positions of part `p`.
+    fn rows(&self, p: usize) -> &[u32] {
+        &self.order[self.starts[p] as usize..self.starts[p + 1] as usize]
+    }
+
+    /// Folds a typed lane into item `k` of each part's group: a part's
+    /// values, in row order, go to [`ItemAcc::fold_typed`] a stack block
+    /// at a time. A fold over consecutive blocks is the fold over their
+    /// concatenation (the same counts, the same exact sum, the same
+    /// comparisons), so each group sees what the row path feeds it.
+    fn fold_typed<T: ToF64 + Default>(
+        &self,
+        accs: &mut [Vec<ItemAcc>],
+        k: usize,
+        lane: &[T],
+        wrap: fn(T) -> Value,
+    ) -> Result<()> {
+        let mut block = [T::default(); PART_BLOCK];
+        for (p, &g) in self.groups.iter().enumerate() {
+            for rows in self.rows(p).chunks(PART_BLOCK) {
+                for (slot, &i) in block.iter_mut().zip(rows) {
+                    *slot = lane[i as usize];
+                }
+                accs[g as usize][k].fold_typed(&block[..rows.len()], wrap)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`fold_typed`](Self::fold_typed) for any lane: a dynamic lane is
+    /// fed value by value, in row order.
+    fn fold_lane(
+        &self,
+        accs: &mut [Vec<ItemAcc>],
+        k: usize,
+        lane: BVal,
+        gids: &[u32],
+    ) -> Result<()> {
+        match lane {
+            BVal::I64(v) => self.fold_typed(accs, k, &v, Value::I64),
+            BVal::I32(v) => self.fold_typed(accs, k, &v, Value::I32),
+            BVal::F64(v) => self.fold_typed(accs, k, &v, Value::F64),
+            BVal::F32(v) => self.fold_typed(accs, k, &v, Value::F32),
+            BVal::Bool(v) => self.fold_typed(accs, k, &v, Value::Bool),
+            dynamic => dynamic.drain(|i, v| accs[gids[i] as usize][k].fold(Some(v))),
+        }
+    }
+
+    /// Counts each part's rows into item `k` of its group: `COUNT(*)`,
+    /// one bump per group and batch.
+    fn bump(&self, accs: &mut [Vec<ItemAcc>], k: usize) -> Result<()> {
+        for (p, &g) in self.groups.iter().enumerate() {
+            accs[g as usize][k].bump(self.rows(p).len() as u64)?;
+        }
+        Ok(())
+    }
 }
 
 impl<'a> BatchAgg<'a> {
@@ -547,7 +739,9 @@ impl<'a> BatchAgg<'a> {
             query,
             groups,
             key: GroupKey::default(),
+            typed: TypedIndex::default(),
             gids: Vec::new(),
+            parts: Parts::default(),
             opened: Vec::new(),
             unprimed: true,
         })
@@ -570,10 +764,11 @@ impl<'a> BatchAgg<'a> {
         if grouped {
             first_opened = self.groups.accs.len();
             self.assign(b, sel, env)?;
+            self.parts.split(&self.gids, self.groups.accs.len());
         } else if std::mem::take(&mut self.unprimed) {
             self.opened.push(sel[0]);
         }
-        let (accs, gids) = (&mut self.groups.accs, &self.gids);
+        let (accs, gids, parts) = (&mut self.groups.accs, &self.gids, &self.parts);
         for (k, item) in self.plan.items.iter().enumerate() {
             match item {
                 // COUNT evaluates its argument too, for error parity with
@@ -581,7 +776,7 @@ impl<'a> BatchAgg<'a> {
                 BItem::Agg(Some(e)) => {
                     let lane = crate::batch::eval(e, b, sel, env)?;
                     if grouped {
-                        lane.drain(|i, v| accs[gids[i] as usize][k].fold(Some(v)))?;
+                        parts.fold_lane(accs, k, lane, gids)?;
                     } else {
                         accs[0][k].fold_lane(lane)?;
                     }
@@ -590,9 +785,7 @@ impl<'a> BatchAgg<'a> {
                 // are counted without reading the blobs, like the row path.
                 BItem::Agg(None) => {
                     if grouped {
-                        for &g in gids.iter() {
-                            accs[g as usize][k].bump(1)?;
-                        }
+                        parts.bump(accs, k)?;
                     } else {
                         accs[0][k].bump(sel.len() as u64)?;
                     }
@@ -617,23 +810,35 @@ impl<'a> BatchAgg<'a> {
 
     /// Evaluates the GROUP BY keys column-at-a-time and resolves every
     /// selected row to its group position, opening groups in
-    /// first-appearance order. Polls the lifecycle per row, like the row
-    /// scan: a pool-resident batch never faults a page to poll on.
+    /// first-appearance order. One key whose lane comes back typed goes
+    /// through the typed index ([`assign_typed`](Self::assign_typed));
+    /// any other key list encodes a [`GroupKey`] per row. Both poll the
+    /// lifecycle per row, like the row scan: a pool-resident batch never
+    /// faults a page to poll on.
     fn assign(&mut self, b: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<()> {
-        enum KeyLane {
-            Vals(BVal),
-            Blob(usize),
-        }
-        let mut lanes = self
-            .plan
-            .group_by
-            .iter()
-            .map(|k| match k {
-                BKey::Scalar(e) => crate::batch::eval(e, b, sel, env).map(KeyLane::Vals),
-                BKey::Blob(pos) => Ok(KeyLane::Blob(*pos)),
-            })
-            .collect::<Result<Vec<KeyLane>>>()?;
         self.gids.clear();
+        let mut lanes = Vec::with_capacity(self.plan.group_by.len());
+        for k in &self.plan.group_by {
+            lanes.push(match k {
+                BKey::Scalar(e) => KeyLane::Vals(crate::batch::eval(e, b, sel, env)?),
+                BKey::Blob(pos) => KeyLane::Blob(*pos),
+            });
+        }
+        if let [KeyLane::Vals(lane)] = lanes.as_slice() {
+            // The tags are `GroupKey::push`'s.
+            match lane {
+                BVal::I64(v) => return self.assign_typed(v, sel, env, 1, |x| x as u64, Value::I64),
+                BVal::I32(v) => {
+                    return self.assign_typed(v, sel, env, 2, |x| u64::from(x as u32), Value::I32)
+                }
+                BVal::F64(v) => return self.assign_typed(v, sel, env, 3, f64::to_bits, Value::F64),
+                BVal::F32(v) => {
+                    return self.assign_typed(v, sel, env, 4, |x| x.to_bits().into(), Value::F32)
+                }
+                BVal::Bool(v) => return self.assign_typed(v, sel, env, 7, u64::from, Value::Bool),
+                BVal::Dyn(_) => {}
+            }
+        }
         for (i, &row) in sel.iter().enumerate() {
             env.check_interrupt()?;
             self.key.0.clear();
@@ -652,16 +857,60 @@ impl<'a> BatchAgg<'a> {
                     },
                 }
             }
-            let gid = match self.groups.find(&self.key) {
-                Some(g) => g,
-                None => {
-                    self.opened.push(row);
-                    self.groups
-                        .open(&self.key, self.items, self.udas, &self.query)?
-                }
-            };
-            self.gids.push(gid as u32);
+            let gid = self.find_or_open(row)?;
+            self.gids.push(gid);
         }
         Ok(())
     }
+
+    /// [`assign`](Self::assign) over one typed key lane: a key the typed
+    /// index knows is its group; a new one is encoded once (`wrap` gives
+    /// the `Value` the row path would key by, `tag` its type tag) and
+    /// found in, or opened into, the group table.
+    fn assign_typed<T: Copy>(
+        &mut self,
+        lane: &[T],
+        sel: &[u32],
+        env: &mut EvalEnv<'_>,
+        tag: u8,
+        bits: fn(T) -> u64,
+        wrap: fn(T) -> Value,
+    ) -> Result<()> {
+        for (&x, &row) in lane.iter().zip(sel) {
+            env.check_interrupt()?;
+            let typed = (tag, bits(x));
+            let gid = match self.typed.get(&typed) {
+                Some(&gid) => gid,
+                None => {
+                    self.key.0.clear();
+                    self.key.push(&wrap(x))?;
+                    let gid = self.find_or_open(row)?;
+                    self.typed.insert(typed, gid);
+                    gid
+                }
+            };
+            self.gids.push(gid);
+        }
+        Ok(())
+    }
+
+    /// The group of the key in `self.key`, opened at batch row `row` if it
+    /// has not appeared.
+    fn find_or_open(&mut self, row: u32) -> Result<u32> {
+        let gid = match self.groups.find(&self.key) {
+            Some(g) => g,
+            None => {
+                self.opened.push(row);
+                self.groups
+                    .open(&self.key, self.items, self.udas, &self.query)?
+            }
+        };
+        Ok(gid as u32)
+    }
+}
+
+/// One evaluated GROUP BY key of a batch.
+enum KeyLane {
+    Vals(BVal),
+    Blob(usize),
 }

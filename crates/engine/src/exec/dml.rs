@@ -40,7 +40,7 @@ use super::{QueryResult, SelectOpts, StmtCtx};
 use crate::database::{clustered_key_column, Database};
 use crate::expr::Expr;
 use crate::tsql::{DeleteStmt, SelectItem, UpdateStmt};
-use crate::value::{EngineError, Result, Value};
+use crate::value::{Arg, EngineError, Result, Value};
 use sqlarray_core::{ElementType, Header, StorageClass};
 use sqlarray_storage::{
     blob, row, BlobId, ColType, Column, PageStore, RowOp, RowValue, Schema, Table,
@@ -177,7 +177,7 @@ fn try_in_place(
     let &RowValue::LobRef(id, _) = stored else {
         return Ok(None);
     };
-    let Ok(off) = crate::arraybind::index_vector(offset) else {
+    let Ok(off) = crate::arraybind::index_vector(offset.into()) else {
         return Ok(None);
     };
     let Ok(repl) = replacement.as_array() else {
@@ -260,9 +260,8 @@ fn resolve_row(
                     Some(patch) => patches.push(patch),
                     None => {
                         let cur = materialize(store, stored)?;
-                        let v = ctx
-                            .udfs
-                            .call(name, &[cur, offset, replacement], ctx.hosting)?;
+                        let args = [&cur, &offset, &replacement].map(Arg::from);
+                        let v = ctx.udfs.call(name, &args, ctx.hosting)?;
                         row[item.col] = to_row_value(col, v)?;
                         rewrite = true;
                     }

@@ -2,8 +2,9 @@
 
 use crate::hosting::HostingModel;
 use crate::udf::UdfRegistry;
-use crate::value::{EngineError, Result, Value};
-use sqlarray_storage::{row, RowValue, Schema};
+use crate::value::{Arg, EngineError, Result, Value};
+use sqlarray_storage::row::RowValueRef;
+use sqlarray_storage::{row, ColType, RowValue, Schema};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,23 +189,7 @@ pub fn eval(expr: &Expr, row: Option<&RowCtx<'_>>, env: &mut EvalEnv<'_>) -> Res
             let v = row::decode_col(row.schema, row.bytes, idx)?;
             Ok(resolve_row_value(v))
         }
-        Expr::Func { name, args } => {
-            let mut argv = Vec::with_capacity(args.len());
-            for a in args {
-                argv.push(eval(a, row, env)?);
-            }
-            // `Subarray`/`Item` over a base LOB column read only the
-            // header prefix plus the pages the region intersects.
-            if let Some(v) = crate::pushdown::try_lob_pushdown(name, &argv, env)? {
-                return Ok(v);
-            }
-            // Every other call materializes lazy LOB arguments with one
-            // full ranged read each — the blob-aware fallback.
-            for v in argv.iter_mut() {
-                crate::pushdown::resolve_lob_in_place(v, env)?;
-            }
-            env.udfs.call(name, &argv, env.hosting)
-        }
+        Expr::Func { name, args } => call(name, args, row, env),
         Expr::Agg { .. } | Expr::UdaCall { .. } => Err(EngineError::Unsupported(
             "aggregate evaluated outside an aggregation context".into(),
         )),
@@ -235,6 +220,117 @@ pub fn eval(expr: &Expr, row: Option<&RowCtx<'_>>, env: &mut EvalEnv<'_>) -> Res
             apply_bin(*op, l, r)
         }
     }
+}
+
+/// Up to this many call arguments are gathered on the stack, so a row's
+/// call allocates nothing for its argument list (a longer list, like a
+/// `Vector_N` constructor's, takes one `Vec` per call).
+const STACK_ARGS: usize = 8;
+
+/// One evaluated argument of a row-path call: an inline blob column
+/// borrowed from the row image, or the value any other argument evaluated
+/// to.
+pub(crate) enum Slot<'r> {
+    Row(&'r [u8]),
+    Owned(Value),
+}
+
+impl Slot<'_> {
+    fn arg(&self) -> Arg<'_> {
+        match self {
+            Slot::Row(b) => Arg::Bytes(b),
+            Slot::Owned(v) => Arg::from(v),
+        }
+    }
+
+    /// Materializes a lazy LOB reference with one full ranged read
+    /// ([`crate::pushdown::resolve_lob_in_place`]).
+    pub(crate) fn resolve_lob(&mut self, env: &mut EvalEnv<'_>) -> Result<()> {
+        match self {
+            Slot::Row(_) => Ok(()),
+            Slot::Owned(v) => crate::pushdown::resolve_lob_in_place(v, env),
+        }
+    }
+}
+
+/// One argument against one row: a bare blob column whose value the row
+/// holds is the row image's bytes, anything else is evaluated (a LOB
+/// reference stays lazy).
+fn row_arg<'r>(a: &Expr, row: Option<&RowCtx<'r>>, env: &mut EvalEnv<'_>) -> Result<Slot<'r>> {
+    if let (Expr::Col(name), Some(r)) = (a, row) {
+        if let Some(idx) = r.schema.col_index(name) {
+            if r.schema.columns[idx].ctype == ColType::Blob {
+                if let RowValueRef::Bytes(b) = row::decode_col_ref(r.schema, r.bytes, idx)? {
+                    return Ok(Slot::Row(b));
+                }
+            }
+        }
+    }
+    eval(a, row, env).map(Slot::Owned)
+}
+
+/// Evaluates a call's `args` against one row, in order ([`row_arg`]),
+/// and runs `f` over them — on the stack for up to [`STACK_ARGS`].
+pub(crate) fn with_row_args<'r, R>(
+    args: &[Expr],
+    row: Option<&RowCtx<'r>>,
+    env: &mut EvalEnv<'_>,
+    f: impl FnOnce(&mut [Slot<'r>], &mut EvalEnv<'_>) -> Result<R>,
+) -> Result<R> {
+    let mut stack: [Slot<'r>; STACK_ARGS] = std::array::from_fn(|_| Slot::Owned(Value::Null));
+    let mut heap = Vec::new();
+    let slots = if args.len() <= STACK_ARGS {
+        &mut stack[..args.len()]
+    } else {
+        heap.resize_with(args.len(), || Slot::Owned(Value::Null));
+        &mut heap[..]
+    };
+    for (slot, a) in slots.iter_mut().zip(args) {
+        *slot = row_arg(a, row, env)?;
+    }
+    f(slots, env)
+}
+
+/// Runs `f` over `slots` as borrowed call arguments — on the stack for up
+/// to [`STACK_ARGS`].
+pub(crate) fn with_args<R>(slots: &[Slot<'_>], f: impl FnOnce(&[Arg<'_>]) -> R) -> R {
+    if slots.len() <= STACK_ARGS {
+        let mut buf = [Arg::Null; STACK_ARGS];
+        for (a, slot) in buf.iter_mut().zip(slots) {
+            *a = slot.arg();
+        }
+        f(&buf[..slots.len()])
+    } else {
+        f(&slots.iter().map(Slot::arg).collect::<Vec<_>>())
+    }
+}
+
+/// A scalar function call against one row. Kept out of [`eval`]: its
+/// stack-held argument lists would otherwise widen the frame of every
+/// recursive `eval`, most of which call nothing.
+#[inline(never)]
+fn call(
+    name: &str,
+    args: &[Expr],
+    row: Option<&RowCtx<'_>>,
+    env: &mut EvalEnv<'_>,
+) -> Result<Value> {
+    with_row_args(args, row, env, |slots, env| {
+        // `Subarray`/`Item` over a base LOB column read only the header
+        // prefix plus the pages the region intersects.
+        let pushed = with_args(slots, |argv| {
+            crate::pushdown::try_lob_pushdown(name, argv, env)
+        })?;
+        if let Some(v) = pushed {
+            return Ok(v);
+        }
+        // Every other call materializes lazy LOB arguments with one full
+        // ranged read each — the blob-aware fallback.
+        for slot in slots.iter_mut() {
+            slot.resolve_lob(env)?;
+        }
+        with_args(slots, |argv| env.udfs.call(name, argv, env.hosting))
+    })
 }
 
 /// In-row data passes through; out-of-row LOB references surface as lazy

@@ -48,6 +48,7 @@ pub fn register_faults(reg: &mut UdfRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Arg;
 
     #[test]
     fn panic_if_passes_through_until_triggered() {
@@ -55,11 +56,11 @@ mod tests {
         register_faults(&mut reg);
         let mut h = crate::hosting::HostingModel::free();
         let v = reg
-            .call("dbo.PanicIf", &[Value::I64(3), Value::I64(9)], &mut h)
+            .call("dbo.PanicIf", &[Arg::I64(3), Arg::I64(9)], &mut h)
             .unwrap();
         assert_eq!(v, Value::I64(3));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = reg.call("dbo.PanicIf", &[Value::I64(9), Value::I64(9)], &mut h);
+            let _ = reg.call("dbo.PanicIf", &[Arg::I64(9), Arg::I64(9)], &mut h);
         }));
         assert!(caught.is_err());
     }
@@ -71,7 +72,7 @@ mod tests {
         let mut h = crate::hosting::HostingModel::free();
         let t0 = Instant::now();
         let v = reg
-            .call("dbo.SpinUs", &[Value::I64(7), Value::I64(500)], &mut h)
+            .call("dbo.SpinUs", &[Arg::I64(7), Arg::I64(500)], &mut h)
             .unwrap();
         assert_eq!(v, Value::I64(7));
         assert!(t0.elapsed() >= Duration::from_micros(500));

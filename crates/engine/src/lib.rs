@@ -55,4 +55,4 @@ pub use sqlarray_core::fault::{Fault, FaultPlan};
 pub use sqlarray_core::lifecycle::{CancelHandle, Interrupt, QueryCtx, QueryLimits};
 pub use sugar::{desugar, SugarTypes};
 pub use udf::UdfRegistry;
-pub use value::{EngineError, Value};
+pub use value::{Arg, EngineError, Value};

@@ -139,6 +139,7 @@ pub fn gesvd_array(a: &SqlArray) -> Result<(SqlArray, SqlArray, SqlArray)> {
 mod tests {
     use super::*;
     use crate::hosting::HostingModel;
+    use crate::value::Arg;
     use sqlarray_core::build;
 
     #[test]
@@ -211,7 +212,7 @@ mod tests {
         let ft = reg
             .call(
                 "FloatArrayMax.FFTForward",
-                &[Value::Bytes(a.as_blob().to_vec())],
+                &[Arg::Bytes(a.as_blob())],
                 &mut h,
             )
             .unwrap();
@@ -221,11 +222,7 @@ mod tests {
 
         let m = SqlArray::from_vec(StorageClass::Short, &[2, 2], &[3.0f64, 0.0, 0.0, 2.0]).unwrap();
         let s = reg
-            .call(
-                "FloatArray.GesvdS",
-                &[Value::Bytes(m.as_blob().to_vec())],
-                &mut h,
-            )
+            .call("FloatArray.GesvdS", &[Arg::Bytes(m.as_blob())], &mut h)
             .unwrap();
         let s = s.as_array().unwrap().to_vec::<f64>().unwrap();
         assert!((s[0] - 3.0).abs() < 1e-9 && (s[1] - 2.0).abs() < 1e-9);

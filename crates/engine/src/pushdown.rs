@@ -26,7 +26,7 @@
 use crate::arraybind::{index_vector, parse_schema};
 use crate::expr::EvalEnv;
 use crate::udf::strip_numbered_suffix;
-use crate::value::{EngineError, Result, Value};
+use crate::value::{Arg, EngineError, Result, Value};
 use sqlarray_core::stream::ArrayReader;
 use sqlarray_core::{ArrayError, ElementType, StorageClass};
 use sqlarray_storage::{blob, BlobStream};
@@ -75,8 +75,8 @@ impl Pushdown {
     /// the bypassed UDF would have applied. Returns `Ok(None)` when the
     /// call is not eligible — the caller falls back to the ordinary
     /// resolve-then-invoke path.
-    pub(crate) fn apply(&self, argv: &[Value], env: &mut EvalEnv<'_>) -> Result<Option<Value>> {
-        let Some(&Value::Lob { id, len }) = argv.first() else {
+    pub(crate) fn apply(&self, argv: &[Arg<'_>], env: &mut EvalEnv<'_>) -> Result<Option<Value>> {
+        let Some(&Arg::Lob { id, len }) = argv.first() else {
             return Ok(None);
         };
         let Pushdown { elem, class, op } = *self;
@@ -91,7 +91,7 @@ impl Pushdown {
         }
         // Index arguments that are themselves LOBs (pathological) go through
         // the materializing fallback instead.
-        if argv[1..].iter().any(|v| matches!(v, Value::Lob { .. })) {
+        if argv[1..].iter().any(|v| matches!(v, Arg::Lob { .. })) {
             return Ok(None);
         }
         // The bypassed UDF is a managed function: charge the same hosting
@@ -137,8 +137,8 @@ impl Pushdown {
 
         match op {
             PushdownOp::Subarray => {
-                let offset = index_vector(&argv[1])?;
-                let size = index_vector(&argv[2])?;
+                let offset = index_vector(argv[1])?;
+                let size = index_vector(argv[2])?;
                 let squeeze = argv.get(3).map(|v| v.is_true()).unwrap_or(false);
                 let sub = arr.subarray(&offset, &size, squeeze)?;
                 Ok(Some(Value::Bytes(sub.into_blob())))
@@ -160,10 +160,10 @@ impl Pushdown {
 /// argument is a lazy LOB reference.
 pub(crate) fn try_lob_pushdown(
     name: &str,
-    argv: &[Value],
+    argv: &[Arg<'_>],
     env: &mut EvalEnv<'_>,
 ) -> Result<Option<Value>> {
-    if !matches!(argv.first(), Some(Value::Lob { .. })) {
+    if !matches!(argv.first(), Some(Arg::Lob { .. })) {
         return Ok(None);
     }
     match Pushdown::classify(name) {

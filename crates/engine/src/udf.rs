@@ -7,7 +7,7 @@
 //! `Name_N` to `Name` automatically, so the paper's exact spellings work.
 
 use crate::hosting::{CostClass, HostingModel};
-use crate::value::{EngineError, Result, Value};
+use crate::value::{Arg, EngineError, Result, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,8 +25,15 @@ pub(crate) fn strip_numbered_suffix(name: &str) -> &str {
     name
 }
 
-/// The implementation of a scalar function.
-pub type UdfFn = Box<dyn Fn(&[Value]) -> Result<Value> + Send + Sync>;
+/// The implementation of a scalar function: its arguments borrowed
+/// ([`Arg`]), its result owned.
+///
+/// A body reads each argument where the caller holds it — an array as
+/// the bytes of the batch cell, row image, constant or variable it came
+/// from — and copies only what it keeps (`Arg::to_value`,
+/// `ArrayView::into_array`). The batch path's scalar arguments arrive by
+/// value, so nothing is allocated to call a function per row.
+pub type UdfFn = Box<dyn Fn(&[Arg<'_>]) -> Result<Value> + Send + Sync>;
 
 /// A registered scalar function.
 pub struct Udf {
@@ -54,9 +61,10 @@ impl Udf {
         }
     }
 
-    /// Runs the body, charging the hosting model for managed calls.
+    /// Runs the body over borrowed arguments, charging the hosting model
+    /// for managed calls.
     #[inline]
-    pub fn invoke(&self, args: &[Value], hosting: &mut HostingModel) -> Result<Value> {
+    pub fn invoke(&self, args: &[Arg<'_>], hosting: &mut HostingModel) -> Result<Value> {
         if self.cost == CostClass::Managed {
             hosting.charge_call();
         }
@@ -82,7 +90,7 @@ impl UdfRegistry {
         &mut self,
         name: &str,
         arity: Option<std::ops::RangeInclusive<usize>>,
-        func: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
+        func: impl Fn(&[Arg<'_>]) -> Result<Value> + Send + Sync + 'static,
     ) {
         self.insert(name, arity, CostClass::Managed, Box::new(func));
     }
@@ -92,7 +100,7 @@ impl UdfRegistry {
         &mut self,
         name: &str,
         arity: Option<std::ops::RangeInclusive<usize>>,
-        func: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
+        func: impl Fn(&[Arg<'_>]) -> Result<Value> + Send + Sync + 'static,
     ) {
         self.insert(name, arity, CostClass::Native, Box::new(func));
     }
@@ -124,8 +132,9 @@ impl UdfRegistry {
         None
     }
 
-    /// Invokes a function, charging the hosting model for managed calls.
-    pub fn call(&self, name: &str, args: &[Value], hosting: &mut HostingModel) -> Result<Value> {
+    /// Invokes a function by name over borrowed arguments, charging the
+    /// hosting model for managed calls.
+    pub fn call(&self, name: &str, args: &[Arg<'_>], hosting: &mut HostingModel) -> Result<Value> {
         let udf = self
             .resolve(name)
             .ok_or_else(|| EngineError::Unknown(format!("function `{name}`")))?;
@@ -155,7 +164,7 @@ impl UdfRegistry {
 mod tests {
     use super::*;
 
-    fn add_fn(args: &[Value]) -> Result<Value> {
+    fn add_fn(args: &[Arg<'_>]) -> Result<Value> {
         Ok(Value::F64(args[0].as_f64()? + args[1].as_f64()?))
     }
 
@@ -165,7 +174,7 @@ mod tests {
         reg.register("dbo.Add", Some(2..=2), add_fn);
         let mut h = HostingModel::free();
         let v = reg
-            .call("dbo.add", &[Value::F64(1.0), Value::F64(2.0)], &mut h)
+            .call("dbo.add", &[Arg::F64(1.0), Arg::F64(2.0)], &mut h)
             .unwrap();
         assert_eq!(v, Value::F64(3.0));
         assert_eq!(h.calls(), 1);
@@ -181,7 +190,7 @@ mod tests {
         let v = reg
             .call(
                 "FloatArray.Vector_3",
-                &[Value::F64(1.0), Value::F64(2.0), Value::F64(3.0)],
+                &[Arg::F64(1.0), Arg::F64(2.0), Arg::F64(3.0)],
                 &mut h,
             )
             .unwrap();
@@ -196,7 +205,7 @@ mod tests {
         reg.register("f", Some(2..=2), add_fn);
         let mut h = HostingModel::free();
         assert!(matches!(
-            reg.call("f", &[Value::F64(1.0)], &mut h),
+            reg.call("f", &[Arg::F64(1.0)], &mut h),
             Err(EngineError::Arity { .. })
         ));
     }
@@ -214,12 +223,12 @@ mod tests {
     #[test]
     fn native_functions_skip_hosting_charge() {
         let mut reg = UdfRegistry::new();
-        reg.register_native("native.id", Some(1..=1), |args| Ok(args[0].clone()));
-        reg.register("managed.id", Some(1..=1), |args| Ok(args[0].clone()));
+        reg.register_native("native.id", Some(1..=1), |args| Ok(args[0].to_value()));
+        reg.register("managed.id", Some(1..=1), |args| Ok(args[0].to_value()));
         let mut h = HostingModel::new(100);
-        reg.call("native.id", &[Value::I64(1)], &mut h).unwrap();
+        reg.call("native.id", &[Arg::I64(1)], &mut h).unwrap();
         assert_eq!(h.calls(), 0);
-        reg.call("managed.id", &[Value::I64(1)], &mut h).unwrap();
+        reg.call("managed.id", &[Arg::I64(1)], &mut h).unwrap();
         assert_eq!(h.calls(), 1);
         assert_eq!(h.charged_ns(), 100);
     }

@@ -332,6 +332,112 @@ impl Value {
     }
 }
 
+/// One argument of a UDF or UDA call: a [`Value`], borrowed where it
+/// lies.
+///
+/// The calling convention is borrowed so that no call copies an array: a
+/// blob cell of a decoded batch, an inline blob column of the row image, a
+/// plan constant, a session variable and an evaluated value all reach the
+/// callee as a view of their own bytes, and a typed lane's scalar by
+/// value. `Arg` mirrors `Value` variant by variant and answers its views
+/// (`as_f64`, `as_bytes`, …) with the same values and the same errors;
+/// [`to_value`](Self::to_value) copies it out where a callee keeps it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[allow(missing_docs)] // variant by variant [`Value`]'s
+pub enum Arg<'a> {
+    Null,
+    I64(i64),
+    I32(i32),
+    F64(f64),
+    F32(f32),
+    Bytes(&'a [u8]),
+    Str(&'a str),
+    Bool(bool),
+    Lob { id: u64, len: u64 },
+}
+
+impl<'a> From<&'a Value> for Arg<'a> {
+    fn from(v: &'a Value) -> Arg<'a> {
+        match v {
+            Value::Null => Arg::Null,
+            Value::I64(x) => Arg::I64(*x),
+            Value::I32(x) => Arg::I32(*x),
+            Value::F64(x) => Arg::F64(*x),
+            Value::F32(x) => Arg::F32(*x),
+            Value::Bytes(b) => Arg::Bytes(b),
+            Value::Str(s) => Arg::Str(s),
+            Value::Bool(b) => Arg::Bool(*b),
+            Value::Lob { id, len } => Arg::Lob { id: *id, len: *len },
+        }
+    }
+}
+
+impl<'a> Arg<'a> {
+    /// The argument as an owned [`Value`] (copies bytes and strings).
+    pub fn to_value(self) -> Value {
+        match self {
+            Arg::Null => Value::Null,
+            Arg::I64(x) => Value::I64(x),
+            Arg::I32(x) => Value::I32(x),
+            Arg::F64(x) => Value::F64(x),
+            Arg::F32(x) => Value::F32(x),
+            Arg::Bytes(b) => Value::Bytes(b.to_vec()),
+            Arg::Str(s) => Value::Str(s.to_string()),
+            Arg::Bool(b) => Value::Bool(b),
+            Arg::Lob { id, len } => Value::Lob { id, len },
+        }
+    }
+
+    /// [`Value::as_f64`].
+    pub fn as_f64(self) -> Result<f64> {
+        match self {
+            Arg::I64(v) => Ok(v as f64),
+            Arg::I32(v) => Ok(v as f64),
+            Arg::F64(v) => Ok(v),
+            Arg::F32(v) => Ok(v as f64),
+            Arg::Bool(b) => Ok(b as i64 as f64),
+            other => other.to_value().as_f64(),
+        }
+    }
+
+    /// [`Value::as_i64`] (copies nothing for a scalar; a non-scalar is
+    /// its error).
+    pub fn as_i64(self) -> Result<i64> {
+        self.to_value().as_i64()
+    }
+
+    /// [`Value::as_index`].
+    pub fn as_index(self) -> Result<usize> {
+        self.to_value().as_index()
+    }
+
+    /// [`Value::as_bytes`]: the bytes where they lie.
+    pub fn as_bytes(self) -> Result<&'a [u8]> {
+        match self {
+            Arg::Bytes(b) => Ok(b),
+            Arg::Lob { id, len } => Err(EngineError::UnresolvedLob { id, len }),
+            other => Err(EngineError::Type(format!(
+                "{:?} is not binary",
+                other.to_value()
+            ))),
+        }
+    }
+
+    /// [`Value::as_array`].
+    pub fn as_array(self) -> Result<SqlArray> {
+        Ok(SqlArray::from_blob(self.as_bytes()?.to_vec())?)
+    }
+
+    /// [`Value::is_true`].
+    pub fn is_true(self) -> bool {
+        match self {
+            Arg::Bytes(b) => !b.is_empty(),
+            Arg::Str(s) => !s.is_empty(),
+            other => other.to_value().is_true(),
+        }
+    }
+}
+
 /// An integral float as `i64`, refused outside −2⁶³ ≤ v < 2⁶³, where
 /// `as` would saturate.
 fn integral(v: f64) -> Result<i64> {
@@ -502,6 +608,34 @@ mod tests {
             Value::from(RowValue::LobRef(7, 9000)),
             Value::Lob { id: 7, len: 9000 }
         );
+    }
+
+    #[test]
+    fn an_arg_answers_like_its_value() {
+        let values = [
+            Value::Null,
+            Value::I64(-3),
+            Value::I32(7),
+            Value::F64(2.5),
+            Value::F64(4.0),
+            Value::F32(-0.0),
+            Value::Bytes(vec![1, 2]),
+            Value::Bytes(Vec::new()),
+            Value::Str("x".into()),
+            Value::Str(String::new()),
+            Value::Bool(true),
+            Value::Lob { id: 7, len: 9000 },
+        ];
+        for v in &values {
+            let a = Arg::from(v);
+            assert_eq!(a.to_value(), *v);
+            assert_eq!(a.as_f64(), v.as_f64(), "{v:?}");
+            assert_eq!(a.as_i64(), v.as_i64(), "{v:?}");
+            assert_eq!(a.as_index(), v.as_index(), "{v:?}");
+            assert_eq!(a.as_bytes(), v.as_bytes(), "{v:?}");
+            assert_eq!(a.as_array(), v.as_array(), "{v:?}");
+            assert_eq!(a.is_true(), v.is_true(), "{v:?}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use sqlarray_core::{
 use sqlarray_engine::arraybind::{register_all, schema_name};
 use sqlarray_engine::hosting::HostingModel;
 use sqlarray_engine::udf::UdfRegistry;
-use sqlarray_engine::value::{EngineError, Value};
+use sqlarray_engine::value::{Arg, EngineError, Value};
 
 type Case = Result<(), TestCaseError>;
 
@@ -71,7 +71,10 @@ fn check_elem<T: Element>(reg: &UdfRegistry, rng: &mut StdRng) -> Case {
     let blob = Value::Bytes(owned.as_blob().to_vec());
     let schema = schema_name(T::TYPE, class);
     let mut hosting = HostingModel::free();
-    let mut call = |name: &str, args: &[Value]| reg.call(name, args, &mut hosting);
+    let mut call = |name: &str, args: &[Value]| {
+        let args: Vec<Arg<'_>> = args.iter().map(Arg::from).collect();
+        reg.call(name, &args, &mut hosting)
+    };
 
     // The view is the array, minus the copy.
     let view = ArrayView::from_blob(owned.as_blob()).unwrap();
@@ -226,7 +229,7 @@ fn extreme(rng: &mut StdRng, big: f64, non_finite: bool) -> f64 {
 /// the formulas over one [`ExactSum::add`] per element, in storage order.
 fn reductions_are_one_addend_per_element<T: Element>(reg: &UdfRegistry, data: &[T]) {
     let owned = SqlArray::from_vec(StorageClass::Max, &[data.len()], data).unwrap();
-    let blob = [Value::Bytes(owned.as_blob().to_vec())];
+    let blob = owned.as_blob();
     let reals: Vec<f64> = owned.iter_scalars().map(|s| s.as_f64().unwrap()).collect();
     let exact = |xs: &mut dyn Iterator<Item = f64>| {
         let mut acc = ExactSum::new();
@@ -243,7 +246,7 @@ fn reductions_are_one_addend_per_element<T: Element>(reg: &UdfRegistry, data: &[
         let got = reg
             .call(
                 &format!("{schema}.{func}"),
-                &blob,
+                &[Arg::Bytes(blob)],
                 &mut HostingModel::free(),
             )
             .unwrap();

@@ -123,6 +123,19 @@ pub enum RowValueRef<'a> {
     LobRef(BlobId, u64),
 }
 
+impl From<RowValueRef<'_>> for RowValue {
+    fn from(v: RowValueRef<'_>) -> RowValue {
+        match v {
+            RowValueRef::I64(x) => RowValue::I64(x),
+            RowValueRef::I32(x) => RowValue::I32(x),
+            RowValueRef::F64(x) => RowValue::F64(x),
+            RowValueRef::F32(x) => RowValue::F32(x),
+            RowValueRef::Bytes(b) => RowValue::Bytes(b.to_vec()),
+            RowValueRef::LobRef(id, len) => RowValue::LobRef(id, len),
+        }
+    }
+}
+
 // Value tags inside encoded blob columns.
 const BLOB_INLINE: u8 = 0;
 const BLOB_LOB: u8 = 1;
@@ -265,6 +278,16 @@ pub fn decode_row(schema: &Schema, bytes: &[u8]) -> Result<Vec<RowValue>> {
 /// Decodes a single column without materializing the others (the scan
 /// projections of queries 3–5 touch exactly one column per row).
 pub fn decode_col(schema: &Schema, bytes: &[u8], col_idx: usize) -> Result<RowValue> {
+    decode_col_ref(schema, bytes, col_idx).map(RowValue::from)
+}
+
+/// [`decode_col`] without a copy: an inline blob comes back borrowed from
+/// the row image (a UDF argument is read where it lies).
+pub fn decode_col_ref<'a>(
+    schema: &Schema,
+    bytes: &'a [u8],
+    col_idx: usize,
+) -> Result<RowValueRef<'a>> {
     if col_idx >= schema.columns.len() {
         return Err(StorageError::SchemaMismatch(format!(
             "column index {col_idx} out of range"
@@ -273,7 +296,7 @@ pub fn decode_col(schema: &Schema, bytes: &[u8], col_idx: usize) -> Result<RowVa
     let mut off = 0usize;
     for (i, col) in schema.columns.iter().enumerate() {
         if i == col_idx {
-            let (v, _) = decode_value(col.ctype, bytes, off, &col.name)?;
+            let (v, _) = decode_value_ref(col.ctype, bytes, off, &col.name)?;
             return Ok(v);
         }
         off = skip_value(col.ctype, bytes, off, &col.name)?;
@@ -544,15 +567,7 @@ fn need(bytes: &[u8], off: usize, n: usize, name: &str) -> Result<()> {
 
 fn decode_value(ctype: ColType, bytes: &[u8], off: usize, name: &str) -> Result<(RowValue, usize)> {
     let (v, next) = decode_value_ref(ctype, bytes, off, name)?;
-    let owned = match v {
-        RowValueRef::I64(x) => RowValue::I64(x),
-        RowValueRef::I32(x) => RowValue::I32(x),
-        RowValueRef::F64(x) => RowValue::F64(x),
-        RowValueRef::F32(x) => RowValue::F32(x),
-        RowValueRef::Bytes(b) => RowValue::Bytes(b.to_vec()),
-        RowValueRef::LobRef(id, len) => RowValue::LobRef(id, len),
-    };
-    Ok((owned, next))
+    Ok((v.into(), next))
 }
 
 fn decode_value_ref<'a>(

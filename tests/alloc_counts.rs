@@ -10,10 +10,12 @@
 //! counted too.
 //!
 //! Each claim is a scaling law, not an absolute count: a scan of four
-//! times the rows may allocate a few more times per extra batch (the leaf
-//! list, the group table), never once per extra row; a warm page read, an
-//! exact addend, a slice of them, a 960-element `Norm2` or a scan worker's
-//! read-ahead hint allocates nothing; a
+//! times the rows — UDF call lanes and typed GROUP BY included — may
+//! allocate a few more times per extra batch (the leaf list, the group
+//! table), never once per extra row; a warm page read, an exact addend, a
+//! slice of them, a 960-element `Norm2`, a `VectorAvg` row or a scan
+//! worker's read-ahead hint allocates nothing; planning a region costs
+//! the same whatever its run count; a
 //! LOB read never zero-fills its result; an idle checkpoint copies no
 //! page; a leaf split costs the same whatever the leaf holds. The claims run one at a time (one lock), and each count is the
 //! smallest of three runs, because the test harness's own threads can
@@ -26,9 +28,10 @@ use sqlarray::array::batch::{sum_f64, DEFAULT_BATCH_ROWS};
 use sqlarray::array::build::short_vector;
 use sqlarray::array::header::Header;
 use sqlarray::array::ops::agg;
-use sqlarray::array::{ExactSum, StorageClass};
+use sqlarray::array::shape::Shape;
+use sqlarray::array::{ElementType, ExactSum, StorageClass};
 use sqlarray::engine::aggregate::VectorAvgUda;
-use sqlarray::engine::{Database, Engine, HostingModel, Session, UdaState, Value};
+use sqlarray::engine::{Arg, Database, Engine, HostingModel, Session, UdaState};
 use sqlarray::storage::blob::{read_blob, write_blob};
 use sqlarray::storage::store::PageRead;
 use sqlarray::storage::{
@@ -173,12 +176,16 @@ const PER_BATCH: u64 = 8;
 
 /// Statements the batch planner runs end to end: a filter through
 /// `refine` (an AND of two fused compares), typed folds through
-/// `fold_typed`, and a grouped aggregate; every one decodes its lanes
-/// through `BatchDecoder::fill`.
-const SCANS: [&str; 3] = [
+/// `fold_typed`, a grouped aggregate over a typed key, and a UDF call per
+/// row — ungrouped and grouped — whose array argument is borrowed from
+/// the batch and whose `FLOAT` results fill a typed lane; every one
+/// decodes its lanes through `BatchDecoder::fill`.
+const SCANS: [&str; 5] = [
     "SELECT COUNT(*) FROM T WHERE a < 40 AND c > 10.0",
     "SELECT SUM(a), MIN(c), MAX(c) FROM T",
     "SELECT id % 7, COUNT(*), SUM(c) FROM T GROUP BY id % 7",
+    "SELECT SUM(FloatArray.Item_1(w, 0)) FROM T",
+    "SELECT id % 7, SUM(FloatArray.Item_1(w, 1)) FROM T GROUP BY id % 7",
 ];
 
 #[test]
@@ -245,21 +252,46 @@ fn a_slice_sum_and_a_norm_allocate_nothing() {
 #[test]
 fn vector_avg_reads_its_argument_where_it_lies() {
     let _one = serial();
-    // Decoding an array's header is the one allocation a row may cost
-    // (its `Shape` holds a `Vec`); the array itself is never copied, so a
-    // 900-element row costs what a 4-element one does.
+    // The array is never copied and its header's `Shape` holds its
+    // dimensions inline, so a row allocates nothing, 900 elements or 4.
     for len in [4, 900] {
         let data: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
-        let row = [Value::Bytes(short_vector(&data).unwrap().into_blob())];
-        let Value::Bytes(blob) = &row[0] else {
-            unreachable!()
-        };
-        let header = measure(|| Header::decode(blob).unwrap());
+        let blob = short_vector(&data).unwrap().into_blob();
+        let header = measure(|| Header::decode(&blob).unwrap());
+        assert_eq!(header.calls(), 0, "header decode: {header:?}");
+        let row = [Arg::Bytes(&blob)];
         let mut uda = VectorAvgUda::new(StorageClass::Short);
         uda.accumulate(&row).unwrap();
         let counts = measure(|| uda.accumulate(&row).unwrap());
-        assert_eq!(counts.calls(), header.calls(), "{len} elements: {counts:?}");
+        assert_eq!(counts.calls(), 0, "{len} elements: {counts:?}");
     }
+}
+
+#[test]
+fn planning_a_region_allocates_the_same_whatever_its_run_count() {
+    let _one = serial();
+    // A pencil through a 128³ cube is one run per element; its plan holds
+    // the runs and the strides, never a block per run.
+    let shape = Shape::new(&[128, 128, 128]).unwrap();
+    let header = Header::new(StorageClass::Max, ElementType::Float64, shape).unwrap();
+    let plan = |len: usize| {
+        let counts = measure(|| header.region_byte_runs(&[5, 6, 0], &[1, 1, len]).unwrap());
+        assert_eq!(
+            header
+                .region_byte_runs(&[5, 6, 0], &[1, 1, len])
+                .unwrap()
+                .len(),
+            len
+        );
+        counts
+    };
+    let (few, many) = (plan(8), plan(128));
+    // Two blocks (the strides and the run list); one more is the slack
+    // the harness's own threads may add to a count.
+    assert!(
+        many.calls() <= few.calls() + 1 && many.calls() <= 3,
+        "8 runs: {few:?}, 128 runs: {many:?}"
+    );
 }
 
 /// A store of `pages` written pages behind a pool of `pool` pages.

@@ -48,7 +48,7 @@ use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build::{max_vector, short_vector};
 use sqlarray_core::exact::ExactSum;
 use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
-use sqlarray_engine::{Access, EngineError, Fallback};
+use sqlarray_engine::{Access, EngineError, Fallback, Settings};
 
 /// Rows whose `id % 97 == 3` carry an out-of-row LOB payload (> 8000
 /// bytes); everything else keeps a short in-row blob.
@@ -518,6 +518,231 @@ fn sums_of_extreme_magnitudes_match_the_row_path_at_every_batch_and_dop() {
     let whole = run(&mut s, SUMS[0]).unwrap();
     assert_eq!(whole[0][0], Value::F64(exact.value()));
     assert!(exact.value().is_finite() && exact.value() != 0.0);
+}
+
+// --- Typed group ids and typed call lanes ---------------------------------
+
+/// A table `G (id BIGINT, k BIGINT, n INT, x FLOAT, r REAL)` of `rows` rows
+/// whose keys a typed group index must tell apart exactly as the byte key
+/// does: `k` cycles through the `i64` extremes, `n` through the `i32` ones,
+/// `x` through `0.0`, `-0.0`, three NaNs of different bits and a value
+/// that grows with `id`, `r` through `0.0` and `-0.0`. A key of each
+/// column first appears late in the table (`id / 250`), so at DOP > 1 a
+/// group opens in a later partition than its neighbours. Its engine
+/// serves three more functions: `dbo.Half(a)` (`FLOAT`), `dbo.Whole(a)`
+/// (`BIGINT`) and `dbo.Mixed(a)`, which answers `NULL`, a `BIGINT` or a
+/// `FLOAT` by `a % 5`, so one batch of its results mixes all three.
+fn typed_session(rows: i64) -> Session {
+    let mut db = Database::new();
+    db.create_table(
+        "G",
+        Schema::new(&[
+            ("id", ColType::I64),
+            ("k", ColType::I64),
+            ("n", ColType::I32),
+            ("x", ColType::F64),
+            ("r", ColType::F32),
+        ]),
+    )
+    .unwrap();
+    let late = |id: i64| id / 250;
+    for id in 0..rows {
+        let k = [i64::MIN, i64::MAX, -1, 0, late(id), i64::MIN + 1][(id % 6) as usize];
+        let n = [i32::MIN, i32::MAX, late(id) as i32, -7][(id % 4) as usize];
+        let x = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            1.5,
+            late(id) as f64 + 0.25,
+        ][(id % 7) as usize];
+        let r = [0.0, -0.0, 2.5, -2.5, late(id) as f32][(id % 5) as usize];
+        let row = [
+            RowValue::I64(id),
+            RowValue::I64(k),
+            RowValue::I32(n),
+            RowValue::F64(x),
+            RowValue::F32(r),
+        ];
+        db.insert("G", id, &row).unwrap();
+    }
+    let (mut udfs, udas) = Engine::standard_registries();
+    udfs.register("dbo.Half", Some(1..=1), |a| {
+        Ok(Value::F64(a[0].as_f64()? / 2.0))
+    });
+    udfs.register("dbo.Whole", Some(1..=1), |a| Ok(Value::I64(a[0].as_i64()?)));
+    udfs.register("dbo.Mixed", Some(1..=1), |a| {
+        let v = a[0].as_i64()?;
+        Ok(match v.rem_euclid(5) {
+            0 => Value::Null,
+            1 | 3 => Value::I64(v),
+            _ => Value::F64(v as f64 / 4.0),
+        })
+    });
+    let engine = Engine::with_registries(db, Settings::from_env(), udfs, udas);
+    engine.session_with_hosting(HostingModel::free())
+}
+
+/// Statements over [`typed_session`]'s `G`: each GROUP BY key type through
+/// the typed index (`FLOAT` with its zeros and NaNs, `REAL`, the `BIGINT`
+/// and `INT` extremes, an `INT` column widened to `BIGINT`, a `BIT`
+/// comparison, call results), the byte key beside them, MIN/MAX ties and
+/// NaN errors inside a group, and call lanes that stay typed (`dbo.Half`,
+/// `dbo.Whole`) or demote to dynamic values (`dbo.Mixed`).
+const TYPED_QUERIES: &[&str] = &[
+    "SELECT x, COUNT(*), SUM(k % 1000), MIN(r), MAX(r), MIN(n), MAX(n) FROM G GROUP BY x",
+    "SELECT r, COUNT(*), MIN(k), MAX(k), AVG(n) FROM G GROUP BY r",
+    "SELECT k, COUNT(*), MIN(r), MAX(r), SUM(n) FROM G GROUP BY k",
+    "SELECT n, COUNT(*), MIN(k), MAX(id) FROM G GROUP BY n",
+    "SELECT n + 0, COUNT(*), MIN(k) FROM G GROUP BY n + 0",
+    "SELECT id % 3 = 0, COUNT(*), MAX(r), MIN(x * 0.0) FROM G WHERE id % 7 < 2 GROUP BY id % 3 = 0",
+    "SELECT k, x, COUNT(*) FROM G GROUP BY k, x",
+    "SELECT id % 3, MIN(r), MAX(r), MIN(x), MAX(x) FROM G WHERE id % 7 < 2 GROUP BY id % 3",
+    "SELECT n, MAX(x) FROM G GROUP BY n",
+    "SELECT id % 2, MIN(x) FROM G WHERE id % 7 = 2 OR id % 7 = 4 GROUP BY id % 2",
+    "SELECT id % 4, COUNT(*) FROM G WHERE x = 0.0 GROUP BY id % 4",
+    "SELECT SUM(dbo.Mixed(id)), COUNT(dbo.Mixed(id)), MIN(dbo.Mixed(id)), MAX(dbo.Mixed(id)) FROM G",
+    "SELECT id % 4, SUM(dbo.Mixed(id)), MIN(dbo.Half(id)), MAX(dbo.Whole(id)), COUNT(*) \
+     FROM G GROUP BY id % 4",
+    "SELECT dbo.Mixed(id % 10), COUNT(*), SUM(k % 7) FROM G GROUP BY dbo.Mixed(id % 10)",
+    "SELECT dbo.Half(id % 6), dbo.Whole(n % 3), COUNT(*) FROM G \
+     GROUP BY dbo.Half(id % 6), dbo.Whole(n % 3)",
+    "SELECT SUM(FloatArray.Item_1(FloatArray.Vector(dbo.Half(id)), 0)), MAX(dbo.Whole(id)) FROM G",
+    "SELECT id, -dbo.Mixed(id), dbo.Half(id) + 1 FROM G WHERE id % 5 <> 0 AND id % 13 = 1",
+    "SELECT -dbo.Mixed(id) FROM G WHERE id % 13 = 0",
+    "SELECT COUNT(*) FROM G WHERE dbo.Half(id) > 100.0 AND dbo.Whole(n) < 0",
+];
+
+/// Statements over the main fixture's `m`, a max-class array held in row
+/// on most rows and out of row on every 97th: the same call over an
+/// inline cell and over a LOB, folded by group and grouped on.
+const LOB_CALL_QUERIES: &[&str] = &[
+    "SELECT id % 3, SUM(FloatArrayMax.Sum(m)), MIN(FloatArrayMax.Item_1(m, 1)), \
+     COUNT(FloatArrayMax.Count(m)) FROM T GROUP BY id % 3",
+    "SELECT FloatArrayMax.Count(m), SUM(FloatArrayMax.Norm2(m)), COUNT(*) FROM T \
+     GROUP BY FloatArrayMax.Count(m)",
+    "SELECT SUM(FloatArrayMax.Item_1(m, 0)), MAX(FloatArrayMax.Item_1(m, 3)) FROM T",
+];
+
+/// What [`cold_outcome`] reports.
+type ColdOutcome = (
+    std::result::Result<Vec<Vec<Value>>, String>,
+    Option<(u64, sqlarray::storage::IoStats)>,
+);
+
+/// One statement from a cold pool: its rows or error text, and, when it
+/// succeeded, its managed calls and I/O counters (a failed statement
+/// stops where its path met the error, which a batch meets a batch late).
+fn cold_outcome(s: &mut Session, sql: &str, batch: usize, dop: usize) -> ColdOutcome {
+    s.set_batch_rows(batch);
+    s.set_dop(dop);
+    s.db().store.clear_cache();
+    match s.query(sql) {
+        Ok(r) => (Ok(r.rows), Some((r.stats.udf_calls, r.stats.io))),
+        Err(e) => (Err(e.to_string()), None),
+    }
+}
+
+/// [`assert_differential`] from a cold pool at batch {1, 7, 1024} × DOP
+/// {1, 2, 4, 8}: rows bit for bit and error text as the serial row path
+/// left them, `udf_calls` and `IoStats` as the row path at the same DOP
+/// did (each partition evaluates a grouped statement's non-aggregate items
+/// once per group it opens, so their calls count per partition). Returns
+/// the serial row path's answer.
+fn assert_cold_differential(
+    s: &mut Session,
+    sql: &str,
+) -> std::result::Result<Vec<Vec<Value>>, String> {
+    let (want, _) = cold_outcome(s, sql, 0, 1);
+    for dop in DOPS {
+        let (_, counters) = cold_outcome(s, sql, 0, dop);
+        for batch in [1, 7, 1024] {
+            let (got, got_counters) = cold_outcome(s, sql, batch, dop);
+            match (&want, &got) {
+                (Ok(w), Ok(h)) => assert!(
+                    rows_bit_identical(w, h),
+                    "batch={batch} dop={dop} diverged for {sql:?}:\nrow:   {w:?}\nbatch: {h:?}"
+                ),
+                _ => assert_eq!(want, got, "batch={batch} dop={dop}: {sql:?}"),
+            }
+            assert_eq!(
+                counters, got_counters,
+                "batch={batch} dop={dop}: udf_calls and I/O for {sql:?}"
+            );
+        }
+    }
+    s.set_batch_rows(sqlarray_core::batch::DEFAULT_BATCH_ROWS);
+    s.set_dop(1);
+    want
+}
+
+#[test]
+fn typed_group_ids_and_call_lanes_match_the_row_path() {
+    let mut s = typed_session(1500);
+    let answers: Vec<_> = TYPED_QUERIES
+        .iter()
+        .map(|sql| assert_cold_differential(&mut s, sql))
+        .collect();
+    // Not vacuous: the float keys split as their bits do — `0.0` and
+    // `-0.0` apart, each NaN pattern its own group (`-NaN` and the payload
+    // NaN apart from `NaN`) — every extreme of `k` is a group, and the
+    // groups come out in first-appearance order.
+    let by_x = answers[0].as_ref().unwrap();
+    let x_bits: Vec<u64> = by_x
+        .iter()
+        .map(|r| match r[0] {
+            Value::F64(x) => x.to_bits(),
+            ref other => panic!("{other:?}"),
+        })
+        .collect();
+    let want = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7FF8_0000_0000_0001),
+        1.5,
+        0.25,
+    ];
+    assert_eq!(x_bits[..7], want.map(f64::to_bits), "{by_x:?}");
+    let by_k = answers[2].as_ref().unwrap();
+    for extreme in [i64::MIN, i64::MAX, i64::MIN + 1] {
+        assert!(by_k.iter().any(|r| r[0] == Value::I64(extreme)), "{by_k:?}");
+    }
+    // `n` groups keep the `INT` lane's type; `n + 0` is `BIGINT`.
+    assert_eq!(answers[3].as_ref().unwrap()[0][0], Value::I32(i32::MIN));
+    assert_eq!(
+        answers[4].as_ref().unwrap()[0][0],
+        Value::I64(i32::MIN as i64)
+    );
+    // Ties: the first of `0.0`/`-0.0` wins, in scan order, per group.
+    let ties = answers[7].as_ref().unwrap();
+    assert!(
+        matches!(ties[0][3], Value::F64(z) if z.to_bits() == 0),
+        "{ties:?}"
+    );
+    // A NaN meets another value inside a group: the interpreter's error.
+    let nan = EngineError::Type("NaN comparison".into()).to_string();
+    assert_eq!(answers[8], Err(nan.clone()));
+    assert_eq!(answers[9], Err(nan));
+    // `dbo.Mixed` answers NULL, BIGINT and FLOAT in one batch: the NULLs
+    // are skipped and the rest summed exactly.
+    let mixed = answers[11].as_ref().unwrap();
+    assert_eq!(mixed[0][1], Value::I64(1500 - 300));
+    // Negating NULL is the interpreter's error, raised by both paths.
+    assert!(
+        answers[17].as_ref().unwrap_err().contains("negate"),
+        "{:?}",
+        answers[17]
+    );
+
+    let mut s = build_session(400, 0x10B5);
+    for sql in LOB_CALL_QUERIES {
+        let rows = assert_cold_differential(&mut s, sql).unwrap();
+        assert!(!rows.is_empty(), "{sql}");
+    }
 }
 
 #[test]

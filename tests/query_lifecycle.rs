@@ -17,8 +17,8 @@ use sqlarray_bench::rows_bit_identical;
 use sqlarray_core::build;
 use sqlarray_engine::faultfn::register_faults;
 use sqlarray_engine::{
-    Database, Engine, EngineError, Fault, FaultPlan, HostingModel, Session, Settings, UdaState,
-    Value,
+    Arg, Database, Engine, EngineError, Fault, FaultPlan, HostingModel, Session, Settings,
+    UdaState, Value,
 };
 use sqlarray_storage::{ColType, RowValue, Schema, StorageError, MAX_READ_RETRIES};
 use std::sync::Arc;
@@ -667,7 +667,7 @@ fn set_initializers_honour_timeout_and_cancel() {
 struct FailsAtTerminate;
 
 impl UdaState for FailsAtTerminate {
-    fn accumulate(&mut self, _: &[Value]) -> Result<(), EngineError> {
+    fn accumulate(&mut self, _: &[Arg<'_>]) -> Result<(), EngineError> {
         Ok(())
     }
     fn serialize_state(&self) -> Vec<u8> {
