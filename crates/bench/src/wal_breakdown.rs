@@ -3,20 +3,19 @@
 //! [`wal_breakdown`] walks a [`DiskImage`]'s log frame by frame and
 //! attributes every byte of it: frame headers (with the page id a write
 //! frame names), alloc and free frames, commit payloads (the catalog each
-//! commit carries), a torn tail, and the runs of the write frames — by the
-//! kind of page written, whether it was fresh (its first write since an
-//! alloc frame named it) or existing, and the form of the run: literal
-//! bytes, a copy from another page, or a copy from elsewhere on the page
-//! itself. It only counts: no run is applied. The parts sum to the log's
-//! length.
+//! commit carries), a torn tail, and the bodies of the page-write frames —
+//! by the kind of page written, whether it was fresh (its first write
+//! since an alloc frame named it) or existing, and what the frame holds:
+//! the literal byte runs of a write frame, or the edits of an edit frame by
+//! kind (insert, remove, replace, link, rebuild). It only counts: nothing
+//! is applied. The parts sum to the log's length.
 //!
 //! `cargo run --release -p sqlarray-bench --example wal_breakdown` prints
 //! the breakdown of the counter golden's write-path log.
 
 use sqlarray_storage::page::page_type;
-use sqlarray_storage::wal::{
-    self, WalRecord, COPY_RUN_HEADER, FRAME_OVERHEAD, OWN_COPY_RUN_HEADER, RUN_HEADER,
-};
+use sqlarray_storage::page::SlotEdit;
+use sqlarray_storage::wal::{self, WalRecord, FRAME_OVERHEAD, RUN_HEADER};
 use sqlarray_storage::{DiskImage, PageStore, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -52,23 +51,32 @@ impl PageKind {
     }
 }
 
-/// Log bytes the runs of some write frames take, by run form, each run's
-/// header included.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunBytes {
-    /// Literal runs: header and bytes.
-    pub literal: u64,
-    /// Copy runs from another page.
-    pub copy: u64,
-    /// Copy runs from the written page itself.
-    pub own_copy: u64,
-}
+/// The columns of a [`WriteBytes`] row: a write frame's literal runs,
+/// each run's header included, and an edit frame's edits by kind, each
+/// edit whole.
+pub const COLUMNS: [&str; 6] = ["literal", "insert", "remove", "replace", "link", "rebuild"];
 
-impl RunBytes {
-    /// All three forms.
-    pub fn total(&self) -> u64 {
-        self.literal + self.copy + self.own_copy
-    }
+/// Log bytes the bodies of some page-write frames take, by [`COLUMNS`].
+pub type WriteBytes = [u64; 6];
+
+/// The [`COLUMNS`] entry of a page-write frame's record, and its bytes
+/// there (an edit's: what it takes framed alone, past the frame header and
+/// page id).
+fn column(rec: &WalRecord<'_>) -> (usize, u64) {
+    let edit = match rec {
+        WalRecord::Write { bytes, .. } => return (0, (RUN_HEADER + bytes.len()) as u64),
+        WalRecord::Edit { edit, .. } => edit,
+        _ => unreachable!("a page-write frame holds runs or edits of one page"),
+    };
+    let col = match edit {
+        SlotEdit::Insert(..) => 1,
+        SlotEdit::Remove(..) => 2,
+        SlotEdit::Replace(..) => 3,
+        SlotEdit::Link(..) => 4,
+        SlotEdit::Rebuild(..) => 5,
+    };
+    let framed = wal::append_record(&mut Vec::new(), 0, rec);
+    (col, (framed - FRAME_OVERHEAD - 8) as u64)
 }
 
 /// Where a log's bytes go; see the module doc.
@@ -82,9 +90,9 @@ pub struct WalBreakdown {
     pub alloc_free: u64,
     /// The catalogs commit frames carry.
     pub commits: u64,
-    /// Write-frame runs by the kind of page written and whether it was
-    /// fresh (`true`) or existing.
-    pub writes: BTreeMap<(PageKind, bool), RunBytes>,
+    /// Page-write frame bodies by the kind of page written and whether it
+    /// was fresh (`true`) or existing.
+    pub writes: BTreeMap<(PageKind, bool), WriteBytes>,
     /// Bytes past the log's clean prefix.
     pub torn: u64,
 }
@@ -92,28 +100,21 @@ pub struct WalBreakdown {
 impl WalBreakdown {
     /// Every byte attributed: the log's length.
     pub fn total(&self) -> u64 {
-        let runs: u64 = self.writes.values().map(RunBytes::total).sum();
+        let runs: u64 = self.writes.values().flatten().sum();
         self.frame_headers + self.alloc_free + self.commits + runs + self.torn
     }
 }
 
 impl fmt::Display for WalBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:<24} {:>10} {:>10} {:>10} {:>10}",
-            "", "literal", "copy", "own copy", "total"
-        )?;
-        for (&(kind, fresh), runs) in &self.writes {
+        write!(f, "{:<24}", "")?;
+        COLUMNS.iter().try_for_each(|h| write!(f, " {h:>9}"))?;
+        writeln!(f, " {:>9}", "total")?;
+        for (&(kind, fresh), row) in &self.writes {
             let page = format!("{kind:?} ({})", if fresh { "fresh" } else { "existing" });
-            writeln!(
-                f,
-                "{page:<24} {:>10} {:>10} {:>10} {:>10}",
-                runs.literal,
-                runs.copy,
-                runs.own_copy,
-                runs.total()
-            )?;
+            write!(f, "{page:<24}")?;
+            row.iter().try_for_each(|c| write!(f, " {c:>9}"))?;
+            writeln!(f, " {:>9}", row.iter().sum::<u64>())?;
         }
         writeln!(
             f,
@@ -157,21 +158,13 @@ pub fn wal_breakdown(image: &DiskImage) -> Result<WalBreakdown> {
             }
             WalRecord::Free { .. } => out.alloc_free += 8,
             WalRecord::Commit { catalog } => out.commits += catalog.len() as u64,
-            WalRecord::Write { page, .. } | WalRecord::Copy { page, .. } => {
+            WalRecord::Write { page, .. } | WalRecord::Edit { page, .. } => {
                 out.frame_headers += 8;
                 let kind = PageKind::of(recovered.raw_page(*page));
                 let sum = out.writes.entry((kind, fresh.remove(page))).or_default();
                 for (_, rec) in frame {
-                    match *rec {
-                        WalRecord::Write { bytes, .. } => {
-                            sum.literal += (RUN_HEADER + bytes.len()) as u64;
-                        }
-                        WalRecord::Copy { src, .. } if src == *page => {
-                            sum.own_copy += OWN_COPY_RUN_HEADER as u64;
-                        }
-                        WalRecord::Copy { .. } => sum.copy += COPY_RUN_HEADER as u64,
-                        _ => unreachable!("a write frame holds runs of one page"),
-                    }
+                    let (col, bytes) = column(rec);
+                    sum[col] += bytes;
                 }
             }
         }
@@ -184,10 +177,10 @@ mod tests {
     use super::*;
     use sqlarray_storage::{blob, ColType, RowValue, Schema, Table};
 
-    /// A small store that writes every page kind, fresh and existing, with
-    /// every run form: a bulk load, inserts that split leaves, deletes, a
-    /// blob written and patched, and a torn tail. Its parts sum to the
-    /// log, and each form shows where it should.
+    /// A small store that writes every page kind, fresh and existing, by
+    /// literal frames and edit frames: a bulk load, inserts that split
+    /// leaves, a blob written and patched, and a torn tail. Its parts sum
+    /// to the log, and each form shows where it should.
     #[test]
     fn the_parts_sum_to_the_log() {
         let mut store = PageStore::new();
@@ -211,18 +204,23 @@ mod tests {
         assert_eq!(parts.total(), image.wal.len() as u64, "{parts}");
         assert_eq!(parts.torn, 3);
         assert_eq!(parts.commits, b"grown".len() as u64);
-        let runs = |kind, fresh| {
-            parts
-                .writes
-                .get(&(kind, fresh))
-                .copied()
-                .unwrap_or_default()
+        let runs = |kind, fresh, column| {
+            let row = parts.writes.get(&(kind, fresh)).copied();
+            row.unwrap_or_default()[COLUMNS.iter().position(|c| *c == column).unwrap()]
         };
-        assert!(runs(PageKind::Leaf, false).own_copy > 0, "{parts}");
-        assert!(runs(PageKind::Leaf, true).copy > 0, "{parts}");
-        assert!(runs(PageKind::BlobChunk, true).literal > 20_000, "{parts}");
-        assert!(runs(PageKind::BlobChunk, false).literal >= 500, "{parts}");
-        assert!(runs(PageKind::BlobRoot, true).literal > 0, "{parts}");
+        assert!(runs(PageKind::Leaf, false, "insert") > 0, "{parts}");
+        assert!(runs(PageKind::Leaf, false, "rebuild") > 0, "{parts}");
+        assert!(runs(PageKind::Leaf, true, "rebuild") > 0, "{parts}");
+        assert!(runs(PageKind::Internal, false, "insert") > 0, "{parts}");
+        assert!(
+            runs(PageKind::BlobChunk, true, "literal") > 20_000,
+            "{parts}"
+        );
+        assert!(
+            runs(PageKind::BlobChunk, false, "literal") >= 500,
+            "{parts}"
+        );
+        assert!(runs(PageKind::BlobRoot, true, "literal") > 0, "{parts}");
     }
 
     /// The counter golden's write-path log, which the example prints,

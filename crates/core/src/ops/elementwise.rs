@@ -17,6 +17,7 @@ use crate::array::SqlArray;
 use crate::complex::Complex64;
 use crate::element::{Element, ElementType};
 use crate::errors::{ArrayError, Result};
+use crate::exact::ExactSum;
 use crate::header::Header;
 
 /// The binary operation of [`zip`].
@@ -137,7 +138,10 @@ fn promote_header(a: &SqlArray, elem: ElementType) -> Result<Header> {
     }
 }
 
-/// Real dot product of two equal-length vectors (any real types).
+/// Real dot product of two arrays of equal element count (any real
+/// types), element by element in storage order. The products are summed
+/// exactly, as `Sum` sums them, so the dot product is the sum of the
+/// elementwise product bit for bit.
 pub fn dot(a: &SqlArray, b: &SqlArray) -> Result<f64> {
     if a.count() != b.count() {
         return Err(ArrayError::ShapeMismatch {
@@ -145,11 +149,31 @@ pub fn dot(a: &SqlArray, b: &SqlArray) -> Result<f64> {
             right: b.dims().to_vec(),
         });
     }
-    let mut acc = 0.0f64;
-    for lin in 0..a.count() {
-        acc += a.item_linear(lin).as_f64()? * b.item_linear(lin).as_f64()?;
+    let mut acc = ExactSum::new();
+    acc.add_iter(reals(a)?.zip(reals(b)?).map(|(x, y)| x * y));
+    Ok(acc.value())
+}
+
+/// The `f64` value of every element of `a`, in storage order, read off its
+/// payload by type. A complex element has one only when its imaginary part
+/// is zero; those arrays are read an element at a time.
+fn reals(a: &SqlArray) -> Result<Box<dyn Iterator<Item = f64> + '_>> {
+    fn view<T: Element>(p: &[u8], f: fn(T) -> f64) -> Box<dyn Iterator<Item = f64> + '_> {
+        Box::new(p.chunks_exact(T::SIZE).map(move |c| f(T::read_le(c))))
     }
-    Ok(acc)
+    let p = a.payload();
+    Ok(match a.elem() {
+        ElementType::Int8 => view::<i8>(p, |v| v as f64),
+        ElementType::Int16 => view::<i16>(p, |v| v as f64),
+        ElementType::Int32 => view::<i32>(p, |v| v as f64),
+        ElementType::Int64 => view::<i64>(p, |v| v as f64),
+        ElementType::Float32 => view::<f32>(p, |v| v as f64),
+        ElementType::Float64 => view::<f64>(p, |v| v),
+        ElementType::Complex32 | ElementType::Complex64 => {
+            let values = (0..a.count()).map(|lin| a.item_linear(lin).as_f64());
+            Box::new(values.collect::<Result<Vec<f64>>>()?.into_iter())
+        }
+    })
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::errors::{ArrayError, Result};
 /// Invariants enforced at construction: rank ≥ 1 and every dimension ≥ 1,
 /// and the total element count does not overflow `usize`.
 ///
-/// A shape of rank ≤ [`INLINE_RANK`] (every short array's) keeps its
+/// A shape of rank ≤ `INLINE_RANK` (every short array's) keeps its
 /// dimensions inline, so decoding a header allocates nothing; a higher
 /// rank holds them on the heap. The element count is computed once, when
 /// the shape is built.

@@ -246,7 +246,8 @@ pub(crate) enum BItem {
     /// (the column is still decoded, so the plan stays leaf-aligned).
     Agg(Option<BExpr>),
     /// Non-aggregate item inside an aggregate query: evaluated once per
-    /// group, at the row that opened it (the row interpreter's semantics).
+    /// group, at the row that opened it (the row interpreter's semantics),
+    /// unless it repeats a `GROUP BY` key, whose value it then takes.
     Plain(BExpr),
 }
 

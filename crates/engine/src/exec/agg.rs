@@ -66,12 +66,48 @@ impl GroupKey {
         Ok(())
     }
 
+    /// Component `k` of the key: the value [`push`](Self::push) encoded
+    /// there, bit for bit (a LOB as the bytes it was resolved to).
+    fn value(&self, k: usize) -> Value {
+        let mut rest = &self.0[..];
+        for _ in 0..k {
+            rest = &rest[decode_front(rest).1..];
+        }
+        decode_front(rest).0
+    }
+
     /// Appends a binary value — what [`push`](Self::push) does for
     /// [`Value::Bytes`], callable straight on a batch's blob cell.
     fn push_bytes(&mut self, b: &[u8]) {
         self.0.push(5);
         self.0.extend_from_slice(&(b.len() as u64).to_le_bytes());
         self.0.extend_from_slice(b);
+    }
+}
+
+/// The value at the front of an encoded [`GroupKey`], and the bytes it
+/// takes there.
+fn decode_front(b: &[u8]) -> (Value, usize) {
+    let word = |n: usize| {
+        let mut w = [0u8; 8];
+        w[..n].copy_from_slice(&b[1..1 + n]);
+        u64::from_le_bytes(w)
+    };
+    match b[0] {
+        0 => (Value::Null, 1),
+        1 => (Value::I64(word(8) as i64), 9),
+        2 => (Value::I32(word(4) as u32 as i32), 5),
+        3 => (Value::F64(f64::from_bits(word(8))), 9),
+        4 => (Value::F32(f32::from_bits(word(4) as u32)), 5),
+        7 => (Value::Bool(b[1] != 0), 2),
+        tag => {
+            let bytes = &b[9..9 + word(8) as usize];
+            let v = match tag {
+                5 => Value::Bytes(bytes.to_vec()),
+                _ => Value::Str(String::from_utf8_lossy(bytes).into_owned()),
+            };
+            (v, 9 + bytes.len())
+        }
     }
 }
 
@@ -115,6 +151,18 @@ fn make_acc(item_expr: &Expr, udas: &UdaRegistry) -> Result<ItemAcc> {
         },
         _ => ItemAcc::Plain { value: None },
     })
+}
+
+/// For each select-list item, the `GROUP BY` key it repeats, if it is not
+/// an aggregate: the item takes the value its group's key opened with, so
+/// it is evaluated nowhere — at any DOP, a group's key is evaluated once
+/// per row and the item never.
+pub(super) fn keyed_items(items: &[SelectItem], group_by: &[Expr]) -> Vec<Option<usize>> {
+    let keyed = |e: &Expr| match e {
+        Expr::Agg { .. } | Expr::UdaCall { .. } => None,
+        e => group_by.iter().position(|g| g == e),
+    };
+    items.iter().map(|it| keyed(&it.expr)).collect()
 }
 
 /// One fresh accumulator per select-list item — the state of one group.
@@ -471,15 +519,25 @@ impl Groups {
     /// accumulates: each new group charges its key (stored twice — order
     /// list and index) plus its accumulator row against the statement's
     /// budget before it is inserted.
+    ///
+    /// `keyed[i]` is the `GROUP BY` key select item `i` repeats, if any
+    /// ([`keyed_items`]): such an item takes that key's value here.
     pub fn open(
         &mut self,
         key: &GroupKey,
         items: &[SelectItem],
+        keyed: &[Option<usize>],
         udas: &UdaRegistry,
         query: &QueryCtx,
     ) -> Result<usize> {
         query.charge((2 * key.0.len() + items.len() * std::mem::size_of::<ItemAcc>()) as u64)?;
-        Ok(self.insert(key.clone(), make_accs(items, udas)?))
+        let mut accs = make_accs(items, udas)?;
+        for (acc, k) in accs.iter_mut().zip(keyed) {
+            if let Some(k) = k {
+                acc.set_plain(key.value(*k))?;
+            }
+        }
+        Ok(self.insert(key.clone(), accs))
     }
 
     /// The accumulator row of the group at `pos`.
@@ -548,6 +606,8 @@ pub(super) struct BatchAgg<'a> {
     /// Batch rows of the current selection that opened a group, in order
     /// — the rows non-aggregate items are evaluated at.
     opened: Vec<u32>,
+    /// For each item, the `GROUP BY` key it repeats ([`keyed_items`]).
+    keyed: Vec<Option<usize>>,
     /// Ungrouped plans: the one global group has not seen a row yet.
     unprimed: bool,
 }
@@ -724,7 +784,7 @@ impl Parts {
 impl<'a> BatchAgg<'a> {
     pub fn new(
         plan: &'a BatchPlan,
-        items: &'a [SelectItem],
+        (items, group_by): (&'a [SelectItem], &[Expr]),
         udas: &'a UdaRegistry,
         query: QueryCtx,
     ) -> Result<BatchAgg<'a>> {
@@ -743,6 +803,7 @@ impl<'a> BatchAgg<'a> {
             gids: Vec::new(),
             parts: Parts::default(),
             opened: Vec::new(),
+            keyed: keyed_items(items, group_by),
             unprimed: true,
         })
     }
@@ -790,7 +851,8 @@ impl<'a> BatchAgg<'a> {
                         accs[0][k].bump(sel.len() as u64)?;
                     }
                 }
-                BItem::Plain(e) => {
+                // An item that repeats a key took its value at the open.
+                BItem::Plain(e) if self.keyed[k].is_none() => {
                     if !self.opened.is_empty() {
                         let mut lane = crate::batch::eval(e, b, &self.opened, env)?;
                         for j in 0..self.opened.len() {
@@ -798,6 +860,7 @@ impl<'a> BatchAgg<'a> {
                         }
                     }
                 }
+                BItem::Plain(_) => {}
                 BItem::Proj(_) | BItem::ProjBlob(_) => {
                     return Err(EngineError::Type(
                         "batch plan error: projection item in an aggregate".into(),
@@ -901,8 +964,9 @@ impl<'a> BatchAgg<'a> {
             Some(g) => g,
             None => {
                 self.opened.push(row);
+                let (items, keyed) = (self.items, &self.keyed);
                 self.groups
-                    .open(&self.key, self.items, self.udas, &self.query)?
+                    .open(&self.key, items, keyed, self.udas, &self.query)?
             }
         };
         Ok(gid as u32)

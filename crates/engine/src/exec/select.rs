@@ -6,7 +6,7 @@
 //! clustered key, so a write by key seeks exactly as a read by key does.
 
 use super::access::KeyRange;
-use super::agg::{make_accs, BatchAgg, GroupKey, Groups};
+use super::agg::{keyed_items, make_accs, BatchAgg, GroupKey, Groups};
 use super::scan::{eval_scalars, run_scan, ScanTotals, ScanWorker};
 use super::{QueryResult, SelectOpts, StmtCtx};
 use crate::aggregate::UdaRegistry;
@@ -205,6 +205,7 @@ impl<'a> SelectJob<'a> {
         // re-fills one buffer instead of growing a fresh Vec per row; it
         // is cloned only when a new group is inserted.
         let mut group_key = GroupKey::default();
+        let keyed = keyed_items(self.items, self.group_by);
         w.for_each_row(|env, key, bytes| {
             let row = RowCtx { schema, bytes, key };
             if !self.passes_where(&row, env)? {
@@ -223,7 +224,7 @@ impl<'a> SelectJob<'a> {
                 }
                 match groups.find(&group_key) {
                     Some(pos) => pos,
-                    None => groups.open(&group_key, self.items, self.opts.udas, &query)?,
+                    None => groups.open(&group_key, self.items, &keyed, self.opts.udas, &query)?,
                 }
             };
             for (acc, it) in groups.accs_mut(pos).iter_mut().zip(self.items) {
@@ -284,7 +285,8 @@ impl<'a> SelectJob<'a> {
         };
 
         if self.has_aggregate {
-            let mut agg = BatchAgg::new(plan, self.items, self.opts.udas, query.clone())?;
+            let items = (self.items, self.group_by);
+            let mut agg = BatchAgg::new(plan, items, self.opts.udas, query.clone())?;
             w.for_each_batch(plan, self.opts.batch_rows, |env, b| {
                 charge(b)?;
                 select(b, &mut sel, (0, b.len()), env)?;

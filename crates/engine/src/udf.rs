@@ -72,6 +72,10 @@ impl Udf {
     }
 }
 
+/// Bytes of a function name [`UdfRegistry::resolve`] lowercases without
+/// a heap allocation; longer names take one.
+const NAME_BUF: usize = 64;
+
 /// Name → function registry, case-insensitive. Entries are shared
 /// (`Arc`) so a compiled plan can hold its callees past the lookup.
 #[derive(Default)]
@@ -119,17 +123,25 @@ impl UdfRegistry {
     }
 
     /// Looks a function up, resolving `Name_N` numbered variants to their
-    /// variadic base registration.
+    /// variadic base registration. A row-path call resolves once per row,
+    /// so a name of up to `NAME_BUF` (64) bytes is lowercased on the stack.
     pub fn resolve(&self, name: &str) -> Option<&Arc<Udf>> {
-        let lower = name.to_ascii_lowercase();
-        if let Some(u) = self.funcs.get(&lower) {
-            return Some(u);
-        }
-        let base = strip_numbered_suffix(&lower);
-        if base.len() != lower.len() {
-            return self.funcs.get(base);
-        }
-        None
+        let mut buf = [0u8; NAME_BUF];
+        let owned;
+        let lower = match buf.get_mut(..name.len()) {
+            Some(bytes) => {
+                bytes.copy_from_slice(name.as_bytes());
+                bytes.make_ascii_lowercase();
+                // Lowercasing ASCII bytes keeps the name UTF-8.
+                std::str::from_utf8(bytes).ok()?
+            }
+            None => {
+                owned = name.to_ascii_lowercase();
+                owned.as_str()
+            }
+        };
+        let numbered = || self.funcs.get(strip_numbered_suffix(lower));
+        self.funcs.get(lower).or_else(numbered)
     }
 
     /// Invokes a function by name over borrowed arguments, charging the

@@ -284,3 +284,52 @@ fn reductions_over_extreme_magnitudes_change_no_bit() {
         }
     }
 }
+
+/// `Dot(v, w)` is `Sum(Multiply(v, w))` bit for bit over `float` arrays:
+/// a product sum that cancels to 1 (which summing in order gets as 0),
+/// and random shapes of both storage classes filled with extreme values —
+/// magnitudes far apart, subnormals, signed zeros and, now and then, NaN
+/// and ±∞ — through the registry.
+#[test]
+fn dot_is_the_sum_of_the_elementwise_product() {
+    let mut reg = UdfRegistry::new();
+    register_all(&mut reg);
+    let call = |func: &str, args: &[Arg<'_>]| {
+        reg.call(func, args, &mut HostingModel::free())
+            .unwrap_or_else(|e| panic!("{func}: {e}"))
+    };
+    let check = |class, dims: &[usize], v: &[f64], w: &[f64]| {
+        let schema = schema_name(ElementType::Float64, class);
+        let (v, w) = (
+            SqlArray::from_vec(class, dims, v).unwrap(),
+            SqlArray::from_vec(class, dims, w).unwrap(),
+        );
+        let args = [Arg::Bytes(v.as_blob()), Arg::Bytes(w.as_blob())];
+        let dot = call(&format!("{schema}.Dot"), &args);
+        let Value::Bytes(product) = call(&format!("{schema}.Multiply"), &args) else {
+            panic!("Multiply returns an array blob");
+        };
+        let sum = call(&format!("{schema}.Sum"), &[Arg::Bytes(&product)]);
+        assert!(same_bits(&dot, &sum), "{dims:?}: {dot:?} vs {sum:?}");
+        dot
+    };
+    let cancels = [1e100, 1.0, -1e100];
+    let dot = check(StorageClass::Short, &[3], &cancels, &[1.0; 3]);
+    assert!(same_bits(&dot, &Value::F64(1.0)), "{dot:?}");
+    let mut rng = StdRng::seed_from_u64(0xD07);
+    for case in 0..300 {
+        let rank = 1 + rng.next_u64() % 3;
+        let dims: Vec<usize> = (0..rank)
+            .map(|_| 1 + (rng.next_u64() % 9) as usize)
+            .collect();
+        let n: usize = dims.iter().product();
+        let class = [StorageClass::Short, StorageClass::Max][case % 2];
+        let mut fill = |big| -> Vec<f64> {
+            (0..n)
+                .map(|_| extreme(&mut rng, big, case % 3 == 0))
+                .collect()
+        };
+        let (v, w) = (fill(1e150), fill([1e150, 1e-150, 1.0][case % 3]));
+        check(class, &dims, &v, &w);
+    }
+}

@@ -8,8 +8,9 @@
 //! in a different order (PR 5: `agg::sum` disagreed with the engine's
 //! parallel `SUM` until it was moved onto the Kulisch accumulator).
 //!
-//! Scope: the aggregation surfaces — `core::ops::agg`, the engine's
-//! aggregate/UDA merge paths, and the executor. The rule tracks
+//! Scope: the aggregation surfaces — the array kernels of `core::ops`
+//! (the reductions of `agg` and the dot product of `elementwise`), the
+//! engine's aggregate/UDA merge paths, and the executor. The rule tracks
 //! identifiers bound with an `f64`/`f32` type or a float literal and
 //! flags `+=` on them, plus any `.sum(`/`.sum::<…>(` iterator fold.
 
@@ -23,7 +24,7 @@ use std::collections::HashSet;
 /// whole directories, so splitting the executor into more files can never
 /// drop one of them out of the rule.
 const SCOPE: &[&str] = &[
-    "crates/core/src/ops/agg.rs",
+    "crates/core/src/ops/",
     "crates/engine/src/aggregate.rs",
     "crates/engine/src/exec/",
     "crates/engine/src/udf.rs",

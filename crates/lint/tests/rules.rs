@@ -54,9 +54,19 @@ fn l002_covers_every_file_of_the_executor_directory() {
 }
 
 #[test]
+fn l002_covers_every_file_of_the_array_kernels() {
+    let pos = include_str!("../fixtures/l002_pos.rs");
+    for file in ["agg.rs", "elementwise.rs", "a_future_kernel.rs"] {
+        let path = format!("crates/core/src/ops/{file}");
+        assert_eq!(count(&path, pos, "L002"), 2, "{path}");
+    }
+}
+
+#[test]
 fn l002_only_watches_aggregation_paths() {
     let pos = include_str!("../fixtures/l002_pos.rs");
-    assert_eq!(count("crates/core/src/ops/elementwise.rs", pos, "L002"), 0);
+    assert_eq!(count("crates/core/src/exact.rs", pos, "L002"), 0);
+    assert_eq!(count("crates/linalg/src/blas.rs", pos, "L002"), 0);
 }
 
 #[test]

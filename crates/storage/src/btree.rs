@@ -50,19 +50,27 @@
 //! the one that applying the ops one call at a time leaves — only the
 //! WAL, which logs one frame per leaf write, is shorter.
 //!
-//! **Moves are stated, not found.** A tree write knows what it moved: for
-//! each slot of the image it builds, it records which slot of the store's
-//! page the record came from (`None` for a record it made). Its install
-//! claims ([`MoveClaim`]) each record that moved, and on the node's own
-//! page each directory entry that shifted, read off that list
-//! (`claims_of`); the store logs a claim that holds as a copy run.
+//! **Edits are logged, not found.** A tree write makes its pages by the
+//! edits of [`SlotEdit`] — insert, remove or replace a slot's record, set
+//! the link, rebuild the page from a list of records — each performed by
+//! `page::apply_edit` and handed to the page's install, which logs them
+//! in place of the bytes they changed when that is shorter; replay
+//! performs them again through the same function. A rebuild names each
+//! record it keeps by its slot: on the page itself, as the write's earlier
+//! edits left it, or — for a split's fresh pages, installed before the
+//! leaf they leave — on the store's leaf as the group's descent read it.
+//! A record the group put is carried as bytes: the group's `origin` says,
+//! for each slot of its copy, which slot of the store's leaf holds the
+//! same record.
 
 use crate::errors::{Result, StorageError};
 use crate::page::{
-    page_type, PageId, SlottedPage, SlottedRead, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_LEN,
+    apply_edit, page_type, PageId, Piece, SlotEdit, SlottedPage, SlottedRead, PAGE_HEADER_LEN,
+    PAGE_SIZE, SLOT_LEN,
 };
 use crate::store::{PageBuf, PageStore};
-use crate::wal::MoveClaim;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::ops::{Range, RangeInclusive};
 
 /// Largest payload storable in a leaf record (key bytes deducted). Rows
@@ -134,65 +142,6 @@ fn tree_node(bytes: &[u8], kind: u8, page: PageId) -> Result<SlottedRead<'_>> {
     })
 }
 
-/// What node image `to`, about to be written to page `dst`, holds of page
-/// `src` as the store holds it — the image before the write — at another
-/// place, as the edit that built `to` recorded it: slot `j` of `to` holds
-/// the record of slot `origin[j]` of `src`, or one the edit made (`None`).
-/// Such a record is claimed where it moved; on its own page (`src` is
-/// `dst`), a record whose directory entry is unchanged but sits at another
-/// slot is claimed by that entry. Claims that continue each other on both
-/// pages are one claim, so a shifted directory or a run of re-packed
-/// records costs the store one check. The claims ascend by `dst_off`, as
-/// `PageStore::install` takes them. Neither image is trusted: a damaged
-/// directory entry claims nothing, and the store logs a claim as a copy
-/// run only where the bytes match.
-fn claims_of(
-    store: &PageStore,
-    (kind, src): (u8, PageId),
-    (dst, to): (PageId, &[u8]),
-    origin: &[Option<usize>],
-) -> Vec<MoveClaim> {
-    let mut claims: Vec<MoveClaim> = Vec::new();
-    let from = store.raw_page(src).map(|b| SlottedRead::open(b, kind, src));
-    let (Some(Ok(from)), Ok(to)) = (from, SlottedRead::open(to, kind, dst)) else {
-        return claims;
-    };
-    let entry = |slot: usize| PAGE_SIZE - (slot + 1) * SLOT_LEN;
-    let dir = |v: &SlottedRead<'_>, slot| sqlarray_core::le::u32_at(v.bytes(), entry(slot));
-    for (j, &i) in origin.iter().enumerate() {
-        let Some(i) = i.filter(|&i| i < from.slot_count() && j < to.slot_count()) else {
-            continue;
-        };
-        let c = if src == dst && dir(&from, i) == dir(&to, j) {
-            if i == j {
-                continue;
-            }
-            (entry(i), entry(j), SLOT_LEN)
-        } else {
-            match (from.record_range(i), to.record_range(j)) {
-                (Ok(o), Ok(r)) if o.len() == r.len() => (o.start, r.start, r.len()),
-                _ => continue,
-            }
-        };
-        // A record's claim may continue the last one upward, a directory
-        // entry's (one slot on) downward.
-        match claims.last_mut() {
-            Some(l) if (l.src_off + l.len, l.dst_off + l.len) == (c.0, c.1) => l.len += c.2,
-            Some(l) if (c.0 + c.2, c.1 + c.2) == (l.src_off, l.dst_off) => {
-                (l.src_off, l.dst_off, l.len) = (c.0, c.1, l.len + c.2);
-            }
-            _ => claims.push(MoveClaim {
-                src,
-                src_off: c.0,
-                dst_off: c.1,
-                len: c.2,
-            }),
-        }
-    }
-    claims.sort_unstable_by_key(|c| c.dst_off);
-    claims
-}
-
 /// Pushes a record the surrounding fill arithmetic already sized to fit,
 /// onto a page image no store write is open on.
 fn push_sized(p: &mut SlottedPage<'_>, rec: &[u8]) {
@@ -200,16 +149,29 @@ fn push_sized(p: &mut SlottedPage<'_>, rec: &[u8]) {
     let _slot = p.push_record(rec).expect("sized to fit by the caller");
 }
 
-/// Writes `records` as the whole content of an empty slotted page.
-fn push_all(p: &mut SlottedPage<'_>, records: &[&[u8]]) -> Result<()> {
-    records.iter().try_for_each(|r| p.push_record(r).map(drop))
+/// The pieces of a rebuild that pushes `records` in order, consecutive
+/// slots of one page as one piece.
+fn pieces<'a>(records: impl Iterator<Item = Piece<'a>>) -> Vec<Piece<'a>> {
+    let mut out: Vec<Piece<'a>> = Vec::new();
+    for piece in records {
+        match (out.last_mut(), piece) {
+            (Some(Piece::Slots(src, slots)), Piece::Slots(s, next))
+                if *src == s && slots.end == next.start =>
+            {
+                slots.end = next.end;
+            }
+            (_, piece) => out.push(piece),
+        }
+    }
+    out
 }
 
-/// Appends `(separator, child)` entries to an internal page.
-fn push_entries(p: &mut SlottedPage<'_>, entries: &[(i64, PageId)]) -> Result<()> {
-    entries
-        .iter()
-        .try_for_each(|&(k, c)| p.push_record(&encode_internal(k, c)).map(drop))
+/// Builds fresh page `id` by `edit` in a blank buffer — the records it
+/// names read off the store's pages — and installs it.
+fn install_fresh(store: &mut PageStore, id: PageId, edit: SlotEdit<'_>) -> Result<()> {
+    let mut page = store.blank_page();
+    apply_edit(&mut page, id, &edit, &|p| store.live_page(p))?;
+    store.install(id, page, std::slice::from_ref(&edit))
 }
 
 fn encode_internal(key: i64, child: PageId) -> [u8; 16] {
@@ -251,15 +213,32 @@ struct Found<'s> {
     end: Option<i64>,
 }
 
-/// A leaf group's edit: the store's private copy of the leaf, and for each
-/// of the copy's slots the slot of the store's leaf its record came from
-/// (`None`: a record the group put) — what the copy's install claims.
+/// A leaf group's edit: the store's private copy of the leaf, the edits
+/// made on it, and for each of the copy's slots the slot of the store's
+/// leaf that holds the same record (`None`: a record the group put) — what
+/// a split's fresh pages take from the store's leaf.
 struct LeafEdit {
     leaf: PageId,
     page: PageBuf,
+    edits: Vec<SlotEdit<'static>>,
     origin: Vec<Option<usize>>,
     /// The slot of the group's last key: the next key's search starts here.
     from: usize,
+}
+
+impl LeafEdit {
+    /// Performs `edit` on the copy and records it; a removal of the slot
+    /// the last edit removed is one more of that edit.
+    fn edit(&mut self, edit: SlotEdit<'static>) -> Result<()> {
+        apply_edit(&mut self.page, self.leaf, &edit, &|_| None)?;
+        match (self.edits.last_mut(), edit) {
+            (Some(SlotEdit::Remove(slot, count)), SlotEdit::Remove(s, n)) if *slot == s => {
+                *count += n;
+            }
+            (_, edit) => self.edits.push(edit),
+        }
+        Ok(())
+    }
 }
 
 /// Which step of the placement rule takes a record (see the module doc).
@@ -388,9 +367,8 @@ impl BTree {
     /// Creates an empty tree (a single empty leaf).
     pub fn create(store: &mut PageStore) -> Result<BTree> {
         let root = store.allocate();
-        let mut page = store.blank_page();
-        SlottedPage::init(&mut page, page_type::BTREE_LEAF);
-        store.install(root, page, &[])?;
+        let empty = SlotEdit::Rebuild(page_type::BTREE_LEAF, None, Vec::new());
+        install_fresh(store, root, empty)?;
         Ok(BTree {
             root,
             first_leaf: root,
@@ -512,6 +490,7 @@ impl BTree {
             let mut leaf = LeafEdit {
                 page: store.copy_page(leaf)?,
                 leaf,
+                edits: Vec::new(),
                 origin,
                 from,
             };
@@ -520,23 +499,18 @@ impl BTree {
                 .iter()
                 .take_while(|&&k| end.map_or(true, |end| k < end));
             let group = next + bounded.count();
-            let (mut dirty, mut ended) = (false, Ok(Vec::new()));
+            let mut ended = Ok(Vec::new());
             // A split or an append ends the group early.
             while next < group && ended.as_ref().is_ok_and(Vec::is_empty) {
                 let step = self.step(store, &mut leaf, (next, keys[next]), &mut edit);
                 next += 1;
                 ended = step.map(|placed| {
-                    dirty |= placed.is_some();
                     changed += u64::from(placed.is_some());
                     placed.unwrap_or_default()
                 });
             }
-            if dirty {
-                // The store's leaf is still the image the descent read:
-                // the group wrote only other pages.
-                let (id, kind) = (leaf.leaf, page_type::BTREE_LEAF);
-                let claims = claims_of(store, (kind, id), (id, &leaf.page), &leaf.origin);
-                store.install(id, leaf.page, &claims)?;
+            if !leaf.edits.is_empty() {
+                store.install(leaf.leaf, leaf.page, &leaf.edits)?;
             }
             self.push_up(store, &path, ended?)?;
         }
@@ -569,7 +543,7 @@ impl BTree {
         let payload = match edit(store, i, old)? {
             Edit::Put(payload) => payload,
             Edit::Delete if hit => {
-                SlottedPage::open(&mut leaf.page, kind, id)?.remove_slot(slot)?;
+                leaf.edit(SlotEdit::Remove(slot, 1))?;
                 leaf.origin.remove(slot);
                 self.len -= 1;
                 return Ok(Some(Vec::new()));
@@ -582,31 +556,30 @@ impl BTree {
         let placement = Placement::choose(&v, slot, rec.len(), hit)?;
         let splits = match placement {
             Placement::Tail => {
-                let mut p = SlottedPage::open(&mut leaf.page, kind, id)?;
+                let rec = Cow::Owned(rec);
                 if hit {
-                    p.replace_record(slot, &rec)?;
+                    leaf.edit(SlotEdit::Replace(slot, rec))?;
+                    leaf.origin[slot] = None;
                 } else {
-                    p.insert_record(slot, &rec)?;
+                    leaf.edit(SlotEdit::Insert(slot, rec))?;
                     leaf.origin.insert(slot, None);
                 }
                 Vec::new()
             }
             Placement::Append => {
                 let right = store.allocate();
-                let mut page = store.blank_page();
-                SlottedPage::init(&mut page, kind).push_record(&rec)?;
-                store.install(right, page, &[])?;
-                let mut p = SlottedPage::open(&mut leaf.page, kind, id)?;
+                let records = vec![Piece::Bytes(Cow::Borrowed(&rec[..]))];
+                install_fresh(store, right, SlotEdit::Rebuild(kind, None, records))?;
                 if hit {
-                    p.remove_slot(slot)?;
+                    leaf.edit(SlotEdit::Remove(slot, 1))?;
                     leaf.origin.remove(slot);
                 }
-                p.set_next_page(Some(right));
+                leaf.edit(SlotEdit::Link(Some(right)))?;
                 vec![(key, right)]
             }
             Placement::Compact | Placement::Split => {
                 let split = matches!(placement, Placement::Split);
-                Self::rebuild_leaf(store, leaf, (slot, &rec, hit), split)?
+                Self::rebuild_leaf(store, leaf, (slot, rec, hit), split)?
             }
         };
         self.len += u64::from(!hit);
@@ -632,11 +605,11 @@ impl BTree {
             // split into up to three pages (two separators); the new
             // internal root trivially holds them.
             let new_root = store.allocate();
-            let mut page = store.blank_page();
-            let mut p = SlottedPage::init(&mut page, page_type::BTREE_INTERNAL);
-            p.set_next_page(Some(self.root)); // leftmost child
-            push_entries(&mut p, &splits)?;
-            store.install(new_root, page, &[])?;
+            let entries = splits.iter().map(|&(k, c)| encode_internal(k, c).to_vec());
+            let entries = entries.map(|e| Piece::Bytes(Cow::Owned(e))).collect();
+            // The old root is the new one's leftmost child.
+            let root = SlotEdit::Rebuild(page_type::BTREE_INTERNAL, Some(self.root), entries);
+            install_fresh(store, new_root, root)?;
             self.root = new_root;
             self.depth += 1;
         }
@@ -647,19 +620,16 @@ impl BTree {
     /// there when `replace`. A compaction puts all the records back onto
     /// the leaf's copy; a `split` puts its first group there and each
     /// further group onto a fresh page chained after it, the last linking
-    /// on to where the leaf linked. The copy is rebuilt in place, so the
-    /// records are copied aside first, once.
+    /// on to where the leaf linked.
     ///
-    /// Each fresh page is built in a blank buffer, and its install claims
-    /// the records it holds of the store's leaf ([`claims_of`]), read off
-    /// the group's `origin`. The store's leaf still holds its image from
-    /// before the group (it is installed after the fresh pages), so a
-    /// record no earlier edit of the group changed is there, and is logged
-    /// as a reference to it.
+    /// Each fresh page is built and installed first, by a rebuild that
+    /// takes the records the store's leaf holds from there — the group has
+    /// not written it yet — and carries the others ([`LeafEdit`]'s
+    /// `origin`). The copy is then rebuilt from its own slots and `rec`.
     fn rebuild_leaf(
         store: &mut PageStore,
         leaf: &mut LeafEdit,
-        (slot, rec, replace): (usize, &[u8], bool),
+        (slot, mut rec, replace): (usize, Vec<u8>, bool),
         split: bool,
     ) -> Result<SplitInfo> {
         let (id, kind) = (leaf.leaf, page_type::BTREE_LEAF);
@@ -670,19 +640,11 @@ impl BTree {
             records.push(&leaf.page[r?]);
         }
         if replace {
-            records[slot] = rec;
+            (records[slot], leaf.origin[slot]) = (&rec, None);
         } else {
-            records.insert(slot, rec);
+            records.insert(slot, &rec);
             leaf.origin.insert(slot, None);
         }
-        let (kept, mut end) = (records.concat(), 0);
-        let records: Vec<&[u8]> = records
-            .iter()
-            .map(|r| {
-                end += r.len();
-                &kept[end - r.len()..end]
-            })
-            .collect();
         let groups = match split {
             true => split_groups(&records),
             false => vec![&records[..]],
@@ -696,34 +658,38 @@ impl BTree {
             .zip(&pages)
             .map(|(g, &pid)| Ok((leaf_key(g[0])?, pid)))
             .collect::<Result<_>>()?;
-        let mut at = first.len();
+        let (left, mut at) = (first.len(), first.len());
         for (gi, (g, &pid)) in rest.iter().zip(&pages).enumerate() {
-            let mut page = store.blank_page();
-            let mut p = SlottedPage::init(&mut page, kind);
-            push_all(&mut p, g)?;
-            p.set_next_page(pages.get(gi + 1).copied().or(next));
-            let origin = &leaf.origin[at..at + g.len()];
-            let claims = claims_of(store, (kind, id), (pid, &page), origin);
-            store.install(pid, page, &claims)?;
+            let kept = (at..at + g.len()).map(|j| match leaf.origin[j] {
+                Some(i) => Piece::Slots(id, i..i + 1),
+                None => Piece::Bytes(Cow::Borrowed(records[j])),
+            });
+            let fresh = SlotEdit::Rebuild(kind, pages.get(gi + 1).copied().or(next), pieces(kept));
+            install_fresh(store, pid, fresh)?;
             at += g.len();
         }
-        let mut p = SlottedPage::open(&mut leaf.page, kind, id)?;
-        p.reset();
-        push_all(&mut p, first)?;
-        p.set_next_page(pages.first().copied().or(next));
-        leaf.origin.truncate(first.len());
+        // Record `p` of the rebuilt leaf is `rec`, or the copy's slot `p` —
+        // one less past `rec` when it went in as a new record.
+        let shift = usize::from(!replace);
+        let kept = (0..left).map(|p| match p.cmp(&slot) {
+            Ordering::Less => Piece::Slots(id, p..p + 1),
+            Ordering::Equal => Piece::Bytes(Cow::Owned(std::mem::take(&mut rec))),
+            Ordering::Greater => Piece::Slots(id, p - shift..p - shift + 1),
+        });
+        let next = pages.first().copied().or(next);
+        leaf.edit(SlotEdit::Rebuild(kind, next, pieces(kept)))?;
+        leaf.origin.truncate(left);
         Ok(splits)
     }
 
     /// Adds `seps` to internal node `page` right after the slot the
     /// descent left it through, splitting the node when they do not fit.
     ///
-    /// The node's new image is built on the store's private copy of it,
-    /// and its install claims what stayed on the page at another place
-    /// ([`claims_of`]): the directory entries the separators shift, which
-    /// start at `insert_pos`, and the entries a split's left half
-    /// re-packs. A split installs the fresh right node first, claiming its
-    /// entries from the node it leaves while the node still holds them.
+    /// The separators go in by inserts on the store's private copy of the
+    /// node. A split's middle entry moves up; the fresh right node is
+    /// built and installed first, taking its entries from the node they
+    /// leave while the node still holds them, then the node is rebuilt
+    /// from its own slots and the separators that stay.
     fn insert_internal(
         store: &mut PageStore,
         page: PageId,
@@ -740,49 +706,47 @@ impl BTree {
         store.read(page)?;
         let mut node = store.copy_page(page)?;
         let v = SlottedRead::open(&node, kind, page)?;
-        // Where each entry of the node, separators in, came from.
         let (n, k) = (v.slot_count(), seps.len());
-        let origin: Vec<Option<usize>> = (0..n + k)
-            .map(|e| match e.checked_sub(insert_pos) {
-                None => Some(e),
-                Some(past) if past < k => None,
-                Some(_) => Some(e - k),
-            })
-            .collect();
-        let (mut splits, mut left) = (Vec::new(), &origin[..]);
-        if k * (16 + SLOT_LEN) <= v.free_tail() {
-            let mut p = SlottedPage::open(&mut node, kind, page)?;
-            seps.iter().enumerate().try_for_each(|(i, &(sep, child))| {
-                p.insert_record(insert_pos + i, &encode_internal(sep, child))
-            })?;
+        let encoded: Vec<[u8; 16]> = seps.iter().map(|&(s, c)| encode_internal(s, c)).collect();
+        let mut splits = Vec::new();
+        let edits: Vec<SlotEdit<'_>> = if k * (16 + SLOT_LEN) <= v.free_tail() {
+            let at = insert_pos..insert_pos + k;
+            let rec = encoded.iter().map(|e| Cow::Borrowed(&e[..]));
+            at.zip(rec)
+                .map(|(slot, rec)| SlotEdit::Insert(slot, rec))
+                .collect()
         } else {
             // Split the internal node: middle key moves up. Entries are 16
             // bytes each, so (unlike leaves) a two-way split always fits.
-            let mut entries: Vec<(i64, PageId)> = (0..n)
-                .map(|i| internal_entry(v.record(i)?))
-                .collect::<Result<_>>()?;
+            // Entry `e` of the node with the separators in, on page `src`.
+            let entry = |e: usize, src| match e.checked_sub(insert_pos) {
+                None => Piece::Slots(src, e..e + 1),
+                Some(past) if past < k => Piece::Bytes(Cow::Borrowed(&encoded[past][..])),
+                Some(_) => Piece::Slots(src, e - k..e - k + 1),
+            };
+            let mid = (n + k) / 2;
+            let (up_key, up_child) = match mid.checked_sub(insert_pos) {
+                Some(past) if past < k => seps[past],
+                Some(_) => internal_entry(v.record(mid - k)?)?,
+                None => internal_entry(v.record(mid)?)?,
+            };
             let leftmost = leftmost_child(&v)?;
-            for (i, &e) in seps.iter().enumerate() {
-                entries.insert(insert_pos + i, e);
-            }
-            let mid = entries.len() / 2;
-            let (up_key, up_child) = entries[mid];
             let right = store.allocate();
-            let mut image = store.blank_page();
-            let mut p = SlottedPage::init(&mut image, kind);
-            p.set_next_page(Some(up_child)); // leftmost child of the right node
-            push_entries(&mut p, &entries[mid + 1..])?;
-            let claims = claims_of(store, (kind, page), (right, &image), &origin[mid + 1..]);
-            store.install(right, image, &claims)?;
-            let mut p = SlottedPage::open(&mut node, kind, page)?;
-            p.reset();
-            p.set_next_page(Some(leftmost));
-            push_entries(&mut p, &entries[..mid])?;
-            left = &origin[..mid];
+            // The right node's leftmost child is the middle entry's.
+            let records = pieces((mid + 1..n + k).map(|e| entry(e, page)));
+            install_fresh(
+                store,
+                right,
+                SlotEdit::Rebuild(kind, Some(up_child), records),
+            )?;
             splits.push((up_key, right));
+            let records = pieces((0..mid).map(|e| entry(e, page)));
+            vec![SlotEdit::Rebuild(kind, Some(leftmost), records)]
+        };
+        for edit in &edits {
+            apply_edit(&mut node, page, edit, &|_| None)?;
         }
-        let claims = claims_of(store, (kind, page), (page, &node), left);
-        store.install(page, node, &claims)?;
+        store.install(page, node, &edits)?;
         Ok(splits)
     }
 

@@ -18,6 +18,7 @@
 //! `(offset u16, len u16)` per record, growing downward.
 
 use crate::errors::{Result, StorageError};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Size of every page in bytes.
@@ -64,18 +65,6 @@ impl<'a> SlottedPage<'a> {
         SlottedPage { bytes }
     }
 
-    /// Views existing page bytes, checking the type tag.
-    pub fn open(bytes: &'a mut [u8], expect_type: u8, page: PageId) -> Result<SlottedPage<'a>> {
-        if bytes[0] != expect_type {
-            return Err(StorageError::PageTypeMismatch {
-                page,
-                expected: expect_type,
-                got: bytes[0],
-            });
-        }
-        Ok(SlottedPage { bytes })
-    }
-
     /// The page type byte.
     pub fn page_type(&self) -> u8 {
         self.bytes[0]
@@ -98,13 +87,8 @@ impl<'a> SlottedPage<'a> {
         self.bytes[4..6].copy_from_slice(&(off as u16).to_le_bytes());
     }
 
-    /// Sibling link (next leaf in key order); `u64::MAX` means none.
-    pub(crate) fn next_page(&self) -> Option<PageId> {
-        let v = sqlarray_core::le::u64_at(self.bytes, 6);
-        (v != u64::MAX).then_some(v)
-    }
-
-    /// Sets the sibling link.
+    /// Sets the sibling link (next leaf in key order); `u64::MAX` means
+    /// none.
     pub(crate) fn set_next_page(&mut self, next: Option<PageId>) {
         let v = next.unwrap_or(u64::MAX);
         self.bytes[6..14].copy_from_slice(&v.to_le_bytes());
@@ -227,20 +211,140 @@ impl<'a> SlottedPage<'a> {
         self.set_slot_count(count - 1);
         Ok(())
     }
+}
 
-    /// Clears the page back to an empty slotted page of the same type,
-    /// keeping the sibling link.
-    pub fn reset(&mut self) {
-        let t = self.page_type();
-        let next = self.next_page();
-        for b in self.bytes[..PAGE_HEADER_LEN].iter_mut() {
-            *b = 0;
-        }
-        self.bytes[0] = t;
-        self.set_slot_count(0);
-        self.set_free_off(PAGE_HEADER_LEN);
-        self.set_next_page(next);
+/// One edit of a B-tree page: what a tree write does to a page, and what
+/// an edit frame of the log ([`crate::wal`]) carries. `apply_edit`
+/// performs it, for the live write and for replay alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SlotEdit<'a> {
+    /// `Insert(slot, rec)`: `SlottedPage::insert_record` of `rec` at
+    /// `slot`; the slots from there on move up one.
+    Insert(usize, Cow<'a, [u8]>),
+    /// `Remove(slot, count)`: `SlottedPage::remove_slot` of `slot`,
+    /// `count` times — the `count` slots from `slot` on go, one by one.
+    Remove(usize, usize),
+    /// `Replace(slot, rec)`: `SlottedPage::replace_record` of `slot`'s
+    /// record by `rec`.
+    Replace(usize, Cow<'a, [u8]>),
+    /// `Link(next)`: the page's link — a leaf's successor, an internal
+    /// node's leftmost child — set to `next`.
+    Link(Option<PageId>),
+    /// `Rebuild(kind, next, records)`: the page rewritten as an empty
+    /// `kind` page linked to `next`, then `records` pushed in order — a
+    /// compaction, a split's halves, a new root. Its header is written
+    /// whole; the bytes past its last record keep what they held.
+    Rebuild(u8, Option<PageId>, Vec<Piece<'a>>),
+}
+
+/// Records a [`SlotEdit::Rebuild`] pushes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Piece<'a> {
+    /// `Slots(src, slots)`: the records of slots `slots` of page `src` as
+    /// it stood before the edit's frame — of the page being rebuilt, as the
+    /// frame's earlier edits left it, when `src` is that page.
+    Slots(PageId, Range<usize>),
+    /// One record's bytes.
+    Bytes(Cow<'a, [u8]>),
+}
+
+/// Whether `kind` is a page type B-tree writes edit.
+pub(crate) fn tree_kind(kind: u8) -> bool {
+    kind == page_type::BTREE_LEAF || kind == page_type::BTREE_INTERNAL
+}
+
+/// Performs `edit` on page `id`, whose bytes are `page`: the one
+/// transition of a B-tree page write, which the live write runs on its
+/// copy of the page and replay on the page it recovers. `source` hands out
+/// the bytes of another page a rebuild takes records from (`None`: the
+/// store holds no such page). Nothing in the page, the edit or a source is
+/// trusted: a page that is not a B-tree page (a rebuild may also start
+/// from a fresh page of zeros), a slot past the directory, a record that
+/// does not fit, or a missing source or one of another kind is a typed
+/// error, never a panic.
+pub(crate) fn apply_edit<'s>(
+    page: &mut [u8],
+    id: PageId,
+    edit: &SlotEdit<'_>,
+    source: &dyn Fn(PageId) -> Option<&'s [u8]>,
+) -> Result<()> {
+    let kind = match edit {
+        SlotEdit::Rebuild(kind, ..) => *kind,
+        _ => page[0],
+    };
+    if !tree_kind(kind) {
+        return Err(StorageError::RowCorrupt(format!(
+            "page {id} of type {kind} is no tree page"
+        )));
     }
+    if !matches!(edit, SlotEdit::Rebuild(..)) || page[0] != 0 {
+        SlottedRead::open(page, kind, id)?;
+    }
+    let mut p = SlottedPage { bytes: page };
+    match edit {
+        SlotEdit::Insert(slot, rec) => p.insert_record(*slot, rec),
+        SlotEdit::Remove(slot, n) => (0..*n).try_for_each(|_| p.remove_slot(*slot)),
+        SlotEdit::Replace(slot, rec) => {
+            SlottedRead::open(p.bytes, kind, id)?.record_range(*slot)?;
+            p.replace_record(*slot, rec)
+        }
+        SlotEdit::Link(next) => {
+            p.set_next_page(*next);
+            Ok(())
+        }
+        SlotEdit::Rebuild(_, next, records) => rebuild(p.bytes, (id, kind, *next), records, source),
+    }
+}
+
+/// [`SlotEdit::Rebuild`] of page `id`: gathers the records first — the
+/// page's own as they stand — then writes the page, once they are known
+/// to fit.
+fn rebuild<'s>(
+    page: &mut [u8],
+    (id, kind, next): (PageId, u8, Option<PageId>),
+    records: &[Piece<'_>],
+    source: &dyn Fn(PageId) -> Option<&'s [u8]>,
+) -> Result<()> {
+    let (mut kept, mut ends) = (
+        Vec::with_capacity(PAGE_SIZE),
+        Vec::with_capacity(PAGE_SIZE / SLOT_LEN),
+    );
+    for piece in records {
+        match piece {
+            Piece::Bytes(rec) => {
+                kept.extend_from_slice(rec);
+                ends.push(kept.len());
+            }
+            Piece::Slots(src, slots) => {
+                let bytes = if *src == id {
+                    Some(&*page)
+                } else {
+                    source(*src)
+                };
+                let missing =
+                    || StorageError::RowCorrupt(format!("no page {src} to rebuild {id} from"));
+                let bytes = bytes.ok_or_else(missing)?;
+                for r in SlottedRead::open(bytes, kind, *src)?.record_ranges(slots.clone())? {
+                    kept.extend_from_slice(&bytes[r?]);
+                    ends.push(kept.len());
+                }
+            }
+        }
+        let need = kept.len() + ends.len() * SLOT_LEN;
+        if need > PAGE_SIZE - PAGE_HEADER_LEN {
+            let limit = PAGE_SIZE - PAGE_HEADER_LEN;
+            return Err(StorageError::RecordTooLarge { bytes: need, limit });
+        }
+    }
+    page[..PAGE_HEADER_LEN].fill(0);
+    let mut p = SlottedPage::init(page, kind);
+    p.set_next_page(next);
+    let mut start = 0;
+    for end in ends {
+        p.push_record(&kept[start..end])?;
+        start = end;
+    }
+    Ok(())
 }
 
 /// The bytes between the record area and a `count`-slot directory: what
@@ -455,10 +559,9 @@ mod tests {
     fn init_and_open() {
         let mut bytes = fresh();
         SlottedPage::init(&mut bytes, page_type::BTREE_LEAF);
-        let p = SlottedPage::open(&mut bytes, page_type::BTREE_LEAF, 0).unwrap();
-        assert_eq!(p.slot_count(), 0);
-        assert_eq!(p.next_page(), None);
-        assert!(SlottedPage::open(&mut bytes, page_type::BLOB_ROOT, 0).is_err());
+        let v = SlottedRead::open(&bytes, page_type::BTREE_LEAF, 0).unwrap();
+        assert_eq!((v.slot_count(), v.next_page()), (0, None));
+        assert!(SlottedRead::open(&bytes, page_type::BLOB_ROOT, 0).is_err());
     }
 
     #[test]
@@ -615,24 +718,14 @@ mod tests {
     #[test]
     fn sibling_link_round_trip() {
         let mut bytes = fresh();
-        let mut p = SlottedPage::init(&mut bytes, page_type::BTREE_LEAF);
-        p.set_next_page(Some(42));
-        assert_eq!(p.next_page(), Some(42));
-        p.set_next_page(None);
-        assert_eq!(p.next_page(), None);
-    }
-
-    #[test]
-    fn reset_keeps_type_and_link() {
-        let mut bytes = fresh();
-        let mut p = SlottedPage::init(&mut bytes, page_type::BTREE_INTERNAL);
-        p.push_record(b"junk").unwrap();
-        p.set_next_page(Some(7));
-        p.reset();
-        assert_eq!(p.slot_count(), 0);
-        assert_eq!(p.page_type(), page_type::BTREE_INTERNAL);
-        assert_eq!(p.next_page(), Some(7));
-        assert_eq!(p.free_space(), PAGE_SIZE - PAGE_HEADER_LEN - SLOT_LEN);
+        let link = |b: &[u8]| {
+            let v = SlottedRead::open(b, page_type::BTREE_LEAF, 0).unwrap();
+            v.next_page()
+        };
+        SlottedPage::init(&mut bytes, page_type::BTREE_LEAF).set_next_page(Some(42));
+        assert_eq!(link(&bytes), Some(42));
+        SlottedPage { bytes: &mut bytes }.set_next_page(None);
+        assert_eq!(link(&bytes), None);
     }
 
     #[test]
@@ -643,8 +736,7 @@ mod tests {
             p.push_record(b"persisted").unwrap();
         }
         let copy = bytes.clone();
-        let mut copy2 = copy.clone();
-        let p = SlottedPage::open(&mut copy2, page_type::BTREE_LEAF, 3).unwrap();
-        assert_eq!(p.record(0).unwrap(), b"persisted");
+        let v = SlottedRead::open(&copy, page_type::BTREE_LEAF, 3).unwrap();
+        assert_eq!(v.record(0).unwrap(), b"persisted");
     }
 }

@@ -190,10 +190,10 @@ impl PageStore {
     /// log frames applied and the byte length of the log through that
     /// commit.
     ///
-    /// A write frame is applied as a unit: first the bytes its own-page
-    /// copy runs read are gathered, from the page as it stands before the
-    /// frame — a frame's runs are disjoint, so they are at most a page —
-    /// then its runs are applied in order.
+    /// An edit frame's edits are performed one after the other by the live
+    /// write's own transition ([`page::apply_edit`]), so a rebuild reads
+    /// the page it rebuilds as the frame's earlier edits left it, and
+    /// another page as the log left it.
     fn replay(&mut self, image: &DiskImage) -> Result<(usize, usize)> {
         self.pages.clone_from(&image.pages);
         self.sums.clone_from(&image.sums);
@@ -217,21 +217,9 @@ impl PageStore {
             return Ok((0, 0));
         };
         let mut written = Vec::new();
-        let records = &scanned.records[..=last];
-        let (mut gathered, mut taken) = (Vec::with_capacity(PAGE_SIZE), 0);
-        let mut applied = Ok(());
-        for (i, (lsn, rec)) in records.iter().enumerate() {
-            if i == 0 || records[i - 1].0 != *lsn {
-                let frame = records[i..].iter().take_while(|(l, _)| l == lsn);
-                self.gather_own_copies(frame.map(|(_, r)| r), &mut gathered);
-                taken = 0;
-            }
-            applied = self.apply_replay(i, rec, &mut written, (&gathered, &mut taken));
-            if applied.is_err() {
-                break;
-            }
+        for (i, (_, rec)) in scanned.records[..=last].iter().enumerate() {
+            self.apply_replay(i, rec, &mut written)?;
         }
-        applied?;
         written.sort_unstable();
         written.dedup();
         for p in written {
@@ -248,54 +236,18 @@ impl PageStore {
         Ok(((last_lsn - first_lsn + 1) as usize, scanned.ends[last]))
     }
 
-    /// Sets `gathered` to the bytes the own-page copy runs among `frame` —
-    /// one write frame's records — read, in run order, off the page as it
-    /// stands before the frame. A page past the file gathers nothing: its
-    /// first run is refused when it is applied.
-    fn gather_own_copies<'r>(
-        &self,
-        frame: impl Iterator<Item = &'r WalRecord<'r>>,
-        gathered: &mut Vec<u8>,
-    ) {
-        gathered.clear();
-        for rec in frame {
-            if let WalRecord::Copy {
-                page,
-                len,
-                src,
-                src_off,
-                ..
-            } = rec
-            {
-                let from = usize::from(*src_off);
-                let source = self.pages.get(*page as usize).filter(|_| src == page);
-                if let Some(bytes) = source.and_then(|p| p.get(from..from + usize::from(*len))) {
-                    gathered.extend_from_slice(bytes);
-                }
-            }
-        }
-    }
-
     /// Applies one replayed WAL record to the store, mirroring exactly
-    /// what the live mutation did — an `Alloc` or a `Free` is the live
-    /// store's own transition, refused as `WalCorrupt` where the live call
-    /// could not have made it — except that a written page's checksum
-    /// is left to the caller, who gets the page's index in `written`, and
-    /// that a write copies a page still shared with the image without
-    /// logging a diff. A copy run copies its bytes from its source page as
-    /// the replay held it before the run's frame, which is what the live
-    /// write checked them against: another page's bytes straight from it,
-    /// an own-page run's from the frame's `gathered` bytes (see
-    /// [`gather_own_copies`](Self::gather_own_copies)), the first `taken`
-    /// of which the frame's earlier runs used. A copy from another page
-    /// that is free or past the file is refused. `idx` only feeds error
-    /// reports.
+    /// what the live mutation did — an `Alloc`, a `Free` or an `Edit` is
+    /// the live store's own transition, refused as `WalCorrupt` where the
+    /// live call could not have made it — except that a written page's
+    /// checksum is left to the caller, who gets the page's index in
+    /// `written`, and that a write copies a page still shared with the
+    /// image without logging a diff. `idx` only feeds error reports.
     fn apply_replay(
         &mut self,
         idx: usize,
         rec: &WalRecord<'_>,
         written: &mut Vec<usize>,
-        (gathered, taken): (&[u8], &mut usize),
     ) -> Result<()> {
         let corrupt = |msg: String| StorageError::WalCorrupt { offset: idx, msg };
         match rec {
@@ -325,39 +277,19 @@ impl PageStore {
                 Arc::make_mut(target)[start..end].copy_from_slice(bytes);
                 written.push(p);
             }
-            WalRecord::Copy {
-                page,
-                off,
-                len,
-                src,
-                src_off,
-            } => {
-                let (p, s) = (*page as usize, *src as usize);
-                // `None`: an own-page run, whose bytes were gathered.
-                let source = if p == s {
-                    None
-                } else if s >= self.pages.len() || self.free_bits.contains(*src) {
-                    let msg = format!("copy from page {src}, past the file or free");
-                    return Err(corrupt(msg));
-                } else {
-                    Some(Arc::clone(&self.pages[s]))
-                };
-                let (at, from, len) = (usize::from(*off), usize::from(*src_off), usize::from(*len));
-                let bytes = match &source {
-                    None => gathered.get(*taken..*taken + len),
-                    Some(source) => source.get(from..from + len),
-                };
-                let target = self.pages.get_mut(p);
-                let run = target.and_then(|t| Arc::make_mut(t).get_mut(at..at + len));
-                let (Some(run), Some(bytes)) = (run, bytes) else {
-                    return Err(corrupt(format!(
-                        "copy of {len} bytes from {src_off} on page {src} to {off} on page {page} \
-                         is out of bounds"
-                    )));
-                };
-                run.copy_from_slice(bytes);
-                if source.is_none() {
-                    *taken += len;
+            WalRecord::Edit { page, edit } => {
+                let p = *page as usize;
+                if p >= self.pages.len() {
+                    return Err(corrupt(format!("edit of page {page}, past the file")));
+                }
+                // Out of the file while it is edited: a rebuild's sources
+                // are the other pages.
+                let mut target = std::mem::replace(&mut self.pages[p], Arc::clone(&self.zero));
+                let source = |src: PageId| self.live_page(src);
+                let done = page::apply_edit(Arc::make_mut(&mut target), *page, edit, &source);
+                self.pages[p] = target;
+                if let Err(e) = done {
+                    return Err(corrupt(format!("edit of page {page}: {e}")));
                 }
                 written.push(p);
             }
@@ -370,7 +302,9 @@ impl PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::{Piece, SlotEdit};
     use crate::store::tests::distinct_pages;
+    use std::borrow::Cow;
 
     #[test]
     fn commit_crash_recover_round_trips() {
@@ -502,12 +436,19 @@ mod tests {
         }
     }
 
-    /// A logged copy run that names a page past the file, or a page on the
-    /// free list, is refused by replay as `WalCorrupt`, never a panic; one
-    /// from a live page replays as a copy of its bytes.
+    /// A logged rebuild that takes records from a page past the file, a
+    /// page on the free list, a page of another kind, or slots past the
+    /// source's count, is refused by replay as `WalCorrupt`, never a panic
+    /// — and so is an edit of a page past the file or of one that is not a
+    /// B-tree page; a rebuild from a live page's slots replays as a copy of
+    /// its records.
     #[test]
-    fn replay_refuses_a_copy_from_past_the_file_or_a_free_page() {
-        let source: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8 | 1).collect();
+    fn replay_refuses_a_rebuild_from_past_the_file_or_a_free_page() {
+        let leaf = page::page_type::BTREE_LEAF;
+        let mut source = vec![0u8; PAGE_SIZE];
+        let records = (0..4u8).map(|k| Piece::Bytes(Cow::Owned(vec![k + 1; 40])));
+        let build = SlotEdit::Rebuild(leaf, None, records.collect());
+        page::apply_edit(&mut source, 1, &build, &|_| None).unwrap();
         let pages: Vec<Arc<[u8]>> = vec![Arc::from(vec![0u8; PAGE_SIZE]), Arc::from(source)];
         let image_of = |records: &[WalRecord<'_>]| {
             let mut wal = Vec::new();
@@ -527,29 +468,47 @@ mod tests {
                 wal,
             }
         };
-        let copy = |src| WalRecord::Copy {
+        let rebuild = |page, src, slots| WalRecord::Edit {
+            page,
+            edit: SlotEdit::Rebuild(leaf, None, vec![Piece::Slots(src, slots)]),
+        };
+        let internal = WalRecord::Edit {
             page: 0,
-            off: 16,
-            len: 40,
-            src,
-            src_off: 100,
+            edit: SlotEdit::Rebuild(
+                page::page_type::BTREE_INTERNAL,
+                None,
+                vec![Piece::Slots(1, 0..1)],
+            ),
+        };
+        let insert = WalRecord::Edit {
+            page: 0,
+            edit: SlotEdit::Insert(0, Cow::Borrowed(b"12345678")),
         };
         for (what, records) in [
-            ("past the file", vec![copy(2)]),
-            ("past the file", vec![copy(u64::MAX)]),
-            ("free", vec![WalRecord::Free { page: 1 }, copy(1)]),
+            ("past the file", vec![rebuild(0, 2, 0..1)]),
+            ("past the file", vec![rebuild(0, u64::MAX, 0..1)]),
+            (
+                "free",
+                vec![WalRecord::Free { page: 1 }, rebuild(0, 1, 0..1)],
+            ),
+            ("a leaf, as an internal node", vec![internal]),
+            ("past its count", vec![rebuild(0, 1, 2..5)]),
+            ("a page of zeros", vec![insert]),
+            ("an edit past the file", vec![rebuild(2, 1, 0..1)]),
         ] {
             match PageStore::open(&image_of(&records)) {
-                Err(StorageError::WalCorrupt { msg, .. }) => {
-                    assert!(msg.contains("past the file or free"), "{what}: {msg}")
-                }
-                other => panic!("a copy from a page {what}: {other:?}"),
+                Err(StorageError::WalCorrupt { .. }) => {}
+                other => panic!("a rebuild from {what}: {other:?}"),
             }
         }
-        let mut rec = PageStore::open(&image_of(&[copy(1)])).unwrap();
+        let mut rec = PageStore::open(&image_of(&[rebuild(0, 1, 1..3)])).unwrap();
         let page = rec.store.read(0).unwrap();
-        assert_eq!(page[16..56], pages[1][100..140]);
-        assert!(page[..16].iter().chain(&page[56..]).all(|&b| b == 0));
+        let v = page::SlottedRead::open(page, leaf, 0).unwrap();
+        assert_eq!(v.slot_count(), 2);
+        assert_eq!(
+            (v.record(0).unwrap(), v.record(1).unwrap()),
+            (&[2u8; 40][..], &[3u8; 40][..])
+        );
     }
 
     /// `rollback` returns the live file — pages, checksums, free list, log

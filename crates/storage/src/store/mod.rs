@@ -34,7 +34,7 @@
 //! has one `store::…` path.
 
 use crate::errors::{Result, StorageError};
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{self, PageId, SlotEdit, PAGE_SIZE};
 use crate::pool::{pool_stamp, PageBits, PoolStamp, ShardedLruPool};
 use crate::stats::{DiskProfile, IoStats};
 use crate::wal::{self, WalRecord};
@@ -84,7 +84,7 @@ pub struct PageStore {
     /// Freed page ids available for reuse, LIFO.
     free: Vec<PageId>,
     /// The pages of `free`, as a set over the file: whether a page is
-    /// free is one bit test, for a free, a copy run's source check and
+    /// free is one bit test, for a free, a rebuild's source check and
     /// replay alike.
     free_bits: PageBits,
     /// The durable image: the last checkpoint's base pages, checksums,
@@ -335,7 +335,7 @@ impl PageStore {
     }
 
     /// Writes a page through a closure: the store's private copy of the
-    /// page (`copy_page`), `f` on the copy, then `install` without claims.
+    /// page (`copy_page`), `f` on the copy, then `install` without edits.
     /// A closure that changes nothing logs nothing.
     pub fn write(&mut self, id: PageId, f: impl FnOnce(&mut [u8])) -> Result<()> {
         let mut page = self.copy_page(id)?;
@@ -377,46 +377,31 @@ impl PageStore {
     /// Makes `page` the live image of page `id`, going through the buffer
     /// pool and counting one page write. The buffer is installed as it
     /// is, no byte copied: the image it replaces is the before-image the
-    /// write frame is found against (the byte runs that changed, see
-    /// [`wal::append_write`]), and the same pass restamps the page's
-    /// checksum over the 64-byte blocks those runs touch. An image equal
-    /// to the one it replaces logs nothing. The replaced buffer becomes
-    /// the store's spare when nothing else holds it — a base image, a
-    /// crash image or the zero page keeps its own.
+    /// write is logged against ([`wal::append_write`]), and the same pass
+    /// restamps the page's checksum over the 64-byte blocks the write
+    /// changed. An image equal to the one it replaces logs nothing. The
+    /// replaced buffer becomes the store's spare when nothing else holds
+    /// it — a base image, a crash image or the zero page keeps its own.
     ///
-    /// `claims` say which of the image's bytes were copied from other
-    /// pages, or from elsewhere on `id` itself (`&[]`: none). Changed
-    /// bytes a claim covers are logged as a copy run — a reference to the
-    /// source page's bytes — when those bytes are on the source as it
-    /// stood before this write (for another page: as the log leaves it, a
-    /// page of the file not on the free list; for `id`: its
-    /// before-image), and the run shortens the frame; anything else is
-    /// logged literally, so a wrong claim costs log bytes, never a wrong
-    /// replay. Claims change nothing else: the page, its checksum, the
-    /// counters and the frame count are the same with or without them.
-    /// The source pages are read as they are, without touching the pool.
+    /// `edits` are the slotted-page edits ([`page::apply_edit`]) that made
+    /// `page` from the live image, in order (`&[]`: the write is not a
+    /// B-tree write). They are logged in place of the changed bytes when
+    /// that is shorter; replay then performs them again, reading a
+    /// rebuild's records off its source pages as they stand now. They
+    /// change nothing else: the page, its checksum, the counters and the
+    /// frame count are the same with or without them.
     pub(crate) fn install(
         &mut self,
         id: PageId,
         page: PageBuf,
-        claims: &[wal::MoveClaim],
+        edits: &[SlotEdit<'_>],
     ) -> Result<()> {
         self.fault_in(id)?;
         self.acct_mut().io.pages_written += 1;
         let mut before = std::mem::replace(&mut self.pages[id as usize], page.0);
-        let (pages, free) = (&self.pages, &self.free_bits);
-        // Another page's live bytes, unless it is past the file or free.
-        let source = |src: PageId| {
-            let live = pages.get(src as usize).filter(|_| !free.contains(src));
-            live.map(|p| &p[..])
-        };
-        let moves = wal::Moves {
-            claims,
-            source: &source,
-        };
         let (start, lsn) = (self.image.wal.len(), self.next_lsn);
-        let (after, sum) = (&pages[id as usize], &mut self.sums[id as usize]);
-        let logged = wal::append_write(&mut self.image.wal, lsn, id, &before, after, sum, &moves);
+        let (after, sum) = (&self.pages[id as usize], &mut self.sums[id as usize]);
+        let logged = wal::append_write(&mut self.image.wal, lsn, id, &before, after, sum, edits);
         if Arc::get_mut(&mut before).is_some() {
             self.spare = Some(before);
         }
@@ -424,6 +409,17 @@ impl PageStore {
             self.settle_append(start);
         }
         Ok(())
+    }
+
+    /// The bytes of page `id` as the file holds it, unless it is past the
+    /// file or free: a page a rebuild may take records from, for the live
+    /// write and replay alike.
+    pub(crate) fn live_page(&self, id: PageId) -> Option<&[u8]> {
+        let live = self
+            .pages
+            .get(id as usize)
+            .filter(|_| !self.free_bits.contains(id));
+        live.map(|p| &p[..])
     }
 
     /// The serial path's page-in of `id`: the live pool decides hit or
@@ -580,6 +576,8 @@ impl Default for PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::Piece;
+    use std::borrow::Cow;
 
     #[test]
     fn allocate_read_write_round_trip() {
@@ -839,146 +837,64 @@ mod tests {
         s
     }
 
-    /// Runs `f` on a private copy of page `id` and installs it under
-    /// `claims`.
-    fn write_claimed(
-        s: &mut PageStore,
-        id: PageId,
-        claims: &[wal::MoveClaim],
-        f: impl FnOnce(&mut [u8]),
-    ) {
-        let mut page = s.copy_page(id).unwrap();
-        f(&mut page);
-        s.install(id, page, claims).unwrap();
-    }
-
-    /// Copies bytes 50..350 of page 0 to 100..400 of page 1 under `claims`,
-    /// on a store whose page 2 is free, commits, and returns the store,
-    /// the copy runs its write frame holds, and the frame's byte length.
-    fn claimed_copy(claims: &[wal::MoveClaim]) -> (PageStore, usize, u64) {
-        let mut s = PageStore::new();
-        let (a, b, c) = (s.allocate(), s.allocate(), s.allocate());
-        for p in [a, c] {
-            s.write(p, |bytes| {
-                for (i, x) in bytes.iter_mut().enumerate() {
-                    *x = (i * 7 + p as usize * 13) as u8 | 1;
-                }
-            })
-            .unwrap();
-        }
-        s.free_page(c).unwrap();
-        s.commit(b"before");
-        let source = s.raw_page(a).unwrap()[50..350].to_vec();
-        let (wal_at, stats) = (s.wal_len(), s.stats());
-        write_claimed(&mut s, b, claims, |bytes| {
-            bytes[100..400].copy_from_slice(&source)
-        });
-        let d = s.stats().since(&stats);
-        assert_eq!((d.pages_written, d.wal_records), (1, 1), "{claims:?}");
-        let copies = wal::scan_strict(&s.image.wal[wal_at..])
-            .unwrap()
-            .iter()
-            .filter(|(_, r)| matches!(r, WalRecord::Copy { .. }))
-            .count();
-        s.commit(b"after");
-        (s, copies, d.wal_bytes)
-    }
-
-    /// A claim whose bytes do not match its source — the written page as
-    /// it stood before the write included, which held zeros there — or
-    /// that names a free page or a page past the file logs the literal
-    /// bytes a write without claims logs; a claim that holds logs a copy
-    /// run. Either way the page, its checksum and the counters are the
-    /// same, and a reboot and a rollback replay the page to its bytes.
+    /// Edits made on a private copy of a page and installed with it
+    /// replay, after a reboot and after a rollback, to the live bytes: a
+    /// leaf built from records, a front insert that shifts its directory
+    /// with a remove and a link in the same frame, a second leaf rebuilt
+    /// from slots of the first and a record of its own — each logged as an
+    /// edit frame — and an in-place replacement, logged as the bytes it
+    /// changed.
     #[test]
-    fn a_claim_that_does_not_hold_logs_literal_bytes_and_replays_alike() {
-        let claim = |src, src_off| wal::MoveClaim {
-            src,
-            src_off,
-            dst_off: 100,
-            len: 300,
-        };
-        let (plain, none, plain_bytes) = claimed_copy(&[]);
-        assert_eq!(none, 0);
-        for (claims, holds) in [
-            ([claim(0, 50)], true),
-            ([claim(0, 51)], false),
-            ([claim(1, 50)], false),
-            ([claim(2, 50)], false),
-            ([claim(9, 50)], false),
-        ] {
-            let (mut s, copies, bytes) = claimed_copy(&claims);
-            assert_eq!((copies, bytes < plain_bytes), (usize::from(holds), holds));
-            if !holds {
-                assert_eq!(bytes, plain_bytes, "{claims:?}");
-            }
-            for p in 0..3 {
-                assert_eq!(s.raw_page(p), plain.raw_page(p), "page {p}");
-                assert_eq!(s.sums[p as usize], plain.sums[p as usize]);
-            }
-            let rec = PageStore::open(&s.crash_image()).unwrap();
-            assert_eq!(rec.store.raw_page(1), plain.raw_page(1), "{claims:?}");
-            s.write(1, |b| b.fill(0)).unwrap();
-            s.rollback().unwrap();
-            assert_eq!(s.raw_page(1), plain.raw_page(1), "{claims:?}");
-        }
-    }
-
-    /// Bytes moved within their own page are logged as a copy of the page
-    /// before the write — read off the page before the frame's runs are
-    /// applied, however they overlap the bytes the frame writes — and a
-    /// reboot and a rollback replay the page to its bytes. A rewrite of a
-    /// free page may still claim its own bytes.
-    #[test]
-    fn an_own_page_claim_replays_from_the_page_before_its_frame() {
+    fn edits_replay_to_the_live_page() {
+        let leaf = page::page_type::BTREE_LEAF;
+        let rec = |k: u8, len: usize| Cow::Owned(vec![k; len]);
         let mut s = PageStore::new();
-        let p = s.allocate();
-        let q = s.allocate();
-        let fill = |bytes: &mut [u8]| {
-            for (i, x) in bytes.iter_mut().enumerate() {
-                *x = (i * 13 % 251) as u8 | 1;
+        let (a, b) = (s.allocate(), s.allocate());
+        s.commit(b"empty");
+        let mut framed = Vec::new();
+        let mut write = |s: &mut PageStore, id, edits: Vec<SlotEdit<'static>>| {
+            let mut page = s.copy_page(id).unwrap();
+            for e in &edits {
+                page::apply_edit(&mut page, id, e, &|p| s.live_page(p)).unwrap();
             }
+            let at = s.wal_len();
+            s.install(id, page, &edits).unwrap();
+            let frame = wal::scan_strict(&s.image.wal[at..]).unwrap();
+            framed.push(matches!(frame[0].1, WalRecord::Edit { .. }));
         };
-        s.write(p, fill).unwrap();
-        s.write(q, fill).unwrap();
-        s.free_page(q).unwrap();
-        s.commit(b"filled");
-        let claim = |src_off, dst_off, len| wal::MoveClaim {
-            src: p,
-            src_off,
-            dst_off,
-            len,
-        };
-        // 1000..1400 move up by 100 over their own tail, and the bytes
-        // they came from take new values a run ahead of the copy.
-        let shift = |b: &mut [u8]| {
-            b.copy_within(1000..1400, 1100);
-            b[1000..1100].fill(0xEE);
-        };
-        let wal_at = s.wal_len();
-        write_claimed(&mut s, p, &[claim(1000, 1100, 400)], shift);
-        // The same claim on a free page's rewrite.
-        let free_claim = wal::MoveClaim {
-            src: q,
-            ..claim(1000, 1100, 400)
-        };
-        write_claimed(&mut s, q, &[free_claim], shift);
-        let own = |r: &WalRecord<'_>| matches!(r, WalRecord::Copy { page, src, len: 400, .. } if page == src);
-        let frames = wal::scan_strict(&s.image.wal[wal_at..]).unwrap();
-        assert_eq!(frames.iter().filter(|(_, r)| own(r)).count(), 2);
-        s.commit(b"shifted");
-        let want: Vec<Vec<u8>> = [p, q].map(|id| s.raw_page(id).unwrap().to_vec()).into();
+        let records = (1..=20).map(|k| Piece::Bytes(rec(k, 200))).collect();
+        write(&mut s, a, vec![SlotEdit::Rebuild(leaf, None, records)]);
+        write(
+            &mut s,
+            a,
+            vec![
+                SlotEdit::Insert(0, rec(99, 150)),
+                SlotEdit::Remove(5, 2),
+                SlotEdit::Link(Some(b)),
+            ],
+        );
+        let records = vec![
+            Piece::Slots(a, 3..9),
+            Piece::Bytes(rec(77, 300)),
+            Piece::Slots(a, 12..14),
+        ];
+        write(&mut s, b, vec![SlotEdit::Rebuild(leaf, None, records)]);
+        let half = Cow::Owned([vec![1; 100], vec![3; 100]].concat());
+        write(&mut s, a, vec![SlotEdit::Replace(4, half)]);
+        assert_eq!(framed, [true, true, true, false]);
+        s.commit(b"edited");
+        let want: Vec<Vec<u8>> = [a, b].map(|id| s.raw_page(id).unwrap().to_vec()).into();
         let rec = PageStore::open(&s.crash_image()).unwrap();
-        for (id, page) in [p, q].into_iter().zip(&want) {
+        for (id, page) in [a, b].into_iter().zip(&want) {
             assert_eq!(
                 rec.store.raw_page(id).unwrap(),
                 &page[..],
                 "reboot, page {id}"
             );
         }
-        s.write(p, |b| b.fill(0)).unwrap();
+        s.write(a, |p| p.fill(0)).unwrap();
         s.rollback().unwrap();
-        assert_eq!(s.raw_page(p).unwrap(), &want[0][..], "rollback");
+        assert_eq!(s.raw_page(a).unwrap(), &want[0][..], "rollback");
     }
 
     /// A fresh page and a reclaimed one are shares of the store's zero

@@ -3,21 +3,23 @@
 //! Every mutation of a [`crate::store::PageStore`] — page allocation (fresh
 //! or reused from the free list), page free, and page write — appends one
 //! frame here *before* the in-memory "disk" state is considered durable.
-//! Page writes are **physiological**: the frame carries the page id plus
-//! the byte runs that changed, not the whole 8 KiB image and not the span
-//! from the first to the last change either — a slotted page keeps its
-//! header at byte 0 and its slot directory at byte 8191, so that span is
-//! the page. Measured on a half-full leaf of 35 rows of ~110 bytes (frame
-//! bytes, [`FRAME_OVERHEAD`] included): an in-place `I32` column update
-//! logs 31 B; an insert 147 B at the end of the key range and 152 B in
-//! the middle or at the front (the record, the header fields, the new
-//! slot entry, and one 6-byte copy of the slot entries that moved — 214
-//! and 286 B when they were logged as bytes); a delete 31 B at the end
-//! and 37 B elsewhere (101 and 168 B before); a split of a full 76-row
-//! leaf in the middle 456 B over 4 frames (4.1 KiB before the rows that
-//! moved to the new leaf were logged as copy runs), an append-side split
-//! 301 B over 5; and a patch of one 8 176-byte blob chunk 8 206 B in one
-//! frame — what it rewrote.
+//! Page writes are **physiological** — physical to a page, logical within
+//! it: a B-tree page write logs the slotted-page edits it made (a record
+//! inserted, removed or replaced at a slot, the link set, the page rebuilt
+//! from a list of records), and replay performs them again through the
+//! live write's own function, `page::apply_edit`. Any other page
+//! write — a blob page, a bulk-built leaf, [`PageStore::write`] — and a
+//! tree write whose edits would take more bytes than they changed logs the
+//! byte runs that changed instead, never the whole 8 KiB image. Measured
+//! on a half-full leaf of 35 rows of ~110 bytes (frame bytes,
+//! [`FRAME_OVERHEAD`] included): an in-place `I32` column update logs
+//! 31 B, the byte it changed; an insert 134 B wherever it lands (147 B at
+//! the end of the key range and 152 B elsewhere when the slot directory it
+//! shifted was found by comparing bytes); a delete 31 B (37 B off the
+//! end); a split of a full 76-row leaf in the middle 278 B over 4 frames
+//! (456 B), its moved rows named by their slots, an append-side split
+//! 286 B over 5 (301 B); and a patch of one 8 176-byte blob chunk 8 206 B
+//! in one frame — what it rewrote.
 //!
 //! A transaction becomes durable with a [`WalRecord::Commit`] marker, which
 //! carries the serialized catalog (table name → schema → B-tree roots) as
@@ -30,7 +32,7 @@
 //!
 //! ```text
 //! magic  u8   = 0xA7
-//! kind   u8   (1 = alloc, 2 = free, 3 = write, 4 = commit)
+//! kind   u8   (1 = alloc, 2 = free, 3 = write, 4 = commit, 5 = edit)
 //! lsn    u64  LE, the previous frame's plus one
 //! len    u32  LE, payload byte count
 //! payload     (kind-specific, see below)
@@ -38,66 +40,55 @@
 //! ```
 //!
 //! Payloads: `alloc`/`free` are `page u64`; `commit` is the opaque catalog
-//! image; `write` is `page u64` followed by one or more runs that fill the
-//! payload exactly, ascending and non-overlapping, none empty, none past
-//! the page end (`off` is relative to the page start), each of one of
-//! three forms:
+//! image; `write` is `page u64` followed by one or more literal runs
+//! `off u16 | len u16 | bytes[len]` that fill the payload exactly,
+//! ascending and non-overlapping, none empty, none past the page end
+//! (`off` is relative to the page start); `edit` is `page u64` followed by
+//! one or more edits that fill the payload exactly, performed in order:
 //!
 //! ```text
-//! literal   off u16 | len u16                         | bytes[len]
-//! copy      off u16 | len u16 with bit 15 set         | src u64 | src_off u16
-//! own copy  off u16 | len u16 with bits 15 and 14 set | src_off u16
+//! insert   1 | slot u16 | len u16 | record[len]
+//! remove   2 | slot u16 | count u16           (slot `slot`, count times)
+//! replace  3 | slot u16 | len u16 | record[len]
+//! link     4 | next u64                       (u64::MAX: none)
+//! rebuild  5 | pieces u16 | kind u8 | next u64 | piece[pieces]
+//!   piece  1 | first u16 | count u16          (slots of the written page)
+//!          2 | first u16 | count u16 | src u64 (slots of another page)
+//!          3 | len u16 | record[len]
 //! ```
 //!
-//! One rule covers both copy forms: a copy run's `len` bytes are bytes
-//! `src_off..` of its source page **as they stood before the frame**, and
-//! `src_off + len` lies inside the page. A `copy` names another page `src`
-//! (never the frame's own: that is what the 6-byte `own copy` is for); an
-//! `own copy` names the frame's own page — bytes that moved within it, as
-//! a slot directory shifts when a record goes in or out, or as a leaf
-//! rebuilt in place re-packs its records. Both decode to
-//! [`WalRecord::Copy`], an own copy with `src` equal to `page`. A frame
-//! is replayed as a unit: the bytes its own copies read are gathered from
-//! the page first, then its runs are applied in order, so a run may read
-//! bytes an earlier run of the same frame overwrote.
+//! A slot, a slot range or a record never reaches past what a page holds,
+//! a record or a slot range is never empty, and a rebuild is of a B-tree
+//! page kind. A rebuild's slot pieces are the records of those slots of
+//! their page: another page as it stood before the frame — a frame writes
+//! only its own page — and the written page as the frame's earlier edits
+//! left it. [`scan`] hands a write frame back as consecutive
+//! [`WalRecord::Write`] records, one per run, and an edit frame as
+//! consecutive [`WalRecord::Edit`] records, one per edit, under the
+//! frame's LSN. Replay refuses, as `WalCorrupt`, an edit the live write
+//! could not have made: a slot past the page's directory, a record that
+//! does not fit, a page that is no B-tree page, or a rebuild from a page
+//! that is free, past the file or of another kind.
 //!
-//! One page write (`PageStore::install`) is one frame however many runs
-//! it changed.
-//! `append_write` finds them by comparing the before- and after-image a
-//! word at a time: a changed stretch is a maximal stretch of changed
-//! 8-byte words, cut back at both ends to its first and last changed byte,
-//! so two stretches are always more than a [`RUN_HEADER`] of unchanged
-//! bytes apart and logging them separately always pays. A stretch is one
-//! literal run — unless the write claims ([`MoveClaim`]) that some of its
-//! bytes were copied from another page, or from elsewhere on its own.
-//! Claimed bytes that still equal their source's bytes before the write —
-//! another page's live bytes, or the written page's before-image, which
-//! are the bytes replay holds when it reaches the frame — are a copy run
-//! instead; claims that continue each other on one source make one run,
-//! across the unchanged bytes between two stretches too (a fresh page's
-//! records hold words of zeros). A copy run is taken only when the
-//! changed bytes it stands for outnumber its header ([`COPY_RUN_HEADER`],
-//! or [`OWN_COPY_RUN_HEADER`] on its own page) plus the [`RUN_HEADER`] it
-//! may cut a literal run in two with, so it only ever shortens a frame. A
-//! one-literal-run payload is 12 bytes plus the run, each further run
-//! [`RUN_HEADER`] more — never more than the one span from the first to
-//! the last change would take.
-//! [`scan`] hands a frame's runs back as consecutive [`WalRecord::Write`]
-//! and [`WalRecord::Copy`] records under the frame's LSN.
-//!
-//! The claims come from the writer, which knows what it moved: a B-tree
-//! write records, for each record of the image it builds, the slot of the
-//! store's page it came from, and claims the records that moved and the
-//! directory entries that shifted. A split's claims on the records it
-//! moves onto a fresh page cover most of what a split writes: on the repo
-//! benchmark's `dml_mix` workload (seed 1; a count, the same on any
-//! machine) the log falls from 4.74 to 2.74 bytes per user byte. The
-//! claims on what stayed on a rewritten tree page at another place — slot
-//! entries shifted by an insert or a delete, records a compaction or a
-//! split's left half re-packed — take it to 1.54.
+//! One page write (`PageStore::install`) is one frame. `append_write`
+//! finds the changed bytes by comparing the before- and after-image a word
+//! at a time: a changed stretch is a maximal stretch of changed 8-byte
+//! words, cut back at both ends to its first and last changed byte, so two
+//! stretches are always more than a [`RUN_HEADER`] of unchanged bytes
+//! apart and logging them separately always pays. A one-run payload is 12
+//! bytes plus the run, each further run [`RUN_HEADER`] more — never more
+//! than the one span from the first to the last change would take. A tree
+//! write hands its edits along, and when their frame is the shorter one it
+//! is logged instead: a shifted slot directory, a compacted page and a
+//! split's moved records cost a few bytes each, while an update in place,
+//! whose edit would carry the whole record, keeps the bytes it changed. On
+//! the repo benchmark's `dml_mix` workload (seed 1; a count, the same on
+//! any machine) the log takes 1.38 bytes per user byte, where byte
+//! comparison that named moved bytes as copies of other bytes took 1.54
+//! and the changed bytes alone 4.74.
 //!
 //! A frame that fails any of this — short, bad magic or kind, bad
-//! checksum, a malformed run table, or an LSN that is not its
+//! checksum, a malformed run table or edit list, or an LSN that is not its
 //! predecessor's plus one (the first frame of a buffer may carry any LSN:
 //! a checkpoint truncates the buffer, not the counter) — ends the scan as
 //! a tear at its offset.
@@ -135,10 +126,12 @@
 //! misses overlap.
 //!
 //! [`open`]: crate::store::PageStore::open
+//! [`PageStore::write`]: crate::store::PageStore::write
 
 use crate::errors::{Result, StorageError};
-use crate::page::PAGE_SIZE;
+use crate::page::{tree_kind, Piece, SlotEdit, SlottedPage, PAGE_HEADER_LEN, PAGE_SIZE, SLOT_LEN};
 use sqlarray_core::le;
+use std::borrow::Cow;
 
 /// First byte of every WAL frame.
 pub const WAL_MAGIC: u8 = 0xA7;
@@ -153,31 +146,33 @@ const FRAME_HEADER: usize = 1 + 1 + 8 + 4;
 /// `off u16 | len u16`.
 pub const RUN_HEADER: usize = 2 + 2;
 
-/// Bytes a copy run from another page takes, all of it header: `off u16 |
-/// len u16 | src u64 | src_off u16`, with bit 15 of `len` set.
-pub const COPY_RUN_HEADER: usize = 2 + 2 + 8 + 2;
-
-/// Bytes a copy run from the written page itself takes, all of it header:
-/// `off u16 | len u16 | src_off u16`, with bits 15 and 14 of `len` set.
-pub const OWN_COPY_RUN_HEADER: usize = 2 + 2 + 2;
-
-/// The top bit of a run's `len` field: set, the run is a copy run.
-const COPY_BIT: u16 = 0x8000;
-
-/// The next bit of a copy run's `len` field: set, the run copies from the
-/// written page and names no source page.
-const OWN_BIT: u16 = 0x4000;
-
-// Run offsets and lengths are logged as `u16`, and a length leaves the
-// two form bits free; a page is whole words; and the word of unchanged
-// bytes that parts two runs is longer than the header the second run
-// costs, so no two runs are worth logging as one.
-const _: () = assert!(PAGE_SIZE < OWN_BIT as usize && PAGE_SIZE % 8 == 0 && RUN_HEADER < 8);
+// Run offsets and lengths are logged as `u16`; a page is whole words; and
+// the word of unchanged bytes that parts two runs is longer than the
+// header the second run costs, so no two runs are worth logging as one.
+const _: () = assert!(PAGE_SIZE <= u16::MAX as usize && PAGE_SIZE % 8 == 0 && RUN_HEADER < 8);
 
 const KIND_ALLOC: u8 = 1;
 const KIND_FREE: u8 = 2;
 const KIND_WRITE: u8 = 3;
 const KIND_COMMIT: u8 = 4;
+const KIND_EDIT: u8 = 5;
+
+/// Tags of the edits of an edit frame.
+const EDIT_INSERT: u8 = 1;
+const EDIT_REMOVE: u8 = 2;
+const EDIT_REPLACE: u8 = 3;
+const EDIT_LINK: u8 = 4;
+const EDIT_REBUILD: u8 = 5;
+
+/// Tags of the pieces of a rebuild: slots of the written page, slots of
+/// another page, a record's bytes.
+const PIECE_OWN: u8 = 1;
+const PIECE_OTHER: u8 = 2;
+const PIECE_BYTES: u8 = 3;
+
+/// Slots a page's directory can hold: no slot, slot count or slot range
+/// of an edit frame reaches past it.
+const MAX_SLOTS: usize = (PAGE_SIZE - PAGE_HEADER_LEN) / SLOT_LEN;
 
 /// Bytes in one checksum block: eight little-endian words.
 const BLOCK_BYTES: usize = 64;
@@ -367,21 +362,14 @@ pub enum WalRecord<'a> {
         /// The new bytes of the run.
         bytes: &'a [u8],
     },
-    /// One copied run of a page: its `len` bytes at `off` are bytes
-    /// `src_off..` of page `src` as they stood before the frame. `src` may
-    /// be `page` itself — bytes that moved within the page — so a replay
-    /// reads what a frame's runs copy before it writes any of them.
-    Copy {
+    /// One edit of a B-tree page write. An edit frame holds every edit one
+    /// page write made; [`scan`] yields them in the order they were made,
+    /// under the frame's LSN.
+    Edit {
         /// The written page id.
         page: u64,
-        /// Byte offset of the run within the page.
-        off: u16,
-        /// Bytes in the run.
-        len: u16,
-        /// The page the bytes come from.
-        src: u64,
-        /// Byte offset of the bytes within `src`.
-        src_off: u16,
+        /// The edit.
+        edit: SlotEdit<'a>,
     },
     /// Transaction boundary; payload is the serialized catalog at commit.
     Commit {
@@ -395,8 +383,9 @@ impl WalRecord<'_> {
         match self {
             WalRecord::Alloc { .. } => KIND_ALLOC,
             WalRecord::Free { .. } => KIND_FREE,
-            WalRecord::Write { .. } | WalRecord::Copy { .. } => KIND_WRITE,
+            WalRecord::Write { .. } => KIND_WRITE,
             WalRecord::Commit { .. } => KIND_COMMIT,
+            WalRecord::Edit { .. } => KIND_EDIT,
         }
     }
 }
@@ -430,37 +419,58 @@ fn push_run(log: &mut Vec<u8>, at: usize, bytes: &[u8]) {
     log.extend_from_slice(bytes);
 }
 
-/// The bytes a copy run of a write frame of `page` takes when it copies
-/// from page `src`.
-fn copy_run_header(page: u64, src: u64) -> usize {
-    if src == page {
-        OWN_COPY_RUN_HEADER
-    } else {
-        COPY_RUN_HEADER
+/// Appends one tagged item of an edit frame: `tag`, each of `fields` (a
+/// slot, a count or a length) as a `u16`, then `bytes`.
+fn push_tagged(log: &mut Vec<u8>, tag: u8, fields: &[usize], bytes: &[u8]) {
+    log.push(tag);
+    for &n in fields {
+        assert!(
+            n <= PAGE_SIZE,
+            "an edit names no slot or length past its page"
+        );
+        le::push_u16(log, n as u16);
+    }
+    log.extend_from_slice(bytes);
+}
+
+/// Appends one edit of an edit frame of `page`.
+fn push_edit(log: &mut Vec<u8>, page: u64, edit: &SlotEdit<'_>) {
+    let link = |next: &Option<u64>| next.unwrap_or(u64::MAX).to_le_bytes();
+    match edit {
+        SlotEdit::Insert(slot, rec) => push_tagged(log, EDIT_INSERT, &[*slot, rec.len()], rec),
+        SlotEdit::Replace(slot, rec) => push_tagged(log, EDIT_REPLACE, &[*slot, rec.len()], rec),
+        SlotEdit::Remove(slot, count) => push_tagged(log, EDIT_REMOVE, &[*slot, *count], &[]),
+        SlotEdit::Link(next) => push_tagged(log, EDIT_LINK, &[], &link(next)),
+        SlotEdit::Rebuild(kind, next, records) => {
+            push_tagged(log, EDIT_REBUILD, &[records.len()], &[*kind]);
+            log.extend_from_slice(&link(next));
+            for piece in records {
+                match piece {
+                    Piece::Slots(src, s) if *src == page => {
+                        push_tagged(log, PIECE_OWN, &[s.start, s.len()], &[])
+                    }
+                    Piece::Slots(src, s) => {
+                        push_tagged(log, PIECE_OTHER, &[s.start, s.len()], &src.to_le_bytes())
+                    }
+                    Piece::Bytes(rec) => push_tagged(log, PIECE_BYTES, &[rec.len()], rec),
+                }
+            }
+        }
     }
 }
 
-/// Appends one copy run of a write payload of `page`: `len` bytes at `at`
-/// are bytes `src_at..` of page `src` — in the short form, naming no
-/// page, when `src` is `page` itself.
-fn push_copy(log: &mut Vec<u8>, page: u64, at: usize, len: usize, src: u64, src_at: usize) {
-    assert!(
-        at + len <= PAGE_SIZE && src_at + len <= PAGE_SIZE,
-        "a copy run lies inside both pages"
-    );
-    le::push_u16(log, at as u16);
-    if src == page {
-        le::push_u16(log, len as u16 | COPY_BIT | OWN_BIT);
-    } else {
-        le::push_u16(log, len as u16 | COPY_BIT);
-        le::push_u64(log, src);
-    }
-    le::push_u16(log, src_at as u16);
+/// Appends the edit frame of `edits`, the edits of one write of `page`,
+/// returning its byte length.
+fn append_edits(log: &mut Vec<u8>, lsn: u64, page: u64, edits: &[SlotEdit<'_>]) -> usize {
+    let start = open_frame(log, KIND_EDIT, lsn);
+    le::push_u64(log, page);
+    edits.iter().for_each(|edit| push_edit(log, page, edit));
+    seal_frame(log, start)
 }
 
 /// Appends one framed record to `log`, returning the frame's byte length.
-/// A [`WalRecord::Write`] or [`WalRecord::Copy`] becomes a one-run write
-/// frame — a copy whose `src` is its `page` in the own-page form.
+/// A [`WalRecord::Write`] becomes a one-run write frame, a
+/// [`WalRecord::Edit`] a one-edit edit frame.
 pub fn append_record(log: &mut Vec<u8>, lsn: u64, rec: &WalRecord<'_>) -> usize {
     let start = open_frame(log, rec.kind(), lsn);
     match rec {
@@ -469,18 +479,11 @@ pub fn append_record(log: &mut Vec<u8>, lsn: u64, rec: &WalRecord<'_>) -> usize 
             le::push_u64(log, *page);
             push_run(log, usize::from(*off), bytes);
         }
-        WalRecord::Copy {
-            page,
-            off,
-            len,
-            src,
-            src_off,
-        } => {
-            le::push_u64(log, *page);
-            let (at, src_at) = (usize::from(*off), usize::from(*src_off));
-            push_copy(log, *page, at, usize::from(*len), *src, src_at);
-        }
         WalRecord::Commit { catalog } => log.extend_from_slice(catalog),
+        WalRecord::Edit { page, edit } => {
+            le::push_u64(log, *page);
+            push_edit(log, *page, edit);
+        }
     }
     seal_frame(log, start)
 }
@@ -516,192 +519,24 @@ fn find_word<const CHANGED: bool>(diff: &impl Fn(usize) -> u64, from: usize) -> 
     WORDS
 }
 
-/// A page writer's claim that the `len` bytes it puts at `dst_off` are
-/// bytes `src_off..` of page `src` as it stood before the write: where
-/// they were moved from. `src` may be the written page itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MoveClaim {
-    /// The page the bytes were copied from.
-    pub src: u64,
-    /// Where they start on `src`.
-    pub src_off: usize,
-    /// Where they start on the written page.
-    pub dst_off: usize,
-    /// How many bytes were copied.
-    pub len: usize,
-}
-
-/// What a page write claims it moved: `claims`, ascending and disjoint by
-/// `dst_off`, and `source`, which hands out another page's live bytes —
-/// `None` for a page a copy run may not name. A claim on the written page
-/// itself is checked against the write's before-image instead.
-/// `append_write` trusts neither: a claim whose bytes do not match is
-/// logged literally.
-pub struct Moves<'a> {
-    /// The claimed moves.
-    pub claims: &'a [MoveClaim],
-    /// The live bytes of a claim's source page, other than the written one.
-    pub source: &'a dyn Fn(u64) -> Option<&'a [u8]>,
-}
-
-/// Verified claimed bytes not yet logged: `at..end` of the written page
-/// are bytes `src_at..` of page `src`; `covered` of them are changed bytes
-/// — what logging them literally would take. Unchanged bytes between two
-/// changed stretches may lie inside.
-struct Copied {
-    at: usize,
-    end: usize,
-    src: u64,
-    src_at: usize,
-    covered: usize,
-}
-
-impl Copied {
-    /// Whether the copy run shortens a frame of `page`: the changed bytes
-    /// it stands for outweigh its header and the literal run header it
-    /// may cut a changed stretch in two with.
-    fn pays(&self, page: u64) -> bool {
-        self.covered > copy_run_header(page, self.src) + RUN_HEADER
-    }
-}
-
-/// The runs of one write frame as [`append_write`] lays them, stretch by
-/// stretch.
-struct Runs {
-    /// The written page.
-    page: u64,
-    /// Every changed byte below this is logged, or is inside `pending`.
-    logged: usize,
-    /// Verified claimed bytes not yet logged.
-    pending: Option<Copied>,
-    /// The first claim that may reach into the current stretch or a later
-    /// one.
-    next: usize,
-}
-
-impl Runs {
-    /// Logs the pending copy, if it pays, after the literal bytes from
-    /// `logged` up to it; one that does not pay is left to the literal
-    /// bytes.
-    fn flush(&mut self, log: &mut Vec<u8>, after: &[u8]) {
-        let Some(p) = self.pending.take().filter(|p| p.pays(self.page)) else {
-            return;
-        };
-        if self.logged < p.at {
-            push_run(log, self.logged, &after[self.logged..p.at]);
-        }
-        push_copy(log, self.page, p.at, p.end - p.at, p.src, p.src_at);
-        self.logged = self.logged.max(p.end);
-    }
-}
-
-/// Where on its source the bytes `part` of `after` that claim `c` covers
-/// start, if they are there: the source's bytes at the spot as they stood
-/// before the write — `before`, when `c` names the written page itself —
-/// equal them.
-fn verify(
-    c: &MoveClaim,
-    part: std::ops::Range<usize>,
-    page: u64,
-    (before, after): (&[u8], &[u8]),
-    moves: &Moves<'_>,
-) -> Option<usize> {
-    let src_at = c.src_off.checked_add(part.start - c.dst_off)?;
-    let src_end = src_at.checked_add(part.len()).filter(|&e| e <= PAGE_SIZE)?;
-    let source = match c.src == page {
-        true => before,
-        false => (moves.source)(c.src)?,
-    };
-    (source.get(src_at..src_end)? == &after[part]).then_some(src_at)
-}
-
-/// Appends the runs of the changed stretch `stretch` of `after`, the image
-/// of `runs.page` that was `before`. The parts the claims cover whose
-/// bytes equal their source's bytes before the write — what replay holds
-/// when it reaches this frame — are copy runs, verified parts that
-/// continue each other on one source one run (across the unchanged bytes
-/// between two stretches too, which the claim verified with them), when
-/// the run pays; the rest are literal runs. A paying copy that reaches the
-/// stretch's end is held, to go on in the next stretch.
-fn push_stretch(
-    log: &mut Vec<u8>,
-    (before, after): (&[u8], &[u8]),
-    stretch: std::ops::Range<usize>,
-    moves: &Moves<'_>,
-    runs: &mut Runs,
-) {
-    runs.logged = runs.logged.max(stretch.start);
-    while let Some(c) = moves.claims.get(runs.next) {
-        if c.dst_off >= stretch.end {
-            break;
-        }
-        let claim_end = c.dst_off.saturating_add(c.len);
-        let floor = runs.pending.as_ref().map_or(runs.logged, |p| p.end);
-        // The claim's part not yet logged or pending, up to the stretch end.
-        let (at, end) = (c.dst_off.max(floor), claim_end.min(stretch.end));
-        let covered = end.saturating_sub(at.max(stretch.start));
-        if at < end {
-            let verified = verify(c, at..end, runs.page, (before, after), moves);
-            match (verified, &mut runs.pending) {
-                (Some(src_at), Some(p))
-                    if p.end == at && p.src == c.src && p.src_at + (at - p.at) == src_at =>
-                {
-                    p.end = end;
-                    p.covered += covered;
-                }
-                (verified, _) => {
-                    runs.flush(log, after);
-                    runs.pending = verified.map(|src_at| Copied {
-                        at,
-                        end,
-                        src: c.src,
-                        src_at,
-                        covered,
-                    });
-                }
-            }
-        }
-        if claim_end > stretch.end {
-            break; // the claim reaches on into the next stretch
-        }
-        runs.next += 1;
-    }
-    match &runs.pending {
-        Some(p) if p.end == stretch.end && p.pays(runs.page) => {
-            if runs.logged < p.at {
-                push_run(log, runs.logged, &after[runs.logged..p.at]);
-            }
-        }
-        _ => {
-            runs.flush(log, after);
-            if runs.logged < stretch.end {
-                push_run(log, runs.logged, &after[runs.logged..stretch.end]);
-            }
-        }
-    }
-    runs.logged = stretch.end;
-}
-
-/// Appends the write frame that turns page image `before` into `after`:
-/// the changed byte runs, copied straight from `after` — or, where
-/// `moves` claims them and the claim holds, named as a copy of bytes of
-/// another page or of `before`. Returns the frame's byte length, or 0 —
-/// and leaves `log` and `sum` alone — when the images are identical. The
-/// frame is a pure function of the two images, the claims and their
-/// sources' bytes.
+/// Appends the frame that logs the write of page `page` from image
+/// `before` to `after`, and returns its byte length — or 0, leaving `log`
+/// and `sum` alone, when the images are identical.
 ///
-/// A stretch is a maximal stretch of changed 8-byte words, cut back at
-/// both ends to its first and last changed byte, so finding them is one
-/// scan alternating between the next changed and the next unchanged word:
-/// a page with one changed row and a wholly rewritten page both cost about
-/// one pass of word compares. Two stretches are at least a word of
-/// unchanged bytes apart, more than the [`RUN_HEADER`] the second one
-/// costs, so splitting there always pays. With no claims, each stretch is
-/// one literal run; a claimed part of one is logged as a copy run only
-/// when its bytes equal the source's before the write — another page's
-/// live bytes, or `before` for the written page — and the run shortens
-/// the frame (see `push_stretch`), so a wrong claim costs bytes, never a
-/// wrong page.
+/// The literal frame holds the changed byte runs, copied straight from
+/// `after`. A changed stretch is a maximal stretch of changed 8-byte
+/// words, cut back at both ends to its first and last changed byte, so
+/// finding them is one scan alternating between the next changed and the
+/// next unchanged word: a page with one changed row and a wholly rewritten
+/// page both cost about one pass of word compares. Two stretches are at
+/// least a word of unchanged bytes apart, more than the [`RUN_HEADER`] the
+/// second one costs, so splitting there always pays.
+///
+/// `edits` are the slotted-page edits that made `after` from `before`
+/// (`&[]`: the write is not a B-tree write); when their edit frame is
+/// shorter than the literal one, it is logged instead. So a tree write
+/// never logs more than the bytes it changed, and an in-place update,
+/// whose edit would carry the whole record, logs the few bytes it changed.
 ///
 /// The same pass restamps `sum`, the page's stored `block_sum`: each
 /// 64-byte block holding a changed word adds its term in `after` and
@@ -717,7 +552,7 @@ pub(crate) fn append_write(
     before: &[u8],
     after: &[u8],
     sum: &mut u64,
-    moves: &Moves<'_>,
+    edits: &[SlotEdit<'_>],
 ) -> usize {
     assert!(before.len() == PAGE_SIZE && after.len() == PAGE_SIZE);
     // Non-zero in the bytes that changed, lowest page offset in the lowest
@@ -731,17 +566,11 @@ pub(crate) fn append_write(
     le::push_u64(log, page);
     // Blocks below this one are restamped already (two runs can share one).
     let mut restamped = 0;
-    let mut runs = Runs {
-        page,
-        logged: 0,
-        pending: None,
-        next: 0,
-    };
     while first < WORDS {
         let past = find_word::<false>(&diff, first + 1);
         let from = first * 8 + (diff(first).trailing_zeros() / 8) as usize;
         let to = past * 8 - (diff(past - 1).leading_zeros() / 8) as usize;
-        push_stretch(log, (before, after), from..to, moves, &mut runs);
+        push_run(log, from, &after[from..to]);
         let blocks = (first / BLOCK).max(restamped)..past.div_ceil(BLOCK);
         let bytes = blocks.start * BLOCK_BYTES..blocks.end * BLOCK_BYTES;
         let new = terms(&after[bytes.clone()], blocks.start);
@@ -750,8 +579,18 @@ pub(crate) fn append_write(
         restamped = blocks.end;
         first = find_word::<true>(&diff, past);
     }
-    runs.flush(log, after);
-    seal_frame(log, start)
+    let literal = seal_frame(log, start);
+    if edits.is_empty() {
+        return literal;
+    }
+    // The edit frame goes after the literal one; the longer one goes.
+    let edited = append_edits(log, lsn, page, edits);
+    if edited >= literal {
+        log.truncate(start + literal);
+        return literal;
+    }
+    log.drain(start..start + literal);
+    edited
 }
 
 /// The result of walking a (possibly torn) log buffer.
@@ -842,9 +681,13 @@ fn decode_frame<'a>(
             let page = le::u64_at(payload, 0);
             out.push((lsn, WalRecord::Free { page }));
         }
-        KIND_WRITE => {
+        KIND_WRITE | KIND_EDIT => {
             let frame_first = out.len();
-            if decode_runs(payload, lsn, out).is_none() {
+            let decoded = match kind {
+                KIND_WRITE => decode_runs(payload, lsn, out),
+                _ => decode_edits(payload, lsn, out),
+            };
+            if decoded.is_none() {
                 out.truncate(frame_first);
                 return None;
             }
@@ -855,12 +698,10 @@ fn decode_frame<'a>(
     Some((lsn, frame_end))
 }
 
-/// Decodes a write payload into one [`WalRecord::Write`] or
-/// [`WalRecord::Copy`] per run; `None` (with `out` possibly grown) unless
-/// it is a page id followed by one or more ascending, non-overlapping,
-/// non-empty, in-page runs that fill the payload exactly, no copy run
-/// reaching past its source's end and none in the long form naming the
-/// page itself (that is the short form's).
+/// Decodes a write payload into one [`WalRecord::Write`] per run; `None`
+/// (with `out` possibly grown) unless it is a page id followed by one or
+/// more ascending, non-overlapping, non-empty, in-page runs that fill the
+/// payload exactly.
 fn decode_runs<'a>(payload: &'a [u8], lsn: u64, out: &mut Vec<(u64, WalRecord<'a>)>) -> Option<()> {
     let mut table = payload.get(8..).filter(|t| !t.is_empty())?;
     let page = le::u64_at(payload, 0);
@@ -869,51 +710,111 @@ fn decode_runs<'a>(payload: &'a [u8], lsn: u64, out: &mut Vec<(u64, WalRecord<'a
         if table.len() < RUN_HEADER {
             return None;
         }
-        let (off, field) = (le::u16_at(table, 0), le::u16_at(table, 2));
-        let len = usize::from(field & !(COPY_BIT | OWN_BIT));
+        let (off, len) = (le::u16_at(table, 0), usize::from(le::u16_at(table, 2)));
         let (start, end) = (usize::from(off), usize::from(off) + len);
         if len == 0 || start < floor || end > PAGE_SIZE {
             return None;
         }
-        let used = match (field & COPY_BIT != 0, field & OWN_BIT != 0) {
-            (false, false) => {
-                let bytes = table.get(RUN_HEADER..RUN_HEADER + len)?;
-                out.push((lsn, WalRecord::Write { page, off, bytes }));
-                RUN_HEADER + len
-            }
-            // A literal run's length never reaches the own-page bit.
-            (false, true) => return None,
-            (true, own) => {
-                let header = if own {
-                    OWN_COPY_RUN_HEADER
-                } else {
-                    COPY_RUN_HEADER
-                };
-                let run = table.get(..header)?;
-                // `src_off` closes either form; only the long one names `src`.
-                let (src, src_off) = (
-                    if own { page } else { le::u64_at(run, 4) },
-                    le::u16_at(run, header - 2),
-                );
-                if (!own && src == page) || usize::from(src_off) + len > PAGE_SIZE {
-                    return None;
-                }
-                let len = len as u16;
-                out.push((
-                    lsn,
-                    WalRecord::Copy {
-                        page,
-                        off,
-                        len,
-                        src,
-                        src_off,
-                    },
-                ));
-                header
-            }
-        };
+        let bytes = table.get(RUN_HEADER..RUN_HEADER + len)?;
+        out.push((lsn, WalRecord::Write { page, off, bytes }));
         floor = end;
-        table = &table[used..];
+        table = &table[RUN_HEADER + len..];
+    }
+    Some(())
+}
+
+/// Reads an edit frame's payload front to back; every read is `None` past
+/// its end.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let taken = self.0.get(..n)?;
+        self.0 = &self.0[n..];
+        Some(taken)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Option<usize> {
+        Some(usize::from(le::u16_at(self.take(2)?, 0)))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(le::u64_at(self.take(8)?, 0))
+    }
+
+    fn link(&mut self) -> Option<Option<u64>> {
+        self.u64().map(|next| (next != u64::MAX).then_some(next))
+    }
+
+    /// A slot a page's directory can hold.
+    fn slot(&mut self) -> Option<usize> {
+        self.u16().filter(|&s| s < MAX_SLOTS)
+    }
+
+    /// A record: a non-empty length no page exceeds, and its bytes.
+    fn record(&mut self) -> Option<Cow<'a, [u8]>> {
+        let len = self
+            .u16()
+            .filter(|&l| (1..=SlottedPage::max_record()).contains(&l))?;
+        self.take(len).map(Cow::Borrowed)
+    }
+
+    /// `count` slots from slot `first`, one at least and none past a
+    /// page's directory.
+    fn slots(&mut self) -> Option<std::ops::Range<usize>> {
+        let (first, count) = (self.u16()?, self.u16()?);
+        (count > 0 && first + count <= MAX_SLOTS).then_some(first..first + count)
+    }
+
+    /// A piece of a rebuild of `page`; another page never names `page`.
+    fn piece(&mut self, page: u64) -> Option<Piece<'a>> {
+        Some(match self.u8()? {
+            PIECE_OWN => Piece::Slots(page, self.slots()?),
+            PIECE_OTHER => {
+                let slots = self.slots()?;
+                Piece::Slots(self.u64().filter(|&src| src != page)?, slots)
+            }
+            PIECE_BYTES => Piece::Bytes(self.record()?),
+            _ => return None,
+        })
+    }
+
+    /// An edit of `page`: a known tag, slots and lengths a page can hold,
+    /// and no byte missing.
+    fn edit(&mut self, page: u64) -> Option<SlotEdit<'a>> {
+        Some(match self.u8()? {
+            EDIT_INSERT => SlotEdit::Insert(self.slot()?, self.record()?),
+            EDIT_REPLACE => SlotEdit::Replace(self.slot()?, self.record()?),
+            EDIT_REMOVE => self.slots().map(|s| SlotEdit::Remove(s.start, s.len()))?,
+            EDIT_LINK => SlotEdit::Link(self.link()?),
+            EDIT_REBUILD => {
+                let n = self.u16().filter(|&n| n <= MAX_SLOTS)?;
+                let (kind, next) = (self.u8().filter(|&k| tree_kind(k))?, self.link()?);
+                let records = (0..n).map(|_| self.piece(page)).collect::<Option<_>>()?;
+                SlotEdit::Rebuild(kind, next, records)
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// Decodes an edit payload into one [`WalRecord::Edit`] per edit; `None`
+/// (with `out` possibly grown) unless it is a page id followed by one or
+/// more well-formed edits that fill the payload exactly.
+fn decode_edits<'a>(
+    payload: &'a [u8],
+    lsn: u64,
+    out: &mut Vec<(u64, WalRecord<'a>)>,
+) -> Option<()> {
+    let mut c = Cursor(payload.get(8..).filter(|t| !t.is_empty())?);
+    let page = le::u64_at(payload, 0);
+    while !c.0.is_empty() {
+        let edit = c.edit(page)?;
+        out.push((lsn, WalRecord::Edit { page, edit }));
     }
     Some(())
 }
@@ -922,35 +823,36 @@ fn decode_runs<'a>(payload: &'a [u8], lsn: u64, out: &mut Vec<(u64, WalRecord<'a
 mod tests {
     use super::*;
 
-    /// A write that claims nothing.
-    const NO_MOVES: Moves<'static> = Moves {
-        claims: &[],
-        source: &|_| None,
-    };
+    /// An edit of every kind, the rebuild with a piece of every kind.
+    fn sample_edits() -> Vec<SlotEdit<'static>> {
+        let rec = |len: usize| Cow::Owned(filler(len));
+        let records = vec![
+            Piece::Slots(1, 0..5),
+            Piece::Bytes(rec(16)),
+            Piece::Slots(0, 9..10),
+        ];
+        vec![
+            SlotEdit::Insert(3, rec(40)),
+            SlotEdit::Remove(7, 2),
+            SlotEdit::Replace(0, rec(9)),
+            SlotEdit::Link(Some(12)),
+            SlotEdit::Link(None),
+            SlotEdit::Rebuild(crate::page::page_type::BTREE_INTERNAL, Some(4), records),
+        ]
+    }
 
-    /// The copy run of the sample log: 40 bytes at 100 of page 1 are bytes
-    /// 16.. of page 0.
-    const SAMPLE_COPY: WalRecord<'static> = WalRecord::Copy {
-        page: 1,
-        off: 100,
-        len: 40,
-        src: 0,
-        src_off: 16,
-    };
+    /// The one-edit frame of the sample log.
+    fn sample_insert() -> WalRecord<'static> {
+        let rec = Cow::Owned(filler(20));
+        WalRecord::Edit {
+            page: 2,
+            edit: SlotEdit::Insert(0, rec),
+        }
+    }
 
-    /// The own-page copy run of the sample log: 40 bytes at 300 of page 1
-    /// are bytes 120.. of page 1 as it stood before the frame — a stretch
-    /// overlapping the one written.
-    const SAMPLE_OWN_COPY: WalRecord<'static> = WalRecord::Copy {
-        page: 1,
-        off: 300,
-        len: 40,
-        src: 1,
-        src_off: 290,
-    };
-
-    /// Alloc, literal write, copy, own-page copy and free frames (LSNs 1
-    /// to 5), then a commit; returns the log and where the commit starts.
+    /// Alloc, literal write, edit (every kind in one frame), one-edit and
+    /// free frames (LSNs 1 to 5), then a commit; returns the log and where
+    /// the commit starts.
     fn sample_log() -> (Vec<u8>, usize) {
         let mut log = Vec::new();
         append_record(&mut log, 1, &WalRecord::Alloc { page: 0 });
@@ -963,8 +865,8 @@ mod tests {
                 bytes: &[1, 2, 3],
             },
         );
-        append_record(&mut log, 3, &SAMPLE_COPY);
-        append_record(&mut log, 4, &SAMPLE_OWN_COPY);
+        append_edits(&mut log, 3, 1, &sample_edits());
+        append_record(&mut log, 4, &sample_insert());
         append_record(&mut log, 5, &WalRecord::Free { page: 0 });
         let commit_at = log.len();
         append_record(&mut log, 6, &WalRecord::Commit { catalog: b"cat" });
@@ -975,7 +877,8 @@ mod tests {
     fn round_trips_every_kind() {
         let (log, _) = sample_log();
         let recs = scan_strict(&log).unwrap();
-        assert_eq!(recs.len(), 6);
+        let edits = sample_edits();
+        assert_eq!(recs.len(), 5 + edits.len());
         assert_eq!(recs[0], (1, WalRecord::Alloc { page: 0 }));
         assert_eq!(
             recs[1],
@@ -988,21 +891,25 @@ mod tests {
                 }
             )
         );
-        assert_eq!(recs[2], (3, SAMPLE_COPY));
-        assert_eq!(recs[3], (4, SAMPLE_OWN_COPY));
-        assert_eq!(recs[4], (5, WalRecord::Free { page: 0 }));
-        assert_eq!(recs[5], (6, WalRecord::Commit { catalog: b"cat" }));
-        // The own-page run takes the short form: the frame names no source
-        // page.
-        let own = append_record(&mut Vec::new(), 4, &SAMPLE_OWN_COPY);
-        let other = append_record(&mut Vec::new(), 3, &SAMPLE_COPY);
-        assert_eq!(
-            (own, other),
-            (
-                FRAME_OVERHEAD + 8 + OWN_COPY_RUN_HEADER,
-                FRAME_OVERHEAD + 8 + COPY_RUN_HEADER
-            )
-        );
+        for (got, edit) in recs[2..].iter().zip(&edits) {
+            let edit = edit.clone();
+            assert_eq!(got, &(3, WalRecord::Edit { page: 1, edit }));
+        }
+        let n = recs.len();
+        assert_eq!(recs[n - 3], (4, sample_insert()));
+        assert_eq!(recs[n - 2], (5, WalRecord::Free { page: 0 }));
+        assert_eq!(recs[n - 1], (6, WalRecord::Commit { catalog: b"cat" }));
+        // One edit appended as a record is a one-edit frame, and a frame of
+        // several edits takes what their one-edit frames take past the
+        // frame header and page id.
+        let whole = append_edits(&mut Vec::new(), 3, 1, &edits);
+        let mut lens = 0;
+        for edit in edits {
+            let (mut one, rec) = (Vec::new(), WalRecord::Edit { page: 1, edit });
+            lens += append_record(&mut one, 3, &rec) - FRAME_OVERHEAD - 8;
+            assert_eq!(scan_strict(&one).unwrap(), [(3, rec)]);
+        }
+        assert_eq!(whole, FRAME_OVERHEAD + 8 + lens);
     }
 
     #[test]
@@ -1011,7 +918,7 @@ mod tests {
         // Cut mid-way through the commit frame.
         let torn = &log[..commit_at + 5];
         let s = scan(torn);
-        assert_eq!(s.records.len(), 5);
+        assert_eq!(s.records.len(), scan_strict(&log).unwrap().len() - 1);
         assert_eq!(s.clean_len, commit_at);
         assert_eq!(s.tear, Some(commit_at));
         assert_eq!(
@@ -1264,11 +1171,11 @@ mod tests {
     }
 
     /// A frame with any one bit flipped — magic, kind, LSN, length, page
-    /// id, run table or the stored check — never decodes, and neither does
-    /// any proper prefix of it (a torn write). Once for a one-run frame as
-    /// [`append_record`] builds it, once for a three-run frame, once for a
-    /// frame of literal runs around a copy run, and once for a literal run
-    /// before an own-page copy run.
+    /// id, run table, edit list or the stored check — never decodes, and
+    /// neither does any proper prefix of it (a torn write). Once for a
+    /// one-run frame as [`append_record`] builds it, once for a three-run
+    /// frame, and once for an edit frame holding every edit and piece
+    /// kind.
     #[test]
     fn damaged_or_torn_frames_never_decode() {
         let payload = filler(100);
@@ -1285,31 +1192,13 @@ mod tests {
         let before = filler(PAGE_SIZE);
         let after = edited(&before, &[(0, 3), (4000, 60), (8190, 2)]);
         let mut three_runs = Vec::new();
-        append_write(&mut three_runs, 9, 3, &before, &after, &mut 0, &NO_MOVES);
-        let source = seeded(PAGE_SIZE, 5);
-        let mut after = edited(&before, &[(2000, 10), (2500, 10)]);
-        after[2010..2500].copy_from_slice(&source[300..790]);
-        let claims = [claim(5, 300, 2010, 490)];
-        let mut copied = Vec::new();
-        with_moves(&claims, &source, |moves| {
-            append_write(&mut copied, 9, 3, &before, &after, &mut 0, moves)
-        });
-        let kinds = |frame: &[u8]| {
-            let recs = scan_strict(frame).unwrap();
-            recs.iter()
-                .map(|(_, r)| matches!(r, WalRecord::Copy { .. }))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(kinds(&copied), [false, true, false]);
-        let mut after = edited(&before, &[(2000, 10)]);
-        after[3000..3300].copy_from_slice(&before[3100..3400]);
-        let mut own = Vec::new();
-        with_moves(&[claim(3, 3100, 3000, 300)], &source, |moves| {
-            append_write(&mut own, 9, 3, &before, &after, &mut 0, moves)
-        });
-        assert_eq!(kinds(&own), [false, true]);
-        for (mut frame, runs) in [(one_run, 1), (three_runs, 3), (copied, 3), (own, 2)] {
-            assert_eq!(scan_strict(&frame).unwrap().len(), runs);
+        append_write(&mut three_runs, 9, 3, &before, &after, &mut 0, &[]);
+        let edits = sample_edits();
+        let mut edit_frame = Vec::new();
+        append_edits(&mut edit_frame, 9, 3, &edits);
+        let frames = [(one_run, 1), (three_runs, 3), (edit_frame, edits.len())];
+        for (mut frame, records) in frames {
+            assert_eq!(scan_strict(&frame).unwrap().len(), records);
             for bit in 0..frame.len() * 8 {
                 frame[bit / 8] ^= 1 << (bit % 8);
                 let s = scan(&frame);
@@ -1334,7 +1223,8 @@ mod tests {
             append_record(&mut spliced, lsn, &WalRecord::Free { page: lsn });
         }
         let s = scan(&spliced);
-        assert_eq!(s.records, scan_strict(&log).unwrap()[..5]);
+        let whole = scan_strict(&log).unwrap();
+        assert_eq!(s.records, whole[..whole.len() - 1]);
         assert_eq!((s.clean_len, s.tear), (cut, Some(cut)));
         assert_eq!(
             scan_strict(&spliced),
@@ -1362,37 +1252,6 @@ mod tests {
             after[at..at + len].iter_mut().for_each(|b| *b ^= 0xFF);
         }
         after
-    }
-
-    /// Deterministic filler that differs from [`filler`] and from every
-    /// other `seed`'s.
-    fn seeded(len: usize, seed: u64) -> Vec<u8> {
-        let mut page = filler(len);
-        for (i, b) in page.iter_mut().enumerate() {
-            *b ^= (seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> (i % 7 * 8)) as u8 | 1;
-        }
-        page
-    }
-
-    fn claim(src: u64, src_off: usize, dst_off: usize, len: usize) -> MoveClaim {
-        MoveClaim {
-            src,
-            src_off,
-            dst_off,
-            len,
-        }
-    }
-
-    /// `f` of `claims` over one source page: `source` is the live image of
-    /// every page id but 7, a page a copy run may not name — 3, the page
-    /// these tests write, included, which `append_write` must not consult:
-    /// a claim on the written page is checked against its before-image.
-    fn with_moves<R>(claims: &[MoveClaim], source: &[u8], f: impl FnOnce(&Moves<'_>) -> R) -> R {
-        let lookup = |src: u64| (src != 7).then_some(source);
-        f(&Moves {
-            claims,
-            source: &lookup,
-        })
     }
 
     /// The diff a byte at a time, straight from its definition: maximal
@@ -1427,18 +1286,10 @@ mod tests {
         let earlier = filler(21);
         let mut log = earlier.clone();
         let mut sum = block_sum(before);
-        let frame_len = append_write(&mut log, 7, 3, before, after, &mut sum, &NO_MOVES);
+        let frame_len = append_write(&mut log, 7, 3, before, after, &mut sum, &[]);
         assert_eq!(sum, block_sum(after), "the restamp is a full recompute");
         let mut off_sum = block_sum(before).wrapping_add(0x51);
-        append_write(
-            &mut Vec::new(),
-            7,
-            3,
-            before,
-            after,
-            &mut off_sum,
-            &NO_MOVES,
-        );
+        append_write(&mut Vec::new(), 7, 3, before, after, &mut off_sum, &[]);
         assert_eq!(
             off_sum,
             block_sum(after).wrapping_add(0x51),
@@ -1514,15 +1365,7 @@ mod tests {
         le::put_u64(&mut after, 520, 0x0000_0000_0001_0000); // byte 2
         le::put_u64(&mut after, 1024, 0x0000_0000_0100_0000); // byte 3
         let mut log = Vec::new();
-        append_write(
-            &mut log,
-            1,
-            0,
-            &vec![0u8; PAGE_SIZE],
-            &after,
-            &mut 0,
-            &NO_MOVES,
-        );
+        append_write(&mut log, 1, 0, &vec![0u8; PAGE_SIZE], &after, &mut 0, &[]);
         let runs: Vec<_> = scan_strict(&log).unwrap();
         let run = |off, bytes| WalRecord::Write {
             page: 0,
@@ -1534,102 +1377,30 @@ mod tests {
         assert_eq!(check_write_frame(&vec![0u8; PAGE_SIZE], &after), 2);
     }
 
-    /// What a decoder must refuse, as the bytes after the page id of a
-    /// write payload, next to a well-formed table so the refusals are not
-    /// vacuous. Nothing here may panic, decode, or reach a page.
-    #[test]
-    fn malformed_run_tables_never_decode() {
+    /// A log of one frame of `kind` whose payload is page 0's id and
+    /// `table`, then a commit.
+    fn frame_of(kind: u8, table: &[u8]) -> Vec<u8> {
+        let mut log = Vec::new();
+        let start = open_frame(&mut log, kind, 1);
+        le::push_u64(&mut log, 0);
+        log.extend_from_slice(table);
+        seal_frame(&mut log, start);
+        append_record(&mut log, 2, &WalRecord::Commit { catalog: b"c" });
+        log
+    }
+
+    /// Each of `bad`, as the bytes after the page id of a `kind` frame,
+    /// scans as a tear at 0 and reboots a one-page image to nothing
+    /// applied, page 0 untouched; `good` decodes to `records` records, and
+    /// replay refuses it, with its typed error, on an image without page 0.
+    fn assert_refused(kind: u8, good: &[u8], records: usize, bad: &[(&str, Vec<u8>)]) {
         use crate::store::{DiskImage, PageStore};
-        let run = |off: u16, len: u16, bytes: &[u8]| {
-            let mut t = Vec::new();
-            le::push_u16(&mut t, off);
-            le::push_u16(&mut t, len);
-            t.extend_from_slice(bytes);
-            t
-        };
-        let frame_of = |table: &[u8]| {
-            let mut log = Vec::new();
-            let start = open_frame(&mut log, KIND_WRITE, 1);
-            le::push_u64(&mut log, 0);
-            log.extend_from_slice(table);
-            seal_frame(&mut log, start);
-            append_record(&mut log, 2, &WalRecord::Commit { catalog: b"c" });
-            log
-        };
-        let copy = |off: u16, len: u16, src: u64, src_off: u16| {
-            let mut t = Vec::new();
-            le::push_u16(&mut t, off);
-            le::push_u16(&mut t, len | COPY_BIT);
-            le::push_u64(&mut t, src);
-            le::push_u16(&mut t, src_off);
-            t
-        };
-        let own = |off: u16, len: u16, src_off: u16| {
-            let mut t = Vec::new();
-            le::push_u16(&mut t, off);
-            le::push_u16(&mut t, len | COPY_BIT | OWN_BIT);
-            le::push_u16(&mut t, src_off);
-            t
-        };
-        let page_end = PAGE_SIZE as u16;
-        let good = [
-            run(10, 2, b"ab"),
-            run(12, 1, b"c"),
-            copy(13, 20, 1, page_end - 20),
-            own(40, 30, 20),
-            run(page_end - 1, 1, b"z"),
-        ]
-        .concat();
-        assert_eq!(scan_strict(&frame_of(&good)).unwrap().len(), 6);
-        let bad: [(&str, Vec<u8>); 21] = [
-            ("empty own copy run", own(100, 0, 8)),
-            ("own copy past its page's end", own(100, 20, page_end - 19)),
-            ("truncated own copy run", own(100, 20, 8)[..5].to_vec()),
-            (
-                "own copy overlapping the run before it",
-                [run(10, 4, b"abcd"), own(13, 20, 100)].concat(),
-            ),
-            (
-                "literal run with the own-page bit",
-                run(10, 2 | OWN_BIT, b"ab"),
-            ),
-            ("copy naming its own page", copy(100, 20, 0, 8)),
-            (
-                "copy past its source's end",
-                copy(100, 20, 1, page_end - 19),
-            ),
-            ("empty copy run", copy(100, 0, 1, 8)),
-            (
-                "copy overlapping the run before it",
-                [run(10, 4, b"abcd"), copy(13, 20, 1, 8)].concat(),
-            ),
-            (
-                "run overlapping the copy before it",
-                [copy(10, 20, 1, 8), run(29, 2, b"ab")].concat(),
-            ),
-            ("copy past the page end", copy(page_end - 19, 20, 1, 8)),
-            ("truncated copy run", copy(100, 20, 1, 8)[..11].to_vec()),
-            ("no run at all", Vec::new()),
-            ("empty run", run(10, 0, b"")),
-            (
-                "empty run after a good one",
-                [run(10, 2, b"ab"), run(20, 0, b"")].concat(),
-            ),
-            ("overlap", [run(10, 4, b"abcd"), run(13, 2, b"ef")].concat()),
-            (
-                "descending",
-                [run(100, 2, b"ab"), run(10, 2, b"cd")].concat(),
-            ),
-            ("past the page end", run(page_end - 1, 2, b"ab")),
-            ("trailing bytes", [run(10, 2, b"ab"), vec![0]].concat()),
-            (
-                "truncated header",
-                [run(10, 2, b"ab"), vec![20, 0, 1]].concat(),
-            ),
-            ("run longer than the payload", run(10, 9, b"ab")),
-        ];
-        for (what, table) in &bad {
-            let log = frame_of(table);
+        assert_eq!(
+            scan_strict(&frame_of(kind, good)).unwrap().len(),
+            records + 1
+        );
+        for (what, table) in bad {
+            let log = frame_of(kind, table);
             let s = scan(&log);
             assert!(s.records.is_empty() && s.tear == Some(0), "{what}");
             let image = DiskImage {
@@ -1643,14 +1414,12 @@ mod tests {
             assert_eq!((rec.applied_records, rec.catalog), (0, None), "{what}");
             assert_eq!(rec.store.raw_page(0).unwrap(), &[0u8; PAGE_SIZE][..]);
         }
-        // A table that decodes but names a page the file does not have is
-        // replay's to refuse, with its typed error.
         let image = DiskImage {
             pages: Vec::new(),
             sums: Vec::new(),
             free: Vec::new(),
             catalog: None,
-            wal: frame_of(&good),
+            wal: frame_of(kind, good),
         };
         assert!(matches!(
             PageStore::open(&image),
@@ -1658,198 +1427,184 @@ mod tests {
         ));
     }
 
-    /// Logs `before` → `after` of page 3 with `claims` over `source` and
-    /// checks what a claimed frame promises: the restamped sum is the one
-    /// without claims; the frame scans whole and replays onto `before` —
-    /// a copy run from page 3 reading `before`, whatever the frame's
-    /// earlier runs wrote, any other from `source` — to `after`; no copy
-    /// run names page 7, and each is longer than its header
-    /// ([`OWN_COPY_RUN_HEADER`] or [`COPY_RUN_HEADER`]) plus
-    /// [`RUN_HEADER`]; and the frame is no longer than the one without
-    /// claims. Returns the copy runs and the bytes they cover.
-    fn check_claimed_frame(
-        before: &[u8],
-        after: &[u8],
-        source: &[u8],
-        claims: &[MoveClaim],
-    ) -> (usize, usize) {
-        let (mut plain, mut plain_sum) = (Vec::new(), block_sum(before));
-        let plain_len = append_write(&mut plain, 7, 3, before, after, &mut plain_sum, &NO_MOVES);
-        let (mut log, mut sum) = (Vec::new(), block_sum(before));
-        let frame_len = with_moves(claims, source, |moves| {
-            append_write(&mut log, 7, 3, before, after, &mut sum, moves)
-        });
-        assert_eq!(sum, plain_sum, "claims do not touch the restamp");
-        assert_eq!(frame_len, log.len());
-        assert!(
-            frame_len <= plain_len,
-            "claims lengthened the frame: {frame_len} > {plain_len}"
-        );
-        let mut replayed = before.to_vec();
-        let (mut runs, mut copied) = (0, 0);
-        for (lsn, rec) in scan_strict(&log).unwrap() {
-            assert_eq!(lsn, 7);
-            match rec {
-                WalRecord::Write {
-                    page: 3,
-                    off,
-                    bytes,
-                } => replayed[usize::from(off)..][..bytes.len()].copy_from_slice(bytes),
-                WalRecord::Copy {
-                    page: 3,
-                    off,
-                    len,
-                    src,
-                    src_off,
-                } => {
-                    assert!(src != 7, "a copy run names page {src}");
-                    let (at, from, len) =
-                        (usize::from(off), usize::from(src_off), usize::from(len));
-                    let (bytes, header) = match src {
-                        3 => (before, OWN_COPY_RUN_HEADER),
-                        _ => (source, COPY_RUN_HEADER),
-                    };
-                    assert!(
-                        len > header + RUN_HEADER,
-                        "a {len}-byte copy run from {src}"
-                    );
-                    replayed[at..at + len].copy_from_slice(&bytes[from..from + len]);
-                    (runs, copied) = (runs + 1, copied + len);
-                }
-                other => panic!("a write frame holds runs of its page, got {other:?}"),
-            }
-        }
-        assert_eq!(replayed, after);
-        (runs, copied)
+    /// What a decoder must refuse, as the bytes after the page id of a
+    /// write payload, next to a well-formed table so the refusals are not
+    /// vacuous. Nothing here may panic, decode, or reach a page.
+    #[test]
+    fn malformed_run_tables_never_decode() {
+        let run = |off: u16, len: u16, bytes: &[u8]| {
+            let mut t = Vec::new();
+            le::push_u16(&mut t, off);
+            le::push_u16(&mut t, len);
+            t.extend_from_slice(bytes);
+            t
+        };
+        let page_end = PAGE_SIZE as u16;
+        let good = [
+            run(10, 2, b"ab"),
+            run(12, 1, b"c"),
+            run(page_end - 1, 1, b"z"),
+        ]
+        .concat();
+        let bad = [
+            ("no run at all", Vec::new()),
+            ("empty run", run(10, 0, b"")),
+            (
+                "empty run after a good one",
+                [run(10, 2, b"ab"), run(20, 0, b"")].concat(),
+            ),
+            ("overlap", [run(10, 4, b"abcd"), run(13, 2, b"ef")].concat()),
+            (
+                "descending",
+                [run(100, 2, b"ab"), run(10, 2, b"cd")].concat(),
+            ),
+            ("past the page end", run(page_end - 1, 2, b"ab")),
+            ("a length past any page", run(10, 0x8002, b"ab")),
+            ("trailing bytes", [run(10, 2, b"ab"), vec![0]].concat()),
+            (
+                "truncated header",
+                [run(10, 2, b"ab"), vec![20, 0, 1]].concat(),
+            ),
+            ("run longer than the payload", run(10, 9, b"ab")),
+        ];
+        assert_refused(KIND_WRITE, &good, 3, &bad);
     }
 
-    /// Claimed bytes become a copy run where the claim holds, and stay
-    /// literal where it does not: wrong source bytes — on another page or
-    /// on the written page before the write — a page without a source,
-    /// bytes changed after the copy, or too short a run. Adjacent claims of
-    /// adjacent source bytes make one run. On its own page a run pays from
-    /// a shorter length.
+    /// The same for an edit payload: an unknown edit or piece tag, a
+    /// truncated list, a slot, count or length past what a page holds, an
+    /// empty record or slot range, a rebuild of a kind no tree writes, the
+    /// written page named as another, and trailing bytes.
     #[test]
-    fn claimed_bytes_become_copy_runs_only_where_the_claim_holds() {
-        let (before, source) = (filler(PAGE_SIZE), seeded(PAGE_SIZE, 5));
-        let mut after = before.clone();
-        after[1000..1500].copy_from_slice(&source[200..700]);
-        after[990..1000].fill(0xEE);
-        let check = |after: &[u8], claims: &[MoveClaim]| {
-            check_claimed_frame(&before, after, &source, claims)
+    fn malformed_edit_lists_never_decode() {
+        let mut good = Vec::new();
+        sample_edits()
+            .iter()
+            .for_each(|e| push_edit(&mut good, 0, e));
+        let edit = |tag: u8, fields: &[u16], bytes: &[u8]| {
+            let mut t = vec![tag];
+            fields.iter().for_each(|&f| le::push_u16(&mut t, f));
+            t.extend_from_slice(bytes);
+            t
         };
-        assert_eq!(check(&after, &[claim(5, 200, 1000, 500)]), (1, 500));
-        let halves = [claim(5, 200, 1000, 250), claim(5, 450, 1250, 250)];
-        assert_eq!(check(&after, &halves), (1, 500), "one run of both halves");
-        let fifths: Vec<_> = (0..5)
-            .map(|i| claim(5, 200 + i * 100, 1000 + i * 100, 100))
-            .collect();
-        assert_eq!(check(&after, &fifths), (1, 500));
-        for wrong in [
-            claim(5, 201, 1000, 500),
-            claim(3, 200, 1000, 500),
-            claim(7, 200, 1000, 500),
-            claim(5, PAGE_SIZE - 100, 1000, 500),
-            claim(5, usize::MAX - 10, 1000, 500),
+        let rebuild = |kind: u8, pieces: &[u8]| {
+            let mut t = vec![EDIT_REBUILD, 1, 0, kind];
+            le::push_u64(&mut t, u64::MAX);
+            t.extend_from_slice(pieces);
+            t
+        };
+        let leaf = crate::page::page_type::BTREE_LEAF;
+        let (max, rec) = (MAX_SLOTS as u16, SlottedPage::max_record() as u16);
+        let bad = [
+            ("no edit at all", Vec::new()),
+            ("an unknown edit tag", edit(9, &[0, 1], b"a")),
+            ("a zero edit tag", edit(0, &[0, 1], b"a")),
+            ("a truncated insert", edit(EDIT_INSERT, &[0, 4], b"abc")),
+            ("a truncated slot", vec![EDIT_REMOVE, 1]),
+            ("a truncated link", vec![EDIT_LINK, 1, 2, 3]),
+            (
+                "an insert past the directory",
+                edit(EDIT_INSERT, &[max, 1], b"a"),
+            ),
+            (
+                "a replace past the directory",
+                edit(EDIT_REPLACE, &[u16::MAX, 1], b"a"),
+            ),
+            ("an empty record", edit(EDIT_INSERT, &[0, 0], b"")),
+            (
+                "a record past any page",
+                edit(EDIT_INSERT, &[0, rec + 1], &vec![1; 8200]),
+            ),
+            ("a removal of no slot", edit(EDIT_REMOVE, &[3, 0], b"")),
+            (
+                "a removal past the directory",
+                edit(EDIT_REMOVE, &[max - 1, 2], b""),
+            ),
+            (
+                "a rebuild of a blob page",
+                rebuild(3, &edit(PIECE_OWN, &[0, 1], b"")),
+            ),
+            (
+                "a rebuild of no kind",
+                rebuild(0, &edit(PIECE_OWN, &[0, 1], b"")),
+            ),
+            (
+                "an unknown piece tag",
+                rebuild(leaf, &edit(7, &[0, 1], b"")),
+            ),
+            (
+                "an empty slot range",
+                rebuild(leaf, &edit(PIECE_OWN, &[4, 0], b"")),
+            ),
+            (
+                "slots past the directory",
+                rebuild(leaf, &edit(PIECE_OWN, &[max, 1], b"")),
+            ),
+            (
+                "a truncated source page",
+                rebuild(leaf, &[PIECE_OTHER, 0, 0, 1, 0, 1, 2]),
+            ),
+            (
+                "another page that is the page itself",
+                rebuild(leaf, &[PIECE_OTHER, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            ),
+            (
+                "an empty record piece",
+                rebuild(leaf, &edit(PIECE_BYTES, &[0], b"")),
+            ),
+            ("a missing piece", rebuild(leaf, b"")),
+            ("trailing bytes", [good.clone(), vec![EDIT_LINK]].concat()),
+        ];
+        assert_refused(KIND_EDIT, &good, sample_edits().len(), &bad);
+    }
+
+    /// A tree write logs its edits only when their frame is shorter than
+    /// the literal one: inserting a record at the front of a page of 20
+    /// (which shifts the whole directory) and removing the first three do;
+    /// replacing a record in place does not, whether every byte of it
+    /// changed or one did. Either way the restamp is the literal frame's.
+    #[test]
+    fn an_edit_frame_is_logged_only_when_shorter() {
+        let leaf = crate::page::page_type::BTREE_LEAF;
+        let mut before = vec![0u8; PAGE_SIZE];
+        let rec = |k: u8| Cow::Owned(vec![k; 60]);
+        let records = (0..20).map(|k| Piece::Bytes(rec(k))).collect();
+        let build = SlotEdit::Rebuild(leaf, None, records);
+        crate::page::apply_edit(&mut before, 3, &build, &|_| None).unwrap();
+        let mut changed = filler(60);
+        for (edit, framed) in [
+            (SlotEdit::Insert(0, rec(99)), true),
+            (SlotEdit::Replace(4, Cow::Owned(changed.clone())), false),
+            (SlotEdit::Remove(0, 3), true),
         ] {
-            assert_eq!(check(&after, &[wrong]), (0, 0), "{wrong:?}");
+            let mut after = before.clone();
+            crate::page::apply_edit(&mut after, 3, &edit, &|_| None).unwrap();
+            let (mut literal, mut literal_sum) = (Vec::new(), block_sum(&before));
+            let len = append_write(&mut literal, 7, 3, &before, &after, &mut literal_sum, &[]);
+            let (mut log, mut sum) = (Vec::new(), block_sum(&before));
+            let edits = std::slice::from_ref(&edit);
+            let got = append_write(&mut log, 7, 3, &before, &after, &mut sum, edits);
+            assert_eq!((sum, got), (literal_sum, log.len()));
+            let edit_frame = append_edits(&mut Vec::new(), 7, 3, edits);
+            assert_eq!(got, len.min(edit_frame), "{edit:?}");
+            let kinds = scan_strict(&log).unwrap();
+            assert_eq!(
+                matches!(kinds[0].1, WalRecord::Edit { .. }),
+                framed,
+                "{edit:?}"
+            );
+            before = after;
         }
-        // Bytes changed after the copy break the one claim over them, and
-        // only that one.
-        let mut edited = after.clone();
-        edited[1210] ^= 0xFF;
-        assert_eq!(check(&edited, &[claim(5, 200, 1000, 500)]), (0, 0));
-        assert_eq!(check(&edited, &fifths), (2, 400));
-        // A run must beat the literal headers it costs.
-        let limit = COPY_RUN_HEADER + RUN_HEADER;
-        assert_eq!(check(&after, &[claim(5, 300, 1100, limit)]), (0, 0));
-        assert_eq!(
-            check(&after, &[claim(5, 300, 1100, limit + 1)]),
-            (1, limit + 1)
-        );
-        // Nothing changed, nothing logged, claims or not.
-        assert_eq!(check(&before, &[claim(5, 0, 0, 500)]), (0, 0));
-        // Bytes moved within the page, their source overlapping where they
-        // land: a claim on page 3 is read off `before`.
-        let mut moved = before.clone();
-        moved.copy_within(3000..3400, 3100);
-        assert_eq!(check(&moved, &[claim(3, 3000, 3100, 400)]), (1, 400));
-        assert_eq!(check(&moved, &[claim(3, 3001, 3100, 400)]), (0, 0));
-        assert_eq!(check(&moved, &[claim(5, 3000, 3100, 400)]), (0, 0));
-        let limit = OWN_COPY_RUN_HEADER + RUN_HEADER;
-        assert_eq!(check(&moved, &[claim(3, 3200, 3300, limit)]), (0, 0));
-        assert_eq!(
-            check(&moved, &[claim(3, 3200, 3300, limit + 1)]),
-            (1, limit + 1)
-        );
-        // Onto a zero page, the copied words of zeros part the changed
-        // stretches; one run spans them, and stops where a claim breaks.
-        let zeros = vec![0u8; PAGE_SIZE];
-        let mut gappy = source.clone();
-        gappy[408..432].fill(0);
-        gappy[600..640].fill(0);
-        let mut fresh = zeros.clone();
-        fresh[1000..1500].copy_from_slice(&gappy[200..700]);
-        fresh[1000] = 1;
-        fresh[1499] = 1;
-        gappy[200] = 1;
-        gappy[699] = 1;
-        let whole = check_claimed_frame(&zeros, &fresh, &gappy, &fifths);
-        assert_eq!(whole, (1, 500));
-        // Byte 1250 breaks the third claim (1200..1300) only past the zeros
-        // at 1208..1232: its part before them holds.
-        fresh[1250] ^= 0xFF;
-        let broken = check_claimed_frame(&zeros, &fresh, &gappy, &fifths);
-        assert_eq!(broken, (2, 408));
+        // The replaced record, now at slot 1: one of its bytes changes.
+        changed[30] ^= 0xFF;
+        let edit = SlotEdit::Replace(1, Cow::Owned(changed));
+        let mut after = before.clone();
+        crate::page::apply_edit(&mut after, 3, &edit, &|_| None).unwrap();
+        let mut log = Vec::new();
+        let got = append_write(&mut log, 7, 3, &before, &after, &mut 0, &[edit]);
+        assert_eq!(got, FRAME_OVERHEAD + 8 + RUN_HEADER + 1);
     }
 
     proptest::proptest! {
-        /// Random claimed writes through [`check_claimed_frame`]: stretches
-        /// copied from a source page or from elsewhere on the written page
-        /// as it was (a source that may overlap where the bytes land, or
-        /// what an earlier copy wrote) over a zero or a filled page, each
-        /// claimed rightly or with a shifted source offset, the wrong page
-        /// or a page without a source; later copies and edits overwrite
-        /// parts of earlier ones.
-        #[test]
-        fn claimed_frames_replay_to_the_written_page(
-            zero_page in proptest::prelude::any::<bool>(),
-            copies in proptest::collection::vec(
-                (0usize..PAGE_SIZE, 0usize..PAGE_SIZE, 1usize..600, 0u8..9),
-                0..8,
-            ),
-            edits in proptest::collection::vec((0usize..PAGE_SIZE, 1usize..24), 0..6),
-        ) {
-            let before = if zero_page { vec![0u8; PAGE_SIZE] } else { filler(PAGE_SIZE) };
-            // Words of zeros part the changed stretches of a copy onto a
-            // zero page.
-            let mut source = seeded(PAGE_SIZE, 9);
-            for w in (0..WORDS).step_by(7) {
-                source[w * 8..w * 8 + 8].fill(0);
-            }
-            let mut after = before.clone();
-            let mut claims = Vec::new();
-            for (dst_off, src_off, len, how) in copies {
-                let len = len.min(PAGE_SIZE - dst_off).min(PAGE_SIZE - src_off);
-                // Copies 6..=8 move bytes of the written page as it was.
-                let from = if how < 6 { &source } else { &before };
-                after[dst_off..dst_off + len].copy_from_slice(&from[src_off..src_off + len]);
-                claims.push(match how {
-                    0..=2 => claim(5, src_off, dst_off, len),
-                    3 => claim(5, src_off + 1, dst_off, len),
-                    4 => claim(3, src_off, dst_off, len),
-                    5 => claim(7, src_off, dst_off, len),
-                    6 | 7 => claim(3, src_off, dst_off, len),
-                    _ => claim(3, src_off + 1, dst_off, len),
-                });
-            }
-            for (at, len) in edits {
-                after[at..(at + len).min(PAGE_SIZE)].iter_mut().for_each(|b| *b ^= 0x3C);
-            }
-            claims.sort_by_key(|c| c.dst_off);
-            check_claimed_frame(&before, &after, &source, &claims);
-        }
-
         /// Random page pairs — a handful of stretches rewritten with
         /// random bytes (some of which land on their old value) over a
         /// zero or a filled page — through [`check_write_frame`].

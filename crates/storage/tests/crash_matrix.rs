@@ -1,12 +1,12 @@
 //! The crash matrix: every mutation path (bulk load, row-at-a-time INSERT,
 //! UPDATE-style row and blob-range maintenance, DELETE, leaf splits, whose
-//! log names the rows they move as copies of the leaf they left, and
-//! rewrites of leaves and internal nodes, whose log names the bytes that
-//! moved within the page as copies of the page before the write) is
-//! killed at **every** WAL-append injection point — with clean and torn
-//! cuts — and recovery must land byte-for-byte on the last complete
-//! commit: base pages, checksums, free list, catalog, and every decodable
-//! row and LOB chain. Each family runs a second time from a base image a checkpoint
+//! log names the rows they move by their slots on the leaf they left, and
+//! rewrites of leaves and internal nodes, whose log holds the slot edits
+//! they made rather than the bytes that moved) is killed at **every**
+//! WAL-append injection point — with clean and torn cuts — and recovery
+//! must land byte-for-byte on the last complete commit: base pages,
+//! checksums, free list, catalog, and every decodable row and LOB chain.
+//! Each family runs a second time from a base image a checkpoint
 //! produced by sharing the pages written since the one before it, so a
 //! page that share missed, or a buffer a later write changed in place,
 //! shows here as a wrong byte.
@@ -31,6 +31,7 @@
 use proptest::prelude::*;
 use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_storage::fail::tear_wal;
+use sqlarray_storage::page::{Piece, SlotEdit};
 use sqlarray_storage::store::AUTO_CHECKPOINT_BYTES;
 use sqlarray_storage::wal::{self, WalRecord};
 use sqlarray_storage::{
@@ -447,17 +448,27 @@ fn wide_committed() -> (PageStore, Table) {
     (store, t)
 }
 
-/// What `ops` — statements that split leaves or move bytes within a
-/// page — promise beside the matrix, on a clean run from `setup`: once
-/// committed, their log holds copy runs; a reboot from the crash image
-/// gives the live file byte for byte; and so does a rollback of a later
-/// statement, which replays the same log. Returns the bytes the copy runs
-/// cover, those of them that copy within their own page, and the literal
-/// bytes logged on the pages `ops` allocated.
-fn check_copy_runs(
+/// What the log of `ops` — statements that split leaves or move records
+/// within a page — holds, on a clean run from `setup`.
+#[derive(Debug, Default)]
+struct Logged {
+    /// Records its rebuilds take by slot from another page.
+    by_reference: usize,
+    /// Record bytes its edit frames and literal frames carry on the pages
+    /// `ops` allocated.
+    carried: usize,
+    /// Edits it logs on the pages that were there before.
+    in_place: usize,
+}
+
+/// [`Logged`] for `ops` from `setup`, and beside the matrix: once
+/// committed, a reboot from the crash image gives the live file byte for
+/// byte, and so does a rollback of a later statement, which replays the
+/// same log.
+fn check_edit_frames(
     setup: &dyn Fn() -> (PageStore, Table),
     ops: &dyn Fn(&mut PageStore, &mut Table),
-) -> (usize, usize, usize) {
+) -> Logged {
     let (mut store, mut t) = setup();
     let (wal_at, fresh) = (store.wal_len(), store.page_count());
     ops(&mut store, &mut t);
@@ -466,18 +477,33 @@ fn check_copy_runs(
         .map(|p| store.raw_page(p).unwrap().to_vec())
         .collect();
     let image = store.crash_image();
-    let (mut copied, mut own, mut literal) = (0, 0, 0);
+    let mut logged = Logged::default();
     for (_, rec) in wal::scan_strict(&image.wal[wal_at..]).unwrap() {
+        if matches!(rec, WalRecord::Edit { page, .. } if page < fresh) {
+            logged.in_place += 1;
+        }
         match rec {
-            WalRecord::Copy { page, len, src, .. } => {
-                copied += usize::from(len);
-                own += if src == page { usize::from(len) } else { 0 };
-            }
-            WalRecord::Write { page, bytes, .. } if page >= fresh => literal += bytes.len(),
+            WalRecord::Edit { page, edit } => match edit {
+                SlotEdit::Insert(_, rec) | SlotEdit::Replace(_, rec) if page >= fresh => {
+                    logged.carried += rec.len()
+                }
+                SlotEdit::Rebuild(.., records) => {
+                    for piece in records {
+                        match piece {
+                            Piece::Slots(src, slots) if src != page => {
+                                logged.by_reference += slots.len()
+                            }
+                            Piece::Bytes(rec) if page >= fresh => logged.carried += rec.len(),
+                            _ => {}
+                        }
+                    }
+                }
+                _ => {}
+            },
+            WalRecord::Write { page, bytes, .. } if page >= fresh => logged.carried += bytes.len(),
             _ => {}
         }
     }
-    assert!(copied > 0, "the statements log copy runs");
     let rebooted = PageStore::open(&image).unwrap().store;
     // The later statement overwrites every page; its rollback replays the
     // log from the base image.
@@ -491,16 +517,16 @@ fn check_copy_runs(
             assert!(s.raw_page(p as u64).unwrap() == page, "{what}: page {p}");
         }
     }
-    (copied, own, literal)
+    logged
 }
 
-/// Splits log the rows they move to a fresh page as copy runs from the
-/// leaf they left, and every crash of them recovers the last commit:
-/// a split that follows an edit of the same group — whose edited row is
-/// not on the store's leaf and so is logged literally — and a three-way
-/// and a two-way split.
+/// Splits name the rows they move to a fresh page by their slots on the
+/// leaf they left, carrying only the rows the statement wrote, and every
+/// crash of them recovers the last commit: a split that follows an edit of
+/// the same group — whose edited row is not on the store's leaf and so is
+/// carried — and a three-way and a two-way split.
 #[test]
-fn split_copy_runs_crash_matrix() {
+fn split_by_slot_crash_matrix() {
     // Leaf [2, 6, 10, 14, 18] is full: row 14 changes its tag in place,
     // then 16 splits the leaf, and 14, 16 and 18 move to a fresh page.
     let edit_then_split = |store: &mut PageStore, t: &mut Table| {
@@ -511,11 +537,14 @@ fn split_copy_runs_crash_matrix() {
         ];
         assert_eq!(apply_ops(store, t, &ops), 2);
     };
-    let (copied, _, literal) = check_copy_runs(&|| spaced_committed(15), &edit_then_split);
-    assert!(copied >= 1500, "row 18 is a copy run ({copied} bytes)");
+    let logged = check_edit_frames(&|| spaced_committed(15), &edit_then_split);
+    assert_eq!(
+        logged.by_reference, 1,
+        "row 18 is named by its slot: {logged:?}"
+    );
     assert!(
-        literal >= 3000,
-        "rows 14 and 16 are literal ({literal} bytes)"
+        (3000..4500).contains(&logged.carried),
+        "rows 14 and 16, and no other, are carried: {logged:?}"
     );
     run_matrix(&|| spaced_committed(15), &|store, t| {
         edit_then_split(store, t);
@@ -533,17 +562,22 @@ fn split_copy_runs_crash_matrix() {
         insert_keys_sized(store, t, &[(12, 1500)]);
         assert_eq!(t.data_pages(store).unwrap(), leaves + 3, "a two-way split");
     };
-    check_copy_runs(&wide_committed, &wide_splits);
+    let logged = check_edit_frames(&wide_committed, &wide_splits);
+    assert!(logged.by_reference > 0, "{logged:?}");
+    assert!(
+        logged.carried < 7000 + 1500 + 200,
+        "only the inserted rows: {logged:?}"
+    );
     run_matrix(&wide_committed, &|store, t| {
         wide_splits(store, t);
         commit(store, t);
     });
 }
 
-/// A split after a checkpoint logs copy runs whose source is a page of
-/// the base image, not of the log.
+/// A split after a checkpoint names rows on a page of the base image, not
+/// of the log.
 #[test]
-fn checkpoint_then_crash_split_copy_runs() {
+fn checkpoint_then_crash_split_by_slot() {
     let split_two = |store: &mut PageStore, t: &mut Table| insert_keys(store, t, &[36, 56]);
     let after_first = || {
         let (mut store, mut t) = spaced_committed(15);
@@ -552,7 +586,7 @@ fn checkpoint_then_crash_split_copy_runs() {
         store.checkpoint();
         (store, t)
     };
-    check_copy_runs(&after_first, &split_two);
+    assert!(check_edit_frames(&after_first, &split_two).by_reference > 0);
     checkpoint_then_crash(
         &|| spaced_committed(15),
         &|store, t| insert_keys(store, t, &[16]),
@@ -589,34 +623,38 @@ fn insert_delete(store: &mut PageStore, t: &mut Table, ops: &[(i64, bool)]) {
     assert_eq!(apply_ops(store, t, &ops), ops.len() as u64);
 }
 
-/// [`check_copy_runs`] and [`run_matrix`] over `victim` from `setup`: the
-/// victim's log copies bytes within their own page.
-fn own_page_matrix(
+/// [`check_edit_frames`] and [`run_matrix`] over `victim` from `setup`:
+/// the victim logs the slot edits it made on the pages that were there
+/// before it.
+fn edit_matrix(
     setup: &dyn Fn() -> (PageStore, Table),
     victim: &dyn Fn(&mut PageStore, &mut Table),
 ) {
-    let (_, own, _) = check_copy_runs(setup, victim);
-    assert!(own > 0, "no bytes were logged as moved within their page");
+    let logged = check_edit_frames(setup, victim);
+    assert!(
+        logged.in_place > 0,
+        "no page was logged by its edits: {logged:?}"
+    );
     run_matrix(setup, &|store, t| {
         victim(store, t);
         commit(store, t);
     });
 }
 
-/// Edits that move bytes within their own leaf log them as a copy of the
-/// leaf before the write, and every crash of them recovers the last
-/// commit: an insert at slot 0 (the whole slot directory shifts), a group
-/// of deletes, inserts and deletes in one group, a compaction (the rows
-/// after a dead one move down), and a split whose left half re-packs.
+/// Edits that move records within their own leaf log the edits, not the
+/// bytes that moved, and every crash of them recovers the last commit: an
+/// insert at slot 0 (the whole slot directory shifts), a group of deletes,
+/// inserts and deletes in one group, a compaction (the rows after a dead
+/// one move down), and a split whose left half re-packs.
 #[test]
-fn own_page_copy_runs_crash_matrix() {
-    own_page_matrix(&one_leaf_committed, &|store, t| {
+fn in_page_edits_crash_matrix() {
+    edit_matrix(&one_leaf_committed, &|store, t| {
         insert_delete(store, t, &[(0, true)])
     });
-    own_page_matrix(&one_leaf_committed, &|store, t| {
+    edit_matrix(&one_leaf_committed, &|store, t| {
         insert_delete(store, t, &[(6, false), (14, false), (30, false)])
     });
-    own_page_matrix(&one_leaf_committed, &|store, t| {
+    edit_matrix(&one_leaf_committed, &|store, t| {
         insert_delete(store, t, &[(0, true), (10, false), (16, true), (30, false)])
     });
     // Leaf [2, 6, 10, 14, 18] is full; with 6 deleted, a 1 000-byte row
@@ -628,13 +666,13 @@ fn own_page_copy_runs_crash_matrix() {
         commit(&mut store, &t);
         (store, t)
     };
-    own_page_matrix(&with_a_gap, &|store, t| {
+    edit_matrix(&with_a_gap, &|store, t| {
         let leaves = t.data_pages(store).unwrap();
         insert_keys_sized(store, t, &[(4, 1000)]);
         assert_eq!(t.data_pages(store).unwrap(), leaves, "a compaction");
     });
     // 4 splits [2, 6, 10, 14, 18]: 6 moves up on the left half.
-    own_page_matrix(&|| spaced_committed(15), &|store, t| {
+    edit_matrix(&|| spaced_committed(15), &|store, t| {
         let leaves = t.data_pages(store).unwrap();
         insert_keys(store, t, &[4]);
         assert_eq!(t.data_pages(store).unwrap(), leaves + 1, "a split");
@@ -671,12 +709,12 @@ fn full_root_committed() -> (PageStore, Table) {
 
 /// Internal nodes log the entries they move the same way: a separator
 /// inserted at the front of a node shifts its whole slot directory, and a
-/// node that splits writes its fresh right half first — its entries a
-/// copy of the node they leave — then re-packs its left half in place.
-/// Every crash of either recovers the last commit.
+/// node that splits writes its fresh right half first — its entries named
+/// by their slots on the node they leave — then re-packs its left half in
+/// place. Every crash of either recovers the last commit.
 #[test]
-fn internal_node_copy_runs_crash_matrix() {
-    own_page_matrix(&fifteen_leaves_committed, &|store, t| {
+fn internal_node_edits_crash_matrix() {
+    edit_matrix(&fifteen_leaves_committed, &|store, t| {
         insert_keys_sized(store, t, &[(1, 3900)]);
         assert_eq!(t.data_pages(store).unwrap(), 16, "the first leaf split");
     });
@@ -689,25 +727,30 @@ fn internal_node_copy_runs_crash_matrix() {
     let from_the_root = wal::scan_strict(&store.crash_image().wal[wal_at..])
         .unwrap()
         .iter()
-        .filter_map(|(_, r)| match *r {
-            WalRecord::Copy { page, src, len, .. } if page >= fresh && src < fresh => Some(len),
+        .filter_map(|(_, r)| match r {
+            WalRecord::Edit {
+                page,
+                edit: SlotEdit::Rebuild(.., records),
+            } if *page >= fresh => records.iter().find_map(|p| match p {
+                Piece::Slots(src, slots) if *src < fresh => Some(slots.len()),
+                _ => None,
+            }),
             _ => None,
         })
-        .map(usize::from)
         .max();
     assert!(
-        from_the_root.is_some_and(|len| len >= 200 * 16),
-        "the right half's entries are copies of the node they left: {from_the_root:?}"
+        from_the_root.is_some_and(|n| n >= 200),
+        "the right half's entries are named on the node they left: {from_the_root:?}"
     );
-    own_page_matrix(&full_root_committed, &|store, t| {
+    edit_matrix(&full_root_committed, &|store, t| {
         insert_keys_sized(store, t, &[(1, 7000)]);
     });
 }
 
-/// Moves within a page after a checkpoint copy bytes of a page the base
-/// image holds.
+/// Moves within a page after a checkpoint edit a page the base image
+/// holds.
 #[test]
-fn checkpoint_then_crash_own_page_copy_runs() {
+fn checkpoint_then_crash_in_page_edits() {
     let after_first = || {
         let (mut store, mut t) = one_leaf_committed();
         insert_delete(&mut store, &mut t, &[(0, true)]);
@@ -718,8 +761,7 @@ fn checkpoint_then_crash_own_page_copy_runs() {
     let second = |store: &mut PageStore, t: &mut Table| {
         insert_delete(store, t, &[(4, true), (6, false), (22, false)])
     };
-    let (_, own, _) = check_copy_runs(&after_first, &second);
-    assert!(own > 0);
+    assert!(check_edit_frames(&after_first, &second).in_place > 0);
     checkpoint_then_crash(
         &one_leaf_committed,
         &|store, t| insert_delete(store, t, &[(0, true)]),

@@ -882,11 +882,12 @@ fn row_sized_changes_log_row_sized_frames() {
 }
 
 /// An insert or a delete at the front of a leaf shifts its whole slot
-/// directory, which the log names as a copy of the leaf's own bytes: on a
-/// 72-row leaf each logs the record it writes, if any, and a fixed few
-/// dozen bytes besides: 152 bytes for a 103-byte row, and 37. At the
-/// parent of the change that logged moves within a page, the insert
-/// logged 434 bytes and the two deletes 321 and 316.
+/// directory, which the log leaves to the insert or remove edit that
+/// shifted it: on a 72-row leaf each logs the record it writes, if any,
+/// and a fixed few dozen bytes besides: 134 bytes for a 103-byte row, and
+/// 31. Before moves within a page were logged at all, the insert logged
+/// 434 bytes and the two deletes 321 and 316; when they were logged as
+/// copies of the leaf's own bytes, 152 and 37.
 #[test]
 fn a_front_insert_or_delete_logs_the_row_not_the_directory() {
     let (mut store, mut t) = one_leaf(72);
@@ -931,9 +932,10 @@ fn full_leaf() -> (PageStore, Table, i64) {
 }
 
 /// A split moves half a leaf to a fresh page, and the log names those
-/// rows as bytes of the leaf they came from instead of carrying them. At
-/// the parent of the change that introduced copy runs, the split below
-/// logged 4 141 bytes over 4 frames (456 with them).
+/// rows by their slots on the leaf they came from instead of carrying
+/// them. Carrying them, the split below logged 4 141 bytes over 4 frames;
+/// naming them as copies of the leaf's bytes, 456; as the fresh page's
+/// rebuild from the leaf's slots, 278.
 #[test]
 fn a_mid_leaf_split_logs_the_moved_rows_by_reference() {
     let (mut store, mut t, held) = full_leaf();

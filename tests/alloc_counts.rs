@@ -13,8 +13,8 @@
 //! times the rows — UDF call lanes and typed GROUP BY included — may
 //! allocate a few more times per extra batch (the leaf list, the group
 //! table), never once per extra row; a warm page read, an exact addend, a
-//! slice of them, a 960-element `Norm2`, a `VectorAvg` row or a scan
-//! worker's read-ahead hint allocates nothing; planning a region costs
+//! slice of them, a 960-element `Norm2`, a `VectorAvg` row, a function
+//! name's resolution or a scan worker's read-ahead hint allocates nothing; planning a region costs
 //! the same whatever its run count; a
 //! LOB read never zero-fills its result; an idle checkpoint copies no
 //! page; a leaf split costs the same whatever the leaf holds. The claims run one at a time (one lock), and each count is the
@@ -31,6 +31,8 @@ use sqlarray::array::ops::agg;
 use sqlarray::array::shape::Shape;
 use sqlarray::array::{ElementType, ExactSum, StorageClass};
 use sqlarray::engine::aggregate::VectorAvgUda;
+use sqlarray::engine::arraybind::register_all;
+use sqlarray::engine::udf::UdfRegistry;
 use sqlarray::engine::{Arg, Database, Engine, HostingModel, Session, UdaState};
 use sqlarray::storage::blob::{read_blob, write_blob};
 use sqlarray::storage::store::PageRead;
@@ -228,6 +230,25 @@ fn an_exact_sum_adds_without_allocating() {
         }
     });
     assert_eq!(counts.calls(), 0, "{counts:?}");
+}
+
+/// Resolving a function — a plain name, and a numbered variant of a
+/// variadic one, in any case — allocates nothing: a row-path call
+/// resolves its function once per row.
+#[test]
+fn resolving_a_function_allocates_nothing() {
+    let _one = serial();
+    let mut reg = UdfRegistry::new();
+    register_all(&mut reg);
+    for name in [
+        "FloatArray.Item_1",
+        "FloatArray.Vector_3",
+        "floatarray.VECTOR_3",
+    ] {
+        assert!(reg.resolve(name).is_some(), "{name}");
+        let counts = measure(|| reg.resolve(std::hint::black_box(name)).is_some());
+        assert_eq!(counts.calls(), 0, "{name}: {counts:?}");
+    }
 }
 
 #[test]

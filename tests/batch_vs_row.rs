@@ -649,8 +649,8 @@ fn cold_outcome(s: &mut Session, sql: &str, batch: usize, dop: usize) -> ColdOut
 /// {1, 2, 4, 8}: rows bit for bit and error text as the serial row path
 /// left them, `udf_calls` and `IoStats` as the row path at the same DOP
 /// did (each partition evaluates a grouped statement's non-aggregate items
-/// once per group it opens, so their calls count per partition). Returns
-/// the serial row path's answer.
+/// that are not `GROUP BY` keys once per group it opens, so their calls
+/// count per partition). Returns the serial row path's answer.
 fn assert_cold_differential(
     s: &mut Session,
     sql: &str,
@@ -676,6 +676,26 @@ fn assert_cold_differential(
     s.set_batch_rows(sqlarray_core::batch::DEFAULT_BATCH_ROWS);
     s.set_dop(1);
     want
+}
+
+/// A select item that repeats a `GROUP BY` key takes the key's value and
+/// is never evaluated: the key's call runs once per row — 1 500 calls —
+/// at every DOP, on both paths, with the same rows.
+#[test]
+fn a_select_item_that_is_a_group_key_costs_no_call() {
+    let mut s = typed_session(1500);
+    let sql = "SELECT dbo.Mixed(id % 10), COUNT(*) FROM G GROUP BY dbo.Mixed(id % 10)";
+    let (want, _) = cold_outcome(&mut s, sql, 0, 1);
+    assert_eq!(want.as_ref().map(Vec::len), Ok(9), "{want:?}");
+    for dop in DOPS {
+        for batch in [0, 1024] {
+            let (got, counters) = cold_outcome(&mut s, sql, batch, dop);
+            let (w, g) = (want.as_ref().unwrap(), got.unwrap());
+            assert!(rows_bit_identical(w, &g), "batch={batch} dop={dop}: {g:?}");
+            let calls = counters.map(|(calls, _)| calls);
+            assert_eq!(calls, Some(1500), "batch={batch} dop={dop}");
+        }
+    }
 }
 
 #[test]
