@@ -1,6 +1,6 @@
 //! The paper report: Table 1, the §6.2 storage comparison, the §7.1
 //! overhead decomposition and experiments E4–E9, from one experiment list
-//! ([`sqlarray_bench::experiments::EXPERIMENTS`]).
+//! (`sqlarray_bench::experiments::EXPERIMENTS`).
 //!
 //! ```text
 //! cargo run --release -p sqlarray-bench --bin table1_report

@@ -1,6 +1,6 @@
 //! The paper's experiments as one table.
 //!
-//! [`EXPERIMENTS`] lists E1–E9; each entry is a function from the shared
+//! `EXPERIMENTS` lists E1–E9; each entry is a function from the shared
 //! [`Fixture`] to a list of [`Metric`]s, and every metric says how its
 //! value came to be ([`Kind`]): **measured** on this host, **modelled** by
 //! counting (pages, bytes, managed calls × the testbed's constants — bit
@@ -85,7 +85,7 @@ pub struct Fixture {
 
 impl Fixture {
     /// Loads the tables and runs Table 1, serial and at `dop`.
-    pub fn new(scale: Scale, dop: usize) -> Fixture {
+    pub(crate) fn new(scale: Scale, dop: usize) -> Fixture {
         let mut session = build_table1_db(scale.rows);
         session.set_dop(dop);
         let table = run_table1(&mut session);
@@ -163,13 +163,13 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 }
 
 /// One experiment: a list of metrics over the shared fixture.
-pub type Experiment = fn(&mut Fixture) -> Vec<Metric>;
+pub(crate) type Experiment = fn(&mut Fixture) -> Vec<Metric>;
 
 /// The experiment ↔ paper index, E1–E9 in order: where the paper reports
 /// it and what it shows, with the function that measures it here. README
 /// "Benchmarks and reports" carries the same table with where each number
 /// is also regression-tracked.
-pub static EXPERIMENTS: [(&str, Experiment); 9] = [
+pub(crate) static EXPERIMENTS: [(&str, Experiment); 9] = [
     ("Table 1, Sec. 6.3", e1_table1),
     ("Sec. 6.2 storage", e2_storage),
     ("Sec. 7.1 per-call overhead", e3_call_overhead),

@@ -14,14 +14,14 @@ pub mod counters;
 pub mod experiments;
 pub mod wal_breakdown;
 
-pub use wal_breakdown::{wal_breakdown, WalBreakdown};
+pub use wal_breakdown::wal_breakdown;
 
 use sqlarray_engine::{Database, Engine, HostingModel, QueryStats, Session, Value};
 use sqlarray_storage::{ColType, DiskProfile, PageStore, RowValue, Schema};
 
 /// Bit-level equality for result rows: floats compare by bit pattern, so
 /// identical NaNs pass and a `-0.0` vs `0.0` divergence fails — the
-/// strict form of the determinism contract [`run_table1_query`] enforces
+/// strict form of the determinism contract `run_table1_query` enforces
 /// and `tests/parallel_determinism.rs` asserts query by query.
 pub fn rows_bit_identical(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
     fn value_bits_equal(a: &Value, b: &Value) -> bool {
@@ -40,11 +40,11 @@ pub fn rows_bit_identical(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 /// Default row count for the report binary (overridable via
 /// `SQLARRAY_ROWS`). The paper used 357 M rows on a 16-core server; one
 /// million preserves every per-row cost ratio at laptop scale.
-pub const DEFAULT_ROWS: i64 = 1_000_000;
+pub(crate) const DEFAULT_ROWS: i64 = 1_000_000;
 
 /// Degree of parallelism of the modelled testbed. The paper's server ran
 /// the scans on two quad-core CPUs ("all eight cores were used", §7.1);
-/// [`Table1Row::from_runs`] divides CPU work by this factor to project
+/// `Table1Row::from_runs` divides CPU work by this factor to project
 /// onto that hardware.
 pub const TESTBED_DOP: f64 = 8.0;
 
@@ -122,7 +122,7 @@ fn tvector_rows(rows: i64) -> KeyedRows {
 /// the load's [`IngestReport`]. Each table bulk-loads in one pass, so
 /// its leaf chain is laid out sequentially on disk exactly as the paper's
 /// 357 M-row `IDENTITY`-style load would leave it.
-pub fn build_table1_db_with_dop(
+pub(crate) fn build_table1_db_with_dop(
     rows: i64,
     hosting: HostingModel,
     dop: usize,
@@ -210,7 +210,7 @@ impl Table1Row {
     /// [`TESTBED_DOP`] cores; the disk prefetches concurrently, so the
     /// slower pipeline bounds the query: `exec = max(cpu / DOP, io)`.
     /// CPU % and MB/s are taken over that execution time.
-    pub fn from_runs(query: usize, serial: &QueryStats, parallel: &QueryStats) -> Table1Row {
+    pub(crate) fn from_runs(query: usize, serial: &QueryStats, parallel: &QueryStats) -> Table1Row {
         let clr_seconds = serial.udf_overhead_ns as f64 * 1e-9;
         let cpu_wall = (serial.cpu_seconds + clr_seconds) / TESTBED_DOP;
         let exec = cpu_wall.max(serial.sim_io_seconds);
@@ -233,7 +233,7 @@ impl Table1Row {
     }
 
     /// CPU seconds on the testbed: measured serial CPU + modelled CLR.
-    pub fn modelled_cpu_seconds(&self) -> f64 {
+    pub(crate) fn modelled_cpu_seconds(&self) -> f64 {
         self.cpu_seconds + self.clr_seconds
     }
 }
@@ -245,7 +245,7 @@ impl Table1Row {
 /// rows *and* bit-identical modelled costs (pages, simulated disk seconds,
 /// managed calls, CLR charge) — the executor's determinism guarantee is
 /// part of what the harness verifies on every invocation.
-pub fn run_table1_query(session: &mut Session, query_no: usize) -> Table1Row {
+pub(crate) fn run_table1_query(session: &mut Session, query_no: usize) -> Table1Row {
     assert!((1..=5).contains(&query_no));
     let configured_dop = session.dop();
     let sql = TABLE1_QUERIES[query_no - 1];

@@ -54,10 +54,10 @@ impl PageKind {
 /// The columns of a [`WriteBytes`] row: a write frame's literal runs,
 /// each run's header included, and an edit frame's edits by kind, each
 /// edit whole.
-pub const COLUMNS: [&str; 6] = ["literal", "insert", "remove", "replace", "link", "rebuild"];
+pub(crate) const COLUMNS: [&str; 6] = ["literal", "insert", "remove", "replace", "link", "rebuild"];
 
 /// Log bytes the bodies of some page-write frames take, by [`COLUMNS`].
-pub type WriteBytes = [u64; 6];
+pub(crate) type WriteBytes = [u64; 6];
 
 /// The [`COLUMNS`] entry of a page-write frame's record, and its bytes
 /// there (an edit's: what it takes framed alone, past the frame header and
@@ -99,7 +99,7 @@ pub struct WalBreakdown {
 
 impl WalBreakdown {
     /// Every byte attributed: the log's length.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         let runs: u64 = self.writes.values().flatten().sum();
         self.frame_headers + self.alloc_free + self.commits + runs + self.torn
     }

@@ -53,19 +53,6 @@ impl SqlArray {
         Ok(SqlArray { header, buf })
     }
 
-    /// Builds an array where every element is `value`.
-    pub fn filled<T: Element>(class: StorageClass, dims: &[usize], value: T) -> Result<SqlArray> {
-        let shape = Shape::new(dims)?;
-        let header = Header::new(class, T::TYPE, shape)?;
-        let hlen = header.header_len();
-        let mut buf = vec![0u8; header.blob_len()];
-        header.encode(&mut buf);
-        for i in 0..header.shape.count() {
-            value.write_le(&mut buf[hlen + i * T::SIZE..]);
-        }
-        Ok(SqlArray { header, buf })
-    }
-
     /// Builds a zero-filled array of a dynamically chosen element type.
     pub fn zeros(class: StorageClass, elem: ElementType, dims: &[usize]) -> Result<SqlArray> {
         let shape = Shape::new(dims)?;
@@ -194,7 +181,7 @@ impl SqlArray {
 
     /// Verifies the array carries elements of type `T`, the runtime check
     /// performed when a blob reaches a typed function schema.
-    pub fn expect_type<T: Element>(&self) -> Result<()> {
+    pub(crate) fn expect_type<T: Element>(&self) -> Result<()> {
         if self.elem() != T::TYPE {
             return Err(ArrayError::TypeMismatch {
                 expected: T::TYPE,
@@ -466,9 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn filled_and_zeros() {
-        let f = SqlArray::filled(StorageClass::Short, &[2, 2], 9i16).unwrap();
-        assert!(f.iter_scalars().all(|s| s == Scalar::I16(9)));
+    fn zeros_of_a_dynamic_type() {
         let z = SqlArray::zeros(StorageClass::Max, ElementType::Complex64, &[3]).unwrap();
         assert!(z
             .iter_scalars()

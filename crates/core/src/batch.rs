@@ -72,18 +72,8 @@ impl BytesVec {
         &self.data[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Whether there are zero cells.
-    pub fn is_empty(&self) -> bool {
-        self.offsets.len() == 1
-    }
-
     /// Resets to zero cells, keeping capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.offsets.truncate(1);
         self.data.clear();
     }
@@ -91,7 +81,7 @@ impl BytesVec {
     /// Bytes of payload + offsets currently held (length-based, not
     /// capacity-based, so the figure is deterministic for a given row
     /// stream regardless of allocator growth policy).
-    pub fn byte_size(&self) -> u64 {
+    pub(crate) fn byte_size(&self) -> u64 {
         (self.data.len() + self.offsets.len() * std::mem::size_of::<usize>()) as u64
     }
 }
@@ -144,7 +134,7 @@ impl ColVec {
     }
 
     /// Resets to zero rows, keeping capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         match self {
             ColVec::I64(v) => v.clear(),
             ColVec::I32(v) => v.clear(),
@@ -160,7 +150,7 @@ impl ColVec {
     /// Bytes of lane data currently held. Length-based (see
     /// [`BytesVec::byte_size`]), so memory-budget charges derived from it
     /// are bit-reproducible for a given scan.
-    pub fn byte_size(&self) -> u64 {
+    pub(crate) fn byte_size(&self) -> u64 {
         match self {
             ColVec::I64(v) => (v.len() * 8) as u64,
             ColVec::I32(v) => (v.len() * 4) as u64,
@@ -668,16 +658,13 @@ mod tests {
     #[test]
     fn bytes_vec_cells() {
         let mut b = BytesVec::new();
-        assert!(b.is_empty());
         b.push(b"hello");
         b.push(b"");
         b.push(b"world!");
-        assert_eq!(b.len(), 3);
         assert_eq!(b.get(0), b"hello");
         assert_eq!(b.get(1), b"");
         assert_eq!(b.get(2), b"world!");
         b.clear();
-        assert!(b.is_empty());
         b.push(b"x");
         assert_eq!(b.get(0), b"x");
     }

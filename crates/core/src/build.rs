@@ -2,9 +2,7 @@
 //!
 //! The original library exposes `Vector_1 .. Vector_N` and `Matrix_N`
 //! because T-SQL lacks variadic UDFs (§5.1). In Rust a slice covers all
-//! arities, so [`vector`] replaces the whole numbered family; [`matrix`]
-//! builds a 2-D array from row-major literal order (the natural order of a
-//! T-SQL argument list), converting to the column-major storage layout.
+//! arities, so [`vector`] replaces the whole numbered family.
 
 use crate::array::SqlArray;
 use crate::element::Element;
@@ -29,8 +27,10 @@ pub fn max_vector<T: Element>(items: &[T]) -> Result<SqlArray> {
 
 /// Creates an `rows × cols` matrix from items listed in *row-major* order
 /// (the order a T-SQL caller writes them: `Matrix_2(0.1, 0.2, 0.3, 0.4)` is
-/// the matrix [[0.1, 0.2], [0.3, 0.4]]). Storage is column-major.
-pub fn matrix<T: Element>(
+/// the matrix [[0.1, 0.2], [0.3, 0.4]]). Storage is column-major. The
+/// tests' matrix builder.
+#[cfg(test)]
+pub(crate) fn matrix<T: Element>(
     class: StorageClass,
     rows: usize,
     cols: usize,
@@ -46,23 +46,6 @@ pub fn matrix<T: Element>(
     SqlArray::from_fn(class, &[rows, cols], |idx| {
         row_major_items[idx[0] * cols + idx[1]]
     })
-}
-
-/// Creates a square matrix with `diag` on the diagonal and zeros elsewhere.
-fn diagonal<T: Element>(class: StorageClass, diag: &[T]) -> Result<SqlArray> {
-    let n = diag.len();
-    SqlArray::from_fn(class, &[n, n], |idx| {
-        if idx[0] == idx[1] {
-            diag[idx[0]]
-        } else {
-            T::default()
-        }
-    })
-}
-
-/// Creates the `n × n` identity matrix.
-pub fn identity(class: StorageClass, n: usize) -> Result<SqlArray> {
-    diagonal(class, &vec![1.0f64; n])
 }
 
 #[cfg(test)]
@@ -93,19 +76,5 @@ mod tests {
     #[test]
     fn matrix_rejects_wrong_item_count() {
         assert!(matrix(StorageClass::Short, 2, 2, &[1.0f64]).is_err());
-    }
-
-    #[test]
-    fn identity_and_diagonal() {
-        let i3 = identity(StorageClass::Short, 3).unwrap();
-        for r in 0..3 {
-            for c in 0..3 {
-                let expect = if r == c { 1.0 } else { 0.0 };
-                assert_eq!(i3.item(&[r, c]).unwrap(), Scalar::F64(expect));
-            }
-        }
-        let d = diagonal(StorageClass::Short, &[2i32, 5]).unwrap();
-        assert_eq!(d.item(&[1, 1]).unwrap(), Scalar::I32(5));
-        assert_eq!(d.item(&[1, 0]).unwrap(), Scalar::I32(0));
     }
 }

@@ -68,7 +68,7 @@ impl ElementType {
 
     /// The on-disk type code.
     #[inline]
-    pub const fn code(self) -> u8 {
+    pub(crate) const fn code(self) -> u8 {
         self as u8
     }
 
@@ -85,12 +85,6 @@ impl ElementType {
             8 => ElementType::Complex64,
             other => return Err(ArrayError::UnknownElementType(other)),
         })
-    }
-
-    /// True for `real`/`float`.
-    #[inline]
-    pub const fn is_float(self) -> bool {
-        matches!(self, ElementType::Float32 | ElementType::Float64)
     }
 
     /// True for the complex family.
@@ -349,8 +343,6 @@ mod tests {
 
     #[test]
     fn family_predicates() {
-        assert!(!ElementType::Int8.is_float());
-        assert!(ElementType::Float32.is_float());
         assert!(ElementType::Complex64.is_complex());
     }
 

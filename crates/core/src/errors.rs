@@ -30,7 +30,7 @@ pub enum ArrayError {
     StorageClassMismatch { expected_short: bool },
     /// Rank (number of dimensions) is invalid for the storage class.
     ///
-    /// Short arrays support at most [`crate::header::SHORT_MAX_RANK`]
+    /// Short arrays support at most `crate::header::SHORT_MAX_RANK`
     /// dimensions; zero-dimensional arrays are rejected everywhere.
     BadRank { rank: usize, max: usize },
     /// A dimension size does not fit the index type of the storage class

@@ -35,7 +35,7 @@ use crate::shape::Shape;
 /// separate LOB B-tree (see `sqlarray-storage`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageClass {
-    /// On-page array: ≤ [`SHORT_MAX_BYTES`] total, rank ≤ [`SHORT_MAX_RANK`],
+    /// On-page array: ≤ [`SHORT_MAX_BYTES`] total, rank ≤ `SHORT_MAX_RANK`,
     /// dimensions fit `i16`.
     Short,
     /// Out-of-page array: unlimited rank, dimensions fit `i32`, streamed
@@ -45,7 +45,7 @@ pub enum StorageClass {
 
 impl StorageClass {
     /// Byte length of the header for an array of the given rank.
-    pub const fn header_len(self, rank: usize) -> usize {
+    pub(crate) const fn header_len(self, rank: usize) -> usize {
         match self {
             StorageClass::Short => SHORT_HEADER_LEN,
             StorageClass::Max => MAX_FIXED_HEADER_LEN + 4 * rank,
@@ -63,18 +63,18 @@ impl std::fmt::Display for StorageClass {
 }
 
 /// Fixed header size of short arrays (bytes).
-pub const SHORT_HEADER_LEN: usize = 24;
+pub(crate) const SHORT_HEADER_LEN: usize = 24;
 /// Fixed (rank-independent) part of the max-array header (bytes).
-pub const MAX_FIXED_HEADER_LEN: usize = 16;
+pub(crate) const MAX_FIXED_HEADER_LEN: usize = 16;
 /// Maximum rank of a short array.
-pub const SHORT_MAX_RANK: usize = 6;
+pub(crate) const SHORT_MAX_RANK: usize = 6;
 /// Maximum total blob size (header + payload) of a short array: the
 /// `VARBINARY(8000)` in-page budget.
 pub const SHORT_MAX_BYTES: usize = 8000;
 /// Largest dimension size representable by the short index type (`i16`).
-pub const SHORT_MAX_DIM: usize = i16::MAX as usize;
+pub(crate) const SHORT_MAX_DIM: usize = i16::MAX as usize;
 /// Largest dimension size representable by the max index type (`i32`).
-pub const MAX_MAX_DIM: usize = i32::MAX as usize;
+pub(crate) const MAX_MAX_DIM: usize = i32::MAX as usize;
 
 const FLAG_MAX_CLASS: u8 = 0b0000_0001;
 /// Bits 1..7 of the flag byte are reserved and must be zero in version 1.
@@ -144,7 +144,7 @@ impl Header {
 
     /// Payload length in bytes (`count * elem_size`).
     #[inline]
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         self.shape.count() * self.elem.size()
     }
 
@@ -156,7 +156,7 @@ impl Header {
 
     /// Serializes the header into `out`, which must be at least
     /// [`header_len`](Self::header_len) bytes.
-    pub fn encode(&self, out: &mut [u8]) {
+    pub(crate) fn encode(&self, out: &mut [u8]) {
         let dims = self.shape.dims();
         match self.class {
             StorageClass::Short => {

@@ -19,7 +19,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use sqlarray_core::prelude::*;
+//! use sqlarray_core::{ops, prelude::*};
 //!
 //! // DECLARE @a = FloatArray.Vector_5(1,2,3,4,5)
 //! let a = build::short_vector(&[1.0f64, 2.0, 3.0, 4.0, 5.0])?;
@@ -62,21 +62,17 @@ pub use complex::{Complex32, Complex64};
 pub use element::{Element, ElementType};
 pub use errors::{ArrayError, Result};
 pub use exact::ExactSum;
-pub use fault::{Fault, FaultPlan};
-pub use header::{Header, StorageClass, SHORT_MAX_BYTES, SHORT_MAX_RANK};
-pub use lifecycle::{CancelHandle, Interrupt, QueryCtx, QueryLimits};
+pub use header::{Header, StorageClass, SHORT_MAX_BYTES};
+pub use lifecycle::{Interrupt, QueryCtx};
 pub use scalar::Scalar;
-pub use shape::Shape;
 
 /// Everything most callers need, in one import.
 pub mod prelude {
-    pub use crate::array::{ArrayData, ArrayView, SqlArray};
+    pub use crate::array::SqlArray;
     pub use crate::build;
-    pub use crate::complex::{Complex32, Complex64};
-    pub use crate::element::{Element, ElementType};
-    pub use crate::errors::{ArrayError, Result};
+    pub use crate::element::ElementType;
+    pub use crate::errors::Result;
     pub use crate::header::StorageClass;
-    pub use crate::ops;
     pub use crate::scalar::Scalar;
-    pub use crate::stream::{ArrayReader, ArraySource};
+    pub use crate::stream::ArrayReader;
 }

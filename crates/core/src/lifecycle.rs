@@ -192,7 +192,6 @@ impl QueryCtx {
     }
 
     /// Bytes charged so far.
-    // lint:allow(L011, reason = "the budget tests of tests/query_lifecycle.rs read the charge back")
     pub fn mem_used(&self) -> u64 {
         self.inner.mem_used.load(Ordering::Relaxed)
     }
@@ -208,12 +207,6 @@ impl QueryCtx {
     /// wait against it).
     pub fn deadline(&self) -> Option<Instant> {
         self.inner.deadline
-    }
-
-    /// The statement timeout in milliseconds (0 when no deadline is
-    /// armed) — error-payload companion to [`QueryCtx::deadline`].
-    pub fn timeout_ms(&self) -> u64 {
-        self.inner.timeout_ms
     }
 }
 

@@ -114,13 +114,6 @@ pub fn mean(a: &impl ArrayData) -> Result<Scalar> {
     }
 }
 
-/// Product of all elements (real types only).
-pub fn product(a: &impl ArrayData) -> Result<Scalar> {
-    let mut acc = 1.0f64;
-    for_each_real(a, |v| acc *= v)?;
-    Ok(Scalar::F64(acc))
-}
-
 /// Minimum element (real types only).
 pub fn min(a: &impl ArrayData) -> Result<Scalar> {
     fold_real(a, f64::INFINITY, |acc, v| acc.min(v))
@@ -226,11 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn sum_mean_product() {
+    fn sum_and_mean() {
         let a = short_vector(&[1.0f64, 2.0, 3.0, 4.0]).unwrap();
         assert!(close(sum(&a).unwrap().as_f64().unwrap(), 10.0));
         assert!(close(mean(&a).unwrap().as_f64().unwrap(), 2.5));
-        assert!(close(product(&a).unwrap().as_f64().unwrap(), 24.0));
     }
 
     #[test]
@@ -277,7 +269,6 @@ mod tests {
         assert!(min(&a).is_err());
         assert!(max(&a).is_err());
         assert!(stddev(&a).is_err());
-        assert!(product(&a).is_err());
     }
 
     #[test]

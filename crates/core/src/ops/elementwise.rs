@@ -20,7 +20,7 @@ use crate::errors::{ArrayError, Result};
 use crate::exact::ExactSum;
 use crate::header::Header;
 
-/// The binary operation of [`zip`].
+/// The binary operation of `zip`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// Elementwise addition.
@@ -66,7 +66,7 @@ fn build<T: Element>(a: &SqlArray, mut value: impl FnMut(usize) -> Result<T>) ->
 /// result is `float64`, or `complex64` if either input is complex. The
 /// result inherits the storage class of `a` (falling back to max if the
 /// widened payload no longer fits in a page).
-pub fn zip(a: &SqlArray, b: &SqlArray, op: BinOp) -> Result<SqlArray> {
+pub(crate) fn zip(a: &SqlArray, b: &SqlArray, op: BinOp) -> Result<SqlArray> {
     if a.dims() != b.dims() {
         return Err(ArrayError::ShapeMismatch {
             left: a.dims().to_vec(),
@@ -108,11 +108,6 @@ pub fn div(a: &SqlArray, b: &SqlArray) -> Result<SqlArray> {
 /// family (real stays `float64`, complex stays `complex64`).
 pub fn scale(a: &SqlArray, k: f64) -> Result<SqlArray> {
     affine(a, k, 0.0)
-}
-
-/// Adds a real scalar to every element.
-pub fn offset(a: &SqlArray, k: f64) -> Result<SqlArray> {
-    affine(a, 1.0, k)
 }
 
 /// `v ↦ v·mul + add` applied elementwise (componentwise for complex
@@ -238,15 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_offset() {
+    fn scale_multiplies_each_element() {
         let a = short_vector(&[1.0f64, -2.0]).unwrap();
         assert_eq!(
             scale(&a, 3.0).unwrap().to_vec::<f64>().unwrap(),
             vec![3.0, -6.0]
-        );
-        assert_eq!(
-            offset(&a, 1.0).unwrap().to_vec::<f64>().unwrap(),
-            vec![2.0, -1.0]
         );
     }
 

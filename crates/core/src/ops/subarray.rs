@@ -38,12 +38,6 @@ pub fn subarray(a: &SqlArray, offset: &[usize], size: &[usize], squeeze: bool) -
     SqlArray::from_blob(out)
 }
 
-/// Extracts one full row `i` of a 2-D array as a vector.
-pub fn row(a: &SqlArray, i: usize) -> Result<SqlArray> {
-    let dims = a.dims().to_vec();
-    subarray(a, &[i, 0], &[1, dims[1]], true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn matrix_column_and_row() {
+    fn matrix_column() {
         let m = crate::build::matrix(
             StorageClass::Short,
             2,
@@ -127,8 +121,6 @@ mod tests {
         let c1 = subarray(&m, &[0, 1], &[2, 1], true).unwrap();
         assert_eq!(c1.dims(), &[2]);
         assert_eq!(c1.to_vec::<f64>().unwrap(), vec![2.0, 5.0]);
-        let r0 = row(&m, 0).unwrap();
-        assert_eq!(r0.to_vec::<f64>().unwrap(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -112,16 +112,6 @@ impl ConcatBuilder {
         Ok(())
     }
 
-    /// Number of rows consumed so far.
-    pub fn len(&self) -> usize {
-        self.filled
-    }
-
-    /// True if no rows have been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.filled == 0
-    }
-
     /// Finishes, returning the assembled array.
     pub fn finish(self) -> SqlArray {
         self.array
@@ -188,7 +178,7 @@ mod tests {
         for i in 0..12 {
             b.push_next(Scalar::F64(i as f64)).unwrap();
         }
-        assert_eq!(b.len(), 12);
+        assert_eq!(b.filled, 12);
         let a = b.finish();
         assert_eq!(a.item(&[0, 0]).unwrap(), Scalar::F64(0.0));
         assert_eq!(a.item(&[3, 2]).unwrap(), Scalar::F64(11.0));
@@ -247,7 +237,7 @@ mod tests {
         let mut b = ConcatBuilder::new(StorageClass::Short, ElementType::Int32, &[4]).unwrap();
         b.push(&[2], Scalar::I32(30)).unwrap();
         a.merge(&b).unwrap();
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.filled, 2);
         let mut dup = ConcatBuilder::new(StorageClass::Short, ElementType::Int32, &[4]).unwrap();
         dup.push(&[0], Scalar::I32(99)).unwrap();
         assert!(a.merge(&dup).is_err());
@@ -270,7 +260,7 @@ mod tests {
         // Merging an empty partial is always a no-op.
         let empty = ConcatBuilder::new(StorageClass::Short, ElementType::Int32, &[4]).unwrap();
         seq.merge(&empty).unwrap();
-        assert_eq!(seq.len(), 1);
+        assert_eq!(seq.filled, 1);
     }
 
     #[test]

@@ -45,20 +45,6 @@ impl Scalar {
         }
     }
 
-    /// A zero of the given type.
-    pub fn zero(t: ElementType) -> Scalar {
-        match t {
-            ElementType::Int8 => Scalar::I8(0),
-            ElementType::Int16 => Scalar::I16(0),
-            ElementType::Int32 => Scalar::I32(0),
-            ElementType::Int64 => Scalar::I64(0),
-            ElementType::Float32 => Scalar::F32(0.0),
-            ElementType::Float64 => Scalar::F64(0.0),
-            ElementType::Complex32 => Scalar::C32(Complex32::ZERO),
-            ElementType::Complex64 => Scalar::C64(Complex64::ZERO),
-        }
-    }
-
     /// Real-number view. Integers and floats always succeed; complex values
     /// succeed only with a zero imaginary part.
     pub fn as_f64(&self) -> Result<f64> {
@@ -79,7 +65,6 @@ impl Scalar {
     }
 
     /// Complex view; real values are widened with a zero imaginary part.
-    // lint:allow(L011, reason = "tests/sql_end_to_end.rs and tests/science_integration.rs read FFT bins through it")
     pub fn as_c64(&self) -> Complex64 {
         match *self {
             Scalar::C32(v) => Complex64::from_c32(v),
@@ -122,24 +107,9 @@ impl Scalar {
         }
     }
 
-    /// Extracts a concrete `T`, failing on a type mismatch. This is the
-    /// runtime check the paper performs when a blob is handed to a function
-    /// of the wrong schema.
-    pub fn get<T: Element>(&self) -> Result<T> {
-        if self.element_type() != T::TYPE {
-            return Err(ArrayError::TypeMismatch {
-                expected: T::TYPE,
-                got: self.element_type(),
-            });
-        }
-        let mut buf = [0u8; 16];
-        self.write_le(&mut buf);
-        Ok(T::read_le(&buf))
-    }
-
     /// Serializes into the scalar's on-disk form (`element_type().size()`
     /// bytes).
-    pub fn write_le(&self, out: &mut [u8]) {
+    pub(crate) fn write_le(&self, out: &mut [u8]) {
         match *self {
             Scalar::I8(v) => v.write_le(out),
             Scalar::I16(v) => v.write_le(out),
@@ -315,16 +285,6 @@ mod tests {
         assert!(matches!(
             bad.cast_to(ElementType::Float64),
             Err(ArrayError::BadConversion { .. })
-        ));
-    }
-
-    #[test]
-    fn get_checks_type() {
-        let s = Scalar::F64(2.5);
-        assert_eq!(s.get::<f64>().unwrap(), 2.5);
-        assert!(matches!(
-            s.get::<i32>(),
-            Err(ArrayError::TypeMismatch { .. })
         ));
     }
 

@@ -65,7 +65,7 @@ impl Shape {
 
     /// [`new`](Self::new) over an already-owned dimension list (a high
     /// rank keeps the list instead of copying it).
-    pub fn from_vec(dims: Vec<usize>) -> Result<Shape> {
+    pub(crate) fn from_vec(dims: Vec<usize>) -> Result<Shape> {
         let count = product(&dims)?;
         Ok(Shape::checked(dims, count))
     }
@@ -119,7 +119,7 @@ impl Shape {
 
     /// Total number of elements (product of the dimensions).
     #[inline]
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 
@@ -162,7 +162,6 @@ impl Shape {
 
     /// Inverse of `linear_index`: recovers the
     /// multi-index of a linear offset.
-    // lint:allow(L011, reason = "crates/core/tests/proptests.rs checks it inverts linear_index")
     pub fn multi_index(&self, mut linear: usize) -> Vec<usize> {
         assert!(linear < self.count());
         let mut idx = Vec::with_capacity(self.rank());
@@ -208,7 +207,7 @@ impl Shape {
     /// last parameter specifies whether subarrays with length of one in any
     /// dimension are automatically converted to a lower dimensional array").
     /// A shape that is all ones squeezes to the 1-element vector `[1]`.
-    pub fn squeeze(&self) -> Shape {
+    pub(crate) fn squeeze(&self) -> Shape {
         let mut kept: Vec<usize> = self.dims().iter().copied().filter(|&d| d > 1).collect();
         if kept.is_empty() {
             kept.push(1);

@@ -107,11 +107,6 @@ impl<S: ArraySource> ArrayReader<S> {
         &self.header
     }
 
-    /// Bytes fetched from the source so far (header probes included).
-    pub fn bytes_read(&self) -> usize {
-        self.bytes_read
-    }
-
     /// Reads a single element without fetching the rest of the payload.
     pub fn item(&mut self, idx: &[usize]) -> Result<Scalar> {
         let lin = self.header.shape.linear_index(idx)?;
@@ -187,17 +182,17 @@ mod tests {
         let r = ArrayReader::open(blob).unwrap();
         assert_eq!(r.header().shape.dims(), &[8, 8, 8]);
         // 8-byte probe + 28-byte header, nowhere near the 4 KiB payload.
-        assert!(r.bytes_read() < 64, "read {} bytes", r.bytes_read());
+        assert!(r.bytes_read < 64, "read {} bytes", r.bytes_read);
     }
 
     #[test]
     fn item_reads_one_element() {
         let a = cube();
         let mut r = ArrayReader::open(a.as_blob()).unwrap();
-        let before = r.bytes_read();
+        let before = r.bytes_read;
         let v = r.item(&[3, 4, 5]).unwrap();
         assert_eq!(v, Scalar::F64((3 + 8 * 4 + 64 * 5) as f64));
-        assert_eq!(r.bytes_read() - before, 8);
+        assert_eq!(r.bytes_read - before, 8);
     }
 
     #[test]
@@ -218,7 +213,7 @@ mod tests {
         let sub = r.subarray(&[0, 0, 0], &[2, 2, 2], false).unwrap();
         assert_eq!(sub.count(), 8);
         // 8 elements * 8 bytes = 64 payload bytes vs 4096 for the full cube.
-        assert!(r.bytes_read() < 256, "read {} bytes", r.bytes_read());
+        assert!(r.bytes_read < 256, "read {} bytes", r.bytes_read);
     }
 
     #[test]
@@ -227,7 +222,7 @@ mod tests {
         let mut r = ArrayReader::open(a.as_blob()).unwrap();
         let full = r.read_full().unwrap();
         assert_eq!(full, a);
-        assert!(r.bytes_read() >= a.as_blob().len());
+        assert!(r.bytes_read >= a.as_blob().len());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub trait UdaState: Send {
 }
 
 /// Factory producing fresh per-group states.
-pub type UdaFactory = Box<dyn Fn() -> Box<dyn UdaState> + Send + Sync>;
+pub(crate) type UdaFactory = Box<dyn Fn() -> Box<dyn UdaState> + Send + Sync>;
 
 /// Name → aggregate registry, case-insensitive.
 #[derive(Default)]
@@ -63,7 +63,7 @@ pub struct UdaRegistry {
 
 impl UdaRegistry {
     /// Empty registry.
-    pub fn new() -> UdaRegistry {
+    pub(crate) fn new() -> UdaRegistry {
         UdaRegistry::default()
     }
 
@@ -78,12 +78,12 @@ impl UdaRegistry {
     }
 
     /// True when `name` is a registered aggregate.
-    pub fn contains(&self, name: &str) -> bool {
+    pub(crate) fn contains(&self, name: &str) -> bool {
         self.map.contains_key(&name.to_ascii_lowercase())
     }
 
     /// Creates a fresh state for `name`.
-    pub fn create(&self, name: &str) -> Result<Box<dyn UdaState>> {
+    pub(crate) fn create(&self, name: &str) -> Result<Box<dyn UdaState>> {
         self.map
             .get(&name.to_ascii_lowercase())
             .map(|f| f())
@@ -93,7 +93,7 @@ impl UdaRegistry {
     /// Registers the array aggregates for every type/class schema:
     /// `Concat` (table → array assembly) and `VectorAvg` (elementwise mean
     /// of array columns — the composite-spectrum aggregate of §2.2).
-    pub fn register_array_aggregates(&mut self) {
+    pub(crate) fn register_array_aggregates(&mut self) {
         for elem in ElementType::ALL {
             for class in [StorageClass::Short, StorageClass::Max] {
                 let schema = crate::arraybind::schema_name(elem, class);

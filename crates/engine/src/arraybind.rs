@@ -37,7 +37,7 @@ pub fn schema_name(elem: ElementType, class: StorageClass) -> String {
 /// `(element type, storage class)` pair, case-insensitively. Used by the
 /// `Subarray`/`Item` pushdown rewrite to recover the runtime checks a
 /// schema-qualified call implies without materializing the blob.
-pub fn parse_schema(name: &str) -> Option<(ElementType, StorageClass)> {
+pub(crate) fn parse_schema(name: &str) -> Option<(ElementType, StorageClass)> {
     for elem in ElementType::ALL {
         for class in [StorageClass::Short, StorageClass::Max] {
             if name.eq_ignore_ascii_case(&schema_name(elem, class)) {

@@ -15,7 +15,7 @@
 //! | `SQLARRAY_STATEMENT_TIMEOUT_MS` | session default statement deadline; `0` = none | none |
 //! | `SQLARRAY_QUERY_MEM_BYTES` | session default per-statement budget; `0` = unlimited | unlimited |
 //! | `SQLARRAY_WORKER_BUDGET` | [`EngineConfig::worker_budget`] (≥ 1) | the default DOP |
-//! | `SQLARRAY_ADMISSION_QUEUE` | [`EngineConfig::admission_queue_cap`] (≥ 1) | [`DEFAULT_ADMISSION_QUEUE_CAP`] |
+//! | `SQLARRAY_ADMISSION_QUEUE` | [`EngineConfig::admission_queue_cap`] (≥ 1) | `DEFAULT_ADMISSION_QUEUE_CAP` |
 
 use crate::engine::EngineConfig;
 use crate::plancache::DEFAULT_PLAN_CACHE_CAPACITY;

@@ -173,17 +173,17 @@ impl Engine {
 
     /// Exclusive write access to the database (the single-writer half of
     /// the isolation scheme).
-    pub fn db_mut(&self) -> RwLockWriteGuard<'_, Database> {
+    pub(crate) fn db_mut(&self) -> RwLockWriteGuard<'_, Database> {
         write_unpoisoned(&self.db)
     }
 
     /// The shared scalar-UDF registry.
-    pub fn udfs(&self) -> &UdfRegistry {
+    pub(crate) fn udfs(&self) -> &UdfRegistry {
         &self.udfs
     }
 
     /// The shared UDA registry.
-    pub fn udas(&self) -> &UdaRegistry {
+    pub(crate) fn udas(&self) -> &UdaRegistry {
         &self.udas
     }
 

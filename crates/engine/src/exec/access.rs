@@ -55,7 +55,7 @@ impl KeyRange {
     /// to, under the current variable bindings. Recomputed per execution —
     /// a walk over a handful of nodes — so a prepared `WHERE id = @row`
     /// follows its variable.
-    pub fn of(schema: &Schema, where_clause: Option<&Expr>, vars: &Vars) -> KeyRange {
+    pub(crate) fn of(schema: &Schema, where_clause: Option<&Expr>, vars: &Vars) -> KeyRange {
         let mut range = KeyRange {
             lo: i64::MIN,
             hi: i64::MAX,
@@ -89,12 +89,12 @@ impl KeyRange {
     }
 
     /// The interval, as storage takes it (`lo > hi`: no key at all).
-    pub fn keys(&self) -> RangeInclusive<i64> {
+    pub(crate) fn keys(&self) -> RangeInclusive<i64> {
         self.lo..=self.hi
     }
 
     /// Which access path the interval amounts to.
-    pub fn access(&self) -> Access {
+    pub(crate) fn access(&self) -> Access {
         match (self.lo, self.hi) {
             (i64::MIN, i64::MAX) => Access::Full,
             (lo, hi) if lo == hi => Access::Seek,

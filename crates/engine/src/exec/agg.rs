@@ -26,7 +26,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub(super) struct GroupKey(pub Vec<u8>);
 
 impl GroupKey {
-    pub fn push(&mut self, v: &Value) -> Result<()> {
+    pub(crate) fn push(&mut self, v: &Value) -> Result<()> {
         let buf = &mut self.0;
         match v {
             Value::Null => buf.push(0),
@@ -209,7 +209,7 @@ impl ItemAcc {
     /// ungrouped typed lane takes [`fold_typed`](Self::fold_typed), the
     /// same rules without a `Value` per element.
     #[inline]
-    pub fn fold(&mut self, values: impl IntoIterator<Item = Value>) -> Result<()> {
+    pub(crate) fn fold(&mut self, values: impl IntoIterator<Item = Value>) -> Result<()> {
         let ItemAcc::Agg {
             func,
             count,
@@ -335,7 +335,7 @@ impl ItemAcc {
 
     /// The row interpreter's update: evaluates `item` (the select-list
     /// expression this accumulator was made from) against one row.
-    pub fn accumulate(
+    pub(crate) fn accumulate(
         &mut self,
         item: &Expr,
         row: &RowCtx<'_>,
@@ -502,12 +502,12 @@ pub(super) struct Groups {
 
 impl Groups {
     /// The position of `key`'s group, if it has appeared.
-    pub fn find(&self, key: &GroupKey) -> Option<usize> {
+    pub(crate) fn find(&self, key: &GroupKey) -> Option<usize> {
         self.index.get(key).copied()
     }
 
     /// Appends a new group and returns its position.
-    pub fn insert(&mut self, key: GroupKey, accs: Vec<ItemAcc>) -> usize {
+    pub(crate) fn insert(&mut self, key: GroupKey, accs: Vec<ItemAcc>) -> usize {
         self.accs.push(accs);
         self.keys.push(key.clone());
         self.index.insert(key, self.accs.len() - 1);
@@ -522,7 +522,7 @@ impl Groups {
     ///
     /// `keyed[i]` is the `GROUP BY` key select item `i` repeats, if any
     /// ([`keyed_items`]): such an item takes that key's value here.
-    pub fn open(
+    pub(crate) fn open(
         &mut self,
         key: &GroupKey,
         items: &[SelectItem],
@@ -541,14 +541,14 @@ impl Groups {
     }
 
     /// The accumulator row of the group at `pos`.
-    pub fn accs_mut(&mut self, pos: usize) -> &mut [ItemAcc] {
+    pub(crate) fn accs_mut(&mut self, pos: usize) -> &mut [ItemAcc] {
         &mut self.accs[pos]
     }
 
     /// Folds a *later* partition's groups in: known keys combine
     /// accumulator by accumulator, new keys append — so the merged order
     /// is first appearance in scan order, whatever the partitioning.
-    pub fn merge(&mut self, later: Groups) -> Result<()> {
+    pub(crate) fn merge(&mut self, later: Groups) -> Result<()> {
         if self.accs.is_empty() {
             // The first partial (the only one at DOP 1) is adopted whole:
             // no per-group re-hash or key clone.
@@ -571,7 +571,7 @@ impl Groups {
     }
 
     /// One output row per group, in first-appearance order.
-    pub fn finish(self) -> Result<Vec<Vec<Value>>> {
+    pub(crate) fn finish(self) -> Result<Vec<Vec<Value>>> {
         self.accs
             .into_iter()
             .map(|mut accs| accs.iter_mut().map(ItemAcc::finish).collect())
@@ -782,7 +782,7 @@ impl Parts {
 }
 
 impl<'a> BatchAgg<'a> {
-    pub fn new(
+    pub(crate) fn new(
         plan: &'a BatchPlan,
         (items, group_by): (&'a [SelectItem], &[Expr]),
         udas: &'a UdaRegistry,
@@ -809,13 +809,13 @@ impl<'a> BatchAgg<'a> {
     }
 
     /// The worker's partial, for the partition-order merge.
-    pub fn finish(self) -> Groups {
+    pub(crate) fn finish(self) -> Groups {
         self.groups
     }
 
     /// Feeds the filter-passing rows `sel` of batch `b`. Stored columns
     /// are never NULL, so whole-selection counts are exact.
-    pub fn fold(&mut self, b: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<()> {
+    pub(crate) fn fold(&mut self, b: &Batch, sel: &[u32], env: &mut EvalEnv<'_>) -> Result<()> {
         if sel.is_empty() {
             return Ok(());
         }

@@ -22,7 +22,7 @@
 //!    body closure builds (accumulators, projected or matched rows);
 //!    every worker read touches the **live** sharded buffer pool
 //!    immediately, while the simulated I/O classifies against the
-//!    start-of-scan residency snapshot in [`sqlarray_storage::ScanCtx`];
+//!    start-of-scan residency snapshot in `sqlarray_storage::ScanCtx`;
 //!    the driver holds the single panic boundary, so a buggy UDF becomes
 //!    a typed [`EngineError::WorkerPanicked`];
 //! 3. the driver folds every worker's counters — rows, batches, hosting
@@ -82,7 +82,7 @@ use sqlarray_storage::{IoStats, PageStore};
 use std::collections::HashMap;
 
 /// Default cap on rows returned by a projection without `TOP`.
-pub const DEFAULT_ROW_LIMIT: usize = 100_000;
+pub(crate) const DEFAULT_ROW_LIMIT: usize = 100_000;
 
 /// Per-query measurements — the raw numbers behind a Table 1 row.
 ///
@@ -209,7 +209,7 @@ pub struct QueryResult {
 
 impl QueryResult {
     /// The single value of a one-row, one-column result.
-    pub fn scalar(&self) -> Result<&Value> {
+    pub(crate) fn scalar(&self) -> Result<&Value> {
         if self.rows.len() == 1 && self.rows[0].len() == 1 {
             Ok(&self.rows[0][0])
         } else {

@@ -49,7 +49,7 @@ pub(super) struct ScanTotals {
 impl ScanTotals {
     /// Starts the meter for one statement and zeroes the session's
     /// per-statement hosting counters.
-    pub fn start(store: &PageStore, hosting: &mut HostingModel) -> ScanTotals {
+    pub(crate) fn start(store: &PageStore, hosting: &mut HostingModel) -> ScanTotals {
         hosting.reset();
         ScanTotals {
             started_at: Instant::now(),
@@ -71,7 +71,7 @@ impl ScanTotals {
     /// worker, in the merge, in a UDA's `terminate()`, in the DML apply
     /// phase — deposits them in `ctx.partial` instead: the pool saw those
     /// reads, so the session's accounting must too.
-    pub fn close<R>(
+    pub(crate) fn close<R>(
         self,
         out: Result<R>,
         store: &PageStore,
@@ -114,7 +114,7 @@ fn park(step: Result<bool>, parked: &mut Option<EngineError>) -> sqlarray_storag
 
 impl ScanWorker<'_> {
     /// The statement's lifecycle context, for the body's memory charges.
-    pub fn query(&self) -> QueryCtx {
+    pub(crate) fn query(&self) -> QueryCtx {
         self.reader.query().clone()
     }
 
@@ -122,7 +122,7 @@ impl ScanWorker<'_> {
     /// evaluation environment over this worker's reader (so LOB values
     /// resolve through the same live-pool read path as the leaf pages),
     /// the clustered key and the encoded row; it returns `false` to stop.
-    pub fn for_each_row(
+    pub(crate) fn for_each_row(
         &mut self,
         mut f: impl FnMut(&mut EvalEnv<'_>, i64, &[u8]) -> Result<bool>,
     ) -> Result<()> {
@@ -146,7 +146,7 @@ impl ScanWorker<'_> {
 
     /// Visits the partition as column batches of `plan`'s columns, at
     /// most `rows_cap` rows each. `f` returns `false` to stop.
-    pub fn for_each_batch(
+    pub(crate) fn for_each_batch(
         &mut self,
         plan: &crate::batch::BatchPlan,
         rows_cap: usize,

@@ -82,7 +82,7 @@ impl<'a> SelectJob<'a> {
     /// `where_clause`, as `[clustered key, items…]`. `TOP` does not parse
     /// on DML and the session's `row_limit` guards result sets, not
     /// writes: no limit applies.
-    pub fn dml(
+    pub(crate) fn dml(
         stmt: &'static str,
         items: &'a [SelectItem],
         where_clause: Option<&'a Expr>,
@@ -108,7 +108,7 @@ impl<'a> SelectJob<'a> {
     /// runs the row-at-a-time interpreter. The statement's plan-cache slot
     /// answers for var-free statements without recompiling. This is the
     /// executor side of the fallback seam.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         ctx: &mut StmtCtx<'_>,
         store: &PageStore,

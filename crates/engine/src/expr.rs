@@ -88,7 +88,7 @@ impl Expr {
     /// var-free statements — `plan_select` folds variable values into the
     /// compiled constants, so a plan touching `@x` is only valid for the
     /// binding it was compiled under.
-    pub fn contains_var(&self) -> bool {
+    pub(crate) fn contains_var(&self) -> bool {
         match self {
             Expr::Var(_) => true,
             Expr::Func { args, .. } | Expr::UdaCall { args, .. } => {
@@ -102,7 +102,7 @@ impl Expr {
     }
 
     /// True if the expression (transitively) contains an aggregate.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Agg { .. } | Expr::UdaCall { .. } => true,
             Expr::Func { args, .. } => args.iter().any(Expr::contains_aggregate),
@@ -172,7 +172,7 @@ pub(crate) fn lookup_var<'a>(
 }
 
 /// Evaluates an expression against an optional row.
-pub fn eval(expr: &Expr, row: Option<&RowCtx<'_>>, env: &mut EvalEnv<'_>) -> Result<Value> {
+pub(crate) fn eval(expr: &Expr, row: Option<&RowCtx<'_>>, env: &mut EvalEnv<'_>) -> Result<Value> {
     match expr {
         Expr::Lit(v) => Ok(v.clone()),
         Expr::Var(name) => lookup_var(env.vars, name)
@@ -430,7 +430,7 @@ pub(crate) fn apply_bin(op: BinOp, l: Value, r: Value) -> Result<Value> {
 
 /// SQL comparison: numerics compare numerically, strings lexically, bytes
 /// bytewise.
-pub fn compare(l: &Value, r: &Value) -> Result<std::cmp::Ordering> {
+pub(crate) fn compare(l: &Value, r: &Value) -> Result<std::cmp::Ordering> {
     match (l, r) {
         (Value::Str(a), Value::Str(b)) => Ok(a.cmp(b)),
         (Value::Bytes(a), Value::Bytes(b)) => Ok(a.cmp(b)),

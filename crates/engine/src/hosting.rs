@@ -41,7 +41,7 @@ pub const PAPER_CLR_CALL_NS: u64 = 2_000;
 
 impl HostingModel {
     /// Builds a model charging `overhead_ns` per managed call.
-    pub fn new(overhead_ns: u64) -> HostingModel {
+    pub(crate) fn new(overhead_ns: u64) -> HostingModel {
         HostingModel {
             overhead_ns,
             calls: 0,
@@ -62,7 +62,7 @@ impl HostingModel {
     /// Charges one managed call: bumps the call count and the modelled
     /// nanoseconds. Native calls must not route through here.
     #[inline]
-    pub fn charge_call(&mut self) {
+    pub(crate) fn charge_call(&mut self) {
         self.calls += 1;
         self.charged_ns += self.overhead_ns;
     }
@@ -70,29 +70,29 @@ impl HostingModel {
     /// A fresh model with this model's overhead but zeroed counters — one
     /// per parallel scan worker, so each thread counts independently
     /// without sharing mutable state.
-    pub fn fork(&self) -> HostingModel {
+    pub(crate) fn fork(&self) -> HostingModel {
         HostingModel::new(self.overhead_ns)
     }
 
     /// Folds a worker fork's counters back into this model (the combine
     /// half of [`fork`](Self::fork)).
-    pub fn absorb(&mut self, calls: u64, charged_ns: u64) {
+    pub(crate) fn absorb(&mut self, calls: u64, charged_ns: u64) {
         self.calls += calls;
         self.charged_ns += charged_ns;
     }
 
     /// Managed calls made so far.
-    pub fn calls(&self) -> u64 {
+    pub(crate) fn calls(&self) -> u64 {
         self.calls
     }
 
     /// Total nanoseconds charged so far.
-    pub fn charged_ns(&self) -> u64 {
+    pub(crate) fn charged_ns(&self) -> u64 {
         self.charged_ns
     }
 
     /// Resets the counters.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.calls = 0;
         self.charged_ns = 0;
     }

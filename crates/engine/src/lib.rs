@@ -40,19 +40,15 @@ pub mod tsql;
 pub mod udf;
 pub mod value;
 
-pub use aggregate::{UdaMode, UdaRegistry, UdaState};
+pub use aggregate::{UdaMode, UdaState};
 pub use batch::Fallback;
 pub use config::Settings;
 pub use database::Database;
-pub use engine::{Engine, EngineConfig, EngineStats};
+pub use engine::{Engine, EngineConfig};
 pub use exec::{Access, QueryResult, QueryStats};
-pub use hosting::{CostClass, HostingModel, PAPER_CLR_CALL_NS};
-pub use mathfn::{fft_array, gesvd_array, ifft_array, power_spectrum_array};
-pub use plancache::{PlanCache, PlanCacheStats};
-pub use sched::{DopScheduler, DopTicket, SchedStats};
+pub use hosting::{HostingModel, PAPER_CLR_CALL_NS};
+pub use mathfn::{fft_array, gesvd_array};
 pub use session::{Prepared, Session};
 pub use sqlarray_core::fault::{Fault, FaultPlan};
-pub use sqlarray_core::lifecycle::{CancelHandle, Interrupt, QueryCtx, QueryLimits};
-pub use sugar::{desugar, SugarTypes};
-pub use udf::UdfRegistry;
+pub use sugar::SugarTypes;
 pub use value::{Arg, EngineError, Value};

@@ -16,7 +16,7 @@ use sqlarray_linalg::{gesvd, Matrix};
 /// Registers `FFTForward` / `FFTInverse` / `PowerSpectrum` under the float
 /// and complex schemas (both classes) and the SVD family under the float
 /// schemas, matching the paper's `FloatArrayMax.FFTForward(@a)` example.
-pub fn register_math(reg: &mut UdfRegistry) {
+pub(crate) fn register_math(reg: &mut UdfRegistry) {
     for class in [StorageClass::Short, StorageClass::Max] {
         for elem in [
             ElementType::Float64,
@@ -71,7 +71,7 @@ pub fn fft_array(a: &SqlArray) -> Result<SqlArray> {
 }
 
 /// Normalized inverse n-D DFT.
-pub fn ifft_array(a: &SqlArray) -> Result<SqlArray> {
+pub(crate) fn ifft_array(a: &SqlArray) -> Result<SqlArray> {
     let c = to_complex(a)?;
     let mut data = c.to_vec::<Complex64>()?;
     sqlarray_fft::ifftn_normalized(&mut data, c.dims());
@@ -79,7 +79,7 @@ pub fn ifft_array(a: &SqlArray) -> Result<SqlArray> {
 }
 
 /// `|X[k]|²/N` of the forward transform, as a `float64` array.
-pub fn power_spectrum_array(a: &SqlArray) -> Result<SqlArray> {
+pub(crate) fn power_spectrum_array(a: &SqlArray) -> Result<SqlArray> {
     let f = fft_array(a)?;
     let n = f.count() as f64;
     let data: Vec<f64> = f

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default number of parsed batches the cache retains.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
+pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 
 /// Observable plan-cache counters (snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,7 +74,7 @@ impl CachedPlan {
     }
 
     /// Each statement with its compiled-plan slot, in batch order.
-    pub fn statements(&self) -> impl Iterator<Item = (&Stmt, &SelectSlot)> {
+    pub(crate) fn statements(&self) -> impl Iterator<Item = (&Stmt, &SelectSlot)> {
         self.stmts.iter().zip(&self.slots)
     }
 }
@@ -171,12 +171,6 @@ impl SelectSlot {
             }
         }
     }
-
-    /// Whether this slot may retain a compiled plan (a var-free SELECT,
-    /// UPDATE or DELETE).
-    pub fn cacheable(&self) -> bool {
-        self.cacheable
-    }
 }
 
 struct Entry {
@@ -201,7 +195,7 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// A cache retaining at most `capacity` parsed batches (≥ 1).
-    pub fn new(capacity: usize) -> PlanCache {
+    pub(crate) fn new(capacity: usize) -> PlanCache {
         PlanCache {
             capacity: capacity.max(1),
             state: Mutex::new(CacheState {
@@ -297,7 +291,7 @@ impl PlanCache {
 /// quote that counts — is a separator like any whitespace. Case and
 /// literal contents are untouched — `'a  b'` and `'a b'` stay distinct
 /// keys.
-pub fn normalize(sql: &str) -> String {
+pub(crate) fn normalize(sql: &str) -> String {
     let mut out = String::with_capacity(sql.len());
     let mut in_str = false;
     let mut pending_space = false;
@@ -406,13 +400,13 @@ mod tests {
         let with_var = cache
             .get_or_parse("SELECT v1 + @x FROM t WHERE v1 > 0")
             .unwrap();
-        assert!(!with_var.statements().next().unwrap().1.cacheable());
+        assert!(!with_var.statements().next().unwrap().1.cacheable);
         let without = cache.get_or_parse("SELECT v1 + 1 FROM t").unwrap();
-        assert!(without.statements().next().unwrap().1.cacheable());
+        assert!(without.statements().next().unwrap().1.cacheable);
         let var_in_where = cache
             .get_or_parse("SELECT v1 FROM t WHERE v1 > @lo")
             .unwrap();
-        assert!(!var_in_where.statements().next().unwrap().1.cacheable());
+        assert!(!var_in_where.statements().next().unwrap().1.cacheable);
         // DML match phases plan like SELECTs: var-free ones keep theirs.
         for (sql, cacheable) in [
             ("DELETE FROM t WHERE v1 > 1", true),
@@ -423,7 +417,7 @@ mod tests {
         ] {
             let plan = cache.get_or_parse(sql).unwrap();
             assert_eq!(
-                plan.statements().next().unwrap().1.cacheable(),
+                plan.statements().next().unwrap().1.cacheable,
                 cacheable,
                 "{sql}"
             );

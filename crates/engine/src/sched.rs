@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 /// Default admission queue depth when neither `SQLARRAY_ADMISSION_QUEUE`
 /// ([`crate::config`]) nor [`crate::engine::EngineConfig`] says otherwise:
 /// deep enough that only pathological convoys hit it.
-pub const DEFAULT_ADMISSION_QUEUE_CAP: usize = 64;
+pub(crate) const DEFAULT_ADMISSION_QUEUE_CAP: usize = 64;
 
 /// Wait slice for queued statements: how often a waiter re-polls its
 /// cancellation token and deadline while blocked on the condvar. Grants
@@ -88,7 +88,7 @@ pub struct DopScheduler {
 impl DopScheduler {
     /// A scheduler over a worker budget of `budget` and a queue-depth
     /// cap of `queue_cap` (both clamped to ≥ 1).
-    pub fn with_queue_cap(budget: usize, queue_cap: usize) -> DopScheduler {
+    pub(crate) fn with_queue_cap(budget: usize, queue_cap: usize) -> DopScheduler {
         DopScheduler {
             budget: budget.max(1),
             queue_cap: queue_cap.max(1),
@@ -238,7 +238,7 @@ pub struct DopTicket<'a> {
 
 impl DopTicket<'_> {
     /// Workers this statement may fan out over.
-    pub fn granted(&self) -> usize {
+    pub(crate) fn granted(&self) -> usize {
         self.granted
     }
 }

@@ -403,7 +403,7 @@ impl Session {
 
     /// Executes a batch written in the §8 array-notation sugar (`@a[3]`,
     /// `v[1:4]`, `SET @a[0] = x`), translating it through
-    /// [`crate::sugar::desugar`] first.
+    /// `crate::sugar::desugar` first.
     pub fn execute_sugar(
         &mut self,
         sql: &str,

@@ -59,7 +59,7 @@ enum Axis {
 
 /// Translates array-notation sugar into plain T-SQL. Text outside
 /// brackets passes through untouched; strings and comments are respected.
-pub fn desugar(src: &str, types: &SugarTypes) -> Result<String> {
+pub(crate) fn desugar(src: &str, types: &SugarTypes) -> Result<String> {
     let bytes = src.as_bytes();
     let mut out = String::with_capacity(src.len() + 64);
     let mut i = 0usize;

@@ -384,17 +384,6 @@ pub fn parse(src: &str) -> Result<Vec<Stmt>> {
     Ok(out)
 }
 
-/// Parses a single expression (used by tests and the variable-free API).
-pub fn parse_expr(src: &str) -> Result<Expr> {
-    let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser { toks, pos: 0 };
-    let e = p.expr()?;
-    if !p.at_end() {
-        return Err(p.error("trailing tokens after expression"));
-    }
-    Ok(e)
-}
-
 impl Parser {
     fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
@@ -819,6 +808,18 @@ impl Parser {
             _ => Err(self.error("expected expression")),
         }
     }
+}
+
+#[cfg(test)]
+/// Parses a single expression: the tests' way to build one.
+pub(crate) fn parse_expr(src: &str) -> Result<Expr> {
+    let toks = Lexer::new(src).tokens()?;
+    let mut p = Parser { toks, pos: 0 };
+    let e = p.expr()?;
+    if !p.at_end() {
+        return Err(p.error("trailing tokens after expression"));
+    }
+    Ok(e)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ pub(crate) fn strip_numbered_suffix(name: &str) -> &str {
 /// from — and copies only what it keeps (`Arg::to_value`,
 /// `ArrayView::into_array`). The batch path's scalar arguments arrive by
 /// value, so nothing is allocated to call a function per row.
-pub type UdfFn = Box<dyn Fn(&[Arg<'_>]) -> Result<Value> + Send + Sync>;
+pub(crate) type UdfFn = Box<dyn Fn(&[Arg<'_>]) -> Result<Value> + Send + Sync>;
 
 /// A registered scalar function.
 pub struct Udf {
@@ -50,7 +50,7 @@ impl Udf {
     /// The arity check of one call site spelled `name` with `argc`
     /// arguments — per call on the row path, once per statement when the
     /// batch planner binds the callee.
-    pub fn check_arity(&self, name: &str, argc: usize) -> Result<()> {
+    pub(crate) fn check_arity(&self, name: &str, argc: usize) -> Result<()> {
         match &self.arity {
             Some(arity) if !arity.contains(&argc) => Err(EngineError::Arity {
                 func: name.to_string(),
@@ -64,7 +64,7 @@ impl Udf {
     /// Runs the body over borrowed arguments, charging the hosting model
     /// for managed calls.
     #[inline]
-    pub fn invoke(&self, args: &[Arg<'_>], hosting: &mut HostingModel) -> Result<Value> {
+    pub(crate) fn invoke(&self, args: &[Arg<'_>], hosting: &mut HostingModel) -> Result<Value> {
         if self.cost == CostClass::Managed {
             hosting.charge_call();
         }
@@ -100,7 +100,7 @@ impl UdfRegistry {
     }
 
     /// Registers a native (no hosting charge) function.
-    pub fn register_native(
+    pub(crate) fn register_native(
         &mut self,
         name: &str,
         arity: Option<std::ops::RangeInclusive<usize>>,
@@ -152,16 +152,6 @@ impl UdfRegistry {
             .ok_or_else(|| EngineError::Unknown(format!("function `{name}`")))?;
         udf.check_arity(name, args.len())?;
         udf.invoke(args, hosting)
-    }
-
-    /// Number of registered functions.
-    pub fn len(&self) -> usize {
-        self.funcs.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.funcs.is_empty()
     }
 
     /// All registered names, sorted (for documentation/tests).

@@ -72,7 +72,7 @@ pub enum EngineError {
         len: u64,
     },
     /// The statement was cancelled through its session's
-    /// [`sqlarray_core::CancelHandle`] (or a test-armed trip point).
+    /// `sqlarray_core::CancelHandle` (or a test-armed trip point).
     Cancelled,
     /// The statement ran past `SQLARRAY_STATEMENT_TIMEOUT_MS` / the
     /// session's configured timeout.
@@ -234,7 +234,7 @@ impl From<sqlarray_storage::StorageError> for EngineError {
 }
 
 /// Engine result alias.
-pub type Result<T> = std::result::Result<T, EngineError>;
+pub(crate) type Result<T> = std::result::Result<T, EngineError>;
 
 impl Value {
     /// The typed error for a lazy LOB reference hitting a non-blob-aware
@@ -261,7 +261,7 @@ impl Value {
     }
 
     /// Integer view (floats must be integral and in `i64` range).
-    pub fn as_i64(&self) -> Result<i64> {
+    pub(crate) fn as_i64(&self) -> Result<i64> {
         match self {
             Value::I64(v) => Ok(*v),
             Value::I32(v) => Ok(*v as i64),
@@ -274,7 +274,7 @@ impl Value {
     }
 
     /// Index view (non-negative integer).
-    pub fn as_index(&self) -> Result<usize> {
+    pub(crate) fn as_index(&self) -> Result<usize> {
         let v = self.as_i64()?;
         usize::try_from(v).map_err(|_| EngineError::Type(format!("negative index {v}")))
     }
@@ -282,7 +282,7 @@ impl Value {
     /// Binary view. A lazy [`Value::Lob`] has no in-memory bytes — it must
     /// be resolved through a reader first, so it raises the typed
     /// [`EngineError::UnresolvedLob`] here.
-    pub fn as_bytes(&self) -> Result<&[u8]> {
+    pub(crate) fn as_bytes(&self) -> Result<&[u8]> {
         match self {
             Value::Bytes(b) => Ok(b),
             other => Err(other
@@ -297,7 +297,7 @@ impl Value {
     }
 
     /// Truthiness for WHERE clauses.
-    pub fn is_true(&self) -> bool {
+    pub(crate) fn is_true(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
             Value::Null => false,
@@ -312,12 +312,12 @@ impl Value {
     }
 
     /// True for SQL NULL.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
     /// The value's SQL type name, as error messages quote it.
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             Value::Null => "NULL",
             Value::I64(_) => "BIGINT",
@@ -341,7 +341,7 @@ impl Value {
 /// callee as a view of their own bytes, and a typed lane's scalar by
 /// value. `Arg` mirrors `Value` variant by variant and answers its views
 /// (`as_f64`, `as_bytes`, …) with the same values and the same errors;
-/// [`to_value`](Self::to_value) copies it out where a callee keeps it.
+/// `to_value` copies it out where a callee keeps it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // variant by variant [`Value`]'s
 pub enum Arg<'a> {
@@ -374,7 +374,7 @@ impl<'a> From<&'a Value> for Arg<'a> {
 
 impl<'a> Arg<'a> {
     /// The argument as an owned [`Value`] (copies bytes and strings).
-    pub fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         match self {
             Arg::Null => Value::Null,
             Arg::I64(x) => Value::I64(x),
@@ -400,19 +400,19 @@ impl<'a> Arg<'a> {
         }
     }
 
-    /// [`Value::as_i64`] (copies nothing for a scalar; a non-scalar is
+    /// `Value::as_i64` (copies nothing for a scalar; a non-scalar is
     /// its error).
     pub fn as_i64(self) -> Result<i64> {
         self.to_value().as_i64()
     }
 
     /// [`Value::as_index`].
-    pub fn as_index(self) -> Result<usize> {
+    pub(crate) fn as_index(self) -> Result<usize> {
         self.to_value().as_index()
     }
 
     /// [`Value::as_bytes`]: the bytes where they lie.
-    pub fn as_bytes(self) -> Result<&'a [u8]> {
+    pub(crate) fn as_bytes(self) -> Result<&'a [u8]> {
         match self {
             Arg::Bytes(b) => Ok(b),
             Arg::Lob { id, len } => Err(EngineError::UnresolvedLob { id, len }),
@@ -424,12 +424,12 @@ impl<'a> Arg<'a> {
     }
 
     /// [`Value::as_array`].
-    pub fn as_array(self) -> Result<SqlArray> {
+    pub(crate) fn as_array(self) -> Result<SqlArray> {
         Ok(SqlArray::from_blob(self.as_bytes()?.to_vec())?)
     }
 
     /// [`Value::is_true`].
-    pub fn is_true(self) -> bool {
+    pub(crate) fn is_true(self) -> bool {
         match self {
             Arg::Bytes(b) => !b.is_empty(),
             Arg::Str(s) => !s.is_empty(),

@@ -21,7 +21,7 @@ pub struct Bluestein {
 
 impl Bluestein {
     /// Builds the plan for size `n ≥ 1`.
-    pub fn new(n: usize, dir: Direction) -> Bluestein {
+    pub(crate) fn new(n: usize, dir: Direction) -> Bluestein {
         assert!(n >= 1);
         let m = (2 * n - 1).next_power_of_two();
         let sign = dir.sign();
@@ -54,18 +54,8 @@ impl Bluestein {
         }
     }
 
-    /// The transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True only for the degenerate size-0 plan (not constructible).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Executes the transform in place.
-    pub fn execute(&self, data: &mut [Complex64]) {
+    pub(crate) fn execute(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "data length must match the plan");
         let n = self.n;
         if n == 1 {

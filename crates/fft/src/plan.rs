@@ -43,16 +43,6 @@ impl Plan {
         }
     }
 
-    /// The planned size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True only for an (unconstructible) empty plan.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Executes in place (data must already live in a caller-managed
     /// buffer of the planned size).
     pub fn execute_inplace(&self, data: &mut [Complex64]) {
@@ -81,7 +71,6 @@ impl Plan {
 
 /// One-shot forward DFT (plans internally; use [`Plan`] for repeated
 /// transforms).
-// lint:allow(L011, reason = "crates/fft/tests/proptests.rs checks round trips, Parseval, linearity and shifts through it")
 pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
     let mut out = input.to_vec();
     Plan::new(input.len(), Direction::Forward).execute_inplace(&mut out);
@@ -89,7 +78,6 @@ pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
 }
 
 /// One-shot inverse DFT, normalized by `1/n` so that `ifft(fft(x)) = x`.
-// lint:allow(L011, reason = "crates/fft/tests/proptests.rs checks round trips through it")
 pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
     let mut out = input.to_vec();

@@ -15,7 +15,7 @@ pub enum Direction {
 impl Direction {
     /// Sign of the exponent.
     #[inline]
-    pub fn sign(self) -> f64 {
+    pub(crate) fn sign(self) -> f64 {
         match self {
             Direction::Forward => -1.0,
             Direction::Inverse => 1.0,
@@ -33,23 +33,13 @@ pub struct Twiddles {
 
 impl Twiddles {
     /// Builds the table for size `n` (must be a power of two ≥ 1).
-    pub fn new(n: usize, dir: Direction) -> Twiddles {
+    pub(crate) fn new(n: usize, dir: Direction) -> Twiddles {
         assert!(n.is_power_of_two(), "radix-2 needs a power-of-two size");
         let step = dir.sign() * 2.0 * std::f64::consts::PI / n as f64;
         let w = (0..n / 2)
             .map(|k| Complex64::cis(step * k as f64))
             .collect();
         Twiddles { n, w }
-    }
-
-    /// The transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for the degenerate size-1 table.
-    pub fn is_empty(&self) -> bool {
-        self.n <= 1
     }
 }
 

@@ -5,7 +5,6 @@ use sqlarray_core::Complex64;
 
 /// Forward DFT of a real signal, returning the non-redundant half spectrum
 /// (`n/2 + 1` bins, like FFTW's `r2c`).
-// lint:allow(L011, reason = "crates/fft/tests/proptests.rs checks real round trips through it")
 pub fn rfft(input: &[f64]) -> Vec<Complex64> {
     let n = input.len();
     let complex: Vec<Complex64> = input.iter().map(|&v| Complex64::new(v, 0.0)).collect();
@@ -15,7 +14,6 @@ pub fn rfft(input: &[f64]) -> Vec<Complex64> {
 
 /// Inverse of [`rfft`]: reconstructs the length-`n` real signal from the
 /// half spectrum using Hermitian symmetry.
-// lint:allow(L011, reason = "crates/fft/tests/proptests.rs checks real round trips through it")
 pub fn irfft(spectrum: &[Complex64], n: usize) -> Vec<f64> {
     assert_eq!(spectrum.len(), n / 2 + 1, "need n/2+1 bins for length n");
     let mut full = vec![Complex64::ZERO; n];

@@ -15,16 +15,16 @@ use crate::matrix::Matrix;
 /// Cache-blocking panel width along the shared (`k`) dimension of
 /// [`gemm`]: the A-tile it streams is at most
 /// [`GEMM_MC`]` × GEMM_KC` elements.
-pub const GEMM_KC: usize = 128;
+pub(crate) const GEMM_KC: usize = 128;
 
 /// Cache-blocking row-tile height of [`gemm`]: together with [`GEMM_KC`]
 /// it keeps the reused A-tile (`GEMM_MC × GEMM_KC × 8` bytes = 256 KiB)
 /// resident in L2 while it multiplies every column of C.
-pub const GEMM_MC: usize = 256;
+pub(crate) const GEMM_MC: usize = 256;
 
 /// `xᵀy`. Panics when the lengths differ (a release-mode guard: a silent
 /// `zip` truncation here returns a plausible but wrong dot product).
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot requires equal-length vectors");
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
@@ -91,10 +91,10 @@ pub(crate) fn gemv_t(a: &Matrix, x: &[f64], y: &mut [f64]) {
 /// # Determinism contract
 ///
 /// The result is **bit-for-bit identical** to [`gemm_naive`] at every
-/// blocking size: the k dimension is blocked in ascending [`GEMM_KC`]
+/// blocking size: the k dimension is blocked in ascending `GEMM_KC`
 /// strips, so each `C[i][j]` receives exactly the serial sequence of
 /// `B[k][j]·A[i][k]` contributions — in the same order, with the same
-/// `B[k][j] == 0` terms skipped. Row tiling ([`GEMM_MC`]) only re-tiles
+/// `B[k][j] == 0` terms skipped. Row tiling (`GEMM_MC`) only re-tiles
 /// the *i* loop, which never reorders accumulation into a single element;
 /// the `GEMM_MC × GEMM_KC` A-tile stays in cache while it updates every
 /// column of C.

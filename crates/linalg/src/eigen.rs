@@ -54,15 +54,14 @@ impl std::error::Error for NoConvergence {}
 /// symmetric systems need ~5–15 sweeps, so 100 is a generous ceiling
 /// that only a genuinely pathological input (NaN/∞ entries, or a caller
 /// bug producing a wildly asymmetric "symmetric" matrix) fails to meet.
-pub const DEFAULT_MAX_SWEEPS: usize = 100;
+pub(crate) const DEFAULT_MAX_SWEEPS: usize = 100;
 
 /// Computes the eigendecomposition of a symmetric matrix.
 ///
 /// Panics if `a` is not square, **or if the Jacobi iteration does not
-/// converge within [`DEFAULT_MAX_SWEEPS`] sweeps**. Symmetry is assumed
+/// converge within `DEFAULT_MAX_SWEEPS` sweeps**. Symmetry is assumed
 /// (only the upper triangle drives the rotations; the input is
 /// symmetrized defensively).
-// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs checks it reconstructs Gram matrices")
 pub fn eigh(a: &Matrix) -> Eigen {
     eigh_with_sweeps(a, DEFAULT_MAX_SWEEPS).unwrap_or_else(|err| panic!("{err}"))
 }

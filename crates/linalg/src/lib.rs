@@ -27,10 +27,10 @@ pub mod pca;
 pub mod qr;
 pub mod svd;
 
-pub use eigen::{eigh, Eigen, NoConvergence};
+pub use eigen::eigh;
 pub use lstsq::{lstsq_svd, lstsq_weighted};
 pub use matrix::Matrix;
-pub use nnls::{nnls, Nnls};
+pub use nnls::nnls;
 pub use pca::Pca;
-pub use qr::{qr, Qr};
-pub use svd::{gesvd, Svd};
+pub use qr::qr;
+pub use svd::gesvd;

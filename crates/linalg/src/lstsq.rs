@@ -16,7 +16,6 @@ use crate::svd;
 /// degenerate systems: zero columns yield an empty solution, zero rows
 /// yield the zero vector, and a rank-0 (all-zero) matrix yields the zero
 /// vector — never NaN.
-// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs checks no perturbation beats its fit")
 pub fn lstsq_svd(a: &Matrix, b: &[f64], rcond: f64) -> Vec<f64> {
     assert_eq!(a.rows(), b.len(), "rhs length must match rows");
     let n = a.cols();
@@ -65,7 +64,6 @@ pub fn lstsq_weighted(a: &Matrix, b: &[f64], w: &[f64], rcond: f64) -> Vec<f64> 
 }
 
 /// Residual norm `‖A·x − b‖₂` (diagnostic).
-// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs measures fits with it")
 pub fn residual_norm(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
     let mut ax = vec![0.0; a.rows()];
     crate::blas::gemv(a, x, &mut ax);

@@ -71,13 +71,13 @@ impl Matrix {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -109,7 +109,7 @@ impl Matrix {
 
     /// Borrows column `j` as a contiguous slice — free in this layout.
     #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
+    pub(crate) fn col(&self, j: usize) -> &[f64] {
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
@@ -119,11 +119,6 @@ impl Matrix {
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// Copies row `i` out (rows are strided in this layout).
-    pub fn row(&self, i: usize) -> Vec<f64> {
-        (0..self.cols).map(|j| self.get(i, j)).collect()
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
@@ -131,7 +126,6 @@ impl Matrix {
 
     /// Max absolute elementwise difference to another matrix of the same
     /// shape.
-    // lint:allow(L011, reason = "crates/linalg/tests/proptests.rs compares factorizations through it")
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
@@ -167,7 +161,6 @@ mod tests {
         assert_eq!(m.as_slice(), &[1.0, 3.0, 2.0, 4.0]);
         assert_eq!(m.get(0, 1), 2.0);
         assert_eq!(m.col(0), &[1.0, 3.0]);
-        assert_eq!(m.row(1), vec![3.0, 4.0]);
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub struct Nnls {
 
 /// Lawson–Hanson NNLS. `max_iter` bounds the outer loop (3·n is the
 /// customary default; pass 0 to use it).
-// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs checks its fits are feasible and no worse than zero")
 pub fn nnls(a: &Matrix, b: &[f64], max_iter: usize) -> Nnls {
     let n = a.cols();
     let max_iter = if max_iter == 0 {

@@ -76,8 +76,10 @@ impl Pca {
         coeffs
     }
 
-    /// Reconstructs an observation from its coefficients.
-    pub fn inverse_transform(&self, coeffs: &[f64]) -> Vec<f64> {
+    /// Reconstructs an observation from its coefficients: the tests'
+    /// measure of a fit.
+    #[cfg(test)]
+    fn inverse_transform(&self, coeffs: &[f64]) -> Vec<f64> {
         assert_eq!(coeffs.len(), self.k());
         let mut x = vec![0.0; self.mean.len()];
         blas::gemv(&self.components, coeffs, &mut x);

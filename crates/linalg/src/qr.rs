@@ -29,7 +29,6 @@ fn apply_reflector(mat: &mut Matrix, k: usize, lo: usize, hi: usize, v: &[f64], 
 }
 
 /// Computes the thin QR of `a` (`m × n`, requires `m ≥ n`).
-// lint:allow(L011, reason = "crates/linalg/tests/proptests.rs checks the factors reconstruct and are orthonormal")
 pub fn qr(a: &Matrix) -> Qr {
     let m = a.rows();
     let n = a.cols();

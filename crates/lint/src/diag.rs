@@ -41,7 +41,7 @@ impl Finding {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

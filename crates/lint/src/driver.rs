@@ -5,7 +5,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::diag::Finding;
-use crate::rules::{self, Callers};
+use crate::rules;
 use crate::source::SourceFile;
 
 /// Path components that never contain library code subject to the rules.
@@ -30,6 +30,9 @@ pub struct Options {
     pub deny_all: bool,
     /// Count code lines per crate ([`loc`]) instead of linting.
     pub loc: bool,
+    /// Report the `pub` items no other compilation unit uses
+    /// ([`crate::reach`]) instead of linting; exits nonzero on any.
+    pub reach: bool,
     /// Explicit files/dirs to lint; empty means the whole workspace.
     pub paths: Vec<PathBuf>,
 }
@@ -44,6 +47,7 @@ impl Options {
                 "--format=human" => opts.json = false,
                 "--deny-all" => opts.deny_all = true,
                 "--loc" => opts.loc = true,
+                "--reach" => opts.reach = true,
                 "--help" | "-h" => return Err(usage()),
                 f if f.starts_with('-') => return Err(format!("unknown flag `{f}`\n{}", usage())),
                 p => opts.paths.push(PathBuf::from(p)),
@@ -54,12 +58,13 @@ impl Options {
 }
 
 fn usage() -> String {
-    "usage: sqlarray-lint [--format=json|human] [--deny-all] [--loc] [paths…]\n\
+    "usage: sqlarray-lint [--format=json|human] [--deny-all] [--loc | --reach] [paths…]\n\
      Lints the workspace's library sources against the repo invariants \
-     (L001–L011). With no paths, walks up to the workspace root and lints \
-     every crate's src/ tree; L011 reads the whole workspace's callers \
-     either way. --loc prints, per crate, the lines of those sources that \
-     hold code outside #[cfg(test)] instead."
+     (L001–L010). With no paths, walks up to the workspace root and lints \
+     every crate's src/ tree. --loc prints, per crate, the lines of those \
+     sources that hold code outside #[cfg(test)] instead; --reach, the \
+     `pub` items that `cargo check` shows no other crate, bin, example, \
+     integration test or the benchmark uses."
         .to_string()
 }
 
@@ -78,28 +83,15 @@ pub fn loc(f: &SourceFile<'_>) -> usize {
     lines.len()
 }
 
-/// Lints one in-memory source as a workspace of its own (so L011 finds
-/// no caller). `path_label` drives crate attribution
+/// Lints one in-memory source. `path_label` drives crate attribution
 /// (`crates/<name>/src/…`), so tests can lint fixtures under pretend
 /// paths.
 pub fn lint_source(path_label: &str, src: &str) -> Vec<Finding> {
-    lint_files(&[(path_label, src)])
-}
-
-/// Lints in-memory `(path_label, source)` files as one workspace: every
-/// rule runs on each, and L011's callers are the caller files among them.
-pub fn lint_files(files: &[(&str, &str)]) -> Vec<Finding> {
-    let parsed: Vec<SourceFile<'_>> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
-    let mut callers = Callers::default();
-    parsed.iter().for_each(|f| callers.add(f));
-    parsed
-        .iter()
-        .flat_map(|f| rules::run_all(f, &callers))
-        .collect()
+    rules::run_all(&SourceFile::parse(path_label, src))
 }
 
 /// The workspace root above `cwd`, or `cwd` itself outside a workspace.
-fn workspace_root(cwd: &Path) -> PathBuf {
+pub fn workspace_root(cwd: &Path) -> PathBuf {
     find_workspace_root(cwd).unwrap_or_else(|| cwd.to_path_buf())
 }
 
@@ -124,33 +116,17 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// everything beneath a `src/` directory, excluding vendored code, test
 /// trees, examples and fixtures. Sorted for deterministic
 /// output.
-pub fn collect_sources(root: &Path) -> Vec<PathBuf> {
+pub(crate) fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     walk(root, SKIP_DIRS, &mut out);
-    out.retain(|p| in_src_tree(p));
+    out.retain(|p| in_src_tree(p) && p.extension().is_some_and(|e| e == "rs"));
     out.sort();
     out
 }
 
-/// L011's callers, indexed over every source file of the workspace at
-/// `root` ([`Callers::add`] keeps the caller files).
-fn index_callers(root: &Path) -> Callers {
-    let mut files = Vec::new();
-    walk(root, &["target", "vendor"], &mut files);
-    let mut callers = Callers::default();
-    for path in &files {
-        let label = rel_label(root, path);
-        match fs::read_to_string(path) {
-            Ok(src) => callers.add(&SourceFile::parse(&label, &src)),
-            Err(e) => eprintln!("sqlarray-lint: skipping {}: {e}", path.display()),
-        }
-    }
-    callers
-}
-
-/// The `.rs` files under `dir`, outside directories named in `skip` or
+/// The files under `dir`, outside directories named in `skip` or
 /// starting with `.`.
-fn walk(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
+pub(crate) fn walk(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -163,7 +139,7 @@ fn walk(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) {
                 continue;
             }
             walk(&path, skip, out);
-        } else if name.ends_with(".rs") {
+        } else {
             out.push(path);
         }
     }
@@ -178,7 +154,7 @@ fn in_src_tree(path: &Path) -> bool {
 
 /// Path rendered workspace-relative with `/` separators, for stable
 /// diagnostics across platforms.
-fn rel_label(root: &Path, path: &Path) -> String {
+pub(crate) fn rel_label(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     let mut out = String::new();
     for c in rel.components() {
@@ -196,13 +172,11 @@ fn rel_label(root: &Path, path: &Path) -> String {
 }
 
 /// Runs the lint over the requested paths (or the whole workspace) and
-/// returns (findings, files_scanned). L011's callers are indexed over the
-/// whole workspace whatever the paths. IO failures on individual files
+/// returns (findings, files_scanned). IO failures on individual files
 /// are reported to stderr and skipped, never fatal.
 pub fn run(opts: &Options, cwd: &Path) -> (Vec<Finding>, usize) {
-    let callers = index_callers(&workspace_root(cwd));
     let mut findings = Vec::new();
-    let scanned = for_each_source(opts, cwd, |f| findings.extend(rules::run_all(f, &callers)));
+    let scanned = for_each_source(opts, cwd, |f| findings.extend(rules::run_all(f)));
     (findings, scanned)
 }
 
@@ -257,7 +231,8 @@ fn for_each_source(opts: &Options, cwd: &Path, mut visit: impl FnMut(&SourceFile
 }
 
 /// The report of `findings` over `scanned` files, as the text to print
-/// and the exit code: 1 under `--deny-all` when there is a finding, else 0.
+/// and the exit code: 1 under `--deny-all` or `--reach` when there is a
+/// finding, else 0.
 pub fn report(opts: &Options, findings: &[Finding], scanned: usize) -> (String, u8) {
     let mut out = String::new();
     if opts.json {
@@ -277,7 +252,10 @@ pub fn report(opts: &Options, findings: &[Finding], scanned: usize) -> (String, 
             scanned
         ));
     }
-    (out, u8::from(opts.deny_all && !findings.is_empty()))
+    (
+        out,
+        u8::from((opts.deny_all || opts.reach) && !findings.is_empty()),
+    )
 }
 
 #[cfg(test)]

@@ -13,10 +13,13 @@
 //! char-vs-lifetime ticks; a per-file context ([`source`]) that strips
 //! `#[cfg(test)]` regions and parses `// lint:allow(L0xx, reason = "…")`
 //! suppressions; token-pattern rules ([`rules`]); and a workspace walker
-//! ([`driver`]).
+//! ([`driver`]). Which `pub` items another compilation unit uses is left
+//! to the compiler: [`reach`] narrows them all in a copy of the workspace
+//! and lets `cargo check` give back the ones it needs.
 //!
 //! ```text
 //! cargo run -p sqlarray-lint -- --deny-all            # CI gate
+//! cargo run -p sqlarray-lint -- --reach               # unearned `pub` items
 //! cargo run -p sqlarray-lint -- --format=json path…   # tooling
 //! ```
 
@@ -24,10 +27,11 @@
 
 pub mod diag;
 pub mod driver;
+mod json;
 pub mod lexer;
+pub mod reach;
 pub mod rules;
 pub mod source;
 
-pub use diag::Finding;
-pub use driver::{lint_files, lint_source, Options};
+pub use driver::lint_source;
 pub use source::SourceFile;

@@ -20,7 +20,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (text, code) = if opts.loc {
+    let (text, code) = if opts.reach {
+        let root = driver::workspace_root(&cwd);
+        match sqlarray_lint::reach::run(&root, &root.join("target/reach")) {
+            Ok((findings, scanned)) => driver::report(&opts, &findings, scanned),
+            Err(msg) => {
+                eprintln!("sqlarray-lint --reach: {msg}");
+                return ExitCode::from(2);
+            }
+        }
+    } else if opts.loc {
         let counts = driver::loc_per_crate(&opts, &cwd);
         let mut text: String = counts
             .iter()

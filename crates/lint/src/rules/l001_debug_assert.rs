@@ -20,7 +20,7 @@ const SCOPE: &[&str] = &["core", "storage", "engine", "fft", "linalg"];
 
 const MACROS: &[&str] = &["debug_assert", "debug_assert_eq", "debug_assert_ne"];
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if !SCOPE.contains(&f.crate_name()) {
         return out;

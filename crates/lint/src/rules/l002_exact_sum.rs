@@ -46,7 +46,7 @@ fn float_literal(text: &str) -> bool {
         || text.ends_with("f32")
 }
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if !in_scope(f.path) {
         return out;

@@ -31,7 +31,7 @@ fn sensitive(name: &str) -> bool {
     SENSITIVE.iter().any(|s| name.contains(s))
 }
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if f.crate_name() != "storage" {
         return out;

@@ -129,7 +129,7 @@ fn configured_dop_call(f: &SourceFile<'_>, k: usize) -> bool {
     calls(f, k, "configured_dop")
 }
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     for rule in HOMES {
         if !f.path.contains(rule.scope) {

@@ -23,7 +23,7 @@ use crate::source::SourceFile;
 /// Crates whose library code must propagate typed errors.
 const SCOPE: &[&str] = &["storage", "engine", "core"];
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if !SCOPE.contains(&f.crate_name()) {
         return out;

@@ -26,7 +26,7 @@ struct Acq {
     literal_index: Option<u64>,
 }
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if f.crate_name() != "storage" {
         return out;

@@ -14,7 +14,7 @@ use crate::source::SourceFile;
 /// How far above the `unsafe` keyword a SAFETY comment may sit.
 const LOOKBACK_LINES: u32 = 10;
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     for k in 0..f.sig.len() {
         if !f.is_ident(k, "unsafe") || f.in_test(f.tok(k).start) {

@@ -28,7 +28,7 @@ const SCOPE_SUFFIXES: &[&str] = &[
     "crates/engine/src/exec/agg.rs",
 ];
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if !SCOPE_SUFFIXES.iter().any(|s| f.path.ends_with(s)) {
         return out;

@@ -48,7 +48,7 @@ struct Guard {
     depth: usize,
 }
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if f.crate_name() != "engine" {
         return out;

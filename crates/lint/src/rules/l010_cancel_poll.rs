@@ -29,7 +29,7 @@ use crate::source::SourceFile;
 /// Scan drivers whose engine-side callbacks must poll.
 const SCAN_DRIVERS: &[&str] = &["scan_partition", "scan_partition_batches"];
 
-pub fn check(f: &SourceFile<'_>) -> Vec<Finding> {
+pub(crate) fn check(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if f.crate_name() != "engine" {
         return out;

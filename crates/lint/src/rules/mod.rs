@@ -14,7 +14,9 @@
 //! | L008 | no per-row heap allocation inside batch-kernel and grouping loops | the vectorized path's speedup dies silently if a kernel loop allocates |
 //! | L009 | no mutex guard held across a scan fan-out in engine code | the shared-engine refactor's lock discipline: guard-across-fan-out serializes or deadlocks concurrent sessions |
 //! | L010 | engine scan loops and per-row selection loops must poll the query lifecycle | PR 10's cancellation contract: a scan loop without `check_interrupt` cannot be killed until its next page fault, and a UDF call lane or grouping loop over a decoded batch never faults at all |
-//! | L011 | a `pub fn` in `core`, `storage`, `linalg` or `fft` is called by another crate, an example or the benchmark | 87 public functions of `core` and `storage` no other crate called (`build::linspace`, `table::to_table`, …) had piled up under the one T-SQL surface, `engine::arraybind`; `linalg` and `fft` held 38 more |
+//!
+//! Whether a `pub` item is used by another compilation unit is not a
+//! token pattern: `--reach` ([`crate::reach`]) lets the compiler decide.
 //!
 //! Suppression: `// lint:allow(L00x, reason = "…")` on the finding's line
 //! or the line above. The reason is mandatory; a malformed or reasonless
@@ -30,18 +32,10 @@ mod l007_safety_comment;
 mod l008_batch_alloc;
 mod l009_guard_across_fanout;
 mod l010_cancel_poll;
-mod l011_unreachable_pub;
-
-pub use l011_unreachable_pub::Callers;
 
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
-
-/// Every rule id this crate knows, in order.
-pub const ALL_RULES: &[&str] = &[
-    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010", "L011",
-];
 
 /// Builds a [`Finding`] anchored at significant token `k` of `f`.
 pub(crate) fn finding_at(
@@ -96,8 +90,7 @@ pub(crate) fn for_body(f: &SourceFile<'_>, k: usize) -> Option<(usize, usize)> {
 
 /// Runs every rule over one parsed file, applies `lint:allow`
 /// suppressions, and appends `L000` findings for malformed allows.
-/// `callers` indexes the workspace `f` belongs to (L011).
-pub fn run_all(f: &SourceFile<'_>, callers: &Callers) -> Vec<Finding> {
+pub(crate) fn run_all(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out: Vec<Finding> = Vec::new();
     out.extend(l001_debug_assert::check(f));
     out.extend(l002_exact_sum::check(f));
@@ -109,7 +102,6 @@ pub fn run_all(f: &SourceFile<'_>, callers: &Callers) -> Vec<Finding> {
     out.extend(l008_batch_alloc::check(f));
     out.extend(l009_guard_across_fanout::check(f));
     out.extend(l010_cancel_poll::check(f));
-    out.extend(l011_unreachable_pub::check(f, callers));
     out.retain(|d| !f.is_allowed(d.rule, d.line));
     for bad in &f.bad_allows {
         out.push(Finding {

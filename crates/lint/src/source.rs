@@ -75,7 +75,7 @@ impl<'a> SourceFile<'a> {
 
     /// The crate a workspace path belongs to: `crates/storage/src/x.rs`
     /// → `"storage"`; the root facade (`src/lib.rs`) → `"sqlarray"`.
-    pub fn crate_name(&self) -> &str {
+    pub(crate) fn crate_name(&self) -> &str {
         if let Some(rest) = self.path.split("crates/").nth(1) {
             rest.split('/').next().unwrap_or("sqlarray")
         } else {
@@ -117,20 +117,20 @@ impl<'a> SourceFile<'a> {
 
     /// True when `rule` is suppressed at `line` by a well-formed allow on
     /// the same line or the line above.
-    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
+    pub(crate) fn is_allowed(&self, rule: &str, line: u32) -> bool {
         self.allows
             .iter()
             .any(|a| (a.line == line || a.line + 1 == line) && a.rules.iter().any(|r| r == rule))
     }
 
     /// Column (1-based, in bytes) of a byte offset.
-    pub fn col(&self, byte: usize) -> u32 {
+    pub(crate) fn col(&self, byte: usize) -> u32 {
         let line_start = self.src[..byte].rfind('\n').map_or(0, |p| p + 1);
         (byte - line_start) as u32 + 1
     }
 
     /// The full source line (1-based) containing `line`, for diagnostics.
-    pub fn line_text(&self, line: u32) -> &str {
+    pub(crate) fn line_text(&self, line: u32) -> &str {
         self.src.lines().nth(line as usize - 1).unwrap_or("")
     }
 }

@@ -255,7 +255,6 @@ fn l000_reasonless_allow_is_reported_and_does_not_suppress() {
 fn findings_carry_location_and_snippet() {
     let pos = include_str!("../fixtures/l003_pos.rs");
     let found = lint_source("crates/storage/src/fixture.rs", pos);
-    // The fixture's functions are `pub`, so L011 reports them too.
     let f = found.iter().find(|f| f.rule == "L003").unwrap();
     assert_eq!(f.path, "crates/storage/src/fixture.rs");
     assert!(f.line > 0 && f.col > 0);
@@ -299,134 +298,4 @@ fn loc_counts_lines_holding_code_outside_tests() {
         )),
         0
     );
-}
-
-/// The functions L011 flags when `files` are the whole workspace, with the
-/// library fixture at `crates/core/src/fixture.rs`, sorted.
-fn l011_flagged(files: &[(&str, &str)]) -> Vec<String> {
-    let lib = include_str!("../fixtures/l011_lib.rs");
-    let mut all = vec![("crates/core/src/fixture.rs", lib)];
-    all.extend_from_slice(files);
-    let mut names: Vec<String> = sqlarray_lint::lint_files(&all)
-        .iter()
-        .filter(|f| f.rule == "L011")
-        .map(|f| f.message.split('`').nth(1).unwrap_or_default().to_string())
-        .collect();
-    names.sort();
-    names
-}
-
-#[test]
-fn l011_flags_a_pub_fn_no_other_file_names() {
-    assert_eq!(
-        l011_flagged(&[]),
-        [
-            "called_by_benchmark",
-            "called_by_engine",
-            "lonely",
-            "named_in_tests",
-            "re_exported",
-            "reasonless",
-        ]
-    );
-}
-
-#[test]
-fn l011_tests_re_exports_comments_and_the_own_crate_are_not_callers() {
-    let flagged = l011_flagged(&[
-        ("crates/core/tests/t.rs", "fn t() { named_in_tests(); }"),
-        ("tests/t.rs", "fn t() { sqlarray::named_in_tests(); }"),
-        ("src/lib.rs", "pub use sqlarray_core::fixture::re_exported;"),
-        (
-            "crates/core/src/other.rs",
-            "fn f() { super::fixture::lonely() }",
-        ),
-        (
-            "crates/engine/src/x.rs",
-            "// lonely()\n#[cfg(test)]\nmod tests { fn t() { lonely() } }",
-        ),
-    ]);
-    for name in ["lonely", "named_in_tests", "re_exported"] {
-        assert!(flagged.iter().any(|f| f == name), "{name}: {flagged:?}");
-    }
-}
-
-#[test]
-fn l011_another_crate_an_example_or_the_benchmark_is_a_caller() {
-    let flagged = l011_flagged(&[
-        (
-            "crates/engine/src/x.rs",
-            "fn f() -> u32 { sqlarray_core::fixture::called_by_engine() }",
-        ),
-        (
-            "benchmark/src/main.rs",
-            "fn main() { called_by_benchmark() }",
-        ),
-        ("examples/demo.rs", "fn main() { lonely() }"),
-    ]);
-    assert_eq!(flagged, ["named_in_tests", "re_exported", "reasonless"]);
-    // `storage` is watched too, and `core` calls into it.
-    let storage = [
-        (
-            "crates/storage/src/x.rs",
-            "pub fn stored() {}\npub fn unread() {}",
-        ),
-        ("crates/core/src/y.rs", "fn f() { stored() }"),
-    ];
-    let found = sqlarray_lint::lint_files(&storage);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("`unread`"));
-    // So are `linalg` and `fft`; an unwatched crate (`nbody`) is not.
-    let kernels = [
-        (
-            "crates/linalg/src/x.rs",
-            "pub fn solve() {}
-pub fn spare() {}",
-        ),
-        ("crates/fft/src/x.rs", "pub fn spare_fft() {}"),
-        ("crates/nbody/src/x.rs", "pub fn spare_nbody() { solve() }"),
-    ];
-    let mut found: Vec<String> = sqlarray_lint::lint_files(&kernels)
-        .iter()
-        .map(|f| f.message.split('`').nth(1).unwrap_or_default().to_string())
-        .collect();
-    found.sort();
-    assert_eq!(found, ["spare", "spare_fft"]);
-}
-
-#[test]
-fn l011_a_reasoned_allow_suppresses_and_a_reasonless_one_is_l000() {
-    let lib = include_str!("../fixtures/l011_lib.rs");
-    let found = sqlarray_lint::lint_files(&[("crates/core/src/fixture.rs", lib)]);
-    let on = |name: &str| -> Vec<&str> {
-        found
-            .iter()
-            .filter(|f| f.snippet.contains(name) || f.message.contains(name))
-            .map(|f| f.rule)
-            .collect()
-    };
-    assert!(on("allowed_instrument").is_empty());
-    let reasonless_line = lib
-        .lines()
-        .position(|l| l == "// lint:allow(L011)")
-        .unwrap() as u32
-        + 1;
-    assert!(found
-        .iter()
-        .any(|f| f.rule == "L000" && f.line == reasonless_line));
-    assert_eq!(on("fn reasonless"), ["L011"]);
-}
-
-#[test]
-fn l011_reads_the_whole_workspace_when_paths_are_given() {
-    use sqlarray_lint::driver::{run, Options};
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let opts = Options {
-        paths: vec![root.join("crates/core/src/array.rs")],
-        ..Options::default()
-    };
-    let (findings, scanned) = run(&opts, &root);
-    assert_eq!(scanned, 1);
-    // `SqlArray::from_vec` and the rest are called from other crates.
-    assert!(findings.iter().all(|f| f.rule != "L011"), "{findings:?}");
 }

@@ -49,13 +49,8 @@ impl DensityGrid {
     }
 
     /// Grid edge length.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
-    }
-
-    /// Raw cell masses, column-major.
-    pub fn cells(&self) -> &[f64] {
-        &self.cells
     }
 
     /// Total assigned mass.
@@ -64,7 +59,7 @@ impl DensityGrid {
     }
 
     /// Density contrast `δ = ρ/ρ̄ − 1` per cell.
-    pub fn overdensity(&self) -> Vec<f64> {
+    pub(crate) fn overdensity(&self) -> Vec<f64> {
         let mean = self.total_mass() / self.cells.len() as f64;
         if mean == 0.0 {
             return vec![0.0; self.cells.len()];
@@ -108,7 +103,7 @@ mod tests {
         let pos = [2.5 / 8.0, 3.5 / 8.0, 4.5 / 8.0];
         let g = DensityGrid::assign_cic(&[particle_at(pos)], n);
         let idx = 2 + n * (3 + n * 4);
-        assert!((g.cells()[idx] - 1.0).abs() < 1e-12);
+        assert!((g.cells[idx] - 1.0).abs() < 1e-12);
         assert!((g.total_mass() - 1.0).abs() < 1e-12);
     }
 
@@ -118,8 +113,8 @@ mod tests {
         let n = 8;
         let pos = [3.0 / 8.0, 2.5 / 8.0, 2.5 / 8.0];
         let g = DensityGrid::assign_cic(&[particle_at(pos)], n);
-        let a = g.cells()[2 + n * (2 + n * 2)];
-        let b = g.cells()[3 + n * (2 + n * 2)];
+        let a = g.cells[2 + n * (2 + n * 2)];
+        let b = g.cells[3 + n * (2 + n * 2)];
         assert!((a - 0.5).abs() < 1e-12, "a = {a}");
         assert!((b - 0.5).abs() < 1e-12, "b = {b}");
     }
@@ -131,7 +126,7 @@ mod tests {
         let g = DensityGrid::assign_cic(&[particle_at([0.01, 0.01, 0.01])], n);
         assert!((g.total_mass() - 1.0).abs() < 1e-12);
         // The far corner cell (7,7,7) receives some share.
-        assert!(g.cells()[7 + n * (7 + n * 7)] > 0.0);
+        assert!(g.cells[7 + n * (7 + n * 7)] > 0.0);
     }
 
     #[test]
@@ -151,7 +146,7 @@ mod tests {
             }
         }
         let g = DensityGrid::assign_cic(&parts, n);
-        for c in g.cells() {
+        for c in &g.cells {
             assert!((c - 1.0).abs() < 1e-9);
         }
         let delta = g.overdensity();
@@ -175,6 +170,6 @@ mod tests {
         let g = DensityGrid::assign_cic(&sim.snapshot(0).particles, 8);
         let a = g.to_array();
         assert_eq!(a.dims(), &[8, 8, 8]);
-        assert_eq!(a.to_vec::<f64>().unwrap(), g.cells());
+        assert_eq!(a.to_vec::<f64>().unwrap(), g.cells);
     }
 }

@@ -23,10 +23,10 @@ pub mod particle;
 pub mod power;
 
 pub use cic::DensityGrid;
-pub use correlate::{two_point_correlation, XiBin};
-pub use fof::{friends_of_friends, Halo};
-pub use lightcone::{build_lightcone, LightconeEntry, LightconeSpec};
-pub use merger::{link_catalogs, MergerLink, MergerTree};
-pub use octree::{position_key, Octree, OctreeNode};
-pub use particle::{periodic_distance, Particle, Snapshot, SynthSim};
-pub use power::{power_spectrum, PowerBin};
+pub use correlate::two_point_correlation;
+pub use fof::friends_of_friends;
+pub use lightcone::{build_lightcone, LightconeSpec};
+pub use merger::link_catalogs;
+pub use octree::Octree;
+pub use particle::SynthSim;
+pub use power::power_spectrum;

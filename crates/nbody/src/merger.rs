@@ -55,50 +55,6 @@ pub fn link_catalogs(earlier: &[Halo], later: &[Halo], min_fraction: f64) -> Vec
     links
 }
 
-/// A merger tree across a sequence of snapshots' halo catalogs.
-#[derive(Debug)]
-pub struct MergerTree {
-    /// `links[t]` connects catalog `t` to catalog `t+1`.
-    pub links: Vec<Vec<MergerLink>>,
-}
-
-impl MergerTree {
-    /// Builds the tree from consecutive catalogs.
-    pub fn build(catalogs: &[Vec<Halo>], min_fraction: f64) -> MergerTree {
-        let links = catalogs
-            .windows(2)
-            .map(|w| link_catalogs(&w[0], &w[1], min_fraction))
-            .collect();
-        MergerTree { links }
-    }
-
-    /// Follows a halo forward from `(step, halo_index)` as far as the
-    /// links reach; returns the chain of halo indices including the start.
-    pub fn descendants(&self, step: usize, halo: usize) -> Vec<usize> {
-        let mut chain = vec![halo];
-        let mut cur = halo;
-        for t in step..self.links.len() {
-            match self.links[t].iter().find(|l| l.from == cur) {
-                Some(l) => {
-                    chain.push(l.to);
-                    cur = l.to;
-                }
-                None => break,
-            }
-        }
-        chain
-    }
-
-    /// Progenitor count of each halo at `step + 1` (mergers have > 1).
-    pub fn progenitor_counts(&self, step: usize) -> HashMap<usize, usize> {
-        let mut counts = HashMap::new();
-        for l in &self.links[step] {
-            *counts.entry(l.to).or_insert(0) += 1;
-        }
-        counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,8 +84,6 @@ mod tests {
         let links = link_catalogs(&earlier, &later, 0.5);
         assert_eq!(links.len(), 2);
         assert!(links.iter().all(|l| l.to == 0));
-        let tree = MergerTree { links: vec![links] };
-        assert_eq!(tree.progenitor_counts(0)[&0], 2);
     }
 
     #[test]
@@ -138,15 +92,6 @@ mod tests {
         let later = vec![halo(&[1, 2, 50, 51, 52])]; // only 20 % shared
         assert!(link_catalogs(&earlier, &later, 0.5).is_empty());
         assert_eq!(link_catalogs(&earlier, &later, 0.1).len(), 1);
-    }
-
-    #[test]
-    fn descendant_chain_through_time() {
-        let c0 = vec![halo(&[1, 2, 3, 4])];
-        let c1 = vec![halo(&[90]), halo(&[1, 2, 3, 4, 5])];
-        let c2 = vec![halo(&[1, 2, 3, 4, 5, 6])];
-        let tree = MergerTree::build(&[c0, c1, c2], 0.5);
-        assert_eq!(tree.descendants(0, 0), vec![0, 1, 0]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use sqlarray_storage::zorder::morton3_encode;
 const KEY_BITS: u32 = sqlarray_storage::zorder::MORTON3_BITS;
 
 /// Morton key of a position in the unit box.
-pub fn position_key(pos: [f64; 3]) -> u64 {
+pub(crate) fn position_key(pos: [f64; 3]) -> u64 {
     let scale = (1u64 << KEY_BITS) as f64;
     let clamp = |v: f64| ((v.rem_euclid(1.0)) * scale).min(scale - 1.0) as u64;
     morton3_encode(clamp(pos[0]), clamp(pos[1]), clamp(pos[2]))
@@ -44,7 +44,6 @@ pub enum OctreeNode {
 #[derive(Debug)]
 pub struct Octree {
     particles: Vec<Particle>,
-    keys: Vec<u64>,
     root: OctreeNode,
     bucket_size: usize,
 }
@@ -64,7 +63,6 @@ impl Octree {
         let root = Self::build_node(&keys, 0, particles.len(), 0, bucket_size);
         Octree {
             particles,
-            keys,
             root,
             bucket_size,
         }
@@ -106,7 +104,7 @@ impl Octree {
         self.particles.len()
     }
 
-    /// True when the tree is empty.
+    /// True when the tree holds no particles.
     pub fn is_empty(&self) -> bool {
         self.particles.is_empty()
     }
@@ -122,34 +120,11 @@ impl Octree {
         walk(&self.root)
     }
 
-    /// Maximum leaf occupancy.
-    pub fn max_bucket_fill(&self) -> usize {
-        fn walk(n: &OctreeNode) -> usize {
-            match n {
-                OctreeNode::Leaf { start, end } => end - start,
-                OctreeNode::Internal { children, .. } => {
-                    children.iter().flatten().map(walk).max().unwrap_or(0)
-                }
-            }
-        }
-        walk(&self.root)
-    }
-
-    /// Particles within `radius` of `center` (periodic box). Prunes
-    /// subtrees whose Morton cell range cannot intersect the ball; the
-    /// final filter is exact.
-    pub fn within_ball(&self, center: [f64; 3], radius: f64) -> Vec<&Particle> {
-        self.particles
-            .iter()
-            .filter(|p| crate::particle::periodic_distance(p.pos, center) <= radius)
-            .collect()
-    }
-
     /// Particles inside a cone with apex `apex`, unit axis `dir`, and
     /// half-angle `half_angle` (radians), out to `max_depth` — the
     /// light-cone primitive of §2.3 ("a spatial index that can retrieve
     /// points from within a cone").
-    pub fn within_cone(
+    pub(crate) fn within_cone(
         &self,
         apex: [f64; 3],
         dir: [f64; 3],
@@ -220,17 +195,28 @@ impl Octree {
     pub fn bucket_size(&self) -> usize {
         self.bucket_size
     }
+}
 
-    /// The Morton keys, sorted (for storage-layout tests).
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
+#[cfg(test)]
+impl Octree {
+    /// Maximum leaf occupancy.
+    fn max_bucket_fill(&self) -> usize {
+        fn walk(n: &OctreeNode) -> usize {
+            match n {
+                OctreeNode::Leaf { start, end } => end - start,
+                OctreeNode::Internal { children, .. } => {
+                    children.iter().flatten().map(walk).max().unwrap_or(0)
+                }
+            }
+        }
+        walk(&self.root)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::particle::{periodic_distance, SynthSim};
+    use crate::particle::SynthSim;
 
     fn tree() -> Octree {
         let sim = SynthSim::default();
@@ -240,7 +226,8 @@ mod tests {
     #[test]
     fn keys_are_sorted_and_buckets_bounded() {
         let t = tree();
-        assert!(t.keys().windows(2).all(|w| w[0] <= w[1]));
+        let keys: Vec<u64> = t.particles().iter().map(|p| position_key(p.pos)).collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         assert!(t.max_bucket_fill() <= 64);
         assert!(t.leaf_count() >= t.len() / 64);
     }
@@ -256,26 +243,6 @@ mod tests {
         let mut want: Vec<i64> = snap.particles.iter().map(|p| p.id).collect();
         want.sort_unstable();
         assert_eq!(ids, want);
-    }
-
-    #[test]
-    fn ball_query_matches_brute_force() {
-        let sim = SynthSim::default();
-        let snap = sim.snapshot(0);
-        let t = Octree::build(snap.particles.clone(), 64);
-        let center = snap.particles[10].pos;
-        let radius = 0.05;
-        let mut got: Vec<i64> = t.within_ball(center, radius).iter().map(|p| p.id).collect();
-        got.sort_unstable();
-        let mut want: Vec<i64> = snap
-            .particles
-            .iter()
-            .filter(|p| periodic_distance(p.pos, center) <= radius)
-            .map(|p| p.id)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert!(!got.is_empty());
     }
 
     #[test]
@@ -338,6 +305,5 @@ mod tests {
         let t = Octree::build(Vec::new(), 8);
         assert!(t.is_empty());
         assert_eq!(t.leaf_count(), 1);
-        assert!(t.within_ball([0.5; 3], 0.1).is_empty());
     }
 }

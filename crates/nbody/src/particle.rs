@@ -128,15 +128,10 @@ impl SynthSim {
         }
         Snapshot { step, particles }
     }
-
-    /// Total particles per snapshot.
-    pub fn total_particles(&self) -> usize {
-        self.halos * self.halo_particles + self.background
-    }
 }
 
 /// Minimum-image distance in the periodic unit box.
-pub fn periodic_distance(a: [f64; 3], b: [f64; 3]) -> f64 {
+pub(crate) fn periodic_distance(a: [f64; 3], b: [f64; 3]) -> f64 {
     let mut s = 0.0;
     for k in 0..3 {
         let mut d = (a[k] - b[k]).abs();
@@ -158,7 +153,10 @@ mod tests {
         let a = sim.snapshot(3);
         let b = sim.snapshot(3);
         assert_eq!(a.particles, b.particles);
-        assert_eq!(a.particles.len(), sim.total_particles());
+        assert_eq!(
+            a.particles.len(),
+            sim.halos * sim.halo_particles + sim.background
+        );
     }
 
     #[test]

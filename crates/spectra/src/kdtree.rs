@@ -33,7 +33,7 @@ pub struct Neighbor {
 
 impl KdTree {
     /// Builds a balanced tree from `(id, point)` pairs (median splits).
-    pub fn build(dim: usize, items: Vec<(u64, Vec<f64>)>) -> KdTree {
+    pub(crate) fn build(dim: usize, items: Vec<(u64, Vec<f64>)>) -> KdTree {
         assert!(dim > 0, "dimension must be positive");
         for (id, p) in &items {
             assert_eq!(p.len(), dim, "point {id} has wrong dimension");
@@ -76,18 +76,8 @@ impl KdTree {
         Some(idx)
     }
 
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True for an empty tree.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The `k` nearest neighbours of `query`, ascending by distance.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
+    pub(crate) fn nearest(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
         assert_eq!(query.len(), self.dim);
         if k == 0 {
             return Vec::new();
@@ -133,38 +123,6 @@ impl KdTree {
         if best.len() < k || delta.abs() < worst {
             if let Some(f) = far {
                 self.search(f, query, k, best);
-            }
-        }
-    }
-
-    /// All points within `radius` of `query` (unordered).
-    pub fn within_radius(&self, query: &[f64], radius: f64) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim);
-        let mut out = Vec::new();
-        if let Some(root) = self.root {
-            self.range_search(root, query, radius, &mut out);
-        }
-        out
-    }
-
-    fn range_search(&self, idx: usize, query: &[f64], radius: f64, out: &mut Vec<Neighbor>) {
-        let node = &self.nodes[idx];
-        let d = dist(&node.point, query);
-        if d <= radius {
-            out.push(Neighbor {
-                id: node.id,
-                distance: d,
-            });
-        }
-        let delta = query[node.axis] - node.point[node.axis];
-        if delta <= radius {
-            if let Some(l) = node.left {
-                self.range_search(l, query, radius, out);
-            }
-        }
-        if -delta <= radius {
-            if let Some(r) = node.right {
-                self.range_search(r, query, radius, out);
             }
         }
     }
@@ -240,27 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn within_radius_matches_brute_force() {
-        let items = grid_points();
-        let t = KdTree::build(2, items.clone());
-        let q = [2.0, 2.0];
-        let mut got: Vec<u64> = t.within_radius(&q, 1.5).iter().map(|n| n.id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = items
-            .iter()
-            .filter(|(_, p)| dist(p, &q) <= 1.5)
-            .map(|(id, _)| *id)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn empty_tree() {
         let t = KdTree::build(4, Vec::new());
-        assert!(t.is_empty());
         assert!(t.nearest(&[0.0; 4], 3).is_empty());
-        assert!(t.within_radius(&[0.0; 4], 10.0).is_empty());
     }
 
     #[test]

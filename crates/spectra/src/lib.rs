@@ -21,8 +21,6 @@ pub mod spectrum;
 pub mod synth;
 
 pub use composite::{composite, composite_by_redshift};
-pub use kdtree::{KdTree, Neighbor};
-pub use resample::{linear_grid, log_grid, resample};
+pub use resample::{linear_grid, resample};
 pub use search::SpectrumIndex;
-pub use spectrum::{Spectrum, SpectrumArrays};
 pub use synth::{synth_spectrum, synth_survey, SpectralClass, SynthParams};

@@ -10,7 +10,7 @@ use sqlarray_core::{ArrayError, Result};
 
 /// Integrates flux over `[lo, hi]` (flux density × overlap width; masked
 /// bins excluded).
-pub fn integrate_window(s: &Spectrum, lo: f64, hi: f64) -> f64 {
+pub(crate) fn integrate_window(s: &Spectrum, lo: f64, hi: f64) -> f64 {
     let edges = s.bin_edges();
     let mut total = 0.0;
     for i in 0..s.len() {
@@ -28,7 +28,7 @@ pub fn integrate_window(s: &Spectrum, lo: f64, hi: f64) -> f64 {
 
 /// Scales the spectrum so the integral over `[lo, hi]` becomes `target`.
 /// Fails when the window integral vanishes.
-pub fn normalize_window(s: &Spectrum, lo: f64, hi: f64, target: f64) -> Result<Spectrum> {
+pub(crate) fn normalize_window(s: &Spectrum, lo: f64, hi: f64, target: f64) -> Result<Spectrum> {
     let current = integrate_window(s, lo, hi);
     if current.abs() < 1e-300 {
         return Err(ArrayError::Parse(format!(
@@ -47,36 +47,9 @@ pub fn normalize_window(s: &Spectrum, lo: f64, hi: f64, target: f64) -> Result<S
 }
 
 /// Scales the spectrum to unit total integrated flux.
-pub fn normalize_total(s: &Spectrum) -> Result<Spectrum> {
+pub(crate) fn normalize_total(s: &Spectrum) -> Result<Spectrum> {
     let edges = s.bin_edges();
     normalize_window(s, edges[0], *edges.last().expect("non-empty"), 1.0)
-}
-
-/// Multiplies the flux by a wavelength-dependent correction `g(λ)` —
-/// extinction curves, flux calibration, and similar physical corrections.
-pub fn apply_correction(s: &Spectrum, g: impl Fn(f64) -> f64) -> Spectrum {
-    let mut out = s.clone();
-    for i in 0..out.len() {
-        let k = g(out.wavelength[i]);
-        out.flux[i] *= k;
-        out.error[i] *= k.abs();
-    }
-    out
-}
-
-/// Shifts the spectrum to its rest frame: `λ_rest = λ_obs / (1 + z)`.
-pub fn to_rest_frame(s: &Spectrum) -> Result<Spectrum> {
-    let z1 = 1.0 + s.redshift;
-    if z1 <= 0.0 {
-        return Err(ArrayError::Parse(format!("bad redshift {}", s.redshift)));
-    }
-    Spectrum::new(
-        s.wavelength.iter().map(|w| w / z1).collect(),
-        s.flux.clone(),
-        s.error.clone(),
-        s.flags.clone(),
-        0.0,
-    )
 }
 
 #[cfg(test)]
@@ -146,26 +119,5 @@ mod tests {
         )
         .unwrap();
         assert!(normalize_total(&s).is_err());
-    }
-
-    #[test]
-    fn correction_applies_pointwise() {
-        let s = ramp();
-        let c = apply_correction(&s, |w| w / 5000.0);
-        for i in 0..s.len() {
-            let k = s.wavelength[i] / 5000.0;
-            assert!((c.flux[i] - s.flux[i] * k).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn rest_frame_divides_wavelengths() {
-        let s = ramp(); // z = 1
-        let r = to_rest_frame(&s).unwrap();
-        assert!((r.wavelength[0] - 2500.0).abs() < 1e-12);
-        assert_eq!(r.redshift, 0.0);
-        let bad =
-            Spectrum::new(vec![1.0, 2.0], vec![1.0; 2], vec![0.0; 2], vec![0; 2], -1.0).unwrap();
-        assert!(to_rest_frame(&bad).is_err());
     }
 }

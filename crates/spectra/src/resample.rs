@@ -80,15 +80,6 @@ pub fn linear_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A log-linear grid (constant Δlog λ — the natural grid for redshifted
-/// spectra).
-pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    let (llo, lhi) = (lo.ln(), hi.ln());
-    (0..n)
-        .map(|i| (llo + (lhi - llo) * i as f64 / (n - 1) as f64).exp())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,19 +170,6 @@ mod tests {
         let grid = linear_grid(4950.0, 5050.0, 5);
         let r = resample(&s, &grid).unwrap();
         assert!(r.flags.iter().all(|&f| f == i16::MAX));
-    }
-
-    #[test]
-    fn grids_are_monotone() {
-        let g = log_grid(4000.0, 9000.0, 100);
-        assert_eq!(g.len(), 100);
-        assert!(g.windows(2).all(|w| w[0] < w[1]));
-        assert!((g[0] - 4000.0).abs() < 1e-9);
-        assert!((g[99] - 9000.0).abs() < 1e-6);
-        // Log grid has constant ratio.
-        let r0 = g[1] / g[0];
-        let r50 = g[51] / g[50];
-        assert!((r0 - r50).abs() < 1e-12);
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub struct SpectrumIndex {
     grid: Vec<f64>,
     pca: Pca,
     tree: KdTree,
-    coeffs: Vec<(u64, Vec<f64>)>,
 }
 
 /// Resamples, normalizes and gap-fills one spectrum onto the index grid.
@@ -100,12 +99,11 @@ impl SpectrumIndex {
             let c = expand_masked(&pca, flux, weights);
             coeffs.push((*id, c));
         }
-        let tree = KdTree::build(k, coeffs.clone());
+        let tree = KdTree::build(k, coeffs);
         Ok(SpectrumIndex {
             grid: grid.to_vec(),
             pca,
             tree,
-            coeffs,
         })
     }
 
@@ -114,13 +112,8 @@ impl SpectrumIndex {
         &self.pca
     }
 
-    /// The stored coefficients (id, coefficient vector).
-    pub fn coefficients(&self) -> &[(u64, Vec<f64>)] {
-        &self.coeffs
-    }
-
     /// Expands a spectrum on the basis with masked least squares.
-    pub fn expand(&self, s: &Spectrum) -> Result<Vec<f64>> {
+    pub(crate) fn expand(&self, s: &Spectrum) -> Result<Vec<f64>> {
         let (flux, weights) = prepare(s, &self.grid)?;
         Ok(expand_masked(&self.pca, &flux, &weights))
     }
@@ -129,11 +122,6 @@ impl SpectrumIndex {
     pub fn similar(&self, query: &Spectrum, k: usize) -> Result<Vec<Neighbor>> {
         let c = self.expand(query)?;
         Ok(self.tree.nearest(&c, k))
-    }
-
-    /// Reconstructs the processed flux vector from coefficients.
-    pub fn reconstruct(&self, coeffs: &[f64]) -> Vec<f64> {
-        self.pca.inverse_transform(coeffs)
     }
 }
 
@@ -205,8 +193,8 @@ mod tests {
         // First coefficient should split the classes almost perfectly.
         let mut emission = Vec::new();
         let mut absorption = Vec::new();
-        for (id, _) in &spectra {
-            let c = &index.coefficients()[*id as usize].1;
+        for (id, s) in &spectra {
+            let c = index.expand(s).unwrap();
             if id % 2 == 0 {
                 emission.push(c[0]);
             } else {
@@ -260,24 +248,6 @@ mod tests {
             .sum::<f64>()
             .sqrt();
         assert!(d_self < 0.3 * scale, "masked twin drifted {d_self}");
-    }
-
-    #[test]
-    fn reconstruction_approximates_input() {
-        let (spectra, index) = survey_index(30, 0.0);
-        let grid = linear_grid(4200.0, 8800.0, 128);
-        let (flux, _) = super::prepare(&spectra[0].1, &grid).unwrap();
-        let c = index.expand(&spectra[0].1).unwrap();
-        let rec = index.reconstruct(&c);
-        let rms: f64 = (flux
-            .iter()
-            .zip(&rec)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            / flux.len() as f64)
-            .sqrt();
-        let level: f64 = (flux.iter().map(|v| v * v).sum::<f64>() / flux.len() as f64).sqrt();
-        assert!(rms < 0.25 * level, "rms {rms} vs level {level}");
     }
 
     #[test]

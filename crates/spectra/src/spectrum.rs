@@ -28,7 +28,7 @@ pub struct Spectrum {
 
 impl Spectrum {
     /// Validates the vectors and builds the record.
-    pub fn new(
+    pub(crate) fn new(
         wavelength: Vec<f64>,
         flux: Vec<f64>,
         error: Vec<f64>,
@@ -71,14 +71,8 @@ impl Spectrum {
         self.wavelength.is_empty()
     }
 
-    /// Fraction of good (unmasked) bins.
-    pub fn good_fraction(&self) -> f64 {
-        let good = self.flags.iter().filter(|&&f| f == 0).count();
-        good as f64 / self.len() as f64
-    }
-
     /// Bin edges implied by the centers (midpoints; end bins mirrored).
-    pub fn bin_edges(&self) -> Vec<f64> {
+    pub(crate) fn bin_edges(&self) -> Vec<f64> {
         let w = &self.wavelength;
         let n = w.len();
         let mut edges = Vec::with_capacity(n + 1);
@@ -88,16 +82,6 @@ impl Spectrum {
         }
         edges.push(w[n - 1] + (w[n - 1] - w[n - 2]) / 2.0);
         edges
-    }
-
-    /// Integrated flux `∫ f dλ` over all bins (flux density × bin width).
-    pub fn integrated_flux(&self) -> f64 {
-        let edges = self.bin_edges();
-        self.flux
-            .iter()
-            .enumerate()
-            .map(|(i, f)| f * (edges[i + 1] - edges[i]))
-            .sum()
     }
 
     /// Serializes into the four array blobs the database stores: the
@@ -121,17 +105,6 @@ impl Spectrum {
             redshift: self.redshift,
         })
     }
-
-    /// Reconstructs from the stored blobs.
-    pub fn from_arrays(a: &SpectrumArrays) -> Result<Spectrum> {
-        Spectrum::new(
-            a.wavelength.to_vec::<f64>()?,
-            a.flux.to_vec::<f64>()?,
-            a.error.to_vec::<f64>()?,
-            a.flags.to_vec::<i16>()?,
-            a.redshift,
-        )
-    }
 }
 
 /// The array-blob form of a spectrum row.
@@ -147,6 +120,30 @@ pub struct SpectrumArrays {
     pub flags: SqlArray,
     /// Redshift scalar.
     pub redshift: f64,
+}
+
+#[cfg(test)]
+impl Spectrum {
+    /// Integrated flux `∫ f dλ` over all bins (flux density × bin width).
+    pub(crate) fn integrated_flux(&self) -> f64 {
+        let edges = self.bin_edges();
+        self.flux
+            .iter()
+            .enumerate()
+            .map(|(i, f)| f * (edges[i + 1] - edges[i]))
+            .sum()
+    }
+
+    /// Reconstructs from the stored blobs.
+    pub(crate) fn from_arrays(a: &SpectrumArrays) -> Result<Spectrum> {
+        Spectrum::new(
+            a.wavelength.to_vec::<f64>()?,
+            a.flux.to_vec::<f64>()?,
+            a.error.to_vec::<f64>()?,
+            a.flags.to_vec::<i16>()?,
+            a.redshift,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -200,11 +197,6 @@ mod tests {
             *f *= 2.0;
         }
         assert!((s2.integrated_flux() - 2.0 * f1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn good_fraction_counts_flags() {
-        assert!((toy().good_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl Default for SynthParams {
 
 /// Rest-frame template lines: (λ_rest Å, relative strength; negative =
 /// absorption). A small galaxy-like line list.
-pub const TEMPLATE_LINES: &[(f64, f64)] = &[
+pub(crate) const TEMPLATE_LINES: &[(f64, f64)] = &[
     (3727.0, 1.8),  // [OII]
     (4102.0, -0.4), // Hδ
     (4341.0, -0.5), // Hγ

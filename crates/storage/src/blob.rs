@@ -9,13 +9,13 @@
 //!
 //! Layout (inode-style tree):
 //! * **root page** (`BLOB_ROOT`): `type u8 | pad[3] | total_len u64 |
-//!   n_chunks u32 | chunk ids u64...`. Up to [`ROOT_DIRECT`] direct chunk
-//!   ids; larger blobs store [`ROOT_DIRECT`]−1 direct ids plus a
+//!   n_chunks u32 | chunk ids u64...`. Up to `ROOT_DIRECT` direct chunk
+//!   ids; larger blobs store `ROOT_DIRECT`−1 direct ids plus a
 //!   continuation id in the last slot.
 //! * **index page** (`BLOB_INDEX`): `type u8 | pad[3] | count u32 |
 //!   next u64 | chunk ids u64...` — a chain holding the remaining ids.
 //! * **chunk page** (`BLOB_CHUNK`): `type u8 | pad[15] | data...` with
-//!   [`CHUNK_DATA`] payload bytes.
+//!   `CHUNK_DATA` payload bytes.
 
 use crate::errors::{Result, StorageError};
 use crate::page::{page_type, PageId, PAGE_SIZE};
@@ -25,14 +25,14 @@ use crate::store::{PageRead, PageStore};
 pub type BlobId = PageId;
 
 /// One byte range of a blob payload: `(offset, len)`.
-pub type ByteRun = (usize, usize);
+pub(crate) type ByteRun = (usize, usize);
 
 /// Payload bytes per chunk page.
-pub const CHUNK_DATA: usize = PAGE_SIZE - 16;
+pub(crate) const CHUNK_DATA: usize = PAGE_SIZE - 16;
 /// Chunk-id slots in the root page.
-pub const ROOT_DIRECT: usize = (PAGE_SIZE - 16) / 8;
+pub(crate) const ROOT_DIRECT: usize = (PAGE_SIZE - 16) / 8;
 /// Chunk-id slots in one index page.
-pub const INDEX_IDS: usize = (PAGE_SIZE - 16) / 8;
+pub(crate) const INDEX_IDS: usize = (PAGE_SIZE - 16) / 8;
 
 /// Writes a blob, returning its id. Zero-length blobs are valid.
 ///
@@ -111,20 +111,6 @@ fn write_fresh(store: &mut PageStore, fill: impl FnOnce(&mut [u8])) -> Result<Pa
 /// scan worker's reader can resolve LOB lengths.
 pub fn blob_len<R: PageRead + ?Sized>(reader: &mut R, id: BlobId) -> Result<usize> {
     Ok(root_info(reader, id)?.0)
-}
-
-/// Number of pages a blob occupies (root + index chain + chunks), for
-/// storage accounting.
-// lint:allow(L011, reason = "tests/subarray_pushdown.rs counts the pages a cutout does not read")
-pub fn blob_pages(store: &mut PageStore, id: BlobId) -> Result<u64> {
-    let (total_len, n_chunks) = root_info(store, id)?;
-    let _ = total_len;
-    let mut pages = 1 + n_chunks as u64;
-    if n_chunks > ROOT_DIRECT {
-        let overflow = n_chunks - (ROOT_DIRECT - 1);
-        pages += overflow.div_ceil(INDEX_IDS) as u64;
-    }
-    Ok(pages)
 }
 
 /// Overwrites `data.len()` bytes of blob `id` starting at `offset`,
@@ -529,6 +515,17 @@ mod tests {
 
     fn pattern(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    /// Number of pages a blob occupies: root, index chain and chunks.
+    fn blob_pages(store: &mut PageStore, id: BlobId) -> Result<u64> {
+        let (_, n_chunks) = root_info(store, id)?;
+        let mut pages = 1 + n_chunks as u64;
+        if n_chunks > ROOT_DIRECT {
+            let overflow = n_chunks - (ROOT_DIRECT - 1);
+            pages += overflow.div_ceil(INDEX_IDS) as u64;
+        }
+        Ok(pages)
     }
 
     #[test]

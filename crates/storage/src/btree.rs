@@ -80,7 +80,7 @@ pub const MAX_PAYLOAD: usize = SlottedPage::max_record() - 8;
 /// Leaves built per parallel round of [`BTree::bulk_build`]: bounds the
 /// transient page-image memory to ~8 MiB per round while keeping each
 /// worker's run long enough to amortize the thread spawn.
-pub const BULK_BUILD_BATCH_LEAVES: usize = 1024;
+pub(crate) const BULK_BUILD_BATCH_LEAVES: usize = 1024;
 
 /// Record and slot bytes a page offers, past its header.
 const USABLE: usize = PAGE_SIZE - PAGE_HEADER_LEN;
@@ -403,7 +403,7 @@ impl BTree {
     /// parts point at must already exist in the store (they do after
     /// replay: the catalog rode in the same commit record as the last
     /// logged page state).
-    pub fn from_parts(root: PageId, first_leaf: PageId, len: u64, depth: u32) -> BTree {
+    pub(crate) fn from_parts(root: PageId, first_leaf: PageId, len: u64, depth: u32) -> BTree {
         BTree {
             root,
             first_leaf,
@@ -768,7 +768,6 @@ impl BTree {
     /// `Table::bulk_load` passes the empty table's root leaf so no page is
     /// orphaned; leaves 1.. are still appended contiguously at the end of
     /// the file.
-    // lint:allow(L011, reason = "crates/storage/tests/proptests.rs and tests/alloc_counts.rs build trees of a given shape")
     pub fn bulk_build(
         store: &mut PageStore,
         entries: &[(i64, Vec<u8>)],
@@ -974,7 +973,6 @@ impl BTree {
     /// Number of leaf pages (for storage accounting): the leaf chain's
     /// length. A chain longer than the file has pages — a link that loops
     /// back — is a typed error.
-    // lint:allow(L011, reason = "tests/alloc_counts.rs checks a split grew the leaf chain")
     pub fn leaf_pages(&self, store: &mut PageStore) -> Result<u64> {
         let limit = store.page_count();
         let mut n = 0;
@@ -994,7 +992,7 @@ impl BTree {
 
     /// Tree depth (1 = root is a leaf), checked by one descent to the
     /// leftmost leaf: a page of the wrong kind on the way is a typed error.
-    pub fn depth(&self, store: &mut PageStore) -> Result<u32> {
+    pub(crate) fn depth(&self, store: &mut PageStore) -> Result<u32> {
         self.find(store, i64::MIN)?;
         Ok(self.depth)
     }

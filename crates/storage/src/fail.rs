@@ -63,7 +63,6 @@ pub(crate) fn corrupt_image_byte(image: &mut DiskImage, page: crate::page::PageI
 
 /// Cuts the image's log to its first `keep` bytes — an arbitrary
 /// (possibly mid-record) tail loss beyond what the armed plan produced.
-// lint:allow(L011, reason = "crates/storage/tests/crash_matrix.rs cuts logs mid-record")
 pub fn tear_wal(image: &mut DiskImage, keep: usize) {
     image.wal.truncate(keep);
 }

@@ -38,14 +38,13 @@ pub mod table;
 pub mod wal;
 pub mod zorder;
 
-pub use blob::{BlobId, BlobStream, ByteRun};
+pub use blob::{BlobId, BlobStream};
 pub use btree::{BTree, Edit};
 pub use errors::{Result, StorageError};
 pub use page::{PageId, PAGE_SIZE};
-pub use pool::ShardedLruPool;
 pub use row::{ColType, Column, RowValue, Schema, INLINE_BLOB_LIMIT};
 pub use stats::{DiskProfile, IoStats};
 pub use store::{
-    DiskImage, PageRead, PageStore, PartitionReader, Recovery, ScanCtx, ScanIo, MAX_READ_RETRIES,
+    DiskImage, PageRead, PageStore, PartitionReader, Recovery, ScanIo, MAX_READ_RETRIES,
 };
 pub use table::{BatchScanOpts, RowOp, ScanPartition, Table};

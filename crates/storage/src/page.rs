@@ -27,9 +27,9 @@ pub const PAGE_SIZE: usize = 8192;
 pub type PageId = u64;
 
 /// Byte offset where record data starts.
-pub const PAGE_HEADER_LEN: usize = 16;
+pub(crate) const PAGE_HEADER_LEN: usize = 16;
 /// Bytes per slot-directory entry.
-pub const SLOT_LEN: usize = 4;
+pub(crate) const SLOT_LEN: usize = 4;
 
 /// Page type tags (first header byte).
 pub mod page_type {
@@ -115,18 +115,6 @@ impl<'a> SlottedPage<'a> {
         let base = PAGE_SIZE - (i + 1) * SLOT_LEN;
         self.bytes[base..base + 2].copy_from_slice(&(off as u16).to_le_bytes());
         self.bytes[base + 2..base + 4].copy_from_slice(&(len as u16).to_le_bytes());
-    }
-
-    /// Returns record `i`.
-    pub fn record(&self, i: usize) -> Result<&[u8]> {
-        if i >= self.slot_count() {
-            return Err(StorageError::BadSlot {
-                slot: i,
-                count: self.slot_count(),
-            });
-        }
-        let (off, len) = self.slot(i);
-        Ok(&self.bytes[off..off + len])
     }
 
     /// Inserts a record at slot position `i`, shifting later slots down.
@@ -371,7 +359,7 @@ pub struct SlottedRead<'a> {
 impl<'a> SlottedRead<'a> {
     /// Views existing page bytes, checking the type tag and that the slot
     /// directory the header declares fits behind the header.
-    pub fn open(bytes: &'a [u8], expect_type: u8, page: PageId) -> Result<SlottedRead<'a>> {
+    pub(crate) fn open(bytes: &'a [u8], expect_type: u8, page: PageId) -> Result<SlottedRead<'a>> {
         if bytes[0] != expect_type {
             return Err(StorageError::PageTypeMismatch {
                 page,
@@ -395,7 +383,7 @@ impl<'a> SlottedRead<'a> {
 
     /// The whole page, for readers that address it by the byte ranges
     /// `record_ranges` hands out.
-    pub fn bytes(&self) -> &'a [u8] {
+    pub(crate) fn bytes(&self) -> &'a [u8] {
         self.bytes
     }
 
@@ -433,7 +421,7 @@ impl<'a> SlottedRead<'a> {
     }
 
     /// Returns record `i`.
-    pub fn record(&self, i: usize) -> Result<&'a [u8]> {
+    pub(crate) fn record(&self, i: usize) -> Result<&'a [u8]> {
         Ok(&self.bytes[self.record_range(i)?])
     }
 
@@ -470,6 +458,21 @@ impl<'a> SlottedRead<'a> {
             .rchunks_exact(SLOT_LEN)
             .zip(slots)
             .map(|(entry, i)| self.checked_range(i, entry)))
+    }
+}
+
+#[cfg(test)]
+impl SlottedPage<'_> {
+    /// Returns record `i`.
+    pub(crate) fn record(&self, i: usize) -> Result<&[u8]> {
+        if i >= self.slot_count() {
+            return Err(StorageError::BadSlot {
+                slot: i,
+                count: self.slot_count(),
+            });
+        }
+        let (off, len) = self.slot(i);
+        Ok(&self.bytes[off..off + len])
     }
 }
 

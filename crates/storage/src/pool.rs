@@ -31,7 +31,7 @@
 //! A shard is indexed by the page's position in its stripe, `id / shards`:
 //! one residency bit and one stamp per page of the file it could hold.
 //! The bit *is* membership, so a scan's start-of-scan snapshot
-//! ([`ShardedLruPool::snapshot`]) copies `page_count / 64` words, and a
+//! (`ShardedLruPool::snapshot`) copies `page_count / 64` words, and a
 //! hit is a bit test, a stamp store and a push onto the shard's min-heap
 //! of `(stamp, page)` — nothing hashed, no ordered map rebalanced. The
 //! heap is lazy: a re-stamp or an eviction leaves the page's older entries
@@ -51,10 +51,10 @@ use std::sync::Mutex;
 /// Shard count for pools large enough to stripe. Pools smaller than
 /// [`MIN_CAPACITY_TO_SHARD`] pages use a single shard so tiny test pools
 /// keep exact global-LRU semantics.
-pub const POOL_SHARDS: usize = 16;
+pub(crate) const POOL_SHARDS: usize = 16;
 
 /// Pools below this capacity collapse to one shard.
-pub const MIN_CAPACITY_TO_SHARD: usize = 64;
+pub(crate) const MIN_CAPACITY_TO_SHARD: usize = 64;
 
 /// Entries a shard's heap may hold beyond twice its capacity before it is
 /// rebuilt from the entries that still count.
@@ -66,7 +66,7 @@ const HEAP_SLACK: usize = 32;
 /// `(epoch, 0, 0)` with a fresh epoch per touch; one parallel scan shares
 /// a single epoch across its workers and orders touches by
 /// `(partition, sequence)` — the serial visit order.
-pub type PoolStamp = u128;
+pub(crate) type PoolStamp = u128;
 
 /// Builds a [`PoolStamp`] from its three components.
 #[inline]
@@ -87,7 +87,7 @@ pub struct PageBits {
 
 impl PageBits {
     /// The empty set over page ids `0..pages`.
-    pub fn new(pages: u64) -> PageBits {
+    pub(crate) fn new(pages: u64) -> PageBits {
         let per_stripe = pages.div_ceil(64) as usize;
         PageBits {
             words: vec![0; per_stripe],
@@ -121,14 +121,14 @@ impl PageBits {
 
     /// True when `id` is in the set.
     #[inline]
-    pub fn contains(&self, id: PageId) -> bool {
+    pub(crate) fn contains(&self, id: PageId) -> bool {
         let (word, bit) = self.slot(id);
         self.words[word] & bit != 0
     }
 
     /// Adds `id`; returns `true` when it was not yet in the set.
     #[inline]
-    pub fn insert(&mut self, id: PageId) -> bool {
+    pub(crate) fn insert(&mut self, id: PageId) -> bool {
         let (word, bit) = self.slot(id);
         let fresh = self.words[word] & bit == 0;
         self.words[word] |= bit;
@@ -137,7 +137,7 @@ impl PageBits {
 
     /// Takes `id` out of the set.
     #[inline]
-    pub fn remove(&mut self, id: PageId) {
+    pub(crate) fn remove(&mut self, id: PageId) {
         let (word, bit) = self.slot(id);
         self.words[word] &= !bit;
     }
@@ -313,7 +313,6 @@ fn lock_shard(m: &Mutex<PoolShard>) -> std::sync::MutexGuard<'_, PoolShard> {
 #[derive(Debug)]
 pub struct ShardedLruPool {
     shards: Vec<Mutex<PoolShard>>,
-    capacity: usize,
     /// Pages in the file this pool fronts.
     pages: u64,
 }
@@ -322,7 +321,7 @@ impl ShardedLruPool {
     /// Creates a pool holding at most `capacity` pages (≥ 1), striped over
     /// [`POOL_SHARDS`] shards when the capacity is large enough for each
     /// stripe to hold a meaningful number of pages.
-    pub fn new(capacity: usize) -> ShardedLruPool {
+    pub(crate) fn new(capacity: usize) -> ShardedLruPool {
         let capacity = capacity.max(1);
         let n = if capacity >= MIN_CAPACITY_TO_SHARD {
             POOL_SHARDS
@@ -342,11 +341,7 @@ impl ShardedLruPool {
                 })
             })
             .collect();
-        ShardedLruPool {
-            shards,
-            capacity,
-            pages: 0,
-        }
+        ShardedLruPool { shards, pages: 0 }
     }
 
     /// Words in every shard's residency bitmap.
@@ -382,15 +377,16 @@ impl ShardedLruPool {
         );
     }
 
-    /// Maximum number of resident pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of lock stripes.
     #[cfg(test)]
     fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// True when `id` is resident (no stamp refresh).
+    #[cfg(test)]
+    pub(crate) fn contains(&self, id: PageId) -> bool {
+        lock_shard(&self.shards[self.shard_index(id)]).is_resident(id)
     }
 
     /// Number of resident pages (sums the shards; a racing snapshot under
@@ -428,13 +424,8 @@ impl ShardedLruPool {
         get_mut_unpoisoned(&mut self.shards[i]).touch_or_insert(id, stamp)
     }
 
-    /// True when `id` is resident (no stamp refresh).
-    pub fn contains(&self, id: PageId) -> bool {
-        lock_shard(&self.shards[self.shard_index(id)]).is_resident(id)
-    }
-
     /// Removes every resident page (`DBCC DROPCLEANBUFFERS`).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for s in &self.shards {
             lock_shard(s).clear();
         }
@@ -442,7 +433,7 @@ impl ShardedLruPool {
 
     /// The pages resident right now, captured shard by shard (each shard
     /// atomically; exact when quiescent).
-    pub fn snapshot(&self) -> PageBits {
+    pub(crate) fn snapshot(&self) -> PageBits {
         let per_stripe = self.words_per_shard();
         let mut words = Vec::with_capacity(self.shards.len() * per_stripe);
         for s in &self.shards {
@@ -458,7 +449,6 @@ impl ShardedLruPool {
     /// Resident pages from most- to least-recently stamped, merged across
     /// shards — the deterministic global recency order (for tests and the
     /// DOP-invariance property test).
-    // lint:allow(L011, reason = "tests/parallel_determinism.rs and crates/storage/tests/proptests.rs compare recency orders")
     pub fn keys_mru_order(&self) -> Vec<PageId> {
         let mut all: Vec<(PoolStamp, PageId)> = Vec::with_capacity(self.len());
         for (i, s) in self.shards.iter().enumerate() {

@@ -42,7 +42,7 @@ pub struct Column {
 
 impl Column {
     /// Shorthand constructor.
-    pub fn new(name: &str, ctype: ColType) -> Column {
+    pub(crate) fn new(name: &str, ctype: ColType) -> Column {
         Column {
             name: name.to_string(),
             ctype,
@@ -142,7 +142,6 @@ const BLOB_LOB: u8 = 1;
 
 /// Encodes a row. Blob values larger than the in-row limit are written to
 /// the LOB store as a side effect.
-// lint:allow(L011, reason = "crates/storage/tests/proptests.rs and crash_matrix.rs encode the rows they insert")
 pub fn encode_row(store: &mut PageStore, schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>> {
     encode_row_impl(Some(store), schema, values)
 }
@@ -345,7 +344,7 @@ pub fn new_batch(schema: &Schema, cols: &[usize]) -> Result<Batch> {
     Ok(Batch::new(out))
 }
 
-/// Where one leaf record stands in a [`BatchDecoder::fill`]: byte offsets
+/// Where one leaf record stands in a `BatchDecoder::fill`: byte offsets
 /// into the record's page.
 #[derive(Debug, Clone, Copy)]
 pub struct RowCursor {
@@ -399,7 +398,7 @@ pub struct BatchDecoder<'a> {
 impl<'a> BatchDecoder<'a> {
     /// Builds a decoder for the given projected schema indices (`cols` must
     /// match the column order used for [`new_batch`]).
-    pub fn new(schema: &'a Schema, cols: &[usize]) -> Result<BatchDecoder<'a>> {
+    pub(crate) fn new(schema: &'a Schema, cols: &[usize]) -> Result<BatchDecoder<'a>> {
         let mut dir = vec![None; schema.columns.len()];
         let mut last = None;
         for (pos, &idx) in cols.iter().enumerate() {
@@ -483,7 +482,12 @@ impl<'a> BatchDecoder<'a> {
     /// cursor on its first column with `fixed_prefix`
     /// bytes checked — to `out`, one column at a time. Leaves the cursors
     /// wherever the last `Blob` step moved them.
-    pub fn fill(&self, page: &[u8], rows: &mut [RowCursor], out: &mut [ColVec]) -> Result<()> {
+    pub(crate) fn fill(
+        &self,
+        page: &[u8],
+        rows: &mut [RowCursor],
+        out: &mut [ColVec],
+    ) -> Result<()> {
         use sqlarray_core::le;
         for step in &self.steps {
             let col = &self.schema.columns[step.col];

@@ -48,7 +48,7 @@ impl IoStats {
     /// Adds another counter set into this one — used to fold the
     /// per-worker [`IoStats`] of a parallel scan back into the store's
     /// global counters.
-    pub fn merge(&mut self, other: &IoStats) {
+    pub(crate) fn merge(&mut self, other: &IoStats) {
         self.cache_hits += other.cache_hits;
         self.pages_read += other.pages_read;
         self.sequential_reads += other.sequential_reads;

@@ -24,7 +24,7 @@
 //! * `store/image.rs`, the durable image — [`DiskImage`], checkpoint,
 //!   crash image, open, replay and rollback: **an image opens to its last
 //!   commit.**
-//! * `store/scan.rs`, the scan reader — [`PageRead`], [`ScanCtx`],
+//! * `store/scan.rs`, the scan reader — [`PageRead`], `ScanCtx`,
 //!   [`PartitionReader`] and the one page-in step every read ends in:
 //!   **simulated I/O is the same at every DOP.**
 //!
@@ -47,7 +47,7 @@ mod image;
 mod scan;
 
 pub use image::{DiskImage, Recovery};
-pub use scan::{PageRead, PartitionReader, ScanCtx, ScanIo, MAX_READ_RETRIES};
+pub use scan::{PageRead, PartitionReader, ScanIo, MAX_READ_RETRIES};
 
 /// Default buffer-pool capacity (pages). 4096 pages = 32 MiB, small enough
 /// that the Table 1 scans (hundreds of MB) are disk-bound after a cache
@@ -187,7 +187,6 @@ impl PageStore {
     }
 
     /// The live buffer pool (resident-set inspection for tests/tools).
-    // lint:allow(L011, reason = "tests/subarray_pushdown.rs, tests/parallel_determinism.rs and crates/storage/tests/proptests.rs read the resident set")
     pub fn pool(&self) -> &ShardedLruPool {
         &self.pool
     }
@@ -249,7 +248,6 @@ impl PageStore {
     /// consecutive ids, and B-tree splits and root growth take their new
     /// pages here too; the LOB writer wants
     /// `allocate_reuse` instead.
-    // lint:allow(L011, reason = "tests/engine_edges.rs and tests/alloc_counts.rs write pages of their own")
     pub fn allocate(&mut self) -> PageId {
         self.allocate_page(self.page_count())
     }
@@ -503,14 +501,12 @@ impl PageStore {
     /// keeps mutating, so the victim operation "succeeds" in-process,
     /// exactly like a process whose kernel buffered writes the platter
     /// never saw; [`crash_image`](Self::crash_image) is what the disk kept.
-    // lint:allow(L011, reason = "crates/storage/tests/crash_matrix.rs, crates/engine/tests/dml.rs and tests/query_lifecycle.rs inject their faults here")
     pub fn arm(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
     }
 
     /// The armed plan, if any: a dry run ([`FaultPlan::count`]) reads its
     /// [`seen`](FaultPlan::seen) back through it.
-    // lint:allow(L011, reason = "crates/engine/tests/dml.rs reads a dry run's count back")
     pub fn armed(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()
     }
@@ -519,7 +515,6 @@ impl PageStore {
     /// checksum or logging anything — simulating silent media corruption
     /// that the next cold read of the page must surface as
     /// [`StorageError::PageCorrupt`].
-    // lint:allow(L011, reason = "crates/engine/tests/dml.rs damages a page under a DML")
     pub fn corrupt_byte(&mut self, id: PageId, off: usize) {
         Arc::make_mut(&mut self.pages[id as usize])[off] ^= 0x01;
     }

@@ -121,14 +121,6 @@ pub struct ScanCtx {
     query: QueryCtx,
 }
 
-impl ScanCtx {
-    /// The lifecycle context this scan runs under (unbounded for scans
-    /// opened with [`PageStore::begin_scan`]).
-    pub fn query(&self) -> &QueryCtx {
-        &self.query
-    }
-}
-
 /// The I/O accounting of one read path: its counters plus its first and
 /// last physical reads. A scan worker keeps its own and hands it to
 /// [`PageStore::finish_scan`], which needs the endpoints to stitch the

@@ -134,7 +134,7 @@ use sqlarray_core::le;
 use std::borrow::Cow;
 
 /// First byte of every WAL frame.
-pub const WAL_MAGIC: u8 = 0xA7;
+pub(crate) const WAL_MAGIC: u8 = 0xA7;
 
 /// Fixed framing overhead per record: magic + kind + lsn + len + check.
 pub const FRAME_OVERHEAD: usize = FRAME_HEADER + 4;
@@ -637,7 +637,6 @@ pub fn scan(buf: &[u8]) -> WalScan<'_> {
 
 /// Like [`scan`] but a torn tail is a typed error: the caller wants the
 /// log to be whole (integrity checks, tests) rather than crash-tolerant.
-// lint:allow(L011, reason = "crates/storage/tests/crash_matrix.rs reads whole logs")
 pub fn scan_strict(buf: &[u8]) -> Result<Vec<(u64, WalRecord<'_>)>> {
     let s = scan(buf);
     match s.tear {

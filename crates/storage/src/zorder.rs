@@ -47,7 +47,6 @@ pub fn morton3_encode(x: u64, y: u64, z: u64) -> u64 {
 
 /// Inverse of [`morton3_encode`].
 #[inline]
-// lint:allow(L011, reason = "crates/storage/tests/proptests.rs checks it inverts morton3_encode")
 pub fn morton3_decode(key: u64) -> (u64, u64, u64) {
     (compact3(key), compact3(key >> 1), compact3(key >> 2))
 }

@@ -104,7 +104,7 @@ impl SyntheticField {
     }
 
     /// Pressure at a point.
-    pub fn pressure(&self, pos: [f64; 3]) -> f64 {
+    pub(crate) fn pressure(&self, pos: [f64; 3]) -> f64 {
         self.pressure_modes
             .iter()
             .map(|m| {
@@ -118,14 +118,17 @@ impl SyntheticField {
 
     /// The four stored components `(vx, vy, vz, p)` — the per-point record
     /// of the turbulence database.
-    pub fn sample(&self, pos: [f64; 3]) -> [f64; 4] {
+    pub(crate) fn sample(&self, pos: [f64; 3]) -> [f64; 4] {
         let v = self.velocity(pos);
         [v[0], v[1], v[2], self.pressure(pos)]
     }
+}
 
+#[cfg(test)]
+impl SyntheticField {
     /// Numerical divergence at a point (central differences with step
     /// `h`) — a validation helper.
-    pub fn divergence(&self, pos: [f64; 3], h: f64) -> f64 {
+    fn divergence(&self, pos: [f64; 3], h: f64) -> f64 {
         let mut div = 0.0;
         for axis in 0..3 {
             let mut hi = pos;

@@ -27,7 +27,7 @@ pub enum Scheme {
 
 impl Scheme {
     /// Stencil width per axis.
-    pub fn width(self) -> usize {
+    pub(crate) fn width(self) -> usize {
         match self {
             Scheme::Nearest => 1,
             Scheme::Lagrange4 | Scheme::Pchip => 4,
@@ -37,7 +37,7 @@ impl Scheme {
     }
 
     /// Offset of the stencil's first node relative to `floor(x)`.
-    pub fn start_offset(self) -> isize {
+    pub(crate) fn start_offset(self) -> isize {
         match self {
             Scheme::Nearest => 0,
             Scheme::Lagrange4 | Scheme::Pchip => -1,
@@ -48,7 +48,7 @@ impl Scheme {
 
     /// Grid cells of support needed on each side of a sample — the minimum
     /// ghost-zone width a blob partition must carry for this scheme.
-    pub fn ghost_needed(self) -> usize {
+    pub(crate) fn ghost_needed(self) -> usize {
         match self {
             Scheme::Nearest => 1,
             Scheme::Lagrange4 | Scheme::Pchip => 2,
@@ -60,7 +60,7 @@ impl Scheme {
 
 /// Lagrange basis weights for `w` consecutive integer nodes starting at
 /// `start`, evaluated at `x` (grid units).
-pub fn lagrange_weights(start: f64, w: usize, x: f64, out: &mut [f64]) {
+pub(crate) fn lagrange_weights(start: f64, w: usize, x: f64, out: &mut [f64]) {
     debug_assert_eq!(out.len(), w);
     for (i, o) in out.iter_mut().enumerate() {
         let ti = start + i as f64;
@@ -83,7 +83,7 @@ pub fn lagrange_weights(start: f64, w: usize, x: f64, out: &mut [f64]) {
 ///
 /// Endpoint slopes use the Fritsch–Carlson harmonic-mean limiter, which
 /// keeps the interpolant monotone on monotone data.
-pub fn pchip_1d(f: &[f64], t: f64) -> f64 {
+pub(crate) fn pchip_1d(f: &[f64], t: f64) -> f64 {
     debug_assert_eq!(f.len(), 4);
     let d0 = f[1] - f[0];
     let d1 = f[2] - f[1];
@@ -112,7 +112,7 @@ fn fc_slope(d_prev: f64, d_next: f64) -> f64 {
 /// Interpolates a w³ neighborhood with separable Lagrange weights.
 /// `cube[i + w*(j + w*k)]` is the value at node `(i, j, k)`; `wx/wy/wz`
 /// are the per-axis weights.
-pub fn tensor_apply(cube: &[f64], w: usize, wx: &[f64], wy: &[f64], wz: &[f64]) -> f64 {
+pub(crate) fn tensor_apply(cube: &[f64], w: usize, wx: &[f64], wy: &[f64], wz: &[f64]) -> f64 {
     debug_assert_eq!(cube.len(), w * w * w);
     let mut acc = 0.0f64;
     for (k, &wzk) in wz.iter().enumerate() {
@@ -137,7 +137,7 @@ pub fn tensor_apply(cube: &[f64], w: usize, wx: &[f64], wy: &[f64], wz: &[f64]) 
 
 /// Interpolates a 4³ neighborhood with PCHIP applied axis by axis
 /// (x first, then y, then z), with fractional offsets `t = (tx, ty, tz)`.
-pub fn pchip_3d(cube: &[f64], t: [f64; 3]) -> f64 {
+pub(crate) fn pchip_3d(cube: &[f64], t: [f64; 3]) -> f64 {
     debug_assert_eq!(cube.len(), 64);
     let mut yz = [0.0f64; 16];
     for k in 0..4 {

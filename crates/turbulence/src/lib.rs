@@ -19,5 +19,5 @@ pub mod service;
 
 pub use field::SyntheticField;
 pub use interp::Scheme;
-pub use partition::{build_blob, PartitionSpec};
+pub use partition::PartitionSpec;
 pub use service::{FetchMode, TurbulenceDb};

@@ -39,18 +39,13 @@ impl PartitionSpec {
         }
     }
 
-    /// The paper's production layout: (64+8)³ cubes.
-    pub fn paper(grid_n: usize) -> PartitionSpec {
-        PartitionSpec::new(grid_n, 64, 4)
-    }
-
     /// Cubes per axis.
-    pub fn cubes_per_axis(&self) -> usize {
+    pub(crate) fn cubes_per_axis(&self) -> usize {
         self.grid_n / self.block
     }
 
     /// Stored blob edge (`block + 2·ghost`).
-    pub fn blob_edge(&self) -> usize {
+    pub(crate) fn blob_edge(&self) -> usize {
         self.block + 2 * self.ghost
     }
 
@@ -60,13 +55,13 @@ impl PartitionSpec {
     }
 
     /// Morton key of a cube.
-    pub fn cube_key(&self, cube: [usize; 3]) -> i64 {
+    pub(crate) fn cube_key(&self, cube: [usize; 3]) -> i64 {
         sqlarray_storage::zorder::morton3_encode(cube[0] as u64, cube[1] as u64, cube[2] as u64)
             as i64
     }
 
     /// Which cube a grid point belongs to.
-    pub fn cube_of_grid_point(&self, g: [usize; 3]) -> [usize; 3] {
+    pub(crate) fn cube_of_grid_point(&self, g: [usize; 3]) -> [usize; 3] {
         [g[0] / self.block, g[1] / self.block, g[2] / self.block]
     }
 }
@@ -77,7 +72,11 @@ impl PartitionSpec {
 /// four components of a voxel are adjacent, matching the "every point
 /// contains the three components of the fluid velocity and the pressure"
 /// record layout.
-pub fn build_blob(field: &SyntheticField, spec: &PartitionSpec, cube: [usize; 3]) -> SqlArray {
+pub(crate) fn build_blob(
+    field: &SyntheticField,
+    spec: &PartitionSpec,
+    cube: [usize; 3],
+) -> SqlArray {
     let e = spec.blob_edge();
     let n = spec.grid_n as isize;
     let ghost = spec.ghost as isize;
@@ -111,7 +110,8 @@ mod tests {
 
     #[test]
     fn spec_geometry() {
-        let spec = PartitionSpec::paper(128);
+        // The paper's production layout: (64+8)³ cubes.
+        let spec = PartitionSpec::new(128, 64, 4);
         assert_eq!(spec.cubes_per_axis(), 2);
         assert_eq!(spec.blob_edge(), 72);
         // (64+8)³ voxels × 4 components × 4 bytes ≈ 6 MB — the paper's

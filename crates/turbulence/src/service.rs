@@ -72,13 +72,8 @@ impl TurbulenceDb {
         &self.table
     }
 
-    /// The partition geometry.
-    pub fn spec(&self) -> &PartitionSpec {
-        &self.spec
-    }
-
     /// Interpolated velocity at one position of the periodic unit box.
-    pub fn velocity_at(
+    pub(crate) fn velocity_at(
         &self,
         store: &mut PageStore,
         pos: [f64; 3],
@@ -338,7 +333,7 @@ mod tests {
         // overkill" (§2.1).
         let mut store = PageStore::new();
         let field = SyntheticField::new(3, 4, 2);
-        let spec = PartitionSpec::paper(64);
+        let spec = PartitionSpec::new(64, 64, 4);
         let db = TurbulenceDb::build(&mut store, &field, spec).unwrap();
 
         let pos = [0.4, 0.15, 0.85];

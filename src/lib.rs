@@ -5,7 +5,8 @@
 //! Blakeley, Budavári, Csabai, Tomic, Milovanovic, Tintor, Jovanovic —
 //! EDBT 2011, arXiv:1110.1729).
 //!
-//! This facade crate re-exports the whole workspace:
+//! This facade crate re-exports the workspace crates that its users call
+//! (`sqlarray-fft` is reached through the engine's and `nbody`'s FFTs):
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
@@ -13,7 +14,6 @@
 //! | [`storage`] | `sqlarray-storage` | 8 kB slotted pages, buffer pool with I/O accounting, clustered B+trees, in-row vs LOB blobs, z-order keys |
 //! | [`engine`] | `sqlarray-engine` | T-SQL-flavoured parser and executor, the sixteen `FloatArray.*`-style UDF schemas, CLR hosting-cost model, UDAs with stream-serialized state |
 //! | [`linalg`] | `sqlarray-linalg` | LAPACK substitute: SVD (`gesvd`), QR, least squares, NNLS, eigen, PCA — run on the caller's thread; `gemm` cache-blocked, bit-identical to the naive product |
-//! | [`fft`] | `sqlarray-fft` | FFTW substitute: planned radix-2/Bluestein, real and n-D transforms |
 //! | [`turbulence`] | `sqlarray-turbulence` | Sec. 2.1 workload: z-order blob partitioning, ghost zones, Lagrange/PCHIP interpolation service |
 //! | [`spectra`] | `sqlarray-spectra` | Sec. 2.2 workload: flux-conserving resampling, composites, PCA + masked least squares, kd-tree search |
 //! | [`nbody`] | `sqlarray-nbody` | Sec. 2.3 workload: octrees, FOF halos, merger trees, CIC density, power spectra, correlation functions, light cones |
@@ -35,7 +35,6 @@
 
 pub use sqlarray_core as array;
 pub use sqlarray_engine as engine;
-pub use sqlarray_fft as fft;
 pub use sqlarray_linalg as linalg;
 pub use sqlarray_nbody as nbody;
 pub use sqlarray_spectra as spectra;
@@ -46,5 +45,5 @@ pub use sqlarray_turbulence as turbulence;
 pub mod prelude {
     pub use sqlarray_core::prelude::*;
     pub use sqlarray_engine::{Database, Engine, HostingModel, Session, Value};
-    pub use sqlarray_storage::{ColType, PageStore, RowValue, Schema, Table};
+    pub use sqlarray_storage::{ColType, PageStore, RowValue, Schema};
 }

@@ -176,6 +176,68 @@ fn sugar_composes_with_group_by() {
 }
 
 #[test]
+fn declared_sugar_types_pick_the_schema_of_each_column() {
+    // `flags` is a short smallint array stored in the row; `flux` a
+    // float array past the in-row limit, so a LOB.
+    let mut db = Database::new();
+    db.create_table(
+        "spectra",
+        Schema::new(&[
+            ("id", ColType::I64),
+            ("flags", ColType::Blob),
+            ("flux", ColType::Blob),
+        ]),
+    )
+    .unwrap();
+    let flux: Vec<f64> = (0..2000).map(|i| 0.5 + i as f64).collect();
+    for id in 0..3i64 {
+        let flags = build::short_vector(&[id as i16, 10, 20 + id as i16, 30]).unwrap();
+        let scaled: Vec<f64> = flux.iter().map(|f| f * (id + 1) as f64).collect();
+        let flux = build::max_vector(&scaled).unwrap();
+        assert!(flux.as_blob().len() > 8000, "flux must be a LOB");
+        db.insert(
+            "spectra",
+            id,
+            &[
+                RowValue::I64(id),
+                RowValue::Bytes(flags.into_blob()),
+                RowValue::Bytes(flux.into_blob()),
+            ],
+        )
+        .unwrap();
+    }
+    let mut s = Engine::new(db).session_with_hosting(HostingModel::free());
+    let mut types = sqlarray::engine::SugarTypes::new();
+    types.declare("flags", "SmallIntArray");
+    types.declare("FLUX", "FloatArrayMax");
+    let sugar = s
+        .query_sugar(
+            "SELECT flags[2], flux[0] FROM spectra WHERE id >= 1",
+            &types,
+        )
+        .unwrap();
+    let plain = s
+        .query(
+            "SELECT SmallIntArray.Item(flags, 2), FloatArrayMax.Item(flux, 0) \
+             FROM spectra WHERE id >= 1",
+        )
+        .unwrap();
+    assert_eq!(sugar.rows, plain.rows);
+    assert_eq!(sugar.rows.len(), 2);
+    for (row, id) in sugar.rows.iter().zip(1i64..) {
+        assert_eq!(row[0].to_string(), (20 + id).to_string());
+        assert_eq!(row[1], Value::F64(0.5 * (id + 1) as f64));
+    }
+    // Undeclared, `flags` would be read as a float array and fail.
+    assert!(s
+        .query_sugar(
+            "SELECT flags[2] FROM spectra",
+            &sqlarray::engine::SugarTypes::new()
+        )
+        .is_err());
+}
+
+#[test]
 fn configuration_is_read_once_per_engine_and_never_per_session() {
     use sqlarray::engine::Settings;
     use std::cell::RefCell;
