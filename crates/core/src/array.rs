@@ -200,14 +200,15 @@ impl SqlArray {
         self.expect_type::<T>()?;
         let payload = self.payload();
         assert_eq!(payload.len(), self.count() * T::SIZE);
-        // SAFETY: `align_to` splits the byte slice into a maximal aligned
-        // middle. All eight element types are plain-old-data with no
-        // invalid bit patterns at the byte level (verified by the
-        // round-trip property tests), so reinterpreting aligned bytes is
-        // sound. Endianness: elements are stored little-endian, which is
-        // the native order on every supported target (checked below).
+        // Elements are stored little-endian, the native order on every
+        // supported target; elsewhere the copy below decodes them.
         #[cfg(target_endian = "little")]
         {
+            // SAFETY: `align_to` splits the byte slice into a maximal aligned
+            // middle. All eight element types are plain-old-data with no
+            // invalid bit patterns at the byte level (verified by the
+            // round-trip property tests), so reinterpreting aligned bytes is
+            // sound on this little-endian target.
             let (head, mid, tail) = unsafe { payload.align_to::<T>() };
             if head.is_empty() && tail.is_empty() && mid.len() == self.count() {
                 return Ok(Cow::Borrowed(mid));

@@ -51,12 +51,6 @@ macro_rules! complex_impl {
                 self.re.hypot(self.im)
             }
 
-            /// Argument (phase angle) in radians.
-            #[inline]
-            pub fn arg(self) -> $t {
-                self.im.atan2(self.re)
-            }
-
             /// `e^{iθ}` on the unit circle; the workhorse of FFT twiddles.
             #[inline]
             pub fn cis(theta: $t) -> Self {
@@ -74,12 +68,6 @@ macro_rules! complex_impl {
             #[inline]
             pub fn scale(self, k: $t) -> Self {
                 Self::new(self.re * k, self.im * k)
-            }
-
-            /// True if both components are finite.
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.re.is_finite() && self.im.is_finite()
             }
         }
 
@@ -120,7 +108,7 @@ macro_rules! complex_impl {
         impl Div for $name {
             type Output = Self;
             #[inline]
-            #[allow(clippy::suspicious_arithmetic_impl)] // z/w = z * w⁻¹
+            #[allow(clippy::suspicious_arithmetic_impl, reason = "z/w = z * w⁻¹")]
             fn div(self, o: Self) -> Self {
                 self * o.recip()
             }
@@ -245,7 +233,7 @@ mod tests {
             let z = Complex64::cis(theta);
             assert!(close(z.abs(), 1.0));
             assert!(close(
-                z.arg().rem_euclid(2.0 * std::f64::consts::PI),
+                z.im.atan2(z.re).rem_euclid(2.0 * std::f64::consts::PI),
                 theta.rem_euclid(2.0 * std::f64::consts::PI)
             ));
         }
@@ -281,6 +269,5 @@ mod tests {
     fn recip_of_zero_is_nan() {
         let r = Complex64::ZERO.recip();
         assert!(r.re.is_nan() && r.im.is_nan());
-        assert!(Complex64::ONE.is_finite());
     }
 }

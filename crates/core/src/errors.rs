@@ -9,7 +9,10 @@ use std::fmt;
 /// functions; here they are a plain Rust error enum so that callers (the
 /// query engine, the science crates, user code) can match on the cause.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variant payload fields (`got`, `need`, ...) are self-describing
+#[allow(
+    missing_docs,
+    reason = "variant payload fields (`got`, `need`, ...) are self-describing"
+)]
 pub enum ArrayError {
     /// The buffer is smaller than the fixed part of the header.
     HeaderTooShort { got: usize, need: usize },

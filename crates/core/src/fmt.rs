@@ -22,7 +22,10 @@ use std::fmt;
 /// Renders an array in the canonical text form.
 pub fn to_string(a: &SqlArray) -> String {
     let mut out = String::new();
-    // lint:allow(L005, reason = "fmt::Write into a String is infallible; the Err arm is unreachable for this writer")
+    #[expect(
+        clippy::expect_used,
+        reason = "fmt::Write into a String is infallible; the Err arm is unreachable for this writer"
+    )]
     render(a, &mut out).expect("string formatting cannot fail");
     out
 }

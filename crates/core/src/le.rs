@@ -7,7 +7,7 @@
 //! replace the `buf[a..b].try_into().unwrap()` idiom at every such field:
 //! one place owns the (already-guaranteed) length reasoning instead of a
 //! scattering of per-field unwraps, and the decode sites stay free of
-//! `unwrap` for the `L005` invariant lint.
+//! `unwrap` (clippy's `unwrap_used`, L005).
 //!
 //! All accessors panic (via the slice bounds check) if `off` lies too
 //! close to the end of `buf` — the same behavior the `try_into().unwrap()`
@@ -63,8 +63,6 @@ le_putter! {
     put_u32 <- u32,
     /// Writes a little-endian `u64` at byte offset `off`.
     put_u64 <- u64,
-    /// Writes a little-endian `i64` at byte offset `off`.
-    put_i64 <- i64,
 }
 
 macro_rules! le_appender {
@@ -84,8 +82,6 @@ le_appender! {
     push_u32 <- u32,
     /// Appends a little-endian `u64` to `out`.
     push_u64 <- u64,
-    /// Appends a little-endian `i64` to `out`.
-    push_i64 <- i64,
 }
 
 /// Appends a length-prefixed (`u32` LE) byte slice to `out` — the framing

@@ -51,8 +51,7 @@ pub fn scoped_map_ranges<T: Send>(
         let handles: Vec<_> = ranges.into_iter().map(|r| s.spawn(move || f(r))).collect();
         handles
             .into_iter()
-            // lint:allow(L005, reason = "join only fails when the worker panicked; re-raising the panic is the correct propagation, there is no error value to return")
-            .map(|h| h.join().expect("scoped_map_ranges worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     })
 }

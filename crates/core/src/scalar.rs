@@ -69,8 +69,11 @@ impl Scalar {
         match *self {
             Scalar::C32(v) => Complex64::from_c32(v),
             Scalar::C64(v) => v,
+            #[expect(
+                clippy::expect_used,
+                reason = "the C32/C64 arms above are the only variants for which as_f64 errors; this arm only sees real scalars"
+            )]
             ref real => Complex64::new(
-                // lint:allow(L005, reason = "the C32/C64 arms above are the only variants for which as_f64 errors; this arm only sees real scalars")
                 real.as_f64().expect("non-complex scalars are always real"),
                 0.0,
             ),

@@ -131,17 +131,17 @@ impl ConcatUda {
     }
 
     fn ensure_builder(&mut self, size_arg: Arg<'_>) -> Result<&mut ConcatBuilder> {
-        if self.builder.is_none() {
-            let dims_arr = size_arg.as_array()?;
-            let dims: Vec<usize> = dims_arr
-                .iter_scalars()
-                .map(|s| s.as_f64().map(|f| f as usize))
-                .collect::<sqlarray_core::Result<_>>()?;
-            self.builder =
-                Some(ConcatBuilder::new(self.class, self.elem, &dims).map_err(EngineError::from)?);
+        if let Some(ref mut builder) = self.builder {
+            return Ok(builder);
         }
-        // lint:allow(L005, reason = "the branch above just stored Some(builder) whenever the field was None; as_mut cannot observe None here")
-        Ok(self.builder.as_mut().expect("just initialized"))
+        let dims_arr = size_arg.as_array()?;
+        let dims: Vec<usize> = dims_arr
+            .iter_scalars()
+            .map(|s| s.as_f64().map(|f| f as usize))
+            .collect::<sqlarray_core::Result<_>>()?;
+        let builder =
+            ConcatBuilder::new(self.class, self.elem, &dims).map_err(EngineError::from)?;
+        Ok(self.builder.insert(builder))
     }
 }
 

@@ -569,7 +569,7 @@ mod tests {
             &[Value::F64(1.5), Value::F64(-2.5)],
         );
         let raw = call(&reg, &mut h, "FloatArray.Raw", std::slice::from_ref(&a));
-        assert_eq!(raw.as_bytes().unwrap().len(), 16);
+        assert_eq!(Arg::from(&raw).as_bytes().unwrap().len(), 16);
         let back = call(&reg, &mut h, "FloatArray.Cast", &[raw]);
         assert_eq!(back, a);
 

@@ -111,7 +111,6 @@ impl Database {
         let mut out = Vec::new();
         le::push_u32(&mut out, self.tables.len() as u32);
         for key in names {
-            // lint:allow(L005, reason = "iterating the map's own keys")
             let t = &self.tables[key];
             le::push_bytes(&mut out, t.name().as_bytes());
             let schema = t.schema();

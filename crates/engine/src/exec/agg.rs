@@ -115,10 +115,12 @@ fn decode_front(b: &[u8]) -> (Value, usize) {
 /// maintains for one item of one group. State only: the item's
 /// expression stays in the select list (row path) or the compiled plan
 /// (batch path), so opening a group clones nothing.
-// The `Agg` variant carries an inline `ExactSum` register (~0.6 kB);
-// boxing it would cost a pointer chase on every accumulated row for a
-// structure that only exists once per (group × select item).
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "the `Agg` variant's inline `ExactSum` register (~0.6 kB) exists once per \
+              (group × select item); boxing it would cost a pointer chase on every \
+              accumulated row"
+)]
 pub(super) enum ItemAcc {
     Agg {
         func: AggFunc,

@@ -8,7 +8,10 @@ use sqlarray_storage::{row, ColType, RowValue, Schema};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "each operator is named by its symbol's meaning"
+)]
 pub enum BinOp {
     Add,
     Sub,
@@ -27,7 +30,7 @@ pub enum BinOp {
 
 /// Aggregate functions recognized by the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "each variant is the SQL aggregate of its name")]
 pub enum AggFunc {
     CountStar,
     Count,

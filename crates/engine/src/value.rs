@@ -43,7 +43,7 @@ pub enum Value {
 
 /// Engine error type.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variant payloads are self-describing
+#[allow(missing_docs, reason = "variant payloads are self-describing")]
 pub enum EngineError {
     /// SQL text failed to parse.
     Parse { pos: usize, msg: String },
@@ -237,78 +237,24 @@ impl From<sqlarray_storage::StorageError> for EngineError {
 pub(crate) type Result<T> = std::result::Result<T, EngineError>;
 
 impl Value {
-    /// The typed error for a lazy LOB reference hitting a non-blob-aware
-    /// operation, or `None` for every other variant.
-    fn unresolved_lob(&self) -> Option<EngineError> {
-        match self {
-            Value::Lob { id, len } => Some(EngineError::UnresolvedLob { id: *id, len: *len }),
-            _ => None,
-        }
-    }
-
-    /// Numeric view as `f64`; NULL and non-numerics fail.
+    /// [`Arg::as_f64`].
     pub fn as_f64(&self) -> Result<f64> {
-        match self {
-            Value::I64(v) => Ok(*v as f64),
-            Value::I32(v) => Ok(*v as f64),
-            Value::F64(v) => Ok(*v),
-            Value::F32(v) => Ok(*v as f64),
-            Value::Bool(b) => Ok(*b as i64 as f64),
-            other => Err(other
-                .unresolved_lob()
-                .unwrap_or_else(|| EngineError::Type(format!("{other:?} is not numeric")))),
-        }
+        Arg::from(self).as_f64()
     }
 
-    /// Integer view (floats must be integral and in `i64` range).
+    /// [`Arg::as_i64`].
     pub(crate) fn as_i64(&self) -> Result<i64> {
-        match self {
-            Value::I64(v) => Ok(*v),
-            Value::I32(v) => Ok(*v as i64),
-            Value::F64(v) if v.fract() == 0.0 => integral(*v),
-            Value::F32(v) if v.fract() == 0.0 => integral(f64::from(*v)),
-            other => Err(other
-                .unresolved_lob()
-                .unwrap_or_else(|| EngineError::Type(format!("{other:?} is not an integer")))),
-        }
+        Arg::from(self).as_i64()
     }
 
-    /// Index view (non-negative integer).
-    pub(crate) fn as_index(&self) -> Result<usize> {
-        let v = self.as_i64()?;
-        usize::try_from(v).map_err(|_| EngineError::Type(format!("negative index {v}")))
-    }
-
-    /// Binary view. A lazy [`Value::Lob`] has no in-memory bytes — it must
-    /// be resolved through a reader first, so it raises the typed
-    /// [`EngineError::UnresolvedLob`] here.
-    pub(crate) fn as_bytes(&self) -> Result<&[u8]> {
-        match self {
-            Value::Bytes(b) => Ok(b),
-            other => Err(other
-                .unresolved_lob()
-                .unwrap_or_else(|| EngineError::Type(format!("{other:?} is not binary")))),
-        }
-    }
-
-    /// Decodes this binary value as an array blob.
+    /// [`Arg::as_array`].
     pub fn as_array(&self) -> Result<SqlArray> {
-        Ok(SqlArray::from_blob(self.as_bytes()?.to_vec())?)
+        Arg::from(self).as_array()
     }
 
-    /// Truthiness for WHERE clauses.
+    /// [`Arg::is_true`].
     pub(crate) fn is_true(&self) -> bool {
-        match self {
-            Value::Bool(b) => *b,
-            Value::Null => false,
-            Value::I64(v) => *v != 0,
-            Value::I32(v) => *v != 0,
-            Value::F64(v) => *v != 0.0,
-            Value::F32(v) => *v != 0.0,
-            Value::Bytes(b) => !b.is_empty(),
-            Value::Str(s) => !s.is_empty(),
-            Value::Lob { len, .. } => *len != 0,
-        }
+        Arg::from(self).is_true()
     }
 
     /// True for SQL NULL.
@@ -339,11 +285,11 @@ impl Value {
 /// blob cell of a decoded batch, an inline blob column of the row image, a
 /// plan constant, a session variable and an evaluated value all reach the
 /// callee as a view of their own bytes, and a typed lane's scalar by
-/// value. `Arg` mirrors `Value` variant by variant and answers its views
-/// (`as_f64`, `as_bytes`, …) with the same values and the same errors;
-/// `to_value` copies it out where a callee keeps it.
+/// value. `Arg` mirrors `Value` variant by variant and is the one home of
+/// their views (`as_f64`, `as_bytes`, …): `Value`'s answer through
+/// `Arg::from`. `to_value` copies an argument out where a callee keeps it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // variant by variant [`Value`]'s
+#[allow(missing_docs, reason = "variant by variant `Value`'s")]
 pub enum Arg<'a> {
     Null,
     I64(i64),
@@ -388,7 +334,18 @@ impl<'a> Arg<'a> {
         }
     }
 
-    /// [`Value::as_f64`].
+    /// The error of a view this argument does not have: the typed
+    /// [`EngineError::UnresolvedLob`] for a lazy LOB reference, which
+    /// must be resolved through a reader first, else a type error saying
+    /// the argument is not `what`.
+    fn refused(self, what: &str) -> EngineError {
+        match self {
+            Arg::Lob { id, len } => EngineError::UnresolvedLob { id, len },
+            other => EngineError::Type(format!("{other:?} is not {what}")),
+        }
+    }
+
+    /// Numeric view as `f64`; NULL and non-numerics fail.
     pub fn as_f64(self) -> Result<f64> {
         match self {
             Arg::I64(v) => Ok(v as f64),
@@ -396,44 +353,52 @@ impl<'a> Arg<'a> {
             Arg::F64(v) => Ok(v),
             Arg::F32(v) => Ok(v as f64),
             Arg::Bool(b) => Ok(b as i64 as f64),
-            other => other.to_value().as_f64(),
+            other => Err(other.refused("numeric")),
         }
     }
 
-    /// `Value::as_i64` (copies nothing for a scalar; a non-scalar is
-    /// its error).
+    /// Integer view (floats must be integral and in `i64` range).
     pub fn as_i64(self) -> Result<i64> {
-        self.to_value().as_i64()
+        match self {
+            Arg::I64(v) => Ok(v),
+            Arg::I32(v) => Ok(v as i64),
+            Arg::F64(v) if v.fract() == 0.0 => integral(v),
+            Arg::F32(v) if v.fract() == 0.0 => integral(f64::from(v)),
+            other => Err(other.refused("an integer")),
+        }
     }
 
-    /// [`Value::as_index`].
+    /// Index view (non-negative integer).
     pub(crate) fn as_index(self) -> Result<usize> {
-        self.to_value().as_index()
+        let v = self.as_i64()?;
+        usize::try_from(v).map_err(|_| EngineError::Type(format!("negative index {v}")))
     }
 
-    /// [`Value::as_bytes`]: the bytes where they lie.
+    /// Binary view: the bytes where they lie.
     pub(crate) fn as_bytes(self) -> Result<&'a [u8]> {
         match self {
             Arg::Bytes(b) => Ok(b),
-            Arg::Lob { id, len } => Err(EngineError::UnresolvedLob { id, len }),
-            other => Err(EngineError::Type(format!(
-                "{:?} is not binary",
-                other.to_value()
-            ))),
+            other => Err(other.refused("binary")),
         }
     }
 
-    /// [`Value::as_array`].
+    /// Decodes this binary argument as an array blob.
     pub(crate) fn as_array(self) -> Result<SqlArray> {
         Ok(SqlArray::from_blob(self.as_bytes()?.to_vec())?)
     }
 
-    /// [`Value::is_true`].
+    /// Truthiness for WHERE clauses.
     pub(crate) fn is_true(self) -> bool {
         match self {
+            Arg::Bool(b) => b,
+            Arg::Null => false,
+            Arg::I64(v) => v != 0,
+            Arg::I32(v) => v != 0,
+            Arg::F64(v) => v != 0.0,
+            Arg::F32(v) => v != 0.0,
             Arg::Bytes(b) => !b.is_empty(),
             Arg::Str(s) => !s.is_empty(),
-            other => other.to_value().is_true(),
+            Arg::Lob { len, .. } => len != 0,
         }
     }
 }
@@ -556,8 +521,8 @@ mod tests {
             Err(EngineError::Type(_))
         ));
         assert!(Value::Str("x".into()).as_f64().is_err());
-        assert_eq!(Value::I64(3).as_index().unwrap(), 3);
-        assert!(Value::I64(-1).as_index().is_err());
+        assert_eq!(Arg::I64(3).as_index().unwrap(), 3);
+        assert!(Arg::I64(-1).as_index().is_err());
     }
 
     #[test]
@@ -612,29 +577,76 @@ mod tests {
 
     #[test]
     fn an_arg_answers_like_its_value() {
-        let values = [
-            Value::Null,
-            Value::I64(-3),
-            Value::I32(7),
-            Value::F64(2.5),
-            Value::F64(4.0),
-            Value::F32(-0.0),
-            Value::Bytes(vec![1, 2]),
-            Value::Bytes(Vec::new()),
-            Value::Str("x".into()),
-            Value::Str(String::new()),
-            Value::Bool(true),
-            Value::Lob { id: 7, len: 9000 },
+        // Each value's `as_f64 | as_i64 | as_index | as_bytes | as_array |
+        // is_true`, as `Value` answered them with its own implementations:
+        // the values and the error texts callers see.
+        let cases = [
+            (
+                Value::Null,
+                r#"Err(Type("Null is not numeric")) | Err(Type("Null is not an integer")) | Err(Type("Null is not an integer")) | Err(Type("Null is not binary")) | Err(Type("Null is not binary")) | false"#,
+            ),
+            (
+                Value::I64(-3),
+                r#"Ok(-3.0) | Ok(-3) | Err(Type("negative index -3")) | Err(Type("I64(-3) is not binary")) | Err(Type("I64(-3) is not binary")) | true"#,
+            ),
+            (
+                Value::I32(7),
+                r#"Ok(7.0) | Ok(7) | Ok(7) | Err(Type("I32(7) is not binary")) | Err(Type("I32(7) is not binary")) | true"#,
+            ),
+            (
+                Value::F64(2.5),
+                r#"Ok(2.5) | Err(Type("F64(2.5) is not an integer")) | Err(Type("F64(2.5) is not an integer")) | Err(Type("F64(2.5) is not binary")) | Err(Type("F64(2.5) is not binary")) | true"#,
+            ),
+            (
+                Value::F64(4.0),
+                r#"Ok(4.0) | Ok(4) | Ok(4) | Err(Type("F64(4.0) is not binary")) | Err(Type("F64(4.0) is not binary")) | true"#,
+            ),
+            (
+                Value::F32(-0.0),
+                r#"Ok(-0.0) | Ok(0) | Ok(0) | Err(Type("F32(-0.0) is not binary")) | Err(Type("F32(-0.0) is not binary")) | false"#,
+            ),
+            (
+                Value::Bytes(vec![1, 2]),
+                r#"Err(Type("Bytes([1, 2]) is not numeric")) | Err(Type("Bytes([1, 2]) is not an integer")) | Err(Type("Bytes([1, 2]) is not an integer")) | Ok([1, 2]) | Err(Array("array header too short: 2 bytes, need 4")) | true"#,
+            ),
+            (
+                Value::Bytes(Vec::new()),
+                r#"Err(Type("Bytes([]) is not numeric")) | Err(Type("Bytes([]) is not an integer")) | Err(Type("Bytes([]) is not an integer")) | Ok([]) | Err(Array("array header too short: 0 bytes, need 4")) | false"#,
+            ),
+            (
+                Value::Str("x".into()),
+                r#"Err(Type("Str(\"x\") is not numeric")) | Err(Type("Str(\"x\") is not an integer")) | Err(Type("Str(\"x\") is not an integer")) | Err(Type("Str(\"x\") is not binary")) | Err(Type("Str(\"x\") is not binary")) | true"#,
+            ),
+            (
+                Value::Str(String::new()),
+                r#"Err(Type("Str(\"\") is not numeric")) | Err(Type("Str(\"\") is not an integer")) | Err(Type("Str(\"\") is not an integer")) | Err(Type("Str(\"\") is not binary")) | Err(Type("Str(\"\") is not binary")) | false"#,
+            ),
+            (
+                Value::Bool(true),
+                r#"Ok(1.0) | Err(Type("Bool(true) is not an integer")) | Err(Type("Bool(true) is not an integer")) | Err(Type("Bool(true) is not binary")) | Err(Type("Bool(true) is not binary")) | true"#,
+            ),
+            (
+                Value::Lob { id: 7, len: 9000 },
+                r#"Err(UnresolvedLob { id: 7, len: 9000 }) | Err(UnresolvedLob { id: 7, len: 9000 }) | Err(UnresolvedLob { id: 7, len: 9000 }) | Err(UnresolvedLob { id: 7, len: 9000 }) | Err(UnresolvedLob { id: 7, len: 9000 }) | true"#,
+            ),
         ];
-        for v in &values {
+        for (v, want) in &cases {
             let a = Arg::from(v);
             assert_eq!(a.to_value(), *v);
-            assert_eq!(a.as_f64(), v.as_f64(), "{v:?}");
-            assert_eq!(a.as_i64(), v.as_i64(), "{v:?}");
-            assert_eq!(a.as_index(), v.as_index(), "{v:?}");
-            assert_eq!(a.as_bytes(), v.as_bytes(), "{v:?}");
-            assert_eq!(a.as_array(), v.as_array(), "{v:?}");
-            assert_eq!(a.is_true(), v.is_true(), "{v:?}");
+            let got = format!(
+                "{:?} | {:?} | {:?} | {:?} | {:?} | {:?}",
+                a.as_f64(),
+                a.as_i64(),
+                a.as_index(),
+                a.as_bytes(),
+                a.as_array(),
+                a.is_true()
+            );
+            assert_eq!(got, *want, "{v:?}");
+            assert_eq!(v.as_f64(), a.as_f64(), "{v:?}");
+            assert_eq!(v.as_i64(), a.as_i64(), "{v:?}");
+            assert_eq!(v.as_array(), a.as_array(), "{v:?}");
+            assert_eq!(v.is_true(), a.is_true(), "{v:?}");
         }
     }
 
@@ -646,7 +658,7 @@ mod tests {
             Err(EngineError::UnresolvedLob { id: 7, len: 9000 })
         ));
         assert!(matches!(
-            v.as_bytes(),
+            Arg::from(&v).as_bytes(),
             Err(EngineError::UnresolvedLob { .. })
         ));
         assert!(matches!(
@@ -655,7 +667,7 @@ mod tests {
         ));
         assert!(v.is_true());
         assert!(!Value::Lob { id: 7, len: 0 }.is_true());
-        let msg = v.as_bytes().unwrap_err().to_string();
+        let msg = Arg::from(&v).as_bytes().unwrap_err().to_string();
         assert!(msg.contains("unresolved LOB"), "{msg}");
     }
 }

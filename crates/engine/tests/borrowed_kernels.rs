@@ -19,6 +19,8 @@
 //! `Mean`, `Std` and `Norm2` equal the same formulas over one
 //! [`ExactSum::add`] per element: summing a block at a time changes no bit.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sqlarray_core::exact::ExactSum;

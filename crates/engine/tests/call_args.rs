@@ -17,6 +17,8 @@
 //! Run it under `--release` too: borrowed-slice lifetimes and the typed
 //! result lane's demotion are what the optimizer compiles.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use sqlarray_core::{ElementType, Scalar, SqlArray, StorageClass};
 use sqlarray_engine::{Database, Engine, HostingModel, Session, Value};
 use sqlarray_storage::{ColType, RowValue, Schema, INLINE_BLOB_LIMIT};

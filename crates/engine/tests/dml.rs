@@ -3,6 +3,8 @@
 //! recovery through the session's statement-level autocommit, a typed
 //! error matrix, and a model-based differential property test.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sqlarray_core::build;

@@ -11,6 +11,8 @@
 //! serialized UDA mode of experiment E5, every group's result blob must be
 //! byte-identical to the oracle's.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use sqlarray_core::rng::{RngCore, SeedableRng, StdRng};
 use sqlarray_core::{ArrayError, Element, ElementType, ExactSum, SqlArray, StorageClass};
 use sqlarray_engine::{Database, Engine, HostingModel, UdaMode, Value};

@@ -3,7 +3,7 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`L001` … `L006`, `L000` for malformed suppressions).
+    /// Rule id (`L002` … `L010`, `L000` for malformed suppressions).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -69,14 +69,14 @@ mod tests {
     #[test]
     fn renderings_carry_location() {
         let f = Finding {
-            rule: "L001",
+            rule: "L003",
             path: "crates/core/src/x.rs".into(),
             line: 3,
             col: 7,
             message: "msg".into(),
-            snippet: "debug_assert!(x)".into(),
+            snippet: "offset + len".into(),
         };
-        assert!(f.render_human().contains("x.rs:3:7: L001"));
+        assert!(f.render_human().contains("x.rs:3:7: L003"));
         assert!(f.render_json().contains("\"line\":3"));
     }
 }

@@ -60,7 +60,10 @@ impl Options {
 fn usage() -> String {
     "usage: sqlarray-lint [--format=json|human] [--deny-all] [--loc | --reach] [paths…]\n\
      Lints the workspace's library sources against the repo invariants \
-     (L001–L010). With no paths, walks up to the workspace root and lints \
+     L002–L004, L006 and L008–L010 (L001, L005 and L007 are clippy's \
+     disallowed_macros, unwrap_used/expect_used and undocumented_unsafe_blocks, \
+     set in each crate's [lints.clippy] table; an exception there is a reasoned \
+     #[expect]). With no paths, walks up to the workspace root and lints \
      every crate's src/ tree. --loc prints, per crate, the lines of those \
      sources that hold code outside #[cfg(test)] instead; --reach, the \
      `pub` items that `cargo check` shows no other crate, bin, example, \

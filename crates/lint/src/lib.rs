@@ -3,10 +3,12 @@
 //! The workspace's correctness story rests on a handful of invariants
 //! that ordinary tests exercise but cannot *enforce*: parallel kernels
 //! stay bit-identical to serial at any DOP, real summation routes
-//! through the exactly-rounded accumulator, release builds keep their
-//! correctness guards, and storage arithmetic never wraps. Each of those
-//! has been violated once (see `rules` for the incident table); this
-//! crate makes the whole class mechanical.
+//! through the exactly-rounded accumulator, and storage arithmetic never
+//! wraps. Each of those has been violated once (see `rules` for the
+//! incident table); this crate makes the whole class mechanical. The
+//! invariants a stock clippy lint already states (release builds keep
+//! their guards, library code propagates typed errors, `unsafe` says why
+//! it is sound) are left to clippy, set in each crate's manifest.
 //!
 //! It is deliberately dependency-free: a small hand-rolled lexer
 //! ([`lexer`]) that understands raw strings, nested block comments and

@@ -4,31 +4,34 @@
 //!
 //! | rule | invariant | incident |
 //! |------|-----------|----------|
-//! | L001 | correctness guards must survive release builds | PR 4: `debug_assert`-only length checks silently zip-truncated `blas::dot`/`axpy` |
+//! | L001 | correctness guards must survive release builds: now clippy's `disallowed_macros` (`debug_assert*`, root `clippy.toml`), active in `core`, `storage`, `engine`, `fft`, `linalg` | PR 4: `debug_assert`-only length checks silently zip-truncated `blas::dot`/`axpy` |
 //! | L002 | real summation goes through `exact::ExactSum` | PR 5: `agg::sum` diverged from parallel `SUM` bit-for-bit |
 //! | L003 | page/offset arithmetic in `storage` is overflow-checked | PR 3: unchecked page arithmetic in the sequential-read classifiers |
 //! | L004 | a thread fan-out (`thread::spawn`/`scope`: `core::parallel`; the executor's one call of its wrapper: `exec/scan.rs`), a panic boundary (`catch_unwind`: `exec/scan.rs`, once) and an engine environment read (`engine/src/config.rs`; `configured_dop` nowhere) each have one home module | `SQLARRAY_DOP` and the admission ticket stay authoritative only while the scan is the one fan-out (the kernels once fanned out on their own, with `with_serial_kernels` to switch that off inside scans); one `exec.rs` once carried two scan harnesses, each with its own fan-out and panic boundary; a knob parsed beside `Settings` escapes "read once per engine" |
-//! | L005 | no `unwrap`/`expect` on fallible paths in library code | PR 5: silent `<lob:…>` placeholder replaced by typed `UnresolvedLob` |
+//! | L005 | no `unwrap`/`expect` on fallible paths in library code: now clippy's `unwrap_used`/`expect_used` in `core`, `storage`, `engine` (test code exempt) | PR 5: silent `<lob:…>` placeholder replaced by typed `UnresolvedLob` |
 //! | L006 | shard locks are acquired in ascending index order | deadlock class a multi-session server will make real |
-//! | L007 | every `unsafe` block carries a `// SAFETY:` comment | unsafe-audit companion |
+//! | L007 | every `unsafe` block carries a `// SAFETY:` comment: now clippy's `undocumented_unsafe_blocks`, every crate | unsafe-audit companion |
 //! | L008 | no per-row heap allocation inside batch-kernel and grouping loops | the vectorized path's speedup dies silently if a kernel loop allocates |
 //! | L009 | no mutex guard held across a scan fan-out in engine code | the shared-engine refactor's lock discipline: guard-across-fan-out serializes or deadlocks concurrent sessions |
 //! | L010 | engine scan loops and per-row selection loops must poll the query lifecycle | PR 10's cancellation contract: a scan loop without `check_interrupt` cannot be killed until its next page fault, and a UDF call lane or grouping loop over a decoded batch never faults at all |
 //!
-//! Whether a `pub` item is used by another compilation unit is not a
-//! token pattern: `--reach` ([`crate::reach`]) lets the compiler decide.
+//! L001, L005 and L007 are stock clippy lints, set in each crate's
+//! `[lints.clippy]` table and enforced by CI's `cargo clippy -- -D
+//! warnings`; this crate runs the rest. A justified exception to one of
+//! them is `#[expect(clippy::…, reason = "…")]` on its statement:
+//! `allow_attributes_without_reason` makes the reason mandatory, and an
+//! expectation the code no longer meets fails the build. Whether a `pub`
+//! item is used by another compilation unit is not a token pattern
+//! either: `--reach` ([`crate::reach`]) lets the compiler decide.
 //!
-//! Suppression: `// lint:allow(L00x, reason = "…")` on the finding's line
-//! or the line above. The reason is mandatory; a malformed or reasonless
-//! allow is itself reported as `L000`.
+//! Suppression of this crate's rules: `// lint:allow(L00x, reason = "…")`
+//! on the finding's line or the line above. The reason is mandatory; a
+//! malformed or reasonless allow is itself reported as `L000`.
 
-mod l001_debug_assert;
 mod l002_exact_sum;
 mod l003_checked_arith;
 mod l004_one_home;
-mod l005_unwrap;
 mod l006_lock_order;
-mod l007_safety_comment;
 mod l008_batch_alloc;
 mod l009_guard_across_fanout;
 mod l010_cancel_poll;
@@ -92,13 +95,10 @@ pub(crate) fn for_body(f: &SourceFile<'_>, k: usize) -> Option<(usize, usize)> {
 /// suppressions, and appends `L000` findings for malformed allows.
 pub(crate) fn run_all(f: &SourceFile<'_>) -> Vec<Finding> {
     let mut out: Vec<Finding> = Vec::new();
-    out.extend(l001_debug_assert::check(f));
     out.extend(l002_exact_sum::check(f));
     out.extend(l003_checked_arith::check(f));
     out.extend(l004_one_home::check(f));
-    out.extend(l005_unwrap::check(f));
     out.extend(l006_lock_order::check(f));
-    out.extend(l007_safety_comment::check(f));
     out.extend(l008_batch_alloc::check(f));
     out.extend(l009_guard_across_fanout::check(f));
     out.extend(l010_cancel_poll::check(f));

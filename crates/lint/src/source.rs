@@ -8,7 +8,7 @@ use crate::lexer::{lex, Tok, TokKind};
 /// A parsed `lint:allow` suppression comment.
 #[derive(Debug, Clone)]
 pub struct Allow {
-    /// Rule ids the comment suppresses (e.g. `["L003", "L005"]`).
+    /// Rule ids the comment suppresses (e.g. `["L003", "L006"]`).
     pub rules: Vec<String>,
     /// The mandatory justification.
     pub reason: String,
@@ -335,14 +335,14 @@ mod tests {
 
     #[test]
     fn allow_parsing_happy_path() {
-        let src = "// lint:allow(L003, L005, reason = \"bounded above\")\nlet x = offset + 1;";
+        let src = "// lint:allow(L003, L006, reason = \"bounded above\")\nlet x = offset + 1;";
         let f = SourceFile::parse("crates/storage/src/x.rs", src);
         assert_eq!(f.bad_allows.len(), 0);
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].rules, vec!["L003", "L005"]);
+        assert_eq!(f.allows[0].rules, vec!["L003", "L006"]);
         assert!(f.is_allowed("L003", 2)); // line below the comment
-        assert!(f.is_allowed("L005", 1)); // the comment's own line
-        assert!(!f.is_allowed("L001", 2));
+        assert!(f.is_allowed("L006", 1)); // the comment's own line
+        assert!(!f.is_allowed("L002", 2));
         assert!(!f.is_allowed("L003", 3));
     }
 
@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     fn allow_inside_string_is_ignored() {
-        let src = "let s = \"lint:allow(L001, reason = \\\"nope\\\")\";";
+        let src = "let s = \"lint:allow(L003, reason = \\\"nope\\\")\";";
         let f = SourceFile::parse("crates/storage/src/x.rs", src);
         assert!(f.allows.is_empty() && f.bad_allows.is_empty());
     }

@@ -449,7 +449,10 @@ fn copy_runs<R: PageRead + ?Sized>(
             let c = pos / CHUNK_DATA;
             let lo = pos - c * CHUNK_DATA;
             let take = (CHUNK_DATA - lo).min(remaining);
-            // lint:allow(L005, reason = "the planning loop above inserted every chunk index each segment touches into `needed`, so only planned chunks are looked up")
+            #[expect(
+                clippy::expect_used,
+                reason = "the planning loop above inserted every chunk index each segment touches into `needed`, so only planned chunks are looked up"
+            )]
             let k = needed.binary_search(&c).expect("chunk was planned");
             let page = pages[k];
             reader.read_ahead(&pages[k..]);

@@ -145,7 +145,10 @@ fn tree_node(bytes: &[u8], kind: u8, page: PageId) -> Result<SlottedRead<'_>> {
 /// Pushes a record the surrounding fill arithmetic already sized to fit,
 /// onto a page image no store write is open on.
 fn push_sized(p: &mut SlottedPage<'_>, rec: &[u8]) {
-    // lint:allow(L005, reason = "the bulk build's greedy page breaks budget every record against the same free-space rule push_record enforces; failure would be a fill-arithmetic bug, not a runtime condition")
+    #[expect(
+        clippy::expect_used,
+        reason = "the bulk build's greedy page breaks budget every record against the same free-space rule push_record enforces; failure would be a fill-arithmetic bug, not a runtime condition"
+    )]
     let _slot = p.push_record(rec).expect("sized to fit by the caller");
 }
 
@@ -791,8 +794,13 @@ impl BTree {
         if entries.is_empty() {
             return BTree::create(store);
         }
-        // lint:allow(L001, reason = "O(n) re-check of the key-order contract the public bulk_build entry point already validated and rejected with a typed error")
-        debug_assert!(validate_bulk_key_order(entries.iter().map(|(k, _)| *k)).is_ok());
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "O(n) re-check of the key-order contract the public bulk_build entry point already validated and rejected with a typed error"
+        )]
+        {
+            debug_assert!(validate_bulk_key_order(entries.iter().map(|(k, _)| *k)).is_ok());
+        }
         // Greedy page breaks: a record of `len` payload bytes costs
         // 8 (key) + len record bytes + 4 slot bytes out of the
         // PAGE_SIZE − PAGE_HEADER_LEN byte budget — exactly the
@@ -1546,7 +1554,10 @@ mod tests {
         assert_eq!(keys_in(&store, &t, 1, 200..=300), Vec::<i64>::new());
         // An inverted interval covers no leaf at all and reads nothing.
         let before = store.stats();
-        #[allow(clippy::reversed_empty_ranges)]
+        #[allow(
+            clippy::reversed_empty_ranges,
+            reason = "the inverted interval is the case under test"
+        )]
         let seen = keys_in(&store, &t, 4, 50..=40);
         assert_eq!(seen, Vec::<i64>::new());
         assert_eq!(store.stats(), before);

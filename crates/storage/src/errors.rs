@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Errors raised by the page store, B-trees, blob store and tables.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variant payload fields are self-describing
+#[allow(missing_docs, reason = "variant payload fields are self-describing")]
 pub enum StorageError {
     /// A page id beyond the end of the file.
     PageOutOfRange { page: u64, max: u64 },

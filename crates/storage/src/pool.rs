@@ -240,10 +240,12 @@ impl PoolShard {
     /// of a full shard.
     fn insert(&mut self, id: PageId, stamp: PoolStamp) {
         if self.len >= self.capacity {
-            let (victim_stamp, victim) = self
-                .min_resident()
-                // lint:allow(L005, reason = "every resident page has a counting heap entry (pushed at insert and re-stamp, kept by every rebuild), and len >= capacity >= 1 here, so one is found")
-                .expect("full shard has a minimum stamp");
+            #[expect(
+                clippy::expect_used,
+                reason = "every resident page has a counting heap entry (pushed at insert and re-stamp, kept by every rebuild), and len >= capacity >= 1 here, so one is found"
+            )]
+            let (victim_stamp, victim) =
+                self.min_resident().expect("full shard has a minimum stamp");
             if stamp < victim_stamp {
                 // The newcomer is already the least-recently-used entry:
                 // in serial stamp order it would have been inserted first

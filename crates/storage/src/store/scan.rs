@@ -583,7 +583,10 @@ mod tests {
             s.finish_scan(ios.iter());
             (s.pool().keys_mru_order(), s.stats(), s.seek_position())
         };
-        #[allow(clippy::single_range_in_vec_init)] // one partition covering 0..32
+        #[allow(
+            clippy::single_range_in_vec_init,
+            reason = "one partition covering 0..32"
+        )]
         let serial = build(&[0..32]);
         for splits in [
             vec![0..16, 16..32],

@@ -28,6 +28,8 @@
 //! statement, crashed at a random record allowance, must recover exactly
 //! the prefix covered by the last surviving commit.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 use sqlarray_core::fault::{Fault, FaultPlan};
 use sqlarray_storage::fail::tear_wal;

@@ -2,6 +2,8 @@
 //! range reads against slices, row-codec round trips, and the scan path's
 //! DOP-invariance contract.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "test code")]
+
 use proptest::prelude::*;
 use sqlarray_core::batch::ColVec;
 use sqlarray_storage::btree::MAX_PAYLOAD;

@@ -6,8 +6,10 @@
 //! the same kind of cost, and the easiest one to add back by accident. A
 //! counting global allocator makes it visible: every `alloc`,
 //! `alloc_zeroed` and `realloc` in this process, and the bytes they ask
-//! for, land in global atomics, so the threads of a DOP > 1 scan are
-//! counted too.
+//! for, land in process-wide atomics, so the threads of a DOP > 1 scan
+//! are counted too. A claim about work that runs on the calling thread
+//! counts that thread alone ([`measure_here`]): the harness's other
+//! threads allocate when they please, and a count of them is noise.
 //!
 //! Each claim is a scaling law, not an absolute count: a scan of four
 //! times the rows — UDF call lanes and typed GROUP BY included — may
@@ -18,8 +20,7 @@
 //! the same whatever its run count; a
 //! LOB read never zero-fills its result; an idle checkpoint copies no
 //! page; a leaf split costs the same whatever the leaf holds. The claims run one at a time (one lock), and each count is the
-//! smallest of three runs, because the test harness's own threads can
-//! only add to it.
+//! smallest of three runs.
 //!
 //! Run it under `--release` too: the optimizer is what could add or
 //! remove an allocation.
@@ -40,37 +41,83 @@ use sqlarray::storage::{
     BTree, ColType, DiskProfile, Edit, PageStore, RowValue, Schema, StorageError, PAGE_SIZE,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
 /// The system allocator, counting.
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ZEROED: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Calls into the allocator and the bytes they asked for.
+struct Tally {
+    allocs: AtomicU64,
+    zeroed: AtomicU64,
+    reallocs: AtomicU64,
+    bytes: AtomicU64,
+}
+
+impl Tally {
+    const fn new() -> Tally {
+        Tally {
+            allocs: AtomicU64::new(0),
+            zeroed: AtomicU64::new(0),
+            reallocs: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        }
+    }
+
+    fn add(&self, call: fn(&Tally) -> &AtomicU64, bytes: usize) {
+        call(self).fetch_add(1, Relaxed);
+        self.bytes.fetch_add(bytes as u64, Relaxed);
+    }
+
+    fn now(&self) -> Counts {
+        Counts {
+            allocs: self.allocs.load(Relaxed),
+            zeroed: self.zeroed.load(Relaxed),
+            reallocs: self.reallocs.load(Relaxed),
+            bytes: self.bytes.load(Relaxed),
+        }
+    }
+}
+
+/// Every thread's allocations.
+static PROCESS: Tally = Tally::new();
+/// The allocations of threads whose [`GATE`] is open.
+static GATED: Tally = Tally::new();
+
+thread_local! {
+    /// Open while this thread's allocations are being measured on their
+    /// own. A `const` initialiser with no destructor: reading it from
+    /// inside the allocator allocates nothing.
+    static GATE: Cell<bool> = const { Cell::new(false) };
+}
+
+fn record(call: fn(&Tally) -> &AtomicU64, bytes: usize) {
+    PROCESS.add(call, bytes);
+    if GATE.with(Cell::get) {
+        GATED.add(call, bytes);
+    }
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain atomics.
+// upholds the `GlobalAlloc` contract; the counters are plain atomics and
+// a const thread-local.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        record(|t| &t.allocs, layout.size());
         // SAFETY: the caller's layout, passed on.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ZEROED.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        record(|t| &t.zeroed, layout.size());
         // SAFETY: the caller's layout, passed on.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
+        record(|t| &t.reallocs, new_size.saturating_sub(layout.size()));
         // SAFETY: a block this allocator handed out, with its layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -94,15 +141,6 @@ struct Counts {
 }
 
 impl Counts {
-    fn now() -> Counts {
-        Counts {
-            allocs: ALLOCS.load(Relaxed),
-            zeroed: ZEROED.load(Relaxed),
-            reallocs: REALLOCS.load(Relaxed),
-            bytes: BYTES.load(Relaxed),
-        }
-    }
-
     /// Calls into the allocator that hand out or grow a block.
     fn calls(&self) -> u64 {
         self.allocs + self.zeroed + self.reallocs
@@ -118,12 +156,12 @@ impl Counts {
     }
 }
 
-/// The allocations of one run of `f`; what `f` returns is dropped
-/// outside the count.
-fn count<R>(f: impl FnOnce() -> R) -> Counts {
-    let before = Counts::now();
+/// The allocations `tally` saw over one run of `f`; what `f` returns is
+/// dropped outside the count.
+fn count_in<R>(tally: &Tally, f: impl FnOnce() -> R) -> Counts {
+    let before = tally.now();
     let out = f();
-    let after = Counts::now();
+    let after = tally.now();
     drop(out);
     Counts {
         allocs: after.allocs - before.allocs,
@@ -133,9 +171,31 @@ fn count<R>(f: impl FnOnce() -> R) -> Counts {
     }
 }
 
+/// The allocations of every thread over one run of `f`: for work that
+/// fans out.
+fn count<R>(f: impl FnOnce() -> R) -> Counts {
+    count_in(&PROCESS, f)
+}
+
+/// The allocations of the calling thread alone over one run of `f`.
+fn count_here<R>(f: impl FnOnce() -> R) -> Counts {
+    GATE.with(|g| g.set(true));
+    let counts = count_in(&GATED, f);
+    GATE.with(|g| g.set(false));
+    counts
+}
+
 /// [`count`], the smallest of three runs.
 fn measure<R>(mut f: impl FnMut() -> R) -> Counts {
     (0..3).map(|_| count(&mut f)).reduce(Counts::min).unwrap()
+}
+
+/// [`count_here`], the smallest of three runs.
+fn measure_here<R>(mut f: impl FnMut() -> R) -> Counts {
+    (0..3)
+        .map(|_| count_here(&mut f))
+        .reduce(Counts::min)
+        .unwrap()
 }
 
 /// One claim at a time: the counters are process-wide.
@@ -224,7 +284,7 @@ fn a_batch_scan_allocates_per_batch_not_per_row() {
 fn an_exact_sum_adds_without_allocating() {
     let _one = serial();
     let mut sum = ExactSum::new();
-    let counts = measure(|| {
+    let counts = measure_here(|| {
         for i in 0..100_000 {
             sum.add(i as f64 * 0.37 - 1.0e4);
         }
@@ -246,7 +306,7 @@ fn resolving_a_function_allocates_nothing() {
         "floatarray.VECTOR_3",
     ] {
         assert!(reg.resolve(name).is_some(), "{name}");
-        let counts = measure(|| reg.resolve(std::hint::black_box(name)).is_some());
+        let counts = measure_here(|| reg.resolve(std::hint::black_box(name)).is_some());
         assert_eq!(counts.calls(), 0, "{name}: {counts:?}");
     }
 }
@@ -256,7 +316,7 @@ fn a_slice_sum_and_a_norm_allocate_nothing() {
     let _one = serial();
     let xs: Vec<f64> = (0..3000).map(|i| i as f64 * 0.37 - 1.0e4).collect();
     let mut sum = ExactSum::new();
-    let counts = measure(|| {
+    let counts = measure_here(|| {
         for n in [7, 8, 960, 1024, 3000] {
             sum_f64(&xs[..n], &mut sum);
             sum.add_iter(xs[..n].iter().map(|x| x * x));
@@ -266,7 +326,7 @@ fn a_slice_sum_and_a_norm_allocate_nothing() {
     // `FloatArray.Norm2` over the 960-element arrays the repo benchmark's
     // `arr_norm` class sums: the blocks live on the stack.
     let a = short_vector(&xs[..960]).unwrap();
-    let counts = measure(|| agg::norm2(&a).unwrap());
+    let counts = measure_here(|| agg::norm2(&a).unwrap());
     assert_eq!(counts.calls(), 0, "norm2: {counts:?}");
 }
 
@@ -278,12 +338,12 @@ fn vector_avg_reads_its_argument_where_it_lies() {
     for len in [4, 900] {
         let data: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
         let blob = short_vector(&data).unwrap().into_blob();
-        let header = measure(|| Header::decode(&blob).unwrap());
+        let header = measure_here(|| Header::decode(&blob).unwrap());
         assert_eq!(header.calls(), 0, "header decode: {header:?}");
         let row = [Arg::Bytes(&blob)];
         let mut uda = VectorAvgUda::new(StorageClass::Short);
         uda.accumulate(&row).unwrap();
-        let counts = measure(|| uda.accumulate(&row).unwrap());
+        let counts = measure_here(|| uda.accumulate(&row).unwrap());
         assert_eq!(counts.calls(), 0, "{len} elements: {counts:?}");
     }
 }
@@ -296,7 +356,7 @@ fn planning_a_region_allocates_the_same_whatever_its_run_count() {
     let shape = Shape::new(&[128, 128, 128]).unwrap();
     let header = Header::new(StorageClass::Max, ElementType::Float64, shape).unwrap();
     let plan = |len: usize| {
-        let counts = measure(|| header.region_byte_runs(&[5, 6, 0], &[1, 1, len]).unwrap());
+        let counts = measure_here(|| header.region_byte_runs(&[5, 6, 0], &[1, 1, len]).unwrap());
         assert_eq!(
             header
                 .region_byte_runs(&[5, 6, 0], &[1, 1, len])
@@ -307,8 +367,7 @@ fn planning_a_region_allocates_the_same_whatever_its_run_count() {
         counts
     };
     let (few, many) = (plan(8), plan(128));
-    // Two blocks (the strides and the run list); one more is the slack
-    // the harness's own threads may add to a count.
+    // Two blocks (the strides and the run list), and one to spare.
     assert!(
         many.calls() <= few.calls() + 1 && many.calls() <= 3,
         "8 runs: {few:?}, 128 runs: {many:?}"
@@ -339,7 +398,7 @@ fn a_warm_page_read_allocates_nothing() {
             store.read(id).unwrap();
         }
     }
-    let counts = measure(|| {
+    let counts = measure_here(|| {
         for _ in 0..20 {
             for id in 0..48 {
                 store.read(id).unwrap();
@@ -356,7 +415,7 @@ fn a_scan_worker_reads_and_reads_ahead_without_allocating() {
     let ids: Vec<u64> = (0..48).collect();
     let scan = store.begin_scan();
     let mut reader = store.reader(&scan, 0);
-    let hints = measure(|| {
+    let hints = measure_here(|| {
         for _ in 0..1_000 {
             reader.read_ahead(&ids);
         }
@@ -369,7 +428,7 @@ fn a_scan_worker_reads_and_reads_ahead_without_allocating() {
             store.clear_cache();
             let scan = store.begin_scan();
             let mut reader = store.reader(&scan, 0);
-            let counts = count(|| {
+            let counts = count_here(|| {
                 for (k, &id) in ids.iter().enumerate() {
                     reader.read_ahead(&ids[k..]);
                     reader.read(id).unwrap();
@@ -390,7 +449,7 @@ fn a_lob_read_never_zero_fills_its_result() {
     let data: Vec<u8> = (0..100_000u32).map(|i| (i * 31 % 251) as u8).collect();
     let id = write_blob(&mut store, &data).unwrap();
     for cold in [true, false] {
-        let counts = measure(|| {
+        let counts = measure_here(|| {
             if cold {
                 store.clear_cache();
             }
@@ -405,7 +464,7 @@ fn a_lob_read_never_zero_fills_its_result() {
 fn a_checkpoint_copies_no_page() {
     let _one = serial();
     let mut store = store(64, 128);
-    let idle = measure(|| store.checkpoint());
+    let idle = measure_here(|| store.checkpoint());
     assert!(idle.bytes < PAGE_SIZE as u64, "idle: {idle:?}");
     // After writes too: the written pages are already the live buffers,
     // and the checkpoint only shares them.
@@ -415,7 +474,7 @@ fn a_checkpoint_copies_no_page() {
                 store.write(id, |p| p[100] = round).unwrap();
             }
             store.commit(b"catalog");
-            count(|| store.checkpoint())
+            count_here(|| store.checkpoint())
         })
         .reduce(Counts::min)
         .unwrap();
@@ -439,7 +498,7 @@ fn a_leaf_split_allocates_per_split_not_per_record() {
             store.checkpoint();
             let record = vec![9; payload];
             let insert = |_: &mut PageStore, _, _: Option<&[u8]>| Ok(Edit::Put(record.clone()));
-            let counts = count(|| t.apply::<StorageError>(&mut store, &[41], insert).unwrap());
+            let counts = count_here(|| t.apply::<StorageError>(&mut store, &[41], insert).unwrap());
             assert_eq!(t.leaf_pages(&mut store).unwrap(), leaves + 1, "no split");
             (counts, rows as u64 / leaves)
         });
