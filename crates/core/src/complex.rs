@@ -26,18 +26,10 @@ macro_rules! complex_impl {
                 Self { re, im }
             }
 
-            /// The additive identity.
-            pub const ZERO: Self = Self::new(0.0, 0.0);
             /// The multiplicative identity.
             pub const ONE: Self = Self::new(1.0, 0.0);
             /// The imaginary unit.
             pub const I: Self = Self::new(0.0, 1.0);
-
-            /// Complex conjugate.
-            #[inline]
-            pub fn conj(self) -> Self {
-                Self::new(self.re, -self.im)
-            }
 
             /// Squared modulus `re² + im²`.
             #[inline]
@@ -45,29 +37,11 @@ macro_rules! complex_impl {
                 self.re * self.re + self.im * self.im
             }
 
-            /// Modulus (absolute value).
-            #[inline]
-            pub fn abs(self) -> $t {
-                self.re.hypot(self.im)
-            }
-
-            /// `e^{iθ}` on the unit circle; the workhorse of FFT twiddles.
-            #[inline]
-            pub fn cis(theta: $t) -> Self {
-                Self::new(theta.cos(), theta.sin())
-            }
-
             /// Multiplicative inverse. Returns NaN components for zero input.
             #[inline]
             fn recip(self) -> Self {
                 let d = self.norm_sqr();
                 Self::new(self.re / d, -self.im / d)
-            }
-
-            /// Scales both components by a real factor.
-            #[inline]
-            pub fn scale(self, k: $t) -> Self {
-                Self::new(self.re * k, self.im * k)
             }
         }
 
@@ -171,6 +145,33 @@ complex_impl!(
 );
 
 impl Complex64 {
+    /// The additive identity.
+    pub const ZERO: Self = Self::new(0.0, 0.0);
+
+    /// Complex conjugate.
+    #[inline]
+    pub fn conj(self) -> Self {
+        Self::new(self.re, -self.im)
+    }
+
+    /// Modulus (absolute value).
+    #[inline]
+    pub fn abs(self) -> f64 {
+        self.re.hypot(self.im)
+    }
+
+    /// `e^{iθ}` on the unit circle; the workhorse of FFT twiddles.
+    #[inline]
+    pub fn cis(theta: f64) -> Self {
+        Self::new(theta.cos(), theta.sin())
+    }
+
+    /// Scales both components by a real factor.
+    #[inline]
+    pub fn scale(self, k: f64) -> Self {
+        Self::new(self.re * k, self.im * k)
+    }
+
     /// Widens from single precision.
     #[inline]
     pub(crate) fn from_c32(c: Complex32) -> Self {

@@ -223,6 +223,10 @@ impl ExactSum {
     /// Adds every value `xs` yields, exactly: the register ends as it would
     /// after one [`add`](Self::add) per value. Each block of at most 1 024
     /// values is gathered into one stack buffer and summed by `add_slice`.
+    /// Inline, so the gather loop is specialised into each caller: left to
+    /// codegen-unit partitioning, an out-of-line copy per iterator type
+    /// once made `Norm2` over long arrays 13 % slower.
+    #[inline]
     pub fn add_iter(&mut self, xs: impl IntoIterator<Item = f64>) {
         let mut buf = [0.0; BLOCK];
         let mut xs = xs.into_iter();

@@ -238,21 +238,24 @@ pub(crate) type Result<T> = std::result::Result<T, EngineError>;
 
 impl Value {
     /// [`Arg::as_f64`].
+    #[inline]
     pub fn as_f64(&self) -> Result<f64> {
         Arg::from(self).as_f64()
     }
 
     /// [`Arg::as_i64`].
+    #[inline]
     pub(crate) fn as_i64(&self) -> Result<i64> {
         Arg::from(self).as_i64()
     }
 
-    /// [`Arg::as_array`].
+    /// Decodes this binary value as an array blob, as its [`Arg`] does.
     pub fn as_array(&self) -> Result<SqlArray> {
         Arg::from(self).as_array()
     }
 
     /// [`Arg::is_true`].
+    #[inline]
     pub(crate) fn is_true(&self) -> bool {
         Arg::from(self).is_true()
     }
@@ -303,6 +306,7 @@ pub enum Arg<'a> {
 }
 
 impl<'a> From<&'a Value> for Arg<'a> {
+    #[inline]
     fn from(v: &'a Value) -> Arg<'a> {
         match v {
             Value::Null => Arg::Null,
@@ -337,7 +341,9 @@ impl<'a> Arg<'a> {
     /// The error of a view this argument does not have: the typed
     /// [`EngineError::UnresolvedLob`] for a lazy LOB reference, which
     /// must be resolved through a reader first, else a type error saying
-    /// the argument is not `what`.
+    /// the argument is not `what`. Cold: kept out of the accessors, which
+    /// run once per argument of every call.
+    #[cold]
     fn refused(self, what: &str) -> EngineError {
         match self {
             Arg::Lob { id, len } => EngineError::UnresolvedLob { id, len },
@@ -346,6 +352,7 @@ impl<'a> Arg<'a> {
     }
 
     /// Numeric view as `f64`; NULL and non-numerics fail.
+    #[inline]
     pub fn as_f64(self) -> Result<f64> {
         match self {
             Arg::I64(v) => Ok(v as f64),
@@ -358,6 +365,7 @@ impl<'a> Arg<'a> {
     }
 
     /// Integer view (floats must be integral and in `i64` range).
+    #[inline]
     pub fn as_i64(self) -> Result<i64> {
         match self {
             Arg::I64(v) => Ok(v),
@@ -369,12 +377,14 @@ impl<'a> Arg<'a> {
     }
 
     /// Index view (non-negative integer).
+    #[inline]
     pub(crate) fn as_index(self) -> Result<usize> {
         let v = self.as_i64()?;
         usize::try_from(v).map_err(|_| EngineError::Type(format!("negative index {v}")))
     }
 
     /// Binary view: the bytes where they lie.
+    #[inline]
     pub(crate) fn as_bytes(self) -> Result<&'a [u8]> {
         match self {
             Arg::Bytes(b) => Ok(b),
@@ -388,6 +398,7 @@ impl<'a> Arg<'a> {
     }
 
     /// Truthiness for WHERE clauses.
+    #[inline]
     pub(crate) fn is_true(self) -> bool {
         match self {
             Arg::Bool(b) => b,
